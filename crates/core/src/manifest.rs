@@ -237,9 +237,8 @@ impl Manifest {
                 "unsupported manifest version {version}"
             )));
         }
-        let body = wire::get_framed(buf)?;
-        let mut slice = body.as_slice();
-        let b = &mut slice;
+        let mut body = wire::get_framed(buf)?;
+        let b = &mut body;
 
         let id = CheckpointId(wire::get_u64(b)?);
         let kind = match wire::get_u8(b)? {
@@ -338,6 +337,128 @@ pub struct ChunkPayload {
     pub rows: Vec<QuantizedRow>,
 }
 
+/// Row encoding shared by every row of a chunk, stored once in the chunk
+/// header instead of once per row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowContext {
+    /// [`cnr_quant::QuantParams::kind_tag`] of the rows.
+    pub tag: u8,
+    /// Code width in bits.
+    pub bits: u8,
+    /// Elements per row.
+    pub dim: u16,
+}
+
+impl RowContext {
+    /// What an empty chunk records (it has no row to take a context from).
+    pub(crate) const EMPTY: Self = Self {
+        tag: 0,
+        bits: 32,
+        dim: 0,
+    };
+}
+
+/// Bytes of the chunk header inside the frame: table, row count,
+/// optimizer flag, and the [`RowContext`].
+const CHUNK_HEADER_LEN: usize = 2 + 4 + 1 + 1 + 1 + 2;
+
+/// Everything of a stored chunk except its row bodies — the single writer
+/// of the chunk layout. Both [`ChunkPayload::encode`] and the write
+/// path's fused quantize-and-encode
+/// ([`crate::write::shard_writer::encode_chunk`]) go through
+/// [`ChunkFrame::encode`], so they produce the same bytes by construction.
+pub(crate) struct ChunkFrame<'a> {
+    pub table: u16,
+    pub row_indices: &'a [u32],
+    pub optimizer_state: Option<&'a [f32]>,
+    pub rows: RowContext,
+    /// Total bytes `put_rows` will append: sizes the buffer exactly.
+    pub rows_len: usize,
+}
+
+impl ChunkFrame<'_> {
+    /// Builds the chunk in one exactly sized buffer: reserves the envelope
+    /// header (when `enveloped`), opens the frame, writes the chunk header,
+    /// indices and accumulators, lets `put_rows` append the row bodies in
+    /// place, then patches the frame length, appends the FNV frame
+    /// checksum and seals the envelope CRC over the finished bytes.
+    pub(crate) fn encode(&self, enveloped: bool, put_rows: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let count = self.row_indices.len();
+        if let Some(acc) = self.optimizer_state {
+            debug_assert_eq!(acc.len(), count);
+        }
+        let envelope_len = if enveloped { envelope::HEADER_LEN } else { 0 };
+        let words = count * (1 + self.optimizer_state.is_some() as usize);
+        let total =
+            envelope_len + wire::FRAME_OVERHEAD + CHUNK_HEADER_LEN + 4 * words + self.rows_len;
+        let mut out = Vec::with_capacity(total);
+        out.resize(envelope_len, 0);
+        let frame = wire::begin_frame(&mut out);
+        out.put_u16_le(self.table);
+        out.put_u32_le(count as u32);
+        out.put_u8(self.optimizer_state.is_some() as u8);
+        out.put_u8(self.rows.tag);
+        out.put_u8(self.rows.bits);
+        out.put_u16_le(self.rows.dim);
+        wire::put_words(&mut out, self.row_indices.iter().map(|i| i.to_le_bytes()));
+        if let Some(acc) = self.optimizer_state {
+            wire::put_words(&mut out, acc.iter().map(|a| a.to_le_bytes()));
+        }
+        put_rows(&mut out);
+        wire::end_frame(&mut out, frame);
+        debug_assert_eq!(out.len(), total, "chunk buffer was not sized exactly");
+        if enveloped {
+            envelope::seal_in_place(&mut out, 0);
+        }
+        out
+    }
+}
+
+/// A stored chunk with its envelope CRC and frame checksum verified and
+/// its header parsed; the row bodies are still encoded, borrowed from the
+/// input.
+struct OpenedChunk<'a> {
+    table: u16,
+    row_indices: Vec<u32>,
+    optimizer_state: Option<Vec<f32>>,
+    rows: RowContext,
+    bodies: &'a [u8],
+}
+
+/// Verifies and opens a serialized chunk — v3 (enveloped) or bare legacy
+/// v2 bytes — without copying the payload: both checksums run over
+/// borrowed slices, and only the indices and accumulators are
+/// materialized (after their lengths are checked against the input).
+fn open_chunk(data: &[u8]) -> Result<OpenedChunk<'_>> {
+    let mut data = open_envelope(data)?;
+    let mut body = wire::get_framed(&mut data)?;
+    let b = &mut body;
+    let table = wire::get_u16(b)?;
+    let count = wire::get_u32(b)? as usize;
+    let has_acc = wire::get_u8(b)? != 0;
+    let rows = RowContext {
+        tag: wire::get_u8(b)?,
+        bits: wire::get_u8(b)?,
+        dim: wire::get_u16(b)?,
+    };
+    let row_indices = wire::get_words(b, count, "chunk row indices")?
+        .map(u32::from_le_bytes)
+        .collect();
+    let optimizer_state = if has_acc {
+        let words = wire::get_words(b, count, "chunk optimizer state")?;
+        Some(words.map(f32::from_le_bytes).collect())
+    } else {
+        None
+    };
+    Ok(OpenedChunk {
+        table,
+        row_indices,
+        optimizer_state,
+        rows,
+        bodies: body,
+    })
+}
+
 impl ChunkPayload {
     /// Serializes the chunk (framed + checksummed).
     ///
@@ -347,91 +468,120 @@ impl ChunkPayload {
     /// the chunk (the §6.3.2 "metadata structure" the paper flags for
     /// optimization).
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.rows.len(), self.row_indices.len());
-        if let Some(acc) = &self.optimizer_state {
-            debug_assert_eq!(acc.len(), self.row_indices.len());
-        }
-        let mut body = Vec::new();
-        body.put_u16_le(self.table);
-        body.put_u32_le(self.row_indices.len() as u32);
-        body.put_u8(self.optimizer_state.is_some() as u8);
-        // Chunk-level row context: all rows share kind/bits/dim.
-        let (tag, bits, dim) = match self.rows.first() {
-            Some(r) => (r.kind_tag(), r.bits, r.dim as u16),
-            None => (0, 32, 0),
-        };
-        debug_assert!(
-            self.rows
-                .iter()
-                .all(|r| r.kind_tag() == tag && r.bits == bits && r.dim as u16 == dim),
-            "chunk mixes row encodings"
-        );
-        body.put_u8(tag);
-        body.put_u8(bits);
-        body.put_u16_le(dim);
-        for &i in &self.row_indices {
-            body.put_u32_le(i);
-        }
-        if let Some(acc) = &self.optimizer_state {
-            for &a in acc {
-                body.put_f32_le(a);
-            }
-        }
-        for row in &self.rows {
-            row.encode_body_into(&mut body);
-        }
-        let mut out = Vec::with_capacity(body.len() + 16);
-        wire::put_framed(&mut out, &body);
-        out
+        self.encode_with(false)
     }
 
     /// Serializes the chunk wrapped in the v3 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
-        envelope::wrap(&self.encode())
+        self.encode_with(true)
+    }
+
+    fn encode_with(&self, enveloped: bool) -> Vec<u8> {
+        debug_assert_eq!(self.rows.len(), self.row_indices.len());
+        // Chunk-level row context: all rows share kind/bits/dim.
+        let rows = match self.rows.first() {
+            Some(r) => RowContext {
+                tag: r.kind_tag(),
+                bits: r.bits,
+                dim: r.dim as u16,
+            },
+            None => RowContext::EMPTY,
+        };
+        debug_assert!(
+            self.rows.iter().all(|r| r.kind_tag() == rows.tag
+                && r.bits == rows.bits
+                && r.dim as u16 == rows.dim),
+            "chunk mixes row encodings"
+        );
+        ChunkFrame {
+            table: self.table,
+            row_indices: &self.row_indices,
+            optimizer_state: self.optimizer_state.as_deref(),
+            rows,
+            rows_len: self.rows.iter().map(QuantizedRow::body_byte_size).sum(),
+        }
+        .encode(enveloped, |out| {
+            for row in &self.rows {
+                row.encode_body_into(out);
+            }
+        })
     }
 
     /// Parses and verifies a serialized chunk: v3 (enveloped) or bare
     /// legacy v2 bytes.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut data = open_envelope(data)?;
-        let body = wire::get_framed(&mut data)?;
-        let mut slice = body.as_slice();
-        let b = &mut slice;
-        let table = wire::get_u16(b)?;
-        let count = wire::get_u32(b)? as usize;
-        let has_acc = wire::get_u8(b)? != 0;
-        let tag = wire::get_u8(b)?;
-        let bits = wire::get_u8(b)?;
-        let dim = wire::get_u16(b)? as usize;
-        let mut row_indices = Vec::with_capacity(count);
-        for _ in 0..count {
-            row_indices.push(wire::get_u32(b)?);
-        }
-        let optimizer_state = if has_acc {
-            let mut acc = Vec::with_capacity(count);
-            for _ in 0..count {
-                if b.len() < 4 {
-                    return Err(CnrError::Corrupt("chunk optimizer state truncated".into()));
-                }
-                let mut bytes = [0u8; 4];
-                bytes.copy_from_slice(&b[..4]);
-                *b = &b[4..];
-                acc.push(f32::from_le_bytes(bytes));
-            }
-            Some(acc)
-        } else {
-            None
-        };
+        let chunk = open_chunk(data)?;
+        let mut bodies = chunk.bodies;
+        // The row count is already bounded by the input: its indices were
+        // read from it.
+        let count = chunk.row_indices.len();
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
-            rows.push(QuantizedRow::decode_body_from(b, tag, bits, dim)?);
+            rows.push(QuantizedRow::decode_body_from(
+                &mut bodies,
+                chunk.rows.tag,
+                chunk.rows.bits,
+                chunk.rows.dim as usize,
+            )?);
         }
         Ok(Self {
-            table,
-            row_indices,
-            optimizer_state,
+            table: chunk.table,
+            row_indices: chunk.row_indices,
+            optimizer_state: chunk.optimizer_state,
             rows,
+        })
+    }
+}
+
+/// A stored chunk decoded straight to de-quantized values: what a restore
+/// needs of a chunk, in one flat row-major buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatChunk {
+    /// Which table the rows belong to.
+    pub table: u16,
+    /// Row indices within the table, ascending.
+    pub row_indices: Vec<u32>,
+    /// Row-wise optimizer accumulators (present iff the table has them).
+    pub optimizer_state: Option<Vec<f32>>,
+    /// De-quantized values, `row_indices.len() × dim`, row-major.
+    pub values: Vec<f32>,
+    /// Elements per row.
+    pub dim: usize,
+}
+
+impl FlatChunk {
+    /// Parses, verifies and de-quantizes a serialized chunk — v3
+    /// (enveloped) or bare legacy v2 bytes — in one pass over the borrowed
+    /// bytes: each row is unpacked and scaled from the chunk buffer onto
+    /// the end of `values`. Equal, bit for bit, to
+    /// [`ChunkPayload::decode`] followed by `dequantize()` on every row.
+    pub fn decode(data: &[u8]) -> Result<Self> {
+        let chunk = open_chunk(data)?;
+        let mut bodies = chunk.bodies;
+        let dim = chunk.rows.dim as usize;
+        // A row body holds at least one byte per 8 elements (1-bit codes),
+        // which bounds the value count by the input before it is allocated.
+        let len = chunk.row_indices.len() * dim;
+        if len > bodies.len().saturating_mul(8) {
+            return Err(CnrError::Corrupt("chunk row bodies truncated".into()));
+        }
+        let mut values = Vec::with_capacity(len);
+        for _ in 0..chunk.row_indices.len() {
+            cnr_quant::codec::decode_body_into(
+                &mut bodies,
+                chunk.rows.tag,
+                chunk.rows.bits,
+                dim,
+                &mut values,
+            )?;
+        }
+        Ok(Self {
+            table: chunk.table,
+            row_indices: chunk.row_indices,
+            optimizer_state: chunk.optimizer_state,
+            values,
+            dim,
         })
     }
 }

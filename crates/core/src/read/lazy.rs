@@ -208,23 +208,18 @@ impl LazyRestore {
             return Ok(0);
         }
         let mut bytes = 0u64;
-        for i in 0..self.cold.len() {
-            let (rank, ref chunk) = self.cold[i];
-            if chunk.table != table {
-                continue;
-            }
-            let applied = self.applied_rank[table as usize][row as usize];
-            if rank <= applied {
+        // Borrow the cold chunks and the rank table side by side: a
+        // fault-in copies one row's `dim` values out of a chunk, never the
+        // chunk.
+        let applied = &mut self.applied_rank[table as usize][row as usize];
+        for (rank, chunk) in &self.cold {
+            if chunk.table != table || *rank <= *applied {
                 continue;
             }
             if let Ok(k) = chunk.row_indices.binary_search(&row) {
                 bytes += chunk.bytes / chunk.row_indices.len().max(1) as u64;
-                let (rank, chunk) = {
-                    let (r, c) = &self.cold[i];
-                    (*r, c.clone())
-                };
-                apply_chunk_row(model, &chunk, k)?;
-                self.applied_rank[table as usize][row as usize] = rank;
+                apply_chunk_row(model, chunk, k)?;
+                *applied = *rank;
             }
         }
         self.apply_deferred(model, table, row)?;
@@ -314,15 +309,14 @@ fn apply_chunk_row(model: &mut DlrmModel, chunk: &DecodedChunk, k: usize) -> Res
             "cold chunk row {row} beyond table {t}"
         )));
     }
-    let values = &chunk.values[k];
-    if values.len() != table.dim() {
+    if chunk.dim != table.dim() {
         return Err(CnrError::Corrupt(format!(
             "cold row decoded to {} values, expected {}",
-            values.len(),
+            chunk.dim,
             table.dim()
         )));
     }
-    table.row_mut(row).copy_from_slice(values);
+    table.row_mut(row).copy_from_slice(chunk.row(k));
     if let (Some(src), Some(adagrad)) = (&chunk.optimizer_state, table.adagrad_mut()) {
         adagrad[row] = src[k];
     }
@@ -357,7 +351,8 @@ mod tests {
             key: key.to_string(),
             table,
             row_indices: rows.to_vec(),
-            values: rows.iter().map(|_| vec![fill; 4]).collect(),
+            values: vec![fill; 4 * rows.len()],
+            dim: 4,
             optimizer_state: Some(vec![fill; rows.len()]),
             bytes: 100 * rows.len() as u64,
             arrived_at: Duration::ZERO,
@@ -387,6 +382,27 @@ mod tests {
         // Re-faulting a live row is free and uncounted.
         assert_eq!(lazy.fault_in(&mut m, 0, 2).unwrap(), 0);
         assert_eq!(lazy.fault_in_fetches(), 1);
+    }
+
+    #[test]
+    fn fault_in_reads_the_cold_chunk_in_place() {
+        let mut m = model();
+        let rows: Vec<u32> = (0..8).collect();
+        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
+        let mut lazy = LazyRestore::new(vec![chunk(0, "cold", 0, &rows, 3.0, false)], &row_counts);
+        let before = (
+            lazy.cold[0].1.values.as_ptr(),
+            lazy.cold[0].1.values.clone(),
+        );
+        lazy.fault_in(&mut m, 0, 5).unwrap();
+        assert_eq!(m.tables()[0].row(5), &[3.0; 4]);
+        assert_eq!(m.tables()[0].adagrad().unwrap()[5], 3.0);
+        // The chunk was borrowed, not cloned or rebuilt: same buffer, same
+        // contents, and the other rows still pending.
+        assert_eq!(lazy.cold.len(), 1);
+        assert!(std::ptr::eq(lazy.cold[0].1.values.as_ptr(), before.0));
+        assert_eq!(lazy.cold[0].1.values, before.1);
+        assert_eq!(lazy.pending_rows(), 7);
     }
 
     #[test]

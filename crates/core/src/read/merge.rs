@@ -31,7 +31,7 @@ pub struct MergedState {
 /// Verifies completeness: every manifest's chunk count must be matched by
 /// the decoded chunks of its level — a lost chunk fails the restore rather
 /// than silently zero-filling rows.
-pub fn merge(chain: &[Manifest], decoded: Vec<DecodedChunk>) -> Result<MergedState> {
+pub fn merge(chain: &[Manifest], decoded: &mut [DecodedChunk]) -> Result<MergedState> {
     merge_where(chain, decoded, |_| true)
 }
 
@@ -42,16 +42,20 @@ pub fn merge(chain: &[Manifest], decoded: Vec<DecodedChunk>) -> Result<MergedSta
 /// `apply_values` returns true. A lazy restore merges hot chunks eagerly
 /// and leaves cold chunks to materialize later (fault-in or background
 /// drain); rows of filtered-out chunks stay at the zero template.
+///
+/// The chunks are borrowed (and left sorted in application order), so the
+/// caller can hand the cold ones on to a [`super::LazyRestore`] without a
+/// copy.
 pub fn merge_where(
     chain: &[Manifest],
-    mut decoded: Vec<DecodedChunk>,
+    decoded: &mut [DecodedChunk],
     apply_values: impl Fn(&DecodedChunk) -> bool,
 ) -> Result<MergedState> {
     let newest = chain.last().expect("chain is never empty");
 
     // Completeness: group counts per level before consuming.
     let mut per_level = vec![0usize; chain.len()];
-    for d in &decoded {
+    for d in decoded.iter() {
         if d.level >= chain.len() {
             return Err(CnrError::Corrupt(format!(
                 "decoded chunk {} references chain level {} of {}",
@@ -88,7 +92,7 @@ pub fn merge_where(
     let mut incremental_rows = TrackerSnapshot::empty(&row_counts);
     let mut rows_applied = 0u64;
 
-    for chunk in &decoded {
+    for chunk in decoded.iter() {
         let t = chunk.table as usize;
         if t >= tables.len() {
             return Err(CnrError::Corrupt(format!(
@@ -98,12 +102,19 @@ pub fn merge_where(
         let dim = newest.tables[t].dim as usize;
         let kind = chain[chunk.level].kind;
         let table = &mut tables[t];
-        if chunk.values.len() != chunk.row_indices.len() {
+        if chunk.values.len() != chunk.row_indices.len() * chunk.dim {
             return Err(CnrError::Corrupt(format!(
-                "chunk {} decoded {} rows for {} indices",
+                "chunk {} decoded {} values for {} rows of {}",
                 chunk.key,
                 chunk.values.len(),
-                chunk.row_indices.len()
+                chunk.row_indices.len(),
+                chunk.dim
+            )));
+        }
+        if chunk.dim != dim && !chunk.row_indices.is_empty() {
+            return Err(CnrError::Corrupt(format!(
+                "chunk {} rows decoded to {} values, expected {dim}",
+                chunk.key, chunk.dim
             )));
         }
         let apply = apply_values(chunk);
@@ -114,20 +125,13 @@ pub fn merge_where(
                     "chunk row {row_idx} beyond table {t}"
                 )));
             }
-            let values = &chunk.values[i];
-            if values.len() != dim {
-                return Err(CnrError::Corrupt(format!(
-                    "row {row_idx} decoded to {} values, expected {dim}",
-                    values.len()
-                )));
-            }
             if kind == CheckpointKind::Incremental {
                 incremental_rows.tables[t].set(r);
             }
             if !apply {
                 continue;
             }
-            table.data[r * dim..(r + 1) * dim].copy_from_slice(values);
+            table.data[r * dim..(r + 1) * dim].copy_from_slice(chunk.row(i));
             if let (Some(acc), Some(src)) = (&mut table.adagrad, &chunk.optimizer_state) {
                 acc[r] = src[i];
             }

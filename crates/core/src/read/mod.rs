@@ -320,10 +320,10 @@ pub fn restore_sharded_with_heat(
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let (merged, lazy_tail) = if options.lazy {
-        let tail = LazyRestore::new(decoded.clone(), &row_counts);
-        (merge::merge_where(&chain, decoded, |c| c.hot)?, Some(tail))
+        let merged = merge::merge_where(&chain, &mut decoded, |c| c.hot)?;
+        (merged, Some(LazyRestore::new(decoded, &row_counts)))
     } else {
-        (merge::merge(&chain, decoded)?, None)
+        (merge::merge(&chain, &mut decoded)?, None)
     };
     let merge_time = merge_t0.elapsed();
 

@@ -14,7 +14,7 @@
 use super::planner::FetchItem;
 use super::scheduler::FetchScheduler;
 use crate::error::Result;
-use crate::manifest::ChunkPayload;
+use crate::manifest::FlatChunk;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -30,8 +30,11 @@ pub struct DecodedChunk {
     pub table: u16,
     /// Row indices within the table.
     pub row_indices: Vec<u32>,
-    /// De-quantized row values, index-aligned with `row_indices`.
-    pub values: Vec<Vec<f32>>,
+    /// De-quantized row values, flat row-major: row `k` of `row_indices`
+    /// is `values[k * dim..(k + 1) * dim]` ([`DecodedChunk::row`]).
+    pub values: Vec<f32>,
+    /// Elements per row of `values`.
+    pub dim: usize,
     /// Row-wise optimizer accumulators, when the table carries them.
     pub optimizer_state: Option<Vec<f32>>,
     /// Serialized chunk size (bytes fetched).
@@ -43,6 +46,13 @@ pub struct DecodedChunk {
     /// Whether the planner required this chunk before first batch
     /// ([`FetchItem::hot`]).
     pub hot: bool,
+}
+
+impl DecodedChunk {
+    /// De-quantized values of the chunk's `k`-th row.
+    pub fn row(&self, k: usize) -> &[f32] {
+        &self.values[k * self.dim..(k + 1) * self.dim]
+    }
 }
 
 /// What one host's fetch pass produced.
@@ -168,17 +178,17 @@ impl ShardReader<'_> {
             .scheduler
             .fetch_chunk(host, &item.key, size, item.parts)?;
         let t0 = Instant::now();
-        let payload = ChunkPayload::decode(&bytes)?;
-        let values: Vec<Vec<f32>> = payload.rows.iter().map(|r| r.dequantize()).collect();
+        let chunk = FlatChunk::decode(&bytes)?;
         self.decode_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(DecodedChunk {
             level: item.level,
             key: item.key.clone(),
-            table: payload.table,
-            row_indices: payload.row_indices,
-            values,
-            optimizer_state: payload.optimizer_state,
+            table: chunk.table,
+            row_indices: chunk.row_indices,
+            values: chunk.values,
+            dim: chunk.dim,
+            optimizer_state: chunk.optimizer_state,
             bytes: bytes.len() as u64,
             arrived_at,
             hot: item.hot,

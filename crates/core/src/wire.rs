@@ -20,15 +20,40 @@ pub fn checksum(data: &[u8]) -> u64 {
     h
 }
 
+/// Bytes a frame adds around its data: the `u32` length and the `u64`
+/// checksum.
+pub const FRAME_OVERHEAD: usize = 4 + 8;
+
 /// Appends `data` framed as `[len: u32][data][checksum: u64]`.
 pub fn put_framed(buf: &mut Vec<u8>, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
+    let frame = begin_frame(buf);
     buf.extend_from_slice(data);
-    buf.put_u64_le(checksum(data));
+    end_frame(buf, frame);
 }
 
-/// Reads one `[len][data][checksum]` frame, verifying the checksum.
-pub fn get_framed(buf: &mut &[u8]) -> Result<Vec<u8>, CnrError> {
+/// Opens a frame at the end of `buf`: reserves the length field and
+/// returns the frame's position for [`end_frame`]. Whatever the caller
+/// appends in between is the frame's data, written once, in place.
+pub fn begin_frame(buf: &mut Vec<u8>) -> usize {
+    let frame = buf.len();
+    buf.put_u32_le(0);
+    frame
+}
+
+/// Closes the frame opened at `frame`: patches the length field and
+/// appends the checksum of everything appended since.
+pub fn end_frame(buf: &mut Vec<u8>, frame: usize) {
+    let data_at = frame + 4;
+    let len = buf.len() - data_at;
+    assert!(len <= u32::MAX as usize, "frame exceeds u32 length field");
+    buf[frame..data_at].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(&buf[data_at..]);
+    buf.put_u64_le(sum);
+}
+
+/// Reads one `[len][data][checksum]` frame, verifying the checksum over
+/// the borrowed bytes (nothing is copied).
+pub fn get_framed<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CnrError> {
     if buf.remaining() < 4 {
         return Err(CnrError::Corrupt("frame header truncated".into()));
     }
@@ -36,10 +61,10 @@ pub fn get_framed(buf: &mut &[u8]) -> Result<Vec<u8>, CnrError> {
     if buf.remaining() < len + 8 {
         return Err(CnrError::Corrupt("frame body truncated".into()));
     }
-    let data = buf[..len].to_vec();
-    buf.advance(len);
+    let (data, rest) = buf.split_at(len);
+    *buf = rest;
     let want = buf.get_u64_le();
-    let got = checksum(&data);
+    let got = checksum(data);
     if want != got {
         return Err(CnrError::Corrupt(format!(
             "frame checksum mismatch: stored {want:#x}, computed {got:#x}"
@@ -91,6 +116,33 @@ pub fn get_f32s(buf: &mut &[u8]) -> Result<Vec<f32>, CnrError> {
         out.push(buf.get_f32_le());
     }
     Ok(out)
+}
+
+/// Appends a run of 4-byte little-endian words (`u32::to_le_bytes`,
+/// `f32::to_le_bytes`), no length prefix.
+pub fn put_words(buf: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>) {
+    let start = buf.len();
+    buf.resize(start + words.len() * 4, 0);
+    for (dst, word) in buf[start..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&word);
+    }
+}
+
+/// Splits `count` 4-byte little-endian words off the front of `buf`,
+/// erroring on truncation before anything is allocated for them.
+pub fn get_words<'a>(
+    buf: &mut &'a [u8],
+    count: usize,
+    what: &str,
+) -> Result<impl ExactSizeIterator<Item = [u8; 4]> + 'a, CnrError> {
+    match count.checked_mul(4) {
+        Some(len) if len <= buf.len() => {
+            let (words, rest) = buf.split_at(len);
+            *buf = rest;
+            Ok(words.chunks_exact(4).map(|w| [w[0], w[1], w[2], w[3]]))
+        }
+        _ => Err(CnrError::Corrupt(format!("{what} truncated"))),
+    }
 }
 
 /// Reads a `u64`, erroring on truncation.

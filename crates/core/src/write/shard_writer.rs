@@ -13,7 +13,7 @@
 use super::chunker::WorkItem;
 use super::scheduler::UploadScheduler;
 use crate::error::Result;
-use crate::manifest::{CheckpointId, ChunkMeta, ChunkPayload, Manifest};
+use crate::manifest::{CheckpointId, ChunkFrame, ChunkMeta, Manifest, RowContext};
 use bytes::Bytes;
 use cnr_quant::QuantScheme;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,21 +158,167 @@ impl ShardWriter<'_> {
     }
 }
 
-/// Quantizes and encodes one work item into the chunk bytes as stored:
+/// Quantizes and encodes one work item into the chunk bytes as stored —
 /// the v2 payload wrapped in the v3 storage envelope, so every byte that
-/// leaves a writer host is covered by an end-to-end checksum.
-pub(crate) fn encode_chunk(item: &WorkItem, scheme: &QuantScheme) -> Vec<u8> {
-    let rows = item
-        .indices
-        .iter()
-        .enumerate()
-        .map(|(i, _)| scheme.quantize_row(&item.data[i * item.dim..(i + 1) * item.dim]))
-        .collect();
-    ChunkPayload {
+/// leaves a writer host is covered by an end-to-end checksum — in one
+/// buffer: each row's parameters and packed codes are appended straight
+/// from `item.data` into the exactly sized chunk buffer, which is then
+/// checksummed in place. Byte for byte what
+/// `ChunkPayload { rows: quantize_row(..) for every row, .. }.encode_enveloped()`
+/// produces, without the row objects or any intermediate copy.
+pub fn encode_chunk(item: &WorkItem, scheme: &QuantScheme) -> Vec<u8> {
+    let count = item.indices.len();
+    let rows = if count == 0 {
+        RowContext::EMPTY
+    } else {
+        RowContext {
+            tag: scheme.kind_tag(),
+            bits: scheme.bits(),
+            dim: item.dim as u16,
+        }
+    };
+    ChunkFrame {
         table: item.table,
-        row_indices: item.indices.clone(),
-        optimizer_state: item.acc.clone(),
+        row_indices: &item.indices,
+        optimizer_state: item.acc.as_deref(),
         rows,
+        rows_len: count * scheme.body_bytes_per_row(item.dim),
     }
-    .encode_enveloped()
+    .encode(true, |out| {
+        for i in 0..count {
+            scheme.quantize_row_into(&item.data[i * item.dim..(i + 1) * item.dim], out);
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::CnrError;
+    use crate::manifest::{ChunkPayload, FlatChunk};
+
+    fn schemes() -> Vec<QuantScheme> {
+        vec![
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Symmetric { bits: 8 },
+            QuantScheme::Asymmetric { bits: 4 },
+            QuantScheme::Asymmetric { bits: 3 },
+            QuantScheme::KMeans { bits: 2 },
+            QuantScheme::recommended_for_bits(2),
+            QuantScheme::recommended_for_bits(4),
+        ]
+    }
+
+    fn item(rows: usize, dim: usize, with_acc: bool) -> WorkItem {
+        let data: Vec<f32> = (0..rows * dim)
+            .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.4) * 0.3)
+            .collect();
+        WorkItem {
+            shard: 1,
+            seq: 7,
+            table: 3,
+            indices: (0..rows as u32).map(|i| i * 3 + 1).collect(),
+            data,
+            acc: with_acc.then(|| (0..rows).map(|i| i as f32 * 0.5).collect()),
+            dim,
+        }
+    }
+
+    /// The row-object encoding the fused path must reproduce.
+    fn via_row_objects(item: &WorkItem, scheme: &QuantScheme) -> ChunkPayload {
+        ChunkPayload {
+            table: item.table,
+            row_indices: item.indices.clone(),
+            optimizer_state: item.acc.clone(),
+            rows: (0..item.indices.len())
+                .map(|i| scheme.quantize_row(&item.data[i * item.dim..(i + 1) * item.dim]))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn encode_chunk_equals_the_row_object_encoding_byte_for_byte() {
+        for scheme in schemes() {
+            for with_acc in [false, true] {
+                for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32), (3, 130)] {
+                    let item = item(rows, dim, with_acc);
+                    let want = via_row_objects(&item, &scheme);
+                    let got = encode_chunk(&item, &scheme);
+                    assert_eq!(
+                        got,
+                        want.encode_enveloped(),
+                        "{scheme}, acc {with_acc}, {rows}x{dim}"
+                    );
+                    assert_eq!(ChunkPayload::decode(&got).unwrap(), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_decode_equals_row_object_decode_and_dequantize() {
+        for scheme in schemes() {
+            for with_acc in [false, true] {
+                for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32)] {
+                    let item = item(rows, dim, with_acc);
+                    let bytes = encode_chunk(&item, &scheme);
+                    let rows_decoded = ChunkPayload::decode(&bytes).unwrap();
+                    let flat = FlatChunk::decode(&bytes).unwrap();
+                    assert_eq!(flat.table, rows_decoded.table);
+                    assert_eq!(flat.row_indices, rows_decoded.row_indices);
+                    assert_eq!(flat.optimizer_state, rows_decoded.optimizer_state);
+                    let want: Vec<u32> = rows_decoded
+                        .rows
+                        .iter()
+                        .flat_map(|r| r.dequantize())
+                        .map(f32::to_bits)
+                        .collect();
+                    let got: Vec<u32> = flat.values.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{scheme}, acc {with_acc}, {rows}x{dim}");
+                    // The bare (un-enveloped) frame decodes the same.
+                    assert_eq!(FlatChunk::decode(&rows_decoded.encode()).unwrap(), flat);
+                }
+            }
+        }
+    }
+
+    /// Every truncation and every single-bit flip the row-object decoder
+    /// rejects, the in-place verifier rejects too, with the same typed
+    /// error — and never hands back different values.
+    #[test]
+    fn in_place_verifier_rejects_what_the_row_object_decoder_rejects() {
+        for scheme in [QuantScheme::Fp32, QuantScheme::recommended_for_bits(4)] {
+            let bytes = encode_chunk(&item(6, 8, true), &scheme);
+            let clean = FlatChunk::decode(&bytes).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        ChunkPayload::decode(&bytes[..cut]),
+                        Err(CnrError::Corrupt(_))
+                    ),
+                    "oracle accepted a truncation to {cut}"
+                );
+                assert!(
+                    matches!(FlatChunk::decode(&bytes[..cut]), Err(CnrError::Corrupt(_))),
+                    "{scheme}: truncation to {cut} bytes not rejected as corrupt"
+                );
+            }
+            for byte in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[byte] ^= 1 << bit;
+                    match (ChunkPayload::decode(&bad), FlatChunk::decode(&bad)) {
+                        (Err(CnrError::Corrupt(_)), Err(CnrError::Corrupt(_))) => {}
+                        (Ok(_), Ok(flat)) => assert_eq!(flat, clean),
+                        (a, b) => panic!(
+                            "{scheme}: flip at byte {byte} bit {bit}: oracle {:?}, in-place {:?}",
+                            a.map(|_| ()),
+                            b.map(|_| ())
+                        ),
+                    }
+                }
+            }
+        }
+    }
 }

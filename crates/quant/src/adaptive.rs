@@ -11,7 +11,7 @@
 //! `O(ratio · num_bins)` trial quantizations — the knobs behind the latency
 //! curves in Figures 12 and 13.
 
-use crate::error::row_l2_error;
+use crate::kernel::{l2_errors, Grid, BLOCK};
 use crate::params::QuantParams;
 use crate::uniform::{min_max, quantize_with_range};
 
@@ -32,6 +32,10 @@ pub struct AdaptiveRange {
 ///
 /// `num_bins` controls the step granularity, `ratio ∈ (0, 1]` the fraction of
 /// the original range the search may consume (paper §5.2).
+///
+/// A trial never materializes codes or a de-quantized row: it is one pass
+/// of [`l2_errors`] over the row, and both trials of a greedy step share
+/// that pass. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {
     assert!(num_bins >= 1, "num_bins must be >= 1");
     assert!(
@@ -41,16 +45,15 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
     let (full_min, full_max) = min_max(row);
     let range = full_max - full_min;
 
-    let eval = |lo: f32, hi: f32| -> f64 {
-        let (codes, params) = quantize_with_range(row, lo, hi, bits);
-        let back: Vec<f32> = codes.iter().map(|&c| params.dequantize_code(c)).collect();
-        row_l2_error(row, &back)
-    };
-
+    let [full_error] = l2_errors(
+        row,
+        [Grid::for_range(full_min, full_max, bits)],
+        &mut [[0.0; BLOCK]],
+    );
     let mut best = AdaptiveRange {
         xmin: full_min,
         xmax: full_max,
-        l2_error: eval(full_min, full_max),
+        l2_error: full_error,
         steps: 0,
     };
     if range <= 0.0 || !range.is_finite() {
@@ -63,10 +66,17 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
     let mut hi = full_max;
     let mut consumed = 0.0f64;
     let mut steps = 0usize;
+    let mut scratch = [[0.0f32; BLOCK]; 2];
 
     while consumed + step as f64 <= budget + 1e-12 && hi - lo > step {
-        let err_lo = eval(lo + step, hi);
-        let err_hi = eval(lo, hi - step);
+        let [err_lo, err_hi] = l2_errors(
+            row,
+            [
+                Grid::for_range(lo + step, hi, bits),
+                Grid::for_range(lo, hi - step, bits),
+            ],
+            &mut scratch,
+        );
         if err_lo <= err_hi {
             lo += step;
             if err_lo < best.l2_error {

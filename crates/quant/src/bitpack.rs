@@ -14,27 +14,66 @@
 pub fn pack(codes: &[u16], bits: u8) -> Vec<u8> {
     assert!((1..=16).contains(&bits), "bits must be in 1..=16, got {bits}");
     let mask = mask_for(bits);
-    let mut out = vec![0u8; packed_len(codes.len(), bits)];
-    let mut bit_pos = 0usize;
-    for &code in codes {
-        assert!(
-            code <= mask,
-            "code {code} does not fit in {bits} bits (max {mask})"
-        );
-        let byte = bit_pos / 8;
-        let shift = bit_pos % 8;
-        // A code spans at most 3 bytes (16 bits + 7 bits of offset).
-        let v = (code as u32) << shift;
-        out[byte] |= (v & 0xFF) as u8;
-        if v > 0xFF && byte + 1 < out.len() {
-            out[byte + 1] |= ((v >> 8) & 0xFF) as u8;
-        }
-        if v > 0xFFFF && byte + 2 < out.len() {
-            out[byte + 2] |= ((v >> 16) & 0xFF) as u8;
-        }
-        bit_pos += bits as usize;
+    if let Some(code) = codes.iter().find(|&&c| c > mask) {
+        panic!("code {code} does not fit in {bits} bits (max {mask})");
     }
+    let mut out = Vec::with_capacity(packed_len(codes.len(), bits));
+    pack_into(codes, bits, &mut out);
     out
+}
+
+/// Appends `codes`, packed `bits` wide, to `out`: the packing loop behind
+/// [`pack`] and the fused quantize-and-pack kernel. `out` must end on a
+/// code boundary that is also a byte boundary (it does whenever whole
+/// rows, or blocks of a multiple of 8 codes, are appended).
+///
+/// The caller guarantees every code fits `bits` — [`pack`] checks, the
+/// quantization kernel clamps — so this only debug-asserts it.
+pub(crate) fn pack_into(codes: &[u16], bits: u8, out: &mut Vec<u8>) {
+    debug_assert!(
+        (1..=16).contains(&bits),
+        "bits must be in 1..=16, got {bits}"
+    );
+    debug_assert!(
+        codes.iter().all(|&c| c <= mask_for(bits)),
+        "oversized code for {bits} bits"
+    );
+    match bits {
+        8 => out.extend(codes.iter().map(|&c| c as u8)),
+        4 => pack_groups::<2>(codes, out),
+        2 => pack_groups::<4>(codes, out),
+        1 => pack_groups::<8>(codes, out),
+        _ => {
+            // Any width: an LSB-first bit accumulator. At most 7 bits are
+            // pending when a code of at most 16 arrives.
+            let mut acc = 0u32;
+            let mut pending = 0u32;
+            for &code in codes {
+                acc |= (code as u32) << pending;
+                pending += bits as u32;
+                while pending >= 8 {
+                    out.push(acc as u8);
+                    acc >>= 8;
+                    pending -= 8;
+                }
+            }
+            if pending > 0 {
+                out.push(acc as u8);
+            }
+        }
+    }
+}
+
+/// Packs `PER` codes of `8 / PER` bits into each byte, LSB-first.
+fn pack_groups<const PER: usize>(codes: &[u16], out: &mut Vec<u8>) {
+    let bits = 8 / PER;
+    out.extend(codes.chunks(PER).map(|group| {
+        let mut byte = 0u16;
+        for (j, &c) in group.iter().enumerate() {
+            byte |= c << (j * bits);
+        }
+        byte as u8
+    }));
 }
 
 /// Unpacks `n` codes of width `bits` from `bytes`.
@@ -45,23 +84,57 @@ pub fn unpack(bytes: &[u8], bits: u8, n: usize) -> Option<Vec<u16>> {
     if bytes.len() < packed_len(n, bits) {
         return None;
     }
-    let mask = mask_for(bits) as u32;
-    let mut out = Vec::with_capacity(n);
-    let mut bit_pos = 0usize;
-    for _ in 0..n {
-        let byte = bit_pos / 8;
-        let shift = bit_pos % 8;
-        let mut v = bytes[byte] as u32 >> shift;
-        if byte + 1 < bytes.len() {
-            v |= (bytes[byte + 1] as u32) << (8 - shift);
-        }
-        if shift > 0 && byte + 2 < bytes.len() {
-            v |= (bytes[byte + 2] as u32) << (16 - shift);
-        }
-        out.push((v & mask) as u16);
-        bit_pos += bits as usize;
-    }
+    let mut out = vec![0u16; n];
+    unpack_into(bytes, bits, &mut out);
     Some(out)
+}
+
+/// Unpacks `codes.len()` codes of width `bits` from the front of `bytes`
+/// (trailing bytes are ignored): the loop behind [`unpack`] and the fused
+/// unpack-and-scale kernel. `bytes` must hold at least
+/// `packed_len(codes.len(), bits)` bytes.
+pub(crate) fn unpack_into(bytes: &[u8], bits: u8, codes: &mut [u16]) {
+    debug_assert!(
+        (1..=16).contains(&bits),
+        "bits must be in 1..=16, got {bits}"
+    );
+    debug_assert!(bytes.len() >= packed_len(codes.len(), bits));
+    match bits {
+        8 => {
+            for (c, &b) in codes.iter_mut().zip(bytes) {
+                *c = b as u16;
+            }
+        }
+        4 => unpack_groups::<2>(bytes, codes),
+        2 => unpack_groups::<4>(bytes, codes),
+        1 => unpack_groups::<8>(bytes, codes),
+        _ => {
+            let mask = mask_for(bits) as u32;
+            let mut bytes = bytes.iter();
+            let mut acc = 0u32;
+            let mut pending = 0u32;
+            for c in codes {
+                while pending < bits as u32 {
+                    acc |= (*bytes.next().expect("length checked by caller") as u32) << pending;
+                    pending += 8;
+                }
+                *c = (acc & mask) as u16;
+                acc >>= bits;
+                pending -= bits as u32;
+            }
+        }
+    }
+}
+
+/// Unpacks `PER` codes of `8 / PER` bits from each byte, LSB-first.
+fn unpack_groups<const PER: usize>(bytes: &[u8], codes: &mut [u16]) {
+    let bits = 8 / PER;
+    let mask = (1u16 << bits) - 1;
+    for (group, &byte) in codes.chunks_mut(PER).zip(bytes) {
+        for (j, c) in group.iter_mut().enumerate() {
+            *c = (byte as u16 >> (j * bits)) & mask;
+        }
+    }
 }
 
 /// Bytes needed to hold `n` codes of width `bits`.

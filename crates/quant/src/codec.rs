@@ -17,8 +17,9 @@
 //! tag 2 = codebook  params: u16 len + f32 * len payload: packed codes
 //! ```
 
-use crate::bitpack::{pack, packed_len, unpack};
-use crate::params::QuantParams;
+use crate::bitpack::packed_len;
+use crate::kernel::{dequantize_payload, put_f32s_le};
+use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use bytes::{Buf, BufMut};
 
 /// Errors from decoding a serialized row.
@@ -44,6 +45,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Bytes of the per-row fixed header: tag + bits + dim.
+pub(crate) const ROW_HEADER_LEN: usize = 1 + 1 + 2;
+
 /// A quantized embedding row: parameters plus bit-packed codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedRow {
@@ -61,9 +65,7 @@ impl QuantizedRow {
     /// Wraps a row without quantization (bit-exact passthrough).
     pub fn fp32(row: &[f32]) -> Self {
         let mut payload = Vec::with_capacity(row.len() * 4);
-        for &x in row {
-            payload.extend_from_slice(&x.to_le_bytes());
-        }
+        put_f32s_le(row, &mut payload);
         Self {
             params: QuantParams::Fp32,
             payload,
@@ -72,87 +74,33 @@ impl QuantizedRow {
         }
     }
 
-    /// Packs quantizer output (codes + params) into a row.
-    pub fn from_codes(codes: Vec<u16>, params: QuantParams, bits: u8, dim: usize) -> Self {
-        debug_assert_eq!(codes.len(), dim);
-        Self {
-            params,
-            payload: pack(&codes, bits),
-            dim,
-            bits,
-        }
-    }
-
     /// Reconstructs the (approximate) original row.
+    ///
+    /// Panics when the payload is shorter than `dim` values.
     pub fn dequantize(&self) -> Vec<f32> {
-        match &self.params {
-            QuantParams::Fp32 => self
-                .payload
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .collect(),
-            params => {
-                let codes = unpack(&self.payload, self.bits, self.dim)
-                    .expect("payload shorter than declared dim");
-                codes.iter().map(|&c| params.dequantize_code(c)).collect()
-            }
-        }
+        let mut out = Vec::with_capacity(self.dim);
+        dequantize_payload(&self.params, &self.payload, self.bits, self.dim, &mut out);
+        out
     }
 
     /// Total serialized size in bytes, including header and parameters.
     pub fn byte_size(&self) -> usize {
-        let header = 1 + 1 + 2; // tag + bits + dim
-        let params = match &self.params {
-            QuantParams::Fp32 | QuantParams::Fp16 => 0,
-            QuantParams::Uniform { .. } => 8,
-            QuantParams::Codebook(cb) => 2 + 4 * cb.len(),
-        };
-        header + params + self.payload.len()
+        ROW_HEADER_LEN + self.body_byte_size()
     }
 
     /// Appends the serialized row to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.dim <= u16::MAX as usize, "row dim too large for codec");
-        match &self.params {
-            QuantParams::Fp32 => {
-                buf.put_u8(0);
-                buf.put_u8(32);
-                buf.put_u16_le(self.dim as u16);
-            }
-            QuantParams::Fp16 => {
-                buf.put_u8(3);
-                buf.put_u8(16);
-                buf.put_u16_le(self.dim as u16);
-            }
-            QuantParams::Uniform { scale, zero_point } => {
-                buf.put_u8(1);
-                buf.put_u8(self.bits);
-                buf.put_u16_le(self.dim as u16);
-                buf.put_f32_le(*scale);
-                buf.put_f32_le(*zero_point);
-            }
-            QuantParams::Codebook(cb) => {
-                buf.put_u8(2);
-                buf.put_u8(self.bits);
-                buf.put_u16_le(self.dim as u16);
-                buf.put_u16_le(cb.len() as u16);
-                for &c in cb {
-                    buf.put_f32_le(c);
-                }
-            }
-        }
-        buf.extend_from_slice(&self.payload);
+        buf.put_u8(self.kind_tag());
+        buf.put_u8(self.bits);
+        buf.put_u16_le(self.dim as u16);
+        self.encode_body_into(buf);
     }
 
     /// Tag byte describing this row's parameter kind (shared by all rows of
     /// a chunk, so chunked encodings store it once).
     pub fn kind_tag(&self) -> u8 {
-        match self.params {
-            QuantParams::Fp32 => 0,
-            QuantParams::Uniform { .. } => 1,
-            QuantParams::Codebook(_) => 2,
-            QuantParams::Fp16 => 3,
-        }
+        self.params.kind_tag()
     }
 
     /// Appends only the per-row varying parts (parameters + payload),
@@ -161,30 +109,13 @@ impl QuantizedRow {
     /// a 2-bit dim-64 row would pay 4 bytes of redundant header on ~28
     /// bytes of data.
     pub fn encode_body_into(&self, buf: &mut Vec<u8>) {
-        match &self.params {
-            QuantParams::Fp32 | QuantParams::Fp16 => {}
-            QuantParams::Uniform { scale, zero_point } => {
-                buf.put_f32_le(*scale);
-                buf.put_f32_le(*zero_point);
-            }
-            QuantParams::Codebook(cb) => {
-                buf.put_u16_le(cb.len() as u16);
-                for &c in cb {
-                    buf.put_f32_le(c);
-                }
-            }
-        }
+        self.params.encode_into(buf);
         buf.extend_from_slice(&self.payload);
     }
 
     /// Serialized size of the body encoding (no per-row header).
     pub fn body_byte_size(&self) -> usize {
-        let params = match &self.params {
-            QuantParams::Fp32 | QuantParams::Fp16 => 0,
-            QuantParams::Uniform { .. } => 8,
-            QuantParams::Codebook(cb) => 2 + 4 * cb.len(),
-        };
-        params + self.payload.len()
+        self.params.encoded_len() + self.payload.len()
     }
 
     /// Decodes a row body given chunk-level `(kind_tag, bits, dim)` context.
@@ -194,60 +125,10 @@ impl QuantizedRow {
         bits: u8,
         dim: usize,
     ) -> Result<Self, CodecError> {
-        let (params, payload_len) = match kind_tag {
-            0 => {
-                if bits != 32 {
-                    return Err(CodecError::BadBits(bits));
-                }
-                (QuantParams::Fp32, dim * 4)
-            }
-            1 => {
-                if !(1..=16).contains(&bits) {
-                    return Err(CodecError::BadBits(bits));
-                }
-                if buf.remaining() < 8 {
-                    return Err(CodecError::Truncated);
-                }
-                let scale = buf.get_f32_le();
-                let zero_point = buf.get_f32_le();
-                (
-                    QuantParams::Uniform { scale, zero_point },
-                    packed_len(dim, bits),
-                )
-            }
-            2 => {
-                if !(1..=16).contains(&bits) {
-                    return Err(CodecError::BadBits(bits));
-                }
-                if buf.remaining() < 2 {
-                    return Err(CodecError::Truncated);
-                }
-                let n = buf.get_u16_le() as usize;
-                if buf.remaining() < n * 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut cb = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cb.push(buf.get_f32_le());
-                }
-                (QuantParams::Codebook(cb), packed_len(dim, bits))
-            }
-            3 => {
-                if bits != 16 {
-                    return Err(CodecError::BadBits(bits));
-                }
-                (QuantParams::Fp16, packed_len(dim, 16))
-            }
-            t => return Err(CodecError::BadTag(t)),
-        };
-        if buf.remaining() < payload_len {
-            return Err(CodecError::Truncated);
-        }
-        let payload = buf[..payload_len].to_vec();
-        buf.advance(payload_len);
+        let (params, payload) = split_body(buf, kind_tag, bits, dim)?;
         Ok(Self {
             params,
-            payload,
+            payload: payload.to_vec(),
             dim,
             bits,
         })
@@ -255,70 +136,95 @@ impl QuantizedRow {
 
     /// Decodes one row from the front of `buf`, advancing it past the row.
     pub fn decode_from(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        if buf.remaining() < 4 {
+        if buf.remaining() < ROW_HEADER_LEN {
             return Err(CodecError::Truncated);
         }
         let tag = buf.get_u8();
         let bits = buf.get_u8();
         let dim = buf.get_u16_le() as usize;
-        let (params, payload_len) = match tag {
-            0 => {
-                if bits != 32 {
-                    return Err(CodecError::BadBits(bits));
-                }
-                (QuantParams::Fp32, dim * 4)
-            }
-            1 => {
-                if !(1..=16).contains(&bits) {
-                    return Err(CodecError::BadBits(bits));
-                }
-                if buf.remaining() < 8 {
-                    return Err(CodecError::Truncated);
-                }
-                let scale = buf.get_f32_le();
-                let zero_point = buf.get_f32_le();
-                (
-                    QuantParams::Uniform { scale, zero_point },
-                    packed_len(dim, bits),
-                )
-            }
-            2 => {
-                if !(1..=16).contains(&bits) {
-                    return Err(CodecError::BadBits(bits));
-                }
-                if buf.remaining() < 2 {
-                    return Err(CodecError::Truncated);
-                }
-                let n = buf.get_u16_le() as usize;
-                if buf.remaining() < n * 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut cb = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cb.push(buf.get_f32_le());
-                }
-                (QuantParams::Codebook(cb), packed_len(dim, bits))
-            }
-            3 => {
-                if bits != 16 {
-                    return Err(CodecError::BadBits(bits));
-                }
-                (QuantParams::Fp16, packed_len(dim, 16))
-            }
-            t => return Err(CodecError::BadTag(t)),
-        };
-        if buf.remaining() < payload_len {
-            return Err(CodecError::Truncated);
-        }
-        let payload = buf[..payload_len].to_vec();
-        buf.advance(payload_len);
-        Ok(Self {
-            params,
-            payload,
-            dim,
-            bits,
-        })
+        Self::decode_body_from(buf, tag, bits, dim)
     }
+}
+
+/// Decodes a row body given chunk-level `(kind_tag, bits, dim)` context
+/// and appends its `dim` de-quantized values to `out`: parameters are read
+/// and the packed codes unpacked and scaled from the borrowed bytes, with
+/// no [`QuantizedRow`] in between. Equal, bit for bit, to
+/// [`QuantizedRow::decode_body_from`] followed by
+/// [`QuantizedRow::dequantize`].
+pub fn decode_body_into(
+    buf: &mut &[u8],
+    kind_tag: u8,
+    bits: u8,
+    dim: usize,
+    out: &mut Vec<f32>,
+) -> Result<(), CodecError> {
+    let (params, payload) = split_body(buf, kind_tag, bits, dim)?;
+    dequantize_payload(&params, payload, bits, dim, out);
+    Ok(())
+}
+
+/// Validates the chunk-level context, reads one row's parameters off the
+/// front of `buf` and splits off its payload, advancing `buf` past the
+/// row. The payload is borrowed; only a codebook allocates.
+fn split_body<'a>(
+    buf: &mut &'a [u8],
+    kind_tag: u8,
+    bits: u8,
+    dim: usize,
+) -> Result<(QuantParams, &'a [u8]), CodecError> {
+    let (params, payload_len) = match kind_tag {
+        TAG_FP32 => {
+            if bits != 32 {
+                return Err(CodecError::BadBits(bits));
+            }
+            (QuantParams::Fp32, dim * 4)
+        }
+        TAG_UNIFORM => {
+            if !(1..=16).contains(&bits) {
+                return Err(CodecError::BadBits(bits));
+            }
+            if buf.remaining() < 8 {
+                return Err(CodecError::Truncated);
+            }
+            let scale = buf.get_f32_le();
+            let zero_point = buf.get_f32_le();
+            (
+                QuantParams::Uniform { scale, zero_point },
+                packed_len(dim, bits),
+            )
+        }
+        TAG_CODEBOOK => {
+            if !(1..=16).contains(&bits) {
+                return Err(CodecError::BadBits(bits));
+            }
+            if buf.remaining() < 2 {
+                return Err(CodecError::Truncated);
+            }
+            let n = buf.get_u16_le() as usize;
+            if buf.remaining() < n * 4 {
+                return Err(CodecError::Truncated);
+            }
+            let mut cb = Vec::with_capacity(n);
+            for _ in 0..n {
+                cb.push(buf.get_f32_le());
+            }
+            (QuantParams::Codebook(cb), packed_len(dim, bits))
+        }
+        TAG_FP16 => {
+            if bits != 16 {
+                return Err(CodecError::BadBits(bits));
+            }
+            (QuantParams::Fp16, packed_len(dim, 16))
+        }
+        t => return Err(CodecError::BadTag(t)),
+    };
+    if buf.remaining() < payload_len {
+        return Err(CodecError::Truncated);
+    }
+    let (payload, rest) = buf.split_at(payload_len);
+    *buf = rest;
+    Ok((params, payload))
 }
 
 #[cfg(test)]

@@ -24,9 +24,12 @@ pub mod bitpack;
 pub mod codec;
 pub mod error;
 pub mod half;
+mod kernel;
 pub mod kmeans;
 pub mod params;
 pub mod scheme;
+#[cfg(test)]
+mod reference;
 pub mod select;
 pub mod uniform;
 

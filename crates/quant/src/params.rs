@@ -7,7 +7,16 @@
 //! chosen quantization bit-width" (§6.3.2), so this module also exposes
 //! [`QuantParams::byte_size`] for faithful size accounting.
 
+use crate::kernel::{levels_for, Grid};
+use bytes::BufMut;
 use serde::{Deserialize, Serialize};
+
+/// Tag bytes naming the parameter kind in serialized rows and chunks
+/// ([`QuantParams::kind_tag`]).
+pub(crate) const TAG_FP32: u8 = 0;
+pub(crate) const TAG_UNIFORM: u8 = 1;
+pub(crate) const TAG_CODEBOOK: u8 = 2;
+pub(crate) const TAG_FP16: u8 = 3;
 
 /// Per-vector quantization parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,6 +50,31 @@ impl QuantParams {
         }
     }
 
+    /// Tag byte naming the parameter kind in serialized rows and chunks.
+    pub fn kind_tag(&self) -> u8 {
+        match self {
+            QuantParams::Fp32 => TAG_FP32,
+            QuantParams::Uniform { .. } => TAG_UNIFORM,
+            QuantParams::Codebook(_) => TAG_CODEBOOK,
+            QuantParams::Fp16 => TAG_FP16,
+        }
+    }
+
+    /// De-quantizes `codes`, appending one value per code to `out`: the
+    /// scaling loop shared by every decode path.
+    pub fn dequantize_codes(&self, codes: &[u16], out: &mut Vec<f32>) {
+        match self {
+            QuantParams::Fp32 => {
+                unreachable!("Fp32 rows are decoded bytewise, not via codes")
+            }
+            QuantParams::Fp16 => out.extend(codes.iter().map(|&c| crate::half::f16_bits_to_f32(c))),
+            QuantParams::Uniform { scale, zero_point } => {
+                out.extend(codes.iter().map(|&c| scale * c as f32 + zero_point))
+            }
+            QuantParams::Codebook(cb) => out.extend(codes.iter().map(|&c| cb[c as usize])),
+        }
+    }
+
     /// Serialized size of the parameters in bytes (the metadata overhead the
     /// paper discusses in §6.3.2).
     pub fn byte_size(&self) -> usize {
@@ -48,6 +82,30 @@ impl QuantParams {
             QuantParams::Fp32 | QuantParams::Fp16 => 0,
             QuantParams::Uniform { .. } => 8, // scale + zero_point
             QuantParams::Codebook(cb) => 4 * cb.len(),
+        }
+    }
+
+    /// Bytes [`Self::encode_into`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        match self {
+            QuantParams::Codebook(cb) => 2 + 4 * cb.len(),
+            other => other.byte_size(),
+        }
+    }
+
+    /// Appends the parameters as a row body stores them, ahead of the
+    /// packed codes (a codebook is length-prefixed).
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            QuantParams::Fp32 | QuantParams::Fp16 => {}
+            QuantParams::Uniform { scale, zero_point } => {
+                buf.put_f32_le(*scale);
+                buf.put_f32_le(*zero_point);
+            }
+            QuantParams::Codebook(cb) => {
+                buf.put_u16_le(cb.len() as u16);
+                crate::kernel::put_f32s_le(cb, buf);
+            }
         }
     }
 }
@@ -58,36 +116,19 @@ impl QuantParams {
 /// `scale = 0`, which de-quantizes every code to `zero_point` — exact for the
 /// constant-vector case.
 pub fn uniform_params(xmin: f32, xmax: f32, bits: u8) -> QuantParams {
-    debug_assert!((1..=16).contains(&bits));
-    let levels = (1u32 << bits) - 1;
-    let range = xmax - xmin;
-    let scale = if range > 0.0 && range.is_finite() {
-        range / levels as f32
-    } else {
-        0.0
-    };
-    QuantParams::Uniform {
-        scale,
-        zero_point: xmin,
-    }
+    Grid::for_range(xmin, xmax, bits).params()
 }
 
 /// Quantizes one value with uniform parameters, clamping to the code range.
 /// This is the paper's `FQ(x, xmin, xmax)` operator.
 #[inline]
 pub fn uniform_quantize_value(x: f32, scale: f32, zero_point: f32, bits: u8) -> u16 {
-    let levels = (1u32 << bits) - 1;
-    if scale <= 0.0 {
-        return 0;
-    }
-    let q = ((x - zero_point) / scale).round();
-    if q <= 0.0 {
-        0
-    } else if q >= levels as f32 {
-        levels as u16
-    } else {
-        q as u16
-    }
+    let grid = Grid {
+        scale,
+        zero_point,
+        levels: levels_for(bits),
+    };
+    grid.code_of(x) as u16
 }
 
 #[cfg(test)]

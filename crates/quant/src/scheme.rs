@@ -4,10 +4,14 @@
 //! the engine picks one per checkpoint (§6.2.1 dynamic bit-width selection)
 //! and the chunked writer applies it row by row.
 
-use crate::adaptive::quantize_adaptive;
-use crate::codec::QuantizedRow;
+use crate::adaptive::search_range;
+use crate::bitpack::{pack_into, packed_len};
+use crate::codec::{QuantizedRow, ROW_HEADER_LEN};
+use crate::half::f32_to_f16_bits;
+use crate::kernel::{put_f32s_le, quantize_pack_into, Grid};
 use crate::kmeans::{quantize_kmeans, DEFAULT_ITERS};
-use crate::uniform::{quantize_asymmetric, quantize_symmetric};
+use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
+use crate::uniform::{max_abs, min_max};
 use serde::{Deserialize, Serialize};
 
 /// A quantization scheme with its parameters.
@@ -91,43 +95,116 @@ impl QuantScheme {
         }
     }
 
+    /// Tag byte of the rows this scheme produces
+    /// ([`QuantParams::kind_tag`]): with [`Self::bits`], the chunk-level
+    /// context a chunk writer stores once for all its rows.
+    pub fn kind_tag(&self) -> u8 {
+        match self {
+            QuantScheme::Fp32 => TAG_FP32,
+            QuantScheme::Fp16 => TAG_FP16,
+            QuantScheme::KMeans { .. } => TAG_CODEBOOK,
+            QuantScheme::Symmetric { .. }
+            | QuantScheme::Asymmetric { .. }
+            | QuantScheme::AdaptiveAsymmetric { .. } => TAG_UNIFORM,
+        }
+    }
+
     /// Quantizes one embedding row.
     pub fn quantize_row(&self, row: &[f32]) -> QuantizedRow {
-        match *self {
-            QuantScheme::Fp32 => QuantizedRow::fp32(row),
+        let bits = self.bits();
+        let mut payload = Vec::with_capacity(self.payload_len(row.len()));
+        let params = self.quantize(row, &mut payload, false);
+        QuantizedRow {
+            params,
+            payload,
+            dim: row.len(),
+            bits,
+        }
+    }
+
+    /// Quantizes one embedding row and appends its body encoding — the
+    /// parameters, then the packed codes — straight to `out`: the bytes
+    /// `self.quantize_row(row).encode_body_into(out)` appends, without the
+    /// row object or any other allocation in between (k-means excepted,
+    /// whose clustering allocates).
+    pub fn quantize_row_into(&self, row: &[f32], out: &mut Vec<u8>) {
+        self.quantize(row, out, true);
+    }
+
+    /// The one quantizer behind [`Self::quantize_row`] and
+    /// [`Self::quantize_row_into`]: picks the row's parameters, appends
+    /// them to `out` when `inline_params`, then appends the payload.
+    fn quantize(&self, row: &[f32], out: &mut Vec<u8>, inline_params: bool) -> QuantParams {
+        let (grid, bits) = match *self {
+            QuantScheme::Fp32 => {
+                put_f32s_le(row, out);
+                return QuantParams::Fp32;
+            }
             QuantScheme::Fp16 => {
-                let codes: Vec<u16> =
-                    row.iter().map(|&x| crate::half::f32_to_f16_bits(x)).collect();
-                QuantizedRow::from_codes(codes, crate::params::QuantParams::Fp16, 16, row.len())
-            }
-            QuantScheme::Symmetric { bits } => {
-                let (codes, params) = quantize_symmetric(row, bits);
-                QuantizedRow::from_codes(codes, params, bits, row.len())
-            }
-            QuantScheme::Asymmetric { bits } => {
-                let (codes, params) = quantize_asymmetric(row, bits);
-                QuantizedRow::from_codes(codes, params, bits, row.len())
+                out.extend(row.iter().flat_map(|&x| f32_to_f16_bits(x).to_le_bytes()));
+                return QuantParams::Fp16;
             }
             QuantScheme::KMeans { bits } => {
                 let (codes, params) = quantize_kmeans(row, bits, DEFAULT_ITERS);
-                QuantizedRow::from_codes(codes, params, bits, row.len())
+                if inline_params {
+                    params.encode_into(out);
+                }
+                pack_into(&codes, bits, out);
+                return params;
+            }
+            QuantScheme::Symmetric { bits } => {
+                let xmax = max_abs(row);
+                (Grid::for_range(-xmax, xmax, bits), bits)
+            }
+            QuantScheme::Asymmetric { bits } => {
+                let (xmin, xmax) = min_max(row);
+                (Grid::for_range(xmin, xmax, bits), bits)
             }
             QuantScheme::AdaptiveAsymmetric {
                 bits,
                 num_bins,
                 ratio,
             } => {
-                let (codes, params) = quantize_adaptive(row, bits, num_bins, ratio);
-                QuantizedRow::from_codes(codes, params, bits, row.len())
+                let r = search_range(row, bits, num_bins, ratio);
+                (Grid::for_range(r.xmin, r.xmax, bits), bits)
             }
+        };
+        let params = grid.params();
+        if inline_params {
+            params.encode_into(out);
         }
+        quantize_pack_into(row, grid, bits, out);
+        params
+    }
+
+    /// Bytes of one row's payload (packed codes, or raw values).
+    fn payload_len(&self, dim: usize) -> usize {
+        match self {
+            QuantScheme::Fp32 => dim * 4,
+            _ => packed_len(dim, self.bits()),
+        }
+    }
+
+    /// Serialized bytes of one row's body encoding (parameters + payload,
+    /// no per-row header) at dimension `dim`: what
+    /// [`Self::quantize_row_into`] appends, so a chunk writer can size its
+    /// buffer before quantizing anything.
+    pub fn body_bytes_per_row(&self, dim: usize) -> usize {
+        let params = match self {
+            QuantScheme::Fp32 | QuantScheme::Fp16 => 0,
+            QuantScheme::Symmetric { .. }
+            | QuantScheme::Asymmetric { .. }
+            | QuantScheme::AdaptiveAsymmetric { .. } => 8,
+            QuantScheme::KMeans { bits } => 2 + 4 * (1usize << bits),
+        };
+        params + self.payload_len(dim)
     }
 
     /// Expected serialized bytes per row of dimension `dim`, including the
     /// per-row parameter overhead — the quantity Figures 15–17 account in
     /// "% of model size".
     pub fn bytes_per_row(&self, dim: usize) -> usize {
-        self.quantize_row(&vec![0.0f32; dim.max(1)][..dim]).byte_size()
+        ROW_HEADER_LEN + self.body_bytes_per_row(dim)
     }
 }
 
@@ -227,6 +304,40 @@ mod tests {
         // 2-bit: 16 bytes of codes + 8 bytes params (+ header) — well under
         // the 13x reduction ceiling the paper quotes for quantization alone.
         assert!(b2 <= dim / 4 + 8 + 8);
+    }
+
+    #[test]
+    fn bytes_per_row_is_the_size_a_row_encodes_to() {
+        let schemes = [
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Symmetric { bits: 3 },
+            QuantScheme::Asymmetric { bits: 1 },
+            QuantScheme::Asymmetric { bits: 8 },
+            QuantScheme::Asymmetric { bits: 16 },
+            QuantScheme::KMeans { bits: 2 },
+            QuantScheme::KMeans { bits: 4 },
+            QuantScheme::recommended_for_bits(2),
+            QuantScheme::recommended_for_bits(4),
+        ];
+        for s in schemes {
+            for dim in [0usize, 1, 7, 32, 64, 129] {
+                let row: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+                let q = s.quantize_row(&row);
+                assert_eq!(s.bytes_per_row(dim), q.byte_size(), "{s} dim {dim}");
+                assert_eq!(
+                    s.body_bytes_per_row(dim),
+                    q.body_byte_size(),
+                    "{s} dim {dim}"
+                );
+                assert_eq!(s.kind_tag(), q.kind_tag(), "{s}");
+                let mut body = Vec::new();
+                s.quantize_row_into(&row, &mut body);
+                let mut want = Vec::new();
+                q.encode_body_into(&mut want);
+                assert_eq!(body, want, "{s} dim {dim}");
+            }
+        }
     }
 
     #[test]

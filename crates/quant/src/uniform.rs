@@ -7,13 +7,20 @@
 //!   the cost of storing both endpoints. The paper's default for 8-bit
 //!   checkpoints.
 
-use crate::params::{uniform_params, uniform_quantize_value, QuantParams};
+use crate::kernel::Grid;
+use crate::params::QuantParams;
 
 /// Quantizes `row` with a symmetric range derived from its maximum absolute
 /// value. Returns per-element codes plus the parameters.
 pub fn quantize_symmetric(row: &[f32], bits: u8) -> (Vec<u16>, QuantParams) {
-    let xmax = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+    let xmax = max_abs(row);
     quantize_with_range(row, -xmax, xmax, bits)
+}
+
+/// Largest absolute value of a slice (0 when empty): the symmetric
+/// scheme's range is `[-max_abs, +max_abs]`.
+pub fn max_abs(row: &[f32]) -> f32 {
+    row.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
 }
 
 /// Quantizes `row` with the asymmetric range `[min, max]` of its elements.
@@ -26,16 +33,9 @@ pub fn quantize_asymmetric(row: &[f32], bits: u8) -> (Vec<u16>, QuantParams) {
 /// range, clipping elements that fall outside it. Exposed publicly because
 /// the adaptive scheme calls it with shrunken ranges.
 pub fn quantize_with_range(row: &[f32], xmin: f32, xmax: f32, bits: u8) -> (Vec<u16>, QuantParams) {
-    let params = uniform_params(xmin, xmax, bits);
-    let (scale, zero_point) = match params {
-        QuantParams::Uniform { scale, zero_point } => (scale, zero_point),
-        _ => unreachable!(),
-    };
-    let codes = row
-        .iter()
-        .map(|&x| uniform_quantize_value(x, scale, zero_point, bits))
-        .collect();
-    (codes, params)
+    let grid = Grid::for_range(xmin, xmax, bits);
+    let codes = row.iter().map(|&x| grid.code_of(x) as u16).collect();
+    (codes, grid.params())
 }
 
 /// Minimum and maximum of a slice. Empty slices report `(0, 0)`, which
@@ -55,7 +55,9 @@ pub fn min_max(row: &[f32]) -> (f32, f32) {
 
 /// De-quantizes codes produced by any uniform scheme.
 pub fn dequantize(codes: &[u16], params: &QuantParams) -> Vec<f32> {
-    codes.iter().map(|&c| params.dequantize_code(c)).collect()
+    let mut out = Vec::with_capacity(codes.len());
+    params.dequantize_codes(codes, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -59,10 +59,13 @@ pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 /// All flag bits a v3 reader understands; unknown bits are corruption.
 const KNOWN_FLAGS: u16 = FLAG_MANIFEST | FLAG_WAL_FRAME;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup table,
-/// built at compile time so the hot verify path is a table walk.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup tables for
+/// slice-by-8, built at compile time. `CRC_TABLES[0]` is the classic
+/// one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, which is what lets eight input bytes fold into the
+/// state with eight independent lookups instead of a chain of eight.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -71,10 +74,20 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data`.
@@ -82,10 +95,31 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_feed(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// Feeds `data` into a raw (pre-finalization) CRC-32 state.
+/// Feeds `data` into a raw (pre-finalization) CRC-32 state, eight bytes
+/// per step (slice-by-8), the tail one byte at a time. The state after
+/// any prefix equals the bytewise loop's, so feeds compose.
 fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    crc32_feed_bytewise(state, words.remainder())
+}
+
+/// One table lookup per byte: the tail loop of [`crc32_feed`], and the
+/// reference the slice-by-8 path is tested against.
+fn crc32_feed_bytewise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -115,19 +149,37 @@ pub enum Inspection {
 
 /// Wraps `payload` in a v3 envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.resize(HEADER_LEN, 0);
+    out.extend_from_slice(payload);
+    seal_in_place(&mut out, flags);
+    out
+}
+
+/// Seals a buffer whose first [`HEADER_LEN`] bytes were reserved for the
+/// envelope and whose remainder is the payload: writes magic, version,
+/// `flags`, payload length and checksum into the reserved bytes. A writer
+/// that builds its payload in place behind a reserved header gets the
+/// same bytes [`wrap_with_flags`] produces without copying the payload.
+///
+/// Panics when `buf` is shorter than the header or the payload exceeds
+/// the `u32` length field.
+pub fn seal_in_place(buf: &mut [u8], flags: u16) {
+    assert!(
+        buf.len() >= HEADER_LEN,
+        "no room reserved for the envelope header"
+    );
+    let (header, payload) = buf.split_at_mut(HEADER_LEN);
     assert!(
         payload.len() <= u32::MAX as usize,
         "envelope payload exceeds u32 length field"
     );
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&flags.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = envelope_crc(&out[4..12], payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header[6..8].copy_from_slice(&flags.to_le_bytes());
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = envelope_crc(&header[4..12], payload);
+    header[12..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Wraps `payload` in a v3 envelope with no flags set.
@@ -232,6 +284,45 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    proptest::proptest! {
+        /// Slice-by-8 equals the bytewise loop for every length and every
+        /// split of a two-part feed (the `header ++ payload` shape of
+        /// `envelope_crc`), so every stored checksum is unchanged.
+        #[test]
+        fn slice_by_8_equals_the_bytewise_loop(
+            len in 0usize..4096,
+            split_seed in proptest::prelude::any::<u64>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let want = crc32_feed_bytewise(0xFFFF_FFFF, &data);
+            proptest::prop_assert_eq!(crc32_feed(0xFFFF_FFFF, &data), want);
+            let (head, tail) = data.split_at(split_seed as usize % (len + 1));
+            proptest::prop_assert_eq!(crc32_feed(crc32_feed(0xFFFF_FFFF, head), tail), want);
+        }
+    }
+
+    #[test]
+    fn seal_in_place_equals_wrap() {
+        for flags in [0, FLAG_MANIFEST, FLAG_WAL_FRAME] {
+            for payload in [&b""[..], b"x", b"0123456789abcdef-tail"] {
+                let mut buf = vec![0xEE; HEADER_LEN];
+                buf.extend_from_slice(payload);
+                seal_in_place(&mut buf, flags);
+                assert_eq!(buf, wrap_with_flags(payload, flags));
+                assert_eq!(unwrap(&buf).unwrap(), (flags, payload));
+            }
+        }
     }
 
     #[test]
