@@ -69,12 +69,17 @@ pub fn run(intervals: u64, seed: u64) -> Vec<Fig17Row> {
             engine
                 .train_batches(intervals * INCREMENTAL_INTERVAL_BATCHES)
                 .expect("training");
+            let stats = engine.stats();
             Fig17Row {
                 bucket,
                 expected_restores,
                 bits,
-                bandwidth_reduction: engine.stats().bandwidth_reduction_vs_full(),
-                capacity_reduction: engine.stats().capacity_reduction_vs_full(),
+                bandwidth_reduction: stats
+                    .try_bandwidth_reduction_vs_full()
+                    .expect("the run completed intervals"),
+                capacity_reduction: stats
+                    .try_capacity_reduction_vs_full()
+                    .expect("the run completed intervals"),
             }
         })
         .collect()

@@ -13,11 +13,10 @@
 //! those are [`FailureModel::paper_calibrated`]'s parameters.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A sampled time-to-failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtfSample {
     /// Execution time completed before the failure.
     pub time_to_failure: Duration,
@@ -30,7 +29,7 @@ pub struct TtfSample {
 /// individual writer hosts do fail mid-upload. The sharded writer reacts by
 /// aborting the dead host's in-flight multipart upload and re-sharding its
 /// remaining rows over the surviving hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostKill {
     /// Index of the writer host that dies.
     pub host: u16,
@@ -40,7 +39,7 @@ pub struct HostKill {
 }
 
 /// Distribution of job time-to-failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FailureModel {
     /// Memoryless failures at a constant rate (classic MTBF model).
     Exponential {

@@ -7,10 +7,9 @@
 //! pattern behind the curve. This is *illustrative motivation data*, not an
 //! algorithmic result; it exists so `repro fig4` covers every figure.
 
-use serde::{Deserialize, Serialize};
 
 /// One point of the growth series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthPoint {
     /// Months since the start of the observation window.
     pub month: u32,

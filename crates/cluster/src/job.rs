@@ -1,10 +1,9 @@
 //! Training job descriptors.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Unique identifier of a training job within a fleet simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -14,7 +13,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Scheduling priority; higher runs first (Bistro/PBS-style, §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JobPriority {
     /// Best-effort experimentation jobs.
     Low,
@@ -25,7 +24,7 @@ pub enum JobPriority {
 }
 
 /// A training job submitted to the fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingJob {
     /// Job identity.
     pub id: JobId,

@@ -18,11 +18,10 @@
 
 use crate::failure::{FailureModel, HostKill};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Accounting summary for one training run with failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryAccounting {
     /// Productive training time (equals the job's work requirement).
     pub useful_work: Duration,
@@ -48,7 +47,7 @@ impl RecoveryAccounting {
 }
 
 /// Where a recovery landed the job, relative to the failure instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestorePoint {
     /// Restored to the last full checkpoint; everything trained since is
     /// lost (the paper's baseline recovery semantics).
@@ -60,7 +59,7 @@ pub enum RestorePoint {
 }
 
 /// How a restore brought the model back before training resumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreMode {
     /// Every chunk of the chain was applied before the first batch
     /// (all-or-nothing restore — the paper's baseline semantics).
@@ -73,7 +72,7 @@ pub enum RestoreMode {
 
 /// Time-to-resume accounting of one sharded restore: how long each stage
 /// of the recovery pipeline took before the job was ready to train again.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResumeBreakdown {
     /// Simulated time between the failure instant and the durability point
     /// of the checkpoint being restored. With overlapped interval
@@ -162,7 +161,7 @@ impl ResumeBreakdown {
 }
 
 /// One recorded recovery event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEvent {
     /// Simulated time at which the failure hit (restore start).
     pub at: Duration,

@@ -10,14 +10,13 @@ use crate::failure::FailureModel;
 use crate::job::{JobId, TrainingJob};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::time::Duration;
 
 /// Capacity description of the training fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterFleet {
     /// Number of clusters (the paper observes 21).
     pub clusters: usize,
@@ -41,7 +40,7 @@ impl ClusterFleet {
 }
 
 /// What happened to a job by the end of the simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// The job's identity.
     pub id: JobId,

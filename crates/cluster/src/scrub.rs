@@ -13,21 +13,16 @@
 //! fixed cadence, and the log keeps the per-sweep history that run-level
 //! statistics aggregate.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Plain-count findings of one scrub sweep (the storage layer's report,
 /// stripped of key-level detail).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubFindings {
     /// Objects examined.
     pub scanned: u64,
     /// Objects that verified clean on first read.
     pub clean: u64,
-    /// Legacy (pre-envelope) objects found.
-    pub legacy_found: u64,
-    /// Legacy objects upgraded to the enveloped format in place.
-    pub upgraded: u64,
     /// Objects whose envelope failed verification.
     pub corrupt_detected: u64,
     /// Corrupt objects healed from a replica and written back.
@@ -37,7 +32,6 @@ pub struct ScrubFindings {
     /// Keys skipped because a lazy restore had fetches in flight on them
     /// (the sweep never races an on-demand fault-in; the next sweep
     /// revisits them).
-    #[serde(default)]
     pub skipped_in_flight: u64,
 }
 
@@ -46,8 +40,6 @@ impl ScrubFindings {
     pub fn accumulate(&mut self, other: ScrubFindings) {
         self.scanned += other.scanned;
         self.clean += other.clean;
-        self.legacy_found += other.legacy_found;
-        self.upgraded += other.upgraded;
         self.corrupt_detected += other.corrupt_detected;
         self.repaired += other.repaired;
         self.unrepairable += other.unrepairable;
@@ -56,7 +48,7 @@ impl ScrubFindings {
 }
 
 /// One recorded sweep: when it ran and what it found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubSweep {
     /// Simulated time at which the sweep ran.
     pub at: Duration,

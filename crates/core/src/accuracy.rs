@@ -15,12 +15,11 @@ use cnr_quant::QuantScheme;
 use cnr_storage::RemoteConfig;
 use cnr_trainer::evaluate;
 use cnr_workload::{DatasetSpec, SyntheticDataset};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Configuration of one degradation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationConfig {
     /// Batches to train.
     pub total_batches: u64,
@@ -36,7 +35,7 @@ pub struct DegradationConfig {
 }
 
 /// One point of the degradation curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationPoint {
     /// Training records (samples) completed at this point.
     pub records: u64,
@@ -112,7 +111,7 @@ pub fn restore_degradation(
 /// evaluate *mid-drain* — cold rows still carry their fresh-init values,
 /// exactly what training sees if it never touches the cold tail — then
 /// drain and evaluate the fully materialized model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EagernessPoint {
     /// Top-K hot-row fraction the lazy planner restored before first batch.
     pub hot_fraction: f64,

@@ -17,14 +17,13 @@
 
 use cnr_cluster::FailureModel;
 use cnr_quant::QuantScheme;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Restore budget per bit-width, from §6.2.1.
 const BUDGETS: [(u8, u32); 4] = [(2, 1), (3, 3), (4, 20), (8, 100)];
 
 /// Stateful bit-width selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitwidthSelector {
     expected_restores: u32,
     observed_restores: u32,

@@ -1,11 +1,10 @@
 //! Checkpoint engine configuration.
 
 use cnr_quant::QuantScheme;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Incremental checkpointing policy (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Every checkpoint is a full model copy (the paper's baseline).
     FullOnly,
@@ -21,7 +20,7 @@ pub enum PolicyKind {
 }
 
 /// Quantization mode for checkpoint payloads (§5.2, §6.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantMode {
     /// No quantization: FP32 passthrough (bit-exact restores).
     None,
@@ -42,7 +41,7 @@ pub enum QuantMode {
 /// a segmented, CRC-framed log (`cnr_storage::wal`); restore replays the
 /// log tail on top of the last full checkpoint, collapsing lost work from
 /// a checkpoint interval to at most one iteration (Checkmate-style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaWalConfig {
     /// Rotate to a new log segment once the current one reaches this size.
     pub segment_bytes: u64,
@@ -103,7 +102,7 @@ impl DeltaWalConfig {
 }
 
 /// Full configuration of the Check-N-Run engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointConfig {
     /// Batches per checkpoint interval (the paper defaults to the batch
     /// count equivalent of 30 minutes).

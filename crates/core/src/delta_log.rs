@@ -190,8 +190,9 @@ impl DeltaRecord {
         encode_scheme(&mut buf, &self.scheme);
         buf.put_u16_le(self.chunks.len() as u16);
         for chunk in &self.chunks {
-            // ChunkPayload::decode consumes a whole buffer, so embedded
-            // chunks are length-prefixed.
+            // Embedded chunks are bare frames (the WAL frame around the
+            // record carries the envelope), length-prefixed because the
+            // frame decoder consumes a whole buffer.
             let encoded = chunk.encode();
             buf.put_u32_le(encoded.len() as u32);
             buf.extend_from_slice(&encoded);
@@ -219,7 +220,7 @@ impl DeltaRecord {
             if b.len() < len {
                 return Err(CnrError::Corrupt("delta chunk truncated".into()));
             }
-            chunks.push(ChunkPayload::decode(&b[..len])?);
+            chunks.push(ChunkPayload::decode_frame(&b[..len])?);
             *b = &b[len..];
         }
         let bottom_mlp = wire::get_f32s(b)?;

@@ -8,11 +8,10 @@
 //! that bandwidth reduction is what *enables* frequent checkpoints.
 
 use cnr_storage::RemoteConfig;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A frequency plan for one training job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyPlan {
     /// Expected bytes written per checkpoint.
     pub checkpoint_bytes: u64,

@@ -38,6 +38,7 @@ pub mod delta_log;
 pub mod engine;
 pub mod error;
 pub mod frequency;
+pub(crate) mod hosts;
 pub mod manifest;
 pub mod observe;
 pub mod policy;

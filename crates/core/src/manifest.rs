@@ -8,14 +8,15 @@
 //! embedding rows: indices, optional optimizer state, and quantized
 //! payloads. Everything is checksummed (see [`crate::wire`]).
 //!
-//! **Wire versions.** From wire v3 on, every *stored* object — manifest
-//! and chunk alike — is wrapped in the self-describing checksummed
-//! envelope of [`cnr_storage::envelope`] (magic `CNR3`, CRC-32 over the
-//! payload). The payload inside the envelope is the unchanged v2
-//! encoding, so migration is sniffing: [`Manifest::decode`] and
-//! [`ChunkPayload::decode`] accept both enveloped (v3) and bare legacy
-//! (v2) bytes, while the write path emits v3 only (via
-//! [`Manifest::encode_enveloped`] / [`ChunkPayload::encode_enveloped`]).
+//! **One stored form.** Every *stored* object — manifest and chunk alike
+//! — is wrapped in the self-describing checksummed envelope of
+//! [`cnr_storage::envelope`] (magic `CNR3`, CRC-32 over the payload): the
+//! write path emits [`Manifest::encode_enveloped`] /
+//! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
+//! ([`Manifest::decode`], [`ChunkPayload::decode`], [`FlatChunk::decode`])
+//! require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
+//! is stored nowhere on its own: it is the inner format of a WAL delta
+//! record ([`crate::delta_log`]), whose WAL frame carries the envelope.
 
 use crate::error::{CnrError, Result};
 use crate::wire;
@@ -23,10 +24,9 @@ use bytes::BufMut;
 use cnr_storage::envelope;
 use cnr_quant::{QuantScheme, QuantizedRow};
 use cnr_reader::ReaderState;
-use serde::{Deserialize, Serialize};
 
 /// Monotonically increasing checkpoint identity within a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CheckpointId(pub u64);
 
 impl std::fmt::Display for CheckpointId {
@@ -36,7 +36,7 @@ impl std::fmt::Display for CheckpointId {
 }
 
 /// Full baseline or incremental delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
     /// Contains every embedding row.
     Full,
@@ -45,7 +45,7 @@ pub enum CheckpointKind {
 }
 
 /// Geometry of one embedding table as stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableMeta {
     /// Row count.
     pub rows: u64,
@@ -56,7 +56,7 @@ pub struct TableMeta {
 }
 
 /// One stored chunk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
     /// Object key in the store.
     pub key: String,
@@ -68,31 +68,18 @@ pub struct ChunkMeta {
     pub bytes: u64,
     /// Multipart parts the chunk was uploaded in (1 = single part).
     pub parts: u32,
-    /// Table the chunk's rows belong to ([`ChunkMeta::UNKNOWN_TABLE`] for
-    /// manifests written before wire v3, which did not record row ranges).
+    /// Table the chunk's rows belong to. With `first_row..=last_row` this
+    /// is what priority planning ranks chunks by access heat with.
     pub table: u16,
-    /// Lowest row index in the chunk (wire v3; `u32::MAX` when unknown).
+    /// Lowest row index in the chunk (`u32::MAX` for an empty chunk).
     pub first_row: u32,
-    /// Highest row index in the chunk (wire v3; `u32::MAX` when unknown).
+    /// Highest row index in the chunk (`u32::MAX` for an empty chunk).
     pub last_row: u32,
-}
-
-impl ChunkMeta {
-    /// Sentinel `table` value for pre-v3 manifests that did not record
-    /// which table/rows a chunk covers.
-    pub const UNKNOWN_TABLE: u16 = u16::MAX;
-
-    /// The `(table, first_row..=last_row)` range this chunk covers, when
-    /// the manifest recorded it (wire v3+). Priority planning needs this to
-    /// rank chunks by access heat; pre-v3 chunks rank conservatively hot.
-    pub fn row_range(&self) -> Option<(u16, u32, u32)> {
-        (self.table != Self::UNKNOWN_TABLE).then_some((self.table, self.first_row, self.last_row))
-    }
 }
 
 /// Per-writer-host summary of a sharded checkpoint (§4.4: every trainer
 /// host uploads its own row-range of every table in parallel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMeta {
     /// Writer host index.
     pub host: u16,
@@ -107,7 +94,7 @@ pub struct ShardMeta {
 }
 
 /// The checkpoint manifest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Checkpoint identity.
     pub id: CheckpointId,
@@ -140,16 +127,12 @@ pub struct Manifest {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Current manifest body version. v3 added per-chunk row ranges
-/// (`table`/`first_row`/`last_row`) so the read planner can rank chunks by
-/// access heat; v2 bodies still decode, with those fields set to their
-/// unknown sentinels.
+/// Manifest body version; any other number is rejected as corrupt.
 const VERSION: u16 = 3;
-const VERSION_V2: u16 = 2;
 
-/// Strips (and verifies) a v3 envelope when present; legacy bytes pass
-/// through untouched. Every decode path funnels through this, so a
-/// corrupt envelope surfaces as [`CnrError::Corrupt`] at every read site.
+/// Verifies and strips the storage envelope. Every stored-object decoder
+/// funnels through this, so a missing or corrupt envelope surfaces as
+/// [`CnrError::Corrupt`] at every read site.
 fn open_envelope(data: &[u8]) -> Result<&[u8]> {
     envelope::open(data).map_err(|e| CnrError::Corrupt(e.to_string()))
 }
@@ -168,7 +151,8 @@ impl Manifest {
         format!("{job}/{id}/shard-{shard:05}-chunk-{seq:06}")
     }
 
-    /// Serializes the manifest (framed + checksummed).
+    /// Serializes the manifest body (framed + checksummed) — the payload
+    /// [`Manifest::encode_enveloped`] wraps.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::new();
         body.put_u64_le(self.id.0);
@@ -222,8 +206,8 @@ impl Manifest {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
     }
 
-    /// Parses and verifies a serialized manifest: v3 (enveloped) or bare
-    /// legacy v2 bytes.
+    /// Parses and verifies a stored manifest
+    /// ([`Manifest::encode_enveloped`] bytes).
     pub fn decode(data: &[u8]) -> Result<Self> {
         let mut data = open_envelope(data)?;
         let buf = &mut data;
@@ -232,7 +216,7 @@ impl Manifest {
             return Err(CnrError::Corrupt(format!("bad manifest magic {magic:#x}")));
         }
         let version = wire::get_u16(buf)?;
-        if version != VERSION && version != VERSION_V2 {
+        if version != VERSION {
             return Err(CnrError::Corrupt(format!(
                 "unsupported manifest version {version}"
             )));
@@ -265,27 +249,15 @@ impl Manifest {
         let chunk_count = wire::get_u32(b)? as usize;
         let mut chunks = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
-            let key = wire::get_string(b)?;
-            let shard = wire::get_u16(b)?;
-            let rows = wire::get_u32(b)?;
-            let bytes = wire::get_u64(b)?;
-            let parts = wire::get_u32(b)?;
-            // v2 manifests did not record row ranges; leave the sentinels
-            // so priority planning treats the chunk as unranked.
-            let (table, first_row, last_row) = if version >= VERSION {
-                (wire::get_u16(b)?, wire::get_u32(b)?, wire::get_u32(b)?)
-            } else {
-                (ChunkMeta::UNKNOWN_TABLE, u32::MAX, u32::MAX)
-            };
             chunks.push(ChunkMeta {
-                key,
-                shard,
-                rows,
-                bytes,
-                parts,
-                table,
-                first_row,
-                last_row,
+                key: wire::get_string(b)?,
+                shard: wire::get_u16(b)?,
+                rows: wire::get_u32(b)?,
+                bytes: wire::get_u64(b)?,
+                parts: wire::get_u32(b)?,
+                table: wire::get_u16(b)?,
+                first_row: wire::get_u32(b)?,
+                last_row: wire::get_u32(b)?,
             });
         }
         let shard_count = wire::get_u16(b)? as usize;
@@ -414,9 +386,8 @@ impl ChunkFrame<'_> {
     }
 }
 
-/// A stored chunk with its envelope CRC and frame checksum verified and
-/// its header parsed; the row bodies are still encoded, borrowed from the
-/// input.
+/// A chunk frame with its checksum verified and its header parsed; the
+/// row bodies are still encoded, borrowed from the input.
 struct OpenedChunk<'a> {
     table: u16,
     row_indices: Vec<u32>,
@@ -425,12 +396,16 @@ struct OpenedChunk<'a> {
     bodies: &'a [u8],
 }
 
-/// Verifies and opens a serialized chunk — v3 (enveloped) or bare legacy
-/// v2 bytes — without copying the payload: both checksums run over
-/// borrowed slices, and only the indices and accumulators are
-/// materialized (after their lengths are checked against the input).
+/// Verifies and opens a stored chunk without copying the payload: the
+/// envelope CRC and the frame checksum both run over borrowed slices.
 fn open_chunk(data: &[u8]) -> Result<OpenedChunk<'_>> {
-    let mut data = open_envelope(data)?;
+    open_frame(open_envelope(data)?)
+}
+
+/// Verifies and opens a bare chunk frame ([`ChunkPayload::encode`]
+/// bytes): only the indices and accumulators are materialized (after
+/// their lengths are checked against the input).
+fn open_frame(mut data: &[u8]) -> Result<OpenedChunk<'_>> {
     let mut body = wire::get_framed(&mut data)?;
     let b = &mut body;
     let table = wire::get_u16(b)?;
@@ -460,7 +435,9 @@ fn open_chunk(data: &[u8]) -> Result<OpenedChunk<'_>> {
 }
 
 impl ChunkPayload {
-    /// Serializes the chunk (framed + checksummed).
+    /// Serializes the bare chunk frame (framed + checksummed, no
+    /// envelope): the payload [`ChunkPayload::encode_enveloped`] wraps, and
+    /// the form a WAL delta record embeds.
     ///
     /// The per-row fixed header (kind/bits/dim) is hoisted to chunk level —
     /// every row of a chunk shares one scheme and one table geometry, and at
@@ -508,10 +485,21 @@ impl ChunkPayload {
         })
     }
 
-    /// Parses and verifies a serialized chunk: v3 (enveloped) or bare
-    /// legacy v2 bytes.
+    /// Parses and verifies a stored chunk
+    /// ([`ChunkPayload::encode_enveloped`] bytes).
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let chunk = open_chunk(data)?;
+        Self::from_opened(open_chunk(data)?)
+    }
+
+    /// Parses and verifies a bare chunk frame ([`ChunkPayload::encode`]
+    /// bytes) — for [`crate::delta_log`], whose records embed frames inside
+    /// an enveloped WAL frame. Stored objects go through
+    /// [`ChunkPayload::decode`].
+    pub(crate) fn decode_frame(frame: &[u8]) -> Result<Self> {
+        Self::from_opened(open_frame(frame)?)
+    }
+
+    fn from_opened(chunk: OpenedChunk<'_>) -> Result<Self> {
         let mut bodies = chunk.bodies;
         // The row count is already bounded by the input: its indices were
         // read from it.
@@ -551,10 +539,9 @@ pub struct FlatChunk {
 }
 
 impl FlatChunk {
-    /// Parses, verifies and de-quantizes a serialized chunk — v3
-    /// (enveloped) or bare legacy v2 bytes — in one pass over the borrowed
-    /// bytes: each row is unpacked and scaled from the chunk buffer onto
-    /// the end of `values`. Equal, bit for bit, to
+    /// Parses, verifies and de-quantizes a stored chunk in one pass over
+    /// the borrowed bytes: each row is unpacked and scaled from the chunk
+    /// buffer onto the end of `values`. Equal, bit for bit, to
     /// [`ChunkPayload::decode`] followed by `dequantize()` on every row.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let chunk = open_chunk(data)?;
@@ -715,7 +702,7 @@ mod tests {
     #[test]
     fn manifest_roundtrip() {
         let m = sample_manifest();
-        let bytes = m.encode();
+        let bytes = m.encode_enveloped();
         let back = Manifest::decode(&bytes).unwrap();
         assert_eq!(m, back);
     }
@@ -731,70 +718,8 @@ mod tests {
         ] {
             let mut m = sample_manifest();
             m.scheme = scheme;
-            assert_eq!(Manifest::decode(&m.encode()).unwrap().scheme, scheme);
+            assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap().scheme, scheme);
         }
-    }
-
-    /// Re-encodes a manifest with the pre-v3 body layout (no per-chunk row
-    /// ranges) so the dual-version decode path stays covered without
-    /// golden files.
-    fn encode_v2(m: &Manifest) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u64_le(m.id.0);
-        body.put_u8(match m.kind {
-            CheckpointKind::Full => 0,
-            CheckpointKind::Incremental => 1,
-        });
-        body.put_u64_le(m.base.map(|b| b.0).unwrap_or(u64::MAX));
-        body.put_u64_le(m.iteration);
-        body.put_u64_le(m.reader_state.next_batch);
-        encode_scheme(&mut body, &m.scheme);
-        body.put_u16_le(m.tables.len() as u16);
-        for t in &m.tables {
-            body.put_u64_le(t.rows);
-            body.put_u16_le(t.dim);
-            body.put_u8(t.has_optimizer_state as u8);
-        }
-        wire::put_f32s(&mut body, &m.bottom_mlp);
-        wire::put_f32s(&mut body, &m.top_mlp);
-        body.put_u32_le(m.chunks.len() as u32);
-        for c in &m.chunks {
-            wire::put_string(&mut body, &c.key);
-            body.put_u16_le(c.shard);
-            body.put_u32_le(c.rows);
-            body.put_u64_le(c.bytes);
-            body.put_u32_le(c.parts);
-        }
-        body.put_u16_le(m.shards.len() as u16);
-        for s in &m.shards {
-            body.put_u16_le(s.host);
-            body.put_u64_le(s.rows);
-            body.put_u32_le(s.chunks);
-            body.put_u64_le(s.bytes);
-            body.put_u32_le(s.parts);
-        }
-        body.put_u64_le(m.payload_bytes);
-        let mut out = Vec::with_capacity(body.len() + 32);
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION_V2);
-        wire::put_framed(&mut out, &body);
-        out
-    }
-
-    #[test]
-    fn v2_manifest_body_decodes_with_unknown_row_ranges() {
-        let m = sample_manifest();
-        let back = Manifest::decode(&encode_v2(&m)).unwrap();
-        assert_eq!(back.id, m.id);
-        assert_eq!(back.chunks.len(), m.chunks.len());
-        for (old, new) in back.chunks.iter().zip(&m.chunks) {
-            assert_eq!(old.key, new.key);
-            assert_eq!(old.bytes, new.bytes);
-            assert_eq!(old.table, ChunkMeta::UNKNOWN_TABLE);
-            assert_eq!(old.row_range(), None, "pre-v3 chunks are unranked");
-        }
-        // v3 chunks do report their range.
-        assert_eq!(m.chunks[1].row_range(), Some((1, 400, 499)));
     }
 
     #[test]
@@ -802,19 +727,21 @@ mod tests {
         let mut m = sample_manifest();
         m.kind = CheckpointKind::Full;
         m.base = None;
-        let back = Manifest::decode(&m.encode()).unwrap();
+        let back = Manifest::decode(&m.encode_enveloped()).unwrap();
         assert_eq!(back.base, None);
         assert_eq!(back.kind, CheckpointKind::Full);
     }
 
+    /// The body's own magic, version and frame checksum are checked
+    /// behind a valid envelope (damage that predates the envelope CRC).
     #[test]
-    fn manifest_detects_corruption() {
-        let bytes = sample_manifest().encode();
-        for i in (0..bytes.len()).step_by(7) {
-            let mut corrupted = bytes.clone();
+    fn manifest_body_detects_corruption() {
+        let body = sample_manifest().encode();
+        for i in (0..body.len()).step_by(7) {
+            let mut corrupted = body.clone();
             corrupted[i] ^= 0x40;
             assert!(
-                Manifest::decode(&corrupted).is_err(),
+                Manifest::decode(&envelope::wrap(&corrupted)).is_err(),
                 "flip at {i} accepted"
             );
         }
@@ -822,25 +749,46 @@ mod tests {
 
     #[test]
     fn manifest_rejects_wrong_magic_and_version() {
-        let bytes = sample_manifest().encode();
-        let mut bad_magic = bytes.clone();
+        let body = sample_manifest().encode();
+        let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(Manifest::decode(&bad_magic).is_err());
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        assert!(Manifest::decode(&bad_version).is_err());
+        assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
+        // Version 2 existed once and 4 may one day; only 3 decodes.
+        for version in [2u8, 4, 99] {
+            let mut skewed = body.clone();
+            skewed[4] = version;
+            let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
+            assert!(
+                matches!(&err, CnrError::Corrupt(why) if why.contains("unsupported manifest version")),
+                "version {version}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bare_bodies_and_frames_are_not_stored_objects() {
+        assert!(matches!(
+            Manifest::decode(&sample_manifest().encode()),
+            Err(CnrError::Corrupt(_))
+        ));
+        let frame = sample_chunk(true).encode();
+        assert!(matches!(ChunkPayload::decode(&frame), Err(CnrError::Corrupt(_))));
+        assert!(matches!(FlatChunk::decode(&frame), Err(CnrError::Corrupt(_))));
+        // The frame decoder is the mirror image: it takes the bare frame
+        // and rejects the enveloped object.
+        assert_eq!(ChunkPayload::decode_frame(&frame).unwrap(), sample_chunk(true));
+        assert!(ChunkPayload::decode_frame(&sample_chunk(true).encode_enveloped()).is_err());
     }
 
     #[test]
     fn enveloped_manifest_roundtrips_and_detects_corruption() {
         let m = sample_manifest();
         let bytes = m.encode_enveloped();
-        assert!(envelope::is_enveloped(&bytes));
         let (flags, _) = envelope::unwrap(&bytes).unwrap();
         assert_eq!(flags, envelope::FLAG_MANIFEST);
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
-        // Any flip past the magic is caught by the envelope itself.
-        for i in (4..bytes.len()).step_by(7) {
+        // Any flip is caught by the envelope itself.
+        for i in (0..bytes.len()).step_by(7) {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x40;
             assert!(
@@ -858,9 +806,8 @@ mod tests {
     fn enveloped_chunk_roundtrips_and_detects_corruption() {
         let c = sample_chunk(true);
         let bytes = c.encode_enveloped();
-        assert!(envelope::is_enveloped(&bytes));
         assert_eq!(ChunkPayload::decode(&bytes).unwrap(), c);
-        for i in (4..bytes.len()).step_by(5) {
+        for i in (0..bytes.len()).step_by(5) {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x10;
             assert!(
@@ -906,20 +853,26 @@ mod tests {
     fn chunk_roundtrip() {
         for with_acc in [false, true] {
             let c = sample_chunk(with_acc);
-            let back = ChunkPayload::decode(&c.encode()).unwrap();
+            let back = ChunkPayload::decode(&c.encode_enveloped()).unwrap();
             assert_eq!(c, back);
         }
     }
 
+    /// The frame's own checksum is checked behind a valid envelope, and by
+    /// the bare-frame decoder the WAL path uses.
     #[test]
-    fn chunk_detects_corruption() {
-        let bytes = sample_chunk(true).encode();
-        for i in (0..bytes.len()).step_by(5) {
-            let mut corrupted = bytes.clone();
+    fn chunk_frame_detects_corruption() {
+        let frame = sample_chunk(true).encode();
+        for i in (0..frame.len()).step_by(5) {
+            let mut corrupted = frame.clone();
             corrupted[i] ^= 0x10;
             assert!(
-                ChunkPayload::decode(&corrupted).is_err(),
-                "flip at {i} accepted"
+                ChunkPayload::decode(&envelope::wrap(&corrupted)).is_err(),
+                "flip at {i} accepted behind an envelope"
+            );
+            assert!(
+                ChunkPayload::decode_frame(&corrupted).is_err(),
+                "flip at {i} accepted by the frame decoder"
             );
         }
     }
@@ -932,7 +885,7 @@ mod tests {
             optimizer_state: None,
             rows: vec![],
         };
-        assert_eq!(ChunkPayload::decode(&c.encode()).unwrap(), c);
+        assert_eq!(ChunkPayload::decode(&c.encode_enveloped()).unwrap(), c);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use crate::config::PolicyKind;
 use crate::manifest::CheckpointKind;
 use crate::predictor;
-use serde::{Deserialize, Serialize};
 
 /// What the tracker should do when a checkpoint of a given kind is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub struct Decision {
 }
 
 /// Stateful policy engine; one per training job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyEngine {
     kind: PolicyKind,
     /// Sizes (fractions of full) of incrementals since the last baseline.

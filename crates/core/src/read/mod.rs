@@ -20,7 +20,7 @@
 //! * [`planner`] assigns every chunk of the restore chain to a reader
 //!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
 //!   ranged-fetch plan.
-//! * [`shard_reader`] runs one host's share through the
+//! * [`shard_reader`] takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
 //!   window and bounded transient-failure retries. A host killed
@@ -28,9 +28,10 @@
 //! * [`merge`] reassembles the model bit-identically to the serial path
 //!   and re-seeds the modification tracker.
 //!
-//! The coordinator here ([`restore_sharded`]) re-shards a dead reader
-//! host's remaining chunks onto the survivors (mirroring the write side's
-//! [`cnr_cluster::HostKill`] handling) and reports a
+//! The coordinator here ([`restore_sharded_with_heat`]) re-shards a dead
+//! reader host's remaining chunks onto the survivors (through
+//! [`crate::hosts`], the pool the write side's [`cnr_cluster::HostKill`]
+//! handling runs on too) and reports a
 //! [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
 //! time-to-resume accounting.
 
@@ -43,11 +44,13 @@ pub mod shard_reader;
 pub use lazy::{DrainOutcome, LazyRestore};
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
-pub use shard_reader::{DecodedChunk, ReadOutcome, ShardReader};
+pub use shard_reader::DecodedChunk;
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{CheckpointId, CheckpointKind, Manifest};
-use crate::restore::{validate_geometry, validate_shard_summaries, RestoreReport};
+use crate::hosts::run_hosts;
+use crate::manifest::{CheckpointId, Manifest};
+use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
+use shard_reader::ShardReader;
 use cnr_cluster::{HostKill, ResumeBreakdown};
 use cnr_model::config::ModelConfig;
 use cnr_model::state::ModelState;
@@ -174,31 +177,20 @@ pub fn restore_sharded(
     options: &RestoreOptions,
     started_at: Duration,
 ) -> Result<ShardedRestore> {
-    restore_sharded_with_failures(store, job, target, config, options, started_at, None)
+    restore_sharded_with_heat(store, job, target, config, options, started_at, None, None)
 }
 
-/// [`restore_sharded`] with reader-host failure injection: the host named
-/// by `kill` dies after fetching `kill.after_chunks` chunks; its remaining
-/// chunks are re-sharded onto the surviving hosts and the restore still
-/// completes bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn restore_sharded_with_failures(
-    store: &dyn ObjectStore,
-    job: &str,
-    target: CheckpointId,
-    config: &ModelConfig,
-    options: &RestoreOptions,
-    started_at: Duration,
-    kill: Option<HostKill>,
-) -> Result<ShardedRestore> {
-    restore_sharded_with_heat(store, job, target, config, options, started_at, kill, None)
-}
-
-/// [`restore_sharded_with_failures`] with an explicit access-heat model for
-/// priority planning. `heat` matters only when `options.lazy` is set; a
-/// lazy restore without one falls back to uniform heat (priority order
-/// degenerates to key order, but the hot cutoff still bounds the first
-/// batch's working set).
+/// [`restore_sharded`] with the two things the engine adds.
+///
+/// *Reader-host failure injection:* the host named by `kill` dies after
+/// fetching `kill.after_chunks` chunks; its remaining chunks are re-sharded
+/// onto the surviving hosts and the restore still completes
+/// bit-identically.
+///
+/// *An explicit access-heat model for priority planning:* `heat` matters
+/// only when `options.lazy` is set; a lazy restore without one falls back
+/// to uniform heat (priority order degenerates to key order, but the hot
+/// cutoff still bounds the first batch's working set).
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_with_heat(
     store: &dyn ObjectStore,
@@ -225,7 +217,12 @@ pub fn restore_sharded_with_heat(
     // Manifests download through the timed path too (serialized on host
     // 0's downlink — each base pointer is only known once its successor
     // decodes), so chain-walk latency lands in the fetch accounting.
-    let chain = load_chain_over(&fetch_sched, store, job, target)?;
+    let chain = walk_chain(target, |id| {
+        let key = Manifest::key(job, id);
+        let size = store.head(&key).map_err(CnrError::from)?.size;
+        let (bytes, _arrived) = fetch_sched.fetch_chunk(0, &key, size, 1)?;
+        Manifest::decode(&bytes)
+    })?;
     let newest = chain.last().unwrap().clone();
     validate_geometry(&newest, config)?;
     for manifest in &chain {
@@ -248,62 +245,30 @@ pub fn restore_sharded_with_heat(
     } else {
         planner::plan(&chain, hosts)
     };
-    let jobs: Vec<(u16, Vec<FetchItem>)> = assignments
-        .into_iter()
-        .enumerate()
-        .map(|(h, items)| (h as u16, items))
-        .collect();
 
-    // --- Pass 1: every host fetches + decodes its own share. ------------
+    // --- Fetch: every host fetches + decodes its own share. ------------
+    // A dead host's leftovers go to the survivors as they are.
     let decode_nanos = AtomicU64::new(0);
-    let outcomes = run_pass(
-        &fetch_sched,
-        &decode_nanos,
+    let reader = ShardReader {
+        scheduler: &fetch_sched,
+        decode_nanos: &decode_nanos,
+    };
+    let fetched = run_hosts(
+        assignments,
         options.decode_workers,
-        jobs,
         kill,
+        |host, item| reader.read_one(host, item),
+        |host, item| reader.die_mid_fetch(host, item),
+        |_, _| {},
+        "every reader host died mid-restore",
     )?;
-
+    let killed_hosts = fetched.killed_hosts;
+    let rescheduled_chunks = fetched.resharded;
     let mut decoded: Vec<DecodedChunk> = Vec::new();
-    let mut killed_hosts: Vec<u16> = Vec::new();
-    let mut unread: Vec<FetchItem> = Vec::new();
     let mut host_activity: Vec<HostActivity> = Vec::new();
-    for outcome in outcomes {
-        note_activity(&mut host_activity, outcome.host, &outcome.decoded);
-        decoded.extend(outcome.decoded);
-        if outcome.killed {
-            killed_hosts.push(outcome.host);
-            unread.extend(outcome.unread);
-        }
-    }
-
-    // --- Pass 2: re-shard a dead host's leftovers onto survivors. -------
-    let rescheduled_chunks = unread.len() as u64;
-    if !unread.is_empty() {
-        let survivors: Vec<u16> = (0..hosts as u16)
-            .filter(|h| !killed_hosts.contains(h))
-            .collect();
-        if survivors.is_empty() {
-            return Err(CnrError::Pipeline(
-                "every reader host died mid-restore".into(),
-            ));
-        }
-        let mut reassigned: Vec<(u16, Vec<FetchItem>)> =
-            survivors.iter().map(|&h| (h, Vec::new())).collect();
-        for (i, item) in unread.into_iter().enumerate() {
-            reassigned[i % survivors.len()].1.push(item);
-        }
-        let rescue = run_pass(
-            &fetch_sched,
-            &decode_nanos,
-            options.decode_workers,
-            reassigned,
-            None,
-        )?;
-        for outcome in rescue {
-            note_activity(&mut host_activity, outcome.host, &outcome.decoded);
-            decoded.extend(outcome.decoded);
-        }
+    for (host, chunks) in fetched.done {
+        note_activity(&mut host_activity, host, &chunks);
+        decoded.extend(chunks);
     }
 
     // --- Merge: assemble the model bit-identically to the serial path. --
@@ -426,93 +391,6 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, decoded: &[Decoded
             last_arrival: last,
         }),
     }
-}
-
-/// Walks the chain of base pointers from `target` back to its full
-/// baseline through the timed fetch path (mirroring
-/// [`crate::restore::load_chain`], which reads untimed): each manifest
-/// downloads over reader host 0's downlink with the scheduler's bounded
-/// retries, so manifest latency and transfer time show up in the
-/// time-to-resume fetch accounting exactly as chunk reads do.
-fn load_chain_over(
-    scheduler: &FetchScheduler<'_>,
-    store: &dyn ObjectStore,
-    job: &str,
-    target: CheckpointId,
-) -> Result<Vec<Manifest>> {
-    let fetch_manifest = |id: CheckpointId| -> Result<Manifest> {
-        let key = Manifest::key(job, id);
-        let size = store.head(&key).map_err(CnrError::from)?.size;
-        let (bytes, _arrived) = scheduler.fetch_chunk(0, &key, size, 1)?;
-        Manifest::decode(&bytes)
-    };
-    let mut chain = vec![fetch_manifest(target)?];
-    while chain.last().unwrap().kind != CheckpointKind::Full {
-        let m = chain.last().unwrap();
-        let base = m.base.ok_or_else(|| {
-            CnrError::Corrupt(format!("incremental {} has no base pointer", m.id))
-        })?;
-        if chain.iter().any(|c| c.id == base) {
-            return Err(CnrError::Corrupt(format!(
-                "checkpoint chain cycle at {base}"
-            )));
-        }
-        chain.push(fetch_manifest(base)?);
-    }
-    chain.reverse(); // oldest (full) first
-    Ok(chain)
-}
-
-/// Runs a set of per-host read jobs on at most `workers` threads; the
-/// worker budget spreads over hosts exactly like the write path's
-/// `run_pass` — a single-host restore still decodes on all workers.
-fn run_pass(
-    scheduler: &FetchScheduler<'_>,
-    decode_nanos: &AtomicU64,
-    workers: usize,
-    jobs: Vec<(u16, Vec<FetchItem>)>,
-    kill: Option<HostKill>,
-) -> Result<Vec<ReadOutcome>> {
-    use crossbeam::channel;
-    let n_jobs = jobs.len();
-    let threads_per_shard = (workers / n_jobs.max(1)).max(1);
-    let (job_tx, job_rx) = channel::unbounded::<(u16, Vec<FetchItem>, Option<u32>)>();
-    for (host, items) in jobs {
-        let kill_after = kill.filter(|k| k.host == host).map(|k| k.after_chunks);
-        job_tx
-            .send((host, items, kill_after))
-            .expect("receiver alive");
-    }
-    drop(job_tx);
-
-    // Unbounded: outcomes are collected only after the scope joins.
-    let (out_tx, out_rx) = channel::unbounded::<Result<ReadOutcome>>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_jobs).max(1) {
-            let job_rx = job_rx.clone();
-            let out_tx = out_tx.clone();
-            let reader = ShardReader {
-                scheduler,
-                decode_nanos,
-            };
-            scope.spawn(move || {
-                while let Ok((host, items, kill_after)) = job_rx.recv() {
-                    let outcome = reader.run(host, items, kill_after, threads_per_shard);
-                    if out_tx.send(outcome).is_err() {
-                        return; // collector gone; abort quietly
-                    }
-                }
-            });
-        }
-    });
-    drop(out_tx);
-
-    let mut outcomes = Vec::with_capacity(n_jobs);
-    for result in out_rx.iter() {
-        outcomes.push(result?);
-    }
-    outcomes.sort_by_key(|o| o.host);
-    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -670,7 +548,7 @@ mod tests {
             host: 1,
             after_chunks: 1,
         };
-        let sharded = restore_sharded_with_failures(
+        let sharded = restore_sharded_with_heat(
             &store,
             "job",
             CheckpointId(0),
@@ -678,6 +556,7 @@ mod tests {
             &opts(4),
             Duration::ZERO,
             Some(kill),
+            None,
         )
         .unwrap();
         assert_eq!(sharded.killed_hosts, vec![1]);
@@ -693,7 +572,7 @@ mod tests {
         let (model_cfg, snap) = snapshot_after(2, 8);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
-        let result = restore_sharded_with_failures(
+        let result = restore_sharded_with_heat(
             &store,
             "job",
             CheckpointId(0),
@@ -704,6 +583,7 @@ mod tests {
                 host: 0,
                 after_chunks: 0,
             }),
+            None,
         );
         assert!(matches!(result, Err(CnrError::Pipeline(_))));
     }

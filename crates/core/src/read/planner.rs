@@ -185,9 +185,9 @@ pub fn plan(chain: &[Manifest], reader_hosts: usize) -> Vec<Vec<FetchItem>> {
 /// first. Chunks whose hottest row scores at or above the top-`hot_fraction`
 /// cutoff are marked [`FetchItem::hot`]; a lazy restore resumes training
 /// once those (plus the dense MLPs and reader cursor, which ride the
-/// manifests fetched before any chunk) have been applied. Chunks from
-/// pre-v3 manifests carry no row range and rank conservatively hottest —
-/// they cannot be deferred safely.
+/// manifests fetched before any chunk) have been applied. A chunk whose
+/// recorded table or row range the heat model does not know ranks
+/// conservatively hottest — it cannot be deferred safely.
 ///
 /// Assignment remains greedy-lightest-host, but performed in heat order, so
 /// per-host lists stay sorted by heat and hot work spreads evenly over all
@@ -205,9 +205,8 @@ pub fn plan_priority(
     let mut scored: Vec<(f32, usize, &crate::manifest::ChunkMeta)> = Vec::new();
     for (level, manifest) in chain.iter().enumerate() {
         for chunk in &manifest.chunks {
-            let score = chunk
-                .row_range()
-                .and_then(|(t, first, last)| heat.score_range(t, first, last))
+            let score = heat
+                .score_range(chunk.table, chunk.first_row, chunk.last_row)
                 .unwrap_or(f32::INFINITY);
             scored.push((score, level, chunk));
         }
@@ -413,8 +412,9 @@ mod tests {
     #[test]
     fn priority_plan_treats_unranked_chunks_as_hottest() {
         let mut chain = vec![manifest_with_chunks(0, &[100; 4])];
-        // Simulate a pre-v3 manifest entry: no row range recorded.
-        chain[0].chunks[3].table = ChunkMeta::UNKNOWN_TABLE;
+        // A table id the heat model has never heard of (manifests are
+        // untrusted input).
+        chain[0].chunks[3].table = 9;
         let heat = RowHeat::zipf(&[64], 1.05);
         let assignment = plan_priority(&chain, 1, &heat, 0.1);
         assert_eq!(

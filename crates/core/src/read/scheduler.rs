@@ -121,12 +121,11 @@ impl<'a> FetchScheduler<'a> {
     /// exhausted retries and non-transient errors (missing object, bad
     /// range) propagate immediately.
     ///
-    /// Enveloped objects are verified end-to-end after reassembly: a chunk
-    /// whose envelope fails its checksum is re-fetched whole from another
-    /// replica (the per-range retry budget also bounds whole-chunk
-    /// re-fetches), and a chunk that never verifies surfaces as
-    /// [`StorageError::Corrupt`] — corrupted bytes are never handed to the
-    /// decoder. Legacy (pre-envelope) objects pass through unverified.
+    /// Every object is verified end-to-end after reassembly: one whose
+    /// envelope does not verify is re-fetched whole from another replica
+    /// (the per-range retry budget also bounds whole-object re-fetches),
+    /// and one that never verifies surfaces as [`StorageError::Corrupt`] —
+    /// corrupted bytes are never handed to the decoder.
     pub fn fetch_chunk(
         &self,
         host: u16,
@@ -234,17 +233,14 @@ impl<'a> FetchScheduler<'a> {
         Ok((data, receipt.completed_at))
     }
 
-    /// Verifies an assembled object's envelope, if it has one. A short
-    /// read (in-transit truncation loses trailing bytes of an enveloped
-    /// object) and a checksum mismatch both count as detected corruption.
+    /// Verifies an assembled object's envelope. A short read (in-transit
+    /// truncation), damage to the magic and a checksum mismatch all count
+    /// as detected corruption.
     fn verify(&self, key: &str, data: &[u8]) -> std::result::Result<(), StorageError> {
-        match envelope::inspect(data) {
-            envelope::Inspection::ValidV3 { .. } | envelope::Inspection::Legacy => Ok(()),
-            envelope::Inspection::CorruptV3(why) => {
-                self.state.lock().unwrap().corruption_detected += 1;
-                Err(StorageError::Corrupt(format!("{key}: {why}")))
-            }
-        }
+        envelope::unwrap(data).map(|_| ()).map_err(|why| {
+            self.state.lock().unwrap().corruption_detected += 1;
+            StorageError::Corrupt(format!("{key}: {why}"))
+        })
     }
 
     /// Admits the next range on `host`'s window: returns the earliest
@@ -322,14 +318,20 @@ mod tests {
         )
     }
 
+    /// A stored object of exactly `len` bytes, envelope included.
+    fn stored(len: usize) -> Bytes {
+        Bytes::from(envelope::wrap(&vec![7u8; len - envelope::HEADER_LEN]))
+    }
+
     fn mb(n: usize) -> Bytes {
-        Bytes::from(vec![0u8; n * 1024 * 1024])
+        stored(n * 1024 * 1024)
     }
 
     #[test]
     fn fetches_in_ranges_and_reassembles() {
         let store = InMemoryStore::new();
-        let payload = Bytes::from((0u8..=249).collect::<Vec<u8>>());
+        let payload = Bytes::from(envelope::wrap(&(0u8..=233).collect::<Vec<u8>>()));
+        assert_eq!(payload.len(), 250);
         store.put("obj", payload.clone()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
@@ -338,12 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_object_is_one_range() {
+    fn zero_byte_object_is_one_range_and_never_verifies() {
         let store = InMemoryStore::new();
         store.put("obj", Bytes::new()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
-        let (data, _) = sched.fetch_chunk(0, "obj", 0, 1).unwrap();
-        assert!(data.is_empty());
+        assert!(matches!(
+            sched.fetch_chunk(0, "obj", 0, 3),
+            Err(CnrError::Corrupt(_))
+        ));
+        let status = sched.poll(Duration::ZERO);
+        assert_eq!(status.parts_fetched, 1);
+        assert_eq!(status.corruption_detected, 1);
     }
 
     #[test]
@@ -381,7 +388,7 @@ mod tests {
     #[test]
     fn transient_read_failures_are_retried() {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::FirstN(2));
-        store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
+        store.put("obj", stored(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 3, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 100, 2).unwrap();
         assert_eq!(data.len(), 100);
@@ -421,7 +428,7 @@ mod tests {
         assert!(arrived >= floor + Duration::from_secs(1), "read starts at the floor");
         // Raising the floor moves subsequent ranges, not completed ones.
         sched.set_floor(Duration::from_secs(20));
-        let (_, arrived2) = sched.fetch_chunk(1, "obj", 1024, 1).unwrap();
+        let (_, arrived2) = sched.fetch_chunk(1, "obj", 1024 * 1024, 1).unwrap();
         assert!(arrived2 >= Duration::from_secs(20));
     }
 
@@ -429,7 +436,7 @@ mod tests {
     fn multipart_reassembly_is_offered_back_to_the_cache() {
         use cnr_storage::TieredStore;
         let remote = InMemoryStore::new();
-        remote.put("chunk", Bytes::from(vec![3u8; 4096])).unwrap();
+        remote.put("chunk", stored(4096)).unwrap();
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         // 4 partial ranges: none can populate the cache on its own...
@@ -445,7 +452,7 @@ mod tests {
 
     #[test]
     fn corrupt_chunk_is_healed_by_refetching_another_replica() {
-        use cnr_storage::{envelope, CorruptionKind, CorruptionSpec};
+        use cnr_storage::{CorruptionKind, CorruptionSpec};
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&[7u8; 300]));
         inner.put("obj", enveloped.clone()).unwrap();
@@ -472,8 +479,7 @@ mod tests {
 
     #[test]
     fn persistent_corruption_surfaces_as_a_typed_error() {
-        use crate::error::CnrError;
-        use cnr_storage::{envelope, CorruptionKind, CorruptionSpec};
+        use cnr_storage::{CorruptionKind, CorruptionSpec};
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&[9u8; 128]));
         inner.put("obj", enveloped.clone()).unwrap();
@@ -500,7 +506,7 @@ mod tests {
 
     #[test]
     fn truncated_transfer_never_passes_verification() {
-        use cnr_storage::{envelope, CorruptionKind, CorruptionSpec};
+        use cnr_storage::{CorruptionKind, CorruptionSpec};
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&(0u8..=255).collect::<Vec<u8>>()));
         inner.put("obj", enveloped.clone()).unwrap();
@@ -521,7 +527,7 @@ mod tests {
 
     #[test]
     fn poisoned_reassembly_is_never_offered_to_the_cache() {
-        use cnr_storage::{envelope, CorruptionKind, CorruptionSpec, TieredStore};
+        use cnr_storage::{CorruptionKind, CorruptionSpec, TieredStore};
         let remote = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&[5u8; 4096]));
         remote.put("chunk", enveloped.clone()).unwrap();

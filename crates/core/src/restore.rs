@@ -52,30 +52,30 @@ pub fn load_manifest(store: &dyn ObjectStore, job: &str, id: CheckpointId) -> Re
     Manifest::decode(&bytes)
 }
 
-/// Walks base pointers from `target` back to its full baseline and returns
-/// the manifest chain oldest (full) first. Detects missing base pointers
-/// and cycles. Shared by the serial restore below and the sharded
-/// [`crate::read`] pipeline.
-pub(crate) fn load_chain(
-    store: &dyn ObjectStore,
-    job: &str,
+/// Walks base pointers from `target` back to its full baseline, getting
+/// each manifest from `fetch`, and returns the manifest chain oldest
+/// (full) first. Detects missing base pointers and cycles. Shared by the
+/// serial restore below (which reads untimed) and the sharded
+/// [`crate::read`] pipeline (which fetches through its scheduler).
+pub(crate) fn walk_chain(
     target: CheckpointId,
+    mut fetch: impl FnMut(CheckpointId) -> Result<Manifest>,
 ) -> Result<Vec<Manifest>> {
-    let mut chain_manifests = vec![load_manifest(store, job, target)?];
-    while chain_manifests.last().unwrap().kind != CheckpointKind::Full {
-        let m = chain_manifests.last().unwrap();
+    let mut chain = vec![fetch(target)?];
+    while chain.last().unwrap().kind != CheckpointKind::Full {
+        let m = chain.last().unwrap();
         let base = m.base.ok_or_else(|| {
             CnrError::Corrupt(format!("incremental {} has no base pointer", m.id))
         })?;
-        if chain_manifests.iter().any(|c| c.id == base) {
+        if chain.iter().any(|c| c.id == base) {
             return Err(CnrError::Corrupt(format!(
                 "checkpoint chain cycle at {base}"
             )));
         }
-        chain_manifests.push(load_manifest(store, job, base)?);
+        chain.push(fetch(base)?);
     }
-    chain_manifests.reverse(); // oldest (full) first
-    Ok(chain_manifests)
+    chain.reverse(); // oldest (full) first
+    Ok(chain)
 }
 
 /// Validates the newest manifest's geometry against the running model
@@ -129,7 +129,7 @@ pub fn restore(
     target: CheckpointId,
     config: &ModelConfig,
 ) -> Result<RestoreReport> {
-    let chain_manifests = load_chain(store, job, target)?;
+    let chain_manifests = walk_chain(target, |id| load_manifest(store, job, id))?;
     let newest = chain_manifests.last().unwrap().clone();
     validate_geometry(&newest, config)?;
 

@@ -7,11 +7,10 @@
 //! baseline (Figure 17). [`RunStats`] accumulates exactly those series.
 
 use crate::manifest::{CheckpointId, CheckpointKind};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Accounting for one checkpoint interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalStats {
     /// Interval number (0-based).
     pub interval: u32,
@@ -38,7 +37,7 @@ pub struct IntervalStats {
 /// Accounting for one recovery (restore) event — the time-to-resume
 /// breakdown of the paper's downtime model (§2, §5): a preempted job is
 /// down until its state is fetched, de-quantized, and merged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResumeStats {
     /// Resume number (0-based).
     pub resume: u32,
@@ -138,7 +137,7 @@ impl ResumeStats {
 
 /// Writer-side delta-WAL accounting for a whole run (all zeros when the
 /// WAL is disabled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalRunStats {
     /// Delta records appended.
     pub appends: u64,
@@ -156,7 +155,7 @@ pub struct WalRunStats {
 }
 
 /// Accounting for one background scrub sweep over the job's live objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubStats {
     /// Sweep number (0-based).
     pub sweep: u32,
@@ -167,7 +166,7 @@ pub struct ScrubStats {
 }
 
 /// Accumulated statistics of one training run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Reference size: the FP32 cost of checkpointing the whole model once
     /// (embeddings + optimizer state + MLPs).
@@ -231,24 +230,16 @@ impl RunStats {
     }
 
     /// Mean time-to-resume per recovery, or `None` when no recovery has
-    /// been recorded — the typed empty state. Prefer this in new code;
-    /// [`Self::mean_time_to_resume`] keeps the zero-defaulting shape for
-    /// report-style call sites.
+    /// been recorded — the typed empty state ("no recoveries" is not
+    /// "instant recoveries").
     pub fn try_mean_time_to_resume(&self) -> Option<Duration> {
         let n = u32::try_from(self.resumes.len()).ok().filter(|&n| n > 0)?;
         Some(self.total_resume_time() / n)
     }
 
-    /// Mean time-to-resume per recovery. **Documented zero** when no
-    /// recovery has been recorded (an empty series is not divided); use
-    /// [`Self::try_mean_time_to_resume`] to distinguish "no recoveries"
-    /// from "instant recoveries".
-    pub fn mean_time_to_resume(&self) -> Duration {
-        self.try_mean_time_to_resume().unwrap_or(Duration::ZERO)
-    }
-
-    /// Mean bytes stored per interval, or `None` when no interval has
-    /// completed — the typed empty state.
+    /// Mean bytes stored per interval — the average write bandwidth proxy —
+    /// or `None` when no interval has completed: the typed empty state
+    /// ("no intervals" is not "empty checkpoints").
     pub fn try_mean_stored_bytes(&self) -> Option<f64> {
         (!self.intervals.is_empty()).then(|| {
             self.intervals.iter().map(|i| i.stored_bytes as f64).sum::<f64>()
@@ -256,27 +247,13 @@ impl RunStats {
         })
     }
 
-    /// Mean bytes stored per interval — the average write bandwidth proxy.
-    /// **Documented zero** when no interval has completed; use
-    /// [`Self::try_mean_stored_bytes`] to distinguish "no intervals" from
-    /// "empty checkpoints".
-    pub fn mean_stored_bytes(&self) -> f64 {
-        self.try_mean_stored_bytes().unwrap_or(0.0)
-    }
-
-    /// Mean stored fraction per interval, or `None` when no interval has
-    /// completed — the typed empty state.
+    /// Mean stored fraction per interval (Figure 15's average height), or
+    /// `None` when no interval has completed — the typed empty state.
     pub fn try_mean_stored_fraction(&self) -> Option<f64> {
         (!self.intervals.is_empty()).then(|| {
             self.intervals.iter().map(|i| i.stored_fraction).sum::<f64>()
                 / self.intervals.len() as f64
         })
-    }
-
-    /// Mean stored fraction per interval (Figure 15's average height).
-    /// **Documented zero** when no interval has completed.
-    pub fn mean_stored_fraction(&self) -> f64 {
-        self.try_mean_stored_fraction().unwrap_or(0.0)
     }
 
     /// Peak capacity fraction across intervals (Figure 16's max height, the
@@ -288,40 +265,24 @@ impl RunStats {
             .fold(0.0, f64::max)
     }
 
-    /// Average-bandwidth reduction factor vs a full-FP32-every-interval
-    /// baseline, or `None` when no interval has completed (the reduction
-    /// of an empty run is undefined, not infinite) — the typed empty
-    /// state.
+    /// Average-bandwidth reduction factor vs a baseline that writes a full
+    /// FP32 checkpoint every interval (Figure 17, left bars): +∞ when the
+    /// mean stored size is zero, `None` when no interval has completed
+    /// (the reduction of an empty run is undefined, not infinite).
     pub fn try_bandwidth_reduction_vs_full(&self) -> Option<f64> {
         let mean = self.try_mean_stored_bytes()?;
         Some(if mean == 0.0 { f64::INFINITY } else { self.full_reference_bytes as f64 / mean })
     }
 
-    /// Average-bandwidth reduction factor vs a baseline that writes a full
-    /// FP32 checkpoint every interval (Figure 17, left bars).
-    /// **Documented +∞** when the mean stored size is zero, including the
-    /// empty run; use [`Self::try_bandwidth_reduction_vs_full`] to
-    /// distinguish the two.
-    pub fn bandwidth_reduction_vs_full(&self) -> f64 {
-        self.try_bandwidth_reduction_vs_full().unwrap_or(f64::INFINITY)
-    }
-
-    /// Peak-capacity reduction factor vs a single-full-FP32 baseline, or
-    /// `None` when no interval has completed — the typed empty state.
+    /// Peak-capacity reduction factor vs a baseline that keeps one full
+    /// FP32 checkpoint (Figure 17, right bars): +∞ when the peak capacity
+    /// fraction is zero, `None` when no interval has completed.
     pub fn try_capacity_reduction_vs_full(&self) -> Option<f64> {
         if self.intervals.is_empty() {
             return None;
         }
         let peak = self.peak_capacity_fraction();
         Some(if peak == 0.0 { f64::INFINITY } else { 1.0 / peak })
-    }
-
-    /// Peak-capacity reduction factor vs a baseline that keeps one full
-    /// FP32 checkpoint (Figure 17, right bars). **Documented +∞** when the
-    /// peak capacity fraction is zero, including the empty run; use
-    /// [`Self::try_capacity_reduction_vs_full`] to distinguish the two.
-    pub fn capacity_reduction_vs_full(&self) -> f64 {
-        self.try_capacity_reduction_vs_full().unwrap_or(f64::INFINITY)
     }
 }
 
@@ -350,8 +311,8 @@ mod tests {
         s.push(interval(0, CheckpointKind::Full, 1000, 1000));
         s.push(interval(1, CheckpointKind::Incremental, 250, 1250));
         s.push(interval(2, CheckpointKind::Incremental, 350, 1350));
-        assert!((s.mean_stored_bytes() - 533.333).abs() < 0.01);
-        assert!((s.mean_stored_fraction() - 0.5333).abs() < 0.001);
+        assert!((s.try_mean_stored_bytes().unwrap() - 533.333).abs() < 0.01);
+        assert!((s.try_mean_stored_fraction().unwrap() - 0.5333).abs() < 0.001);
         assert!((s.peak_capacity_fraction() - 1.35).abs() < 1e-9);
     }
 
@@ -361,19 +322,23 @@ mod tests {
         s.push(interval(0, CheckpointKind::Full, 100, 100));
         s.push(interval(1, CheckpointKind::Incremental, 100, 200));
         // Mean stored = 100 -> 10x bandwidth reduction.
-        assert!((s.bandwidth_reduction_vs_full() - 10.0).abs() < 1e-9);
+        assert!((s.try_bandwidth_reduction_vs_full().unwrap() - 10.0).abs() < 1e-9);
         // Peak capacity fraction = 0.2 -> 5x capacity reduction.
-        assert!((s.capacity_reduction_vs_full() - 5.0).abs() < 1e-9);
+        assert!((s.try_capacity_reduction_vs_full().unwrap() - 5.0).abs() < 1e-9);
+        // A zero-byte (but present) interval series is INFINITY, not None:
+        // the distinction the typed aggregates exist to draw.
+        let mut z = RunStats::new(1000);
+        z.push(interval(0, CheckpointKind::Full, 0, 0));
+        assert_eq!(z.try_bandwidth_reduction_vs_full(), Some(f64::INFINITY));
+        assert_eq!(z.try_capacity_reduction_vs_full(), Some(f64::INFINITY));
     }
 
     #[test]
     fn empty_stats_are_safe() {
         let s = RunStats::new(1000);
-        assert_eq!(s.mean_stored_bytes(), 0.0);
         assert_eq!(s.peak_capacity_fraction(), 0.0);
-        assert!(s.bandwidth_reduction_vs_full().is_infinite());
-        assert_eq!(s.mean_time_to_resume(), Duration::ZERO);
         assert_eq!(s.total_resume_time(), Duration::ZERO);
+        assert_eq!(s.restore_corruption_totals(), (0, 0));
     }
 
     #[test]
@@ -384,33 +349,6 @@ mod tests {
         assert_eq!(s.try_mean_stored_fraction(), None);
         assert_eq!(s.try_bandwidth_reduction_vs_full(), None);
         assert_eq!(s.try_capacity_reduction_vs_full(), None);
-        // The defaulting wrappers stay aligned with the typed variants.
-        assert_eq!(s.mean_time_to_resume(), Duration::ZERO);
-        assert_eq!(s.mean_stored_bytes(), 0.0);
-        assert_eq!(s.mean_stored_fraction(), 0.0);
-        assert!(s.capacity_reduction_vs_full().is_infinite());
-    }
-
-    #[test]
-    fn typed_and_defaulting_aggregates_agree_when_nonempty() {
-        let mut s = RunStats::new(1000);
-        s.push(interval(0, CheckpointKind::Full, 400, 400));
-        s.push(interval(1, CheckpointKind::Incremental, 200, 600));
-        assert_eq!(s.try_mean_stored_bytes(), Some(s.mean_stored_bytes()));
-        assert_eq!(s.try_mean_stored_fraction(), Some(s.mean_stored_fraction()));
-        assert_eq!(
-            s.try_bandwidth_reduction_vs_full(),
-            Some(s.bandwidth_reduction_vs_full())
-        );
-        assert_eq!(
-            s.try_capacity_reduction_vs_full(),
-            Some(s.capacity_reduction_vs_full())
-        );
-        // A zero-byte (but present) interval series is INFINITY, not None:
-        // the distinction the typed variants exist to draw.
-        let mut z = RunStats::new(1000);
-        z.push(interval(0, CheckpointKind::Full, 0, 0));
-        assert_eq!(z.try_bandwidth_reduction_vs_full(), Some(f64::INFINITY));
     }
 
     #[test]
@@ -479,7 +417,7 @@ mod tests {
         }
         assert_eq!(s.resumes.len(), 2);
         assert_eq!(s.total_resume_time(), Duration::from_secs(14));
-        assert_eq!(s.mean_time_to_resume(), Duration::from_secs(7));
+        assert_eq!(s.try_mean_time_to_resume(), Some(Duration::from_secs(7)));
         assert_eq!(s.restore_corruption_totals(), (4, 4));
     }
 

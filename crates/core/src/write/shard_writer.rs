@@ -1,11 +1,11 @@
 //! Per-host shard writers (§4.4 step 3).
 //!
-//! A [`ShardWriter`] executes one simulated writer host's share of a
-//! checkpoint: it quantizes each of the host's chunks and streams them to
-//! the store through the [`UploadScheduler`](super::scheduler::UploadScheduler),
+//! A [`ShardWriter`] is one simulated writer host's side of a checkpoint:
+//! it quantizes a chunk of the host's row-range and streams it to the
+//! store through the [`UploadScheduler`](super::scheduler::UploadScheduler),
 //! over the host's own uplink. A host can also be *killed* mid-upload
-//! (failure injection): it aborts the chunk it was transferring and reports
-//! every chunk it never finished, so the coordinator can re-shard that work
+//! (failure injection): it aborts the chunk it was transferring, and the
+//! coordinator ([`crate::hosts`]) re-shards every chunk it never finished
 //! onto the surviving hosts. Chunks the dead host had already completed
 //! become orphaned objects — the controller's orphan sweep reclaims them
 //! when the next checkpoint registers.
@@ -19,21 +19,8 @@ use cnr_quant::QuantScheme;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// What one host's upload pass produced.
-pub struct ShardOutcome {
-    /// Writer host index.
-    pub host: u16,
-    /// Chunk metadata in per-shard sequence order.
-    pub chunks: Vec<ChunkMeta>,
-    /// Whether the host was killed mid-upload.
-    pub killed: bool,
-    /// Items the killed host never uploaded (empty for healthy hosts); the
-    /// aborted in-flight chunk is included.
-    pub unwritten: Vec<WorkItem>,
-}
-
-/// Executes one host's chunk uploads for one checkpoint.
-pub struct ShardWriter<'a> {
+/// Executes chunk uploads for one checkpoint on behalf of any host.
+pub(crate) struct ShardWriter<'a> {
     pub(crate) job: &'a str,
     pub(crate) id: CheckpointId,
     pub(crate) scheme: QuantScheme,
@@ -43,86 +30,8 @@ pub struct ShardWriter<'a> {
 }
 
 impl ShardWriter<'_> {
-    /// Runs host `host` over its planned `items` on up to `threads`
-    /// quantize threads. `kill_after` injects a host death after that many
-    /// completed chunks (the next chunk's upload is aborted mid-transfer);
-    /// kill injection forces the sequential path so the death point is
-    /// deterministic.
-    pub fn run(
-        &self,
-        host: u16,
-        items: Vec<WorkItem>,
-        kill_after: Option<u32>,
-        threads: usize,
-    ) -> Result<ShardOutcome> {
-        if threads > 1 && kill_after.is_none() && items.len() > 1 {
-            return self.run_parallel(host, items, threads);
-        }
-        let mut outcome = ShardOutcome {
-            host,
-            chunks: Vec::with_capacity(items.len()),
-            killed: false,
-            unwritten: Vec::new(),
-        };
-        let mut iter = items.into_iter();
-        let mut completed = 0u32;
-        while let Some(item) = iter.next() {
-            if kill_after == Some(completed) {
-                self.die_mid_upload(host, &item)?;
-                outcome.killed = true;
-                outcome.unwritten.push(item);
-                outcome.unwritten.extend(iter);
-                return Ok(outcome);
-            }
-            outcome.chunks.push(self.upload_one(host, &item)?);
-            completed += 1;
-        }
-        Ok(outcome)
-    }
-
-    /// Chunk-level pipeline within one host: `threads` workers pull items
-    /// from a queue, quantize, and upload. Chunk metadata is re-sorted by
-    /// sequence number, so the outcome is identical to the sequential path.
-    fn run_parallel(&self, host: u16, items: Vec<WorkItem>, threads: usize) -> Result<ShardOutcome> {
-        use crossbeam::channel;
-        let capacity = items.len();
-        let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-        for item in items {
-            work_tx.send(item).expect("receiver alive");
-        }
-        drop(work_tx);
-        // Unbounded: drained only after the scope joins.
-        let (meta_tx, meta_rx) = channel::unbounded::<Result<(u32, ChunkMeta)>>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(capacity) {
-                let work_rx = work_rx.clone();
-                let meta_tx = meta_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(item) = work_rx.recv() {
-                        let result = self.upload_one(host, &item).map(|m| (item.seq, m));
-                        if meta_tx.send(result).is_err() {
-                            return; // collector gone; abort quietly
-                        }
-                    }
-                });
-            }
-        });
-        drop(meta_tx);
-        let mut metas: Vec<(u32, ChunkMeta)> = Vec::with_capacity(capacity);
-        for result in meta_rx.iter() {
-            metas.push(result?);
-        }
-        metas.sort_by_key(|(seq, _)| *seq);
-        Ok(ShardOutcome {
-            host,
-            chunks: metas.into_iter().map(|(_, m)| m).collect(),
-            killed: false,
-            unwritten: Vec::new(),
-        })
-    }
-
     /// Quantizes, encodes, and uploads one chunk.
-    fn upload_one(&self, host: u16, item: &WorkItem) -> Result<ChunkMeta> {
+    pub(crate) fn upload_one(&self, host: u16, item: &WorkItem) -> Result<ChunkMeta> {
         let t0 = Instant::now();
         let payload = encode_chunk(item, &self.scheme);
         self.quantize_nanos
@@ -145,7 +54,7 @@ impl ShardWriter<'_> {
     /// Simulates the host dying partway through transferring `item`: the
     /// chunk's multipart upload starts, ships one part, and is aborted.
     /// Nothing becomes visible at the chunk's key.
-    fn die_mid_upload(&self, host: u16, item: &WorkItem) -> Result<()> {
+    pub(crate) fn die_mid_upload(&self, host: u16, item: &WorkItem) -> Result<()> {
         let payload = encode_chunk(item, &self.scheme);
         let key = Manifest::chunk_key(self.job, self.id, host, item.seq);
         let store = self.scheduler.store();
@@ -159,9 +68,8 @@ impl ShardWriter<'_> {
 }
 
 /// Quantizes and encodes one work item into the chunk bytes as stored —
-/// the v2 payload wrapped in the v3 storage envelope, so every byte that
-/// leaves a writer host is covered by an end-to-end checksum — in one
-/// buffer: each row's parameters and packed codes are appended straight
+/// the chunk frame inside the storage envelope, so every byte that leaves
+/// a writer host is covered by an end-to-end checksum — in one buffer: each row's parameters and packed codes are appended straight
 /// from `item.data` into the exactly sized chunk buffer, which is then
 /// checksummed in place. Byte for byte what
 /// `ChunkPayload { rows: quantize_row(..) for every row, .. }.encode_enveloped()`
@@ -276,8 +184,6 @@ mod tests {
                         .collect();
                     let got: Vec<u32> = flat.values.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "{scheme}, acc {with_acc}, {rows}x{dim}");
-                    // The bare (un-enveloped) frame decodes the same.
-                    assert_eq!(FlatChunk::decode(&rows_decoded.encode()).unwrap(), flat);
                 }
             }
         }

@@ -1,10 +1,9 @@
 //! Model configuration.
 
 use cnr_workload::DatasetSpec;
-use serde::{Deserialize, Serialize};
 
 /// Shape of one embedding table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableSpec {
     /// Number of rows (categories).
     pub rows: u64,
@@ -14,7 +13,7 @@ pub struct TableSpec {
 
 /// Optimizer for the embedding tables (MLPs always use plain SGD; embedding
 /// optimizer state is what matters for checkpoint size).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerConfig {
     /// Plain SGD with a learning rate.
     Sgd {
@@ -40,7 +39,7 @@ impl OptimizerConfig {
 }
 
 /// Full model configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Embedding tables, index-aligned with the dataset's sparse features.
     pub tables: Vec<TableSpec>,

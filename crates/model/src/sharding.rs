@@ -8,10 +8,9 @@
 //! plan lets the snapshot simulator account per-device bytes.
 
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Identity of one accelerator in the training cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId {
     /// Node index within the cluster.
     pub node: u32,
@@ -26,7 +25,7 @@ impl std::fmt::Display for DeviceId {
 }
 
 /// Assignment of every table (by index) to a device, plus the roster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// Device that owns each table, index-aligned with the model's tables.
     pub table_owner: Vec<DeviceId>,

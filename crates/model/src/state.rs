@@ -8,10 +8,9 @@
 
 use crate::config::ModelConfig;
 use crate::dlrm::DlrmModel;
-use serde::{Deserialize, Serialize};
 
 /// Snapshot of one embedding table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableState {
     /// Row-major weights.
     pub data: Vec<f32>,
@@ -20,7 +19,7 @@ pub struct TableState {
 }
 
 /// Snapshot of the full model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
     /// Per-table snapshots, index-aligned with the model's tables.
     pub tables: Vec<TableState>,

@@ -9,7 +9,6 @@
 
 use crate::kernel::{levels_for, Grid};
 use bytes::BufMut;
-use serde::{Deserialize, Serialize};
 
 /// Tag bytes naming the parameter kind in serialized rows and chunks
 /// ([`QuantParams::kind_tag`]).
@@ -19,7 +18,7 @@ pub(crate) const TAG_CODEBOOK: u8 = 2;
 pub(crate) const TAG_FP16: u8 = 3;
 
 /// Per-vector quantization parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantParams {
     /// No quantization; codes are raw little-endian f32 bytes.
     Fp32,

@@ -12,10 +12,9 @@ use crate::kernel::{put_f32s_le, quantize_pack_into, Grid};
 use crate::kmeans::{quantize_kmeans, DEFAULT_ITERS};
 use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use crate::uniform::{max_abs, min_max};
-use serde::{Deserialize, Serialize};
 
 /// A quantization scheme with its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantScheme {
     /// No quantization (32-bit passthrough, bit-exact).
     Fp32,

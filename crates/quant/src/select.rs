@@ -13,10 +13,9 @@ use crate::scheme::QuantScheme;
 use crate::RowSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Chosen adaptive parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveParams {
     /// Selected `num_bins` for the greedy search.
     pub num_bins: u32,
@@ -25,7 +24,7 @@ pub struct AdaptiveParams {
 }
 
 /// One candidate evaluated during selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidatePoint {
     /// The candidate value (bins or ratio, depending on the sweep).
     pub value: f64,
@@ -36,7 +35,7 @@ pub struct CandidatePoint {
 }
 
 /// Full record of a selection run (kept for observability/EXPERIMENTS.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionReport {
     /// Number of rows sampled.
     pub sample_size: usize,

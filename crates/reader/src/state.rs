@@ -1,12 +1,11 @@
 //! Serializable reader position.
 
-use serde::{Deserialize, Serialize};
 
 /// Where the reader tier stands in the (logically infinite) sample stream.
 ///
 /// Captured at checkpoint time *after* the batch budget has drained, so it is
 /// exactly consistent with the trainer's iteration counter (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReaderState {
     /// Index of the next batch the reader will produce.
     pub next_batch: u64,

@@ -1,13 +1,11 @@
-//! Self-describing checksummed object envelope (wire v3).
+//! Self-describing checksummed object envelope (wire v3) — the one stored
+//! form.
 //!
 //! Production object stores exhibit bit-rot, truncated multipart uploads,
-//! and stale replicas. The v2 wire format could only detect some of this,
-//! late: chunk payloads carried an FNV frame check *inside* the codec, so
-//! corruption surfaced (if at all) deep in dequantization, and cached or
-//! range-reassembled bytes were trusted blindly. From v3 on, every object
-//! written by the checkpoint pipeline — chunks and manifests alike — is
-//! wrapped in a 16-byte envelope that makes the object self-describing and
-//! end-to-end verifiable at every read site:
+//! and stale replicas. Every object written by the checkpoint pipeline —
+//! chunks, manifests and WAL frames alike — is wrapped in a 16-byte
+//! envelope that makes the object self-describing and end-to-end
+//! verifiable at every read site:
 //!
 //! ```text
 //! offset  size  field
@@ -18,18 +16,15 @@
 //!      8     4  payload_len  u32 LE, exact length of payload
 //!     12     4  crc32        u32 LE, CRC-32 (IEEE) over bytes
 //!                            [4, 12) of the header ++ payload
-//!     16     …  payload      the v2-format object bytes
+//!     16     …  payload      the object's own encoding
 //! ```
 //!
-//! The checksum covers the header fields as well as the payload, so a bit
-//! flip anywhere past the magic is detected — including flips that land
-//! on defined flag bits.
-//!
-//! The payload is the *unchanged* v2 encoding of the object, so migration
-//! is sniffing: readers check the first four bytes — `CNR3` means verify
-//! the envelope and decode the payload, anything else is a legacy v2
-//! object and decodes as before. Writers emit v3 only. The
-//! [`crate::scrub`] subsystem upgrades legacy objects in place.
+//! The checksum covers the header fields as well as the payload, and the
+//! magic is compared exactly, so a bit flip anywhere in the object is
+//! detected — including flips that land on defined flag bits. There is no
+//! other stored form: a buffer that does not start with the magic, carries
+//! another version or fails any check below is [`StorageError::Corrupt`],
+//! which is what sends a reader to another replica.
 //!
 //! The parser is hardened against untrusted input: it never panics on
 //! short or garbage buffers, never allocates (it returns subslices), and
@@ -47,13 +42,13 @@ pub const VERSION: u16 = 3;
 pub const HEADER_LEN: usize = 16;
 
 /// Flag bit: the payload is a manifest (informational; readers key off the
-/// payload's own magic, the scrubber uses it for reporting).
+/// payload's own magic).
 pub const FLAG_MANIFEST: u16 = 1 << 0;
 
 /// Flag bit: the payload is one frame of a write-ahead delta log segment.
-/// WAL segments are bare concatenations of enveloped frames, so a reader
-/// seeing this bit knows the object must be walked frame by frame (see
-/// [`crate::wal`]) rather than unwrapped as a single envelope.
+/// WAL segments are bare concatenations of enveloped frames, walked frame
+/// by frame (see [`crate::wal`]) rather than unwrapped as a single
+/// envelope; replay and validation require the bit on every frame.
 pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 
 /// All flag bits a v3 reader understands; unknown bits are corruption.
@@ -131,22 +126,6 @@ fn envelope_crc(header_fields: &[u8], payload: &[u8]) -> u32 {
     crc32_feed(crc32_feed(0xFFFF_FFFF, header_fields), payload) ^ 0xFFFF_FFFF
 }
 
-/// What [`inspect`] found in a buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inspection {
-    /// A valid v3 envelope; the payload checks out.
-    ValidV3 {
-        /// Envelope flags.
-        flags: u16,
-    },
-    /// No v3 magic: a legacy (v2-era) object. Its integrity cannot be
-    /// judged at this layer — legacy chunk/manifest codecs carry their own
-    /// frame checks.
-    Legacy,
-    /// The buffer claims to be a v3 envelope but fails validation.
-    CorruptV3(String),
-}
-
 /// Wraps `payload` in a v3 envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -187,13 +166,6 @@ pub fn wrap(payload: &[u8]) -> Vec<u8> {
     wrap_with_flags(payload, 0)
 }
 
-/// True if `buf` starts with the v3 envelope magic. Legacy objects cannot
-/// collide: v2 manifests start with `CNRM` and v2 chunk payloads start
-/// with a little-endian frame length.
-pub fn is_enveloped(buf: &[u8]) -> bool {
-    buf.len() >= MAGIC.len() && buf[..MAGIC.len()] == MAGIC
-}
-
 #[inline]
 fn read_u16(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([buf[at], buf[at + 1]])
@@ -210,7 +182,7 @@ fn read_u32(buf: &[u8], at: usize) -> u32 {
 /// well-formed, checksum-clean v3 envelope. Never panics and never
 /// allocates for the payload — the returned slice borrows from `buf`.
 pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
-    if !is_enveloped(buf) {
+    if !buf.starts_with(&MAGIC) {
         return Err(StorageError::Corrupt(
             "missing v3 envelope magic".to_string(),
         ));
@@ -251,27 +223,11 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     Ok((flags, payload))
 }
 
-/// Returns the object's decodable bytes: the verified payload when `buf`
-/// is a v3 envelope, or `buf` itself for legacy objects. This is the one
-/// call every read site makes before handing bytes to a codec.
+/// The verified payload of the v3 envelope in `buf`: [`unwrap`] without
+/// the flags. This is the one call every read site makes before handing
+/// bytes to a codec.
 pub fn open(buf: &[u8]) -> Result<&[u8]> {
-    if is_enveloped(buf) {
-        Ok(unwrap(buf)?.1)
-    } else {
-        Ok(buf)
-    }
-}
-
-/// Classifies a stored object without unwrapping it (scrubber sweep
-/// primitive).
-pub fn inspect(buf: &[u8]) -> Inspection {
-    if !is_enveloped(buf) {
-        return Inspection::Legacy;
-    }
-    match unwrap(buf) {
-        Ok((flags, _)) => Inspection::ValidV3 { flags },
-        Err(e) => Inspection::CorruptV3(e.to_string()),
-    }
+    unwrap(buf).map(|(_, payload)| payload)
 }
 
 #[cfg(test)]
@@ -330,7 +286,6 @@ mod tests {
         for payload in [&b""[..], b"x", b"hello world", &[0u8; 1000][..]] {
             let enveloped = wrap(payload);
             assert_eq!(enveloped.len(), HEADER_LEN + payload.len());
-            assert!(is_enveloped(&enveloped));
             let (flags, back) = unwrap(&enveloped).unwrap();
             assert_eq!(flags, 0);
             assert_eq!(back, payload);
@@ -350,13 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bytes_pass_through_open() {
-        let legacy = b"CNRM....not an envelope";
-        assert!(!is_enveloped(legacy));
-        assert_eq!(open(legacy).unwrap(), legacy);
-        assert_eq!(inspect(legacy), Inspection::Legacy);
-        // Including the empty object.
-        assert_eq!(open(b"").unwrap(), b"");
+    fn bare_bytes_are_rejected_typed() {
+        // A bare manifest body, a bare chunk frame, a sub-magic prefix and
+        // the empty object: none is a stored form.
+        for bare in [&b"CNRM....not an envelope"[..], b"\x10\x00\x00\x00 chunk", b"CNR", b""] {
+            assert!(matches!(unwrap(bare), Err(StorageError::Corrupt(_))));
+            assert!(matches!(open(bare), Err(StorageError::Corrupt(_))));
+        }
     }
 
     #[test]
@@ -366,17 +321,14 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = enveloped.clone();
                 bad[byte] ^= 1 << bit;
-                // A flip in the magic demotes the object to legacy (open
-                // passes it through — the inner codec's own checks must
-                // catch it); any other flip is a hard envelope error.
-                if byte < 4 {
-                    assert!(!is_enveloped(&bad) || unwrap(&bad).is_err());
-                } else {
-                    assert!(
-                        matches!(unwrap(&bad), Err(StorageError::Corrupt(_))),
-                        "flip at byte {byte} bit {bit} not detected"
-                    );
-                }
+                assert!(
+                    matches!(unwrap(&bad), Err(StorageError::Corrupt(_))),
+                    "flip at byte {byte} bit {bit} not detected by unwrap"
+                );
+                assert!(
+                    matches!(open(&bad), Err(StorageError::Corrupt(_))),
+                    "flip at byte {byte} bit {bit} not detected by open"
+                );
             }
         }
     }
@@ -384,7 +336,7 @@ mod tests {
     #[test]
     fn truncation_and_extension_are_detected() {
         let enveloped = wrap(b"0123456789abcdef");
-        for keep in 4..enveloped.len() {
+        for keep in 0..enveloped.len() {
             assert!(
                 matches!(unwrap(&enveloped[..keep]), Err(StorageError::Corrupt(_))),
                 "truncation to {keep} bytes not detected"
@@ -425,7 +377,6 @@ mod tests {
             }
             let _ = unwrap(&buf);
             let _ = open(&buf);
-            let _ = inspect(&buf);
         }
 
         // A huge claimed payload_len over a tiny buffer must not allocate.

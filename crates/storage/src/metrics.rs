@@ -6,11 +6,10 @@
 //! accumulates both, with a capacity timeline sampled at every mutation.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One point of the capacity timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityPoint {
     /// Simulated time of the sample.
     pub at: Duration,
@@ -38,7 +37,7 @@ struct Inner {
 }
 
 /// A snapshot of the counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Total logical bytes written via `put`.
     pub bytes_put: u64,

@@ -14,15 +14,16 @@
 //! * **At-rest damage** — the stored bytes themselves are bad — heals from
 //!   a replica store when one is configured: the clean replica bytes are
 //!   verified and written back over the damaged object.
-//! * **Legacy (v2-era) objects** are upgraded in place: wrapped in a v3
-//!   envelope so every future read is checksum-verified. Manifests keep
-//!   their [`envelope::FLAG_MANIFEST`] marker.
+//!
+//! A sweep only ever writes bytes it has just verified: an object that is
+//! not a valid envelope (or, for a WAL segment, a clean run of frames) and
+//! has no clean copy anywhere is reported unrepairable and left untouched.
 //!
 //! Each sweep returns a [`ScrubReport`]; the cluster layer
 //! (`cnr_cluster::scrub`) schedules sweeps and aggregates findings into
 //! run statistics.
 
-use crate::envelope::{self, Inspection};
+use crate::envelope;
 use crate::{wal, ObjectStore, Result};
 use bytes::Bytes;
 
@@ -33,10 +34,6 @@ pub struct ScrubReport {
     pub scanned: u64,
     /// Objects whose v3 envelope verified on first read.
     pub clean: u64,
-    /// Legacy (pre-envelope) objects found.
-    pub legacy_found: u64,
-    /// Legacy objects rewrapped in a v3 envelope in place.
-    pub upgraded: u64,
     /// Objects whose first read failed envelope verification.
     pub corrupt_detected: u64,
     /// Corrupt objects healed — from a re-read (healthy replica) or from
@@ -57,8 +54,6 @@ impl ScrubReport {
         cnr_cluster::ScrubFindings {
             scanned: self.scanned,
             clean: self.clean,
-            legacy_found: self.legacy_found,
-            upgraded: self.upgraded,
             corrupt_detected: self.corrupt_detected,
             repaired: self.repaired,
             unrepairable: self.unrepairable.len() as u64,
@@ -70,8 +65,6 @@ impl ScrubReport {
     pub fn absorb(&mut self, other: &ScrubReport) {
         self.scanned += other.scanned;
         self.clean += other.clean;
-        self.legacy_found += other.legacy_found;
-        self.upgraded += other.upgraded;
         self.corrupt_detected += other.corrupt_detected;
         self.repaired += other.repaired;
         self.unrepairable.extend(other.unrepairable.iter().cloned());
@@ -86,8 +79,6 @@ pub struct Scrubber<'a> {
     /// Reads attempted against the primary per object before falling back
     /// to the replica store (each retry models a different replica).
     read_attempts: u32,
-    /// Whether legacy objects are rewrapped in place.
-    upgrade_legacy: bool,
     /// Keys a lazy restore still has fetches in flight against — skipped
     /// (and counted), never verified or rewritten mid-fetch.
     in_flight: std::collections::HashSet<String>,
@@ -97,14 +88,13 @@ pub struct Scrubber<'a> {
 }
 
 impl<'a> Scrubber<'a> {
-    /// A scrubber over `primary` with no replica fallback, 3 read
-    /// attempts, and in-place legacy upgrades enabled.
+    /// A scrubber over `primary` with no replica fallback and 3 read
+    /// attempts.
     pub fn new(primary: &'a dyn ObjectStore) -> Self {
         Self {
             primary,
             replica: None,
             read_attempts: 3,
-            upgrade_legacy: true,
             in_flight: std::collections::HashSet::new(),
             obs: None,
         }
@@ -117,8 +107,8 @@ impl<'a> Scrubber<'a> {
     }
 
     /// Marks keys a concurrent lazy restore still has fetches in flight
-    /// against: the sweep skips them (healing or upgrading an object
-    /// mid-fetch would race the fault-in's read) and counts each skip in
+    /// against: the sweep skips them (healing an object mid-fetch would
+    /// race the fault-in's read) and counts each skip in
     /// [`ScrubReport::skipped_in_flight`] so the next sweep knows to
     /// revisit.
     pub fn with_in_flight(mut self, keys: impl IntoIterator<Item = String>) -> Self {
@@ -135,12 +125,6 @@ impl<'a> Scrubber<'a> {
     /// Overrides the per-object primary read budget (minimum 1).
     pub fn with_read_attempts(mut self, attempts: u32) -> Self {
         self.read_attempts = attempts.max(1);
-        self
-    }
-
-    /// Disables in-place v2→v3 upgrades (verify-only sweeps).
-    pub fn without_legacy_upgrade(mut self) -> Self {
-        self.upgrade_legacy = false;
         self
     }
 
@@ -170,60 +154,28 @@ impl<'a> Scrubber<'a> {
 
     /// Whether `bytes` at `key` verify clean. WAL segments are bare
     /// concatenations of enveloped frames, so the single-envelope
-    /// `inspect` would reject a perfectly healthy one — they get the
-    /// frame-walking validator instead (routed by key name, with a
-    /// header-flag sniff as backstop for unrecognized key shapes).
+    /// `unwrap` would reject a perfectly healthy one — they get the
+    /// frame-walking validator instead, routed by key name: every frame
+    /// must verify and the frames must consume the object exactly.
     fn verifies_clean(key: &str, bytes: &Bytes) -> bool {
-        if wal::is_wal_segment_key(key) || wal::looks_like_wal_segment(bytes) {
+        if wal::is_wal_segment_key(key) {
             wal::validate_segment(bytes).is_ok()
         } else {
-            matches!(envelope::inspect(bytes), Inspection::ValidV3 { .. })
+            envelope::unwrap(bytes).is_ok()
         }
     }
 
     fn scrub_one(&self, key: &str, report: &mut ScrubReport) {
-        let first = match self.primary.get(key) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                // Unreadable outright: try the healing path from scratch.
-                report.corrupt_detected += 1;
-                match self.heal(key, 1) {
-                    Some(_) => report.repaired += 1,
-                    None => report.unrepairable.push(key.to_string()),
-                }
-                return;
-            }
-        };
-        if wal::is_wal_segment_key(key) || wal::looks_like_wal_segment(&first) {
-            // Live delta-log segment: every frame must verify and the
-            // frames must consume the object exactly. A failed segment
-            // heals like any other object (re-read, then replica).
-            if wal::validate_segment(&first).is_ok() {
-                report.clean += 1;
-            } else {
-                report.corrupt_detected += 1;
-                match self.heal(key, 1) {
-                    Some(_) => report.repaired += 1,
-                    None => report.unrepairable.push(key.to_string()),
-                }
-            }
+        // An object that cannot be read at all takes the same healing
+        // path as one that reads damaged (re-read, then replica).
+        if matches!(self.primary.get(key), Ok(first) if Self::verifies_clean(key, &first)) {
+            report.clean += 1;
             return;
         }
-        match envelope::inspect(&first) {
-            Inspection::ValidV3 { .. } => report.clean += 1,
-            Inspection::Legacy => {
-                report.legacy_found += 1;
-                if self.upgrade_legacy && self.upgrade(key, &first) {
-                    report.upgraded += 1;
-                }
-            }
-            Inspection::CorruptV3(_) => {
-                report.corrupt_detected += 1;
-                match self.heal(key, 1) {
-                    Some(_) => report.repaired += 1,
-                    None => report.unrepairable.push(key.to_string()),
-                }
-            }
+        report.corrupt_detected += 1;
+        match self.heal(key, 1) {
+            Some(_) => report.repaired += 1,
+            None => report.unrepairable.push(key.to_string()),
         }
     }
 
@@ -249,17 +201,6 @@ impl<'a> Scrubber<'a> {
     fn write_back(&self, key: &str, bytes: Bytes) -> Option<Bytes> {
         self.primary.put(key, bytes.clone()).ok()?;
         Some(bytes)
-    }
-
-    /// Rewraps a legacy object in a v3 envelope in place.
-    fn upgrade(&self, key: &str, legacy: &Bytes) -> bool {
-        let flags = if key.ends_with("/manifest") {
-            envelope::FLAG_MANIFEST
-        } else {
-            0
-        };
-        let wrapped = envelope::wrap_with_flags(legacy, flags);
-        self.primary.put(key, Bytes::from(wrapped)).is_ok()
     }
 }
 
@@ -287,8 +228,6 @@ fn record_sweep(obs: &cnr_obs::Obs, report: &ScrubReport) {
     r.counter_add(n::SCRUB_SWEEPS, 1);
     r.counter_add(n::SCRUB_SCANNED, report.scanned);
     r.counter_add(n::SCRUB_CLEAN, report.clean);
-    r.counter_add(n::SCRUB_LEGACY_FOUND, report.legacy_found);
-    r.counter_add(n::SCRUB_UPGRADED, report.upgraded);
     r.counter_add(n::SCRUB_CORRUPT_DETECTED, report.corrupt_detected);
     r.counter_add(n::SCRUB_REPAIRED, report.repaired);
     r.counter_add(n::SCRUB_UNREPAIRABLE, report.unrepairable.len() as u64);
@@ -395,34 +334,43 @@ mod tests {
         assert_eq!(report.unrepairable, vec!["job/0/chunk-0".to_string()]);
     }
 
+    /// Damage that lands on the envelope magic is damage like any other:
+    /// detected, healed from the replica, never re-wrapped.
     #[test]
-    fn legacy_objects_upgrade_in_place() {
-        let store = InMemoryStore::new();
-        store
-            .put("job/0/manifest", Bytes::from_static(b"CNRM legacy manifest"))
-            .unwrap();
-        store
-            .put("job/0/chunk-0", Bytes::from_static(b"\x10\x00\x00\x00 legacy chunk"))
-            .unwrap();
-        let report = Scrubber::new(&store).sweep_prefix("job/").unwrap();
-        assert_eq!(report.legacy_found, 2);
-        assert_eq!(report.upgraded, 2);
+    fn magic_damage_heals_from_the_replica_store() {
+        let primary = InMemoryStore::new();
+        let replica = InMemoryStore::new();
+        let key = "job/0/chunk-0";
+        put_enveloped(&replica, key, b"the real bytes");
+        let clean = replica.get(key).unwrap();
+        let mut damaged = clean.to_vec();
+        damaged[0] ^= 0x01;
+        primary.put(key, Bytes::from(damaged)).unwrap();
 
-        // Upgraded objects verify, unwrap to the original bytes, and
-        // manifests carry the manifest flag.
-        let m = store.get("job/0/manifest").unwrap();
-        let (flags, payload) = envelope::unwrap(&m).unwrap();
-        assert_eq!(flags, envelope::FLAG_MANIFEST);
-        assert_eq!(payload, b"CNRM legacy manifest");
-        let c = store.get("job/0/chunk-0").unwrap();
-        let (flags, payload) = envelope::unwrap(&c).unwrap();
-        assert_eq!(flags, 0);
-        assert_eq!(payload, b"\x10\x00\x00\x00 legacy chunk");
+        let report = Scrubber::new(&primary).with_replica(&replica).sweep([key]);
+        assert_eq!(report.corrupt_detected, 1);
+        assert_eq!(report.repaired, 1);
+        assert!(report.unrepairable.is_empty());
+        assert_eq!(primary.get(key).unwrap(), clean, "primary holds the replica's bytes");
+        let again = Scrubber::new(&primary).sweep([key]);
+        assert_eq!(again.clean, 1);
+        assert_eq!(again.corrupt_detected, 0);
+    }
 
-        // A second sweep finds nothing left to do.
-        let again = Scrubber::new(&store).sweep_prefix("job/").unwrap();
-        assert_eq!(again.clean, 2);
-        assert_eq!(again.upgraded, 0);
+    #[test]
+    fn magic_damage_without_a_replica_is_unrepairable_and_untouched() {
+        let primary = InMemoryStore::new();
+        let key = "job/0/chunk-0";
+        let mut damaged = envelope::wrap(b"the real bytes");
+        damaged[0] ^= 0x01;
+        let damaged = Bytes::from(damaged);
+        primary.put(key, damaged.clone()).unwrap();
+
+        let report = Scrubber::new(&primary).sweep([key]);
+        assert_eq!(report.corrupt_detected, 1);
+        assert_eq!(report.repaired, 0);
+        assert_eq!(report.unrepairable, vec![key.to_string()]);
+        assert_eq!(primary.get(key).unwrap(), damaged, "a sweep writes only verified bytes");
     }
 
     #[test]
@@ -524,26 +472,12 @@ mod tests {
     }
 
     #[test]
-    fn verify_only_sweep_leaves_legacy_untouched() {
-        let store = InMemoryStore::new();
-        store.put("k", Bytes::from_static(b"legacy")).unwrap();
-        let report = Scrubber::new(&store)
-            .without_legacy_upgrade()
-            .sweep_prefix("")
-            .unwrap();
-        assert_eq!(report.legacy_found, 1);
-        assert_eq!(report.upgraded, 0);
-        assert_eq!(store.get("k").unwrap(), Bytes::from_static(b"legacy"));
-    }
-
-    #[test]
     fn sweep_with_obs_mirrors_findings_into_registry_and_emits_span() {
         use cnr_obs::names as n;
         let store = InMemoryStore::new();
         put_enveloped(&store, "a", b"ok");
         put_enveloped(&store, "b", b"ok");
         poison(&store, "b");
-        store.put("c", Bytes::from_static(b"legacy")).unwrap();
 
         let obs = cnr_obs::Obs::wall();
         let report = Scrubber::new(&store).with_obs(obs.clone()).sweep_prefix("").unwrap();
@@ -552,7 +486,6 @@ mod tests {
         assert_eq!(r.counter(n::SCRUB_SCANNED), report.scanned);
         assert_eq!(r.counter(n::SCRUB_CLEAN), report.clean);
         assert_eq!(r.counter(n::SCRUB_CORRUPT_DETECTED), report.corrupt_detected);
-        assert_eq!(r.counter(n::SCRUB_LEGACY_FOUND), report.legacy_found);
         assert_eq!(r.counter(n::SCRUB_UNREPAIRABLE), report.unrepairable.len() as u64);
 
         let spans = obs.spans();

@@ -23,8 +23,8 @@
 //!   cache when the range covered the whole object.
 //! * multipart uploads go straight to the remote — parts are transient and
 //!   a checkpoint chunk is only read back on restore, when `get` caches it.
-//! * cache hits are *revalidated*: local flash rots too, so an object that
-//!   carries a v3 envelope (see [`crate::envelope`]) is checksum-verified
+//! * cache hits are *revalidated*: local flash rots too, so a cached
+//!   object's v3 envelope (see [`crate::envelope`]) is checksum-verified
 //!   on every hit. A failed check evicts the poisoned entry and falls
 //!   through to the remote — the cache can delay detection of remote
 //!   corruption, but it can never convert local corruption into data.
@@ -144,16 +144,15 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
         self.verify_evictions.load(Ordering::Relaxed)
     }
 
-    /// Looks `key` up in the cache, revalidating enveloped entries: a
-    /// cached object whose v3 envelope no longer verifies is evicted and
-    /// reported as absent, so the caller falls through to the remote.
-    /// Legacy (pre-envelope) bytes are served as-is — their integrity is
-    /// the inner codec's job. Verification is pure CPU: it adds no
-    /// simulated time and touches no remote channel.
+    /// Looks `key` up in the cache, revalidating the entry: a cached
+    /// object that is not (or no longer) a valid v3 envelope is evicted
+    /// and reported as absent, so the caller falls through to the remote.
+    /// Verification is pure CPU: it adds no simulated time and touches no
+    /// remote channel.
     fn cache_lookup(&self, key: &str) -> Result<Option<Bytes>> {
         match self.cache.get(key) {
             Ok(data) => {
-                if envelope::is_enveloped(&data) && envelope::unwrap(&data).is_err() {
+                if envelope::unwrap(&data).is_err() {
                     self.verify_evictions.fetch_add(1, Ordering::Relaxed);
                     self.cache_forget(key);
                     return Ok(None);
@@ -317,10 +316,10 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 
     fn offer_cached(&self, key: &str, data: Bytes) {
         // A reader reassembled the object from ranged reads (multi-part
-        // chunks can never populate via the miss path). Verify the payload
-        // matches the remote's view of the object — and, for enveloped
-        // objects, that the checksum holds — before retaining it.
-        if envelope::is_enveloped(&data) && envelope::unwrap(&data).is_err() {
+        // chunks can never populate via the miss path). Verify that the
+        // checksum holds and the payload matches the remote's view of the
+        // object before retaining it.
+        if envelope::unwrap(&data).is_err() {
             return;
         }
         if matches!(self.remote.head(key), Ok(meta) if meta.size == data.len() as u64) {
@@ -387,6 +386,16 @@ mod tests {
         TieredStore::new(InMemoryStore::new(), InMemoryStore::new(), capacity)
     }
 
+    /// `payload` as stored: hits are served only for valid envelopes.
+    fn obj(payload: &[u8]) -> Bytes {
+        Bytes::from(envelope::wrap(payload))
+    }
+
+    /// Stored size of a `payload_len`-byte payload.
+    const fn stored(payload_len: u64) -> u64 {
+        envelope::HEADER_LEN as u64 + payload_len
+    }
+
     #[test]
     fn conformance() {
         let store = tiered(1 << 30);
@@ -396,25 +405,25 @@ mod tests {
     #[test]
     fn reads_hit_the_cache_after_write_through() {
         let store = tiered(1024);
-        store.put("a", Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(store.get("a").unwrap(), Bytes::from_static(b"hello"));
+        store.put("a", obj(b"hello")).unwrap();
+        assert_eq!(store.get("a").unwrap(), obj(b"hello"));
         assert_eq!(store.cache_hits(), 1);
         assert_eq!(store.cache_misses(), 0);
     }
 
     #[test]
     fn eviction_bounds_the_cache_but_not_the_remote() {
-        let store = tiered(10);
+        let store = tiered(2 * stored(4) + 2);
         for i in 0..5 {
-            store.put(&format!("k{i}"), Bytes::from(vec![0u8; 4])).unwrap();
+            store.put(&format!("k{i}"), obj(&[0u8; 4])).unwrap();
         }
-        assert!(store.cache().total_bytes() <= 10);
-        assert_eq!(store.total_bytes(), 20, "remote keeps everything");
+        assert!(store.cache().total_bytes() <= 2 * stored(4) + 2);
+        assert_eq!(store.total_bytes(), 5 * stored(4), "remote keeps everything");
         // Oldest entries were evicted: reading them is a miss served by the
         // remote, which re-populates the cache.
-        assert_eq!(store.get("k0").unwrap().len(), 4);
+        assert_eq!(store.get("k0").unwrap(), obj(&[0u8; 4]));
         assert_eq!(store.cache_misses(), 1);
-        assert_eq!(store.get("k0").unwrap().len(), 4);
+        assert_eq!(store.get("k0").unwrap(), obj(&[0u8; 4]));
         assert_eq!(store.cache_hits(), 1);
     }
 
@@ -469,42 +478,45 @@ mod tests {
             clock,
         );
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        let r = store.put("a", Bytes::from(vec![0u8; 1024 * 1024])).unwrap();
+        // Exactly the cache budget once enveloped.
+        let r = store
+            .put("a", obj(&vec![0u8; (1 << 20) - envelope::HEADER_LEN]))
+            .unwrap();
         assert!(r.completed_at >= Duration::from_secs(1), "remote timing");
         // ...but the read is a local cache hit.
-        assert_eq!(store.get("a").unwrap().len(), 1024 * 1024);
+        assert_eq!(store.get("a").unwrap().len(), 1 << 20);
         assert_eq!(store.cache_hits(), 1);
         assert_eq!(store.remote().metrics().snapshot().gets, 0);
     }
 
     #[test]
     fn lru_eviction_keeps_recently_read_objects() {
-        // Budget of 12 bytes holds three 4-byte objects.
+        // The budget holds three 4-byte-payload objects.
         let store = TieredStore::with_policy(
             InMemoryStore::new(),
             InMemoryStore::new(),
-            12,
+            3 * stored(4),
             EvictionPolicy::Lru,
         );
         for k in ["a", "b", "c"] {
-            store.put(k, Bytes::from(vec![0u8; 4])).unwrap();
+            store.put(k, obj(&[0u8; 4])).unwrap();
         }
         // Touch "a": it becomes most-recently-read, so inserting "d" must
         // evict "b" (the LRU victim), not "a".
         store.get("a").unwrap();
-        store.put("d", Bytes::from(vec![0u8; 4])).unwrap();
+        store.put("d", obj(&[0u8; 4])).unwrap();
         assert!(store.cache().get("a").is_ok(), "recently read survives");
         assert!(store.cache().get("b").is_err(), "LRU victim evicted");
         assert!(store.cache().get("c").is_ok());
         assert!(store.cache().get("d").is_ok());
 
         // Under FIFO the same sequence evicts "a" (oldest inserted).
-        let fifo = tiered(12);
+        let fifo = tiered(3 * stored(4));
         for k in ["a", "b", "c"] {
-            fifo.put(k, Bytes::from(vec![0u8; 4])).unwrap();
+            fifo.put(k, obj(&[0u8; 4])).unwrap();
         }
         fifo.get("a").unwrap();
-        fifo.put("d", Bytes::from(vec![0u8; 4])).unwrap();
+        fifo.put("d", obj(&[0u8; 4])).unwrap();
         assert!(fifo.cache().get("a").is_err(), "FIFO ignores recency");
         assert_eq!(fifo.eviction_policy(), EvictionPolicy::Fifo);
     }
@@ -512,7 +524,7 @@ mod tests {
     #[test]
     fn hit_rate_and_cache_stats_accessors() {
         let store = tiered(1024);
-        store.put("a", Bytes::from_static(b"xy")).unwrap();
+        store.put("a", obj(b"xy")).unwrap();
         store.get("a").unwrap(); // hit (write-through cached it)
         store.cache_forget("a");
         store.get("a").unwrap(); // miss
@@ -529,14 +541,14 @@ mod tests {
         let clock = SimClock::new();
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        store.put("obj", Bytes::from_static(b"0123456789")).unwrap();
+        store.put("obj", obj(b"0123456789")).unwrap();
         // Cached by write-through: the ranged read is a local slice.
         assert_eq!(
-            store.get_range("obj", 2, 3).unwrap(),
+            store.get_range("obj", stored(2), 3).unwrap(),
             Bytes::from_static(b"234")
         );
         let (data, receipt) = store
-            .get_part("obj", 5, 4, 0, Duration::from_secs(3))
+            .get_part("obj", stored(5), 4, 0, Duration::from_secs(3))
             .unwrap();
         assert_eq!(data, Bytes::from_static(b"5678"));
         assert_eq!(receipt.transfer_time, Duration::ZERO, "local NVMe read");
@@ -551,9 +563,11 @@ mod tests {
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
         // Multipart write: durable on the remote, not yet cached.
+        let whole = obj(b"abcdef");
+        let len = whole.len() as u64;
         let up = store.begin_multipart("chunk").unwrap();
         store
-            .put_part(&up, 0, Bytes::from_static(b"abcdef"), Duration::ZERO)
+            .put_part(&up, 0, whole.clone(), Duration::ZERO)
             .unwrap();
         store.complete_multipart(&up).unwrap();
         // A partial range miss does not populate (a cached prefix would be
@@ -561,11 +575,11 @@ mod tests {
         let (_, _) = store.get_part("chunk", 1, 2, 0, Duration::ZERO).unwrap();
         assert!(store.cache().get("chunk").is_err());
         // ...but a whole-object range does, so the next read is a hit.
-        let (data, _) = store.get_part("chunk", 0, 6, 0, Duration::ZERO).unwrap();
-        assert_eq!(data, Bytes::from_static(b"abcdef"));
+        let (data, _) = store.get_part("chunk", 0, len, 0, Duration::ZERO).unwrap();
+        assert_eq!(data, whole);
         assert!(store.cache().get("chunk").is_ok());
         let before = store.cache_hits();
-        store.get_part("chunk", 0, 6, 0, Duration::ZERO).unwrap();
+        store.get_part("chunk", 0, len, 0, Duration::ZERO).unwrap();
         assert_eq!(store.cache_hits(), before + 1);
     }
 
@@ -607,6 +621,14 @@ mod tests {
             .unwrap();
         assert_eq!(slice, clean);
         assert_eq!(store.cache_verify_evictions(), 3);
+
+        // Damage on the magic is damage too: the entry is not served as
+        // some other format, it is evicted.
+        let mut poisoned = store.cache().get("obj").unwrap().to_vec();
+        poisoned[0] ^= 0x01;
+        store.cache().put("obj", Bytes::from(poisoned)).unwrap();
+        assert_eq!(store.get("obj").unwrap(), clean);
+        assert_eq!(store.cache_verify_evictions(), 4);
     }
 
     #[test]
@@ -683,18 +705,19 @@ mod tests {
         let clock = SimClock::new();
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
+        let whole = obj(b"abcd");
         let up = store.begin_multipart("obj").unwrap();
         store
-            .put_part(&up, 0, Bytes::from_static(b"ab"), Duration::ZERO)
+            .put_part(&up, 0, whole.slice(..10), Duration::ZERO)
             .unwrap();
         store
-            .put_part(&up, 1, Bytes::from_static(b"cd"), Duration::ZERO)
+            .put_part(&up, 1, whole.slice(10..), Duration::ZERO)
             .unwrap();
         store.complete_multipart(&up).unwrap();
         assert_eq!(store.cache().total_bytes(), 0, "not cached yet");
-        assert_eq!(store.get("obj").unwrap(), Bytes::from_static(b"abcd"));
+        assert_eq!(store.get("obj").unwrap(), whole);
         assert_eq!(store.cache_misses(), 1);
-        assert_eq!(store.get("obj").unwrap(), Bytes::from_static(b"abcd"));
+        assert_eq!(store.get("obj").unwrap(), whole);
         assert_eq!(store.cache_hits(), 1);
     }
 
@@ -704,7 +727,7 @@ mod tests {
         let obs = cnr_obs::Obs::wall();
         let store = TieredStore::new(InMemoryStore::new(), InMemoryStore::new(), 1 << 20)
             .with_obs(obs.clone());
-        store.put("k", Bytes::from_static(b"v")).unwrap();
+        store.put("k", obj(b"v")).unwrap();
         store.get("k").unwrap();
         store.get("k").unwrap();
         store.get("missing").unwrap_err();

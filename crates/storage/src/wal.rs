@@ -82,17 +82,6 @@ pub fn is_wal_segment_key(key: &str) -> bool {
     key.rsplit('/').next().is_some_and(|name| name.starts_with("wal-"))
 }
 
-/// Whether `buf` starts with a v3 header carrying [`FLAG_WAL_FRAME`] — a
-/// cheap sniff so readers (e.g. the scrubber) can route multi-frame WAL
-/// segments away from the single-envelope path without trusting key names.
-pub fn looks_like_wal_segment(buf: &[u8]) -> bool {
-    if buf.len() < HEADER_LEN || buf[..4] != MAGIC {
-        return false;
-    }
-    let flags = u16::from_le_bytes([buf[6], buf[7]]);
-    flags & FLAG_WAL_FRAME != 0
-}
-
 /// Counters of one writer's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalWriterStats {
@@ -606,13 +595,6 @@ mod tests {
         assert_eq!(segment_key("exp/j1", 7), "exp/j1/wal-00000007");
         assert!(is_wal_segment_key("exp/j1/wal-00000007"));
         assert!(!is_wal_segment_key("exp/j1/ckpt-00000001/manifest"));
-        let s = store();
-        let mut w = writer(&s, WalConfig::default());
-        w.append(b"x").unwrap();
-        let buf = s.get(&segment_key("job", 0)).unwrap();
-        assert!(looks_like_wal_segment(&buf));
-        assert!(!looks_like_wal_segment(&envelope::wrap(b"plain")));
-        assert!(!looks_like_wal_segment(b"short"));
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! the trainer is stalled at a batch boundary, which is the paper's
 //! consistency point (§4.2).
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A plain, cloneable bit-vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

@@ -7,7 +7,6 @@
 //! style deltas).
 
 use crate::bitvec::{AtomicBitVec, BitVec};
-use serde::{Deserialize, Serialize};
 
 /// Tracks which rows of which embedding tables were touched since the last
 /// reset. Shared across trainer threads behind an `Arc`.
@@ -112,7 +111,7 @@ impl ModificationTracker {
 }
 
 /// An immutable snapshot of tracker state: one [`BitVec`] per table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackerSnapshot {
     /// Modified-row masks, indexed by table id.
     pub tables: Vec<BitVec>,

@@ -9,11 +9,10 @@
 //! so `repro overheads` can report the same ratios the paper quotes, and so
 //! ablation benches can vary the hiding assumption.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Cost breakdown of one synchronous training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationCosts {
     /// Pure compute (forward + backward) time.
     pub compute: Duration,
@@ -59,7 +58,7 @@ impl IterationCosts {
 }
 
 /// Analytic cost model for one cluster configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// Per-iteration compute time.
     pub compute_per_iter: Duration,

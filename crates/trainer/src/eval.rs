@@ -9,10 +9,9 @@
 
 use cnr_model::DlrmModel;
 use cnr_workload::SyntheticDataset;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation results over a held-out batch range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Mean binary cross-entropy.
     pub logloss: f64,

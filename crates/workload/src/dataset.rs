@@ -13,10 +13,9 @@ use crate::teacher::TeacherModel;
 use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Access pattern of one embedding table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableAccessSpec {
     /// Number of rows in the table.
     pub rows: u64,
@@ -28,12 +27,7 @@ pub struct TableAccessSpec {
     /// tables carry a large dead mass — categories provisioned but never
     /// seen — which is why the paper's Figure 5 coverage saturates near 52%
     /// instead of approaching 100%.
-    #[serde(default = "default_active_fraction")]
     pub active_fraction: f64,
-}
-
-fn default_active_fraction() -> f64 {
-    1.0
 }
 
 impl TableAccessSpec {
@@ -43,7 +37,7 @@ impl TableAccessSpec {
             rows,
             hot,
             zipf_exponent,
-            active_fraction: default_active_fraction(),
+            active_fraction: 1.0,
         }
     }
 
@@ -101,7 +95,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 /// Full specification of a synthetic dataset. Two datasets built from equal
 /// specs are identical sample-for-sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Master seed; every batch derives its own RNG from this.
     pub seed: u64,
@@ -116,7 +110,6 @@ pub struct DatasetSpec {
     /// with the same `concept_seed` but different `seed`s share the label
     /// function while drawing different samples — the transfer-learning
     /// scenario of the paper's §1.
-    #[serde(default)]
     pub concept_seed: Option<u64>,
 }
 

@@ -7,11 +7,10 @@
 //! conversion so experiments can sweep "interval minutes" without a real
 //! cluster.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Constant-rate throughput model: `qps` training samples per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpsModel {
     qps: f64,
 }

@@ -10,10 +10,9 @@
 //!    replayed as the access stream of another (e.g. feeding the tracking
 //!    ablation benches), removing model math from micro-benchmarks.
 
-use serde::{Deserialize, Serialize};
 
 /// One embedding access: table `table`, row `row`, during batch `batch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global batch index in which the access happened.
     pub batch: u64,
@@ -24,7 +23,7 @@ pub struct TraceEvent {
 }
 
 /// A compact in-memory access trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccessTrace {
     events: Vec<TraceEvent>,
 }

@@ -38,6 +38,7 @@ fn run(policy: PolicyKind, quant: QuantMode, label: &str) {
         .expect("engine");
     engine.train_batches(10 * 100).expect("training");
 
+    const RAN: &str = "ten intervals completed";
     let stats = engine.stats();
     let kinds: String = stats
         .intervals
@@ -49,10 +50,10 @@ fn run(policy: PolicyKind, quant: QuantMode, label: &str) {
         .collect();
     println!(
         "{label:<28} kinds={kinds} mean_size={:>5.1}% peak_capacity={:>6.1}% bw_reduction={:>5.1}x cap_reduction={:>4.1}x",
-        stats.mean_stored_fraction() * 100.0,
+        stats.try_mean_stored_fraction().expect(RAN) * 100.0,
         stats.peak_capacity_fraction() * 100.0,
-        stats.bandwidth_reduction_vs_full(),
-        stats.capacity_reduction_vs_full(),
+        stats.try_bandwidth_reduction_vs_full().expect(RAN),
+        stats.try_capacity_reduction_vs_full().expect(RAN),
     );
 }
 

@@ -71,7 +71,12 @@ fn main() {
     let stats = engine.stats();
     println!(
         "mean checkpoint size: {:.1}% of model; bandwidth reduction vs naive full-fp32: {:.1}x",
-        stats.mean_stored_fraction() * 100.0,
-        stats.bandwidth_reduction_vs_full()
+        stats
+            .try_mean_stored_fraction()
+            .expect("checkpoints were taken")
+            * 100.0,
+        stats
+            .try_bandwidth_reduction_vs_full()
+            .expect("checkpoints were taken")
     );
 }

@@ -14,14 +14,16 @@ use check_n_run::core::error::CnrError;
 use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
 use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::read::{restore_sharded, RestoreOptions};
-use check_n_run::core::restore::restore;
+use check_n_run::core::restore::{load_manifest, restore};
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
 use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::{CorruptionKind, CorruptionSpec, FlakyStore, InMemoryStore};
+use check_n_run::storage::{
+    CorruptionKind, CorruptionSpec, FlakyStore, InMemoryStore, ObjectStore,
+};
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use proptest::prelude::*;
@@ -122,6 +124,22 @@ fn run_cell(
     persistent: bool,
     seed: u64,
 ) -> Outcome {
+    let options = RestoreOptions {
+        reader_hosts,
+        fetch_retries: retries,
+        ..RestoreOptions::default()
+    };
+    run_cell_with(kind, target, &options, persistent, seed)
+}
+
+fn run_cell_with(
+    kind: CorruptionKind,
+    target: Target,
+    options: &RestoreOptions,
+    persistent: bool,
+    seed: u64,
+) -> Outcome {
+    let reader_hosts = options.reader_hosts;
     let (model_cfg, snap) = snapshot_for(7);
     let inner = InMemoryStore::new();
     write_to(&inner, &snap, target.part_bytes());
@@ -139,11 +157,7 @@ fn run_cell(
         "job",
         CheckpointId(0),
         &model_cfg,
-        &RestoreOptions {
-            reader_hosts,
-            fetch_retries: retries,
-            ..RestoreOptions::default()
-        },
+        options,
         Duration::ZERO,
     );
     match result {
@@ -185,11 +199,8 @@ const TARGETS: [Target; 3] = [Target::Chunk, Target::Manifest, Target::PartBound
 const HOSTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The full 3 x 3 x 4 matrix with a transient fault and a refetch budget:
-/// no cell ever yields silent garbage, and nearly every cell heals by
-/// refetching (manifests ride the same verify-and-refetch scheduler as
-/// chunks). The rare typed-error cell is damage that downgrades the
-/// envelope to legacy framing (e.g. a truncation below the header), which
-/// the v2 decoder then rejects — still typed, still no garbage.
+/// no cell ever yields silent garbage, and every cell heals by refetching
+/// (manifests ride the same verify-and-refetch scheduler as chunks).
 #[test]
 fn transient_corruption_matrix_heals_or_fails_typed() {
     let mut repaired = 0u32;
@@ -205,10 +216,81 @@ fn transient_corruption_matrix_heals_or_fails_typed() {
         }
     }
     assert_eq!(repaired + typed, 36, "every cell ran");
-    assert!(
-        repaired >= 30,
-        "the refetch path repaired the matrix (repaired {repaired}/36)"
+    assert_eq!(
+        repaired, 36,
+        "the refetch path repaired the whole matrix ({typed} typed failures)"
     );
+}
+
+/// The first seed whose first injected damage to a `len`-byte read
+/// satisfies `lands(damaged, clean)`. `FlakyStore` places damage by seed,
+/// read count and read length only, so a probe object of the same length
+/// predicts where a restore's first damaged read is hit.
+fn seed_where(kind: CorruptionKind, len: u64, lands: impl Fn(&[u8], &[u8]) -> bool) -> u64 {
+    let clean = bytes::Bytes::from(vec![0u8; len as usize]);
+    (0u64..)
+        .find(|&seed| {
+            let probe = InMemoryStore::new();
+            probe.put("probe", clean.clone()).unwrap();
+            let flaky = FlakyStore::corrupting_reads(
+                probe,
+                CorruptionSpec::once(kind, 1).with_seed(seed),
+            );
+            lands(&flaky.get("probe").unwrap(), &clean)
+        })
+        .expect("some seed lands there")
+}
+
+/// Damage that lands on the envelope magic — a flipped bit in bytes 0..4
+/// or a truncation to fewer than 4 bytes — is corruption like any other:
+/// one damaged read with a healthy replica behind it is detected,
+/// re-fetched and repaired, for every object class. (A reader that took
+/// such a buffer for some other format would hand it to a decoder and fail
+/// without ever trying the replica.)
+#[test]
+fn damage_on_the_magic_is_detected_and_refetched() {
+    // One reader host on one decode thread: the first damaged read is the
+    // first object of the plan, so its length is known up front.
+    let options = RestoreOptions {
+        reader_hosts: 1,
+        decode_workers: 1,
+        fetch_retries: 2,
+        ..RestoreOptions::default()
+    };
+    for target in TARGETS {
+        let (_, snap) = snapshot_for(7);
+        let store = InMemoryStore::new();
+        write_to(&store, &snap, target.part_bytes());
+        let manifest = load_manifest(&store, "job", CheckpointId(0)).unwrap();
+        let first_read = match target {
+            Target::Manifest => store.head("job/ckpt-00000000/manifest").unwrap().size,
+            Target::Chunk | Target::PartBoundary => {
+                let first = &manifest.chunks[0];
+                assert_eq!(first.parts > 1, target == Target::PartBoundary);
+                first.bytes.div_ceil(first.parts as u64)
+            }
+        };
+        for byte in 0..4usize {
+            let seed = seed_where(CorruptionKind::BitFlip, first_read, |damaged, clean| {
+                damaged[byte] != clean[byte]
+            });
+            assert_eq!(
+                run_cell_with(CorruptionKind::BitFlip, target, &options, false, seed),
+                Outcome::Repaired,
+                "flip in magic byte {byte} of the first {target:?} read (seed {seed})"
+            );
+        }
+        for keep in 0..4usize {
+            let seed = seed_where(CorruptionKind::Truncate, first_read, |damaged, _| {
+                damaged.len() == keep
+            });
+            assert_eq!(
+                run_cell_with(CorruptionKind::Truncate, target, &options, false, seed),
+                Outcome::Repaired,
+                "first {target:?} read truncated to {keep} bytes (seed {seed})"
+            );
+        }
+    }
 }
 
 /// With every replica damaged (persistent corruption) and no healthy

@@ -12,9 +12,7 @@ use check_n_run::cluster::HostKill;
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
 use check_n_run::core::policy::{Decision, TrackerAction};
-use check_n_run::core::read::{
-    restore_sharded, restore_sharded_with_failures, RestoreOptions,
-};
+use check_n_run::core::read::{restore_sharded, restore_sharded_with_heat, RestoreOptions};
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
 use check_n_run::core::{CnrError, TrainingSnapshot};
@@ -157,7 +155,7 @@ fn read_failures_and_reader_death_compose() {
     // is still bit-exact.
     let (model_cfg, snap, inner) = checkpointed_snapshot();
     let store = FlakyStore::failing_reads(inner, FailureMode::Every(6));
-    let sharded = restore_sharded_with_failures(
+    let sharded = restore_sharded_with_heat(
         &store,
         "job",
         CheckpointId(0),
@@ -168,6 +166,7 @@ fn read_failures_and_reader_death_compose() {
             host: 0,
             after_chunks: 1,
         }),
+        None,
     )
     .expect("retries + re-sharding must both engage");
     assert_eq!(sharded.report.state, snap.model);
