@@ -13,14 +13,68 @@
 //! without any segment- or log-level context, so the WAL reader can hand
 //! over opaque frame payloads and crash-consistency stays entirely the
 //! frame layer's concern.
+//!
+//! This runs once per training iteration, so it is flat: capture quantizes
+//! the touched rows of a table through the chunk kernels into one body
+//! buffer ([`DeltaChunk`]), encode writes the whole record into one
+//! buffer, and apply de-quantizes row by row into one reused scratch row —
+//! allocations per record depend on the tables touched, never on the rows.
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{decode_scheme, encode_scheme, CheckpointId, ChunkPayload};
+use crate::manifest::{
+    decode_scheme, encode_scheme, open_frame, CheckpointId, ChunkFrame, RowContext,
+};
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::DlrmModel;
+use cnr_quant::codec::{decode_body_into, skip_body};
 use cnr_quant::QuantScheme;
 use cnr_workload::Batch;
+
+/// The rows one iteration touched in one table, quantized: the parsed
+/// form of the bare chunk frame a record embeds. The row bodies stay
+/// encoded, back to back in one buffer — no object and no allocation per
+/// row — and are de-quantized only as they are applied.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeltaChunk {
+    /// Which table the rows belong to.
+    pub table: u16,
+    /// Distinct row indices within the table, ascending.
+    pub row_indices: Vec<u32>,
+    /// Row-wise optimizer accumulators (present iff the table has them).
+    pub optimizer_state: Option<Vec<f32>>,
+    /// Encoding shared by every row body.
+    rows: RowContext,
+    /// The quantized row bodies, concatenated in `row_indices` order.
+    bodies: Vec<u8>,
+}
+
+impl DeltaChunk {
+    /// The chunk as the chunk layout's single writer takes it.
+    fn frame(&self) -> ChunkFrame<'_, impl ExactSizeIterator<Item = f32> + '_> {
+        ChunkFrame {
+            table: self.table,
+            row_indices: &self.row_indices,
+            optimizer_state: self.optimizer_state.as_ref().map(|acc| acc.iter().copied()),
+            rows: self.rows,
+            rows_len: self.bodies.len(),
+        }
+    }
+
+    /// De-quantizes the rows one after another into a single reused
+    /// buffer, calling `each(k, row_index, values)` for the `k`-th.
+    fn for_each_row(&self, mut each: impl FnMut(usize, u32, &[f32]) -> Result<()>) -> Result<()> {
+        let dim = self.rows.dim as usize;
+        let mut bodies = self.bodies.as_slice();
+        let mut values = Vec::with_capacity(dim);
+        for (k, &row) in self.row_indices.iter().enumerate() {
+            values.clear();
+            decode_body_into(&mut bodies, self.rows.tag, self.rows.bits, dim, &mut values)?;
+            each(k, row, &values)?;
+        }
+        Ok(())
+    }
+}
 
 /// The state one training iteration changed, as stored in one WAL frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +90,7 @@ pub struct DeltaRecord {
     /// Quantization scheme the row payloads use.
     pub scheme: QuantScheme,
     /// Touched rows, one chunk per touched table (ascending table ids).
-    pub chunks: Vec<ChunkPayload>,
+    pub chunks: Vec<DeltaChunk>,
     /// Bottom MLP parameters, flattened.
     pub bottom_mlp: Vec<f32>,
     /// Top MLP parameters, flattened.
@@ -46,7 +100,8 @@ pub struct DeltaRecord {
 impl DeltaRecord {
     /// Captures the delta of the batch just applied to `model`: the
     /// distinct rows `batch` touched in each table (quantized with
-    /// `scheme`, AdaGrad scalars included) and the full — tiny — MLPs.
+    /// `scheme` straight into the chunk's one body buffer, AdaGrad scalars
+    /// included) and the full — tiny — MLPs.
     pub fn capture(
         model: &DlrmModel,
         batch: &Batch,
@@ -63,14 +118,26 @@ impl DeltaRecord {
                 continue;
             }
             let table = &model.tables()[t];
-            let rows = row_indices
-                .iter()
-                .map(|&i| scheme.quantize_row(table.row(i as usize)))
-                .collect();
+            let dim = table.dim();
+            let mut bodies =
+                Vec::with_capacity(row_indices.len() * scheme.body_bytes_per_row(dim));
+            for &i in &row_indices {
+                scheme.quantize_row_into(table.row(i as usize), &mut bodies);
+            }
             let optimizer_state = table
                 .adagrad()
                 .map(|acc| row_indices.iter().map(|&i| acc[i as usize]).collect());
-            chunks.push(ChunkPayload { table: t as u16, row_indices, optimizer_state, rows });
+            chunks.push(DeltaChunk {
+                table: t as u16,
+                row_indices,
+                optimizer_state,
+                rows: RowContext {
+                    tag: scheme.kind_tag(),
+                    bits: scheme.bits(),
+                    dim: dim as u16,
+                },
+                bodies,
+            });
         }
         Self {
             base,
@@ -87,42 +154,7 @@ impl DeltaRecord {
     /// `iteration - 1`, or any earlier state this record's rows overwrite).
     /// Returns the number of embedding rows written.
     pub fn apply(&self, model: &mut DlrmModel) -> Result<u64> {
-        let mut rows_applied = 0u64;
-        for chunk in &self.chunks {
-            let t = chunk.table as usize;
-            let table = model
-                .tables_mut()
-                .get_mut(t)
-                .ok_or_else(|| CnrError::Corrupt(format!("delta chunk for unknown table {t}")))?;
-            let (dim, nrows) = (table.dim(), table.rows());
-            for (k, &idx) in chunk.row_indices.iter().enumerate() {
-                let idx = idx as usize;
-                if idx >= nrows {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row {idx} out of range for table {t} ({nrows} rows)"
-                    )));
-                }
-                let values = chunk.rows[k].dequantize();
-                if values.len() != dim {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row dim {} != table dim {dim}",
-                        values.len()
-                    )));
-                }
-                table.row_mut(idx).copy_from_slice(&values);
-                rows_applied += 1;
-            }
-            if let (Some(acc), Some(adagrad)) = (&chunk.optimizer_state, table.adagrad_mut()) {
-                for (k, &idx) in chunk.row_indices.iter().enumerate() {
-                    adagrad[idx as usize] = acc[k];
-                }
-            }
-        }
-        let (bottom, top) = model.mlps_mut();
-        bottom.unflatten(&self.bottom_mlp);
-        top.unflatten(&self.top_mlp);
-        model.set_iteration(self.iteration);
-        Ok(rows_applied)
+        self.apply_partial(model, |_, _| false).map(|(rows_applied, _)| rows_applied)
     }
 
     /// [`Self::apply`] for a lazily-restored model: MLPs, iteration, and
@@ -148,31 +180,31 @@ impl DeltaRecord {
                 .get_mut(t)
                 .ok_or_else(|| CnrError::Corrupt(format!("delta chunk for unknown table {t}")))?;
             let (dim, nrows) = (table.dim(), table.rows());
-            for (k, &idx) in chunk.row_indices.iter().enumerate() {
+            if chunk.rows.dim as usize != dim {
+                return Err(CnrError::Corrupt(format!(
+                    "delta row dim {} != table dim {dim}",
+                    chunk.rows.dim
+                )));
+            }
+            chunk.for_each_row(|k, idx, values| {
                 let i = idx as usize;
                 if i >= nrows {
                     return Err(CnrError::Corrupt(format!(
                         "delta row {i} out of range for table {t} ({nrows} rows)"
                     )));
                 }
-                let values = chunk.rows[k].dequantize();
-                if values.len() != dim {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row dim {} != table dim {dim}",
-                        values.len()
-                    )));
-                }
                 let acc = chunk.optimizer_state.as_ref().map(|a| a[k]);
                 if divert(chunk.table, idx) {
-                    deferred.push((chunk.table, idx, values, acc));
-                    continue;
+                    deferred.push((chunk.table, idx, values.to_vec(), acc));
+                    return Ok(());
                 }
-                table.row_mut(i).copy_from_slice(&values);
+                table.row_mut(i).copy_from_slice(values);
                 if let (Some(a), Some(adagrad)) = (acc, table.adagrad_mut()) {
                     adagrad[i] = a;
                 }
                 rows_applied += 1;
-            }
+                Ok(())
+            })?;
         }
         let (bottom, top) = model.mlps_mut();
         bottom.unflatten(&self.bottom_mlp);
@@ -181,9 +213,13 @@ impl DeltaRecord {
         Ok((rows_applied, deferred))
     }
 
-    /// Serializes the record (the WAL frame payload).
+    /// Serializes the record (the WAL frame payload) into one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        // Fixed fields, the widest scheme encoding, counts and prefixes.
+        const FIXED_MAX: usize = 3 * 8 + 14 + 2 + 2 * 4;
+        let frames: usize = self.chunks.iter().map(|c| 4 + c.frame().encoded_len()).sum();
+        let mlps = 4 * (self.bottom_mlp.len() + self.top_mlp.len());
+        let mut buf = Vec::with_capacity(FIXED_MAX + frames + mlps);
         buf.put_u64_le(self.base.0);
         buf.put_u64_le(self.iteration);
         buf.put_u64_le(self.reader_next);
@@ -193,9 +229,9 @@ impl DeltaRecord {
             // Embedded chunks are bare frames (the WAL frame around the
             // record carries the envelope), length-prefixed because the
             // frame decoder consumes a whole buffer.
-            let encoded = chunk.encode();
-            buf.put_u32_le(encoded.len() as u32);
-            buf.extend_from_slice(&encoded);
+            let frame = chunk.frame();
+            buf.put_u32_le(frame.encoded_len() as u32);
+            frame.encode_into(&mut buf, |out| out.extend_from_slice(&chunk.bodies));
         }
         wire::put_f32s(&mut buf, &self.bottom_mlp);
         wire::put_f32s(&mut buf, &self.top_mlp);
@@ -205,7 +241,8 @@ impl DeltaRecord {
     /// Parses a serialized record, rejecting malformed input with a typed
     /// error — the frame layer's CRC already screens corruption, so a
     /// failure here means a logic bug or a hand-built frame, but it must
-    /// still never panic.
+    /// still never panic. Row bodies are checked for shape and kept
+    /// encoded.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let mut slice = data;
         let b = &mut slice;
@@ -220,8 +257,25 @@ impl DeltaRecord {
             if b.len() < len {
                 return Err(CnrError::Corrupt("delta chunk truncated".into()));
             }
-            chunks.push(ChunkPayload::decode_frame(&b[..len])?);
+            let chunk = open_frame(&b[..len])?;
             *b = &b[len..];
+            let mut rest = chunk.bodies;
+            for _ in 0..chunk.row_indices.len() {
+                skip_body(&mut rest, chunk.rows.tag, chunk.rows.bits, chunk.rows.dim as usize)?;
+            }
+            if !rest.is_empty() {
+                return Err(CnrError::Corrupt(format!(
+                    "{} trailing bytes after delta chunk rows",
+                    rest.len()
+                )));
+            }
+            chunks.push(DeltaChunk {
+                table: chunk.table,
+                row_indices: chunk.row_indices,
+                optimizer_state: chunk.optimizer_state,
+                rows: chunk.rows,
+                bodies: chunk.bodies.to_vec(),
+            });
         }
         let bottom_mlp = wire::get_f32s(b)?;
         let top_mlp = wire::get_f32s(b)?;
@@ -276,10 +330,71 @@ mod tests {
             assert_eq!(chunk.row_indices, expected);
             // Payload rows are the table's current values, exactly (Fp32).
             let table = &model.tables()[chunk.table as usize];
-            for (k, &i) in chunk.row_indices.iter().enumerate() {
-                assert_eq!(chunk.rows[k].dequantize(), table.row(i as usize));
-            }
+            chunk
+                .for_each_row(|_, i, values| {
+                    assert_eq!(values, table.row(i as usize));
+                    Ok(())
+                })
+                .unwrap();
         }
+    }
+
+    /// The flat record is, byte for byte, the record the row-object codec
+    /// wrote: header, then one bare `ChunkPayload` frame per touched
+    /// table, then the MLPs — for lossy schemes too.
+    #[test]
+    fn encoded_record_equals_the_row_object_encoding() {
+        use crate::manifest::ChunkPayload;
+        let (model, batch) = model_and_batch();
+        for scheme in [
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Asymmetric { bits: 8 },
+            QuantScheme::recommended_for_bits(4),
+        ] {
+            let rec = DeltaRecord::capture(&model, &batch, &scheme, CheckpointId(9), 1);
+            let mut want = Vec::new();
+            want.put_u64_le(9);
+            want.put_u64_le(model.iteration());
+            want.put_u64_le(1);
+            encode_scheme(&mut want, &scheme);
+            want.put_u16_le(rec.chunks.len() as u16);
+            for chunk in &rec.chunks {
+                let table = &model.tables()[chunk.table as usize];
+                let frame = ChunkPayload {
+                    table: chunk.table,
+                    row_indices: chunk.row_indices.clone(),
+                    optimizer_state: chunk.optimizer_state.clone(),
+                    rows: chunk
+                        .row_indices
+                        .iter()
+                        .map(|&i| scheme.quantize_row(table.row(i as usize)))
+                        .collect(),
+                }
+                .encode();
+                assert!(ChunkPayload::decode_frame(&frame).is_ok());
+                want.put_u32_le(frame.len() as u32);
+                want.extend_from_slice(&frame);
+            }
+            wire::put_f32s(&mut want, &model.bottom().flatten());
+            wire::put_f32s(&mut want, &model.top().flatten());
+            let got = rec.encode();
+            assert_eq!(got, want, "{scheme}");
+            assert_eq!(DeltaRecord::decode(&got).unwrap(), rec, "{scheme}");
+        }
+    }
+
+    /// A frame whose checksum is right but whose row bodies do not fit
+    /// its header is rejected at decode, typed — not at apply.
+    #[test]
+    fn decode_rejects_row_bodies_that_do_not_fit_the_header() {
+        let (model, batch) = model_and_batch();
+        let mut rec = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
+        rec.chunks[0].bodies.extend_from_slice(&[0; 4]);
+        assert!(matches!(DeltaRecord::decode(&rec.encode()), Err(CnrError::Corrupt(_))));
+        let short = rec.chunks[0].bodies.len() - 8;
+        rec.chunks[0].bodies.truncate(short);
+        assert!(DeltaRecord::decode(&rec.encode()).is_err());
     }
 
     #[test]

@@ -142,8 +142,7 @@ where
         left: Vec::new(),
     };
     if threads > 1 && kill_after.is_none() && items.len() > 1 {
-        // Items move into the queue, so each is freed as soon as it is done
-        // (a write item owns a copy of its rows).
+        // Items move into the queue, so each is freed as soon as it is done.
         run.done = pool(threads, items, |item| one(host, &item))?;
         return Ok(run);
     }

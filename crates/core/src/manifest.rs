@@ -10,13 +10,22 @@
 //!
 //! **One stored form.** Every *stored* object — manifest and chunk alike
 //! — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR3`, CRC-32 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR4`, CRC-32 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
 //! ([`Manifest::decode`], [`ChunkPayload::decode`], [`FlatChunk::decode`])
 //! require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
 //! is stored nowhere on its own: it is the inner format of a WAL delta
 //! record ([`crate::delta_log`]), whose WAL frame carries the envelope.
+//!
+//! **Verified once.** Every stored object carries two checksums — the
+//! envelope CRC outside, the frame checksum inside — and a read checks
+//! each exactly once. The `decode(&[u8])` entries verify the envelope and
+//! then decode; a caller that already holds an
+//! [`envelope::Verified`](cnr_storage::envelope::Verified) (the fetch
+//! scheduler returns one) uses `decode_verified`, which goes straight to
+//! the frame. The payload-level decoders are private, so bytes whose
+//! envelope nobody checked cannot reach them.
 
 use crate::error::{CnrError, Result};
 use crate::wire;
@@ -127,10 +136,11 @@ pub struct Manifest {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Manifest body version; any other number is rejected as corrupt.
-const VERSION: u16 = 3;
+/// Manifest body version (it moves with the wire version: 4 is the XXH64
+/// frame checksum); any other number is rejected as corrupt, by number.
+const VERSION: u16 = 4;
 
-/// Verifies and strips the storage envelope. Every stored-object decoder
+/// Verifies and strips the storage envelope. Every `decode(&[u8])` entry
 /// funnels through this, so a missing or corrupt envelope surfaces as
 /// [`CnrError::Corrupt`] at every read site.
 fn open_envelope(data: &[u8]) -> Result<&[u8]> {
@@ -200,16 +210,26 @@ impl Manifest {
         out
     }
 
-    /// Serializes the manifest wrapped in the v3 storage envelope — the
+    /// Serializes the manifest wrapped in the v4 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
     }
 
     /// Parses and verifies a stored manifest
-    /// ([`Manifest::encode_enveloped`] bytes).
+    /// ([`Manifest::encode_enveloped`] bytes): envelope, then body.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut data = open_envelope(data)?;
+        Self::decode_body(open_envelope(data)?)
+    }
+
+    /// [`Manifest::decode`] for an object whose envelope a fetch already
+    /// verified: only the body's own magic, version and frame checksum
+    /// are left to check.
+    pub fn decode_verified(object: &envelope::Verified) -> Result<Self> {
+        Self::decode_body(object.payload())
+    }
+
+    fn decode_body(mut data: &[u8]) -> Result<Self> {
         let buf = &mut data;
         let magic = wire::get_u32(buf)?;
         if magic != MAGIC {
@@ -218,7 +238,7 @@ impl Manifest {
         let version = wire::get_u16(buf)?;
         if version != VERSION {
             return Err(CnrError::Corrupt(format!(
-                "unsupported manifest version {version}"
+                "unsupported manifest version {version} (expected {VERSION})"
             )));
         }
         let mut body = wire::get_framed(buf)?;
@@ -335,77 +355,82 @@ impl RowContext {
 const CHUNK_HEADER_LEN: usize = 2 + 4 + 1 + 1 + 1 + 2;
 
 /// Everything of a stored chunk except its row bodies — the single writer
-/// of the chunk layout. Both [`ChunkPayload::encode`] and the write
-/// path's fused quantize-and-encode
-/// ([`crate::write::shard_writer::encode_chunk`]) go through
-/// [`ChunkFrame::encode`], so they produce the same bytes by construction.
-pub(crate) struct ChunkFrame<'a> {
+/// of the chunk layout. [`ChunkPayload::encode`], the write path's fused
+/// quantize-and-encode ([`crate::write::shard_writer::encode_chunk`]) and
+/// the WAL delta record ([`crate::delta_log`]) all go through
+/// [`ChunkFrame::encode_into`], so they produce the same bytes by
+/// construction.
+pub(crate) struct ChunkFrame<'a, A> {
     pub table: u16,
     pub row_indices: &'a [u32],
-    pub optimizer_state: Option<&'a [f32]>,
+    /// Row-wise accumulators, one per row in index order — an iterator, so
+    /// a writer can gather them from a table as they are written.
+    pub optimizer_state: Option<A>,
     pub rows: RowContext,
     /// Total bytes `put_rows` will append: sizes the buffer exactly.
     pub rows_len: usize,
 }
 
-impl ChunkFrame<'_> {
-    /// Builds the chunk in one exactly sized buffer: reserves the envelope
-    /// header (when `enveloped`), opens the frame, writes the chunk header,
-    /// indices and accumulators, lets `put_rows` append the row bodies in
-    /// place, then patches the frame length, appends the FNV frame
-    /// checksum and seals the envelope CRC over the finished bytes.
-    pub(crate) fn encode(&self, enveloped: bool, put_rows: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
+    /// Bytes [`ChunkFrame::encode_into`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let words = self.row_indices.len() * (1 + self.optimizer_state.is_some() as usize);
+        wire::FRAME_OVERHEAD + CHUNK_HEADER_LEN + 4 * words + self.rows_len
+    }
+
+    /// Appends the bare chunk frame to `out`: opens the frame, writes the
+    /// chunk header, indices and accumulators, lets `put_rows` append the
+    /// row bodies in place, then patches the frame length and appends the
+    /// frame checksum over the finished bytes.
+    pub(crate) fn encode_into(self, out: &mut Vec<u8>, put_rows: impl FnOnce(&mut Vec<u8>)) {
         let count = self.row_indices.len();
-        if let Some(acc) = self.optimizer_state {
-            debug_assert_eq!(acc.len(), count);
-        }
-        let envelope_len = if enveloped { envelope::HEADER_LEN } else { 0 };
-        let words = count * (1 + self.optimizer_state.is_some() as usize);
-        let total =
-            envelope_len + wire::FRAME_OVERHEAD + CHUNK_HEADER_LEN + 4 * words + self.rows_len;
-        let mut out = Vec::with_capacity(total);
-        out.resize(envelope_len, 0);
-        let frame = wire::begin_frame(&mut out);
+        let total = self.encoded_len();
+        let start = out.len();
+        let frame = wire::begin_frame(out);
         out.put_u16_le(self.table);
         out.put_u32_le(count as u32);
         out.put_u8(self.optimizer_state.is_some() as u8);
         out.put_u8(self.rows.tag);
         out.put_u8(self.rows.bits);
         out.put_u16_le(self.rows.dim);
-        wire::put_words(&mut out, self.row_indices.iter().map(|i| i.to_le_bytes()));
+        wire::put_words(out, self.row_indices.iter().map(|i| i.to_le_bytes()));
         if let Some(acc) = self.optimizer_state {
-            wire::put_words(&mut out, acc.iter().map(|a| a.to_le_bytes()));
+            debug_assert_eq!(acc.len(), count);
+            wire::put_words(out, acc.map(f32::to_le_bytes));
         }
-        put_rows(&mut out);
-        wire::end_frame(&mut out, frame);
-        debug_assert_eq!(out.len(), total, "chunk buffer was not sized exactly");
-        if enveloped {
-            envelope::seal_in_place(&mut out, 0);
-        }
+        put_rows(out);
+        wire::end_frame(out, frame);
+        debug_assert_eq!(out.len() - start, total, "chunk frame was not sized exactly");
+    }
+
+    /// Builds the chunk as stored, in one exactly sized buffer: the
+    /// envelope header is reserved, the frame is encoded behind it
+    /// ([`ChunkFrame::encode_into`]) and the envelope CRC is sealed over
+    /// the finished bytes.
+    pub(crate) fn encode_enveloped(self, put_rows: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::with_capacity(envelope::HEADER_LEN + self.encoded_len());
+        out.resize(envelope::HEADER_LEN, 0);
+        self.encode_into(&mut out, put_rows);
+        envelope::seal_in_place(&mut out, 0);
         out
     }
 }
 
 /// A chunk frame with its checksum verified and its header parsed; the
 /// row bodies are still encoded, borrowed from the input.
-struct OpenedChunk<'a> {
-    table: u16,
-    row_indices: Vec<u32>,
-    optimizer_state: Option<Vec<f32>>,
-    rows: RowContext,
-    bodies: &'a [u8],
-}
-
-/// Verifies and opens a stored chunk without copying the payload: the
-/// envelope CRC and the frame checksum both run over borrowed slices.
-fn open_chunk(data: &[u8]) -> Result<OpenedChunk<'_>> {
-    open_frame(open_envelope(data)?)
+pub(crate) struct OpenedChunk<'a> {
+    pub table: u16,
+    pub row_indices: Vec<u32>,
+    pub optimizer_state: Option<Vec<f32>>,
+    pub rows: RowContext,
+    pub bodies: &'a [u8],
 }
 
 /// Verifies and opens a bare chunk frame ([`ChunkPayload::encode`]
-/// bytes): only the indices and accumulators are materialized (after
-/// their lengths are checked against the input).
-fn open_frame(mut data: &[u8]) -> Result<OpenedChunk<'_>> {
+/// bytes, or the payload of a verified envelope): the frame checksum runs
+/// over the borrowed slice and only the indices and accumulators are
+/// materialized (after their lengths are checked against the input).
+pub(crate) fn open_frame(mut data: &[u8]) -> Result<OpenedChunk<'_>> {
     let mut body = wire::get_framed(&mut data)?;
     let b = &mut body;
     let table = wire::get_u16(b)?;
@@ -445,16 +470,21 @@ impl ChunkPayload {
     /// the chunk (the §6.3.2 "metadata structure" the paper flags for
     /// optimization).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(false)
+        let frame = self.frame();
+        let mut out = Vec::with_capacity(frame.encoded_len());
+        frame.encode_into(&mut out, |out| self.put_rows(out));
+        out
     }
 
-    /// Serializes the chunk wrapped in the v3 storage envelope — the
+    /// Serializes the chunk wrapped in the v4 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
-        self.encode_with(true)
+        self.frame().encode_enveloped(|out| self.put_rows(out))
     }
 
-    fn encode_with(&self, enveloped: bool) -> Vec<u8> {
+    /// The chunk as the layout's single writer takes it: everything but
+    /// the row bodies ([`Self::put_rows`] appends those).
+    fn frame(&self) -> ChunkFrame<'_, impl ExactSizeIterator<Item = f32> + '_> {
         debug_assert_eq!(self.rows.len(), self.row_indices.len());
         // Chunk-level row context: all rows share kind/bits/dim.
         let rows = match self.rows.first() {
@@ -474,27 +504,27 @@ impl ChunkPayload {
         ChunkFrame {
             table: self.table,
             row_indices: &self.row_indices,
-            optimizer_state: self.optimizer_state.as_deref(),
+            optimizer_state: self.optimizer_state.as_ref().map(|acc| acc.iter().copied()),
             rows,
             rows_len: self.rows.iter().map(QuantizedRow::body_byte_size).sum(),
         }
-        .encode(enveloped, |out| {
-            for row in &self.rows {
-                row.encode_body_into(out);
-            }
-        })
+    }
+
+    fn put_rows(&self, out: &mut Vec<u8>) {
+        for row in &self.rows {
+            row.encode_body_into(out);
+        }
     }
 
     /// Parses and verifies a stored chunk
     /// ([`ChunkPayload::encode_enveloped`] bytes).
     pub fn decode(data: &[u8]) -> Result<Self> {
-        Self::from_opened(open_chunk(data)?)
+        Self::from_opened(open_frame(open_envelope(data)?)?)
     }
 
     /// Parses and verifies a bare chunk frame ([`ChunkPayload::encode`]
-    /// bytes) — for [`crate::delta_log`], whose records embed frames inside
-    /// an enveloped WAL frame. Stored objects go through
-    /// [`ChunkPayload::decode`].
+    /// bytes): the row-object oracle for what a WAL delta record embeds.
+    #[cfg(test)]
     pub(crate) fn decode_frame(frame: &[u8]) -> Result<Self> {
         Self::from_opened(open_frame(frame)?)
     }
@@ -543,8 +573,21 @@ impl FlatChunk {
     /// the borrowed bytes: each row is unpacked and scaled from the chunk
     /// buffer onto the end of `values`. Equal, bit for bit, to
     /// [`ChunkPayload::decode`] followed by `dequantize()` on every row.
+    /// This is the verify-then-decode entry: the envelope CRC runs first,
+    /// then the frame checksum, and only then is anything decoded.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let chunk = open_chunk(data)?;
+        Self::decode_frame(open_envelope(data)?)
+    }
+
+    /// [`FlatChunk::decode`] for an object whose envelope a fetch already
+    /// verified: the CRC is not run a second time; the frame checksum is
+    /// still checked before any row is decoded.
+    pub fn decode_verified(object: &envelope::Verified) -> Result<Self> {
+        Self::decode_frame(object.payload())
+    }
+
+    fn decode_frame(frame: &[u8]) -> Result<Self> {
+        let chunk = open_frame(frame)?;
         let mut bodies = chunk.bodies;
         let dim = chunk.rows.dim as usize;
         // A row body holds at least one byte per 8 elements (1-bit codes),
@@ -753,14 +796,21 @@ mod tests {
         let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
-        // Version 2 existed once and 4 may one day; only 3 decodes.
-        for version in [2u8, 4, 99] {
+        // Versions 2 and 3 existed once and 5 may one day; only 4 decodes,
+        // and the error names the number it found.
+        for version in [2u8, 3, 5, 99] {
             let mut skewed = body.clone();
             skewed[4] = version;
             let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
             assert!(
-                matches!(&err, CnrError::Corrupt(why) if why.contains("unsupported manifest version")),
+                matches!(&err, CnrError::Corrupt(why)
+                    if why.contains(&format!("unsupported manifest version {version} "))),
                 "version {version}: {err:?}"
+            );
+            let verified = envelope::Verified::check(envelope::wrap(&skewed).into()).unwrap();
+            assert_eq!(
+                Manifest::decode_verified(&verified).unwrap_err().to_string(),
+                err.to_string()
             );
         }
     }

@@ -217,11 +217,13 @@ pub fn restore_sharded_with_heat(
     // Manifests download through the timed path too (serialized on host
     // 0's downlink — each base pointer is only known once its successor
     // decodes), so chain-walk latency lands in the fetch accounting.
+    let mut manifest_bytes = 0u64;
     let chain = walk_chain(target, |id| {
         let key = Manifest::key(job, id);
         let size = store.head(&key).map_err(CnrError::from)?.size;
-        let (bytes, _arrived) = fetch_sched.fetch_chunk(0, &key, size, 1)?;
-        Manifest::decode(&bytes)
+        let (object, _arrived) = fetch_sched.fetch_chunk(0, &key, size, 1)?;
+        manifest_bytes += object.object().len() as u64;
+        Manifest::decode_verified(&object)
     })?;
     let newest = chain.last().unwrap().clone();
     validate_geometry(&newest, config)?;
@@ -292,7 +294,6 @@ pub fn restore_sharded_with_heat(
     };
     let merge_time = merge_t0.elapsed();
 
-    let manifest_bytes: u64 = chain.iter().map(|m| m.encode_enveloped().len() as u64).sum();
     let bytes_read = chunk_bytes + manifest_bytes;
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
@@ -496,6 +497,13 @@ mod tests {
                 sharded.breakdown.chunks_fetched as usize,
                 manifest.chunks.len(),
                 "every chunk of the chain fetched exactly once"
+            );
+            // The byte count is summed from what the chain walk fetched;
+            // it equals what re-encoding the manifest would have counted.
+            let chunk_bytes: u64 = manifest.chunks.iter().map(|c| c.bytes).sum();
+            assert_eq!(
+                sharded.breakdown.bytes_fetched,
+                chunk_bytes + manifest.encode_enveloped().len() as u64
             );
             assert!(sharded.killed_hosts.is_empty());
         }

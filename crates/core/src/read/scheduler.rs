@@ -15,7 +15,8 @@
 
 use crate::error::{CnrError, Result};
 use bytes::Bytes;
-use cnr_storage::{envelope, ObjectStore, StorageError};
+use cnr_storage::envelope::Verified;
+use cnr_storage::{ObjectStore, StorageError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
@@ -125,19 +126,21 @@ impl<'a> FetchScheduler<'a> {
     /// envelope does not verify is re-fetched whole from another replica
     /// (the per-range retry budget also bounds whole-object re-fetches),
     /// and one that never verifies surfaces as [`StorageError::Corrupt`] —
-    /// corrupted bytes are never handed to the decoder.
+    /// corrupted bytes are never handed to the decoder. What comes back is
+    /// the [`Verified`] object: the decoders take it as proof and do not
+    /// run the envelope CRC again.
     pub fn fetch_chunk(
         &self,
         host: u16,
         key: &str,
         bytes: u64,
         parts: u32,
-    ) -> Result<(Bytes, Duration)> {
+    ) -> Result<(Verified, Duration)> {
         let mut refetches = 0u32;
         loop {
             let (data, arrived_at) = self.fetch_chunk_once(host, key, bytes, parts)?;
-            match self.verify(key, &data) {
-                Ok(()) => {
+            match self.verify(key, data) {
+                Ok(verified) => {
                     let mut s = self.state.lock().unwrap();
                     if refetches > 0 {
                         s.corruption_repaired += 1;
@@ -148,9 +151,9 @@ impl<'a> FetchScheduler<'a> {
                         // whole-object ranges; hand verified multi-part
                         // reassemblies back explicitly so warm restores hit
                         // the cache for large chunks too.
-                        self.store.offer_cached(key, data.clone());
+                        self.store.offer_cached(key, verified.object().clone());
                     }
-                    return Ok((data, arrived_at));
+                    return Ok((verified, arrived_at));
                 }
                 Err(e) if refetches < self.retries => {
                     refetches += 1;
@@ -236,8 +239,8 @@ impl<'a> FetchScheduler<'a> {
     /// Verifies an assembled object's envelope. A short read (in-transit
     /// truncation), damage to the magic and a checksum mismatch all count
     /// as detected corruption.
-    fn verify(&self, key: &str, data: &[u8]) -> std::result::Result<(), StorageError> {
-        envelope::unwrap(data).map(|_| ()).map_err(|why| {
+    fn verify(&self, key: &str, data: Bytes) -> std::result::Result<Verified, StorageError> {
+        Verified::check(data).map_err(|why| {
             self.state.lock().unwrap().corruption_detected += 1;
             StorageError::Corrupt(format!("{key}: {why}"))
         })
@@ -302,6 +305,7 @@ impl<'a> FetchScheduler<'a> {
 mod tests {
     use super::*;
     use cnr_cluster::SimClock;
+    use cnr_storage::envelope;
     use cnr_storage::{
         FailureMode, FlakyStore, InMemoryStore, RemoteConfig, SimulatedRemoteStore,
     };
@@ -335,7 +339,8 @@ mod tests {
         store.put("obj", payload.clone()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
-        assert_eq!(data, payload);
+        assert_eq!(data.object(), &payload);
+        assert_eq!(data.payload(), (0u8..=233).collect::<Vec<u8>>());
         assert_eq!(sched.poll(Duration::ZERO).parts_fetched, 3);
     }
 
@@ -391,7 +396,7 @@ mod tests {
         store.put("obj", stored(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 3, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 100, 2).unwrap();
-        assert_eq!(data.len(), 100);
+        assert_eq!(data.object().len(), 100);
         let status = sched.poll(Duration::ZERO);
         assert_eq!(status.retries_performed, 2);
         assert_eq!(status.corruption_refetches, 0, "no healing involved");
@@ -441,7 +446,7 @@ mod tests {
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         // 4 partial ranges: none can populate the cache on its own...
         let (data, _) = sched.fetch_chunk(0, "chunk", 4096, 4).unwrap();
-        assert_eq!(data.len(), 4096);
+        assert_eq!(data.object().len(), 4096);
         // ...but the reassembled object was offered back, so the next
         // fetch is all cache hits.
         assert!(store.cache().get("chunk").is_ok(), "reassembly cached");
@@ -466,7 +471,7 @@ mod tests {
         let (data, _) = sched
             .fetch_chunk(0, "obj", enveloped.len() as u64, 1)
             .unwrap();
-        assert_eq!(data, enveloped, "healed fetch is bit-identical");
+        assert_eq!(data.object(), &enveloped, "healed fetch is bit-identical");
         let status = sched.poll(Duration::ZERO);
         assert_eq!(status.corruption_detected, 1);
         assert_eq!(status.corruption_repaired, 1);
@@ -504,6 +509,28 @@ mod tests {
         assert_eq!(status.retries_performed, 0);
     }
 
+    /// A v3 object is not transit damage a refetch can heal: every replica
+    /// holds it, the retry budget runs out, and the typed error names the
+    /// version.
+    #[test]
+    fn a_v3_object_is_corrupt_naming_its_version() {
+        let store = InMemoryStore::new();
+        let mut v3 = envelope::wrap(&[3u8; 64]);
+        v3[..4].copy_from_slice(b"CNR3");
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        store.put("obj", Bytes::from(v3)).unwrap();
+        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        match sched.fetch_chunk(0, "obj", 80, 1) {
+            Err(CnrError::Corrupt(why)) => {
+                assert!(why.contains("obj") && why.contains("version 3"), "{why}")
+            }
+            other => panic!("v3 object not rejected as corrupt: {other:?}"),
+        }
+        let status = sched.poll(Duration::ZERO);
+        assert_eq!(status.corruption_detected, 3);
+        assert_eq!(status.corruption_repaired, 0);
+    }
+
     #[test]
     fn truncated_transfer_never_passes_verification() {
         use cnr_storage::{CorruptionKind, CorruptionSpec};
@@ -518,7 +545,7 @@ mod tests {
         let (data, _) = sched
             .fetch_chunk(0, "obj", enveloped.len() as u64, 2)
             .unwrap();
-        assert_eq!(data, enveloped);
+        assert_eq!(data.object(), &enveloped);
         let status = sched.poll(Duration::ZERO);
         assert!(status.corruption_detected >= 1, "short range was caught");
         assert_eq!(status.corruption_repaired, 1);
@@ -540,7 +567,7 @@ mod tests {
         let (data, _) = sched
             .fetch_chunk(0, "chunk", enveloped.len() as u64, 4)
             .unwrap();
-        assert_eq!(data, enveloped);
+        assert_eq!(data.object(), &enveloped);
         // Only the verified reassembly reached the cache tier.
         let cached = store.inner().cache().get("chunk").unwrap();
         assert_eq!(cached, enveloped, "cache holds clean bytes only");

@@ -66,11 +66,12 @@ pub(crate) struct ShardReader<'a> {
 impl ShardReader<'_> {
     /// Fetches, decodes, and de-quantizes one chunk.
     pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
-        let (bytes, arrived_at) = self
+        // The scheduler verified the envelope; decoding checks the frame.
+        let (object, arrived_at) = self
             .scheduler
             .fetch_chunk(host, &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
-        let chunk = FlatChunk::decode(&bytes)?;
+        let chunk = FlatChunk::decode_verified(&object)?;
         self.decode_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(DecodedChunk {
@@ -81,7 +82,7 @@ impl ShardReader<'_> {
             values: chunk.values,
             dim: chunk.dim,
             optimizer_state: chunk.optimizer_state,
-            bytes: bytes.len() as u64,
+            bytes: object.object().len() as u64,
             arrived_at,
             hot: item.hot,
         })

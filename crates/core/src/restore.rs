@@ -129,7 +129,14 @@ pub fn restore(
     target: CheckpointId,
     config: &ModelConfig,
 ) -> Result<RestoreReport> {
-    let chain_manifests = walk_chain(target, |id| load_manifest(store, job, id))?;
+    // Bytes read are the sizes fetched — never a re-encoding of what was
+    // just decoded.
+    let mut bytes_read = 0u64;
+    let chain_manifests = walk_chain(target, |id| {
+        let bytes = store.get(&Manifest::key(job, id))?;
+        bytes_read += bytes.len() as u64;
+        Manifest::decode(&bytes)
+    })?;
     let newest = chain_manifests.last().unwrap().clone();
     validate_geometry(&newest, config)?;
 
@@ -147,7 +154,6 @@ pub fn restore(
 
     let mut rows_applied = 0u64;
     let mut shards_merged = 0usize;
-    let mut bytes_read = 0u64;
     for manifest in &chain_manifests {
         validate_shard_summaries(manifest)?;
         shards_merged += manifest.shards.len();
@@ -187,7 +193,6 @@ pub fn restore(
                 rows_applied += 1;
             }
         }
-        bytes_read += manifest.encode_enveloped().len() as u64;
     }
 
     Ok(RestoreReport {

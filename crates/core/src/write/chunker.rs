@@ -12,14 +12,19 @@
 //!
 //! Chunk contents depend only on the snapshot and the configuration, never
 //! on execution timing, so sharded checkpoints are deterministic.
+//!
+//! The plan names rows; it does not carry them. A [`WorkItem`] is a run of
+//! row indices, and the worker that encodes it reads the rows straight out
+//! of the (immutable) snapshot — so planning costs 4 bytes per row instead
+//! of a second resident copy of the delta, and no row is copied on the
+//! calling thread before the pool starts.
 
 use crate::config::CheckpointConfig;
 use crate::snapshot::TrainingSnapshot;
-use cnr_model::state::TableState;
 use std::ops::Range;
 
 /// One unit of pipeline work: a run of modified rows of one table, owned
-/// by one writer host.
+/// by one writer host. The rows themselves stay in the snapshot.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
     /// Writer host that owns (and uploads) this chunk.
@@ -30,10 +35,6 @@ pub struct WorkItem {
     pub table: u16,
     /// Ascending row indices within the table.
     pub indices: Vec<u32>,
-    /// Row data copied from the snapshot, `indices.len() × dim`.
-    pub data: Vec<f32>,
-    /// Optimizer accumulators, one per row, when present.
-    pub acc: Option<Vec<f32>>,
     /// Embedding dimension.
     pub dim: usize,
 }
@@ -60,58 +61,42 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
         let dim = table_state.data.len().checked_div(rows).unwrap_or(0);
         let mut h = 0usize;
         let mut end = shard_range(rows, hosts, 0).end;
-        let mut indices: Vec<u32> = Vec::with_capacity(config.chunk_rows.min(rows));
+        // Rows of this table still to be planned: with the slots left in
+        // the shard it bounds the next chunk, so index runs are allocated
+        // at their final size (exactly, for a full checkpoint).
+        let mut unplanned = mask.count_ones();
+        let mut indices: Vec<u32> = Vec::new();
+        let mut flush = |indices: &mut Vec<u32>, h: usize| {
+            if indices.is_empty() {
+                return;
+            }
+            shards[h].push(WorkItem {
+                shard: h as u16,
+                seq: seqs[h],
+                table: t as u16,
+                indices: std::mem::take(indices),
+                dim,
+            });
+            seqs[h] += 1;
+        };
         for row in mask.iter_ones() {
             while row >= end {
-                flush(&mut indices, h, t, dim, table_state, &mut shards, &mut seqs);
+                flush(&mut indices, h);
                 h += 1;
                 end = shard_range(rows, hosts, h).end;
             }
+            if indices.capacity() == 0 {
+                indices.reserve_exact(config.chunk_rows.min(unplanned).min(end - row));
+            }
             indices.push(row as u32);
+            unplanned -= 1;
             if indices.len() >= config.chunk_rows {
-                flush(&mut indices, h, t, dim, table_state, &mut shards, &mut seqs);
+                flush(&mut indices, h);
             }
         }
-        flush(&mut indices, h, t, dim, table_state, &mut shards, &mut seqs);
+        flush(&mut indices, h);
     }
     shards
-}
-
-/// Materializes the accumulated `indices` into a [`WorkItem`] on shard `h`.
-fn flush(
-    indices: &mut Vec<u32>,
-    h: usize,
-    table: usize,
-    dim: usize,
-    table_state: &TableState,
-    shards: &mut [Vec<WorkItem>],
-    seqs: &mut [u32],
-) {
-    if indices.is_empty() {
-        return;
-    }
-    let mut data = Vec::with_capacity(indices.len() * dim);
-    let mut acc = table_state
-        .adagrad
-        .as_ref()
-        .map(|_| Vec::with_capacity(indices.len()));
-    for &row in indices.iter() {
-        let r = row as usize;
-        data.extend_from_slice(&table_state.data[r * dim..(r + 1) * dim]);
-        if let (Some(acc), Some(src)) = (acc.as_mut(), &table_state.adagrad) {
-            acc.push(src[r]);
-        }
-    }
-    shards[h].push(WorkItem {
-        shard: h as u16,
-        seq: seqs[h],
-        table: table as u16,
-        indices: std::mem::take(indices),
-        data,
-        acc,
-        dim,
-    });
-    seqs[h] += 1;
 }
 
 #[cfg(test)]
@@ -201,7 +186,7 @@ mod tests {
                     assert!(range.contains(&(row as usize)), "row outside shard range");
                 }
                 assert!(item.indices.len() <= 64);
-                assert_eq!(item.data.len(), item.indices.len() * item.dim);
+                assert_eq!(item.dim, 8);
             }
         }
 

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
-//!   contiguous shards and batches modified rows into chunks.
-//! * [`shard_writer`] is one host's side of a chunk: quantize, encode,
-//!   upload. A host killed mid-upload aborts its in-flight multipart
+//!   contiguous shards and batches modified rows into chunks — runs of
+//!   row indices; the rows stay in the snapshot.
+//! * [`shard_writer`] is one host's side of a chunk: quantize straight
+//!   from the snapshot, encode, upload. A host killed mid-upload aborts its in-flight multipart
 //!   transfer and hands its unfinished chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
 //!   owning host's uplink with a bounded in-flight window, and answers the
@@ -147,6 +148,7 @@ impl<'a> CheckpointWriter<'a> {
             job: &self.job,
             id,
             scheme,
+            tables: &snapshot.model.tables,
             scheduler: &scheduler,
             quantize_nanos: &quantize_nanos,
         };

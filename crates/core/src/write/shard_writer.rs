@@ -1,9 +1,10 @@
 //! Per-host shard writers (§4.4 step 3).
 //!
 //! A [`ShardWriter`] is one simulated writer host's side of a checkpoint:
-//! it quantizes a chunk of the host's row-range and streams it to the
-//! store through the [`UploadScheduler`](super::scheduler::UploadScheduler),
-//! over the host's own uplink. A host can also be *killed* mid-upload
+//! it quantizes a chunk of the host's row-range — reading the rows where
+//! they already are, in the snapshot — and streams it to the store through
+//! the [`UploadScheduler`](super::scheduler::UploadScheduler), over the
+//! host's own uplink. A host can also be *killed* mid-upload
 //! (failure injection): it aborts the chunk it was transferring, and the
 //! coordinator ([`crate::hosts`]) re-shards every chunk it never finished
 //! onto the surviving hosts. Chunks the dead host had already completed
@@ -15,6 +16,7 @@ use super::scheduler::UploadScheduler;
 use crate::error::Result;
 use crate::manifest::{CheckpointId, ChunkFrame, ChunkMeta, Manifest, RowContext};
 use bytes::Bytes;
+use cnr_model::state::TableState;
 use cnr_quant::QuantScheme;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -24,6 +26,8 @@ pub(crate) struct ShardWriter<'a> {
     pub(crate) job: &'a str,
     pub(crate) id: CheckpointId,
     pub(crate) scheme: QuantScheme,
+    /// The snapshot's tables: every chunk is quantized straight from here.
+    pub(crate) tables: &'a [TableState],
     pub(crate) scheduler: &'a UploadScheduler<'a>,
     /// Wall-clock nanoseconds spent quantizing, shared across shards.
     pub(crate) quantize_nanos: &'a AtomicU64,
@@ -33,7 +37,7 @@ impl ShardWriter<'_> {
     /// Quantizes, encodes, and uploads one chunk.
     pub(crate) fn upload_one(&self, host: u16, item: &WorkItem) -> Result<ChunkMeta> {
         let t0 = Instant::now();
-        let payload = encode_chunk(item, &self.scheme);
+        let payload = encode_chunk(item, &self.tables[item.table as usize], &self.scheme);
         self.quantize_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let key = Manifest::chunk_key(self.job, self.id, host, item.seq);
@@ -55,7 +59,7 @@ impl ShardWriter<'_> {
     /// chunk's multipart upload starts, ships one part, and is aborted.
     /// Nothing becomes visible at the chunk's key.
     pub(crate) fn die_mid_upload(&self, host: u16, item: &WorkItem) -> Result<()> {
-        let payload = encode_chunk(item, &self.scheme);
+        let payload = encode_chunk(item, &self.tables[item.table as usize], &self.scheme);
         let key = Manifest::chunk_key(self.job, self.id, host, item.seq);
         let store = self.scheduler.store();
         let up = store.begin_multipart(&key)?.on_channel(host as u32);
@@ -69,32 +73,41 @@ impl ShardWriter<'_> {
 
 /// Quantizes and encodes one work item into the chunk bytes as stored —
 /// the chunk frame inside the storage envelope, so every byte that leaves
-/// a writer host is covered by an end-to-end checksum — in one buffer: each row's parameters and packed codes are appended straight
-/// from `item.data` into the exactly sized chunk buffer, which is then
+/// a writer host is covered by an end-to-end checksum — in one buffer:
+/// each row's parameters and packed codes are appended straight from
+/// `table` (the snapshot's copy of the item's table; the item only names
+/// the rows) into the exactly sized chunk buffer, which is then
 /// checksummed in place. Byte for byte what
 /// `ChunkPayload { rows: quantize_row(..) for every row, .. }.encode_enveloped()`
 /// produces, without the row objects or any intermediate copy.
-pub fn encode_chunk(item: &WorkItem, scheme: &QuantScheme) -> Vec<u8> {
-    let count = item.indices.len();
+///
+/// Panics when an index lies outside `table` — the chunker only plans
+/// rows of the snapshot it was given.
+pub fn encode_chunk(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -> Vec<u8> {
+    let (count, dim) = (item.indices.len(), item.dim);
     let rows = if count == 0 {
         RowContext::EMPTY
     } else {
         RowContext {
             tag: scheme.kind_tag(),
             bits: scheme.bits(),
-            dim: item.dim as u16,
+            dim: dim as u16,
         }
     };
     ChunkFrame {
         table: item.table,
         row_indices: &item.indices,
-        optimizer_state: item.acc.as_deref(),
+        optimizer_state: table
+            .adagrad
+            .as_ref()
+            .map(|acc| item.indices.iter().map(|&r| acc[r as usize])),
         rows,
-        rows_len: count * scheme.body_bytes_per_row(item.dim),
+        rows_len: count * scheme.body_bytes_per_row(dim),
     }
-    .encode(true, |out| {
-        for i in 0..count {
-            scheme.quantize_row_into(&item.data[i * item.dim..(i + 1) * item.dim], out);
+    .encode_enveloped(|out| {
+        for &r in &item.indices {
+            let r = r as usize;
+            scheme.quantize_row_into(&table.data[r * dim..(r + 1) * dim], out);
         }
     })
 }
@@ -118,30 +131,38 @@ mod tests {
         ]
     }
 
-    fn item(rows: usize, dim: usize, with_acc: bool) -> WorkItem {
-        let data: Vec<f32> = (0..rows * dim)
-            .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.4) * 0.3)
-            .collect();
-        WorkItem {
+    /// A work item naming every third row of a table three times its
+    /// size, and that table: the rows a chunk stores are scattered, as an
+    /// incremental's are.
+    fn item(rows: usize, dim: usize, with_acc: bool) -> (WorkItem, TableState) {
+        let table_rows = rows * 3 + 1;
+        let table = TableState {
+            data: (0..table_rows * dim)
+                .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.4) * 0.3)
+                .collect(),
+            adagrad: with_acc.then(|| (0..table_rows).map(|i| i as f32 * 0.5).collect()),
+        };
+        let item = WorkItem {
             shard: 1,
             seq: 7,
             table: 3,
             indices: (0..rows as u32).map(|i| i * 3 + 1).collect(),
-            data,
-            acc: with_acc.then(|| (0..rows).map(|i| i as f32 * 0.5).collect()),
             dim,
-        }
+        };
+        (item, table)
     }
 
     /// The row-object encoding the fused path must reproduce.
-    fn via_row_objects(item: &WorkItem, scheme: &QuantScheme) -> ChunkPayload {
+    fn via_row_objects(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -> ChunkPayload {
+        let row = |r: u32| &table.data[r as usize * item.dim..(r as usize + 1) * item.dim];
         ChunkPayload {
             table: item.table,
             row_indices: item.indices.clone(),
-            optimizer_state: item.acc.clone(),
-            rows: (0..item.indices.len())
-                .map(|i| scheme.quantize_row(&item.data[i * item.dim..(i + 1) * item.dim]))
-                .collect(),
+            optimizer_state: table
+                .adagrad
+                .as_ref()
+                .map(|acc| item.indices.iter().map(|&r| acc[r as usize]).collect()),
+            rows: item.indices.iter().map(|&r| scheme.quantize_row(row(r))).collect(),
         }
     }
 
@@ -150,9 +171,9 @@ mod tests {
         for scheme in schemes() {
             for with_acc in [false, true] {
                 for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32), (3, 130)] {
-                    let item = item(rows, dim, with_acc);
-                    let want = via_row_objects(&item, &scheme);
-                    let got = encode_chunk(&item, &scheme);
+                    let (item, table) = item(rows, dim, with_acc);
+                    let want = via_row_objects(&item, &table, &scheme);
+                    let got = encode_chunk(&item, &table, &scheme);
                     assert_eq!(
                         got,
                         want.encode_enveloped(),
@@ -169,8 +190,8 @@ mod tests {
         for scheme in schemes() {
             for with_acc in [false, true] {
                 for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32)] {
-                    let item = item(rows, dim, with_acc);
-                    let bytes = encode_chunk(&item, &scheme);
+                    let (item, table) = item(rows, dim, with_acc);
+                    let bytes = encode_chunk(&item, &table, &scheme);
                     let rows_decoded = ChunkPayload::decode(&bytes).unwrap();
                     let flat = FlatChunk::decode(&bytes).unwrap();
                     assert_eq!(flat.table, rows_decoded.table);
@@ -195,7 +216,8 @@ mod tests {
     #[test]
     fn in_place_verifier_rejects_what_the_row_object_decoder_rejects() {
         for scheme in [QuantScheme::Fp32, QuantScheme::recommended_for_bits(4)] {
-            let bytes = encode_chunk(&item(6, 8, true), &scheme);
+            let (item, table) = item(6, 8, true);
+            let bytes = encode_chunk(&item, &table, &scheme);
             let clean = FlatChunk::decode(&bytes).unwrap();
             for cut in 0..bytes.len() {
                 assert!(

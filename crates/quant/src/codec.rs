@@ -164,6 +164,14 @@ pub fn decode_body_into(
     Ok(())
 }
 
+/// Validates one row body against the chunk-level context and advances
+/// `buf` past it without de-quantizing anything: accepts exactly what
+/// [`decode_body_into`] accepts. For a reader that keeps bodies encoded
+/// and wants malformed input rejected where it enters.
+pub fn skip_body(buf: &mut &[u8], kind_tag: u8, bits: u8, dim: usize) -> Result<(), CodecError> {
+    split_body(buf, kind_tag, bits, dim).map(|_| ())
+}
+
 /// Validates the chunk-level context, reads one row's parameters off the
 /// front of `buf` and splits off its payload, advancing `buf` past the
 /// row. The payload is borrowed; only a codebook allocates.

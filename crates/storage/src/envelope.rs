@@ -1,4 +1,4 @@
-//! Self-describing checksummed object envelope (wire v3) — the one stored
+//! Self-describing checksummed object envelope (wire v4) — the one stored
 //! form.
 //!
 //! Production object stores exhibit bit-rot, truncated multipart uploads,
@@ -10,8 +10,8 @@
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
-//!      0     4  magic        b"CNR3"
-//!      4     2  version      u16 LE, = 3
+//!      0     4  magic        b"CNR4"
+//!      4     2  version      u16 LE, = 4
 //!      6     2  flags        u16 LE (bit 0: payload is a manifest)
 //!      8     4  payload_len  u32 LE, exact length of payload
 //!     12     4  crc32        u32 LE, CRC-32 (IEEE) over bytes
@@ -26,17 +26,29 @@
 //! another version or fails any check below is [`StorageError::Corrupt`],
 //! which is what sends a reader to another replica.
 //!
+//! The layout is v3's; the version moved to 4 because the frame checksum
+//! *inside* chunk and manifest payloads changed (FNV-1a → XXH64, see
+//! `cnr_core::wire`), and an object written under one must not decode
+//! under the other. A v3 object is rejected here, by version, before any
+//! payload codec sees it.
+//!
 //! The parser is hardened against untrusted input: it never panics on
 //! short or garbage buffers, never allocates (it returns subslices), and
 //! validates `payload_len` against the actual buffer before trusting it.
+//!
+//! A read site that has verified an object once keeps that fact in the
+//! type: [`Verified`] is only ever built by a passing check, and the
+//! payload decoders downstream take it instead of re-running the CRC.
 
 use crate::{Result, StorageError};
+use bytes::Bytes;
 
-/// Envelope magic: the first four bytes of every v3 object.
-pub const MAGIC: [u8; 4] = *b"CNR3";
+/// Envelope magic: the first four bytes of every v4 object. The last byte
+/// is the wire version's digit.
+pub const MAGIC: [u8; 4] = *b"CNR4";
 
 /// Envelope wire version.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Envelope header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -51,16 +63,16 @@ pub const FLAG_MANIFEST: u16 = 1 << 0;
 /// envelope; replay and validation require the bit on every frame.
 pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 
-/// All flag bits a v3 reader understands; unknown bits are corruption.
+/// All flag bits a v4 reader understands; unknown bits are corruption.
 const KNOWN_FLAGS: u16 = FLAG_MANIFEST | FLAG_WAL_FRAME;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup tables for
-/// slice-by-8, built at compile time. `CRC_TABLES[0]` is the classic
+/// slice-by-16, built at compile time. `CRC_TABLES[0]` is the classic
 /// one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
-/// `k` zero bytes, which is what lets eight input bytes fold into the
-/// state with eight independent lookups instead of a chain of eight.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// `k` zero bytes, which is what lets sixteen input bytes fold into the
+/// state with sixteen independent lookups instead of a chain of sixteen.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -73,7 +85,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut t = 1;
-    while t < 8 {
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -90,28 +102,40 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_feed(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// Feeds `data` into a raw (pre-finalization) CRC-32 state, eight bytes
-/// per step (slice-by-8), the tail one byte at a time. The state after
+/// Feeds `data` into a raw (pre-finalization) CRC-32 state, sixteen bytes
+/// per step (slice-by-16), the tail one byte at a time. The state after
 /// any prefix equals the bytewise loop's, so feeds compose.
 fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        state = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        // Only the first word meets the running state; byte `j` of the
+        // block is followed by `15 - j` more bytes of it, hence its table.
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ state;
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        state = CRC_TABLES[15][(w0 & 0xFF) as usize]
+            ^ CRC_TABLES[14][((w0 >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[13][((w0 >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[12][(w0 >> 24) as usize]
+            ^ CRC_TABLES[11][(w1 & 0xFF) as usize]
+            ^ CRC_TABLES[10][((w1 >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[9][((w1 >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[8][(w1 >> 24) as usize]
+            ^ CRC_TABLES[7][(w2 & 0xFF) as usize]
+            ^ CRC_TABLES[6][((w2 >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((w2 >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(w2 >> 24) as usize]
+            ^ CRC_TABLES[3][(w3 & 0xFF) as usize]
+            ^ CRC_TABLES[2][((w3 >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((w3 >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(w3 >> 24) as usize];
     }
-    crc32_feed_bytewise(state, words.remainder())
+    crc32_feed_bytewise(state, blocks.remainder())
 }
 
 /// One table lookup per byte: the tail loop of [`crc32_feed`], and the
-/// reference the slice-by-8 path is tested against.
+/// reference the slice-by-16 path is tested against.
 fn crc32_feed_bytewise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
         state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
@@ -126,7 +150,7 @@ fn envelope_crc(header_fields: &[u8], payload: &[u8]) -> u32 {
     crc32_feed(crc32_feed(0xFFFF_FFFF, header_fields), payload) ^ 0xFFFF_FFFF
 }
 
-/// Wraps `payload` in a v3 envelope with the given flags.
+/// Wraps `payload` in a v4 envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.resize(HEADER_LEN, 0);
@@ -161,7 +185,7 @@ pub fn seal_in_place(buf: &mut [u8], flags: u16) {
     header[12..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Wraps `payload` in a v3 envelope with no flags set.
+/// Wraps `payload` in a v4 envelope with no flags set.
 pub fn wrap(payload: &[u8]) -> Vec<u8> {
     wrap_with_flags(payload, 0)
 }
@@ -176,16 +200,23 @@ fn read_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
-/// Validates the v3 envelope in `buf` and returns `(flags, payload)`.
+/// Checks the magic and version of the envelope header at the front of
+/// `buf` and returns the length of the whole object it announces (header
+/// plus `payload_len`), which may exceed `buf` — the caller compares. This
+/// is the one place the header is parsed: [`unwrap`] requires the length
+/// to match its buffer, the WAL walker uses it to find the next frame.
 ///
-/// Errors with [`StorageError::Corrupt`] if the buffer is not a
-/// well-formed, checksum-clean v3 envelope. Never panics and never
-/// allocates for the payload — the returned slice borrows from `buf`.
-pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
+/// An older wire version is named in the error: its magic ends in its
+/// version digit.
+pub fn object_len(buf: &[u8]) -> Result<usize> {
     if !buf.starts_with(&MAGIC) {
-        return Err(StorageError::Corrupt(
-            "missing v3 envelope magic".to_string(),
-        ));
+        return Err(StorageError::Corrupt(match buf {
+            [b'C', b'N', b'R', digit @ b'0'..=b'9', ..] => format!(
+                "unsupported envelope version {} (expected {VERSION})",
+                digit - b'0'
+            ),
+            _ => "missing v4 envelope magic".to_string(),
+        }));
     }
     if buf.len() < HEADER_LEN {
         return Err(StorageError::Corrupt(format!(
@@ -199,17 +230,27 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
             "unsupported envelope version {version} (expected {VERSION})"
         )));
     }
+    Ok(HEADER_LEN + read_u32(buf, 8) as usize)
+}
+
+/// Validates the v4 envelope in `buf` and returns `(flags, payload)`.
+///
+/// Errors with [`StorageError::Corrupt`] if the buffer is not a
+/// well-formed, checksum-clean v4 envelope. Never panics and never
+/// allocates for the payload — the returned slice borrows from `buf`.
+pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
+    let announced = object_len(buf)?;
+    if announced != buf.len() {
+        return Err(StorageError::Corrupt(format!(
+            "envelope length mismatch: header says {} bytes, object carries {}",
+            announced - HEADER_LEN,
+            buf.len() - HEADER_LEN
+        )));
+    }
     let flags = read_u16(buf, 6);
     if flags & !KNOWN_FLAGS != 0 {
         return Err(StorageError::Corrupt(format!(
             "unknown envelope flags {flags:#06x}"
-        )));
-    }
-    let payload_len = read_u32(buf, 8) as usize;
-    let actual = buf.len() - HEADER_LEN;
-    if payload_len != actual {
-        return Err(StorageError::Corrupt(format!(
-            "envelope length mismatch: header says {payload_len} bytes, object carries {actual}"
         )));
     }
     let payload = &buf[HEADER_LEN..];
@@ -223,11 +264,40 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     Ok((flags, payload))
 }
 
-/// The verified payload of the v3 envelope in `buf`: [`unwrap`] without
-/// the flags. This is the one call every read site makes before handing
-/// bytes to a codec.
+/// The verified payload of the v4 envelope in `buf`: [`unwrap`] without
+/// the flags. This is the call a read site holding borrowed bytes makes
+/// before handing them to a codec.
 pub fn open(buf: &[u8]) -> Result<&[u8]> {
     unwrap(buf).map(|(_, payload)| payload)
+}
+
+/// A stored object whose envelope has been verified — the proof that its
+/// CRC was checked, carried by the bytes themselves. The only constructor
+/// is [`Verified::check`], so a decoder that takes a `&Verified` (the
+/// fetch scheduler hands these out) can go straight to the payload
+/// without running the CRC a second time, and cannot be handed bytes
+/// nobody checked.
+#[derive(Debug)]
+pub struct Verified {
+    object: Bytes,
+}
+
+impl Verified {
+    /// Verifies `object`'s envelope ([`unwrap`]) and keeps the bytes.
+    pub fn check(object: Bytes) -> Result<Self> {
+        unwrap(&object)?;
+        Ok(Self { object })
+    }
+
+    /// The payload inside the envelope.
+    pub fn payload(&self) -> &[u8] {
+        &self.object[HEADER_LEN..]
+    }
+
+    /// The whole object as stored, envelope included.
+    pub fn object(&self) -> &Bytes {
+        &self.object
+    }
 }
 
 #[cfg(test)]
@@ -243,11 +313,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Slice-by-8 equals the bytewise loop for every length and every
+        /// Slice-by-16 equals the bytewise loop for every length and every
         /// split of a two-part feed (the `header ++ payload` shape of
         /// `envelope_crc`), so every stored checksum is unchanged.
         #[test]
-        fn slice_by_8_equals_the_bytewise_loop(
+        fn slice_by_16_equals_the_bytewise_loop(
             len in 0usize..4096,
             split_seed in proptest::prelude::any::<u64>(),
             seed in proptest::prelude::any::<u64>(),
@@ -265,6 +335,26 @@ mod tests {
             proptest::prop_assert_eq!(crc32_feed(0xFFFF_FFFF, &data), want);
             let (head, tail) = data.split_at(split_seed as usize % (len + 1));
             proptest::prop_assert_eq!(crc32_feed(crc32_feed(0xFFFF_FFFF, head), tail), want);
+        }
+    }
+
+    /// Exhaustive over the short end: every length across five 16-byte
+    /// strides and every split of it, including a nonzero entry state
+    /// straddling a stride boundary.
+    #[test]
+    fn slice_by_16_equals_the_bytewise_loop_at_every_short_length_and_split() {
+        let data: Vec<u8> = (0..81u32).map(|i| (i * 151 + 43) as u8).collect();
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            let want = crc32_feed_bytewise(0xFFFF_FFFF, data);
+            for split in 0..=len {
+                let (head, tail) = data.split_at(split);
+                assert_eq!(
+                    crc32_feed(crc32_feed(0xFFFF_FFFF, head), tail),
+                    want,
+                    "len {len} split {split}"
+                );
+            }
         }
     }
 
@@ -350,8 +440,51 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut future = wrap(b"payload");
-        future[4] = 4; // version 4
+        future[4] = 5; // version 5
         assert!(matches!(unwrap(&future), Err(StorageError::Corrupt(_))));
+    }
+
+    /// A v3 object — v3 magic, v3 version field, a CRC that is valid for
+    /// them — is rejected by version, named, whichever field is looked at
+    /// first; so is the v3 version number behind the v4 magic.
+    #[test]
+    fn a_v3_envelope_is_rejected_naming_its_version() {
+        let mut v3 = wrap(b"a chunk written before the frame checksum changed");
+        v3[..4].copy_from_slice(b"CNR3");
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let crc = envelope_crc(&v3[4..12], &v3[HEADER_LEN..]);
+        v3[12..16].copy_from_slice(&crc.to_le_bytes());
+        let mut v3_behind_v4_magic = v3.clone();
+        v3_behind_v4_magic[..4].copy_from_slice(&MAGIC);
+        for object in [v3, v3_behind_v4_magic] {
+            for outcome in [
+                unwrap(&object).map(|_| ()),
+                open(&object).map(|_| ()),
+                object_len(&object).map(|_| ()),
+                Verified::check(Bytes::from(object.clone())).map(|_| ()),
+            ] {
+                match outcome {
+                    Err(StorageError::Corrupt(why)) => {
+                        assert!(why.contains("version 3"), "{why}")
+                    }
+                    other => panic!("v3 object not rejected as corrupt: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verified_is_only_built_from_a_clean_envelope() {
+        let object = Bytes::from(wrap_with_flags(b"payload", FLAG_MANIFEST));
+        let verified = Verified::check(object.clone()).unwrap();
+        assert_eq!(verified.payload(), b"payload");
+        assert_eq!(verified.object(), &object);
+        let mut bad = object.to_vec();
+        bad[HEADER_LEN] ^= 1;
+        assert!(matches!(
+            Verified::check(Bytes::from(bad)),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     /// Fuzz-style hardening: the parser must never panic and never

@@ -344,15 +344,22 @@ impl ObjectStore for SimulatedRemoteStore {
             .lock()
             .remove(&up.id)
             .ok_or_else(|| StorageError::NotFound(format!("upload {} of {}", up.id, up.key)))?;
-        let mut joined = Vec::new();
-        for part in entry.parts.values() {
-            joined.extend_from_slice(part);
-        }
-        let bytes = joined.len() as u64;
+        let object = if entry.parts.len() == 1 {
+            // A single part is the object: the buffer the writer built
+            // moves through as it is.
+            entry.parts.into_values().next().expect("one part")
+        } else {
+            let mut joined = Vec::with_capacity(entry.parts.values().map(Bytes::len).sum());
+            for part in entry.parts.values() {
+                joined.extend_from_slice(part);
+            }
+            Bytes::from(joined)
+        };
+        let bytes = object.len() as u64;
         // The bytes already transferred part by part; completing is one
         // commit round trip, not a re-upload.
         let completed_at = entry.durable_at.max(self.clock.now()) + self.config.base_latency;
-        self.inner.put(&entry.key, Bytes::from(joined))?;
+        self.inner.put(&entry.key, object)?;
         self.metrics.record_capacity(
             completed_at,
             self.inner.total_bytes(),

@@ -5,7 +5,7 @@
 //! verification. Production stores rot in the meantime — media decay,
 //! truncated repairs, replicas that diverge. The scrubber is the defense:
 //! it walks live objects *before* a restore needs them, validates each
-//! one's v3 envelope (see [`crate::envelope`]), and repairs what it finds:
+//! one's v4 envelope (see [`crate::envelope`]), and repairs what it finds:
 //!
 //! * **Transit damage** — a read served by a sick replica — heals by
 //!   re-reading: the next read lands on a healthy replica (in simulation,
@@ -32,7 +32,7 @@ use bytes::Bytes;
 pub struct ScrubReport {
     /// Objects examined.
     pub scanned: u64,
-    /// Objects whose v3 envelope verified on first read.
+    /// Objects whose v4 envelope verified on first read.
     pub clean: u64,
     /// Objects whose first read failed envelope verification.
     pub corrupt_detected: u64,
@@ -371,6 +371,27 @@ mod tests {
         assert_eq!(report.repaired, 0);
         assert_eq!(report.unrepairable, vec![key.to_string()]);
         assert_eq!(primary.get(key).unwrap(), damaged, "a sweep writes only verified bytes");
+    }
+
+    /// An object left over from wire v3 is not a stored form any more: the
+    /// scrubber reports it, never counts it clean, and — having no v4 copy
+    /// to write — leaves it as it found it.
+    #[test]
+    fn a_v3_object_is_reported_never_passed_or_resealed() {
+        let primary = InMemoryStore::new();
+        let key = "job/0/chunk-0";
+        let mut v3 = envelope::wrap(b"written before the frame checksum changed");
+        v3[..4].copy_from_slice(b"CNR3");
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let why = envelope::unwrap(&v3).unwrap_err().to_string();
+        assert!(why.contains("version 3"), "{why}");
+        let v3 = Bytes::from(v3);
+        primary.put(key, v3.clone()).unwrap();
+
+        let report = Scrubber::new(&primary).sweep([key]);
+        assert_eq!((report.clean, report.corrupt_detected, report.repaired), (0, 1, 0));
+        assert_eq!(report.unrepairable, vec![key.to_string()]);
+        assert_eq!(primary.get(key).unwrap(), v3);
     }
 
     #[test]

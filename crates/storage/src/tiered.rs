@@ -24,7 +24,7 @@
 //! * multipart uploads go straight to the remote — parts are transient and
 //!   a checkpoint chunk is only read back on restore, when `get` caches it.
 //! * cache hits are *revalidated*: local flash rots too, so a cached
-//!   object's v3 envelope (see [`crate::envelope`]) is checksum-verified
+//!   object's v4 envelope (see [`crate::envelope`]) is checksum-verified
 //!   on every hit. A failed check evicts the poisoned entry and falls
 //!   through to the remote — the cache can delay detection of remote
 //!   corruption, but it can never convert local corruption into data.
@@ -138,14 +138,14 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
         self.policy
     }
 
-    /// Cache entries evicted because their v3 envelope failed verification
+    /// Cache entries evicted because their v4 envelope failed verification
     /// on a hit (poisoned local copies caught before being served).
     pub fn cache_verify_evictions(&self) -> u64 {
         self.verify_evictions.load(Ordering::Relaxed)
     }
 
     /// Looks `key` up in the cache, revalidating the entry: a cached
-    /// object that is not (or no longer) a valid v3 envelope is evicted
+    /// object that is not (or no longer) a valid v4 envelope is evicted
     /// and reported as absent, so the caller falls through to the remote.
     /// Verification is pure CPU: it adds no simulated time and touches no
     /// remote channel.

@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! A WAL **segment** is a bare concatenation of **frames**. Each frame is a
-//! standard v3 envelope ([`crate::envelope`]) carrying
+//! standard v4 envelope ([`crate::envelope`]) carrying
 //! [`FLAG_WAL_FRAME`](crate::envelope::FLAG_WAL_FRAME), whose payload is:
 //!
 //! ```text
@@ -32,11 +32,21 @@
 //! CRC, and stops cleanly at the first torn, corrupt, or out-of-sequence
 //! frame: everything before the stop point is applied, everything after is
 //! reported as a [`WalTail::Torn`] diagnosis, and nothing is ever silently
-//! decoded from garbage.
+//! decoded from garbage. A frame of another wire version is unusable in
+//! exactly this sense: replay stops in front of it and the diagnosis names
+//! the version.
+//!
+//! # Copies
+//!
+//! An append writes its frame once, in place at the tail of the segment
+//! buffer (header reserved, sequence and payload appended, envelope sealed
+//! over that slice); replay hands out zero-copy views of the fetched
+//! segment; validation walks the borrowed bytes.
 
-use crate::envelope::{self, FLAG_WAL_FRAME, HEADER_LEN, MAGIC};
+use crate::envelope::{self, FLAG_WAL_FRAME, HEADER_LEN};
 use crate::{ObjectStore, PutReceipt, Result, StorageError};
 use bytes::Bytes;
+use std::ops::Range;
 
 /// Bytes of the `record_seq` prefix inside every frame payload.
 const SEQ_LEN: usize = 8;
@@ -152,19 +162,21 @@ impl WalWriter {
     /// Appends one record. Returns the sync receipt when this append hit a
     /// sync point (`sync_every` reached), `None` when it was only buffered.
     pub fn append(&mut self, payload: &[u8]) -> Result<Option<PutReceipt>> {
-        let mut frame_payload = Vec::with_capacity(SEQ_LEN + payload.len());
-        frame_payload.extend_from_slice(&self.next_seq.to_le_bytes());
-        frame_payload.extend_from_slice(payload);
-        let frame = envelope::wrap_with_flags(&frame_payload, FLAG_WAL_FRAME);
+        let frame_at = self.buf.len();
+        let frame_len = HEADER_LEN + SEQ_LEN + payload.len();
+        self.buf.reserve(frame_len);
+        self.buf.resize(frame_at + HEADER_LEN, 0);
+        self.buf.extend_from_slice(&self.next_seq.to_le_bytes());
+        self.buf.extend_from_slice(payload);
+        envelope::seal_in_place(&mut self.buf[frame_at..], FLAG_WAL_FRAME);
         self.next_seq += 1;
         self.stats.appends += 1;
-        self.stats.bytes_appended += frame.len() as u64;
+        self.stats.bytes_appended += frame_len as u64;
         if let Some(obs) = &self.obs {
             let r = obs.registry();
             r.counter_add(cnr_obs::names::WAL_APPENDS, 1);
-            r.counter_add(cnr_obs::names::WAL_BYTES_APPENDED, frame.len() as u64);
+            r.counter_add(cnr_obs::names::WAL_BYTES_APPENDED, frame_len as u64);
         }
-        self.buf.extend_from_slice(&frame);
         self.pending += 1;
         if self.pending >= self.config.sync_every {
             return self.sync().map(Some);
@@ -305,28 +317,26 @@ impl WalReplay {
     }
 }
 
-/// Walks one segment buffer, appending verified records to `out` starting
+/// Walks the frames of one segment buffer, calling `on_record(seq,
+/// payload_range)` for each verified frame, sequence numbers continuing
 /// from `expect_seq`. Returns `Ok(next_expected_seq)` when the segment ends
 /// exactly on a frame boundary, `Err((offset, reason))` at the first
 /// unusable frame.
 fn walk_segment(
-    buf: &Bytes,
+    bytes: &[u8],
     mut expect_seq: Option<u64>,
-    out: &mut Vec<WalRecord>,
+    mut on_record: impl FnMut(u64, Range<usize>),
 ) -> std::result::Result<Option<u64>, (usize, String)> {
-    let bytes = &buf[..];
     let mut off = 0;
     while off < bytes.len() {
         let rest = &bytes[off..];
         if rest.len() < HEADER_LEN {
             return Err((off, format!("torn frame header: {} of {HEADER_LEN} bytes", rest.len())));
         }
-        if rest[..4] != MAGIC {
-            return Err((off, "bad frame magic".into()));
-        }
-        let payload_len =
-            u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-        let frame_len = HEADER_LEN + payload_len;
+        let frame_len = match envelope::object_len(rest) {
+            Ok(len) => len,
+            Err(e) => return Err((off, format!("bad frame header: {e}"))),
+        };
         if rest.len() < frame_len {
             return Err((
                 off,
@@ -349,10 +359,7 @@ fn walk_segment(
                 return Err((off, format!("sequence gap: expected {expected}, found {seq}")));
             }
         }
-        out.push(WalRecord {
-            seq,
-            payload: buf.slice(off + HEADER_LEN + SEQ_LEN..off + frame_len),
-        });
+        on_record(seq, off + HEADER_LEN + SEQ_LEN..off + frame_len);
         expect_seq = Some(seq + 1);
         off += frame_len;
     }
@@ -363,15 +370,15 @@ fn walk_segment(
 /// must verify and the frames must consume the buffer exactly. Returns the
 /// frame count, or a description of the first problem. This is what the
 /// scrubber uses — a WAL segment is multiple envelopes, so the plain
-/// single-envelope `inspect` would reject a perfectly healthy one.
+/// single-envelope `inspect` would reject a perfectly healthy one. The
+/// walk borrows `buf`; nothing is copied.
 pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
     if buf.is_empty() {
         return Err("empty wal segment".into());
     }
-    let owned = Bytes::copy_from_slice(buf);
-    let mut records = Vec::new();
-    match walk_segment(&owned, None, &mut records) {
-        Ok(_) => Ok(records.len()),
+    let mut frames = 0;
+    match walk_segment(buf, None, |_, _| frames += 1) {
+        Ok(_) => Ok(frames),
         Err((off, reason)) => Err(format!("at offset {off}: {reason}")),
     }
 }
@@ -407,7 +414,11 @@ pub fn replay(store: &dyn ObjectStore, job: &str) -> Result<WalReplay> {
         };
         replay.segments_read += 1;
         replay.bytes_read += buf.len() as u64;
-        match walk_segment(&buf, expect_seq, &mut replay.records) {
+        let records = &mut replay.records;
+        let walked = walk_segment(&buf, expect_seq, |seq, payload| {
+            records.push(WalRecord { seq, payload: buf.slice(payload) })
+        });
+        match walked {
             Ok(next) => expect_seq = next,
             Err((off, reason)) => {
                 replay.tail = WalTail::Torn { segment: key, frame_offset: off, reason };
@@ -553,6 +564,58 @@ mod tests {
                 assert!(reason.contains("verify failed"), "{reason}");
             }
             WalTail::Clean => panic!("corruption must not read clean"),
+        }
+    }
+
+    /// The frame an append seals in place at the segment's tail is, byte
+    /// for byte, the envelope of `[seq ++ payload]`.
+    #[test]
+    fn append_in_place_equals_the_wrapped_frame() {
+        let s = store();
+        let mut w = writer(&s, WalConfig::default());
+        let payloads: [&[u8]; 3] = [b"first record", b"", b"a third, longer record payload"];
+        let mut want = Vec::new();
+        for (seq, payload) in payloads.iter().enumerate() {
+            w.append(payload).unwrap();
+            let mut framed = (seq as u64).to_le_bytes().to_vec();
+            framed.extend_from_slice(payload);
+            want.extend_from_slice(&envelope::wrap_with_flags(&framed, FLAG_WAL_FRAME));
+        }
+        assert_eq!(s.get(&segment_key("job", 0)).unwrap().to_vec(), want);
+        assert_eq!(w.stats().bytes_appended, want.len() as u64);
+    }
+
+    /// A frame written under wire v3 is unusable, not undefined: replay
+    /// keeps the clean prefix in front of it and the diagnosis names the
+    /// version; validation (the scrubber's view) rejects the segment.
+    #[test]
+    fn a_v3_frame_is_a_torn_tail_naming_its_version() {
+        let s = store();
+        let mut w = writer(&s, WalConfig::default());
+        w.append(b"written under v4").unwrap();
+        let key = segment_key("job", 0);
+        let clean = s.get(&key).unwrap().to_vec();
+        for magic in [*b"CNR3", envelope::MAGIC] {
+            // A whole v3 frame (valid for v3: its own magic, version, CRC
+            // over both), and the v3 version behind today's magic.
+            let mut old = envelope::wrap_with_flags(b"\x01\0\0\0\0\0\0\0older", FLAG_WAL_FRAME);
+            old[..4].copy_from_slice(&magic);
+            old[4..6].copy_from_slice(&3u16.to_le_bytes());
+            let mut segment = clean.clone();
+            segment.extend_from_slice(&old);
+            s.put(&key, Bytes::from(segment.clone())).unwrap();
+            let r = replay(s.as_ref(), "job").unwrap();
+            assert_eq!(r.records.len(), 1, "the v4 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v4");
+            match r.tail {
+                WalTail::Torn { frame_offset, ref reason, .. } => {
+                    assert_eq!(frame_offset, clean.len());
+                    assert!(reason.contains("version 3"), "{reason}");
+                }
+                WalTail::Clean => panic!("a v3 frame must not read clean"),
+            }
+            let why = validate_segment(&segment).unwrap_err();
+            assert!(why.contains("version 3"), "{why}");
         }
     }
 

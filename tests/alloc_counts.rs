@@ -1,39 +1,54 @@
-//! Heap allocations on the chunk hot paths are O(1) per chunk.
+//! Heap allocations on the chunk and WAL hot paths are O(1) per chunk.
 //!
 //! A counting `#[global_allocator]` needs a test binary of its own, and
 //! this file holds exactly one `#[test]` so nothing else allocates while a
 //! count is being taken. The claim checked is the shape, not a number:
-//! encoding a chunk, decoding a chunk and faulting a row in allocate the
-//! same number of times for 16 rows as for 4096.
+//! encoding a chunk, decoding a chunk, faulting a row in and capturing a
+//! WAL record allocate the same number of times for few rows as for many;
+//! planning a write allocates a row's index, not the row; an append into a
+//! grown segment buffer allocates nothing.
 
-use check_n_run::core::manifest::FlatChunk;
+use check_n_run::core::config::CheckpointConfig;
+use check_n_run::core::delta_log::DeltaRecord;
+use check_n_run::core::manifest::{CheckpointId, CheckpointKind, FlatChunk};
 use check_n_run::core::read::{DecodedChunk, LazyRestore};
 use check_n_run::core::write::shard_writer::encode_chunk;
-use check_n_run::core::write::WorkItem;
+use check_n_run::core::write::{chunker, WorkItem};
+use check_n_run::core::TrainingSnapshot;
+use check_n_run::model::state::{ModelState, TableState};
 use check_n_run::model::{DlrmModel, ModelConfig};
 use check_n_run::quant::QuantScheme;
-use check_n_run::workload::DatasetSpec;
+use check_n_run::reader::ReaderState;
+use check_n_run::storage::wal::{WalConfig, WalWriter};
+use check_n_run::storage::InMemoryStore;
+use check_n_run::tracking::TrackerSnapshot;
+use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -51,24 +66,56 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 
+/// Bytes requested from the allocator (reallocations at their new size)
+/// while `f` runs.
+fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (BYTES.load(Ordering::Relaxed) - before, out)
+}
+
 const DIM: usize = 32;
 
+/// A table of `rows` rows with accumulators.
+fn table(rows: usize) -> TableState {
+    TableState {
+        data: (0..rows * DIM)
+            .map(|i| ((i * 31 % 257) as f32 / 257.0 - 0.4) * 0.2)
+            .collect(),
+        adagrad: Some(vec![0.25; rows]),
+    }
+}
+
+/// The work item naming every row of a `rows`-row table.
 fn item(rows: usize) -> WorkItem {
     WorkItem {
         shard: 0,
         seq: 0,
         table: 0,
         indices: (0..rows as u32).collect(),
-        data: (0..rows * DIM)
-            .map(|i| ((i * 31 % 257) as f32 / 257.0 - 0.4) * 0.2)
-            .collect(),
-        acc: Some(vec![0.25; rows]),
         dim: DIM,
     }
 }
 
+/// A one-table snapshot whose delta is `delta`.
+fn snapshot(rows: usize, delta: TrackerSnapshot) -> TrainingSnapshot {
+    TrainingSnapshot {
+        model: ModelState {
+            tables: vec![table(rows)],
+            bottom: Vec::new(),
+            top: Vec::new(),
+            iteration: 1,
+        },
+        delta,
+        reader: ReaderState::at(1),
+        kind: CheckpointKind::Full,
+        taken_at: Duration::ZERO,
+        stall: Duration::ZERO,
+    }
+}
+
 #[test]
-fn chunk_paths_allocate_the_same_for_16_rows_as_for_4096() {
+fn hot_paths_allocate_per_chunk_not_per_row() {
     for scheme in [
         QuantScheme::Fp32,
         QuantScheme::Fp16,
@@ -76,8 +123,11 @@ fn chunk_paths_allocate_the_same_for_16_rows_as_for_4096() {
         QuantScheme::recommended_for_bits(4),
     ] {
         let (small, large) = (item(16), item(4096));
-        let (encode_small, small_bytes) = allocations(|| encode_chunk(&small, &scheme));
-        let (encode_large, large_bytes) = allocations(|| encode_chunk(&large, &scheme));
+        let (small_table, large_table) = (table(16), table(4096));
+        let (encode_small, small_bytes) =
+            allocations(|| encode_chunk(&small, &small_table, &scheme));
+        let (encode_large, large_bytes) =
+            allocations(|| encode_chunk(&large, &large_table, &scheme));
         assert_eq!(encode_small, 1, "{scheme}: one staging buffer per chunk");
         assert_eq!(
             encode_large, encode_small,
@@ -122,4 +172,71 @@ fn chunk_paths_allocate_the_same_for_16_rows_as_for_4096() {
         counts.push(n);
     }
     assert_eq!(counts, [0, 0], "a fault-in allocates nothing");
+
+    // Planning a write names rows, it does not copy them: an index per
+    // planned row (4 bytes) plus per-chunk bookkeeping — whether the
+    // delta is every row or a scattered few, on one host or several.
+    let rows = 20_000;
+    let full = TrackerSnapshot::full(&[rows]);
+    let mut sparse = TrackerSnapshot::empty(&[rows]);
+    for row in (0..rows).step_by(7) {
+        sparse.tables[0].set(row);
+    }
+    for (delta, hosts) in [(full.clone(), 1), (full, 3), (sparse, 2)] {
+        let snap = snapshot(rows, delta);
+        let config = CheckpointConfig {
+            chunk_rows: 4096,
+            writer_hosts: hosts,
+            ..CheckpointConfig::default()
+        };
+        let (bytes, plan) = bytes_allocated(|| chunker::plan(&snap, &config));
+        let planned: usize = plan.iter().flatten().map(|i| i.indices.len()).sum();
+        assert_eq!(planned, snap.delta.modified_rows());
+        assert!(
+            bytes < 8 * planned,
+            "plan allocated {bytes} bytes for {planned} rows on {hosts} hosts"
+        );
+    }
+
+    // Capturing a WAL record allocates per touched table, not per row.
+    let dataset = SyntheticDataset::new(spec);
+    let batch = dataset.batch(0);
+    let mut few = batch.clone();
+    for touched in &mut few.sparse {
+        touched.truncate(1);
+    }
+    for scheme in [QuantScheme::Fp32, QuantScheme::recommended_for_bits(4)] {
+        let capture = |batch| DeltaRecord::capture(&model, batch, &scheme, CheckpointId(0), 1);
+        let (few_allocs, few_rec) = allocations(|| capture(&few));
+        let (many_allocs, many_rec) = allocations(|| capture(&batch));
+        assert!(few_rec.touched_rows() < many_rec.touched_rows());
+        assert_eq!(few_rec.chunks.len(), many_rec.chunks.len());
+        assert_eq!(
+            many_allocs, few_allocs,
+            "{scheme}: capture allocations grew with rows"
+        );
+        let (encode_allocs, _) = allocations(|| many_rec.encode());
+        assert_eq!(encode_allocs, 1, "{scheme}: one buffer per encoded record");
+    }
+
+    // An append writes its frame in place at the segment buffer's tail:
+    // once the buffer has grown, appends that fit allocate nothing.
+    let store = Arc::new(InMemoryStore::new());
+    let mut wal = WalWriter::new(
+        store,
+        "job",
+        WalConfig {
+            segment_bytes: 1 << 30,
+            sync_every: u32::MAX,
+        },
+    );
+    wal.append(&vec![0xA5; 64 << 10]).unwrap();
+    wal.truncate().unwrap();
+    let record = vec![0x5A; 4 << 10];
+    let (append_allocs, ()) = allocations(|| {
+        for _ in 0..8 {
+            assert!(wal.append(&record).unwrap().is_none());
+        }
+    });
+    assert_eq!(append_allocs, 0, "an append into a grown segment buffer allocated");
 }
