@@ -11,6 +11,8 @@
 //! are directly comparable. `EXPERIMENTS.md` records paper-vs-measured per
 //! figure.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod timeline;
 pub mod trajectory;

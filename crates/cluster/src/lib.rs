@@ -19,6 +19,8 @@
 //!   interval, how much re-training does a job pay?
 //! * [`growth`] — the normalized model-size growth series of Figure 4.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod failure;
 pub mod growth;

@@ -87,10 +87,13 @@ pub struct ResumeBreakdown {
     /// Simulated time the parallel chunk fetch occupied the reader hosts'
     /// downlinks (the bandwidth-bound stage that sharding attacks).
     pub fetch: Duration,
-    /// CPU time spent decoding + de-quantizing chunk payloads (overlapped
-    /// with fetch inside each shard reader, reported un-overlapped).
+    /// CPU time spent decoding + de-quantizing chunk payloads — each row
+    /// straight into its place in the model state — summed over decode
+    /// threads (overlapped with fetch inside each shard reader, reported
+    /// un-overlapped).
     pub decode: Duration,
-    /// CPU time spent merging decoded rows into the model state.
+    /// Time of the serial tail that closes the merge once every row is in
+    /// place: completeness, incremental-row union, zeroing unwritten rows.
     pub merge: Duration,
     /// Reader hosts that participated in the fetch.
     pub reader_hosts: usize,

@@ -257,6 +257,13 @@ impl EngineBuilder {
             writer.set_obs(obs.clone());
             writer
         });
+        // The lazy planner's Zipf prior depends only on the row counts and
+        // the dataset's exponents (a `powf` per row): computed once here,
+        // cloned and boosted per restore.
+        let heat_prior = self
+            .ckpt
+            .lazy_restore
+            .then(|| zipf_prior(&self.model_cfg.row_counts(), dataset.spec()));
         Ok(Engine {
             obs,
             dataset,
@@ -286,8 +293,21 @@ impl EngineBuilder {
             wal_unsynced_bytes: 0,
             pending_lazy: None,
             lazy_drain_done_at: Duration::ZERO,
+            heat_prior,
+            state_lost: false,
         })
     }
+}
+
+/// The workload's Zipf skew as a row-heat prior: row `k` of each table
+/// scores its pmf under the mean exponent of the dataset's tables.
+fn zipf_prior(row_counts: &[usize], spec: &DatasetSpec) -> read::RowHeat {
+    let exponent = if spec.tables.is_empty() {
+        1.0
+    } else {
+        spec.tables.iter().map(|t| t.zipf_exponent).sum::<f64>() / spec.tables.len() as f64
+    };
+    read::RowHeat::zipf(row_counts, exponent)
 }
 
 /// Outcome of [`Engine::train_with_failures`].
@@ -355,11 +375,20 @@ pub struct Engine {
     /// Simulated instant the lazy restore's background fetch finishes —
     /// past it a full drain costs no additional transfer time.
     lazy_drain_done_at: Duration,
+    /// The lazy planner's Zipf prior; `Some` iff restores are lazy.
+    heat_prior: Option<read::RowHeat>,
+    /// Set from the moment a restore starts (the failure destroyed the
+    /// live state, and the restore writes the trainer's tables in place)
+    /// until restore and WAL replay have both succeeded. While set, the
+    /// model is partly written: training and checkpointing fail with
+    /// [`CnrError::TrainingStateLost`].
+    state_lost: bool,
 }
 
 impl Engine {
     /// Trains `n` batches, checkpointing at each interval boundary.
     pub fn train_batches(&mut self, n: u64) -> Result<()> {
+        self.require_live_state()?;
         let mut remaining = n;
         while remaining > 0 {
             let until_ckpt = self.config.interval_batches - self.batches_into_interval;
@@ -377,6 +406,14 @@ impl Engine {
                 self.checkpoint_now()?;
                 self.batches_into_interval = 0;
             }
+        }
+        Ok(())
+    }
+
+    /// Refuses to go on with a model a failed restore left partly written.
+    fn require_live_state(&self) -> Result<()> {
+        if self.state_lost {
+            return Err(CnrError::TrainingStateLost);
         }
         Ok(())
     }
@@ -455,6 +492,7 @@ impl Engine {
     }
 
     fn checkpoint_inner(&mut self, kill: Option<HostKill>) -> Result<CheckpointRecord> {
+        self.require_live_state()?;
         // A snapshot must capture fully materialized state: finish any
         // in-progress lazy restore first (waiting out its background
         // drain), otherwise the checkpoint would persist zeroed cold rows.
@@ -680,7 +718,11 @@ impl Engine {
         };
         let drain_start = self.clock.now();
         self.clock.advance_to(self.lazy_drain_done_at);
-        let outcome = lazy.drain(self.trainer.model_mut())?;
+        // A drain that fails has dropped its tail: the rows it had not
+        // reached stay zero for good.
+        let outcome = lazy
+            .drain(self.trainer.model_mut())
+            .inspect_err(|_| self.state_lost = true)?;
         observe::record_lazy_drain_span(
             &self.obs,
             drain_start,
@@ -696,28 +738,14 @@ impl Engine {
     }
 
     /// Builds the priority planner's row-heat model for a lazy restore:
-    /// the workload's Zipf skew as the prior (row `k` of each table scores
-    /// its pmf), boosted by every row the modification tracker saw touched
-    /// since the last baseline — the current access window's working set,
-    /// which training is most likely to need first.
-    fn build_heat(&self) -> read::RowHeat {
-        let row_counts: Vec<usize> = self
-            .trainer
-            .model()
-            .config()
-            .tables
-            .iter()
-            .map(|t| t.rows as usize)
-            .collect();
-        let spec_tables = &self.dataset.spec().tables;
-        let exponent = if spec_tables.is_empty() {
-            1.0
-        } else {
-            spec_tables.iter().map(|t| t.zipf_exponent).sum::<f64>()
-                / spec_tables.len() as f64
-        };
-        let mut heat = read::RowHeat::zipf(&row_counts, exponent);
+    /// the workload's Zipf prior, boosted by every row the modification
+    /// tracker saw touched since the last baseline — the current access
+    /// window's working set, which training is most likely to need first.
+    /// `None` when restores are eager.
+    fn build_heat(&self) -> Option<read::RowHeat> {
+        let mut heat = self.heat_prior.clone()?;
         let snap = self.trainer.tracker().snapshot();
+        let row_counts = self.trainer.model().config().row_counts();
         let mut coverage = cnr_tracking::CoverageAnalyzer::new(&row_counts);
         for (t, mask) in snap.tables.iter().enumerate() {
             for row in mask.iter_ones() {
@@ -725,7 +753,7 @@ impl Engine {
             }
         }
         heat.boost_covered(&coverage, 1.0);
-        heat
+        Some(heat)
     }
 
     /// Simulates a failure: discards live training state and restores from
@@ -734,7 +762,19 @@ impl Engine {
     /// to the serial restore). When a restore failure model is configured
     /// ([`EngineBuilder::restore_failure_model`]), a reader host may die
     /// mid-restore; its remaining chunks re-shard onto the survivors.
-    /// Returns the restore report.
+    ///
+    /// The restore decodes straight into the trainer's own tables (the
+    /// failure destroyed their contents anyway; see [`crate::read`]), so
+    /// the returned report's `state.tables` is **empty** — the embedding
+    /// rows are in [`Engine::trainer`]'s model. Everything else of the
+    /// report is as the allocating [`read::restore_sharded`] returns it:
+    /// dense layers, `iteration`, `reader`, `incremental_rows`,
+    /// `rows_applied` (Σ rows of applied chunks), `bytes_read`.
+    ///
+    /// If the restore or the WAL replay after it fails, the model is left
+    /// partly written: [`Engine::train_batches`] and
+    /// [`Engine::checkpoint_now`] then return
+    /// [`CnrError::TrainingStateLost`] until a restore succeeds.
     ///
     /// # Failures that land mid-drain (§4.4 relaxation)
     ///
@@ -810,15 +850,14 @@ impl Engine {
         // Priority heat for the lazy planner, built *before* the tracker
         // reset below: the Zipf prior plus the rows training touched since
         // the last baseline.
-        let heat = if options.lazy {
-            Some(self.build_heat())
-        } else {
-            None
-        };
-        // A failure mid-lazy-drain discards the previous restore's cold
-        // tail along with the rest of the live training state.
+        let heat = self.build_heat();
+        // The failure discards the live training state — a previous
+        // restore's cold tail included — and the restore writes the
+        // trainer's tables in place: until it and the WAL replay succeed,
+        // the model is not one to train on or checkpoint.
+        self.state_lost = true;
         self.pending_lazy = None;
-        let sharded = read::restore_sharded_with_heat(
+        let sharded = read::restore_sharded_into(
             self.store.as_ref(),
             &self.job,
             latest,
@@ -827,12 +866,14 @@ impl Engine {
             started_at,
             kill,
             heat.as_ref(),
+            self.trainer.model_mut().table_views_mut(),
         )?;
         let report = sharded.report;
         let mut lazy_tail = sharded.lazy;
 
-        // Rebuild trainer-side state.
-        report.state.restore(self.trainer.model_mut());
+        // Rebuild the rest of the trainer-side state (the embedding rows
+        // are already in place).
+        report.state.restore_dense(self.trainer.model_mut());
         self.trainer.tracker().reset();
         match self.policy.kind() {
             PolicyKind::OneShot | PolicyKind::Intermittent => {
@@ -979,6 +1020,7 @@ impl Engine {
         // Count against the quantization budget (§6.2.1 fallback).
         self.bitwidth.on_restore();
         self.restores += 1;
+        self.state_lost = false;
         Ok(report)
     }
 
@@ -1051,6 +1093,7 @@ impl Engine {
         self.reader = ReaderMaster::new(self.dataset.clone(), self.reader_cfg);
         self.batches_into_interval = 0;
         self.pending_lazy = None;
+        self.state_lost = false;
     }
 
     /// The quantization scheme the next checkpoint will use.
@@ -1629,9 +1672,17 @@ mod tests {
         assert_eq!(e.stats().scrub_totals(), findings);
     }
 
+    /// Bit rot: flips one bit of the object stored at `key`, so the damage
+    /// persists across re-reads.
+    fn poison_at_rest(e: &Engine, key: &str) {
+        let mut b = e.store().get(key).unwrap().to_vec();
+        let mid = b.len() / 2;
+        b[mid] ^= 0x40;
+        e.store().put(key, bytes::Bytes::from(b)).unwrap();
+    }
+
     #[test]
     fn scrub_heals_poisoned_objects_from_a_replica() {
-        use bytes::Bytes;
         use cnr_storage::InMemoryStore;
         let mut e = builder().build().unwrap();
         e.train_batches(10).unwrap();
@@ -1651,10 +1702,7 @@ mod tests {
         let n = poisoned.len() as u64;
         assert!(n >= 3, "need several chunk objects to poison, got {n}");
         for k in &poisoned {
-            let mut b = e.store().get(k).unwrap().to_vec();
-            let mid = b.len() / 2;
-            b[mid] ^= 0x40;
-            e.store().put(k, Bytes::from(b)).unwrap();
+            poison_at_rest(&e, k);
         }
         let findings = e.scrub_now(Some(&replica)).unwrap();
         assert_eq!(findings.corrupt_detected, n, "every poisoned object found");
@@ -1668,6 +1716,65 @@ mod tests {
         assert_eq!(again.clean, again.scanned);
         e.simulate_failure_and_restore().unwrap();
         assert_eq!(e.trainer().model().state_hash(), hash);
+    }
+
+    /// A restore that fails has already torn up the trainer's tables (it
+    /// decodes into them) and thrown away any lazy tail: the engine must
+    /// refuse, typed, to train on or checkpoint that model, and a later
+    /// successful restore must bring everything back.
+    #[test]
+    fn failed_restore_refuses_training_until_a_restore_succeeds() {
+        use bytes::Bytes;
+        for mid_lazy_drain in [false, true] {
+            let mut e = if mid_lazy_drain {
+                lazy_builder(0.05).build().unwrap()
+            } else {
+                builder().build().unwrap()
+            };
+            e.train_batches(10).unwrap();
+            let hash_at_10 = e.trainer().model().state_hash();
+            e.train_batches(2).unwrap();
+            if mid_lazy_drain {
+                e.simulate_failure_and_restore().unwrap();
+                assert!(e.pending_lazy().is_some(), "the next failure lands mid-drain");
+            }
+            // Every chunk rots at rest: no retry can heal it.
+            let healthy: Vec<(String, Bytes)> = e
+                .controller()
+                .live_keys()
+                .into_iter()
+                .filter(|k| !k.ends_with("/manifest"))
+                .map(|k| {
+                    let bytes = e.store().get(&k).unwrap();
+                    (k, bytes)
+                })
+                .collect();
+            assert!(healthy.len() >= 3);
+            for (k, _) in &healthy {
+                poison_at_rest(&e, k);
+            }
+            let err = e.simulate_failure_and_restore().unwrap_err();
+            assert!(matches!(err, CnrError::Corrupt(_)), "typed corruption, got {err:?}");
+            assert!(e.pending_lazy().is_none());
+            let (intervals, resumes) = (e.stats().intervals.len(), e.stats().resumes.len());
+            assert!(matches!(e.train_batches(1), Err(CnrError::TrainingStateLost)));
+            assert!(matches!(e.checkpoint_now(), Err(CnrError::TrainingStateLost)));
+            assert_eq!(e.trainer().trained_batches(), 12, "no batch touched the torn model");
+            assert_eq!(e.stats().intervals.len(), intervals, "and no checkpoint captured it");
+            // A second failed restore changes nothing.
+            assert!(e.simulate_failure_and_restore().is_err());
+            assert!(matches!(e.train_batches(1), Err(CnrError::TrainingStateLost)));
+            assert_eq!(e.stats().resumes.len(), resumes, "failed restores record no resume");
+
+            for (k, bytes) in healthy {
+                e.store().put(&k, bytes).unwrap();
+            }
+            e.simulate_failure_and_restore().unwrap();
+            e.drain_lazy_restore().unwrap();
+            assert_eq!(e.trainer().model().state_hash(), hash_at_10);
+            e.train_batches(3).unwrap();
+            e.checkpoint_now().unwrap();
+        }
     }
 
     #[test]

@@ -21,6 +21,12 @@ pub enum CnrError {
     Pipeline(String),
     /// Invalid configuration.
     Config(String),
+    /// The engine's live training state was destroyed by a failure and no
+    /// restore has succeeded since: the model is partly written, so
+    /// training on it or checkpointing it is refused until
+    /// [`Engine::simulate_failure_and_restore`](crate::engine::Engine::simulate_failure_and_restore)
+    /// returns `Ok`.
+    TrainingStateLost,
 }
 
 impl std::fmt::Display for CnrError {
@@ -33,6 +39,10 @@ impl std::fmt::Display for CnrError {
             CnrError::NothingToRestore => write!(f, "no valid checkpoint to restore"),
             CnrError::Pipeline(m) => write!(f, "writer pipeline: {m}"),
             CnrError::Config(m) => write!(f, "invalid configuration: {m}"),
+            CnrError::TrainingStateLost => write!(
+                f,
+                "training state lost: the last restore failed partway; restore again first"
+            ),
         }
     }
 }

@@ -19,8 +19,9 @@
 //!   checkpoint back to its full baseline, apply deltas forward, de-quantize
 //!   (§5.1 recovery).
 //! * [`read`] — the sharded recovery pipeline mirroring [`write`]: a fetch
-//!   planner, per-host shard readers overlapping ranged downloads with
-//!   decode, and a merge stage bit-identical to the serial restore, with
+//!   planner, per-host shard readers overlapping ranged downloads with a
+//!   rank-guarded decode straight into the destination tables, and a
+//!   serial tail, bit-identical to the serial restore, with
 //!   fetch/decode/merge time-to-resume accounting (§2/§5 downtime model).
 //! * [`controller`] — checkpoint registry, validity, retention, deletion
 //!   (§4.4).
@@ -29,6 +30,8 @@
 //! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17).
 //! * [`accuracy`] — the restore-degradation experiment (Figure 14).
 //! * [`frequency`] — sustainable checkpoint-frequency planning (§4.3).
+
+#![forbid(unsafe_code)]
 
 pub mod accuracy;
 pub mod bitwidth;

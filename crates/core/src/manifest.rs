@@ -587,7 +587,14 @@ impl FlatChunk {
     }
 
     fn decode_frame(frame: &[u8]) -> Result<Self> {
-        let chunk = open_frame(frame)?;
+        Self::from_opened(open_frame(frame)?)
+    }
+
+    /// De-quantizes every row of an opened (checksum-verified) chunk into
+    /// one flat buffer. A restore that writes rows where they live goes
+    /// through [`crate::read::merge::Destination::place`] instead; this is
+    /// for a chunk that has to wait — a lazy restore's cold one.
+    pub(crate) fn from_opened(chunk: OpenedChunk<'_>) -> Result<Self> {
         let mut bodies = chunk.bodies;
         let dim = chunk.rows.dim as usize;
         // A row body holds at least one byte per 8 elements (1-bit codes),

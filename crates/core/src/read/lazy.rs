@@ -5,12 +5,14 @@
 //! recovery); everything else is fetched in the background but not yet
 //! merged. [`LazyRestore`] owns that deferred tail:
 //!
-//! * **cold chunks** — decoded but unapplied; their rows sit at the merge
-//!   template until materialized,
+//! * **cold chunks** — decoded but unapplied; their rows sit at zero
+//!   until materialized,
 //! * **per-row application ranks** — which chunk (in the serial
 //!   `(level, key)` order) last wrote each row, so a late-materializing
 //!   cold chunk from an *older* level never clobbers a hot chunk from a
-//!   newer one,
+//!   newer one. These are the stamps the restore's destination
+//!   (`merge::Destination`) ordered its decode workers with,
+//!   handed over as they stood when the hot set had landed,
 //! * **deferred WAL row deltas** — delta-log rows whose target row was not
 //!   materialized at replay time, buffered in replay order and applied the
 //!   moment the row exists.
@@ -22,7 +24,7 @@
 //! always: chunk levels ascending, then deferred deltas in replay order —
 //! exactly the order the eager path used.
 
-use super::shard_reader::DecodedChunk;
+use super::shard_reader::{ColdRows, DecodedChunk};
 use crate::error::{CnrError, Result};
 use cnr_model::DlrmModel;
 use std::collections::HashMap;
@@ -32,6 +34,26 @@ use std::collections::HashMap;
 struct RowDelta {
     values: Vec<f32>,
     acc: Option<f32>,
+}
+
+/// One cold chunk: what [`LazyRestore`] keeps of a [`DecodedChunk`] whose
+/// rows were not placed.
+#[derive(Debug, Clone)]
+struct ColdChunk {
+    /// Rank in the serial `(level, key)` application order.
+    rank: u32,
+    key: String,
+    table: u16,
+    row_indices: Vec<u32>,
+    rows: ColdRows,
+    bytes: u64,
+}
+
+impl ColdChunk {
+    /// De-quantized values of the chunk's `k`-th row.
+    fn row(&self, k: usize) -> &[f32] {
+        &self.rows.values[k * self.rows.dim..(k + 1) * self.rows.dim]
+    }
 }
 
 /// What a background drain applied.
@@ -47,10 +69,10 @@ pub struct DrainOutcome {
 /// materialize their rows bit-identically to the eager path.
 #[derive(Debug, Clone)]
 pub struct LazyRestore {
-    /// Cold chunks with their rank in the serial `(level, key)` application
-    /// order (rank 0 = "nothing applied"), ascending.
-    cold: Vec<(u32, DecodedChunk)>,
-    /// Per table, per row: rank of the last chunk whose value was applied.
+    /// Cold chunks, ascending by rank.
+    cold: Vec<ColdChunk>,
+    /// Per table, per row: rank of the last chunk whose value was applied
+    /// (0 = "nothing applied").
     applied_rank: Vec<Vec<u32>>,
     /// Per table, per row: whether the row holds its final restored value.
     materialized: Vec<Vec<bool>>,
@@ -68,44 +90,39 @@ pub struct LazyRestore {
 }
 
 impl LazyRestore {
-    /// Builds the deferred tail from every decoded chunk of a restore
-    /// (hot ones applied already, cold ones not). `row_counts` is the
-    /// per-table row geometry of the model being restored.
-    pub fn new(decoded: Vec<DecodedChunk>, row_counts: &[usize]) -> Self {
-        let mut chunks = decoded;
-        chunks.sort_by(|a, b| (a.level, &a.key).cmp(&(b.level, &b.key)));
-        let mut applied_rank: Vec<Vec<u32>> =
-            row_counts.iter().map(|&n| vec![0u32; n]).collect();
-        let mut cold: Vec<(u32, DecodedChunk)> = Vec::new();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let rank = i as u32 + 1;
-            if chunk.hot {
-                let t = chunk.table as usize;
-                if let Some(table) = applied_rank.get_mut(t) {
-                    for &row in &chunk.row_indices {
-                        if let Some(r) = table.get_mut(row as usize) {
-                            *r = rank;
-                        }
-                    }
-                }
-            } else {
-                cold.push((rank, chunk));
-            }
-        }
+    /// Builds the deferred tail from the chunks of a restore — the placed
+    /// ones are ignored, the cold ones kept — and `applied_rank`, the
+    /// destination's per-table, per-row stamps of what the placed chunks
+    /// wrote (0 where none did).
+    pub fn new(decoded: Vec<DecodedChunk>, applied_rank: Vec<Vec<u32>>) -> Self {
+        let mut cold: Vec<ColdChunk> = decoded
+            .into_iter()
+            .filter_map(|chunk| {
+                Some(ColdChunk {
+                    rank: chunk.rank,
+                    key: chunk.key,
+                    table: chunk.table,
+                    row_indices: chunk.row_indices,
+                    rows: chunk.cold?,
+                    bytes: chunk.bytes,
+                })
+            })
+            .collect();
+        cold.sort_by_key(|chunk| chunk.rank);
         // A row is pending only if some cold chunk outranks what the hot
         // merge already wrote to it; a cold chunk fully shadowed by a newer
         // hot chunk leaves its rows final.
         let mut materialized: Vec<Vec<bool>> =
-            row_counts.iter().map(|&n| vec![true; n]).collect();
+            applied_rank.iter().map(|t| vec![true; t.len()]).collect();
         let mut pending_rows = 0u64;
-        for (rank, chunk) in &cold {
+        for chunk in &cold {
             let t = chunk.table as usize;
             for &row in &chunk.row_indices {
                 let r = row as usize;
                 let stale = applied_rank
                     .get(t)
                     .and_then(|tbl| tbl.get(r))
-                    .is_some_and(|&applied| *rank > applied);
+                    .is_some_and(|&applied| chunk.rank > applied);
                 if stale {
                     if let Some(m) = materialized.get_mut(t).and_then(|tbl| tbl.get_mut(r)) {
                         if *m {
@@ -154,7 +171,7 @@ impl LazyRestore {
     pub fn pending_keys(&self) -> Vec<String> {
         self.cold
             .iter()
-            .filter(|(rank, chunk)| {
+            .filter(|chunk| {
                 let t = chunk.table as usize;
                 chunk.row_indices.iter().any(|&row| {
                     let pending = !self.is_materialized(chunk.table, row);
@@ -162,11 +179,11 @@ impl LazyRestore {
                         .applied_rank
                         .get(t)
                         .and_then(|tbl| tbl.get(row as usize))
-                        .is_some_and(|&applied| *rank > applied);
+                        .is_some_and(|&applied| chunk.rank > applied);
                     pending && outranks
                 })
             })
-            .map(|(_, chunk)| chunk.key.clone())
+            .map(|chunk| chunk.key.clone())
             .collect()
     }
 
@@ -212,14 +229,14 @@ impl LazyRestore {
         // fault-in copies one row's `dim` values out of a chunk, never the
         // chunk.
         let applied = &mut self.applied_rank[table as usize][row as usize];
-        for (rank, chunk) in &self.cold {
-            if chunk.table != table || *rank <= *applied {
+        for chunk in &self.cold {
+            if chunk.table != table || chunk.rank <= *applied {
                 continue;
             }
             if let Ok(k) = chunk.row_indices.binary_search(&row) {
                 bytes += chunk.bytes / chunk.row_indices.len().max(1) as u64;
                 apply_chunk_row(model, chunk, k)?;
-                *applied = *rank;
+                *applied = chunk.rank;
             }
         }
         self.apply_deferred(model, table, row)?;
@@ -237,7 +254,7 @@ impl LazyRestore {
     pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
         let mut outcome = DrainOutcome::default();
         let cold = std::mem::take(&mut self.cold);
-        for (rank, chunk) in &cold {
+        for chunk in &cold {
             let t = chunk.table as usize;
             for (k, &row) in chunk.row_indices.iter().enumerate() {
                 let r = row as usize;
@@ -245,11 +262,11 @@ impl LazyRestore {
                 else {
                     continue;
                 };
-                if *rank <= *applied {
+                if chunk.rank <= *applied {
                     continue;
                 }
                 apply_chunk_row(model, chunk, k)?;
-                *applied = *rank;
+                *applied = chunk.rank;
             }
         }
         for tbl in 0..self.materialized.len() {
@@ -297,7 +314,7 @@ impl LazyRestore {
 }
 
 /// Writes cold-chunk row `k` of `chunk` into the live model.
-fn apply_chunk_row(model: &mut DlrmModel, chunk: &DecodedChunk, k: usize) -> Result<()> {
+fn apply_chunk_row(model: &mut DlrmModel, chunk: &ColdChunk, k: usize) -> Result<()> {
     let t = chunk.table as usize;
     let row = chunk.row_indices[k] as usize;
     let table = model
@@ -309,15 +326,15 @@ fn apply_chunk_row(model: &mut DlrmModel, chunk: &DecodedChunk, k: usize) -> Res
             "cold chunk row {row} beyond table {t}"
         )));
     }
-    if chunk.dim != table.dim() {
+    if chunk.rows.dim != table.dim() {
         return Err(CnrError::Corrupt(format!(
             "cold row decoded to {} values, expected {}",
-            chunk.dim,
+            chunk.rows.dim,
             table.dim()
         )));
     }
     table.row_mut(row).copy_from_slice(chunk.row(k));
-    if let (Some(src), Some(adagrad)) = (&chunk.optimizer_state, table.adagrad_mut()) {
+    if let (Some(src), Some(adagrad)) = (&chunk.rows.optimizer_state, table.adagrad_mut()) {
         adagrad[row] = src[k];
     }
     Ok(())
@@ -338,6 +355,8 @@ mod tests {
         DlrmModel::new(cfg)
     }
 
+    /// A chunk of `rows` filled with `fill`: placed when `hot` (its values
+    /// are then the destination's business), held back otherwise.
     fn chunk(
         level: usize,
         key: &str,
@@ -348,16 +367,37 @@ mod tests {
     ) -> DecodedChunk {
         DecodedChunk {
             level,
+            rank: 0, // assigned by `lazy_of`
             key: key.to_string(),
             table,
             row_indices: rows.to_vec(),
-            values: vec![fill; 4 * rows.len()],
-            dim: 4,
-            optimizer_state: Some(vec![fill; rows.len()]),
+            cold: (!hot).then(|| ColdRows {
+                values: vec![fill; 4 * rows.len()],
+                dim: 4,
+                optimizer_state: Some(vec![fill; rows.len()]),
+            }),
             bytes: 100 * rows.len() as u64,
             arrived_at: Duration::ZERO,
-            hot,
         }
+    }
+
+    /// The tail of a restore that fetched `chunks` into `m`'s geometry:
+    /// ranks them in `(level, key)` order and stamps the placed ones' rows
+    /// the way the restore's destination does.
+    fn lazy_of(mut chunks: Vec<DecodedChunk>, m: &DlrmModel) -> LazyRestore {
+        chunks.sort_by(|a, b| (a.level, &a.key).cmp(&(b.level, &b.key)));
+        let mut applied_rank: Vec<Vec<u32>> =
+            m.tables().iter().map(|t| vec![0; t.rows()]).collect();
+        for (i, chunk) in chunks.iter_mut().enumerate() {
+            chunk.rank = i as u32 + 1;
+            if chunk.cold.is_none() {
+                for &row in &chunk.row_indices {
+                    let stamp = &mut applied_rank[chunk.table as usize][row as usize];
+                    *stamp = chunk.rank.max(*stamp);
+                }
+            }
+        }
+        LazyRestore::new(chunks, applied_rank)
     }
 
     #[test]
@@ -367,8 +407,7 @@ mod tests {
             chunk(0, "a", 0, &[0, 1], 1.0, true),
             chunk(0, "b", 0, &[2, 3], 2.0, false),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(lazy_chunks, &row_counts);
+        let mut lazy = lazy_of(lazy_chunks, &m);
         assert_eq!(lazy.pending_rows(), 2);
         assert!(lazy.is_materialized(0, 0) && lazy.is_materialized(0, 1));
         assert!(!lazy.is_materialized(0, 2));
@@ -388,11 +427,10 @@ mod tests {
     fn fault_in_reads_the_cold_chunk_in_place() {
         let mut m = model();
         let rows: Vec<u32> = (0..8).collect();
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(vec![chunk(0, "cold", 0, &rows, 3.0, false)], &row_counts);
+        let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &rows, 3.0, false)], &m);
         let before = (
-            lazy.cold[0].1.values.as_ptr(),
-            lazy.cold[0].1.values.clone(),
+            lazy.cold[0].rows.values.as_ptr(),
+            lazy.cold[0].rows.values.clone(),
         );
         lazy.fault_in(&mut m, 0, 5).unwrap();
         assert_eq!(m.tables()[0].row(5), &[3.0; 4]);
@@ -400,8 +438,8 @@ mod tests {
         // The chunk was borrowed, not cloned or rebuilt: same buffer, same
         // contents, and the other rows still pending.
         assert_eq!(lazy.cold.len(), 1);
-        assert!(std::ptr::eq(lazy.cold[0].1.values.as_ptr(), before.0));
-        assert_eq!(lazy.cold[0].1.values, before.1);
+        assert!(std::ptr::eq(lazy.cold[0].rows.values.as_ptr(), before.0));
+        assert_eq!(lazy.cold[0].rows.values, before.1);
         assert_eq!(lazy.pending_rows(), 7);
     }
 
@@ -416,8 +454,7 @@ mod tests {
             chunk(0, "old", 0, &[1], 5.0, false),
             chunk(1, "new", 0, &[1], 9.0, true),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(chunks, &row_counts);
+        let mut lazy = lazy_of(chunks, &m);
         assert_eq!(lazy.pending_rows(), 0, "shadowed cold chunk leaves rows final");
         assert!(lazy.pending_keys().is_empty());
         lazy.drain(&mut m).unwrap();
@@ -431,8 +468,7 @@ mod tests {
             chunk(0, "base", 0, &[0, 1], 1.0, false),
             chunk(1, "incr", 0, &[1], 2.0, false),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(chunks, &row_counts);
+        let mut lazy = lazy_of(chunks, &m);
         assert_eq!(lazy.pending_rows(), 2);
         // Two deferred deltas for row 1: the later one must win.
         lazy.defer_delta(0, 1, vec![3.0; 4], Some(3.0));

@@ -1,146 +1,279 @@
-//! The merge stage: assembling decoded chunks into model state.
+//! Where a restore's rows land, and the serial tail that closes it.
 //!
 //! Chunks of one manifest cover disjoint rows, so they can be fetched and
 //! decoded in any order by any host; across the chain, later manifests
-//! overwrite earlier ones. The merge therefore groups decoded chunks by
-//! chain level and applies the levels oldest-first, sorting within a level
-//! by chunk key (keys embed writer shard + sequence, zero-padded) — which
-//! reproduces the serial restore's application order exactly, making the
-//! sharded restore bit-identical to [`crate::restore::restore`].
+//! overwrite earlier ones. The serial [`crate::restore::restore`] gets that
+//! by applying chunks in `(level, key)` order. Here every chunk carries its
+//! position in that order (its *rank*, [`super::FetchItem::rank`]) and the
+//! [`Destination`] keeps, per row, the rank of the chunk whose value the
+//! row holds: a decode worker writes a row iff its chunk outranks the
+//! row's stamp. Newest-wins therefore holds for any host count, worker
+//! count or arrival order, each row's bytes are de-quantized straight into
+//! the table that will train on them, and the result is bit-identical to
+//! the serial path.
+//!
+//! What cannot run on the workers stays here as the serial tail
+//! ([`tally`], [`Destination::zero_unwritten`]): per-level completeness,
+//! the union of incremental rows, and zeroing the rows no chunk wrote.
 
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
-use crate::manifest::{CheckpointKind, Manifest};
-use cnr_model::state::TableState;
+use crate::manifest::{CheckpointKind, Manifest, OpenedChunk};
+use cnr_model::TableViewMut;
+use cnr_quant::codec::{decode_body_to, skip_body};
 use cnr_tracking::TrackerSnapshot;
+use std::sync::Mutex;
 
-/// What the merge produced: the restore-report ingredients that depend on
-/// chunk contents.
-pub struct MergedState {
-    /// Reconstructed embedding tables (MLPs come from the newest manifest).
-    pub tables: Vec<TableState>,
-    /// Rows written while applying the chain (with overwrite multiplicity).
+/// Rows per lock stripe. A worker holds one stripe's lock while it writes
+/// the run of its chunk's rows that fall inside it, so a full chunk takes a
+/// handful of locks and two workers contend only where their chunks name
+/// the same thousand rows.
+const STRIPE_ROWS: usize = 1024;
+
+/// One stripe of one table: up to [`STRIPE_ROWS`] consecutive rows.
+struct Stripe<'a> {
+    data: &'a mut [f32],
+    adagrad: Option<&'a mut [f32]>,
+    /// Per row: rank of the chunk whose value the row holds (0 = none).
+    rank: &'a mut [u32],
+}
+
+struct DestTable<'a> {
+    rows: usize,
+    dim: usize,
+    has_optimizer_state: bool,
+    stripes: Vec<Mutex<Stripe<'a>>>,
+}
+
+/// The tables a restore writes into — the caller's memory, lent for the
+/// duration of the restore — with the per-row rank stamps that order
+/// concurrent writers.
+pub(crate) struct Destination<'a> {
+    tables: Vec<DestTable<'a>>,
+}
+
+fn poisoned<T>(_: T) -> CnrError {
+    CnrError::Pipeline("a decode worker panicked while writing the restore destination".into())
+}
+
+impl<'a> Destination<'a> {
+    /// Wraps `views` (one per table of `newest`, in table order) and the
+    /// zeroed rank stamps `applied_rank` (one `Vec` per table, one entry
+    /// per row). The views must have exactly the geometry `newest`
+    /// records: a restore into the wrong architecture fails typed before
+    /// anything is written.
+    pub(crate) fn new(
+        views: Vec<TableViewMut<'a>>,
+        newest: &Manifest,
+        applied_rank: &'a mut [Vec<u32>],
+    ) -> Result<Self> {
+        if views.len() != newest.tables.len() || applied_rank.len() != views.len() {
+            return Err(CnrError::ShapeMismatch(format!(
+                "checkpoint has {} tables, destination has {}",
+                newest.tables.len(),
+                views.len()
+            )));
+        }
+        let mut tables = Vec::with_capacity(views.len());
+        for (t, ((view, meta), rank)) in views
+            .into_iter()
+            .zip(&newest.tables)
+            .zip(applied_rank)
+            .enumerate()
+        {
+            let (rows, dim) = (meta.rows as usize, meta.dim as usize);
+            let acc_rows = view.adagrad.as_ref().map(|a| a.len());
+            if dim == 0
+                || view.data.len() != rows * dim
+                || acc_rows != meta.has_optimizer_state.then_some(rows)
+                || rank.len() != rows
+            {
+                return Err(CnrError::ShapeMismatch(format!(
+                    "table {t}: checkpoint {rows}x{dim} (optimizer state: {}), destination \
+                     holds {} values and {acc_rows:?} accumulators",
+                    meta.has_optimizer_state,
+                    view.data.len(),
+                )));
+            }
+            let mut acc_stripes = view.adagrad.map(|a| a.chunks_mut(STRIPE_ROWS));
+            let stripes = view
+                .data
+                .chunks_mut(STRIPE_ROWS * dim)
+                .zip(rank.chunks_mut(STRIPE_ROWS))
+                .map(|(data, rank)| {
+                    Mutex::new(Stripe {
+                        data,
+                        adagrad: acc_stripes.as_mut().and_then(Iterator::next),
+                        rank,
+                    })
+                })
+                .collect();
+            tables.push(DestTable {
+                rows,
+                dim,
+                has_optimizer_state: meta.has_optimizer_state,
+                stripes,
+            });
+        }
+        Ok(Self { tables })
+    }
+
+    /// Checks an opened chunk against the destination's geometry: its
+    /// table exists and, unless the chunk is empty, its rows have the
+    /// table's dimension and optimizer state and its row indices are
+    /// distinct, ascending and inside the table. Every chunk of a restore
+    /// passes through here where it enters — placed or held back — so
+    /// nothing downstream has to ask again.
+    pub(crate) fn check(&self, chunk: &OpenedChunk<'_>, key: &str) -> Result<()> {
+        let t = chunk.table as usize;
+        let table = self.tables.get(t).ok_or_else(|| {
+            CnrError::Corrupt(format!("chunk {key} references table {t} beyond model"))
+        })?;
+        let rows = &chunk.row_indices;
+        let Some(&last) = rows.last() else {
+            return Ok(());
+        };
+        if chunk.rows.dim as usize != table.dim {
+            return Err(CnrError::Corrupt(format!(
+                "chunk {key} rows decode to {} values, expected {}",
+                chunk.rows.dim, table.dim
+            )));
+        }
+        if chunk.optimizer_state.is_some() != table.has_optimizer_state {
+            return Err(CnrError::Corrupt(format!(
+                "chunk {key} optimizer state does not match table {t}"
+            )));
+        }
+        // Distinct ascending indices are what make "outranks the stamp"
+        // the same as the serial path's "last write wins" (and what a
+        // fault-in's binary search relies on).
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CnrError::Corrupt(format!(
+                "chunk {key} row indices are not ascending"
+            )));
+        }
+        if last as usize >= table.rows {
+            return Err(CnrError::Corrupt(format!(
+                "chunk row {last} beyond table {t}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// De-quantizes the rows of `chunk` (frame checksum already verified
+    /// by [`crate::manifest::open_frame`]) straight into the destination,
+    /// skipping every row a higher-ranked chunk has already written. The
+    /// chunk is [checked](Self::check) before the first row is written.
+    pub(crate) fn place(&self, chunk: &OpenedChunk<'_>, rank: u32, key: &str) -> Result<()> {
+        self.check(chunk, key)?;
+        let table = &self.tables[chunk.table as usize];
+        let (rows, dim) = (&chunk.row_indices, table.dim);
+        let (tag, bits) = (chunk.rows.tag, chunk.rows.bits);
+        let mut bodies = chunk.bodies;
+        let mut k = 0;
+        while k < rows.len() {
+            let s = rows[k] as usize / STRIPE_ROWS;
+            let mut stripe = table.stripes[s].lock().map_err(poisoned)?;
+            while k < rows.len() && rows[k] as usize / STRIPE_ROWS == s {
+                let local = rows[k] as usize % STRIPE_ROWS;
+                if rank > stripe.rank[local] {
+                    let row = &mut stripe.data[local * dim..(local + 1) * dim];
+                    decode_body_to(&mut bodies, tag, bits, row)?;
+                    if let (Some(acc), Some(src)) = (&mut stripe.adagrad, &chunk.optimizer_state) {
+                        acc[local] = src[k];
+                    }
+                    stripe.rank[local] = rank;
+                } else {
+                    skip_body(&mut bodies, tag, bits, dim)?;
+                }
+                k += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Zeroes every row no placed chunk wrote, so a destination that held
+    /// stale weights is indistinguishable from a fresh one: a row either
+    /// carries its checkpoint value or, like a lazy restore's cold row
+    /// before it materializes, zero.
+    pub(crate) fn zero_unwritten(self) -> Result<()> {
+        for table in self.tables {
+            for stripe in table.stripes {
+                let Stripe {
+                    data,
+                    mut adagrad,
+                    rank,
+                } = stripe.into_inner().map_err(poisoned)?;
+                // Whole runs at a time: after a lazy restore most stripes
+                // are one run, and a stripe-sized fill is a `memset`.
+                let mut local = 0;
+                while local < rank.len() {
+                    let run = rank[local..].iter().take_while(|&&r| r == 0).count();
+                    data[local * table.dim..(local + run) * table.dim].fill(0.0);
+                    if let Some(acc) = &mut adagrad {
+                        acc[local..local + run].fill(0.0);
+                    }
+                    local += run + 1;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What the serial tail learns from the fetched chunks.
+pub(crate) struct Tally {
+    /// Rows written while applying the chain (with overwrite multiplicity):
+    /// the rows of every placed chunk.
     pub rows_applied: u64,
-    /// Union of rows covered by the incremental checkpoints in the chain.
+    /// Union of rows covered by the incremental checkpoints in the chain —
+    /// cold chunks included, the tracker must know about those too.
     pub incremental_rows: TrackerSnapshot,
 }
 
-/// Merges `decoded` chunks (from any host, in any order) into a fresh
-/// state template described by `chain` (oldest manifest first).
-///
-/// Verifies completeness: every manifest's chunk count must be matched by
-/// the decoded chunks of its level — a lost chunk fails the restore rather
-/// than silently zero-filling rows.
-pub fn merge(chain: &[Manifest], decoded: &mut [DecodedChunk]) -> Result<MergedState> {
-    merge_where(chain, decoded, |_| true)
-}
-
-/// [`merge`] with a row-application filter: every decoded chunk still
-/// participates in the completeness check and the incremental-row union
-/// (the tracker must know about cold incremental rows too), but embedding
-/// values and optimizer state are written only for chunks where
-/// `apply_values` returns true. A lazy restore merges hot chunks eagerly
-/// and leaves cold chunks to materialize later (fault-in or background
-/// drain); rows of filtered-out chunks stay at the zero template.
-///
-/// The chunks are borrowed (and left sorted in application order), so the
-/// caller can hand the cold ones on to a [`super::LazyRestore`] without a
-/// copy.
-pub fn merge_where(
-    chain: &[Manifest],
-    decoded: &mut [DecodedChunk],
-    apply_values: impl Fn(&DecodedChunk) -> bool,
-) -> Result<MergedState> {
+/// Checks that `decoded` (from any host, in any order) is exactly the
+/// chunks `chain` (oldest manifest first) names — a lost chunk fails the
+/// restore rather than leaving its rows zero — and folds the report
+/// ingredients that depend on chunk contents. The chunks themselves were
+/// [checked](Destination::check) by the readers.
+pub(crate) fn tally(chain: &[Manifest], decoded: &[DecodedChunk]) -> Result<Tally> {
     let newest = chain.last().expect("chain is never empty");
 
-    // Completeness: group counts per level before consuming.
     let mut per_level = vec![0usize; chain.len()];
-    for d in decoded.iter() {
-        if d.level >= chain.len() {
-            return Err(CnrError::Corrupt(format!(
+    for d in decoded {
+        *per_level.get_mut(d.level).ok_or_else(|| {
+            CnrError::Corrupt(format!(
                 "decoded chunk {} references chain level {} of {}",
                 d.key,
                 d.level,
                 chain.len()
-            )));
-        }
-        per_level[d.level] += 1;
+            ))
+        })? += 1;
     }
-    for (level, manifest) in chain.iter().enumerate() {
-        if per_level[level] != manifest.chunks.len() {
+    for (manifest, received) in chain.iter().zip(per_level) {
+        if received != manifest.chunks.len() {
             return Err(CnrError::Corrupt(format!(
-                "manifest {} expects {} chunks, merge received {}",
+                "manifest {} expects {} chunks, merge received {received}",
                 manifest.id,
                 manifest.chunks.len(),
-                per_level[level]
             )));
         }
     }
 
-    // Serial application order: levels oldest-first, keys within a level.
-    decoded.sort_by(|a, b| (a.level, &a.key).cmp(&(b.level, &b.key)));
-
-    let mut tables: Vec<TableState> = newest
-        .tables
-        .iter()
-        .map(|t| TableState {
-            data: vec![0.0; (t.rows * t.dim as u64) as usize],
-            adagrad: t.has_optimizer_state.then(|| vec![0.0; t.rows as usize]),
-        })
-        .collect();
     let row_counts: Vec<usize> = newest.tables.iter().map(|t| t.rows as usize).collect();
     let mut incremental_rows = TrackerSnapshot::empty(&row_counts);
     let mut rows_applied = 0u64;
-
-    for chunk in decoded.iter() {
-        let t = chunk.table as usize;
-        if t >= tables.len() {
-            return Err(CnrError::Corrupt(format!(
-                "chunk references table {t} beyond model"
-            )));
+    for chunk in decoded {
+        if chunk.cold.is_none() {
+            rows_applied += chunk.row_indices.len() as u64;
         }
-        let dim = newest.tables[t].dim as usize;
-        let kind = chain[chunk.level].kind;
-        let table = &mut tables[t];
-        if chunk.values.len() != chunk.row_indices.len() * chunk.dim {
-            return Err(CnrError::Corrupt(format!(
-                "chunk {} decoded {} values for {} rows of {}",
-                chunk.key,
-                chunk.values.len(),
-                chunk.row_indices.len(),
-                chunk.dim
-            )));
-        }
-        if chunk.dim != dim && !chunk.row_indices.is_empty() {
-            return Err(CnrError::Corrupt(format!(
-                "chunk {} rows decoded to {} values, expected {dim}",
-                chunk.key, chunk.dim
-            )));
-        }
-        let apply = apply_values(chunk);
-        for (i, &row_idx) in chunk.row_indices.iter().enumerate() {
-            let r = row_idx as usize;
-            if (r + 1) * dim > table.data.len() {
-                return Err(CnrError::Corrupt(format!(
-                    "chunk row {row_idx} beyond table {t}"
-                )));
+        if chain[chunk.level].kind == CheckpointKind::Incremental {
+            for &row in &chunk.row_indices {
+                incremental_rows.tables[chunk.table as usize].set(row as usize);
             }
-            if kind == CheckpointKind::Incremental {
-                incremental_rows.tables[t].set(r);
-            }
-            if !apply {
-                continue;
-            }
-            table.data[r * dim..(r + 1) * dim].copy_from_slice(chunk.row(i));
-            if let (Some(acc), Some(src)) = (&mut table.adagrad, &chunk.optimizer_state) {
-                acc[r] = src[i];
-            }
-            rows_applied += 1;
         }
     }
-
-    Ok(MergedState {
-        tables,
+    Ok(Tally {
         rows_applied,
         incremental_rows,
     })

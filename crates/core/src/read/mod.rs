@@ -8,35 +8,51 @@
 //! with the write path's structure inverted:
 //!
 //! ```text
-//! planner ──▶ shard readers (one per reader host) ──▶ merge
-//!   assign        ranged fetches over the host's        apply decoded
-//!   the chain's   own downlink (fetch scheduler:        rows oldest
-//!   chunks to     bounded in-flight window), decode     manifest first —
-//!   reader        + de-quantize overlapping the         bit-identical to
-//!   hosts by      next chunk's transfer                 the serial path
-//!   bytes
+//! planner ──▶ shard readers (one per reader host) ──▶ serial tail
+//!   rank the      ranged fetches over the host's        completeness per
+//!   chain's       own downlink (fetch scheduler:        level, union of
+//!   chunks in     bounded in-flight window); each       incremental rows,
+//!   serial        verified chunk is de-quantized        zero the rows no
+//!   order,        row by row *into the destination      chunk wrote
+//!   assign them   tables*, a row written iff the
+//!   to hosts      chunk outranks the row's stamp
+//!   by bytes
 //! ```
 //!
-//! * [`planner`] assigns every chunk of the restore chain to a reader
+//! * [`planner`] gives every chunk of the restore chain its rank in the
+//!   serial `(level, key)` application order and assigns it to a reader
 //!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
 //!   ranged-fetch plan.
 //! * [`shard_reader`] takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
-//!   window and bounded transient-failure retries. A host killed
-//!   mid-restore hands its unread chunks back.
-//! * [`merge`] reassembles the model bit-identically to the serial path
-//!   and re-seeds the modification tracker.
+//!   window and bounded transient-failure retries, and decodes it where
+//!   it belongs. A host killed mid-restore hands its unread chunks back.
+//! * `merge` owns the destination — the caller's tables, striped under
+//!   locks, with a per-row rank stamp that makes newest-wins hold for any
+//!   arrival order — and the serial tail.
 //!
-//! The coordinator here ([`restore_sharded_with_heat`]) re-shards a dead
-//! reader host's remaining chunks onto the survivors (through
-//! [`crate::hosts`], the pool the write side's [`cnr_cluster::HostKill`]
-//! handling runs on too) and reports a
+//! **The destination is an argument.** [`restore_sharded_into`] writes
+//! each embedding row once, into memory the caller already holds: there is
+//! no per-chunk value buffer, no state template and no merge copy, and
+//! (measured) the cost that leaves with them is first-touch page faults on
+//! fresh memory as much as the copies themselves. The engine passes the
+//! trainer's own tables — the failure already destroyed their contents —
+//! and gets `report.state.tables` back empty; [`restore_sharded`] and
+//! [`restore_sharded_with_heat`] allocate a zero state, restore into it and
+//! return it in `report.state`, for callers that want a detached state.
+//! Either way the destination ends up bit-identical to what the serial
+//! restore builds, and an `Err` leaves it partly written: its contents are
+//! then meaningless and the caller must not use them.
+//!
+//! The coordinator here re-shards a dead reader host's remaining chunks
+//! onto the survivors (through [`crate::hosts`], the pool the write side's
+//! [`cnr_cluster::HostKill`] handling runs on too) and reports a
 //! [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
 //! time-to-resume accounting.
 
 pub mod lazy;
-pub mod merge;
+pub(crate) mod merge;
 pub mod planner;
 pub mod scheduler;
 pub mod shard_reader;
@@ -44,7 +60,7 @@ pub mod shard_reader;
 pub use lazy::{DrainOutcome, LazyRestore};
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
-pub use shard_reader::DecodedChunk;
+pub use shard_reader::{ColdRows, DecodedChunk};
 
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
@@ -53,7 +69,8 @@ use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, Re
 use shard_reader::ShardReader;
 use cnr_cluster::{HostKill, ResumeBreakdown};
 use cnr_model::config::ModelConfig;
-use cnr_model::state::ModelState;
+use cnr_model::state::{ModelState, TableState};
+use cnr_model::TableViewMut;
 use cnr_storage::ObjectStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -138,7 +155,9 @@ pub struct HostActivity {
 #[derive(Debug, Clone)]
 pub struct ShardedRestore {
     /// Same shape as the serial path's report — the restored state is
-    /// bit-identical to [`crate::restore::restore`].
+    /// bit-identical to [`crate::restore::restore`]. After
+    /// [`restore_sharded_into`] `report.state.tables` is empty: the
+    /// embedding rows are in the destination the caller passed.
     pub report: RestoreReport,
     /// Fetch/decode/merge time-to-resume breakdown for the cluster layer.
     pub breakdown: ResumeBreakdown,
@@ -166,7 +185,8 @@ pub struct ShardedRestore {
 }
 
 /// Restores checkpoint `target` across `options.reader_hosts` parallel
-/// reader hosts, bit-identically to the serial [`crate::restore::restore`].
+/// reader hosts, bit-identically to the serial [`crate::restore::restore`],
+/// into a freshly allocated state returned in `report.state`.
 /// `started_at` is the simulated time the recovery began (the failure
 /// instant); the reported fetch time is measured from it.
 pub fn restore_sharded(
@@ -180,7 +200,9 @@ pub fn restore_sharded(
     restore_sharded_with_heat(store, job, target, config, options, started_at, None, None)
 }
 
-/// [`restore_sharded`] with the two things the engine adds.
+/// [`restore_sharded`] with the two things the engine adds (the engine
+/// itself calls [`restore_sharded_into`], with its trainer's tables as
+/// the destination).
 ///
 /// *Reader-host failure injection:* the host named by `kill` dies after
 /// fetching `kill.after_chunks` chunks; its remaining chunks are re-sharded
@@ -201,6 +223,40 @@ pub fn restore_sharded_with_heat(
     started_at: Duration,
     kill: Option<HostKill>,
     heat: Option<&RowHeat>,
+) -> Result<ShardedRestore> {
+    let mut tables: Vec<TableState> = config
+        .tables
+        .iter()
+        .map(|t| TableState::zeroed(t.rows as usize, t.dim, config.optimizer.has_state()))
+        .collect();
+    let dest = tables.iter_mut().map(TableState::view_mut).collect();
+    let mut restored =
+        restore_sharded_into(store, job, target, config, options, started_at, kill, heat, dest)?;
+    restored.report.state.tables = tables;
+    Ok(restored)
+}
+
+/// The one sharded restore: [`restore_sharded_with_heat`] with the
+/// destination chosen by the caller. Every embedding row is de-quantized
+/// straight into `dest` (one view per table, in table order, exactly the
+/// geometry of the checkpoint) by the decode workers; when this returns
+/// `Ok`, `dest` holds what `report.state.tables` of the allocating entry
+/// points holds — rows no applied chunk covers zeroed, whatever they held
+/// before — and `report.state.tables` is empty. Everything else of the
+/// report (dense layers, `iteration`, `reader`, `incremental_rows`,
+/// `rows_applied`, `bytes_read`) is unchanged. On `Err` `dest` may be
+/// partly written.
+#[allow(clippy::too_many_arguments)]
+pub fn restore_sharded_into(
+    store: &dyn ObjectStore,
+    job: &str,
+    target: CheckpointId,
+    config: &ModelConfig,
+    options: &RestoreOptions,
+    started_at: Duration,
+    kill: Option<HostKill>,
+    heat: Option<&RowHeat>,
+    dest: Vec<TableViewMut<'_>>,
 ) -> Result<ShardedRestore> {
     options.validate().map_err(CnrError::Config)?;
     let cache_before = store.cache_stats();
@@ -248,11 +304,15 @@ pub fn restore_sharded_with_heat(
         planner::plan(&chain, hosts)
     };
 
-    // --- Fetch: every host fetches + decodes its own share. ------------
-    // A dead host's leftovers go to the survivors as they are.
+    // --- Fetch: every host fetches its own share and decodes it into ---
+    // the destination. A dead host's leftovers go to the survivors as
+    // they are.
+    let mut applied_rank: Vec<Vec<u32>> = row_counts.iter().map(|&n| vec![0; n]).collect();
+    let dest = merge::Destination::new(dest, &newest, &mut applied_rank)?;
     let decode_nanos = AtomicU64::new(0);
     let reader = ShardReader {
         scheduler: &fetch_sched,
+        dest: &dest,
         decode_nanos: &decode_nanos,
     };
     let fetched = run_hosts(
@@ -273,25 +333,24 @@ pub fn restore_sharded_with_heat(
         decoded.extend(chunks);
     }
 
-    // --- Merge: assemble the model bit-identically to the serial path. --
-    // (Lazy mode applies hot chunks only; the cold tail becomes the
+    // --- Serial tail: what is left once every row is where it lives. ----
+    // (Lazy mode placed hot chunks only; the cold tail becomes the
     // LazyRestore, and first batch is stamped at the last hot arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
     let hot_ready = decoded
         .iter()
-        .filter(|d| d.hot)
+        .filter(|d| d.cold.is_none())
         .map(|d| d.arrived_at)
         .max()
         .unwrap_or(plan_floor);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
-    let (merged, lazy_tail) = if options.lazy {
-        let merged = merge::merge_where(&chain, &mut decoded, |c| c.hot)?;
-        (merged, Some(LazyRestore::new(decoded, &row_counts)))
-    } else {
-        (merge::merge(&chain, &mut decoded)?, None)
-    };
+    let merged = merge::tally(&chain, &decoded)?;
+    dest.zero_unwritten()?;
+    let lazy_tail = options
+        .lazy
+        .then(|| LazyRestore::new(decoded, applied_rank));
     let merge_time = merge_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
@@ -346,7 +405,7 @@ pub fn restore_sharded_with_heat(
         report: RestoreReport {
             chain: chain.iter().map(|m| m.id).collect(),
             state: ModelState {
-                tables: merged.tables,
+                tables: Vec::new(),
                 bottom: newest.bottom_mlp.clone(),
                 top: newest.top_mlp.clone(),
                 iteration: newest.iteration,

@@ -18,7 +18,7 @@
 //! landed, while the cold tail keeps draining in the background (CPR-style
 //! partial recovery).
 
-use crate::manifest::Manifest;
+use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
 use cnr_workload::{AccessTrace, ZipfSampler};
 
@@ -26,8 +26,15 @@ use cnr_workload::{AccessTrace, ZipfSampler};
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchItem {
     /// Position of the owning manifest in the restore chain (0 = the full
-    /// baseline). The merge stage applies levels in order.
+    /// baseline).
     pub level: usize,
+    /// The chunk's place in the serial application order — 1-based
+    /// position when every chunk of the chain is sorted by `(level, key)`,
+    /// which is the order [`crate::restore::restore`] writes them in. Fixed
+    /// by the manifests before anything is fetched; a row keeps the value
+    /// of the highest-ranked chunk that names it, whatever order chunks
+    /// arrive in (0 is reserved for "no chunk").
+    pub rank: u32,
     /// Object key of the chunk.
     pub key: String,
     /// Writer shard that produced the chunk (diagnostics only; reader
@@ -140,9 +147,11 @@ impl RowHeat {
         if k == 0 {
             return f32::INFINITY;
         }
+        // The k-th hottest score is one order statistic: select it, do not
+        // sort for it.
         let mut all: Vec<f32> = self.scores.iter().flatten().copied().collect();
-        all.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        all[k.min(all.len()) - 1]
+        let kth = k.min(all.len()) - 1;
+        *all.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1
     }
 }
 
@@ -157,24 +166,50 @@ impl RowHeat {
 /// checkpoint written by more hosts than are restoring must not overload
 /// any reader.
 pub fn plan(chain: &[Manifest], reader_hosts: usize) -> Vec<Vec<FetchItem>> {
+    deal(ranked_items(chain).into_iter().map(|(_, item)| item), reader_hosts)
+}
+
+/// One [`FetchItem`] per chunk of `chain`, in manifest order, beside the
+/// chunk it was made from; every item is ranked ([`FetchItem::rank`]) and
+/// marked hot.
+fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
+    let mut items: Vec<(&ChunkMeta, FetchItem)> = chain
+        .iter()
+        .enumerate()
+        .flat_map(|(level, manifest)| {
+            manifest.chunks.iter().map(move |chunk| {
+                let item = FetchItem {
+                    level,
+                    rank: 0,
+                    key: chunk.key.clone(),
+                    shard: chunk.shard,
+                    bytes: chunk.bytes,
+                    parts: chunk.parts.max(1),
+                    rows: chunk.rows,
+                    // All-or-nothing restore: every chunk gates first batch.
+                    hot: true,
+                };
+                (chunk, item)
+            })
+        })
+        .collect();
+    let mut serial_order: Vec<usize> = (0..items.len()).collect();
+    serial_order.sort_by_key(|&i| (items[i].1.level, &items[i].0.key));
+    for (position, i) in serial_order.into_iter().enumerate() {
+        items[i].1.rank = position as u32 + 1;
+    }
+    items
+}
+
+/// Deals `items`, in the order given, each to the currently lightest host.
+fn deal(items: impl IntoIterator<Item = FetchItem>, reader_hosts: usize) -> Vec<Vec<FetchItem>> {
     let hosts = reader_hosts.max(1);
     let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
     let mut load = vec![0u64; hosts];
-    for (level, manifest) in chain.iter().enumerate() {
-        for chunk in &manifest.chunks {
-            let h = lightest(&load);
-            load[h] += chunk.bytes;
-            assignments[h].push(FetchItem {
-                level,
-                key: chunk.key.clone(),
-                shard: chunk.shard,
-                bytes: chunk.bytes,
-                parts: chunk.parts.max(1),
-                rows: chunk.rows,
-                // All-or-nothing restore: every chunk gates first batch.
-                hot: true,
-            });
-        }
+    for item in items {
+        let h = lightest(&load);
+        load[h] += item.bytes;
+        assignments[h].push(item);
     }
     assignments
 }
@@ -199,41 +234,29 @@ pub fn plan_priority(
     heat: &RowHeat,
     hot_fraction: f64,
 ) -> Vec<Vec<FetchItem>> {
-    let hosts = reader_hosts.max(1);
     let cutoff = heat.hot_cutoff(hot_fraction);
     // Score every chunk of every level; unknown ranges score infinitely hot.
-    let mut scored: Vec<(f32, usize, &crate::manifest::ChunkMeta)> = Vec::new();
-    for (level, manifest) in chain.iter().enumerate() {
-        for chunk in &manifest.chunks {
+    let mut scored: Vec<(f32, FetchItem)> = ranked_items(chain)
+        .into_iter()
+        .map(|(chunk, item)| {
             let score = heat
                 .score_range(chunk.table, chunk.first_row, chunk.last_row)
                 .unwrap_or(f32::INFINITY);
-            scored.push((score, level, chunk));
-        }
-    }
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
+            (score, item)
+        })
+        .collect();
+    // Hottest first; ties in serial order, which is what the rank is.
+    scored.sort_by(|(a_score, a), (b_score, b)| {
+        b_score
+            .partial_cmp(a_score)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.cmp(&b.1))
-            .then_with(|| a.2.key.cmp(&b.2.key))
+            .then_with(|| a.rank.cmp(&b.rank))
     });
-
-    let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
-    let mut load = vec![0u64; hosts];
-    for (score, level, chunk) in scored {
-        let h = lightest(&load);
-        load[h] += chunk.bytes;
-        assignments[h].push(FetchItem {
-            level,
-            key: chunk.key.clone(),
-            shard: chunk.shard,
-            bytes: chunk.bytes,
-            parts: chunk.parts.max(1),
-            rows: chunk.rows,
-            hot: score >= cutoff,
-        });
-    }
-    assignments
+    let by_heat = scored.into_iter().map(|(score, item)| FetchItem {
+        hot: score >= cutoff,
+        ..item
+    });
+    deal(by_heat, reader_hosts)
 }
 
 /// Index of the currently lightest-loaded host (ties to the lowest index).
@@ -444,6 +467,75 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(keys, expected, "hosts={hosts}");
         }
+    }
+
+    #[test]
+    fn hot_cutoff_is_the_kth_hottest_score_of_a_full_sort() {
+        // Heavy ties (a Zipf prior under a flat coverage boost, plus a
+        // uniform table), across two tables of different sizes.
+        let mut heat = RowHeat::zipf(&[300, 41], 1.05);
+        let mut cov = CoverageAnalyzer::new(&[300, 41]);
+        for row in (0..300).step_by(3) {
+            cov.observe(0, row);
+        }
+        heat.boost_covered(&cov, 1.0);
+        heat.scores[1].fill(1.0);
+        let mut sorted: Vec<f32> = heat.scores.iter().flatten().copied().collect();
+        sorted.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+        let n = sorted.len();
+        for k in [1, 2, 41, 100, 101, 140, 141, 142, n - 1, n] {
+            // Fractions at both ends of the interval whose ceiling is k.
+            for fraction in [(k as f64 - 0.999) / n as f64, (k as f64 - 0.001) / n as f64] {
+                assert_eq!(
+                    heat.hot_cutoff(fraction).to_bits(),
+                    sorted[k - 1].to_bits(),
+                    "k={k} of {n}"
+                );
+            }
+        }
+        assert_eq!(heat.hot_cutoff(1.0), f32::NEG_INFINITY);
+        assert_eq!(heat.hot_cutoff(0.0), f32::INFINITY);
+        let all_tied = RowHeat::uniform(&[17, 3]);
+        for fraction in [0.01, 0.5, 0.99] {
+            assert_eq!(all_tied.hot_cutoff(fraction), 1.0);
+        }
+    }
+
+    #[test]
+    fn serial_ranks_follow_level_then_key_whatever_the_manifest_order() {
+        let mut chain = vec![
+            manifest_with_chunks(0, &[10, 20, 30]),
+            manifest_with_chunks(1, &[5, 6]),
+        ];
+        chain[0].chunks.swap(0, 2); // manifest order is not key order
+        let rank_of = |plan: Vec<Vec<FetchItem>>| {
+            let mut ranks: Vec<(u32, usize, String)> = plan
+                .into_iter()
+                .flatten()
+                .map(|i| (i.rank, i.level, i.key))
+                .collect();
+            ranks.sort();
+            ranks
+        };
+        let eager = rank_of(plan(&chain, 3));
+        let mut expected: Vec<(usize, String)> = chain
+            .iter()
+            .enumerate()
+            .flat_map(|(level, m)| m.chunks.iter().map(move |c| (level, c.key.clone())))
+            .collect();
+        expected.sort();
+        let expected: Vec<(u32, usize, String)> = expected
+            .into_iter()
+            .enumerate()
+            .map(|(i, (level, key))| (i as u32 + 1, level, key))
+            .collect();
+        assert_eq!(eager, expected, "1-based position in (level, key) order");
+        let heat = RowHeat::zipf(&[64], 1.05);
+        assert_eq!(
+            rank_of(plan_priority(&chain, 2, &heat, 0.3)),
+            expected,
+            "fetch order and host count do not move a chunk's rank"
+        );
     }
 
     #[test]

@@ -3,88 +3,111 @@
 //!
 //! A [`ShardReader`] is one reader host's side of a restore: it streams a
 //! chunk through the [`FetchScheduler`](super::scheduler::FetchScheduler)
-//! over the host's own downlink and decodes + de-quantizes it as it
-//! arrives, so CPU decode overlaps the (simulated) network fetch of the
-//! next chunk. A host can also be *killed* mid-restore (failure
-//! injection): it abandons the chunk it was fetching, and the coordinator
-//! ([`crate::hosts`]) re-shards every chunk it never read onto the
-//! surviving hosts — the exact mirror of the write path's mid-upload host
-//! death.
+//! over the host's own downlink and de-quantizes it as it arrives —
+//! straight into the restore's destination tables
+//! (`merge::Destination`) — so CPU decode overlaps the
+//! (simulated) network fetch of the next chunk. A host can also be
+//! *killed* mid-restore (failure injection): it abandons the chunk it was
+//! fetching, and the coordinator ([`crate::hosts`]) re-shards every chunk
+//! it never read onto the surviving hosts — the exact mirror of the write
+//! path's mid-upload host death.
 
+use super::merge::Destination;
 use super::planner::FetchItem;
 use super::scheduler::FetchScheduler;
 use crate::error::Result;
-use crate::manifest::FlatChunk;
+use crate::manifest::{open_frame, FlatChunk};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// One chunk, fetched, decoded, and de-quantized, ready to merge.
+/// One chunk a reader host is done with: fetched, verified, and either
+/// *placed* — its rows de-quantized straight into the restore's
+/// destination tables — or, for a lazy restore's cold chunk, decoded and
+/// held back ([`DecodedChunk::cold`]).
 #[derive(Debug, Clone)]
 pub struct DecodedChunk {
     /// Position of the owning manifest in the restore chain.
     pub level: usize,
-    /// Object key (embeds writer shard + sequence: sorting decoded chunks
-    /// by `(level, key)` reproduces the serial application order).
+    /// The chunk's place in the serial `(level, key)` application order
+    /// ([`FetchItem::rank`]).
+    pub rank: u32,
+    /// Object key.
     pub key: String,
     /// Table the rows belong to.
     pub table: u16,
-    /// Row indices within the table.
+    /// Row indices within the table, ascending.
     pub row_indices: Vec<u32>,
-    /// De-quantized row values, flat row-major: row `k` of `row_indices`
-    /// is `values[k * dim..(k + 1) * dim]` ([`DecodedChunk::row`]).
+    /// The rows' values, for a chunk that was *not* placed: a lazy restore
+    /// keeps its cold chunks decoded until a fault-in or the drain writes
+    /// them. `None` for a placed chunk — its values exist only in the
+    /// destination.
+    pub cold: Option<ColdRows>,
+    /// Serialized chunk size (bytes fetched).
+    pub bytes: u64,
+    /// Simulated time at which the chunk's last range landed. A lazy
+    /// restore stamps first-batch time as the latest arrival among placed
+    /// chunks.
+    pub arrived_at: std::time::Duration,
+}
+
+/// De-quantized rows of a chunk that is waiting to be applied.
+#[derive(Debug, Clone)]
+pub struct ColdRows {
+    /// Flat row-major values: row `k` of the chunk's `row_indices` is
+    /// `values[k * dim..(k + 1) * dim]`.
     pub values: Vec<f32>,
     /// Elements per row of `values`.
     pub dim: usize,
     /// Row-wise optimizer accumulators, when the table carries them.
     pub optimizer_state: Option<Vec<f32>>,
-    /// Serialized chunk size (bytes fetched).
-    pub bytes: u64,
-    /// Simulated time at which the chunk's last range landed. A lazy
-    /// restore stamps first-batch time as the latest arrival among hot
-    /// chunks.
-    pub arrived_at: std::time::Duration,
-    /// Whether the planner required this chunk before first batch
-    /// ([`FetchItem::hot`]).
-    pub hot: bool,
-}
-
-impl DecodedChunk {
-    /// De-quantized values of the chunk's `k`-th row.
-    pub fn row(&self, k: usize) -> &[f32] {
-        &self.values[k * self.dim..(k + 1) * self.dim]
-    }
 }
 
 /// Executes chunk downloads for one restore on behalf of any host.
-pub(crate) struct ShardReader<'a> {
+pub(crate) struct ShardReader<'a, 'd> {
     pub(crate) scheduler: &'a FetchScheduler<'a>,
-    /// Wall-clock nanoseconds spent decoding + de-quantizing, shared across
-    /// shards.
+    /// Where hot chunks' rows are written as they are decoded.
+    pub(crate) dest: &'a Destination<'d>,
+    /// Wall-clock nanoseconds spent decoding + de-quantizing (row
+    /// placement included), shared across shards.
     pub(crate) decode_nanos: &'a AtomicU64,
 }
 
-impl ShardReader<'_> {
-    /// Fetches, decodes, and de-quantizes one chunk.
+impl ShardReader<'_, '_> {
+    /// Fetches and verifies one chunk, then de-quantizes it: a hot chunk
+    /// row by row into the destination, a cold one into a buffer of its
+    /// own.
     pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
-        // The scheduler verified the envelope; decoding checks the frame.
+        // The scheduler verified the envelope; opening checks the frame —
+        // both before any row is written.
         let (object, arrived_at) = self
             .scheduler
             .fetch_chunk(host, &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
-        let chunk = FlatChunk::decode_verified(&object)?;
+        let opened = open_frame(object.payload())?;
+        let (table, row_indices, cold) = if item.hot {
+            self.dest.place(&opened, item.rank, &item.key)?;
+            (opened.table, opened.row_indices, None)
+        } else {
+            self.dest.check(&opened, &item.key)?;
+            let flat = FlatChunk::from_opened(opened)?;
+            let cold = ColdRows {
+                values: flat.values,
+                dim: flat.dim,
+                optimizer_state: flat.optimizer_state,
+            };
+            (flat.table, flat.row_indices, Some(cold))
+        };
         self.decode_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(DecodedChunk {
             level: item.level,
+            rank: item.rank,
             key: item.key.clone(),
-            table: chunk.table,
-            row_indices: chunk.row_indices,
-            values: chunk.values,
-            dim: chunk.dim,
-            optimizer_state: chunk.optimizer_state,
+            table,
+            row_indices,
+            cold,
             bytes: object.object().len() as u64,
             arrived_at,
-            hot: item.hot,
         })
     }
 

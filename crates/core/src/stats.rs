@@ -51,9 +51,11 @@ pub struct ResumeStats {
     pub drain_wait: Duration,
     /// Simulated time the sharded fetch took (restore start → last byte).
     pub fetch: Duration,
-    /// CPU time spent decoding + de-quantizing chunks.
+    /// CPU time spent decoding + de-quantizing chunks into the model's
+    /// tables, summed over decode threads.
     pub decode: Duration,
-    /// CPU time spent merging decoded rows into model state.
+    /// Time of the merge's serial tail (completeness, incremental-row
+    /// union, zeroing rows no chunk wrote).
     pub merge: Duration,
     /// Total time-to-resume: drain wait + fetch + decode + merge + WAL
     /// replay (the identity is asserted in the engine's tests). Lazy

@@ -13,7 +13,7 @@
 
 use crate::config::{ModelConfig, OptimizerConfig};
 use crate::mlp::{Mlp, MlpTrace};
-use crate::table::EmbeddingTable;
+use crate::table::{EmbeddingTable, TableViewMut};
 use cnr_workload::teacher::sigmoid;
 use cnr_workload::Batch;
 
@@ -84,6 +84,12 @@ impl DlrmModel {
     /// Mutable embedding tables (checkpoint restore).
     pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
         &mut self.tables
+    }
+
+    /// A mutable view of every table, in table order: the destination a
+    /// restore decodes straight into.
+    pub fn table_views_mut(&mut self) -> Vec<TableViewMut<'_>> {
+        self.tables.iter_mut().map(EmbeddingTable::view_mut).collect()
     }
 
     /// Bottom MLP.

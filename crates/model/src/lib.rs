@@ -22,6 +22,8 @@
 //! * [`state::ModelState`] — the complete checkpointable state with a
 //!   content hash for bit-exactness tests.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod dlrm;
 pub mod mlp;
@@ -33,5 +35,5 @@ pub use config::{ModelConfig, OptimizerConfig, TableSpec};
 pub use dlrm::{BatchStats, DlrmModel};
 pub use mlp::Mlp;
 pub use sharding::{DeviceId, ShardPlan};
-pub use state::ModelState;
-pub use table::EmbeddingTable;
+pub use state::{ModelState, TableState};
+pub use table::{EmbeddingTable, TableViewMut};

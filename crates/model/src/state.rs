@@ -8,6 +8,7 @@
 
 use crate::config::ModelConfig;
 use crate::dlrm::DlrmModel;
+use crate::table::TableViewMut;
 
 /// Snapshot of one embedding table.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,6 +17,25 @@ pub struct TableState {
     pub data: Vec<f32>,
     /// Row-wise AdaGrad accumulators, when present.
     pub adagrad: Option<Vec<f32>>,
+}
+
+impl TableState {
+    /// An all-zero table of `rows × dim`, with accumulators iff
+    /// `has_optimizer_state`.
+    pub fn zeroed(rows: usize, dim: usize, has_optimizer_state: bool) -> Self {
+        Self {
+            data: vec![0.0; rows * dim],
+            adagrad: has_optimizer_state.then(|| vec![0.0; rows]),
+        }
+    }
+
+    /// Weights and accumulators together, mutably (checkpoint restore).
+    pub fn view_mut(&mut self) -> TableViewMut<'_> {
+        TableViewMut {
+            data: &mut self.data,
+            adagrad: self.adagrad.as_deref_mut(),
+        }
+    }
 }
 
 /// Snapshot of the full model.
@@ -70,6 +90,13 @@ impl ModelState {
                 _ => panic!("checkpoint optimizer state mismatch"),
             }
         }
+        self.restore_dense(model);
+    }
+
+    /// Restores everything but the embedding tables — the MLPs and the
+    /// iteration counter — into `model`: the rest of [`Self::restore`] for
+    /// a caller whose tables were already written in place.
+    pub fn restore_dense(&self, model: &mut DlrmModel) {
         let (bottom, top) = model.mlps_mut();
         bottom.unflatten(&self.bottom);
         top.unflatten(&self.top);

@@ -19,6 +19,18 @@ pub struct EmbeddingTable {
     adagrad: Option<Vec<f32>>,
 }
 
+/// Mutable view of one table's checkpointable state — what a restore
+/// writes into. A live [`EmbeddingTable`] and a detached
+/// [`crate::state::TableState`] both lend one, so the recovery path decodes
+/// into either without knowing which it has.
+#[derive(Debug)]
+pub struct TableViewMut<'a> {
+    /// Row-major weights.
+    pub data: &'a mut [f32],
+    /// Row-wise AdaGrad accumulators, when the table keeps them.
+    pub adagrad: Option<&'a mut [f32]>,
+}
+
 impl EmbeddingTable {
     /// Creates a table of `rows × dim`, initialized uniformly in
     /// `[-init_scale, init_scale)` from a deterministic seed.
@@ -77,6 +89,14 @@ impl EmbeddingTable {
     /// Mutable AdaGrad accumulators (checkpoint restore).
     pub fn adagrad_mut(&mut self) -> Option<&mut [f32]> {
         self.adagrad.as_deref_mut()
+    }
+
+    /// Weights and accumulators together, mutably (checkpoint restore).
+    pub fn view_mut(&mut self) -> TableViewMut<'_> {
+        TableViewMut {
+            data: &mut self.data,
+            adagrad: self.adagrad.as_deref_mut(),
+        }
     }
 
     /// Applies a gradient to row `i` under the given optimizer.

@@ -30,6 +30,8 @@
 //! exact delivery guarantees (completion-ordered, at-most-once per span,
 //! called on the recording thread).
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod export;
 pub mod json;

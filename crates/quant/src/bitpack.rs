@@ -130,10 +130,21 @@ pub(crate) fn unpack_into(bytes: &[u8], bits: u8, codes: &mut [u16]) {
 fn unpack_groups<const PER: usize>(bytes: &[u8], codes: &mut [u16]) {
     let bits = 8 / PER;
     let mask = (1u16 << bits) - 1;
-    for (group, &byte) in codes.chunks_mut(PER).zip(bytes) {
+    let unpack = |group: &mut [u16], byte: u8| {
         for (j, c) in group.iter_mut().enumerate() {
             *c = (byte as u16 >> (j * bits)) & mask;
         }
+    };
+    // Whole bytes first, as groups of a length the compiler knows (it
+    // unrolls and vectorizes them); then the codes of a last partial byte.
+    let full = codes.len() / PER;
+    let mut groups = codes.chunks_exact_mut(PER);
+    for (group, &byte) in (&mut groups).zip(bytes) {
+        unpack(group, byte);
+    }
+    let tail = groups.into_remainder();
+    if !tail.is_empty() {
+        unpack(tail, bytes[full]);
     }
 }
 

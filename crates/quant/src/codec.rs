@@ -18,7 +18,7 @@
 //! ```
 
 use crate::bitpack::packed_len;
-use crate::kernel::{dequantize_payload, put_f32s_le};
+use crate::kernel::{dequantize_payload, dequantize_payload_to, put_f32s_le};
 use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use bytes::{Buf, BufMut};
 
@@ -161,6 +161,23 @@ pub fn decode_body_into(
 ) -> Result<(), CodecError> {
     let (params, payload) = split_body(buf, kind_tag, bits, dim)?;
     dequantize_payload(&params, payload, bits, dim, out);
+    Ok(())
+}
+
+/// [`decode_body_into`] with the destination chosen by the caller: the
+/// row's `out.len()` values are de-quantized from the borrowed bytes
+/// straight into `out` — a restore passes the row's slice of the model's
+/// own table, so no buffer stands between the stored bytes and the
+/// weights. Same bits as [`decode_body_into`]; on `Err` nothing was
+/// written.
+pub fn decode_body_to(
+    buf: &mut &[u8],
+    kind_tag: u8,
+    bits: u8,
+    out: &mut [f32],
+) -> Result<(), CodecError> {
+    let (params, payload) = split_body(buf, kind_tag, bits, out.len())?;
+    dequantize_payload_to(&params, payload, bits, out);
     Ok(())
 }
 

@@ -5,9 +5,9 @@
 //! the public row objects ([`crate::QuantizedRow`], [`crate::uniform`],
 //! [`crate::adaptive`]) and the chunk-level byte paths
 //! ([`crate::QuantScheme::quantize_row_into`],
-//! [`crate::codec::decode_body_into`]) are thin callers of these loops, so
-//! what a checkpoint stores and what the public codec computes cannot
-//! drift apart.
+//! [`crate::codec::decode_body_to`], [`crate::codec::decode_body_into`])
+//! are thin callers of these loops, so what a checkpoint stores and what
+//! the public codec computes cannot drift apart.
 //!
 //! The kernels allocate nothing and are written so the compiler can
 //! vectorize them: values move through fixed-size stack blocks, rounding
@@ -173,11 +173,42 @@ pub(crate) fn l2_errors<const N: usize>(
     sums.map(f64::sqrt)
 }
 
-/// Unpacks `n` codes of width `bits` from `payload`, de-quantizes them
-/// with `params` and appends the `n` values to `out`: the one
-/// unpack-and-scale loop behind [`crate::QuantizedRow::dequantize`] and
-/// [`crate::codec::decode_body_into`]. Appending (rather than filling a
-/// zeroed slice) writes every value once.
+/// Unpacks `out.len()` codes of width `bits` from `payload` and
+/// de-quantizes them with `params` into `out`: the one unpack-and-scale
+/// loop behind every decode path. The destination is the caller's — a
+/// restore points it at the row's place in the model's own table, so a
+/// value is written once, where it lives.
+///
+/// Panics when `payload` is too short for `out.len()` values.
+pub(crate) fn dequantize_payload_to(
+    params: &QuantParams,
+    payload: &[u8],
+    bits: u8,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    if matches!(params, QuantParams::Fp32) {
+        assert!(payload.len() >= n * 4, "payload shorter than declared dim");
+        for (o, b) in out.iter_mut().zip(payload.chunks_exact(4)) {
+            *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+        return;
+    }
+    let packed = packed_len(n, bits);
+    assert!(payload.len() >= packed, "payload shorter than declared dim");
+    let mut codes = [0u16; BLOCK];
+    let block_bytes = BLOCK / 8 * bits as usize;
+    for (bytes, values) in payload[..packed].chunks(block_bytes).zip(out.chunks_mut(BLOCK)) {
+        let codes = &mut codes[..values.len()];
+        unpack_into(bytes, bits, codes);
+        params.dequantize_codes_to(codes, values);
+    }
+}
+
+/// [`dequantize_payload_to`] onto the end of `out`, for callers that
+/// collect rows in a buffer of their own ([`crate::QuantizedRow::dequantize`],
+/// [`crate::codec::decode_body_into`]). Raw fp32 rows are appended
+/// directly, so the widest payload is still written once.
 ///
 /// Panics when `payload` is too short for `n` values.
 pub(crate) fn dequantize_payload(
@@ -196,18 +227,9 @@ pub(crate) fn dequantize_payload(
         );
         return;
     }
-    let packed = packed_len(n, bits);
-    assert!(payload.len() >= packed, "payload shorter than declared dim");
-    out.reserve(n);
-    let mut codes = [0u16; BLOCK];
-    let block_bytes = BLOCK / 8 * bits as usize;
-    let mut left = n;
-    for bytes in payload[..packed].chunks(block_bytes) {
-        let codes = &mut codes[..left.min(BLOCK)];
-        unpack_into(bytes, bits, codes);
-        params.dequantize_codes(codes, out);
-        left -= codes.len();
-    }
+    let start = out.len();
+    out.resize(start + n, 0.0);
+    dequantize_payload_to(params, payload, bits, &mut out[start..]);
 }
 
 /// Appends `values` as little-endian bytes.

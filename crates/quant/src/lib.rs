@@ -19,6 +19,8 @@
 //! Quantized rows serialize to a compact self-describing byte format
 //! ([`codec`]) used by the chunked checkpoint writer in `cnr-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod bitpack;
 pub mod codec;

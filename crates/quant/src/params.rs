@@ -59,19 +59,30 @@ impl QuantParams {
         }
     }
 
-    /// De-quantizes `codes`, appending one value per code to `out`: the
-    /// scaling loop shared by every decode path.
-    pub fn dequantize_codes(&self, codes: &[u16], out: &mut Vec<f32>) {
+    /// De-quantizes `codes` into `out`, one value per code: the scaling
+    /// loop shared by every decode path.
+    ///
+    /// Panics when `out` and `codes` differ in length.
+    pub fn dequantize_codes_to(&self, codes: &[u16], out: &mut [f32]) {
+        assert_eq!(codes.len(), out.len(), "one value per code");
+        let pairs = out.iter_mut().zip(codes);
         match self {
             QuantParams::Fp32 => {
                 unreachable!("Fp32 rows are decoded bytewise, not via codes")
             }
-            QuantParams::Fp16 => out.extend(codes.iter().map(|&c| crate::half::f16_bits_to_f32(c))),
+            QuantParams::Fp16 => pairs.for_each(|(o, &c)| *o = crate::half::f16_bits_to_f32(c)),
             QuantParams::Uniform { scale, zero_point } => {
-                out.extend(codes.iter().map(|&c| scale * c as f32 + zero_point))
+                pairs.for_each(|(o, &c)| *o = scale * c as f32 + zero_point)
             }
-            QuantParams::Codebook(cb) => out.extend(codes.iter().map(|&c| cb[c as usize])),
+            QuantParams::Codebook(cb) => pairs.for_each(|(o, &c)| *o = cb[c as usize]),
         }
+    }
+
+    /// [`Self::dequantize_codes_to`] onto the end of `out`.
+    pub fn dequantize_codes(&self, codes: &[u16], out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + codes.len(), 0.0);
+        self.dequantize_codes_to(codes, &mut out[start..]);
     }
 
     /// Serialized size of the parameters in bytes (the metadata overhead the

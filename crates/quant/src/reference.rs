@@ -224,7 +224,7 @@ mod tests {
     use super::*;
     use crate::adaptive;
     use crate::bitpack;
-    use crate::codec::decode_body_into;
+    use crate::codec::{decode_body_into, decode_body_to};
     use proptest::prelude::*;
 
     /// One generated row: ordinary values with the shapes that break
@@ -304,8 +304,8 @@ mod tests {
 
     proptest! {
         /// `quantize_row_into` == reference quantize + `encode_body_into`,
-        /// `quantize_row` == reference row, flat decode == reference
-        /// `dequantize`, bit for bit, for every scheme but k-means.
+        /// `quantize_row` == reference row, flat and in-place decode ==
+        /// reference `dequantize`, bit for bit, for every scheme but k-means.
         #[test]
         fn fused_rows_equal_reference_rows(
             dim in 1usize..=130,
@@ -346,6 +346,13 @@ mod tests {
             decode_body_into(&mut cursor, want.kind_tag(), want.bits, dim, &mut flat).unwrap();
             prop_assert!(cursor.is_empty());
             prop_assert_eq!(bits_of(&flat[1..]), bits_of(&want_values), "{} flat decode", scheme);
+            // Into a caller's slice: every element overwritten, none beside it.
+            let mut placed = vec![f32::NAN; dim + 2];
+            let mut cursor = &want_body[..];
+            decode_body_to(&mut cursor, want.kind_tag(), want.bits, &mut placed[1..=dim]).unwrap();
+            prop_assert!(cursor.is_empty());
+            prop_assert_eq!(bits_of(&placed[1..=dim]), bits_of(&want_values), "{} slice decode", scheme);
+            prop_assert!(placed[0].is_nan() && placed[dim + 1].is_nan());
         }
 
         /// The fused search returns the identical range, error and step

@@ -20,6 +20,8 @@
 //!   and re-reading yields the identical batch stream (verified by tests,
 //!   possible because `cnr-workload` datasets are deterministic).
 
+#![forbid(unsafe_code)]
+
 pub mod master;
 pub mod state;
 

@@ -18,6 +18,8 @@
 //! * [`metrics::StoreMetrics`] — byte/operation accounting and a capacity
 //!   timeline.
 
+#![forbid(unsafe_code)]
+
 pub mod envelope;
 pub mod flaky;
 pub mod fs;

@@ -21,6 +21,8 @@
 //! * [`coverage`] — coverage-curve analysis reproducing the paper's
 //!   motivation data (Figures 5 and 6).
 
+#![forbid(unsafe_code)]
+
 pub mod bitvec;
 pub mod coverage;
 pub mod tracker;

@@ -13,6 +13,8 @@
 //! * [`comm`] — communication/overhead cost model: where tracking hides
 //!   inside AlltoAll and why stalls stay <0.4% (§6.1).
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod eval;
 pub mod trainer;

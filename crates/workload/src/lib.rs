@@ -22,6 +22,8 @@
 //!
 //! [Eisenman et al., NSDI'22]: https://www.usenix.org/conference/nsdi22/presentation/eisenman
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod dataset;
 pub mod qps;

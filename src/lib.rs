@@ -39,6 +39,8 @@
 //! engine.train_batches(500).expect("training");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cnr_cluster as cluster;
 pub use cnr_core as core;
 pub use cnr_model as model;

@@ -5,18 +5,21 @@
 //! count is being taken. The claim checked is the shape, not a number:
 //! encoding a chunk, decoding a chunk, faulting a row in and capturing a
 //! WAL record allocate the same number of times for few rows as for many;
-//! planning a write allocates a row's index, not the row; an append into a
-//! grown segment buffer allocates nothing.
+//! a restore into a destination the caller holds never asks for a
+//! model-sized buffer; planning a write allocates a row's index, not the
+//! row; an append into a grown segment buffer allocates nothing.
 
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::delta_log::DeltaRecord;
 use check_n_run::core::manifest::{CheckpointId, CheckpointKind, FlatChunk};
-use check_n_run::core::read::{DecodedChunk, LazyRestore};
+use check_n_run::core::read::{
+    restore_sharded_into, ColdRows, DecodedChunk, LazyRestore, RestoreOptions,
+};
 use check_n_run::core::write::shard_writer::encode_chunk;
-use check_n_run::core::write::{chunker, WorkItem};
+use check_n_run::core::write::{chunker, CheckpointWriter, WorkItem};
 use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::state::{ModelState, TableState};
-use check_n_run::model::{DlrmModel, ModelConfig};
+use check_n_run::model::{DlrmModel, ModelConfig, TableSpec};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::wal::{WalConfig, WalWriter};
@@ -155,23 +158,83 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     for rows in [16.min(rows_available), rows_available] {
         let cold = DecodedChunk {
             level: 0,
+            rank: 1,
             key: "cold".into(),
             table: 0,
             row_indices: (0..rows as u32).collect(),
-            values: vec![1.5; rows * DIM],
-            dim: DIM,
-            optimizer_state: None,
+            cold: Some(ColdRows {
+                values: vec![1.5; rows * DIM],
+                dim: DIM,
+                optimizer_state: None,
+            }),
             bytes: 64 * rows as u64,
             arrived_at: Duration::ZERO,
-            hot: false,
         };
-        let mut lazy = LazyRestore::new(vec![cold], &row_counts);
+        let nothing_applied = row_counts.iter().map(|&n| vec![0; n]).collect();
+        let mut lazy = LazyRestore::new(vec![cold], nothing_applied);
         let (n, out) = allocations(|| lazy.fault_in(&mut model, 0, 3));
         out.unwrap();
         assert_eq!(model.tables()[0].row(3), &[1.5; DIM]);
         counts.push(n);
     }
     assert_eq!(counts, [0, 0], "a fault-in allocates nothing");
+
+    // An eager restore into a destination the caller already holds asks
+    // the allocator for row indices, accumulators, rank stamps and
+    // manifests — never for a model-sized buffer (per-chunk value buffers
+    // merged into a zero template asked for more than twice the model) —
+    // and for no more when chunks hold more rows.
+    let rows = 40_000;
+    let saved = snapshot(rows, TrackerSnapshot::full(&[rows]));
+    let model_cfg = ModelConfig {
+        tables: vec![TableSpec {
+            rows: rows as u64,
+            dim: DIM,
+        }],
+        ..ModelConfig::for_dataset(&spec, DIM)
+    };
+    let mut dest = TableState::zeroed(rows, DIM, true);
+    let mut requested = Vec::new();
+    for chunk_rows in [512, 4096] {
+        let store = InMemoryStore::new();
+        let config = CheckpointConfig {
+            chunk_rows,
+            ..CheckpointConfig::default()
+        };
+        CheckpointWriter::new(&store, "job")
+            .write(&saved, CheckpointId(0), None, QuantScheme::Fp32, &config)
+            .unwrap();
+        dest.data.fill(f32::NAN);
+        let (bytes, (allocs, restored)) = bytes_allocated(|| {
+            allocations(|| {
+                restore_sharded_into(
+                    &store,
+                    "job",
+                    CheckpointId(0),
+                    &model_cfg,
+                    &RestoreOptions::default(),
+                    Duration::ZERO,
+                    None,
+                    None,
+                    vec![dest.view_mut()],
+                )
+            })
+        });
+        let restored = restored.unwrap();
+        assert!(restored.report.state.tables.is_empty());
+        assert_eq!(restored.report.rows_applied, rows as u64);
+        assert!(dest == saved.model.tables[0], "fp32 restore is bit-exact");
+        assert!(
+            4 * bytes < saved.model.byte_size(),
+            "restore requested {bytes} bytes for a {}-byte model at {chunk_rows} rows per chunk",
+            saved.model.byte_size()
+        );
+        requested.push((allocs, bytes));
+    }
+    assert!(
+        requested[1].0 <= requested[0].0 && requested[1].1 <= requested[0].1,
+        "(allocations, bytes) grew with rows per chunk: {requested:?}"
+    );
 
     // Planning a write names rows, it does not copy them: an index per
     // planned row (4 bytes) plus per-chunk bookkeeping — whether the

@@ -6,17 +6,27 @@
 //! different number of writer hosts than are restoring. The decode-worker
 //! dimension is the threaded-decode acceptance property: multi-threaded
 //! dequantization must be bit-identical to the serial path.
+//!
+//! The restore writes rows where they live, from several threads, in
+//! whatever order chunks arrive; `multi_level_overwrite_is_order_independent`
+//! is the property that guards that: over chains whose levels rewrite each
+//! other's rows, a destination pre-filled with a sentinel ends up equal to
+//! the serial restore bit for bit for any host count, worker count, reader
+//! kill and hot fraction.
 
 use check_n_run::cluster::SimClock;
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
 use check_n_run::core::policy::{Decision, TrackerAction};
-use check_n_run::core::read::{restore_sharded, RestoreOptions};
+use check_n_run::cluster::HostKill;
+use check_n_run::core::read::{restore_sharded, restore_sharded_into, RestoreOptions, RowHeat};
 use check_n_run::core::restore::restore;
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
 use check_n_run::core::TrainingSnapshot;
-use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
+use check_n_run::model::state::{ModelState, TableState};
+use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, ShardPlan};
+use check_n_run::tracking::TrackerSnapshot;
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
@@ -157,6 +167,189 @@ proptest! {
                 serial.incremental_rows.modified_rows()
             );
             prop_assert_eq!(sharded.breakdown.reader_hosts, reader_hosts);
+        }
+    }
+}
+
+/// A deterministic stream of 24-bit fractions in `[0, 1)`.
+fn fractions(seed: u64) -> impl FnMut() -> f32 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 40) as f32 / (1u64 << 24) as f32
+    }
+}
+
+/// Level `level` of a synthetic chain: every value depends on the level,
+/// so which level wrote a row last is visible in the row, and each row is
+/// in the level's delta with probability `density`.
+fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> TrainingSnapshot {
+    let mut next = fractions(seed ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let tables: Vec<TableState> = cfg
+        .tables
+        .iter()
+        .map(|t| TableState {
+            data: (0..t.rows as usize * t.dim).map(|_| next() - 0.5).collect(),
+            adagrad: cfg
+                .optimizer
+                .has_state()
+                .then(|| (0..t.rows).map(|_| next()).collect()),
+        })
+        .collect();
+    let mut delta = TrackerSnapshot::empty(&cfg.row_counts());
+    for (t, table) in cfg.tables.iter().enumerate() {
+        for row in 0..table.rows as usize {
+            if next() < density {
+                delta.tables[t].set(row);
+            }
+        }
+    }
+    TrainingSnapshot {
+        model: ModelState {
+            tables,
+            bottom: vec![level as f32],
+            top: vec![-(level as f32)],
+            iteration: level,
+        },
+        delta,
+        reader: ReaderState::at(level),
+        kind: if level == 0 {
+            CheckpointKind::Full
+        } else {
+            CheckpointKind::Incremental
+        },
+        taken_at: Duration::ZERO,
+        stall: Duration::ZERO,
+    }
+}
+
+/// Index and bit patterns of the first element where `got` and `want`
+/// differ (a sentinel NaN that survived differs from anything).
+fn first_difference(got: &[f32], want: &[f32]) -> Option<(usize, u32, u32)> {
+    assert_eq!(got.len(), want.len());
+    got.iter()
+        .zip(want)
+        .position(|(g, w)| g.to_bits() != w.to_bits())
+        .map(|i| (i, got[i].to_bits(), want[i].to_bits()))
+}
+
+proptest! {
+    /// The hazard of decoding in place: several levels name the same row,
+    /// their chunks land in any order on any thread, and the destination
+    /// starts out dirty. Whatever the interleaving, every row must end up
+    /// holding its newest level's value, rows no chunk names must end up
+    /// zero, and the report must match the serial restore's.
+    #[test]
+    fn multi_level_overwrite_is_order_independent(
+        seed in any::<u64>(),
+        rows_a in 8usize..400,
+        rows_b in 1usize..90,
+        dim_pow in 0u32..4,
+        incrementals in 1u64..=5,
+        chunk_rows in 1usize..80,
+        writer_hosts in 1usize..5,
+        decode_workers in 1usize..5,
+        four_bit in any::<bool>(),
+        with_acc in any::<bool>(),
+        kill_reader in any::<bool>(),
+        kill_host in 0u16..7,
+        kill_after in 0u32..6,
+        mode in 0usize..5,
+    ) {
+        let spec = DatasetSpec {
+            seed,
+            batch_size: 4,
+            dense_dim: 2,
+            tables: vec![
+                TableAccessSpec::new(rows_a as u64, 1, 1.0),
+                TableAccessSpec::new(rows_b as u64, 1, 1.0),
+            ],
+            concept_seed: None,
+        };
+        let mut cfg = ModelConfig::for_dataset(&spec, 1 << dim_pow);
+        if with_acc {
+            cfg.optimizer = OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 };
+        }
+        let scheme = if four_bit { QuantScheme::Asymmetric { bits: 4 } } else { QuantScheme::Fp32 };
+        let store = InMemoryStore::new();
+        let writer = CheckpointWriter::new(&store, "job");
+        let write_cfg = CheckpointConfig { chunk_rows, writer_hosts, ..CheckpointConfig::default() };
+        // The baseline leaves a tenth of the rows out: some stay uncovered,
+        // some are first written by an incremental.
+        let mut densities = fractions(seed ^ 0xD1CE);
+        for level in 0..=incrementals {
+            let density = if level == 0 { 0.9 } else { 0.05 + 0.6 * densities() };
+            let snap = level_snapshot(&cfg, seed, level, density);
+            let base = level.checked_sub(1).map(CheckpointId);
+            writer.write(&snap, CheckpointId(level), base, scheme, &write_cfg).expect("write");
+        }
+        let target = CheckpointId(incrementals);
+        let serial = restore(&store, "job", target, &cfg).expect("serial restore");
+
+        // mode 0 is eager; 1..=4 are lazy at a hot fraction, then drained.
+        let hot_fraction = [1.0, 0.0, 0.05, 0.5, 1.0][mode];
+        let heat = RowHeat::zipf(&cfg.row_counts(), 1.05);
+        for reader_hosts in [1usize, 2, 4, 7] {
+            // A lone host has no survivor to hand its chunks to.
+            let kill = (kill_reader && reader_hosts > 1).then_some(HostKill {
+                host: kill_host % reader_hosts as u16,
+                after_chunks: kill_after,
+            });
+            let mut model = DlrmModel::new(cfg.clone());
+            for table in model.tables_mut() {
+                table.data_mut().fill(f32::NAN);
+                if let Some(acc) = table.adagrad_mut() {
+                    acc.fill(f32::NAN);
+                }
+            }
+            let options = RestoreOptions {
+                reader_hosts,
+                decode_workers,
+                lazy: mode > 0,
+                hot_fraction,
+                ..RestoreOptions::default()
+            };
+            let sharded = restore_sharded_into(
+                &store, "job", target, &cfg, &options, Duration::ZERO,
+                kill, Some(&heat), model.table_views_mut(),
+            )
+            .expect("sharded restore");
+            let what = format!(
+                "reader_hosts={reader_hosts} decode_workers={decode_workers} kill={kill:?} mode={mode}"
+            );
+            prop_assert!(sharded.report.state.tables.is_empty(), "{}", what);
+            if hot_fraction == 1.0 {
+                prop_assert_eq!(sharded.report.rows_applied, serial.rows_applied, "{}", what);
+            } else {
+                prop_assert!(sharded.report.rows_applied <= serial.rows_applied, "{}", what);
+            }
+            match sharded.lazy {
+                Some(mut tail) => {
+                    tail.drain(&mut model).expect("drain");
+                    prop_assert!(tail.is_drained(), "{}", what);
+                }
+                None => prop_assert_eq!(mode, 0),
+            }
+            for (got, want) in model.tables().iter().zip(&serial.state.tables) {
+                prop_assert_eq!(first_difference(got.data(), &want.data), None, "{}", what);
+                prop_assert_eq!(
+                    first_difference(
+                        got.adagrad().unwrap_or_default(),
+                        want.adagrad.as_deref().unwrap_or_default(),
+                    ),
+                    None,
+                    "accumulators, {}", what
+                );
+            }
+            prop_assert_eq!(&sharded.report.state.bottom, &serial.state.bottom);
+            prop_assert_eq!(sharded.report.state.iteration, serial.state.iteration);
+            prop_assert_eq!(sharded.report.reader, serial.reader);
+            prop_assert_eq!(&sharded.report.chain, &serial.chain);
+            prop_assert_eq!(sharded.report.shards_merged, serial.shards_merged);
+            prop_assert_eq!(sharded.report.bytes_read, serial.bytes_read, "{}", what);
+            prop_assert_eq!(&sharded.report.incremental_rows, &serial.incremental_rows, "{}", what);
         }
     }
 }
