@@ -1,6 +1,7 @@
 //! Quantization micro-benchmarks backing Figures 12/13: per-row cost of
 //! each scheme, and the adaptive scheme's bins/ratio scaling.
 
+use cnr_bench::trajectory::{quant_records, quant_schemes};
 use cnr_bench::workloads::{sampled_rows, trained_model};
 use cnr_quant::{QuantScheme, RowSource};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,21 +11,7 @@ fn schemes(c: &mut Criterion) {
     let (_, model) = trained_model(1, 100, 16);
     let rows = sampled_rows(&model, 64);
     let mut group = c.benchmark_group("quantize_row");
-    for (name, scheme) in [
-        ("fp32", QuantScheme::Fp32),
-        ("symmetric4", QuantScheme::Symmetric { bits: 4 }),
-        ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
-        ("asymmetric8", QuantScheme::Asymmetric { bits: 8 }),
-        ("kmeans4", QuantScheme::KMeans { bits: 4 }),
-        (
-            "adaptive4_b25",
-            QuantScheme::AdaptiveAsymmetric {
-                bits: 4,
-                num_bins: 25,
-                ratio: 1.0,
-            },
-        ),
-    ] {
+    for (name, scheme) in quant_schemes() {
         group.bench_function(name, |b| {
             let mut i = 0usize;
             b.iter(|| {
@@ -35,6 +22,31 @@ fn schemes(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// What the adaptive search costs relative to the schemes it is weighed
+/// against, from one run of the trajectory's own measurement (the numbers
+/// `BENCH_quant.json` records): wall-clock values are comparable only
+/// within a run, so the ratios are what carries across machines.
+fn adaptive_ratios(_c: &mut Criterion) {
+    let measuring = std::env::args().any(|a| a == "--bench");
+    let records = quant_records(!measuring);
+    let value = |id: &str| {
+        records
+            .iter()
+            .find(|r| r.id == id)
+            .unwrap_or_else(|| panic!("quant_records has no {id}"))
+            .value
+    };
+    for adaptive in ["adaptive4_b25", "adaptive4_b45"] {
+        let ns = value(&format!("quantize_row/{adaptive}"));
+        println!(
+            "ratio {adaptive:<16} {:>6.2} x asymmetric4 {:>6.2} x fp32 {:>6.2} steps/row",
+            ns / value("quantize_row/asymmetric4"),
+            ns / value("quantize_row/fp32"),
+            value(&format!("search_steps/{adaptive}")),
+        );
+    }
 }
 
 fn adaptive_bins(c: &mut Criterion) {
@@ -84,6 +96,6 @@ fn adaptive_ratio(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = schemes, adaptive_bins, adaptive_ratio
+    targets = schemes, adaptive_ratios, adaptive_bins, adaptive_ratio
 }
 criterion_main!(benches);

@@ -12,7 +12,8 @@
 //!
 //! Two kinds of quantity appear in the records and they age differently:
 //!
-//! * `simulated_us` values come off the [`SimClock`] and are exactly
+//! * `simulated_us` values come off the [`SimClock`], and `bytes`,
+//!   `fraction` and `steps_per_row` values are counts: all are exactly
 //!   reproducible anywhere;
 //! * `ns`/`ns_per_row` values are wall-clock on the emitting machine and
 //!   are comparable only against the same file's history — which is why
@@ -44,6 +45,7 @@ use cnr_trainer::{Trainer, TrainerConfig};
 use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use std::time::{Duration, Instant};
 
+use crate::figures::fig12_13::executed_steps;
 use crate::workloads::{sampled_rows, trained_model};
 
 /// One measured quantity.
@@ -53,8 +55,9 @@ pub struct BenchRecord {
     pub id: String,
     /// Measured value in `unit`.
     pub value: f64,
-    /// Unit: `simulated_us` (deterministic) or `ns`/`ns_per_row`
-    /// (wall-clock on the emitting machine).
+    /// Unit: `simulated_us`, `bytes`, `fraction`, `steps_per_row`
+    /// (deterministic) or `ns`/`ns_per_row` (wall-clock on the emitting
+    /// machine).
     pub unit: &'static str,
     /// Measurement context the value is only interpretable under (e.g. the
     /// `hot_fraction` a `first_batch` latency was measured at) — the
@@ -403,7 +406,11 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
 }
 
 /// The `BENCH_quant.json` record set: wall-clock ns per quantized row for
-/// each scheme the quant-latency bench tracks.
+/// each scheme the quant-latency bench tracks, and for each adaptive
+/// scheme among them the mean number of greedy steps its range search
+/// executes per row (`search_steps/*`) — a count over the same rows,
+/// identical on every machine, so a change that weakens the search's clip
+/// bound shows as a moved value, not as a slower wall-clock number.
 pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
     use cnr_quant::RowSource;
     let (_, model) = trained_model(1, if quick { 20 } else { 100 }, 16);
@@ -424,6 +431,21 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
             best.as_nanos() as f64 / rows.num_rows() as f64,
             "ns_per_row",
         ));
+    }
+    for (name, scheme) in quant_schemes() {
+        if let QuantScheme::AdaptiveAsymmetric {
+            bits,
+            num_bins,
+            ratio,
+        } = scheme
+        {
+            let steps = executed_steps(&rows, bits, num_bins, ratio);
+            records.push(BenchRecord::new(
+                format!("search_steps/{name}"),
+                steps as f64 / rows.num_rows() as f64,
+                "steps_per_row",
+            ));
+        }
     }
     records
 }
@@ -511,6 +533,9 @@ pub fn quant_schemes() -> Vec<(&'static str, QuantScheme)> {
                 ratio: 1.0,
             },
         ),
+        // The engine's 4-bit default, and what the lifecycle benchmark's
+        // `incr_adaptive4` workload runs.
+        ("adaptive4_b45", QuantScheme::recommended_for_bits(4)),
     ]
 }
 

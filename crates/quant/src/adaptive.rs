@@ -6,12 +6,25 @@
 //! coarse grid. The adaptive scheme greedily shrinks the range: at each step
 //! it tries moving either endpoint inward by `step_size = range/num_bins`,
 //! keeps whichever trial has lower ℓ2 error (out-of-range elements clip), and
-//! finally returns the best range seen over the whole search. The search
-//! stops after covering `ratio` of the original range, so its cost is
-//! `O(ratio · num_bins)` trial quantizations — the knobs behind the latency
+//! finally returns the best range seen over the whole search. The search may
+//! cover `ratio` of the original range, which budgets it `ratio · num_bins`
+//! steps of two trial quantizations each — the knobs behind the latency
 //! curves in Figures 12 and 13.
+//!
+//! The budget is a ceiling, not the cost. The ranges a search visits are
+//! nested, so what the *current* range already clips — the part of the row
+//! outside it — is clipped at least as hard by every range still to come:
+//! its ℓ2 norm is a lower bound on the error of every later trial. Once
+//! that bound reaches the best error seen, no later trial can replace the
+//! best (a replacement must be strictly better), and the search stops with
+//! the result the full budget would have produced. The bound holds in
+//! floating point as executed, not just over the reals (the argument sits
+//! beside the code, on `kernel::l2_errors`), so the chosen range — and
+//! every stored byte — is the same; only [`AdaptiveRange::steps`] shows
+//! the difference. On embedding-like rows at the engine's 4-bit default
+//! (45 bins, ratio 1) about 6 of the 44 budgeted steps run.
 
-use crate::kernel::{l2_errors, Grid, BLOCK};
+use crate::kernel::{clip_slack, l2_errors, Trial, BLOCK};
 use crate::params::QuantParams;
 use crate::uniform::{min_max, quantize_with_range};
 
@@ -34,8 +47,9 @@ pub struct AdaptiveRange {
 /// the original range the search may consume (paper §5.2).
 ///
 /// A trial never materializes codes or a de-quantized row: it is one pass
-/// of [`l2_errors`] over the row, and both trials of a greedy step share
-/// that pass. Nothing is allocated.
+/// of [`l2_errors`] over the row, both trials of a greedy step share that
+/// pass, and the pass also yields the clip bound that ends the search
+/// early. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {
     assert!(num_bins >= 1, "num_bins must be >= 1");
     assert!(
@@ -44,16 +58,18 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
     );
     let (full_min, full_max) = min_max(row);
     let range = full_max - full_min;
+    let slack = clip_slack(full_min, full_max, bits);
 
-    let [full_error] = l2_errors(
+    let mut scratch = [[[0.0f32; BLOCK]; 2]; 2];
+    let [full] = l2_errors(
         row,
-        [Grid::for_range(full_min, full_max, bits)],
-        &mut [[0.0; BLOCK]],
+        [Trial::for_range(full_min, full_max, bits, slack)],
+        std::array::from_mut(&mut scratch[0]),
     );
     let mut best = AdaptiveRange {
         xmin: full_min,
         xmax: full_max,
-        l2_error: full_error,
+        l2_error: full.error,
         steps: 0,
     };
     if range <= 0.0 || !range.is_finite() {
@@ -64,42 +80,52 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
     let budget = ratio * range as f64;
     let mut lo = full_min;
     let mut hi = full_max;
+    // What `[lo, hi]` clips: no later trial can have a smaller error.
+    let mut clip = full.clip;
     let mut consumed = 0.0f64;
     let mut steps = 0usize;
-    let mut scratch = [[0.0f32; BLOCK]; 2];
 
     while consumed + step as f64 <= budget + 1e-12 && hi - lo > step {
-        let [err_lo, err_hi] = l2_errors(
+        // `best` is only ever replaced by a strictly smaller error, so it
+        // is final. A NaN error (a NaN element) compares false: such a row
+        // runs its whole budget, as it always has.
+        if clip >= best.l2_error {
+            break;
+        }
+        let [shrink_lo, shrink_hi] = l2_errors(
             row,
             [
-                Grid::for_range(lo + step, hi, bits),
-                Grid::for_range(lo, hi - step, bits),
+                Trial::for_range(lo + step, hi, bits, slack),
+                Trial::for_range(lo, hi - step, bits, slack),
             ],
             &mut scratch,
         );
-        if err_lo <= err_hi {
+        let before = (lo, hi);
+        let taken = if shrink_lo.error <= shrink_hi.error {
             lo += step;
-            if err_lo < best.l2_error {
-                best = AdaptiveRange {
-                    xmin: lo,
-                    xmax: hi,
-                    l2_error: err_lo,
-                    steps,
-                };
-            }
+            shrink_lo
         } else {
             hi -= step;
-            if err_hi < best.l2_error {
-                best = AdaptiveRange {
-                    xmin: lo,
-                    xmax: hi,
-                    l2_error: err_hi,
-                    steps,
-                };
-            }
+            shrink_hi
+        };
+        if taken.error < best.l2_error {
+            best = AdaptiveRange {
+                xmin: lo,
+                xmax: hi,
+                l2_error: taken.error,
+                steps,
+            };
         }
+        clip = taken.clip;
         consumed += step as f64;
         steps += 1;
+        // A step smaller than half an ulp of the end point it was added to
+        // (or one that underflowed to zero) moves nothing, and the next
+        // step would be this one again. On a range under `1e-12` the
+        // budget test above cannot end that.
+        if (lo, hi) == before {
+            break;
+        }
     }
     best.steps = steps;
     best

@@ -15,6 +15,13 @@
 //! result's bits depend on (the in-order `f64` error sum). Their outputs
 //! are bit-identical to the original per-row implementations, which are
 //! kept, frozen, in the test-only `reference` module as the oracle.
+//!
+//! The error pass also measures what its range *clips* ([`TrialCost::clip`]):
+//! a lower bound, exact under rounding, on the error of every range nested
+//! inside it. That is what lets [`crate::adaptive::search_range`] stop
+//! after a handful of its budgeted steps with the result the whole budget
+//! would have produced; the argument is on [`l2_errors`] and
+//! [`clip_slack`].
 
 use crate::bitpack::{pack_into, packed_len, unpack_into};
 use crate::params::QuantParams;
@@ -125,52 +132,140 @@ pub(crate) fn quantize_pack_into(row: &[f32], g: Grid, bits: u8, out: &mut Vec<u
     }
 }
 
-/// What quantizing `xs` on grid `g` loses, element by element:
-/// `x - dequantize(quantize(x))`.
-#[inline(always)]
-fn residuals(xs: &[f32], g: Grid, out: &mut [f32]) {
-    if g.scale <= 0.0 {
-        let back = g.scale * 0.0 + g.zero_point;
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = x - back;
-        }
-    } else {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            let code = round_clamp((x - g.zero_point) / g.scale, g.levels);
-            *o = x - (g.scale * code + g.zero_point);
+/// One clipping range of a greedy range search, ready to be measured.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Trial {
+    /// The grid spanning the range.
+    pub grid: Grid,
+    /// Nothing `grid` or a grid of any range nested inside this one
+    /// reconstructs lies above this value: the range's upper end plus
+    /// [`clip_slack`].
+    pub ceil: f32,
+}
+
+impl Trial {
+    /// The trial for `[lo, hi]`, a sub-range of the row's full range whose
+    /// [`clip_slack`] is `slack`.
+    pub fn for_range(lo: f32, hi: f32, bits: u8, slack: f32) -> Self {
+        Self {
+            grid: Grid::for_range(lo, hi, bits),
+            ceil: hi + slack,
         }
     }
 }
 
-/// ℓ2 error of quantizing `row` on each of `N` grids, in one pass over
-/// the row.
+/// What one [`Trial`] measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TrialCost {
+    /// ℓ2 error of quantizing the row on the trial's grid.
+    pub error: f64,
+    /// ℓ2 norm of what lies outside `[grid.zero_point, ceil]`: a lower
+    /// bound on `error`, and on the `error` of every trial whose range is
+    /// nested inside this one (see [`l2_errors`]).
+    pub clip: f64,
+}
+
+/// Per-trial stack space of [`l2_errors`]: a block of residuals and a block
+/// of clip distances.
+pub(crate) type TrialScratch<const N: usize> = [[[f32; BLOCK]; 2]; N];
+
+/// How far above `hi` the top grid point of a range `[lo, hi]` inside
+/// `[full_min, full_max]` can be reconstructed.
+///
+/// The top point is `fl(fl(fl(fl(hi - lo) / L) · L) + lo)` with `L =
+/// levels`. With `u = 2^-24` the relative rounding error of one `f32`
+/// operation, `η = 2^-150` the absolute error of one that underflows, and
+/// `M = max(|full_min|, |full_max|)` (so `hi - lo ≤ 2M`), the three
+/// roundings of the range put the product at most `2M·3.01u + (L + 2)η`
+/// above `hi - lo`, and the final addition adds at most `1.01u·M` more:
+/// under `8u·M + 4η·L` in all. The slack is twice that, `16u·M + 8η·L`,
+/// which also pays for the roundings of computing the slack and of adding
+/// it to `hi`. An intermediate that overflows reconstructs `+∞`, whose
+/// residual is infinite — larger than any bound, never smaller.
+pub(crate) fn clip_slack(full_min: f32, full_max: f32, bits: u8) -> f32 {
+    const REL: f32 = 8.0 * f32::EPSILON; // 16u = 2^-20
+    const ABS: f32 = 4.0 * (f32::MIN_POSITIVE * f32::EPSILON); // 8η = 2^-147
+    full_min.abs().max(full_max.abs()) * REL + levels_for(bits) * ABS
+}
+
+/// What quantizing `xs` on the trial's grid loses, element by element —
+/// `x - dequantize(quantize(x))` — and how far each element lies outside
+/// `[grid.zero_point, ceil]` (0 inside, and for NaN).
+#[inline(always)]
+fn residuals(xs: &[f32], t: Trial, res: &mut [f32], clip: &mut [f32]) {
+    let g = t.grid;
+    let outside = |x: f32| {
+        let below = g.zero_point - x;
+        let above = x - t.ceil;
+        // At most one of the two is positive, so the sum is exact.
+        (if below > 0.0 { below } else { 0.0 }) + (if above > 0.0 { above } else { 0.0 })
+    };
+    if g.scale <= 0.0 {
+        let back = g.scale * 0.0 + g.zero_point;
+        for ((o, c), &x) in res.iter_mut().zip(clip.iter_mut()).zip(xs) {
+            *o = x - back;
+            *c = outside(x);
+        }
+    } else {
+        for ((o, c), &x) in res.iter_mut().zip(clip.iter_mut()).zip(xs) {
+            let code = round_clamp((x - g.zero_point) / g.scale, g.levels);
+            *o = x - (g.scale * code + g.zero_point);
+            *c = outside(x);
+        }
+    }
+}
+
+/// ℓ2 error and clip bound of quantizing `row` on each of `N` trial
+/// grids, in one pass over the row.
 ///
 /// The residuals of a block are computed first, in a loop with no
 /// cross-element dependency; their squares are then added in element
-/// order in `f64`, exactly as [`crate::row_l2_error`] adds them, so the
-/// result has the same bits. The `N` sums are independent chains, which
+/// order in `f64`, exactly as [`crate::row_l2_error`] adds them, so
+/// `error` has the same bits. The `N` sums are independent chains, which
 /// is what lets one greedy step's two trials overlap. `scratch` is the
-/// caller's so a search reuses it across its ~90 trials.
+/// caller's so a search reuses it across its trials.
+///
+/// `clip` is the same sum over the clip distances, and it bounds from
+/// below the *computed* `error` of any trial `[lo', hi']` nested inside
+/// this one, `lo ≤ lo' ≤ hi' ≤ hi` — in `f32`/`f64` arithmetic as
+/// executed, not just over the reals:
+///
+/// * every value that trial reconstructs lies in `[lo', top']`, because
+///   `fl(scale · code)` and `fl(· + lo')` are monotone in `code`; code 0
+///   gives `lo'` exactly and `top' ≤ ceil` by [`clip_slack`];
+/// * so an element `x < lo` has residual `fl(x - back) ≤ fl(x - lo) < 0`
+///   and an element `x > ceil` has `fl(x - back) ≥ fl(x - ceil) > 0`,
+///   since rounding is monotone: term by term, this trial's clip distance
+///   is no larger in magnitude than that trial's residual (and is 0 for
+///   every other element, NaN included);
+/// * the square of an `f32` is exact in `f64`, so the squares are ordered
+///   the same way; a left-to-right sum of non-negative terms is monotone
+///   in each of them, and so is the correctly rounded `sqrt`.
 pub(crate) fn l2_errors<const N: usize>(
     row: &[f32],
-    grids: [Grid; N],
-    scratch: &mut [[f32; BLOCK]; N],
-) -> [f64; N] {
-    // `Iterator::sum::<f64>()` starts from -0.0; so does this.
-    let mut sums = [-0.0f64; N];
+    trials: [Trial; N],
+    scratch: &mut TrialScratch<N>,
+) -> [TrialCost; N] {
+    // `Iterator::sum::<f64>()` starts from -0.0; so does the error sum.
+    let mut sums = [(-0.0f64, 0.0f64); N];
     for xs in row.chunks(BLOCK) {
         let n = xs.len().min(BLOCK); // tells the compiler `i` below is in bounds
-        for (r, &g) in scratch.iter_mut().zip(&grids) {
-            residuals(xs, g, &mut r[..n]);
+        for ([res, clip], &t) in scratch.iter_mut().zip(&trials) {
+            residuals(xs, t, &mut res[..n], &mut clip[..n]);
         }
         for i in 0..n {
-            for (s, r) in sums.iter_mut().zip(scratch.iter()) {
-                let d = r[i] as f64;
-                *s += d * d;
+            for ((error, clip), [res, out]) in sums.iter_mut().zip(scratch.iter()) {
+                let d = res[i] as f64;
+                *error += d * d;
+                let c = out[i] as f64;
+                *clip += c * c;
             }
         }
     }
-    sums.map(f64::sqrt)
+    sums.map(|(error, clip)| TrialCost {
+        error: error.sqrt(),
+        clip: clip.sqrt(),
+    })
 }
 
 /// Unpacks `out.len()` codes of width `bits` from `payload` and

@@ -38,17 +38,76 @@ pub fn quantize_with_range(row: &[f32], xmin: f32, xmax: f32, bits: u8) -> (Vec<
     (codes, grid.params())
 }
 
-/// Minimum and maximum of a slice. Empty slices report `(0, 0)`, which
-/// quantizes to the degenerate constant-zero range.
+/// Independent accumulators of a range scan. `min` and `max` over values
+/// that are not NaN are exactly associative, so eight running results
+/// folded in a fixed shape give the bits of one in-order chain — without
+/// its 32 dependent operations per 32-element row.
+const LANES: usize = 8;
+
+/// `x` where it is strictly less than `m`, else `m`: a NaN `x` is skipped,
+/// a tie keeps `m`. One `minps` per four lanes.
+#[inline(always)]
+fn lesser(m: f32, x: f32) -> f32 {
+    if x < m {
+        x
+    } else {
+        m
+    }
+}
+
+/// `x` where it is strictly greater than `m`, else `m`.
+#[inline(always)]
+fn greater(m: f32, x: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// Folds `pick` over `row` from `init`: lane-wise over whole blocks, the
+/// tail into the first lanes, then an 8 → 4 → 2 → 1 tree.
+#[inline(always)]
+fn scan(row: &[f32], init: f32, pick: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut acc = [init; LANES];
+    let mut blocks = row.chunks_exact(LANES);
+    for xs in &mut blocks {
+        for (m, &x) in acc.iter_mut().zip(xs) {
+            *m = pick(*m, x);
+        }
+    }
+    for (m, &x) in acc.iter_mut().zip(blocks.remainder()) {
+        *m = pick(*m, x);
+    }
+    let [a, b, c, d, e, f, g, h] = acc;
+    pick(pick(pick(a, e), pick(c, g)), pick(pick(b, f), pick(d, h)))
+}
+
+/// Minimum and maximum of a slice, NaN elements skipped. Empty slices
+/// report `(0, 0)`, which quantizes to the degenerate constant-zero range;
+/// a slice of nothing but NaN reports `(+∞, -∞)`.
+///
+/// An end point that is zero has the sign of the row's first zero element
+/// (`-0.0 == 0.0`, so "the" minimum of `[0.0, -0.0]` is a choice): that is
+/// what an in-order chain that keeps the earlier operand on a tie yields,
+/// and the end points are stored, so the choice is part of the format.
 pub fn min_max(row: &[f32]) -> (f32, f32) {
     if row.is_empty() {
         return (0.0, 0.0);
     }
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &x in row {
-        lo = lo.min(x);
-        hi = hi.max(x);
+    let mut lo = scan(row, f32::INFINITY, lesser);
+    let mut hi = scan(row, f32::NEG_INFINITY, greater);
+    if lo == 0.0 || hi == 0.0 {
+        // Which of several zeros a lane-wise scan ends on depends on the
+        // lane count; the first one in the row does not.
+        let zero = row.iter().copied().find(|&x| x == 0.0);
+        let zero = zero.expect("a zero end point is an element of the row");
+        if lo == 0.0 {
+            lo = zero;
+        }
+        if hi == 0.0 {
+            hi = zero;
+        }
     }
     (lo, hi)
 }
