@@ -1,8 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md §5:
-//! chunk size in the writer pipeline, tracking granularity, and the
-//! sampling-based parameter selection.
+//! chunk size in the writer pipeline and tracking granularity.
 
-use cnr_bench::workloads::{sampled_rows, trained_model};
+use cnr_bench::workloads::trained_model;
 use cnr_core::config::CheckpointConfig;
 use cnr_core::manifest::{CheckpointId, CheckpointKind};
 use cnr_core::policy::{Decision, TrackerAction};
@@ -10,7 +9,7 @@ use cnr_core::snapshot::SnapshotTaker;
 use cnr_core::write::CheckpointWriter;
 use cnr_cluster::SimClock;
 use cnr_model::ShardPlan;
-use cnr_quant::{ParamSelector, QuantScheme};
+use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
 use cnr_storage::InMemoryStore;
 use cnr_tracking::AtomicBitVec;
@@ -91,30 +90,9 @@ fn tracking_granularity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 3: sampled vs full-checkpoint parameter selection (§5.2).
-fn parameter_selection(c: &mut Criterion) {
-    let (_, model) = trained_model(1, 100, 16);
-    let rows = sampled_rows(&model, 1000);
-    let mut group = c.benchmark_group("ablation_param_selection");
-    group.sample_size(10);
-    for (name, fraction) in [("sampled_1pct", 0.01), ("full", 1.0)] {
-        group.bench_function(name, |b| {
-            let selector = ParamSelector {
-                sample_fraction: fraction,
-                min_sample: 16,
-                bins_candidates: vec![5, 25, 45],
-                ratio_candidates: vec![0.5, 1.0],
-                ..ParamSelector::default()
-            };
-            b.iter(|| black_box(selector.select(&rows, 4)))
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = chunk_size, tracking_granularity, parameter_selection
+    targets = chunk_size, tracking_granularity
 }
 criterion_main!(benches);

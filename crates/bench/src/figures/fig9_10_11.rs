@@ -51,7 +51,7 @@ pub fn run_fig9(rows: &FlatRows) -> Vec<Fig9Row> {
             bits,
             symmetric: mean_l2_error(rows, &QuantScheme::Symmetric { bits }),
             asymmetric: mean_l2_error(rows, &QuantScheme::Asymmetric { bits }),
-            kmeans: mean_l2_error(rows, &QuantScheme::KMeans { bits }),
+            kmeans: crate::kmeans::mean_l2_error(rows, bits),
             adaptive: mean_l2_error(
                 rows,
                 &QuantScheme::AdaptiveAsymmetric {

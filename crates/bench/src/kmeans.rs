@@ -1,25 +1,29 @@
-//! Non-uniform quantization via 1-D k-means clustering (§5.2, Approach 2).
+//! Non-uniform quantization via 1-D k-means clustering (§5.2, Approach 2)
+//! — the Figure 9 baseline, and nothing else.
 //!
 //! Each embedding vector's `n` elements are partitioned into `2^bits`
 //! clusters; the codebook stores the centroids and each element is coded by
 //! its cluster index. The paper runs 15 Lloyd iterations and finds the ℓ2
 //! error marginally better than adaptive asymmetric — but "orders of
 //! magnitude slower" (48+ hours for one production checkpoint), which is why
-//! Check-N-Run rejects it. We implement it anyway: it is the quality
-//! yardstick in Figure 9 and the latency contrast in §6.1.
+//! Check-N-Run rejects it. So does this repo: k-means is not a
+//! `cnr_quant::QuantScheme`, no checkpoint is written with it and no reader
+//! accepts a codebook row. It lives here because Figure 9 plots it as the
+//! quality yardstick.
 
-use crate::params::QuantParams;
+use cnr_quant::{row_l2_error, RowSource};
 
 /// Default Lloyd iteration count, as used in the paper's Figure 9.
 pub const DEFAULT_ITERS: usize = 15;
 
 /// Quantizes `row` into `2^bits` k-means clusters with `iters` Lloyd
-/// iterations. Returns the per-element cluster codes and the codebook.
-pub fn quantize_kmeans(row: &[f32], bits: u8, iters: usize) -> (Vec<u16>, QuantParams) {
+/// iterations. Returns the per-element cluster codes and the codebook
+/// (ascending centroids; element `i` de-quantizes to `codebook[codes[i]]`).
+pub fn quantize_kmeans(row: &[f32], bits: u8, iters: usize) -> (Vec<u16>, Vec<f32>) {
     assert!((1..=12).contains(&bits), "kmeans bits must be in 1..=12");
     let k = 1usize << bits;
     if row.is_empty() {
-        return (Vec::new(), QuantParams::Codebook(vec![0.0; k]));
+        return (Vec::new(), vec![0.0; k]);
     }
 
     // Initialize centroids at evenly spaced quantiles of the sorted values —
@@ -69,7 +73,25 @@ pub fn quantize_kmeans(row: &[f32], bits: u8, iters: usize) -> (Vec<u16>, QuantP
     for (x, a) in row.iter().zip(assignment.iter_mut()) {
         *a = nearest_sorted(&centroids, *x) as u16;
     }
-    (assignment, QuantParams::Codebook(centroids))
+    (assignment, centroids)
+}
+
+/// Mean ℓ2 error of `bits`-bit k-means ([`DEFAULT_ITERS`] iterations) over
+/// every row of `source`: Figure 9's k-means bar, computed the way
+/// `cnr_quant::mean_l2_error` computes the stored schemes' bars.
+pub fn mean_l2_error<S: RowSource + ?Sized>(source: &S, bits: u8) -> f64 {
+    let n = source.num_rows();
+    if n == 0 {
+        return 0.0;
+    }
+    let mut total = 0.0f64;
+    for i in 0..n {
+        let row = source.row(i);
+        let (codes, codebook) = quantize_kmeans(row, bits, DEFAULT_ITERS);
+        let back: Vec<f32> = codes.iter().map(|&c| codebook[c as usize]).collect();
+        total += row_l2_error(row, &back);
+    }
+    total / n as f64
 }
 
 /// Index of the centroid nearest to `x` in an ascending-sorted codebook.
@@ -115,8 +137,7 @@ fn next_up(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::row_l2_error;
-    use crate::uniform::{dequantize, quantize_asymmetric};
+    use cnr_quant::uniform::{dequantize, quantize_asymmetric};
 
     fn clustered_row() -> Vec<f32> {
         // Two tight clusters: ideal for k-means, bad for uniform grids.
@@ -131,9 +152,7 @@ mod tests {
     }
 
     fn kmeans_error(row: &[f32], bits: u8) -> f64 {
-        let (codes, params) = quantize_kmeans(row, bits, DEFAULT_ITERS);
-        let back: Vec<f32> = codes.iter().map(|&c| params.dequantize_code(c)).collect();
-        row_l2_error(row, &back)
+        mean_l2_error(&cnr_quant::FlatRows::new(row.to_vec(), row.len()), bits)
     }
 
     #[test]
@@ -170,9 +189,9 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let (codes, params) = quantize_kmeans(&[], 4, 5);
+        let (codes, codebook) = quantize_kmeans(&[], 4, 5);
         assert!(codes.is_empty());
-        assert_eq!(params.byte_size(), 4 * 16);
+        assert_eq!(codebook.len(), 16);
     }
 
     #[test]
@@ -187,8 +206,8 @@ mod tests {
     fn more_iters_never_hurt_much() {
         let row: Vec<f32> = (0..64).map(|i| ((i * 31 % 64) as f32 / 64.0).powi(2)).collect();
         let e1 = {
-            let (c, p) = quantize_kmeans(&row, 3, 1);
-            let back: Vec<f32> = c.iter().map(|&x| p.dequantize_code(x)).collect();
+            let (c, cb) = quantize_kmeans(&row, 3, 1);
+            let back: Vec<f32> = c.iter().map(|&x| cb[x as usize]).collect();
             row_l2_error(&row, &back)
         };
         let e15 = kmeans_error(&row, 3);

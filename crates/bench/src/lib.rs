@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
+mod kmeans;
 pub mod timeline;
 pub mod trajectory;
 pub mod workloads;

@@ -524,7 +524,6 @@ pub fn quant_schemes() -> Vec<(&'static str, QuantScheme)> {
         ("symmetric4", QuantScheme::Symmetric { bits: 4 }),
         ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
         ("asymmetric8", QuantScheme::Asymmetric { bits: 8 }),
-        ("kmeans4", QuantScheme::KMeans { bits: 4 }),
         (
             "adaptive4_b25",
             QuantScheme::AdaptiveAsymmetric {

@@ -32,9 +32,6 @@ pub mod scrub;
 pub use clock::SimClock;
 pub use failure::{FailureModel, HostKill, TtfSample};
 pub use job::{JobId, JobPriority, TrainingJob};
-pub use recovery::{
-    RecoveryAccounting, RecoveryCoordinator, RecoveryEvent, RestoreMode, RestorePoint,
-    ResumeBreakdown,
-};
+pub use recovery::{RecoveryAccounting, RestoreMode, RestorePoint, ResumeBreakdown};
 pub use scheduler::{ClusterFleet, JobOutcome, Scheduler};
-pub use scrub::{ScrubFindings, ScrubScheduler, ScrubSweep};
+pub use scrub::{ScrubFindings, ScrubScheduler};

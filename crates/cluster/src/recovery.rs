@@ -10,14 +10,12 @@
 //! downtime model (§2, §5) counts not just lost training but the time a
 //! preempted job spends fetching, de-quantizing, and rebuilding model state
 //! before it is ready to train again. [`ResumeBreakdown`] is one sharded
-//! restore's fetch/decode/merge accounting, and [`RecoveryCoordinator`]
-//! drives restores at the cluster layer: it samples reader-host deaths
-//! mid-restore from a [`FailureModel`] (mirroring the write side's
-//! [`HostKill`] injection) and accumulates every resume's breakdown into
-//! the stats the bench figures consume.
+//! restore's fetch/decode/merge accounting; the engine records each one
+//! once, as a `ResumeStats` row of its run statistics (reader-host deaths
+//! mid-restore are sampled straight from a
+//! [`FailureModel`](crate::failure::FailureModel), the way writer-host
+//! deaths are).
 
-use crate::failure::{FailureModel, HostKill};
-use rand::Rng;
 use std::time::Duration;
 
 /// Accounting summary for one training run with failures.
@@ -160,112 +158,6 @@ impl ResumeBreakdown {
             ("restore.merge", self.merge),
             ("restore.wal_replay", self.wal_replay),
         ]
-    }
-}
-
-/// One recorded recovery event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryEvent {
-    /// Simulated time at which the failure hit (restore start).
-    pub at: Duration,
-    /// The restore's stage breakdown.
-    pub breakdown: ResumeBreakdown,
-}
-
-/// Cluster-layer coordinator for sharded restores.
-///
-/// Owns the failure model that can kill a *reader* host mid-restore (the
-/// read-side mirror of the writer-kill injection) and the log of every
-/// resume's [`ResumeBreakdown`]. The engine reports each restore here; the
-/// bench figures read the aggregate accessors.
-#[derive(Debug, Clone)]
-pub struct RecoveryCoordinator {
-    model: FailureModel,
-    events: Vec<RecoveryEvent>,
-}
-
-impl RecoveryCoordinator {
-    /// Creates a coordinator with the given reader-host failure model
-    /// ([`FailureModel::None`] disables mid-restore kills).
-    pub fn new(model: FailureModel) -> Self {
-        Self {
-            model,
-            events: Vec::new(),
-        }
-    }
-
-    /// The failure model in use.
-    pub fn model(&self) -> &FailureModel {
-        &self.model
-    }
-
-    /// Samples whether one of `hosts` reader hosts dies during a restore
-    /// whose fetch is expected to take `fetch_estimate`, each host fetching
-    /// `chunks_per_host` chunks. The earliest sampled death inside the
-    /// fetch window wins; `None` means every host survives.
-    pub fn sample_reader_kill<R: Rng + ?Sized>(
-        &self,
-        hosts: u16,
-        chunks_per_host: u32,
-        fetch_estimate: Duration,
-        rng: &mut R,
-    ) -> Option<HostKill> {
-        self.model
-            .sample_writer_kill(hosts, chunks_per_host, fetch_estimate, rng)
-    }
-
-    /// Records one completed restore.
-    pub fn record(&mut self, at: Duration, breakdown: ResumeBreakdown) {
-        self.events.push(RecoveryEvent { at, breakdown });
-    }
-
-    /// Every recorded recovery event, in order.
-    pub fn events(&self) -> &[RecoveryEvent] {
-        &self.events
-    }
-
-    /// Number of restores recorded.
-    pub fn resumes(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Sum of time-to-resume across all recorded restores — the downtime
-    /// the cluster paid to recoveries.
-    pub fn total_resume_time(&self) -> Duration {
-        self.events
-            .iter()
-            .map(|e| e.breakdown.time_to_resume())
-            .sum()
-    }
-
-    /// Mean time-to-resume per restore (zero when none recorded).
-    pub fn mean_time_to_resume(&self) -> Duration {
-        if self.events.is_empty() {
-            return Duration::ZERO;
-        }
-        self.total_resume_time() / self.events.len() as u32
-    }
-
-    /// Number of recorded restores that resumed lazily.
-    pub fn lazy_resumes(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.breakdown.mode == RestoreMode::Lazy)
-            .count()
-    }
-
-    /// Mean time-to-first-batch per restore (zero when none recorded).
-    /// Comparing this against [`Self::mean_time_to_resume`] is the lazy
-    /// restore's headline win.
-    pub fn mean_time_to_first_batch(&self) -> Duration {
-        if self.events.is_empty() {
-            return Duration::ZERO;
-        }
-        self.events
-            .iter()
-            .map(|e| e.breakdown.time_to_first_batch)
-            .sum::<Duration>()
-            / self.events.len() as u32
     }
 }
 
@@ -450,68 +342,5 @@ mod tests {
             ..b
         };
         assert_eq!(replayed.time_to_resume(), Duration::from_millis(11_000));
-    }
-
-    #[test]
-    fn coordinator_accumulates_resume_stats() {
-        let mut c = RecoveryCoordinator::new(FailureModel::None);
-        assert_eq!(c.resumes(), 0);
-        assert_eq!(c.mean_time_to_resume(), Duration::ZERO);
-        c.record(Duration::from_secs(100), breakdown(4, 0, 0));
-        c.record(Duration::from_secs(200), breakdown(8, 0, 0));
-        assert_eq!(c.resumes(), 2);
-        assert_eq!(c.total_resume_time(), Duration::from_secs(12));
-        assert_eq!(c.mean_time_to_resume(), Duration::from_secs(6));
-        assert_eq!(c.events()[0].at, Duration::from_secs(100));
-    }
-
-    #[test]
-    fn coordinator_tracks_lazy_resumes_and_first_batch() {
-        let mut c = RecoveryCoordinator::new(FailureModel::None);
-        c.record(Duration::from_secs(1), breakdown(10, 0, 0));
-        let lazy = ResumeBreakdown {
-            mode: RestoreMode::Lazy,
-            time_to_first_batch: Duration::from_secs(2),
-            restore_point: RestorePoint::WalTip,
-            ..breakdown(10, 0, 0)
-        };
-        c.record(Duration::from_secs(5), lazy);
-        assert_eq!(c.lazy_resumes(), 1);
-        // (10s eager + 2s lazy) / 2; eager first-batch == full resume.
-        assert_eq!(c.mean_time_to_first_batch(), Duration::from_secs(6));
-        assert_eq!(c.mean_time_to_resume(), Duration::from_secs(10));
-        // Events keep both the restore point and the mode for the figures.
-        assert_eq!(c.events()[1].breakdown.restore_point, RestorePoint::WalTip);
-        assert_eq!(c.events()[1].breakdown.mode, RestoreMode::Lazy);
-    }
-
-    #[test]
-    fn coordinator_none_model_never_kills_readers() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let c = RecoveryCoordinator::new(FailureModel::None);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert!(c
-            .sample_reader_kill(8, 100, Duration::from_secs(600), &mut rng)
-            .is_none());
-    }
-
-    #[test]
-    fn coordinator_short_mtbf_kills_readers_in_range() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let c = RecoveryCoordinator::new(FailureModel::Exponential {
-            mtbf: Duration::from_secs(300),
-        });
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut kills = 0;
-        for _ in 0..100 {
-            if let Some(k) = c.sample_reader_kill(4, 32, Duration::from_secs(600), &mut rng) {
-                kills += 1;
-                assert!(k.host < 4);
-                assert!(k.after_chunks < 32);
-            }
-        }
-        assert!(kills > 20, "short MTBF must kill often, got {kills}");
     }
 }

@@ -1,17 +1,17 @@
-//! Background-scrub scheduling and findings accounting.
+//! Background-scrub scheduling and the shape of a sweep's findings.
 //!
 //! The storage layer's scrubber (`cnr_storage::scrub`) knows how to
 //! validate and repair objects; this module decides *when* sweeps run and
-//! remembers *what* they found. The split mirrors the rest of the
-//! workspace: `cnr_storage` depends on this crate for [`crate::SimClock`],
-//! so the scheduling/accounting side is storage-agnostic — a sweep's
-//! findings arrive here as plain counts ([`ScrubFindings`]).
+//! names *what* one found. The split mirrors the rest of the workspace:
+//! `cnr_storage` depends on this crate for [`crate::SimClock`], so the
+//! scheduling side is storage-agnostic — a sweep's findings are plain
+//! counts ([`ScrubFindings`]).
 //!
 //! A scrub sweep competes with no one in simulated time: like checkpoint
 //! uploads (§4.2 of the paper), scrubbing is background work on spare
 //! cycles. The scheduler only answers "is a sweep due at time `t`?" on a
-//! fixed cadence, and the log keeps the per-sweep history that run-level
-//! statistics aggregate.
+//! fixed cadence; the per-sweep history is the engine's run statistics
+//! (`RunStats::scrubs`), kept there once.
 
 use std::time::Duration;
 
@@ -47,21 +47,11 @@ impl ScrubFindings {
     }
 }
 
-/// One recorded sweep: when it ran and what it found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubSweep {
-    /// Simulated time at which the sweep ran.
-    pub at: Duration,
-    /// The sweep's findings.
-    pub findings: ScrubFindings,
-}
-
-/// Fixed-cadence sweep scheduler plus findings log.
-#[derive(Debug, Clone)]
+/// Fixed-cadence sweep scheduler.
+#[derive(Debug, Clone, Copy)]
 pub struct ScrubScheduler {
     interval: Duration,
     next_due: Duration,
-    sweeps: Vec<ScrubSweep>,
 }
 
 impl ScrubScheduler {
@@ -72,7 +62,6 @@ impl ScrubScheduler {
         Self {
             interval,
             next_due: interval,
-            sweeps: Vec::new(),
         }
     }
 
@@ -86,25 +75,10 @@ impl ScrubScheduler {
         now >= self.next_due
     }
 
-    /// Records a completed sweep at `now` and schedules the next one a
-    /// full interval later (sweeps do not bunch up after an idle stretch).
-    pub fn record(&mut self, now: Duration, findings: ScrubFindings) {
-        self.sweeps.push(ScrubSweep { at: now, findings });
+    /// Notes a sweep completed at `now` and schedules the next one a full
+    /// interval later (sweeps do not bunch up after an idle stretch).
+    pub fn record(&mut self, now: Duration) {
         self.next_due = now + self.interval;
-    }
-
-    /// Every recorded sweep, in execution order.
-    pub fn sweeps(&self) -> &[ScrubSweep] {
-        &self.sweeps
-    }
-
-    /// Aggregate findings across all recorded sweeps.
-    pub fn totals(&self) -> ScrubFindings {
-        let mut total = ScrubFindings::default();
-        for sweep in &self.sweeps {
-            total.accumulate(sweep.findings);
-        }
-        total
     }
 }
 
@@ -112,23 +86,13 @@ impl ScrubScheduler {
 mod tests {
     use super::*;
 
-    fn findings(corrupt: u64, repaired: u64) -> ScrubFindings {
-        ScrubFindings {
-            scanned: 10,
-            clean: 10 - corrupt,
-            corrupt_detected: corrupt,
-            repaired,
-            ..ScrubFindings::default()
-        }
-    }
-
     #[test]
     fn sweeps_come_due_on_the_cadence() {
         let mut s = ScrubScheduler::new(Duration::from_secs(60));
         assert!(!s.due(Duration::ZERO), "nothing to scrub at t=0");
         assert!(!s.due(Duration::from_secs(59)));
         assert!(s.due(Duration::from_secs(60)));
-        s.record(Duration::from_secs(60), ScrubFindings::default());
+        s.record(Duration::from_secs(60));
         assert!(!s.due(Duration::from_secs(119)));
         assert!(s.due(Duration::from_secs(120)));
     }
@@ -137,22 +101,8 @@ mod tests {
     fn late_sweeps_do_not_bunch_up() {
         let mut s = ScrubScheduler::new(Duration::from_secs(60));
         // The job was busy; the sweep runs late at t=200.
-        s.record(Duration::from_secs(200), ScrubFindings::default());
+        s.record(Duration::from_secs(200));
         assert!(!s.due(Duration::from_secs(259)), "next due a full interval later");
         assert!(s.due(Duration::from_secs(260)));
-    }
-
-    #[test]
-    fn log_keeps_order_and_totals() {
-        let mut s = ScrubScheduler::new(Duration::from_secs(1));
-        s.record(Duration::from_secs(1), findings(3, 3));
-        s.record(Duration::from_secs(2), findings(1, 0));
-        assert_eq!(s.sweeps().len(), 2);
-        assert_eq!(s.sweeps()[0].at, Duration::from_secs(1));
-        let t = s.totals();
-        assert_eq!(t.scanned, 20);
-        assert_eq!(t.corrupt_detected, 4);
-        assert_eq!(t.repaired, 3);
-        assert_eq!(t.clean, 16);
     }
 }

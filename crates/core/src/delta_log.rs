@@ -27,7 +27,7 @@ use crate::manifest::{
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::DlrmModel;
-use cnr_quant::codec::{decode_body_into, skip_body};
+use cnr_quant::codec::decode_body_to;
 use cnr_quant::QuantScheme;
 use cnr_workload::Batch;
 
@@ -64,12 +64,10 @@ impl DeltaChunk {
     /// De-quantizes the rows one after another into a single reused
     /// buffer, calling `each(k, row_index, values)` for the `k`-th.
     fn for_each_row(&self, mut each: impl FnMut(usize, u32, &[f32]) -> Result<()>) -> Result<()> {
-        let dim = self.rows.dim as usize;
         let mut bodies = self.bodies.as_slice();
-        let mut values = Vec::with_capacity(dim);
+        let mut values = vec![0.0; self.rows.dim as usize];
         for (k, &row) in self.row_indices.iter().enumerate() {
-            values.clear();
-            decode_body_into(&mut bodies, self.rows.tag, self.rows.bits, dim, &mut values)?;
+            decode_body_to(&mut bodies, self.rows.tag, self.rows.bits, &mut values)?;
             each(k, row, &values)?;
         }
         Ok(())
@@ -257,24 +255,22 @@ impl DeltaRecord {
             if b.len() < len {
                 return Err(CnrError::Corrupt("delta chunk truncated".into()));
             }
-            let chunk = open_frame(&b[..len])?;
-            *b = &b[len..];
-            let mut rest = chunk.bodies;
-            for _ in 0..chunk.row_indices.len() {
-                skip_body(&mut rest, chunk.rows.tag, chunk.rows.bits, chunk.rows.dim as usize)?;
-            }
-            if !rest.is_empty() {
+            let header = open_frame(&b[..len])?;
+            let opened = header.over(&b[..len]);
+            if opened.trailing_bytes() != 0 {
                 return Err(CnrError::Corrupt(format!(
                     "{} trailing bytes after delta chunk rows",
-                    rest.len()
+                    opened.trailing_bytes()
                 )));
             }
+            let bodies = opened.bodies.to_vec();
+            *b = &b[len..];
             chunks.push(DeltaChunk {
-                table: chunk.table,
-                row_indices: chunk.row_indices,
-                optimizer_state: chunk.optimizer_state,
-                rows: chunk.rows,
-                bodies: chunk.bodies.to_vec(),
+                table: header.table,
+                row_indices: header.row_indices,
+                optimizer_state: header.optimizer_state,
+                rows: header.rows,
+                bodies,
             });
         }
         let bottom_mlp = wire::get_f32s(b)?;

@@ -34,8 +34,7 @@ use crate::snapshot::SnapshotTaker;
 use crate::stats::{IntervalStats, ResumeStats, RunStats, ScrubStats};
 use crate::write::{CheckpointRecord, CheckpointWriter};
 use cnr_cluster::{
-    FailureModel, HostKill, RecoveryCoordinator, RestorePoint, ScrubFindings, ScrubScheduler,
-    SimClock,
+    FailureModel, HostKill, RestorePoint, ScrubFindings, ScrubScheduler, SimClock,
 };
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
@@ -283,9 +282,8 @@ impl EngineBuilder {
             last_full_payload: None,
             stats: RunStats::new(full_reference_bytes),
             batches_into_interval: 0,
-            restores: 0,
             uploads_durable_at: Duration::ZERO,
-            recovery: RecoveryCoordinator::new(self.restore_failures),
+            restore_failures: self.restore_failures,
             recovery_rng: StdRng::seed_from_u64(0x5EED_4EC0),
             last_chunk_count: 0,
             scrub_schedule: self.scrub_interval.map(ScrubScheduler::new),
@@ -347,21 +345,20 @@ pub struct Engine {
     last_full_payload: Option<u64>,
     stats: RunStats,
     batches_into_interval: u64,
-    restores: u32,
     /// Simulated time at which the most recent checkpoint's uploads become
     /// durable. The engine polls this at interval boundaries (§4.3
     /// non-overlap) instead of blocking on the store.
     uploads_durable_at: Duration,
-    /// Cluster-layer recovery accounting: every restore's time-to-resume
-    /// breakdown, plus the failure model for reader-host deaths mid-restore.
-    recovery: RecoveryCoordinator,
+    /// The failure model reader-host deaths mid-restore are sampled from.
+    restore_failures: FailureModel,
     /// Dedicated rng for reader-kill sampling (isolated so it never
     /// perturbs training determinism).
     recovery_rng: StdRng,
     /// Chunks in the most recent checkpoint's manifest (the kill sampler's
     /// chunks-per-host estimate).
     last_chunk_count: u32,
-    /// Background-scrub cadence and sweep log; `None` disables scrubbing.
+    /// Background-scrub cadence; `None` disables scheduled scrubbing. (What
+    /// the sweeps found is in `stats.scrubs`, once.)
     scrub_schedule: Option<ScrubScheduler>,
     /// Per-iteration delta WAL writer; `Some` iff `config.delta_wal` is.
     wal: Option<WalWriter>,
@@ -619,9 +616,10 @@ impl Engine {
     /// Runs one background scrub sweep over every live checkpoint object:
     /// verifies each envelope and heals damaged objects — by re-reading the
     /// primary (a different replica serves the retry) and, when `replica`
-    /// is given, from that replica store. Findings are recorded into the run stats
-    /// and, when scrubbing is scheduled ([`EngineBuilder::scrub_every`]),
-    /// into the sweep log.
+    /// is given, from that replica store. Findings are recorded into the
+    /// run stats ([`RunStats::scrubs`]); when scrubbing is scheduled
+    /// ([`EngineBuilder::scrub_every`]) the next sweep comes due a full
+    /// interval after this one.
     pub fn scrub_now(&mut self, replica: Option<&dyn ObjectStore>) -> Result<ScrubFindings> {
         let keys = self.controller.live_keys();
         // The scrubber records its findings (SCRUB_* counters + the sweep
@@ -641,7 +639,7 @@ impl Engine {
         let findings = report.findings();
         let now = self.clock.now();
         if let Some(s) = &mut self.scrub_schedule {
-            s.record(now, findings);
+            s.record(now);
         }
         self.stats.push_scrub(ScrubStats {
             sweep: self.stats.scrubs.len() as u32,
@@ -649,11 +647,6 @@ impl Engine {
             findings,
         });
         Ok(findings)
-    }
-
-    /// The background-scrub sweep log, when scrubbing is scheduled.
-    pub fn scrub_schedule(&self) -> Option<&ScrubScheduler> {
-        self.scrub_schedule.as_ref()
     }
 
     /// On-demand fault-in for a lazy restore: every row this batch touches
@@ -811,7 +804,9 @@ impl Engine {
     }
 
     /// Samples a reader-host death for the upcoming restore from the
-    /// coordinator's failure model. Single-host engines never sample one
+    /// restore failure model (the same draw the write side makes for a
+    /// writer host, over the fetch instead of the upload). Single-host
+    /// engines never sample one
     /// (a kill with no survivors would just fail the restore).
     fn sample_reader_kill(&mut self) -> Option<HostKill> {
         let hosts = self.config.reader_hosts;
@@ -821,7 +816,7 @@ impl Engine {
         let chunks_per_host = (self.last_chunk_count / hosts as u32).max(1);
         let per_host_bytes = self.controller.live_bytes() / hosts as u64;
         let fetch_estimate = self.store.read_transfer_time(per_host_bytes);
-        self.recovery.sample_reader_kill(
+        self.restore_failures.sample_writer_kill(
             hosts as u16,
             chunks_per_host,
             fetch_estimate,
@@ -972,9 +967,9 @@ impl Engine {
         }
         self.clock.advance(wal_replay_time);
 
-        // Record the time-to-resume breakdown at both accounting layers,
-        // timestamped at the true failure instant (not the durability
-        // point), with any drain wait explicit in the breakdown.
+        // Record the time-to-resume breakdown, timestamped at the true
+        // failure instant (not the durability point), with any drain wait
+        // explicit in the breakdown.
         let mut breakdown = sharded.breakdown;
         breakdown.drain_wait = drain_wait;
         breakdown.wal_replay = wal_replay_time;
@@ -993,7 +988,8 @@ impl Engine {
         // (fault-in fields start at zero and accumulate per batch), the
         // registry gets the same row, and the span tree is laid out from
         // the same phases — the three can only agree.
-        let row = ResumeStats::from_breakdown(self.restores, latest, &breakdown);
+        let resume = self.stats.resumes.len() as u32;
+        let row = ResumeStats::from_breakdown(resume, latest, &breakdown);
         observe::record_resume(
             &self.obs,
             &row,
@@ -1003,14 +999,13 @@ impl Engine {
         );
         observe::record_restore_spans(
             &self.obs,
-            self.restores,
+            resume,
             failed_at,
             &breakdown,
             &sharded.host_activity,
             sharded.plan_ready_at,
             started_at,
         );
-        self.recovery.record(failed_at, breakdown);
         self.stats.push_resume(row);
 
         // Stash the cold tail: batches fault rows in on demand until the
@@ -1019,7 +1014,6 @@ impl Engine {
 
         // Count against the quantization budget (§6.2.1 fallback).
         self.bitwidth.on_restore();
-        self.restores += 1;
         self.state_lost = false;
         Ok(report)
     }
@@ -1169,17 +1163,6 @@ impl Engine {
         &self.bitwidth
     }
 
-    /// Restores performed so far.
-    pub fn restores(&self) -> u32 {
-        self.restores
-    }
-
-    /// The cluster-layer recovery coordinator: every restore's
-    /// time-to-resume breakdown and the reader-host failure model.
-    pub fn recovery(&self) -> &RecoveryCoordinator {
-        &self.recovery
-    }
-
     /// Remaining simulated upload time of the most recent checkpoint: zero
     /// once training has run past its durability point. This is the poll
     /// the §4.3 non-overlap rule turns into a wait only when positive.
@@ -1197,6 +1180,13 @@ impl Engine {
 mod tests {
     use super::*;
     use cnr_cluster::RestoreMode;
+
+    /// The root span of the most recent restore.
+    fn last_restore_span(e: &Engine) -> cnr_obs::Span {
+        let spans = e.obs().spans();
+        let root = spans.iter().rev().find(|s| s.name == cnr_obs::names::SPAN_RESTORE);
+        root.expect("a restore was recorded").clone()
+    }
 
     fn builder() -> EngineBuilder {
         let spec = DatasetSpec::tiny(101);
@@ -1280,13 +1270,13 @@ mod tests {
             resume.drain_wait + resume.fetch + resume.decode + resume.merge,
             "drain wait is part of time-to-resume, not hidden before it"
         );
-        let event = e.recovery().events().last().unwrap();
+        let restore = last_restore_span(&e);
         assert_eq!(
-            event.at, failed_at,
-            "recovery event timestamped at the failure instant, not the \
-             durability point"
+            restore.start, failed_at,
+            "recovery timestamped at the failure instant, not the durability \
+             point"
         );
-        assert_eq!(event.breakdown.drain_wait, backlog);
+        assert_eq!(restore.duration(), resume.time_to_resume);
         // A failure after the drain has fully settled pays no drain wait.
         let mut settled = builder().build().unwrap();
         settled.train_batches(10).unwrap();
@@ -1500,13 +1490,9 @@ mod tests {
             r.time_to_resume,
             r.drain_wait + r.fetch + r.decode + r.merge
         );
-        // The cluster-layer coordinator saw the same event.
-        assert_eq!(e.recovery().resumes(), 1);
-        assert_eq!(
-            e.recovery().events()[0].breakdown.time_to_resume(),
-            r.time_to_resume
-        );
-        assert!(e.recovery().mean_time_to_resume() > Duration::ZERO);
+        // The span tree recorded the same event.
+        assert_eq!(last_restore_span(&e).duration(), r.time_to_resume);
+        assert!(r.time_to_resume > Duration::ZERO);
     }
 
     #[test]
@@ -1569,7 +1555,7 @@ mod tests {
             .unwrap();
         e.train_batches(5).unwrap();
         e.simulate_failure_and_restore().unwrap();
-        assert_eq!(e.restores(), 1);
+        assert_eq!(e.stats().resumes.len(), 1);
     }
 
     #[test]
@@ -1585,18 +1571,11 @@ mod tests {
             .unwrap();
         e.train_batches(10).unwrap();
         let hash = e.trainer().model().state_hash();
-        let mut rescheduled = 0u64;
         for _ in 0..4 {
             e.simulate_failure_and_restore().unwrap();
             assert_eq!(e.trainer().model().state_hash(), hash);
-            rescheduled += e
-                .recovery()
-                .events()
-                .last()
-                .unwrap()
-                .breakdown
-                .rescheduled_chunks;
         }
+        let rescheduled = e.obs().registry().counter(cnr_obs::names::RESTORE_RESCHEDULED);
         assert!(
             rescheduled > 0,
             "a near-certain kill model must have killed a reader at least once"
@@ -1777,6 +1756,53 @@ mod tests {
         }
     }
 
+    /// A cold chunk with a malformed row — envelope and frame verify, the
+    /// last row body is short — is never de-quantized by the restore that
+    /// holds it back. The *restore* must fail all the same (typed, state
+    /// lost), not a fault-in some batches into training.
+    #[test]
+    fn a_malformed_cold_row_fails_the_restore_not_a_later_batch() {
+        use crate::manifest::{ChunkPayload, Manifest};
+        let mut e = lazy_builder(0.05).build().unwrap();
+        e.train_batches(10).unwrap();
+        let hash_at_10 = e.trainer().model().state_hash();
+        e.train_batches(3).unwrap(); // a working set for the planner to prefer
+        // A clean restore shows which chunks this checkpoint's restore
+        // holds back.
+        e.simulate_failure_and_restore().unwrap();
+        let tail = e.pending_lazy().expect("cold tail pending");
+        let cold_key = tail.pending_keys().pop().expect("a cold chunk");
+        let manifest_key = format!("{}/manifest", cold_key.rsplit_once('/').unwrap().0);
+        let healthy = [&cold_key, &manifest_key].map(|k| (k.clone(), e.store().get(k).unwrap()));
+
+        let mut chunk = ChunkPayload::decode(&healthy[0].1).unwrap();
+        chunk.rows.last_mut().unwrap().payload.pop();
+        let short = chunk.encode_enveloped();
+        let mut manifest = Manifest::decode(&healthy[1].1).unwrap();
+        let meta = manifest.chunks.iter_mut().find(|c| c.key == cold_key).unwrap();
+        meta.bytes = short.len() as u64;
+        e.store().put(&cold_key, short.into()).unwrap();
+        e.store()
+            .put(&manifest_key, manifest.encode_enveloped().into())
+            .unwrap();
+
+        let err = e.simulate_failure_and_restore().unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why) if why.contains("row bodies truncated")),
+            "{err:?}"
+        );
+        assert!(e.pending_lazy().is_none(), "no tail to fault in from");
+        assert!(matches!(e.train_batches(1), Err(CnrError::TrainingStateLost)));
+
+        for (k, bytes) in healthy {
+            e.store().put(&k, bytes).unwrap();
+        }
+        e.simulate_failure_and_restore().unwrap();
+        e.drain_lazy_restore().unwrap();
+        assert_eq!(e.trainer().model().state_hash(), hash_at_10);
+        e.train_batches(3).unwrap();
+    }
+
     #[test]
     fn scheduled_scrubs_run_at_interval_boundaries() {
         let mut e = builder()
@@ -1788,9 +1814,10 @@ mod tests {
         let totals = e.stats().scrub_totals();
         assert!(totals.scanned > 0);
         assert_eq!(totals.corrupt_detected, 0, "healthy store scrubs clean");
-        let log = e.scrub_schedule().expect("scrubbing is scheduled");
-        assert_eq!(log.sweeps().len(), e.stats().scrubs.len());
-        assert_eq!(log.totals(), totals);
+        // Each sweep pushed the next one a full interval out.
+        for pair in e.stats().scrubs.windows(2) {
+            assert!(pair[1].at >= pair[0].at + Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -1812,10 +1839,12 @@ mod tests {
             r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
             "replay is part of time-to-resume, not hidden"
         );
-        assert_eq!(
-            e.recovery().events().last().unwrap().breakdown.restore_point,
-            RestorePoint::WalTip,
-            "cluster layer distinguishes tip restores from checkpoint restores"
+        assert!(
+            last_restore_span(&e)
+                .attrs
+                .iter()
+                .any(|(k, v)| *k == "restore_point" && v == "WalTip"),
+            "the span tree distinguishes tip restores from checkpoint restores"
         );
         // Writer-side accounting made it into the run stats.
         assert_eq!(e.stats().wal.appends, 3);
@@ -2177,10 +2206,15 @@ mod tests {
                 "time_to_resume must equal its documented phase sum ({:?})",
                 r.mode,
             );
-            let event = e.recovery().events().last().unwrap();
-            let phase_sum: Duration =
-                event.breakdown.phases().iter().map(|(_, d)| *d).sum();
-            assert_eq!(phase_sum, r.time_to_resume, "phases() is the same identity");
+            let restore = last_restore_span(&e);
+            let phase_sum: Duration = e
+                .obs()
+                .spans()
+                .iter()
+                .filter(|s| s.parent == Some(restore.id) && s.kind == cnr_obs::SpanKind::Sync)
+                .map(|s| s.duration())
+                .sum();
+            assert_eq!(phase_sum, r.time_to_resume, "the phase spans are the same identity");
             assert!(r.time_to_first_batch <= r.time_to_resume);
         }
     }

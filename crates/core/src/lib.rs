@@ -10,7 +10,7 @@
 //!   predictor (§5.1).
 //! * [`bitwidth`] — dynamic quantization bit-width selection from the
 //!   expected number of restores, with automatic 8-bit fallback (§6.2.1).
-//! * [`write`] — the sharded, pipelined quantize-and-store write path
+//! * [`mod@write`] — the sharded, pipelined quantize-and-store write path
 //!   running on background threads (§4.4 step 2–3): per-host chunkers and
 //!   shard writers feeding a windowed multipart upload scheduler.
 //! * [`manifest`] + [`wire`] — the self-describing checkpoint format with
@@ -18,18 +18,19 @@
 //! * [`restore`] — chain reconstruction: follow base pointers from any
 //!   checkpoint back to its full baseline, apply deltas forward, de-quantize
 //!   (§5.1 recovery).
-//! * [`read`] — the sharded recovery pipeline mirroring [`write`]: a fetch
+//! * [`read`] — the sharded recovery pipeline mirroring [`mod@write`]: a fetch
 //!   planner, per-host shard readers overlapping ranged downloads with a
 //!   rank-guarded decode straight into the destination tables, and a
 //!   serial tail, bit-identical to the serial restore, with
 //!   fetch/decode/merge time-to-resume accounting (§2/§5 downtime model).
+//!   A lazy restore is the same restore stopped early: its cold chunks wait
+//!   as their verified bytes and land later through the same decode.
 //! * [`controller`] — checkpoint registry, validity, retention, deletion
 //!   (§4.4).
 //! * [`engine`] — the end-to-end training loop: reader budgets, interval
 //!   scheduling, non-overlap rule, failure injection.
 //! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17).
 //! * [`accuracy`] — the restore-degradation experiment (Figure 14).
-//! * [`frequency`] — sustainable checkpoint-frequency planning (§4.3).
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +41,6 @@ pub mod controller;
 pub mod delta_log;
 pub mod engine;
 pub mod error;
-pub mod frequency;
 pub(crate) mod hosts;
 pub mod manifest;
 pub mod observe;
@@ -50,6 +50,7 @@ pub mod read;
 pub mod restore;
 pub mod snapshot;
 pub mod stats;
+pub(crate) mod window;
 pub mod wire;
 pub mod write;
 
@@ -63,47 +64,3 @@ pub use read::{FetchScheduler, FetchStatus, HostActivity, RestoreOptions, Sharde
 pub use snapshot::TrainingSnapshot;
 pub use stats::{IntervalStats, ResumeStats, WalRunStats};
 pub use write::{CheckpointRecord, CheckpointWriter, UploadScheduler, UploadStatus};
-
-/// Adapter exposing an embedding table snapshot to `cnr-quant`'s
-/// [`cnr_quant::RowSource`] trait (error metrics, parameter selection).
-pub struct TableRows<'a> {
-    data: &'a [f32],
-    dim: usize,
-}
-
-impl<'a> TableRows<'a> {
-    /// Wraps row-major table data.
-    pub fn new(data: &'a [f32], dim: usize) -> Self {
-        assert!(dim > 0 && data.len().is_multiple_of(dim), "ragged table data");
-        Self { data, dim }
-    }
-}
-
-impl cnr_quant::RowSource for TableRows<'_> {
-    fn num_rows(&self) -> usize {
-        self.data.len() / self.dim
-    }
-
-    fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cnr_quant::RowSource;
-
-    #[test]
-    fn table_rows_adapter() {
-        let data = vec![1.0f32, 2.0, 3.0, 4.0];
-        let rows = TableRows::new(&data, 2);
-        assert_eq!(rows.num_rows(), 2);
-        assert_eq!(rows.row(1), &[3.0, 4.0]);
-        assert_eq!(rows.dim(), 2);
-    }
-}

@@ -13,8 +13,7 @@
 //! [`cnr_storage::envelope`] (magic `CNR4`, CRC-32 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
-//! ([`Manifest::decode`], [`ChunkPayload::decode`], [`FlatChunk::decode`])
-//! require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
+//! ([`Manifest::decode`], [`ChunkPayload::decode`]) require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
 //! is stored nowhere on its own: it is the inner format of a WAL delta
 //! record ([`crate::delta_log`]), whose WAL frame carries the envelope.
 //!
@@ -22,10 +21,12 @@
 //! envelope CRC outside, the frame checksum inside — and a read checks
 //! each exactly once. The `decode(&[u8])` entries verify the envelope and
 //! then decode; a caller that already holds an
-//! [`envelope::Verified`](cnr_storage::envelope::Verified) (the fetch
-//! scheduler returns one) uses `decode_verified`, which goes straight to
-//! the frame. The payload-level decoders are private, so bytes whose
-//! envelope nobody checked cannot reach them.
+//! [`envelope::Verified`] (the fetch
+//! scheduler returns one) goes straight to the frame
+//! ([`Manifest::decode_verified`]; a restore opens a chunk's frame once and
+//! de-quantizes its rows out of the verified bytes, now or — a lazy
+//! restore's cold chunk — later). The payload-level decoders are private,
+//! so bytes whose envelope nobody checked cannot reach them.
 
 use crate::error::{CnrError, Result};
 use crate::wire;
@@ -416,22 +417,68 @@ impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
     }
 }
 
-/// A chunk frame with its checksum verified and its header parsed; the
-/// row bodies are still encoded, borrowed from the input.
-pub(crate) struct OpenedChunk<'a> {
+/// The header of a chunk frame whose checksum verified: everything of the
+/// chunk except its row bodies, which stay encoded in the frame. Only
+/// [`open_frame`] builds one, so holding one means the frame it came from
+/// holds `row_indices.len()` whole row bodies of one known length — which
+/// is what lets a reader keep the frame's bytes and de-quantize row `k`
+/// whenever it likes.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkHeader {
     pub table: u16,
     pub row_indices: Vec<u32>,
     pub optimizer_state: Option<Vec<f32>>,
     pub rows: RowContext,
+    /// Bytes of one row body ([`cnr_quant::codec::body_len`] of `rows`).
+    body_len: usize,
+    /// Where the row bodies sit in the frame.
+    bodies: std::ops::Range<usize>,
+}
+
+impl ChunkHeader {
+    /// The opened chunk: this header over `frame`, which must be the bytes
+    /// it was opened from.
+    pub(crate) fn over<'a>(&'a self, frame: &'a [u8]) -> OpenedChunk<'a> {
+        OpenedChunk {
+            header: self,
+            bodies: &frame[self.bodies.clone()],
+        }
+    }
+}
+
+/// A verified chunk frame, opened: its parsed header and its row bodies,
+/// still encoded, back to back in `row_indices` order.
+#[derive(Clone, Copy)]
+pub(crate) struct OpenedChunk<'a> {
+    pub header: &'a ChunkHeader,
     pub bodies: &'a [u8],
+}
+
+impl<'a> OpenedChunk<'a> {
+    /// The encoded body of the chunk's `k`-th row. Bodies have one length,
+    /// so this is arithmetic, not a scan.
+    pub(crate) fn body(&self, k: usize) -> &'a [u8] {
+        let len = self.header.body_len;
+        &self.bodies[k * len..(k + 1) * len]
+    }
+
+    /// Bytes past the last row body (a stored chunk has none).
+    pub(crate) fn trailing_bytes(&self) -> usize {
+        self.bodies.len() - self.header.row_indices.len() * self.header.body_len
+    }
 }
 
 /// Verifies and opens a bare chunk frame ([`ChunkPayload::encode`]
 /// bytes, or the payload of a verified envelope): the frame checksum runs
-/// over the borrowed slice and only the indices and accumulators are
-/// materialized (after their lengths are checked against the input).
-pub(crate) fn open_frame(mut data: &[u8]) -> Result<OpenedChunk<'_>> {
-    let mut body = wire::get_framed(&mut data)?;
+/// over the borrowed slice, the indices and accumulators are materialized
+/// (after their lengths are checked against the input), and the row
+/// context must name an encoding whose bodies — one fixed length each —
+/// all fit. A retired or unknown row tag is [`CnrError::Corrupt`] naming
+/// the tag.
+pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
+    let mut rest = frame;
+    let mut body = wire::get_framed(&mut rest)?;
+    let framed_len = body.len();
     let b = &mut body;
     let table = wire::get_u16(b)?;
     let count = wire::get_u32(b)? as usize;
@@ -450,12 +497,22 @@ pub(crate) fn open_frame(mut data: &[u8]) -> Result<OpenedChunk<'_>> {
     } else {
         None
     };
-    Ok(OpenedChunk {
+    let body_len = cnr_quant::codec::body_len(rows.tag, rows.bits, rows.dim as usize)
+        .map_err(|e| CnrError::Corrupt(format!("chunk rows: {e}")))?;
+    if count.checked_mul(body_len).is_none_or(|need| need > body.len()) {
+        return Err(CnrError::Corrupt(format!(
+            "chunk row bodies truncated: {count} rows of {body_len} bytes in {}",
+            body.len()
+        )));
+    }
+    let bodies_at = wire::FRAME_PREFIX + framed_len - body.len();
+    Ok(ChunkHeader {
         table,
         row_indices,
         optimizer_state,
         rows,
-        bodies: body,
+        body_len,
+        bodies: bodies_at..bodies_at + body.len(),
     })
 }
 
@@ -519,106 +576,27 @@ impl ChunkPayload {
     /// Parses and verifies a stored chunk
     /// ([`ChunkPayload::encode_enveloped`] bytes).
     pub fn decode(data: &[u8]) -> Result<Self> {
-        Self::from_opened(open_frame(open_envelope(data)?)?)
-    }
-
-    /// Parses and verifies a bare chunk frame ([`ChunkPayload::encode`]
-    /// bytes): the row-object oracle for what a WAL delta record embeds.
-    #[cfg(test)]
-    pub(crate) fn decode_frame(frame: &[u8]) -> Result<Self> {
-        Self::from_opened(open_frame(frame)?)
-    }
-
-    fn from_opened(chunk: OpenedChunk<'_>) -> Result<Self> {
-        let mut bodies = chunk.bodies;
-        // The row count is already bounded by the input: its indices were
-        // read from it.
-        let count = chunk.row_indices.len();
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            rows.push(QuantizedRow::decode_body_from(
-                &mut bodies,
-                chunk.rows.tag,
-                chunk.rows.bits,
-                chunk.rows.dim as usize,
-            )?);
-        }
-        Ok(Self {
-            table: chunk.table,
-            row_indices: chunk.row_indices,
-            optimizer_state: chunk.optimizer_state,
-            rows,
-        })
-    }
-}
-
-/// A stored chunk decoded straight to de-quantized values: what a restore
-/// needs of a chunk, in one flat row-major buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatChunk {
-    /// Which table the rows belong to.
-    pub table: u16,
-    /// Row indices within the table, ascending.
-    pub row_indices: Vec<u32>,
-    /// Row-wise optimizer accumulators (present iff the table has them).
-    pub optimizer_state: Option<Vec<f32>>,
-    /// De-quantized values, `row_indices.len() × dim`, row-major.
-    pub values: Vec<f32>,
-    /// Elements per row.
-    pub dim: usize,
-}
-
-impl FlatChunk {
-    /// Parses, verifies and de-quantizes a stored chunk in one pass over
-    /// the borrowed bytes: each row is unpacked and scaled from the chunk
-    /// buffer onto the end of `values`. Equal, bit for bit, to
-    /// [`ChunkPayload::decode`] followed by `dequantize()` on every row.
-    /// This is the verify-then-decode entry: the envelope CRC runs first,
-    /// then the frame checksum, and only then is anything decoded.
-    pub fn decode(data: &[u8]) -> Result<Self> {
         Self::decode_frame(open_envelope(data)?)
     }
 
-    /// [`FlatChunk::decode`] for an object whose envelope a fetch already
-    /// verified: the CRC is not run a second time; the frame checksum is
-    /// still checked before any row is decoded.
-    pub fn decode_verified(object: &envelope::Verified) -> Result<Self> {
-        Self::decode_frame(object.payload())
-    }
-
-    fn decode_frame(frame: &[u8]) -> Result<Self> {
-        Self::from_opened(open_frame(frame)?)
-    }
-
-    /// De-quantizes every row of an opened (checksum-verified) chunk into
-    /// one flat buffer. A restore that writes rows where they live goes
-    /// through [`crate::read::merge::Destination::place`] instead; this is
-    /// for a chunk that has to wait — a lazy restore's cold one.
-    pub(crate) fn from_opened(chunk: OpenedChunk<'_>) -> Result<Self> {
-        let mut bodies = chunk.bodies;
-        let dim = chunk.rows.dim as usize;
-        // A row body holds at least one byte per 8 elements (1-bit codes),
-        // which bounds the value count by the input before it is allocated.
-        let len = chunk.row_indices.len() * dim;
-        if len > bodies.len().saturating_mul(8) {
-            return Err(CnrError::Corrupt("chunk row bodies truncated".into()));
-        }
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..chunk.row_indices.len() {
-            cnr_quant::codec::decode_body_into(
-                &mut bodies,
-                chunk.rows.tag,
-                chunk.rows.bits,
-                dim,
-                &mut values,
-            )?;
-        }
+    /// Parses and verifies a bare chunk frame ([`ChunkPayload::encode`]
+    /// bytes): the row-object oracle for what a stored chunk's payload and
+    /// a WAL delta record hold.
+    pub(crate) fn decode_frame(frame: &[u8]) -> Result<Self> {
+        let header = open_frame(frame)?;
+        let mut bodies = header.over(frame).bodies;
+        let ctx = header.rows;
+        // The row count is already bounded by the input: its indices were
+        // read from it.
+        let dim = ctx.dim as usize;
+        let rows = (0..header.row_indices.len())
+            .map(|_| QuantizedRow::decode_body_from(&mut bodies, ctx.tag, ctx.bits, dim))
+            .collect::<std::result::Result<_, _>>()?;
         Ok(Self {
-            table: chunk.table,
-            row_indices: chunk.row_indices,
-            optimizer_state: chunk.optimizer_state,
-            values,
-            dim,
+            table: header.table,
+            row_indices: header.row_indices,
+            optimizer_state: header.optimizer_state,
+            rows,
         })
     }
 }
@@ -637,10 +615,6 @@ pub(crate) fn encode_scheme(buf: &mut Vec<u8>, scheme: &QuantScheme) {
             buf.put_u8(2);
             buf.put_u8(bits);
         }
-        QuantScheme::KMeans { bits } => {
-            buf.put_u8(3);
-            buf.put_u8(bits);
-        }
         QuantScheme::AdaptiveAsymmetric {
             bits,
             num_bins,
@@ -654,7 +628,8 @@ pub(crate) fn encode_scheme(buf: &mut Vec<u8>, scheme: &QuantScheme) {
     }
 }
 
-/// Parses a [`QuantScheme`].
+/// Parses a [`QuantScheme`]. Tag 3 was k-means: nothing writes it any more
+/// and a stored one is rejected by number, like any unknown tag.
 pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
     Ok(match wire::get_u8(b)? {
         0 => QuantScheme::Fp32,
@@ -662,9 +637,6 @@ pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
             bits: wire::get_u8(b)?,
         },
         2 => QuantScheme::Asymmetric {
-            bits: wire::get_u8(b)?,
-        },
-        3 => QuantScheme::KMeans {
             bits: wire::get_u8(b)?,
         },
         4 => QuantScheme::AdaptiveAsymmetric {
@@ -675,6 +647,28 @@ pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
         5 => QuantScheme::Fp16,
         t => return Err(CnrError::Corrupt(format!("bad scheme tag {t}"))),
     })
+}
+
+/// What a checkpoint written with the retired k-means scheme left in the
+/// store: `manifest`'s body with its scheme stored as tag 3 (+ a bit width
+/// — the layout of the symmetric scheme it is encoded with here), the
+/// frame checksum valid.
+#[cfg(test)]
+pub(crate) fn kmeans_era_body(manifest: &Manifest) -> Vec<u8> {
+    let mut body = Manifest {
+        scheme: QuantScheme::Symmetric { bits: 4 },
+        ..manifest.clone()
+    }
+    .encode();
+    // Magic, version, frame length; then id, kind, base, iteration, reader.
+    let data_at = 4 + 2 + wire::FRAME_PREFIX;
+    let scheme_at = data_at + 8 + 1 + 8 + 8 + 8;
+    assert_eq!(body[scheme_at..scheme_at + 2], [1, 4]);
+    body[scheme_at] = 3;
+    let sum_at = body.len() - 8;
+    let sum = wire::checksum(&body[data_at..sum_at]);
+    body[sum_at..].copy_from_slice(&sum.to_le_bytes());
+    body
 }
 
 #[cfg(test)]
@@ -764,11 +758,78 @@ mod tests {
             QuantScheme::Fp16,
             QuantScheme::Symmetric { bits: 2 },
             QuantScheme::Asymmetric { bits: 8 },
-            QuantScheme::KMeans { bits: 3 },
+            QuantScheme::recommended_for_bits(4),
         ] {
             let mut m = sample_manifest();
             m.scheme = scheme;
             assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap().scheme, scheme);
+        }
+    }
+
+    /// Scheme tag 3 (k-means) and row tag 2 (its codebook rows) are
+    /// retired: a stored one is corrupt, and the error names the number.
+    #[test]
+    fn retired_kmeans_tags_are_corrupt_by_number() {
+        let err = decode_scheme(&mut &[3u8, 4][..]).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why) if why == "bad scheme tag 3"),
+            "{err:?}"
+        );
+        let stored = envelope::wrap(&kmeans_era_body(&sample_manifest()));
+        let err = Manifest::decode(&stored).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why) if why == "bad scheme tag 3"),
+            "{err:?}"
+        );
+
+        // A chunk of two 2-bit codebook rows as the retired encoder framed
+        // them: frame and envelope verify, the row context does not.
+        let bodies = [[0u8; 2 + 4 * 4 + 2]; 2].concat();
+        let frame = ChunkFrame {
+            table: 0,
+            row_indices: &[1, 2],
+            optimizer_state: None::<std::iter::Empty<f32>>,
+            rows: RowContext {
+                tag: 2,
+                bits: 2,
+                dim: 8,
+            },
+            rows_len: bodies.len(),
+        };
+        let stored = frame.encode_enveloped(|out| out.extend_from_slice(&bodies));
+        for err in [
+            open_frame(open_envelope(&stored).unwrap()).map(|_| ()).unwrap_err(),
+            ChunkPayload::decode(&stored).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, CnrError::Corrupt(why) if why.contains("unknown row tag 2")),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// A frame that verifies but holds fewer row bytes than its header
+    /// promises is rejected when it is opened — not when the short row is
+    /// finally read.
+    #[test]
+    fn a_short_row_body_fails_the_open() {
+        let mut chunk = sample_chunk(true);
+        chunk.rows[2].payload.pop();
+        let err = open_frame(&chunk.encode()).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why) if why.contains("row bodies truncated")),
+            "{err:?}"
+        );
+        // Whole rows open, and row `k` is where arithmetic says it is.
+        let chunk = sample_chunk(true);
+        let frame = chunk.encode();
+        let header = open_frame(&frame).unwrap();
+        let opened = header.over(&frame);
+        assert_eq!(opened.trailing_bytes(), 0);
+        for (k, row) in chunk.rows.iter().enumerate() {
+            let mut want = Vec::new();
+            row.encode_body_into(&mut want);
+            assert_eq!(opened.body(k), want, "row {k}");
         }
     }
 
@@ -830,7 +891,6 @@ mod tests {
         ));
         let frame = sample_chunk(true).encode();
         assert!(matches!(ChunkPayload::decode(&frame), Err(CnrError::Corrupt(_))));
-        assert!(matches!(FlatChunk::decode(&frame), Err(CnrError::Corrupt(_))));
         // The frame decoder is the mirror image: it takes the bare frame
         // and rejects the enveloped object.
         assert_eq!(ChunkPayload::decode_frame(&frame).unwrap(), sample_chunk(true));

@@ -1,32 +1,39 @@
 //! Lazy-restore state: cold chunks held back for fault-in or drain.
 //!
-//! A priority-ordered restore ([`super::planner::plan_priority`]) applies
+//! A priority-ordered restore ([`super::planner::plan_priority`]) places
 //! only the *hot* chunks before training resumes (CPR-style partial
 //! recovery); everything else is fetched in the background but not yet
-//! merged. [`LazyRestore`] owns that deferred tail:
+//! applied. [`LazyRestore`] owns that deferred tail — as data, not as a
+//! second decoder:
 //!
-//! * **cold chunks** — decoded but unapplied; their rows sit at zero
-//!   until materialized,
-//! * **per-row application ranks** — which chunk (in the serial
-//!   `(level, key)` order) last wrote each row, so a late-materializing
-//!   cold chunk from an *older* level never clobbers a hot chunk from a
-//!   newer one. These are the stamps the restore's destination
-//!   (`merge::Destination`) ordered its decode workers with,
-//!   handed over as they stood when the hot set had landed,
+//! * **cold chunks** — each the verified object the fetch returned plus its
+//!   opened header. Frame checksum, geometry, row indices and the presence
+//!   of every row body were checked at restore time, before the first
+//!   batch; nothing was de-quantized. Their rows read zero until
+//!   materialized,
+//! * **per-row application ranks** — the stamps the restore's destination
+//!   (`merge::Destination`) ordered its decode workers with, as they stood
+//!   when the hot set had landed, so a late cold chunk from an *older*
+//!   level never clobbers a hot chunk from a newer one,
 //! * **deferred WAL row deltas** — delta-log rows whose target row was not
 //!   materialized at replay time, buffered in replay order and applied the
 //!   moment the row exists.
 //!
-//! Materialization happens two ways, both bit-identical to the eager path
-//! once complete: a **fault-in** (training touched an unrestored row — a
-//! counted, synchronous, targeted fetch) or the background **drain** (the
-//! rest of the restore finished arriving). Per row, the apply order is
-//! always: chunk levels ascending, then deferred deltas in replay order —
-//! exactly the order the eager path used.
+//! Materializing finishes the restore the eager path started, by the same
+//! code: the background **drain** wraps the model's tables and the stamps
+//! in a `merge::Destination` again and places every cold chunk; a
+//! **fault-in** (training touched an unrestored row — a counted,
+//! synchronous, targeted fetch) lands the one row, found at `k × body_len`
+//! in each cold chunk that names it, through `merge::land_row`. Per row
+//! the apply order is always chunk levels ascending (the rank rule), then
+//! deferred deltas in replay order — exactly the eager path's.
 
-use super::shard_reader::{ColdRows, DecodedChunk};
+use super::merge::{land_row, Destination};
+use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
+use crate::manifest::{ChunkHeader, OpenedChunk, TableMeta};
 use cnr_model::DlrmModel;
+use cnr_storage::envelope::Verified;
 use std::collections::HashMap;
 
 /// One WAL row delta deferred until its row materializes.
@@ -43,16 +50,17 @@ struct ColdChunk {
     /// Rank in the serial `(level, key)` application order.
     rank: u32,
     key: String,
-    table: u16,
-    row_indices: Vec<u32>,
-    rows: ColdRows,
+    /// The chunk as fetched: verified once, never copied, still encoded.
+    object: Verified,
+    /// `object`'s frame, opened and checked against the destination when
+    /// the restore fetched it.
+    header: ChunkHeader,
     bytes: u64,
 }
 
 impl ColdChunk {
-    /// De-quantized values of the chunk's `k`-th row.
-    fn row(&self, k: usize) -> &[f32] {
-        &self.rows.values[k * self.rows.dim..(k + 1) * self.rows.dim]
+    fn opened(&self) -> OpenedChunk<'_> {
+        self.header.over(self.object.payload())
     }
 }
 
@@ -71,6 +79,9 @@ pub struct DrainOutcome {
 pub struct LazyRestore {
     /// Cold chunks, ascending by rank.
     cold: Vec<ColdChunk>,
+    /// Table geometry of the restored checkpoint: what a model must look
+    /// like for the cold chunks (checked against it) to be placed in it.
+    geometry: Vec<TableMeta>,
     /// Per table, per row: rank of the last chunk whose value was applied
     /// (0 = "nothing applied").
     applied_rank: Vec<Vec<u32>>,
@@ -83,65 +94,56 @@ pub struct LazyRestore {
     /// Synchronous targeted fetches performed for touched-but-unrestored
     /// rows (one per faulted row, however many chunk levels it needed).
     fault_in_fetches: u64,
-    /// Bytes attributed to fault-in fetches (per-row share of each chunk).
-    fault_in_bytes: u64,
-    /// Deferred deltas buffered over the restore's WAL replay.
-    deferred_deltas: u64,
 }
 
 impl LazyRestore {
     /// Builds the deferred tail from the chunks of a restore — the placed
-    /// ones are ignored, the cold ones kept — and `applied_rank`, the
-    /// destination's per-table, per-row stamps of what the placed chunks
-    /// wrote (0 where none did).
-    pub fn new(decoded: Vec<DecodedChunk>, applied_rank: Vec<Vec<u32>>) -> Self {
+    /// ones are ignored, the cold ones kept — the checkpoint's table
+    /// `geometry`, and `applied_rank`, the destination's per-table,
+    /// per-row stamps of what the placed chunks wrote (0 where none did).
+    pub(crate) fn new(
+        decoded: Vec<DecodedChunk>,
+        geometry: Vec<TableMeta>,
+        applied_rank: Vec<Vec<u32>>,
+    ) -> Self {
         let mut cold: Vec<ColdChunk> = decoded
             .into_iter()
             .filter_map(|chunk| {
                 Some(ColdChunk {
                     rank: chunk.rank,
                     key: chunk.key,
-                    table: chunk.table,
-                    row_indices: chunk.row_indices,
-                    rows: chunk.cold?,
+                    object: chunk.cold?,
+                    header: chunk.header,
                     bytes: chunk.bytes,
                 })
             })
             .collect();
         cold.sort_by_key(|chunk| chunk.rank);
         // A row is pending only if some cold chunk outranks what the hot
-        // merge already wrote to it; a cold chunk fully shadowed by a newer
-        // hot chunk leaves its rows final.
+        // set already wrote to it; a cold chunk fully shadowed by a newer
+        // hot chunk leaves its rows final. (Every cold chunk's table and
+        // rows are inside the geometry: the restore checked them.)
         let mut materialized: Vec<Vec<bool>> =
             applied_rank.iter().map(|t| vec![true; t.len()]).collect();
         let mut pending_rows = 0u64;
         for chunk in &cold {
-            let t = chunk.table as usize;
-            for &row in &chunk.row_indices {
+            let t = chunk.header.table as usize;
+            for &row in &chunk.header.row_indices {
                 let r = row as usize;
-                let stale = applied_rank
-                    .get(t)
-                    .and_then(|tbl| tbl.get(r))
-                    .is_some_and(|&applied| chunk.rank > applied);
-                if stale {
-                    if let Some(m) = materialized.get_mut(t).and_then(|tbl| tbl.get_mut(r)) {
-                        if *m {
-                            *m = false;
-                            pending_rows += 1;
-                        }
-                    }
+                if chunk.rank > applied_rank[t][r] && materialized[t][r] {
+                    materialized[t][r] = false;
+                    pending_rows += 1;
                 }
             }
         }
         Self {
             cold,
+            geometry,
             applied_rank,
             materialized,
             pending_rows,
             deferred: HashMap::new(),
             fault_in_fetches: 0,
-            fault_in_bytes: 0,
-            deferred_deltas: 0,
         }
     }
 
@@ -172,15 +174,10 @@ impl LazyRestore {
         self.cold
             .iter()
             .filter(|chunk| {
-                let t = chunk.table as usize;
-                chunk.row_indices.iter().any(|&row| {
-                    let pending = !self.is_materialized(chunk.table, row);
-                    let outranks = self
-                        .applied_rank
-                        .get(t)
-                        .and_then(|tbl| tbl.get(row as usize))
-                        .is_some_and(|&applied| chunk.rank > applied);
-                    pending && outranks
+                let t = chunk.header.table as usize;
+                chunk.header.row_indices.iter().any(|&row| {
+                    !self.materialized[t][row as usize]
+                        && chunk.rank > self.applied_rank[t][row as usize]
                 })
             })
             .map(|chunk| chunk.key.clone())
@@ -192,22 +189,11 @@ impl LazyRestore {
         self.fault_in_fetches
     }
 
-    /// Bytes attributed to fault-in fetches so far.
-    pub fn fault_in_bytes(&self) -> u64 {
-        self.fault_in_bytes
-    }
-
-    /// Deltas currently buffered (diagnostics).
-    pub fn deferred_deltas(&self) -> u64 {
-        self.deferred_deltas
-    }
-
     /// Buffers one WAL row delta for an unmaterialized row; it applies when
     /// the row materializes (fault-in or drain), after all chunk levels.
     /// Caller contract: only defer rows where [`Self::is_materialized`] is
     /// false — deltas for live rows must apply immediately instead.
     pub fn defer_delta(&mut self, table: u16, row: u32, values: Vec<f32>, acc: Option<f32>) {
-        self.deferred_deltas += 1;
         self.deferred
             .entry((table, row))
             .or_default()
@@ -215,58 +201,67 @@ impl LazyRestore {
     }
 
     /// Materializes `(table, row)` because training touched it before the
-    /// drain finished: applies the row's cold chunk values (levels
-    /// ascending), then its deferred deltas (replay order). Counted as one
-    /// targeted fetch; returns the bytes attributed to it (each touched
-    /// chunk's per-row share) so the caller can charge simulated transfer
-    /// time. A no-op returning 0 for rows already materialized.
+    /// drain finished: de-quantizes the row out of every cold chunk that
+    /// outranks what it holds (levels ascending), straight into `model`'s
+    /// table, then applies its deferred deltas (replay order). Counted as
+    /// one targeted fetch; returns the bytes attributed to it (each
+    /// landed chunk's per-row share) so the caller can charge simulated
+    /// transfer time. A no-op returning 0 for rows already materialized.
+    /// Allocates nothing. `model` must have the restored checkpoint's
+    /// geometry ([`CnrError::ShapeMismatch`] otherwise).
     pub fn fault_in(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
         if self.is_materialized(table, row) {
             return Ok(0);
         }
+        // Not materialized, so `(table, row)` is inside the geometry.
+        let (t, r) = (table as usize, row as usize);
+        let meta = self.geometry[t];
+        let dim = meta.dim as usize;
+        let view = model
+            .tables_mut()
+            .get_mut(t)
+            .filter(|tbl| tbl.rows() as u64 == meta.rows && tbl.dim() == dim)
+            .ok_or_else(|| {
+                CnrError::ShapeMismatch(format!(
+                    "fault-in into a model whose table {t} is not the restored {}x{dim}",
+                    meta.rows
+                ))
+            })?
+            .view_mut();
+        let values = &mut view.data[r * dim..(r + 1) * dim];
+        let mut acc = view.adagrad.map(|acc| &mut acc[r]);
+        let stamp = &mut self.applied_rank[t][r];
         let mut bytes = 0u64;
-        // Borrow the cold chunks and the rank table side by side: a
-        // fault-in copies one row's `dim` values out of a chunk, never the
-        // chunk.
-        let applied = &mut self.applied_rank[table as usize][row as usize];
-        for chunk in &self.cold {
-            if chunk.table != table || chunk.rank <= *applied {
-                continue;
-            }
-            if let Ok(k) = chunk.row_indices.binary_search(&row) {
-                bytes += chunk.bytes / chunk.row_indices.len().max(1) as u64;
-                apply_chunk_row(model, chunk, k)?;
-                *applied = chunk.rank;
+        for chunk in self.cold.iter().filter(|c| c.header.table == table) {
+            if let Ok(k) = chunk.header.row_indices.binary_search(&row) {
+                if land_row(chunk.opened(), k, chunk.rank, stamp, values, acc.as_deref_mut())? {
+                    bytes += chunk.bytes / chunk.header.row_indices.len() as u64;
+                }
             }
         }
         self.apply_deferred(model, table, row)?;
-        self.materialized[table as usize][row as usize] = true;
+        self.materialized[t][r] = true;
         self.pending_rows -= 1;
         self.fault_in_fetches += 1;
-        self.fault_in_bytes += bytes;
         Ok(bytes)
     }
 
-    /// Applies everything still deferred: every cold chunk's unapplied rows
-    /// (ascending rank, so per-row level order is preserved), then every
+    /// Finishes the restore: places every cold chunk into `model`'s tables
+    /// under the stamps the hot set (and any fault-ins) left — the same
+    /// `Destination::place` the restore's decode workers ran, so a row is
+    /// written iff the chunk outranks what it holds — then applies every
     /// remaining deferred delta. After this the model is bit-identical to
-    /// an eager restore plus full WAL replay. Idempotent.
+    /// an eager restore plus full WAL replay. Idempotent. `model` must
+    /// have the restored checkpoint's geometry
+    /// ([`CnrError::ShapeMismatch`] otherwise).
     pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
         let mut outcome = DrainOutcome::default();
         let cold = std::mem::take(&mut self.cold);
-        for chunk in &cold {
-            let t = chunk.table as usize;
-            for (k, &row) in chunk.row_indices.iter().enumerate() {
-                let r = row as usize;
-                let Some(applied) = self.applied_rank.get_mut(t).and_then(|tbl| tbl.get_mut(r))
-                else {
-                    continue;
-                };
-                if chunk.rank <= *applied {
-                    continue;
-                }
-                apply_chunk_row(model, chunk, k)?;
-                *applied = chunk.rank;
+        if !cold.is_empty() {
+            let dest =
+                Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)?;
+            for chunk in &cold {
+                dest.place(chunk.opened(), chunk.rank, &chunk.key)?;
             }
         }
         for tbl in 0..self.materialized.len() {
@@ -313,37 +308,12 @@ impl LazyRestore {
     }
 }
 
-/// Writes cold-chunk row `k` of `chunk` into the live model.
-fn apply_chunk_row(model: &mut DlrmModel, chunk: &ColdChunk, k: usize) -> Result<()> {
-    let t = chunk.table as usize;
-    let row = chunk.row_indices[k] as usize;
-    let table = model
-        .tables_mut()
-        .get_mut(t)
-        .ok_or_else(|| CnrError::Corrupt(format!("cold chunk for unknown table {t}")))?;
-    if row >= table.rows() {
-        return Err(CnrError::Corrupt(format!(
-            "cold chunk row {row} beyond table {t}"
-        )));
-    }
-    if chunk.rows.dim != table.dim() {
-        return Err(CnrError::Corrupt(format!(
-            "cold row decoded to {} values, expected {}",
-            chunk.rows.dim,
-            table.dim()
-        )));
-    }
-    table.row_mut(row).copy_from_slice(chunk.row(k));
-    if let (Some(src), Some(adagrad)) = (&chunk.rows.optimizer_state, table.adagrad_mut()) {
-        adagrad[row] = src[k];
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{open_frame, ChunkPayload};
     use cnr_model::ModelConfig;
+    use cnr_quant::QuantizedRow;
     use cnr_workload::DatasetSpec;
     use std::time::Duration;
 
@@ -355,8 +325,9 @@ mod tests {
         DlrmModel::new(cfg)
     }
 
-    /// A chunk of `rows` filled with `fill`: placed when `hot` (its values
-    /// are then the destination's business), held back otherwise.
+    /// A stored chunk of `rows` filled with `fill`, as a reader host hands
+    /// it over: placed when `hot` (its values are then the destination's
+    /// business), held back as its verified bytes otherwise.
     fn chunk(
         level: usize,
         key: &str,
@@ -365,17 +336,20 @@ mod tests {
         fill: f32,
         hot: bool,
     ) -> DecodedChunk {
+        let stored = ChunkPayload {
+            table,
+            row_indices: rows.to_vec(),
+            optimizer_state: Some(vec![fill; rows.len()]),
+            rows: rows.iter().map(|_| QuantizedRow::fp32(&[fill; 4])).collect(),
+        }
+        .encode_enveloped();
+        let object = Verified::check(stored.into()).unwrap();
         DecodedChunk {
             level,
             rank: 0, // assigned by `lazy_of`
             key: key.to_string(),
-            table,
-            row_indices: rows.to_vec(),
-            cold: (!hot).then(|| ColdRows {
-                values: vec![fill; 4 * rows.len()],
-                dim: 4,
-                optimizer_state: Some(vec![fill; rows.len()]),
-            }),
+            header: open_frame(object.payload()).unwrap(),
+            cold: (!hot).then_some(object),
             bytes: 100 * rows.len() as u64,
             arrived_at: Duration::ZERO,
         }
@@ -391,13 +365,22 @@ mod tests {
         for (i, chunk) in chunks.iter_mut().enumerate() {
             chunk.rank = i as u32 + 1;
             if chunk.cold.is_none() {
-                for &row in &chunk.row_indices {
-                    let stamp = &mut applied_rank[chunk.table as usize][row as usize];
+                for &row in &chunk.header.row_indices {
+                    let stamp = &mut applied_rank[chunk.header.table as usize][row as usize];
                     *stamp = chunk.rank.max(*stamp);
                 }
             }
         }
-        LazyRestore::new(chunks, applied_rank)
+        let geometry = m
+            .tables()
+            .iter()
+            .map(|t| TableMeta {
+                rows: t.rows() as u64,
+                dim: t.dim() as u16,
+                has_optimizer_state: t.adagrad().is_some(),
+            })
+            .collect();
+        LazyRestore::new(chunks, geometry, applied_rank)
     }
 
     #[test]
@@ -428,25 +411,27 @@ mod tests {
         let mut m = model();
         let rows: Vec<u32> = (0..8).collect();
         let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &rows, 3.0, false)], &m);
-        let before = (
-            lazy.cold[0].rows.values.as_ptr(),
-            lazy.cold[0].rows.values.clone(),
-        );
+        let before = lazy.cold[0].object.object().clone();
         lazy.fault_in(&mut m, 0, 5).unwrap();
         assert_eq!(m.tables()[0].row(5), &[3.0; 4]);
         assert_eq!(m.tables()[0].adagrad().unwrap()[5], 3.0);
-        // The chunk was borrowed, not cloned or rebuilt: same buffer, same
-        // contents, and the other rows still pending.
+        // The row was de-quantized out of the chunk's stored bytes where
+        // they lie: same buffer, same contents, the other rows still
+        // pending and still zero in the model.
         assert_eq!(lazy.cold.len(), 1);
-        assert!(std::ptr::eq(lazy.cold[0].rows.values.as_ptr(), before.0));
-        assert_eq!(lazy.cold[0].rows.values, before.1);
+        assert!(std::ptr::eq(
+            lazy.cold[0].object.object().as_ptr(),
+            before.as_ptr()
+        ));
+        assert_eq!(lazy.cold[0].object.object(), &before);
         assert_eq!(lazy.pending_rows(), 7);
+        assert_eq!(lazy.pending_keys(), vec!["cold".to_string()]);
     }
 
     #[test]
     fn older_cold_chunk_never_clobbers_newer_hot_data() {
         let mut m = model();
-        // Level 0 cold covers row 1; level 1 hot (already merged) rewrote
+        // Level 0 cold covers row 1; level 1 hot (already placed) rewrote
         // it. The cold chunk is fully shadowed: nothing pending, and a
         // drain must not overwrite the hot value.
         m.tables_mut()[0].row_mut(1).copy_from_slice(&[9.0; 4]);
@@ -483,5 +468,19 @@ mod tests {
         // Idempotent.
         let again = lazy.drain(&mut m).unwrap();
         assert_eq!(again, DrainOutcome::default());
+    }
+
+    /// The tail is placed into whatever model it is handed — and refuses,
+    /// typed, one that does not have the restored checkpoint's geometry.
+    #[test]
+    fn a_model_of_another_shape_is_refused_typed() {
+        let m = model();
+        let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &[2], 1.0, false)], &m);
+        let mut other = DlrmModel::new(ModelConfig::for_dataset(&DatasetSpec::tiny(5), 8));
+        assert!(matches!(
+            lazy.fault_in(&mut other, 0, 2),
+            Err(CnrError::ShapeMismatch(_))
+        ));
+        assert!(matches!(lazy.drain(&mut other), Err(CnrError::ShapeMismatch(_))));
     }
 }

@@ -7,10 +7,14 @@
 //! position in that order (its *rank*, [`super::FetchItem::rank`]) and the
 //! [`Destination`] keeps, per row, the rank of the chunk whose value the
 //! row holds: a decode worker writes a row iff its chunk outranks the
-//! row's stamp. Newest-wins therefore holds for any host count, worker
-//! count or arrival order, each row's bytes are de-quantized straight into
-//! the table that will train on them, and the result is bit-identical to
-//! the serial path.
+//! row's stamp ([`land_row`] — the one place that rule is written).
+//! Newest-wins therefore holds for any host count, worker count or arrival
+//! order, each row's bytes are de-quantized straight into the table that
+//! will train on them, and the result is bit-identical to the serial path.
+//! A lazy restore is this restore stopped early: the chunks it held back
+//! land later through the same [`Destination::place`] (the drain) or, one
+//! row at a time, the same [`land_row`] (a fault-in), against the same
+//! stamps.
 //!
 //! What cannot run on the workers stays here as the serial tail
 //! ([`tally`], [`Destination::zero_unwritten`]): per-level completeness,
@@ -18,9 +22,9 @@
 
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
-use crate::manifest::{CheckpointKind, Manifest, OpenedChunk};
+use crate::manifest::{CheckpointKind, Manifest, OpenedChunk, TableMeta};
 use cnr_model::TableViewMut;
-use cnr_quant::codec::{decode_body_to, skip_body};
+use cnr_quant::codec::decode_body_to;
 use cnr_tracking::TrackerSnapshot;
 use std::sync::Mutex;
 
@@ -56,28 +60,57 @@ fn poisoned<T>(_: T) -> CnrError {
     CnrError::Pipeline("a decode worker panicked while writing the restore destination".into())
 }
 
+/// De-quantizes row `k` of `chunk` into `row` (and its accumulator into
+/// `acc`) iff the chunk, ranked `rank`, outranks the row's `stamp` — the
+/// newest-wins rule, written once. Every stored row that reaches a table
+/// through the sharded restore gets there through this function: a hot
+/// chunk's and a drained cold chunk's via [`Destination::place`], a
+/// faulted-in row directly. `row` must be `chunk.header.rows.dim` long
+/// ([`Destination::check`] is what establishes that). Returns whether the
+/// row was written.
+pub(crate) fn land_row(
+    chunk: OpenedChunk<'_>,
+    k: usize,
+    rank: u32,
+    stamp: &mut u32,
+    row: &mut [f32],
+    acc: Option<&mut f32>,
+) -> Result<bool> {
+    if rank <= *stamp {
+        return Ok(false);
+    }
+    let ctx = chunk.header.rows;
+    decode_body_to(&mut chunk.body(k), ctx.tag, ctx.bits, row)?;
+    if let (Some(acc), Some(src)) = (acc, &chunk.header.optimizer_state) {
+        *acc = src[k];
+    }
+    *stamp = rank;
+    Ok(true)
+}
+
 impl<'a> Destination<'a> {
-    /// Wraps `views` (one per table of `newest`, in table order) and the
-    /// zeroed rank stamps `applied_rank` (one `Vec` per table, one entry
-    /// per row). The views must have exactly the geometry `newest`
-    /// records: a restore into the wrong architecture fails typed before
-    /// anything is written.
+    /// Wraps `views` (one per entry of `geometry`, in table order) and the
+    /// rank stamps `applied_rank` (one `Vec` per table, one entry per row:
+    /// zeroed for a fresh restore, as the hot set left them for a lazy
+    /// restore's drain). The views must have exactly the geometry the
+    /// checkpoint records: a restore into the wrong architecture fails
+    /// typed before anything is written.
     pub(crate) fn new(
         views: Vec<TableViewMut<'a>>,
-        newest: &Manifest,
+        geometry: &[TableMeta],
         applied_rank: &'a mut [Vec<u32>],
     ) -> Result<Self> {
-        if views.len() != newest.tables.len() || applied_rank.len() != views.len() {
+        if views.len() != geometry.len() || applied_rank.len() != views.len() {
             return Err(CnrError::ShapeMismatch(format!(
                 "checkpoint has {} tables, destination has {}",
-                newest.tables.len(),
+                geometry.len(),
                 views.len()
             )));
         }
         let mut tables = Vec::with_capacity(views.len());
         for (t, ((view, meta), rank)) in views
             .into_iter()
-            .zip(&newest.tables)
+            .zip(geometry)
             .zip(applied_rank)
             .enumerate()
         {
@@ -123,8 +156,12 @@ impl<'a> Destination<'a> {
     /// table's dimension and optimizer state and its row indices are
     /// distinct, ascending and inside the table. Every chunk of a restore
     /// passes through here where it enters — placed or held back — so
-    /// nothing downstream has to ask again.
-    pub(crate) fn check(&self, chunk: &OpenedChunk<'_>, key: &str) -> Result<()> {
+    /// nothing downstream has to ask again. (That the frame holds a whole
+    /// body for every row is [`crate::manifest::open_frame`]'s check: a
+    /// held-back chunk with a malformed row fails the restore, not a later
+    /// fault-in.)
+    pub(crate) fn check(&self, chunk: OpenedChunk<'_>, key: &str) -> Result<()> {
+        let chunk = chunk.header;
         let t = chunk.table as usize;
         let table = self.tables.get(t).ok_or_else(|| {
             CnrError::Corrupt(format!("chunk {key} references table {t} beyond model"))
@@ -162,30 +199,31 @@ impl<'a> Destination<'a> {
 
     /// De-quantizes the rows of `chunk` (frame checksum already verified
     /// by [`crate::manifest::open_frame`]) straight into the destination,
-    /// skipping every row a higher-ranked chunk has already written. The
-    /// chunk is [checked](Self::check) before the first row is written.
-    pub(crate) fn place(&self, chunk: &OpenedChunk<'_>, rank: u32, key: &str) -> Result<()> {
+    /// leaving alone every row a higher-ranked chunk has already written.
+    /// The chunk is [checked](Self::check) before the first row is written.
+    pub(crate) fn place(&self, chunk: OpenedChunk<'_>, rank: u32, key: &str) -> Result<()> {
         self.check(chunk, key)?;
-        let table = &self.tables[chunk.table as usize];
-        let (rows, dim) = (&chunk.row_indices, table.dim);
-        let (tag, bits) = (chunk.rows.tag, chunk.rows.bits);
-        let mut bodies = chunk.bodies;
+        let table = &self.tables[chunk.header.table as usize];
+        let (rows, dim) = (&chunk.header.row_indices, table.dim);
         let mut k = 0;
         while k < rows.len() {
             let s = rows[k] as usize / STRIPE_ROWS;
             let mut stripe = table.stripes[s].lock().map_err(poisoned)?;
+            let Stripe {
+                data,
+                adagrad,
+                rank: stamps,
+            } = &mut *stripe;
             while k < rows.len() && rows[k] as usize / STRIPE_ROWS == s {
                 let local = rows[k] as usize % STRIPE_ROWS;
-                if rank > stripe.rank[local] {
-                    let row = &mut stripe.data[local * dim..(local + 1) * dim];
-                    decode_body_to(&mut bodies, tag, bits, row)?;
-                    if let (Some(acc), Some(src)) = (&mut stripe.adagrad, &chunk.optimizer_state) {
-                        acc[local] = src[k];
-                    }
-                    stripe.rank[local] = rank;
-                } else {
-                    skip_body(&mut bodies, tag, bits, dim)?;
-                }
+                land_row(
+                    chunk,
+                    k,
+                    rank,
+                    &mut stamps[local],
+                    &mut data[local * dim..(local + 1) * dim],
+                    adagrad.as_deref_mut().map(|acc| &mut acc[local]),
+                )?;
                 k += 1;
             }
         }
@@ -264,12 +302,13 @@ pub(crate) fn tally(chain: &[Manifest], decoded: &[DecodedChunk]) -> Result<Tall
     let mut incremental_rows = TrackerSnapshot::empty(&row_counts);
     let mut rows_applied = 0u64;
     for chunk in decoded {
+        let header = &chunk.header;
         if chunk.cold.is_none() {
-            rows_applied += chunk.row_indices.len() as u64;
+            rows_applied += header.row_indices.len() as u64;
         }
         if chain[chunk.level].kind == CheckpointKind::Incremental {
-            for &row in &chunk.row_indices {
-                incremental_rows.tables[chunk.table as usize].set(row as usize);
+            for &row in &header.row_indices {
+                incremental_rows.tables[header.table as usize].set(row as usize);
             }
         }
     }

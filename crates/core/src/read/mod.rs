@@ -23,7 +23,7 @@
 //!   serial `(level, key)` application order and assigns it to a reader
 //!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
 //!   ranged-fetch plan.
-//! * [`shard_reader`] takes one chunk of a host's share through the
+//! * `shard_reader` takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
 //!   window and bounded transient-failure retries, and decodes it where
@@ -31,6 +31,11 @@
 //! * `merge` owns the destination — the caller's tables, striped under
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
+//! * [`lazy`] is what a lazy restore hands back instead of finishing: the
+//!   chunks it did not place, kept as the verified bytes the fetch
+//!   returned, and the stamps as they stood. Draining it runs `merge`'s
+//!   placement over those bytes — the restore is one code path, stopped
+//!   early and resumed; eager is `hot_fraction = 1`.
 //!
 //! **The destination is an argument.** [`restore_sharded_into`] writes
 //! each embedding row once, into memory the caller already holds: there is
@@ -46,7 +51,7 @@
 //! then meaningless and the caller must not use them.
 //!
 //! The coordinator here re-shards a dead reader host's remaining chunks
-//! onto the survivors (through [`crate::hosts`], the pool the write side's
+//! onto the survivors (through `crate::hosts`, the pool the write side's
 //! [`cnr_cluster::HostKill`] handling runs on too) and reports a
 //! [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
 //! time-to-resume accounting.
@@ -55,18 +60,17 @@ pub mod lazy;
 pub(crate) mod merge;
 pub mod planner;
 pub mod scheduler;
-pub mod shard_reader;
+pub(crate) mod shard_reader;
 
 pub use lazy::{DrainOutcome, LazyRestore};
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
-pub use shard_reader::{ColdRows, DecodedChunk};
 
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, Manifest};
 use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
-use shard_reader::ShardReader;
+use shard_reader::{DecodedChunk, ShardReader};
 use cnr_cluster::{HostKill, ResumeBreakdown};
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
@@ -91,9 +95,10 @@ pub struct RestoreOptions {
     /// Transient read-failure retries per ranged fetch before the restore
     /// fails.
     pub fetch_retries: u32,
-    /// Lazy (CPR-style) restore: fetch in priority order, apply only hot
-    /// chunks before declaring first batch, and hand the cold tail back as
-    /// a [`LazyRestore`] for fault-in or background drain.
+    /// Lazy (CPR-style) restore: fetch in priority order, place only hot
+    /// chunks before declaring first batch, and hand the cold tail back —
+    /// verified, checked, still encoded — as a [`LazyRestore`] for fault-in
+    /// or background drain.
     pub lazy: bool,
     /// Fraction of rows (by heat rank) that must be applied before first
     /// batch in lazy mode; `1.0` makes lazy equivalent to eager.
@@ -308,7 +313,7 @@ pub fn restore_sharded_into(
     // the destination. A dead host's leftovers go to the survivors as
     // they are.
     let mut applied_rank: Vec<Vec<u32>> = row_counts.iter().map(|&n| vec![0; n]).collect();
-    let dest = merge::Destination::new(dest, &newest, &mut applied_rank)?;
+    let dest = merge::Destination::new(dest, &newest.tables, &mut applied_rank)?;
     let decode_nanos = AtomicU64::new(0);
     let reader = ShardReader {
         scheduler: &fetch_sched,
@@ -350,7 +355,7 @@ pub fn restore_sharded_into(
     dest.zero_unwritten()?;
     let lazy_tail = options
         .lazy
-        .then(|| LazyRestore::new(decoded, applied_rank));
+        .then(|| LazyRestore::new(decoded, newest.tables.clone(), applied_rank));
     let merge_time = merge_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
@@ -946,6 +951,31 @@ mod tests {
             sharded.fetch_status.retries_performed, 0,
             "healing must not masquerade as transient retries"
         );
+    }
+
+    /// A checkpoint written with the retired k-means scheme (manifest
+    /// scheme tag 3) does not restore — serial, sharded or lazy: the error
+    /// is typed and names the tag.
+    #[test]
+    fn a_kmeans_era_checkpoint_is_corrupt_naming_the_tag() {
+        use cnr_storage::envelope;
+        let (model_cfg, snap) = snapshot_after(2, 8);
+        let store = InMemoryStore::new();
+        write_to(&store, &snap, 1);
+        let manifest = crate::restore::load_manifest(&store, "job", CheckpointId(0)).unwrap();
+        let body = crate::manifest::kmeans_era_body(&manifest);
+        let stored = envelope::wrap_with_flags(&body, envelope::FLAG_MANIFEST);
+        store.put(&Manifest::key("job", CheckpointId(0)), stored.into()).unwrap();
+        let names_the_tag =
+            |e: CnrError| matches!(&e, CnrError::Corrupt(why) if why.contains("scheme tag 3"));
+        let serial = restore(&store, "job", CheckpointId(0), &model_cfg);
+        assert!(names_the_tag(serial.unwrap_err()));
+        for lazy in [false, true] {
+            let options = RestoreOptions { lazy, ..opts(2) };
+            let sharded =
+                restore_sharded(&store, "job", CheckpointId(0), &model_cfg, &options, Duration::ZERO);
+            assert!(names_the_tag(sharded.unwrap_err()), "lazy={lazy}");
+        }
     }
 
     #[test]

@@ -6,26 +6,30 @@
 //! over the host's own downlink and de-quantizes it as it arrives —
 //! straight into the restore's destination tables
 //! (`merge::Destination`) — so CPU decode overlaps the
-//! (simulated) network fetch of the next chunk. A host can also be
-//! *killed* mid-restore (failure injection): it abandons the chunk it was
-//! fetching, and the coordinator ([`crate::hosts`]) re-shards every chunk
-//! it never read onto the surviving hosts — the exact mirror of the write
-//! path's mid-upload host death.
+//! (simulated) network fetch of the next chunk. A lazy restore's cold
+//! chunk takes the same path up to the last step: it is verified, opened
+//! and checked, and then kept as its bytes instead of placed. A host can
+//! also be *killed* mid-restore (failure injection): it abandons the chunk
+//! it was fetching, and the coordinator ([`crate::hosts`]) re-shards every
+//! chunk it never read onto the surviving hosts — the exact mirror of the
+//! write path's mid-upload host death.
 
 use super::merge::Destination;
 use super::planner::FetchItem;
 use super::scheduler::FetchScheduler;
 use crate::error::Result;
-use crate::manifest::{open_frame, FlatChunk};
+use crate::manifest::{open_frame, ChunkHeader};
+use cnr_storage::envelope::Verified;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// One chunk a reader host is done with: fetched, verified, and either
-/// *placed* — its rows de-quantized straight into the restore's
-/// destination tables — or, for a lazy restore's cold chunk, decoded and
-/// held back ([`DecodedChunk::cold`]).
+/// One chunk a reader host is done with: fetched, verified, opened and
+/// checked against the destination, and either *placed* — its rows
+/// de-quantized straight into the restore's destination tables — or, for a
+/// lazy restore's cold chunk, held back as the bytes that were fetched
+/// ([`DecodedChunk::cold`]).
 #[derive(Debug, Clone)]
-pub struct DecodedChunk {
+pub(crate) struct DecodedChunk {
     /// Position of the owning manifest in the restore chain.
     pub level: usize,
     /// The chunk's place in the serial `(level, key)` application order
@@ -33,15 +37,14 @@ pub struct DecodedChunk {
     pub rank: u32,
     /// Object key.
     pub key: String,
-    /// Table the rows belong to.
-    pub table: u16,
-    /// Row indices within the table, ascending.
-    pub row_indices: Vec<u32>,
-    /// The rows' values, for a chunk that was *not* placed: a lazy restore
-    /// keeps its cold chunks decoded until a fault-in or the drain writes
-    /// them. `None` for a placed chunk — its values exist only in the
-    /// destination.
-    pub cold: Option<ColdRows>,
+    /// The chunk's opened header: table, ascending row indices,
+    /// accumulators, row encoding.
+    pub header: ChunkHeader,
+    /// The verified object `header` was opened from, for a chunk that was
+    /// *not* placed: a lazy restore keeps its cold chunks as fetched until
+    /// a fault-in or the drain places their rows. `None` for a placed
+    /// chunk: its values exist only in the destination.
+    pub cold: Option<Verified>,
     /// Serialized chunk size (bytes fetched).
     pub bytes: u64,
     /// Simulated time at which the chunk's last range landed. A lazy
@@ -50,63 +53,43 @@ pub struct DecodedChunk {
     pub arrived_at: std::time::Duration,
 }
 
-/// De-quantized rows of a chunk that is waiting to be applied.
-#[derive(Debug, Clone)]
-pub struct ColdRows {
-    /// Flat row-major values: row `k` of the chunk's `row_indices` is
-    /// `values[k * dim..(k + 1) * dim]`.
-    pub values: Vec<f32>,
-    /// Elements per row of `values`.
-    pub dim: usize,
-    /// Row-wise optimizer accumulators, when the table carries them.
-    pub optimizer_state: Option<Vec<f32>>,
-}
-
 /// Executes chunk downloads for one restore on behalf of any host.
 pub(crate) struct ShardReader<'a, 'd> {
     pub(crate) scheduler: &'a FetchScheduler<'a>,
     /// Where hot chunks' rows are written as they are decoded.
     pub(crate) dest: &'a Destination<'d>,
-    /// Wall-clock nanoseconds spent decoding + de-quantizing (row
-    /// placement included), shared across shards.
+    /// Wall-clock nanoseconds spent opening chunks and de-quantizing the
+    /// placed ones, shared across shards.
     pub(crate) decode_nanos: &'a AtomicU64,
 }
 
 impl ShardReader<'_, '_> {
-    /// Fetches and verifies one chunk, then de-quantizes it: a hot chunk
-    /// row by row into the destination, a cold one into a buffer of its
-    /// own.
+    /// Fetches, verifies and opens one chunk, then either de-quantizes it
+    /// row by row into the destination (hot) or keeps its bytes (cold).
     pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
-        // The scheduler verified the envelope; opening checks the frame —
-        // both before any row is written.
+        // The scheduler verified the envelope; opening checks the frame
+        // and that every row body is whole — before any row is written,
+        // and before a cold chunk is trusted to be placeable later.
         let (object, arrived_at) = self
             .scheduler
             .fetch_chunk(host, &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
-        let opened = open_frame(object.payload())?;
-        let (table, row_indices, cold) = if item.hot {
-            self.dest.place(&opened, item.rank, &item.key)?;
-            (opened.table, opened.row_indices, None)
+        let header = open_frame(object.payload())?;
+        let opened = header.over(object.payload());
+        if item.hot {
+            self.dest.place(opened, item.rank, &item.key)?;
         } else {
-            self.dest.check(&opened, &item.key)?;
-            let flat = FlatChunk::from_opened(opened)?;
-            let cold = ColdRows {
-                values: flat.values,
-                dim: flat.dim,
-                optimizer_state: flat.optimizer_state,
-            };
-            (flat.table, flat.row_indices, Some(cold))
-        };
+            self.dest.check(opened, &item.key)?;
+        }
         self.decode_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(DecodedChunk {
             level: item.level,
             rank: item.rank,
             key: item.key.clone(),
-            table,
-            row_indices,
-            cold,
+            header,
             bytes: object.object().len() as u64,
+            cold: (!item.hot).then_some(object),
             arrived_at,
         })
     }

@@ -104,9 +104,12 @@ pub fn checksum(data: &[u8]) -> u64 {
     hash ^ (hash >> 32)
 }
 
+/// Bytes of the `u32` length field a frame puts ahead of its data.
+pub const FRAME_PREFIX: usize = 4;
+
 /// Bytes a frame adds around its data: the `u32` length and the `u64`
 /// checksum.
-pub const FRAME_OVERHEAD: usize = 4 + 8;
+pub const FRAME_OVERHEAD: usize = FRAME_PREFIX + 8;
 
 /// Appends `data` framed as `[len: u32][data][checksum: u64]`.
 pub fn put_framed(buf: &mut Vec<u8>, data: &[u8]) {
@@ -127,7 +130,7 @@ pub fn begin_frame(buf: &mut Vec<u8>) -> usize {
 /// Closes the frame opened at `frame`: patches the length field and
 /// appends the checksum of everything appended since.
 pub fn end_frame(buf: &mut Vec<u8>, frame: usize) {
-    let data_at = frame + 4;
+    let data_at = frame + FRAME_PREFIX;
     let len = buf.len() - data_at;
     assert!(len <= u32::MAX as usize, "frame exceeds u32 length field");
     buf[frame..data_at].copy_from_slice(&(len as u32).to_le_bytes());

@@ -28,7 +28,7 @@
 //!
 //! The coordinator here ([`CheckpointWriter`]) plans the shards, fans them
 //! out over `quantize_workers` threads and re-shards the work of any host
-//! that died onto the survivors (both through [`crate::hosts`], which the
+//! that died onto the survivors (both through `crate::hosts`, which the
 //! read path shares), and writes the manifest once every chunk is
 //! accounted for — the §4.4 validity rule: a checkpoint exists only
 //! when all of it is durable.

@@ -11,10 +11,9 @@
 //! checkpoint is durable (§4.3 non-overlap).
 
 use crate::error::{CnrError, Result};
+use crate::window::InFlightWindows;
 use bytes::Bytes;
 use cnr_storage::{ObjectStore, PutReceipt};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -31,42 +30,29 @@ pub struct UploadStatus {
     pub backpressure_stalls: u64,
 }
 
-struct SchedState {
-    /// Completion times of in-flight parts, one min-heap per host.
-    windows: Vec<BinaryHeap<Reverse<Duration>>>,
-    /// No part may start transferring before this simulated instant (the
-    /// previous checkpoint's durability point under the §4.3 relaxation).
-    floor: Duration,
-    durable_at: Duration,
-    parts_uploaded: u64,
-    backpressure_stalls: u64,
-}
-
 /// Schedules chunk uploads for one checkpoint write across all hosts.
 pub struct UploadScheduler<'a> {
     store: &'a dyn ObjectStore,
-    window: usize,
     part_bytes: usize,
-    state: Mutex<SchedState>,
+    /// Per-host part windows; the floor is the previous checkpoint's
+    /// durability point under the §4.3 relaxation.
+    windows: Mutex<InFlightWindows>,
 }
 
 impl<'a> UploadScheduler<'a> {
     /// Creates a scheduler over `store` for `hosts` writer hosts, each with
     /// an in-flight window of `window` parts of at most `part_bytes`.
     pub fn new(store: &'a dyn ObjectStore, hosts: usize, window: usize, part_bytes: usize) -> Self {
-        assert!(hosts >= 1 && window >= 1 && part_bytes >= 1);
+        assert!(part_bytes >= 1);
         Self {
             store,
-            window,
             part_bytes,
-            state: Mutex::new(SchedState {
-                windows: (0..hosts).map(|_| BinaryHeap::new()).collect(),
-                floor: Duration::ZERO,
-                durable_at: Duration::ZERO,
-                parts_uploaded: 0,
-                backpressure_stalls: 0,
-            }),
+            windows: Mutex::new(InFlightWindows::new(hosts, window, Duration::ZERO)),
         }
+    }
+
+    fn windows(&self) -> std::sync::MutexGuard<'_, InFlightWindows> {
+        self.windows.lock().expect("no upload panics holding the window lock")
     }
 
     /// Uploads `data` under `key` over host `host`'s uplink as a multipart
@@ -84,9 +70,9 @@ impl<'a> UploadScheduler<'a> {
         for p in 0..nparts {
             let lo = p as usize * self.part_bytes;
             let hi = (lo + self.part_bytes).min(data.len());
-            let not_before = self.admit(host as usize);
+            let not_before = self.windows().admit(host as usize);
             match self.store.put_part(&up, p, data.slice(lo..hi), not_before) {
-                Ok(receipt) => self.record(host as usize, receipt.completed_at),
+                Ok(receipt) => self.windows().record(host as usize, receipt.completed_at),
                 Err(e) => {
                     let _ = self.store.abort_multipart(&up);
                     return Err(e.into());
@@ -95,8 +81,7 @@ impl<'a> UploadScheduler<'a> {
         }
         match self.store.complete_multipart(&up) {
             Ok(receipt) => {
-                let mut s = self.state.lock().unwrap();
-                s.durable_at = s.durable_at.max(receipt.completed_at);
+                self.windows().note_done(receipt.completed_at);
                 Ok((receipt, nparts))
             }
             Err(e) => {
@@ -112,30 +97,7 @@ impl<'a> UploadScheduler<'a> {
     /// quantization overlap the old drain, but the uploads themselves
     /// must queue behind it.
     pub fn set_floor(&self, floor: Duration) {
-        self.state.lock().unwrap().floor = floor;
-    }
-
-    /// Admits the next part on `host`'s window: returns the earliest
-    /// simulated time its transfer may start. With a full window that is
-    /// the completion time of the oldest in-flight part — backpressure —
-    /// and never earlier than the upload floor.
-    fn admit(&self, host: usize) -> Duration {
-        let mut s = self.state.lock().unwrap();
-        let floor = s.floor;
-        if s.windows[host].len() >= self.window {
-            let Reverse(earliest) = s.windows[host].pop().expect("window is non-empty");
-            s.backpressure_stalls += 1;
-            earliest.max(floor)
-        } else {
-            floor
-        }
-    }
-
-    fn record(&self, host: usize, completed_at: Duration) {
-        let mut s = self.state.lock().unwrap();
-        s.windows[host].push(Reverse(completed_at));
-        s.durable_at = s.durable_at.max(completed_at);
-        s.parts_uploaded += 1;
+        self.windows().raise_floor(floor);
     }
 
     /// The store uploads go to.
@@ -150,23 +112,18 @@ impl<'a> UploadScheduler<'a> {
 
     /// Simulated time at which everything submitted so far is durable.
     pub fn durable_at(&self) -> Duration {
-        self.state.lock().unwrap().durable_at
+        self.windows().done_at()
     }
 
     /// Polls the scheduler at simulated time `now`: retires finished parts
     /// and reports what is still in flight.
     pub fn poll(&self, now: Duration) -> UploadStatus {
-        let mut s = self.state.lock().unwrap();
-        for w in &mut s.windows {
-            while matches!(w.peek(), Some(&Reverse(t)) if t <= now) {
-                w.pop();
-            }
-        }
+        let mut w = self.windows();
         UploadStatus {
-            in_flight_parts: s.windows.iter().map(|w| w.len()).sum(),
-            durable_at: s.durable_at,
-            parts_uploaded: s.parts_uploaded,
-            backpressure_stalls: s.backpressure_stalls,
+            in_flight_parts: w.poll(now),
+            durable_at: w.done_at(),
+            parts_uploaded: w.transfers(),
+            backpressure_stalls: w.backpressure_stalls(),
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Per-host shard writers (§4.4 step 3).
 //!
-//! A [`ShardWriter`] is one simulated writer host's side of a checkpoint:
+//! A `ShardWriter` is one simulated writer host's side of a checkpoint:
 //! it quantizes a chunk of the host's row-range — reading the rows where
 //! they already are, in the snapshot — and streams it to the store through
-//! the [`UploadScheduler`](super::scheduler::UploadScheduler), over the
+//! the [`UploadScheduler`], over the
 //! host's own uplink. A host can also be *killed* mid-upload
 //! (failure injection): it aborts the chunk it was transferring, and the
-//! coordinator ([`crate::hosts`]) re-shards every chunk it never finished
+//! coordinator (`crate::hosts`) re-shards every chunk it never finished
 //! onto the surviving hosts. Chunks the dead host had already completed
 //! become orphaned objects — the controller's orphan sweep reclaims them
 //! when the next checkpoint registers.
@@ -116,7 +116,9 @@ pub fn encode_chunk(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -
 mod tests {
     use super::*;
     use crate::error::CnrError;
-    use crate::manifest::{ChunkPayload, FlatChunk};
+    use crate::manifest::{open_frame, ChunkHeader, ChunkPayload};
+    use cnr_quant::codec::decode_body_to;
+    use cnr_storage::envelope::Verified;
 
     fn schemes() -> Vec<QuantScheme> {
         vec![
@@ -125,7 +127,6 @@ mod tests {
             QuantScheme::Symmetric { bits: 8 },
             QuantScheme::Asymmetric { bits: 4 },
             QuantScheme::Asymmetric { bits: 3 },
-            QuantScheme::KMeans { bits: 2 },
             QuantScheme::recommended_for_bits(2),
             QuantScheme::recommended_for_bits(4),
         ]
@@ -185,6 +186,21 @@ mod tests {
         }
     }
 
+    /// What a restore does with a stored chunk: verify the envelope, open
+    /// the frame, de-quantize every row out of the stored bytes into the
+    /// memory it is given.
+    fn decode_in_place(bytes: &[u8]) -> Result<(ChunkHeader, Vec<f32>)> {
+        let object = Verified::check(Bytes::copy_from_slice(bytes))?;
+        let header = open_frame(object.payload())?;
+        let opened = header.over(object.payload());
+        let ctx = header.rows;
+        let mut values = vec![0.0; header.row_indices.len() * ctx.dim as usize];
+        for (k, row) in values.chunks_mut(ctx.dim.max(1) as usize).enumerate() {
+            decode_body_to(&mut opened.body(k), ctx.tag, ctx.bits, row)?;
+        }
+        Ok((header, values))
+    }
+
     #[test]
     fn flat_decode_equals_row_object_decode_and_dequantize() {
         for scheme in schemes() {
@@ -193,7 +209,7 @@ mod tests {
                     let (item, table) = item(rows, dim, with_acc);
                     let bytes = encode_chunk(&item, &table, &scheme);
                     let rows_decoded = ChunkPayload::decode(&bytes).unwrap();
-                    let flat = FlatChunk::decode(&bytes).unwrap();
+                    let (flat, values) = decode_in_place(&bytes).unwrap();
                     assert_eq!(flat.table, rows_decoded.table);
                     assert_eq!(flat.row_indices, rows_decoded.row_indices);
                     assert_eq!(flat.optimizer_state, rows_decoded.optimizer_state);
@@ -203,7 +219,7 @@ mod tests {
                         .flat_map(|r| r.dequantize())
                         .map(f32::to_bits)
                         .collect();
-                    let got: Vec<u32> = flat.values.iter().map(|v| v.to_bits()).collect();
+                    let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "{scheme}, acc {with_acc}, {rows}x{dim}");
                 }
             }
@@ -218,7 +234,7 @@ mod tests {
         for scheme in [QuantScheme::Fp32, QuantScheme::recommended_for_bits(4)] {
             let (item, table) = item(6, 8, true);
             let bytes = encode_chunk(&item, &table, &scheme);
-            let clean = FlatChunk::decode(&bytes).unwrap();
+            let (_, clean) = decode_in_place(&bytes).unwrap();
             for cut in 0..bytes.len() {
                 assert!(
                     matches!(
@@ -228,7 +244,7 @@ mod tests {
                     "oracle accepted a truncation to {cut}"
                 );
                 assert!(
-                    matches!(FlatChunk::decode(&bytes[..cut]), Err(CnrError::Corrupt(_))),
+                    matches!(decode_in_place(&bytes[..cut]), Err(CnrError::Corrupt(_))),
                     "{scheme}: truncation to {cut} bytes not rejected as corrupt"
                 );
             }
@@ -236,9 +252,9 @@ mod tests {
                 for bit in 0..8 {
                     let mut bad = bytes.clone();
                     bad[byte] ^= 1 << bit;
-                    match (ChunkPayload::decode(&bad), FlatChunk::decode(&bad)) {
+                    match (ChunkPayload::decode(&bad), decode_in_place(&bad)) {
                         (Err(CnrError::Corrupt(_)), Err(CnrError::Corrupt(_))) => {}
-                        (Ok(_), Ok(flat)) => assert_eq!(flat, clean),
+                        (Ok(_), Ok((_, values))) => assert_eq!(values, clean),
                         (a, b) => panic!(
                             "{scheme}: flip at byte {byte} bit {bit}: oracle {:?}, in-place {:?}",
                             a.map(|_| ()),

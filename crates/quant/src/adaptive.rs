@@ -47,7 +47,7 @@ pub struct AdaptiveRange {
 /// the original range the search may consume (paper §5.2).
 ///
 /// A trial never materializes codes or a de-quantized row: it is one pass
-/// of [`l2_errors`] over the row, both trials of a greedy step share that
+/// of `kernel::l2_errors` over the row, both trials of a greedy step share that
 /// pass, and the pass also yields the clip bound that ends the search
 /// early. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {

@@ -14,12 +14,17 @@
 //! +-----+------+--------+----------------------+------------------+
 //! tag 0 = fp32      params: none                payload: dim * 4 bytes
 //! tag 1 = uniform   params: scale, zero_point   payload: packed codes
-//! tag 2 = codebook  params: u16 len + f32 * len payload: packed codes
+//! tag 3 = fp16      params: none                payload: dim * 2 bytes
 //! ```
+//!
+//! Tag 2 was a per-row k-means codebook. It is retired: nothing writes it
+//! and a stored one is [`CodecError::BadTag`]. With it went the only
+//! variable-length parameter block, so a row body's length is a function
+//! of the chunk-level context alone ([`body_len`]).
 
 use crate::bitpack::packed_len;
-use crate::kernel::{dequantize_payload, dequantize_payload_to, put_f32s_le};
-use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
+use crate::kernel::{dequantize_payload_to, put_f32s_le};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use bytes::{Buf, BufMut};
 
 /// Errors from decoding a serialized row.
@@ -78,8 +83,11 @@ impl QuantizedRow {
     ///
     /// Panics when the payload is shorter than `dim` values.
     pub fn dequantize(&self) -> Vec<f32> {
+        // Not `vec![0.0; dim]`: that is a `calloc`, which for a row-sized
+        // buffer measured ~5 ns slower than `malloc` and an inline fill.
         let mut out = Vec::with_capacity(self.dim);
-        dequantize_payload(&self.params, &self.payload, self.bits, self.dim, &mut out);
+        out.resize(self.dim, 0.0);
+        dequantize_payload_to(&self.params, &self.payload, self.bits, &mut out);
         out
     }
 
@@ -115,7 +123,7 @@ impl QuantizedRow {
 
     /// Serialized size of the body encoding (no per-row header).
     pub fn body_byte_size(&self) -> usize {
-        self.params.encoded_len() + self.payload.len()
+        self.params.byte_size() + self.payload.len()
     }
 
     /// Decodes a row body given chunk-level `(kind_tag, bits, dim)` context.
@@ -146,30 +154,14 @@ impl QuantizedRow {
     }
 }
 
-/// Decodes a row body given chunk-level `(kind_tag, bits, dim)` context
-/// and appends its `dim` de-quantized values to `out`: parameters are read
-/// and the packed codes unpacked and scaled from the borrowed bytes, with
-/// no [`QuantizedRow`] in between. Equal, bit for bit, to
-/// [`QuantizedRow::decode_body_from`] followed by
-/// [`QuantizedRow::dequantize`].
-pub fn decode_body_into(
-    buf: &mut &[u8],
-    kind_tag: u8,
-    bits: u8,
-    dim: usize,
-    out: &mut Vec<f32>,
-) -> Result<(), CodecError> {
-    let (params, payload) = split_body(buf, kind_tag, bits, dim)?;
-    dequantize_payload(&params, payload, bits, dim, out);
-    Ok(())
-}
-
-/// [`decode_body_into`] with the destination chosen by the caller: the
-/// row's `out.len()` values are de-quantized from the borrowed bytes
-/// straight into `out` — a restore passes the row's slice of the model's
-/// own table, so no buffer stands between the stored bytes and the
-/// weights. Same bits as [`decode_body_into`]; on `Err` nothing was
-/// written.
+/// Decodes a row body given chunk-level `(kind_tag, bits)` context into
+/// the destination the caller chose: parameters are read and the packed
+/// codes unpacked and scaled from the borrowed bytes, with no
+/// [`QuantizedRow`] in between, and the row's `out.len()` values land
+/// straight in `out` — a restore passes the row's slice of the model's own
+/// table, so no buffer stands between the stored bytes and the weights.
+/// Equal, bit for bit, to [`QuantizedRow::decode_body_from`] followed by
+/// [`QuantizedRow::dequantize`]; on `Err` nothing was written.
 pub fn decode_body_to(
     buf: &mut &[u8],
     kind_tag: u8,
@@ -181,75 +173,47 @@ pub fn decode_body_to(
     Ok(())
 }
 
-/// Validates one row body against the chunk-level context and advances
-/// `buf` past it without de-quantizing anything: accepts exactly what
-/// [`decode_body_into`] accepts. For a reader that keeps bodies encoded
-/// and wants malformed input rejected where it enters.
-pub fn skip_body(buf: &mut &[u8], kind_tag: u8, bits: u8, dim: usize) -> Result<(), CodecError> {
-    split_body(buf, kind_tag, bits, dim).map(|_| ())
+/// Bytes of one row body — parameters, then payload — under the chunk-level
+/// context `(kind_tag, bits, dim)`, or why that context names no encoding.
+/// The length depends on nothing else, so row `k` of a chunk's
+/// back-to-back bodies starts at `k * body_len`, and a reader that keeps
+/// bodies encoded validates them all with one multiplication: `n` bodies
+/// are well-formed iff the context is and `n * body_len` bytes are there
+/// (exactly what [`decode_body_to`] accepts, row by row).
+pub fn body_len(kind_tag: u8, bits: u8, dim: usize) -> Result<usize, CodecError> {
+    match kind_tag {
+        TAG_FP32 if bits == 32 => Ok(dim * 4),
+        TAG_FP16 if bits == 16 => Ok(packed_len(dim, 16)),
+        TAG_UNIFORM if (1..=16).contains(&bits) => Ok(8 + packed_len(dim, bits)),
+        TAG_FP32 | TAG_FP16 | TAG_UNIFORM => Err(CodecError::BadBits(bits)),
+        t => Err(CodecError::BadTag(t)),
+    }
 }
 
-/// Validates the chunk-level context, reads one row's parameters off the
-/// front of `buf` and splits off its payload, advancing `buf` past the
-/// row. The payload is borrowed; only a codebook allocates.
+/// Validates the chunk-level context, splits one row body off the front of
+/// `buf` (advancing it past the row) and reads the row's parameters. The
+/// payload is borrowed; nothing allocates.
 fn split_body<'a>(
     buf: &mut &'a [u8],
     kind_tag: u8,
     bits: u8,
     dim: usize,
 ) -> Result<(QuantParams, &'a [u8]), CodecError> {
-    let (params, payload_len) = match kind_tag {
-        TAG_FP32 => {
-            if bits != 32 {
-                return Err(CodecError::BadBits(bits));
-            }
-            (QuantParams::Fp32, dim * 4)
-        }
-        TAG_UNIFORM => {
-            if !(1..=16).contains(&bits) {
-                return Err(CodecError::BadBits(bits));
-            }
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let scale = buf.get_f32_le();
-            let zero_point = buf.get_f32_le();
-            (
-                QuantParams::Uniform { scale, zero_point },
-                packed_len(dim, bits),
-            )
-        }
-        TAG_CODEBOOK => {
-            if !(1..=16).contains(&bits) {
-                return Err(CodecError::BadBits(bits));
-            }
-            if buf.remaining() < 2 {
-                return Err(CodecError::Truncated);
-            }
-            let n = buf.get_u16_le() as usize;
-            if buf.remaining() < n * 4 {
-                return Err(CodecError::Truncated);
-            }
-            let mut cb = Vec::with_capacity(n);
-            for _ in 0..n {
-                cb.push(buf.get_f32_le());
-            }
-            (QuantParams::Codebook(cb), packed_len(dim, bits))
-        }
-        TAG_FP16 => {
-            if bits != 16 {
-                return Err(CodecError::BadBits(bits));
-            }
-            (QuantParams::Fp16, packed_len(dim, 16))
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    if buf.remaining() < payload_len {
+    let len = body_len(kind_tag, bits, dim)?;
+    if buf.remaining() < len {
         return Err(CodecError::Truncated);
     }
-    let (payload, rest) = buf.split_at(payload_len);
+    let (mut body, rest) = buf.split_at(len);
     *buf = rest;
-    Ok((params, payload))
+    let params = match kind_tag {
+        TAG_FP32 => QuantParams::Fp32,
+        TAG_FP16 => QuantParams::Fp16,
+        _ => QuantParams::Uniform {
+            scale: body.get_f32_le(),
+            zero_point: body.get_f32_le(),
+        },
+    };
+    Ok((params, body))
 }
 
 #[cfg(test)]
@@ -289,13 +253,52 @@ mod tests {
         }
     }
 
+    /// Tag 2 was the k-means codebook row. A stored one is rejected by
+    /// number at the one place a row body is parsed — whichever entry point
+    /// reached it — and nothing is read past the context.
     #[test]
-    fn codebook_roundtrip() {
+    fn a_stored_codebook_row_is_a_bad_tag() {
+        // What the retired encoder wrote for a 2-bit, 4-element row: the
+        // context, a length-prefixed 4-entry codebook, one byte of codes.
+        let mut stored = vec![2u8, 2, 4, 0, 4, 0];
+        stored.extend((0..4).flat_map(|i| (i as f32).to_le_bytes()));
+        stored.push(0b1110_0100);
+        assert_eq!(
+            QuantizedRow::decode_from(&mut stored.as_slice()),
+            Err(CodecError::BadTag(2))
+        );
+        let body = &stored[ROW_HEADER_LEN..];
+        assert_eq!(body_len(2, 2, 4), Err(CodecError::BadTag(2)));
+        let mut out = [0.0f32; 4];
+        assert_eq!(
+            decode_body_to(&mut &body[..], 2, 2, &mut out),
+            Err(CodecError::BadTag(2))
+        );
+        assert_eq!(out, [0.0; 4], "nothing written");
+        assert_eq!(CodecError::BadTag(2).to_string(), "unknown row tag 2");
+    }
+
+    #[test]
+    fn body_len_is_what_a_row_encodes_to() {
         let row = sample_row();
-        let q = QuantScheme::KMeans { bits: 3 }.quantize_row(&row);
-        let back = roundtrip(&q);
-        assert_eq!(back, q);
-        assert_eq!(back.dequantize(), q.dequantize());
+        for scheme in [
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Symmetric { bits: 3 },
+            QuantScheme::Asymmetric { bits: 4 },
+            QuantScheme::recommended_for_bits(2),
+        ] {
+            let q = scheme.quantize_row(&row);
+            assert_eq!(
+                body_len(q.kind_tag(), q.bits, q.dim),
+                Ok(q.body_byte_size()),
+                "{scheme}"
+            );
+        }
+        assert_eq!(body_len(0, 8, 4), Err(CodecError::BadBits(8)));
+        assert_eq!(body_len(1, 0, 4), Err(CodecError::BadBits(0)));
+        assert_eq!(body_len(1, 17, 4), Err(CodecError::BadBits(17)));
+        assert_eq!(body_len(3, 8, 4), Err(CodecError::BadBits(8)));
     }
 
     #[test]
@@ -389,7 +392,6 @@ mod tests {
             QuantScheme::Fp16,
             QuantScheme::Asymmetric { bits: 2 },
             QuantScheme::Asymmetric { bits: 4 },
-            QuantScheme::KMeans { bits: 3 },
         ] {
             let q = scheme.quantize_row(&row);
             let mut buf = Vec::new();

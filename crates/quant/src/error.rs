@@ -41,25 +41,6 @@ pub fn mean_l2_error<S: RowSource + ?Sized>(source: &S, scheme: &QuantScheme) ->
     total / n as f64
 }
 
-/// Mean ℓ2 error over an explicit subset of row indices (used by the
-/// sampling-based parameter selection of §5.2).
-pub fn mean_l2_error_of_rows<S: RowSource + ?Sized>(
-    source: &S,
-    rows: &[usize],
-    scheme: &QuantScheme,
-) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0f64;
-    for &i in rows {
-        let row = source.row(i);
-        let q = scheme.quantize_row(row);
-        total += row_l2_error(row, &q.dequantize());
-    }
-    total / rows.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,27 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn subset_error_matches_full_when_all_rows_listed() {
-        let rows = FlatRows::new(
-            (0..32).map(|i| (i as f32 * 0.61).cos() * 0.2).collect(),
-            4,
-        );
-        let scheme = QuantScheme::Asymmetric { bits: 3 };
-        let all: Vec<usize> = (0..rows.num_rows()).collect();
-        let full = mean_l2_error(&rows, &scheme);
-        let subset = mean_l2_error_of_rows(&rows, &all, &scheme);
-        assert!((full - subset).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_source_reports_zero() {
         let rows = FlatRows::new(vec![], 4);
         assert_eq!(
             mean_l2_error(&rows, &QuantScheme::Asymmetric { bits: 4 }),
-            0.0
-        );
-        assert_eq!(
-            mean_l2_error_of_rows(&rows, &[], &QuantScheme::Asymmetric { bits: 4 }),
             0.0
         );
     }

@@ -5,8 +5,7 @@
 //! the public row objects ([`crate::QuantizedRow`], [`crate::uniform`],
 //! [`crate::adaptive`]) and the chunk-level byte paths
 //! ([`crate::QuantScheme::quantize_row_into`],
-//! [`crate::codec::decode_body_to`], [`crate::codec::decode_body_into`])
-//! are thin callers of these loops, so what a checkpoint stores and what
+//! [`crate::codec::decode_body_to`]) are thin callers of these loops, so what a checkpoint stores and what
 //! the public codec computes cannot drift apart.
 //!
 //! The kernels allocate nothing and are written so the compiler can
@@ -300,33 +299,6 @@ pub(crate) fn dequantize_payload_to(
     }
 }
 
-/// [`dequantize_payload_to`] onto the end of `out`, for callers that
-/// collect rows in a buffer of their own ([`crate::QuantizedRow::dequantize`],
-/// [`crate::codec::decode_body_into`]). Raw fp32 rows are appended
-/// directly, so the widest payload is still written once.
-///
-/// Panics when `payload` is too short for `n` values.
-pub(crate) fn dequantize_payload(
-    params: &QuantParams,
-    payload: &[u8],
-    bits: u8,
-    n: usize,
-    out: &mut Vec<f32>,
-) {
-    if matches!(params, QuantParams::Fp32) {
-        assert!(payload.len() >= n * 4, "payload shorter than declared dim");
-        out.extend(
-            payload[..n * 4]
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        return;
-    }
-    let start = out.len();
-    out.resize(start + n, 0.0);
-    dequantize_payload_to(params, payload, bits, &mut out[start..]);
-}
-
 /// Appends `values` as little-endian bytes.
 pub(crate) fn put_f32s_le(values: &[f32], out: &mut Vec<u8>) {
     let start = out.len();
@@ -385,10 +357,9 @@ mod tests {
         let mut buf = vec![0xAA];
         put_f32s_le(&values, &mut buf);
         assert_eq!(buf.len(), 1 + values.len() * 4);
-        let mut back = vec![9.0f32];
-        dequantize_payload(&QuantParams::Fp32, &buf[1..], 32, values.len(), &mut back);
-        assert_eq!(back[0], 9.0, "values are appended");
-        for (a, b) in values.iter().zip(&back[1..]) {
+        let mut back = [9.0f32; 6];
+        dequantize_payload_to(&QuantParams::Fp32, &buf[1..], 32, &mut back);
+        for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -2,22 +2,29 @@
 //!
 //! Implements §5.2 of the Check-N-Run paper: quantization applied *only to
 //! checkpoints* (training stays FP32), evaluated by the mean ℓ2 error between
-//! original and de-quantized embedding vectors. Four schemes, exactly as the
-//! paper compares them in Figure 9:
+//! original and de-quantized embedding vectors. The schemes a checkpoint can
+//! be stored in, with the paper's Figure 9 verdict on each:
 //!
 //! | scheme | paper verdict |
 //! |---|---|
 //! | uniform symmetric | worst — embedding values are not symmetric |
 //! | uniform asymmetric | good, cheap; used for 8-bit |
-//! | k-means (non-uniform) | marginally best ℓ2, orders of magnitude too slow |
 //! | adaptive asymmetric | ≈ k-means quality at feasible cost; default ≤4 bits |
 //!
-//! The adaptive scheme is a greedy range-shrinking search ([`adaptive`])
-//! parameterized by `num_bins` and `ratio` (Figures 10–13), with parameters
-//! auto-selected on a tiny uniform sample of the checkpoint ([`select`]).
+//! The fourth scheme of Figure 9, non-uniform k-means, is marginally best
+//! on ℓ2 and orders of magnitude too slow; the paper rejects it, and so
+//! does the wire format: it is not a [`QuantScheme`] and no stored row
+//! carries a codebook. It survives as the Fig. 9–11 baseline in
+//! `cnr_bench`.
 //!
-//! Quantized rows serialize to a compact self-describing byte format
-//! ([`codec`]) used by the chunked checkpoint writer in `cnr-core`.
+//! The adaptive scheme is a greedy range-shrinking search ([`adaptive`])
+//! parameterized by `num_bins` and `ratio` (Figures 10–13); the engine runs
+//! it at the paper's fixed optima ([`QuantScheme::recommended_for_bits`]).
+//!
+//! Quantized rows serialize to a compact byte format ([`codec`]) used by
+//! the chunked checkpoint writer in `cnr-core`. Every scheme's row body has
+//! a fixed length given the chunk-level context ([`codec::body_len`]), so
+//! row `k` of a stored chunk is found by arithmetic.
 
 #![forbid(unsafe_code)]
 
@@ -27,23 +34,19 @@ pub mod codec;
 pub mod error;
 pub mod half;
 mod kernel;
-pub mod kmeans;
 pub mod params;
 pub mod scheme;
 #[cfg(test)]
 mod reference;
-pub mod select;
 pub mod uniform;
 
 pub use codec::QuantizedRow;
-pub use error::{mean_l2_error, mean_l2_error_of_rows, row_l2_error};
+pub use error::{mean_l2_error, row_l2_error};
 pub use params::QuantParams;
 pub use scheme::QuantScheme;
-pub use select::{AdaptiveParams, ParamSelector, SelectionReport};
 
-/// Source of embedding rows for whole-checkpoint operations (error metrics,
-/// parameter selection). Implemented by `cnr-model`'s tables via an adapter
-/// in `cnr-core`, and by [`FlatRows`] for tests and benches.
+/// Source of embedding rows for whole-checkpoint error metrics. Implemented
+/// by [`FlatRows`] for figures, tests and benches.
 pub trait RowSource {
     /// Number of rows available.
     fn num_rows(&self) -> usize;

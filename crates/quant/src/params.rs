@@ -1,24 +1,27 @@
 //! Quantization parameters stored alongside each quantized vector.
 //!
 //! The paper's asymmetric schemes keep `(xmin, xmax)` per embedding vector
-//! (§5.2, "the small additional overhead of storing both xmin, xmax");
-//! k-means keeps a full codebook. These parameters are exactly the metadata
-//! the paper blames for savings being "not linearly proportional to the
-//! chosen quantization bit-width" (§6.3.2), so this module also exposes
-//! [`QuantParams::byte_size`] for faithful size accounting.
+//! (§5.2, "the small additional overhead of storing both xmin, xmax").
+//! These parameters are exactly the metadata the paper blames for savings
+//! being "not linearly proportional to the chosen quantization bit-width"
+//! (§6.3.2), so this module also exposes [`QuantParams::byte_size`] for
+//! faithful size accounting. Every kind has a fixed size: no stored row
+//! carries a variable-length parameter block (the k-means codebook the
+//! paper evaluates and rejects is a figure baseline in `cnr_bench`, not a
+//! stored form).
 
 use crate::kernel::{levels_for, Grid};
 use bytes::BufMut;
 
 /// Tag bytes naming the parameter kind in serialized rows and chunks
-/// ([`QuantParams::kind_tag`]).
+/// ([`QuantParams::kind_tag`]). Tag 2 once named a per-row k-means codebook;
+/// it is retired, never reassigned, and a stored one is rejected by number.
 pub(crate) const TAG_FP32: u8 = 0;
 pub(crate) const TAG_UNIFORM: u8 = 1;
-pub(crate) const TAG_CODEBOOK: u8 = 2;
 pub(crate) const TAG_FP16: u8 = 3;
 
 /// Per-vector quantization parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantParams {
     /// No quantization; codes are raw little-endian f32 bytes.
     Fp32,
@@ -31,8 +34,6 @@ pub enum QuantParams {
         /// Value represented by code 0 (the paper defines it as `xmin`).
         zero_point: f32,
     },
-    /// Non-uniform quantization: `x ≈ codebook[code]`.
-    Codebook(Vec<f32>),
 }
 
 impl QuantParams {
@@ -45,7 +46,6 @@ impl QuantParams {
             }
             QuantParams::Fp16 => crate::half::f16_bits_to_f32(code),
             QuantParams::Uniform { scale, zero_point } => scale * code as f32 + zero_point,
-            QuantParams::Codebook(cb) => cb[code as usize],
         }
     }
 
@@ -54,7 +54,6 @@ impl QuantParams {
         match self {
             QuantParams::Fp32 => TAG_FP32,
             QuantParams::Uniform { .. } => TAG_UNIFORM,
-            QuantParams::Codebook(_) => TAG_CODEBOOK,
             QuantParams::Fp16 => TAG_FP16,
         }
     }
@@ -74,47 +73,27 @@ impl QuantParams {
             QuantParams::Uniform { scale, zero_point } => {
                 pairs.for_each(|(o, &c)| *o = scale * c as f32 + zero_point)
             }
-            QuantParams::Codebook(cb) => pairs.for_each(|(o, &c)| *o = cb[c as usize]),
         }
     }
 
-    /// [`Self::dequantize_codes_to`] onto the end of `out`.
-    pub fn dequantize_codes(&self, codes: &[u16], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.resize(start + codes.len(), 0.0);
-        self.dequantize_codes_to(codes, &mut out[start..]);
-    }
-
     /// Serialized size of the parameters in bytes (the metadata overhead the
-    /// paper discusses in §6.3.2).
+    /// paper discusses in §6.3.2): the bytes a row body stores ahead of its
+    /// packed codes.
     pub fn byte_size(&self) -> usize {
         match self {
             QuantParams::Fp32 | QuantParams::Fp16 => 0,
             QuantParams::Uniform { .. } => 8, // scale + zero_point
-            QuantParams::Codebook(cb) => 4 * cb.len(),
-        }
-    }
-
-    /// Bytes [`Self::encode_into`] appends.
-    pub(crate) fn encoded_len(&self) -> usize {
-        match self {
-            QuantParams::Codebook(cb) => 2 + 4 * cb.len(),
-            other => other.byte_size(),
         }
     }
 
     /// Appends the parameters as a row body stores them, ahead of the
-    /// packed codes (a codebook is length-prefixed).
+    /// packed codes.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             QuantParams::Fp32 | QuantParams::Fp16 => {}
             QuantParams::Uniform { scale, zero_point } => {
                 buf.put_f32_le(*scale);
                 buf.put_f32_le(*zero_point);
-            }
-            QuantParams::Codebook(cb) => {
-                buf.put_u16_le(cb.len() as u16);
-                crate::kernel::put_f32s_le(cb, buf);
             }
         }
     }
@@ -201,13 +180,6 @@ mod tests {
                 scale / 2.0
             );
         }
-    }
-
-    #[test]
-    fn codebook_dequantize() {
-        let p = QuantParams::Codebook(vec![-1.0, 0.0, 2.5, 7.0]);
-        assert_eq!(p.dequantize_code(2), 2.5);
-        assert_eq!(p.byte_size(), 16);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::codec::QuantizedRow;
 use crate::error::row_l2_error;
-use crate::kmeans::{quantize_kmeans, DEFAULT_ITERS};
 use crate::params::QuantParams;
 use crate::scheme::QuantScheme;
 
@@ -219,10 +218,6 @@ pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
             let (codes, params) = quantize_with_range(row, xmin, xmax, bits);
             from_codes(codes, params, bits)
         }
-        QuantScheme::KMeans { bits } => {
-            let (codes, params) = quantize_kmeans(row, bits, DEFAULT_ITERS);
-            from_codes(codes, params, bits)
-        }
         QuantScheme::AdaptiveAsymmetric {
             bits,
             num_bins,
@@ -254,7 +249,7 @@ mod tests {
     use super::*;
     use crate::adaptive;
     use crate::bitpack;
-    use crate::codec::{decode_body_into, decode_body_to};
+    use crate::codec::decode_body_to;
     use proptest::prelude::*;
 
     /// One generated row: ordinary values with the shapes that break
@@ -335,7 +330,7 @@ mod tests {
     proptest! {
         /// `quantize_row_into` == reference quantize + `encode_body_into`,
         /// `quantize_row` == reference row, flat and in-place decode ==
-        /// reference `dequantize`, bit for bit, for every scheme but k-means.
+        /// reference `dequantize`, bit for bit, for every scheme.
         #[test]
         fn fused_rows_equal_reference_rows(
             dim in 1usize..=130,
@@ -371,11 +366,6 @@ mod tests {
 
             let want_values = dequantize(&want);
             prop_assert_eq!(bits_of(&got.dequantize()), bits_of(&want_values), "{} dequantize", scheme);
-            let mut flat = vec![f32::NAN];
-            let mut cursor = &want_body[..];
-            decode_body_into(&mut cursor, want.kind_tag(), want.bits, dim, &mut flat).unwrap();
-            prop_assert!(cursor.is_empty());
-            prop_assert_eq!(bits_of(&flat[1..]), bits_of(&want_values), "{} flat decode", scheme);
             // Into a caller's slice: every element overwritten, none beside it.
             let mut placed = vec![f32::NAN; dim + 2];
             let mut cursor = &want_body[..];

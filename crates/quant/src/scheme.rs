@@ -5,12 +5,11 @@
 //! and the chunked writer applies it row by row.
 
 use crate::adaptive::search_range;
-use crate::bitpack::{pack_into, packed_len};
+use crate::bitpack::packed_len;
 use crate::codec::{QuantizedRow, ROW_HEADER_LEN};
 use crate::half::f32_to_f16_bits;
 use crate::kernel::{put_f32s_le, quantize_pack_into, Grid};
-use crate::kmeans::{quantize_kmeans, DEFAULT_ITERS};
-use crate::params::{QuantParams, TAG_CODEBOOK, TAG_FP16, TAG_FP32, TAG_UNIFORM};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use crate::uniform::{max_abs, min_max};
 
 /// A quantization scheme with its parameters.
@@ -28,11 +27,6 @@ pub enum QuantScheme {
     /// Uniform asymmetric (§5.2 Approach 1, the 8-bit default).
     Asymmetric {
         /// Code width in bits (1..=8).
-        bits: u8,
-    },
-    /// K-means non-uniform (§5.2 Approach 2; quality yardstick only).
-    KMeans {
-        /// Code width in bits (1..=8); the codebook has `2^bits` entries.
         bits: u8,
     },
     /// Adaptive asymmetric (§5.2 Approach 3, default for ≤4 bits).
@@ -77,7 +71,6 @@ impl QuantScheme {
             QuantScheme::Fp16 => 16,
             QuantScheme::Symmetric { bits }
             | QuantScheme::Asymmetric { bits }
-            | QuantScheme::KMeans { bits }
             | QuantScheme::AdaptiveAsymmetric { bits, .. } => *bits,
         }
     }
@@ -89,7 +82,6 @@ impl QuantScheme {
             QuantScheme::Fp16 => "fp16",
             QuantScheme::Symmetric { .. } => "symmetric",
             QuantScheme::Asymmetric { .. } => "asymmetric",
-            QuantScheme::KMeans { .. } => "kmeans",
             QuantScheme::AdaptiveAsymmetric { .. } => "adaptive-asymmetric",
         }
     }
@@ -101,7 +93,6 @@ impl QuantScheme {
         match self {
             QuantScheme::Fp32 => TAG_FP32,
             QuantScheme::Fp16 => TAG_FP16,
-            QuantScheme::KMeans { .. } => TAG_CODEBOOK,
             QuantScheme::Symmetric { .. }
             | QuantScheme::Asymmetric { .. }
             | QuantScheme::AdaptiveAsymmetric { .. } => TAG_UNIFORM,
@@ -124,8 +115,7 @@ impl QuantScheme {
     /// Quantizes one embedding row and appends its body encoding — the
     /// parameters, then the packed codes — straight to `out`: the bytes
     /// `self.quantize_row(row).encode_body_into(out)` appends, without the
-    /// row object or any other allocation in between (k-means excepted,
-    /// whose clustering allocates).
+    /// row object or any other allocation in between.
     pub fn quantize_row_into(&self, row: &[f32], out: &mut Vec<u8>) {
         self.quantize(row, out, true);
     }
@@ -142,14 +132,6 @@ impl QuantScheme {
             QuantScheme::Fp16 => {
                 out.extend(row.iter().flat_map(|&x| f32_to_f16_bits(x).to_le_bytes()));
                 return QuantParams::Fp16;
-            }
-            QuantScheme::KMeans { bits } => {
-                let (codes, params) = quantize_kmeans(row, bits, DEFAULT_ITERS);
-                if inline_params {
-                    params.encode_into(out);
-                }
-                pack_into(&codes, bits, out);
-                return params;
             }
             QuantScheme::Symmetric { bits } => {
                 let xmax = max_abs(row);
@@ -194,7 +176,6 @@ impl QuantScheme {
             QuantScheme::Symmetric { .. }
             | QuantScheme::Asymmetric { .. }
             | QuantScheme::AdaptiveAsymmetric { .. } => 8,
-            QuantScheme::KMeans { bits } => 2 + 4 * (1usize << bits),
         };
         params + self.payload_len(dim)
     }
@@ -214,7 +195,6 @@ impl std::fmt::Display for QuantScheme {
             QuantScheme::Fp16 => write!(f, "fp16"),
             QuantScheme::Symmetric { bits } => write!(f, "symmetric-{bits}bit"),
             QuantScheme::Asymmetric { bits } => write!(f, "asymmetric-{bits}bit"),
-            QuantScheme::KMeans { bits } => write!(f, "kmeans-{bits}bit"),
             QuantScheme::AdaptiveAsymmetric {
                 bits,
                 num_bins,
@@ -240,7 +220,6 @@ mod tests {
             QuantScheme::Fp32,
             QuantScheme::Symmetric { bits: 8 },
             QuantScheme::Asymmetric { bits: 8 },
-            QuantScheme::KMeans { bits: 8 },
             QuantScheme::AdaptiveAsymmetric {
                 bits: 8,
                 num_bins: 10,
@@ -314,8 +293,6 @@ mod tests {
             QuantScheme::Asymmetric { bits: 1 },
             QuantScheme::Asymmetric { bits: 8 },
             QuantScheme::Asymmetric { bits: 16 },
-            QuantScheme::KMeans { bits: 2 },
-            QuantScheme::KMeans { bits: 4 },
             QuantScheme::recommended_for_bits(2),
             QuantScheme::recommended_for_bits(4),
         ];

@@ -114,8 +114,8 @@ pub fn min_max(row: &[f32]) -> (f32, f32) {
 
 /// De-quantizes codes produced by any uniform scheme.
 pub fn dequantize(codes: &[u16], params: &QuantParams) -> Vec<f32> {
-    let mut out = Vec::with_capacity(codes.len());
-    params.dequantize_codes(codes, &mut out);
+    let mut out = vec![0.0; codes.len()];
+    params.dequantize_codes_to(codes, &mut out);
     out
 }
 

@@ -276,8 +276,8 @@ pub fn open(buf: &[u8]) -> Result<&[u8]> {
 /// is [`Verified::check`], so a decoder that takes a `&Verified` (the
 /// fetch scheduler hands these out) can go straight to the payload
 /// without running the CRC a second time, and cannot be handed bytes
-/// nobody checked.
-#[derive(Debug)]
+/// nobody checked. Cloning shares the bytes, and the proof with them.
+#[derive(Debug, Clone)]
 pub struct Verified {
     object: Bytes,
 }

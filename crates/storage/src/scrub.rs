@@ -48,8 +48,8 @@ pub struct ScrubReport {
 }
 
 impl ScrubReport {
-    /// The report as plain-count findings for the cluster-level scrub log
-    /// ([`cnr_cluster::scrub::ScrubScheduler`]).
+    /// The report as plain counts ([`cnr_cluster::ScrubFindings`]): what a
+    /// run's statistics keep of a sweep.
     pub fn findings(&self) -> cnr_cluster::ScrubFindings {
         cnr_cluster::ScrubFindings {
             scanned: self.scanned,

@@ -10,7 +10,7 @@
 //!
 //! A WAL **segment** is a bare concatenation of **frames**. Each frame is a
 //! standard v4 envelope ([`crate::envelope`]) carrying
-//! [`FLAG_WAL_FRAME`](crate::envelope::FLAG_WAL_FRAME), whose payload is:
+//! [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
 //!
 //! ```text
 //! [record_seq: u64 LE][application payload ...]

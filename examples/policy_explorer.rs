@@ -84,7 +84,7 @@ fn main() {
     );
     run(
         PolicyKind::Intermittent,
-        QuantMode::Fixed(QuantScheme::KMeans { bits: 4 }),
-        "intermittent+kmeans4",
+        QuantMode::Fixed(QuantScheme::Asymmetric { bits: 4 }),
+        "intermittent+asymmetric4",
     );
 }

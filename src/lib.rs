@@ -56,7 +56,7 @@ pub use cnr_workload as workload;
 pub mod prelude {
     pub use cnr_cluster::clock::SimClock;
     pub use cnr_cluster::failure::{FailureModel, HostKill};
-    pub use cnr_cluster::recovery::{RecoveryCoordinator, RestorePoint, ResumeBreakdown};
+    pub use cnr_cluster::recovery::{RestorePoint, ResumeBreakdown};
     pub use cnr_core::config::{CheckpointConfig, DeltaWalConfig, PolicyKind, QuantMode};
     pub use cnr_core::engine::{Engine, EngineBuilder};
     pub use cnr_core::read::{FetchScheduler, FetchStatus, RestoreOptions, ShardedRestore};

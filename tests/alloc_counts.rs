@@ -3,23 +3,23 @@
 //! A counting `#[global_allocator]` needs a test binary of its own, and
 //! this file holds exactly one `#[test]` so nothing else allocates while a
 //! count is being taken. The claim checked is the shape, not a number:
-//! encoding a chunk, decoding a chunk, faulting a row in and capturing a
-//! WAL record allocate the same number of times for few rows as for many;
-//! a restore into a destination the caller holds never asks for a
-//! model-sized buffer; planning a write allocates a row's index, not the
-//! row; an append into a grown segment buffer allocates nothing.
+//! encoding a chunk and capturing a WAL record allocate the same number of
+//! times for few rows as for many; a restore into a destination the caller
+//! holds never asks for a model-sized buffer, and asks for no more when
+//! chunks hold more rows; a lazy restore asks for nothing the size of the
+//! cold rows it holds back (it keeps the bytes it fetched), and faulting a
+//! row in allocates nothing; planning a write allocates a row's index, not
+//! the row; an append into a grown segment buffer allocates nothing.
 
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::delta_log::DeltaRecord;
-use check_n_run::core::manifest::{CheckpointId, CheckpointKind, FlatChunk};
-use check_n_run::core::read::{
-    restore_sharded_into, ColdRows, DecodedChunk, LazyRestore, RestoreOptions,
-};
+use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
+use check_n_run::core::read::{restore_sharded_into, RestoreOptions, RowHeat};
 use check_n_run::core::write::shard_writer::encode_chunk;
 use check_n_run::core::write::{chunker, CheckpointWriter, WorkItem};
 use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::state::{ModelState, TableState};
-use check_n_run::model::{DlrmModel, ModelConfig, TableSpec};
+use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, TableSpec};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::wal::{WalConfig, WalWriter};
@@ -127,63 +127,21 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     ] {
         let (small, large) = (item(16), item(4096));
         let (small_table, large_table) = (table(16), table(4096));
-        let (encode_small, small_bytes) =
-            allocations(|| encode_chunk(&small, &small_table, &scheme));
-        let (encode_large, large_bytes) =
-            allocations(|| encode_chunk(&large, &large_table, &scheme));
+        let (encode_small, _) = allocations(|| encode_chunk(&small, &small_table, &scheme));
+        let (encode_large, _) = allocations(|| encode_chunk(&large, &large_table, &scheme));
         assert_eq!(encode_small, 1, "{scheme}: one staging buffer per chunk");
         assert_eq!(
             encode_large, encode_small,
             "{scheme}: encode allocations grew with rows"
         );
-
-        let (decode_small, decoded_small) = allocations(|| FlatChunk::decode(&small_bytes));
-        let (decode_large, decoded_large) = allocations(|| FlatChunk::decode(&large_bytes));
-        // Indices, accumulators, values.
-        assert_eq!(decode_small, 3, "{scheme}: decode allocations");
-        assert_eq!(
-            decode_large, decode_small,
-            "{scheme}: decode allocations grew with rows"
-        );
-        assert_eq!(decoded_small.unwrap().values.len(), 16 * DIM);
-        assert_eq!(decoded_large.unwrap().values.len(), 4096 * DIM);
     }
-
-    // A fault-in copies one row out of a cold chunk, whatever its size.
-    let spec = DatasetSpec::tiny(5);
-    let mut model = DlrmModel::new(ModelConfig::for_dataset(&spec, DIM));
-    let row_counts: Vec<usize> = model.tables().iter().map(|t| t.rows()).collect();
-    let rows_available = row_counts[0].min(4096);
-    let mut counts = Vec::new();
-    for rows in [16.min(rows_available), rows_available] {
-        let cold = DecodedChunk {
-            level: 0,
-            rank: 1,
-            key: "cold".into(),
-            table: 0,
-            row_indices: (0..rows as u32).collect(),
-            cold: Some(ColdRows {
-                values: vec![1.5; rows * DIM],
-                dim: DIM,
-                optimizer_state: None,
-            }),
-            bytes: 64 * rows as u64,
-            arrived_at: Duration::ZERO,
-        };
-        let nothing_applied = row_counts.iter().map(|&n| vec![0; n]).collect();
-        let mut lazy = LazyRestore::new(vec![cold], nothing_applied);
-        let (n, out) = allocations(|| lazy.fault_in(&mut model, 0, 3));
-        out.unwrap();
-        assert_eq!(model.tables()[0].row(3), &[1.5; DIM]);
-        counts.push(n);
-    }
-    assert_eq!(counts, [0, 0], "a fault-in allocates nothing");
 
     // An eager restore into a destination the caller already holds asks
     // the allocator for row indices, accumulators, rank stamps and
     // manifests — never for a model-sized buffer (per-chunk value buffers
     // merged into a zero template asked for more than twice the model) —
     // and for no more when chunks hold more rows.
+    let spec = DatasetSpec::tiny(5);
     let rows = 40_000;
     let saved = snapshot(rows, TrackerSnapshot::full(&[rows]));
     let model_cfg = ModelConfig {
@@ -236,6 +194,74 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         "(allocations, bytes) grew with rows per chunk: {requested:?}"
     );
 
+    // A lazy restore de-quantizes the hot chunks into the destination and
+    // keeps the cold ones as the bytes the store handed it: nothing it
+    // asks the allocator for is the size of the rows it holds back. A
+    // fault-in then de-quantizes one row out of those bytes straight into
+    // the model — no allocation at all — and the drain leaves the model
+    // bit-identical to what was saved.
+    let lazy_cfg = ModelConfig {
+        optimizer: OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
+        ..model_cfg.clone()
+    };
+    let mut model = DlrmModel::new(lazy_cfg.clone());
+    let store = InMemoryStore::new();
+    CheckpointWriter::new(&store, "job")
+        .write(
+            &saved,
+            CheckpointId(0),
+            None,
+            QuantScheme::Fp32,
+            &CheckpointConfig::default(),
+        )
+        .unwrap();
+    let heat = RowHeat::zipf(&[rows], 1.05);
+    let options = RestoreOptions {
+        lazy: true,
+        hot_fraction: 0.01,
+        ..RestoreOptions::default()
+    };
+    let (bytes, restored) = bytes_allocated(|| {
+        restore_sharded_into(
+            &store,
+            "job",
+            CheckpointId(0),
+            &lazy_cfg,
+            &options,
+            Duration::ZERO,
+            None,
+            Some(&heat),
+            model.table_views_mut(),
+        )
+    });
+    let mut tail = restored.unwrap().lazy.expect("a lazy restore returns its tail");
+    let cold_value_bytes = tail.pending_rows() as usize * DIM * 4;
+    assert!(cold_value_bytes > saved.model.byte_size() / 2, "most rows are cold");
+    assert!(
+        4 * bytes < cold_value_bytes,
+        "lazy restore requested {bytes} bytes while holding back {cold_value_bytes} bytes of rows"
+    );
+    let cold_row = (0..rows as u32)
+        .rev()
+        .find(|&row| !tail.is_materialized(0, row))
+        .expect("a cold row");
+    assert_eq!(model.tables()[0].row(cold_row as usize), &[0.0; DIM]);
+    let (fault_allocs, fetched) = allocations(|| tail.fault_in(&mut model, 0, cold_row));
+    assert!(fetched.unwrap() > 0);
+    assert_eq!(fault_allocs, 0, "a fault-in allocates nothing");
+    let at = cold_row as usize * DIM;
+    assert_eq!(
+        model.tables()[0].row(cold_row as usize),
+        &saved.model.tables[0].data[at..at + DIM]
+    );
+    tail.drain(&mut model).unwrap();
+    assert!(tail.is_drained());
+    assert!(
+        model.tables()[0].data() == saved.model.tables[0].data.as_slice()
+            && model.tables()[0].adagrad() == saved.model.tables[0].adagrad.as_deref(),
+        "drained lazy restore is bit-exact"
+    );
+
     // Planning a write names rows, it does not copy them: an index per
     // planned row (4 bytes) plus per-chunk bookkeeping — whether the
     // delta is every row or a scattered few, on one host or several.
@@ -262,6 +288,7 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     }
 
     // Capturing a WAL record allocates per touched table, not per row.
+    let model = DlrmModel::new(ModelConfig::for_dataset(&spec, DIM));
     let dataset = SyntheticDataset::new(spec);
     let batch = dataset.batch(0);
     let mut few = batch.clone();

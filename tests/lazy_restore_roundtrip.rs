@@ -3,19 +3,24 @@
 //! restore (train at first-batch time, fault cold rows in on demand,
 //! drain in the background) converges to exactly the state the eager
 //! all-or-nothing restore produces — across 1/2/4 reader hosts, with and
-//! without a delta-WAL tail past the checkpoint.
+//! without a delta-WAL tail past the checkpoint, over fp32 and over
+//! asymmetric 4-bit checkpoint chains (a cold quantized row is
+//! de-quantized when it materializes, by the decode a hot one went
+//! through at restore time).
 
 use check_n_run::cluster::RestoreMode;
-use check_n_run::core::{DeltaWalConfig, EngineBuilder};
+use check_n_run::core::{DeltaWalConfig, EngineBuilder, QuantMode};
 use check_n_run::model::ModelConfig;
+use check_n_run::quant::QuantScheme;
 use check_n_run::storage::RemoteConfig;
 use check_n_run::workload::DatasetSpec;
 use proptest::prelude::*;
 use std::time::Duration;
 
 /// A 4-writer-shard engine over a slow store (so hot/cold arrival order
-/// is visible in simulated time), optionally WAL-enabled.
-fn builder(seed: u64, reader_hosts: usize, wal: bool) -> EngineBuilder {
+/// is visible in simulated time), optionally WAL-enabled, storing fp32 or
+/// asymmetric 4-bit rows.
+fn builder(seed: u64, reader_hosts: usize, wal: bool, four_bit: bool) -> EngineBuilder {
     let spec = DatasetSpec::tiny(seed);
     let model_cfg = ModelConfig::for_dataset(&spec, 8);
     let mut b = EngineBuilder::new(spec, model_cfg)
@@ -32,6 +37,9 @@ fn builder(seed: u64, reader_hosts: usize, wal: bool) -> EngineBuilder {
     if wal {
         b = b.delta_wal(DeltaWalConfig::default());
     }
+    if four_bit {
+        b = b.quantization(QuantMode::Fixed(QuantScheme::Asymmetric { bits: 4 }));
+    }
     b
 }
 
@@ -43,6 +51,7 @@ proptest! {
         seed in any::<u64>(),
         hosts_idx in 0usize..3,
         wal in any::<bool>(),
+        four_bit in any::<bool>(),
         tail in 2u64..5,
         hot_pct in 1u32..=20,
     ) {
@@ -52,11 +61,11 @@ proptest! {
         // working set gives the priority planner something to defer.
         let total = 10 + tail;
 
-        let mut lazy = builder(seed, reader_hosts, wal)
+        let mut lazy = builder(seed, reader_hosts, wal, four_bit)
             .lazy_restore(hot_fraction)
             .build()
             .unwrap();
-        let mut eager = builder(seed, reader_hosts, wal).build().unwrap();
+        let mut eager = builder(seed, reader_hosts, wal, four_bit).build().unwrap();
         lazy.train_batches(total).unwrap();
         eager.train_batches(total).unwrap();
 
@@ -94,8 +103,8 @@ proptest! {
         prop_assert_eq!(
             lazy.trainer().model().state_hash(),
             eager.trainer().model().state_hash(),
-            "hosts={} wal={} tail={} hot={}: lazy path diverged",
-            reader_hosts, wal, tail, hot_fraction
+            "hosts={} wal={} four_bit={} tail={} hot={}: lazy path diverged",
+            reader_hosts, wal, four_bit, tail, hot_fraction
         );
         prop_assert_eq!(
             lazy.trainer().model().iteration(),

@@ -71,7 +71,7 @@ proptest! {
             0 => QuantScheme::Fp32,
             1 => QuantScheme::Symmetric { bits },
             2 => QuantScheme::Asymmetric { bits },
-            _ => QuantScheme::KMeans { bits: bits.min(6) },
+            _ => QuantScheme::recommended_for_bits(bits.min(4)),
         };
         let q = scheme.quantize_row(&values);
         let mut buf = Vec::new();

@@ -16,7 +16,12 @@
 
 use check_n_run::cluster::SimClock;
 use check_n_run::core::config::CheckpointConfig;
-use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
+use check_n_run::core::manifest::{CheckpointId, CheckpointKind, ChunkPayload, Manifest};
+use check_n_run::core::read::{DrainOutcome, ShardedRestore};
+use check_n_run::core::restore::load_manifest;
+use check_n_run::core::CnrError;
+use check_n_run::storage::ObjectStore;
+use check_n_run::tracking::CoverageAnalyzer;
 use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::cluster::HostKill;
 use check_n_run::core::read::{restore_sharded, restore_sharded_into, RestoreOptions, RowHeat};
@@ -225,6 +230,19 @@ fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> Tra
     }
 }
 
+/// A model of `cfg` whose every embedding value and accumulator is NaN: a
+/// destination that shows any row a restore failed to write or to zero.
+fn sentinel_model(cfg: &ModelConfig) -> DlrmModel {
+    let mut model = DlrmModel::new(cfg.clone());
+    for table in model.tables_mut() {
+        table.data_mut().fill(f32::NAN);
+        if let Some(acc) = table.adagrad_mut() {
+            acc.fill(f32::NAN);
+        }
+    }
+    model
+}
+
 /// Index and bit patterns of the first element where `got` and `want`
 /// differ (a sentinel NaN that survived differs from anything).
 fn first_difference(got: &[f32], want: &[f32]) -> Option<(usize, u32, u32)> {
@@ -297,13 +315,7 @@ proptest! {
                 host: kill_host % reader_hosts as u16,
                 after_chunks: kill_after,
             });
-            let mut model = DlrmModel::new(cfg.clone());
-            for table in model.tables_mut() {
-                table.data_mut().fill(f32::NAN);
-                if let Some(acc) = table.adagrad_mut() {
-                    acc.fill(f32::NAN);
-                }
-            }
+            let mut model = sentinel_model(&cfg);
             let options = RestoreOptions {
                 reader_hosts,
                 decode_workers,
@@ -352,6 +364,180 @@ proptest! {
             prop_assert_eq!(&sharded.report.incremental_rows, &serial.incremental_rows, "{}", what);
         }
     }
+}
+
+/// Level `level` of a chain over `cfg` whose delta is exactly `rows` of
+/// table 0 (`None`: every row of every table).
+fn level_with_rows(cfg: &ModelConfig, level: u64, rows: Option<&[usize]>) -> TrainingSnapshot {
+    let mut snap = level_snapshot(cfg, 0xC01D, level, 0.0);
+    match rows {
+        None => snap.delta = TrackerSnapshot::full(&cfg.row_counts()),
+        Some(rows) => rows.iter().for_each(|&row| snap.delta.tables[0].set(row)),
+    }
+    snap
+}
+
+/// A store holding `deltas` as a chain of 32-row chunks over a 96 + 8 row
+/// model with accumulators, and a lazy restore of its newest level — into a
+/// sentinel-filled model — under a heat model whose one hot row is row 5
+/// of table 0: a chunk is hot iff its row range spans row 5.
+struct OneHotRow {
+    cfg: ModelConfig,
+    store: InMemoryStore,
+    target: CheckpointId,
+}
+
+impl OneHotRow {
+    fn write(deltas: &[Option<&[usize]>], scheme: QuantScheme) -> Self {
+        let spec = DatasetSpec {
+            seed: 1,
+            batch_size: 4,
+            dense_dim: 2,
+            tables: vec![TableAccessSpec::new(96, 1, 1.0), TableAccessSpec::new(8, 1, 1.0)],
+            concept_seed: None,
+        };
+        let mut cfg = ModelConfig::for_dataset(&spec, 4);
+        cfg.optimizer = OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 };
+        let store = InMemoryStore::new();
+        let write_cfg = CheckpointConfig {
+            chunk_rows: 32,
+            ..CheckpointConfig::default()
+        };
+        for (level, rows) in deltas.iter().enumerate() {
+            let level = level as u64;
+            let base = level.checked_sub(1).map(CheckpointId);
+            CheckpointWriter::new(&store, "job")
+                .write(&level_with_rows(&cfg, level, *rows), CheckpointId(level), base, scheme, &write_cfg)
+                .expect("write");
+        }
+        let target = CheckpointId(deltas.len() as u64 - 1);
+        Self { cfg, store, target }
+    }
+
+    fn lazy_restore(&self) -> Result<(DlrmModel, ShardedRestore), CnrError> {
+        let mut heat = RowHeat::uniform(&self.cfg.row_counts());
+        let mut coverage = CoverageAnalyzer::new(&self.cfg.row_counts());
+        coverage.observe(0, 5);
+        heat.boost_covered(&coverage, 10.0);
+        let options = RestoreOptions {
+            reader_hosts: 2,
+            lazy: true,
+            hot_fraction: 0.005, // the top 1 of 104 rows
+            ..RestoreOptions::default()
+        };
+        let mut model = sentinel_model(&self.cfg);
+        let restored = restore_sharded_into(
+            &self.store,
+            "job",
+            self.target,
+            &self.cfg,
+            &options,
+            Duration::ZERO,
+            None,
+            Some(&heat),
+            model.table_views_mut(),
+        )?;
+        Ok((model, restored))
+    }
+}
+
+/// Level 0 is full; level 1 rewrites rows {50, 60}; level 2 rewrites rows
+/// {5, 50} — and, spanning the hot row, is hot, as is level 0's first
+/// chunk. So at first batch row 50 is covered by two cold levels and
+/// shadowed by the newer hot one (final: nothing cold may ever touch it),
+/// row 60 waits on two cold levels, row 40 on one. Faulting rows in,
+/// draining, and draining again must each leave exactly the serial
+/// oracle's bits, for fp32 and for 4-bit rows.
+#[test]
+fn two_cold_levels_under_a_newer_hot_one_materialize_to_the_oracles_bits() {
+    for scheme in [QuantScheme::Fp32, QuantScheme::Asymmetric { bits: 4 }] {
+        let chain = OneHotRow::write(&[None, Some(&[50, 60]), Some(&[5, 50])], scheme);
+        let oracle = restore(&chain.store, "job", chain.target, &chain.cfg).expect("serial").state;
+        let row_of = |state: &ModelState, row: usize| -> (Vec<u32>, u32) {
+            let t = &state.tables[0];
+            (
+                t.data[row * 4..(row + 1) * 4].iter().map(|v| v.to_bits()).collect(),
+                t.adagrad.as_ref().unwrap()[row].to_bits(),
+            )
+        };
+        let equals_oracle = |model: &DlrmModel| ModelState::extract(model).tables == oracle.tables;
+
+        let (mut model, restored) = chain.lazy_restore().unwrap();
+        let mut tail = restored.lazy.expect("cold tail");
+        // Hot: level 0's rows 0..32 and level 2's two rows.
+        assert_eq!(restored.report.rows_applied, 32 + 2, "{scheme}");
+        assert_eq!(tail.pending_rows(), (64 - 1) + 8, "{scheme}");
+        let live = ModelState::extract(&model);
+        assert!(tail.is_materialized(0, 50), "shadowed by the newer hot level");
+        assert_eq!(row_of(&live, 50), row_of(&oracle, 50), "{scheme}");
+        for cold in [40, 60] {
+            assert!(!tail.is_materialized(0, cold as u32));
+            assert_eq!(row_of(&live, cold), (vec![0; 4], 0), "cold rows read zero");
+        }
+
+        // The shadowed row is a no-op; row 60 lands level 0 then level 1,
+        // row 40 level 0 only.
+        assert_eq!(tail.fault_in(&mut model, 0, 50).unwrap(), 0);
+        let two_levels = tail.fault_in(&mut model, 0, 60).unwrap();
+        let one_level = tail.fault_in(&mut model, 0, 40).unwrap();
+        assert!(two_levels > one_level && one_level > 0, "{two_levels} vs {one_level}");
+        assert_eq!(tail.fault_in_fetches(), 2);
+        let live = ModelState::extract(&model);
+        for row in [5, 40, 50, 60] {
+            assert_eq!(row_of(&live, row), row_of(&oracle, row), "{scheme}: row {row}");
+        }
+        assert_eq!(row_of(&live, 70), (vec![0; 4], 0), "untouched cold rows still read zero");
+
+        // The drain finishes the rest, and finishing twice changes nothing.
+        let drained = tail.drain(&mut model).unwrap();
+        assert_eq!(drained.rows_materialized, (64 - 1) + 8 - 2);
+        assert!(tail.is_drained() && equals_oracle(&model), "{scheme}: fault-ins + drain");
+        assert_eq!(tail.drain(&mut model).unwrap(), DrainOutcome::default());
+        assert!(equals_oracle(&model), "{scheme}: second drain");
+
+        // Drain alone, from a fresh restore, gets to the same place.
+        let (mut model, restored) = chain.lazy_restore().unwrap();
+        restored.lazy.unwrap().drain(&mut model).unwrap();
+        assert!(equals_oracle(&model), "{scheme}: drain only");
+    }
+}
+
+/// A cold chunk whose envelope and frame verify but whose last row body is
+/// short — a writer's bug, not bit rot: no checksum sees it. It is held
+/// back, never de-quantized by the restore; the restore must fail anyway,
+/// typed, rather than hand back a tail whose fault-in fails mid-training.
+#[test]
+fn a_malformed_row_in_a_cold_chunk_fails_the_restore_not_a_fault_in() {
+    let chain = OneHotRow::write(&[None], QuantScheme::Fp32);
+    let (_, clean) = chain.lazy_restore().unwrap();
+    assert!(!clean.lazy.unwrap().is_materialized(0, 95), "rows 64..96 are held back");
+
+    let store = &chain.store;
+    let mut manifest = load_manifest(store, "job", chain.target).unwrap();
+    let cold = manifest
+        .chunks
+        .iter_mut()
+        .find(|c| c.table == 0 && c.first_row == 64)
+        .expect("the chunk of rows 64..96");
+    let mut chunk = ChunkPayload::decode(&store.get(&cold.key).unwrap()).unwrap();
+    chunk.rows.last_mut().unwrap().payload.pop();
+    let short = chunk.encode_enveloped();
+    cold.bytes = short.len() as u64;
+    store.put(&cold.key, short.into()).unwrap();
+    store
+        .put(&Manifest::key("job", chain.target), manifest.encode_enveloped().into())
+        .unwrap();
+
+    let err = chain.lazy_restore().map(|_| ()).unwrap_err();
+    assert!(
+        matches!(&err, CnrError::Corrupt(why) if why.contains("row bodies truncated")),
+        "{err:?}"
+    );
+    // Eager, the same chunk is placed instead of held — same verdict.
+    assert!(matches!(
+        restore_sharded(store, "job", chain.target, &chain.cfg, &RestoreOptions::default(), Duration::ZERO),
+        Err(CnrError::Corrupt(_))
+    ));
 }
 
 /// The headline acceptance property at the facade level: with one downlink
