@@ -111,9 +111,6 @@ pub struct ResumeBreakdown {
     /// Whole-chunk re-fetches performed to heal (or attempt to heal)
     /// corruption — distinct from transient I/O retries of single ranges.
     pub corruption_refetches: u64,
-    /// Cache-tier hit rate of the restore's reads, when the store has a
-    /// cache tier ([`TieredStore`](../../cnr_storage/struct.TieredStore.html)).
-    pub cache_hit_rate: Option<f64>,
     /// Where this recovery landed: the bare checkpoint, or the WAL tip.
     pub restore_point: RestorePoint,
     /// Simulated time spent replaying the delta-WAL tail (zero when the
@@ -313,7 +310,6 @@ mod tests {
             corruption_detected: 0,
             corruption_repaired: 0,
             corruption_refetches: 0,
-            cache_hit_rate: None,
             restore_point: RestorePoint::Checkpoint,
             wal_replay: Duration::ZERO,
             wal_replayed_iterations: 0,

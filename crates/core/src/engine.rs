@@ -39,7 +39,9 @@ use cnr_cluster::{
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
 use cnr_reader::{ReaderConfig, ReaderMaster, ReaderState};
-use cnr_storage::{wal, ObjectStore, RemoteConfig, Scrubber, SimulatedRemoteStore, WalWriter};
+use cnr_storage::{
+    wal, InMemoryStore, ObjectStore, RemoteConfig, Scrubber, SimulatedRemoteStore, WalWriter,
+};
 use cnr_trainer::{evaluate, EvalReport, Trainer, TrainerConfig};
 use cnr_workload::{Batch, DatasetSpec, SyntheticDataset};
 use rand::rngs::StdRng;
@@ -53,12 +55,12 @@ pub struct EngineBuilder {
     model_cfg: ModelConfig,
     ckpt: CheckpointConfig,
     remote: RemoteConfig,
+    backing: Arc<dyn ObjectStore>,
     reader_cfg: ReaderConfig,
     trainer_cfg: TrainerConfig,
     job: String,
     nodes: u32,
     gpus_per_node: u32,
-    restore_failures: FailureModel,
     scrub_interval: Option<Duration>,
     observers: Vec<Arc<dyn cnr_obs::ObsSink>>,
 }
@@ -71,12 +73,12 @@ impl EngineBuilder {
             model_cfg,
             ckpt: CheckpointConfig::default(),
             remote: RemoteConfig::default(),
+            backing: Arc::new(InMemoryStore::new()),
             reader_cfg: ReaderConfig::default(),
             trainer_cfg: TrainerConfig::default(),
             job: "job".to_string(),
             nodes: 1,
             gpus_per_node: 8,
-            restore_failures: FailureModel::None,
             scrub_interval: None,
             observers: Vec::new(),
         }
@@ -109,6 +111,18 @@ impl EngineBuilder {
     /// Configures the simulated remote store.
     pub fn remote_config(mut self, r: RemoteConfig) -> Self {
         self.remote = r;
+        self
+    }
+
+    /// Sets where the simulated remote keeps its bytes — deployment
+    /// wiring: an in-memory store by default, a [`cnr_storage::FsStore`]
+    /// for a run that leaves its checkpoints on disk, a
+    /// [`cnr_storage::FlakyStore`] around either to put store faults under
+    /// the engine. Bandwidth, latency, replication and every simulated
+    /// number come from [`EngineBuilder::remote_config`] whatever the
+    /// backing is; [`Engine::store`] is the simulated remote over it.
+    pub fn backing_store(mut self, backing: Arc<dyn ObjectStore>) -> Self {
+        self.backing = backing;
         self
     }
 
@@ -154,15 +168,6 @@ impl EngineBuilder {
     pub fn reader_hosts(mut self, hosts: usize) -> Self {
         self.ckpt.reader_hosts = hosts;
         self.remote.channels = self.remote.channels.max(hosts as u32);
-        self
-    }
-
-    /// Lets reader hosts die *mid-restore*, sampled from `model` (the read
-    /// mirror of the writer-kill injection): the dead host's remaining
-    /// chunks re-shard onto the survivors and the restore still completes.
-    /// [`FailureModel::None`] (the default) disables mid-restore kills.
-    pub fn restore_failure_model(mut self, model: FailureModel) -> Self {
-        self.restore_failures = model;
         self
     }
 
@@ -223,7 +228,11 @@ impl EngineBuilder {
         }
 
         let clock = SimClock::new();
-        let store = Arc::new(SimulatedRemoteStore::new(self.remote, clock.clone()));
+        let store = Arc::new(SimulatedRemoteStore::over(
+            self.backing,
+            self.remote,
+            clock.clone(),
+        ));
         let dataset = SyntheticDataset::new(self.spec);
         let reader = ReaderMaster::new(dataset.clone(), self.reader_cfg);
         let model = DlrmModel::new(self.model_cfg.clone());
@@ -283,9 +292,6 @@ impl EngineBuilder {
             stats: RunStats::new(full_reference_bytes),
             batches_into_interval: 0,
             uploads_durable_at: Duration::ZERO,
-            restore_failures: self.restore_failures,
-            recovery_rng: StdRng::seed_from_u64(0x5EED_4EC0),
-            last_chunk_count: 0,
             scrub_schedule: self.scrub_interval.map(ScrubScheduler::new),
             wal,
             wal_unsynced_bytes: 0,
@@ -349,14 +355,6 @@ pub struct Engine {
     /// durable. The engine polls this at interval boundaries (§4.3
     /// non-overlap) instead of blocking on the store.
     uploads_durable_at: Duration,
-    /// The failure model reader-host deaths mid-restore are sampled from.
-    restore_failures: FailureModel,
-    /// Dedicated rng for reader-kill sampling (isolated so it never
-    /// perturbs training determinism).
-    recovery_rng: StdRng,
-    /// Chunks in the most recent checkpoint's manifest (the kill sampler's
-    /// chunks-per-host estimate).
-    last_chunk_count: u32,
     /// Background-scrub cadence; `None` disables scheduled scrubbing. (What
     /// the sweeps found is in `stats.scrubs`, once.)
     scrub_schedule: Option<ScrubScheduler>,
@@ -526,17 +524,17 @@ impl Engine {
         }
 
         let writer = CheckpointWriter::new(self.store.as_ref(), &self.job);
-        let record = writer.write_overlapping(
-            &snapshot,
-            id,
-            base,
-            scheme,
-            &self.config,
-            kill,
-            uploads_after,
-        )?;
+        let record = writer
+            .write_overlapping(&snapshot, id, base, scheme, &self.config, kill, uploads_after)
+            // The snapshot may have reset the tracker, and nothing was
+            // stored: the rows it took go back, or the retried incremental
+            // would leave them out and a later restore be silently stale.
+            // (A failed full marks every row — a superset; the retry is a
+            // full again and resets it.) Policy, baseline and durability
+            // point have not moved; the debris is the next registration's
+            // orphan sweep's.
+            .inspect_err(|_| self.mark_rows(&snapshot.delta))?;
         self.uploads_durable_at = record.completed_at;
-        self.last_chunk_count = record.manifest.chunks.len() as u32;
 
         // Feed the intermittent predictor with the size as a fraction of the
         // last full checkpoint in the same encoding.
@@ -725,6 +723,13 @@ impl Engine {
         Ok(outcome.rows_materialized)
     }
 
+    /// Marks every row of `rows` modified in the trainer's tracker.
+    fn mark_rows(&self, rows: &cnr_tracking::TrackerSnapshot) {
+        for (t, mask) in rows.tables.iter().enumerate() {
+            self.trainer.tracker().mark_rows(t, mask.iter_ones());
+        }
+    }
+
     /// The in-progress lazy restore's cold tail, if any.
     pub fn pending_lazy(&self) -> Option<&read::LazyRestore> {
         self.pending_lazy.as_ref()
@@ -752,9 +757,8 @@ impl Engine {
     /// Simulates a failure: discards live training state and restores from
     /// the newest valid checkpoint across `config.reader_hosts` parallel
     /// reader hosts (the sharded [`crate::read`] pipeline — bit-identical
-    /// to the serial restore). When a restore failure model is configured
-    /// ([`EngineBuilder::restore_failure_model`]), a reader host may die
-    /// mid-restore; its remaining chunks re-shard onto the survivors.
+    /// to the serial restore). No reader host dies on the way; see
+    /// [`Engine::simulate_failure_and_restore_killing_reader`] for that.
     ///
     /// The restore decodes straight into the trainer's own tables (the
     /// failure destroyed their contents anyway; see [`crate::read`]), so
@@ -788,8 +792,7 @@ impl Engine {
     /// registration), so the engine makes the drain-survival assumption
     /// explicit instead of silently shifting the resume clock.
     pub fn simulate_failure_and_restore(&mut self) -> Result<RestoreReport> {
-        let kill = self.sample_reader_kill();
-        self.restore_inner(kill)
+        self.restore_inner(None)
     }
 
     /// [`Engine::simulate_failure_and_restore`] with explicit reader-host
@@ -801,27 +804,6 @@ impl Engine {
         kill: HostKill,
     ) -> Result<RestoreReport> {
         self.restore_inner(Some(kill))
-    }
-
-    /// Samples a reader-host death for the upcoming restore from the
-    /// restore failure model (the same draw the write side makes for a
-    /// writer host, over the fetch instead of the upload). Single-host
-    /// engines never sample one
-    /// (a kill with no survivors would just fail the restore).
-    fn sample_reader_kill(&mut self) -> Option<HostKill> {
-        let hosts = self.config.reader_hosts;
-        if hosts <= 1 {
-            return None;
-        }
-        let chunks_per_host = (self.last_chunk_count / hosts as u32).max(1);
-        let per_host_bytes = self.controller.live_bytes() / hosts as u64;
-        let fetch_estimate = self.store.read_transfer_time(per_host_bytes);
-        self.restore_failures.sample_writer_kill(
-            hosts as u16,
-            chunks_per_host,
-            fetch_estimate,
-            &mut self.recovery_rng,
-        )
     }
 
     fn restore_inner(&mut self, kill: Option<HostKill>) -> Result<RestoreReport> {
@@ -874,11 +856,7 @@ impl Engine {
             PolicyKind::OneShot | PolicyKind::Intermittent => {
                 // Re-seed "modified since baseline" so future one-shot
                 // incrementals stay supersets of the restored delta.
-                for (t, mask) in report.incremental_rows.tables.iter().enumerate() {
-                    for row in mask.iter_ones() {
-                        self.trainer.tracker().mark(t, row);
-                    }
-                }
+                self.mark_rows(&report.incremental_rows);
             }
             PolicyKind::Consecutive | PolicyKind::FullOnly => {}
         }
@@ -1544,42 +1522,24 @@ mod tests {
     }
 
     #[test]
-    fn single_reader_host_never_samples_a_suicide_kill() {
-        // An aggressive restore failure model on a single-host engine must
-        // not kill the only reader (that would fail every restore).
-        let mut e = builder()
-            .restore_failure_model(FailureModel::Exponential {
-                mtbf: Duration::from_nanos(1),
-            })
-            .build()
-            .unwrap();
-        e.train_batches(5).unwrap();
-        e.simulate_failure_and_restore().unwrap();
-        assert_eq!(e.stats().resumes.len(), 1);
-    }
-
-    #[test]
     fn sampled_reader_kills_still_restore_exactly() {
-        // MTBF far below the fetch estimate: kills sample nearly always,
-        // and every restore must still complete bit-exactly by re-sharding.
-        let mut e = builder()
-            .reader_hosts(4)
-            .restore_failure_model(FailureModel::Exponential {
-                mtbf: Duration::from_nanos(100),
-            })
-            .build()
-            .unwrap();
+        // Whichever reader host dies, and however far into its share, the
+        // restore must still complete bit-exactly by re-sharding.
+        use rand::Rng;
+        let mut e = builder().reader_hosts(4).build().unwrap();
         e.train_batches(10).unwrap();
         let hash = e.trainer().model().state_hash();
+        let mut rng = StdRng::seed_from_u64(0x5EED_4EC0);
         for _ in 0..4 {
-            e.simulate_failure_and_restore().unwrap();
-            assert_eq!(e.trainer().model().state_hash(), hash);
+            let kill = HostKill {
+                host: rng.gen_range(0..4),
+                after_chunks: rng.gen_range(0..2),
+            };
+            e.simulate_failure_and_restore_killing_reader(kill).unwrap();
+            assert_eq!(e.trainer().model().state_hash(), hash, "{kill:?}");
         }
         let rescheduled = e.obs().registry().counter(cnr_obs::names::RESTORE_RESCHEDULED);
-        assert!(
-            rescheduled > 0,
-            "a near-certain kill model must have killed a reader at least once"
-        );
+        assert!(rescheduled > 0, "a dead host's chunks went to the survivors");
     }
 
     #[test]

@@ -81,9 +81,6 @@ pub fn record_resume(obs: &Obs, row: &ResumeStats, chunks_fetched: u64, reschedu
         fetch_retries as f64,
         cnr_obs::metrics::COUNT_BOUNDS,
     );
-    if let Some(rate) = row.cache_hit_rate {
-        reg.observe(names::RESTORE_CACHE_HIT_RATE, rate, cnr_obs::metrics::RATE_BOUNDS);
-    }
 }
 
 /// Mirrors one on-demand fault-in (a lazy restore's synchronous cold-row

@@ -131,13 +131,6 @@ impl<'a> FetchScheduler<'a> {
                         s.corruption_repaired += 1;
                     }
                     drop(s);
-                    if parts.max(1) > 1 {
-                        // The miss path of a caching tier can only retain
-                        // whole-object ranges; hand verified multi-part
-                        // reassemblies back explicitly so warm restores hit
-                        // the cache for large chunks too.
-                        self.store.offer_cached(key, verified.object().clone());
-                    }
                     return Ok((verified, arrived_at));
                 }
                 Err(e) if refetches < self.retries => {
@@ -399,24 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn multipart_reassembly_is_offered_back_to_the_cache() {
-        use cnr_storage::TieredStore;
-        let remote = InMemoryStore::new();
-        remote.put("chunk", stored(4096)).unwrap();
-        let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
-        // 4 partial ranges: none can populate the cache on its own...
-        let (data, _) = sched.fetch_chunk(0, "chunk", 4096, 4).unwrap();
-        assert_eq!(data.object().len(), 4096);
-        // ...but the reassembled object was offered back, so the next
-        // fetch is all cache hits.
-        assert!(store.cache().get("chunk").is_ok(), "reassembly cached");
-        let before = store.cache_hits();
-        sched.fetch_chunk(0, "chunk", 4096, 4).unwrap();
-        assert_eq!(store.cache_hits(), before + 4);
-    }
-
-    #[test]
     fn corrupt_chunk_is_healed_by_refetching_another_replica() {
         use cnr_storage::{CorruptionKind, CorruptionSpec};
         let inner = InMemoryStore::new();
@@ -511,26 +486,5 @@ mod tests {
         assert!(status.corruption_detected >= 1, "short range was caught");
         assert_eq!(status.corruption_repaired, 1);
         assert!(status.corruption_refetches >= 1);
-    }
-
-    #[test]
-    fn poisoned_reassembly_is_never_offered_to_the_cache() {
-        use cnr_storage::{CorruptionKind, CorruptionSpec, TieredStore};
-        let remote = InMemoryStore::new();
-        let enveloped = Bytes::from(envelope::wrap(&[5u8; 4096]));
-        remote.put("chunk", enveloped.clone()).unwrap();
-        let tiered = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        let store = FlakyStore::corrupting_reads(
-            tiered,
-            CorruptionSpec::once(CorruptionKind::BitFlip, 1),
-        );
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
-        let (data, _) = sched
-            .fetch_chunk(0, "chunk", enveloped.len() as u64, 4)
-            .unwrap();
-        assert_eq!(data.object(), &enveloped);
-        // Only the verified reassembly reached the cache tier.
-        let cached = store.inner().cache().get("chunk").unwrap();
-        assert_eq!(cached, enveloped, "cache holds clean bytes only");
     }
 }

@@ -72,9 +72,6 @@ pub struct ResumeStats {
     /// from transient I/O retries so flaky networks and rotten replicas
     /// stay distinguishable in the run record.
     pub corruption_refetches: u64,
-    /// Cache-tier hit rate of the restore's reads (`None` when the store
-    /// has no cache tier).
-    pub cache_hit_rate: Option<f64>,
     /// Whether the job resumed at the bare checkpoint or at the WAL tip.
     pub restore_point: cnr_cluster::RestorePoint,
     /// Simulated time spent replaying the delta-WAL tail.
@@ -124,7 +121,6 @@ impl ResumeStats {
             corruption_detected: b.corruption_detected,
             corruption_repaired: b.corruption_repaired,
             corruption_refetches: b.corruption_refetches,
-            cache_hit_rate: b.cache_hit_rate,
             restore_point: b.restore_point,
             wal_replay: b.wal_replay,
             wal_replayed_iterations: b.wal_replayed_iterations,
@@ -367,7 +363,6 @@ mod tests {
             corruption_detected: 1,
             corruption_repaired: 1,
             corruption_refetches: 1,
-            cache_hit_rate: Some(0.5),
             restore_point: cnr_cluster::RestorePoint::WalTip,
             wal_replay: Duration::from_millis(500),
             wal_replayed_iterations: 3,
@@ -406,7 +401,6 @@ mod tests {
                 corruption_detected: 2,
                 corruption_repaired: 2,
                 corruption_refetches: 2,
-                cache_hit_rate: Some(0.5),
                 restore_point: cnr_cluster::RestorePoint::Checkpoint,
                 wal_replay: Duration::ZERO,
                 wal_replayed_iterations: 0,

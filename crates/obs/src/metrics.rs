@@ -27,7 +27,7 @@ pub const DURATION_BOUNDS_NS: &[f64] = &[
 /// Bucket upper bounds for small-count histograms (retries, fault-ins).
 pub const COUNT_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0, 100.0, 1000.0];
 
-/// Bucket upper bounds for ratio histograms (cache hit rate, fractions).
+/// Bucket upper bounds for ratio histograms (fractions).
 pub const RATE_BOUNDS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 /// Bucket upper bounds for byte-size histograms: 1KiB..1TiB, powers of 4.

@@ -1,6 +1,6 @@
 //! Canonical span and metric names for the Check-N-Run workspace.
 //!
-//! `cnr_storage` feeds the registry (WAL, scrub, cache tier) and `cnr_core`
+//! `cnr_storage` feeds the registry (WAL, scrub) and `cnr_core`
 //! derives `RunStats`/`WalRunStats` back out of it; both sides must agree on
 //! names, and this module is the single place they are spelled. The README's
 //! "Observability" section documents the taxonomy; keep the three in sync.
@@ -129,9 +129,6 @@ pub const RESTORE_WAL_REPLAY_NS: &str = "cnr_restore_wal_replay_ns";
 pub const RESTORE_FAULT_IN_NS: &str = "cnr_restore_fault_in_ns";
 /// Histogram (count): corruption-healing re-fetches per restore.
 pub const RESTORE_FETCH_RETRIES: &str = "cnr_restore_fetch_retries";
-/// Histogram (ratio): cache-tier hit rate per restore (when a cache tier
-/// exists).
-pub const RESTORE_CACHE_HIT_RATE: &str = "cnr_restore_cache_hit_rate";
 
 // ---- Metrics: WAL ---------------------------------------------------------
 
@@ -167,9 +164,3 @@ pub const SCRUB_UNREPAIRABLE: &str = "cnr_scrub_unrepairable_total";
 /// Counter: keys skipped because a lazy restore had them in flight.
 pub const SCRUB_SKIPPED_IN_FLIGHT: &str = "cnr_scrub_skipped_in_flight_total";
 
-// ---- Metrics: cache tier --------------------------------------------------
-
-/// Counter: cache-tier read hits.
-pub const CACHE_HITS: &str = "cnr_cache_hits_total";
-/// Counter: cache-tier read misses.
-pub const CACHE_MISSES: &str = "cnr_cache_misses_total";

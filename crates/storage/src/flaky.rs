@@ -543,14 +543,6 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
         self.inner.total_bytes()
     }
 
-    fn cache_stats(&self) -> Option<crate::CacheStats> {
-        self.inner.cache_stats()
-    }
-
-    fn offer_cached(&self, key: &str, data: Bytes) {
-        self.inner.offer_cached(key, data)
-    }
-
     // Multipart forwards to the inner store (so native implementations keep
     // their timing semantics) with failure injection on each part — parts
     // and whole-object puts share one operation counter.

@@ -3,20 +3,29 @@
 //! Check-N-Run writes checkpoints to *remote* object storage (§2.2, §4) —
 //! replicated, highly available, and most importantly **bandwidth-bound**:
 //! the paper's whole point is that write bandwidth and capacity are the
-//! bottleneck resources (§4.3). This crate provides:
+//! bottleneck resources (§4.3).
 //!
-//! * [`ObjectStore`] — the minimal blob-store interface the checkpoint
-//!   engine needs (put/get/delete/list/head).
-//! * [`memory::InMemoryStore`] — fast backend for tests.
-//! * [`fs::FsStore`] — filesystem backend with atomic writes (temp file +
-//!   rename), for durable local runs.
-//! * [`remote::SimulatedRemoteStore`] — the experiment backend: wraps any
-//!   store with a serialized transfer channel of configurable bandwidth,
-//!   per-object latency, and replication write-amplification, all accounted
-//!   against a shared [`cnr_cluster::SimClock`]. Transfer completion times
-//!   are what Figures 15–17 measure.
-//! * [`metrics::StoreMetrics`] — byte/operation accounting and a capacity
-//!   timeline.
+//! Everything speaks [`ObjectStore`], the minimal blob-store interface the
+//! checkpoint engine needs (put/get/delete/list/head, ranged reads,
+//! multipart), and the stores stack. Bottom to top, as a running engine
+//! holds them:
+//!
+//! 1. **Where the bytes live** — [`memory::InMemoryStore`] (the default)
+//!    or [`fs::FsStore`] (a directory; atomic writes by temp file +
+//!    rename, for durable local runs).
+//! 2. **Faults, optionally** — [`flaky::FlakyStore`] around layer 1:
+//!    failed, torn and silently corrupted operations, deterministic by
+//!    operation count. This is the layer a test substitutes
+//!    (`EngineBuilder::backing_store` in `cnr_core`) to put store failures
+//!    under an unmodified engine.
+//! 3. **The remote** — [`remote::SimulatedRemoteStore`] over layer 1 or 2:
+//!    serialized transfer channels of configurable bandwidth, per-object
+//!    latency, replication write-amplification and native multipart, all
+//!    accounted against a shared [`cnr_cluster::SimClock`], with
+//!    [`metrics::StoreMetrics`] (byte/operation accounting and the capacity
+//!    timeline). Transfer completion times are what Figures 15–17 measure.
+//!    The engine, its WAL writer ([`wal`]), controller and scrubber
+//!    ([`scrub`]) all talk to this layer and nothing above it.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +37,6 @@ pub mod metrics;
 pub mod multipart;
 pub mod remote;
 pub mod scrub;
-pub mod tiered;
 pub mod wal;
 
 pub use flaky::{CorruptionKind, CorruptionSpec, FailureMode, FlakyStore, TornWriteSpec};
@@ -38,7 +46,6 @@ pub use metrics::{CapacityPoint, StoreMetrics};
 pub use multipart::{MultipartUpload, PartReceipt};
 pub use remote::{RemoteConfig, SimulatedRemoteStore};
 pub use scrub::{ScrubReport, Scrubber};
-pub use tiered::{EvictionPolicy, TieredStore};
 pub use wal::{WalConfig, WalRecord, WalReplay, WalTail, WalWriter, WalWriterStats};
 
 use bytes::Bytes;
@@ -133,35 +140,14 @@ pub struct GetReceipt {
 }
 
 /// Hit/miss counters of a store's cache tier (see
-/// [`ObjectStore::cache_stats`]).
+/// [`ObjectStore::cache_stats`]). No store in this crate has one: the type
+/// is pinned by `benchmark/src/timed_store.rs` and goes when that does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Reads served by the cache tier.
     pub hits: u64,
     /// Reads that fell through to the backing store.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Fraction of reads served by the cache (`NaN`-free: zero reads is a
-    /// zero hit rate).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter-wise difference against an earlier snapshot (for measuring
-    /// one operation's hit rate).
-    pub fn since(&self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-        }
-    }
 }
 
 /// Slices `[offset, offset + len)` out of `data`, erroring (never
@@ -248,19 +234,15 @@ pub trait ObjectStore: Send + Sync {
         ))
     }
 
-    /// Hit/miss counters of this store's cache tier, when it has one
-    /// (`None` for single-tier backends). Restore paths sample this before
-    /// and after a recovery to report the cache hit rate.
+    /// Hit/miss counters of this store's cache tier, when it has one.
+    /// Inert: no store here has a cache tier and nothing samples this; the
+    /// default stays because `benchmark/src/timed_store.rs` overrides it.
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
 
-    /// Offers a fully reassembled object back to any caching tier: a
-    /// reader that reconstructed `key` from multiple ranged reads calls
-    /// this so later reads can hit the cache (a partial range alone can
-    /// never safely populate it). Advisory — single-tier backends ignore
-    /// it, and caching tiers must verify `data` matches the stored
-    /// object's size before retaining it.
+    /// Offers a fully reassembled object back to a caching tier. Inert,
+    /// and pinned like [`ObjectStore::cache_stats`]: nothing calls it.
     fn offer_cached(&self, key: &str, data: Bytes) {
         let _ = (key, data);
     }

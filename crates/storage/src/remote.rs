@@ -24,6 +24,16 @@
 //! accounting), `complete` makes the assembled object visible at the key,
 //! and `abort` discards the buffered parts (bandwidth already spent stays
 //! spent — the bytes really crossed the wire).
+//!
+//! The store holds no objects itself: it is the timing, replication and
+//! multipart layer over a *backing* [`ObjectStore`] that says where the
+//! bytes live — an [`InMemoryStore`] by default
+//! ([`SimulatedRemoteStore::new`]), an [`crate::FsStore`] or a
+//! fault-injecting [`crate::FlakyStore`] through
+//! [`SimulatedRemoteStore::over`]. The backing sees one `put` per object
+//! (a multipart upload reaches it assembled, at `complete`), ranged reads
+//! as ranged reads, and every delete; an error it returns comes back to the
+//! caller as it is, with the channel time of the failed transfer spent.
 
 use crate::metrics::StoreMetrics;
 use crate::multipart::{next_upload_id, MultipartUpload, PartReceipt};
@@ -82,9 +92,9 @@ struct PendingUpload {
     transfer_time: Duration,
 }
 
-/// A remote store: in-memory contents plus transfer-time simulation.
+/// A remote store: transfer-time simulation over a backing store's contents.
 pub struct SimulatedRemoteStore {
-    inner: InMemoryStore,
+    inner: Arc<dyn ObjectStore>,
     config: RemoteConfig,
     clock: SimClock,
     /// Absolute simulated time at which each transfer channel becomes free.
@@ -95,8 +105,15 @@ pub struct SimulatedRemoteStore {
 }
 
 impl SimulatedRemoteStore {
-    /// Creates a remote store on the given clock.
+    /// Creates a remote store on the given clock, holding its objects in
+    /// memory.
     pub fn new(config: RemoteConfig, clock: SimClock) -> Self {
+        Self::over(Arc::new(InMemoryStore::new()), config, clock)
+    }
+
+    /// Creates a remote store on the given clock whose objects live in
+    /// `backing`.
+    pub fn over(backing: Arc<dyn ObjectStore>, config: RemoteConfig, clock: SimClock) -> Self {
         assert!(
             config.bandwidth_bytes_per_sec > 0.0,
             "bandwidth must be positive"
@@ -104,7 +121,7 @@ impl SimulatedRemoteStore {
         assert!(config.replication >= 1, "replication must be >= 1");
         assert!(config.channels >= 1, "need at least one channel");
         Self {
-            inner: InMemoryStore::new(),
+            inner: backing,
             config,
             clock,
             channel_free_at: Mutex::new(vec![Duration::ZERO; config.channels as usize]),
@@ -198,8 +215,12 @@ impl SimulatedRemoteStore {
         self.reserve(slot as u32, bytes, Duration::ZERO)
     }
 
-    fn physical_bytes(&self) -> u64 {
-        self.inner.total_bytes() * self.config.replication as u64
+    /// Samples the capacity timeline at `at`: what the backing holds now,
+    /// and that times the replication factor.
+    fn record_capacity(&self, at: Duration) {
+        let logical = self.inner.total_bytes();
+        self.metrics
+            .record_capacity(at, logical, logical * self.config.replication as u64);
     }
 }
 
@@ -209,11 +230,7 @@ impl ObjectStore for SimulatedRemoteStore {
         let (transfer, completed_at) = self.reserve_least_loaded(bytes);
         let receipt_inner = self.inner.put(key, data)?;
         self.metrics.record_put(bytes, transfer);
-        self.metrics.record_capacity(
-            completed_at,
-            self.inner.total_bytes(),
-            self.physical_bytes(),
-        );
+        self.record_capacity(completed_at);
         Ok(PutReceipt {
             key: receipt_inner.key,
             bytes,
@@ -231,11 +248,7 @@ impl ObjectStore for SimulatedRemoteStore {
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)?;
         self.metrics.record_delete();
-        self.metrics.record_capacity(
-            self.clock.now(),
-            self.inner.total_bytes(),
-            self.physical_bytes(),
-        );
+        self.record_capacity(self.clock.now());
         Ok(())
     }
 
@@ -260,7 +273,7 @@ impl ObjectStore for SimulatedRemoteStore {
     // durability scales with writer hosts.
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let data = crate::checked_range(&self.inner.get(key)?, key, offset, len)?;
+        let data = self.inner.get_range(key, offset, len)?;
         self.metrics.record_get(data.len() as u64);
         Ok(data)
     }
@@ -273,7 +286,7 @@ impl ObjectStore for SimulatedRemoteStore {
         channel: u32,
         not_before: Duration,
     ) -> Result<(Bytes, crate::GetReceipt)> {
-        let data = crate::checked_range(&self.inner.get(key)?, key, offset, len)?;
+        let data = self.inner.get_range(key, offset, len)?;
         let bytes = data.len() as u64;
         let transfer = self.read_transfer_time(bytes);
         let completed_at = self.reserve_for(channel, transfer, not_before);
@@ -360,11 +373,7 @@ impl ObjectStore for SimulatedRemoteStore {
         // commit round trip, not a re-upload.
         let completed_at = entry.durable_at.max(self.clock.now()) + self.config.base_latency;
         self.inner.put(&entry.key, object)?;
-        self.metrics.record_capacity(
-            completed_at,
-            self.inner.total_bytes(),
-            self.physical_bytes(),
-        );
+        self.record_capacity(completed_at);
         Ok(PutReceipt {
             key: entry.key,
             bytes,
@@ -407,6 +416,27 @@ mod tests {
     fn conformance() {
         let (store, _clock) = store_with(1000.0, 0, 1);
         crate::trait_tests::conformance(&store);
+    }
+
+    /// The layer is the same layer over any backing: a filesystem one, and
+    /// a fault-injecting one that injects nothing.
+    #[test]
+    fn conformance_over_fs_and_flaky_backings() {
+        use crate::{FlakyStore, FsStore};
+        let config = RemoteConfig {
+            base_latency: Duration::ZERO,
+            ..RemoteConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("cnr-remote-over-fs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = Arc::new(FsStore::open(&dir).unwrap());
+        crate::trait_tests::conformance(&SimulatedRemoteStore::over(fs, config, SimClock::new()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let flaky = Arc::new(FlakyStore::new(InMemoryStore::new(), 0));
+        let store = SimulatedRemoteStore::over(flaky.clone(), config, SimClock::new());
+        crate::trait_tests::conformance(&store);
+        assert_eq!(flaky.failures_injected(), 0);
     }
 
     #[test]

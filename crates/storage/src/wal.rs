@@ -216,18 +216,29 @@ impl WalWriter {
         Ok(receipt)
     }
 
-    /// Drops the whole log: deletes every live segment (a registered full
-    /// checkpoint supersedes it) and starts a fresh segment. Sequence
-    /// numbers keep counting — replay uses contiguity, not absolute zero.
+    /// Drops the whole log: deletes every segment the store lists for the
+    /// job (a registered checkpoint supersedes them all) and starts a fresh
+    /// segment. Sequence numbers keep counting — replay uses contiguity,
+    /// not absolute zero.
+    ///
+    /// The store's listing, not only the segments this writer remembers
+    /// syncing: a segment that outlived an earlier truncate sits in front
+    /// of the live log, its sequence numbers end where the next segment's
+    /// do not begin, and replay would stop at that gap for good. On `Err`
+    /// the segments not yet deleted are still [`WalWriter::live_segments`],
+    /// and the next truncate retries them.
     pub fn truncate(&mut self) -> Result<usize> {
         let mut deleted = 0;
-        for index in self.live.drain(..) {
-            match self.store.delete(&segment_key(&self.job, index)) {
+        for key in list_segments(self.store.as_ref(), &self.job)? {
+            match self.store.delete(&key) {
                 Ok(()) => deleted += 1,
                 Err(StorageError::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
+            self.live.retain(|&i| segment_key(&self.job, i) != key);
         }
+        // Whatever is left was synced once and is no longer listed.
+        self.live.clear();
         if !self.buf.is_empty() {
             self.buf.clear();
             self.seg_index += 1;
@@ -509,6 +520,62 @@ mod tests {
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.records.len(), 1);
         assert_eq!(r.records[0].seq, 2);
+    }
+
+    /// Delegates to an in-memory store, failing the delete of `key` once.
+    struct FailsOneDelete {
+        inner: InMemoryStore,
+        key: String,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ObjectStore for FailsOneDelete {
+        fn put(&self, key: &str, data: Bytes) -> Result<PutReceipt> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            if key == self.key && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                return Err(StorageError::Io(std::io::Error::other("injected delete failure")));
+            }
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> Result<crate::ObjectMeta> {
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    #[test]
+    fn failed_truncate_keeps_reporting_the_segments_it_left_behind() {
+        let s = Arc::new(FailsOneDelete {
+            inner: InMemoryStore::new(),
+            key: segment_key("job", 1),
+            armed: true.into(),
+        });
+        let config = WalConfig { segment_bytes: 1, sync_every: 1 };
+        let mut w = WalWriter::new(s.clone(), "job", config);
+        for payload in [b"a", b"b", b"c"] {
+            w.append(payload).unwrap();
+        }
+        assert!(matches!(w.truncate(), Err(StorageError::Io(_))));
+        // Segment 0 went; 1 (the failed delete) and 2 (never reached) are
+        // still in the store, so the scrubber and the controller must keep
+        // hearing about them.
+        let left = vec![segment_key("job", 1), segment_key("job", 2)];
+        assert_eq!(list_segments(s.as_ref(), "job").unwrap(), left);
+        assert_eq!(w.live_segments(), left);
+        // The retry finishes the job.
+        assert_eq!(w.truncate().unwrap(), 2);
+        assert!(w.live_segments().is_empty());
+        assert!(list_segments(s.as_ref(), "job").unwrap().is_empty());
     }
 
     #[test]

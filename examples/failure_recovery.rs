@@ -103,7 +103,7 @@ fn main() {
     // (§4.4: the checkpoint is only valid once durable) and does not
     // scale with reader hosts.
     println!("# recovery latency: sharded restore, 1 vs 8 reader hosts");
-    println!("reader_hosts,drain_wait_ms,fetch_ms,decode_ms,merge_ms,time_to_resume_ms,cache_hit_rate");
+    println!("reader_hosts,drain_wait_ms,fetch_ms,decode_ms,merge_ms,time_to_resume_ms");
     for hosts in [1usize, 8] {
         let spec = DatasetSpec::tiny(99);
         let model_cfg = ModelConfig::for_dataset(&spec, 16);
@@ -129,16 +129,13 @@ fn main() {
         engine.simulate_failure_and_restore().expect("restore");
         let resume = &engine.stats().resumes[0];
         println!(
-            "{},{:.2},{:.2},{:.2},{:.2},{:.2},{}",
+            "{},{:.2},{:.2},{:.2},{:.2},{:.2}",
             resume.reader_hosts,
             resume.drain_wait.as_secs_f64() * 1000.0,
             resume.fetch.as_secs_f64() * 1000.0,
             resume.decode.as_secs_f64() * 1000.0,
             resume.merge.as_secs_f64() * 1000.0,
             resume.time_to_resume.as_secs_f64() * 1000.0,
-            resume
-                .cache_hit_rate
-                .map_or("n/a".to_string(), |r| format!("{r:.2}")),
         );
     }
     println!();

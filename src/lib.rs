@@ -64,8 +64,8 @@ pub mod prelude {
     pub use cnr_model::config::ModelConfig;
     pub use cnr_quant::QuantScheme;
     pub use cnr_storage::{
-        EvictionPolicy, FailureMode, FlakyStore, InMemoryStore, MultipartUpload, ObjectStore,
-        RemoteConfig, SimulatedRemoteStore, TieredStore, TornWriteSpec,
+        FailureMode, FlakyStore, InMemoryStore, MultipartUpload, ObjectStore, RemoteConfig,
+        SimulatedRemoteStore, TornWriteSpec,
     };
     pub use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 }

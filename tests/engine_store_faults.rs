@@ -1,0 +1,279 @@
+//! Store faults under a running engine.
+//!
+//! The simulated remote is a timing layer over a backing store, and the
+//! engine builder says which one (`EngineBuilder::backing_store`). These
+//! suites put a `FlakyStore` or an `FsStore` there and drive the unchanged
+//! public API — train, checkpoint, fail, restore — so every fault reaches
+//! the engine through the path a real store failure would take. The
+//! invariant is the one the hand-damage tests in `engine.rs` state: a
+//! restore is bit-identical to the serial training reference at its restore
+//! point, or it fails typed.
+
+use check_n_run::core::CnrError;
+use check_n_run::obs::names;
+use check_n_run::prelude::*;
+use check_n_run::storage::{wal, CorruptionKind, CorruptionSpec, FsStore};
+use std::sync::Arc;
+
+const JOB: &str = "job";
+
+fn spec() -> DatasetSpec {
+    DatasetSpec::tiny(101)
+}
+
+/// An engine over `backing`, checkpointing every 5 batches.
+fn builder(backing: Arc<dyn ObjectStore>) -> EngineBuilder {
+    EngineBuilder::new(spec(), ModelConfig::for_dataset(&spec(), 8))
+        .checkpoint_every_batches(5)
+        .cluster_shape(1, 2)
+        .backing_store(backing)
+}
+
+/// Serially trains a fresh model on batches `0..n` — the ground truth any
+/// recovery must reproduce exactly.
+fn reference_state_hash(n: u64) -> u64 {
+    let ds = SyntheticDataset::new(spec());
+    let mut model = check_n_run::model::DlrmModel::new(ModelConfig::for_dataset(&spec(), 8));
+    for i in 0..n {
+        model.train_batch(&ds.batch(i), |_, _| {});
+    }
+    model.state_hash()
+}
+
+#[test]
+fn corrupt_chunk_reads_heal_by_refetch() {
+    // Every third read of a chunk key comes back bit-flipped; the refetch
+    // (the counter has moved on) is served by a healthy replica.
+    let flaky = Arc::new(
+        FlakyStore::corrupting_reads(
+            InMemoryStore::new(),
+            CorruptionSpec::every(CorruptionKind::BitFlip, 3),
+        )
+        .with_corrupt_key_filter("-chunk-"),
+    );
+    let mut e = builder(flaky.clone()).policy(PolicyKind::Consecutive).build().unwrap();
+    e.train_batches(13).unwrap();
+    e.simulate_failure_and_restore().unwrap();
+    assert!(flaky.corruptions_injected() > 0, "damage was served");
+    let r = e.stats().resumes.last().unwrap();
+    assert!(r.corruption_detected > 0);
+    assert_eq!(r.corruption_repaired, r.corruption_detected, "every one healed");
+    let reg = e.obs().registry();
+    assert_eq!(reg.counter(names::RESTORE_CORRUPTION_DETECTED), r.corruption_detected);
+    assert_eq!(reg.counter(names::RESTORE_CORRUPTION_REPAIRED), r.corruption_repaired);
+    assert_eq!(e.trainer().model().iteration(), 10);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(10));
+}
+
+#[test]
+fn read_outage_fails_typed_then_a_later_restore_recovers() {
+    // The first five reads time out. `fetch_retries` is 2: the first
+    // restore spends three of them on the manifest and gives up; the second
+    // meets the last two, retries through them and completes.
+    let flaky = Arc::new(FlakyStore::failing_reads(
+        InMemoryStore::new(),
+        FailureMode::FirstN(5),
+    ));
+    let mut e = builder(flaky.clone()).build().unwrap();
+    assert_eq!(e.config().fetch_retries, 2);
+    e.train_batches(12).unwrap();
+    assert_eq!(flaky.read_failures_injected(), 0, "training and writing read nothing");
+
+    let err = e.simulate_failure_and_restore().unwrap_err();
+    assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
+    assert_eq!(flaky.read_failures_injected(), 3);
+    assert!(matches!(e.train_batches(1), Err(CnrError::TrainingStateLost)));
+    assert!(e.stats().resumes.is_empty(), "a failed restore records no resume");
+
+    e.simulate_failure_and_restore().unwrap();
+    assert_eq!(flaky.read_failures_injected(), 5, "the outage's tail was retried through");
+    let retries = e.obs().registry().histogram(names::RESTORE_FETCH_RETRIES).unwrap();
+    assert_eq!(retries.sum, 2.0, "absorbed inside the retry budget, and counted");
+    assert_eq!(e.trainer().model().iteration(), 10);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(10));
+    e.train_batches(3).unwrap();
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(13));
+}
+
+#[test]
+fn torn_wal_segment_write_recovers_the_clean_prefix() {
+    // The third WAL sync dies one byte short of the segment's end: the
+    // store keeps the prefix, the writer gets no acknowledgement.
+    let flaky = Arc::new(
+        FlakyStore::tearing_writes(
+            InMemoryStore::new(),
+            TornWriteSpec::once(3).at_byte(usize::MAX),
+        )
+        .with_torn_key_filter("wal-"),
+    );
+    let mut e = builder(flaky.clone())
+        .delta_wal(DeltaWalConfig::default())
+        .build()
+        .unwrap();
+    // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
+    let err = e.train_batches(10).unwrap_err();
+    assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
+    assert_eq!(flaky.torn_writes_injected(), 1);
+    assert_eq!(e.trainer().model().iteration(), 8);
+
+    e.simulate_failure_and_restore().unwrap();
+    let r = e.stats().resumes.last().unwrap();
+    assert_eq!(r.restore_point, RestorePoint::WalTip);
+    assert_eq!(r.wal_replayed_iterations, 2, "the two whole frames before the tear");
+    assert_eq!(r.lost_iterations, 1, "only the torn iteration");
+    assert_eq!(e.trainer().model().iteration(), 7);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(7));
+}
+
+/// ROADMAP item 4's window: `register` succeeded, `truncate` did not take.
+/// Emulated the way `poison_at_rest` emulates bit rot — the segments as
+/// they stood at the boundary are put back through the backing handle.
+#[test]
+fn segments_that_outlive_their_truncate_are_skipped_then_collected() {
+    let backing = Arc::new(InMemoryStore::new());
+    let segments = |b: &InMemoryStore| wal::list_segments(b, JOB).unwrap();
+    // Boundaries by hand, so the log can be read just before one.
+    let mut e = builder(backing.clone())
+        .checkpoint_every_batches(1000)
+        .delta_wal(DeltaWalConfig::default())
+        .build()
+        .unwrap();
+    e.train_batches(5).unwrap();
+    e.checkpoint_now().unwrap();
+    e.train_batches(5).unwrap();
+    let stale: Vec<_> = segments(&backing)
+        .into_iter()
+        .map(|k| (backing.get(&k).unwrap(), k))
+        .collect();
+    assert!(!stale.is_empty(), "five records were logged against checkpoint 0");
+    let covering = e.checkpoint_now().unwrap().manifest.id;
+    assert!(segments(&backing).is_empty(), "the boundary truncated the log");
+    for (bytes, key) in &stale {
+        backing.put(key, bytes.clone()).unwrap();
+    }
+
+    e.train_batches(3).unwrap();
+    e.simulate_failure_and_restore().unwrap();
+    let r = e.stats().resumes.last().unwrap();
+    assert_eq!(r.checkpoint, covering);
+    assert_eq!(r.wal_replayed_iterations, 3, "the covered records are not replayed");
+    assert_eq!(r.lost_iterations, 0);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(13));
+
+    // The next boundary's truncate takes the stale segments with the live
+    // ones; left in place they would sit in front of every later log with
+    // a sequence gap behind them, and replay would stop there.
+    e.train_batches(2).unwrap();
+    e.checkpoint_now().unwrap();
+    assert!(segments(&backing).is_empty());
+    e.train_batches(2).unwrap();
+    e.simulate_failure_and_restore().unwrap();
+    let r = e.stats().resumes.last().unwrap();
+    assert_eq!((r.wal_replayed_iterations, r.lost_iterations), (2, 0));
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(17));
+}
+
+#[test]
+fn engine_over_a_filesystem_store_checkpoints_fails_and_restores() {
+    let dir = std::env::temp_dir().join(format!("cnr-engine-over-fs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fs = Arc::new(FsStore::open(&dir).unwrap());
+    let mut e = builder(fs.clone())
+        .policy(PolicyKind::OneShot)
+        .delta_wal(DeltaWalConfig::default())
+        .build()
+        .unwrap();
+    e.train_batches(12).unwrap();
+    // The checkpoints are files, and the remote's capacity is the
+    // directory's size.
+    for key in e.controller().live_keys() {
+        assert!(dir.join(&key).is_file(), "{key} is on disk");
+    }
+    assert_eq!(e.store().total_bytes(), fs.total_bytes());
+    e.simulate_failure_and_restore().unwrap();
+    assert_eq!(e.trainer().model().iteration(), 12, "restored to the WAL tip");
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(12));
+    e.train_batches(3).unwrap();
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(15));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint write that fails has stored nothing, so it must consume
+/// nothing: the rows the snapshot took from the tracker go back, and the
+/// retried boundary writes them.
+#[test]
+fn failed_checkpoint_write_keeps_the_tracked_rows() {
+    for policy in [PolicyKind::Consecutive, PolicyKind::OneShot, PolicyKind::Intermittent] {
+        // Small chunks, so the second checkpoint is several puts.
+        let with_small_chunks = |backing: Arc<dyn ObjectStore>| {
+            builder(backing).checkpoint_config(CheckpointConfig {
+                interval_batches: 5,
+                policy,
+                chunk_rows: 16,
+                ..CheckpointConfig::default()
+            })
+        };
+        let mut clean = with_small_chunks(Arc::new(InMemoryStore::new())).build().unwrap();
+        clean.train_batches(5).unwrap();
+        // Without a WAL every put is a chunk or a manifest: the first
+        // checkpoint took exactly as many as it has live keys, so two puts
+        // later is inside the second one, with a chunk already stored.
+        let second_put_of_the_second = clean.controller().live_keys().len() as u64 + 2;
+
+        let flaky = Arc::new(FlakyStore::with_mode(
+            InMemoryStore::new(),
+            FailureMode::Once(second_put_of_the_second),
+        ));
+        let mut e = with_small_chunks(flaky.clone()).build().unwrap();
+        e.train_batches(5).unwrap();
+        let first = e.controller().latest();
+        let durable_at = e.clock().now() + e.upload_backlog();
+        let err = e.train_batches(5).unwrap_err();
+        assert!(matches!(err, CnrError::Storage(_)), "{policy:?}: typed, got {err:?}");
+        assert_eq!(flaky.failures_injected(), 1);
+        assert_eq!(e.controller().latest(), first, "{policy:?}: nothing registered");
+        assert_eq!(e.policy().checkpoints_taken(), 1);
+        assert_eq!(e.stats().intervals.len(), 1);
+        assert_eq!(
+            e.clock().now() + e.upload_backlog(),
+            durable_at,
+            "the durability point did not move"
+        );
+        let debris = flaky.inner().list(&format!("{JOB}/")).unwrap().len()
+            - e.controller().live_keys().len();
+        assert!(debris > 0, "{policy:?}: the failed attempt left chunks behind");
+
+        // Training goes on: the boundary is retried first, then three more
+        // batches. The failure lands after them.
+        e.train_batches(3).unwrap();
+        assert_eq!(e.stats().intervals.len(), 2, "{policy:?}: the retry registered");
+        assert_eq!(e.controller().orphans_swept(), debris as u64);
+        assert_eq!(
+            flaky.inner().list(&format!("{JOB}/")).unwrap().len(),
+            e.controller().live_keys().len(),
+            "{policy:?}: the store holds what the controller owns, no more"
+        );
+        e.simulate_failure_and_restore().unwrap();
+        assert_eq!(e.trainer().model().iteration(), 10);
+        assert_eq!(
+            e.trainer().model().state_hash(),
+            reference_state_hash(10),
+            "{policy:?}: the retried checkpoint holds the failed interval's rows"
+        );
+
+        // And from there on the two runs cannot be told apart.
+        clean.train_batches(8).unwrap();
+        clean.simulate_failure_and_restore().unwrap();
+        for run in [&mut clean, &mut e] {
+            run.train_batches(7).unwrap();
+            run.simulate_failure_and_restore().unwrap();
+        }
+        assert_eq!(e.trainer().model().iteration(), 15);
+        assert_eq!(
+            e.trainer().model().state_hash(),
+            clean.trainer().model().state_hash(),
+            "{policy:?}"
+        );
+        assert_eq!(clean.trainer().model().state_hash(), reference_state_hash(15));
+    }
+}

@@ -185,28 +185,3 @@ fn eight_shards_reach_durability_sooner_and_restore_identically() {
         "8 uplinks should approach 8x faster durability: 1-shard {t1:?}, 8-shard {t8:?}"
     );
 }
-
-/// A TieredStore in front of the simulated remote serves restore reads
-/// from the local cache without touching the remote channel.
-#[test]
-fn tiered_store_serves_restore_from_cache() {
-    use check_n_run::storage::TieredStore;
-    let (model_cfg, snap) = snapshot_for(11, 500, 200, 8, 2, CheckpointKind::Full);
-    let remote = SimulatedRemoteStore::new(RemoteConfig::default(), SimClock::new());
-    let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 30);
-    let writer = CheckpointWriter::new(&store, "job");
-    let cfg = CheckpointConfig::default();
-    writer
-        .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
-        .expect("write");
-    let report = restore(&store, "job", CheckpointId(0), &model_cfg).expect("restore");
-    assert_eq!(report.state, snap.model);
-    // The manifest went through `put` (write-through: cached); chunks went
-    // through multipart (cached only on first read). Restoring a second
-    // time is all cache hits.
-    let misses_after_first = store.cache_misses();
-    restore(&store, "job", CheckpointId(0), &model_cfg).expect("restore again");
-    assert_eq!(store.cache_misses(), misses_after_first, "second restore is cache-resident");
-    assert!(store.cache_hits() > 0);
-    assert_eq!(store.remote().metrics().snapshot().gets as usize, misses_after_first as usize);
-}
