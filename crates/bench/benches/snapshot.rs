@@ -1,5 +1,7 @@
-//! Snapshot and writer-pipeline benchmarks: the §4.2 stall path and the
-//! §4.4 background pipeline.
+//! Snapshot and writer-pipeline benchmarks: the §4.2 stall path — the
+//! copy `SnapshotTaker::take` makes at a boundary, for a full snapshot and
+//! for an incremental that tracked a twentieth of the rows — and the §4.4
+//! background pipeline.
 
 use cnr_bench::workloads::trained_model;
 use cnr_core::config::CheckpointConfig;
@@ -8,7 +10,7 @@ use cnr_core::policy::{Decision, TrackerAction};
 use cnr_core::snapshot::SnapshotTaker;
 use cnr_core::write::CheckpointWriter;
 use cnr_cluster::SimClock;
-use cnr_model::{ModelState, ShardPlan};
+use cnr_model::ShardPlan;
 use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
 use cnr_storage::InMemoryStore;
@@ -16,11 +18,30 @@ use cnr_trainer::{Trainer, TrainerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn state_extract(c: &mut Criterion) {
+fn snapshot_take(c: &mut Criterion) {
     let (_, model) = trained_model(1, 50, 16);
-    c.bench_function("model_state_extract", |b| {
-        b.iter(|| black_box(ModelState::extract(&model)))
-    });
+    let taker = SnapshotTaker::new(ShardPlan::balanced(model.config(), 1, 4));
+    let mut trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
+    // Scattered rows, as an interval's are: every twentieth of each table.
+    for (t, rows) in trainer.model().config().row_counts().into_iter().enumerate() {
+        trainer.tracker().mark_rows(t, (0..rows).step_by(20));
+    }
+    let cfg = CheckpointConfig::default();
+    let mut group = c.benchmark_group("snapshot_take");
+    for (name, kind) in [
+        ("full", CheckpointKind::Full),
+        ("incremental_5pct", CheckpointKind::Incremental),
+    ] {
+        // `SnapshotKeep`: every iteration sees the same tracked rows.
+        let decision = Decision {
+            kind,
+            tracker: TrackerAction::SnapshotKeep,
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(taker.take(&mut trainer, ReaderState::at(50), decision, &cfg)))
+        });
+    }
+    group.finish();
 }
 
 fn writer_pipeline(c: &mut Criterion) {
@@ -74,6 +95,6 @@ fn writer_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = state_extract, writer_pipeline
+    targets = snapshot_take, writer_pipeline
 }
 criterion_main!(benches);

@@ -124,41 +124,6 @@ impl FailureModel {
         }
     }
 
-    /// Samples whether one of `hosts` writer hosts dies during a checkpoint
-    /// upload expected to take `upload_time`, during which each host writes
-    /// `chunks_per_host` chunks.
-    ///
-    /// Each host's time-to-failure is drawn independently from this model;
-    /// the earliest failure landing inside the upload window wins and is
-    /// converted to a chunk position. Returns `None` when every host
-    /// survives the upload (the overwhelmingly common case — uploads are
-    /// minutes, MTBFs are hours).
-    pub fn sample_writer_kill<R: Rng + ?Sized>(
-        &self,
-        hosts: u16,
-        chunks_per_host: u32,
-        upload_time: Duration,
-        rng: &mut R,
-    ) -> Option<HostKill> {
-        let mut kill: Option<(Duration, u16)> = None;
-        for host in 0..hosts {
-            if let Some(s) = self.sample(rng) {
-                if s.time_to_failure < upload_time
-                    && kill.is_none_or(|(t, _)| s.time_to_failure < t)
-                {
-                    kill = Some((s.time_to_failure, host));
-                }
-            }
-        }
-        kill.map(|(t, host)| {
-            let frac = t.as_secs_f64() / upload_time.as_secs_f64();
-            HostKill {
-                host,
-                after_chunks: ((chunks_per_host as f64) * frac) as u32,
-            }
-        })
-    }
-
     /// Samples the failure times occurring within a run of length `total`,
     /// assuming the job restarts (renews) immediately after each failure.
     pub fn failure_times_within<R: Rng + ?Sized>(
@@ -320,51 +285,6 @@ mod tests {
         assert!((gamma(2.0) - 1.0).abs() < 1e-9);
         assert!((gamma(5.0) - 24.0).abs() < 1e-6);
         assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn writer_kill_none_model_never_kills() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(FailureModel::None
-            .sample_writer_kill(8, 100, Duration::from_secs(3600), &mut rng)
-            .is_none());
-    }
-
-    #[test]
-    fn writer_kill_lands_inside_the_upload() {
-        // MTBF comparable to the upload time: kills happen often and must
-        // always name a valid host and an in-range chunk position.
-        let model = FailureModel::Exponential {
-            mtbf: Duration::from_secs(600),
-        };
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut kills = 0;
-        for _ in 0..200 {
-            if let Some(k) =
-                model.sample_writer_kill(4, 50, Duration::from_secs(600), &mut rng)
-            {
-                kills += 1;
-                assert!(k.host < 4);
-                assert!(k.after_chunks < 50);
-            }
-        }
-        assert!(kills > 50, "short MTBF must kill frequently, got {kills}");
-    }
-
-    #[test]
-    fn writer_kill_is_rare_for_long_mtbf() {
-        let model = FailureModel::Exponential {
-            mtbf: Duration::from_secs(100_000),
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let kills = (0..500)
-            .filter(|_| {
-                model
-                    .sample_writer_kill(8, 10, Duration::from_secs(60), &mut rng)
-                    .is_some()
-            })
-            .count();
-        assert!(kills < 25, "uploads are short vs MTBF, got {kills} kills");
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use crate::error::{CnrError, Result};
 use crate::wire;
 use bytes::BufMut;
+use cnr_model::ModelConfig;
 use cnr_storage::envelope;
 use cnr_quant::{QuantScheme, QuantizedRow};
 use cnr_reader::ReaderState;
@@ -63,6 +64,22 @@ pub struct TableMeta {
     pub dim: u16,
     /// Whether rows carry a row-wise optimizer accumulator.
     pub has_optimizer_state: bool,
+}
+
+impl TableMeta {
+    /// The geometry of every table of a model built from `config`.
+    pub fn for_model(config: &ModelConfig) -> Vec<Self> {
+        let has_optimizer_state = config.optimizer.has_state();
+        config
+            .tables
+            .iter()
+            .map(|spec| Self {
+                rows: spec.rows,
+                dim: spec.dim as u16,
+                has_optimizer_state,
+            })
+            .collect()
+    }
 }
 
 /// One stored chunk.

@@ -371,16 +371,7 @@ mod tests {
                 }
             }
         }
-        let geometry = m
-            .tables()
-            .iter()
-            .map(|t| TableMeta {
-                rows: t.rows() as u64,
-                dim: t.dim() as u16,
-                has_optimizer_state: t.adagrad().is_some(),
-            })
-            .collect();
-        LazyRestore::new(chunks, geometry, applied_rank)
+        LazyRestore::new(chunks, TableMeta::for_model(m.config()), applied_rank)
     }
 
     #[test]

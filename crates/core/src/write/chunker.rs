@@ -13,18 +13,22 @@
 //! Chunk contents depend only on the snapshot and the configuration, never
 //! on execution timing, so sharded checkpoints are deterministic.
 //!
-//! The plan names rows; it does not carry them. A [`WorkItem`] is a run of
-//! row indices, and the worker that encodes it reads the rows straight out
-//! of the (immutable) snapshot — so planning costs 4 bytes per row instead
-//! of a second resident copy of the delta, and no row is copied on the
-//! calling thread before the pool starts.
+//! The plan names rows; it does not carry them. The snapshot already holds
+//! exactly the delta's rows, gathered densely in ascending row order
+//! (slab row `k` of a table is the `k`-th set bit of its mask — the
+//! [`TrainingSnapshot`] invariant), and the plan walks the mask in that
+//! same order: a [`WorkItem`] is a run of table-absolute row indices plus
+//! the slab position of its first row, and the worker that encodes it
+//! reads `indices.len()` *consecutive* slab rows. Planning costs 4 bytes
+//! per row, no row is copied on the calling thread before the pool starts,
+//! and re-sharding a dead host's items moves them unchanged.
 
 use crate::config::CheckpointConfig;
 use crate::snapshot::TrainingSnapshot;
 use std::ops::Range;
 
 /// One unit of pipeline work: a run of modified rows of one table, owned
-/// by one writer host. The rows themselves stay in the snapshot.
+/// by one writer host. The rows themselves stay in the snapshot's slab.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
     /// Writer host that owns (and uploads) this chunk.
@@ -33,8 +37,12 @@ pub struct WorkItem {
     pub seq: u32,
     /// Table the rows belong to.
     pub table: u16,
-    /// Ascending row indices within the table.
+    /// Ascending row indices within the table (what the stored chunk
+    /// records).
     pub indices: Vec<u32>,
+    /// Where the rows sit in the snapshot: `indices[i]` is slab row
+    /// `slab_start + i` of the table.
+    pub slab_start: usize,
     /// Embedding dimension.
     pub dim: usize,
 }
@@ -55,18 +63,13 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
     let mut shards: Vec<Vec<WorkItem>> = (0..hosts).map(|_| Vec::new()).collect();
     let mut seqs = vec![0u32; hosts];
 
-    for (t, table_state) in snapshot.model.tables.iter().enumerate() {
-        let mask = &snapshot.delta.tables[t];
-        let rows = mask.len();
-        let dim = table_state.data.len().checked_div(rows).unwrap_or(0);
+    for (t, (meta, mask)) in snapshot.geometry.iter().zip(&snapshot.delta.tables).enumerate() {
+        let (rows, dim) = (meta.rows as usize, meta.dim as usize);
         let mut h = 0usize;
         let mut end = shard_range(rows, hosts, 0).end;
-        // Rows of this table still to be planned: with the slots left in
-        // the shard it bounds the next chunk, so index runs are allocated
-        // at their final size (exactly, for a full checkpoint).
-        let mut unplanned = mask.count_ones();
+        let tracked = mask.count_ones();
         let mut indices: Vec<u32> = Vec::new();
-        let mut flush = |indices: &mut Vec<u32>, h: usize| {
+        let mut flush = |indices: &mut Vec<u32>, h: usize, slab_end: usize| {
             if indices.is_empty() {
                 return;
             }
@@ -74,27 +77,32 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
                 shard: h as u16,
                 seq: seqs[h],
                 table: t as u16,
+                slab_start: slab_end - indices.len(),
                 indices: std::mem::take(indices),
                 dim,
             });
             seqs[h] += 1;
         };
-        for row in mask.iter_ones() {
+        // `k` is the row's slab position: set bits are walked in the order
+        // the snapshot gathered them.
+        for (k, row) in mask.iter_ones().enumerate() {
             while row >= end {
-                flush(&mut indices, h);
+                flush(&mut indices, h, k);
                 h += 1;
                 end = shard_range(rows, hosts, h).end;
             }
             if indices.capacity() == 0 {
-                indices.reserve_exact(config.chunk_rows.min(unplanned).min(end - row));
+                // The rows still to be planned and the slots left in the
+                // shard bound the next chunk, so index runs are allocated
+                // at their final size (exactly, for a full checkpoint).
+                indices.reserve_exact(config.chunk_rows.min(tracked - k).min(end - row));
             }
             indices.push(row as u32);
-            unplanned -= 1;
             if indices.len() >= config.chunk_rows {
-                flush(&mut indices, h);
+                flush(&mut indices, h, k + 1);
             }
         }
-        flush(&mut indices, h);
+        flush(&mut indices, h, tracked);
     }
     shards
 }
@@ -188,6 +196,14 @@ mod tests {
                 assert!(item.indices.len() <= 64);
                 assert_eq!(item.dim, 8);
             }
+        }
+
+        // Items tile each table's slab in planning order.
+        let mut slab_next = vec![0usize; snap.geometry.len()];
+        for item in shards.iter().flatten() {
+            let next = &mut slab_next[item.table as usize];
+            assert_eq!(item.slab_start, *next);
+            *next += item.indices.len();
         }
 
         // Planning is deterministic.

@@ -14,10 +14,12 @@
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
 //!   contiguous shards and batches modified rows into chunks — runs of
-//!   row indices; the rows stay in the snapshot.
-//! * [`shard_writer`] is one host's side of a chunk: quantize straight
-//!   from the snapshot, encode, upload. A host killed mid-upload aborts its in-flight multipart
-//!   transfer and hands its unfinished chunks back.
+//!   row indices and where the run starts in the snapshot's slab; the
+//!   rows stay in the snapshot, which holds exactly the delta's rows.
+//! * [`shard_writer`] is one host's side of a chunk: quantize a run of
+//!   consecutive slab rows, encode, upload. A host killed mid-upload
+//!   aborts its in-flight multipart transfer and hands its unfinished
+//!   chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
 //!   owning host's uplink with a bounded in-flight window, and answers the
 //!   engine's durability polls (§4.3 non-overlap without blocking). Its
@@ -41,9 +43,9 @@ pub use chunker::{shard_range, WorkItem};
 pub use scheduler::{UploadScheduler, UploadStatus};
 
 use crate::config::CheckpointConfig;
-use crate::error::Result;
+use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
-use crate::manifest::{CheckpointId, ChunkMeta, Manifest, ShardMeta, TableMeta};
+use crate::manifest::{CheckpointId, ChunkMeta, Manifest, ShardMeta};
 use crate::snapshot::TrainingSnapshot;
 use bytes::Bytes;
 use cnr_cluster::HostKill;
@@ -77,6 +79,42 @@ pub struct CheckpointRecord {
     /// Writer hosts that died mid-upload (their remaining rows were
     /// re-sharded onto the survivors).
     pub killed_hosts: Vec<u16>,
+}
+
+/// Checks the [`TrainingSnapshot`] invariant the plan relies on: every
+/// table's slab holds exactly the rows its mask names. The snapshot's
+/// fields are public; a delta edited after `take` must fail here, typed,
+/// instead of storing other rows' values under the edited indices.
+fn check_slabs(snapshot: &TrainingSnapshot) -> Result<()> {
+    let (slabs, metas, masks) = (&snapshot.model.tables, &snapshot.geometry, &snapshot.delta.tables);
+    if slabs.len() != metas.len() || masks.len() != metas.len() {
+        return Err(CnrError::ShapeMismatch(format!(
+            "snapshot has {} table slabs and {} masks for {} tables",
+            slabs.len(),
+            masks.len(),
+            metas.len()
+        )));
+    }
+    for (t, ((slab, meta), mask)) in slabs.iter().zip(metas).zip(masks).enumerate() {
+        let tracked = mask.count_ones();
+        let accumulators = meta.has_optimizer_state.then_some(tracked);
+        if mask.len() as u64 != meta.rows
+            || slab.data.len() != tracked * meta.dim as usize
+            || slab.adagrad.as_ref().map(Vec::len) != accumulators
+        {
+            return Err(CnrError::ShapeMismatch(format!(
+                "snapshot table {t}: delta names {tracked} of {} rows ({}x{}, accumulators {}), \
+                 slab holds {} values and {:?} accumulators",
+                mask.len(),
+                meta.rows,
+                meta.dim,
+                meta.has_optimizer_state,
+                slab.data.len(),
+                slab.adagrad.as_ref().map(Vec::len)
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Writes checkpoints for one job onto one store.
@@ -139,6 +177,7 @@ impl<'a> CheckpointWriter<'a> {
         scheduler.set_floor(uploads_after);
 
         // --- Plan: shard and chunk the delta. ---------------------------
+        check_slabs(snapshot)?;
         let shards = chunker::plan(snapshot, config);
 
         // --- Upload: every host its own shard. --------------------------
@@ -191,21 +230,6 @@ impl<'a> CheckpointWriter<'a> {
         }
 
         // --- Manifest. --------------------------------------------------
-        let tables: Vec<TableMeta> = snapshot
-            .model
-            .tables
-            .iter()
-            .zip(&snapshot.delta.tables)
-            .map(|(ts, mask)| TableMeta {
-                rows: mask.len() as u64,
-                dim: if !mask.is_empty() {
-                    (ts.data.len() / mask.len()) as u16
-                } else {
-                    0
-                },
-                has_optimizer_state: ts.adagrad.is_some(),
-            })
-            .collect();
         let manifest = Manifest {
             id,
             kind: snapshot.kind,
@@ -213,7 +237,7 @@ impl<'a> CheckpointWriter<'a> {
             iteration: snapshot.model.iteration,
             reader_state: snapshot.reader,
             scheme,
-            tables,
+            tables: snapshot.geometry.clone(),
             bottom_mlp: snapshot.model.bottom.clone(),
             top_mlp: snapshot.model.top.clone(),
             chunks: metas,
@@ -344,6 +368,53 @@ mod tests {
         let total_rows: u32 = rec.manifest.chunks.iter().map(|c| c.rows).sum();
         assert_eq!(total_rows as usize, delta_rows);
         assert_eq!(rec.manifest.base, Some(CheckpointId(0)));
+    }
+
+    #[test]
+    fn a_delta_edited_after_take_fails_typed() {
+        let write = |snap: &TrainingSnapshot| {
+            let store = InMemoryStore::new();
+            let result = CheckpointWriter::new(&store, "job").write(
+                snap,
+                CheckpointId(1),
+                Some(CheckpointId(0)),
+                QuantScheme::Fp32,
+                &CheckpointConfig::default(),
+            );
+            if result.is_err() {
+                assert!(store.list("").unwrap().is_empty(), "nothing may be stored");
+            }
+            result
+        };
+        let taken = snapshot_after(2, CheckpointKind::Incremental);
+        write(&taken).expect("the snapshot as taken writes");
+
+        // One more row named than gathered: the slab is a row short.
+        let mut snap = taken.clone();
+        let untracked = (0..).find(|&row| !taken.delta.tables[0].get(row)).unwrap();
+        snap.delta.tables[0].set(untracked);
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
+        // The old way to make a baseline out of an incremental.
+        let mut snap = taken.clone();
+        snap.delta = cnr_tracking::TrackerSnapshot::full(
+            &snap.geometry.iter().map(|t| t.rows as usize).collect::<Vec<_>>(),
+        );
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
+        // A mask of another table's length.
+        let mut snap = taken.clone();
+        snap.delta.tables.swap(0, 1);
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
+        // A mask too few.
+        let mut snap = taken.clone();
+        snap.delta.tables.pop();
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
+        // Accumulators the geometry does not announce, and a short slab.
+        let mut snap = taken.clone();
+        snap.model.tables[0].adagrad = Some(vec![0.0; snap.delta.tables[0].count_ones()]);
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
+        let mut snap = taken.clone();
+        snap.model.tables[1].data.pop();
+        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
     }
 
     #[test]

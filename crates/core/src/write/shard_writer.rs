@@ -1,9 +1,9 @@
 //! Per-host shard writers (§4.4 step 3).
 //!
 //! A `ShardWriter` is one simulated writer host's side of a checkpoint:
-//! it quantizes a chunk of the host's row-range — reading the rows where
-//! they already are, in the snapshot — and streams it to the store through
-//! the [`UploadScheduler`], over the
+//! it quantizes a chunk of the host's row-range — a run of consecutive
+//! rows of the snapshot's gathered slab, read sequentially — and streams
+//! it to the store through the [`UploadScheduler`], over the
 //! host's own uplink. A host can also be *killed* mid-upload
 //! (failure injection): it aborts the chunk it was transferring, and the
 //! coordinator (`crate::hosts`) re-shards every chunk it never finished
@@ -26,7 +26,7 @@ pub(crate) struct ShardWriter<'a> {
     pub(crate) job: &'a str,
     pub(crate) id: CheckpointId,
     pub(crate) scheme: QuantScheme,
-    /// The snapshot's tables: every chunk is quantized straight from here.
+    /// The snapshot's slabs: every chunk is quantized straight from here.
     pub(crate) tables: &'a [TableState],
     pub(crate) scheduler: &'a UploadScheduler<'a>,
     /// Wall-clock nanoseconds spent quantizing, shared across shards.
@@ -75,16 +75,20 @@ impl ShardWriter<'_> {
 /// the chunk frame inside the storage envelope, so every byte that leaves
 /// a writer host is covered by an end-to-end checksum — in one buffer:
 /// each row's parameters and packed codes are appended straight from
-/// `table` (the snapshot's copy of the item's table; the item only names
-/// the rows) into the exactly sized chunk buffer, which is then
-/// checksummed in place. Byte for byte what
+/// `slab` (the snapshot's gathered rows of the item's table: the item's
+/// rows are the `indices.len()` consecutive slab rows from `slab_start`,
+/// while the frame records the table-absolute `indices`) into the exactly
+/// sized chunk buffer, which is then checksummed in place. Byte for byte
+/// what
 /// `ChunkPayload { rows: quantize_row(..) for every row, .. }.encode_enveloped()`
 /// produces, without the row objects or any intermediate copy.
 ///
-/// Panics when an index lies outside `table` — the chunker only plans
-/// rows of the snapshot it was given.
-pub fn encode_chunk(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -> Vec<u8> {
+/// Panics when the item's rows lie outside `slab` — the chunker only plans
+/// rows of the snapshot it was given, and the writer checks the slab
+/// lengths against the delta before planning.
+pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> Vec<u8> {
     let (count, dim) = (item.indices.len(), item.dim);
+    let rows_at = item.slab_start..item.slab_start + count;
     let rows = if count == 0 {
         RowContext::EMPTY
     } else {
@@ -97,17 +101,16 @@ pub fn encode_chunk(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -
     ChunkFrame {
         table: item.table,
         row_indices: &item.indices,
-        optimizer_state: table
+        optimizer_state: slab
             .adagrad
             .as_ref()
-            .map(|acc| item.indices.iter().map(|&r| acc[r as usize])),
+            .map(|acc| acc[rows_at.clone()].iter().copied()),
         rows,
         rows_len: count * scheme.body_bytes_per_row(dim),
     }
     .encode_enveloped(|out| {
-        for &r in &item.indices {
-            let r = r as usize;
-            scheme.quantize_row_into(&table.data[r * dim..(r + 1) * dim], out);
+        for k in rows_at.clone() {
+            scheme.quantize_row_into(&slab.data[k * dim..(k + 1) * dim], out);
         }
     })
 }
@@ -132,38 +135,42 @@ mod tests {
         ]
     }
 
-    /// A work item naming every third row of a table three times its
-    /// size, and that table: the rows a chunk stores are scattered, as an
-    /// incremental's are.
+    /// A work item naming every third row of a table — scattered, as an
+    /// incremental's rows are — and a slab holding those rows from
+    /// position 2 on, between rows of other chunks.
     fn item(rows: usize, dim: usize, with_acc: bool) -> (WorkItem, TableState) {
-        let table_rows = rows * 3 + 1;
-        let table = TableState {
-            data: (0..table_rows * dim)
+        let slab_rows = rows + 3;
+        let slab = TableState {
+            data: (0..slab_rows * dim)
                 .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.4) * 0.3)
                 .collect(),
-            adagrad: with_acc.then(|| (0..table_rows).map(|i| i as f32 * 0.5).collect()),
+            adagrad: with_acc.then(|| (0..slab_rows).map(|i| i as f32 * 0.5).collect()),
         };
         let item = WorkItem {
             shard: 1,
             seq: 7,
             table: 3,
             indices: (0..rows as u32).map(|i| i * 3 + 1).collect(),
+            slab_start: 2,
             dim,
         };
-        (item, table)
+        (item, slab)
     }
 
     /// The row-object encoding the fused path must reproduce.
-    fn via_row_objects(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -> ChunkPayload {
-        let row = |r: u32| &table.data[r as usize * item.dim..(r as usize + 1) * item.dim];
+    fn via_row_objects(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> ChunkPayload {
+        let slab_rows = item.slab_start..item.slab_start + item.indices.len();
         ChunkPayload {
             table: item.table,
             row_indices: item.indices.clone(),
-            optimizer_state: table
+            optimizer_state: slab
                 .adagrad
                 .as_ref()
-                .map(|acc| item.indices.iter().map(|&r| acc[r as usize]).collect()),
-            rows: item.indices.iter().map(|&r| scheme.quantize_row(row(r))).collect(),
+                .map(|acc| acc[slab_rows.clone()].to_vec()),
+            rows: slab_rows
+                .clone()
+                .map(|k| scheme.quantize_row(&slab.data[k * item.dim..(k + 1) * item.dim]))
+                .collect(),
         }
     }
 

@@ -3,7 +3,9 @@
 //! [`ModelState`] is the in-memory snapshot the Check-N-Run engine copies out
 //! of the (simulated) devices while training is stalled (§4.2): embedding
 //! weights, optimizer accumulators, MLP parameters, and the iteration
-//! counter. Extraction and restoration are exact (bit-level) so that
+//! counter. (A checkpoint snapshot's tables hold only the rows the
+//! checkpoint writes — see `cnr_core::snapshot`; a restored state's hold
+//! every row.) Extraction and restoration are exact (bit-level) so that
 //! unquantized checkpoints provably lose nothing.
 
 use crate::config::ModelConfig;
@@ -53,6 +55,11 @@ pub struct ModelState {
 
 impl ModelState {
     /// Copies the full state out of a model.
+    ///
+    /// No engine code calls this: a checkpoint snapshot copies only the
+    /// rows it will write (`cnr_core::snapshot`), and a restore decodes
+    /// into the model in place. It is the whole-model oracle the tests
+    /// compare both against.
     pub fn extract(model: &DlrmModel) -> Self {
         Self {
             tables: model

@@ -111,6 +111,29 @@ impl BitVec {
         }
     }
 
+    /// Iterates over the maximal runs of consecutive set bits, ascending:
+    /// the same bits as [`Self::iter_ones`], one item per run instead of
+    /// one per bit (an all-ones vector is a single run).
+    pub fn iter_runs(&self) -> IterRuns<'_> {
+        IterRuns { bv: self, pos: 0 }
+    }
+
+    /// First index at or after `from` whose bit equals `set`; `len` when
+    /// there is none.
+    fn next_bit(&self, from: usize, set: bool) -> usize {
+        let flip = if set { 0 } else { !0u64 };
+        let mut mask = !0u64 << (from % 64);
+        for (i, &word) in self.words.iter().enumerate().skip(from / 64) {
+            let hits = (word ^ flip) & mask;
+            if hits != 0 {
+                // A cleared padding bit of the last word reads as `len`.
+                return (i * 64 + hits.trailing_zeros() as usize).min(self.len);
+            }
+            mask = !0;
+        }
+        self.len
+    }
+
     /// Raw words (little-endian bit order within each word).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -160,6 +183,25 @@ impl Iterator for IterOnes<'_> {
             }
             self.current = self.bv.words[self.word_idx];
         }
+    }
+}
+
+/// Iterator over the runs of set bits of a [`BitVec`].
+pub struct IterRuns<'a> {
+    bv: &'a BitVec,
+    pos: usize,
+}
+
+impl Iterator for IterRuns<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = self.bv.next_bit(self.pos, true);
+        if start == self.bv.len {
+            return None;
+        }
+        self.pos = self.bv.next_bit(start, false);
+        Some(start..self.pos)
     }
 }
 
@@ -304,6 +346,32 @@ mod tests {
         }
         assert_eq!(full.iter_ones().count(), 77);
         assert!((full.fraction_set() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn iter_runs_are_the_maximal_runs_of_iter_ones() {
+        let patterns: Vec<(usize, Vec<usize>)> = vec![
+            (0, vec![]),
+            (77, vec![]),
+            (77, (0..77).collect()),
+            (128, (0..128).collect()),
+            (200, vec![3, 63, 64, 65, 127, 129, 199]),
+            (130, (0..130).step_by(2).collect()),
+            (192, (60..140).collect()),
+        ];
+        for (len, ones) in patterns {
+            let mut bv = BitVec::new(len);
+            ones.iter().for_each(|&i| bv.set(i));
+            let runs: Vec<_> = bv.iter_runs().collect();
+            let flat: Vec<usize> = runs.iter().cloned().flatten().collect();
+            assert_eq!(flat, ones, "len {len}");
+            for pair in runs.windows(2) {
+                assert!(pair[0].end < pair[1].start, "runs must be maximal: {runs:?}");
+            }
+        }
+        let mut full = BitVec::new(1000);
+        (0..1000).for_each(|i| full.set(i));
+        assert_eq!(full.iter_runs().collect::<Vec<_>>(), vec![0..1000]);
     }
 
     #[test]

@@ -8,23 +8,29 @@
 //! holds never asks for a model-sized buffer, and asks for no more when
 //! chunks hold more rows; a lazy restore asks for nothing the size of the
 //! cold rows it holds back (it keeps the bytes it fetched), and faulting a
-//! row in allocates nothing; planning a write allocates a row's index, not
-//! the row; an append into a grown segment buffer allocates nothing.
+//! row in allocates nothing; a snapshot asks for one buffer per table, of
+//! exactly the rows its delta names; planning a write allocates a row's
+//! index, not the row; an append into a grown segment buffer allocates
+//! nothing.
 
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::delta_log::DeltaRecord;
+use check_n_run::cluster::SimClock;
 use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
+use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::read::{restore_sharded_into, RestoreOptions, RowHeat};
 use check_n_run::core::write::shard_writer::encode_chunk;
+use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::{chunker, CheckpointWriter, WorkItem};
 use check_n_run::core::TrainingSnapshot;
-use check_n_run::model::state::{ModelState, TableState};
-use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, TableSpec};
+use check_n_run::model::state::TableState;
+use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, ShardPlan, TableSpec};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::wal::{WalConfig, WalWriter};
 use check_n_run::storage::InMemoryStore;
 use check_n_run::tracking::TrackerSnapshot;
+use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,22 +42,46 @@ struct Counting;
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// One byte per thread: its address tells threads apart from inside
+    /// the allocator, where asking the runtime who is running may allocate.
+    static THREAD_MARK: u8 = const { 0 };
+}
+
+/// `THREAD_MARK`'s address on the first thread that ever allocated — the
+/// process's main thread, which under libtest is the harness: it spawns
+/// this file's one test and then does its own bookkeeping (four
+/// allocations) while the test is already counting. Everything else — the
+/// test's thread and every worker the library spawns — is counted.
+static HARNESS: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    let me = THREAD_MARK.try_with(|mark| mark as *const u8 as usize).unwrap_or(0);
+    let harness = match HARNESS.compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => me,
+        Err(first) => first,
+    };
+    if me != harness {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are relaxed statistics.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics,
+// and `count` touches only a `const`-initialized thread-local without a
+// destructor, which neither allocates nor can be gone.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -96,25 +126,51 @@ fn item(rows: usize) -> WorkItem {
         seq: 0,
         table: 0,
         indices: (0..rows as u32).collect(),
+        slab_start: 0,
         dim: DIM,
     }
 }
 
-/// A one-table snapshot whose delta is `delta`.
-fn snapshot(rows: usize, delta: TrackerSnapshot) -> TrainingSnapshot {
-    TrainingSnapshot {
-        model: ModelState {
-            tables: vec![table(rows)],
-            bottom: Vec::new(),
-            top: Vec::new(),
-            iteration: 1,
-        },
-        delta,
-        reader: ReaderState::at(1),
-        kind: CheckpointKind::Full,
-        taken_at: Duration::ZERO,
-        stall: Duration::ZERO,
+/// A trainer over a model of one table, `table(rows)`, and its taker.
+fn trainer(rows: usize) -> (Trainer, SnapshotTaker) {
+    let config = ModelConfig {
+        tables: vec![TableSpec {
+            rows: rows as u64,
+            dim: DIM,
+        }],
+        optimizer: OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
+        ..ModelConfig::for_dataset(&DatasetSpec::tiny(5), DIM)
+    };
+    let taker = SnapshotTaker::new(ShardPlan::balanced(&config, 1, 1));
+    let mut model = DlrmModel::new(config);
+    let values = table(rows);
+    model.tables_mut()[0].data_mut().copy_from_slice(&values.data);
+    model.tables_mut()[0]
+        .adagrad_mut()
+        .unwrap()
+        .copy_from_slice(values.adagrad.as_ref().unwrap());
+    let trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
+    (trainer, taker)
+}
+
+/// Snapshots `trainer`: the incremental of the rows `tracked` names, or a
+/// full snapshot without it.
+fn take(
+    (trainer, taker): &mut (Trainer, SnapshotTaker),
+    tracked: Option<&TrackerSnapshot>,
+) -> TrainingSnapshot {
+    trainer.tracker().reset();
+    for (t, mask) in tracked.iter().flat_map(|delta| delta.tables.iter().enumerate()) {
+        trainer.tracker().mark_rows(t, mask.iter_ones());
     }
+    let decision = Decision {
+        kind: match tracked {
+            Some(_) => CheckpointKind::Incremental,
+            None => CheckpointKind::Full,
+        },
+        tracker: TrackerAction::SnapshotKeep,
+    };
+    taker.take(trainer, ReaderState::at(1), decision, &CheckpointConfig::default())
 }
 
 #[test]
@@ -143,7 +199,7 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     // and for no more when chunks hold more rows.
     let spec = DatasetSpec::tiny(5);
     let rows = 40_000;
-    let saved = snapshot(rows, TrackerSnapshot::full(&[rows]));
+    let saved = take(&mut trainer(rows), None);
     let model_cfg = ModelConfig {
         tables: vec![TableSpec {
             rows: rows as u64,
@@ -262,17 +318,43 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         "drained lazy restore is bit-exact"
     );
 
-    // Planning a write names rows, it does not copy them: an index per
-    // planned row (4 bytes) plus per-chunk bookkeeping — whether the
-    // delta is every row or a scattered few, on one host or several.
+    // A snapshot copies the rows its delta names and nothing else, into
+    // one buffer per table (and one per table of accumulators) sized
+    // before the first row is copied: the allocator is asked the same
+    // number of times for a few rows as for many, for one run of rows as
+    // for thousands, and what it is asked for beyond the snapshot's own
+    // `byte_size()` (the tracker's bit vectors, the table geometry) does
+    // not depend on the rows at all.
     let rows = 20_000;
-    let full = TrackerSnapshot::full(&[rows]);
+    let mut live = trainer(rows);
+    let mut few = TrackerSnapshot::empty(&[rows]);
+    (100..116).for_each(|row| few.tables[0].set(row));
+    let mut one_run = TrackerSnapshot::empty(&[rows]);
+    (5_000..9_000).for_each(|row| one_run.tables[0].set(row));
     let mut sparse = TrackerSnapshot::empty(&[rows]);
     for row in (0..rows).step_by(7) {
         sparse.tables[0].set(row);
     }
-    for (delta, hosts) in [(full.clone(), 1), (full, 3), (sparse, 2)] {
-        let snap = snapshot(rows, delta);
+    let mut taken = Vec::new();
+    for tracked in [&few, &one_run, &sparse] {
+        let (bytes, (allocs, snap)) = bytes_allocated(|| allocations(|| take(&mut live, Some(tracked))));
+        assert_eq!(snap.delta, *tracked);
+        let slab = &snap.model.tables[0];
+        assert_eq!(slab.data.len(), tracked.modified_rows() * DIM);
+        assert_eq!(slab.data.capacity(), slab.data.len(), "sized exactly");
+        assert!(4 * snap.model.byte_size() < live.0.model().state_bytes());
+        taken.push((allocs, bytes - snap.model.byte_size()));
+    }
+    assert!(
+        taken.iter().all(|t| *t == taken[0]),
+        "(allocations, bytes beyond byte_size()) depend on the tracked rows: {taken:?}"
+    );
+
+    // Planning a write names rows, it does not copy them: an index per
+    // planned row (4 bytes) plus per-chunk bookkeeping — whether the
+    // delta is every row or a scattered few, on one host or several.
+    for (tracked, hosts) in [(None, 1), (None, 3), (Some(&sparse), 2)] {
+        let snap = take(&mut live, tracked);
         let config = CheckpointConfig {
             chunk_rows: 4096,
             writer_hosts: hosts,

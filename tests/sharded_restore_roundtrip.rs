@@ -16,7 +16,9 @@
 
 use check_n_run::cluster::SimClock;
 use check_n_run::core::config::CheckpointConfig;
-use check_n_run::core::manifest::{CheckpointId, CheckpointKind, ChunkPayload, Manifest};
+use check_n_run::core::manifest::{
+    CheckpointId, CheckpointKind, ChunkPayload, Manifest, TableMeta,
+};
 use check_n_run::core::read::{DrainOutcome, ShardedRestore};
 use check_n_run::core::restore::load_manifest;
 use check_n_run::core::CnrError;
@@ -40,7 +42,9 @@ use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Trains a small random model and snapshots it.
+/// Trains a small random model and snapshots it twice at the same instant:
+/// as `kind`, and — first, leaving the tracker alone — as the full baseline
+/// an incremental's chain starts from.
 fn snapshot_for(
     seed: u64,
     rows_a: usize,
@@ -48,7 +52,7 @@ fn snapshot_for(
     dim: usize,
     batches: u64,
     kind: CheckpointKind,
-) -> (ModelConfig, TrainingSnapshot) {
+) -> (ModelConfig, TrainingSnapshot, TrainingSnapshot) {
     let spec = DatasetSpec {
         seed,
         batch_size: 16,
@@ -76,21 +80,29 @@ fn snapshot_for(
             tracker: TrackerAction::SnapshotKeep,
         },
     };
-    let snap = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2)).take(
-        &mut trainer,
-        ReaderState::at(batches),
-        decision,
-        &CheckpointConfig::default(),
-    );
-    (model_cfg, snap)
+    let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
+    let mut take = |decision| {
+        taker.take(
+            &mut trainer,
+            ReaderState::at(batches),
+            decision,
+            &CheckpointConfig::default(),
+        )
+    };
+    let baseline = take(Decision {
+        kind: CheckpointKind::Full,
+        tracker: TrackerAction::SnapshotKeep,
+    });
+    let snap = take(decision);
+    (model_cfg, snap, baseline)
 }
 
-/// Writes `snap` (with a single-shard full baseline first when it is
+/// Writes `snap` (with `baseline`, single-shard, first when it is
 /// incremental, so the chain restores) over `writer_hosts`.
 fn write_chain(
     store: &InMemoryStore,
-    model_cfg: &ModelConfig,
     snap: &TrainingSnapshot,
+    baseline: &TrainingSnapshot,
     writer_hosts: usize,
     chunk_rows: usize,
 ) -> CheckpointId {
@@ -101,16 +113,13 @@ fn write_chain(
         ..CheckpointConfig::default()
     };
     let (id, base) = if snap.kind == CheckpointKind::Incremental {
-        let mut full = snap.clone();
-        full.kind = CheckpointKind::Full;
-        full.delta = check_n_run::tracking::TrackerSnapshot::full(&model_cfg.row_counts());
         let base_cfg = CheckpointConfig {
             chunk_rows,
             writer_hosts: 1,
             ..CheckpointConfig::default()
         };
         writer
-            .write(&full, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
+            .write(baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
             .expect("baseline write");
         (CheckpointId(1), Some(CheckpointId(0)))
     } else {
@@ -140,9 +149,9 @@ proptest! {
     ) {
         let dim = 1usize << dim_pow;
         let kind = if full == 1 { CheckpointKind::Full } else { CheckpointKind::Incremental };
-        let (model_cfg, snap) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
+        let (model_cfg, snap, baseline) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
         let store = InMemoryStore::new();
-        let id = write_chain(&store, &model_cfg, &snap, writer_hosts, chunk_rows);
+        let id = write_chain(&store, &snap, &baseline, writer_hosts, chunk_rows);
         let serial = restore(&store, "job", id, &model_cfg).expect("serial restore");
         if kind == CheckpointKind::Full {
             // FP32 full restores are bit-exact against the live model.
@@ -187,13 +196,9 @@ fn fractions(seed: u64) -> impl FnMut() -> f32 {
     }
 }
 
-/// Level `level` of a synthetic chain: every value depends on the level,
-/// so which level wrote a row last is visible in the row, and each row is
-/// in the level's delta with probability `density`.
-fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> TrainingSnapshot {
-    let mut next = fractions(seed ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let tables: Vec<TableState> = cfg
-        .tables
+/// Whole tables of `cfg` filled from `next`.
+fn whole_tables(cfg: &ModelConfig, next: &mut impl FnMut() -> f32) -> Vec<TableState> {
+    cfg.tables
         .iter()
         .map(|t| TableState {
             data: (0..t.rows as usize * t.dim).map(|_| next() - 0.5).collect(),
@@ -202,22 +207,43 @@ fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> Tra
                 .has_state()
                 .then(|| (0..t.rows).map(|_| next()).collect()),
         })
+        .collect()
+}
+
+/// The snapshot of level `level` whose model is `whole` and whose delta is
+/// `delta`: the rows `delta` names, picked out of `whole` one by one into
+/// the layout `SnapshotTaker::take` produces (slab row `k` is the `k`-th
+/// set bit).
+fn snapshot_of(
+    cfg: &ModelConfig,
+    level: u64,
+    whole: &[TableState],
+    delta: TrackerSnapshot,
+) -> TrainingSnapshot {
+    let slabs = whole
+        .iter()
+        .zip(&delta.tables)
+        .zip(&cfg.tables)
+        .map(|((table, mask), spec)| TableState {
+            data: mask
+                .iter_ones()
+                .flat_map(|row| &table.data[row * spec.dim..(row + 1) * spec.dim])
+                .copied()
+                .collect(),
+            adagrad: table
+                .adagrad
+                .as_ref()
+                .map(|acc| mask.iter_ones().map(|row| acc[row]).collect()),
+        })
         .collect();
-    let mut delta = TrackerSnapshot::empty(&cfg.row_counts());
-    for (t, table) in cfg.tables.iter().enumerate() {
-        for row in 0..table.rows as usize {
-            if next() < density {
-                delta.tables[t].set(row);
-            }
-        }
-    }
     TrainingSnapshot {
         model: ModelState {
-            tables,
+            tables: slabs,
             bottom: vec![level as f32],
             top: vec![-(level as f32)],
             iteration: level,
         },
+        geometry: TableMeta::for_model(cfg),
         delta,
         reader: ReaderState::at(level),
         kind: if level == 0 {
@@ -228,6 +254,23 @@ fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> Tra
         taken_at: Duration::ZERO,
         stall: Duration::ZERO,
     }
+}
+
+/// Level `level` of a synthetic chain: every value depends on the level,
+/// so which level wrote a row last is visible in the row, and each row is
+/// in the level's delta with probability `density`.
+fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> TrainingSnapshot {
+    let mut next = fractions(seed ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let whole = whole_tables(cfg, &mut next);
+    let mut delta = TrackerSnapshot::empty(&cfg.row_counts());
+    for (t, table) in cfg.tables.iter().enumerate() {
+        for row in 0..table.rows as usize {
+            if next() < density {
+                delta.tables[t].set(row);
+            }
+        }
+    }
+    snapshot_of(cfg, level, &whole, delta)
 }
 
 /// A model of `cfg` whose every embedding value and accumulator is NaN: a
@@ -369,12 +412,17 @@ proptest! {
 /// Level `level` of a chain over `cfg` whose delta is exactly `rows` of
 /// table 0 (`None`: every row of every table).
 fn level_with_rows(cfg: &ModelConfig, level: u64, rows: Option<&[usize]>) -> TrainingSnapshot {
-    let mut snap = level_snapshot(cfg, 0xC01D, level, 0.0);
-    match rows {
-        None => snap.delta = TrackerSnapshot::full(&cfg.row_counts()),
-        Some(rows) => rows.iter().for_each(|&row| snap.delta.tables[0].set(row)),
-    }
-    snap
+    let mut next = fractions(0xC01D ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let whole = whole_tables(cfg, &mut next);
+    let delta = match rows {
+        None => TrackerSnapshot::full(&cfg.row_counts()),
+        Some(rows) => {
+            let mut delta = TrackerSnapshot::empty(&cfg.row_counts());
+            rows.iter().for_each(|&row| delta.tables[0].set(row));
+            delta
+        }
+    };
+    snapshot_of(cfg, level, &whole, delta)
 }
 
 /// A store holding `deltas` as a chain of 32-row chunks over a 96 + 8 row
@@ -546,7 +594,7 @@ fn a_malformed_row_in_a_cold_chunk_fails_the_restore_not_a_fault_in() {
 /// host, while remaining bit-identical to the serial restore.
 #[test]
 fn eight_reader_hosts_reach_ready_to_train_sooner_and_restore_identically() {
-    let (model_cfg, snap) = snapshot_for(13, 2000, 900, 16, 3, CheckpointKind::Full);
+    let (model_cfg, snap, _) = snapshot_for(13, 2000, 900, 16, 3, CheckpointKind::Full);
     let run = |reader_hosts: usize| {
         let clock = SimClock::new();
         let store = SimulatedRemoteStore::new(

@@ -2,34 +2,39 @@
 //! models and configurations, a sharded write followed by a merged restore
 //! is bit-identical to the single-shard path — across 1/2/4/7 writer hosts,
 //! including row counts that don't divide evenly.
+//!
+//! A snapshot holds only the rows its delta names, gathered into a slab,
+//! and the writer reads them there by position.
+//! `gathered_snapshot_stores_the_live_models_bytes` is the property that
+//! guards that: whatever the mask, the host count, a host kill or the
+//! scheme, every stored chunk is byte for byte the row-object encoding of
+//! the *live model's* rows at `take` time, the manifest is the one computed
+//! from the live model and its configuration alone, and the chain restores
+//! to the reference computed row by row.
 
-use check_n_run::cluster::SimClock;
+use check_n_run::cluster::{HostKill, SimClock};
 use check_n_run::core::config::CheckpointConfig;
-use check_n_run::core::manifest::{CheckpointId, CheckpointKind};
+use check_n_run::core::manifest::{
+    CheckpointId, CheckpointKind, ChunkMeta, ChunkPayload, Manifest, ShardMeta, TableMeta,
+};
 use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::restore::restore;
 use check_n_run::core::snapshot::SnapshotTaker;
-use check_n_run::core::write::CheckpointWriter;
+use check_n_run::core::write::{shard_range, CheckpointWriter};
 use check_n_run::core::TrainingSnapshot;
-use check_n_run::model::{DlrmModel, ModelConfig, ModelState, ShardPlan};
+use check_n_run::model::{DlrmModel, ModelConfig, ModelState, OptimizerConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
+use check_n_run::storage::{InMemoryStore, ObjectStore, RemoteConfig, SimulatedRemoteStore};
+use check_n_run::tracking::TrackerSnapshot;
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Trains a small random model and snapshots it.
-fn snapshot_for(
-    seed: u64,
-    rows_a: usize,
-    rows_b: usize,
-    dim: usize,
-    batches: u64,
-    kind: CheckpointKind,
-) -> (ModelConfig, TrainingSnapshot) {
-    let spec = DatasetSpec {
+/// A dataset over two tables of `rows_a` and `rows_b` rows.
+fn two_tables(seed: u64, rows_a: usize, rows_b: usize) -> DatasetSpec {
+    DatasetSpec {
         seed,
         batch_size: 16,
         dense_dim: 4,
@@ -38,7 +43,21 @@ fn snapshot_for(
             TableAccessSpec::new(rows_b as u64, 1, 0.9),
         ],
         concept_seed: None,
-    };
+    }
+}
+
+/// Trains a small random model and snapshots it twice at the same instant:
+/// as `kind`, and — first, leaving the tracker alone — as the full baseline
+/// an incremental's chain starts from.
+fn snapshot_for(
+    seed: u64,
+    rows_a: usize,
+    rows_b: usize,
+    dim: usize,
+    batches: u64,
+    kind: CheckpointKind,
+) -> (ModelConfig, TrainingSnapshot, TrainingSnapshot) {
+    let spec = two_tables(seed, rows_a, rows_b);
     let ds = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, dim);
     let model = DlrmModel::new(model_cfg.clone());
@@ -56,22 +75,31 @@ fn snapshot_for(
             tracker: TrackerAction::SnapshotKeep,
         },
     };
-    let snap = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2)).take(
-        &mut trainer,
-        ReaderState::at(batches),
-        decision,
-        &CheckpointConfig::default(),
-    );
-    (model_cfg, snap)
+    let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
+    let mut take = |decision| {
+        taker.take(
+            &mut trainer,
+            ReaderState::at(batches),
+            decision,
+            &CheckpointConfig::default(),
+        )
+    };
+    let baseline = take(Decision {
+        kind: CheckpointKind::Full,
+        tracker: TrackerAction::SnapshotKeep,
+    });
+    let snap = take(decision);
+    (model_cfg, snap, baseline)
 }
 
 /// Writes `snap` over `hosts` writer hosts and restores it. An incremental
-/// snapshot first gets a fixed single-shard full baseline (identical across
-/// comparisons) so its chain restores; the shard count under test applies
-/// to the newest checkpoint.
+/// snapshot first gets `baseline` as a fixed single-shard full checkpoint
+/// (identical across comparisons) so its chain restores; the shard count
+/// under test applies to the newest checkpoint.
 fn roundtrip(
     model_cfg: &ModelConfig,
     snap: &TrainingSnapshot,
+    baseline: &TrainingSnapshot,
     hosts: usize,
     chunk_rows: usize,
 ) -> (ModelState, usize) {
@@ -83,18 +111,13 @@ fn roundtrip(
         ..CheckpointConfig::default()
     };
     let (id, base) = if snap.kind == CheckpointKind::Incremental {
-        let mut full = snap.clone();
-        full.kind = CheckpointKind::Full;
-        full.delta = check_n_run::tracking::TrackerSnapshot::full(
-            &model_cfg.row_counts(),
-        );
         let base_cfg = CheckpointConfig {
             chunk_rows,
             writer_hosts: 1,
             ..CheckpointConfig::default()
         };
         writer
-            .write(&full, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
+            .write(baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
             .expect("baseline write");
         (CheckpointId(1), Some(CheckpointId(0)))
     } else {
@@ -127,8 +150,8 @@ proptest! {
     ) {
         let dim = 1usize << dim_pow;
         let kind = if full == 1 { CheckpointKind::Full } else { CheckpointKind::Incremental };
-        let (model_cfg, snap) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
-        let (single, merged_single) = roundtrip(&model_cfg, &snap, 1, chunk_rows);
+        let (model_cfg, snap, baseline) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
+        let (single, merged_single) = roundtrip(&model_cfg, &snap, &baseline, 1, chunk_rows);
         // Full = one manifest, one shard; incremental adds its baseline.
         prop_assert_eq!(merged_single, if kind == CheckpointKind::Full { 1 } else { 2 });
         if kind == CheckpointKind::Full {
@@ -136,11 +159,299 @@ proptest! {
             prop_assert_eq!(&single, &snap.model);
         }
         for hosts in [2usize, 4, 7] {
-            let (sharded, merged) = roundtrip(&model_cfg, &snap, hosts, chunk_rows);
+            let (sharded, merged) = roundtrip(&model_cfg, &snap, &baseline, hosts, chunk_rows);
             prop_assert_eq!(&sharded, &single, "hosts={}", hosts);
             // A chain merges the shards of every manifest it applies: up to
             // `hosts` for the target plus 1 for an incremental's baseline.
             prop_assert!(merged >= 1 && merged <= hosts + 1);
+        }
+    }
+}
+
+/// The schemes `shard_writer`'s unit tests encode with.
+fn schemes() -> Vec<QuantScheme> {
+    vec![
+        QuantScheme::Fp32,
+        QuantScheme::Fp16,
+        QuantScheme::Symmetric { bits: 8 },
+        QuantScheme::Asymmetric { bits: 4 },
+        QuantScheme::Asymmetric { bits: 3 },
+        QuantScheme::recommended_for_bits(2),
+        QuantScheme::recommended_for_bits(4),
+    ]
+}
+
+/// A deterministic stream of integers.
+fn stream(seed: u64) -> impl FnMut() -> usize {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 33) as usize
+    }
+}
+
+/// The tracked rows of a `rows`-row table, by `shape`: none, all,
+/// alternating, one long run across every shard boundary of 2, 4 and 7
+/// hosts (and, being longer than a chunk, across chunk boundaries), random
+/// runs about a chunk long, and scattered single rows.
+fn tracked_rows(shape: u8, rows: usize, chunk_rows: usize, seed: u64) -> Vec<usize> {
+    let mut next = stream(seed);
+    match shape {
+        0 => Vec::new(),
+        1 => (0..rows).collect(),
+        2 => (0..rows).step_by(2).collect(),
+        3 => (rows / 8..rows - rows / 8).collect(),
+        4 => {
+            let mut out = Vec::new();
+            let mut at = next() % (chunk_rows + 1);
+            while at < rows {
+                let len = 1 + next() % (2 * chunk_rows);
+                out.extend(at..(at + len).min(rows));
+                at += len + 1 + next() % (chunk_rows + 1);
+            }
+            out
+        }
+        _ => (0..rows).filter(|_| next().is_multiple_of(5)).collect(),
+    }
+}
+
+/// The chunk a writer must store for `indices` of table `t`: the
+/// row-object encoding of the live model's rows.
+fn chunk_from_live(
+    live: &ModelState,
+    dim: usize,
+    t: usize,
+    indices: &[u32],
+    scheme: &QuantScheme,
+) -> ChunkPayload {
+    let table = &live.tables[t];
+    ChunkPayload {
+        table: t as u16,
+        row_indices: indices.to_vec(),
+        optimizer_state: table
+            .adagrad
+            .as_ref()
+            .map(|acc| indices.iter().map(|&r| acc[r as usize]).collect()),
+        rows: indices
+            .iter()
+            .map(|&r| scheme.quantize_row(&table.data[r as usize * dim..(r as usize + 1) * dim]))
+            .collect(),
+    }
+}
+
+/// What a restore of `live`, stored whole under `scheme`, reads back.
+fn through_scheme(live: &ModelState, dim: usize, scheme: &QuantScheme) -> ModelState {
+    let mut out = live.clone();
+    for table in &mut out.tables {
+        for row in table.data.chunks_mut(dim) {
+            let stored = scheme.quantize_row(row).dequantize();
+            row.copy_from_slice(&stored);
+        }
+    }
+    out
+}
+
+proptest! {
+    /// Gathered ≡ the whole-model copy it replaced: a baseline, then every
+    /// row of the model changes, then an incremental over an arbitrary mask.
+    #[test]
+    fn gathered_snapshot_stores_the_live_models_bytes(
+        seed in any::<u64>(),
+        rows_a in 8usize..300,
+        rows_b in 1usize..120,
+        dim_pow in 0u32..4,
+        chunk_rows in 1usize..80,
+        shape_a in 0u8..6,
+        shape_b in 0u8..6,
+        with_acc in any::<bool>(),
+        kill_host in 0u16..7,
+        kill_after in 0u32..4,
+    ) {
+        let dim = 1usize << dim_pow;
+        let spec = two_tables(seed, rows_a, rows_b);
+        let ds = SyntheticDataset::new(spec.clone());
+        let mut model_cfg = ModelConfig::for_dataset(&spec, dim);
+        if with_acc {
+            model_cfg.optimizer = OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 };
+        }
+        let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
+        let mut trainer = Trainer::new(
+            DlrmModel::new(model_cfg.clone()),
+            SimClock::new(),
+            TrainerConfig::default(),
+        );
+        let write_cfg = CheckpointConfig::default();
+        trainer.train_one(&ds.batch(0));
+        let old = ModelState::extract(trainer.model());
+        let baseline = taker.take(
+            &mut trainer,
+            ReaderState::at(1),
+            Decision { kind: CheckpointKind::Full, tracker: TrackerAction::SnapshotReset },
+            &write_cfg,
+        );
+        prop_assert_eq!(&baseline.model, &old);
+
+        // Every row moves, tracked or not: a row the incremental must not
+        // carry shows in the restore if it does.
+        trainer.train_one(&ds.batch(1));
+        for table in trainer.model_mut().tables_mut() {
+            for (i, v) in table.data_mut().iter_mut().enumerate() {
+                *v += 0.01 * ((i % 7) as f32 - 3.5);
+            }
+            if let Some(acc) = table.adagrad_mut() {
+                acc.iter_mut().enumerate().for_each(|(i, a)| *a += 1.0 + (i % 3) as f32);
+            }
+        }
+        let mut mask = TrackerSnapshot::empty(&model_cfg.row_counts());
+        for (t, (shape, rows)) in [(shape_a, rows_a), (shape_b, rows_b)].into_iter().enumerate() {
+            for row in tracked_rows(shape, rows, chunk_rows, seed ^ t as u64) {
+                mask.tables[t].set(row);
+            }
+        }
+        trainer.tracker().reset();
+        for (t, table) in mask.tables.iter().enumerate() {
+            trainer.tracker().mark_rows(t, table.iter_ones());
+        }
+        let live = ModelState::extract(trainer.model());
+        let snap = taker.take(
+            &mut trainer,
+            ReaderState::at(2),
+            Decision { kind: CheckpointKind::Incremental, tracker: TrackerAction::SnapshotReset },
+            &write_cfg,
+        );
+        prop_assert_eq!(&snap.delta, &mask);
+        // Training on must not reach the slab the writer is about to read.
+        trainer.train_one(&ds.batch(2));
+
+        for scheme in schemes() {
+            let store = InMemoryStore::new();
+            let writer = CheckpointWriter::new(&store, "job");
+            writer
+                .write(&baseline, CheckpointId(0), None, scheme, &CheckpointConfig {
+                    chunk_rows,
+                    ..CheckpointConfig::default()
+                })
+                .expect("baseline write");
+
+            // The reference restore, row by row: the baseline's stored
+            // values, overwritten where — and only where — the mask says.
+            let (was, now) = (through_scheme(&old, dim, &scheme), through_scheme(&live, dim, &scheme));
+            let mut want = was;
+            for (t, table) in want.tables.iter_mut().enumerate() {
+                for row in mask.tables[t].iter_ones() {
+                    table.data[row * dim..(row + 1) * dim]
+                        .copy_from_slice(&now.tables[t].data[row * dim..(row + 1) * dim]);
+                    if let Some(acc) = &mut table.adagrad {
+                        acc[row] = now.tables[t].adagrad.as_ref().unwrap()[row];
+                    }
+                }
+            }
+            (want.bottom, want.top, want.iteration) = (now.bottom, now.top, now.iteration);
+
+            let mut next_id = 1u64;
+            for hosts in [1usize, 2, 4, 7] {
+                let cfg = CheckpointConfig { chunk_rows, writer_hosts: hosts, ..CheckpointConfig::default() };
+                // The plan, from the mask alone: per table, per host range,
+                // the tracked rows in chunks of `chunk_rows`.
+                let mut planned: Vec<(u16, u32, usize, Vec<u32>)> = Vec::new();
+                let mut seqs = vec![0u32; hosts];
+                for (t, table) in mask.tables.iter().enumerate() {
+                    for (h, seq) in seqs.iter_mut().enumerate() {
+                        let range = shard_range(table.len(), hosts, h);
+                        let owned: Vec<u32> =
+                            table.iter_ones().filter(|r| range.contains(r)).map(|r| r as u32).collect();
+                        for run in owned.chunks(chunk_rows) {
+                            planned.push((h as u16, *seq, t, run.to_vec()));
+                            *seq += 1;
+                        }
+                    }
+                }
+                // A lone host has no survivor to take its rows.
+                let killing = (hosts > 1).then_some(HostKill {
+                    host: kill_host % hosts as u16,
+                    after_chunks: kill_after,
+                });
+                for kill in std::iter::once(None).chain(killing.map(Some)) {
+                    let id = CheckpointId(next_id);
+                    next_id += 1;
+                    let what = format!("{scheme}, hosts={hosts}, kill={kill:?}");
+                    let rec = writer
+                        .write_overlapping(&snap, id, Some(CheckpointId(0)), scheme, &cfg, kill, Duration::ZERO)
+                        .expect("write");
+
+                    // Every stored chunk is the live model's rows, encoded.
+                    let mut stored_runs = Vec::new();
+                    for c in &rec.manifest.chunks {
+                        let bytes = store.get(&c.key).expect("chunk object");
+                        let chunk = ChunkPayload::decode(&bytes).expect("chunk decodes");
+                        let from_live = chunk_from_live(&live, dim, chunk.table as usize, &chunk.row_indices, &scheme);
+                        prop_assert!(bytes[..] == from_live.encode_enveloped()[..], "{}: {}", what, c.key);
+                        stored_runs.push((chunk.table as usize, chunk.row_indices));
+                    }
+                    // Re-sharding moves planned runs whole; nothing else changes them.
+                    let mut planned_runs: Vec<_> = planned.iter().map(|(_, _, t, run)| (*t, run.clone())).collect();
+                    planned_runs.sort();
+                    stored_runs.sort();
+                    prop_assert_eq!(&stored_runs, &planned_runs, "{}", what);
+
+                    // The manifest, from the live model and its configuration.
+                    let mut want_manifest = Manifest {
+                        id,
+                        kind: CheckpointKind::Incremental,
+                        base: Some(CheckpointId(0)),
+                        iteration: live.iteration,
+                        reader_state: ReaderState::at(2),
+                        scheme,
+                        tables: TableMeta::for_model(&model_cfg),
+                        bottom_mlp: live.bottom.clone(),
+                        top_mlp: live.top.clone(),
+                        chunks: rec.manifest.chunks.clone(),
+                        shards: rec.manifest.shards.clone(),
+                        payload_bytes: rec.manifest.chunks.iter().map(|c| c.bytes).sum(),
+                    };
+                    if rec.killed_hosts.is_empty() {
+                        want_manifest.chunks = planned
+                            .iter()
+                            .map(|(h, seq, t, run)| {
+                                let bytes = chunk_from_live(&live, dim, *t, run, &scheme).encode_enveloped().len();
+                                ChunkMeta {
+                                    key: Manifest::chunk_key("job", id, *h, *seq),
+                                    shard: *h,
+                                    rows: run.len() as u32,
+                                    bytes: bytes as u64,
+                                    parts: bytes.div_ceil(cfg.part_bytes).max(1) as u32,
+                                    table: *t as u16,
+                                    first_row: run[0],
+                                    last_row: *run.last().unwrap(),
+                                }
+                            })
+                            .collect();
+                        want_manifest.chunks.sort_by(|a, b| a.key.cmp(&b.key));
+                        want_manifest.shards = (0..hosts as u16)
+                            .filter_map(|h| {
+                                let own: Vec<_> = want_manifest.chunks.iter().filter(|c| c.shard == h).collect();
+                                (!own.is_empty()).then(|| ShardMeta {
+                                    host: h,
+                                    rows: own.iter().map(|c| c.rows as u64).sum(),
+                                    chunks: own.len() as u32,
+                                    bytes: own.iter().map(|c| c.bytes).sum(),
+                                    parts: own.iter().map(|c| c.parts).sum(),
+                                })
+                            })
+                            .collect();
+                        want_manifest.payload_bytes = want_manifest.chunks.iter().map(|c| c.bytes).sum();
+                    }
+                    prop_assert_eq!(&rec.manifest, &want_manifest, "{}", what);
+                    let stored = Manifest::decode(&store.get(&rec.manifest_key).expect("manifest object"));
+                    prop_assert_eq!(&stored.expect("manifest decodes"), &want_manifest, "{}", what);
+
+                    let restored = restore(&store, "job", id, &model_cfg).expect("restore");
+                    prop_assert!(restored.state == want, "{}: restore differs from the reference", what);
+                    prop_assert_eq!(&restored.incremental_rows, &mask, "{}", what);
+                }
+            }
         }
     }
 }
@@ -151,7 +462,7 @@ proptest! {
 /// restores identically.
 #[test]
 fn eight_shards_reach_durability_sooner_and_restore_identically() {
-    let (model_cfg, snap) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
+    let (model_cfg, snap, _) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
     let write = |hosts: usize| {
         let store = SimulatedRemoteStore::new(
             RemoteConfig {
