@@ -38,7 +38,7 @@ pub enum QuantMode {
 /// Per-iteration delta WAL between full checkpoints (off by default).
 ///
 /// When enabled, every training iteration appends the touched-row delta to
-/// a segmented, CRC-framed log (`cnr_storage::wal`); restore replays the
+/// a segmented, checksummed log (`cnr_storage::wal`); restore replays the
 /// log tail on top of the last full checkpoint, collapsing lost work from
 /// a checkpoint interval to at most one iteration (Checkmate-style).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -215,7 +215,7 @@ impl DeltaRecord {
     pub fn encode(&self) -> Vec<u8> {
         // Fixed fields, the widest scheme encoding, counts and prefixes.
         const FIXED_MAX: usize = 3 * 8 + 14 + 2 + 2 * 4;
-        let frames: usize = self.chunks.iter().map(|c| 4 + c.frame().encoded_len()).sum();
+        let frames: usize = self.chunks.iter().map(|c| c.frame().encoded_len()).sum();
         let mlps = 4 * (self.bottom_mlp.len() + self.top_mlp.len());
         let mut buf = Vec::with_capacity(FIXED_MAX + frames + mlps);
         buf.put_u64_le(self.base.0);
@@ -224,23 +224,23 @@ impl DeltaRecord {
         encode_scheme(&mut buf, &self.scheme);
         buf.put_u16_le(self.chunks.len() as u16);
         for chunk in &self.chunks {
-            // Embedded chunks are bare frames (the WAL frame around the
-            // record carries the envelope), length-prefixed because the
-            // frame decoder consumes a whole buffer.
-            let frame = chunk.frame();
-            buf.put_u32_le(frame.encoded_len() as u32);
-            frame.encode_into(&mut buf, |out| out.extend_from_slice(&chunk.bodies));
+            // Embedded chunks are bare frames, back to back: each starts
+            // with its own length, and the WAL frame around the record
+            // carries the envelope.
+            chunk
+                .frame()
+                .encode_into(&mut buf, |out| out.extend_from_slice(&chunk.bodies));
         }
         wire::put_f32s(&mut buf, &self.bottom_mlp);
         wire::put_f32s(&mut buf, &self.top_mlp);
         buf
     }
 
-    /// Parses a serialized record, rejecting malformed input with a typed
-    /// error — the frame layer's CRC already screens corruption, so a
-    /// failure here means a logic bug or a hand-built frame, but it must
-    /// still never panic. Row bodies are checked for shape and kept
-    /// encoded.
+    /// Parses a serialized record — the payload of a WAL frame whose
+    /// envelope checksum verified — rejecting malformed input with a typed
+    /// error: the envelope already screens corruption, so a failure here
+    /// means a logic bug or a hand-built frame, but it must still never
+    /// panic. Row bodies are checked for shape and kept encoded.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let mut slice = data;
         let b = &mut slice;
@@ -251,12 +251,9 @@ impl DeltaRecord {
         let chunk_count = wire::get_u16(b)? as usize;
         let mut chunks = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
-            let len = wire::get_u32(b)? as usize;
-            if b.len() < len {
-                return Err(CnrError::Corrupt("delta chunk truncated".into()));
-            }
-            let header = open_frame(&b[..len])?;
-            let opened = header.over(&b[..len]);
+            let header = open_frame(b)?;
+            let (frame, rest) = b.split_at(header.frame_len());
+            let opened = header.over(frame);
             if opened.trailing_bytes() != 0 {
                 return Err(CnrError::Corrupt(format!(
                     "{} trailing bytes after delta chunk rows",
@@ -264,7 +261,7 @@ impl DeltaRecord {
                 )));
             }
             let bodies = opened.bodies.to_vec();
-            *b = &b[len..];
+            *b = rest;
             chunks.push(DeltaChunk {
                 table: header.table,
                 row_indices: header.row_indices,
@@ -337,7 +334,7 @@ mod tests {
 
     /// The flat record is, byte for byte, the record the row-object codec
     /// wrote: header, then one bare `ChunkPayload` frame per touched
-    /// table, then the MLPs — for lossy schemes too.
+    /// table, back to back, then the MLPs — for lossy schemes too.
     #[test]
     fn encoded_record_equals_the_row_object_encoding() {
         use crate::manifest::ChunkPayload;
@@ -369,7 +366,6 @@ mod tests {
                 }
                 .encode();
                 assert!(ChunkPayload::decode_frame(&frame).is_ok());
-                want.put_u32_le(frame.len() as u32);
                 want.extend_from_slice(&frame);
             }
             wire::put_f32s(&mut want, &model.bottom().flatten());
@@ -380,8 +376,8 @@ mod tests {
         }
     }
 
-    /// A frame whose checksum is right but whose row bodies do not fit
-    /// its header is rejected at decode, typed — not at apply.
+    /// A frame whose row bodies do not fit its header is rejected at
+    /// decode, typed — not at apply.
     #[test]
     fn decode_rejects_row_bodies_that_do_not_fit_the_header() {
         let (model, batch) = model_and_batch();

@@ -173,7 +173,7 @@ impl EngineBuilder {
 
     /// Enables the per-iteration delta WAL between checkpoints: every
     /// trained batch appends its touched-row delta (quantized with the
-    /// current checkpoint scheme) to a segmented, CRC-framed log, and
+    /// current checkpoint scheme) to a segmented, checksummed log, and
     /// restore replays the log tail on top of the last checkpoint — a
     /// failure then loses at most one iteration instead of the whole
     /// interval since the last checkpoint. Off by default (the paper's
@@ -556,10 +556,15 @@ impl Engine {
         self.controller
             .register(&record.manifest, &record.manifest_key)?;
 
-        // The registered checkpoint supersedes the delta log: truncate it
-        // so restore never replays records the checkpoint already covers.
+        // The registered checkpoint supersedes the delta log: truncate it.
+        // A truncate that errs does not undo the checkpoint — it stands,
+        // and this boundary finishes. What the truncate left behind is
+        // harmless (replay skips records whose base is not the latest
+        // checkpoint), the writer has rolled to a fresh segment, the
+        // scrubber keeps covering the leftovers, the registry counts the
+        // failure, and the next boundary's truncate collects them.
         if let Some(writer) = self.wal.as_mut() {
-            writer.truncate()?;
+            let _ = writer.truncate();
             self.wal_unsynced_bytes = 0;
             let live = writer.live_segments();
             self.controller.set_wal_segments(live);
@@ -864,9 +869,10 @@ impl Engine {
         // Replay the delta-WAL tail on top of the restored checkpoint:
         // clean-prefix semantics — the storage layer already stopped at the
         // first torn, corrupt, or out-of-sequence frame, so every record
-        // seen here is CRC-verified. Records from a stale base (segments
-        // that survived a truncation race) or at-or-below the restored
-        // iteration are skipped; the rest advance the model toward the tip.
+        // seen here passed its envelope checksum. Records from a stale base
+        // (segments that survived a truncation race or a failed truncate)
+        // or at-or-below the restored iteration are skipped; the rest
+        // advance the model toward the tip.
         let mark_replayed = matches!(
             self.policy.kind(),
             PolicyKind::OneShot | PolicyKind::Intermittent
@@ -880,7 +886,7 @@ impl Engine {
             for rec in &log.records {
                 let delta = match DeltaRecord::decode(&rec.payload) {
                     Ok(d) => d,
-                    // CRC-clean but undecodable: treat as the tail, same
+                    // Checksum-clean but undecodable: treat as the tail, same
                     // clean-prefix contract as a torn frame.
                     Err(_) => break,
                 };
@@ -1865,13 +1871,14 @@ mod tests {
         // byte in it. Restore must always succeed, recover exactly the
         // records before the damage, and report the rest as lost — typed
         // clean-prefix recovery, never an error and never silent garbage.
+        use cnr_storage::envelope;
         let frame_starts = |buf: &[u8]| {
             let mut offs = Vec::new();
             let mut off = 0;
             while off < buf.len() {
                 offs.push(off);
                 let pl = u32::from_le_bytes(buf[off + 8..off + 12].try_into().unwrap());
-                off += 16 + pl as usize;
+                off += envelope::HEADER_LEN + pl as usize;
             }
             offs
         };
@@ -1886,7 +1893,7 @@ mod tests {
                 assert_eq!(offs.len(), 3);
                 let damaged = if corrupt {
                     let mut b = buf.clone();
-                    b[offs[frame] + 20] ^= 0x01; // payload byte inside the frame
+                    b[offs[frame] + envelope::HEADER_LEN + 4] ^= 0x01; // payload byte
                     b
                 } else {
                     buf[..offs[frame] + 5].to_vec() // torn mid-header

@@ -4,24 +4,23 @@
 //! store. The manifest is self-describing: identity, kind (full or
 //! incremental), the base pointer for chain restoration, quantization
 //! scheme, model geometry, the (tiny) MLP parameters inline, the reader
-//! state, and the list of chunk keys with checksums. Chunks carry batches of
-//! embedding rows: indices, optional optimizer state, and quantized
-//! payloads. Everything is checksummed (see [`crate::wire`]).
+//! state, and the list of chunk keys. Chunks carry batches of embedding
+//! rows: indices, optional optimizer state, and quantized payloads.
 //!
 //! **One stored form.** Every *stored* object — manifest and chunk alike
 //! — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR4`, CRC-32 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR5`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
 //! ([`Manifest::decode`], [`ChunkPayload::decode`]) require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
 //! is stored nowhere on its own: it is the inner format of a WAL delta
 //! record ([`crate::delta_log`]), whose WAL frame carries the envelope.
 //!
-//! **Verified once.** Every stored object carries two checksums — the
-//! envelope CRC outside, the frame checksum inside — and a read checks
-//! each exactly once. The `decode(&[u8])` entries verify the envelope and
-//! then decode; a caller that already holds an
-//! [`envelope::Verified`] (the fetch
+//! **Verified once.** Every stored byte carries one checksum — the
+//! envelope's XXH64 — and a read checks it exactly once; the frames inside
+//! are bare `[len][data]` ([`crate::wire`]) and parsing them hashes
+//! nothing. The `decode(&[u8])` entries verify the envelope and then
+//! decode; a caller that already holds an [`envelope::Verified`] (the fetch
 //! scheduler returns one) goes straight to the frame
 //! ([`Manifest::decode_verified`]; a restore opens a chunk's frame once and
 //! de-quantizes its rows out of the verified bytes, now or — a lazy
@@ -154,9 +153,10 @@ pub struct Manifest {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Manifest body version (it moves with the wire version: 4 is the XXH64
-/// frame checksum); any other number is rejected as corrupt, by number.
-const VERSION: u16 = 4;
+/// Manifest body version (it moves with the wire version: 5 is the frame
+/// without a checksum of its own); any other number is rejected as
+/// corrupt, by number.
+const VERSION: u16 = 5;
 
 /// Verifies and strips the storage envelope. Every `decode(&[u8])` entry
 /// funnels through this, so a missing or corrupt envelope surfaces as
@@ -179,8 +179,8 @@ impl Manifest {
         format!("{job}/{id}/shard-{shard:05}-chunk-{seq:06}")
     }
 
-    /// Serializes the manifest body (framed + checksummed) — the payload
-    /// [`Manifest::encode_enveloped`] wraps.
+    /// Serializes the manifest body (magic, version, framed fields) — the
+    /// payload [`Manifest::encode_enveloped`] wraps.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::new();
         body.put_u64_le(self.id.0);
@@ -221,14 +221,14 @@ impl Manifest {
         }
         body.put_u64_le(self.payload_bytes);
 
-        let mut out = Vec::with_capacity(body.len() + 32);
+        let mut out = Vec::with_capacity(4 + 2 + wire::FRAME_OVERHEAD + body.len());
         out.put_u32_le(MAGIC);
         out.put_u16_le(VERSION);
         wire::put_framed(&mut out, &body);
         out
     }
 
-    /// Serializes the manifest wrapped in the v4 storage envelope — the
+    /// Serializes the manifest wrapped in the v5 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
@@ -241,8 +241,8 @@ impl Manifest {
     }
 
     /// [`Manifest::decode`] for an object whose envelope a fetch already
-    /// verified: only the body's own magic, version and frame checksum
-    /// are left to check.
+    /// verified: only the body's own magic, version and structure are
+    /// left to check — nothing is hashed again.
     pub fn decode_verified(object: &envelope::Verified) -> Result<Self> {
         Self::decode_body(object.payload())
     }
@@ -398,8 +398,7 @@ impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
 
     /// Appends the bare chunk frame to `out`: opens the frame, writes the
     /// chunk header, indices and accumulators, lets `put_rows` append the
-    /// row bodies in place, then patches the frame length and appends the
-    /// frame checksum over the finished bytes.
+    /// row bodies in place, then patches the frame length.
     pub(crate) fn encode_into(self, out: &mut Vec<u8>, put_rows: impl FnOnce(&mut Vec<u8>)) {
         let count = self.row_indices.len();
         let total = self.encoded_len();
@@ -423,8 +422,8 @@ impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
 
     /// Builds the chunk as stored, in one exactly sized buffer: the
     /// envelope header is reserved, the frame is encoded behind it
-    /// ([`ChunkFrame::encode_into`]) and the envelope CRC is sealed over
-    /// the finished bytes.
+    /// ([`ChunkFrame::encode_into`]) and the envelope checksum is sealed
+    /// over the finished bytes — the one pass that hashes them.
     pub(crate) fn encode_enveloped(self, put_rows: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut out = Vec::with_capacity(envelope::HEADER_LEN + self.encoded_len());
         out.resize(envelope::HEADER_LEN, 0);
@@ -434,11 +433,11 @@ impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
     }
 }
 
-/// The header of a chunk frame whose checksum verified: everything of the
-/// chunk except its row bodies, which stay encoded in the frame. Only
-/// [`open_frame`] builds one, so holding one means the frame it came from
-/// holds `row_indices.len()` whole row bodies of one known length — which
-/// is what lets a reader keep the frame's bytes and de-quantize row `k`
+/// The header of an opened chunk frame: everything of the chunk except its
+/// row bodies, which stay encoded in the frame. Only [`open_frame`] builds
+/// one, so holding one means the frame it came from holds
+/// `row_indices.len()` whole row bodies of one known length — which is
+/// what lets a reader keep the frame's bytes and de-quantize row `k`
 /// whenever it likes.
 #[derive(Debug, Clone)]
 pub(crate) struct ChunkHeader {
@@ -448,11 +447,17 @@ pub(crate) struct ChunkHeader {
     pub rows: RowContext,
     /// Bytes of one row body ([`cnr_quant::codec::body_len`] of `rows`).
     body_len: usize,
-    /// Where the row bodies sit in the frame.
+    /// Where the row bodies sit in the frame; they run to its end.
     bodies: std::ops::Range<usize>,
 }
 
 impl ChunkHeader {
+    /// Bytes of the frame it was opened from, length field included: where
+    /// whatever follows the frame starts.
+    pub(crate) fn frame_len(&self) -> usize {
+        self.bodies.end
+    }
+
     /// The opened chunk: this header over `frame`, which must be the bytes
     /// it was opened from.
     pub(crate) fn over<'a>(&'a self, frame: &'a [u8]) -> OpenedChunk<'a> {
@@ -463,8 +468,8 @@ impl ChunkHeader {
     }
 }
 
-/// A verified chunk frame, opened: its parsed header and its row bodies,
-/// still encoded, back to back in `row_indices` order.
+/// A chunk frame, opened: its parsed header and its row bodies, still
+/// encoded, back to back in `row_indices` order.
 #[derive(Clone, Copy)]
 pub(crate) struct OpenedChunk<'a> {
     pub header: &'a ChunkHeader,
@@ -485,13 +490,14 @@ impl<'a> OpenedChunk<'a> {
     }
 }
 
-/// Verifies and opens a bare chunk frame ([`ChunkPayload::encode`]
-/// bytes, or the payload of a verified envelope): the frame checksum runs
-/// over the borrowed slice, the indices and accumulators are materialized
-/// (after their lengths are checked against the input), and the row
-/// context must name an encoding whose bodies — one fixed length each —
-/// all fit. A retired or unknown row tag is [`CnrError::Corrupt`] naming
-/// the tag.
+/// Opens the chunk frame at the front of `frame` — the payload of a
+/// verified envelope, or an embedded frame of a WAL record that one
+/// verified; nothing is hashed here. The indices and accumulators are
+/// materialized (after their lengths are checked against the input), and
+/// the row context must name an encoding whose bodies — one fixed length
+/// each — all fit. Bytes after the frame are the caller's:
+/// [`ChunkHeader::frame_len`] says where they start. A retired or unknown
+/// row tag is [`CnrError::Corrupt`] naming the tag.
 pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
     let mut rest = frame;
     let mut body = wire::get_framed(&mut rest)?;
@@ -522,7 +528,7 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
             body.len()
         )));
     }
-    let bodies_at = wire::FRAME_PREFIX + framed_len - body.len();
+    let bodies_at = wire::FRAME_OVERHEAD + framed_len - body.len();
     Ok(ChunkHeader {
         table,
         row_indices,
@@ -534,9 +540,9 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
 }
 
 impl ChunkPayload {
-    /// Serializes the bare chunk frame (framed + checksummed, no
-    /// envelope): the payload [`ChunkPayload::encode_enveloped`] wraps, and
-    /// the form a WAL delta record embeds.
+    /// Serializes the bare chunk frame (`[len][data]`, no envelope): the
+    /// payload [`ChunkPayload::encode_enveloped`] wraps, and the form a WAL
+    /// delta record embeds.
     ///
     /// The per-row fixed header (kind/bits/dim) is hoisted to chunk level —
     /// every row of a chunk shares one scheme and one table geometry, and at
@@ -550,7 +556,7 @@ impl ChunkPayload {
         out
     }
 
-    /// Serializes the chunk wrapped in the v4 storage envelope — the
+    /// Serializes the chunk wrapped in the v5 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         self.frame().encode_enveloped(|out| self.put_rows(out))
@@ -596,9 +602,9 @@ impl ChunkPayload {
         Self::decode_frame(open_envelope(data)?)
     }
 
-    /// Parses and verifies a bare chunk frame ([`ChunkPayload::encode`]
-    /// bytes): the row-object oracle for what a stored chunk's payload and
-    /// a WAL delta record hold.
+    /// Parses a bare chunk frame ([`ChunkPayload::encode`] bytes): the
+    /// row-object oracle for what a stored chunk's payload and a WAL delta
+    /// record hold.
     pub(crate) fn decode_frame(frame: &[u8]) -> Result<Self> {
         let header = open_frame(frame)?;
         let mut bodies = header.over(frame).bodies;
@@ -668,8 +674,7 @@ pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
 
 /// What a checkpoint written with the retired k-means scheme left in the
 /// store: `manifest`'s body with its scheme stored as tag 3 (+ a bit width
-/// — the layout of the symmetric scheme it is encoded with here), the
-/// frame checksum valid.
+/// — the layout of the symmetric scheme it is encoded with here).
 #[cfg(test)]
 pub(crate) fn kmeans_era_body(manifest: &Manifest) -> Vec<u8> {
     let mut body = Manifest {
@@ -678,13 +683,9 @@ pub(crate) fn kmeans_era_body(manifest: &Manifest) -> Vec<u8> {
     }
     .encode();
     // Magic, version, frame length; then id, kind, base, iteration, reader.
-    let data_at = 4 + 2 + wire::FRAME_PREFIX;
-    let scheme_at = data_at + 8 + 1 + 8 + 8 + 8;
+    let scheme_at = 4 + 2 + wire::FRAME_OVERHEAD + 8 + 1 + 8 + 8 + 8;
     assert_eq!(body[scheme_at..scheme_at + 2], [1, 4]);
     body[scheme_at] = 3;
-    let sum_at = body.len() - 8;
-    let sum = wire::checksum(&body[data_at..sum_at]);
-    body[sum_at..].copy_from_slice(&sum.to_le_bytes());
     body
 }
 
@@ -800,7 +801,7 @@ mod tests {
         );
 
         // A chunk of two 2-bit codebook rows as the retired encoder framed
-        // them: frame and envelope verify, the row context does not.
+        // them: the envelope verifies, the row context does not.
         let bodies = [[0u8; 2 + 4 * 4 + 2]; 2].concat();
         let frame = ChunkFrame {
             table: 0,
@@ -825,9 +826,9 @@ mod tests {
         }
     }
 
-    /// A frame that verifies but holds fewer row bytes than its header
-    /// promises is rejected when it is opened — not when the short row is
-    /// finally read.
+    /// A frame that holds fewer row bytes than its header promises is
+    /// rejected when it is opened — not when the short row is finally
+    /// read.
     #[test]
     fn a_short_row_body_fails_the_open() {
         let mut chunk = sample_chunk(true);
@@ -843,6 +844,7 @@ mod tests {
         let header = open_frame(&frame).unwrap();
         let opened = header.over(&frame);
         assert_eq!(opened.trailing_bytes(), 0);
+        assert_eq!(header.frame_len(), frame.len(), "the open reports what it consumed");
         for (k, row) in chunk.rows.iter().enumerate() {
             let mut want = Vec::new();
             row.encode_body_into(&mut want);
@@ -860,18 +862,25 @@ mod tests {
         assert_eq!(back.kind, CheckpointKind::Full);
     }
 
-    /// The body's own magic, version and frame checksum are checked
-    /// behind a valid envelope (damage that predates the envelope CRC).
+    /// Behind a valid envelope the body still checks its own structure:
+    /// every flip of its magic, version or frame length is rejected. (The
+    /// body carries no checksum: damage to its fields is the envelope's to
+    /// catch — `every_single_bit_flip_of_a_stored_object_is_corrupt`.)
     #[test]
     fn manifest_body_detects_corruption() {
         let body = sample_manifest().encode();
-        for i in (0..body.len()).step_by(7) {
-            let mut corrupted = body.clone();
-            corrupted[i] ^= 0x40;
-            assert!(
-                Manifest::decode(&envelope::wrap(&corrupted)).is_err(),
-                "flip at {i} accepted"
-            );
+        for i in 0..4 + 2 + wire::FRAME_OVERHEAD {
+            for bit in 0..8 {
+                let mut corrupted = body.clone();
+                corrupted[i] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        Manifest::decode(&envelope::wrap(&corrupted)),
+                        Err(CnrError::Corrupt(_))
+                    ),
+                    "flip at byte {i} bit {bit} accepted"
+                );
+            }
         }
     }
 
@@ -881,9 +890,9 @@ mod tests {
         let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
-        // Versions 2 and 3 existed once and 5 may one day; only 4 decodes,
+        // Versions 2 to 4 existed once and 6 may one day; only 5 decodes,
         // and the error names the number it found.
-        for version in [2u8, 3, 5, 99] {
+        for version in [2u8, 3, 4, 6, 99] {
             let mut skewed = body.clone();
             skewed[4] = version;
             let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
@@ -951,6 +960,48 @@ mod tests {
         }
     }
 
+    /// One checksum per stored byte, and it misses nothing single: every
+    /// flip of every bit of an enveloped chunk, manifest and WAL frame —
+    /// all 20 header bytes under each flag value the writers set, and every
+    /// payload byte — is `Corrupt` at the read site that opens it.
+    #[test]
+    fn every_single_bit_flip_of_a_stored_object_is_corrupt() {
+        use cnr_storage::{wal, InMemoryStore, ObjectStore};
+        fn each_flip(object: &[u8], rejects: impl Fn(&[u8]) -> bool) {
+            for byte in 0..object.len() {
+                for bit in 0..8 {
+                    let mut bad = object.to_vec();
+                    bad[byte] ^= 1 << bit;
+                    assert!(rejects(&bad), "flip at byte {byte} bit {bit} accepted");
+                }
+            }
+        }
+        let corrupt = |outcome: Result<()>| matches!(outcome, Err(CnrError::Corrupt(_)));
+        let verified = |bad: &[u8]| envelope::Verified::check(bad.to_vec().into()).is_err();
+
+        let chunk = sample_chunk(true).encode_enveloped();
+        assert_eq!(envelope::unwrap(&chunk).unwrap().0, 0);
+        each_flip(&chunk, |bad| verified(bad) && corrupt(ChunkPayload::decode(bad).map(|_| ())));
+
+        let manifest = sample_manifest().encode_enveloped();
+        assert_eq!(envelope::unwrap(&manifest).unwrap().0, envelope::FLAG_MANIFEST);
+        each_flip(&manifest, |bad| verified(bad) && corrupt(Manifest::decode(bad).map(|_| ())));
+
+        let store = std::sync::Arc::new(InMemoryStore::new());
+        let mut writer = wal::WalWriter::new(store.clone(), "job", wal::WalConfig::default());
+        writer.append(&sample_chunk(false).encode()).unwrap();
+        let key = wal::segment_key("job", 0);
+        let frame = store.get(&key).unwrap();
+        assert_eq!(envelope::unwrap(&frame).unwrap().0, envelope::FLAG_WAL_FRAME);
+        each_flip(&frame, |bad| {
+            store.put(&key, bad.to_vec().into()).unwrap();
+            let replay = wal::replay(store.as_ref(), "job").unwrap();
+            wal::validate_segment(bad).is_err()
+                && replay.records.is_empty()
+                && replay.tail != wal::WalTail::Clean
+        });
+    }
+
     #[test]
     fn keys_are_hierarchical() {
         let id = CheckpointId(7);
@@ -992,22 +1043,26 @@ mod tests {
         }
     }
 
-    /// The frame's own checksum is checked behind a valid envelope, and by
-    /// the bare-frame decoder the WAL path uses.
+    /// The frame's own length is checked against its bytes behind a valid
+    /// envelope, and by the bare-frame decoder the WAL path uses: every
+    /// flip of it is rejected. (The frame carries no checksum: damage to
+    /// its data is the envelope's to catch.)
     #[test]
     fn chunk_frame_detects_corruption() {
         let frame = sample_chunk(true).encode();
-        for i in (0..frame.len()).step_by(5) {
-            let mut corrupted = frame.clone();
-            corrupted[i] ^= 0x10;
-            assert!(
-                ChunkPayload::decode(&envelope::wrap(&corrupted)).is_err(),
-                "flip at {i} accepted behind an envelope"
-            );
-            assert!(
-                ChunkPayload::decode_frame(&corrupted).is_err(),
-                "flip at {i} accepted by the frame decoder"
-            );
+        for i in 0..wire::FRAME_OVERHEAD {
+            for bit in 0..8 {
+                let mut corrupted = frame.clone();
+                corrupted[i] ^= 1 << bit;
+                assert!(
+                    ChunkPayload::decode(&envelope::wrap(&corrupted)).is_err(),
+                    "flip at byte {i} bit {bit} accepted behind an envelope"
+                );
+                assert!(
+                    ChunkPayload::decode_frame(&corrupted).is_err(),
+                    "flip at byte {i} bit {bit} accepted by the frame decoder"
+                );
+            }
         }
     }
 

@@ -113,7 +113,7 @@ impl<'a> FetchScheduler<'a> {
     /// and one that never verifies surfaces as [`StorageError::Corrupt`] —
     /// corrupted bytes are never handed to the decoder. What comes back is
     /// the [`Verified`] object: the decoders take it as proof and do not
-    /// run the envelope CRC again.
+    /// hash the bytes again.
     pub fn fetch_chunk(
         &self,
         host: u16,
@@ -288,13 +288,13 @@ mod tests {
     #[test]
     fn fetches_in_ranges_and_reassembles() {
         let store = InMemoryStore::new();
-        let payload = Bytes::from(envelope::wrap(&(0u8..=233).collect::<Vec<u8>>()));
+        let payload = Bytes::from(envelope::wrap(&(0u8..=229).collect::<Vec<u8>>()));
         assert_eq!(payload.len(), 250);
         store.put("obj", payload.clone()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
         assert_eq!(data.object(), &payload);
-        assert_eq!(data.payload(), (0u8..=233).collect::<Vec<u8>>());
+        assert_eq!(data.payload(), (0u8..=229).collect::<Vec<u8>>());
         assert_eq!(sched.poll(Duration::ZERO).parts_fetched, 3);
     }
 
@@ -454,9 +454,10 @@ mod tests {
         let mut v3 = envelope::wrap(&[3u8; 64]);
         v3[..4].copy_from_slice(b"CNR3");
         v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let len = v3.len() as u64;
         store.put("obj", Bytes::from(v3)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
-        match sched.fetch_chunk(0, "obj", 80, 1) {
+        match sched.fetch_chunk(0, "obj", len, 1) {
             Err(CnrError::Corrupt(why)) => {
                 assert!(why.contains("obj") && why.contains("version 3"), "{why}")
             }
@@ -465,6 +466,24 @@ mod tests {
         let status = sched.poll(Duration::ZERO);
         assert_eq!(status.corruption_detected, 3);
         assert_eq!(status.corruption_repaired, 0);
+    }
+
+    /// A chunk exactly as the v4 writer stored it — valid for v4 — is
+    /// rejected by number after the retry budget, never decoded.
+    #[test]
+    fn a_v4_object_is_corrupt_naming_its_version() {
+        const V4_OBJECT: &[u8] =
+            b"CNR4\x04\x00\x00\x00\x15\x00\x00\x00\x0f\xe8\xa5\x20written under wire v4";
+        let store = InMemoryStore::new();
+        store.put("obj", Bytes::from_static(V4_OBJECT)).unwrap();
+        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        match sched.fetch_chunk(0, "obj", V4_OBJECT.len() as u64, 1) {
+            Err(CnrError::Corrupt(why)) => {
+                assert!(why.contains("unsupported envelope version 4 "), "{why}")
+            }
+            other => panic!("v4 object not rejected as corrupt: {other:?}"),
+        }
+        assert_eq!(sched.poll(Duration::ZERO).corruption_detected, 3);
     }
 
     #[test]

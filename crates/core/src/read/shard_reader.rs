@@ -67,9 +67,10 @@ impl ShardReader<'_, '_> {
     /// Fetches, verifies and opens one chunk, then either de-quantizes it
     /// row by row into the destination (hot) or keeps its bytes (cold).
     pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
-        // The scheduler verified the envelope; opening checks the frame
-        // and that every row body is whole — before any row is written,
-        // and before a cold chunk is trusted to be placeable later.
+        // The scheduler verified the envelope — the one checksum; opening
+        // parses the frame and checks that every row body is whole, before
+        // any row is written and before a cold chunk is trusted to be
+        // placeable later.
         let (object, arrived_at) = self
             .scheduler
             .fetch_chunk(host, &item.key, item.bytes, item.parts)?;

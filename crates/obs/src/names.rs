@@ -144,6 +144,8 @@ pub const WAL_BYTES_SYNCED: &str = "cnr_wal_bytes_synced_total";
 pub const WAL_SEGMENTS_ROTATED: &str = "cnr_wal_segments_rotated_total";
 /// Counter: whole-log truncations.
 pub const WAL_TRUNCATIONS: &str = "cnr_wal_truncations_total";
+/// Counter: truncations that erred with segments left to delete.
+pub const WAL_TRUNCATE_FAILURES: &str = "cnr_wal_truncate_failures_total";
 /// Counter (ns): simulated time charged to WAL syncs.
 pub const WAL_SYNC_TIME_NS: &str = "cnr_wal_sync_time_ns_total";
 

@@ -38,6 +38,7 @@ pub mod multipart;
 pub mod remote;
 pub mod scrub;
 pub mod wal;
+mod xxh64;
 
 pub use flaky::{CorruptionKind, CorruptionSpec, FailureMode, FlakyStore, TornWriteSpec};
 pub use fs::FsStore;
@@ -64,8 +65,8 @@ pub enum StorageError {
     /// from checkpoint manifests, so an out-of-range request means the
     /// object and its metadata disagree — never silently clamped.
     OutOfRange(String),
-    /// The object's bytes fail their integrity check: a v4 envelope with a
-    /// bad magic/version/length/CRC (see [`envelope`]). Readers treat this
+    /// The object's bytes fail their integrity check: a v5 envelope with a
+    /// bad magic/version/length/checksum (see [`envelope`]). Readers treat this
     /// as a damaged replica — retry another — never as data.
     Corrupt(String),
 }

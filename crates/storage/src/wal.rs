@@ -1,4 +1,4 @@
-//! Segmented, CRC-framed write-ahead delta log.
+//! Segmented, checksummed write-ahead delta log.
 //!
 //! Check-N-Run's frequency model (§4.1) trades lost work against checkpoint
 //! write cost; a failure still loses everything since the last interval
@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! A WAL **segment** is a bare concatenation of **frames**. Each frame is a
-//! standard v4 envelope ([`crate::envelope`]) carrying
+//! standard v5 envelope ([`crate::envelope`]) carrying
 //! [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
 //!
 //! ```text
@@ -29,7 +29,7 @@
 //! marks the simulated durability point (the "fsync"). A crash therefore
 //! leaves the newest segment as some *prefix* of what the writer buffered —
 //! possibly cut mid-frame. Replay walks frames front to back, verifies each
-//! CRC, and stops cleanly at the first torn, corrupt, or out-of-sequence
+//! frame's checksum once, and stops cleanly at the first torn, corrupt, or out-of-sequence
 //! frame: everything before the stop point is applied, everything after is
 //! reported as a [`WalTail::Torn`] diagnosis, and nothing is ever silently
 //! decoded from garbage. A frame of another wire version is unusable in
@@ -109,6 +109,8 @@ pub struct WalWriterStats {
     pub segments_rotated: u64,
     /// Whole-log truncations (checkpoint registrations).
     pub truncations: u64,
+    /// Truncations that erred before every listed segment was deleted.
+    pub truncate_failures: u64,
 }
 
 /// Appends framed records to a segmented log on an object store.
@@ -224,36 +226,48 @@ impl WalWriter {
     /// The store's listing, not only the segments this writer remembers
     /// syncing: a segment that outlived an earlier truncate sits in front
     /// of the live log, its sequence numbers end where the next segment's
-    /// do not begin, and replay would stop at that gap for good. On `Err`
-    /// the segments not yet deleted are still [`WalWriter::live_segments`],
-    /// and the next truncate retries them.
+    /// do not begin, and replay would stop at that gap for good.
+    ///
+    /// Segments go oldest first and the first failed delete stops the
+    /// walk, so what an `Err` leaves is a contiguous run of whole segments
+    /// — still [`WalWriter::live_segments`], retried by the next truncate.
+    /// The writer rolls to a fresh segment either way, and the unsynced
+    /// appends it drops give their sequence numbers back, so the records
+    /// appended next continue the leftover run without a gap.
     pub fn truncate(&mut self) -> Result<usize> {
         let mut deleted = 0;
-        for key in list_segments(self.store.as_ref(), &self.job)? {
-            match self.store.delete(&key) {
-                Ok(()) => deleted += 1,
-                Err(StorageError::NotFound(_)) => {}
-                Err(e) => return Err(e),
+        let outcome = list_segments(self.store.as_ref(), &self.job).and_then(|keys| {
+            for key in keys {
+                match self.store.delete(&key) {
+                    Ok(()) => deleted += 1,
+                    Err(StorageError::NotFound(_)) => {}
+                    Err(e) => return Err(e),
+                }
+                self.live.retain(|&i| segment_key(&self.job, i) != key);
             }
-            self.live.retain(|&i| segment_key(&self.job, i) != key);
-        }
-        // Whatever is left was synced once and is no longer listed.
-        self.live.clear();
+            // Whatever is left was synced once and is no longer listed.
+            self.live.clear();
+            Ok(deleted)
+        });
         if !self.buf.is_empty() {
             self.buf.clear();
             self.seg_index += 1;
         }
+        self.next_seq -= u64::from(self.pending);
         self.pending = 0;
         self.stats.truncations += 1;
+        self.stats.truncate_failures += u64::from(outcome.is_err());
         if let Some(obs) = &self.obs {
-            obs.registry().counter_add(cnr_obs::names::WAL_TRUNCATIONS, 1);
+            let r = obs.registry();
+            r.counter_add(cnr_obs::names::WAL_TRUNCATIONS, 1);
+            r.counter_add(cnr_obs::names::WAL_TRUNCATE_FAILURES, u64::from(outcome.is_err()));
             let now = obs.now();
             obs.record(
                 cnr_obs::Span::new(cnr_obs::names::SPAN_WAL_TRUNCATE, now, now)
                     .with_attr("segments_deleted", deleted.to_string()),
             );
         }
-        Ok(deleted)
+        outcome
     }
 
     /// Keys of every segment with synced data, oldest first, plus the
@@ -303,7 +317,8 @@ pub enum WalTail {
         segment: String,
         /// Byte offset of the first unusable frame within that segment.
         frame_offset: usize,
-        /// Human-readable reason (truncated header, CRC mismatch, gap...).
+        /// Human-readable reason (truncated header, checksum mismatch,
+        /// gap...).
         reason: String,
     },
 }
@@ -407,7 +422,7 @@ pub fn list_segments(store: &dyn ObjectStore, job: &str) -> Result<Vec<String>> 
 
 /// Replays `job`'s whole log with clean-prefix semantics.
 ///
-/// Segments are read oldest first; frames are CRC-verified and must carry
+/// Segments are read oldest first; frames are verified and must carry
 /// contiguous sequence numbers. The first torn, corrupt, or out-of-sequence
 /// frame stops replay — records collected so far are returned along with a
 /// [`WalTail::Torn`] diagnosis. Hard store errors (I/O) still propagate as
@@ -566,16 +581,49 @@ mod tests {
             w.append(payload).unwrap();
         }
         assert!(matches!(w.truncate(), Err(StorageError::Io(_))));
+        assert_eq!(w.stats().truncate_failures, 1);
         // Segment 0 went; 1 (the failed delete) and 2 (never reached) are
         // still in the store, so the scrubber and the controller must keep
         // hearing about them.
         let left = vec![segment_key("job", 1), segment_key("job", 2)];
         assert_eq!(list_segments(s.as_ref(), "job").unwrap(), left);
         assert_eq!(w.live_segments(), left);
+        // The writer rolled on: the next record lands in a fresh segment
+        // and continues the leftover run, so replay reads through it.
+        w.append(b"d").unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        assert_eq!(r.records.iter().map(|r| r.seq).collect::<Vec<_>>(), [1, 2, 3]);
         // The retry finishes the job.
-        assert_eq!(w.truncate().unwrap(), 2);
+        assert_eq!(w.truncate().unwrap(), 3);
         assert!(w.live_segments().is_empty());
         assert!(list_segments(s.as_ref(), "job").unwrap().is_empty());
+        assert_eq!(w.stats().truncate_failures, 1);
+    }
+
+    /// Unsynced appends a truncate drops were never durable: their
+    /// sequence numbers go to the next records, so a run of segments a
+    /// failed truncate left behind is still continued without a gap.
+    #[test]
+    fn a_failed_truncate_with_unsynced_appends_leaves_no_sequence_gap() {
+        let s = Arc::new(FailsOneDelete {
+            inner: InMemoryStore::new(),
+            key: segment_key("job", 0),
+            armed: true.into(),
+        });
+        let config = WalConfig { segment_bytes: 1 << 20, sync_every: 2 };
+        let mut w = WalWriter::new(s.clone(), "job", config);
+        for payload in [b"a", b"b", b"c"] {
+            w.append(payload).unwrap();
+        }
+        assert_eq!(w.pending_appends(), 1, "`c` was never synced");
+        assert!(w.truncate().is_err());
+        w.append(b"d").unwrap();
+        w.sync().unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        let got: Vec<_> = r.records.iter().map(|r| (r.seq, &r.payload[..])).collect();
+        assert_eq!(got, [(0, &b"a"[..]), (1, b"b"), (2, b"d")]);
     }
 
     #[test]
@@ -659,12 +707,12 @@ mod tests {
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
         let mut w = writer(&s, WalConfig::default());
-        w.append(b"written under v4").unwrap();
+        w.append(b"written under v5").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
         for magic in [*b"CNR3", envelope::MAGIC] {
-            // A whole v3 frame (valid for v3: its own magic, version, CRC
-            // over both), and the v3 version behind today's magic.
+            // A v3 frame (its own magic and version, checked before the
+            // checksum), and the v3 version behind today's magic.
             let mut old = envelope::wrap_with_flags(b"\x01\0\0\0\0\0\0\0older", FLAG_WAL_FRAME);
             old[..4].copy_from_slice(&magic);
             old[4..6].copy_from_slice(&3u16.to_le_bytes());
@@ -672,8 +720,8 @@ mod tests {
             segment.extend_from_slice(&old);
             s.put(&key, Bytes::from(segment.clone())).unwrap();
             let r = replay(s.as_ref(), "job").unwrap();
-            assert_eq!(r.records.len(), 1, "the v4 prefix replays");
-            assert_eq!(&r.records[0].payload[..], b"written under v4");
+            assert_eq!(r.records.len(), 1, "the v5 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v5");
             match r.tail {
                 WalTail::Torn { frame_offset, ref reason, .. } => {
                     assert_eq!(frame_offset, clean.len());
@@ -684,6 +732,34 @@ mod tests {
             let why = validate_segment(&segment).unwrap_err();
             assert!(why.contains("version 3"), "{why}");
         }
+    }
+
+    /// A frame exactly as the v4 writer sealed it — valid for v4 — is a
+    /// torn tail behind the clean prefix, and the reason names version 4;
+    /// validation rejects the segment by number too.
+    #[test]
+    fn a_v4_frame_is_a_torn_tail_naming_its_version() {
+        let s = store();
+        let mut w = writer(&s, WalConfig::default());
+        w.append(b"written under v5").unwrap();
+        let key = segment_key("job", 0);
+        let mut segment = s.get(&key).unwrap().to_vec();
+        let clean_len = segment.len();
+        segment.extend_from_slice(envelope::V4_WAL_FRAME);
+        s.put(&key, Bytes::from(segment.clone())).unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.records.len(), 1, "the v5 prefix replays");
+        match r.tail {
+            WalTail::Torn { frame_offset, ref reason, .. } => {
+                assert_eq!(frame_offset, clean_len);
+                assert!(reason.contains("unsupported envelope version 4 "), "{reason}");
+            }
+            WalTail::Clean => panic!("a v4 frame must not read clean"),
+        }
+        let why = validate_segment(&segment).unwrap_err();
+        assert!(why.contains("version 4"), "{why}");
+        let why = validate_segment(envelope::V4_WAL_FRAME).unwrap_err();
+        assert!(why.contains("version 4"), "{why}");
     }
 
     #[test]
@@ -736,7 +812,7 @@ mod tests {
         // diagnosis instead of erroring or decoding garbage.
         let flaky = Arc::new(FlakyStore::tearing_writes(
             InMemoryStore::new(),
-            // Cut inside the second frame (each frame is ~29 bytes).
+            // Cut inside the second frame (each frame is ~34 bytes).
             TornWriteSpec::once(3).at_byte(40),
         ));
         let mut w = WalWriter::new(
@@ -795,6 +871,7 @@ mod tests {
         assert_eq!(r.counter(n::WAL_BYTES_SYNCED), stats.bytes_synced);
         assert_eq!(r.counter(n::WAL_SEGMENTS_ROTATED), stats.segments_rotated);
         assert_eq!(r.counter(n::WAL_TRUNCATIONS), stats.truncations);
+        assert_eq!(r.counter(n::WAL_TRUNCATE_FAILURES), stats.truncate_failures);
         assert!(stats.appends == 4 && stats.syncs == 2 && stats.truncations == 1);
         assert!(obs.spans().iter().any(|s| s.name == n::SPAN_WAL_TRUNCATE));
     }

@@ -12,7 +12,10 @@
 use check_n_run::core::CnrError;
 use check_n_run::obs::names;
 use check_n_run::prelude::*;
-use check_n_run::storage::{wal, CorruptionKind, CorruptionSpec, FsStore};
+use check_n_run::storage::{
+    wal, CorruptionKind, CorruptionSpec, FsStore, ObjectMeta, PutReceipt, StorageError,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const JOB: &str = "job";
@@ -171,6 +174,78 @@ fn segments_that_outlive_their_truncate_are_skipped_then_collected() {
     let r = e.stats().resumes.last().unwrap();
     assert_eq!((r.wal_replayed_iterations, r.lost_iterations), (2, 0));
     assert_eq!(e.trainer().model().state_hash(), reference_state_hash(17));
+}
+
+/// An in-memory backing whose first delete of a WAL segment fails.
+struct FailsOneWalDelete {
+    inner: InMemoryStore,
+    armed: AtomicBool,
+}
+
+impl ObjectStore for FailsOneWalDelete {
+    fn put(&self, key: &str, data: bytes::Bytes) -> Result<PutReceipt, StorageError> {
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &str) -> Result<bytes::Bytes, StorageError> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &str) -> Result<(), StorageError> {
+        if wal::is_wal_segment_key(key) && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(StorageError::Io(std::io::Error::other("injected delete failure")));
+        }
+        self.inner.delete(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        self.inner.list(prefix)
+    }
+    fn head(&self, key: &str) -> Result<ObjectMeta, StorageError> {
+        self.inner.head(key)
+    }
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+}
+
+/// The same window driven for real: `register` succeeded and the WAL
+/// truncate behind it errs. The checkpoint stands and its boundary
+/// finishes; the segment the truncate left is skipped by replay, covered
+/// by the scrubber and collected one boundary later.
+#[test]
+fn a_failed_wal_truncate_leaves_the_checkpoint_standing() {
+    let backing = Arc::new(FailsOneWalDelete {
+        inner: InMemoryStore::new(),
+        armed: true.into(),
+    });
+    let segments = || wal::list_segments(backing.as_ref(), JOB).unwrap();
+    let mut e = builder(backing.clone()).delta_wal(DeltaWalConfig::default()).build().unwrap();
+    // Checkpoint at 5 (nothing logged yet); iterations 6-10 log against it
+    // and the boundary at 10 fails to delete their segment.
+    e.train_batches(13).unwrap();
+    assert!(!backing.armed.load(Ordering::SeqCst), "the delete was refused");
+    assert_eq!(e.obs().registry().counter(names::WAL_TRUNCATE_FAILURES), 1);
+    assert_eq!(e.policy().checkpoints_taken(), 2);
+    assert_eq!(e.stats().intervals.len(), 2, "one row per registered checkpoint");
+    let left = segments();
+    assert_eq!(left.len(), 2, "the covered segment and the fresh one behind it");
+    let live = e.controller().live_keys();
+    assert!(left.iter().all(|k| live.contains(k)), "the scrubber covers {left:?}");
+
+    e.simulate_failure_and_restore().unwrap();
+    let r = e.stats().resumes.last().unwrap();
+    assert_eq!(r.checkpoint, e.controller().latest().unwrap());
+    assert_eq!(r.restore_point, RestorePoint::WalTip);
+    assert_eq!(r.wal_replayed_iterations, 3, "only the records the checkpoint does not cover");
+    assert_eq!(r.lost_iterations, 0);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(13));
+
+    // The next boundary's truncate collects the leftovers.
+    e.train_batches(2).unwrap();
+    assert_eq!(e.stats().intervals.len(), 3);
+    assert!(segments().is_empty());
+    e.train_batches(1).unwrap();
+    e.simulate_failure_and_restore().unwrap();
+    assert_eq!(e.stats().resumes.last().unwrap().wal_replayed_iterations, 1);
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(16));
 }
 
 #[test]
