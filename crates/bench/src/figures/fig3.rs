@@ -5,8 +5,9 @@
 //! We drive the paper-calibrated log-normal failure model through the fleet
 //! scheduler and report the empirical CDF plus those two checkpoints.
 
+use crate::failure::empirical_cdf;
 use crate::{f, print_csv};
-use cnr_cluster::failure::{empirical_cdf, FailureModel};
+use cnr_cluster::FailureModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;

@@ -4,8 +4,8 @@
 //! so the series is normalized; ours reproduces the shape (exponential
 //! growth punctuated by feature launches, 3.3× total).
 
+use crate::growth::{paper_series, GrowthPoint};
 use crate::{f, print_csv};
-use cnr_cluster::growth::{paper_series, GrowthPoint};
 
 /// Runs the experiment.
 pub fn run() -> Vec<GrowthPoint> {

@@ -5,15 +5,15 @@
 //! * Tracking: bit-vector marking hidden inside AlltoAll; ≈1% of iteration
 //!   time; bit-vector footprint <0.05% of model bytes.
 //!
-//! Reported two ways: the analytic paper-scale model (`cnr-trainer::comm`,
+//! Reported two ways: the analytic paper-scale model ([`crate::comm`],
 //! `CheckpointConfig::snapshot_stall`) and live measurements from the
 //! simulated engine.
 
+use crate::comm::CommModel;
 use crate::{f, print_csv};
 use cnr_core::CheckpointConfig;
 use cnr_model::ModelConfig;
 use cnr_tracking::ModificationTracker;
-use cnr_trainer::CommModel;
 use cnr_workload::{DatasetSpec, SyntheticDataset};
 use std::time::{Duration, Instant};
 
@@ -22,12 +22,7 @@ pub fn print() {
     let mut rows = Vec::new();
 
     // Paper-scale snapshot stall: 32 GB HBM shards at 5 GB/s host copy.
-    let cfg = CheckpointConfig {
-        devices: 128,
-        snapshot_bandwidth_per_device: 5.0e9,
-        ..CheckpointConfig::default()
-    };
-    let stall = cfg.snapshot_stall(32 * 1024 * 1024 * 1024);
+    let stall = CheckpointConfig::default().snapshot_stall(32 * 1024 * 1024 * 1024);
     let interval = Duration::from_secs(30 * 60);
     rows.push(format!(
         "snapshot_stall_s,{},paper <7s",
@@ -89,12 +84,7 @@ mod tests {
 
     #[test]
     fn paper_scale_claims_hold_in_our_models() {
-        let cfg = CheckpointConfig {
-            devices: 128,
-            snapshot_bandwidth_per_device: 5.0e9,
-            ..CheckpointConfig::default()
-        };
-        let stall = cfg.snapshot_stall(32 * 1024 * 1024 * 1024);
+        let stall = CheckpointConfig::default().snapshot_stall(32 * 1024 * 1024 * 1024);
         assert!(stall < Duration::from_secs(7));
         assert!(stall.as_secs_f64() / (30.0 * 60.0) < 0.004);
 

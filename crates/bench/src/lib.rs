@@ -10,11 +10,23 @@
 //! paper plots (% of model size, ℓ2 error, reduction factors), so shapes
 //! are directly comparable. `EXPERIMENTS.md` records paper-vs-measured per
 //! figure.
+//!
+//! The motivation figures' models live here too, not in the engine crates:
+//! the Bistro-style fleet [`scheduler`] with its [`job`]s, wasted-work
+//! accounting ([`recovery`]), the failure CDF ([`failure`]), the
+//! model-growth series ([`growth`]) and the communication cost model
+//! ([`comm`]). `examples/failure_recovery.rs` is the fleet demo.
 
 #![forbid(unsafe_code)]
 
+pub mod comm;
+pub mod failure;
 pub mod figures;
+pub mod growth;
+pub mod job;
 mod kmeans;
+pub mod recovery;
+pub mod scheduler;
 pub mod timeline;
 pub mod trajectory;
 pub mod workloads;

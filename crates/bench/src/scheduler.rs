@@ -6,8 +6,8 @@
 //! the work since its last checkpoint and re-queues, which is exactly the
 //! wasted-work mechanism that motivates frequent checkpointing (§3.1).
 
-use crate::failure::FailureModel;
 use crate::job::{JobId, TrainingJob};
+use cnr_cluster::FailureModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;

@@ -65,11 +65,6 @@ impl ScrubScheduler {
         }
     }
 
-    /// The configured sweep cadence.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
     /// True when a sweep is due at simulated time `now`.
     pub fn due(&self, now: Duration) -> bool {
         now >= self.next_due

@@ -49,15 +49,6 @@ pub struct DeltaWalConfig {
     /// iteration that was mid-append when the process died, larger values
     /// trade durability for fewer sync round-trips.
     pub sync_every: u32,
-    /// Fixed simulated latency charged per sync — the log device's fsync
-    /// round-trip. Charged to the training clock, so it shows up in the
-    /// steady-state overhead the paper's 6–17% band is about.
-    pub sync_latency: Duration,
-    /// Simulated log-device append bandwidth (bytes/s) for the newly
-    /// synced frame bytes. The object-store re-put of the whole segment is
-    /// an implementation artifact of the simulated store; a real WAL
-    /// device appends, so time is charged for appended bytes only.
-    pub append_bandwidth: f64,
 }
 
 impl Default for DeltaWalConfig {
@@ -65,8 +56,6 @@ impl Default for DeltaWalConfig {
         Self {
             segment_bytes: 1 << 20,
             sync_every: 1,
-            sync_latency: Duration::from_micros(10),
-            append_bandwidth: 1.0e9,
         }
     }
 }
@@ -74,16 +63,7 @@ impl Default for DeltaWalConfig {
 impl DeltaWalConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.segment_bytes == 0 {
-            return Err("wal segment_bytes must be positive".into());
-        }
-        if self.sync_every == 0 {
-            return Err("wal sync_every must be positive".into());
-        }
-        if self.append_bandwidth <= 0.0 {
-            return Err("wal append bandwidth must be positive".into());
-        }
-        Ok(())
+        self.writer_config().validate()
     }
 
     /// The storage-layer writer configuration this implies.
@@ -94,10 +74,16 @@ impl DeltaWalConfig {
         }
     }
 
-    /// Simulated time one sync costs for `appended_bytes` of new frames.
+    /// Simulated time one sync costs for `appended_bytes` of new frames:
+    /// the log device's fsync round-trip plus the appended bytes at its
+    /// bandwidth. Charged to the training clock, so it shows up in the
+    /// steady-state overhead the paper's 6–17% band is about. The object
+    /// store's re-put of the whole segment is an artifact of the simulated
+    /// store; a real WAL device appends, so only appended bytes are charged.
     pub fn sync_cost(&self, appended_bytes: u64) -> Duration {
-        self.sync_latency
-            + Duration::from_secs_f64(appended_bytes as f64 / self.append_bandwidth)
+        const SYNC_LATENCY: Duration = Duration::from_micros(10);
+        const APPEND_BYTES_PER_SEC: f64 = 1.0e9;
+        SYNC_LATENCY + Duration::from_secs_f64(appended_bytes as f64 / APPEND_BYTES_PER_SEC)
     }
 }
 
@@ -123,10 +109,6 @@ pub struct CheckpointConfig {
     /// table and uploads its own shard over its own uplink (§4.4's
     /// parallel per-host writes). 1 = the single-host path.
     pub writer_hosts: usize,
-    /// Bounded in-flight window of the upload scheduler: at most this many
-    /// multipart parts per host may be in flight (in simulated time) before
-    /// backpressure delays the next part.
-    pub upload_window: usize,
     /// Multipart part size: chunks larger than this stream to the store in
     /// multiple parts, each accounted individually.
     pub part_bytes: usize,
@@ -135,21 +117,12 @@ pub struct CheckpointConfig {
     /// own downlink, so time-to-resume shrinks with this count (the read
     /// mirror of `writer_hosts`). 1 = the single-host restore path.
     pub reader_hosts: usize,
-    /// Bounded in-flight window of the restore fetch scheduler: at most
-    /// this many ranged reads per reader host may be in flight (in
-    /// simulated time) before backpressure delays the next one.
-    pub fetch_window: usize,
     /// Transient read-failure retries per ranged fetch before a restore
     /// fails.
     pub fetch_retries: u32,
     /// How many complete restore chains to retain; older chains are deleted
     /// once a newer checkpoint is valid (§4.4).
     pub retained_chains: usize,
-    /// Simulated host-copy bandwidth per device for the snapshot stall
-    /// (GPU HBM → pinned host memory, §4.2).
-    pub snapshot_bandwidth_per_device: f64,
-    /// Devices in the (simulated) training cluster.
-    pub devices: u32,
     /// Per-iteration delta WAL between full checkpoints; `None` (the
     /// default) disables it and a failure loses the interval since the
     /// last checkpoint, as in the paper.
@@ -174,14 +147,10 @@ impl Default for CheckpointConfig {
             chunk_rows: 4096,
             quantize_workers: 2,
             writer_hosts: 1,
-            upload_window: 8,
             part_bytes: 1 << 20,
             reader_hosts: 1,
-            fetch_window: 8,
             fetch_retries: 2,
             retained_chains: 1,
-            snapshot_bandwidth_per_device: 5.0e9,
-            devices: 8,
             delta_wal: None,
             lazy_restore: false,
             lazy_hot_fraction: 0.1,
@@ -207,9 +176,6 @@ impl CheckpointConfig {
         if self.writer_hosts > u16::MAX as usize {
             return Err("writer_hosts exceeds the shard id space".into());
         }
-        if self.upload_window == 0 {
-            return Err("upload window must admit at least one part".into());
-        }
         if self.part_bytes == 0 {
             return Err("multipart part size must be positive".into());
         }
@@ -219,17 +185,8 @@ impl CheckpointConfig {
         if self.reader_hosts > u16::MAX as usize {
             return Err("reader_hosts exceeds the shard id space".into());
         }
-        if self.fetch_window == 0 {
-            return Err("fetch window must admit at least one range".into());
-        }
         if self.retained_chains == 0 {
             return Err("must retain at least one chain".into());
-        }
-        if self.snapshot_bandwidth_per_device <= 0.0 {
-            return Err("snapshot bandwidth must be positive".into());
-        }
-        if self.devices == 0 {
-            return Err("need at least one device".into());
         }
         if let Some(wal) = &self.delta_wal {
             wal.validate()?;
@@ -252,7 +209,6 @@ impl CheckpointConfig {
     pub fn restore_options(&self) -> crate::read::RestoreOptions {
         crate::read::RestoreOptions {
             reader_hosts: self.reader_hosts.max(1),
-            fetch_window: self.fetch_window,
             decode_workers: self.quantize_workers,
             fetch_retries: self.fetch_retries,
             lazy: self.lazy_restore,
@@ -264,7 +220,9 @@ impl CheckpointConfig {
     /// `max_device_bytes` (§4.2: devices copy concurrently, so the max
     /// shard bounds the stall).
     pub fn snapshot_stall(&self, max_device_bytes: u64) -> Duration {
-        Duration::from_secs_f64(max_device_bytes as f64 / self.snapshot_bandwidth_per_device)
+        // Host-copy bandwidth per device: GPU HBM → pinned host memory.
+        const SNAPSHOT_BYTES_PER_SEC: f64 = 5.0e9;
+        Duration::from_secs_f64(max_device_bytes as f64 / SNAPSHOT_BYTES_PER_SEC)
     }
 }
 
@@ -313,10 +271,6 @@ mod tests {
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
-                upload_window: 0,
-                ..CheckpointConfig::default()
-            },
-            CheckpointConfig {
                 part_bytes: 0,
                 ..CheckpointConfig::default()
             },
@@ -326,10 +280,6 @@ mod tests {
             },
             CheckpointConfig {
                 reader_hosts: u16::MAX as usize + 1,
-                ..CheckpointConfig::default()
-            },
-            CheckpointConfig {
-                fetch_window: 0,
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
@@ -349,12 +299,7 @@ mod tests {
     fn paper_scale_snapshot_stall_is_about_seven_seconds() {
         // §4.2: a model partitioned over 128 GPUs stalls <7s. With ~32 GB
         // HBM per device and 5 GB/s host copy, the bound is 6.4s.
-        let cfg = CheckpointConfig {
-            devices: 128,
-            snapshot_bandwidth_per_device: 5.0e9,
-            ..Default::default()
-        };
-        let stall = cfg.snapshot_stall(32 * 1024 * 1024 * 1024);
+        let stall = CheckpointConfig::default().snapshot_stall(32 * 1024 * 1024 * 1024);
         assert!(stall < Duration::from_secs(7));
         assert!(stall > Duration::from_secs(6));
     }

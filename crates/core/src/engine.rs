@@ -62,7 +62,6 @@ pub struct EngineBuilder {
     nodes: u32,
     gpus_per_node: u32,
     scrub_interval: Option<Duration>,
-    observers: Vec<Arc<dyn cnr_obs::ObsSink>>,
 }
 
 impl EngineBuilder {
@@ -80,7 +79,6 @@ impl EngineBuilder {
             nodes: 1,
             gpus_per_node: 8,
             scrub_interval: None,
-            observers: Vec::new(),
         }
     }
 
@@ -206,17 +204,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Registers an [`cnr_obs::ObsSink`] that streams every completed
-    /// span as it is recorded (see the sink contract on the trait). The
-    /// engine always records spans and metrics into its own
-    /// [`cnr_obs::Obs`] pipeline — reachable via [`Engine::obs`] — so a
-    /// sink is only needed for live streaming; exporting after the run
-    /// via [`cnr_obs::export`] needs none.
-    pub fn observer(mut self, sink: Arc<dyn cnr_obs::ObsSink>) -> Self {
-        self.observers.push(sink);
-        self
-    }
-
     /// Builds the engine.
     pub fn build(self) -> Result<Engine> {
         self.ckpt.validate().map_err(CnrError::Config)?;
@@ -253,9 +240,6 @@ impl EngineBuilder {
         // writer mirrors its counters straight into this registry —
         // `stats.wal` is then *derived* from it, never hand-accumulated.
         let obs = cnr_obs::Obs::new(Arc::new(clock.clone()));
-        for sink in self.observers {
-            obs.add_sink(sink);
-        }
         let wal = self.ckpt.delta_wal.map(|w| {
             let mut writer = WalWriter::new(
                 store.clone() as Arc<dyn ObjectStore>,

@@ -83,8 +83,8 @@ pub fn record_resume(obs: &Obs, row: &ResumeStats, chunks_fetched: u64, reschedu
     );
 }
 
-/// Mirrors one on-demand fault-in (a lazy restore's synchronous cold-row
-/// fetch) into the registry, alongside the [`ResumeStats`] row's
+/// Mirrors one batch's on-demand fault-ins (a lazy restore's synchronous
+/// cold-row fetches) into the registry, alongside the [`ResumeStats`] row's
 /// `fault_in_fetches`/`fault_in_time` increments.
 pub fn record_fault_in(obs: &Obs, fetches: u64, cost: Duration) {
     let reg = obs.registry();

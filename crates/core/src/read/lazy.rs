@@ -69,8 +69,6 @@ impl ColdChunk {
 pub struct DrainOutcome {
     /// Rows materialized by the drain (not counting earlier fault-ins).
     pub rows_materialized: u64,
-    /// Deferred WAL row deltas applied on top of them.
-    pub deltas_applied: u64,
 }
 
 /// Deferred tail of a lazy restore: cold chunks plus everything needed to
@@ -270,8 +268,7 @@ impl LazyRestore {
                     self.materialized[tbl][row] = true;
                     self.pending_rows -= 1;
                     outcome.rows_materialized += 1;
-                    outcome.deltas_applied +=
-                        self.apply_deferred(model, tbl as u16, row as u32)?;
+                    self.apply_deferred(model, tbl as u16, row as u32)?;
                 }
             }
         }
@@ -281,11 +278,10 @@ impl LazyRestore {
     }
 
     /// Applies and consumes the deferred deltas of one row, replay order.
-    fn apply_deferred(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
+    fn apply_deferred(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<()> {
         let Some(deltas) = self.deferred.remove(&(table, row)) else {
-            return Ok(0);
+            return Ok(());
         };
-        let n = deltas.len() as u64;
         let t = table as usize;
         let tbl = model
             .tables_mut()
@@ -304,7 +300,7 @@ impl LazyRestore {
                 adagrad[row as usize] = acc;
             }
         }
-        Ok(n)
+        Ok(())
     }
 }
 
@@ -451,7 +447,6 @@ mod tests {
         lazy.defer_delta(0, 1, vec![4.0; 4], Some(4.0));
         let outcome = lazy.drain(&mut m).unwrap();
         assert_eq!(outcome.rows_materialized, 2);
-        assert_eq!(outcome.deltas_applied, 2);
         assert!(lazy.is_drained());
         assert_eq!(m.tables()[0].row(0), &[1.0; 4], "level 0 value");
         assert_eq!(m.tables()[0].row(1), &[4.0; 4], "last deferred delta wins");

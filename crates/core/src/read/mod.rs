@@ -85,10 +85,6 @@ pub struct RestoreOptions {
     /// Simulated reader hosts: each fetches its share of the chain over
     /// its own downlink. 1 = the single-host path.
     pub reader_hosts: usize,
-    /// Bounded in-flight window of the fetch scheduler: at most this many
-    /// ranged reads per host may be in flight (in simulated time) before
-    /// backpressure delays the next one.
-    pub fetch_window: usize,
     /// Decode worker threads, spread across reader hosts exactly like the
     /// write path's quantize workers.
     pub decode_workers: usize,
@@ -109,7 +105,6 @@ impl Default for RestoreOptions {
     fn default() -> Self {
         Self {
             reader_hosts: 1,
-            fetch_window: 8,
             decode_workers: 2,
             fetch_retries: 2,
             lazy: false,
@@ -126,9 +121,6 @@ impl RestoreOptions {
         }
         if self.reader_hosts > u16::MAX as usize {
             return Err("reader_hosts exceeds the shard id space".into());
-        }
-        if self.fetch_window == 0 {
-            return Err("fetch window must admit at least one range".into());
         }
         if self.decode_workers == 0 {
             return Err("need at least one decode worker".into());
@@ -263,15 +255,14 @@ pub fn restore_sharded_into(
     heat: Option<&RowHeat>,
     dest: Vec<TableViewMut<'_>>,
 ) -> Result<ShardedRestore> {
+    // Bounded in-flight window of the fetch scheduler: at most this many
+    // ranged reads per host may be in flight (in simulated time) before
+    // backpressure delays the next one.
+    const FETCH_WINDOW: usize = 8;
     options.validate().map_err(CnrError::Config)?;
     let hosts = options.reader_hosts.max(1);
-    let fetch_sched = FetchScheduler::new(
-        store,
-        hosts,
-        options.fetch_window,
-        options.fetch_retries,
-        started_at,
-    );
+    let fetch_sched =
+        FetchScheduler::new(store, hosts, FETCH_WINDOW, options.fetch_retries, started_at);
 
     // --- Plan: walk the chain, validate, assign chunks to hosts. --------
     // Manifests download through the timed path too (serialized on host
@@ -685,10 +676,6 @@ mod tests {
         for bad in [
             RestoreOptions {
                 reader_hosts: 0,
-                ..RestoreOptions::default()
-            },
-            RestoreOptions {
-                fetch_window: 0,
                 ..RestoreOptions::default()
             },
             RestoreOptions {

@@ -168,12 +168,15 @@ impl<'a> CheckpointWriter<'a> {
         kill: Option<HostKill>,
         uploads_after: Duration,
     ) -> Result<CheckpointRecord> {
+        // Bounded in-flight window of the upload scheduler: at most this
+        // many multipart parts per host may be in flight (in simulated
+        // time) before backpressure delays the next part.
+        const UPLOAD_WINDOW: usize = 8;
         let wall_start = Instant::now();
         let issue_time = snapshot.taken_at;
         let quantize_nanos = AtomicU64::new(0);
         let hosts = config.writer_hosts.max(1);
-        let scheduler =
-            UploadScheduler::new(self.store, hosts, config.upload_window, config.part_bytes);
+        let scheduler = UploadScheduler::new(self.store, hosts, UPLOAD_WINDOW, config.part_bytes);
         scheduler.set_floor(uploads_after);
 
         // --- Plan: shard and chunk the delta. ---------------------------

@@ -7,8 +7,8 @@
 //! different clocks must not be mixed in one trace; the engine always uses
 //! its simulated clock.
 
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A monotonic time source with an arbitrary epoch.
@@ -46,29 +46,32 @@ impl Clock for WallClock {
     }
 }
 
-/// A hand-advanced clock for tests.
+/// A hand-advanced clock for this crate's tests.
 ///
 /// Cloning is cheap; clones share the same time, mirroring
 /// `cnr_cluster::SimClock` (which cannot be used here without a dependency
 /// cycle).
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    micros: Arc<AtomicU64>,
+pub(crate) struct ManualClock {
+    micros: std::sync::Arc<AtomicU64>,
 }
 
+#[cfg(test)]
 impl ManualClock {
     /// A manual clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Advances the clock by `d`.
-    pub fn advance(&self, d: Duration) {
+    pub(crate) fn advance(&self, d: Duration) {
         let add = d.as_micros().min(u128::from(u64::MAX)) as u64;
         self.micros.fetch_add(add, Ordering::AcqRel);
     }
 }
 
+#[cfg(test)]
 impl Clock for ManualClock {
     fn now(&self) -> Duration {
         Duration::from_micros(self.micros.load(Ordering::Acquire))
@@ -78,6 +81,7 @@ impl Clock for ManualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn wall_clock_is_monotone() {

@@ -5,9 +5,9 @@
 //! and the fetch/decode/merge downtime model on the read side (§2, §5).
 //! This crate is the substrate those decompositions are recorded on:
 //!
-//! * [`span`] — a [`Span`]/[`SpanGuard`] tracing API with explicit parent
-//!   edges. Spans stamp timestamps through the [`Clock`] trait, so the same
-//!   code paths produce coherent trees whether time is wall-clock
+//! * [`span`] — retrospectively recorded [`Span`]s with explicit parent
+//!   edges. An [`Obs`] handle reads time through the [`Clock`] trait, so
+//!   the same code paths produce coherent trees whether time is wall-clock
 //!   ([`WallClock`]) or the engine's simulated clock (`cnr_cluster::SimClock`
 //!   implements [`Clock`]).
 //! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges, and
@@ -23,12 +23,8 @@
 //! The crate is `std`-only by design: it sits *below* `cnr_cluster` in the
 //! dependency DAG so every other crate can thread an [`Obs`] handle through
 //! without cycles, and so the vendored-stub policy never applies to it.
-//!
-//! # The `ObsSink` contract
-//!
-//! External consumers subscribe through [`ObsSink`]; see its rustdoc for the
-//! exact delivery guarantees (completion-ordered, at-most-once per span,
-//! called on the recording thread).
+//! Consumers read what was recorded after the fact ([`Obs::spans`],
+//! [`Obs::registry`]) and hand it to the [`export`] writers.
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +35,6 @@ pub mod metrics;
 pub mod names;
 pub mod span;
 
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::{Clock, WallClock};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use span::{Obs, ObsSink, Span, SpanGuard, SpanId, SpanKind};
+pub use span::{Obs, Span, SpanId, SpanKind};

@@ -125,9 +125,13 @@ pub const RESTORE_DECODE_NS: &str = "cnr_restore_decode_ns";
 pub const RESTORE_MERGE_NS: &str = "cnr_restore_merge_ns";
 /// Histogram (ns): WAL replay phase per restore.
 pub const RESTORE_WAL_REPLAY_NS: &str = "cnr_restore_wal_replay_ns";
-/// Histogram (ns): cumulative fault-in time per lazy restore.
+/// Histogram (ns): simulated fetch time charged to one faulting batch — one
+/// observation per batch whose cold rows a lazy restore fetched on demand
+/// (the per-restore total is `ResumeStats::fault_in_time`).
 pub const RESTORE_FAULT_IN_NS: &str = "cnr_restore_fault_in_ns";
-/// Histogram (count): corruption-healing re-fetches per restore.
+/// Histogram (count): transient I/O retries of ranged reads per restore
+/// (`FetchStatus::retries_performed`); corruption-healing re-fetches are
+/// counted apart, in [`RESTORE_CORRUPTION_REFETCHES`].
 pub const RESTORE_FETCH_RETRIES: &str = "cnr_restore_fetch_retries";
 
 // ---- Metrics: WAL ---------------------------------------------------------

@@ -2,11 +2,9 @@
 //!
 //! A [`Span`] is one phase of work — a snapshot stall, a shard fetch, a WAL
 //! replay — with an explicit parent edge. The engine's phase durations are
-//! mostly known *after* the fact (the simulator computes a phase's length
-//! and then advances the clock past it), so the primary recording API is
-//! retrospective: build a [`Span`] with explicit `start`/`end` stamps and
-//! [`Obs::record`] it. [`SpanGuard`] covers the live-measurement case
-//! (wall-clock CPU phases) with the usual RAII shape.
+//! known *after* the fact (the simulator computes a phase's length and then
+//! advances the clock past it), so recording is retrospective: build a
+//! [`Span`] with explicit `start`/`end` stamps and [`Obs::record`] it.
 //!
 //! # Tree invariants
 //!
@@ -112,39 +110,15 @@ impl Span {
     }
 }
 
-/// Subscriber for completed spans.
-///
-/// # Contract
-///
-/// * [`ObsSink::on_span`] is called **exactly once per span**, at the moment
-///   the span is recorded (guard drop or [`Obs::record`]), synchronously on
-///   the recording thread. Keep it cheap; it sits on checkpoint/restore hot
-///   paths.
-/// * Delivery is in **completion order**, not start order: a parent that
-///   outlives its children is delivered after them. However, spans recorded
-///   retrospectively (the engine's usual mode) are delivered parents-first,
-///   and every `parent` id referenced by a delivered span has itself been
-///   delivered or assigned before the child arrives.
-/// * The span buffer lock is **not** held during delivery, so a sink may
-///   call back into the same [`Obs`] handle (e.g. to bump a metric), but
-///   must not assume it sees its own re-entrant span before returning.
-/// * Sinks are shared across threads (`Send + Sync`) and must tolerate
-///   concurrent calls when producers record from scoped worker threads.
-pub trait ObsSink: Send + Sync {
-    /// Observes one completed span.
-    fn on_span(&self, span: &Span);
-}
-
 struct ObsInner {
     clock: Arc<dyn Clock>,
     next_id: AtomicU64,
     spans: Mutex<Vec<Span>>,
-    sinks: Mutex<Vec<Arc<dyn ObsSink>>>,
     registry: MetricsRegistry,
 }
 
-/// Cheaply clonable observability handle: a clock, a span buffer, a metrics
-/// registry, and zero or more external [`ObsSink`]s.
+/// Cheaply clonable observability handle: a clock, a span buffer and a
+/// metrics registry.
 ///
 /// All clones share state; the engine owns one and threads clones through
 /// its subsystems.
@@ -169,7 +143,6 @@ impl Obs {
                 clock,
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
-                sinks: Mutex::new(Vec::new()),
                 registry: MetricsRegistry::new(),
             }),
         }
@@ -191,103 +164,18 @@ impl Obs {
         &self.inner.registry
     }
 
-    /// Subscribes an external sink; it sees only spans recorded after this
-    /// call.
-    pub fn add_sink(&self, sink: Arc<dyn ObsSink>) {
-        self.inner.sinks.lock().expect("sink list poisoned").push(sink);
-    }
-
-    /// Records a completed span, assigning its id, and notifies sinks.
+    /// Records a completed span, assigning its id.
     pub fn record(&self, mut span: Span) -> SpanId {
         let id = SpanId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         span.id = id;
-        {
-            let mut spans = self.inner.spans.lock().expect("span buffer poisoned");
-            spans.push(span.clone());
-        }
-        let sinks = self.inner.sinks.lock().expect("sink list poisoned").clone();
-        for sink in sinks {
-            sink.on_span(&span);
-        }
+        let mut spans = self.inner.spans.lock().expect("span buffer poisoned");
+        spans.push(span);
         id
     }
 
-    /// Starts a live span at `now()`; recorded when the guard finishes or
-    /// drops.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard {
-            obs: self.clone(),
-            span: Span::new(name, self.now(), self.now()),
-            done: false,
-        }
-    }
-
-    /// Starts a live child span at `now()`.
-    pub fn child_span(&self, name: &'static str, parent: SpanId) -> SpanGuard {
-        let mut guard = self.span(name);
-        guard.span.parent = Some(parent);
-        guard
-    }
-
-    /// Snapshot of every span recorded so far, in completion order.
+    /// Snapshot of every span recorded so far, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         self.inner.spans.lock().expect("span buffer poisoned").clone()
-    }
-
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.inner.spans.lock().expect("span buffer poisoned").len()
-    }
-}
-
-/// RAII guard for a live span; see [`Obs::span`].
-///
-/// Finishing (explicitly or on drop) stamps `end = now()` and records the
-/// span.
-#[must_use = "a SpanGuard records its span when finished or dropped"]
-pub struct SpanGuard {
-    obs: Obs,
-    span: Span,
-    done: bool,
-}
-
-impl SpanGuard {
-    /// Appends an annotation.
-    pub fn attr(mut self, key: &'static str, value: impl Into<String>) -> Self {
-        self.span.attrs.push((key, value.into()));
-        self
-    }
-
-    /// Marks the span concurrent with its siblings.
-    pub fn concurrent(mut self) -> Self {
-        self.span.kind = SpanKind::Concurrent;
-        self
-    }
-
-    /// Sets the display lane.
-    pub fn track(mut self, track: u64) -> Self {
-        self.span.track = track;
-        self
-    }
-
-    /// Stamps the end and records the span, returning its id.
-    pub fn finish(mut self) -> SpanId {
-        self.done = true;
-        self.span.end = self.obs.now().max(self.span.start);
-        self.obs.record(std::mem::replace(
-            &mut self.span,
-            Span::new("", Duration::ZERO, Duration::ZERO),
-        ))
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.done {
-            self.span.end = self.obs.now().max(self.span.start);
-            let span = std::mem::replace(&mut self.span, Span::new("", Duration::ZERO, Duration::ZERO));
-            self.obs.record(span);
-        }
     }
 }
 
@@ -346,14 +234,13 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
-    fn manual_obs() -> (Obs, ManualClock) {
-        let clock = ManualClock::new();
-        (Obs::new(Arc::new(clock.clone())), clock)
+    fn manual_obs() -> Obs {
+        Obs::new(Arc::new(ManualClock::new()))
     }
 
     #[test]
     fn record_assigns_increasing_ids_and_keeps_order() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         let a = obs.record(Span::new("a", Duration::ZERO, Duration::from_secs(1)));
         let b = obs.record(Span::new("b", Duration::ZERO, Duration::from_secs(1)));
         assert!(b > a);
@@ -364,47 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn guard_measures_clock_time() {
-        let (obs, clock) = manual_obs();
-        let g = obs.span("work").attr("k", "v");
-        clock.advance(Duration::from_millis(7));
-        g.finish();
-        let spans = obs.spans();
-        assert_eq!(spans[0].duration(), Duration::from_millis(7));
-        assert_eq!(spans[0].attrs, vec![("k", "v".to_string())]);
-    }
-
-    #[test]
-    fn guard_records_on_drop() {
-        let (obs, clock) = manual_obs();
-        {
-            let _g = obs.span("dropped");
-            clock.advance(Duration::from_millis(2));
-        }
-        assert_eq!(obs.spans()[0].duration(), Duration::from_millis(2));
-    }
-
-    #[test]
-    fn sinks_see_spans_in_completion_order() {
-        struct Rec(Mutex<Vec<&'static str>>);
-        impl ObsSink for Rec {
-            fn on_span(&self, span: &Span) {
-                self.0.lock().unwrap().push(span.name);
-            }
-        }
-        let (obs, clock) = manual_obs();
-        let rec = Arc::new(Rec(Mutex::new(Vec::new())));
-        obs.add_sink(rec.clone());
-        let outer = obs.span("outer");
-        clock.advance(Duration::from_millis(1));
-        obs.child_span("inner", SpanId(99)).finish();
-        outer.finish();
-        assert_eq!(*rec.0.lock().unwrap(), vec!["inner", "outer"]);
-    }
-
-    #[test]
     fn validate_accepts_sequential_children() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         let s = |a: u64, b: u64| (Duration::from_millis(a), Duration::from_millis(b));
         let (rs, re) = s(0, 10);
         let root = obs.record(Span::new("root", rs, re));
@@ -417,7 +265,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_escaping_child() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         let root = obs.record(Span::new("root", Duration::ZERO, Duration::from_millis(5)));
         obs.record(
             Span::new("late", Duration::from_millis(4), Duration::from_millis(9)).with_parent(root),
@@ -427,7 +275,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_oversubscribed_sync_children() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         let root = obs.record(Span::new("root", Duration::ZERO, Duration::from_millis(5)));
         for _ in 0..2 {
             obs.record(
@@ -439,7 +287,7 @@ mod tests {
 
     #[test]
     fn validate_allows_overlapping_concurrent_children() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         let root = obs.record(Span::new("root", Duration::ZERO, Duration::from_millis(5)));
         for _ in 0..3 {
             obs.record(
@@ -453,7 +301,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_unknown_parent() {
-        let (obs, _) = manual_obs();
+        let obs = manual_obs();
         obs.record(Span::new("orphan", Duration::ZERO, Duration::ZERO).with_parent(SpanId(42)));
         assert!(validate_tree(&obs.spans()).unwrap_err().contains("unknown parent"));
     }

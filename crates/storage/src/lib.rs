@@ -22,8 +22,8 @@
 //!    serialized transfer channels of configurable bandwidth, per-object
 //!    latency, replication write-amplification and native multipart, all
 //!    accounted against a shared [`cnr_cluster::SimClock`], with
-//!    [`metrics::StoreMetrics`] (byte/operation accounting and the capacity
-//!    timeline). Transfer completion times are what Figures 15–17 measure.
+//!    [`metrics::StoreMetrics`] (byte/operation accounting). Transfer
+//!    completion times are what Figures 15–17 measure.
 //!    The engine, its WAL writer ([`wal`]), controller and scrubber
 //!    ([`scrub`]) all talk to this layer and nothing above it.
 
@@ -43,7 +43,7 @@ mod xxh64;
 pub use flaky::{CorruptionKind, CorruptionSpec, FailureMode, FlakyStore, TornWriteSpec};
 pub use fs::FsStore;
 pub use memory::InMemoryStore;
-pub use metrics::{CapacityPoint, StoreMetrics};
+pub use metrics::StoreMetrics;
 pub use multipart::{MultipartUpload, PartReceipt};
 pub use remote::{RemoteConfig, SimulatedRemoteStore};
 pub use scrub::{ScrubReport, Scrubber};

@@ -1,23 +1,13 @@
-//! Storage metrics: bandwidth and capacity accounting.
+//! Storage metrics: transfer accounting.
 //!
 //! Figures 15–17 of the paper are measured in exactly two quantities:
 //! *bytes written per checkpoint interval* (write bandwidth proxy) and
 //! *bytes held at each interval* (storage capacity). [`StoreMetrics`]
-//! accumulates both, with a capacity timeline sampled at every mutation.
+//! accumulates the first; the second is the checkpoint controller's live
+//! byte count, read at each registration.
 
 use parking_lot::Mutex;
 use std::time::Duration;
-
-/// One point of the capacity timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityPoint {
-    /// Simulated time of the sample.
-    pub at: Duration,
-    /// Logical bytes held after the mutation.
-    pub logical_bytes: u64,
-    /// Physical bytes held (logical × replication).
-    pub physical_bytes: u64,
-}
 
 /// Cumulative counters for one store.
 #[derive(Debug, Default)]
@@ -33,7 +23,6 @@ struct Inner {
     gets: u64,
     deletes: u64,
     busy_time: Duration,
-    timeline: Vec<CapacityPoint>,
 }
 
 /// A snapshot of the counters.
@@ -79,15 +68,6 @@ impl StoreMetrics {
         self.inner.lock().deletes += 1;
     }
 
-    /// Appends a capacity sample.
-    pub fn record_capacity(&self, at: Duration, logical_bytes: u64, physical_bytes: u64) {
-        self.inner.lock().timeline.push(CapacityPoint {
-            at,
-            logical_bytes,
-            physical_bytes,
-        });
-    }
-
     /// Snapshot of the cumulative counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let m = self.inner.lock();
@@ -99,22 +79,6 @@ impl StoreMetrics {
             deletes: m.deletes,
             busy_time: m.busy_time,
         }
-    }
-
-    /// The capacity timeline so far.
-    pub fn timeline(&self) -> Vec<CapacityPoint> {
-        self.inner.lock().timeline.clone()
-    }
-
-    /// Peak physical capacity observed.
-    pub fn peak_physical_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .timeline
-            .iter()
-            .map(|p| p.physical_bytes)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -139,20 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_and_peak() {
-        let m = StoreMetrics::new();
-        m.record_capacity(Duration::from_secs(1), 10, 30);
-        m.record_capacity(Duration::from_secs(2), 50, 150);
-        m.record_capacity(Duration::from_secs(3), 20, 60);
-        assert_eq!(m.timeline().len(), 3);
-        assert_eq!(m.peak_physical_bytes(), 150);
-    }
-
-    #[test]
     fn empty_metrics() {
         let m = StoreMetrics::new();
-        assert_eq!(m.peak_physical_bytes(), 0);
-        assert!(m.timeline().is_empty());
         assert_eq!(m.snapshot().bytes_put, 0);
     }
 }

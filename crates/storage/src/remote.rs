@@ -74,14 +74,6 @@ impl Default for RemoteConfig {
     }
 }
 
-impl RemoteConfig {
-    /// Same configuration with `channels` parallel uplinks.
-    pub fn with_channels(mut self, channels: u32) -> Self {
-        self.channels = channels;
-        self
-    }
-}
-
 /// One buffered multipart upload: parts held in memory until `complete`.
 struct PendingUpload {
     key: String,
@@ -214,14 +206,6 @@ impl SimulatedRemoteStore {
         };
         self.reserve(slot as u32, bytes, Duration::ZERO)
     }
-
-    /// Samples the capacity timeline at `at`: what the backing holds now,
-    /// and that times the replication factor.
-    fn record_capacity(&self, at: Duration) {
-        let logical = self.inner.total_bytes();
-        self.metrics
-            .record_capacity(at, logical, logical * self.config.replication as u64);
-    }
 }
 
 impl ObjectStore for SimulatedRemoteStore {
@@ -230,7 +214,6 @@ impl ObjectStore for SimulatedRemoteStore {
         let (transfer, completed_at) = self.reserve_least_loaded(bytes);
         let receipt_inner = self.inner.put(key, data)?;
         self.metrics.record_put(bytes, transfer);
-        self.record_capacity(completed_at);
         Ok(PutReceipt {
             key: receipt_inner.key,
             bytes,
@@ -248,7 +231,6 @@ impl ObjectStore for SimulatedRemoteStore {
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)?;
         self.metrics.record_delete();
-        self.record_capacity(self.clock.now());
         Ok(())
     }
 
@@ -373,7 +355,6 @@ impl ObjectStore for SimulatedRemoteStore {
         // commit round trip, not a re-upload.
         let completed_at = entry.durable_at.max(self.clock.now()) + self.config.base_latency;
         self.inner.put(&entry.key, object)?;
-        self.record_capacity(completed_at);
         Ok(PutReceipt {
             key: entry.key,
             bytes,
@@ -393,6 +374,7 @@ impl ObjectStore for SimulatedRemoteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn mb(n: u64) -> Bytes {
         Bytes::from(vec![0u8; (n * 1024 * 1024) as usize])
@@ -503,9 +485,83 @@ mod tests {
         assert_eq!(snap.bytes_put, 30 * 1024 * 1024);
         assert_eq!(snap.puts, 2);
         assert_eq!(snap.deletes, 1);
-        let peak = store.metrics().peak_physical_bytes();
-        assert_eq!(peak, 3 * 30 * 1024 * 1024, "replication amplifies capacity");
         assert_eq!(store.total_bytes(), 20 * 1024 * 1024);
+    }
+
+    /// A backing store that counts every call made into it.
+    struct CountingStore {
+        inner: InMemoryStore,
+        calls: AtomicU64,
+    }
+
+    impl CountingStore {
+        fn tick(&self) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+        }
+
+        /// Calls since the last `take`.
+        fn take(&self) -> u64 {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl ObjectStore for CountingStore {
+        fn put(&self, key: &str, data: Bytes) -> Result<PutReceipt> {
+            self.tick();
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> Result<Bytes> {
+            self.tick();
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            self.tick();
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.tick();
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> Result<ObjectMeta> {
+            self.tick();
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.tick();
+            self.inner.total_bytes()
+        }
+        fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
+            self.tick();
+            self.inner.get_range(key, offset, len)
+        }
+    }
+
+    /// A put, a delete and a completed multipart upload each reach the
+    /// backing as one call: the remote times transfers, it does not scan
+    /// what the backing holds (a directory walk on an `FsStore`).
+    #[test]
+    fn each_mutation_is_one_backing_call() {
+        let backing = Arc::new(CountingStore {
+            inner: InMemoryStore::new(),
+            calls: Default::default(),
+        });
+        let store =
+            SimulatedRemoteStore::over(backing.clone(), RemoteConfig::default(), SimClock::new());
+        store.put("a", Bytes::from_static(b"abc")).unwrap();
+        assert_eq!(backing.take(), 1, "put");
+        store.delete("a").unwrap();
+        assert_eq!(backing.take(), 1, "delete");
+        let up = store.begin_multipart("b").unwrap();
+        store
+            .put_part(&up, 0, Bytes::from_static(b"de"), Duration::ZERO)
+            .unwrap();
+        store
+            .put_part(&up, 1, Bytes::from_static(b"f"), Duration::ZERO)
+            .unwrap();
+        assert_eq!(backing.take(), 0, "parts buffer in the remote");
+        store.complete_multipart(&up).unwrap();
+        assert_eq!(backing.take(), 1, "complete_multipart");
+        assert_eq!(backing.inner.get("b").unwrap(), Bytes::from_static(b"def"));
     }
 
     #[test]

@@ -60,25 +60,12 @@ impl ScrubReport {
             skipped_in_flight: self.skipped_in_flight,
         }
     }
-
-    /// Accumulates another sweep's findings into this one.
-    pub fn absorb(&mut self, other: &ScrubReport) {
-        self.scanned += other.scanned;
-        self.clean += other.clean;
-        self.corrupt_detected += other.corrupt_detected;
-        self.repaired += other.repaired;
-        self.unrepairable.extend(other.unrepairable.iter().cloned());
-        self.skipped_in_flight += other.skipped_in_flight;
-    }
 }
 
 /// Walks stored objects, validating envelopes and repairing damage.
 pub struct Scrubber<'a> {
     primary: &'a dyn ObjectStore,
     replica: Option<&'a dyn ObjectStore>,
-    /// Reads attempted against the primary per object before falling back
-    /// to the replica store (each retry models a different replica).
-    read_attempts: u32,
     /// Keys a lazy restore still has fetches in flight against — skipped
     /// (and counted), never verified or rewritten mid-fetch.
     in_flight: std::collections::HashSet<String>,
@@ -88,13 +75,11 @@ pub struct Scrubber<'a> {
 }
 
 impl<'a> Scrubber<'a> {
-    /// A scrubber over `primary` with no replica fallback and 3 read
-    /// attempts.
+    /// A scrubber over `primary` with no replica fallback.
     pub fn new(primary: &'a dyn ObjectStore) -> Self {
         Self {
             primary,
             replica: None,
-            read_attempts: 3,
             in_flight: std::collections::HashSet::new(),
             obs: None,
         }
@@ -119,12 +104,6 @@ impl<'a> Scrubber<'a> {
     /// Adds a replica store to heal at-rest damage from.
     pub fn with_replica(mut self, replica: &'a dyn ObjectStore) -> Self {
         self.replica = Some(replica);
-        self
-    }
-
-    /// Overrides the per-object primary read budget (minimum 1).
-    pub fn with_read_attempts(mut self, attempts: u32) -> Self {
-        self.read_attempts = attempts.max(1);
         self
     }
 
@@ -183,7 +162,10 @@ impl<'a> Scrubber<'a> {
     /// primary first (`attempts_used` already spent), then the replica
     /// store — and writes them back over the damaged object.
     fn heal(&self, key: &str, attempts_used: u32) -> Option<Bytes> {
-        for _ in attempts_used..self.read_attempts {
+        // Reads of the primary per object before the replica store is
+        // tried; each re-read models a different replica serving it.
+        const READ_ATTEMPTS: u32 = 3;
+        for _ in attempts_used..READ_ATTEMPTS {
             if let Ok(bytes) = self.primary.get(key) {
                 if Self::verifies_clean(key, &bytes) {
                     return self.write_back(key, bytes);
@@ -202,20 +184,6 @@ impl<'a> Scrubber<'a> {
         self.primary.put(key, bytes.clone()).ok()?;
         Some(bytes)
     }
-}
-
-/// Convenience: scrubs `keys` on `primary` against an optional `replica`
-/// with default settings.
-pub fn sweep_keys(
-    primary: &dyn ObjectStore,
-    replica: Option<&dyn ObjectStore>,
-    keys: &[String],
-) -> ScrubReport {
-    let mut scrubber = Scrubber::new(primary);
-    if let Some(r) = replica {
-        scrubber = scrubber.with_replica(r);
-    }
-    scrubber.sweep(keys.iter().map(String::as_str))
 }
 
 /// Records one finished sweep into the registry and emits a `scrub.sweep`

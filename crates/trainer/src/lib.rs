@@ -10,15 +10,11 @@
 //! * [`trainer::Trainer`] — owns the model, the tracker, and the clock.
 //! * [`eval`] — held-out evaluation: logloss, accuracy, normalized entropy
 //!   (the accuracy-family metric used for Figure 14).
-//! * [`comm`] — communication/overhead cost model: where tracking hides
-//!   inside AlltoAll and why stalls stay <0.4% (§6.1).
 
 #![forbid(unsafe_code)]
 
-pub mod comm;
 pub mod eval;
 pub mod trainer;
 
-pub use comm::{CommModel, IterationCosts};
 pub use eval::{evaluate, EvalReport};
 pub use trainer::{Trainer, TrainerConfig};

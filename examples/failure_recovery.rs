@@ -6,15 +6,17 @@
 //! less re-training time — but are only affordable if each checkpoint is
 //! cheap, which is exactly what incremental+quantized checkpoints provide.
 //!
+//! The fleet scheduler and the wasted-work accounting are figure code from
+//! `cnr_bench`; the restore, WAL and lazy-restore parts run the engine.
+//!
 //! ```text
 //! cargo run --release --example failure_recovery
 //! ```
 
-use check_n_run::cluster::failure::FailureModel;
-use check_n_run::cluster::job::TrainingJob;
-use check_n_run::cluster::recovery::{account, expected_waste_per_failure};
-use check_n_run::cluster::scheduler::{ClusterFleet, Scheduler};
 use check_n_run::prelude::*;
+use cnr_bench::job::TrainingJob;
+use cnr_bench::recovery::{account, expected_waste_per_failure};
+use cnr_bench::scheduler::{ClusterFleet, Scheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;

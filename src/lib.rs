@@ -17,11 +17,16 @@
 //!   checkpoints.
 //! * [`storage`] — object storage backends including a bandwidth-simulated
 //!   remote store.
-//! * [`cluster`] — simulated clock, failure models, and recovery accounting.
+//! * [`cluster`] — simulated clock, failure models, restore accounting,
+//!   and scrub cadence.
 //! * [`reader`] — the distributed reader tier with exact batch budgets.
-//! * [`trainer`] — the synchronous training loop.
+//! * [`trainer`] — the synchronous training loop and held-out evaluation.
+//! * [`obs`] — spans, the metrics registry, and their exporters.
 //! * [`core`] — the Check-N-Run engine itself: snapshots, incremental
 //!   policies, quantized chunked writing, restore, and the controller.
+//!
+//! The paper's figures, and the fleet scheduler of its motivation, are in
+//! the `cnr_bench` crate.
 //!
 //! ## Quickstart
 //!
