@@ -102,9 +102,9 @@ impl FailureModel {
     /// Expected number of failures within a run of length `d` (approximation
     /// treating failures as a renewal process with this TTF distribution).
     ///
-    /// Used by the dynamic bit-width selector (§6.2.1): Check-N-Run estimates
-    /// the expected number of restores from the failure probability and the
-    /// expected training time.
+    /// The estimate the dynamic bit-width selector provisions for (§6.2.1):
+    /// Check-N-Run estimates the expected number of restores from the
+    /// failure probability and the expected training time.
     pub fn expected_failures(&self, d: Duration) -> f64 {
         match self {
             FailureModel::None => 0.0,
@@ -122,26 +122,6 @@ impl FailureModel {
                 d.as_secs_f64() / (mean_hours * 3600.0)
             }
         }
-    }
-
-    /// Samples the failure times occurring within a run of length `total`,
-    /// assuming the job restarts (renews) immediately after each failure.
-    pub fn failure_times_within<R: Rng + ?Sized>(
-        &self,
-        total: Duration,
-        rng: &mut R,
-    ) -> Vec<Duration> {
-        let mut times = Vec::new();
-        let mut t = Duration::ZERO;
-        while let Some(s) = self.sample(rng) {
-            let next = t + s.time_to_failure;
-            if next >= total {
-                break;
-            }
-            times.push(next);
-            t = next;
-        }
-        times
     }
 }
 
@@ -258,20 +238,5 @@ mod tests {
         assert!((gamma(2.0) - 1.0).abs() < 1e-9);
         assert!((gamma(5.0) - 24.0).abs() < 1e-6);
         assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn failure_times_are_ordered_and_bounded() {
-        let m = FailureModel::Exponential {
-            mtbf: Duration::from_secs(600),
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let total = Duration::from_secs(86_400);
-        let times = m.failure_times_within(total, &mut rng);
-        assert!(!times.is_empty(), "a day at 10-minute MTBF must fail");
-        for w in times.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert!(*times.last().unwrap() < total);
     }
 }

@@ -1,5 +1,4 @@
-//! Cluster substrate: simulated time, failures, restore accounting, and
-//! scrub cadence.
+//! Cluster substrate: simulated time, failures, and scrub cadence.
 //!
 //! The paper's motivation (§3.1) and overall-reduction results (Figure 17)
 //! depend on a training fleet that fails: 21 clusters observed over a month,
@@ -13,8 +12,6 @@
 //! * [`failure`] — time-to-failure models and mid-operation host kills. The
 //!   log-normal model ships with parameters calibrated so its 90th/99th
 //!   percentiles reproduce the paper's Figure 3 CDF.
-//! * [`recovery`] — where a restore landed the job and the time-to-resume
-//!   breakdown of how it got there.
 //! * [`scrub`] — when background scrub sweeps come due, and what one found.
 //!
 //! The fleet scheduler, wasted-work accounting and model-growth series of
@@ -24,10 +21,8 @@
 
 pub mod clock;
 pub mod failure;
-pub mod recovery;
 pub mod scrub;
 
 pub use clock::SimClock;
 pub use failure::{FailureModel, HostKill, TtfSample};
-pub use recovery::{RestoreMode, RestorePoint, ResumeBreakdown};
 pub use scrub::{ScrubFindings, ScrubScheduler};

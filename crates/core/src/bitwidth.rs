@@ -11,13 +11,13 @@
 //! | 8    | 100+               |
 //!
 //! Check-N-Run estimates the expected number of failures from the failure
-//! probability and the job's expected duration, picks the most aggressive
-//! bit-width whose budget covers it, and **falls back to 8-bit
+//! probability and the job's expected duration
+//! ([`cnr_cluster::FailureModel::expected_failures`]; the engine takes the
+//! estimate as `QuantMode::Dynamic { expected_restores }`), picks the most
+//! aggressive bit-width whose budget covers it, and **falls back to 8-bit
 //! automatically** when observed restores exceed the estimate.
 
-use cnr_cluster::FailureModel;
 use cnr_quant::QuantScheme;
-use std::time::Duration;
 
 /// Restore budget per bit-width, from §6.2.1.
 const BUDGETS: [(u8, u32); 4] = [(2, 1), (3, 3), (4, 20), (8, 100)];
@@ -37,12 +37,6 @@ impl BitwidthSelector {
             expected_restores,
             observed_restores: 0,
         }
-    }
-
-    /// Derives the expectation from a failure model and the job's expected
-    /// training duration (the paper computes `p` from failure logs).
-    pub fn from_failure_model(model: &FailureModel, expected_duration: Duration) -> Self {
-        Self::new(model.expected_failures(expected_duration).ceil() as u32)
     }
 
     /// Restores observed so far.
@@ -122,23 +116,5 @@ mod tests {
             BitwidthSelector::new(50).scheme(),
             QuantScheme::Asymmetric { bits: 8 }
         ));
-    }
-
-    #[test]
-    fn from_failure_model_rounds_up() {
-        let m = FailureModel::Exponential {
-            mtbf: Duration::from_secs(10 * 3600),
-        };
-        // 25 hours at 10-hour MTBF: expect 2.5 failures -> 3 restores -> 3 bits.
-        let s = BitwidthSelector::from_failure_model(&m, Duration::from_secs(25 * 3600));
-        assert_eq!(s.effective_restores(), 3);
-        assert_eq!(s.bits(), 3);
-    }
-
-    #[test]
-    fn reliable_cluster_gets_two_bits() {
-        let m = FailureModel::None;
-        let s = BitwidthSelector::from_failure_model(&m, Duration::from_secs(86_400));
-        assert_eq!(s.bits(), 2);
     }
 }

@@ -31,11 +31,9 @@ use crate::policy::PolicyEngine;
 use crate::read;
 use crate::restore::RestoreReport;
 use crate::snapshot::SnapshotTaker;
-use crate::stats::{IntervalStats, ResumeStats, RunStats, ScrubStats};
+use crate::stats::{IntervalStats, RestorePoint, RunStats, ScrubStats};
 use crate::write::{CheckpointRecord, CheckpointWriter};
-use cnr_cluster::{
-    FailureModel, HostKill, RestorePoint, ScrubFindings, ScrubScheduler, SimClock,
-};
+use cnr_cluster::{FailureModel, HostKill, ScrubFindings, ScrubScheduler, SimClock};
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
 use cnr_reader::{ReaderConfig, ReaderMaster, ReaderState};
@@ -186,8 +184,8 @@ impl EngineBuilder {
     /// embedding rows are applied, while a background drain keeps fetching
     /// the cold tail and any cold row a batch touches first faults in
     /// on-demand (a synchronous targeted fetch, counted separately in
-    /// [`ResumeStats`]). Bit-identical to the eager path once the drain
-    /// completes.
+    /// [`ResumeStats`](crate::stats::ResumeStats)). Bit-identical to the
+    /// eager path once the drain completes.
     pub fn lazy_restore(mut self, hot_fraction: f64) -> Self {
         self.ckpt.lazy_restore = true;
         self.ckpt.lazy_hot_fraction = hot_fraction;
@@ -372,14 +370,20 @@ impl Engine {
         while remaining > 0 {
             let until_ckpt = self.config.interval_batches - self.batches_into_interval;
             let run = until_ckpt.min(remaining);
-            self.reader.extend_budget(run);
+            // A run an error cut short left part of its grant unconsumed:
+            // grant only what this run needs beyond it, so the budget
+            // still ends at the interval boundary.
+            self.reader
+                .extend_budget(run.saturating_sub(self.reader.remaining_budget()));
             for _ in 0..run {
                 let batch = self.reader.next_batch();
+                // The interval position moves with the reader's, batch by
+                // batch, so an error below leaves the two in step.
+                self.batches_into_interval += 1;
                 self.fault_in_for_batch(&batch)?;
                 self.trainer.train_one(&batch);
                 self.wal_append(&batch)?;
             }
-            self.batches_into_interval += run;
             remaining -= run;
             if self.batches_into_interval == self.config.interval_batches {
                 self.checkpoint_now()?;
@@ -556,9 +560,8 @@ impl Engine {
         }
 
         let full_ref = self.stats.full_reference_bytes.max(1) as f64;
-        let interval = self.stats.intervals.len() as u32;
         let row = IntervalStats {
-            interval,
+            interval: self.stats.intervals.len() as u32,
             checkpoint: id,
             kind: decision.kind,
             stored_bytes: record.stored_bytes,
@@ -570,22 +573,7 @@ impl Engine {
             quantize_cpu_time: record.quantize_cpu_time,
         };
         observe::record_interval(&self.obs, &row);
-        observe::record_checkpoint_spans(
-            &self.obs,
-            &observe::CheckpointSpanTimes {
-                boundary_at,
-                stall: snapshot.stall,
-                quantize_cpu: record.quantize_cpu_time,
-                issued_at: record.completed_at.saturating_sub(record.write_latency),
-                completed_at: record.completed_at,
-                registered_at: self.clock.now(),
-                chunks: record.manifest.chunks.len() as u64,
-                parts: u64::from(record.parts),
-                stored_bytes: record.stored_bytes,
-                live_bytes: self.controller.live_bytes(),
-            },
-            interval,
-        );
+        observe::record_checkpoint_spans(&self.obs, &row, &record, boundary_at, self.clock.now());
         self.stats.push(row);
 
         // Background scrub: interval boundaries are where the job has spare
@@ -639,10 +627,10 @@ impl Engine {
     /// On-demand fault-in for a lazy restore: every row this batch touches
     /// that the background drain has not yet materialized is fetched
     /// synchronously (a targeted ranged read charged to the training
-    /// clock, and counted in [`ResumeStats`] — never silently dropped)
-    /// before the trainer sees the batch. Once the simulated clock passes
-    /// the background drain's completion point the whole cold tail is
-    /// applied at once and the lazy state retires.
+    /// clock, and counted in [`ResumeStats`](crate::stats::ResumeStats) —
+    /// never silently dropped) before the trainer sees the batch. Once the
+    /// simulated clock passes the background drain's completion point the
+    /// whole cold tail is applied at once and the lazy state retires.
     fn fault_in_for_batch(&mut self, batch: &Batch) -> Result<()> {
         if self.pending_lazy.is_none() {
             return Ok(());
@@ -772,7 +760,6 @@ impl Engine {
     /// external uploader service), so the restore targets the newest
     /// checkpoint and *waits out* its drain. That wait is not hidden: it
     /// is charged to time-to-resume as
-    /// [`ResumeBreakdown::drain_wait`](cnr_cluster::ResumeBreakdown) /
     /// [`ResumeStats::drain_wait`](crate::stats::ResumeStats), and the
     /// recovery event is recorded at the true failure instant. The
     /// alternative — falling back to the newest checkpoint durable at the
@@ -935,41 +922,31 @@ impl Engine {
         }
         self.clock.advance(wal_replay_time);
 
-        // Record the time-to-resume breakdown, timestamped at the true
-        // failure instant (not the durability point), with any drain wait
-        // explicit in the breakdown.
-        let mut breakdown = sharded.breakdown;
-        breakdown.drain_wait = drain_wait;
-        breakdown.wal_replay = wal_replay_time;
+        // Complete the restore's record, timestamped at the true failure
+        // instant (not the durability point), with any drain wait explicit
+        // in it.
+        let mut row = sharded.breakdown;
+        row.resume = self.stats.resumes.len() as u32;
+        row.drain_wait = drain_wait;
+        row.wal_replay = wal_replay_time;
         // First-batch shares the drain wait and WAL replay with full
         // resume; for eager restores it stays equal to time-to-resume.
-        breakdown.time_to_first_batch += drain_wait + wal_replay_time;
-        breakdown.wal_replayed_iterations = wal_replayed;
-        breakdown.lost_iterations =
-            failed_iteration.saturating_sub(self.trainer.model().iteration());
-        breakdown.restore_point = if wal_replayed > 0 {
+        row.time_to_first_batch += drain_wait + wal_replay_time;
+        row.wal_replayed_iterations = wal_replayed;
+        row.lost_iterations = failed_iteration.saturating_sub(self.trainer.model().iteration());
+        row.restore_point = if wal_replayed > 0 {
             RestorePoint::WalTip
         } else {
             RestorePoint::Checkpoint
         };
-        // One source of truth: the stats row is derived from the breakdown
-        // (fault-in fields start at zero and accumulate per batch), the
-        // registry gets the same row, and the span tree is laid out from
-        // the same phases — the three can only agree.
-        let resume = self.stats.resumes.len() as u32;
-        let row = ResumeStats::from_breakdown(resume, latest, &breakdown);
-        observe::record_resume(
-            &self.obs,
-            &row,
-            breakdown.chunks_fetched,
-            breakdown.rescheduled_chunks,
-            sharded.fetch_status.retries_performed,
-        );
+        // One record: the stats row (fault-in fields accumulate on it per
+        // batch), the registry and the span tree laid out from its phases
+        // all read it, so the three can only agree.
+        observe::record_resume(&self.obs, &row, sharded.fetch_status.retries_performed);
         observe::record_restore_spans(
             &self.obs,
-            resume,
             failed_at,
-            &breakdown,
+            &row,
             &sharded.host_activity,
             sharded.plan_ready_at,
             started_at,
@@ -1147,7 +1124,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnr_cluster::RestoreMode;
+    use crate::stats::RestoreMode;
 
     /// The root span of the most recent restore.
     fn last_restore_span(e: &Engine) -> cnr_obs::Span {
@@ -1234,7 +1211,7 @@ mod tests {
         let resume = e.stats().resumes.last().unwrap();
         assert_eq!(resume.drain_wait, backlog, "wait made explicit");
         assert_eq!(
-            resume.time_to_resume,
+            resume.time_to_resume(),
             resume.drain_wait + resume.fetch + resume.decode + resume.merge,
             "drain wait is part of time-to-resume, not hidden before it"
         );
@@ -1244,7 +1221,7 @@ mod tests {
             "recovery timestamped at the failure instant, not the durability \
              point"
         );
-        assert_eq!(restore.duration(), resume.time_to_resume);
+        assert_eq!(restore.duration(), resume.time_to_resume());
         // A failure after the drain has fully settled pays no drain wait.
         let mut settled = builder().build().unwrap();
         settled.train_batches(10).unwrap();
@@ -1455,12 +1432,12 @@ mod tests {
         assert!(r.bytes_fetched > 0);
         assert!(r.fetch > Duration::ZERO, "remote fetch takes simulated time");
         assert_eq!(
-            r.time_to_resume,
+            r.time_to_resume(),
             r.drain_wait + r.fetch + r.decode + r.merge
         );
         // The span tree recorded the same event.
-        assert_eq!(last_restore_span(&e).duration(), r.time_to_resume);
-        assert!(r.time_to_resume > Duration::ZERO);
+        assert_eq!(last_restore_span(&e).duration(), r.time_to_resume());
+        assert!(r.time_to_resume() > Duration::ZERO);
     }
 
     #[test]
@@ -1785,7 +1762,7 @@ mod tests {
         assert_eq!(r.lost_iterations, 0, "a WAL-enabled failure loses ≤ 1 iteration");
         assert!(r.wal_replay > Duration::ZERO, "replay takes simulated time");
         assert_eq!(
-            r.time_to_resume,
+            r.time_to_resume(),
             r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
             "replay is part of time-to-resume, not hidden"
         );
@@ -1983,10 +1960,10 @@ mod tests {
         let resume = a.stats().resumes.last().unwrap();
         assert_eq!(resume.mode, RestoreMode::Lazy);
         assert!(
-            resume.time_to_first_batch < resume.time_to_resume,
+            resume.time_to_first_batch < resume.time_to_resume(),
             "lazy first-batch ({:?}) must beat full resume ({:?})",
             resume.time_to_first_batch,
-            resume.time_to_resume
+            resume.time_to_resume()
         );
         let pending = a.pending_lazy().expect("cold tail pending").pending_rows();
         assert!(pending > 0, "some rows still cold at first-batch time");
@@ -2014,7 +1991,7 @@ mod tests {
         c.simulate_failure_and_restore().unwrap();
         let r = c.stats().resumes.last().unwrap();
         assert_eq!(r.mode, RestoreMode::Eager);
-        assert_eq!(r.time_to_first_batch, r.time_to_resume);
+        assert_eq!(r.time_to_first_batch, r.time_to_resume());
         assert_eq!(r.fault_in_fetches, 0);
         assert!(c.pending_lazy().is_none());
     }
@@ -2120,7 +2097,7 @@ mod tests {
         assert_eq!(resume.mode, RestoreMode::Lazy);
         assert_eq!(resume.restore_point, RestorePoint::WalTip);
         assert_eq!(resume.wal_replayed_iterations, 3);
-        assert!(resume.time_to_first_batch < resume.time_to_resume);
+        assert!(resume.time_to_first_batch < resume.time_to_resume());
         // Dense weights and the cursor replayed immediately; any deferred
         // row deltas land with the drain — back to the exact failed state.
         a.drain_lazy_restore().unwrap();
@@ -2152,7 +2129,7 @@ mod tests {
             e.train_batches(2).unwrap(); // lazy modes accrue fault-in time
             let r = e.stats().resumes.last().unwrap();
             assert_eq!(
-                r.time_to_resume,
+                r.time_to_resume(),
                 r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
                 "time_to_resume must equal its documented phase sum ({:?})",
                 r.mode,
@@ -2165,8 +2142,8 @@ mod tests {
                 .filter(|s| s.parent == Some(restore.id) && s.kind == cnr_obs::SpanKind::Sync)
                 .map(|s| s.duration())
                 .sum();
-            assert_eq!(phase_sum, r.time_to_resume, "the phase spans are the same identity");
-            assert!(r.time_to_first_batch <= r.time_to_resume);
+            assert_eq!(phase_sum, r.time_to_resume(), "the phase spans are the same identity");
+            assert!(r.time_to_first_batch <= r.time_to_resume());
         }
     }
 
@@ -2214,7 +2191,7 @@ mod tests {
             reg.counter(names::RESTORE_BYTES_FETCHED),
             s.resumes.iter().map(|r| r.bytes_fetched).sum::<u64>()
         );
-        let ttr_sum: Duration = s.resumes.iter().map(|r| r.time_to_resume).sum();
+        let ttr_sum: Duration = s.resumes.iter().map(|r| r.time_to_resume()).sum();
         assert_eq!(reg.duration_sum(names::RESTORE_TIME_TO_RESUME_NS), ttr_sum);
         let replay_sum: Duration = s.resumes.iter().map(|r| r.wal_replay).sum();
         assert_eq!(reg.duration_sum(names::RESTORE_WAL_REPLAY_NS), replay_sum);
@@ -2299,7 +2276,7 @@ mod tests {
         let root = spans.iter().find(|s| s.name == names::SPAN_RESTORE).unwrap();
         assert_eq!(
             root.duration(),
-            e.stats().resumes[0].time_to_resume,
+            e.stats().resumes[0].time_to_resume(),
             "restore root duration is time_to_resume by construction"
         );
         let phase_sum: Duration = spans

@@ -12,7 +12,8 @@
 //!   expected number of restores, with automatic 8-bit fallback (§6.2.1).
 //! * [`mod@write`] — the sharded, pipelined quantize-and-store write path
 //!   running on background threads (§4.4 step 2–3): per-host chunkers and
-//!   shard writers feeding a windowed multipart upload scheduler.
+//!   shard writers feeding a multipart upload scheduler that queues each
+//!   checkpoint's parts behind the previous one's drain (§4.3).
 //! * [`manifest`] + [`wire`] — the self-describing checkpoint format with
 //!   checksummed chunks.
 //! * [`restore`] — chain reconstruction: follow base pointers from any
@@ -29,7 +30,9 @@
 //!   (§4.4).
 //! * [`engine`] — the end-to-end training loop: reader budgets, interval
 //!   scheduling, non-overlap rule, failure injection.
-//! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17).
+//! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17)
+//!   and the one record of each restore: where it landed and what each
+//!   phase of time-to-resume cost.
 //! * [`accuracy`] — the restore-degradation experiment (Figure 14).
 
 #![forbid(unsafe_code)]
@@ -50,7 +53,6 @@ pub mod read;
 pub mod restore;
 pub mod snapshot;
 pub mod stats;
-pub(crate) mod window;
 pub mod wire;
 pub mod write;
 
@@ -63,4 +65,4 @@ pub use manifest::{CheckpointId, CheckpointKind, Manifest};
 pub use read::{FetchScheduler, FetchStatus, HostActivity, RestoreOptions, ShardedRestore};
 pub use snapshot::TrainingSnapshot;
 pub use stats::{IntervalStats, ResumeStats, WalRunStats};
-pub use write::{CheckpointRecord, CheckpointWriter, UploadScheduler, UploadStatus};
+pub use write::{CheckpointRecord, CheckpointWriter, UploadScheduler};

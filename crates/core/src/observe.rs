@@ -11,20 +11,20 @@
 //! start/end of every phase only once the phase accounting is final, so
 //! each lifecycle records its whole span tree at completion, laid out on
 //! the simulated timeline. The restore tree reuses
-//! [`ResumeBreakdown::phases`] — the same single source of truth that
-//! defines `time_to_resume` — which makes the root restore span's
-//! duration equal `time_to_resume` *by construction* (property-tested in
-//! `tests/obs_span_tree.rs`).
+//! [`ResumeStats::phases`] — the same single source of truth that
+//! defines [`ResumeStats::time_to_resume`] — which makes the root restore
+//! span's duration equal `time_to_resume` *by construction*
+//! (property-tested in `tests/obs_span_tree.rs`).
 
 use std::time::Duration;
 
-use cnr_cluster::ResumeBreakdown;
 use cnr_obs::names;
 use cnr_obs::{MetricsRegistry, Obs, Span, SpanId, SpanKind};
 
 use crate::manifest::CheckpointKind;
 use crate::read::HostActivity;
-use crate::stats::{IntervalStats, ResumeStats, WalRunStats};
+use crate::stats::{IntervalStats, RestoreMode, ResumeStats, WalRunStats};
+use crate::write::CheckpointRecord;
 
 /// Mirrors one completed checkpoint interval into the registry. Called
 /// with exactly the [`IntervalStats`] row pushed into `RunStats`, so the
@@ -49,18 +49,18 @@ pub fn record_interval(obs: &Obs, s: &IntervalStats) {
     reg.gauge_set(names::CKPT_CAPACITY_FRACTION, s.capacity_fraction);
 }
 
-/// Mirrors one completed restore into the registry. `chunks_fetched`,
-/// `rescheduled`, and `fetch_retries` ride along from the breakdown and
-/// fetch-scheduler counters ([`ResumeStats`] does not carry them).
-pub fn record_resume(obs: &Obs, row: &ResumeStats, chunks_fetched: u64, rescheduled: u64, fetch_retries: u64) {
+/// Mirrors one completed restore into the registry. `fetch_retries` rides
+/// along from the fetch scheduler's counters ([`ResumeStats`] does not
+/// carry them).
+pub fn record_resume(obs: &Obs, row: &ResumeStats, fetch_retries: u64) {
     let reg = obs.registry();
     reg.counter_add(names::RESTORE_RESUMES, 1);
-    if row.mode == cnr_cluster::RestoreMode::Lazy {
+    if row.mode == RestoreMode::Lazy {
         reg.counter_add(names::RESTORE_LAZY, 1);
     }
     reg.counter_add(names::RESTORE_BYTES_FETCHED, row.bytes_fetched);
-    reg.counter_add(names::RESTORE_CHUNKS_FETCHED, chunks_fetched);
-    reg.counter_add(names::RESTORE_RESCHEDULED, rescheduled);
+    reg.counter_add(names::RESTORE_CHUNKS_FETCHED, row.chunks_fetched);
+    reg.counter_add(names::RESTORE_RESCHEDULED, row.rescheduled_chunks);
     reg.counter_add(names::RESTORE_CORRUPTION_DETECTED, row.corruption_detected);
     reg.counter_add(names::RESTORE_CORRUPTION_REPAIRED, row.corruption_repaired);
     reg.counter_add(names::RESTORE_CORRUPTION_REFETCHES, row.corruption_refetches);
@@ -69,7 +69,7 @@ pub fn record_resume(obs: &Obs, row: &ResumeStats, chunks_fetched: u64, reschedu
         row.wal_replayed_iterations,
     );
     reg.counter_add(names::RESTORE_LOST_ITERATIONS, row.lost_iterations);
-    reg.observe_duration(names::RESTORE_TIME_TO_RESUME_NS, row.time_to_resume);
+    reg.observe_duration(names::RESTORE_TIME_TO_RESUME_NS, row.time_to_resume());
     reg.observe_duration(names::RESTORE_TIME_TO_FIRST_BATCH_NS, row.time_to_first_batch);
     reg.observe_duration(names::RESTORE_DRAIN_WAIT_NS, row.drain_wait);
     reg.observe_duration(names::RESTORE_FETCH_NS, row.fetch);
@@ -109,50 +109,38 @@ pub fn wal_run_stats(reg: &MetricsRegistry) -> WalRunStats {
     }
 }
 
-/// Everything the engine knows about one completed checkpoint interval's
-/// timing, for span emission.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointSpanTimes {
-    /// Simulated time the interval boundary was reached (snapshot begin).
-    pub boundary_at: Duration,
-    /// Training stall while the consistent snapshot was taken.
-    pub stall: Duration,
-    /// Wall-clock CPU spent quantizing + encoding (overlaps the upload).
-    pub quantize_cpu: Duration,
-    /// Simulated time the write was issued (uploads may still queue
-    /// behind the previous interval's durability point after this).
-    pub issued_at: Duration,
-    /// Simulated time the last part became durable.
-    pub completed_at: Duration,
-    /// Simulated time the controller registered the manifest.
-    pub registered_at: Duration,
-    /// Chunks in the manifest.
-    pub chunks: u64,
-    /// Multipart parts uploaded.
-    pub parts: u64,
-    /// Logical bytes stored (chunks + manifest).
-    pub stored_bytes: u64,
-    /// Live bytes pinned after registration + retention GC.
-    pub live_bytes: u64,
-}
-
 /// Records the span tree of one checkpoint interval: snapshot (the only
 /// synchronous child — its stall is the training-visible cost), then
 /// quantize / shard / upload as concurrent children (§4.3 decoupling),
-/// then zero-length register and GC markers. Returns the root span id.
-pub fn record_checkpoint_spans(obs: &Obs, t: &CheckpointSpanTimes, interval: u32) -> SpanId {
-    let snap_end = t.boundary_at + t.stall;
-    let quant_end = snap_end + t.quantize_cpu;
-    let upload_start = t.issued_at.clamp(t.boundary_at, t.completed_at.max(t.boundary_at));
-    let upload_end = t.completed_at.max(upload_start);
-    let reg_at = t.registered_at.max(t.boundary_at);
+/// then zero-length register and GC markers. `row` is the interval's
+/// [`IntervalStats`] row and `write` the write that produced it; what only
+/// the boundary knows is when it began (`boundary_at`, snapshot begin) and
+/// when the controller registered the manifest (`registered_at`). Returns
+/// the root span id.
+pub fn record_checkpoint_spans(
+    obs: &Obs,
+    row: &IntervalStats,
+    write: &CheckpointRecord,
+    boundary_at: Duration,
+    registered_at: Duration,
+) -> SpanId {
+    let stored_bytes = row.stored_bytes.to_string();
+    let snap_end = boundary_at + row.stall;
+    let quant_end = snap_end + row.quantize_cpu_time;
+    // The write was issued `write_latency` before it became durable
+    // (uploads may still queue behind the previous interval's durability
+    // point after this).
+    let issued_at = write.completed_at.saturating_sub(write.write_latency);
+    let upload_start = issued_at.clamp(boundary_at, write.completed_at.max(boundary_at));
+    let upload_end = write.completed_at.max(upload_start);
+    let reg_at = registered_at.max(boundary_at);
     let root_end = upload_end.max(quant_end).max(reg_at);
     let root = obs.record(
-        Span::new(names::SPAN_CHECKPOINT, t.boundary_at, root_end)
-            .with_attr("interval", interval.to_string())
-            .with_attr("stored_bytes", t.stored_bytes.to_string()),
+        Span::new(names::SPAN_CHECKPOINT, boundary_at, root_end)
+            .with_attr("interval", row.interval.to_string())
+            .with_attr("stored_bytes", stored_bytes.clone()),
     );
-    obs.record(Span::new(names::SPAN_CHECKPOINT_SNAPSHOT, t.boundary_at, snap_end).with_parent(root));
+    obs.record(Span::new(names::SPAN_CHECKPOINT_SNAPSHOT, boundary_at, snap_end).with_parent(root));
     obs.record(
         Span::new(names::SPAN_CHECKPOINT_QUANTIZE, snap_end, quant_end)
             .with_parent(root)
@@ -163,21 +151,21 @@ pub fn record_checkpoint_spans(obs: &Obs, t: &CheckpointSpanTimes, interval: u32
         Span::new(names::SPAN_CHECKPOINT_SHARD, snap_end, snap_end)
             .with_parent(root)
             .with_kind(SpanKind::Concurrent)
-            .with_attr("chunks", t.chunks.to_string()),
+            .with_attr("chunks", write.manifest.chunks.len().to_string()),
     );
     obs.record(
         Span::new(names::SPAN_CHECKPOINT_UPLOAD, upload_start, upload_end)
             .with_parent(root)
             .with_kind(SpanKind::Concurrent)
             .with_track(2)
-            .with_attr("parts", t.parts.to_string())
-            .with_attr("stored_bytes", t.stored_bytes.to_string()),
+            .with_attr("parts", write.parts.to_string())
+            .with_attr("stored_bytes", stored_bytes),
     );
     obs.record(Span::new(names::SPAN_CHECKPOINT_REGISTER, reg_at, reg_at).with_parent(root));
     obs.record(
         Span::new(names::SPAN_CHECKPOINT_GC, reg_at, reg_at)
             .with_parent(root)
-            .with_attr("live_bytes", t.live_bytes.to_string()),
+            .with_attr("live_bytes", row.capacity_bytes.to_string()),
     );
     root
 }
@@ -186,16 +174,15 @@ pub fn record_checkpoint_spans(obs: &Obs, t: &CheckpointSpanTimes, interval: u32
 /// span id.
 ///
 /// The root covers `[failed_at, failed_at + time_to_resume]`; its
-/// synchronous children are exactly [`ResumeBreakdown::phases`], laid
+/// synchronous children are exactly [`ResumeStats::phases`], laid
 /// end-to-end, so their durations sum to the root's *by construction*.
 /// Under the fetch phase sit a plan child (manifest chain walk) and one
 /// concurrent child per reader host. A zero-length `first_batch` marker
 /// sits at `time_to_first_batch` from the root start.
 pub fn record_restore_spans(
     obs: &Obs,
-    resume: u32,
     failed_at: Duration,
-    b: &ResumeBreakdown,
+    b: &ResumeStats,
     hosts: &[HostActivity],
     plan_ready_at: Duration,
     started_at: Duration,
@@ -203,7 +190,7 @@ pub fn record_restore_spans(
     let root_end = failed_at + b.time_to_resume();
     let root = obs.record(
         Span::new(names::SPAN_RESTORE, failed_at, root_end)
-            .with_attr("resume", resume.to_string())
+            .with_attr("resume", b.resume.to_string())
             .with_attr("mode", format!("{:?}", b.mode))
             .with_attr("restore_point", format!("{:?}", b.restore_point))
             .with_attr("reader_hosts", b.reader_hosts.to_string()),

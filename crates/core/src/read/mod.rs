@@ -10,8 +10,8 @@
 //! ```text
 //! planner ──▶ shard readers (one per reader host) ──▶ serial tail
 //!   rank the      ranged fetches over the host's        completeness per
-//!   chain's       own downlink (fetch scheduler:        level, union of
-//!   chunks in     bounded in-flight window); each       incremental rows,
+//!   chain's       own downlink, none before the plan    level, union of
+//!   chunks in     exists (fetch scheduler); each        incremental rows,
 //!   serial        verified chunk is de-quantized        zero the rows no
 //!   order,        row by row *into the destination      chunk wrote
 //!   assign them   tables*, a row written iff the
@@ -25,9 +25,10 @@
 //!   ranged-fetch plan.
 //! * `shard_reader` takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
-//!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
-//!   window and bounded transient-failure retries, and decodes it where
-//!   it belongs. A host killed mid-restore hands its unread chunks back.
+//!   ([`cnr_storage::ObjectStore::get_part`]) floored at the plan's
+//!   completion, with bounded transient-failure retries, and decodes it
+//!   where it belongs. A host killed mid-restore hands its unread chunks
+//!   back.
 //! * `merge` owns the destination — the caller's tables, striped under
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
@@ -52,9 +53,9 @@
 //!
 //! The coordinator here re-shards a dead reader host's remaining chunks
 //! onto the survivors (through `crate::hosts`, the pool the write side's
-//! [`cnr_cluster::HostKill`] handling runs on too) and reports a
-//! [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
-//! time-to-resume accounting.
+//! [`cnr_cluster::HostKill`] handling runs on too) and fills the restore's
+//! [`ResumeStats`] record — fetch/decode/merge — which the engine completes
+//! with what only it knows (drain wait, WAL replay).
 
 pub mod lazy;
 pub(crate) mod merge;
@@ -71,7 +72,8 @@ use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, Manifest};
 use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
 use shard_reader::{DecodedChunk, ShardReader};
-use cnr_cluster::{HostKill, ResumeBreakdown};
+use crate::stats::{RestoreMode, RestorePoint, ResumeStats};
+use cnr_cluster::HostKill;
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
 use cnr_model::TableViewMut;
@@ -156,8 +158,10 @@ pub struct ShardedRestore {
     /// [`restore_sharded_into`] `report.state.tables` is empty: the
     /// embedding rows are in the destination the caller passed.
     pub report: RestoreReport,
-    /// Fetch/decode/merge time-to-resume breakdown for the cluster layer.
-    pub breakdown: ResumeBreakdown,
+    /// The restore's record: fetch/decode/merge time-to-resume and what
+    /// was fetched. `resume` is 0 and the drain-wait and WAL fields are
+    /// empty: the engine fills them in place.
+    pub breakdown: ResumeStats,
     /// Absolute simulated time at which the last ranged fetch arrived.
     pub ready_at: Duration,
     /// Absolute simulated time at which training may resume: for an eager
@@ -170,7 +174,7 @@ pub struct ShardedRestore {
     /// Reader hosts that died mid-restore (their remaining chunks were
     /// re-sharded onto the survivors).
     pub killed_hosts: Vec<u16>,
-    /// Final fetch-scheduler counters (parts, stalls, retries).
+    /// Final fetch-scheduler counters (parts, retries, corruption).
     pub fetch_status: FetchStatus,
     /// Per-host fetch activity (one entry per host that fetched at least
     /// one chunk, ordered by host id).
@@ -255,14 +259,9 @@ pub fn restore_sharded_into(
     heat: Option<&RowHeat>,
     dest: Vec<TableViewMut<'_>>,
 ) -> Result<ShardedRestore> {
-    // Bounded in-flight window of the fetch scheduler: at most this many
-    // ranged reads per host may be in flight (in simulated time) before
-    // backpressure delays the next one.
-    const FETCH_WINDOW: usize = 8;
     options.validate().map_err(CnrError::Config)?;
     let hosts = options.reader_hosts.max(1);
-    let fetch_sched =
-        FetchScheduler::new(store, hosts, FETCH_WINDOW, options.fetch_retries, started_at);
+    let fetch_sched = FetchScheduler::new(store, hosts, options.fetch_retries, started_at);
 
     // --- Plan: walk the chain, validate, assign chunks to hosts. --------
     // Manifests download through the timed path too (serialized on host
@@ -356,9 +355,11 @@ pub fn restore_sharded_into(
     } else {
         ready_at
     };
-    let fetch_status = fetch_sched.poll(Duration::MAX);
+    let fetch_status = fetch_sched.status();
 
-    let breakdown = ResumeBreakdown {
+    let breakdown = ResumeStats {
+        resume: 0,
+        checkpoint: target,
         // The restore pipeline starts at `started_at`; any wait between
         // the failure instant and that point (an in-flight upload drain)
         // is the engine's to account — it fills this in.
@@ -375,7 +376,7 @@ pub fn restore_sharded_into(
         corruption_refetches: fetch_status.corruption_refetches,
         // The engine replays the delta-WAL tail (if any) after the sharded
         // restore finishes and fills these in.
-        restore_point: cnr_cluster::RestorePoint::Checkpoint,
+        restore_point: RestorePoint::Checkpoint,
         wal_replay: Duration::ZERO,
         wal_replayed_iterations: 0,
         lost_iterations: 0,
@@ -385,10 +386,13 @@ pub fn restore_sharded_into(
             + Duration::from_nanos(decode_nanos.load(Ordering::Relaxed))
             + merge_time,
         mode: if options.lazy {
-            cnr_cluster::RestoreMode::Lazy
+            RestoreMode::Lazy
         } else {
-            cnr_cluster::RestoreMode::Eager
+            RestoreMode::Eager
         },
+        // Fault-ins happen after training resumes; they accrue here.
+        fault_in_fetches: 0,
+        fault_in_time: Duration::ZERO,
     };
 
     Ok(ShardedRestore {
@@ -732,6 +736,51 @@ mod tests {
             .state
         };
         assert_eq!(run(1), run(6), "worker count must not change output");
+    }
+
+    /// Simulated fetch timing is a property of the plan and the store, not
+    /// of how decode threads interleave: a host's ranged reads queue on its
+    /// own downlink in whatever order its workers issue them, so
+    /// `ready_at` and time-to-resume do not move with the worker count.
+    /// (Decode and merge are wall-clock CPU time and are left out.)
+    #[test]
+    fn fetch_timing_does_not_depend_on_the_decode_workers() {
+        let (model_cfg, snap) = snapshot_after(3, 16);
+        for hosts in [1usize, 2] {
+            let timing = |workers: usize| {
+                let store = SimulatedRemoteStore::new(
+                    RemoteConfig {
+                        bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                        base_latency: Duration::from_micros(50),
+                        replication: 1,
+                        channels: hosts as u32,
+                    },
+                    SimClock::new(),
+                );
+                // Small parts: every chunk is several ranged reads.
+                write_to_with_parts(&store, &snap, 2, 4096);
+                let drained = store.wait_for_drain();
+                let options = RestoreOptions {
+                    reader_hosts: hosts,
+                    decode_workers: workers,
+                    ..RestoreOptions::default()
+                };
+                let sharded =
+                    restore_sharded(&store, "job", CheckpointId(0), &model_cfg, &options, drained)
+                        .unwrap();
+                assert_eq!(sharded.report.state, snap.model, "hosts={hosts} workers={workers}");
+                let simulated = ResumeStats {
+                    decode: Duration::ZERO,
+                    merge: Duration::ZERO,
+                    ..sharded.breakdown
+                };
+                (sharded.ready_at, simulated.time_to_resume())
+            };
+            let one = timing(1);
+            for workers in [2usize, 4] {
+                assert_eq!(timing(workers), one, "hosts={hosts} workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -1,37 +1,32 @@
-//! The fetch scheduler: bounded in-flight ranged downloads with
-//! backpressure, per reader host — the read-side mirror of
-//! [`crate::write::scheduler`].
+//! The fetch scheduler: every chunk comes down as ranged reads over its
+//! reader host's downlink, none before the restore's floor — the read-side
+//! mirror of [`crate::write::scheduler`].
 //!
 //! Every chunk downloads as a sequence of ranged reads
-//! ([`ObjectStore::get_part`]) over its reader host's downlink (channel).
-//! The scheduler bounds how many ranges a host may have in flight in
-//! *simulated* time: range `n` may not start before range `n − window` has
-//! finished transferring — decoded rows buffer in bounded host memory until
-//! the merge stage consumes them, just as quantized chunks buffer on the
-//! write side until the network accepts them. Transient read failures are
-//! retried in place (a bounded number of times) rather than failing the
-//! whole restore: remote reads time out in practice and the paper's
-//! time-to-resume model only cares that the bytes eventually arrive.
+//! ([`ObjectStore::get_part`]) over its reader host's downlink (channel),
+//! where they transfer one after another. The scheduler's *floor* is the
+//! failure instant, raised to the chain-load completion once the manifests
+//! are in: no chunk fetch starts before the plan that names it exists.
+//! Transient read failures are retried in place (a bounded number of
+//! times) rather than failing the whole restore: remote reads time out in
+//! practice and the paper's time-to-resume model only cares that the bytes
+//! eventually arrive.
 
 use crate::error::{CnrError, Result};
-use crate::window::InFlightWindows;
 use bytes::Bytes;
 use cnr_storage::envelope::Verified;
 use cnr_storage::{ObjectStore, StorageError};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Point-in-time view of the scheduler.
+/// What one restore's fetches have done so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchStatus {
-    /// Ranged reads still transferring at the polled instant.
-    pub in_flight_parts: usize,
-    /// Simulated time at which everything fetched so far has arrived.
+    /// Simulated time at which everything fetched so far has arrived
+    /// (never earlier than the floor).
     pub ready_at: Duration,
     /// Ranged reads completed so far.
     pub parts_fetched: u64,
-    /// Times a range's start was delayed because its host's window was full.
-    pub backpressure_stalls: u64,
     /// Transient read failures absorbed by retries.
     pub retries_performed: u64,
     /// Whole-chunk re-fetches triggered by a failed envelope verification
@@ -47,49 +42,45 @@ pub struct FetchStatus {
 }
 
 struct FetchState {
-    /// Per-host range windows; the floor is the failure instant, raised to
-    /// the chain-load completion once the manifests are in.
-    windows: InFlightWindows,
-    retries_performed: u64,
-    corruption_refetches: u64,
-    corruption_detected: u64,
-    corruption_repaired: u64,
+    /// No range starts before this simulated instant.
+    floor: Duration,
+    status: FetchStatus,
 }
 
 /// Schedules chunk downloads for one restore across all reader hosts.
 pub struct FetchScheduler<'a> {
     store: &'a dyn ObjectStore,
+    hosts: usize,
     retries: u32,
     state: Mutex<FetchState>,
-    /// One issuance lock per host: admit → read → record must be atomic
-    /// per host, or concurrent decode threads sharing a host could exceed
-    /// its in-flight window (and make its timing schedule-dependent).
-    issue: Vec<Mutex<()>>,
 }
 
 impl<'a> FetchScheduler<'a> {
-    /// Creates a scheduler over `store` for `hosts` reader hosts, each with
-    /// an in-flight window of `window` ranged reads, retrying each
-    /// transiently failed range up to `retries` times before giving up.
-    /// No transfer starts before `start_floor` (the failure instant).
+    /// Creates a scheduler over `store` for `hosts` reader hosts, retrying
+    /// each transiently failed range up to `retries` times before giving
+    /// up. No transfer starts before `start_floor` (the failure instant).
     pub fn new(
         store: &'a dyn ObjectStore,
         hosts: usize,
-        window: usize,
         retries: u32,
         start_floor: Duration,
     ) -> Self {
+        assert!(hosts >= 1);
         Self {
             store,
+            hosts,
             retries,
             state: Mutex::new(FetchState {
-                windows: InFlightWindows::new(hosts, window, start_floor),
-                retries_performed: 0,
-                corruption_refetches: 0,
-                corruption_detected: 0,
-                corruption_repaired: 0,
+                floor: start_floor,
+                status: FetchStatus {
+                    ready_at: start_floor,
+                    parts_fetched: 0,
+                    retries_performed: 0,
+                    corruption_refetches: 0,
+                    corruption_detected: 0,
+                    corruption_repaired: 0,
+                },
             }),
-            issue: (0..hosts).map(|_| Mutex::new(())).collect(),
         }
     }
 
@@ -97,13 +88,15 @@ impl<'a> FetchScheduler<'a> {
     /// The coordinator calls this after the manifest chain loads — chunk
     /// fetches cannot start before the plan that names them exists.
     pub fn set_floor(&self, t: Duration) {
-        self.state.lock().unwrap().windows.raise_floor(t);
+        let mut s = self.state.lock().unwrap();
+        s.floor = s.floor.max(t);
+        s.status.ready_at = s.status.ready_at.max(s.floor);
     }
 
     /// Downloads the `bytes`-byte object at `key` over host `host`'s
-    /// downlink as `parts` ranged reads under window backpressure,
-    /// returning the assembled bytes and the simulated time the last range
-    /// arrived. Transient failures (I/O timeouts) retry in place;
+    /// downlink as `parts` ranged reads, returning the assembled bytes and
+    /// the simulated time the last range arrived. Transient failures (I/O
+    /// timeouts) retry in place;
     /// exhausted retries and non-transient errors (missing object, bad
     /// range) propagate immediately.
     ///
@@ -126,11 +119,9 @@ impl<'a> FetchScheduler<'a> {
             let (data, arrived_at) = self.fetch_chunk_once(host, key, bytes, parts)?;
             match self.verify(key, data) {
                 Ok(verified) => {
-                    let mut s = self.state.lock().unwrap();
                     if refetches > 0 {
-                        s.corruption_repaired += 1;
+                        self.state.lock().unwrap().status.corruption_repaired += 1;
                     }
-                    drop(s);
                     return Ok((verified, arrived_at));
                 }
                 Err(e) if refetches < self.retries => {
@@ -138,9 +129,7 @@ impl<'a> FetchScheduler<'a> {
                     // Healing is not a transient retry: whole-chunk
                     // re-fetches keep their own counter so `ResumeStats`
                     // can tell flaky networks from rotten replicas.
-                    let mut s = self.state.lock().unwrap();
-                    s.corruption_refetches += 1;
-                    drop(s);
+                    self.state.lock().unwrap().status.corruption_refetches += 1;
                     let _ = e; // re-fetch the whole chunk from another replica
                 }
                 Err(e) => return Err(CnrError::from(e)),
@@ -149,8 +138,8 @@ impl<'a> FetchScheduler<'a> {
     }
 
     /// One assembly pass of [`FetchScheduler::fetch_chunk`]: every range
-    /// downloads under window backpressure, transient I/O failures retry
-    /// per range, and the raw (unverified) reassembly comes back.
+    /// downloads in turn, transient I/O failures retry per range, and the
+    /// raw (unverified) reassembly comes back.
     fn fetch_chunk_once(
         &self,
         host: u16,
@@ -179,9 +168,9 @@ impl<'a> FetchScheduler<'a> {
         Ok((Bytes::from(assembled), arrived_at))
     }
 
-    /// Downloads one range over `host`'s downlink under window
-    /// backpressure, retrying transient I/O failures in place, and returns
-    /// its bytes with the simulated time they finished arriving.
+    /// Downloads one range over `host`'s downlink, starting no earlier
+    /// than the floor, retrying transient I/O failures in place, and
+    /// returns its bytes with the simulated time they finished arriving.
     fn fetch_part(
         &self,
         host: u16,
@@ -189,11 +178,8 @@ impl<'a> FetchScheduler<'a> {
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, Duration)> {
-        // Hold the host's issuance lock across admit → read → record so
-        // the in-flight window bound holds under concurrent decode threads
-        // (reads are wall-instant; only simulated time is scheduled here).
-        let guard = self.issue[host as usize].lock().unwrap();
-        let not_before = self.state.lock().unwrap().windows.admit(host as usize);
+        assert!((host as usize) < self.hosts, "reader host {host} of {}", self.hosts);
+        let not_before = self.state.lock().unwrap().floor;
         let mut attempt = 0u32;
         let (data, receipt) = loop {
             match self
@@ -203,18 +189,15 @@ impl<'a> FetchScheduler<'a> {
                 Ok(ok) => break ok,
                 Err(StorageError::Io(_)) if attempt < self.retries => {
                     attempt += 1;
-                    self.state.lock().unwrap().retries_performed += 1;
+                    self.state.lock().unwrap().status.retries_performed += 1;
                     // Transient: retry the same range.
                 }
                 Err(e) => return Err(CnrError::from(e)),
             }
         };
-        self.state
-            .lock()
-            .unwrap()
-            .windows
-            .record(host as usize, receipt.completed_at);
-        drop(guard);
+        let mut s = self.state.lock().unwrap();
+        s.status.parts_fetched += 1;
+        s.status.ready_at = s.status.ready_at.max(receipt.completed_at);
         Ok((data, receipt.completed_at))
     }
 
@@ -223,7 +206,7 @@ impl<'a> FetchScheduler<'a> {
     /// as detected corruption.
     fn verify(&self, key: &str, data: Bytes) -> std::result::Result<Verified, StorageError> {
         Verified::check(data).map_err(|why| {
-            self.state.lock().unwrap().corruption_detected += 1;
+            self.state.lock().unwrap().status.corruption_detected += 1;
             StorageError::Corrupt(format!("{key}: {why}"))
         })
     }
@@ -235,23 +218,12 @@ impl<'a> FetchScheduler<'a> {
 
     /// Simulated time at which everything fetched so far has arrived.
     pub fn ready_at(&self) -> Duration {
-        self.state.lock().unwrap().windows.done_at()
+        self.state.lock().unwrap().status.ready_at
     }
 
-    /// Polls the scheduler at simulated time `now`: retires finished ranges
-    /// and reports what is still in flight.
-    pub fn poll(&self, now: Duration) -> FetchStatus {
-        let mut s = self.state.lock().unwrap();
-        FetchStatus {
-            in_flight_parts: s.windows.poll(now),
-            ready_at: s.windows.done_at(),
-            parts_fetched: s.windows.transfers(),
-            backpressure_stalls: s.windows.backpressure_stalls(),
-            retries_performed: s.retries_performed,
-            corruption_refetches: s.corruption_refetches,
-            corruption_detected: s.corruption_detected,
-            corruption_repaired: s.corruption_repaired,
-        }
+    /// What the fetches have done so far.
+    pub fn status(&self) -> FetchStatus {
+        self.state.lock().unwrap().status
     }
 }
 
@@ -291,40 +263,37 @@ mod tests {
         let payload = Bytes::from(envelope::wrap(&(0u8..=229).collect::<Vec<u8>>()));
         assert_eq!(payload.len(), 250);
         store.put("obj", payload.clone()).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
         assert_eq!(data.object(), &payload);
         assert_eq!(data.payload(), (0u8..=229).collect::<Vec<u8>>());
-        assert_eq!(sched.poll(Duration::ZERO).parts_fetched, 3);
+        assert_eq!(sched.status().parts_fetched, 3);
     }
 
     #[test]
     fn zero_byte_object_is_one_range_and_never_verifies() {
         let store = InMemoryStore::new();
         store.put("obj", Bytes::new()).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
         assert!(matches!(
             sched.fetch_chunk(0, "obj", 0, 3),
             Err(CnrError::Corrupt(_))
         ));
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         assert_eq!(status.parts_fetched, 1);
         assert_eq!(status.corruption_detected, 1);
     }
 
     #[test]
-    fn full_window_applies_backpressure() {
+    fn ranges_queue_one_after_another_on_the_host_downlink() {
         let store = remote(1.0, 1);
         store.put("obj", mb(3)).unwrap(); // channel busy until 3s
-        let sched = FetchScheduler::new(&store, 1, 1, 0, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
         let (_, arrived) = sched.fetch_chunk(0, "obj", 3 * 1024 * 1024, 3).unwrap();
         // 3 MB written + 3 MB read back over the same 1 MB/s channel.
         assert!((arrived.as_secs_f64() - 6.0).abs() < 1e-6);
-        assert_eq!(sched.poll(Duration::ZERO).backpressure_stalls, 2);
-        // A wide window never stalls.
-        let sched = FetchScheduler::new(&store, 1, 8, 0, Duration::ZERO);
-        sched.fetch_chunk(0, "obj", 3 * 1024 * 1024, 3).unwrap();
-        assert_eq!(sched.poll(Duration::ZERO).backpressure_stalls, 0);
+        assert_eq!(sched.ready_at(), arrived);
+        assert_eq!(sched.status().parts_fetched, 3);
     }
 
     #[test]
@@ -333,25 +302,20 @@ mod tests {
         store.put("a", mb(1)).unwrap();
         store.put("b", mb(2)).unwrap();
         let write_drain = store.drained_at();
-        let sched = FetchScheduler::new(&store, 2, 8, 0, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 2, 0, Duration::ZERO);
         sched.fetch_chunk(0, "a", 1024 * 1024, 1).unwrap();
         sched.fetch_chunk(1, "b", 2 * 1024 * 1024, 1).unwrap();
         assert!((sched.ready_at().as_secs_f64() - (write_drain.as_secs_f64() + 2.0)).abs() < 1e-6);
-        assert_eq!(
-            sched.poll(Duration::from_secs(60)).in_flight_parts,
-            0,
-            "everything retired after arrival"
-        );
     }
 
     #[test]
     fn transient_read_failures_are_retried() {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::FirstN(2));
         store.put("obj", stored(100)).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 3, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 3, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 100, 2).unwrap();
         assert_eq!(data.object().len(), 100);
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         assert_eq!(status.retries_performed, 2);
         assert_eq!(status.corruption_refetches, 0, "no healing involved");
     }
@@ -360,7 +324,7 @@ mod tests {
     fn exhausted_retries_propagate_the_error() {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::Every(1));
         store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         assert!(matches!(
             sched.fetch_chunk(0, "obj", 100, 1),
             Err(CnrError::Storage(_))
@@ -370,10 +334,10 @@ mod tests {
     #[test]
     fn missing_object_fails_without_retry_help() {
         let store = InMemoryStore::new();
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         assert!(sched.fetch_chunk(0, "nope", 10, 1).is_err());
         // Non-transient errors never consume retries.
-        assert_eq!(sched.poll(Duration::ZERO).retries_performed, 0);
+        assert_eq!(sched.status().retries_performed, 0);
     }
 
     #[test]
@@ -381,7 +345,7 @@ mod tests {
         let store = remote(1.0, 2);
         store.put("obj", mb(1)).unwrap(); // channel 0 busy until 1s
         let floor = Duration::from_secs(10);
-        let sched = FetchScheduler::new(&store, 2, 4, 0, floor);
+        let sched = FetchScheduler::new(&store, 2, 0, floor);
         assert_eq!(sched.ready_at(), floor, "nothing fetched yet");
         let (_, arrived) = sched.fetch_chunk(1, "obj", 1024 * 1024, 1).unwrap();
         assert!(arrived >= floor + Duration::from_secs(1), "read starts at the floor");
@@ -403,12 +367,12 @@ mod tests {
             inner,
             CorruptionSpec::once(CorruptionKind::BitFlip, 1),
         );
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let (data, _) = sched
             .fetch_chunk(0, "obj", enveloped.len() as u64, 1)
             .unwrap();
         assert_eq!(data.object(), &enveloped, "healed fetch is bit-identical");
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         assert_eq!(status.corruption_detected, 1);
         assert_eq!(status.corruption_repaired, 1);
         assert_eq!(status.corruption_refetches, 1);
@@ -429,7 +393,7 @@ mod tests {
             inner,
             CorruptionSpec::every(CorruptionKind::BitFlip, 1),
         );
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let err = sched
             .fetch_chunk(0, "obj", enveloped.len() as u64, 1)
             .unwrap_err();
@@ -437,7 +401,7 @@ mod tests {
             matches!(err, CnrError::Corrupt(_)),
             "typed corruption error, got {err:?}"
         );
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         // Initial attempt + 2 refetches, all detected; nothing repaired.
         assert_eq!(status.corruption_detected, 3);
         assert_eq!(status.corruption_repaired, 0);
@@ -456,14 +420,14 @@ mod tests {
         v3[4..6].copy_from_slice(&3u16.to_le_bytes());
         let len = v3.len() as u64;
         store.put("obj", Bytes::from(v3)).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         match sched.fetch_chunk(0, "obj", len, 1) {
             Err(CnrError::Corrupt(why)) => {
                 assert!(why.contains("obj") && why.contains("version 3"), "{why}")
             }
             other => panic!("v3 object not rejected as corrupt: {other:?}"),
         }
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         assert_eq!(status.corruption_detected, 3);
         assert_eq!(status.corruption_repaired, 0);
     }
@@ -476,14 +440,14 @@ mod tests {
             b"CNR4\x04\x00\x00\x00\x15\x00\x00\x00\x0f\xe8\xa5\x20written under wire v4";
         let store = InMemoryStore::new();
         store.put("obj", Bytes::from_static(V4_OBJECT)).unwrap();
-        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         match sched.fetch_chunk(0, "obj", V4_OBJECT.len() as u64, 1) {
             Err(CnrError::Corrupt(why)) => {
                 assert!(why.contains("unsupported envelope version 4 "), "{why}")
             }
             other => panic!("v4 object not rejected as corrupt: {other:?}"),
         }
-        assert_eq!(sched.poll(Duration::ZERO).corruption_detected, 3);
+        assert_eq!(sched.status().corruption_detected, 3);
     }
 
     #[test]
@@ -496,12 +460,12 @@ mod tests {
             inner,
             CorruptionSpec::once(CorruptionKind::Truncate, 1),
         );
-        let sched = FetchScheduler::new(&store, 1, 4, 1, Duration::ZERO);
+        let sched = FetchScheduler::new(&store, 1, 1, Duration::ZERO);
         let (data, _) = sched
             .fetch_chunk(0, "obj", enveloped.len() as u64, 2)
             .unwrap();
         assert_eq!(data.object(), &enveloped);
-        let status = sched.poll(Duration::ZERO);
+        let status = sched.status();
         assert!(status.corruption_detected >= 1, "short range was caught");
         assert_eq!(status.corruption_repaired, 1);
         assert!(status.corruption_refetches >= 1);

@@ -4,9 +4,11 @@
 //! checkpoint bytes per interval as "% of model size" (bandwidth proxy,
 //! Figure 15), live bytes per interval (capacity, Figure 16), and
 //! combined-technique reduction factors vs an unquantized full-checkpoint
-//! baseline (Figure 17). [`RunStats`] accumulates exactly those series.
+//! baseline (Figure 17). [`RunStats`] accumulates exactly those series,
+//! beside one [`ResumeStats`] record per recovery.
 
 use crate::manifest::{CheckpointId, CheckpointKind};
+use cnr_obs::names;
 use std::time::Duration;
 
 /// Accounting for one checkpoint interval.
@@ -34,9 +36,39 @@ pub struct IntervalStats {
     pub quantize_cpu_time: Duration,
 }
 
-/// Accounting for one recovery (restore) event — the time-to-resume
+/// Where a recovery landed the job, relative to the failure instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestorePoint {
+    /// Restored to the last full checkpoint; everything trained since is
+    /// lost (the paper's baseline recovery semantics).
+    Checkpoint,
+    /// Restored to the last full checkpoint *plus* the replayed tail of
+    /// the delta WAL — lost work collapses to at most the iterations after
+    /// the last durable log frame.
+    WalTip,
+}
+
+/// How a restore brought the model back before training resumed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreMode {
+    /// Every chunk of the chain was applied before the first batch
+    /// (all-or-nothing restore — the paper's baseline semantics).
+    Eager,
+    /// Training resumed once the dense layers and the hot top-K rows were
+    /// applied (CPR-style partial recovery); the cold tail drained in the
+    /// background, with misses fault-ing rows in on demand.
+    Lazy,
+}
+
+/// The one record of a recovery (restore) event — the time-to-resume
 /// breakdown of the paper's downtime model (§2, §5): a preempted job is
 /// down until its state is fetched, de-quantized, and merged.
+///
+/// The sharded restore fills it ([`crate::read::ShardedRestore::breakdown`]);
+/// the engine completes it in place (`resume`, `drain_wait`, the WAL
+/// fields), pushes it into its run statistics, mirrors it into the
+/// registry and lays its [`ResumeStats::phases`] out as the `restore` span
+/// tree — so the row, the metrics and the spans can only agree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeStats {
     /// Resume number (0-based).
@@ -45,26 +77,35 @@ pub struct ResumeStats {
     pub checkpoint: CheckpointId,
     /// Reader hosts that fetched the chain in parallel.
     pub reader_hosts: usize,
-    /// Simulated wait between the failure instant and the restored
-    /// checkpoint's durability point (zero when it was already durable —
-    /// see [`ResumeBreakdown::drain_wait`](cnr_cluster::ResumeBreakdown)).
+    /// Simulated time between the failure instant and the durability point
+    /// of the checkpoint being restored. With overlapped interval
+    /// boundaries a failure can land while the newest checkpoint's upload
+    /// drain is still in flight; the engine assumes the decoupled upload
+    /// path outlives the preempted job (§4.3/§4.4 relaxation, documented
+    /// on `Engine::simulate_failure_and_restore`) and waits the drain out
+    /// — this field makes that wait explicit in time-to-resume instead of
+    /// silently shifting the resume clock. Zero when the checkpoint was
+    /// already durable at the failure instant.
     pub drain_wait: Duration,
-    /// Simulated time the sharded fetch took (restore start → last byte).
+    /// Simulated time the sharded fetch took (restore start → last byte
+    /// on the reader hosts' downlinks).
     pub fetch: Duration,
     /// CPU time spent decoding + de-quantizing chunks into the model's
-    /// tables, summed over decode threads.
+    /// tables, summed over decode threads (overlapped with fetch inside
+    /// each shard reader, reported un-overlapped).
     pub decode: Duration,
     /// Time of the merge's serial tail (completeness, incremental-row
     /// union, zeroing rows no chunk wrote).
     pub merge: Duration,
-    /// Total time-to-resume: drain wait + fetch + decode + merge + WAL
-    /// replay (the identity is asserted in the engine's tests). Lazy
-    /// restores additionally pay [`Self::fault_in_time`] *after* resuming —
-    /// that cost accrues to the training timeline, not to this field.
-    pub time_to_resume: Duration,
     /// Logical bytes fetched (chunks + manifests).
     pub bytes_fetched: u64,
-    /// Envelope verification failures detected while fetching.
+    /// Chunks fetched across the whole restore chain.
+    pub chunks_fetched: u64,
+    /// Chunks re-sharded onto surviving hosts after a reader host died
+    /// mid-restore (zero in the failure-free case).
+    pub rescheduled_chunks: u64,
+    /// Envelope verification failures detected while fetching (each failed
+    /// verification counts, including repeat failures of one chunk).
     pub corruption_detected: u64,
     /// Corrupt chunks healed by re-fetching from another replica.
     pub corruption_repaired: u64,
@@ -73,8 +114,9 @@ pub struct ResumeStats {
     /// stay distinguishable in the run record.
     pub corruption_refetches: u64,
     /// Whether the job resumed at the bare checkpoint or at the WAL tip.
-    pub restore_point: cnr_cluster::RestorePoint,
-    /// Simulated time spent replaying the delta-WAL tail.
+    pub restore_point: RestorePoint,
+    /// Simulated time spent replaying the delta-WAL tail (zero when the
+    /// WAL is disabled or empty).
     pub wal_replay: Duration,
     /// Iterations recovered by WAL replay on top of the checkpoint.
     pub wal_replayed_iterations: u64,
@@ -83,11 +125,12 @@ pub struct ResumeStats {
     /// interval without one.
     pub lost_iterations: u64,
     /// Time until the first training batch could run: equal to
-    /// `time_to_resume` for eager restores, earlier for lazy ones (the
-    /// tentpole metric — training starts before the restore finishes).
+    /// [`Self::time_to_resume`] for eager restores; for a lazy one it stops
+    /// at the hot set's arrival (plus decode/merge/WAL replay) while the
+    /// cold tail keeps draining past it.
     pub time_to_first_batch: Duration,
     /// Whether the restore was eager or lazy (CPR-style partial recovery).
-    pub mode: cnr_cluster::RestoreMode,
+    pub mode: RestoreMode,
     /// Rows faulted in synchronously because training touched them before
     /// the background drain finished (lazy restores only; counted, never
     /// silently dropped).
@@ -97,39 +140,29 @@ pub struct ResumeStats {
 }
 
 impl ResumeStats {
-    /// Builds the record straight from a finished restore's
-    /// [`ResumeBreakdown`](cnr_cluster::ResumeBreakdown) — the single
-    /// derivation point shared by the engine and the observability layer,
-    /// so the stats row, the registry metrics, and the span tree can never
-    /// drift apart. Fault-in fields start at zero; they accrue on the
-    /// record as training touches cold rows.
-    pub fn from_breakdown(
-        resume: u32,
-        checkpoint: CheckpointId,
-        b: &cnr_cluster::ResumeBreakdown,
-    ) -> Self {
-        Self {
-            resume,
-            checkpoint,
-            reader_hosts: b.reader_hosts,
-            drain_wait: b.drain_wait,
-            fetch: b.fetch,
-            decode: b.decode,
-            merge: b.merge,
-            time_to_resume: b.time_to_resume(),
-            bytes_fetched: b.bytes_fetched,
-            corruption_detected: b.corruption_detected,
-            corruption_repaired: b.corruption_repaired,
-            corruption_refetches: b.corruption_refetches,
-            restore_point: b.restore_point,
-            wal_replay: b.wal_replay,
-            wal_replayed_iterations: b.wal_replayed_iterations,
-            lost_iterations: b.lost_iterations,
-            time_to_first_batch: b.time_to_first_batch,
-            mode: b.mode,
-            fault_in_fetches: 0,
-            fault_in_time: Duration::ZERO,
-        }
+    /// Total time-to-resume: any wait for the restored checkpoint's upload
+    /// drain, plus the simulated fetch, plus the CPU-bound decode and
+    /// merge stages, plus any WAL tail replay. Lazy restores additionally
+    /// pay [`Self::fault_in_time`] *after* resuming — that cost accrues to
+    /// the training timeline, not to this total.
+    pub fn time_to_resume(&self) -> Duration {
+        self.phases().iter().map(|&(_, d)| d).sum()
+    }
+
+    /// The sequential phases of [`Self::time_to_resume`], in execution
+    /// order, as `(span name, duration)` pairs. This is the single source
+    /// of truth for the restore span layout: the observability layer lays
+    /// these end to end under the `restore` root span, so their sum is the
+    /// root's duration *by construction* and the span-tree invariant checks
+    /// reduce to this identity.
+    pub fn phases(&self) -> [(&'static str, Duration); 5] {
+        [
+            (names::SPAN_RESTORE_DRAIN_WAIT, self.drain_wait),
+            (names::SPAN_RESTORE_FETCH, self.fetch),
+            (names::SPAN_RESTORE_DECODE, self.decode),
+            (names::SPAN_RESTORE_MERGE, self.merge),
+            (names::SPAN_RESTORE_WAL_REPLAY, self.wal_replay),
+        ]
     }
 }
 
@@ -224,7 +257,7 @@ impl RunStats {
 
     /// Total time the run spent resuming from checkpoints.
     pub fn total_resume_time(&self) -> Duration {
-        self.resumes.iter().map(|r| r.time_to_resume).sum()
+        self.resumes.iter().map(ResumeStats::time_to_resume).sum()
     }
 
     /// Mean time-to-resume per recovery, or `None` when no recovery has
@@ -349,39 +382,51 @@ mod tests {
         assert_eq!(s.try_capacity_reduction_vs_full(), None);
     }
 
-    #[test]
-    fn from_breakdown_copies_every_phase_and_the_identity() {
-        let b = cnr_cluster::ResumeBreakdown {
-            drain_wait: Duration::from_secs(1),
-            fetch: Duration::from_secs(4),
-            decode: Duration::from_millis(300),
-            merge: Duration::from_millis(200),
-            reader_hosts: 2,
+    fn resume(fetch_s: u64, decode_ms: u64, merge_ms: u64) -> ResumeStats {
+        ResumeStats {
+            resume: 0,
+            checkpoint: CheckpointId(0),
+            reader_hosts: 4,
+            drain_wait: Duration::ZERO,
+            fetch: Duration::from_secs(fetch_s),
+            decode: Duration::from_millis(decode_ms),
+            merge: Duration::from_millis(merge_ms),
             bytes_fetched: 1 << 20,
-            chunks_fetched: 8,
+            chunks_fetched: 16,
             rescheduled_chunks: 0,
-            corruption_detected: 1,
-            corruption_repaired: 1,
-            corruption_refetches: 1,
-            restore_point: cnr_cluster::RestorePoint::WalTip,
-            wal_replay: Duration::from_millis(500),
-            wal_replayed_iterations: 3,
-            lost_iterations: 1,
-            time_to_first_batch: Duration::from_secs(2),
-            mode: cnr_cluster::RestoreMode::Lazy,
+            corruption_detected: 2,
+            corruption_repaired: 2,
+            corruption_refetches: 2,
+            restore_point: RestorePoint::Checkpoint,
+            wal_replay: Duration::ZERO,
+            wal_replayed_iterations: 0,
+            lost_iterations: 0,
+            time_to_first_batch: Duration::from_secs(fetch_s)
+                + Duration::from_millis(decode_ms + merge_ms),
+            mode: RestoreMode::Eager,
+            fault_in_fetches: 0,
+            fault_in_time: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn time_to_resume_totals_all_stages() {
+        let r = resume(10, 500, 250);
+        assert_eq!(r.time_to_resume(), Duration::from_millis(10_750));
+        // A failure that lands mid-drain pays the wait in time-to-resume.
+        let waited = ResumeStats {
+            drain_wait: Duration::from_secs(2),
+            ..r.clone()
         };
-        let r = ResumeStats::from_breakdown(7, CheckpointId(3), &b);
-        assert_eq!(r.resume, 7);
-        assert_eq!(r.checkpoint, CheckpointId(3));
-        assert_eq!(r.time_to_resume, b.time_to_resume());
-        assert_eq!(
-            r.time_to_resume,
-            r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
-            "time_to_resume must be the sum of its documented phases"
-        );
-        assert_eq!(r.wal_replayed_iterations, 3);
-        assert_eq!(r.mode, cnr_cluster::RestoreMode::Lazy);
-        assert_eq!(r.fault_in_fetches, 0, "fault-ins accrue later");
+        assert_eq!(waited.time_to_resume(), Duration::from_millis(12_750));
+        // WAL tail replay is part of time-to-resume too.
+        let replayed = ResumeStats {
+            wal_replay: Duration::from_millis(250),
+            restore_point: RestorePoint::WalTip,
+            wal_replayed_iterations: 7,
+            ..r
+        };
+        assert_eq!(replayed.time_to_resume(), Duration::from_millis(11_000));
     }
 
     #[test]
@@ -391,24 +436,7 @@ mod tests {
             s.push_resume(ResumeStats {
                 resume: i as u32,
                 checkpoint: CheckpointId(i as u64),
-                reader_hosts: 4,
-                drain_wait: Duration::ZERO,
-                fetch: Duration::from_secs(*fetch_s),
-                decode: Duration::from_millis(500),
-                merge: Duration::from_millis(500),
-                time_to_resume: Duration::from_secs(*fetch_s + 1),
-                bytes_fetched: 1 << 20,
-                corruption_detected: 2,
-                corruption_repaired: 2,
-                corruption_refetches: 2,
-                restore_point: cnr_cluster::RestorePoint::Checkpoint,
-                wal_replay: Duration::ZERO,
-                wal_replayed_iterations: 0,
-                lost_iterations: 0,
-                time_to_first_batch: Duration::from_secs(*fetch_s + 1),
-                mode: cnr_cluster::RestoreMode::Eager,
-                fault_in_fetches: 0,
-                fault_in_time: Duration::ZERO,
+                ..resume(*fetch_s, 500, 500)
             });
         }
         assert_eq!(s.resumes.len(), 2);

@@ -6,10 +6,10 @@
 //!
 //! ```text
 //! chunker ──▶ shard writers (one per simulated host) ──▶ upload scheduler
-//!   split         quantize + encode each chunk             multipart puts,
-//!   rows into     of the host's row-range                  bounded window,
-//!   per-host                                               per-host uplink
-//!   chunks
+//!   split         quantize + encode each chunk             multipart puts
+//!   rows into     of the host's row-range                  on the host's
+//!   per-host                                               uplink, floored
+//!   chunks                                                 at the last drain
 //! ```
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
@@ -21,9 +21,9 @@
 //!   aborts its in-flight multipart transfer and hands its unfinished
 //!   chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
-//!   owning host's uplink with a bounded in-flight window, and answers the
-//!   engine's durability polls (§4.3 non-overlap without blocking). Its
-//!   upload *floor* is how overlapped checkpoints stay legal: a write
+//!   owning host's uplink and keeps the running durability point the
+//!   engine reads (§4.3 non-overlap without blocking). Its upload *floor*
+//!   is how overlapped checkpoints stay legal: a write
 //!   issued while the previous drain is still in flight
 //!   ([`CheckpointWriter::write_overlapping`]) quantizes immediately but
 //!   queues every part behind the previous durability point.
@@ -40,7 +40,7 @@ pub mod scheduler;
 pub mod shard_writer;
 
 pub use chunker::{shard_range, WorkItem};
-pub use scheduler::{UploadScheduler, UploadStatus};
+pub use scheduler::UploadScheduler;
 
 use crate::config::CheckpointConfig;
 use crate::error::{CnrError, Result};
@@ -168,15 +168,11 @@ impl<'a> CheckpointWriter<'a> {
         kill: Option<HostKill>,
         uploads_after: Duration,
     ) -> Result<CheckpointRecord> {
-        // Bounded in-flight window of the upload scheduler: at most this
-        // many multipart parts per host may be in flight (in simulated
-        // time) before backpressure delays the next part.
-        const UPLOAD_WINDOW: usize = 8;
         let wall_start = Instant::now();
         let issue_time = snapshot.taken_at;
         let quantize_nanos = AtomicU64::new(0);
         let hosts = config.writer_hosts.max(1);
-        let scheduler = UploadScheduler::new(self.store, hosts, UPLOAD_WINDOW, config.part_bytes);
+        let scheduler = UploadScheduler::new(self.store, hosts, config.part_bytes);
         scheduler.set_floor(uploads_after);
 
         // --- Plan: shard and chunk the delta. ---------------------------

@@ -27,9 +27,6 @@ pub const DURATION_BOUNDS_NS: &[f64] = &[
 /// Bucket upper bounds for small-count histograms (retries, fault-ins).
 pub const COUNT_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0, 100.0, 1000.0];
 
-/// Bucket upper bounds for ratio histograms (fractions).
-pub const RATE_BOUNDS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
 /// Bucket upper bounds for byte-size histograms: 1KiB..1TiB, powers of 4.
 pub const BYTES_BOUNDS: &[f64] = &[
     1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0, 4194304.0, 16777216.0, 67108864.0,
@@ -95,40 +92,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Arithmetic mean, or `None` when no observations were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Quantile estimate by linear interpolation within the landing bucket;
-    /// `None` when empty. `q` is clamped to `[0, 1]`; the overflow bucket
-    /// reports the observed max.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = (q * self.count as f64).max(1.0);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let prev = cum;
-            cum += n;
-            if (cum as f64) >= rank {
-                if i >= self.bounds.len() {
-                    return Some(self.max);
-                }
-                let hi = self.bounds[i];
-                let lo = if i == 0 { self.min.min(hi) } else { self.bounds[i - 1] };
-                let frac = (rank - prev as f64) / n as f64;
-                return Some(lo + (hi - lo) * frac.clamp(0.0, 1.0));
-            }
-        }
-        Some(self.max)
-    }
-
     /// The histogram sum reinterpreted as a duration (valid for histograms
     /// fed by [`MetricsRegistry::observe_duration`]).
     pub fn sum_duration(&self) -> Duration {
@@ -324,52 +287,21 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_are_ordered_and_bounded() {
-        let r = MetricsRegistry::new();
-        for ms in 1..=100u64 {
-            r.observe_duration("lat", Duration::from_millis(ms));
-        }
-        let h = r.histogram("lat").unwrap();
-        let (p50, p95, p99) = (
-            h.quantile(0.50).unwrap(),
-            h.quantile(0.95).unwrap(),
-            h.quantile(0.99).unwrap(),
-        );
-        assert!(p50 <= p95 && p95 <= p99, "p50={p50} p95={p95} p99={p99}");
-        assert!(p50 >= h.min && p99 <= h.max.max(*h.bounds.last().unwrap()));
-        // p50 of 1..=100ms lands in the right decade.
-        assert!((2e7..2e8).contains(&p50), "p50={p50}ns");
-    }
-
-    #[test]
-    fn quantile_of_empty_histogram_is_none() {
-        let h = HistogramSnapshot {
-            bounds: DURATION_BOUNDS_NS.to_vec(),
-            buckets: vec![0; DURATION_BOUNDS_NS.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        };
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
     fn overflow_bucket_reports_observed_max() {
         let r = MetricsRegistry::new();
         r.observe("big", 1e15, DURATION_BOUNDS_NS);
         let h = r.histogram("big").unwrap();
         assert_eq!(*h.buckets.last().unwrap(), 1);
-        assert_eq!(h.quantile(0.99), Some(1e15));
+        assert_eq!(h.max, 1e15);
     }
 
     #[test]
     fn custom_bounds_bind_on_first_use() {
+        const TENTHS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
         let r = MetricsRegistry::new();
-        r.observe("hit_rate", 0.73, RATE_BOUNDS);
+        r.observe("hit_rate", 0.73, TENTHS);
         let h = r.histogram("hit_rate").unwrap();
-        assert_eq!(h.bounds, RATE_BOUNDS.to_vec());
+        assert_eq!(h.bounds, TENTHS.to_vec());
         assert_eq!(h.buckets[7], 1); // 0.73 <= 0.8
     }
 

@@ -210,10 +210,10 @@ pub trait ObjectStore: Send + Sync {
 
     /// [`ObjectStore::get_range`] with download scheduling: the transfer
     /// runs over download channel `channel` and may not start before the
-    /// *simulated* time `not_before` (fetch schedulers use it to enforce a
-    /// bounded in-flight window, mirroring [`ObjectStore::put_part`]).
-    /// Local instantaneous backends ignore both and return a zero-cost
-    /// receipt.
+    /// *simulated* time `not_before` (the fetch scheduler passes its floor:
+    /// no chunk fetch before the restore plan exists, mirroring
+    /// [`ObjectStore::put_part`]). Local instantaneous backends ignore the
+    /// channel and return a zero-cost receipt completed at `not_before`.
     fn get_part(
         &self,
         key: &str,
@@ -271,9 +271,10 @@ pub trait ObjectStore: Send + Sync {
     }
 
     /// Uploads part `part` (0-based, contiguous) of `up`. `not_before` is
-    /// the earliest *simulated* time the transfer may start — upload
-    /// schedulers use it to enforce a bounded in-flight window; local
-    /// instantaneous backends ignore it.
+    /// the earliest *simulated* time the transfer may start — the upload
+    /// scheduler passes its floor, the previous checkpoint's durability
+    /// point (§4.3); local instantaneous backends only stamp it on the
+    /// receipt.
     fn put_part(
         &self,
         up: &MultipartUpload,

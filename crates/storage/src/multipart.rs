@@ -6,8 +6,9 @@
 //! cannot express that. The multipart protocol splits one logical object
 //! into independently transferable parts, so:
 //!
-//! * large chunks stream in bounded pieces (an upload scheduler can cap how
-//!   many parts are in flight — backpressure);
+//! * large chunks stream in bounded pieces, each of which may be told not
+//!   to start before a simulated instant (the upload scheduler's §4.3
+//!   floor);
 //! * a failed or killed writer host can [`abort`](crate::ObjectStore::abort_multipart)
 //!   its in-progress object and leave no half-written data visible;
 //! * the simulated remote store accounts bandwidth *per part*, which is what

@@ -137,7 +137,7 @@ fn main() {
             resume.fetch.as_secs_f64() * 1000.0,
             resume.decode.as_secs_f64() * 1000.0,
             resume.merge.as_secs_f64() * 1000.0,
-            resume.time_to_resume.as_secs_f64() * 1000.0,
+            resume.time_to_resume().as_secs_f64() * 1000.0,
         );
     }
     println!();
@@ -214,7 +214,7 @@ fn main() {
             "{},{:.2},{:.2},{},{}",
             if lazy { "lazy" } else { "eager" },
             resume.time_to_first_batch.as_secs_f64() * 1000.0,
-            resume.time_to_resume.as_secs_f64() * 1000.0,
+            resume.time_to_resume().as_secs_f64() * 1000.0,
             pending,
             resume.fault_in_fetches,
         );

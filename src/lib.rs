@@ -17,8 +17,7 @@
 //!   checkpoints.
 //! * [`storage`] — object storage backends including a bandwidth-simulated
 //!   remote store.
-//! * [`cluster`] — simulated clock, failure models, restore accounting,
-//!   and scrub cadence.
+//! * [`cluster`] — simulated clock, failure models, and scrub cadence.
 //! * [`reader`] — the distributed reader tier with exact batch budgets.
 //! * [`trainer`] — the synchronous training loop and held-out evaluation.
 //! * [`obs`] — spans, the metrics registry, and their exporters.
@@ -61,11 +60,11 @@ pub use cnr_workload as workload;
 pub mod prelude {
     pub use cnr_cluster::clock::SimClock;
     pub use cnr_cluster::failure::{FailureModel, HostKill};
-    pub use cnr_cluster::recovery::{RestorePoint, ResumeBreakdown};
     pub use cnr_core::config::{CheckpointConfig, DeltaWalConfig, PolicyKind, QuantMode};
     pub use cnr_core::engine::{Engine, EngineBuilder};
     pub use cnr_core::read::{FetchScheduler, FetchStatus, RestoreOptions, ShardedRestore};
-    pub use cnr_core::write::{CheckpointWriter, UploadScheduler, UploadStatus};
+    pub use cnr_core::stats::{RestorePoint, ResumeStats};
+    pub use cnr_core::write::{CheckpointWriter, UploadScheduler};
     pub use cnr_model::config::ModelConfig;
     pub use cnr_quant::QuantScheme;
     pub use cnr_storage::{

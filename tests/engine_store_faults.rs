@@ -15,7 +15,9 @@ use check_n_run::prelude::*;
 use check_n_run::storage::{
     wal, CorruptionKind, CorruptionSpec, FsStore, ObjectMeta, PutReceipt, StorageError,
 };
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 
 const JOB: &str = "job";
@@ -126,6 +128,66 @@ fn torn_wal_segment_write_recovers_the_clean_prefix() {
     assert_eq!(r.lost_iterations, 1, "only the torn iteration");
     assert_eq!(e.trainer().model().iteration(), 7);
     assert_eq!(e.trainer().model().state_hash(), reference_state_hash(7));
+}
+
+/// Training goes on after a WAL sync that failed mid-run: the interval
+/// position and the reader budget stay in step with the batches actually
+/// handed out, so the next boundary lands at iteration 10 instead of
+/// waiting for budgeted batches nobody will read. The engine runs on its
+/// own thread: should the boundary wait forever, the timeout fails the
+/// test instead of hanging the suite.
+#[test]
+fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
+    let (done, outcome) = std::sync::mpsc::channel();
+    let engine = std::thread::spawn(move || {
+        let flaky = Arc::new(
+            FlakyStore::tearing_writes(
+                InMemoryStore::new(),
+                TornWriteSpec::once(3).at_byte(usize::MAX),
+            )
+            .with_torn_key_filter("wal-"),
+        );
+        let mut e = builder(flaky).delta_wal(DeltaWalConfig::default()).build().unwrap();
+        // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
+        let err = e.train_batches(10).unwrap_err();
+        assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
+        assert_eq!(e.trainer().model().iteration(), 8);
+        e.train_batches(2).unwrap();
+        let intervals_at_10 = e.stats().intervals.len();
+        e.train_batches(3).unwrap();
+
+        let cfg = ModelConfig::for_dataset(&spec(), 8);
+        let latest = e.controller().latest().unwrap();
+        let stored = check_n_run::core::restore::restore(e.store().as_ref(), JOB, latest, &cfg)
+            .unwrap()
+            .state;
+        let mut model = check_n_run::model::DlrmModel::new(cfg);
+        stored.restore(&mut model);
+        e.simulate_failure_and_restore().unwrap();
+        let r = e.stats().resumes.last().unwrap().clone();
+        let _ = done.send((
+            intervals_at_10,
+            stored.iteration,
+            model.state_hash(),
+            r,
+            e.trainer().model().state_hash(),
+        ));
+    });
+    let (intervals_at_10, checkpoint_iteration, checkpoint_hash, r, resumed_hash) =
+        match outcome.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Timeout) => panic!("the engine waited forever at a boundary"),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(engine.join().unwrap_err()),
+        };
+    engine.join().unwrap();
+    assert_eq!(intervals_at_10, 2, "the second boundary came at iteration 10");
+    assert_eq!(checkpoint_iteration, 10);
+    assert_eq!(checkpoint_hash, reference_state_hash(10));
+    // The engine's own restore: that checkpoint plus the three logged
+    // iterations since.
+    assert_eq!(r.restore_point, RestorePoint::WalTip);
+    assert_eq!((r.wal_replayed_iterations, r.lost_iterations), (3, 0));
+    assert_eq!(resumed_hash, reference_state_hash(13));
 }
 
 /// ROADMAP item 4's window: `register` succeeded, `truncate` did not take.

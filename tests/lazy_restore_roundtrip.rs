@@ -8,7 +8,7 @@
 //! de-quantized when it materializes, by the decode a hot one went
 //! through at restore time).
 
-use check_n_run::cluster::RestoreMode;
+use check_n_run::core::stats::RestoreMode;
 use check_n_run::core::{DeltaWalConfig, EngineBuilder, QuantMode};
 use check_n_run::model::ModelConfig;
 use check_n_run::quant::QuantScheme;
@@ -74,7 +74,7 @@ proptest! {
 
         let r = lazy.stats().resumes.last().unwrap().clone();
         prop_assert_eq!(r.mode, RestoreMode::Lazy);
-        prop_assert!(r.time_to_first_batch <= r.time_to_resume);
+        prop_assert!(r.time_to_first_batch <= r.time_to_resume());
         // Strict improvement is only guaranteed on one downlink, where
         // hot chunks serialize strictly before cold ones. With several
         // reader hosts a host whose queue is entirely hot can be the
@@ -82,16 +82,16 @@ proptest! {
         // when another host carries a cold tail.
         if reader_hosts == 1 && lazy.pending_lazy().is_some() {
             prop_assert!(
-                r.time_to_first_batch < r.time_to_resume,
+                r.time_to_first_batch < r.time_to_resume(),
                 "a cold tail on one downlink must make first-batch \
                  strictly earlier: first_batch={:?} resume={:?}",
                 r.time_to_first_batch,
-                r.time_to_resume
+                r.time_to_resume()
             );
         }
         let re = eager.stats().resumes.last().unwrap();
         prop_assert_eq!(re.mode, RestoreMode::Eager);
-        prop_assert_eq!(re.time_to_first_batch, re.time_to_resume);
+        prop_assert_eq!(re.time_to_first_batch, re.time_to_resume());
         prop_assert_eq!(re.fault_in_fetches, 0);
 
         // Train through the drain window (cold rows the batches touch

@@ -71,7 +71,7 @@ proptest! {
             .iter()
             .find(|s| s.name == names::SPAN_RESTORE)
             .expect("restore emits a root span");
-        prop_assert_eq!(root.duration(), resume.time_to_resume);
+        prop_assert_eq!(root.duration(), resume.time_to_resume());
 
         // The five synchronous phase children tile the root exactly; the
         // zero-length first-batch marker changes nothing.
