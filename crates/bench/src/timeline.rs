@@ -46,7 +46,7 @@ fn scenario_engine(seed: u64) -> Engine {
         .writer_hosts(4)
         .reader_hosts(2)
         .lazy_restore(0.05)
-        .delta_wal(DeltaWalConfig::default())
+        .delta_wal(DeltaWalConfig)
         .scrub_every(Duration::from_millis(1))
         .remote_config(RemoteConfig {
             bandwidth_bytes_per_sec: 64.0 * 1024.0,

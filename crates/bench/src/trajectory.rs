@@ -482,7 +482,7 @@ pub fn wal_records(quick: bool) -> Vec<BenchRecord> {
     base.train_batches(steady).expect("steady");
     let base_window = base.clock().now() - base_t0;
 
-    let mut walled = build(Some(DeltaWalConfig::default()));
+    let mut walled = build(Some(DeltaWalConfig));
     walled.train_batches(warmup).expect("warmup");
     let wal_t0 = walled.clock().now();
     let wal_stats_t0 = walled.stats().wal;

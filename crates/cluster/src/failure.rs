@@ -98,31 +98,6 @@ impl FailureModel {
             time_to_failure: Duration::from_secs_f64(hours * 3600.0),
         })
     }
-
-    /// Expected number of failures within a run of length `d` (approximation
-    /// treating failures as a renewal process with this TTF distribution).
-    ///
-    /// The estimate the dynamic bit-width selector provisions for (§6.2.1):
-    /// Check-N-Run estimates the expected number of restores from the
-    /// failure probability and the expected training time.
-    pub fn expected_failures(&self, d: Duration) -> f64 {
-        match self {
-            FailureModel::None => 0.0,
-            FailureModel::Exponential { mtbf } => d.as_secs_f64() / mtbf.as_secs_f64(),
-            FailureModel::Weibull { scale, shape } => {
-                // Mean of Weibull = λ·Γ(1 + 1/k).
-                let mean = scale.as_secs_f64() * gamma(1.0 + 1.0 / shape);
-                d.as_secs_f64() / mean
-            }
-            FailureModel::LogNormal {
-                mu_ln_hours,
-                sigma_ln_hours,
-            } => {
-                let mean_hours = (mu_ln_hours + sigma_ln_hours * sigma_ln_hours / 2.0).exp();
-                d.as_secs_f64() / (mean_hours * 3600.0)
-            }
-        }
-    }
 }
 
 /// Box–Muller standard normal.
@@ -130,34 +105,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Lanczos approximation of the gamma function (only needed for Weibull
-/// means; accuracy ~1e-10 over the arguments we use).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
 }
 
 #[cfg(test)]
@@ -207,36 +154,5 @@ mod tests {
     fn none_never_fails() {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(FailureModel::None.sample(&mut rng).is_none());
-        assert_eq!(FailureModel::None.expected_failures(Duration::from_secs(1_000_000)), 0.0);
-    }
-
-    #[test]
-    fn expected_failures_scales_linearly() {
-        let m = FailureModel::Exponential {
-            mtbf: Duration::from_secs(100),
-        };
-        let e1 = m.expected_failures(Duration::from_secs(100));
-        let e5 = m.expected_failures(Duration::from_secs(500));
-        assert!((e1 - 1.0).abs() < 1e-9);
-        assert!((e5 - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weibull_expected_failures_use_gamma_mean() {
-        // shape=1 degenerates to exponential: mean = scale.
-        let m = FailureModel::Weibull {
-            scale: Duration::from_secs(200),
-            shape: 1.0,
-        };
-        let e = m.expected_failures(Duration::from_secs(200));
-        assert!((e - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-6);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
     }
 }

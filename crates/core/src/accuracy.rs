@@ -8,15 +8,11 @@
 //! checkpoint does. The reported degradation is the held-out logloss gap,
 //! the analogue of the paper's "lifetime accuracy degradation".
 
-use crate::engine::EngineBuilder;
-use crate::error::Result;
 use cnr_model::{DlrmModel, ModelConfig};
 use cnr_quant::QuantScheme;
-use cnr_storage::RemoteConfig;
 use cnr_trainer::evaluate;
 use cnr_workload::{DatasetSpec, SyntheticDataset};
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 /// Configuration of one degradation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,77 +102,6 @@ pub fn restore_degradation(
     curve
 }
 
-/// One point of the accuracy-vs-eagerness ablation (CPR-style, §6.2
-/// analogue for lazy restore): restore with the given top-K hot fraction,
-/// evaluate *mid-drain* — cold rows still carry their fresh-init values,
-/// exactly what training sees if it never touches the cold tail — then
-/// drain and evaluate the fully materialized model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EagernessPoint {
-    /// Top-K hot-row fraction the lazy planner restored before first batch.
-    pub hot_fraction: f64,
-    /// Rows still cold at first-batch time (0 ⇒ the restore was effectively
-    /// eager: every shard cleared the hot cutoff).
-    pub pending_rows: u64,
-    /// Held-out logloss evaluated mid-drain, cold tail unmaterialized.
-    pub mid_drain_logloss: f64,
-    /// Held-out logloss after the background drain completes.
-    pub drained_logloss: f64,
-    /// `mid_drain - drained`: what eagerness costs in accuracy at
-    /// first-batch time. Zero once `hot_fraction` covers the working set.
-    pub degradation: f64,
-}
-
-/// Runs one lazy-restore engine per hot fraction over the identical batch
-/// stream and failure point, measuring held-out logloss mid-drain versus
-/// after the drain. All runs converge to the same drained model (the lazy
-/// path is bit-identical to eager once materialized), so `drained_logloss`
-/// is constant across points and `degradation` isolates the eagerness
-/// effect.
-pub fn eagerness_ablation(
-    spec: &DatasetSpec,
-    model_cfg: &ModelConfig,
-    hot_fractions: &[f64],
-    train_batches: u64,
-    eval_batches: u64,
-) -> Result<Vec<EagernessPoint>> {
-    // Held-out range beyond the training stream, as in the quant harness.
-    let eval_from = train_batches + 100;
-    let eval_to = eval_from + eval_batches;
-    let mut points = Vec::new();
-    for &hot_fraction in hot_fractions {
-        // Slow downlink so hot/cold arrival order matters; 4 writer hosts
-        // shard tables into row ranges the priority planner can defer.
-        let mut e = EngineBuilder::new(spec.clone(), model_cfg.clone())
-            .checkpoint_every_batches(5)
-            .cluster_shape(1, 2)
-            .writer_hosts(4)
-            .reader_hosts(2)
-            .lazy_restore(hot_fraction)
-            .remote_config(RemoteConfig {
-                bandwidth_bytes_per_sec: 64.0 * 1024.0,
-                base_latency: Duration::from_micros(100),
-                replication: 1,
-                channels: 2,
-            })
-            .build()?;
-        e.train_batches(train_batches)?;
-        e.simulate_failure_and_restore()?;
-        let pending_rows = e.pending_lazy().map_or(0, |l| l.pending_rows());
-        let mid_drain_logloss = e.evaluate(eval_from, eval_to).logloss;
-        e.drain_lazy_restore()?;
-        let drained_logloss = e.evaluate(eval_from, eval_to).logloss;
-        points.push(EagernessPoint {
-            hot_fraction,
-            pending_rows,
-            mid_drain_logloss,
-            drained_logloss,
-            degradation: mid_drain_logloss - drained_logloss,
-        });
-    }
-    Ok(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,45 +184,5 @@ mod tests {
         let curve = run(1, 4);
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[0].records < w[1].records));
-    }
-
-    #[test]
-    fn eagerness_ablation_sweeps_top_k() {
-        let s = spec();
-        let cfg = ModelConfig::for_dataset(&s, 8);
-        // 13 batches: the restore lands on the checkpoint at 10 with a
-        // 3-batch working set, so small hot fractions leave a real cold
-        // tail (restoring exactly at a boundary on the tiny model marks
-        // every shard hot — each holds a recently touched row).
-        let points = eagerness_ablation(&s, &cfg, &[0.01, 0.1, 1.0], 13, 30).unwrap();
-        assert_eq!(points.len(), 3);
-
-        // 1% hot: a genuine cold tail, and evaluating mid-drain sees
-        // stale (fresh-init) values on touched-but-cold rows.
-        assert!(points[0].pending_rows > 0, "1% hot must leave cold rows");
-        assert!(
-            points[0].degradation.abs() > 0.0,
-            "held-out eval must notice the unmaterialized tail"
-        );
-
-        // Eagerness is monotone: more hot rows, fewer cold at first batch.
-        assert!(
-            points.windows(2).all(|w| w[0].pending_rows >= w[1].pending_rows),
-            "pending rows must not grow with the hot fraction: {:?}",
-            points.iter().map(|p| p.pending_rows).collect::<Vec<_>>()
-        );
-
-        // 100% hot is the eager path: nothing pending, zero degradation.
-        let full = &points[2];
-        assert_eq!(full.pending_rows, 0);
-        assert_eq!(full.degradation, 0.0);
-
-        // Every run drains to the same model, whatever the eagerness.
-        for p in &points {
-            assert_eq!(
-                p.drained_logloss, points[0].drained_logloss,
-                "drained models must be bit-identical across hot fractions"
-            );
-        }
     }
 }

@@ -11,9 +11,9 @@
 //! | 8    | 100+               |
 //!
 //! Check-N-Run estimates the expected number of failures from the failure
-//! probability and the job's expected duration
-//! ([`cnr_cluster::FailureModel::expected_failures`]; the engine takes the
-//! estimate as `QuantMode::Dynamic { expected_restores }`), picks the most
+//! probability and the job's expected duration (the caller makes that
+//! estimate; the engine takes it as `QuantMode::Dynamic {
+//! expected_restores }`), picks the most
 //! aggressive bit-width whose budget covers it, and **falls back to 8-bit
 //! automatically** when observed restores exceed the estimate.
 

@@ -38,44 +38,23 @@ pub enum QuantMode {
 /// Per-iteration delta WAL between full checkpoints (off by default).
 ///
 /// When enabled, every training iteration appends the touched-row delta to
-/// a segmented, checksummed log (`cnr_storage::wal`); restore replays the
-/// log tail on top of the last full checkpoint, collapsing lost work from
-/// a checkpoint interval to at most one iteration (Checkmate-style).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaWalConfig {
-    /// Rotate to a new log segment once the current one reaches this size.
-    pub segment_bytes: u64,
-    /// Sync (make durable) every N appends; `1` loses at most the
-    /// iteration that was mid-append when the process died, larger values
-    /// trade durability for fewer sync round-trips.
-    pub sync_every: u32,
-}
-
-impl Default for DeltaWalConfig {
-    fn default() -> Self {
-        Self {
-            segment_bytes: 1 << 20,
-            sync_every: 1,
-        }
-    }
-}
+/// a segmented, checksummed log (`cnr_storage::wal`) and syncs it before
+/// training continues; restore replays the log tail on top of the last
+/// full checkpoint, collapsing lost work from a checkpoint interval to at
+/// most one iteration (Checkmate-style). The WAL has one mode, so this
+/// holds no settings: it names the writer's configuration and prices a
+/// sync on the simulated clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DeltaWalConfig;
 
 impl DeltaWalConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        self.writer_config().validate()
-    }
-
-    /// The storage-layer writer configuration this implies.
+    /// The storage-layer writer configuration: the default segment size.
     pub fn writer_config(&self) -> cnr_storage::WalConfig {
-        cnr_storage::WalConfig {
-            segment_bytes: self.segment_bytes,
-            sync_every: self.sync_every,
-        }
+        cnr_storage::WalConfig::default()
     }
 
-    /// Simulated time one sync costs for `appended_bytes` of new frames:
-    /// the log device's fsync round-trip plus the appended bytes at its
+    /// Simulated time one sync costs for the `appended_bytes` of frames it
+    /// made durable: the log device's fsync round-trip plus those bytes at its
     /// bandwidth. Charged to the training clock, so it shows up in the
     /// steady-state overhead the paper's 6–17% band is about. The object
     /// store's re-put of the whole segment is an artifact of the simulated
@@ -127,15 +106,13 @@ pub struct CheckpointConfig {
     /// default) disables it and a failure loses the interval since the
     /// last checkpoint, as in the paper.
     pub delta_wal: Option<DeltaWalConfig>,
-    /// Lazy (CPR-style) restores: resume training as soon as the dense
-    /// layers and the top-`lazy_hot_fraction` hot rows are applied, drain
-    /// the cold tail in the background, and fault cold rows in on demand.
-    /// Off by default — eager restores apply every chunk before resuming.
-    pub lazy_restore: bool,
-    /// Fraction of embedding rows (by access heat) that must be applied
-    /// before the first batch when `lazy_restore` is set; `1.0` degenerates
-    /// to eager timing.
-    pub lazy_hot_fraction: f64,
+    /// Lazy (CPR-style) restores at this hot fraction: resume training as
+    /// soon as the dense layers and this fraction of embedding rows (by
+    /// access heat) are applied, drain the cold tail in the background,
+    /// and fault cold rows in on demand; `1.0` degenerates to eager
+    /// timing. `None` (the default) restores eagerly: every chunk is
+    /// applied before resuming.
+    pub lazy_hot_fraction: Option<f64>,
 }
 
 impl Default for CheckpointConfig {
@@ -152,8 +129,7 @@ impl Default for CheckpointConfig {
             fetch_retries: 2,
             retained_chains: 1,
             delta_wal: None,
-            lazy_restore: false,
-            lazy_hot_fraction: 0.1,
+            lazy_hot_fraction: None,
         }
     }
 }
@@ -179,21 +155,10 @@ impl CheckpointConfig {
         if self.part_bytes == 0 {
             return Err("multipart part size must be positive".into());
         }
-        if self.reader_hosts == 0 {
-            return Err("need at least one reader host".into());
-        }
-        if self.reader_hosts > u16::MAX as usize {
-            return Err("reader_hosts exceeds the shard id space".into());
-        }
         if self.retained_chains == 0 {
             return Err("must retain at least one chain".into());
         }
-        if let Some(wal) = &self.delta_wal {
-            wal.validate()?;
-        }
-        if !self.lazy_hot_fraction.is_finite() || !(0.0..=1.0).contains(&self.lazy_hot_fraction) {
-            return Err("lazy_hot_fraction must lie in [0, 1]".into());
-        }
+        self.restore_options().validate()?;
         if let QuantMode::Fixed(s) = self.quant {
             let bits = s.bits();
             if bits != 32 && bits != 16 && !(1..=8).contains(&bits) {
@@ -208,11 +173,12 @@ impl CheckpointConfig {
     /// path runs on the same background CPU processes the writer used).
     pub fn restore_options(&self) -> crate::read::RestoreOptions {
         crate::read::RestoreOptions {
-            reader_hosts: self.reader_hosts.max(1),
+            reader_hosts: self.reader_hosts,
             decode_workers: self.quantize_workers,
             fetch_retries: self.fetch_retries,
-            lazy: self.lazy_restore,
-            hot_fraction: self.lazy_hot_fraction,
+            lazy: self.lazy_hot_fraction.is_some(),
+            // Eager is `hot_fraction = 1`.
+            hot_fraction: self.lazy_hot_fraction.unwrap_or(1.0),
         }
     }
 
@@ -283,11 +249,11 @@ mod tests {
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
-                lazy_hot_fraction: -0.5,
+                lazy_hot_fraction: Some(-0.5),
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
-                lazy_hot_fraction: 2.0,
+                lazy_hot_fraction: Some(2.0),
                 ..CheckpointConfig::default()
             },
         ] {

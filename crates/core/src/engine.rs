@@ -187,8 +187,7 @@ impl EngineBuilder {
     /// [`ResumeStats`](crate::stats::ResumeStats)). Bit-identical to the
     /// eager path once the drain completes.
     pub fn lazy_restore(mut self, hot_fraction: f64) -> Self {
-        self.ckpt.lazy_restore = true;
-        self.ckpt.lazy_hot_fraction = hot_fraction;
+        self.ckpt.lazy_hot_fraction = Some(hot_fraction);
         self
     }
 
@@ -235,8 +234,8 @@ impl EngineBuilder {
         );
         // The engine's telemetry pipeline reads the same simulated clock
         // the run does, so spans land on the simulation timeline. The WAL
-        // writer mirrors its counters straight into this registry —
-        // `stats.wal` is then *derived* from it, never hand-accumulated.
+        // writer keeps its counts only in this registry — `stats.wal` is
+        // then *derived* from it, never hand-accumulated.
         let obs = cnr_obs::Obs::new(Arc::new(clock.clone()));
         let wal = self.ckpt.delta_wal.map(|w| {
             let mut writer = WalWriter::new(
@@ -252,8 +251,8 @@ impl EngineBuilder {
         // cloned and boosted per restore.
         let heat_prior = self
             .ckpt
-            .lazy_restore
-            .then(|| zipf_prior(&self.model_cfg.row_counts(), dataset.spec()));
+            .lazy_hot_fraction
+            .map(|_| zipf_prior(&self.model_cfg.row_counts(), dataset.spec()));
         Ok(Engine {
             obs,
             dataset,
@@ -276,7 +275,6 @@ impl EngineBuilder {
             uploads_durable_at: Duration::ZERO,
             scrub_schedule: self.scrub_interval.map(ScrubScheduler::new),
             wal,
-            wal_unsynced_bytes: 0,
             pending_lazy: None,
             lazy_drain_done_at: Duration::ZERO,
             heat_prior,
@@ -342,9 +340,6 @@ pub struct Engine {
     scrub_schedule: Option<ScrubScheduler>,
     /// Per-iteration delta WAL writer; `Some` iff `config.delta_wal` is.
     wal: Option<WalWriter>,
-    /// Frame bytes appended since the last WAL sync — the byte count the
-    /// next sync's simulated device time is charged for.
-    wal_unsynced_bytes: u64,
     /// Cold tail of an in-progress lazy restore: rows the background drain
     /// has not yet materialized, plus WAL deltas deferred until they are.
     /// `None` once fully drained (or when restores are eager).
@@ -404,54 +399,40 @@ impl Engine {
     /// Appends the just-trained batch's delta record to the WAL. No-op
     /// when the WAL is disabled or no checkpoint exists yet to build on (a
     /// failure before the first checkpoint restarts from scratch anyway).
-    /// The sync's simulated log-device time is charged to the training
-    /// clock — that charge is the WAL's steady-state overhead.
+    /// Every append syncs; the sync's simulated log-device time, for the
+    /// bytes it made durable, is charged to the training clock — that
+    /// charge is the WAL's steady-state overhead.
     fn wal_append(&mut self, batch: &Batch) -> Result<()> {
-        let Some(cfg) = self.config.delta_wal else {
-            return Ok(());
-        };
-        let Some(base) = self.controller.latest() else {
-            return Ok(());
-        };
         if self.wal.is_none() {
             return Ok(());
         }
+        let Some(base) = self.controller.latest() else {
+            return Ok(());
+        };
         let scheme = self.current_scheme();
-        let record = DeltaRecord::capture(
-            self.trainer.model(),
-            batch,
-            &scheme,
-            base,
-            batch.index + 1,
-        );
-        let encoded = record.encode();
+        let record =
+            DeltaRecord::capture(self.trainer.model(), batch, &scheme, base, batch.index + 1);
         let writer = self.wal.as_mut().expect("checked above");
-        let appended_before = writer.stats().bytes_appended;
-        let receipt = writer.append(&encoded)?;
-        self.wal_unsynced_bytes += writer.stats().bytes_appended - appended_before;
-        if receipt.is_some() {
-            let cost = cfg.sync_cost(self.wal_unsynced_bytes);
-            self.wal_unsynced_bytes = 0;
-            let sync_start = self.clock.now();
-            self.clock.advance(cost);
-            self.obs
-                .registry()
-                .counter_add(cnr_obs::names::WAL_SYNC_TIME_NS, cost.as_nanos() as u64);
-            self.obs.record(
-                cnr_obs::Span::new(cnr_obs::names::SPAN_WAL_SYNC, sync_start, sync_start + cost)
-                    .with_attr("iteration", (batch.index + 1).to_string()),
-            );
-            let live = writer.live_segments();
-            self.controller.set_wal_segments(live);
-        }
+        let (_, made_durable) = writer.append(&record.encode())?;
+        let cost = DeltaWalConfig.sync_cost(made_durable);
+        let sync_start = self.clock.now();
+        self.clock.advance(cost);
+        self.obs
+            .registry()
+            .counter_add(cnr_obs::names::WAL_SYNC_TIME_NS, cost.as_nanos() as u64);
+        self.obs.record(
+            cnr_obs::Span::new(cnr_obs::names::SPAN_WAL_SYNC, sync_start, sync_start + cost)
+                .with_attr("iteration", (batch.index + 1).to_string()),
+        );
+        self.controller.set_wal_segments(writer.live_segments());
         self.refresh_wal_stats();
         Ok(())
     }
 
     /// Re-derives `stats.wal` from the metrics registry. The WAL writer
-    /// mirrors its lifetime counters into the registry as they happen
-    /// (see `cnr_storage::wal`) and [`Engine::wal_append`] charges sync
-    /// time there, so the registry is the single accumulation point and
+    /// counts into the registry as it goes (see `cnr_storage::wal`) and
+    /// [`Engine::wal_append`] charges sync time there, so the registry is
+    /// the single accumulation point and
     /// [`crate::stats::WalRunStats`] is a pure readback of it.
     fn refresh_wal_stats(&mut self) {
         if self.wal.is_some() {
@@ -553,7 +534,6 @@ impl Engine {
         // failure, and the next boundary's truncate collects them.
         if let Some(writer) = self.wal.as_mut() {
             let _ = writer.truncate();
-            self.wal_unsynced_bytes = 0;
             let live = writer.live_segments();
             self.controller.set_wal_segments(live);
             self.refresh_wal_stats();
@@ -1046,11 +1026,9 @@ impl Engine {
 
     /// Evaluates the current model on held-out batches `[from, to)`.
     ///
-    /// Deliberately does **not** fault in lazily restored rows: evaluating
-    /// mid-drain measures the model exactly as training would see it if it
-    /// never touched the cold tail — the accuracy-vs-eagerness ablation
-    /// relies on this (drain first via [`Engine::drain_lazy_restore`] for
-    /// the fully materialized number).
+    /// Does **not** fault in lazily restored rows: mid-drain, cold rows a
+    /// batch touches read as the restore's zero fill, so drain first via
+    /// [`Engine::drain_lazy_restore`] for the restored model's number.
     pub fn evaluate(&self, from: u64, to: u64) -> EvalReport {
         evaluate(self.trainer.model(), &self.dataset, from, to)
     }
@@ -1749,11 +1727,11 @@ mod tests {
 
     #[test]
     fn wal_restore_resumes_at_the_tip_losing_no_synced_work() {
-        let mut e = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap(); // checkpoint at 5, then 3 logged deltas
         let hash_at_tip = e.trainer().model().state_hash();
         e.simulate_failure_and_restore().unwrap();
-        // Default sync_every = 1: every iteration was durable, none lost.
+        // Every append syncs: every iteration was durable, none lost.
         assert_eq!(e.trainer().model().iteration(), 8, "restored to the WAL tip");
         assert_eq!(e.trainer().model().state_hash(), hash_at_tip, "bit-identical replay");
         let r = e.stats().resumes.last().unwrap();
@@ -1781,7 +1759,7 @@ mod tests {
         // Continuing from the replayed tip is indistinguishable from a
         // run that never failed.
         e.train_batches(7).unwrap();
-        let mut clean = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut clean = builder().delta_wal(DeltaWalConfig).build().unwrap();
         clean.train_batches(15).unwrap();
         assert_eq!(
             e.trainer().model().state_hash(),
@@ -1791,7 +1769,7 @@ mod tests {
 
     #[test]
     fn wal_torn_tail_loses_at_most_the_unsynced_iteration() {
-        let mut e = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap();
         // Tear the live segment mid-frame: the classic torn write — the
         // last append died partway to the device.
@@ -1806,7 +1784,7 @@ mod tests {
         assert_eq!(r.restore_point, RestorePoint::WalTip);
         // Retraining the lost iteration converges to the clean run.
         e.train_batches(8).unwrap();
-        let mut clean = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut clean = builder().delta_wal(DeltaWalConfig).build().unwrap();
         clean.train_batches(15).unwrap();
         assert_eq!(
             e.trainer().model().state_hash(),
@@ -1846,7 +1824,7 @@ mod tests {
         for frame in 0..3usize {
             for corrupt in [false, true] {
                 let mut e =
-                    builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+                    builder().delta_wal(DeltaWalConfig).build().unwrap();
                 e.train_batches(8).unwrap(); // ckpt at 5 + records 6, 7, 8
                 let key = wal_segment_key(&e);
                 let buf = e.store().get(&key).unwrap().to_vec();
@@ -1882,7 +1860,7 @@ mod tests {
 
     #[test]
     fn wal_collapses_wasted_work_under_injected_failures() {
-        let mut e = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         // Get past the first checkpoint so every failure has a base to
         // replay onto (a pre-checkpoint failure restarts from scratch).
         e.train_batches(5).unwrap();
@@ -1912,7 +1890,7 @@ mod tests {
 
     #[test]
     fn scrubber_covers_live_wal_segments() {
-        let mut e = builder().delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap();
         let key = wal_segment_key(&e); // live_keys includes the segment
         assert!(e.store().get(&key).is_ok());
@@ -2087,7 +2065,7 @@ mod tests {
     #[test]
     fn lazy_restore_composes_with_wal_tail_replay() {
         let mut a = lazy_builder(0.05)
-            .delta_wal(DeltaWalConfig::default())
+            .delta_wal(DeltaWalConfig)
             .build()
             .unwrap();
         a.train_batches(13).unwrap(); // checkpoints at 5 and 10; 3-record tail
@@ -2116,10 +2094,10 @@ mod tests {
     fn time_to_resume_is_the_sum_of_its_phases_in_every_mode() {
         let engines: Vec<Engine> = vec![
             builder().build().unwrap(),
-            builder().delta_wal(DeltaWalConfig::default()).build().unwrap(),
+            builder().delta_wal(DeltaWalConfig).build().unwrap(),
             lazy_builder(0.05).build().unwrap(),
             lazy_builder(0.05)
-                .delta_wal(DeltaWalConfig::default())
+                .delta_wal(DeltaWalConfig)
                 .build()
                 .unwrap(),
         ];
@@ -2154,7 +2132,7 @@ mod tests {
     fn run_stats_agree_with_the_metrics_registry() {
         use cnr_obs::names;
         let mut e = lazy_builder(0.05)
-            .delta_wal(DeltaWalConfig::default())
+            .delta_wal(DeltaWalConfig)
             .scrub_every(Duration::from_millis(1))
             .build()
             .unwrap();
@@ -2238,7 +2216,7 @@ mod tests {
     fn full_lifecycle_emits_a_valid_exportable_span_tree() {
         use cnr_obs::names;
         let mut e = lazy_builder(0.05)
-            .delta_wal(DeltaWalConfig::default())
+            .delta_wal(DeltaWalConfig)
             .scrub_every(Duration::from_millis(1))
             .build()
             .unwrap();

@@ -92,8 +92,8 @@ pub fn record_fault_in(obs: &Obs, fetches: u64, cost: Duration) {
     reg.observe_duration(names::RESTORE_FAULT_IN_NS, cost);
 }
 
-/// Derives [`WalRunStats`] from the registry. The WAL writer mirrors its
-/// lifetime counters into the registry on every append/sync/truncate
+/// Derives [`WalRunStats`] from the registry. The WAL writer keeps its
+/// counts only in the registry, updated on every append and truncate
 /// (see `cnr_storage::wal`), and the engine charges sync time via
 /// [`names::WAL_SYNC_TIME_NS`]; this readback is the *only* way the
 /// engine's `stats.wal` is populated — there is no parallel hand

@@ -89,9 +89,6 @@ pub struct LazyRestore {
     pending_rows: u64,
     /// WAL row deltas buffered for unmaterialized rows, replay order per row.
     deferred: HashMap<(u16, u32), Vec<RowDelta>>,
-    /// Synchronous targeted fetches performed for touched-but-unrestored
-    /// rows (one per faulted row, however many chunk levels it needed).
-    fault_in_fetches: u64,
 }
 
 impl LazyRestore {
@@ -141,7 +138,6 @@ impl LazyRestore {
             materialized,
             pending_rows,
             deferred: HashMap::new(),
-            fault_in_fetches: 0,
         }
     }
 
@@ -182,11 +178,6 @@ impl LazyRestore {
             .collect()
     }
 
-    /// Synchronous targeted fetches performed so far.
-    pub fn fault_in_fetches(&self) -> u64 {
-        self.fault_in_fetches
-    }
-
     /// Buffers one WAL row delta for an unmaterialized row; it applies when
     /// the row materializes (fault-in or drain), after all chunk levels.
     /// Caller contract: only defer rows where [`Self::is_materialized`] is
@@ -201,10 +192,11 @@ impl LazyRestore {
     /// Materializes `(table, row)` because training touched it before the
     /// drain finished: de-quantizes the row out of every cold chunk that
     /// outranks what it holds (levels ascending), straight into `model`'s
-    /// table, then applies its deferred deltas (replay order). Counted as
-    /// one targeted fetch; returns the bytes attributed to it (each
-    /// landed chunk's per-row share) so the caller can charge simulated
-    /// transfer time. A no-op returning 0 for rows already materialized.
+    /// table, then applies its deferred deltas (replay order). One
+    /// targeted fetch (the engine counts it in `ResumeStats`); returns the
+    /// bytes attributed to it (each landed chunk's per-row share) so the
+    /// caller can charge simulated transfer time. A no-op returning 0 for
+    /// rows already materialized.
     /// Allocates nothing. `model` must have the restored checkpoint's
     /// geometry ([`CnrError::ShapeMismatch`] otherwise).
     pub fn fault_in(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
@@ -240,7 +232,6 @@ impl LazyRestore {
         self.apply_deferred(model, table, row)?;
         self.materialized[t][r] = true;
         self.pending_rows -= 1;
-        self.fault_in_fetches += 1;
         Ok(bytes)
     }
 
@@ -385,12 +376,10 @@ mod tests {
 
         let bytes = lazy.fault_in(&mut m, 0, 2).unwrap();
         assert_eq!(bytes, 100, "per-row share of the 2-row chunk");
-        assert_eq!(lazy.fault_in_fetches(), 1);
         assert!(lazy.is_materialized(0, 2));
         assert_eq!(m.tables()[0].row(2), &[2.0; 4]);
-        // Re-faulting a live row is free and uncounted.
+        // Re-faulting a live row is free: no bytes, no fetch.
         assert_eq!(lazy.fault_in(&mut m, 0, 2).unwrap(), 0);
-        assert_eq!(lazy.fault_in_fetches(), 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! **Priority mode** ([`plan_priority`]) additionally orders each host's
 //! fetch list by access heat: chunks covering the hottest embedding rows
-//! (ranked by a [`RowHeat`] model built from `cnr_workload` Zipf/trace
-//! frequencies and `cnr_tracking` coverage) are admitted first, so a lazy
+//! (ranked by a [`RowHeat`] model built from the `cnr_workload` Zipf prior
+//! and `cnr_tracking` coverage) are admitted first, so a lazy
 //! restore can resume training once the dense layers — which ride the
 //! manifests, fetched before any chunk — plus the top-K hot rows have
 //! landed, while the cold tail keeps draining in the background (CPR-style
@@ -20,7 +20,7 @@
 
 use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
-use cnr_workload::{AccessTrace, ZipfSampler};
+use cnr_workload::ZipfSampler;
 
 /// One chunk download owed to a reader host.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,9 +61,8 @@ pub struct FetchItem {
 ///
 /// Scores are relative: only the ordering (and the top-`hot_fraction`
 /// cutoff) matters, not the absolute values. Build one from the workload's
-/// Zipf skew ([`RowHeat::zipf`]), observed trace frequencies
-/// ([`RowHeat::observe_trace`]), and the tracker's coverage window
-/// ([`RowHeat::boost_covered`]); the three sources compose additively.
+/// Zipf skew ([`RowHeat::zipf`]) and boost it with the tracker's coverage
+/// window ([`RowHeat::boost_covered`]); the two sources compose additively.
 #[derive(Debug, Clone)]
 pub struct RowHeat {
     /// Per-table, per-row scores; higher is hotter.
@@ -91,20 +90,6 @@ impl RowHeat {
             })
             .collect();
         Self { scores }
-    }
-
-    /// Folds observed access frequencies from a recorded trace into the
-    /// scores (each recorded `(table, row)` event adds `weight`).
-    pub fn observe_trace(&mut self, trace: &AccessTrace, weight: f32) {
-        for e in trace.events() {
-            if let Some(s) = self
-                .scores
-                .get_mut(e.table as usize)
-                .and_then(|t| t.get_mut(e.row as usize))
-            {
-                *s += weight;
-            }
-        }
     }
 
     /// Boosts every row the coverage window has touched by `factor` — rows
@@ -540,18 +525,14 @@ mod tests {
 
     #[test]
     fn heat_sources_compose() {
-        let mut heat = RowHeat::uniform(&[8]);
-        let mut trace = AccessTrace::new();
-        trace.record(0, 0, 6);
-        trace.record(1, 0, 6);
-        heat.observe_trace(&trace, 1.0);
+        let mut heat = RowHeat::zipf(&[8], 1.05);
         let mut cov = CoverageAnalyzer::new(&[8]);
-        cov.observe(0, 2);
-        heat.boost_covered(&cov, 0.5);
-        // Row 6 (trace, +2.0) outranks row 2 (coverage, +0.5) outranks the
-        // uniform rest.
-        assert!(heat.score_range(0, 6, 6) > heat.score_range(0, 2, 2));
-        assert!(heat.score_range(0, 2, 2) > heat.score_range(0, 3, 3));
+        cov.observe(0, 6);
+        heat.boost_covered(&cov, 1.0);
+        // Row 6 (Zipf tail, covered: +1.0) outranks row 0 (the Zipf head,
+        // uncovered), which outranks the uncovered row 3.
+        assert!(heat.score_range(0, 6, 6) > heat.score_range(0, 0, 0));
+        assert!(heat.score_range(0, 0, 0) > heat.score_range(0, 3, 3));
         assert_eq!(heat.score_range(1, 0, 0), None, "unknown table");
     }
 }

@@ -248,24 +248,9 @@ impl RunStats {
         total
     }
 
-    /// Corruption events seen across all restores (detected, repaired).
-    pub fn restore_corruption_totals(&self) -> (u64, u64) {
-        self.resumes.iter().fold((0, 0), |(d, r), s| {
-            (d + s.corruption_detected, r + s.corruption_repaired)
-        })
-    }
-
     /// Total time the run spent resuming from checkpoints.
     pub fn total_resume_time(&self) -> Duration {
         self.resumes.iter().map(ResumeStats::time_to_resume).sum()
-    }
-
-    /// Mean time-to-resume per recovery, or `None` when no recovery has
-    /// been recorded — the typed empty state ("no recoveries" is not
-    /// "instant recoveries").
-    pub fn try_mean_time_to_resume(&self) -> Option<Duration> {
-        let n = u32::try_from(self.resumes.len()).ok().filter(|&n| n > 0)?;
-        Some(self.total_resume_time() / n)
     }
 
     /// Mean bytes stored per interval — the average write bandwidth proxy —
@@ -369,13 +354,11 @@ mod tests {
         let s = RunStats::new(1000);
         assert_eq!(s.peak_capacity_fraction(), 0.0);
         assert_eq!(s.total_resume_time(), Duration::ZERO);
-        assert_eq!(s.restore_corruption_totals(), (0, 0));
     }
 
     #[test]
     fn empty_series_report_typed_none_not_zero_division() {
         let s = RunStats::new(1000);
-        assert_eq!(s.try_mean_time_to_resume(), None);
         assert_eq!(s.try_mean_stored_bytes(), None);
         assert_eq!(s.try_mean_stored_fraction(), None);
         assert_eq!(s.try_bandwidth_reduction_vs_full(), None);
@@ -441,8 +424,6 @@ mod tests {
         }
         assert_eq!(s.resumes.len(), 2);
         assert_eq!(s.total_resume_time(), Duration::from_secs(14));
-        assert_eq!(s.try_mean_time_to_resume(), Some(Duration::from_secs(7)));
-        assert_eq!(s.restore_corruption_totals(), (4, 4));
     }
 
     #[test]

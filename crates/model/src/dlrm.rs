@@ -135,16 +135,6 @@ impl DlrmModel {
             .collect()
     }
 
-    /// Mean BCE loss on a batch (no parameter updates).
-    pub fn loss_on(&self, batch: &Batch) -> f64 {
-        let preds = self.predict(batch);
-        let mut total = 0.0f64;
-        for (p, &y) in preds.iter().zip(&batch.labels) {
-            total += bce(*p, y);
-        }
-        total / batch.batch_size as f64
-    }
-
     /// One synchronous training step on `batch`.
     ///
     /// `on_row_update(table, row)` fires once per embedding row the backward
@@ -275,6 +265,17 @@ mod tests {
     use super::*;
     use cnr_workload::{DatasetSpec, SyntheticDataset};
 
+    /// Mean BCE of `m`'s predictions on `batch` (no parameter updates).
+    fn loss_on(m: &DlrmModel, batch: &Batch) -> f64 {
+        let preds = m.predict(batch);
+        preds
+            .iter()
+            .zip(&batch.labels)
+            .map(|(&p, &y)| bce(p, y))
+            .sum::<f64>()
+            / batch.batch_size as f64
+    }
+
     fn tiny_setup() -> (SyntheticDataset, DlrmModel) {
         let spec = DatasetSpec::tiny(42);
         let ds = SyntheticDataset::new(spec.clone());
@@ -302,7 +303,7 @@ mod tests {
         let (ds, mut model) = tiny_setup();
         // Evaluate on held-out batches before/after training.
         let eval = |m: &DlrmModel| -> f64 {
-            (1000..1010).map(|i| m.loss_on(&ds.batch(i))).sum::<f64>() / 10.0
+            (1000..1010).map(|i| loss_on(m, &ds.batch(i))).sum::<f64>() / 10.0
         };
         let before = eval(&model);
         for i in 0..400 {
@@ -322,7 +323,8 @@ mod tests {
         let mut seen: Vec<(usize, u32)> = Vec::new();
         let stats = model.train_batch(&batch, |t, r| seen.push((t, r)));
         assert_eq!(stats.row_updates, seen.len());
-        assert_eq!(seen.len(), batch.total_lookups());
+        let lookups: usize = batch.sparse.iter().map(Vec::len).sum();
+        assert_eq!(seen.len(), lookups);
         // Every reported row must actually appear in the batch.
         for (t, r) in seen {
             assert!(batch.sparse[t].contains(&r));
@@ -374,11 +376,11 @@ mod tests {
         let mut cfg = ModelConfig::for_dataset(&spec, 8);
         cfg.optimizer = OptimizerConfig::RowWiseAdagrad { lr: 0.03, eps: 1e-6 };
         let mut model = DlrmModel::new(cfg);
-        let before: f64 = (500..520).map(|i| model.loss_on(&ds.batch(i))).sum();
+        let before: f64 = (500..520).map(|i| loss_on(&model, &ds.batch(i))).sum();
         for i in 0..400 {
             model.train_batch(&ds.batch(i), |_, _| {});
         }
-        let after: f64 = (500..520).map(|i| model.loss_on(&ds.batch(i))).sum();
+        let after: f64 = (500..520).map(|i| loss_on(&model, &ds.batch(i))).sum();
         assert!(after < before, "AdaGrad training should learn: {before} -> {after}");
     }
 }

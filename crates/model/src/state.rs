@@ -8,7 +8,6 @@
 //! every row.) Extraction and restoration are exact (bit-level) so that
 //! unquantized checkpoints provably lose nothing.
 
-use crate::config::ModelConfig;
 use crate::dlrm::DlrmModel;
 use crate::table::TableViewMut;
 
@@ -119,16 +118,6 @@ impl ModelState {
             .sum();
         emb + (self.bottom.len() + self.top.len()) * 4 + 8
     }
-
-    /// Validates that the snapshot matches a model configuration.
-    pub fn matches_config(&self, config: &ModelConfig) -> bool {
-        self.tables.len() == config.tables.len()
-            && self
-                .tables
-                .iter()
-                .zip(&config.tables)
-                .all(|(s, c)| s.data.len() as u64 == c.rows * c.dim as u64)
-    }
 }
 
 #[cfg(test)]
@@ -185,15 +174,6 @@ mod tests {
         let state = ModelState::extract(&model);
         // iteration counter adds 8 bytes over the model's state_bytes.
         assert_eq!(state.byte_size(), model.state_bytes() + 8);
-    }
-
-    #[test]
-    fn matches_config_detects_mismatch() {
-        let (_, model) = trained_model(1);
-        let state = ModelState::extract(&model);
-        assert!(state.matches_config(model.config()));
-        let other = ModelConfig::for_dataset(&DatasetSpec::medium(1), 16);
-        assert!(!state.matches_config(&other));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Serializable reader position.
-
+//! The reader tier's position in the sample stream.
 
 /// Where the reader tier stands in the (logically infinite) sample stream.
 ///
@@ -21,30 +20,11 @@ impl ReaderState {
     pub fn at(next_batch: u64) -> Self {
         Self { next_batch }
     }
-
-    /// Serializes to a fixed 8-byte little-endian encoding (stored inside
-    /// checkpoint manifests).
-    pub fn to_bytes(self) -> [u8; 8] {
-        self.next_batch.to_le_bytes()
-    }
-
-    /// Parses the 8-byte encoding.
-    pub fn from_bytes(bytes: [u8; 8]) -> Self {
-        Self {
-            next_batch: u64::from_le_bytes(bytes),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_bytes() {
-        let s = ReaderState::at(0xDEAD_BEEF_0123);
-        assert_eq!(ReaderState::from_bytes(s.to_bytes()), s);
-    }
 
     #[test]
     fn fresh_is_zero() {

@@ -47,7 +47,7 @@ pub use metrics::StoreMetrics;
 pub use multipart::{MultipartUpload, PartReceipt};
 pub use remote::{RemoteConfig, SimulatedRemoteStore};
 pub use scrub::{ScrubReport, Scrubber};
-pub use wal::{WalConfig, WalRecord, WalReplay, WalTail, WalWriter, WalWriterStats};
+pub use wal::{WalConfig, WalRecord, WalReplay, WalTail, WalWriter};
 
 use bytes::Bytes;
 use std::time::Duration;

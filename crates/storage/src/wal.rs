@@ -24,9 +24,12 @@
 //!
 //! # Crash-consistency contract
 //!
-//! The writer has no append primitive (object stores don't), so every sync
-//! re-puts the whole current segment buffer; the store's [`PutReceipt`]
-//! marks the simulated durability point (the "fsync"). A crash therefore
+//! Every append syncs: a record is durable before training continues, so a
+//! crash loses at most the iteration that was mid-append. The writer has
+//! no append primitive (object stores don't), so every sync re-puts the
+//! whole current segment buffer; the store's [`PutReceipt`] marks the
+//! simulated durability point (the "fsync"). A frame whose put failed
+//! stays in the buffer and rides the next append's put. A crash therefore
 //! leaves the newest segment as some *prefix* of what the writer buffered —
 //! possibly cut mid-frame. Replay walks frames front to back, verifies each
 //! frame's checksum once, and stops cleanly at the first torn, corrupt, or out-of-sequence
@@ -40,7 +43,8 @@
 //!
 //! An append writes its frame once, in place at the tail of the segment
 //! buffer (header reserved, sequence and payload appended, envelope sealed
-//! over that slice); replay hands out zero-copy views of the fetched
+//! over that slice), and its sync's put copies the whole segment — the one
+//! copy left; replay hands out zero-copy views of the fetched
 //! segment; validation walks the borrowed bytes.
 
 use crate::envelope::{self, FLAG_WAL_FRAME, HEADER_LEN};
@@ -57,28 +61,11 @@ pub struct WalConfig {
     /// Rotate to a new segment once the current one reaches this many bytes
     /// (checked after a sync; a segment may exceed it by one frame).
     pub segment_bytes: u64,
-    /// Sync (re-put the segment) every N appends. `1` makes every record
-    /// durable before training continues; larger values batch appends and
-    /// risk losing the unsynced suffix on a crash.
-    pub sync_every: u32,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
-        Self { segment_bytes: 1 << 20, sync_every: 1 }
-    }
-}
-
-impl WalConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.segment_bytes == 0 {
-            return Err("wal segment_bytes must be positive".into());
-        }
-        if self.sync_every == 0 {
-            return Err("wal sync_every must be positive".into());
-        }
-        Ok(())
+        Self { segment_bytes: 1 << 20 }
     }
 }
 
@@ -92,31 +79,13 @@ pub fn is_wal_segment_key(key: &str) -> bool {
     key.rsplit('/').next().is_some_and(|name| name.starts_with("wal-"))
 }
 
-/// Counters of one writer's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalWriterStats {
-    /// Records appended.
-    pub appends: u64,
-    /// Sync points (whole-segment puts) performed.
-    pub syncs: u64,
-    /// Frame bytes appended (envelope + seq + payload).
-    pub bytes_appended: u64,
-    /// Cumulative bytes pushed through the store by syncs. Each sync re-puts
-    /// the whole segment, so this exceeds `bytes_appended` unless every sync
-    /// rotates; it is the honest write-amplification figure.
-    pub bytes_synced: u64,
-    /// Completed segments rotated away from.
-    pub segments_rotated: u64,
-    /// Whole-log truncations (checkpoint registrations).
-    pub truncations: u64,
-    /// Truncations that erred before every listed segment was deleted.
-    pub truncate_failures: u64,
-}
-
 /// Appends framed records to a segmented log on an object store.
 ///
 /// Payload-agnostic: callers hand in opaque bytes (the engine's quantized
-/// delta records) and get back sync receipts for durability accounting.
+/// delta records) and get back, per append, the sync's receipt and the
+/// bytes it made durable. Counts go to the metrics registry attached with
+/// [`WalWriter::set_obs`] (`cnr_obs::names::WAL_*`), the only place they
+/// are kept.
 pub struct WalWriter {
     store: std::sync::Arc<dyn ObjectStore>,
     job: String,
@@ -124,18 +93,17 @@ pub struct WalWriter {
     /// Index of the segment currently being written. Monotonic for the
     /// writer's lifetime — never reused after rotation or truncation.
     seg_index: u64,
-    /// Full contents of the current segment (synced prefix + pending tail).
+    /// Full contents of the current segment (durable prefix + frames whose
+    /// put failed).
     buf: Vec<u8>,
-    /// Appends since the last sync.
-    pending: u32,
+    /// Length of `buf`'s prefix the last successful put made durable.
+    durable_len: usize,
+    /// Frames in `buf` past `durable_len`: appended, but their put failed.
+    pending: u64,
     /// Next record sequence number (monotonic across segments).
     next_seq: u64,
     /// Indices of segments with at least one synced byte, oldest first.
     live: Vec<u64>,
-    stats: WalWriterStats,
-    /// When attached, every stat increment is mirrored into the shared
-    /// metrics registry (`cnr_obs::names::WAL_*`); the engine derives its
-    /// `WalRunStats` from those counters instead of copying `stats`.
     obs: Option<cnr_obs::Obs>,
 }
 
@@ -148,10 +116,10 @@ impl WalWriter {
             config,
             seg_index: 0,
             buf: Vec::new(),
+            durable_len: 0,
             pending: 0,
             next_seq: 0,
             live: Vec::new(),
-            stats: WalWriterStats::default(),
             obs: None,
         }
     }
@@ -161,9 +129,17 @@ impl WalWriter {
         self.obs = Some(obs);
     }
 
-    /// Appends one record. Returns the sync receipt when this append hit a
-    /// sync point (`sync_every` reached), `None` when it was only buffered.
-    pub fn append(&mut self, payload: &[u8]) -> Result<Option<PutReceipt>> {
+    /// Appends one record and makes it durable: the frame is sealed in
+    /// place at the tail of the segment buffer, and the whole segment is
+    /// re-put (the store's [`PutReceipt`] is the "fsync"), then rotated
+    /// if full. Returns that receipt and the frame bytes this put made
+    /// durable for the first time — this record's frame plus any whose
+    /// put failed before.
+    ///
+    /// A failed put keeps its frame in the segment buffer: the next
+    /// append's put carries it, and a [`WalWriter::truncate`] in between
+    /// drops it and gives its sequence number back.
+    pub fn append(&mut self, payload: &[u8]) -> Result<(PutReceipt, u64)> {
         let frame_at = self.buf.len();
         let frame_len = HEADER_LEN + SEQ_LEN + payload.len();
         self.buf.reserve(frame_len);
@@ -172,50 +148,39 @@ impl WalWriter {
         self.buf.extend_from_slice(payload);
         envelope::seal_in_place(&mut self.buf[frame_at..], FLAG_WAL_FRAME);
         self.next_seq += 1;
-        self.stats.appends += 1;
-        self.stats.bytes_appended += frame_len as u64;
-        if let Some(obs) = &self.obs {
-            let r = obs.registry();
-            r.counter_add(cnr_obs::names::WAL_APPENDS, 1);
-            r.counter_add(cnr_obs::names::WAL_BYTES_APPENDED, frame_len as u64);
-        }
         self.pending += 1;
-        if self.pending >= self.config.sync_every {
-            return self.sync().map(Some);
-        }
-        Ok(None)
-    }
+        self.count(cnr_obs::names::WAL_APPENDS, 1);
+        self.count(cnr_obs::names::WAL_BYTES_APPENDED, frame_len as u64);
 
-    /// Makes every buffered append durable by re-putting the whole current
-    /// segment, then rotates if the segment is full. Idempotent when there
-    /// is nothing pending (returns the last receipt's worth of a no-op put
-    /// only if data exists; errs on an empty log).
-    pub fn sync(&mut self) -> Result<PutReceipt> {
-        if self.buf.is_empty() {
-            return Err(StorageError::InvalidKey("wal sync with no appended data".into()));
-        }
         let key = segment_key(&self.job, self.seg_index);
         let receipt = self.store.put(&key, Bytes::copy_from_slice(&self.buf))?;
         if self.live.last() != Some(&self.seg_index) {
             self.live.push(self.seg_index);
         }
+        let made_durable = (self.buf.len() - self.durable_len) as u64;
+        self.durable_len = self.buf.len();
         self.pending = 0;
-        self.stats.syncs += 1;
-        self.stats.bytes_synced += self.buf.len() as u64;
-        if let Some(obs) = &self.obs {
-            let r = obs.registry();
-            r.counter_add(cnr_obs::names::WAL_SYNCS, 1);
-            r.counter_add(cnr_obs::names::WAL_BYTES_SYNCED, self.buf.len() as u64);
-        }
+        self.count(cnr_obs::names::WAL_SYNCS, 1);
+        self.count(cnr_obs::names::WAL_BYTES_SYNCED, self.buf.len() as u64);
         if self.buf.len() as u64 >= self.config.segment_bytes {
-            self.seg_index += 1;
-            self.buf.clear();
-            self.stats.segments_rotated += 1;
-            if let Some(obs) = &self.obs {
-                obs.registry().counter_add(cnr_obs::names::WAL_SEGMENTS_ROTATED, 1);
-            }
+            self.roll();
+            self.count(cnr_obs::names::WAL_SEGMENTS_ROTATED, 1);
         }
-        Ok(receipt)
+        Ok((receipt, made_durable))
+    }
+
+    /// Adds `n` to counter `name` of the attached registry, if any.
+    fn count(&self, name: &str, n: u64) {
+        if let Some(obs) = &self.obs {
+            obs.registry().counter_add(name, n);
+        }
+    }
+
+    /// Starts the next segment with an empty buffer.
+    fn roll(&mut self) {
+        self.seg_index += 1;
+        self.buf.clear();
+        self.durable_len = 0;
     }
 
     /// Drops the whole log: deletes every segment the store lists for the
@@ -231,9 +196,9 @@ impl WalWriter {
     /// Segments go oldest first and the first failed delete stops the
     /// walk, so what an `Err` leaves is a contiguous run of whole segments
     /// — still [`WalWriter::live_segments`], retried by the next truncate.
-    /// The writer rolls to a fresh segment either way, and the unsynced
-    /// appends it drops give their sequence numbers back, so the records
-    /// appended next continue the leftover run without a gap.
+    /// The writer rolls to a fresh segment either way, and the frames whose
+    /// put failed, which it drops, give their sequence numbers back, so the
+    /// records appended next continue the leftover run without a gap.
     pub fn truncate(&mut self) -> Result<usize> {
         let mut deleted = 0;
         let outcome = list_segments(self.store.as_ref(), &self.job).and_then(|keys| {
@@ -250,17 +215,13 @@ impl WalWriter {
             Ok(deleted)
         });
         if !self.buf.is_empty() {
-            self.buf.clear();
-            self.seg_index += 1;
+            self.roll();
         }
-        self.next_seq -= u64::from(self.pending);
+        self.next_seq -= self.pending;
         self.pending = 0;
-        self.stats.truncations += 1;
-        self.stats.truncate_failures += u64::from(outcome.is_err());
+        self.count(cnr_obs::names::WAL_TRUNCATIONS, 1);
+        self.count(cnr_obs::names::WAL_TRUNCATE_FAILURES, u64::from(outcome.is_err()));
         if let Some(obs) = &self.obs {
-            let r = obs.registry();
-            r.counter_add(cnr_obs::names::WAL_TRUNCATIONS, 1);
-            r.counter_add(cnr_obs::names::WAL_TRUNCATE_FAILURES, u64::from(outcome.is_err()));
             let now = obs.now();
             obs.record(
                 cnr_obs::Span::new(cnr_obs::names::SPAN_WAL_TRUNCATE, now, now)
@@ -276,21 +237,6 @@ impl WalWriter {
     /// must cover.
     pub fn live_segments(&self) -> Vec<String> {
         self.live.iter().map(|&i| segment_key(&self.job, i)).collect()
-    }
-
-    /// Appends not yet covered by a sync (lost if the process dies now).
-    pub fn pending_appends(&self) -> u32 {
-        self.pending
-    }
-
-    /// Next record sequence number.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> WalWriterStats {
-        self.stats
     }
 }
 
@@ -458,6 +404,7 @@ pub fn replay(store: &dyn ObjectStore, job: &str) -> Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flaky::{FailureMode, FlakyStore};
     use crate::memory::InMemoryStore;
     use std::sync::Arc;
 
@@ -465,7 +412,7 @@ mod tests {
         Arc::new(InMemoryStore::new())
     }
 
-    fn writer(store: &Arc<InMemoryStore>, config: WalConfig) -> WalWriter {
+    fn writer<S: ObjectStore + 'static>(store: &Arc<S>, config: WalConfig) -> WalWriter {
         WalWriter::new(Arc::clone(store) as Arc<dyn ObjectStore>, "job", config)
     }
 
@@ -490,11 +437,10 @@ mod tests {
     fn rotation_splits_segments_and_replay_spans_them() {
         let s = store();
         // Tiny segments: every frame (~30 bytes) exceeds the threshold.
-        let mut w = writer(&s, WalConfig { segment_bytes: 1, sync_every: 1 });
+        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
         for i in 0u32..4 {
             w.append(&i.to_le_bytes()).unwrap();
         }
-        assert_eq!(w.stats().segments_rotated, 4);
         assert_eq!(w.live_segments().len(), 4);
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.tail, WalTail::Clean);
@@ -503,28 +449,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_every_batches_and_crash_loses_unsynced_suffix() {
-        let s = store();
-        let mut w = writer(&s, WalConfig { segment_bytes: 1 << 20, sync_every: 3 });
-        assert!(w.append(b"a").unwrap().is_none());
-        assert!(w.append(b"b").unwrap().is_none());
-        assert!(w.append(b"c").unwrap().is_some()); // third append syncs
-        assert!(w.append(b"d").unwrap().is_none()); // buffered only
-        assert_eq!(w.pending_appends(), 1);
-        // "Crash": replay sees only the synced prefix.
-        let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.tail, WalTail::Clean);
-        assert_eq!(r.records.len(), 3);
-        // Explicit sync makes the suffix durable.
-        w.sync().unwrap();
-        let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.records.len(), 4);
-    }
-
-    #[test]
     fn truncate_deletes_segments_and_keeps_seq_monotonic() {
         let s = store();
-        let mut w = writer(&s, WalConfig { segment_bytes: 1, sync_every: 1 });
+        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
         w.append(b"a").unwrap();
         w.append(b"b").unwrap();
         assert_eq!(w.truncate().unwrap(), 2);
@@ -537,11 +464,20 @@ mod tests {
         assert_eq!(r.records[0].seq, 2);
     }
 
-    /// Delegates to an in-memory store, failing the delete of `key` once.
+    /// Delegates to a store whose puts fail as `puts` says, failing the
+    /// delete of `key` once.
     struct FailsOneDelete {
-        inner: InMemoryStore,
+        inner: FlakyStore<InMemoryStore>,
         key: String,
         armed: std::sync::atomic::AtomicBool,
+    }
+
+    fn fails_one_delete(key: String, puts: FailureMode) -> Arc<FailsOneDelete> {
+        Arc::new(FailsOneDelete {
+            inner: FlakyStore::with_mode(InMemoryStore::new(), puts),
+            key,
+            armed: true.into(),
+        })
     }
 
     impl ObjectStore for FailsOneDelete {
@@ -570,18 +506,16 @@ mod tests {
 
     #[test]
     fn failed_truncate_keeps_reporting_the_segments_it_left_behind() {
-        let s = Arc::new(FailsOneDelete {
-            inner: InMemoryStore::new(),
-            key: segment_key("job", 1),
-            armed: true.into(),
-        });
-        let config = WalConfig { segment_bytes: 1, sync_every: 1 };
-        let mut w = WalWriter::new(s.clone(), "job", config);
+        let s = fails_one_delete(segment_key("job", 1), FailureMode::Every(0));
+        let obs = cnr_obs::Obs::wall();
+        let mut w = WalWriter::new(s.clone(), "job", WalConfig { segment_bytes: 1 });
+        w.set_obs(obs.clone());
         for payload in [b"a", b"b", b"c"] {
             w.append(payload).unwrap();
         }
         assert!(matches!(w.truncate(), Err(StorageError::Io(_))));
-        assert_eq!(w.stats().truncate_failures, 1);
+        let failures = || obs.registry().counter(cnr_obs::names::WAL_TRUNCATE_FAILURES);
+        assert_eq!(failures(), 1);
         // Segment 0 went; 1 (the failed delete) and 2 (never reached) are
         // still in the store, so the scrubber and the controller must keep
         // hearing about them.
@@ -598,28 +532,38 @@ mod tests {
         assert_eq!(w.truncate().unwrap(), 3);
         assert!(w.live_segments().is_empty());
         assert!(list_segments(s.as_ref(), "job").unwrap().is_empty());
-        assert_eq!(w.stats().truncate_failures, 1);
+        assert_eq!(failures(), 1);
     }
 
-    /// Unsynced appends a truncate drops were never durable: their
-    /// sequence numbers go to the next records, so a run of segments a
-    /// failed truncate left behind is still continued without a gap.
+    /// A frame whose put failed stays in the segment buffer, and the next
+    /// append's put makes it durable: replay returns both records, in
+    /// sequence order.
+    #[test]
+    fn a_failed_sync_is_made_durable_by_the_next_append() {
+        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(2)));
+        let mut w = writer(&s, WalConfig::default());
+        w.append(b"a").unwrap();
+        assert!(w.append(b"b").is_err(), "the second put fails");
+        w.append(b"c").unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        let got: Vec<_> = r.records.iter().map(|r| (r.seq, &r.payload[..])).collect();
+        assert_eq!(got, [(0, &b"a"[..]), (1, b"b"), (2, b"c")]);
+    }
+
+    /// Frames whose put failed were never durable: a truncate drops them
+    /// and their sequence numbers go to the next records, so a run of
+    /// segments a failed truncate left behind is still continued without
+    /// a gap.
     #[test]
     fn a_failed_truncate_with_unsynced_appends_leaves_no_sequence_gap() {
-        let s = Arc::new(FailsOneDelete {
-            inner: InMemoryStore::new(),
-            key: segment_key("job", 0),
-            armed: true.into(),
-        });
-        let config = WalConfig { segment_bytes: 1 << 20, sync_every: 2 };
-        let mut w = WalWriter::new(s.clone(), "job", config);
-        for payload in [b"a", b"b", b"c"] {
-            w.append(payload).unwrap();
-        }
-        assert_eq!(w.pending_appends(), 1, "`c` was never synced");
+        let s = fails_one_delete(segment_key("job", 0), FailureMode::Once(3));
+        let mut w = WalWriter::new(s.clone(), "job", WalConfig::default());
+        w.append(b"a").unwrap();
+        w.append(b"b").unwrap();
+        assert!(w.append(b"c").is_err(), "`c` was never synced");
         assert!(w.truncate().is_err());
         w.append(b"d").unwrap();
-        w.sync().unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.tail, WalTail::Clean);
         let got: Vec<_> = r.records.iter().map(|r| (r.seq, &r.payload[..])).collect();
@@ -691,13 +635,14 @@ mod tests {
         let payloads: [&[u8]; 3] = [b"first record", b"", b"a third, longer record payload"];
         let mut want = Vec::new();
         for (seq, payload) in payloads.iter().enumerate() {
-            w.append(payload).unwrap();
+            let (_, made_durable) = w.append(payload).unwrap();
             let mut framed = (seq as u64).to_le_bytes().to_vec();
             framed.extend_from_slice(payload);
-            want.extend_from_slice(&envelope::wrap_with_flags(&framed, FLAG_WAL_FRAME));
+            let frame = envelope::wrap_with_flags(&framed, FLAG_WAL_FRAME);
+            assert_eq!(made_durable, frame.len() as u64, "one new frame per put");
+            want.extend_from_slice(&frame);
         }
         assert_eq!(s.get(&segment_key("job", 0)).unwrap().to_vec(), want);
-        assert_eq!(w.stats().bytes_appended, want.len() as u64);
     }
 
     /// A frame written under wire v3 is unusable, not undefined: replay
@@ -765,7 +710,7 @@ mod tests {
     #[test]
     fn sequence_gap_is_torn() {
         let s = store();
-        let mut w = writer(&s, WalConfig { segment_bytes: 1, sync_every: 1 });
+        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
         for i in 0u32..3 {
             w.append(&i.to_le_bytes()).unwrap();
         }
@@ -847,32 +792,37 @@ mod tests {
         assert_eq!(r.tail, WalTail::Clean);
     }
 
+    /// The registry attached with `set_obs` holds the writer's counts:
+    /// four appends into one-frame segments sync and rotate four times,
+    /// a put that fails counts its append only, and its frame's bytes are
+    /// synced (and reported) by the next append.
     #[test]
     fn writer_with_obs_mirrors_every_stat_into_the_registry() {
         use cnr_obs::names as n;
         let obs = cnr_obs::Obs::wall();
-        let s = store();
-        let mut w = WalWriter::new(
-            s.clone(),
-            "job",
-            WalConfig { sync_every: 2, segment_bytes: 1 },
-        );
+        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(5)));
+        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
         w.set_obs(obs.clone());
+        let mut frames = Vec::new();
         for i in 0..4u8 {
-            w.append(&[i; 8]).unwrap();
+            let (_, made_durable) = w.append(&[i; 8]).unwrap();
+            frames.push(made_durable);
         }
+        let frame = frames[0];
+        assert!(frames.iter().all(|&f| f == frame), "{frames:?}");
+        assert!(w.append(&[4; 8]).is_err());
+        let (_, made_durable) = w.append(&[5; 8]).unwrap();
+        assert_eq!(made_durable, 2 * frame, "the failed frame rides this put");
         w.truncate().unwrap();
 
-        let stats = w.stats();
         let r = obs.registry();
-        assert_eq!(r.counter(n::WAL_APPENDS), stats.appends);
-        assert_eq!(r.counter(n::WAL_SYNCS), stats.syncs);
-        assert_eq!(r.counter(n::WAL_BYTES_APPENDED), stats.bytes_appended);
-        assert_eq!(r.counter(n::WAL_BYTES_SYNCED), stats.bytes_synced);
-        assert_eq!(r.counter(n::WAL_SEGMENTS_ROTATED), stats.segments_rotated);
-        assert_eq!(r.counter(n::WAL_TRUNCATIONS), stats.truncations);
-        assert_eq!(r.counter(n::WAL_TRUNCATE_FAILURES), stats.truncate_failures);
-        assert!(stats.appends == 4 && stats.syncs == 2 && stats.truncations == 1);
+        assert_eq!(r.counter(n::WAL_APPENDS), 6);
+        assert_eq!(r.counter(n::WAL_SYNCS), 5);
+        assert_eq!(r.counter(n::WAL_BYTES_APPENDED), 6 * frame);
+        assert_eq!(r.counter(n::WAL_BYTES_SYNCED), 6 * frame);
+        assert_eq!(r.counter(n::WAL_SEGMENTS_ROTATED), 5);
+        assert_eq!(r.counter(n::WAL_TRUNCATIONS), 1);
+        assert_eq!(r.counter(n::WAL_TRUNCATE_FAILURES), 0);
         assert!(obs.spans().iter().any(|s| s.name == n::SPAN_WAL_TRUNCATE));
     }
 }

@@ -64,28 +64,11 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Fraction of bits set, in `[0, 1]`. Zero-length vectors report 0.
-    pub fn fraction_set(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len as f64
-        }
-    }
-
     /// Sets every bit that is set in `other`. Lengths must match.
     pub fn union_with(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "union of mismatched lengths");
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
-        }
-    }
-
-    /// Keeps only bits set in both. Lengths must match.
-    pub fn intersect_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "intersect of mismatched lengths");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
         }
     }
 
@@ -345,7 +328,7 @@ mod tests {
             full.set(i);
         }
         assert_eq!(full.iter_ones().count(), 77);
-        assert!((full.fraction_set() - 1.0).abs() < 1e-12);
+        assert_eq!(full.count_ones(), 77);
     }
 
     #[test]
@@ -387,8 +370,11 @@ mod tests {
         u.union_with(&b);
         assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![1, 65, 69]);
 
+        // a ∩ b = a ∖ (a ∖ b)
+        let mut only_a = a.clone();
+        only_a.subtract(&b);
         let mut i = a.clone();
-        i.intersect_with(&b);
+        i.subtract(&only_a);
         assert_eq!(i.iter_ones().collect::<Vec<_>>(), vec![65]);
 
         let mut d = a.clone();
@@ -459,7 +445,7 @@ mod tests {
     fn zero_length_vectors() {
         let bv = BitVec::new(0);
         assert!(bv.is_empty());
-        assert_eq!(bv.fraction_set(), 0.0);
+        assert_eq!(bv.count_ones(), 0);
         let abv = AtomicBitVec::new(0);
         assert!(abv.is_empty());
         assert_eq!(abv.snapshot().len(), 0);
@@ -507,7 +493,6 @@ mod tests {
         let mut a = BitVec::new(0);
         let b = BitVec::new(0);
         a.union_with(&b);
-        a.intersect_with(&b);
         a.subtract(&b);
         assert_eq!(a.count_ones(), 0);
         assert_eq!(a.iter_ones().count(), 0);

@@ -1,29 +1,14 @@
-//! Coverage-curve analysis: what fraction of the model has been touched?
+//! Coverage: which rows of the model have been touched, and what fraction.
 //!
-//! Reproduces the paper's motivation measurements:
-//!
-//! * **Figure 5** — cumulative fraction of the model modified as a function
-//!   of training samples, measured from several different starting points.
-//!   The paper observes the curve grows sublinearly (52% after 11 B samples)
-//!   and has the same shape regardless of the starting point.
-//! * **Figure 6** — fraction of the model modified within fixed-length time
-//!   windows (10/20/30/60 minutes); roughly constant per window length
-//!   (~26% per 30-minute window for their model).
-//!
-//! The analyzer consumes a stream of `(table, row)` access events; callers
-//! decide what an "event" is (every lookup, or one event per modified row per
-//! batch).
+//! The lazy restore planner's heat boost reads a [`CoverageAnalyzer`]: the
+//! engine feeds it the tracker's modified rows, and
+//! `RowHeat::boost_covered` ranks the rows it saw above the Zipf prior.
+//! The analyzer consumes `(table, row)` access events; callers decide what
+//! an "event" is (every lookup, or one event per modified row per batch).
+//! The figure code that plots the paper's coverage curves (Figures 5 and
+//! 6) runs its own loops over an analyzer.
 
 use crate::bitvec::BitVec;
-
-/// One point on a coverage curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoveragePoint {
-    /// X coordinate: number of samples (or batches) processed so far.
-    pub samples: u64,
-    /// Y coordinate: fraction of all rows touched so far, in `[0, 1]`.
-    pub fraction: f64,
-}
 
 /// Incrementally computes the fraction of model rows touched.
 #[derive(Debug, Clone)]
@@ -62,16 +47,6 @@ impl CoverageAnalyzer {
         self.tables[table].get(row)
     }
 
-    /// Rows touched so far.
-    pub fn touched_rows(&self) -> usize {
-        self.touched
-    }
-
-    /// Total rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.total_rows
-    }
-
     /// Current coverage fraction in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
         if self.total_rows == 0 {
@@ -90,79 +65,6 @@ impl CoverageAnalyzer {
     }
 }
 
-/// Computes a cumulative coverage curve (Figure 5).
-///
-/// `events` yields `(sample_index, table, row)` with non-decreasing
-/// `sample_index`; `record_every` controls the output resolution. The curve
-/// starts measuring at `start_sample` (events before it are ignored), which
-/// is how the paper produces its three curves from different starting points.
-pub fn cumulative_curve(
-    row_counts: &[usize],
-    events: impl Iterator<Item = (u64, usize, usize)>,
-    start_sample: u64,
-    record_every: u64,
-) -> Vec<CoveragePoint> {
-    assert!(record_every > 0, "record_every must be positive");
-    let mut analyzer = CoverageAnalyzer::new(row_counts);
-    let mut curve = Vec::new();
-    let mut next_record = start_sample + record_every;
-    let mut last_sample = start_sample;
-    for (sample, table, row) in events {
-        if sample < start_sample {
-            continue;
-        }
-        while sample >= next_record {
-            curve.push(CoveragePoint {
-                samples: next_record - start_sample,
-                fraction: analyzer.fraction(),
-            });
-            next_record += record_every;
-        }
-        analyzer.observe(table, row);
-        last_sample = sample;
-    }
-    // Final point at the end of the stream.
-    curve.push(CoveragePoint {
-        samples: last_sample.saturating_sub(start_sample) + 1,
-        fraction: analyzer.fraction(),
-    });
-    curve
-}
-
-/// Computes per-window coverage fractions (Figure 6).
-///
-/// Splits the event stream into consecutive windows of `window_len` samples
-/// (events before `start_sample` are ignored) and reports the fraction of
-/// the model touched *within each window independently*.
-pub fn windowed_coverage(
-    row_counts: &[usize],
-    events: impl Iterator<Item = (u64, usize, usize)>,
-    start_sample: u64,
-    window_len: u64,
-) -> Vec<f64> {
-    assert!(window_len > 0, "window_len must be positive");
-    let mut analyzer = CoverageAnalyzer::new(row_counts);
-    let mut fractions = Vec::new();
-    let mut window_end = start_sample + window_len;
-    let mut saw_any = false;
-    for (sample, table, row) in events {
-        if sample < start_sample {
-            continue;
-        }
-        while sample >= window_end {
-            fractions.push(analyzer.fraction());
-            analyzer.reset();
-            window_end += window_len;
-        }
-        analyzer.observe(table, row);
-        saw_any = true;
-    }
-    if saw_any {
-        fractions.push(analyzer.fraction());
-    }
-    fractions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,8 +75,7 @@ mod tests {
         a.observe(0, 3);
         a.observe(0, 3);
         a.observe(1, 3);
-        assert_eq!(a.touched_rows(), 2);
-        assert!((a.fraction() - 0.1).abs() < 1e-12);
+        assert!((a.fraction() - 0.1).abs() < 1e-12, "two of twenty rows");
         assert!(a.is_touched(0, 3) && a.is_touched(1, 3));
         assert!(!a.is_touched(0, 4));
     }
@@ -184,57 +85,10 @@ mod tests {
         let mut a = CoverageAnalyzer::new(&[4]);
         a.observe(0, 0);
         a.reset();
-        assert_eq!(a.touched_rows(), 0);
+        assert_eq!(a.fraction(), 0.0);
+        assert!(!a.is_touched(0, 0));
         a.observe(0, 0);
-        assert_eq!(a.touched_rows(), 1, "reset must clear the bit mask too");
-    }
-
-    #[test]
-    fn cumulative_curve_is_monotone() {
-        // Round-robin over 100 rows: coverage grows then saturates at 1.0.
-        let events = (0..500u64).map(|s| (s, 0usize, (s % 100) as usize));
-        let curve = cumulative_curve(&[100], events, 0, 50);
-        for pair in curve.windows(2) {
-            assert!(pair[1].fraction >= pair[0].fraction, "curve not monotone");
-        }
-        assert!((curve.last().unwrap().fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cumulative_curve_respects_start_sample() {
-        // Events 0..100 touch rows 0..100; starting at 50 sees only 50 rows.
-        let events = (0..100u64).map(|s| (s, 0usize, s as usize));
-        let curve = cumulative_curve(&[100], events, 50, 10);
-        assert!((curve.last().unwrap().fraction - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn windowed_coverage_independent_windows() {
-        // Each window of 10 samples touches exactly rows 0..10.
-        let events = (0..100u64).map(|s| (s, 0usize, (s % 10) as usize));
-        let fractions = windowed_coverage(&[100], events, 0, 10);
-        assert_eq!(fractions.len(), 10);
-        for f in fractions {
-            assert!((f - 0.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn windowed_coverage_empty_stream() {
-        let fractions = windowed_coverage(&[10], std::iter::empty(), 0, 5);
-        assert!(fractions.is_empty());
-    }
-
-    #[test]
-    fn windowed_coverage_handles_gap_windows() {
-        // Samples only at 0 and 25 with window 10: windows [0,10), [10,20) and
-        // [20,30) -> 3 fractions, middle one zero.
-        let events = [(0u64, 0usize, 0usize), (25, 0, 1)].into_iter();
-        let fractions = windowed_coverage(&[10], events, 0, 10);
-        assert_eq!(fractions.len(), 3);
-        assert!(fractions[0] > 0.0);
-        assert_eq!(fractions[1], 0.0);
-        assert!(fractions[2] > 0.0);
+        assert_eq!(a.fraction(), 0.25, "reset must clear the bit mask too");
     }
 
     #[test]
@@ -242,22 +96,21 @@ mod tests {
         // A skewed synthetic stream: hot rows repeat, so coverage at 2x the
         // samples is < 2x the coverage (sublinearity the paper relies on).
         let rows = 1000usize;
-        let events = (0..4000u64).map(move |s| {
+        let mut a = CoverageAnalyzer::new(&[rows]);
+        let mut quarter = 0.0;
+        for s in 0..4000u64 {
+            if s == 1000 {
+                quarter = a.fraction();
+            }
             // crude skew: half the accesses hit the first 50 rows
             let row = if s % 2 == 0 {
                 (s / 2 % 50) as usize
             } else {
                 (s % rows as u64) as usize
             };
-            (s, 0usize, row)
-        });
-        let curve = cumulative_curve(&[rows], events, 0, 1000);
-        let quarter = curve
-            .iter()
-            .find(|p| p.samples >= 1000)
-            .unwrap()
-            .fraction;
-        let full = curve.last().unwrap().fraction;
+            a.observe(0, row);
+        }
+        let full = a.fraction();
         // 4x the samples yields far less than 4x the coverage: the repeated
         // hot rows stop contributing new coverage after the first window.
         assert!(quarter > 0.2, "early coverage too small: {quarter}");

@@ -18,8 +18,8 @@
 //! * [`tracker::ModificationTracker`] — one atomic bit-vector per embedding
 //!   table, with atomic *snapshot-and-reset* semantics at checkpoint
 //!   boundaries.
-//! * [`coverage`] — coverage-curve analysis reproducing the paper's
-//!   motivation data (Figures 5 and 6).
+//! * [`coverage::CoverageAnalyzer`] — the set and fraction of rows touched;
+//!   the lazy restore planner's heat boost reads it.
 
 #![forbid(unsafe_code)]
 
@@ -28,5 +28,5 @@ pub mod coverage;
 pub mod tracker;
 
 pub use bitvec::{AtomicBitVec, BitVec};
-pub use coverage::{CoverageAnalyzer, CoveragePoint};
+pub use coverage::CoverageAnalyzer;
 pub use tracker::{ModificationTracker, TrackerSnapshot};

@@ -45,11 +45,6 @@ impl Batch {
         self.sparse.len()
     }
 
-    /// Total number of embedding lookups performed by this batch.
-    pub fn total_lookups(&self) -> usize {
-        self.hot.iter().map(|h| h * self.batch_size).sum()
-    }
-
     /// Validates internal consistency (lengths agree with the header fields).
     ///
     /// Used by tests and by the reader tier after deserialization.
@@ -120,8 +115,6 @@ mod tests {
         assert_eq!(b.sparse_of(0, 1), &[3, 4]);
         assert_eq!(b.sparse_of(1, 1), &[8]);
         assert_eq!(b.num_tables(), 2);
-        // Two samples with 2 lookups in table 0 and 1 lookup in table 1.
-        assert_eq!(b.total_lookups(), 2 * (2 + 1));
     }
 
     #[test]

@@ -240,18 +240,6 @@ impl SyntheticDataset {
             labels,
         }
     }
-
-    /// Positive-label base rate estimated over `n` batches (analysis helper).
-    pub fn estimate_ctr(&self, n: u64) -> f64 {
-        let mut clicks = 0u64;
-        let mut total = 0u64;
-        for i in 0..n {
-            let b = self.batch(i);
-            clicks += b.labels.iter().filter(|&&l| l == 1.0).count() as u64;
-            total += b.batch_size as u64;
-        }
-        clicks as f64 / total as f64
-    }
 }
 
 /// RNG stream id reserved for batch generation.
@@ -316,7 +304,8 @@ mod tests {
         // The teacher should produce a base rate away from 0 and 1 so that
         // logloss training has signal.
         let ds = SyntheticDataset::new(DatasetSpec::tiny(123));
-        let ctr = ds.estimate_ctr(50);
+        let labels: Vec<f32> = (0..50).flat_map(|i| ds.batch(i).labels).collect();
+        let ctr = labels.iter().filter(|&&l| l == 1.0).count() as f64 / labels.len() as f64;
         assert!(ctr > 0.05 && ctr < 0.95, "degenerate CTR {ctr}");
     }
 

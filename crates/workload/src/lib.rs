@@ -28,14 +28,12 @@ pub mod batch;
 pub mod dataset;
 pub mod qps;
 pub mod teacher;
-pub mod trace;
 pub mod zipf;
 
 pub use batch::Batch;
 pub use dataset::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 pub use qps::QpsModel;
 pub use teacher::TeacherModel;
-pub use trace::{AccessTrace, TraceEvent};
 pub use zipf::ZipfSampler;
 
 /// Mixes a stream identifier into a seed, producing an independent seed.

@@ -23,35 +23,14 @@ impl QpsModel {
         Self { qps }
     }
 
-    /// The paper's quoted production rate (§2.2): 500K samples/second.
-    pub fn paper_default() -> Self {
-        Self::new(500_000.0)
-    }
-
-    /// Samples processed per second.
-    pub fn qps(&self) -> f64 {
-        self.qps
-    }
-
     /// How many whole samples complete within `d`.
     pub fn samples_in(&self, d: Duration) -> u64 {
         (self.qps * d.as_secs_f64()).floor() as u64
     }
 
-    /// How many whole batches of `batch_size` complete within `d`.
-    pub fn batches_in(&self, d: Duration, batch_size: usize) -> u64 {
-        assert!(batch_size > 0);
-        self.samples_in(d) / batch_size as u64
-    }
-
     /// Time required to process `samples`.
     pub fn duration_for_samples(&self, samples: u64) -> Duration {
         Duration::from_secs_f64(samples as f64 / self.qps)
-    }
-
-    /// Time required to process `batches` of `batch_size`.
-    pub fn duration_for_batches(&self, batches: u64, batch_size: usize) -> Duration {
-        self.duration_for_samples(batches * batch_size as u64)
     }
 }
 
@@ -60,15 +39,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_default_rate() {
-        let m = QpsModel::paper_default();
-        assert_eq!(m.samples_in(Duration::from_secs(1)), 500_000);
-    }
-
-    #[test]
     fn thirty_minutes_of_batches() {
         let m = QpsModel::new(1000.0);
-        assert_eq!(m.batches_in(Duration::from_secs(60), 100), 600);
+        assert_eq!(m.duration_for_samples(600 * 100), Duration::from_secs(60));
     }
 
     #[test]

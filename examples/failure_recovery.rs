@@ -156,7 +156,7 @@ fn main() {
             .checkpoint_every_batches(50)
             .cluster_shape(1, 2);
         if wal {
-            b = b.delta_wal(DeltaWalConfig::default());
+            b = b.delta_wal(DeltaWalConfig);
         }
         let mut engine = b.build().expect("engine construction");
         // Checkpoint at 50, then 20 more iterations that only the WAL has.

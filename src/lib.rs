@@ -11,8 +11,8 @@
 //!   optimizers, device sharding).
 //! * [`workload`] — deterministic synthetic CTR datasets with Zipfian sparse
 //!   access.
-//! * [`quant`] — checkpoint quantization (uniform symmetric/asymmetric,
-//!   k-means, adaptive asymmetric) with bit-packing.
+//! * [`quant`] — checkpoint quantization (FP16, uniform
+//!   symmetric/asymmetric, adaptive asymmetric) with bit-packing.
 //! * [`tracking`] — lock-free modified-row tracking for incremental
 //!   checkpoints.
 //! * [`storage`] — object storage backends including a bandwidth-simulated

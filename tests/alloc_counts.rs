@@ -10,8 +10,8 @@
 //! cold rows it holds back (it keeps the bytes it fetched), and faulting a
 //! row in allocates nothing; a snapshot asks for one buffer per table, of
 //! exactly the rows its delta names; planning a write allocates a row's
-//! index, not the row; an append into a grown segment buffer allocates
-//! nothing.
+//! index, not the row; an append into a grown segment buffer allocates the
+//! same for a small record as for a large one.
 
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::delta_log::DeltaRecord;
@@ -391,24 +391,25 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         assert_eq!(encode_allocs, 1, "{scheme}: one buffer per encoded record");
     }
 
-    // An append writes its frame in place at the segment buffer's tail:
-    // once the buffer has grown, appends that fit allocate nothing.
+    // An append seals its frame in place at the segment buffer's tail, so
+    // once the buffer has grown what an append allocates — the copy the
+    // whole-segment put takes, its key — does not depend on the record.
     let store = Arc::new(InMemoryStore::new());
     let mut wal = WalWriter::new(
         store,
         "job",
         WalConfig {
             segment_bytes: 1 << 30,
-            sync_every: u32::MAX,
         },
     );
     wal.append(&vec![0xA5; 64 << 10]).unwrap();
     wal.truncate().unwrap();
-    let record = vec![0x5A; 4 << 10];
-    let (append_allocs, ()) = allocations(|| {
-        for _ in 0..8 {
-            assert!(wal.append(&record).unwrap().is_none());
-        }
-    });
-    assert_eq!(append_allocs, 0, "an append into a grown segment buffer allocated");
+    let (small, large) = (vec![0x5A; 64], vec![0x5A; 4 << 10]);
+    wal.append(&small).unwrap(); // the fresh segment's first put adds its key
+    let (small_allocs, _) = allocations(|| wal.append(&small).unwrap());
+    let (large_allocs, _) = allocations(|| wal.append(&large).unwrap());
+    assert_eq!(
+        large_allocs, small_allocs,
+        "append allocations grew with the record"
+    );
 }

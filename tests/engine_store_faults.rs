@@ -112,7 +112,7 @@ fn torn_wal_segment_write_recovers_the_clean_prefix() {
         .with_torn_key_filter("wal-"),
     );
     let mut e = builder(flaky.clone())
-        .delta_wal(DeltaWalConfig::default())
+        .delta_wal(DeltaWalConfig)
         .build()
         .unwrap();
     // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
@@ -147,7 +147,7 @@ fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
             )
             .with_torn_key_filter("wal-"),
         );
-        let mut e = builder(flaky).delta_wal(DeltaWalConfig::default()).build().unwrap();
+        let mut e = builder(flaky).delta_wal(DeltaWalConfig).build().unwrap();
         // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
         let err = e.train_batches(10).unwrap_err();
         assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
@@ -190,6 +190,42 @@ fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
     assert_eq!(resumed_hash, reference_state_hash(13));
 }
 
+/// A WAL frame whose put failed is made durable by the next append, and
+/// that append's sync is charged for both frames. Against a failure-free
+/// run to the same iteration the faulted run is short exactly the failed
+/// sync's latency (up to a nanosecond of rounding per sync) — not also the
+/// failed frame's bytes at the log device's bandwidth.
+#[test]
+fn a_failed_wal_sync_is_charged_when_the_next_append_makes_it_durable() {
+    let flaky = Arc::new(
+        FlakyStore::tearing_writes(
+            InMemoryStore::new(),
+            TornWriteSpec::once(3).at_byte(usize::MAX),
+        )
+        .with_torn_key_filter("wal-"),
+    );
+    let mut faulted = builder(flaky).delta_wal(DeltaWalConfig).build().unwrap();
+    // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
+    assert!(faulted.train_batches(10).is_err());
+    faulted.train_batches(5).unwrap();
+    assert_eq!(faulted.trainer().model().iteration(), 13);
+    let mut clean = builder(Arc::new(InMemoryStore::new()))
+        .delta_wal(DeltaWalConfig)
+        .build()
+        .unwrap();
+    clean.train_batches(13).unwrap();
+
+    let (faulted, clean) = (faulted.stats().wal, clean.stats().wal);
+    assert_eq!(faulted.syncs + 1, clean.syncs, "one put failed");
+    let latency = DeltaWalConfig.sync_cost(0);
+    let short = clean.sync_time.checked_sub(faulted.sync_time).unwrap();
+    let rounding = std::time::Duration::from_nanos(clean.syncs);
+    assert!(
+        short.abs_diff(latency) <= rounding,
+        "the faulted run is {short:?} short, not one sync latency ({latency:?})"
+    );
+}
+
 /// ROADMAP item 4's window: `register` succeeded, `truncate` did not take.
 /// Emulated the way `poison_at_rest` emulates bit rot — the segments as
 /// they stood at the boundary are put back through the backing handle.
@@ -200,7 +236,7 @@ fn segments_that_outlive_their_truncate_are_skipped_then_collected() {
     // Boundaries by hand, so the log can be read just before one.
     let mut e = builder(backing.clone())
         .checkpoint_every_batches(1000)
-        .delta_wal(DeltaWalConfig::default())
+        .delta_wal(DeltaWalConfig)
         .build()
         .unwrap();
     e.train_batches(5).unwrap();
@@ -279,7 +315,7 @@ fn a_failed_wal_truncate_leaves_the_checkpoint_standing() {
         armed: true.into(),
     });
     let segments = || wal::list_segments(backing.as_ref(), JOB).unwrap();
-    let mut e = builder(backing.clone()).delta_wal(DeltaWalConfig::default()).build().unwrap();
+    let mut e = builder(backing.clone()).delta_wal(DeltaWalConfig).build().unwrap();
     // Checkpoint at 5 (nothing logged yet); iterations 6-10 log against it
     // and the boundary at 10 fails to delete their segment.
     e.train_batches(13).unwrap();
@@ -317,7 +353,7 @@ fn engine_over_a_filesystem_store_checkpoints_fails_and_restores() {
     let fs = Arc::new(FsStore::open(&dir).unwrap());
     let mut e = builder(fs.clone())
         .policy(PolicyKind::OneShot)
-        .delta_wal(DeltaWalConfig::default())
+        .delta_wal(DeltaWalConfig)
         .build()
         .unwrap();
     e.train_batches(12).unwrap();

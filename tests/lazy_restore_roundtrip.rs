@@ -35,7 +35,7 @@ fn builder(seed: u64, reader_hosts: usize, wal: bool, four_bit: bool) -> EngineB
             channels: 2,
         });
     if wal {
-        b = b.delta_wal(DeltaWalConfig::default());
+        b = b.delta_wal(DeltaWalConfig);
     }
     if four_bit {
         b = b.quantization(QuantMode::Fixed(QuantScheme::Asymmetric { bits: 4 }));

@@ -33,7 +33,7 @@ fn builder(seed: u64, reader_hosts: usize, wal: bool) -> EngineBuilder {
             channels: 2,
         });
     if wal {
-        b = b.delta_wal(DeltaWalConfig::default());
+        b = b.delta_wal(DeltaWalConfig);
     }
     b
 }

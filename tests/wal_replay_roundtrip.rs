@@ -39,7 +39,7 @@ proptest! {
             .checkpoint_every_batches(5)
             .cluster_shape(1, 2)
             .writer_hosts(hosts)
-            .delta_wal(DeltaWalConfig::default())
+            .delta_wal(DeltaWalConfig)
             .build()
             .unwrap();
         // Checkpoint at 5, then `extra` WAL-logged iterations.
@@ -92,7 +92,7 @@ proptest! {
             .checkpoint_every_batches(5)
             .cluster_shape(1, 2)
             .writer_hosts(hosts)
-            .delta_wal(DeltaWalConfig::default())
+            .delta_wal(DeltaWalConfig)
             .build()
             .unwrap();
         e.train_batches(5 + extra).unwrap();
