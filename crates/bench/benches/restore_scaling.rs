@@ -9,6 +9,9 @@
 //!   asserted: multi-host must beat single-host) — the §2/§5 downtime the
 //!   paper's availability model cares about, which drops near-linearly
 //!   with hosts because each host fetches its share over its own downlink;
+//! * **chunk placement wall-clock per scheme** (`decode/place_chunk_*`) —
+//!   one full checkpoint in 4096-row chunks restored in place on one
+//!   decode worker: the de-quantization kernel as a restore runs it;
 //! * **decode wall-clock, 1 vs 4 worker threads** — the CPU half of
 //!   time-to-resume. The ratio is *reported*, not asserted: whether four
 //!   threads beat one is a property of the machine (core count, CPU
@@ -24,9 +27,10 @@
 //! the `cnr_bench` binary that writes the checked-in `BENCH_restore.json`.
 
 use cnr_bench::trajectory::{
-    decode_snapshot, decode_store, decode_wall_clock, restore_snapshot,
-    simulated_ready_to_train,
+    chunk_store, decode_snapshot, decode_store, decode_wall_clock, place_wall_clock,
+    restore_snapshot, simulated_ready_to_train,
 };
+use cnr_quant::QuantScheme;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -83,6 +87,15 @@ fn decode_scaling(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("decode");
     group.sample_size(10);
+    for (name, scheme) in [
+        ("place_chunk_fp32", QuantScheme::Fp32),
+        ("place_chunk_asym4", QuantScheme::Asymmetric { bits: 4 }),
+    ] {
+        let store = chunk_store(&snap, scheme);
+        group.bench_function(name, |b| {
+            b.iter(|| place_wall_clock(&store, &model_cfg, 1));
+        });
+    }
     for workers in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(workers),

@@ -32,7 +32,9 @@ use cnr_core::config::{CheckpointConfig, DeltaWalConfig};
 use cnr_core::engine::EngineBuilder;
 use cnr_core::manifest::{CheckpointId, CheckpointKind};
 use cnr_core::policy::{Decision, TrackerAction};
-use cnr_core::read::{restore_sharded, restore_sharded_with_heat, RestoreOptions, RowHeat};
+use cnr_core::read::{
+    restore_sharded, restore_sharded_into, restore_sharded_with_heat, RestoreOptions, RowHeat,
+};
 use cnr_core::snapshot::SnapshotTaker;
 use cnr_core::write::CheckpointWriter;
 use cnr_core::TrainingSnapshot;
@@ -362,6 +364,53 @@ pub fn decode_wall_clock(
     best
 }
 
+/// Writes `snap` as one full checkpoint of `scheme` in 4096-row chunks
+/// into an in-memory store: the input of [`place_wall_clock`].
+pub fn chunk_store(snap: &TrainingSnapshot, scheme: QuantScheme) -> InMemoryStore {
+    let store = InMemoryStore::new();
+    let cfg = CheckpointConfig {
+        chunk_rows: 4096,
+        ..CheckpointConfig::default()
+    };
+    CheckpointWriter::new(&store, "bench")
+        .write(snap, CheckpointId(0), None, scheme, &cfg)
+        .expect("write");
+    store
+}
+
+/// Wall-clock of restoring [`chunk_store`]'s checkpoint through the public
+/// in-place restore — one reader host, one decode worker — into a model
+/// that stays resident across rounds, minimized over `rounds` runs: each
+/// chunk's envelope check, frame open and placement, with nothing
+/// allocated model-sized.
+pub fn place_wall_clock(store: &InMemoryStore, model_cfg: &ModelConfig, rounds: usize) -> Duration {
+    let mut model = DlrmModel::new(model_cfg.clone());
+    let options = RestoreOptions {
+        reader_hosts: 1,
+        decode_workers: 1,
+        ..RestoreOptions::default()
+    };
+    let mut best = Duration::MAX;
+    for _ in 0..rounds.max(1) {
+        let t0 = Instant::now();
+        restore_sharded_into(
+            store,
+            "bench",
+            CheckpointId(0),
+            model_cfg,
+            &options,
+            Duration::ZERO,
+            None,
+            None,
+            model.table_views_mut(),
+        )
+        .expect("restore");
+        best = best.min(t0.elapsed());
+        std::hint::black_box(model.tables());
+    }
+    best
+}
+
 /// The `BENCH_restore.json` record set: simulated ready-to-train per
 /// reader-host count, plus serial-vs-threaded decode wall-clock.
 pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
@@ -406,7 +455,9 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
 }
 
 /// The `BENCH_quant.json` record set: wall-clock ns per quantized row for
-/// each scheme the quant-latency bench tracks, and for each adaptive
+/// each scheme the quant-latency bench tracks, wall-clock ns per row of
+/// placing a checkpoint's fp32 and 4-bit chunks (`decode_chunk/*`, through
+/// [`place_wall_clock`]), and for each adaptive
 /// scheme among them the mean number of greedy steps its range search
 /// executes per row (`search_steps/*`) — a count over the same rows,
 /// identical on every machine, so a change that weakens the search's clip
@@ -429,6 +480,22 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
         records.push(BenchRecord::new(
             format!("quantize_row/{name}"),
             best.as_nanos() as f64 / rows.num_rows() as f64,
+            "ns_per_row",
+        ));
+    }
+    // Decode, a chunk at a time, as a restore runs it: the paper's
+    // baseline and the 4-bit codes a consecutive-increment chain restores.
+    let (decode_cfg, decode_snap) = decode_snapshot(quick);
+    let decoded_rows: usize = decode_cfg.row_counts().iter().sum();
+    for (name, scheme) in [
+        ("fp32", QuantScheme::Fp32),
+        ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
+    ] {
+        let store = chunk_store(&decode_snap, scheme);
+        let t = place_wall_clock(&store, &decode_cfg, rounds);
+        records.push(BenchRecord::new(
+            format!("decode_chunk/{name}"),
+            t.as_nanos() as f64 / decoded_rows as f64,
             "ns_per_row",
         ));
     }

@@ -17,8 +17,9 @@
 //! This runs once per training iteration, so it is flat: capture quantizes
 //! the touched rows of a table through the chunk kernels into one body
 //! buffer ([`DeltaChunk`]), encode writes the whole record into one
-//! buffer, and apply de-quantizes row by row into one reused scratch row —
-//! allocations per record depend on the tables touched, never on the rows.
+//! buffer, and apply resolves each chunk's row encoding once and
+//! de-quantizes every applied row straight into its table row — only a
+//! row diverted to a lazy restore's tail gets a buffer of its own.
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{
@@ -27,7 +28,7 @@ use crate::manifest::{
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::DlrmModel;
-use cnr_quant::codec::decode_body_to;
+use cnr_quant::codec::RowDecoder;
 use cnr_quant::QuantScheme;
 use cnr_workload::Batch;
 
@@ -61,16 +62,14 @@ impl DeltaChunk {
         }
     }
 
-    /// De-quantizes the rows one after another into a single reused
-    /// buffer, calling `each(k, row_index, values)` for the `k`-th.
-    fn for_each_row(&self, mut each: impl FnMut(usize, u32, &[f32]) -> Result<()>) -> Result<()> {
-        let mut bodies = self.bodies.as_slice();
-        let mut values = vec![0.0; self.rows.dim as usize];
-        for (k, &row) in self.row_indices.iter().enumerate() {
-            decode_body_to(&mut bodies, self.rows.tag, self.rows.bits, &mut values)?;
-            each(k, row, &values)?;
-        }
-        Ok(())
+    /// The rows' encoding, resolved once for the chunk, and the encoded
+    /// body of each row, in `row_indices` order.
+    fn row_bodies(&self) -> Result<(RowDecoder, impl Iterator<Item = &[u8]>)> {
+        let RowContext { tag, bits, dim } = self.rows;
+        let decoder = RowDecoder::new(tag, bits, dim as usize)?;
+        let len = decoder.body_len();
+        let bodies = (0..self.row_indices.len()).map(move |k| &self.bodies[k * len..(k + 1) * len]);
+        Ok((decoder, bodies))
     }
 }
 
@@ -184,7 +183,8 @@ impl DeltaRecord {
                     chunk.rows.dim
                 )));
             }
-            chunk.for_each_row(|k, idx, values| {
+            let (decoder, bodies) = chunk.row_bodies()?;
+            for (k, (&idx, body)) in chunk.row_indices.iter().zip(bodies).enumerate() {
                 let i = idx as usize;
                 if i >= nrows {
                     return Err(CnrError::Corrupt(format!(
@@ -193,16 +193,17 @@ impl DeltaRecord {
                 }
                 let acc = chunk.optimizer_state.as_ref().map(|a| a[k]);
                 if divert(chunk.table, idx) {
-                    deferred.push((chunk.table, idx, values.to_vec(), acc));
-                    return Ok(());
+                    let mut values = vec![0.0; dim];
+                    decoder.decode(body, &mut values);
+                    deferred.push((chunk.table, idx, values, acc));
+                    continue;
                 }
-                table.row_mut(i).copy_from_slice(values);
+                decoder.decode(body, table.row_mut(i));
                 if let (Some(a), Some(adagrad)) = (acc, table.adagrad_mut()) {
                     adagrad[i] = a;
                 }
                 rows_applied += 1;
-                Ok(())
-            })?;
+            }
         }
         let (bottom, top) = model.mlps_mut();
         bottom.unflatten(&self.bottom_mlp);
@@ -323,12 +324,12 @@ mod tests {
             assert_eq!(chunk.row_indices, expected);
             // Payload rows are the table's current values, exactly (Fp32).
             let table = &model.tables()[chunk.table as usize];
-            chunk
-                .for_each_row(|_, i, values| {
-                    assert_eq!(values, table.row(i as usize));
-                    Ok(())
-                })
-                .unwrap();
+            let (decoder, bodies) = chunk.row_bodies().unwrap();
+            for (&i, body) in chunk.row_indices.iter().zip(bodies) {
+                let mut values = vec![0.0; table.dim()];
+                decoder.decode(body, &mut values);
+                assert_eq!(values, table.row(i as usize));
+            }
         }
     }
 

@@ -32,6 +32,7 @@ use crate::wire;
 use bytes::BufMut;
 use cnr_model::ModelConfig;
 use cnr_storage::envelope;
+use cnr_quant::codec::RowDecoder;
 use cnr_quant::{QuantScheme, QuantizedRow};
 use cnr_reader::ReaderState;
 
@@ -445,8 +446,9 @@ pub(crate) struct ChunkHeader {
     pub row_indices: Vec<u32>,
     pub optimizer_state: Option<Vec<f32>>,
     pub rows: RowContext,
-    /// Bytes of one row body ([`cnr_quant::codec::body_len`] of `rows`).
-    body_len: usize,
+    /// `rows`, resolved: the length of each body and the loop that
+    /// de-quantizes them.
+    pub decoder: RowDecoder,
     /// Where the row bodies sit in the frame; they run to its end.
     bodies: std::ops::Range<usize>,
 }
@@ -477,16 +479,16 @@ pub(crate) struct OpenedChunk<'a> {
 }
 
 impl<'a> OpenedChunk<'a> {
-    /// The encoded body of the chunk's `k`-th row. Bodies have one length,
-    /// so this is arithmetic, not a scan.
-    pub(crate) fn body(&self, k: usize) -> &'a [u8] {
-        let len = self.header.body_len;
-        &self.bodies[k * len..(k + 1) * len]
+    /// The encoded bodies of the chunk's rows `ks`, back to back. Bodies
+    /// have one length, so this is arithmetic, not a scan.
+    pub(crate) fn bodies_of(&self, ks: std::ops::Range<usize>) -> &'a [u8] {
+        let len = self.header.decoder.body_len();
+        &self.bodies[ks.start * len..ks.end * len]
     }
 
     /// Bytes past the last row body (a stored chunk has none).
     pub(crate) fn trailing_bytes(&self) -> usize {
-        self.bodies.len() - self.header.row_indices.len() * self.header.body_len
+        self.bodies.len() - self.header.row_indices.len() * self.header.decoder.body_len()
     }
 }
 
@@ -520,8 +522,9 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
     } else {
         None
     };
-    let body_len = cnr_quant::codec::body_len(rows.tag, rows.bits, rows.dim as usize)
+    let decoder = RowDecoder::new(rows.tag, rows.bits, rows.dim as usize)
         .map_err(|e| CnrError::Corrupt(format!("chunk rows: {e}")))?;
+    let body_len = decoder.body_len();
     if count.checked_mul(body_len).is_none_or(|need| need > body.len()) {
         return Err(CnrError::Corrupt(format!(
             "chunk row bodies truncated: {count} rows of {body_len} bytes in {}",
@@ -534,7 +537,7 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
         row_indices,
         optimizer_state,
         rows,
-        body_len,
+        decoder,
         bodies: bodies_at..bodies_at + body.len(),
     })
 }
@@ -848,7 +851,7 @@ mod tests {
         for (k, row) in chunk.rows.iter().enumerate() {
             let mut want = Vec::new();
             row.encode_body_into(&mut want);
-            assert_eq!(opened.body(k), want, "row {k}");
+            assert_eq!(opened.bodies_of(k..k + 1), want, "row {k}");
         }
     }
 

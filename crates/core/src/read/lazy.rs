@@ -24,11 +24,17 @@
 //! in a `merge::Destination` again and places every cold chunk; a
 //! **fault-in** (training touched an unrestored row — a counted,
 //! synchronous, targeted fetch) lands the one row, found at `k × body_len`
-//! in each cold chunk that names it, through `merge::land_row`. Per row
-//! the apply order is always chunk levels ascending (the rank rule), then
-//! deferred deltas in replay order — exactly the eager path's.
+//! in each cold chunk that names it, through `merge::land_rows` over a
+//! one-row stripe — the decoder the chunk's header resolved when the
+//! restore opened it, so nothing about the encoding is decided again. Per
+//! row the apply order is always chunk levels ascending (the rank rule),
+//! then deferred deltas in replay order — exactly the eager path's.
+//!
+//! The cold chunks stay until every one of them is placed: a drain that is
+//! refused (a model of another shape) or fails part-way leaves the tail
+//! whole, and a retry places it again — the stamps make that idempotent.
 
-use super::merge::{land_row, Destination};
+use super::merge::{land_rows, Destination, Stripe};
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
 use crate::manifest::{ChunkHeader, OpenedChunk, TableMeta};
@@ -218,13 +224,16 @@ impl LazyRestore {
                 ))
             })?
             .view_mut();
-        let values = &mut view.data[r * dim..(r + 1) * dim];
-        let mut acc = view.adagrad.map(|acc| &mut acc[r]);
-        let stamp = &mut self.applied_rank[t][r];
+        let mut stripe = Stripe {
+            first_row: r,
+            data: &mut view.data[r * dim..(r + 1) * dim],
+            adagrad: view.adagrad.map(|acc| std::slice::from_mut(&mut acc[r])),
+            rank: std::slice::from_mut(&mut self.applied_rank[t][r]),
+        };
         let mut bytes = 0u64;
         for chunk in self.cold.iter().filter(|c| c.header.table == table) {
             if let Ok(k) = chunk.header.row_indices.binary_search(&row) {
-                if land_row(chunk.opened(), k, chunk.rank, stamp, values, acc.as_deref_mut())? {
+                if land_rows(chunk.opened(), k..k + 1, chunk.rank, &mut stripe) > 0 {
                     bytes += chunk.bytes / chunk.header.row_indices.len() as u64;
                 }
             }
@@ -242,16 +251,17 @@ impl LazyRestore {
     /// remaining deferred delta. After this the model is bit-identical to
     /// an eager restore plus full WAL replay. Idempotent. `model` must
     /// have the restored checkpoint's geometry
-    /// ([`CnrError::ShapeMismatch`] otherwise).
+    /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
+    /// keeps the whole tail, so a retry with the right model completes it.
     pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
         let mut outcome = DrainOutcome::default();
-        let cold = std::mem::take(&mut self.cold);
-        if !cold.is_empty() {
+        if !self.cold.is_empty() {
             let dest =
                 Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)?;
-            for chunk in &cold {
+            for chunk in &self.cold {
                 dest.place(chunk.opened(), chunk.rank, &chunk.key)?;
             }
+            self.cold = Vec::new();
         }
         for tbl in 0..self.materialized.len() {
             for row in 0..self.materialized[tbl].len() {
@@ -457,5 +467,25 @@ mod tests {
             Err(CnrError::ShapeMismatch(_))
         ));
         assert!(matches!(lazy.drain(&mut other), Err(CnrError::ShapeMismatch(_))));
+    }
+
+    /// A drain refused for the model's shape loses nothing: the tail is
+    /// still pending, and a drain with the right model lands the cold
+    /// chunk's values — not whatever the model held.
+    #[test]
+    fn a_refused_drain_keeps_the_tail() {
+        let mut m = model();
+        let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &[2], 7.0, false)], &m);
+        let mut other = DlrmModel::new(ModelConfig::for_dataset(&DatasetSpec::tiny(5), 8));
+        assert!(matches!(lazy.drain(&mut other), Err(CnrError::ShapeMismatch(_))));
+        assert_eq!(lazy.pending_rows(), 1);
+        assert!(!lazy.is_drained());
+        assert_eq!(lazy.pending_keys(), vec!["cold".to_string()]);
+
+        let outcome = lazy.drain(&mut m).unwrap();
+        assert_eq!(outcome.rows_materialized, 1);
+        assert!(lazy.is_drained());
+        assert_eq!(m.tables()[0].row(2), &[7.0; 4]);
+        assert_eq!(m.tables()[0].adagrad().unwrap()[2], 7.0);
     }
 }

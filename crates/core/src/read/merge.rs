@@ -7,14 +7,22 @@
 //! position in that order (its *rank*, [`super::FetchItem::rank`]) and the
 //! [`Destination`] keeps, per row, the rank of the chunk whose value the
 //! row holds: a decode worker writes a row iff its chunk outranks the
-//! row's stamp ([`land_row`] — the one place that rule is written).
+//! row's stamp ([`land_rows`] — the one place that rule is written).
 //! Newest-wins therefore holds for any host count, worker count or arrival
 //! order, each row's bytes are de-quantized straight into the table that
 //! will train on them, and the result is bit-identical to the serial path.
+//!
+//! A chunk lands a stripe at a time. Its row encoding was resolved once,
+//! when its frame was opened (the header's `RowDecoder`); [`land_rows`]
+//! walks the chunk's rows inside the stripe, checks each one's stamp, skips
+//! a shadowed body by arithmetic (`k × body_len`) and hands every run of
+//! consecutive rows it does write to that decoder's one loop — a run of
+//! fp32 rows is a single pass over its bytes.
+//!
 //! A lazy restore is this restore stopped early: the chunks it held back
 //! land later through the same [`Destination::place`] (the drain) or, one
-//! row at a time, the same [`land_row`] (a fault-in), against the same
-//! stamps.
+//! row at a time, the same [`land_rows`] over a one-row stripe (a
+//! fault-in), against the same stamps.
 //!
 //! What cannot run on the workers stays here as the serial tail
 //! ([`tally`], [`Destination::zero_unwritten`]): per-level completeness,
@@ -24,8 +32,8 @@ use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
 use crate::manifest::{CheckpointKind, Manifest, OpenedChunk, TableMeta};
 use cnr_model::TableViewMut;
-use cnr_quant::codec::decode_body_to;
 use cnr_tracking::TrackerSnapshot;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Rows per lock stripe. A worker holds one stripe's lock while it writes
@@ -34,12 +42,16 @@ use std::sync::Mutex;
 /// the same thousand rows.
 const STRIPE_ROWS: usize = 1024;
 
-/// One stripe of one table: up to [`STRIPE_ROWS`] consecutive rows.
-struct Stripe<'a> {
-    data: &'a mut [f32],
-    adagrad: Option<&'a mut [f32]>,
+/// Consecutive rows of one table, as one writer holds them: up to
+/// [`STRIPE_ROWS`] of a destination's, or the one row a fault-in lands.
+pub(super) struct Stripe<'a> {
+    /// The table row `data`'s, `adagrad`'s and `rank`'s first entries
+    /// belong to.
+    pub first_row: usize,
+    pub data: &'a mut [f32],
+    pub adagrad: Option<&'a mut [f32]>,
     /// Per row: rank of the chunk whose value the row holds (0 = none).
-    rank: &'a mut [u32],
+    pub rank: &'a mut [u32],
 }
 
 struct DestTable<'a> {
@@ -60,32 +72,70 @@ fn poisoned<T>(_: T) -> CnrError {
     CnrError::Pipeline("a decode worker panicked while writing the restore destination".into())
 }
 
-/// De-quantizes row `k` of `chunk` into `row` (and its accumulator into
-/// `acc`) iff the chunk, ranked `rank`, outranks the row's `stamp` — the
-/// newest-wins rule, written once. Every stored row that reaches a table
-/// through the sharded restore gets there through this function: a hot
-/// chunk's and a drained cold chunk's via [`Destination::place`], a
-/// faulted-in row directly. `row` must be `chunk.header.rows.dim` long
-/// ([`Destination::check`] is what establishes that). Returns whether the
-/// row was written.
-pub(crate) fn land_row(
+/// Lands the rows `ks` of `chunk`, ranked `rank`, in `stripe`: each row
+/// whose stamp the chunk outranks is de-quantized into its place (and its
+/// accumulator copied) and stamped `rank`; every other row is left as it
+/// is — the newest-wins rule, written once. Every stored row that reaches
+/// a table through the sharded restore gets there through this function:
+/// a hot chunk's and a drained cold chunk's via [`Destination::place`], a
+/// faulted-in row over a one-row stripe. The rows `ks` name must lie in
+/// the stripe and the chunk's rows must have the table's width and
+/// optimizer state ([`Destination::check`] is what establishes that).
+/// Returns the number of rows written.
+pub(super) fn land_rows(
     chunk: OpenedChunk<'_>,
-    k: usize,
+    ks: Range<usize>,
     rank: u32,
-    stamp: &mut u32,
-    row: &mut [f32],
-    acc: Option<&mut f32>,
-) -> Result<bool> {
-    if rank <= *stamp {
-        return Ok(false);
-    }
-    let ctx = chunk.header.rows;
-    decode_body_to(&mut chunk.body(k), ctx.tag, ctx.bits, row)?;
-    if let (Some(acc), Some(src)) = (acc, &chunk.header.optimizer_state) {
-        *acc = src[k];
-    }
-    *stamp = rank;
-    Ok(true)
+    stripe: &mut Stripe<'_>,
+) -> usize {
+    let header = chunk.header;
+    let decoder = header.decoder;
+    let (dim, body_len) = (decoder.dim(), decoder.body_len());
+    let rows = &header.row_indices[ks.clone()];
+    let acc_src = header.optimizer_state.as_deref().map(|acc| &acc[ks.clone()]);
+    let bodies = chunk.bodies_of(ks);
+    let Stripe {
+        first_row,
+        data,
+        adagrad,
+        rank: stamps,
+    } = stripe;
+    let local = |k: usize| rows[k] as usize - *first_row;
+    // The rows not yet handed out, from row `next` of the stripe on.
+    let mut rest: &mut [f32] = data;
+    let mut next = 0;
+    let mut landed = 0;
+    let mut k = 0;
+    let runs = std::iter::from_fn(|| {
+        while k < rows.len() && rank <= stamps[local(k)] {
+            k += 1;
+        }
+        if k == rows.len() {
+            return None;
+        }
+        // A run: rows the chunk outranks, consecutive in the table.
+        let (start, at) = (k, local(k));
+        loop {
+            let l = at + (k - start);
+            stamps[l] = rank;
+            if let (Some(dst), Some(src)) = (adagrad.as_deref_mut(), acc_src) {
+                dst[l] = src[k];
+            }
+            k += 1;
+            if k == rows.len() || local(k) != l + 1 || rank <= stamps[l + 1] {
+                break;
+            }
+        }
+        let n = k - start;
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut((at - next) * dim);
+        let (out, tail) = tail.split_at_mut(n * dim);
+        rest = tail;
+        next = at + n;
+        landed += n;
+        Some((&bodies[start * body_len..k * body_len], out))
+    });
+    decoder.decode_runs(runs);
+    landed
 }
 
 impl<'a> Destination<'a> {
@@ -133,8 +183,10 @@ impl<'a> Destination<'a> {
                 .data
                 .chunks_mut(STRIPE_ROWS * dim)
                 .zip(rank.chunks_mut(STRIPE_ROWS))
-                .map(|(data, rank)| {
+                .enumerate()
+                .map(|(s, (data, rank))| {
                     Mutex::new(Stripe {
+                        first_row: s * STRIPE_ROWS,
                         data,
                         adagrad: acc_stripes.as_mut().and_then(Iterator::next),
                         rank,
@@ -199,33 +251,21 @@ impl<'a> Destination<'a> {
 
     /// De-quantizes the rows of `chunk` (frame checksum already verified
     /// by [`crate::manifest::open_frame`]) straight into the destination,
-    /// leaving alone every row a higher-ranked chunk has already written.
-    /// The chunk is [checked](Self::check) before the first row is written.
+    /// leaving alone every row a higher-ranked chunk has already written:
+    /// one [`land_rows`] per stripe the chunk's rows fall in. The chunk is
+    /// [checked](Self::check) before the first row is written.
     pub(crate) fn place(&self, chunk: OpenedChunk<'_>, rank: u32, key: &str) -> Result<()> {
         self.check(chunk, key)?;
         let table = &self.tables[chunk.header.table as usize];
-        let (rows, dim) = (&chunk.header.row_indices, table.dim);
+        let rows = &chunk.header.row_indices;
         let mut k = 0;
         while k < rows.len() {
             let s = rows[k] as usize / STRIPE_ROWS;
+            // Indices ascend, so the stripe's rows are the next few.
+            let end = k + rows[k..].partition_point(|&row| row as usize / STRIPE_ROWS == s);
             let mut stripe = table.stripes[s].lock().map_err(poisoned)?;
-            let Stripe {
-                data,
-                adagrad,
-                rank: stamps,
-            } = &mut *stripe;
-            while k < rows.len() && rows[k] as usize / STRIPE_ROWS == s {
-                let local = rows[k] as usize % STRIPE_ROWS;
-                land_row(
-                    chunk,
-                    k,
-                    rank,
-                    &mut stamps[local],
-                    &mut data[local * dim..(local + 1) * dim],
-                    adagrad.as_deref_mut().map(|acc| &mut acc[local]),
-                )?;
-                k += 1;
-            }
+            land_rows(chunk, k..end, rank, &mut stripe);
+            k = end;
         }
         Ok(())
     }
@@ -241,6 +281,7 @@ impl<'a> Destination<'a> {
                     data,
                     mut adagrad,
                     rank,
+                    ..
                 } = stripe.into_inner().map_err(poisoned)?;
                 // Whole runs at a time: after a lazy restore most stripes
                 // are one run, and a stripe-sized fill is a `memset`.
@@ -316,4 +357,117 @@ pub(crate) fn tally(chain: &[Manifest], decoded: &[DecodedChunk]) -> Result<Tall
         rows_applied,
         incremental_rows,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::manifest::{open_frame, ChunkPayload};
+    use cnr_model::state::TableState;
+    use cnr_quant::codec::decode_body_to;
+    use cnr_quant::QuantScheme;
+
+    const ROWS: usize = 2 * STRIPE_ROWS;
+    const DIM: usize = 5;
+
+    /// A bare chunk frame of `rows` under `scheme`, each row's values (and
+    /// accumulator) distinct per row and per `salt`.
+    fn frame(rows: &[u32], scheme: &QuantScheme, with_acc: bool, salt: f32) -> Vec<u8> {
+        let values = |r: u32| -> Vec<f32> {
+            (0..DIM)
+                .map(|j| ((r as usize * 7 + j * 3) % 11) as f32 * 0.1 - salt)
+                .collect()
+        };
+        ChunkPayload {
+            table: 0,
+            row_indices: rows.to_vec(),
+            optimizer_state: with_acc.then(|| rows.iter().map(|&r| r as f32 + salt).collect()),
+            rows: rows.iter().map(|&r| scheme.quantize_row(&values(r))).collect(),
+        }
+        .encode()
+    }
+
+    /// The rule one row at a time: decode row `k` into its place iff the
+    /// chunk outranks the row's stamp.
+    fn land_per_row(frame: &[u8], rank: u32, table: &mut TableState, stamps: &mut [u32]) {
+        let header = open_frame(frame).unwrap();
+        let opened = header.over(frame);
+        for (k, &row) in header.row_indices.iter().enumerate() {
+            let r = row as usize;
+            if rank <= stamps[r] {
+                continue;
+            }
+            let ctx = header.rows;
+            let out = &mut table.data[r * DIM..(r + 1) * DIM];
+            decode_body_to(&mut opened.bodies_of(k..k + 1), ctx.tag, ctx.bits, out).unwrap();
+            if let (Some(acc), Some(src)) = (&mut table.adagrad, &header.optimizer_state) {
+                acc[r] = src[k];
+            }
+            stamps[r] = rank;
+        }
+    }
+
+    /// Runs of landed rows broken every way they can be — by a row a newer
+    /// chunk already wrote, by a gap in the indices, by a stripe boundary
+    /// (rows 1022–1026) — land exactly what landing row by row lands:
+    /// values, accumulators and stamps.
+    #[test]
+    fn runs_land_what_rows_land() {
+        let boundary: Vec<u32> = (1000..1031).collect();
+        let chunks: [(&[u32], u32); 4] = [
+            (&boundary, 2),
+            (&[5, 6, 8, 1022, 1023, 1024, 1025, 1026, 2040], 4),
+            (&[6, 7, 1023, 1024, 2047], 1),
+            (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 3),
+        ];
+        let mut stamps = vec![0u32; ROWS];
+        stamps[1024] = 3; // splits the rank-2 run at the boundary
+        stamps[1025] = 5; // splits the rank-4 run after it
+        stamps[7] = 6;
+        for scheme in [
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Asymmetric { bits: 4 },
+            QuantScheme::Asymmetric { bits: 3 },
+            QuantScheme::recommended_for_bits(2),
+        ] {
+            for with_acc in [false, true] {
+                let frames: Vec<(Vec<u8>, u32)> = chunks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(rows, rank))| (frame(rows, &scheme, with_acc, i as f32), rank))
+                    .collect();
+                let mut start = TableState::zeroed(ROWS, DIM, with_acc);
+                start.data.fill(-9.0);
+                if let Some(acc) = &mut start.adagrad {
+                    acc.fill(-9.0);
+                }
+
+                let (mut want, mut want_stamps) = (start.clone(), stamps.clone());
+                for (frame, rank) in &frames {
+                    land_per_row(frame, *rank, &mut want, &mut want_stamps);
+                }
+
+                let mut got = start.clone();
+                let mut got_stamps = vec![stamps.clone()];
+                let meta = TableMeta {
+                    rows: ROWS as u64,
+                    dim: DIM as u16,
+                    has_optimizer_state: with_acc,
+                };
+                let dest = Destination::new(vec![got.view_mut()], &[meta], &mut got_stamps).unwrap();
+                for (frame, rank) in &frames {
+                    let header = open_frame(frame).unwrap();
+                    dest.place(header.over(frame), *rank, "chunk").unwrap();
+                }
+                drop(dest);
+
+                let bits = |t: &TableState| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{scheme}, acc {with_acc}");
+                assert_eq!(got.adagrad, want.adagrad, "{scheme}, acc {with_acc}");
+                assert_eq!(got_stamps[0], want_stamps, "{scheme}, acc {with_acc}");
+                assert_ne!(want_stamps, stamps, "something landed");
+            }
+        }
+    }
 }

@@ -203,7 +203,7 @@ mod tests {
         let ctx = header.rows;
         let mut values = vec![0.0; header.row_indices.len() * ctx.dim as usize];
         for (k, row) in values.chunks_mut(ctx.dim.max(1) as usize).enumerate() {
-            decode_body_to(&mut opened.body(k), ctx.tag, ctx.bits, row)?;
+            decode_body_to(&mut opened.bodies_of(k..k + 1), ctx.tag, ctx.bits, row)?;
         }
         Ok((header, values))
     }

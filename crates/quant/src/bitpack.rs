@@ -85,66 +85,65 @@ pub fn unpack(bytes: &[u8], bits: u8, n: usize) -> Option<Vec<u16>> {
         return None;
     }
     let mut out = vec![0u16; n];
-    unpack_into(bytes, bits, &mut out);
+    let code = |c| c;
+    match bits {
+        8 => unpack_grouped_with::<8, _>(bytes, &mut out, code),
+        4 => unpack_grouped_with::<4, _>(bytes, &mut out, code),
+        2 => unpack_grouped_with::<2, _>(bytes, &mut out, code),
+        1 => unpack_grouped_with::<1, _>(bytes, &mut out, code),
+        _ => unpack_any_with(bytes, bits, &mut out, code),
+    }
     Some(out)
 }
 
-/// Unpacks `codes.len()` codes of width `bits` from the front of `bytes`
-/// (trailing bytes are ignored): the loop behind [`unpack`] and the fused
-/// unpack-and-scale kernel. `bytes` must hold at least
-/// `packed_len(codes.len(), bits)` bytes.
-pub(crate) fn unpack_into(bytes: &[u8], bits: u8, codes: &mut [u16]) {
-    debug_assert!(
-        (1..=16).contains(&bits),
-        "bits must be in 1..=16, got {bits}"
-    );
-    debug_assert!(bytes.len() >= packed_len(codes.len(), bits));
-    match bits {
-        8 => {
-            for (c, &b) in codes.iter_mut().zip(bytes) {
-                *c = b as u16;
-            }
-        }
-        4 => unpack_groups::<2>(bytes, codes),
-        2 => unpack_groups::<4>(bytes, codes),
-        1 => unpack_groups::<8>(bytes, codes),
-        _ => {
-            let mask = mask_for(bits) as u32;
-            let mut bytes = bytes.iter();
-            let mut acc = 0u32;
-            let mut pending = 0u32;
-            for c in codes {
-                while pending < bits as u32 {
-                    acc |= (*bytes.next().expect("length checked by caller") as u32) << pending;
-                    pending += 8;
-                }
-                *c = (acc & mask) as u16;
-                acc >>= bits;
-                pending -= bits as u32;
-            }
-        }
-    }
-}
-
-/// Unpacks `PER` codes of `8 / PER` bits from each byte, LSB-first.
-fn unpack_groups<const PER: usize>(bytes: &[u8], codes: &mut [u16]) {
-    let bits = 8 / PER;
-    let mask = (1u16 << bits) - 1;
-    let unpack = |group: &mut [u16], byte: u8| {
-        for (j, c) in group.iter_mut().enumerate() {
-            *c = (byte as u16 >> (j * bits)) & mask;
+/// Unpacks `out.len()` codes `BITS` wide — 1, 2, 4 or 8, the widths that
+/// fill whole bytes — from the front of `bytes`, LSB-first, and writes
+/// `value(code)` for each: the grouped half of the one set of unpack
+/// loops, behind [`unpack`] and the de-quantization kernel alike.
+/// `bytes` must hold at least `packed_len(out.len(), BITS)` bytes.
+#[inline(always)]
+pub(crate) fn unpack_grouped_with<const BITS: usize, T>(
+    bytes: &[u8],
+    out: &mut [T],
+    value: impl Fn(u16) -> T,
+) {
+    let per = 8 / BITS;
+    let mask = ((1u32 << BITS) - 1) as u16;
+    let unpack = |group: &mut [T], byte: u8| {
+        for (j, o) in group.iter_mut().enumerate() {
+            *o = value((byte as u16 >> (j * BITS)) & mask);
         }
     };
     // Whole bytes first, as groups of a length the compiler knows (it
     // unrolls and vectorizes them); then the codes of a last partial byte.
-    let full = codes.len() / PER;
-    let mut groups = codes.chunks_exact_mut(PER);
-    for (group, &byte) in (&mut groups).zip(bytes) {
+    let full = out.len() / per;
+    let mut groups = out.chunks_exact_mut(per);
+    for (group, &byte) in (&mut groups).zip(&bytes[..full]) {
         unpack(group, byte);
     }
     let tail = groups.into_remainder();
     if !tail.is_empty() {
         unpack(tail, bytes[full]);
+    }
+}
+
+/// [`unpack_grouped_with`] for any width from 1 to 16: an LSB-first bit
+/// accumulator, which holds at most 7 bits when a code of at most 16 is
+/// read.
+#[inline(always)]
+pub(crate) fn unpack_any_with<T>(bytes: &[u8], bits: u8, out: &mut [T], value: impl Fn(u16) -> T) {
+    let mask = mask_for(bits) as u32;
+    let mut bytes = bytes[..packed_len(out.len(), bits)].iter();
+    let mut acc = 0u32;
+    let mut pending = 0u32;
+    for o in out {
+        while pending < bits as u32 {
+            acc |= (*bytes.next().expect("sliced to the packed length") as u32) << pending;
+            pending += 8;
+        }
+        *o = value((acc & mask) as u16);
+        acc >>= bits;
+        pending -= bits as u32;
     }
 }
 

@@ -20,10 +20,16 @@
 //! Tag 2 was a per-row k-means codebook. It is retired: nothing writes it
 //! and a stored one is [`CodecError::BadTag`]. With it went the only
 //! variable-length parameter block, so a row body's length is a function
-//! of the chunk-level context alone ([`body_len`]).
+//! of the chunk-level context alone ([`RowDecoder::body_len`]).
+//!
+//! A reader resolves that context once per chunk, into a [`RowDecoder`],
+//! and de-quantizes the chunk's rows through it: one loop per encoding
+//! and code width over back-to-back bodies, with nothing decided per row.
+//! The one-row entry points ([`decode_body_to`],
+//! [`QuantizedRow::dequantize`]) run the same loops.
 
 use crate::bitpack::packed_len;
-use crate::kernel::{dequantize_payload_to, put_f32s_le};
+use crate::kernel::{fp16_values, fp32_values, put_f32s_le, uniform_rows};
 use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use bytes::{Buf, BufMut};
 
@@ -79,7 +85,8 @@ impl QuantizedRow {
         }
     }
 
-    /// Reconstructs the (approximate) original row.
+    /// Reconstructs the (approximate) original row, through the loops a
+    /// [`RowDecoder`] runs.
     ///
     /// Panics when the payload is shorter than `dim` values.
     pub fn dequantize(&self) -> Vec<f32> {
@@ -87,7 +94,17 @@ impl QuantizedRow {
         // buffer measured ~5 ns slower than `malloc` and an inline fill.
         let mut out = Vec::with_capacity(self.dim);
         out.resize(self.dim, 0.0);
-        dequantize_payload_to(&self.params, &self.payload, self.bits, &mut out);
+        match self.params {
+            QuantParams::Fp32 => fp32_values(&self.payload, &mut out),
+            QuantParams::Fp16 => fp16_values(&self.payload, &mut out),
+            QuantParams::Uniform { scale, zero_point } => {
+                let codes = &self.payload[..packed_len(self.dim, self.bits)];
+                let row = [(codes, out.as_mut_slice())];
+                uniform_rows(self.bits, codes.len(), self.dim, row, |codes| {
+                    (scale, zero_point, codes)
+                });
+            }
+        }
         out
     }
 
@@ -133,10 +150,19 @@ impl QuantizedRow {
         bits: u8,
         dim: usize,
     ) -> Result<Self, CodecError> {
-        let (params, payload) = split_body(buf, kind_tag, bits, dim)?;
+        let decoder = RowDecoder::new(kind_tag, bits, dim)?;
+        let mut body = split_body(buf, decoder.body_len)?;
+        let params = match decoder.encoding {
+            Encoding::Fp32 => QuantParams::Fp32,
+            Encoding::Fp16 => QuantParams::Fp16,
+            Encoding::Uniform { .. } => QuantParams::Uniform {
+                scale: body.get_f32_le(),
+                zero_point: body.get_f32_le(),
+            },
+        };
         Ok(Self {
             params,
-            payload: payload.to_vec(),
+            payload: body.to_vec(),
             dim,
             bits,
         })
@@ -155,12 +181,9 @@ impl QuantizedRow {
 }
 
 /// Decodes a row body given chunk-level `(kind_tag, bits)` context into
-/// the destination the caller chose: parameters are read and the packed
-/// codes unpacked and scaled from the borrowed bytes, with no
-/// [`QuantizedRow`] in between, and the row's `out.len()` values land
-/// straight in `out` — a restore passes the row's slice of the model's own
-/// table, so no buffer stands between the stored bytes and the weights.
-/// Equal, bit for bit, to [`QuantizedRow::decode_body_from`] followed by
+/// the destination the caller chose: a one-row [`RowDecoder::decode`],
+/// whose `out.len()` values land straight in `out`. Equal, bit for bit, to
+/// [`QuantizedRow::decode_body_from`] followed by
 /// [`QuantizedRow::dequantize`]; on `Err` nothing was written.
 pub fn decode_body_to(
     buf: &mut &[u8],
@@ -168,58 +191,129 @@ pub fn decode_body_to(
     bits: u8,
     out: &mut [f32],
 ) -> Result<(), CodecError> {
-    let (params, payload) = split_body(buf, kind_tag, bits, out.len())?;
-    dequantize_payload_to(&params, payload, bits, out);
+    let decoder = RowDecoder::new(kind_tag, bits, out.len())?;
+    decoder.decode(split_body(buf, decoder.body_len)?, out);
     Ok(())
 }
 
-/// Bytes of one row body — parameters, then payload — under the chunk-level
-/// context `(kind_tag, bits, dim)`, or why that context names no encoding.
-/// The length depends on nothing else, so row `k` of a chunk's
-/// back-to-back bodies starts at `k * body_len`, and a reader that keeps
-/// bodies encoded validates them all with one multiplication: `n` bodies
-/// are well-formed iff the context is and `n * body_len` bytes are there
-/// (exactly what [`decode_body_to`] accepts, row by row).
-pub fn body_len(kind_tag: u8, bits: u8, dim: usize) -> Result<usize, CodecError> {
-    match kind_tag {
-        TAG_FP32 if bits == 32 => Ok(dim * 4),
-        TAG_FP16 if bits == 16 => Ok(packed_len(dim, 16)),
-        TAG_UNIFORM if (1..=16).contains(&bits) => Ok(8 + packed_len(dim, bits)),
-        TAG_FP32 | TAG_FP16 | TAG_UNIFORM => Err(CodecError::BadBits(bits)),
-        t => Err(CodecError::BadTag(t)),
+/// How a row body stores its values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Encoding {
+    Fp32,
+    Fp16,
+    Uniform { bits: u8 },
+}
+
+/// One chunk's row encoding, resolved once: what the chunk-level context
+/// `(kind_tag, bits, dim)` names, the length of each row body under it,
+/// and the loop that de-quantizes such bodies. Building one is the only
+/// check the context gets — a retired or unknown tag, or a width the tag
+/// does not allow, is refused here — so a reader that holds one decodes
+/// any number of the chunk's rows without asking again.
+///
+/// Every value is computed as the row objects compute it: little-endian
+/// bytes for fp32, [`crate::half::f16_bits_to_f32`] for fp16, and
+/// `scale * code as f32 + zero_point` for uniform codes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowDecoder {
+    encoding: Encoding,
+    dim: usize,
+    body_len: usize,
+}
+
+impl RowDecoder {
+    /// The decoder for rows of `dim` values stored under `(kind_tag,
+    /// bits)`, or why that context names no encoding.
+    pub fn new(kind_tag: u8, bits: u8, dim: usize) -> Result<Self, CodecError> {
+        let (encoding, body_len) = match kind_tag {
+            TAG_FP32 if bits == 32 => (Encoding::Fp32, dim * 4),
+            TAG_FP16 if bits == 16 => (Encoding::Fp16, dim * 2),
+            TAG_UNIFORM if (1..=16).contains(&bits) => {
+                (Encoding::Uniform { bits }, 8 + packed_len(dim, bits))
+            }
+            TAG_FP32 | TAG_FP16 | TAG_UNIFORM => return Err(CodecError::BadBits(bits)),
+            t => return Err(CodecError::BadTag(t)),
+        };
+        Ok(Self {
+            encoding,
+            dim,
+            body_len,
+        })
+    }
+
+    /// Bytes of one row body — parameters, then payload. The length
+    /// depends on the context alone, so row `k` of a chunk's back-to-back
+    /// bodies starts at `k * body_len`, and a reader that keeps bodies
+    /// encoded validates them all with one multiplication: `n` bodies are
+    /// well-formed iff the context is and `n * body_len` bytes are there.
+    pub fn body_len(&self) -> usize {
+        self.body_len
+    }
+
+    /// Values per row.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// De-quantizes the back-to-back row bodies `bodies` into `out`, `dim`
+    /// values per row, in order.
+    ///
+    /// Panics unless `bodies` holds exactly the rows `out` has room for.
+    pub fn decode(&self, bodies: &[u8], out: &mut [f32]) {
+        self.decode_runs([(bodies, out)]);
+    }
+
+    /// [`Self::decode`] over runs: each pair is some of a chunk's rows,
+    /// back to back, and where they land. The encoding is matched once per
+    /// call and each run goes through that encoding's loop — a run of
+    /// fp32 rows is one pass over its bytes — so a caller that picks the
+    /// rows as it goes (a restore skipping rows a newer chunk wrote) keeps
+    /// its choice inside one loop.
+    ///
+    /// Panics unless each run's bodies are exactly the rows its
+    /// destination has room for.
+    pub fn decode_runs<'b, 'v>(&self, runs: impl IntoIterator<Item = (&'b [u8], &'v mut [f32])>) {
+        match self.encoding {
+            Encoding::Fp32 => runs.into_iter().for_each(|(bodies, out)| {
+                assert_eq!(bodies.len(), out.len() * 4, "fp32 bodies for {} values", out.len());
+                fp32_values(bodies, out);
+            }),
+            Encoding::Fp16 => runs.into_iter().for_each(|(bodies, out)| {
+                assert_eq!(bodies.len(), out.len() * 2, "fp16 bodies for {} values", out.len());
+                fp16_values(bodies, out);
+            }),
+            Encoding::Uniform { bits } => {
+                uniform_rows(bits, self.body_len, self.dim, runs, |body| {
+                    let (p, codes) = body.split_at(8);
+                    let scale = f32::from_le_bytes([p[0], p[1], p[2], p[3]]);
+                    let zero_point = f32::from_le_bytes([p[4], p[5], p[6], p[7]]);
+                    (scale, zero_point, codes)
+                })
+            }
+        }
     }
 }
 
-/// Validates the chunk-level context, splits one row body off the front of
-/// `buf` (advancing it past the row) and reads the row's parameters. The
-/// payload is borrowed; nothing allocates.
-fn split_body<'a>(
-    buf: &mut &'a [u8],
-    kind_tag: u8,
-    bits: u8,
-    dim: usize,
-) -> Result<(QuantParams, &'a [u8]), CodecError> {
-    let len = body_len(kind_tag, bits, dim)?;
+/// Splits one `len`-byte row body off the front of `buf`, advancing it
+/// past the row.
+fn split_body<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], CodecError> {
     if buf.remaining() < len {
         return Err(CodecError::Truncated);
     }
-    let (mut body, rest) = buf.split_at(len);
+    let (body, rest) = buf.split_at(len);
     *buf = rest;
-    let params = match kind_tag {
-        TAG_FP32 => QuantParams::Fp32,
-        TAG_FP16 => QuantParams::Fp16,
-        _ => QuantParams::Uniform {
-            scale: body.get_f32_le(),
-            zero_point: body.get_f32_le(),
-        },
-    };
-    Ok((params, body))
+    Ok(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::QuantScheme;
+    use proptest::prelude::*;
+
+    fn body_len(kind_tag: u8, bits: u8, dim: usize) -> Result<usize, CodecError> {
+        RowDecoder::new(kind_tag, bits, dim).map(|d| d.body_len())
+    }
 
     fn sample_row() -> Vec<f32> {
         (0..32).map(|i| ((i * 17 % 32) as f32 / 32.0 - 0.5) * 0.3).collect()
@@ -437,5 +531,112 @@ mod tests {
         let r2 = fp32 as f64 / q2 as f64;
         assert!(r4 > 5.0 && r4 < 8.5, "4-bit ratio {r4}");
         assert!(r2 > 8.0 && r2 < 13.5, "2-bit ratio {r2}");
+    }
+
+    /// Values that break arithmetic, as stored `f32` parameters or fp32
+    /// payload words.
+    const SPECIAL_F32: [f32; 9] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        f32::MIN_POSITIVE,
+        1e-42, // subnormal
+        f32::MAX,
+        -3.5,
+    ];
+
+    /// The same as binary16 patterns: NaN, ±inf, −0, a subnormal, max.
+    const SPECIAL_F16: [u16; 6] = [0x7E01, 0x7C00, 0xFC00, 0x8000, 0x0001, 0x7BFF];
+
+    /// `n` arbitrary row bodies under `decoder`, from `seed`: random bytes,
+    /// with special values written over some parameter and payload words.
+    fn arbitrary_bodies(decoder: RowDecoder, tag: u8, n: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut bodies: Vec<u8> = (0..n * decoder.body_len()).map(|_| next() as u8).collect();
+        for body in bodies.chunks_exact_mut(decoder.body_len().max(1)) {
+            let (words, width) = match tag {
+                TAG_UNIFORM => (2, 4), // scale, zero_point
+                TAG_FP32 => (decoder.dim(), 4),
+                _ => (decoder.dim(), 2),
+            };
+            for w in 0..words {
+                let r = next();
+                if r % 3 != 0 {
+                    continue;
+                }
+                let at = &mut body[w * width..(w + 1) * width];
+                if width == 4 {
+                    let v = SPECIAL_F32[(r >> 8) as usize % SPECIAL_F32.len()];
+                    at.copy_from_slice(&v.to_le_bytes());
+                } else {
+                    let v = SPECIAL_F16[(r >> 8) as usize % SPECIAL_F16.len()];
+                    at.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        bodies
+    }
+
+    /// Bits of each value; every NaN the same (a NaN's payload out of
+    /// arithmetic is not part of the contract).
+    fn value_bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    proptest! {
+        /// A chunk's rows decoded in one call — and in runs of any split —
+        /// equal, bit for bit, each row decoded on its own through the row
+        /// object and the frozen reference codec: fp32, fp16 and uniform at
+        /// every width, for arbitrary stored bytes.
+        #[test]
+        fn chunk_decoder_equals_the_row_object_oracle(
+            encoding in 0u8..18,
+            dim_idx in 0usize..8,
+            n in 1usize..=64,
+            split in 0usize..=64,
+            seed in any::<u64>(),
+        ) {
+            let (tag, bits) = match encoding {
+                0 => (TAG_FP32, 32),
+                1 => (TAG_FP16, 16),
+                b => (TAG_UNIFORM, b - 1),
+            };
+            let dim = [1usize, 3, 7, 8, 13, 32, 64, 65][dim_idx];
+            let decoder = RowDecoder::new(tag, bits, dim).unwrap();
+            let bodies = arbitrary_bodies(decoder, tag, n, seed);
+
+            let mut want = Vec::with_capacity(n * dim);
+            let mut cursor = bodies.as_slice();
+            for _ in 0..n {
+                let row = QuantizedRow::decode_body_from(&mut cursor, tag, bits, dim).unwrap();
+                let values = row.dequantize();
+                prop_assert_eq!(value_bits(&values), value_bits(&crate::reference::dequantize(&row)));
+                want.extend(values);
+            }
+            prop_assert!(cursor.is_empty());
+
+            let mut got = vec![f32::NAN; n * dim];
+            decoder.decode(&bodies, &mut got);
+            prop_assert_eq!(value_bits(&got), value_bits(&want), "one call");
+
+            let split = split.min(n);
+            let (first, second) = got.split_at_mut(split * dim);
+            first.fill(7.0);
+            second.fill(7.0);
+            let (b0, b1) = bodies.split_at(split * decoder.body_len());
+            decoder.decode_runs([(b0, first), (b1, second)]);
+            prop_assert_eq!(value_bits(&got), value_bits(&want), "two runs");
+        }
     }
 }

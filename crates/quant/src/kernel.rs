@@ -5,15 +5,19 @@
 //! the public row objects ([`crate::QuantizedRow`], [`crate::uniform`],
 //! [`crate::adaptive`]) and the chunk-level byte paths
 //! ([`crate::QuantScheme::quantize_row_into`],
-//! [`crate::codec::decode_body_to`]) are thin callers of these loops, so what a checkpoint stores and what
-//! the public codec computes cannot drift apart.
+//! [`crate::codec::RowDecoder`]) are thin callers of these loops, so what a
+//! checkpoint stores and what the public codec computes cannot drift apart.
 //!
 //! The kernels allocate nothing and are written so the compiler can
 //! vectorize them: values move through fixed-size stack blocks, rounding
 //! is branch-free, and the only serial dependency left is the one the
-//! result's bits depend on (the in-order `f64` error sum). Their outputs
-//! are bit-identical to the original per-row implementations, which are
-//! kept, frozen, in the test-only `reference` module as the oracle.
+//! result's bits depend on (the in-order `f64` error sum). Decoding goes a
+//! chunk at a time: the code width is matched once per call of
+//! [`uniform_rows`], and each width that fills whole bytes has a loop of
+//! its own that unpacks and scales a row without a code buffer. Their
+//! outputs are bit-identical to the original per-row implementations,
+//! which are kept, frozen, in the test-only `reference` module as the
+//! oracle.
 //!
 //! The error pass also measures what its range *clips* ([`TrialCost::clip`]):
 //! a lower bound, exact under rounding, on the error of every range nested
@@ -22,7 +26,8 @@
 //! would have produced; the argument is on [`l2_errors`] and
 //! [`clip_slack`].
 
-use crate::bitpack::{pack_into, packed_len, unpack_into};
+use crate::bitpack::{pack_into, unpack_any_with, unpack_grouped_with};
+use crate::half::f16_bits_to_f32;
 use crate::params::QuantParams;
 
 /// Elements per stack block. A multiple of 8, so a block of codes of any
@@ -267,35 +272,90 @@ pub(crate) fn l2_errors<const N: usize>(
     })
 }
 
-/// Unpacks `out.len()` codes of width `bits` from `payload` and
-/// de-quantizes them with `params` into `out`: the one unpack-and-scale
-/// loop behind every decode path. The destination is the caller's — a
-/// restore points it at the row's place in the model's own table, so a
-/// value is written once, where it lives.
+/// Little-endian `f32`s, one per four bytes of `bytes`, into `out`. A run
+/// of consecutive fp32 rows is one call: their bodies are back to back
+/// with nothing between them.
+#[inline(always)]
+pub(crate) fn fp32_values(bytes: &[u8], out: &mut [f32]) {
+    let bytes = &bytes[..out.len() * 4];
+    for (o, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
+
+/// Little-endian binary16 patterns, one per two bytes of `bytes`, widened
+/// into `out`.
+#[inline(always)]
+pub(crate) fn fp16_values(bytes: &[u8], out: &mut [f32]) {
+    let bytes = &bytes[..out.len() * 2];
+    for (o, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *o = f16_bits_to_f32(u16::from_le_bytes([b[0], b[1]]));
+    }
+}
+
+/// De-quantizes rows of `bits`-wide uniform codes, `dim` values each: the
+/// one unpack-and-scale loop behind every decode path. Each run is a pair
+/// of back-to-back row sources, `row_len` bytes each, and the run's
+/// destination; `params` splits a source into its row's `(scale,
+/// zero_point)` and packed codes. A value is `scale * code as f32 +
+/// zero_point`, exactly as [`QuantParams::dequantize_code`] computes it.
 ///
-/// Panics when `payload` is too short for `out.len()` values.
-pub(crate) fn dequantize_payload_to(
-    params: &QuantParams,
-    payload: &[u8],
+/// The width is matched once, here, and every width that fills whole bytes
+/// gets a loop of its own, so the per-row work is reading two parameters
+/// and unpacking one row — no dispatch, no code buffer.
+///
+/// Panics when a run's sources do not hold exactly the rows its
+/// destination has room for.
+pub(crate) fn uniform_rows<'b, 'v>(
     bits: u8,
-    out: &mut [f32],
+    row_len: usize,
+    dim: usize,
+    runs: impl IntoIterator<Item = (&'b [u8], &'v mut [f32])>,
+    params: impl Fn(&'b [u8]) -> (f32, f32, &'b [u8]),
 ) {
-    let n = out.len();
-    if matches!(params, QuantParams::Fp32) {
-        assert!(payload.len() >= n * 4, "payload shorter than declared dim");
-        for (o, b) in out.iter_mut().zip(payload.chunks_exact(4)) {
-            *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+    if dim == 0 {
         return;
     }
-    let packed = packed_len(n, bits);
-    assert!(payload.len() >= packed, "payload shorter than declared dim");
-    let mut codes = [0u16; BLOCK];
-    let block_bytes = BLOCK / 8 * bits as usize;
-    for (bytes, values) in payload[..packed].chunks(block_bytes).zip(out.chunks_mut(BLOCK)) {
-        let codes = &mut codes[..values.len()];
-        unpack_into(bytes, bits, codes);
-        params.dequantize_codes_to(codes, values);
+    match bits {
+        1 => rows_with(row_len, dim, runs, params, |c, s, z, o| {
+            unpack_grouped_with::<1, _>(c, o, |q| s * q as f32 + z)
+        }),
+        2 => rows_with(row_len, dim, runs, params, |c, s, z, o| {
+            unpack_grouped_with::<2, _>(c, o, |q| s * q as f32 + z)
+        }),
+        4 => rows_with(row_len, dim, runs, params, |c, s, z, o| {
+            unpack_grouped_with::<4, _>(c, o, |q| s * q as f32 + z)
+        }),
+        8 => rows_with(row_len, dim, runs, params, |c, s, z, o| {
+            unpack_grouped_with::<8, _>(c, o, |q| s * q as f32 + z)
+        }),
+        _ => rows_with(row_len, dim, runs, params, |c, s, z, o| {
+            unpack_any_with(c, bits, o, |q| s * q as f32 + z)
+        }),
+    }
+}
+
+/// The row loop of [`uniform_rows`], monomorphised per width by `values`.
+#[inline(always)]
+fn rows_with<'b, 'v>(
+    row_len: usize,
+    dim: usize,
+    runs: impl IntoIterator<Item = (&'b [u8], &'v mut [f32])>,
+    params: impl Fn(&'b [u8]) -> (f32, f32, &'b [u8]),
+    values: impl Fn(&'b [u8], f32, f32, &mut [f32]),
+) {
+    for (sources, out) in runs {
+        let n = out.len() / dim;
+        assert!(
+            out.len() == n * dim && sources.len() == n * row_len,
+            "{} bytes of {row_len}-byte rows for {} values of {dim}-value rows",
+            sources.len(),
+            out.len()
+        );
+        for (source, row) in sources.chunks_exact(row_len).zip(out.chunks_exact_mut(dim)) {
+            let (scale, zero_point, codes) = params(source);
+            values(codes, scale, zero_point, row);
+        }
     }
 }
 
@@ -358,7 +418,7 @@ mod tests {
         put_f32s_le(&values, &mut buf);
         assert_eq!(buf.len(), 1 + values.len() * 4);
         let mut back = [9.0f32; 6];
-        dequantize_payload_to(&QuantParams::Fp32, &buf[1..], 32, &mut back);
+        fp32_values(&buf[1..], &mut back);
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -23,8 +23,10 @@
 //!
 //! Quantized rows serialize to a compact byte format ([`codec`]) used by
 //! the chunked checkpoint writer in `cnr-core`. Every scheme's row body has
-//! a fixed length given the chunk-level context ([`codec::body_len`]), so
-//! row `k` of a stored chunk is found by arithmetic.
+//! a fixed length given the chunk-level context
+//! ([`codec::RowDecoder::body_len`]), so row `k` of a stored chunk is found
+//! by arithmetic, and a reader resolves that context once per chunk and
+//! de-quantizes the chunk's rows in one loop ([`codec::RowDecoder`]).
 
 #![forbid(unsafe_code)]
 
