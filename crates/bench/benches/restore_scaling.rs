@@ -12,6 +12,10 @@
 //! * **chunk placement wall-clock per scheme** (`decode/place_chunk_*`) —
 //!   one full checkpoint in 4096-row chunks restored in place on one
 //!   decode worker: the de-quantization kernel as a restore runs it;
+//! * **lazy drain wall-clock, 1 vs 2 workers** (`lazy/drain_workers_*`)
+//!   — a lazy restore that held back every chunk, drained: the cold tail
+//!   placed on the restore's decode workers (each iteration drains a fresh
+//!   clone of the tail, stamps included);
 //! * **decode wall-clock, 1 vs 4 worker threads** — the CPU half of
 //!   time-to-resume. The ratio is *reported*, not asserted: whether four
 //!   threads beat one is a property of the machine (core count, CPU
@@ -30,6 +34,9 @@ use cnr_bench::trajectory::{
     chunk_store, decode_snapshot, decode_store, decode_wall_clock, place_wall_clock,
     restore_snapshot, simulated_ready_to_train,
 };
+use cnr_core::manifest::CheckpointId;
+use cnr_core::read::{restore_sharded_into, RestoreOptions};
+use cnr_model::DlrmModel;
 use cnr_quant::QuantScheme;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -108,9 +115,46 @@ fn decode_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+fn drain_scaling(c: &mut Criterion) {
+    let full = std::env::args().any(|a| a == "--bench");
+    let (model_cfg, snap) = decode_snapshot(!full);
+    // fp32 in 4096-row chunks: the lazy lifecycle workload's checkpoints.
+    let store = chunk_store(&snap, QuantScheme::Fp32);
+    let mut group = c.benchmark_group("lazy");
+    group.sample_size(10);
+    for workers in [1usize, 2] {
+        let mut model = DlrmModel::new(model_cfg.clone());
+        let options = RestoreOptions {
+            decode_workers: workers,
+            lazy: true,
+            hot_fraction: 0.0,
+            ..RestoreOptions::default()
+        };
+        let tail = restore_sharded_into(
+            &store,
+            "bench",
+            CheckpointId(0),
+            &model_cfg,
+            &options,
+            Duration::ZERO,
+            None,
+            None,
+            model.table_views_mut(),
+        )
+        .expect("restore")
+        .lazy
+        .expect("a lazy restore returns its tail");
+        assert!(tail.pending_rows() > 0, "every chunk is held back");
+        group.bench_function(format!("drain_workers_{workers}"), |b| {
+            b.iter(|| tail.clone().drain(&mut model).expect("drain"));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = restore_scaling, decode_scaling
+    targets = restore_scaling, decode_scaling, drain_scaling
 }
 criterion_main!(benches);

@@ -459,7 +459,7 @@ impl Engine {
         self.require_live_state()?;
         // A snapshot must capture fully materialized state: finish any
         // in-progress lazy restore first (waiting out its background
-        // drain), otherwise the checkpoint would persist zeroed cold rows.
+        // drain), otherwise the checkpoint would persist stale cold rows.
         self.drain_lazy_restore()?;
         // §4.3, relaxed: interval N+1's snapshot and quantization are CPU
         // work and may overlap interval N's upload drain — only the
@@ -656,10 +656,11 @@ impl Engine {
 
     /// Forces an in-progress lazy restore to finish: waits out the
     /// background fetch (advancing the simulated clock to its completion
-    /// point), applies every remaining cold row and deferred WAL delta, and
-    /// retires the lazy state. Returns the rows materialized (zero when no
-    /// lazy restore is pending). Called automatically when training catches
-    /// up with the drain and before every checkpoint.
+    /// point), applies every remaining cold row (placed on the restore's
+    /// decode workers) and deferred WAL delta, and retires the lazy state.
+    /// Until then the cold rows are stale. Returns the rows materialized
+    /// (zero when no lazy restore is pending). Called automatically when
+    /// training catches up with the drain and before every checkpoint.
     pub fn drain_lazy_restore(&mut self) -> Result<u64> {
         let Some(mut lazy) = self.pending_lazy.take() else {
             return Ok(0);
@@ -667,7 +668,8 @@ impl Engine {
         let drain_start = self.clock.now();
         self.clock.advance_to(self.lazy_drain_done_at);
         // A drain that fails has dropped its tail: the rows it had not
-        // reached stay zero for good.
+        // reached stay stale for good, and the model is not trained on or
+        // checkpointed until a restore succeeds.
         let outcome = lazy
             .drain(self.trainer.model_mut())
             .inspect_err(|_| self.state_lost = true)?;
@@ -1026,11 +1028,22 @@ impl Engine {
 
     /// Evaluates the current model on held-out batches `[from, to)`.
     ///
-    /// Does **not** fault in lazily restored rows: mid-drain, cold rows a
-    /// batch touches read as the restore's zero fill, so drain first via
-    /// [`Engine::drain_lazy_restore`] for the restored model's number.
-    pub fn evaluate(&self, from: u64, to: u64) -> EvalReport {
-        evaluate(self.trainer.model(), &self.dataset, from, to)
+    /// Mid-drain, each batch first faults in the cold rows it touches —
+    /// the fetches training pays, charged to the clock and counted in
+    /// [`ResumeStats`](crate::stats::ResumeStats) the same way — so the
+    /// number is the restored model's, never a stale row's. A model a
+    /// failed restore left partly written is refused with
+    /// [`CnrError::TrainingStateLost`].
+    pub fn evaluate(&mut self, from: u64, to: u64) -> Result<EvalReport> {
+        self.require_live_state()?;
+        for i in from..to {
+            if self.pending_lazy.is_none() {
+                break;
+            }
+            let batch = self.dataset.batch(i);
+            self.fault_in_for_batch(&batch)?;
+        }
+        Ok(evaluate(self.trainer.model(), &self.dataset, from, to))
     }
 
     /// Run statistics so far.
@@ -1045,7 +1058,11 @@ impl Engine {
         &self.obs
     }
 
-    /// The trainer.
+    /// The trainer. Mid-drain (see [`Engine::pending_lazy`]) its model's
+    /// cold rows are stale — whatever the tables held before the restore —
+    /// until a batch faults them in or [`Engine::drain_lazy_restore`]
+    /// lands them; [`Engine::train_batches`] and [`Engine::evaluate`]
+    /// never read one.
     pub fn trainer(&self) -> &Trainer {
         &self.trainer
     }
@@ -2019,6 +2036,34 @@ mod tests {
             b.trainer().model().state_hash(),
             "training mid-drain must not diverge from the eager path"
         );
+    }
+
+    /// A held-out evaluation mid-drain scores the restored model, not its
+    /// stale cold rows: each batch faults in the cold rows it touches
+    /// first, counted like training's, so the logloss has the bits the
+    /// same evaluation has after the drain.
+    #[test]
+    fn mid_drain_evaluation_scores_the_restored_model() {
+        let restored = || {
+            let mut e = lazy_builder(0.05).build().unwrap();
+            e.train_batches(13).unwrap();
+            e.simulate_failure_and_restore().unwrap();
+            assert!(e.pending_lazy().is_some());
+            e
+        };
+        let (from, to) = (5_000, 5_004);
+        let mut drained = restored();
+        drained.drain_lazy_restore().unwrap();
+        let want = drained.evaluate(from, to).unwrap();
+
+        let mut mid = restored();
+        let got = mid.evaluate(from, to).unwrap();
+        assert!(mid.pending_lazy().is_some(), "the evaluation ran mid-drain");
+        let resume = mid.stats().resumes.last().unwrap();
+        assert!(resume.fault_in_fetches > 0, "held-out batches touch cold rows");
+        assert!(resume.fault_in_time > Duration::ZERO, "and pay for them");
+        assert_eq!(got.logloss.to_bits(), want.logloss.to_bits());
+        assert_eq!(got, want);
     }
 
     #[test]

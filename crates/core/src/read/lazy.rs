@@ -9,8 +9,9 @@
 //! * **cold chunks** — each the verified object the fetch returned plus its
 //!   opened header. Frame checksum, geometry, row indices and the presence
 //!   of every row body were checked at restore time, before the first
-//!   batch; nothing was de-quantized. Their rows read zero until
-//!   materialized,
+//!   batch; nothing was de-quantized. Until a row materializes it is
+//!   *stale*, in CPR's sense: it holds whatever the destination held, and
+//!   nothing may read it — training and evaluation fault it in first,
 //! * **per-row application ranks** — the stamps the restore's destination
 //!   (`merge::Destination`) ordered its decode workers with, as they stood
 //!   when the hot set had landed, so a late cold chunk from an *older*
@@ -21,14 +22,17 @@
 //!
 //! Materializing finishes the restore the eager path started, by the same
 //! code: the background **drain** wraps the model's tables and the stamps
-//! in a `merge::Destination` again and places every cold chunk; a
-//! **fault-in** (training touched an unrestored row — a counted,
-//! synchronous, targeted fetch) lands the one row, found at `k × body_len`
-//! in each cold chunk that names it, through `merge::land_rows` over a
-//! one-row stripe — the decoder the chunk's header resolved when the
-//! restore opened it, so nothing about the encoding is decided again. Per
-//! row the apply order is always chunk levels ascending (the rank rule),
-//! then deferred deltas in replay order — exactly the eager path's.
+//! in a `merge::Destination` again and places every cold chunk on the
+//! restore's decode workers; a **fault-in** (training touched an
+//! unrestored row — a counted, synchronous, targeted fetch) lands the one
+//! row, found at `k × body_len` in each cold chunk that names it, through
+//! `merge::land_rows` over a one-row stripe — the decoder the chunk's
+//! header resolved when the restore opened it, so nothing about the
+//! encoding is decided again. Per row the apply order is always chunk
+//! levels ascending (the rank rule), then deferred deltas in replay order —
+//! exactly the eager path's. Rows are whole-row overwrites, so the order
+//! *across* rows does not matter: the drain visits only the rows that have
+//! deferred deltas, not every row of the model.
 //!
 //! The cold chunks stay until every one of them is placed: a drain that is
 //! refused (a model of another shape) or fails part-way leaves the tail
@@ -37,6 +41,7 @@
 use super::merge::{land_rows, Destination, Stripe};
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
+use crate::hosts::run_hosts;
 use crate::manifest::{ChunkHeader, OpenedChunk, TableMeta};
 use cnr_model::DlrmModel;
 use cnr_storage::envelope::Verified;
@@ -68,6 +73,54 @@ impl ColdChunk {
     fn opened(&self) -> OpenedChunk<'_> {
         self.header.over(self.object.payload())
     }
+
+    /// Whether `(table, row)` lies inside this chunk's row range — the
+    /// only chunks a fault-in has to search.
+    fn spans(&self, table: u16, row: u32) -> bool {
+        let rows = &self.header.row_indices;
+        self.header.table == table
+            && matches!((rows.first(), rows.last()), (Some(&first), Some(&last)) if first <= row && row <= last)
+    }
+}
+
+/// Which rows a lazy restore's held-back chunks still owe. Worked out once,
+/// when the hot set has landed: the restore's zero step leaves these rows
+/// alone (stale until they materialize), and [`LazyRestore`] starts from
+/// it.
+pub(crate) struct Pending {
+    /// Per table, per row: whether the row already holds its final value —
+    /// false exactly where a held-back chunk outranks the row's stamp.
+    pub materialized: Vec<Vec<bool>>,
+    /// Rows not materialized.
+    rows: u64,
+}
+
+impl Pending {
+    /// The rows the cold chunks of `decoded` owe, in tables of
+    /// `row_counts` rows whose stamps `stamp(table, row)` reads. (Every
+    /// chunk's table and rows are inside the tables: the restore checked
+    /// them.) A row is pending only if some cold chunk outranks what the
+    /// hot set wrote to it; a cold chunk fully shadowed by a newer hot
+    /// chunk leaves its rows final.
+    pub(crate) fn of(
+        decoded: &[DecodedChunk],
+        row_counts: &[usize],
+        mut stamp: impl FnMut(usize, usize) -> u32,
+    ) -> Self {
+        let mut materialized: Vec<Vec<bool>> = row_counts.iter().map(|&n| vec![true; n]).collect();
+        let mut rows = 0u64;
+        for chunk in decoded.iter().filter(|chunk| chunk.cold.is_some()) {
+            let t = chunk.header.table as usize;
+            for &row in &chunk.header.row_indices {
+                let r = row as usize;
+                if materialized[t][r] && chunk.rank > stamp(t, r) {
+                    materialized[t][r] = false;
+                    rows += 1;
+                }
+            }
+        }
+        Self { materialized, rows }
+    }
 }
 
 /// What a background drain applied.
@@ -95,17 +148,24 @@ pub struct LazyRestore {
     pending_rows: u64,
     /// WAL row deltas buffered for unmaterialized rows, replay order per row.
     deferred: HashMap<(u16, u32), Vec<RowDelta>>,
+    /// Threads the drain places the cold chunks on: the restore's decode
+    /// workers.
+    workers: usize,
 }
 
 impl LazyRestore {
     /// Builds the deferred tail from the chunks of a restore — the placed
     /// ones are ignored, the cold ones kept — the checkpoint's table
-    /// `geometry`, and `applied_rank`, the destination's per-table,
-    /// per-row stamps of what the placed chunks wrote (0 where none did).
+    /// `geometry`, `applied_rank`, the destination's per-table, per-row
+    /// stamps of what the placed chunks wrote (0 where none did), the rows
+    /// the cold chunks owe under those stamps, and the restore's decode
+    /// worker count.
     pub(crate) fn new(
         decoded: Vec<DecodedChunk>,
         geometry: Vec<TableMeta>,
         applied_rank: Vec<Vec<u32>>,
+        pending: Pending,
+        workers: usize,
     ) -> Self {
         let mut cold: Vec<ColdChunk> = decoded
             .into_iter()
@@ -120,30 +180,14 @@ impl LazyRestore {
             })
             .collect();
         cold.sort_by_key(|chunk| chunk.rank);
-        // A row is pending only if some cold chunk outranks what the hot
-        // set already wrote to it; a cold chunk fully shadowed by a newer
-        // hot chunk leaves its rows final. (Every cold chunk's table and
-        // rows are inside the geometry: the restore checked them.)
-        let mut materialized: Vec<Vec<bool>> =
-            applied_rank.iter().map(|t| vec![true; t.len()]).collect();
-        let mut pending_rows = 0u64;
-        for chunk in &cold {
-            let t = chunk.header.table as usize;
-            for &row in &chunk.header.row_indices {
-                let r = row as usize;
-                if chunk.rank > applied_rank[t][r] && materialized[t][r] {
-                    materialized[t][r] = false;
-                    pending_rows += 1;
-                }
-            }
-        }
         Self {
             cold,
             geometry,
             applied_rank,
-            materialized,
-            pending_rows,
+            materialized: pending.materialized,
+            pending_rows: pending.rows,
             deferred: HashMap::new(),
+            workers,
         }
     }
 
@@ -231,14 +275,16 @@ impl LazyRestore {
             rank: std::slice::from_mut(&mut self.applied_rank[t][r]),
         };
         let mut bytes = 0u64;
-        for chunk in self.cold.iter().filter(|c| c.header.table == table) {
+        for chunk in self.cold.iter().filter(|c| c.spans(table, row)) {
             if let Ok(k) = chunk.header.row_indices.binary_search(&row) {
                 if land_rows(chunk.opened(), k..k + 1, chunk.rank, &mut stripe) > 0 {
                     bytes += chunk.bytes / chunk.header.row_indices.len() as u64;
                 }
             }
         }
-        self.apply_deferred(model, table, row)?;
+        if let Some(deltas) = self.deferred.remove(&(table, row)) {
+            apply_deltas(model, table, row, &deltas)?;
+        }
         self.materialized[t][r] = true;
         self.pending_rows -= 1;
         Ok(bytes)
@@ -246,63 +292,69 @@ impl LazyRestore {
 
     /// Finishes the restore: places every cold chunk into `model`'s tables
     /// under the stamps the hot set (and any fault-ins) left — the same
-    /// `Destination::place` the restore's decode workers ran, so a row is
-    /// written iff the chunk outranks what it holds — then applies every
-    /// remaining deferred delta. After this the model is bit-identical to
-    /// an eager restore plus full WAL replay. Idempotent. `model` must
-    /// have the restored checkpoint's geometry
+    /// `Destination::place` the restore's decode workers ran, on as many
+    /// threads as it had, so a row is written iff the chunk outranks what
+    /// it holds — then applies every remaining deferred delta. After this
+    /// the model is bit-identical to an eager restore plus full WAL replay.
+    /// Idempotent. `model` must have the restored checkpoint's geometry
     /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
     /// keeps the whole tail, so a retry with the right model completes it.
     pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
-        let mut outcome = DrainOutcome::default();
         if !self.cold.is_empty() {
             let dest =
                 Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)?;
-            for chunk in &self.cold {
-                dest.place(chunk.opened(), chunk.rank, &chunk.key)?;
-            }
+            run_hosts(
+                vec![self.cold.iter().collect::<Vec<_>>()],
+                self.workers,
+                None,
+                |_, chunk| dest.place(chunk.opened(), chunk.rank, &chunk.key),
+                |_, _| Ok(()),
+                |_, _| {},
+                "a drain has no host to lose",
+            )?;
             self.cold = Vec::new();
         }
-        for tbl in 0..self.materialized.len() {
-            for row in 0..self.materialized[tbl].len() {
-                if !self.materialized[tbl][row] {
-                    self.materialized[tbl][row] = true;
-                    self.pending_rows -= 1;
-                    outcome.rows_materialized += 1;
-                    self.apply_deferred(model, tbl as u16, row as u32)?;
-                }
-            }
+        // Every cold row has landed. A row's deferred deltas apply after
+        // its chunk levels and in replay order; the rows' own order does not
+        // matter, so only the rows that have deltas are visited. They are
+        // whole-row overwrites, so a retry after a failure here re-applies
+        // them to the same end.
+        for (&(table, row), deltas) in &self.deferred {
+            debug_assert!(!self.is_materialized(table, row), "deltas deferred for a live row");
+            apply_deltas(model, table, row, deltas)?;
         }
-        debug_assert!(self.deferred.is_empty(), "deltas deferred for live rows");
         self.deferred.clear();
-        Ok(outcome)
-    }
-
-    /// Applies and consumes the deferred deltas of one row, replay order.
-    fn apply_deferred(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<()> {
-        let Some(deltas) = self.deferred.remove(&(table, row)) else {
-            return Ok(());
-        };
-        let t = table as usize;
-        let tbl = model
-            .tables_mut()
-            .get_mut(t)
-            .ok_or_else(|| CnrError::Corrupt(format!("deferred delta for unknown table {t}")))?;
-        let dim = tbl.dim();
-        for d in deltas {
-            if d.values.len() != dim {
-                return Err(CnrError::Corrupt(format!(
-                    "deferred delta dim {} != table dim {dim}",
-                    d.values.len()
-                )));
-            }
-            tbl.row_mut(row as usize).copy_from_slice(&d.values);
-            if let (Some(acc), Some(adagrad)) = (d.acc, tbl.adagrad_mut()) {
-                adagrad[row as usize] = acc;
-            }
+        for materialized in &mut self.materialized {
+            materialized.fill(true);
         }
-        Ok(())
+        Ok(DrainOutcome {
+            rows_materialized: std::mem::take(&mut self.pending_rows),
+        })
     }
+}
+
+/// Writes `deltas` (one row's, replay order) into `model`'s row: each
+/// overwrites the whole row and its accumulator.
+fn apply_deltas(model: &mut DlrmModel, table: u16, row: u32, deltas: &[RowDelta]) -> Result<()> {
+    let t = table as usize;
+    let tbl = model
+        .tables_mut()
+        .get_mut(t)
+        .ok_or_else(|| CnrError::Corrupt(format!("deferred delta for unknown table {t}")))?;
+    let dim = tbl.dim();
+    for d in deltas {
+        if d.values.len() != dim {
+            return Err(CnrError::Corrupt(format!(
+                "deferred delta dim {} != table dim {dim}",
+                d.values.len()
+            )));
+        }
+        tbl.row_mut(row as usize).copy_from_slice(&d.values);
+        if let (Some(acc), Some(adagrad)) = (d.acc, tbl.adagrad_mut()) {
+            adagrad[row as usize] = acc;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -355,7 +407,12 @@ mod tests {
     /// The tail of a restore that fetched `chunks` into `m`'s geometry:
     /// ranks them in `(level, key)` order and stamps the placed ones' rows
     /// the way the restore's destination does.
-    fn lazy_of(mut chunks: Vec<DecodedChunk>, m: &DlrmModel) -> LazyRestore {
+    fn lazy_of(chunks: Vec<DecodedChunk>, m: &DlrmModel) -> LazyRestore {
+        lazy_on(2, chunks, m)
+    }
+
+    /// [`lazy_of`] for a restore that ran `workers` decode workers.
+    fn lazy_on(workers: usize, mut chunks: Vec<DecodedChunk>, m: &DlrmModel) -> LazyRestore {
         chunks.sort_by(|a, b| (a.level, &a.key).cmp(&(b.level, &b.key)));
         let mut applied_rank: Vec<Vec<u32>> =
             m.tables().iter().map(|t| vec![0; t.rows()]).collect();
@@ -368,7 +425,9 @@ mod tests {
                 }
             }
         }
-        LazyRestore::new(chunks, TableMeta::for_model(m.config()), applied_rank)
+        let row_counts = m.config().row_counts();
+        let pending = Pending::of(&chunks, &row_counts, |t, r| applied_rank[t][r]);
+        LazyRestore::new(chunks, TableMeta::for_model(m.config()), applied_rank, pending, workers)
     }
 
     #[test]
@@ -403,7 +462,7 @@ mod tests {
         assert_eq!(m.tables()[0].adagrad().unwrap()[5], 3.0);
         // The row was de-quantized out of the chunk's stored bytes where
         // they lie: same buffer, same contents, the other rows still
-        // pending and still zero in the model.
+        // pending.
         assert_eq!(lazy.cold.len(), 1);
         assert!(std::ptr::eq(
             lazy.cold[0].object.object().as_ptr(),
@@ -453,6 +512,52 @@ mod tests {
         // Idempotent.
         let again = lazy.drain(&mut m).unwrap();
         assert_eq!(again, DrainOutcome::default());
+    }
+
+    /// Deferred deltas in two tables, one of their rows faulted in before
+    /// the drain, the cold chunks placed on one, two or four workers: a
+    /// row with deltas ends with its last one, a row without ends with its
+    /// newest level, and only the rows still pending count as drained.
+    #[test]
+    fn drain_lands_deferred_deltas_of_every_table_on_any_worker_count() {
+        for workers in [1, 2, 4] {
+            let mut m = model();
+            let chunks = vec![
+                chunk(0, "a", 0, &[0, 1, 2, 3], 1.0, false),
+                chunk(0, "b", 1, &[0, 1, 2], 2.0, false),
+                chunk(1, "c", 0, &[2, 3], 3.0, false),
+                chunk(1, "d", 1, &[400], 4.0, false),
+            ];
+            let mut lazy = lazy_on(workers, chunks, &m);
+            assert_eq!(lazy.pending_rows(), 4 + 4);
+            lazy.defer_delta(0, 3, vec![5.0; 4], Some(5.0));
+            lazy.defer_delta(1, 1, vec![7.0; 4], Some(7.0));
+            lazy.defer_delta(0, 3, vec![6.0; 4], Some(6.0));
+            lazy.defer_delta(1, 400, vec![8.0; 4], Some(8.0));
+            // Table 1's row 1 faults in first: its level, then its delta.
+            assert_eq!(lazy.fault_in(&mut m, 1, 1).unwrap(), 100);
+            assert_eq!(m.tables()[1].row(1), &[7.0; 4]);
+
+            let outcome = lazy.drain(&mut m).unwrap();
+            assert_eq!(outcome.rows_materialized, 4 + 4 - 1, "workers={workers}");
+            assert!(lazy.is_drained() && lazy.pending_rows() == 0);
+            let row = |t: usize, r: usize| {
+                let table = &m.tables()[t];
+                (table.row(r)[0], table.adagrad().unwrap()[r])
+            };
+            for (t, r, want) in [
+                (0, 0, 1.0),
+                (0, 1, 1.0),
+                (0, 2, 3.0),
+                (0, 3, 6.0),
+                (1, 0, 2.0),
+                (1, 1, 7.0),
+                (1, 2, 2.0),
+                (1, 400, 8.0),
+            ] {
+                assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
+            }
+        }
     }
 
     /// The tail is placed into whatever model it is handed — and refuses,

@@ -22,11 +22,12 @@
 //! A lazy restore is this restore stopped early: the chunks it held back
 //! land later through the same [`Destination::place`] (the drain) or, one
 //! row at a time, the same [`land_rows`] over a one-row stripe (a
-//! fault-in), against the same stamps.
+//! fault-in), against the same stamps. Until then their rows are *stale*:
+//! they hold whatever the destination held.
 //!
 //! What cannot run on the workers stays here as the serial tail
 //! ([`tally`], [`Destination::zero_unwritten`]): per-level completeness,
-//! the union of incremental rows, and zeroing the rows no chunk wrote.
+//! the union of incremental rows, and zeroing the rows no chunk names.
 
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
@@ -34,7 +35,7 @@ use crate::manifest::{CheckpointKind, Manifest, OpenedChunk, TableMeta};
 use cnr_model::TableViewMut;
 use cnr_tracking::TrackerSnapshot;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Rows per lock stripe. A worker holds one stripe's lock while it writes
 /// the run of its chunk's rows that fall inside it, so a full chunk takes a
@@ -270,24 +271,47 @@ impl<'a> Destination<'a> {
         Ok(())
     }
 
-    /// Zeroes every row no placed chunk wrote, so a destination that held
-    /// stale weights is indistinguishable from a fresh one: a row either
-    /// carries its checkpoint value or, like a lazy restore's cold row
-    /// before it materializes, zero.
-    pub(crate) fn zero_unwritten(self) -> Result<()> {
-        for table in self.tables {
+    /// The rank of the chunk whose value row `row` of table `table` holds
+    /// (0 = none). Takes no lock: `&mut self` means no worker is writing.
+    pub(crate) fn stamp(&mut self, table: usize, row: usize) -> u32 {
+        let stripe = self.tables[table].stripes[row / STRIPE_ROWS]
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        stripe.rank[row % STRIPE_ROWS]
+    }
+
+    /// Zeroes every row no fetched chunk names, so a destination that held
+    /// other weights is indistinguishable from a fresh one there. Eager
+    /// (`materialized` is `None`): every row no placed chunk wrote. Lazy:
+    /// `materialized` says, per table and row, whether the row is final,
+    /// and a row a held-back chunk still owes is left as it is — stale
+    /// until a fault-in or the drain lands it, which would overwrite a
+    /// zero anyway.
+    pub(crate) fn zero_unwritten(self, materialized: Option<&[Vec<bool>]>) -> Result<()> {
+        for (t, table) in self.tables.into_iter().enumerate() {
+            let materialized = materialized.map(|m| m[t].as_slice());
             for stripe in table.stripes {
                 let Stripe {
+                    first_row,
                     data,
                     mut adagrad,
                     rank,
-                    ..
                 } = stripe.into_inner().map_err(poisoned)?;
-                // Whole runs at a time: after a lazy restore most stripes
-                // are one run, and a stripe-sized fill is a `memset`.
+                // Whole runs at a time: after an eager restore of a partial
+                // chain most stripes are one run, and a stripe-sized fill
+                // is a `memset`. A stamp of 0 means no placed chunk wrote
+                // the row; such a row that is not final is a held-back
+                // chunk's.
                 let mut local = 0;
                 while local < rank.len() {
-                    let run = rank[local..].iter().take_while(|&&r| r == 0).count();
+                    let unstamped = rank[local..].iter().take_while(|&&r| r == 0);
+                    let run = match materialized {
+                        None => unstamped.count(),
+                        Some(m) => unstamped
+                            .zip(&m[first_row + local..])
+                            .take_while(|&(_, &done)| done)
+                            .count(),
+                    };
                     data[local * table.dim..(local + run) * table.dim].fill(0.0);
                     if let Some(acc) = &mut adagrad {
                         acc[local..local + run].fill(0.0);
@@ -467,6 +491,53 @@ mod tests {
                 assert_eq!(got.adagrad, want.adagrad, "{scheme}, acc {with_acc}");
                 assert_eq!(got_stamps[0], want_stamps, "{scheme}, acc {with_acc}");
                 assert_ne!(want_stamps, stamps, "something landed");
+            }
+        }
+    }
+
+    /// The zero step over a destination that held -9.0 everywhere, after
+    /// one placed chunk: a row no chunk names is zeroed; a row only a
+    /// held-back chunk names keeps the -9.0 it held (stale, not zero); a
+    /// placed row keeps its value. With no held-back chunk, a lazy mask
+    /// (every row final) zeroes exactly what the eager step zeroes.
+    #[test]
+    fn zero_step_leaves_the_rows_a_held_back_chunk_owes() {
+        let placed: &[u32] = &[0, 1, 2, 1500];
+        let owed = [3, 4, 1024];
+        let hot = frame(placed, &QuantScheme::Fp32, true, 0.5);
+        let meta = TableMeta {
+            rows: ROWS as u64,
+            dim: DIM as u16,
+            has_optimizer_state: true,
+        };
+        let after_zero_step = |materialized: Option<&[Vec<bool>]>| {
+            let mut table = TableState::zeroed(ROWS, DIM, true);
+            table.data.fill(-9.0);
+            table.adagrad.as_mut().unwrap().fill(-9.0);
+            let mut stamps = vec![vec![0u32; ROWS]];
+            let dest = Destination::new(vec![table.view_mut()], &[meta], &mut stamps).unwrap();
+            dest.place(open_frame(&hot).unwrap().over(&hot), 1, "hot").unwrap();
+            dest.zero_unwritten(materialized).unwrap();
+            table
+        };
+        let row = |t: &TableState, r: usize| (t.data[r * DIM], t.adagrad.as_ref().unwrap()[r]);
+
+        let eager = after_zero_step(None);
+        let mut materialized = vec![vec![true; ROWS]];
+        assert!(after_zero_step(Some(&materialized)) == eager, "no held-back chunk");
+        for r in owed {
+            materialized[0][r] = false;
+        }
+        let lazy = after_zero_step(Some(&materialized));
+        for r in 0..ROWS {
+            if placed.contains(&(r as u32)) {
+                assert_eq!(row(&lazy, r), row(&eager, r), "row {r} was placed");
+                assert_ne!(row(&lazy, r).0, 0.0, "row {r} was placed");
+            } else if owed.contains(&r) {
+                assert_eq!(row(&lazy, r), (-9.0, -9.0), "row {r} is owed: stale");
+                assert_eq!(row(&eager, r), (0.0, 0.0));
+            } else {
+                assert_eq!(row(&lazy, r), (0.0, 0.0), "row {r} is named by no chunk");
             }
         }
     }

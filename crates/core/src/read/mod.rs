@@ -13,10 +13,10 @@
 //!   chain's       own downlink, none before the plan    level, union of
 //!   chunks in     exists (fetch scheduler); each        incremental rows,
 //!   serial        verified chunk is de-quantized        zero the rows no
-//!   order,        row by row *into the destination      chunk wrote
-//!   assign them   tables*, a row written iff the
-//!   to hosts      chunk outranks the row's stamp
-//!   by bytes
+//!   order,        row by row *into the destination      chunk names (a
+//!   assign them   tables*, a row written iff the        lazy restore's
+//!   to hosts      chunk outranks the row's stamp        cold rows stay
+//!   by bytes                                            stale)
 //! ```
 //!
 //! * [`planner`] gives every chunk of the restore chain its rank in the
@@ -34,9 +34,11 @@
 //!   arrival order — and the serial tail.
 //! * [`lazy`] is what a lazy restore hands back instead of finishing: the
 //!   chunks it did not place, kept as the verified bytes the fetch
-//!   returned, and the stamps as they stood. Draining it runs `merge`'s
-//!   placement over those bytes — the restore is one code path, stopped
-//!   early and resumed; eager is `hot_fraction = 1`.
+//!   returned, and the stamps as they stood. The rows those chunks owe are
+//!   stale until they land — the zero step skips them. Draining runs
+//!   `merge`'s placement over those bytes on the same decode workers — the
+//!   restore is one code path, stopped early and resumed; eager is
+//!   `hot_fraction = 1`.
 //!
 //! **The destination is an argument.** [`restore_sharded_into`] writes
 //! each embedding row once, into memory the caller already holds: there is
@@ -242,8 +244,11 @@ pub fn restore_sharded_with_heat(
 /// straight into `dest` (one view per table, in table order, exactly the
 /// geometry of the checkpoint) by the decode workers; when this returns
 /// `Ok`, `dest` holds what `report.state.tables` of the allocating entry
-/// points holds — rows no applied chunk covers zeroed, whatever they held
-/// before — and `report.state.tables` is empty. Everything else of the
+/// points holds — rows no chunk of the chain names zeroed, whatever they
+/// held before — and `report.state.tables` is empty. A lazy restore's rows
+/// that a held-back chunk still owes are *stale* instead: they keep what
+/// `dest` held until [`LazyRestore::fault_in`] or [`LazyRestore::drain`]
+/// lands them. Everything else of the
 /// report (dense layers, `iteration`, `reader`, `incremental_rows`,
 /// `rows_applied`, `bytes_read`) is unchanged. On `Err` `dest` may be
 /// partly written.
@@ -302,7 +307,7 @@ pub fn restore_sharded_into(
     // the destination. A dead host's leftovers go to the survivors as
     // they are.
     let mut applied_rank: Vec<Vec<u32>> = row_counts.iter().map(|&n| vec![0; n]).collect();
-    let dest = merge::Destination::new(dest, &newest.tables, &mut applied_rank)?;
+    let mut dest = merge::Destination::new(dest, &newest.tables, &mut applied_rank)?;
     let decode_nanos = AtomicU64::new(0);
     let reader = ShardReader {
         scheduler: &fetch_sched,
@@ -341,10 +346,22 @@ pub fn restore_sharded_into(
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
-    dest.zero_unwritten()?;
-    let lazy_tail = options
-        .lazy
-        .then(|| LazyRestore::new(decoded, newest.tables.clone(), applied_rank));
+    let lazy_tail = if options.lazy {
+        // The rows the cold chunks owe are left stale, not zeroed: a
+        // fault-in or the drain writes each of them once.
+        let pending = lazy::Pending::of(&decoded, &row_counts, |t, r| dest.stamp(t, r));
+        dest.zero_unwritten(Some(&pending.materialized))?;
+        Some(LazyRestore::new(
+            decoded,
+            newest.tables.clone(),
+            applied_rank,
+            pending,
+            options.decode_workers,
+        ))
+    } else {
+        dest.zero_unwritten(None)?;
+        None
+    };
     let merge_time = merge_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
@@ -800,9 +817,13 @@ mod tests {
         .unwrap();
         let row_counts: Vec<usize> = model_cfg.tables.iter().map(|t| t.rows as usize).collect();
         let heat = RowHeat::zipf(&row_counts, 1.05);
-        for hot_fraction in [0.0, 0.05, 0.5, 1.0] {
+        for (hot_fraction, decode_workers) in [0.0, 0.05, 0.5, 1.0]
+            .into_iter()
+            .flat_map(|f| [1, 2, 4].map(|w| (f, w)))
+        {
             let options = RestoreOptions {
                 reader_hosts: 2,
+                decode_workers,
                 lazy: true,
                 hot_fraction,
                 ..RestoreOptions::default()
@@ -833,7 +854,8 @@ mod tests {
             assert_eq!(
                 ModelState::extract(&model),
                 eager.report.state,
-                "drained lazy restore bit-identical to eager (hot_fraction={hot_fraction})"
+                "drained lazy restore bit-identical to eager \
+                 (hot_fraction={hot_fraction}, decode_workers={decode_workers})"
             );
             // Chain metadata is mode-independent.
             assert_eq!(sharded.report.chain, eager.report.chain);

@@ -94,10 +94,11 @@ impl RowHeat {
 
     /// Boosts every row the coverage window has touched by `factor` — rows
     /// the current training window provably uses outrank cold Zipf mass.
+    /// Walks the window's set rows only, not every row of the model.
     pub fn boost_covered(&mut self, coverage: &CoverageAnalyzer, factor: f32) {
         for (t, table) in self.scores.iter_mut().enumerate() {
-            for (r, s) in table.iter_mut().enumerate() {
-                if coverage.is_touched(t, r) {
+            for r in coverage.touched_rows(t) {
+                if let Some(s) = table.get_mut(r) {
                     *s += factor;
                 }
             }
@@ -521,6 +522,37 @@ mod tests {
             expected,
             "fetch order and host count do not move a chunk's rank"
         );
+    }
+
+    /// Boosting over the analyzer's set rows adds exactly what probing
+    /// every row adds: the same scores, bit for bit, on a random mask over
+    /// tables of different sizes (one of them not a whole number of words).
+    #[test]
+    fn boosting_set_rows_equals_probing_every_row() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let row_counts = [1000, 77, 64];
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut cov = CoverageAnalyzer::new(&row_counts);
+        for (t, &rows) in row_counts.iter().enumerate() {
+            for row in 0..rows {
+                if rng.gen_bool(0.3) {
+                    cov.observe(t, row);
+                }
+            }
+        }
+        let mut probed = RowHeat::zipf(&row_counts, 1.05);
+        for (t, table) in probed.scores.iter_mut().enumerate() {
+            for (r, s) in table.iter_mut().enumerate() {
+                if cov.is_touched(t, r) {
+                    *s += 0.75;
+                }
+            }
+        }
+        let mut boosted = RowHeat::zipf(&row_counts, 1.05);
+        boosted.boost_covered(&cov, 0.75);
+        let bits = |h: &RowHeat| -> Vec<u32> { h.scores.iter().flatten().map(|s| s.to_bits()).collect() };
+        assert_eq!(bits(&boosted), bits(&probed));
+        assert_ne!(bits(&boosted), bits(&RowHeat::zipf(&row_counts, 1.05)), "something was boosted");
     }
 
     #[test]

@@ -47,6 +47,13 @@ impl CoverageAnalyzer {
         self.tables[table].get(row)
     }
 
+    /// The rows of `table` observed since the last reset, ascending (none
+    /// for a table the analyzer does not know): one step per set bit, so a
+    /// caller that acts on touched rows only pays for those.
+    pub fn touched_rows(&self, table: usize) -> impl Iterator<Item = usize> + '_ {
+        self.tables.get(table).into_iter().flat_map(BitVec::iter_ones)
+    }
+
     /// Current coverage fraction in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
         if self.total_rows == 0 {
@@ -78,6 +85,8 @@ mod tests {
         assert!((a.fraction() - 0.1).abs() < 1e-12, "two of twenty rows");
         assert!(a.is_touched(0, 3) && a.is_touched(1, 3));
         assert!(!a.is_touched(0, 4));
+        assert_eq!(a.touched_rows(0).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(a.touched_rows(2).count(), 0, "unknown table");
     }
 
     #[test]

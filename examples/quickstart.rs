@@ -35,7 +35,7 @@ fn main() {
 
     // 3. Train through five checkpoint intervals.
     engine.train_batches(1000).expect("training");
-    let before = engine.evaluate(50_000, 50_040);
+    let before = engine.evaluate(50_000, 50_040).expect("evaluation");
     println!(
         "after 1000 batches: logloss {:.4}, {} checkpoints, {} KB written",
         before.logloss,
@@ -59,7 +59,7 @@ fn main() {
     // 5. Training continues from the checkpoint; the reader resumes at the
     //    exact batch recorded in the manifest (no gap, no duplicates).
     engine.train_batches(200).expect("training");
-    let after = engine.evaluate(50_000, 50_040);
+    let after = engine.evaluate(50_000, 50_040).expect("evaluation");
     println!(
         "resumed to iteration {}: logloss {:.4} (stall overhead {:.4}%)",
         engine.trainer().model().iteration(),

@@ -91,10 +91,10 @@ fn quantized_restore_stays_within_error_bound() {
         QuantMode::Fixed(QuantScheme::Asymmetric { bits: 8 }),
     );
     e.train_batches(50).unwrap();
-    let before = e.evaluate(10_000, 10_020);
+    let before = e.evaluate(10_000, 10_020).unwrap();
     let report = e.simulate_failure_and_restore().unwrap();
     assert_eq!(report.scheme, QuantScheme::Asymmetric { bits: 8 });
-    let after = e.evaluate(10_000, 10_020);
+    let after = e.evaluate(10_000, 10_020).unwrap();
     assert!(
         (after.logloss - before.logloss).abs() < 0.05,
         "8-bit restore moved held-out logloss too much: {} -> {}",
@@ -103,7 +103,7 @@ fn quantized_restore_stays_within_error_bound() {
     );
     // Training proceeds normally after a quantized restore.
     e.train_batches(50).unwrap();
-    let later = e.evaluate(10_000, 10_020);
+    let later = e.evaluate(10_000, 10_020).unwrap();
     assert!(later.logloss < after.logloss + 0.05);
 }
 

@@ -509,6 +509,9 @@ fn two_cold_levels_under_a_newer_hot_one_materialize_to_the_oracles_bits() {
             )
         };
         let equals_oracle = |model: &DlrmModel| ModelState::extract(model).tables == oracle.tables;
+        // What `sentinel_model` put in every row: a row nothing has landed
+        // in yet is stale and still holds it.
+        let sentinel = (vec![f32::NAN.to_bits(); 4], f32::NAN.to_bits());
 
         let (mut model, restored) = chain.lazy_restore().unwrap();
         let mut tail = restored.lazy.expect("cold tail");
@@ -520,7 +523,7 @@ fn two_cold_levels_under_a_newer_hot_one_materialize_to_the_oracles_bits() {
         assert_eq!(row_of(&live, 50), row_of(&oracle, 50), "{scheme}");
         for cold in [40, 60] {
             assert!(!tail.is_materialized(0, cold as u32));
-            assert_eq!(row_of(&live, cold), (vec![0; 4], 0), "cold rows read zero");
+            assert_eq!(row_of(&live, cold), sentinel, "cold rows are stale until they land");
         }
 
         // The shadowed row is a no-op; row 60 lands level 0 then level 1,
@@ -534,7 +537,7 @@ fn two_cold_levels_under_a_newer_hot_one_materialize_to_the_oracles_bits() {
         for row in [5, 40, 50, 60] {
             assert_eq!(row_of(&live, row), row_of(&oracle, row), "{scheme}: row {row}");
         }
-        assert_eq!(row_of(&live, 70), (vec![0; 4], 0), "untouched cold rows still read zero");
+        assert_eq!(row_of(&live, 70), sentinel, "untouched cold rows are still stale");
 
         // The drain finishes the rest, and finishing twice changes nothing.
         let drained = tail.drain(&mut model).unwrap();
