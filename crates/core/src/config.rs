@@ -38,7 +38,7 @@ pub enum QuantMode {
 /// Per-iteration delta WAL between full checkpoints (off by default).
 ///
 /// When enabled, every training iteration appends the touched-row delta to
-/// a segmented, checksummed log (`cnr_storage::wal`) and syncs it before
+/// a checksummed log (`cnr_storage::wal`) and syncs it before
 /// training continues; restore replays the log tail on top of the last
 /// full checkpoint, collapsing lost work from a checkpoint interval to at
 /// most one iteration (Checkmate-style). The WAL has one mode, so this
@@ -48,17 +48,15 @@ pub enum QuantMode {
 pub struct DeltaWalConfig;
 
 impl DeltaWalConfig {
-    /// The storage-layer writer configuration: the default segment size.
+    /// The storage-layer writer configuration (it has no settings).
     pub fn writer_config(&self) -> cnr_storage::WalConfig {
-        cnr_storage::WalConfig::default()
+        cnr_storage::WalConfig
     }
 
     /// Simulated time one sync costs for the `appended_bytes` of frames it
     /// made durable: the log device's fsync round-trip plus those bytes at its
     /// bandwidth. Charged to the training clock, so it shows up in the
-    /// steady-state overhead the paper's 6–17% band is about. The object
-    /// store's re-put of the whole segment is an artifact of the simulated
-    /// store; a real WAL device appends, so only appended bytes are charged.
+    /// steady-state overhead the paper's 6–17% band is about.
     pub fn sync_cost(&self, appended_bytes: u64) -> Duration {
         const SYNC_LATENCY: Duration = Duration::from_micros(10);
         const APPEND_BYTES_PER_SEC: f64 = 1.0e9;

@@ -169,8 +169,8 @@ impl CheckpointController {
     }
 
     /// Replaces the set of live delta-WAL segment keys. The engine reports
-    /// the writer's current segments after every append sync and after
-    /// each truncation, so scrub sweeps always cover the live log.
+    /// the writer's current segments after each truncation and before each
+    /// scrub sweep, so sweeps always cover the live log.
     pub fn set_wal_segments(&mut self, keys: Vec<String>) {
         self.wal_segments = keys;
     }

@@ -14,22 +14,28 @@
 //! over opaque frame payloads and crash-consistency stays entirely the
 //! frame layer's concern.
 //!
-//! This runs once per training iteration, so it is flat: capture quantizes
-//! the touched rows of a table through the chunk kernels into one body
-//! buffer ([`DeltaChunk`]), encode writes the whole record into one
-//! buffer, and apply resolves each chunk's row encoding once and
-//! de-quantizes every applied row straight into its table row — only a
-//! row diverted to a lazy restore's tail gets a buffer of its own.
+//! This runs once per training iteration, so the write side is one pass
+//! from model to stored object: [`DeltaRecord::capture_into`] sizes the
+//! record first, then writes it straight into the frame of the log's next
+//! append ([`WalWriter::append_with`]) — the touched rows quantized in
+//! place through the chunk kernels, the MLPs copied slice by slice from
+//! their layers. [`DeltaRecord::capture`] and [`DeltaRecord::encode`]
+//! build and serialize the same record as a value: the decode-side type,
+//! and the reference `capture_into` must match byte for byte. Apply
+//! resolves each chunk's row encoding once and de-quantizes every applied
+//! row straight into its table row — only a row diverted to a lazy
+//! restore's tail gets a buffer of its own.
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{
-    decode_scheme, encode_scheme, open_frame, CheckpointId, ChunkFrame, RowContext,
+    decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, RowContext,
 };
 use crate::wire;
 use bytes::BufMut;
-use cnr_model::DlrmModel;
+use cnr_model::{DlrmModel, Mlp};
 use cnr_quant::codec::RowDecoder;
 use cnr_quant::QuantScheme;
+use cnr_storage::{PutReceipt, WalWriter};
 use cnr_workload::Batch;
 
 /// The rows one iteration touched in one table, quantized: the parsed
@@ -145,6 +151,53 @@ impl DeltaRecord {
             bottom_mlp: model.bottom().flatten(),
             top_mlp: model.top().flatten(),
         }
+    }
+
+    /// Captures the record [`Self::capture`] would build for the batch
+    /// just applied to `model` straight into the frame of `wal`'s next
+    /// append, byte for byte as [`Self::encode`] writes it, and makes it
+    /// durable ([`WalWriter::append_with`]). Nothing is built on the way:
+    /// the record is sized from the touched row counts, the rows are
+    /// quantized into the frame and the MLPs copied there from their
+    /// layers. What this allocates besides the segment is one buffer of
+    /// the batch's row ids and one of table offsets, however many rows it
+    /// touched. Returns the sync's receipt and the bytes it made durable.
+    pub fn capture_into(
+        model: &DlrmModel,
+        batch: &Batch,
+        scheme: &QuantScheme,
+        base: CheckpointId,
+        reader_next: u64,
+        wal: &mut WalWriter,
+    ) -> Result<(PutReceipt, u64)> {
+        let touched = TouchedRows::of(batch);
+        let chunks_len: usize = touched
+            .tables()
+            .map(|(t, rows)| touched_frame(model, scheme, t, rows).encoded_len())
+            .sum();
+        let len = 3 * 8
+            + scheme_len(scheme)
+            + 2
+            + chunks_len
+            + mlp_len(model.bottom())
+            + mlp_len(model.top());
+        Ok(wal.append_with(len, |out| {
+            out.put_u64_le(base.0);
+            out.put_u64_le(model.iteration());
+            out.put_u64_le(reader_next);
+            encode_scheme(out, scheme);
+            out.put_u16_le(touched.tables().count() as u16);
+            for (t, rows) in touched.tables() {
+                let table = &model.tables()[t];
+                touched_frame(model, scheme, t, rows).encode_into(out, |out| {
+                    for &i in rows {
+                        scheme.quantize_row_into(table.row(i as usize), out);
+                    }
+                });
+            }
+            put_mlp(out, model.bottom());
+            put_mlp(out, model.top());
+        })?)
     }
 
     /// Applies this record on top of `model` (which must hold the state of
@@ -288,6 +341,85 @@ impl DeltaRecord {
     }
 }
 
+/// The distinct rows a batch touched, ascending within each table, every
+/// table's run in one buffer: the row sets [`DeltaRecord::capture`] keeps
+/// in a `Vec` per chunk.
+struct TouchedRows {
+    rows: Vec<u32>,
+    /// Where table `t`'s run ends in `rows` (it starts where `t - 1`'s
+    /// ends).
+    ends: Vec<usize>,
+}
+
+impl TouchedRows {
+    fn of(batch: &Batch) -> Self {
+        let mut rows = Vec::with_capacity(batch.sparse.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(batch.sparse.len());
+        for touched in &batch.sparse {
+            let start = rows.len();
+            rows.extend_from_slice(touched);
+            rows[start..].sort_unstable();
+            let mut end = start;
+            for k in start..rows.len() {
+                if end == start || rows[k] != rows[end - 1] {
+                    rows[end] = rows[k];
+                    end += 1;
+                }
+            }
+            rows.truncate(end);
+            ends.push(end);
+        }
+        Self { rows, ends }
+    }
+
+    /// Every table the batch touched, ascending, with its rows.
+    fn tables(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .enumerate()
+            .filter(|(_, (start, &end))| end > *start)
+            .map(|(t, (start, &end))| (t, &self.rows[start..end]))
+    }
+}
+
+/// The chunk of table `t`'s touched `rows`, as the chunk layout's single
+/// writer takes it: accumulators gathered from the table as they are
+/// written.
+fn touched_frame<'a>(
+    model: &'a DlrmModel,
+    scheme: &QuantScheme,
+    t: usize,
+    rows: &'a [u32],
+) -> ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a> {
+    let table = &model.tables()[t];
+    let dim = table.dim();
+    ChunkFrame {
+        table: t as u16,
+        row_indices: rows,
+        optimizer_state: table
+            .adagrad()
+            .map(|acc| rows.iter().map(move |&i| acc[i as usize])),
+        rows: RowContext {
+            tag: scheme.kind_tag(),
+            bits: scheme.bits(),
+            dim: dim as u16,
+        },
+        rows_len: rows.len() * scheme.body_bytes_per_row(dim),
+    }
+}
+
+/// Bytes [`put_mlp`] appends for `mlp`.
+fn mlp_len(mlp: &Mlp) -> usize {
+    4 + 4 * mlp.param_count()
+}
+
+/// Appends `mlp`'s parameters as [`wire::put_f32s`] writes its
+/// [`Mlp::flatten`], straight from the layers.
+fn put_mlp(out: &mut Vec<u8>, mlp: &Mlp) {
+    wire::put_f32_slices(out, mlp.param_count(), mlp.params());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +506,58 @@ mod tests {
             let got = rec.encode();
             assert_eq!(got, want, "{scheme}");
             assert_eq!(DeltaRecord::decode(&got).unwrap(), rec, "{scheme}");
+        }
+    }
+
+    /// What `capture_into` writes into its segment is, byte for byte,
+    /// `capture().encode()` — for every scheme at every width, with and
+    /// without AdaGrad, over a batch that leaves a table untouched and
+    /// names a row twice — and it is durable: replay returns it.
+    #[test]
+    fn capture_into_writes_the_encoded_record() {
+        use cnr_model::OptimizerConfig;
+        use cnr_storage::{wal, InMemoryStore, ObjectStore, WalConfig};
+        use std::sync::Arc;
+        let mut schemes = vec![QuantScheme::Fp32, QuantScheme::Fp16];
+        for bits in 1..=8 {
+            schemes.push(QuantScheme::Symmetric { bits });
+            schemes.push(QuantScheme::Asymmetric { bits });
+            schemes.push(QuantScheme::recommended_for_bits(bits));
+        }
+        let spec = DatasetSpec::tiny(17);
+        let dataset = cnr_workload::SyntheticDataset::new(spec.clone());
+        let mut one_table = dataset.batch(1);
+        one_table.sparse[0].clear();
+        let again = one_table.sparse[1][0];
+        one_table.sparse[1].push(again);
+        for optimizer in [
+            OptimizerConfig::Sgd { lr: 0.05 },
+            OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
+        ] {
+            let mut model = DlrmModel::new(ModelConfig {
+                optimizer,
+                ..ModelConfig::for_dataset(&spec, 4)
+            });
+            let batch = dataset.batch(0);
+            model.train_batch(&batch, |_, _| {});
+            assert_eq!(model.tables()[0].adagrad().is_some(), matches!(optimizer, OptimizerConfig::RowWiseAdagrad { .. }));
+            for scheme in &schemes {
+                for (k, batch) in [&batch, &one_table].into_iter().enumerate() {
+                    let store = Arc::new(InMemoryStore::new());
+                    let mut log = WalWriter::new(store.clone(), "job", WalConfig);
+                    let want = DeltaRecord::capture(&model, batch, scheme, CheckpointId(3), 9);
+                    assert_eq!(want.chunks.len(), 2 - k, "{scheme}");
+                    let want = want.encode();
+                    let (_, made_durable) =
+                        DeltaRecord::capture_into(&model, batch, scheme, CheckpointId(3), 9, &mut log)
+                            .unwrap();
+                    let stored = store.get(&wal::segment_key("job", 0)).unwrap();
+                    assert_eq!(made_durable, stored.len() as u64);
+                    let replayed = wal::replay(store.as_ref(), "job").unwrap();
+                    assert_eq!(replayed.records.len(), 1);
+                    assert!(replayed.records[0].payload[..] == want[..], "{scheme} {optimizer:?}");
+                }
+            }
         }
     }
 

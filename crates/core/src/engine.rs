@@ -410,10 +410,10 @@ impl Engine {
             return Ok(());
         };
         let scheme = self.current_scheme();
-        let record =
-            DeltaRecord::capture(self.trainer.model(), batch, &scheme, base, batch.index + 1);
         let writer = self.wal.as_mut().expect("checked above");
-        let (_, made_durable) = writer.append(&record.encode())?;
+        let model = self.trainer.model();
+        let (_, made_durable) =
+            DeltaRecord::capture_into(model, batch, &scheme, base, batch.index + 1, writer)?;
         let cost = DeltaWalConfig.sync_cost(made_durable);
         let sync_start = self.clock.now();
         self.clock.advance(cost);
@@ -424,7 +424,6 @@ impl Engine {
             cnr_obs::Span::new(cnr_obs::names::SPAN_WAL_SYNC, sync_start, sync_start + cost)
                 .with_attr("iteration", (batch.index + 1).to_string()),
         );
-        self.controller.set_wal_segments(writer.live_segments());
         self.refresh_wal_stats();
         Ok(())
     }
@@ -529,7 +528,7 @@ impl Engine {
         // A truncate that errs does not undo the checkpoint — it stands,
         // and this boundary finishes. What the truncate left behind is
         // harmless (replay skips records whose base is not the latest
-        // checkpoint), the writer has rolled to a fresh segment, the
+        // checkpoint), the next record goes to a segment of its own, the
         // scrubber keeps covering the leftovers, the registry counts the
         // failure, and the next boundary's truncate collects them.
         if let Some(writer) = self.wal.as_mut() {
@@ -568,14 +567,19 @@ impl Engine {
         Ok(record)
     }
 
-    /// Runs one background scrub sweep over every live checkpoint object:
-    /// verifies each envelope and heals damaged objects — by re-reading the
-    /// primary (a different replica serves the retry) and, when `replica`
-    /// is given, from that replica store. Findings are recorded into the
-    /// run stats ([`RunStats::scrubs`]); when scrubbing is scheduled
-    /// ([`EngineBuilder::scrub_every`]) the next sweep comes due a full
-    /// interval after this one.
+    /// Runs one background scrub sweep over every live checkpoint object
+    /// and WAL segment: verifies each envelope and heals damaged objects —
+    /// by re-reading the primary (a different replica serves the retry)
+    /// and, when `replica` is given, from that replica store. Findings are
+    /// recorded into the run stats ([`RunStats::scrubs`]); when scrubbing
+    /// is scheduled ([`EngineBuilder::scrub_every`]) the next sweep comes
+    /// due a full interval after this one.
     pub fn scrub_now(&mut self, replica: Option<&dyn ObjectStore>) -> Result<ScrubFindings> {
+        // The controller hears of the WAL segments synced since the last
+        // truncate here, where its list is read, not on every append.
+        if let Some(writer) = &self.wal {
+            self.controller.set_wal_segments(writer.live_segments());
+        }
         let keys = self.controller.live_keys();
         // The scrubber records its findings (SCRUB_* counters + the sweep
         // span) into the engine's registry itself — single accumulation
@@ -1788,11 +1792,13 @@ mod tests {
     fn wal_torn_tail_loses_at_most_the_unsynced_iteration() {
         let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap();
-        // Tear the live segment mid-frame: the classic torn write — the
+        // Tear the newest segment mid-frame: the classic torn write — the
         // last append died partway to the device.
-        let key = wal_segment_key(&e);
-        let buf = e.store().get(&key).unwrap();
-        e.store().put(&key, buf.slice(..buf.len() - 3)).unwrap();
+        let segments = wal_segments(&e);
+        assert_eq!(segments.len(), 3, "one segment per logged iteration");
+        let key = segments.last().unwrap();
+        let buf = e.store().get(key).unwrap();
+        e.store().put(key, buf.slice(..buf.len() - 3)).unwrap();
         e.simulate_failure_and_restore().unwrap();
         assert_eq!(e.trainer().model().iteration(), 7, "clean prefix of 2 records");
         let r = e.stats().resumes.last().unwrap();
@@ -1809,52 +1815,37 @@ mod tests {
         );
     }
 
-    /// The live WAL segment's key (exactly one must exist).
-    fn wal_segment_key(e: &Engine) -> String {
-        let keys: Vec<String> = e
-            .controller()
-            .live_keys()
-            .into_iter()
-            .filter(|k| cnr_storage::wal::is_wal_segment_key(k))
-            .collect();
-        assert_eq!(keys.len(), 1, "one live segment expected: {keys:?}");
-        keys.into_iter().next().unwrap()
+    /// The job's WAL segments, oldest first, as the store lists them.
+    fn wal_segments(e: &Engine) -> Vec<String> {
+        wal::list_segments(e.store().as_ref(), &e.job).unwrap()
     }
 
     #[test]
     fn wal_damage_matrix_always_recovers_the_clean_prefix() {
-        // For every frame: tear the segment inside that frame, or flip a
-        // byte in it. Restore must always succeed, recover exactly the
-        // records before the damage, and report the rest as lost — typed
-        // clean-prefix recovery, never an error and never silent garbage.
+        // For every segment: tear it inside its frame, or flip a byte in
+        // it. Restore must always succeed, recover exactly the records
+        // before the damage — none from the clean segments behind it — and
+        // report the rest as lost: typed clean-prefix recovery, never an
+        // error and never silent garbage.
         use cnr_storage::envelope;
-        let frame_starts = |buf: &[u8]| {
-            let mut offs = Vec::new();
-            let mut off = 0;
-            while off < buf.len() {
-                offs.push(off);
-                let pl = u32::from_le_bytes(buf[off + 8..off + 12].try_into().unwrap());
-                off += envelope::HEADER_LEN + pl as usize;
-            }
-            offs
-        };
         for frame in 0..3usize {
             for corrupt in [false, true] {
                 let mut e =
                     builder().delta_wal(DeltaWalConfig).build().unwrap();
                 e.train_batches(8).unwrap(); // ckpt at 5 + records 6, 7, 8
-                let key = wal_segment_key(&e);
-                let buf = e.store().get(&key).unwrap().to_vec();
-                let offs = frame_starts(&buf);
-                assert_eq!(offs.len(), 3);
+                let segments = wal_segments(&e);
+                assert_eq!(segments.len(), 3, "one segment per record");
+                let key = &segments[frame];
+                let buf = e.store().get(key).unwrap().to_vec();
+                assert_eq!(cnr_storage::wal::validate_segment(&buf), Ok(1));
                 let damaged = if corrupt {
                     let mut b = buf.clone();
-                    b[offs[frame] + envelope::HEADER_LEN + 4] ^= 0x01; // payload byte
+                    b[envelope::HEADER_LEN + 4] ^= 0x01; // payload byte
                     b
                 } else {
-                    buf[..offs[frame] + 5].to_vec() // torn mid-header
+                    buf[..5].to_vec() // torn mid-header
                 };
-                e.store().put(&key, bytes::Bytes::from(damaged)).unwrap();
+                e.store().put(key, bytes::Bytes::from(damaged)).unwrap();
                 e.simulate_failure_and_restore().unwrap();
                 let expect = 5 + frame as u64;
                 assert_eq!(
@@ -1905,15 +1896,25 @@ mod tests {
         }
     }
 
+    /// A scrub mid-interval covers every WAL segment synced since the
+    /// last truncate, though no append told the controller about it.
     #[test]
     fn scrubber_covers_live_wal_segments() {
         let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap();
-        let key = wal_segment_key(&e); // live_keys includes the segment
-        assert!(e.store().get(&key).is_ok());
+        let segments = wal_segments(&e);
+        assert_eq!(segments.len(), 3);
+        let checkpoint_keys = e.controller().live_keys().len();
         let findings = e.scrub_now(None).unwrap();
-        assert_eq!(findings.clean, findings.scanned, "multi-frame segments verify clean");
+        assert_eq!(findings.scanned as usize, checkpoint_keys + segments.len());
+        let live = e.controller().live_keys();
+        assert!(segments.iter().all(|k| live.contains(k)), "{segments:?} in {live:?}");
+        assert_eq!(findings.clean, findings.scanned, "WAL segments verify clean");
         assert_eq!(findings.corrupt_detected, 0);
+        // One segment rots: the next sweep finds it.
+        poison_at_rest(&e, &segments[1]);
+        let findings = e.scrub_now(None).unwrap();
+        assert_eq!(findings.corrupt_detected, 1);
     }
 
     #[test]

@@ -654,6 +654,15 @@ pub(crate) fn encode_scheme(buf: &mut Vec<u8>, scheme: &QuantScheme) {
     }
 }
 
+/// Bytes [`encode_scheme`] appends for `scheme`.
+pub(crate) fn scheme_len(scheme: &QuantScheme) -> usize {
+    match scheme {
+        QuantScheme::Fp32 | QuantScheme::Fp16 => 1,
+        QuantScheme::Symmetric { .. } | QuantScheme::Asymmetric { .. } => 2,
+        QuantScheme::AdaptiveAsymmetric { .. } => 2 + 4 + 8,
+    }
+}
+
 /// Parses a [`QuantScheme`]. Tag 3 was k-means: nothing writes it any more
 /// and a stored one is rejected by number, like any unknown tag.
 pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
@@ -991,7 +1000,7 @@ mod tests {
         each_flip(&manifest, |bad| verified(bad) && corrupt(Manifest::decode(bad).map(|_| ())));
 
         let store = std::sync::Arc::new(InMemoryStore::new());
-        let mut writer = wal::WalWriter::new(store.clone(), "job", wal::WalConfig::default());
+        let mut writer = wal::WalWriter::new(store.clone(), "job", wal::WalConfig);
         writer.append(&sample_chunk(false).encode()).unwrap();
         let key = wal::segment_key("job", 0);
         let frame = store.get(&key).unwrap();

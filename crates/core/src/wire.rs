@@ -78,10 +78,22 @@ pub fn get_string(buf: &mut &[u8]) -> Result<String, CnrError> {
 
 /// Appends a length-prefixed `f32` slice.
 pub fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
-    buf.put_u32_le(values.len() as u32);
-    for &v in values {
-        buf.put_f32_le(v);
+    put_f32_slices(buf, values.len(), [values]);
+}
+
+/// Appends `len` `f32`s held as consecutive slices, length-prefixed: the
+/// bytes [`put_f32s`] writes for their concatenation, without building it.
+pub fn put_f32_slices<'a>(
+    buf: &mut Vec<u8>,
+    len: usize,
+    slices: impl IntoIterator<Item = &'a [f32]>,
+) {
+    buf.put_u32_le(len as u32);
+    let start = buf.len();
+    for values in slices {
+        put_words(buf, values.iter().map(|v| v.to_le_bytes()));
     }
+    debug_assert_eq!(buf.len() - start, 4 * len, "slices do not hold `len` values");
 }
 
 /// Reads a length-prefixed `f32` slice.
@@ -90,14 +102,7 @@ pub fn get_f32s(buf: &mut &[u8]) -> Result<Vec<f32>, CnrError> {
         return Err(CnrError::Corrupt("f32s header truncated".into()));
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len * 4 {
-        return Err(CnrError::Corrupt("f32s body truncated".into()));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_f32_le());
-    }
-    Ok(out)
+    Ok(get_words(buf, len, "f32s body")?.map(f32::from_le_bytes).collect())
 }
 
 /// Appends a run of 4-byte little-endian words (`u32::to_le_bytes`,
@@ -214,8 +219,14 @@ mod tests {
         let vals = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 0.0];
         let mut buf = Vec::new();
         put_f32s(&mut buf, &vals);
+        let mut want = (vals.len() as u32).to_le_bytes().to_vec();
+        vals.iter().for_each(|v| want.extend_from_slice(&v.to_le_bytes()));
+        assert_eq!(buf, want, "a length prefix, then each value's LE bytes");
         let mut slice = buf.as_slice();
         assert_eq!(get_f32s(&mut slice).unwrap(), vals);
+        for cut in 0..buf.len() {
+            assert!(get_f32s(&mut &buf[..cut]).is_err(), "cut {cut} accepted");
+        }
     }
 
     #[test]

@@ -184,11 +184,15 @@ impl Mlp {
     /// Flattens all parameters (checkpointing).
     pub fn flatten(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        for l in &self.layers {
-            out.extend_from_slice(&l.w);
-            out.extend_from_slice(&l.b);
-        }
+        self.params().for_each(|p| out.extend_from_slice(p));
         out
+    }
+
+    /// The parameters in [`Mlp::flatten`] order, as the layers hold them:
+    /// each layer's weights, then its biases. A writer that serializes
+    /// them slice by slice needs no flattened copy.
+    pub fn params(&self) -> impl Iterator<Item = &[f32]> {
+        self.layers.iter().flat_map(|l| [l.w.as_slice(), l.b.as_slice()])
     }
 
     /// Restores parameters from a flat buffer produced by [`Mlp::flatten`].

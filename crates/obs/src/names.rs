@@ -144,7 +144,8 @@ pub const WAL_SYNCS: &str = "cnr_wal_syncs_total";
 pub const WAL_BYTES_APPENDED: &str = "cnr_wal_bytes_appended_total";
 /// Counter: bytes pushed through the store by syncs (write amplification).
 pub const WAL_BYTES_SYNCED: &str = "cnr_wal_bytes_synced_total";
-/// Counter: segments rotated.
+/// Counter: segments put — one per sync, each holding the frames that
+/// sync made durable.
 pub const WAL_SEGMENTS_ROTATED: &str = "cnr_wal_segments_rotated_total";
 /// Counter: whole-log truncations.
 pub const WAL_TRUNCATIONS: &str = "cnr_wal_truncations_total";

@@ -388,19 +388,22 @@ mod tests {
 
     #[test]
     fn wal_segment_with_mid_log_frame_corruption_heals_from_replica() {
+        use crate::flaky::{FailureMode, FlakyStore};
         use crate::wal::{self, WalConfig, WalWriter};
         use std::sync::Arc;
 
-        // Build a multi-frame WAL segment on the primary, copy to a replica.
-        let primary = Arc::new(InMemoryStore::new());
+        // Build a multi-frame WAL segment on the primary — four failed puts,
+        // so the fifth sync carries all five frames — and copy it to a
+        // replica.
+        let primary = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::FirstN(4)));
         let replica = InMemoryStore::new();
         let mut w = WalWriter::new(
             Arc::clone(&primary) as Arc<dyn ObjectStore>,
             "job",
-            WalConfig::default(),
+            WalConfig,
         );
         for i in 0u32..5 {
-            w.append(&i.to_le_bytes()).unwrap();
+            assert_eq!(w.append(&i.to_le_bytes()).is_ok(), i == 4);
         }
         let key = wal::segment_key("job", 0);
         let clean = primary.get(&key).unwrap();
@@ -443,7 +446,7 @@ mod tests {
         let mut w = WalWriter::new(
             Arc::clone(&primary) as Arc<dyn ObjectStore>,
             "job",
-            WalConfig::default(),
+            WalConfig,
         );
         w.append(b"delta").unwrap();
         let key = wal::segment_key("job", 0);

@@ -1,4 +1,4 @@
-//! Segmented, checksummed write-ahead delta log.
+//! Checksummed write-ahead delta log, one object per sync.
 //!
 //! Check-N-Run's frequency model (§4.1) trades lost work against checkpoint
 //! write cost; a failure still loses everything since the last interval
@@ -8,44 +8,52 @@
 //!
 //! # Wire layout
 //!
-//! A WAL **segment** is a bare concatenation of **frames**. Each frame is a
-//! standard v5 envelope ([`crate::envelope`]) carrying
-//! [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
+//! The log is a run of **segment** objects, each a bare concatenation of
+//! **frames**. Each frame is a standard v5 envelope ([`crate::envelope`])
+//! carrying [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
 //!
 //! ```text
 //! [record_seq: u64 LE][application payload ...]
 //! ```
 //!
-//! `record_seq` is monotonic across the whole log (it never resets at
-//! segment boundaries), so replay can detect gaps and out-of-order frames.
-//! Segments live under flat keys `{job}/wal-{index:08}` — deliberately flat
-//! (no `/` after the job prefix) so the checkpoint controller's orphan sweep,
-//! which reclaims manifestless checkpoint *directories*, never touches them.
+//! Every append syncs, and every sync puts one new segment holding the
+//! frames it makes durable: normally just its own, plus any frame whose
+//! put failed before. `record_seq` is monotonic across the whole log, so
+//! replay can detect gaps and out-of-order frames across segments.
+//! Segments live under flat keys `{job}/wal-{index:020}` — flat (no `/`
+//! after the job prefix) so the checkpoint controller's orphan sweep,
+//! which reclaims manifestless checkpoint *directories*, never touches
+//! them, and padded to the width of `u64::MAX` so that listing order is
+//! numeric order for every index.
 //!
 //! # Crash-consistency contract
 //!
-//! Every append syncs: a record is durable before training continues, so a
-//! crash loses at most the iteration that was mid-append. The writer has
-//! no append primitive (object stores don't), so every sync re-puts the
-//! whole current segment buffer; the store's [`PutReceipt`] marks the
-//! simulated durability point (the "fsync"). A frame whose put failed
-//! stays in the buffer and rides the next append's put. A crash therefore
-//! leaves the newest segment as some *prefix* of what the writer buffered —
-//! possibly cut mid-frame. Replay walks frames front to back, verifies each
-//! frame's checksum once, and stops cleanly at the first torn, corrupt, or out-of-sequence
-//! frame: everything before the stop point is applied, everything after is
-//! reported as a [`WalTail::Torn`] diagnosis, and nothing is ever silently
-//! decoded from garbage. A frame of another wire version is unusable in
-//! exactly this sense: replay stops in front of it and the diagnosis names
-//! the version.
+//! A record is durable before training continues: the store's
+//! [`PutReceipt`] marks the simulated durability point (the "fsync"), so a
+//! crash loses at most the iteration that was mid-append. A put that
+//! fails does not consume its key: the writer keeps the frames and puts
+//! them again, with the next record behind them, under the *same* key —
+//! overwriting whatever prefix a torn write left there. A crash therefore
+//! leaves the newest segment as some *prefix* of what the writer put —
+//! possibly cut mid-frame — behind whole older segments. Replay reads the
+//! segments in key order, walks each one's frames front to back, verifies
+//! each frame's checksum once, and stops cleanly at the first torn,
+//! corrupt, or out-of-sequence frame: everything before the stop point is
+//! applied, everything after it — later segments included — is reported
+//! as a [`WalTail::Torn`] diagnosis, and nothing is ever silently decoded
+//! from garbage. A frame of another wire version is unusable in exactly
+//! this sense: replay stops in front of it and the diagnosis names the
+//! version.
 //!
 //! # Copies
 //!
-//! An append writes its frame once, in place at the tail of the segment
-//! buffer (header reserved, sequence and payload appended, envelope sealed
-//! over that slice), and its sync's put copies the whole segment — the one
-//! copy left; replay hands out zero-copy views of the fetched
-//! segment; validation walks the borrowed bytes.
+//! An append writes its frame once, into a buffer sized exactly for the
+//! segment it becomes: header and sequence reserved, the record written
+//! behind them by the caller ([`WalWriter::append_with`]), the envelope
+//! sealed over that slice. The sync moves the buffer into the store
+//! without copying it. Only a failed put copies: its frames are kept for
+//! the retry. Replay hands out zero-copy views of the fetched segments;
+//! validation walks the borrowed bytes.
 
 use crate::envelope::{self, FLAG_WAL_FRAME, HEADER_LEN};
 use crate::{ObjectStore, PutReceipt, Result, StorageError};
@@ -55,23 +63,14 @@ use std::ops::Range;
 /// Bytes of the `record_seq` prefix inside every frame payload.
 const SEQ_LEN: usize = 8;
 
-/// Configuration of the delta log writer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalConfig {
-    /// Rotate to a new segment once the current one reaches this many bytes
-    /// (checked after a sync; a segment may exceed it by one frame).
-    pub segment_bytes: u64,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        Self { segment_bytes: 1 << 20 }
-    }
-}
+/// Configuration of the delta log writer. It has no settings: every
+/// append syncs, and every sync puts one segment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalConfig;
 
 /// The flat object key of WAL segment `index` for `job`.
 pub fn segment_key(job: &str, index: u64) -> String {
-    format!("{job}/wal-{index:08}")
+    format!("{job}/wal-{index:020}")
 }
 
 /// Whether `key` names a WAL segment (final path component `wal-...`).
@@ -79,45 +78,42 @@ pub fn is_wal_segment_key(key: &str) -> bool {
     key.rsplit('/').next().is_some_and(|name| name.starts_with("wal-"))
 }
 
-/// Appends framed records to a segmented log on an object store.
+/// Appends framed records to a log on an object store, one segment per
+/// sync.
 ///
 /// Payload-agnostic: callers hand in opaque bytes (the engine's quantized
-/// delta records) and get back, per append, the sync's receipt and the
-/// bytes it made durable. Counts go to the metrics registry attached with
-/// [`WalWriter::set_obs`] (`cnr_obs::names::WAL_*`), the only place they
-/// are kept.
+/// delta records), or write them in place, and get back, per append, the
+/// sync's receipt and the bytes it made durable. Counts go to the metrics
+/// registry attached with [`WalWriter::set_obs`] (`cnr_obs::names::WAL_*`),
+/// the only place they are kept.
 pub struct WalWriter {
     store: std::sync::Arc<dyn ObjectStore>,
     job: String,
-    config: WalConfig,
-    /// Index of the segment currently being written. Monotonic for the
-    /// writer's lifetime — never reused after rotation or truncation.
-    seg_index: u64,
-    /// Full contents of the current segment (durable prefix + frames whose
-    /// put failed).
-    buf: Vec<u8>,
-    /// Length of `buf`'s prefix the last successful put made durable.
-    durable_len: usize,
-    /// Frames in `buf` past `durable_len`: appended, but their put failed.
-    pending: u64,
+    /// Index of the segment the next sync puts. It advances only when a
+    /// put succeeds, so the retry of a failed put overwrites whatever the
+    /// failure left under its key; it is never reused after that.
+    next_index: u64,
+    /// Frames whose put failed, oldest first: the next sync carries them.
+    unsynced: Vec<u8>,
+    /// How many frames `unsynced` holds.
+    unsynced_frames: u64,
     /// Next record sequence number (monotonic across segments).
     next_seq: u64,
-    /// Indices of segments with at least one synced byte, oldest first.
-    live: Vec<u64>,
+    /// Keys of the segments this writer put or a truncate left behind,
+    /// oldest first.
+    live: Vec<String>,
     obs: Option<cnr_obs::Obs>,
 }
 
 impl WalWriter {
     /// Creates a writer for `job` starting at segment 0, sequence 0.
-    pub fn new(store: std::sync::Arc<dyn ObjectStore>, job: &str, config: WalConfig) -> Self {
+    pub fn new(store: std::sync::Arc<dyn ObjectStore>, job: &str, _config: WalConfig) -> Self {
         Self {
             store,
             job: job.to_string(),
-            config,
-            seg_index: 0,
-            buf: Vec::new(),
-            durable_len: 0,
-            pending: 0,
+            next_index: 0,
+            unsynced: Vec::new(),
+            unsynced_frames: 0,
             next_seq: 0,
             live: Vec::new(),
             obs: None,
@@ -129,44 +125,67 @@ impl WalWriter {
         self.obs = Some(obs);
     }
 
-    /// Appends one record and makes it durable: the frame is sealed in
-    /// place at the tail of the segment buffer, and the whole segment is
-    /// re-put (the store's [`PutReceipt`] is the "fsync"), then rotated
-    /// if full. Returns that receipt and the frame bytes this put made
-    /// durable for the first time — this record's frame plus any whose
-    /// put failed before.
-    ///
-    /// A failed put keeps its frame in the segment buffer: the next
-    /// append's put carries it, and a [`WalWriter::truncate`] in between
-    /// drops it and gives its sequence number back.
+    /// Appends `payload` as one record and makes it durable:
+    /// [`WalWriter::append_with`] over the slice.
     pub fn append(&mut self, payload: &[u8]) -> Result<(PutReceipt, u64)> {
-        let frame_at = self.buf.len();
-        let frame_len = HEADER_LEN + SEQ_LEN + payload.len();
-        self.buf.reserve(frame_len);
-        self.buf.resize(frame_at + HEADER_LEN, 0);
-        self.buf.extend_from_slice(&self.next_seq.to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        envelope::seal_in_place(&mut self.buf[frame_at..], FLAG_WAL_FRAME);
+        self.append_with(payload.len(), |out| out.extend_from_slice(payload))
+    }
+
+    /// Appends one record of `len` bytes, which `write` appends to the
+    /// buffer it is handed, and makes it durable. The buffer is sized
+    /// exactly for the segment: envelope header and sequence number are
+    /// reserved in front of the record, the envelope is sealed over the
+    /// frame once `write` returns, and the buffer goes to the store as one
+    /// new segment without a copy (the store's [`PutReceipt`] is the
+    /// "fsync"). Returns that receipt and the frame bytes this put made
+    /// durable — this record's frame plus any whose put failed before.
+    ///
+    /// A failed put keeps its frames: the next append's put carries them,
+    /// under the same key, and a [`WalWriter::truncate`] in between drops
+    /// them and gives their sequence numbers back.
+    ///
+    /// Panics when `write` appends other than `len` bytes.
+    pub fn append_with(
+        &mut self,
+        len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(PutReceipt, u64)> {
+        let frame_len = HEADER_LEN + SEQ_LEN + len;
+        let mut segment = std::mem::take(&mut self.unsynced);
+        segment.reserve_exact(frame_len);
+        let frame_at = segment.len();
+        segment.resize(frame_at + HEADER_LEN, 0);
+        segment.extend_from_slice(&self.next_seq.to_le_bytes());
+        write(&mut segment);
+        assert_eq!(
+            segment.len() - frame_at,
+            frame_len,
+            "the record written was not the {len} bytes announced"
+        );
+        envelope::seal_in_place(&mut segment[frame_at..], FLAG_WAL_FRAME);
         self.next_seq += 1;
-        self.pending += 1;
+        self.unsynced_frames += 1;
         self.count(cnr_obs::names::WAL_APPENDS, 1);
         self.count(cnr_obs::names::WAL_BYTES_APPENDED, frame_len as u64);
 
-        let key = segment_key(&self.job, self.seg_index);
-        let receipt = self.store.put(&key, Bytes::copy_from_slice(&self.buf))?;
-        if self.live.last() != Some(&self.seg_index) {
-            self.live.push(self.seg_index);
+        let key = segment_key(&self.job, self.next_index);
+        let made_durable = segment.len() as u64;
+        let segment = Bytes::from(segment);
+        match self.store.put(&key, segment.clone()) {
+            Ok(receipt) => {
+                self.live.push(key);
+                self.next_index += 1;
+                self.unsynced_frames = 0;
+                self.count(cnr_obs::names::WAL_SYNCS, 1);
+                self.count(cnr_obs::names::WAL_BYTES_SYNCED, made_durable);
+                self.count(cnr_obs::names::WAL_SEGMENTS_ROTATED, 1);
+                Ok((receipt, made_durable))
+            }
+            Err(e) => {
+                self.unsynced = segment.to_vec();
+                Err(e)
+            }
         }
-        let made_durable = (self.buf.len() - self.durable_len) as u64;
-        self.durable_len = self.buf.len();
-        self.pending = 0;
-        self.count(cnr_obs::names::WAL_SYNCS, 1);
-        self.count(cnr_obs::names::WAL_BYTES_SYNCED, self.buf.len() as u64);
-        if self.buf.len() as u64 >= self.config.segment_bytes {
-            self.roll();
-            self.count(cnr_obs::names::WAL_SEGMENTS_ROTATED, 1);
-        }
-        Ok((receipt, made_durable))
     }
 
     /// Adds `n` to counter `name` of the attached registry, if any.
@@ -176,49 +195,42 @@ impl WalWriter {
         }
     }
 
-    /// Starts the next segment with an empty buffer.
-    fn roll(&mut self) {
-        self.seg_index += 1;
-        self.buf.clear();
-        self.durable_len = 0;
-    }
-
     /// Drops the whole log: deletes every segment the store lists for the
-    /// job (a registered checkpoint supersedes them all) and starts a fresh
-    /// segment. Sequence numbers keep counting — replay uses contiguity,
-    /// not absolute zero.
+    /// job (a registered checkpoint supersedes them all). Sequence numbers
+    /// keep counting — replay uses contiguity, not absolute zero.
     ///
     /// The store's listing, not only the segments this writer remembers
-    /// syncing: a segment that outlived an earlier truncate sits in front
+    /// putting: a segment that outlived an earlier truncate sits in front
     /// of the live log, its sequence numbers end where the next segment's
     /// do not begin, and replay would stop at that gap for good.
     ///
     /// Segments go oldest first and the first failed delete stops the
     /// walk, so what an `Err` leaves is a contiguous run of whole segments
-    /// — still [`WalWriter::live_segments`], retried by the next truncate.
-    /// The writer rolls to a fresh segment either way, and the frames whose
-    /// put failed, which it drops, give their sequence numbers back, so the
-    /// records appended next continue the leftover run without a gap.
+    /// — from then on [`WalWriter::live_segments`], retried by the next
+    /// truncate. The frames whose put failed, which the writer drops either
+    /// way, give their sequence numbers back, so the records appended next
+    /// continue the leftover run without a gap.
     pub fn truncate(&mut self) -> Result<usize> {
         let mut deleted = 0;
-        let outcome = list_segments(self.store.as_ref(), &self.job).and_then(|keys| {
-            for key in keys {
-                match self.store.delete(&key) {
+        let outcome = list_segments(self.store.as_ref(), &self.job).and_then(|mut keys| {
+            for (k, key) in keys.iter().enumerate() {
+                match self.store.delete(key) {
                     Ok(()) => deleted += 1,
                     Err(StorageError::NotFound(_)) => {}
-                    Err(e) => return Err(e),
+                    Err(e) => {
+                        // This segment and every later one are still there.
+                        keys.drain(..k);
+                        self.live = keys;
+                        return Err(e);
+                    }
                 }
-                self.live.retain(|&i| segment_key(&self.job, i) != key);
             }
-            // Whatever is left was synced once and is no longer listed.
             self.live.clear();
             Ok(deleted)
         });
-        if !self.buf.is_empty() {
-            self.roll();
-        }
-        self.next_seq -= self.pending;
-        self.pending = 0;
+        self.unsynced = Vec::new();
+        self.next_seq -= self.unsynced_frames;
+        self.unsynced_frames = 0;
         self.count(cnr_obs::names::WAL_TRUNCATIONS, 1);
         self.count(cnr_obs::names::WAL_TRUNCATE_FAILURES, u64::from(outcome.is_err()));
         if let Some(obs) = &self.obs {
@@ -231,12 +243,12 @@ impl WalWriter {
         outcome
     }
 
-    /// Keys of every segment with synced data, oldest first, plus the
-    /// in-progress segment if it has synced bytes. These are live objects
-    /// the controller must protect from the orphan sweep and the scrubber
-    /// must cover.
+    /// Keys of every segment this writer put since the last truncate, plus
+    /// those a failed truncate left behind, oldest first. These are live
+    /// objects the controller must protect from the orphan sweep and the
+    /// scrubber must cover.
     pub fn live_segments(&self) -> Vec<String> {
-        self.live.iter().map(|&i| segment_key(&self.job, i)).collect()
+        self.live.clone()
     }
 }
 
@@ -341,9 +353,9 @@ fn walk_segment(
 /// Validates one segment buffer without collecting records: every frame
 /// must verify and the frames must consume the buffer exactly. Returns the
 /// frame count, or a description of the first problem. This is what the
-/// scrubber uses — a WAL segment is multiple envelopes, so the plain
-/// single-envelope `inspect` would reject a perfectly healthy one. The
-/// walk borrows `buf`; nothing is copied.
+/// scrubber uses — a segment that carries the frames of a failed put is
+/// several envelopes back to back, which a single-envelope check would
+/// reject. The walk borrows `buf`; nothing is copied.
 pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
     if buf.is_empty() {
         return Err("empty wal segment".into());
@@ -362,7 +374,7 @@ pub fn list_segments(store: &dyn ObjectStore, job: &str) -> Result<Vec<String>> 
         .into_iter()
         .filter(|k| is_wal_segment_key(k))
         .collect();
-    keys.sort(); // zero-padded indices: lexicographic == numeric
+    keys.sort(); // indices padded to u64's width: lexicographic == numeric
     Ok(keys)
 }
 
@@ -412,14 +424,26 @@ mod tests {
         Arc::new(InMemoryStore::new())
     }
 
-    fn writer<S: ObjectStore + 'static>(store: &Arc<S>, config: WalConfig) -> WalWriter {
-        WalWriter::new(Arc::clone(store) as Arc<dyn ObjectStore>, "job", config)
+    fn writer<S: ObjectStore + 'static>(store: &Arc<S>) -> WalWriter {
+        WalWriter::new(Arc::clone(store) as Arc<dyn ObjectStore>, "job", WalConfig)
+    }
+
+    /// Appends `payloads` to a fresh log on `s` and returns the segment
+    /// each one's sync put, in order.
+    fn logged<S: ObjectStore + 'static>(s: &Arc<S>, payloads: &[&[u8]]) -> Vec<Vec<u8>> {
+        let mut w = writer(s);
+        for payload in payloads {
+            w.append(payload).unwrap();
+        }
+        let keys = list_segments(s.as_ref(), "job").unwrap();
+        assert_eq!(keys.len(), payloads.len(), "one segment per sync");
+        keys.iter().map(|k| s.get(k).unwrap().to_vec()).collect()
     }
 
     #[test]
     fn roundtrip_records_in_order() {
         let s = store();
-        let mut w = writer(&s, WalConfig::default());
+        let mut w = writer(&s);
         for i in 0u32..5 {
             w.append(format!("rec-{i}").as_bytes()).unwrap();
         }
@@ -430,28 +454,49 @@ mod tests {
             assert_eq!(rec.seq, i as u64);
             assert_eq!(&rec.payload[..], format!("rec-{i}").as_bytes());
         }
-        assert_eq!(r.segments_read, 1);
+        assert_eq!(r.segments_read, 5, "one segment per sync");
     }
 
     #[test]
-    fn rotation_splits_segments_and_replay_spans_them() {
+    fn each_sync_puts_one_segment_under_the_next_key() {
         let s = store();
-        // Tiny segments: every frame (~30 bytes) exceeds the threshold.
-        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
+        let mut w = writer(&s);
+        let mut put = 0;
         for i in 0u32..4 {
-            w.append(&i.to_le_bytes()).unwrap();
+            let (receipt, made_durable) = w.append(&i.to_le_bytes()).unwrap();
+            assert_eq!(receipt.key, segment_key("job", i.into()));
+            assert_eq!(made_durable, receipt.bytes, "the put is the new frame, no more");
+            put += receipt.bytes;
         }
-        assert_eq!(w.live_segments().len(), 4);
+        let keys: Vec<_> = (0..4).map(|i| segment_key("job", i)).collect();
+        assert_eq!(w.live_segments(), keys);
+        assert_eq!(list_segments(s.as_ref(), "job").unwrap(), keys);
+        assert_eq!(s.total_bytes(), put, "nothing is put twice");
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.tail, WalTail::Clean);
-        assert_eq!(r.segments_read, 4);
+        assert_eq!((r.segments_read, r.bytes_read), (4, put));
         assert_eq!(r.records.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
+    }
+
+    /// Listing order is numeric order past every power of ten an index
+    /// reaches: replay must not see a gap where the log has none.
+    #[test]
+    fn segments_list_in_numeric_order_past_ten_to_the_eighth() {
+        let s = store();
+        let indices = [100_000_000, 99_999_999, 7, u64::MAX, 1_000_000_000];
+        for i in indices {
+            s.put(&segment_key("job", i), Bytes::from_static(b"x")).unwrap();
+        }
+        let mut sorted = indices;
+        sorted.sort();
+        let want: Vec<_> = sorted.iter().map(|&i| segment_key("job", i)).collect();
+        assert_eq!(list_segments(s.as_ref(), "job").unwrap(), want);
     }
 
     #[test]
     fn truncate_deletes_segments_and_keeps_seq_monotonic() {
         let s = store();
-        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
+        let mut w = writer(&s);
         w.append(b"a").unwrap();
         w.append(b"b").unwrap();
         assert_eq!(w.truncate().unwrap(), 2);
@@ -508,7 +553,7 @@ mod tests {
     fn failed_truncate_keeps_reporting_the_segments_it_left_behind() {
         let s = fails_one_delete(segment_key("job", 1), FailureMode::Every(0));
         let obs = cnr_obs::Obs::wall();
-        let mut w = WalWriter::new(s.clone(), "job", WalConfig { segment_bytes: 1 });
+        let mut w = WalWriter::new(s.clone(), "job", WalConfig);
         w.set_obs(obs.clone());
         for payload in [b"a", b"b", b"c"] {
             w.append(payload).unwrap();
@@ -522,8 +567,8 @@ mod tests {
         let left = vec![segment_key("job", 1), segment_key("job", 2)];
         assert_eq!(list_segments(s.as_ref(), "job").unwrap(), left);
         assert_eq!(w.live_segments(), left);
-        // The writer rolled on: the next record lands in a fresh segment
-        // and continues the leftover run, so replay reads through it.
+        // The next record lands in a segment of its own and continues the
+        // leftover run, so replay reads through it.
         w.append(b"d").unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.tail, WalTail::Clean);
@@ -535,20 +580,23 @@ mod tests {
         assert_eq!(failures(), 1);
     }
 
-    /// A frame whose put failed stays in the segment buffer, and the next
-    /// append's put makes it durable: replay returns both records, in
-    /// sequence order.
+    /// A frame whose put failed is kept, and the next append's put makes
+    /// it durable in the segment the failed put was meant to be: replay
+    /// returns every record, in sequence order.
     #[test]
     fn a_failed_sync_is_made_durable_by_the_next_append() {
         let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(2)));
-        let mut w = writer(&s, WalConfig::default());
+        let mut w = writer(&s);
         w.append(b"a").unwrap();
         assert!(w.append(b"b").is_err(), "the second put fails");
         w.append(b"c").unwrap();
+        assert_eq!(w.live_segments(), [segment_key("job", 0), segment_key("job", 1)]);
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.tail, WalTail::Clean);
+        assert_eq!(r.segments_read, 2);
         let got: Vec<_> = r.records.iter().map(|r| (r.seq, &r.payload[..])).collect();
         assert_eq!(got, [(0, &b"a"[..]), (1, b"b"), (2, b"c")]);
+        assert_eq!(validate_segment(&s.get(&segment_key("job", 1)).unwrap()), Ok(2));
     }
 
     /// Frames whose put failed were never durable: a truncate drops them
@@ -558,7 +606,7 @@ mod tests {
     #[test]
     fn a_failed_truncate_with_unsynced_appends_leaves_no_sequence_gap() {
         let s = fails_one_delete(segment_key("job", 0), FailureMode::Once(3));
-        let mut w = WalWriter::new(s.clone(), "job", WalConfig::default());
+        let mut w = WalWriter::new(s.clone(), "job", WalConfig);
         w.append(b"a").unwrap();
         w.append(b"b").unwrap();
         assert!(w.append(b"c").is_err(), "`c` was never synced");
@@ -570,79 +618,104 @@ mod tests {
         assert_eq!(got, [(0, &b"a"[..]), (1, b"b"), (2, b"d")]);
     }
 
+    /// Cutting the newest segment at any byte, as a crash mid-put leaves
+    /// it, or an older one anywhere inside it, replays exactly the records
+    /// in front of that segment: the cut one and every later, clean one
+    /// stop replay, typed, never an error.
     #[test]
     fn torn_tail_stops_cleanly_at_every_cut_point() {
+        let payloads: Vec<String> = (0..3).map(|i| format!("payload-{i}")).collect();
+        let payloads: Vec<&[u8]> = payloads.iter().map(|p| p.as_bytes()).collect();
         let s = store();
-        let mut w = writer(&s, WalConfig::default());
-        for i in 0u32..3 {
-            w.append(format!("payload-{i}").as_bytes()).unwrap();
-        }
-        let key = segment_key("job", 0);
-        let full = s.get(&key).unwrap().to_vec();
-        // Cut the segment at every possible byte length; replay must always
-        // return a clean prefix of whole records and a torn tail, never err.
-        for cut in 0..full.len() {
-            s.put(&key, Bytes::copy_from_slice(&full[..cut])).unwrap();
-            let r = replay(s.as_ref(), "job").unwrap();
-            assert!(r.records.len() <= 3);
-            for (i, rec) in r.records.iter().enumerate() {
-                assert_eq!(rec.seq, i as u64);
-                assert_eq!(&rec.payload[..], format!("payload-{i}").as_bytes());
+        let full = logged(&s, &payloads);
+        for (k, segment) in full.iter().enumerate() {
+            let key = segment_key("job", k as u64);
+            let newest = k == full.len() - 1;
+            for cut in usize::from(!newest)..segment.len() {
+                s.put(&key, Bytes::copy_from_slice(&segment[..cut])).unwrap();
+                let r = replay(s.as_ref(), "job").unwrap();
+                assert_eq!(r.records.len(), k, "segment {k} cut at {cut}");
+                for (i, rec) in r.records.iter().enumerate() {
+                    assert_eq!(rec.seq, i as u64);
+                    assert_eq!(&rec.payload[..], payloads[i]);
+                }
+                // An empty newest segment holds no torn frame: the log
+                // ends cleanly in front of it.
+                if cut == 0 {
+                    assert_eq!(r.tail, WalTail::Clean, "segment {k} cut at {cut}");
+                } else {
+                    match &r.tail {
+                        WalTail::Torn { segment, frame_offset, .. } => {
+                            assert_eq!((segment, *frame_offset), (&key, 0));
+                        }
+                        WalTail::Clean => panic!("segment {k} cut at {cut} read clean"),
+                    }
+                }
             }
-            // Frames are equal-length here; a cut exactly on a frame
-            // boundary *is* a clean prefix — anything else is torn.
-            let frame_len = full.len() / 3;
-            if cut % frame_len == 0 {
-                assert_eq!(r.tail, WalTail::Clean, "cut={cut}");
-                assert_eq!(r.records.len(), cut / frame_len);
-            } else {
-                assert!(matches!(r.tail, WalTail::Torn { .. }), "cut={cut}");
-                assert_eq!(r.records.len(), cut / frame_len);
-            }
+            s.put(&key, Bytes::copy_from_slice(segment)).unwrap();
         }
     }
 
     #[test]
     fn corrupt_mid_frame_stops_before_later_clean_frames() {
         let s = store();
-        let mut w = writer(&s, WalConfig::default());
-        for i in 0u32..3 {
-            w.append(&i.to_le_bytes()).unwrap();
-        }
-        let key = segment_key("job", 0);
-        let mut buf = s.get(&key).unwrap().to_vec();
-        // Flip a payload byte inside the second frame.
-        let frame_len = buf.len() / 3;
-        buf[frame_len + HEADER_LEN + 2] ^= 0x40;
-        s.put(&key, Bytes::copy_from_slice(&buf)).unwrap();
+        let payloads: Vec<[u8; 4]> = (0u32..3).map(u32::to_le_bytes).collect();
+        let payloads: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+        let mut segments = logged(&s, &payloads);
+        // Flip a payload byte inside the second segment's frame; the third
+        // segment stays clean.
+        let key = segment_key("job", 1);
+        segments[1][HEADER_LEN + 2] ^= 0x40;
+        s.put(&key, Bytes::from(segments[1].clone())).unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
         assert_eq!(r.records.len(), 1, "only the prefix before the corrupt frame");
+        assert_eq!(r.segments_read, 2, "the clean segment behind it is not read");
         match r.tail {
-            WalTail::Torn { frame_offset, ref reason, .. } => {
-                assert_eq!(frame_offset, frame_len);
+            WalTail::Torn { ref segment, frame_offset, ref reason } => {
+                assert_eq!((segment, frame_offset), (&key, 0));
                 assert!(reason.contains("verify failed"), "{reason}");
             }
             WalTail::Clean => panic!("corruption must not read clean"),
         }
     }
 
-    /// The frame an append seals in place at the segment's tail is, byte
-    /// for byte, the envelope of `[seq ++ payload]`.
+    /// The segment an append writes in place is, byte for byte, the
+    /// envelope of `[seq ++ payload]` — written through `append_with` or
+    /// handed over as a slice alike, and after a failed put, the failed
+    /// frame followed by the next one.
     #[test]
     fn append_in_place_equals_the_wrapped_frame() {
-        let s = store();
-        let mut w = writer(&s, WalConfig::default());
-        let payloads: [&[u8]; 3] = [b"first record", b"", b"a third, longer record payload"];
-        let mut want = Vec::new();
-        for (seq, payload) in payloads.iter().enumerate() {
-            let (_, made_durable) = w.append(payload).unwrap();
-            let mut framed = (seq as u64).to_le_bytes().to_vec();
+        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(4)));
+        let mut w = writer(&s);
+        let frame = |seq: u64, payload: &[u8]| {
+            let mut framed = seq.to_le_bytes().to_vec();
             framed.extend_from_slice(payload);
-            let frame = envelope::wrap_with_flags(&framed, FLAG_WAL_FRAME);
-            assert_eq!(made_durable, frame.len() as u64, "one new frame per put");
-            want.extend_from_slice(&frame);
+            envelope::wrap_with_flags(&framed, FLAG_WAL_FRAME)
+        };
+        let payloads: [&[u8]; 3] = [b"first record", b"", b"a third, longer record payload"];
+        for (seq, payload) in payloads.iter().enumerate() {
+            let (_, made_durable) = if seq % 2 == 0 {
+                w.append(payload).unwrap()
+            } else {
+                w.append_with(payload.len(), |out| out.extend_from_slice(payload)).unwrap()
+            };
+            let want = frame(seq as u64, payload);
+            assert_eq!(made_durable, want.len() as u64, "one new frame per put");
+            assert_eq!(s.get(&segment_key("job", seq as u64)).unwrap().to_vec(), want);
         }
-        assert_eq!(s.get(&segment_key("job", 0)).unwrap().to_vec(), want);
+        assert!(w.append(b"fails").is_err());
+        let (_, made_durable) = w.append(b"carries it").unwrap();
+        let mut want = frame(3, b"fails");
+        want.extend_from_slice(&frame(4, b"carries it"));
+        assert_eq!(made_durable, want.len() as u64);
+        assert_eq!(s.get(&segment_key("job", 3)).unwrap().to_vec(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "not the 4 bytes announced")]
+    fn append_with_rejects_a_record_of_another_length() {
+        let s = store();
+        writer(&s).append_with(4, |out| out.extend_from_slice(b"five!")).ok();
     }
 
     /// A frame written under wire v3 is unusable, not undefined: replay
@@ -651,7 +724,7 @@ mod tests {
     #[test]
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
-        let mut w = writer(&s, WalConfig::default());
+        let mut w = writer(&s);
         w.append(b"written under v5").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
@@ -685,7 +758,7 @@ mod tests {
     #[test]
     fn a_v4_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
-        let mut w = writer(&s, WalConfig::default());
+        let mut w = writer(&s);
         w.append(b"written under v5").unwrap();
         let key = segment_key("job", 0);
         let mut segment = s.get(&key).unwrap().to_vec();
@@ -710,7 +783,7 @@ mod tests {
     #[test]
     fn sequence_gap_is_torn() {
         let s = store();
-        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
+        let mut w = writer(&s);
         for i in 0u32..3 {
             w.append(&i.to_le_bytes()).unwrap();
         }
@@ -725,11 +798,14 @@ mod tests {
 
     #[test]
     fn validate_segment_accepts_healthy_and_rejects_tampered() {
-        let s = store();
-        let mut w = writer(&s, WalConfig::default());
+        // Three failed puts, so the fourth sync's segment carries all four
+        // frames.
+        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::FirstN(3)));
+        let mut w = writer(&s);
         for i in 0u32..4 {
-            w.append(&i.to_le_bytes()).unwrap();
+            assert_eq!(w.append(&i.to_le_bytes()).is_ok(), i == 3);
         }
+        assert_eq!(list_segments(s.as_ref(), "job").unwrap(), [segment_key("job", 0)]);
         let buf = s.get(&segment_key("job", 0)).unwrap().to_vec();
         assert_eq!(validate_segment(&buf).unwrap(), 4);
         // Any single bit flip anywhere must fail validation.
@@ -743,8 +819,9 @@ mod tests {
 
     #[test]
     fn key_helpers() {
-        assert_eq!(segment_key("exp/j1", 7), "exp/j1/wal-00000007");
-        assert!(is_wal_segment_key("exp/j1/wal-00000007"));
+        assert_eq!(segment_key("exp/j1", 7), "exp/j1/wal-00000000000000000007");
+        assert_eq!(segment_key("j", u64::MAX), "j/wal-18446744073709551615");
+        assert!(is_wal_segment_key("exp/j1/wal-00000000000000000007"));
         assert!(!is_wal_segment_key("exp/j1/ckpt-00000001/manifest"));
     }
 
@@ -757,31 +834,32 @@ mod tests {
         // diagnosis instead of erroring or decoding garbage.
         let flaky = Arc::new(FlakyStore::tearing_writes(
             InMemoryStore::new(),
-            // Cut inside the second frame (each frame is ~34 bytes).
-            TornWriteSpec::once(3).at_byte(40),
+            // Cut inside the third segment's frame (each is ~33 bytes).
+            TornWriteSpec::once(3).at_byte(HEADER_LEN + 3),
         ));
-        let mut w = WalWriter::new(
-            Arc::clone(&flaky) as Arc<dyn ObjectStore>,
-            "job",
-            WalConfig::default(),
-        );
+        let mut w = writer(&flaky);
         w.append(b"first").unwrap();
         w.append(b"second").unwrap();
         let torn = w.append(b"third");
         assert!(torn.is_err(), "the torn put is unacknowledged");
         assert_eq!(flaky.torn_writes_injected(), 1);
         let r = replay(flaky.as_ref(), "job").unwrap();
-        // Each sync re-puts the whole segment; the cut at byte 40 lands
-        // inside the second of the three frames, so exactly the first
-        // record survives and the tail is diagnosed.
-        assert_eq!(r.records.len(), 1);
-        assert_eq!(r.records[0].seq, 0);
-        assert_eq!(&r.records[0].payload[..], b"first");
-        assert!(
-            matches!(r.tail, WalTail::Torn { .. }),
-            "a mid-frame cut must be diagnosed, got {:?}",
-            r.tail
-        );
+        // The cut lands inside the third segment's only frame, so the
+        // records of the first two survive and the tail is diagnosed.
+        let got: Vec<_> = r.records.iter().map(|r| (r.seq, &r.payload[..])).collect();
+        assert_eq!(got, [(0, &b"first"[..]), (1, b"second")]);
+        match r.tail {
+            WalTail::Torn { ref segment, frame_offset, ref reason } => {
+                assert_eq!((segment, frame_offset), (&segment_key("job", 2), 0));
+                assert!(reason.contains("torn frame body"), "{reason}");
+            }
+            WalTail::Clean => panic!("a mid-frame cut must be diagnosed"),
+        }
+        // The retry overwrites the torn prefix under the same key.
+        w.append(b"fourth").unwrap();
+        let r = replay(flaky.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        assert_eq!(r.records.len(), 4);
     }
 
     #[test]
@@ -793,15 +871,15 @@ mod tests {
     }
 
     /// The registry attached with `set_obs` holds the writer's counts:
-    /// four appends into one-frame segments sync and rotate four times,
-    /// a put that fails counts its append only, and its frame's bytes are
+    /// four appends sync four times, each into a segment of its own, a
+    /// put that fails counts its append only, and its frame's bytes are
     /// synced (and reported) by the next append.
     #[test]
     fn writer_with_obs_mirrors_every_stat_into_the_registry() {
         use cnr_obs::names as n;
         let obs = cnr_obs::Obs::wall();
         let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(5)));
-        let mut w = writer(&s, WalConfig { segment_bytes: 1 });
+        let mut w = writer(&s);
         w.set_obs(obs.clone());
         let mut frames = Vec::new();
         for i in 0..4u8 {

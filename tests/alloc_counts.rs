@@ -10,8 +10,9 @@
 //! cold rows it holds back (it keeps the bytes it fetched), and faulting a
 //! row in allocates nothing; a snapshot asks for one buffer per table, of
 //! exactly the rows its delta names; planning a write allocates a row's
-//! index, not the row; an append into a grown segment buffer allocates the
-//! same for a small record as for a large one.
+//! index, not the row; capturing a WAL record straight into its segment
+//! allocates the same blocks for one touched row per table as for a full
+//! batch, and asks for no byte beyond the segment and the batch's row ids.
 
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::delta_log::DeltaRecord;
@@ -27,8 +28,8 @@ use check_n_run::model::state::TableState;
 use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, ShardPlan, TableSpec};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::wal::{WalConfig, WalWriter};
-use check_n_run::storage::InMemoryStore;
+use check_n_run::storage::wal::{self, WalConfig, WalWriter};
+use check_n_run::storage::{InMemoryStore, ObjectStore};
 use check_n_run::tracking::TrackerSnapshot;
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
@@ -395,25 +396,44 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         assert_eq!(encode_allocs, 1, "{scheme}: one buffer per encoded record");
     }
 
-    // An append seals its frame in place at the segment buffer's tail, so
-    // once the buffer has grown what an append allocates — the copy the
-    // whole-segment put takes, its key — does not depend on the record.
-    let store = Arc::new(InMemoryStore::new());
-    let mut wal = WalWriter::new(
-        store,
-        "job",
-        WalConfig {
-            segment_bytes: 1 << 30,
-        },
-    );
-    wal.append(&vec![0xA5; 64 << 10]).unwrap();
-    wal.truncate().unwrap();
-    let (small, large) = (vec![0x5A; 64], vec![0x5A; 4 << 10]);
-    wal.append(&small).unwrap(); // the fresh segment's first put adds its key
-    let (small_allocs, _) = allocations(|| wal.append(&small).unwrap());
-    let (large_allocs, _) = allocations(|| wal.append(&large).unwrap());
-    assert_eq!(
-        large_allocs, small_allocs,
-        "append allocations grew with the record"
-    );
+    // The engine's path: the record is written straight into its segment,
+    // which is sized exactly and moved into the store. On two fresh logs,
+    // one record each, a batch that touched one row per table and a full
+    // batch allocate the same blocks (the batch's row ids and their table
+    // offsets, the segment, the sync's key and bookkeeping), and every byte
+    // the larger asks for beyond the smaller is a byte of its segment or of
+    // its row ids — no slack capacity rides into the store.
+    for scheme in [
+        QuantScheme::Fp32,
+        QuantScheme::Fp16,
+        QuantScheme::Asymmetric { bits: 3 },
+        QuantScheme::recommended_for_bits(4),
+    ] {
+        let fused = |batch: &check_n_run::workload::Batch| {
+            let store = Arc::new(InMemoryStore::new());
+            let mut log = WalWriter::new(store.clone(), "job", WalConfig);
+            let (bytes, (allocs, written)) = bytes_allocated(|| {
+                allocations(|| {
+                    DeltaRecord::capture_into(&model, batch, &scheme, CheckpointId(0), 1, &mut log)
+                })
+            });
+            let (_, segment) = written.unwrap();
+            let stored = store.get(&wal::segment_key("job", 0)).unwrap();
+            assert_eq!(stored.len() as u64, segment);
+            let ids: usize = batch.sparse.iter().map(Vec::len).sum();
+            (allocs, bytes, segment as usize + 4 * ids)
+        };
+        let (few_allocs, few_bytes, few_owed) = fused(&few);
+        let (many_allocs, many_bytes, many_owed) = fused(&batch);
+        assert!(many_owed > few_owed);
+        assert_eq!(
+            many_allocs, few_allocs,
+            "{scheme}: capture_into allocations grew with rows"
+        );
+        assert_eq!(
+            many_bytes - few_bytes,
+            many_owed - few_owed,
+            "{scheme}: bytes beyond the segment and the row ids grew with rows"
+        );
+    }
 }

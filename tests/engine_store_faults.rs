@@ -306,8 +306,8 @@ impl ObjectStore for FailsOneWalDelete {
 
 /// The same window driven for real: `register` succeeded and the WAL
 /// truncate behind it errs. The checkpoint stands and its boundary
-/// finishes; the segment the truncate left is skipped by replay, covered
-/// by the scrubber and collected one boundary later.
+/// finishes; the segments the truncate left are skipped by replay,
+/// covered by the scrubber and collected one boundary later.
 #[test]
 fn a_failed_wal_truncate_leaves_the_checkpoint_standing() {
     let backing = Arc::new(FailsOneWalDelete {
@@ -317,16 +317,19 @@ fn a_failed_wal_truncate_leaves_the_checkpoint_standing() {
     let segments = || wal::list_segments(backing.as_ref(), JOB).unwrap();
     let mut e = builder(backing.clone()).delta_wal(DeltaWalConfig).build().unwrap();
     // Checkpoint at 5 (nothing logged yet); iterations 6-10 log against it
-    // and the boundary at 10 fails to delete their segment.
+    // and the boundary at 10 fails to delete the oldest of their segments,
+    // which stops the truncate in front of all five.
     e.train_batches(13).unwrap();
     assert!(!backing.armed.load(Ordering::SeqCst), "the delete was refused");
     assert_eq!(e.obs().registry().counter(names::WAL_TRUNCATE_FAILURES), 1);
     assert_eq!(e.policy().checkpoints_taken(), 2);
     assert_eq!(e.stats().intervals.len(), 2, "one row per registered checkpoint");
     let left = segments();
-    assert_eq!(left.len(), 2, "the covered segment and the fresh one behind it");
+    assert_eq!(left.len(), 8, "the five covered segments and the three behind them");
+    let findings = e.scrub_now(None).unwrap();
     let live = e.controller().live_keys();
     assert!(left.iter().all(|k| live.contains(k)), "the scrubber covers {left:?}");
+    assert_eq!((findings.scanned, findings.clean), (live.len() as u64, live.len() as u64));
 
     e.simulate_failure_and_restore().unwrap();
     let r = e.stats().resumes.last().unwrap();

@@ -1,13 +1,13 @@
 //! Property test: crash-consistent delta-WAL replay.
 //!
 //! For a checkpoint plus any prefix of logged iterations, crashing at *any*
-//! byte of the live WAL segment — a frame boundary or mid-frame — must
+//! byte of the WAL — a frame boundary or mid-frame — must
 //! yield a restored model bit-identical to a serial training reference run
 //! to the replayed iteration, across writer host counts 1, 2, and 4. The
 //! clean prefix is everything; nothing is ever decoded from the torn tail.
 
 use check_n_run::prelude::*;
-use check_n_run::storage::wal::is_wal_segment_key;
+use check_n_run::storage::wal::list_segments;
 use proptest::prelude::*;
 
 fn spec() -> DatasetSpec {
@@ -45,24 +45,31 @@ proptest! {
         // Checkpoint at 5, then `extra` WAL-logged iterations.
         e.train_batches(5 + extra).unwrap();
 
-        // Crash: the newest segment survives only up to an arbitrary byte.
-        let mut wal_keys: Vec<String> = e
-            .controller()
-            .live_keys()
-            .into_iter()
-            .filter(|k| is_wal_segment_key(k))
-            .collect();
-        wal_keys.sort();
-        let key = wal_keys.last().expect("a live WAL segment").clone();
-        let buf = e.store().get(&key).unwrap();
-        let cut = (buf.len() as f64 * cut_frac) as usize;
-        e.store().put(&key, buf.slice(..cut)).unwrap();
+        // Crash: the log survives only up to an arbitrary byte of its
+        // segments, in order — the segment holding that byte is cut there
+        // and the later ones were never put.
+        let wal_keys = list_segments(e.store().as_ref(), "job").unwrap();
+        prop_assert_eq!(wal_keys.len() as u64, extra, "one segment per logged iteration");
+        let segments: Vec<_> = wal_keys.iter().map(|k| e.store().get(k).unwrap()).collect();
+        let logged: usize = segments.iter().map(|b| b.len()).sum();
+        let cut = (logged as f64 * cut_frac) as usize;
+        let (mut start, mut whole) = (0, 0u64);
+        for (key, buf) in wal_keys.iter().zip(&segments) {
+            if start + buf.len() <= cut {
+                whole += 1;
+            } else if start < cut {
+                e.store().put(key, buf.slice(..cut - start)).unwrap();
+            } else {
+                e.store().delete(key).unwrap();
+            }
+            start += buf.len();
+        }
 
         e.simulate_failure_and_restore().unwrap();
         let r = e.stats().resumes.last().unwrap().clone();
         // The clean prefix: some leading subsequence of the logged
         // iterations, never more, and the loss is counted exactly.
-        prop_assert!(r.wal_replayed_iterations <= extra);
+        prop_assert_eq!(r.wal_replayed_iterations, whole);
         prop_assert_eq!(r.lost_iterations, extra - r.wal_replayed_iterations);
         let iteration = e.trainer().model().iteration();
         prop_assert_eq!(iteration, 5 + r.wal_replayed_iterations);
