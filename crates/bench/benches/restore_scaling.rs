@@ -16,6 +16,17 @@
 //!   — a lazy restore that held back every chunk, drained: the cold tail
 //!   placed on the restore's decode workers (each iteration drains a fresh
 //!   clone of the tail, stamps included);
+//! * **WAL tail replay into a lazy restore** (`lazy/wal_tail/{land,defer}`)
+//!   — 25 logged iterations over the lifecycle workload's geometry (four
+//!   tables of 200k, 100k, 50k and 20k rows, dim 32, batch 128) replayed
+//!   into a fresh clone of a 5%-hot lazy restore's tail: landed newest
+//!   first through the stamps (what the engine runs), or applied in order
+//!   with the rows a cold chunk owes deferred (what the lifecycle
+//!   benchmark's WAL probe still runs). Both end bit-identical after the
+//!   drain, which is asserted;
+//! * **hot cutoff over ≈ 370k scores** (`planner/hot_cutoff/rows=370k`) —
+//!   the planner's radix selection beside the copy-and-select it replaced,
+//!   asserted to return the same bits;
 //! * **decode wall-clock, 1 vs 4 worker threads** — the CPU half of
 //!   time-to-resume. The ratio is *reported*, not asserted: whether four
 //!   threads beat one is a property of the machine (core count, CPU
@@ -34,10 +45,23 @@ use cnr_bench::trajectory::{
     chunk_store, decode_snapshot, decode_store, decode_wall_clock, place_wall_clock,
     restore_snapshot, simulated_ready_to_train,
 };
-use cnr_core::manifest::CheckpointId;
-use cnr_core::read::{restore_sharded_into, RestoreOptions};
-use cnr_model::DlrmModel;
+use cnr_cluster::SimClock;
+use cnr_core::config::CheckpointConfig;
+use cnr_core::delta_log::{DeltaRecord, WalTail};
+use cnr_core::manifest::{CheckpointId, CheckpointKind};
+use cnr_core::policy::{Decision, TrackerAction};
+use cnr_core::read::{
+    restore_sharded_into, restore_sharded_with_heat, LazyRestore, RestoreOptions, RowHeat,
+};
+use cnr_core::snapshot::SnapshotTaker;
+use cnr_core::write::CheckpointWriter;
+use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
+use cnr_reader::ReaderState;
+use cnr_storage::InMemoryStore;
+use cnr_tracking::CoverageAnalyzer;
+use cnr_trainer::{Trainer, TrainerConfig};
+use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -152,9 +176,180 @@ fn drain_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The lifecycle workload's geometry: four tables of R, R/2, R/4 and R/10
+/// rows at R = 200k, dim 32, 128 samples a batch.
+fn workload_spec() -> DatasetSpec {
+    let table = |rows, hot, zipf| TableAccessSpec::new(rows, hot, zipf).with_active_fraction(0.55);
+    DatasetSpec {
+        seed: 7,
+        batch_size: 128,
+        dense_dim: 13,
+        tables: vec![
+            table(200_000, 1, 1.05),
+            table(100_000, 4, 1.0),
+            table(50_000, 2, 0.95),
+            table(20_000, 1, 1.1),
+        ],
+        concept_seed: None,
+    }
+}
+
+/// A full fp32 checkpoint of the workload's model after one batch, in
+/// 4096-row chunks, and the payloads of the 25 iterations logged past it.
+fn wal_tail_fixture() -> (ModelConfig, InMemoryStore, Vec<Vec<u8>>) {
+    let spec = workload_spec();
+    let dataset = SyntheticDataset::new(spec.clone());
+    let model_cfg = ModelConfig::for_dataset(&spec, 32);
+    let mut trainer = Trainer::new(
+        DlrmModel::new(model_cfg.clone()),
+        SimClock::new(),
+        TrainerConfig::default(),
+    );
+    trainer.train_one(&dataset.batch(0));
+    let config = CheckpointConfig {
+        chunk_rows: 4096,
+        ..CheckpointConfig::default()
+    };
+    let snap = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2)).take(
+        &mut trainer,
+        ReaderState::at(1),
+        Decision {
+            kind: CheckpointKind::Full,
+            tracker: TrackerAction::SnapshotReset,
+        },
+        &config,
+    );
+    let store = InMemoryStore::new();
+    CheckpointWriter::new(&store, "bench")
+        .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &config)
+        .expect("write");
+    let mut model = trainer.model().clone();
+    let payloads = (1..26u64)
+        .map(|i| {
+            let batch = dataset.batch(i);
+            model.train_batch(&batch, |_, _| {});
+            DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), i + 1)
+                .encode()
+        })
+        .collect();
+    (model_cfg, store, payloads)
+}
+
+/// The replay loop the lifecycle benchmark's WAL probe runs: each live
+/// record applied in order, the rows the tail still owes deferred to it.
+fn replay_deferring(payloads: &[Vec<u8>], model: &mut DlrmModel, tail: &mut LazyRestore) {
+    for payload in payloads {
+        let Ok(delta) = DeltaRecord::decode(payload) else {
+            break;
+        };
+        if delta.base != CheckpointId(0) || delta.iteration <= model.iteration() {
+            continue;
+        }
+        let (_, deferred) = delta
+            .apply_partial(model, |t, r| !tail.is_materialized(t, r))
+            .expect("apply");
+        for (t, r, values, acc) in deferred {
+            tail.defer_delta(t, r, values, acc);
+        }
+    }
+}
+
+fn wal_tail_replay(c: &mut Criterion) {
+    let (model_cfg, store, payloads) = wal_tail_fixture();
+    let mut model = DlrmModel::new(model_cfg.clone());
+    let options = RestoreOptions {
+        lazy: true,
+        hot_fraction: 0.05,
+        ..RestoreOptions::default()
+    };
+    let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.0);
+    let restored = restore_sharded_with_heat(
+        &store,
+        "bench",
+        CheckpointId(0),
+        &model_cfg,
+        &options,
+        Duration::ZERO,
+        None,
+        Some(&heat),
+    )
+    .expect("restore");
+    restored.report.state.restore(&mut model);
+    let tail = restored.lazy.expect("a lazy restore returns its tail");
+    assert!(tail.pending_rows() > 0, "a cold tail to replay into");
+    let live = || WalTail::live(payloads.iter().map(Vec::as_slice), CheckpointId(0), 1);
+    assert_eq!(live().records().len(), 25);
+
+    // Both ways end where the other does, bit for bit, once drained.
+    let (mut landed, mut deferred) = (model.clone(), model.clone());
+    let mut landed_tail = tail.clone();
+    live().land(&mut landed, Some(&mut landed_tail)).expect("land");
+    landed_tail.drain(&mut landed).expect("drain");
+    let mut deferred_tail = tail.clone();
+    replay_deferring(&payloads, &mut deferred, &mut deferred_tail);
+    deferred_tail.drain(&mut deferred).expect("drain");
+    assert_eq!(landed.state_hash(), deferred.state_hash(), "land and defer diverged");
+
+    // Each iteration replays into a fresh clone of the tail (its stamps
+    // and deferral state change) and into the same model, rewound to the
+    // restored iteration: the rows it writes are the same every time.
+    let mut group = c.benchmark_group("lazy/wal_tail");
+    group.sample_size(10);
+    group.bench_function("land", |b| {
+        b.iter(|| {
+            let mut tail = tail.clone();
+            live().land(&mut landed, Some(&mut tail)).expect("land")
+        });
+    });
+    group.bench_function("defer", |b| {
+        b.iter(|| {
+            let mut tail = tail.clone();
+            deferred.set_iteration(1);
+            replay_deferring(&payloads, &mut deferred, &mut tail);
+            tail.pending_rows()
+        });
+    });
+    group.finish();
+}
+
+/// The cutoff as the planner computed it before the radix selection:
+/// copy every score, select the order statistic from the copy.
+fn copy_and_select_cutoff(heat: &RowHeat, hot_fraction: f64) -> f32 {
+    let mut all: Vec<f32> = heat.scores().iter().flatten().copied().collect();
+    let k = (hot_fraction * all.len() as f64).ceil() as usize;
+    *all.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+}
+
+fn hot_cutoff(c: &mut Criterion) {
+    // The workload's heat: its Zipf prior, boosted over a tracked window.
+    let row_counts = ModelConfig::for_dataset(&workload_spec(), 32).row_counts();
+    let mut heat = RowHeat::zipf(&row_counts, 1.025);
+    let mut window = CoverageAnalyzer::new(&row_counts);
+    for (t, &rows) in row_counts.iter().enumerate() {
+        for row in (0..rows).step_by(11 + t) {
+            window.observe(t, row);
+        }
+    }
+    heat.boost_covered(&window, 1.0);
+    let rows = heat.total_rows();
+    assert!((369_000..=371_000).contains(&rows), "{rows} rows");
+    assert_eq!(
+        heat.hot_cutoff(0.05).to_bits(),
+        copy_and_select_cutoff(&heat, 0.05).to_bits(),
+        "the radix selection must return the oracle's bits"
+    );
+    let mut group = c.benchmark_group("planner/hot_cutoff");
+    group.sample_size(10);
+    group.bench_function("rows=370k", |b| b.iter(|| heat.hot_cutoff(0.05)));
+    group.bench_function("rows=370k/copy_and_select", |b| {
+        b.iter(|| copy_and_select_cutoff(&heat, 0.05))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = restore_scaling, decode_scaling, drain_scaling
+    targets = restore_scaling, decode_scaling, drain_scaling, wal_tail_replay, hot_cutoff
 }
 criterion_main!(benches);

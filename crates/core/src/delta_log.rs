@@ -21,15 +21,22 @@
 //! place through the chunk kernels, the MLPs copied slice by slice from
 //! their layers. [`DeltaRecord::capture`] and [`DeltaRecord::encode`]
 //! build and serialize the same record as a value: the decode-side type,
-//! and the reference `capture_into` must match byte for byte. Apply
-//! resolves each chunk's row encoding once and de-quantizes every applied
-//! row straight into its table row — only a row diverted to a lazy
-//! restore's tail gets a buffer of its own.
+//! and the reference `capture_into` must match byte for byte.
+//!
+//! On the read side the log's tail is the restore chain's newest level.
+//! [`WalTail`] keeps the records that build on the restored checkpoint and
+//! lands them newest first through the restore's rank stamps: record `i`
+//! ranks above every chunk of the chain, so each replayed row is
+//! de-quantized once, straight into its table row, and is final from then
+//! on — a lazy restore's cold chunks skip it by the stamp check that
+//! orders chain levels. The dense layers, iteration and reader cursor come
+//! from the last record alone.
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{
     decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, RowContext,
 };
+use crate::read::LazyRestore;
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::{DlrmModel, Mlp};
@@ -207,7 +214,10 @@ impl DeltaRecord {
         self.apply_partial(model, |_, _| false).map(|(rows_applied, _)| rows_applied)
     }
 
-    /// [`Self::apply`] for a lazily-restored model: MLPs, iteration, and
+    /// [`Self::apply`] for a lazily-restored model, kept only for the
+    /// lifecycle benchmark's WAL probe (`benchmark/src/probes.rs`,
+    /// `replay_wal`): the engine lands a lazy restore's WAL tail through
+    /// its stamps ([`WalTail::land`]) and diverts nothing. MLPs, iteration, and
     /// reader cursor semantics are unchanged, but embedding rows for which
     /// `divert` returns true (rows not yet materialized) are *returned* as
     /// `(table, row, values, adagrad)` tuples instead of written — the
@@ -341,6 +351,162 @@ impl DeltaRecord {
     }
 }
 
+/// The records of a WAL log that replay on top of a restored checkpoint,
+/// oldest first: the chain's newest level.
+#[derive(Debug, Clone)]
+pub struct WalTail {
+    records: Vec<DeltaRecord>,
+}
+
+impl WalTail {
+    /// Picks the live records out of a log's frame payloads, in log order.
+    /// A record is live iff it builds on `base` (the restored checkpoint)
+    /// and its iteration is above the last live one's — `restored_iteration`
+    /// to begin with. A record of a stale base (a segment that survived a
+    /// truncation race or a failed truncate) and a duplicate or
+    /// out-of-order iteration are skipped; a checksum-clean but undecodable
+    /// record ends the tail, the clean-prefix contract a torn frame has.
+    pub fn live<'a>(
+        payloads: impl IntoIterator<Item = &'a [u8]>,
+        base: CheckpointId,
+        restored_iteration: u64,
+    ) -> Self {
+        let mut last = restored_iteration;
+        let mut records = Vec::new();
+        for payload in payloads {
+            let Ok(record) = DeltaRecord::decode(payload) else {
+                break;
+            };
+            if record.base == base && record.iteration > last {
+                last = record.iteration;
+                records.push(record);
+            }
+        }
+        Self { records }
+    }
+
+    /// The live records, oldest first.
+    pub fn records(&self) -> &[DeltaRecord] {
+        &self.records
+    }
+
+    /// Lands the tail on `model`, which holds the restored checkpoint: the
+    /// state applying every record in order with [`DeltaRecord::apply`]
+    /// leaves, written once. Records land newest first, record `i` ranked
+    /// one level above the chain's chunks (`lazy`'s
+    /// [`LazyRestore::chain_ranks`] `+ 1 + i`, or `1 + i` after an eager
+    /// restore), and a row is written iff its record outranks the row's
+    /// stamp — the rule chunk rows land by — so each row is de-quantized
+    /// once, from the newest record that names it. Into a lazy restore's
+    /// stamps that makes a replayed row final: it is materialized, no
+    /// longer pending, and a cold chunk's fault-in or drain leaves it
+    /// alone. The MLPs and iteration are set once, from the last record.
+    ///
+    /// A record whose rows do not fit `model` (unknown table, other width,
+    /// optimizer state the table does not have or lacks, a row past the
+    /// table) or whose MLPs are not `model`'s shape fails typed, and
+    /// `model` may then be partly written. Returns the rows written.
+    pub fn land(&self, model: &mut DlrmModel, lazy: Option<&mut LazyRestore>) -> Result<u64> {
+        if self.records.is_empty() {
+            return Ok(0);
+        }
+        match lazy {
+            Some(lazy) => {
+                let chain_ranks = lazy.chain_ranks();
+                self.land_with(model, chain_ranks, |t, r, rank| lazy.claim(t, r, rank))
+            }
+            None => {
+                let mut stamps: Vec<Vec<u32>> =
+                    model.tables().iter().map(|t| vec![0; t.rows()]).collect();
+                self.land_with(model, 0, |t, r, rank| {
+                    let stamp = &mut stamps[t][r];
+                    let outranks = rank > *stamp;
+                    if outranks {
+                        *stamp = rank;
+                    }
+                    outranks
+                })
+            }
+        }
+    }
+
+    /// [`Self::land`] against the stamps `claim(table, row, rank)` keeps:
+    /// it answers whether a record ranked `rank` outranks the row, and
+    /// stamps it if so. Rows reach it only once checked to lie inside
+    /// `model`.
+    fn land_with(
+        &self,
+        model: &mut DlrmModel,
+        chain_ranks: u32,
+        mut claim: impl FnMut(usize, usize, u32) -> bool,
+    ) -> Result<u64> {
+        let Some(last) = self.records.last() else {
+            return Ok(0);
+        };
+        let mut landed = 0u64;
+        for (i, record) in self.records.iter().enumerate().rev() {
+            let rank = chain_ranks + 1 + i as u32;
+            for chunk in &record.chunks {
+                let t = chunk.table as usize;
+                let table = model.tables_mut().get_mut(t).ok_or_else(|| {
+                    CnrError::Corrupt(format!("delta chunk for unknown table {t}"))
+                })?;
+                let (dim, nrows) = (table.dim(), table.rows());
+                if chunk.rows.dim as usize != dim {
+                    return Err(CnrError::Corrupt(format!(
+                        "delta row dim {} != table dim {dim}",
+                        chunk.rows.dim
+                    )));
+                }
+                if chunk.optimizer_state.is_some() != table.adagrad().is_some() {
+                    return Err(CnrError::Corrupt(format!(
+                        "delta chunk optimizer state does not match table {t}"
+                    )));
+                }
+                let (decoder, bodies) = chunk.row_bodies()?;
+                for (k, (&idx, body)) in chunk.row_indices.iter().zip(bodies).enumerate() {
+                    let r = idx as usize;
+                    if r >= nrows {
+                        return Err(CnrError::Corrupt(format!(
+                            "delta row {r} out of range for table {t} ({nrows} rows)"
+                        )));
+                    }
+                    if !claim(t, r, rank) {
+                        continue;
+                    }
+                    decoder.decode(body, table.row_mut(r));
+                    if let (Some(acc), Some(adagrad)) =
+                        (&chunk.optimizer_state, table.adagrad_mut())
+                    {
+                        adagrad[r] = acc[k];
+                    }
+                    landed += 1;
+                }
+            }
+        }
+        let (bottom, top) = model.mlps_mut();
+        let shapes = (bottom.param_count(), top.param_count());
+        if let Some(record) = self
+            .records
+            .iter()
+            .find(|r| (r.bottom_mlp.len(), r.top_mlp.len()) != shapes)
+        {
+            return Err(CnrError::Corrupt(format!(
+                "delta record {} carries MLPs of {} + {} parameters, the model has {} + {}",
+                record.iteration,
+                record.bottom_mlp.len(),
+                record.top_mlp.len(),
+                shapes.0,
+                shapes.1
+            )));
+        }
+        bottom.unflatten(&last.bottom_mlp);
+        top.unflatten(&last.top_mlp);
+        model.set_iteration(last.iteration);
+        Ok(landed)
+    }
+}
+
 /// The distinct rows a batch touched, ascending within each table, every
 /// table's run in one buffer: the row sets [`DeltaRecord::capture`] keeps
 /// in a `Vec` per chunk.
@@ -425,6 +591,7 @@ mod tests {
     use super::*;
     use cnr_model::ModelConfig;
     use cnr_workload::DatasetSpec;
+    use std::collections::BTreeSet;
 
     fn model_and_batch() -> (DlrmModel, Batch) {
         let spec = DatasetSpec::tiny(17);
@@ -604,6 +771,121 @@ mod tests {
             }
         }
         assert_eq!(partial.state_hash(), eager.state_hash());
+    }
+
+    /// The replay loop before the tail was a chain level: decode each
+    /// payload in log order, stop at the first undecodable one, skip a
+    /// stale base or an iteration at or below the model's, apply the rest
+    /// in order. Returns the records applied.
+    fn replay_in_order(payloads: &[Vec<u8>], base: CheckpointId, model: &mut DlrmModel) -> u64 {
+        let mut applied = 0;
+        for payload in payloads {
+            let Ok(record) = DeltaRecord::decode(payload) else {
+                break;
+            };
+            if record.base != base || record.iteration <= model.iteration() {
+                continue;
+            }
+            record.apply(model).unwrap();
+            applied += 1;
+        }
+        applied
+    }
+
+    /// A log holding a stale-base record, a duplicate and two out-of-order
+    /// iterations, and an undecodable record in mid-log: the live tail is
+    /// what the in-order loop applied, and landing it newest first leaves
+    /// the model that loop left — rows, accumulators, MLPs and iteration —
+    /// for every scheme, lossy ones included.
+    #[test]
+    fn newest_first_landing_equals_the_in_order_loop() {
+        use cnr_model::OptimizerConfig;
+        let spec = DatasetSpec::tiny(29);
+        let dataset = cnr_workload::SyntheticDataset::new(spec.clone());
+        let cfg = ModelConfig {
+            optimizer: OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
+            ..ModelConfig::for_dataset(&spec, 4)
+        };
+        let base = CheckpointId(3);
+        for scheme in [QuantScheme::Fp32, QuantScheme::Asymmetric { bits: 4 }] {
+            let restored = {
+                let mut m = DlrmModel::new(cfg.clone());
+                m.train_batch(&dataset.batch(0), |_, _| {});
+                m
+            };
+            let mut trained = restored.clone();
+            let mut logged = Vec::new();
+            for i in 1..8u64 {
+                let batch = dataset.batch(i);
+                trained.train_batch(&batch, |_, _| {});
+                logged.push(DeltaRecord::capture(&trained, &batch, &scheme, base, i + 1).encode());
+            }
+            let stale = {
+                let mut record = DeltaRecord::decode(&logged[2]).unwrap();
+                record.base = CheckpointId(2);
+                record.encode()
+            };
+            // Iterations 2..=8 were logged; the model was restored at 1.
+            let log: Vec<Vec<u8>> = vec![
+                logged[0].clone(), // 2
+                stale,             // a stale base at 4
+                logged[1].clone(), // 3
+                logged[1].clone(), // 3 again
+                logged[0].clone(), // 2: out of order
+                logged[3].clone(), // 5
+                logged[5].clone(), // 7
+                logged[4].clone(), // 6: out of order, below 7
+                vec![1, 2, 3],     // undecodable: the tail ends here
+                logged[6].clone(), // 8: never replayed
+            ];
+
+            let mut in_order = restored.clone();
+            let applied = replay_in_order(&log, base, &mut in_order);
+            let tail = WalTail::live(log.iter().map(Vec::as_slice), base, restored.iteration());
+            let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
+            assert_eq!(iterations, vec![2, 3, 5, 7], "{scheme}");
+            assert_eq!(applied, iterations.len() as u64, "{scheme}");
+
+            let mut landed = restored.clone();
+            let rows = tail.land(&mut landed, None).unwrap();
+            let distinct: BTreeSet<(u16, u32)> = tail
+                .records()
+                .iter()
+                .flat_map(|r| &r.chunks)
+                .flat_map(|c| c.row_indices.iter().map(move |&row| (c.table, row)))
+                .collect();
+            assert_eq!(rows, distinct.len() as u64, "{scheme}: each row is written once");
+            assert!(rows < tail.records().iter().map(DeltaRecord::touched_rows).sum::<u64>());
+            assert_eq!(landed.iteration(), 7);
+            assert_eq!(landed.state_hash(), in_order.state_hash(), "{scheme}");
+            for (got, want) in landed.tables().iter().zip(in_order.tables()) {
+                assert_eq!(got.adagrad(), want.adagrad(), "{scheme}");
+            }
+        }
+    }
+
+    /// A live record whose rows or MLPs do not fit the model fails the
+    /// landing typed — an optimizer state the table lacks included, which
+    /// applying in order would have dropped silently.
+    #[test]
+    fn landing_refuses_records_that_do_not_fit_the_model() {
+        let (model, batch) = model_and_batch();
+        let good = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
+        let land = |record: &DeltaRecord| {
+            let tail = WalTail::live([record.encode().as_slice()], CheckpointId(0), 0);
+            assert_eq!(tail.records().len(), 1);
+            tail.land(&mut model.clone(), None)
+        };
+        assert!(land(&good).is_ok());
+        let mut bad = good.clone();
+        bad.chunks[0].row_indices[0] = u32::MAX;
+        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
+        let mut bad = good.clone();
+        bad.chunks[0].optimizer_state = Some(vec![1.0; bad.chunks[0].row_indices.len()]);
+        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
+        let mut bad = good.clone();
+        bad.top_mlp.pop();
+        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
     }
 
     #[test]

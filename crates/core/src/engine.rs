@@ -23,7 +23,7 @@
 use crate::bitwidth::BitwidthSelector;
 use crate::config::{CheckpointConfig, DeltaWalConfig, PolicyKind, QuantMode};
 use crate::controller::CheckpointController;
-use crate::delta_log::DeltaRecord;
+use crate::delta_log::{DeltaRecord, WalTail};
 use crate::error::{CnrError, Result};
 use crate::manifest::{CheckpointId, CheckpointKind};
 use crate::observe;
@@ -340,9 +340,10 @@ pub struct Engine {
     scrub_schedule: Option<ScrubScheduler>,
     /// Per-iteration delta WAL writer; `Some` iff `config.delta_wal` is.
     wal: Option<WalWriter>,
-    /// Cold tail of an in-progress lazy restore: rows the background drain
-    /// has not yet materialized, plus WAL deltas deferred until they are.
-    /// `None` once fully drained (or when restores are eager).
+    /// Cold tail of an in-progress lazy restore: the chunks whose rows the
+    /// background drain has not yet materialized, and the stamps that
+    /// order them — a row the WAL replay landed is final and never faults
+    /// in. `None` once fully drained (or when restores are eager).
     pending_lazy: Option<read::LazyRestore>,
     /// Simulated instant the lazy restore's background fetch finishes —
     /// past it a full drain costs no additional transfer time.
@@ -661,7 +662,8 @@ impl Engine {
     /// Forces an in-progress lazy restore to finish: waits out the
     /// background fetch (advancing the simulated clock to its completion
     /// point), applies every remaining cold row (placed on the restore's
-    /// decode workers) and deferred WAL delta, and retires the lazy state.
+    /// decode workers; a row the WAL replay landed is already final), and
+    /// retires the lazy state.
     /// Until then the cold rows are stale. Returns the rows materialized
     /// (zero when no lazy restore is pending). Called automatically when
     /// training catches up with the drain and before every checkpoint.
@@ -706,14 +708,9 @@ impl Engine {
     fn build_heat(&self) -> Option<read::RowHeat> {
         let mut heat = self.heat_prior.clone()?;
         let snap = self.trainer.tracker().snapshot();
-        let row_counts = self.trainer.model().config().row_counts();
-        let mut coverage = cnr_tracking::CoverageAnalyzer::new(&row_counts);
         for (t, mask) in snap.tables.iter().enumerate() {
-            for row in mask.iter_ones() {
-                coverage.observe(t, row);
-            }
+            heat.boost_rows(t, mask.iter_ones(), 1.0);
         }
-        heat.boost_covered(&coverage, 1.0);
         Some(heat)
     }
 
@@ -828,61 +825,38 @@ impl Engine {
         // first torn, corrupt, or out-of-sequence frame, so every record
         // seen here passed its envelope checksum. Records from a stale base
         // (segments that survived a truncation race or a failed truncate)
-        // or at-or-below the restored iteration are skipped; the rest
-        // advance the model toward the tip.
-        let mark_replayed = matches!(
-            self.policy.kind(),
-            PolicyKind::OneShot | PolicyKind::Intermittent
-        );
+        // or at-or-below the restored iteration are skipped; the rest are
+        // the chain's newest level. Each replayed row lands once, from the
+        // newest record naming it, and is final: a lazy restore's cold
+        // chunks skip it by their stamps, so it never faults in.
         let mut wal_replayed = 0u64;
         let mut wal_replay_time = Duration::ZERO;
         let mut reader_state = report.reader;
         if self.config.delta_wal.is_some() {
             let log = wal::replay(self.store.as_ref(), &self.job)?;
             wal_replay_time = self.store.read_transfer_time(log.bytes_read);
-            for rec in &log.records {
-                let delta = match DeltaRecord::decode(&rec.payload) {
-                    Ok(d) => d,
-                    // Checksum-clean but undecodable: treat as the tail, same
-                    // clean-prefix contract as a torn frame.
-                    Err(_) => break,
-                };
-                if delta.base != latest || delta.iteration <= self.trainer.model().iteration()
-                {
-                    continue;
+            let tail = WalTail::live(
+                log.records.iter().map(|rec| &rec.payload[..]),
+                latest,
+                self.trainer.model().iteration(),
+            );
+            tail.land(self.trainer.model_mut(), lazy_tail.as_mut())?;
+            if matches!(
+                self.policy.kind(),
+                PolicyKind::OneShot | PolicyKind::Intermittent
+            ) {
+                // Replayed rows diverge from the baseline exactly like
+                // trained rows do: future one-shot incrementals must
+                // contain them.
+                for chunk in tail.records().iter().flat_map(|rec| &rec.chunks) {
+                    let rows = chunk.row_indices.iter().map(|&row| row as usize);
+                    self.trainer.tracker().mark_rows(chunk.table as usize, rows);
                 }
-                match &mut lazy_tail {
-                    Some(lazy) => {
-                        // Dense weights and the cursor replay immediately;
-                        // row deltas targeting not-yet-materialized rows
-                        // are buffered and re-applied when their row
-                        // arrives, preserving bit-identity with the eager
-                        // path once the drain completes.
-                        let (_, deferred) = delta.apply_partial(
-                            self.trainer.model_mut(),
-                            |t, r| !lazy.is_materialized(t, r),
-                        )?;
-                        for (t, r, values, acc) in deferred {
-                            lazy.defer_delta(t, r, values, acc);
-                        }
-                    }
-                    None => {
-                        delta.apply(self.trainer.model_mut())?;
-                    }
-                }
-                if mark_replayed {
-                    // Replayed rows diverge from the baseline exactly like
-                    // trained rows do: future one-shot incrementals must
-                    // contain them.
-                    for chunk in &delta.chunks {
-                        for &row in &chunk.row_indices {
-                            self.trainer.tracker().mark(chunk.table as usize, row as usize);
-                        }
-                    }
-                }
-                reader_state = ReaderState::at(delta.reader_next);
-                wal_replayed += 1;
             }
+            if let Some(last) = tail.records().last() {
+                reader_state = ReaderState::at(last.reader_next);
+            }
+            wal_replayed = tail.records().len() as u64;
         }
 
         // Rebuild the reader tier at the stored position and warm its
@@ -2122,8 +2096,9 @@ mod tests {
         assert_eq!(resume.restore_point, RestorePoint::WalTip);
         assert_eq!(resume.wal_replayed_iterations, 3);
         assert!(resume.time_to_first_batch < resume.time_to_resume());
-        // Dense weights and the cursor replayed immediately; any deferred
-        // row deltas land with the drain — back to the exact failed state.
+        // The replayed rows, dense weights and cursor landed with the
+        // restore, and the drain leaves those rows alone — back to the
+        // exact failed state.
         a.drain_lazy_restore().unwrap();
         assert_eq!(
             a.trainer().model().state_hash(),

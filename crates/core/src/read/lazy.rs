@@ -15,10 +15,15 @@
 //! * **per-row application ranks** — the stamps the restore's destination
 //!   (`merge::Destination`) ordered its decode workers with, as they stood
 //!   when the hot set had landed, so a late cold chunk from an *older*
-//!   level never clobbers a hot chunk from a newer one,
-//! * **deferred WAL row deltas** — delta-log rows whose target row was not
-//!   materialized at replay time, buffered in replay order and applied the
-//!   moment the row exists.
+//!   level never clobbers a hot chunk from a newer one.
+//!
+//! The WAL tail past the checkpoint is the chain's newest level, landed
+//! through the same stamps ([`crate::delta_log::WalTail::land`]): record
+//! `i` ranks [`LazyRestore::chain_ranks`] `+ 1 + i`, above every chunk, so
+//! a replayed row is written once, from the newest record naming it, and
+//! is final at once — materialized, no longer pending, and skipped by
+//! every cold chunk's later landing, exactly as a newer chain level's row
+//! is. A row the log holds never faults in.
 //!
 //! Materializing finishes the restore the eager path started, by the same
 //! code: the background **drain** wraps the model's tables and the stamps
@@ -29,10 +34,13 @@
 //! `merge::land_rows` over a one-row stripe — the decoder the chunk's
 //! header resolved when the restore opened it, so nothing about the
 //! encoding is decided again. Per row the apply order is always chunk
-//! levels ascending (the rank rule), then deferred deltas in replay order —
-//! exactly the eager path's. Rows are whole-row overwrites, so the order
-//! *across* rows does not matter: the drain visits only the rows that have
-//! deferred deltas, not every row of the model.
+//! levels ascending, then the log (the rank rule) — exactly the eager
+//! path's.
+//!
+//! [`LazyRestore::defer_delta`] and the drain's delta step are the older
+//! way to replay a log into a lazy restore — row deltas buffered per row
+//! and applied after its chunk levels — kept only for the lifecycle
+//! benchmark's WAL probe (`benchmark/src/probes.rs`, `replay_wal`).
 //!
 //! The cold chunks stay until every one of them is placed: a drain that is
 //! refused (a model of another shape) or fails part-way leaves the tail
@@ -96,28 +104,30 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// The rows the cold chunks of `decoded` owe, in tables of
-    /// `row_counts` rows whose stamps `stamp(table, row)` reads. (Every
-    /// chunk's table and rows are inside the tables: the restore checked
-    /// them.) A row is pending only if some cold chunk outranks what the
-    /// hot set wrote to it; a cold chunk fully shadowed by a newer hot
-    /// chunk leaves its rows final.
+    /// The rows the cold chunks of `decoded` owe in `dest`, whose tables
+    /// have `row_counts` rows, under the stamps the hot set left there.
+    /// (Every chunk's table and rows are inside the tables: the restore
+    /// checked them.) A row is pending only if some cold chunk outranks
+    /// what the hot set wrote to it; a cold chunk fully shadowed by a newer
+    /// hot chunk leaves its rows final. One pass over each cold chunk's
+    /// rows.
     pub(crate) fn of(
         decoded: &[DecodedChunk],
         row_counts: &[usize],
-        mut stamp: impl FnMut(usize, usize) -> u32,
+        dest: &mut Destination<'_>,
     ) -> Self {
         let mut materialized: Vec<Vec<bool>> = row_counts.iter().map(|&n| vec![true; n]).collect();
         let mut rows = 0u64;
         for chunk in decoded.iter().filter(|chunk| chunk.cold.is_some()) {
             let t = chunk.header.table as usize;
-            for &row in &chunk.header.row_indices {
-                let r = row as usize;
-                if materialized[t][r] && chunk.rank > stamp(t, r) {
-                    materialized[t][r] = false;
+            let owed = &mut materialized[t];
+            dest.for_each_stamp(t, &chunk.header.row_indices, |row, stamp| {
+                let final_ = &mut owed[row as usize];
+                if *final_ && chunk.rank > stamp {
+                    *final_ = false;
                     rows += 1;
                 }
-            }
+            });
         }
         Self { materialized, rows }
     }
@@ -146,7 +156,14 @@ pub struct LazyRestore {
     materialized: Vec<Vec<bool>>,
     /// Rows still waiting on a cold chunk.
     pending_rows: u64,
-    /// WAL row deltas buffered for unmaterialized rows, replay order per row.
+    /// The highest rank a chunk of the restored chain holds: the number of
+    /// chunks. A replayed WAL record ranks above it.
+    chain_ranks: u32,
+    /// WAL row deltas buffered for unmaterialized rows, replay order per
+    /// row. Kept only for the lifecycle benchmark's WAL probe
+    /// (`benchmark/src/probes.rs`, `replay_wal`), which still replays
+    /// through [`Self::defer_delta`]; the engine lands replayed rows
+    /// through the stamps instead.
     deferred: HashMap<(u16, u32), Vec<RowDelta>>,
     /// Threads the drain places the cold chunks on: the restore's decode
     /// workers.
@@ -167,6 +184,7 @@ impl LazyRestore {
         pending: Pending,
         workers: usize,
     ) -> Self {
+        let chain_ranks = decoded.len() as u32;
         let mut cold: Vec<ColdChunk> = decoded
             .into_iter()
             .filter_map(|chunk| {
@@ -186,6 +204,7 @@ impl LazyRestore {
             applied_rank,
             materialized: pending.materialized,
             pending_rows: pending.rows,
+            chain_ranks,
             deferred: HashMap::new(),
             workers,
         }
@@ -228,10 +247,45 @@ impl LazyRestore {
             .collect()
     }
 
+    /// The highest rank a chunk of the restored chain holds. Record `i` of
+    /// a replayed WAL tail (oldest first) ranks `chain_ranks() + 1 + i`:
+    /// the tail is the chain's newest level.
+    pub fn chain_ranks(&self) -> u32 {
+        self.chain_ranks
+    }
+
+    /// Claims `(table, row)` for a replayed WAL row ranked `rank` (above
+    /// [`Self::chain_ranks`]), by the rule a chunk row lands by: if `rank`
+    /// outranks the row's stamp, the row is stamped `rank` and is final
+    /// from then on — a cold chunk's later landing (fault-in or drain)
+    /// skips it, and it no longer counts as pending — and the caller writes
+    /// the replayed value. Returns whether it should. Unknown coordinates
+    /// hold no stamp: the caller writes them.
+    pub(crate) fn claim(&mut self, table: usize, row: usize, rank: u32) -> bool {
+        let Some(stamp) = self.applied_rank.get_mut(table).and_then(|t| t.get_mut(row)) else {
+            return true;
+        };
+        if rank <= *stamp {
+            return false;
+        }
+        *stamp = rank;
+        let final_ = &mut self.materialized[table][row];
+        if !*final_ {
+            *final_ = true;
+            self.pending_rows -= 1;
+        }
+        true
+    }
+
     /// Buffers one WAL row delta for an unmaterialized row; it applies when
     /// the row materializes (fault-in or drain), after all chunk levels.
     /// Caller contract: only defer rows where [`Self::is_materialized`] is
     /// false — deltas for live rows must apply immediately instead.
+    ///
+    /// Kept only for the lifecycle benchmark's WAL probe
+    /// (`benchmark/src/probes.rs`, `replay_wal`); the engine lands a
+    /// replayed row once, through the stamps
+    /// ([`crate::delta_log::WalTail::land`]).
     pub fn defer_delta(&mut self, table: u16, row: u32, values: Vec<f32>, acc: Option<f32>) {
         self.deferred
             .entry((table, row))
@@ -291,11 +345,13 @@ impl LazyRestore {
     }
 
     /// Finishes the restore: places every cold chunk into `model`'s tables
-    /// under the stamps the hot set (and any fault-ins) left — the same
-    /// `Destination::place` the restore's decode workers ran, on as many
-    /// threads as it had, so a row is written iff the chunk outranks what
-    /// it holds — then applies every remaining deferred delta. After this
-    /// the model is bit-identical to an eager restore plus full WAL replay.
+    /// under the stamps the hot set, the WAL replay and any fault-ins left
+    /// — the same `Destination::place` the restore's decode workers ran, on
+    /// as many threads as it had, so a row is written iff the chunk
+    /// outranks what it holds — then applies every remaining deferred
+    /// delta (a step only [`Self::defer_delta`]'s caller, the lifecycle
+    /// benchmark's WAL probe, needs). After this the model is
+    /// bit-identical to an eager restore plus full WAL replay.
     /// Idempotent. `model` must have the restored checkpoint's geometry
     /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
     /// keeps the whole tail, so a retry with the right model completes it.
@@ -314,7 +370,9 @@ impl LazyRestore {
             )?;
             self.cold = Vec::new();
         }
-        // Every cold row has landed. A row's deferred deltas apply after
+        // Every cold row has landed. The delta step, kept only for the
+        // lifecycle benchmark's WAL probe (`benchmark/src/probes.rs`,
+        // `replay_wal`): a row's deferred deltas apply after
         // its chunk levels and in replay order; the rows' own order does not
         // matter, so only the rows that have deltas are visited. They are
         // whole-row overwrites, so a retry after a failure here re-applies
@@ -426,8 +484,13 @@ mod tests {
             }
         }
         let row_counts = m.config().row_counts();
-        let pending = Pending::of(&chunks, &row_counts, |t, r| applied_rank[t][r]);
-        LazyRestore::new(chunks, TableMeta::for_model(m.config()), applied_rank, pending, workers)
+        let geometry = TableMeta::for_model(m.config());
+        let mut scratch = m.clone();
+        let mut dest =
+            Destination::new(scratch.table_views_mut(), &geometry, &mut applied_rank).unwrap();
+        let pending = Pending::of(&chunks, &row_counts, &mut dest);
+        drop(dest);
+        LazyRestore::new(chunks, geometry, applied_rank, pending, workers)
     }
 
     #[test]
@@ -555,6 +618,49 @@ mod tests {
                 (1, 2, 2.0),
                 (1, 400, 8.0),
             ] {
+                assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
+            }
+        }
+    }
+
+    /// A replayed WAL row claimed through the stamps is final: it stops
+    /// counting as pending, a fault-in fetches nothing for it, and neither
+    /// a fault-in nor the drain lands the cold chunk over it — on any
+    /// worker count. A row only an older replayed record names is not
+    /// claimed twice.
+    #[test]
+    fn a_claimed_row_is_final_and_never_landed_over() {
+        for workers in [1, 2, 4] {
+            let mut m = model();
+            let chunks = vec![
+                chunk(0, "base", 0, &[0, 1, 2], 1.0, false),
+                chunk(1, "incr", 0, &[1], 2.0, true),
+                chunk(1, "incr-cold", 1, &[5, 6], 3.0, false),
+            ];
+            let mut lazy = lazy_on(workers, chunks, &m);
+            assert_eq!(lazy.chain_ranks(), 3);
+            assert_eq!(lazy.pending_rows(), 2 + 2);
+            let newest = lazy.chain_ranks() + 2;
+            let older = lazy.chain_ranks() + 1;
+            // A pending row, a row a hot chunk placed, a pending row of
+            // another table: each claimed by the newest record naming it.
+            for (t, r) in [(0, 2), (0, 1), (1, 6)] {
+                assert!(lazy.claim(t, r, newest), "({t}, {r})");
+                m.tables_mut()[t].row_mut(r).fill(9.0);
+                m.tables_mut()[t].adagrad_mut().unwrap()[r] = 9.0;
+            }
+            assert!(!lazy.claim(0, 2, older), "a newer record already holds the row");
+            assert_eq!(lazy.pending_rows(), 2);
+            assert!(lazy.is_materialized(0, 2) && lazy.is_materialized(1, 6));
+            assert_eq!(lazy.fault_in(&mut m, 0, 2).unwrap(), 0, "nothing to fetch");
+            assert_eq!(lazy.fault_in(&mut m, 1, 5).unwrap(), 100);
+
+            assert_eq!(lazy.drain(&mut m).unwrap().rows_materialized, 1, "row 0 of table 0");
+            let row = |t: usize, r: usize| {
+                let table = &m.tables()[t];
+                (table.row(r)[0], table.adagrad().unwrap()[r])
+            };
+            for (t, r, want) in [(0, 0, 1.0), (0, 1, 9.0), (0, 2, 9.0), (1, 5, 3.0), (1, 6, 9.0)] {
                 assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
             }
         }

@@ -271,13 +271,30 @@ impl<'a> Destination<'a> {
         Ok(())
     }
 
-    /// The rank of the chunk whose value row `row` of table `table` holds
-    /// (0 = none). Takes no lock: `&mut self` means no worker is writing.
-    pub(crate) fn stamp(&mut self, table: usize, row: usize) -> u32 {
-        let stripe = self.tables[table].stripes[row / STRIPE_ROWS]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        stripe.rank[row % STRIPE_ROWS]
+    /// Calls `visit(row, stamp)` for each of `rows` — ascending, inside
+    /// table `table` (what [`Self::check`] establishes for a chunk's rows)
+    /// — with the rank of the chunk whose value the row holds (0 = none):
+    /// one stripe's stamps at a time, indexed flat within it. Takes no
+    /// lock: `&mut self` means no worker is writing.
+    pub(crate) fn for_each_stamp(
+        &mut self,
+        table: usize,
+        rows: &[u32],
+        mut visit: impl FnMut(u32, u32),
+    ) {
+        let stripes = &mut self.tables[table].stripes;
+        let mut k = 0;
+        while k < rows.len() {
+            let s = rows[k] as usize / STRIPE_ROWS;
+            let end = k + rows[k..].partition_point(|&row| row as usize / STRIPE_ROWS == s);
+            let stripe = stripes[s].get_mut().unwrap_or_else(PoisonError::into_inner);
+            let stamps = &stripe.rank[..];
+            let first_row = stripe.first_row;
+            for &row in &rows[k..end] {
+                visit(row, stamps[row as usize - first_row]);
+            }
+            k = end;
+        }
     }
 
     /// Zeroes every row no fetched chunk names, so a destination that held
@@ -286,7 +303,7 @@ impl<'a> Destination<'a> {
     /// `materialized` says, per table and row, whether the row is final,
     /// and a row a held-back chunk still owes is left as it is — stale
     /// until a fault-in or the drain lands it, which would overwrite a
-    /// zero anyway.
+    /// zero anyway. One pass over each stripe's stamps.
     pub(crate) fn zero_unwritten(self, materialized: Option<&[Vec<bool>]>) -> Result<()> {
         for (t, table) in self.tables.into_iter().enumerate() {
             let materialized = materialized.map(|m| m[t].as_slice());
@@ -297,26 +314,28 @@ impl<'a> Destination<'a> {
                     mut adagrad,
                     rank,
                 } = stripe.into_inner().map_err(poisoned)?;
+                // A stamp of 0 means no placed chunk wrote the row; such a
+                // row that is not final is a held-back chunk's.
+                let zero = |local: usize| {
+                    rank[local] == 0 && materialized.is_none_or(|m| m[first_row + local])
+                };
                 // Whole runs at a time: after an eager restore of a partial
                 // chain most stripes are one run, and a stripe-sized fill
-                // is a `memset`. A stamp of 0 means no placed chunk wrote
-                // the row; such a row that is not final is a held-back
-                // chunk's.
+                // is a `memset`.
                 let mut local = 0;
                 while local < rank.len() {
-                    let unstamped = rank[local..].iter().take_while(|&&r| r == 0);
-                    let run = match materialized {
-                        None => unstamped.count(),
-                        Some(m) => unstamped
-                            .zip(&m[first_row + local..])
-                            .take_while(|&(_, &done)| done)
-                            .count(),
-                    };
-                    data[local * table.dim..(local + run) * table.dim].fill(0.0);
-                    if let Some(acc) = &mut adagrad {
-                        acc[local..local + run].fill(0.0);
+                    if !zero(local) {
+                        local += 1;
+                        continue;
                     }
-                    local += run + 1;
+                    let start = local;
+                    while local < rank.len() && zero(local) {
+                        local += 1;
+                    }
+                    data[start * table.dim..local * table.dim].fill(0.0);
+                    if let Some(acc) = &mut adagrad {
+                        acc[start..local].fill(0.0);
+                    }
                 }
             }
         }

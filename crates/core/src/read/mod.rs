@@ -349,7 +349,7 @@ pub fn restore_sharded_into(
     let lazy_tail = if options.lazy {
         // The rows the cold chunks owe are left stale, not zeroed: a
         // fault-in or the drain writes each of them once.
-        let pending = lazy::Pending::of(&decoded, &row_counts, |t, r| dest.stamp(t, r));
+        let pending = lazy::Pending::of(&decoded, &row_counts, &mut dest);
         dest.zero_unwritten(Some(&pending.materialized))?;
         Some(LazyRestore::new(
             decoded,

@@ -95,14 +95,39 @@ impl RowHeat {
     /// Boosts every row the coverage window has touched by `factor` — rows
     /// the current training window provably uses outrank cold Zipf mass.
     /// Walks the window's set rows only, not every row of the model.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is not finite: a NaN or infinite score has no place in
+    /// the heat order the planner's three readers share.
     pub fn boost_covered(&mut self, coverage: &CoverageAnalyzer, factor: f32) {
-        for (t, table) in self.scores.iter_mut().enumerate() {
-            for r in coverage.touched_rows(t) {
-                if let Some(s) = table.get_mut(r) {
-                    *s += factor;
-                }
+        for t in 0..self.scores.len() {
+            self.boost_rows(t, coverage.touched_rows(t), factor);
+        }
+    }
+
+    /// Boosts rows `rows` of table `table` by `factor` (rows or a table the
+    /// model does not have are ignored): [`Self::boost_covered`] over a
+    /// row set the caller already holds, such as a tracker's mask.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is not finite, as [`Self::boost_covered`].
+    pub fn boost_rows(&mut self, table: usize, rows: impl IntoIterator<Item = usize>, factor: f32) {
+        assert!(factor.is_finite(), "heat boost factor {factor} is not finite");
+        let Some(scores) = self.scores.get_mut(table) else {
+            return;
+        };
+        for r in rows {
+            if let Some(s) = scores.get_mut(r) {
+                *s += factor;
             }
         }
+    }
+
+    /// Per table, per row: the scores the planner ranks by.
+    pub fn scores(&self) -> &[Vec<f32>] {
+        &self.scores
     }
 
     /// Total rows across all tables.
@@ -123,7 +148,8 @@ impl RowHeat {
     }
 
     /// Score cutoff such that roughly `hot_fraction` of all rows score at
-    /// or above it. `>= 1.0` makes everything hot; `<= 0.0` nothing.
+    /// or above it: the `⌈hot_fraction × rows⌉`-th hottest score under
+    /// [`f32::total_cmp`]. `>= 1.0` makes everything hot; `<= 0.0` nothing.
     pub fn hot_cutoff(&self, hot_fraction: f64) -> f32 {
         let total = self.total_rows();
         if total == 0 || hot_fraction >= 1.0 {
@@ -133,11 +159,93 @@ impl RowHeat {
         if k == 0 {
             return f32::INFINITY;
         }
-        // The k-th hottest score is one order statistic: select it, do not
-        // sort for it.
-        let mut all: Vec<f32> = self.scores.iter().flatten().copied().collect();
-        let kth = k.min(all.len()) - 1;
-        *all.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1
+        kth_hottest(&self.scores, k.min(total))
+    }
+}
+
+/// `f32::total_cmp`'s order as an unsigned integer order: a bijection on
+/// the bits, so selecting a key selects the very score it came from.
+fn order_key(score: f32) -> u32 {
+    let bits = score.to_bits();
+    // Negative scores flip every bit, the others only the sign bit.
+    bits ^ ((((bits as i32) >> 31) as u32) | 1 << 31)
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 { key & !(1 << 31) } else { !key })
+}
+
+/// Scores the bracket of [`kth_hottest`] is drawn from: about this many,
+/// evenly strided over the rows.
+const SAMPLE: usize = 4096;
+
+/// Calls `f` with the order key of every score of `tables`, in row order.
+fn for_each_key(tables: &[Vec<f32>], mut f: impl FnMut(u32)) {
+    for scores in tables {
+        for &score in scores {
+            f(order_key(score));
+        }
+    }
+}
+
+/// The `k`-th hottest score of `tables` (`1 <= k <=` rows) under
+/// [`f32::total_cmp`], bit for bit what selecting it from a copy of every
+/// score returns — without the copy. Floyd–Rivest's step, with its pivots
+/// drawn from an evenly strided sample of the order keys: the sample's
+/// order statistics a few standard deviations either side of the k-th
+/// bracket it, one pass counts the keys above the bracket and gathers the
+/// few inside, and the k-th is selected among those. A bracket the sample
+/// missed is replaced by the side the k-th lies on, so a second pass
+/// always finds it; a bracket of one key (a tied table) is the answer.
+fn kth_hottest(tables: &[Vec<f32>], k: usize) -> f32 {
+    let rows: usize = tables.iter().map(Vec::len).sum();
+    let step = (rows / SAMPLE).max(1);
+    let mut sample = Vec::with_capacity(rows / step + 1);
+    let (mut next, mut first) = (0, 0);
+    for scores in tables {
+        while next < first + scores.len() {
+            sample.push(order_key(scores[next - first]));
+            next += step;
+        }
+        first += scores.len();
+    }
+    sample.sort_unstable();
+    // The k-th hottest is the key of ascending rank `rows - k`: in the
+    // sample, near rank `at`, give or take three times the largest
+    // standard deviation a sample rank has (√m / 2).
+    let m = sample.len() as f64;
+    let at = (rows - k) as f64 * m / rows as f64;
+    let margin = 1.5 * m.sqrt();
+    let mut lo = if at - margin < 0.0 { 0 } else { sample[(at - margin) as usize] };
+    let mut hi = if at + margin >= m { u32::MAX } else { sample[(at + margin) as usize] };
+    // Twice the rows a bracket of 2 × margin sample ranks stands for.
+    let mut bracket = Vec::with_capacity((4.0 * margin) as usize * step);
+    loop {
+        bracket.clear();
+        let (mut above, mut within) = (0, 0);
+        for_each_key(tables, |key| {
+            above += (key > hi) as usize;
+            if lo <= key && key <= hi {
+                within += 1;
+                if lo != hi {
+                    bracket.push(key);
+                }
+            }
+        });
+        if k <= above {
+            // Hotter than the bracket: `hi` is below `u32::MAX`, or no key
+            // would be above it.
+            (lo, hi) = (hi + 1, u32::MAX);
+        } else if k > above + within {
+            // Colder: `lo` is above 0, or every key would be at least it.
+            (lo, hi) = (0, lo - 1);
+        } else if lo == hi {
+            return from_order_key(lo);
+        } else {
+            let ascending = within - (k - above);
+            return from_order_key(*bracket.select_nth_unstable(ascending).1);
+        }
     }
 }
 
@@ -231,12 +339,10 @@ pub fn plan_priority(
             (score, item)
         })
         .collect();
-    // Hottest first; ties in serial order, which is what the rank is.
+    // Hottest first under `total_cmp` (the cutoff's order, and a total
+    // one); ties in serial order, which is what the rank is.
     scored.sort_by(|(a_score, a), (b_score, b)| {
-        b_score
-            .partial_cmp(a_score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.rank.cmp(&b.rank))
+        b_score.total_cmp(a_score).then_with(|| a.rank.cmp(&b.rank))
     });
     let by_heat = scored.into_iter().map(|(score, item)| FetchItem {
         hot: score >= cutoff,
@@ -485,6 +591,138 @@ mod tests {
         for fraction in [0.01, 0.5, 0.99] {
             assert_eq!(all_tied.hot_cutoff(fraction), 1.0);
         }
+    }
+
+    /// The cutoff as it was computed before the radix selection: copy
+    /// every score, then select the order statistic from the copy.
+    fn copy_and_select_cutoff(heat: &RowHeat, hot_fraction: f64) -> f32 {
+        let total = heat.total_rows();
+        if total == 0 || hot_fraction >= 1.0 {
+            return f32::NEG_INFINITY;
+        }
+        let k = (hot_fraction * total as f64).ceil() as usize;
+        if k == 0 {
+            return f32::INFINITY;
+        }
+        let mut all: Vec<f32> = heat.scores.iter().flatten().copied().collect();
+        let kth = k.min(all.len()) - 1;
+        *all.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1
+    }
+
+    /// The fractions the cutoff is checked at over `n` rows: both ends,
+    /// one row, the lazy workloads' 5%, half, and all but one row.
+    fn cutoff_fractions(n: usize) -> [f64; 6] {
+        let one = 1.0 / n.max(1) as f64;
+        [0.0, one, 0.05, 0.5, 1.0 - one, 1.0]
+    }
+
+    /// Scores that stress the order: heavy ties, both zeros, subnormals,
+    /// both infinities, NaN of either sign, and arbitrary bit patterns.
+    fn awkward_score(draw: u32) -> f32 {
+        const PALETTE: [f32; 12] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -1.0e-40,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            1.0,
+            0.5,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        match (draw % 24) as usize {
+            p if p < PALETTE.len() => PALETTE[p],
+            _ => f32::from_bits(draw.rotate_left(7)),
+        }
+    }
+
+    proptest::proptest! {
+        /// The radix-selected cutoff is, bit for bit, what selecting from a
+        /// copy of every score returns, over tables of awkward scores.
+        #[test]
+        fn hot_cutoff_equals_the_copy_and_select_oracle(
+            tables in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 0..3000),
+                0..4,
+            ),
+        ) {
+            let heat = RowHeat {
+                scores: tables
+                    .iter()
+                    .map(|t| t.iter().map(|&d| awkward_score(d)).collect())
+                    .collect(),
+            };
+            for fraction in cutoff_fractions(heat.total_rows()) {
+                proptest::prop_assert_eq!(
+                    heat.hot_cutoff(fraction).to_bits(),
+                    copy_and_select_cutoff(&heat, fraction).to_bits(),
+                    "fraction {} over {:?}", fraction, heat.scores
+                );
+            }
+        }
+    }
+
+    /// The same at the sizes the property does not reach: no row, one row,
+    /// tables the strided sample misreads, and the lazy lifecycle
+    /// workload's ≈ 370k rows (a boosted Zipf prior over four tables, and
+    /// that prior with a tied, zero-crossing tail).
+    #[test]
+    fn hot_cutoff_equals_the_oracle_from_no_row_to_370k_rows() {
+        let mut heats = vec![
+            RowHeat { scores: vec![] },
+            RowHeat { scores: vec![vec![], vec![]] },
+            RowHeat { scores: vec![vec![-0.0]] },
+            RowHeat { scores: vec![vec![f32::from_bits(1)]] },
+        ];
+        let row_counts = [200_000, 100_000, 50_000, 20_000];
+        let mut zipf = RowHeat::zipf(&row_counts, 1.05);
+        let mut cov = CoverageAnalyzer::new(&row_counts);
+        for (t, &rows) in row_counts.iter().enumerate() {
+            for row in (0..rows).step_by(7 + t) {
+                cov.observe(t, row);
+            }
+        }
+        zipf.boost_covered(&cov, 1.0);
+        let mut tied = zipf.clone();
+        for (r, s) in tied.scores[0].iter_mut().enumerate().skip(150_000) {
+            *s = if r % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        // Tables whose every 8th score (what the sample strides over at
+        // 8 × SAMPLE rows) is unlike the rest: the sample brackets a cutoff
+        // that is really hotter, or colder, than all it saw.
+        let fooling = |sampled: f32, rest: fn(usize) -> f32| RowHeat {
+            scores: vec![(0..8 * SAMPLE)
+                .map(|r| if r % 8 == 0 { sampled } else { rest(r) })
+                .collect()],
+        };
+        heats.push(fooling(0.0, |r| 1.0 + (r % 7) as f32));
+        heats.push(fooling(1.0, |r| -((r % 7) as f32)));
+        heats.extend([zipf, tied]);
+        for heat in &heats {
+            for fraction in cutoff_fractions(heat.total_rows()) {
+                assert_eq!(
+                    heat.hot_cutoff(fraction).to_bits(),
+                    copy_and_select_cutoff(heat, fraction).to_bits(),
+                    "fraction {fraction} over {} rows",
+                    heat.total_rows()
+                );
+            }
+        }
+    }
+
+    /// A boost that is not a finite number is refused: it would put a
+    /// score into the heat order that the cutoff, the chunk maxima and
+    /// the fetch order could not agree on.
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn a_nan_boost_factor_is_refused() {
+        let mut heat = RowHeat::zipf(&[8], 1.05);
+        let mut cov = CoverageAnalyzer::new(&[8]);
+        cov.observe(0, 3);
+        heat.boost_covered(&cov, f32::NAN);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Coverage: which rows of the model have been touched, and what fraction.
 //!
-//! The lazy restore planner's heat boost reads a [`CoverageAnalyzer`]: the
-//! engine feeds it the tracker's modified rows, and
-//! `RowHeat::boost_covered` ranks the rows it saw above the Zipf prior.
+//! The lazy restore planner's heat boost can read a [`CoverageAnalyzer`]:
+//! `RowHeat::boost_covered` ranks the rows it saw above the Zipf prior
+//! (the engine boosts straight from the tracker's mask instead).
 //! The analyzer consumes `(table, row)` access events; callers decide what
 //! an "event" is (every lookup, or one event per modified row per batch).
 //! The figure code that plots the paper's coverage curves (Figures 5 and
