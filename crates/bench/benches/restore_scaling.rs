@@ -16,14 +16,14 @@
 //!   — a lazy restore that held back every chunk, drained: the cold tail
 //!   placed on the restore's decode workers (each iteration drains a fresh
 //!   clone of the tail, stamps included);
-//! * **WAL tail replay into a lazy restore** (`lazy/wal_tail/{land,defer}`)
-//!   — 25 logged iterations over the lifecycle workload's geometry (four
-//!   tables of 200k, 100k, 50k and 20k rows, dim 32, batch 128) replayed
-//!   into a fresh clone of a 5%-hot lazy restore's tail: landed newest
-//!   first through the stamps (what the engine runs), or applied in order
-//!   with the rows a cold chunk owes deferred (what the lifecycle
-//!   benchmark's WAL probe still runs). Both end bit-identical after the
-//!   drain, which is asserted;
+//! * **a lazy restore with a WAL tail** (`lazy/wal_tail/{land,defer}`) —
+//!   a 5%-hot lazy restore of the lifecycle workload's geometry (four
+//!   tables of 200k, 100k, 50k and 20k rows, dim 32, batch 128) with 25
+//!   logged iterations past the checkpoint: the log placed by the restore
+//!   as the chain's newest level (what the engine runs), or the restore
+//!   without it, then the log applied in order with the rows a cold chunk
+//!   owes deferred (what the lifecycle benchmark's WAL probe still runs).
+//!   Both end bit-identical after the drain, which is asserted;
 //! * **hot cutoff over ≈ 370k scores** (`planner/hot_cutoff/rows=370k`) —
 //!   the planner's radix selection beside the copy-and-select it replaced,
 //!   asserted to return the same bits;
@@ -47,22 +47,22 @@ use cnr_bench::trajectory::{
 };
 use cnr_cluster::SimClock;
 use cnr_core::config::CheckpointConfig;
-use cnr_core::delta_log::{DeltaRecord, WalTail};
+use cnr_core::delta_log::DeltaRecord;
 use cnr_core::manifest::{CheckpointId, CheckpointKind};
 use cnr_core::policy::{Decision, TrackerAction};
-use cnr_core::read::{
-    restore_sharded_into, restore_sharded_with_heat, LazyRestore, RestoreOptions, RowHeat,
-};
+use cnr_core::read::{restore_sharded_into, LazyRestore, RestoreOptions, RowHeat};
+use cnr_core::ShardedRestore;
 use cnr_core::snapshot::SnapshotTaker;
 use cnr_core::write::CheckpointWriter;
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
-use cnr_storage::InMemoryStore;
+use cnr_storage::{wal, InMemoryStore, WalConfig, WalWriter};
 use cnr_tracking::CoverageAnalyzer;
 use cnr_trainer::{Trainer, TrainerConfig};
 use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn restore_scaling(c: &mut Criterion) {
@@ -164,6 +164,7 @@ fn drain_scaling(c: &mut Criterion) {
             None,
             None,
             model.table_views_mut(),
+            false,
         )
         .expect("restore")
         .lazy
@@ -195,8 +196,8 @@ fn workload_spec() -> DatasetSpec {
 }
 
 /// A full fp32 checkpoint of the workload's model after one batch, in
-/// 4096-row chunks, and the payloads of the 25 iterations logged past it.
-fn wal_tail_fixture() -> (ModelConfig, InMemoryStore, Vec<Vec<u8>>) {
+/// 4096-row chunks, and the log of the 25 iterations trained past it.
+fn wal_tail_fixture() -> (ModelConfig, Arc<InMemoryStore>) {
     let spec = workload_spec();
     let dataset = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, 32);
@@ -219,27 +220,63 @@ fn wal_tail_fixture() -> (ModelConfig, InMemoryStore, Vec<Vec<u8>>) {
         },
         &config,
     );
-    let store = InMemoryStore::new();
-    CheckpointWriter::new(&store, "bench")
+    let store = Arc::new(InMemoryStore::new());
+    CheckpointWriter::new(store.as_ref(), "bench")
         .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &config)
         .expect("write");
+    let mut log = WalWriter::new(store.clone(), "bench", WalConfig);
     let mut model = trainer.model().clone();
-    let payloads = (1..26u64)
-        .map(|i| {
-            let batch = dataset.batch(i);
-            model.train_batch(&batch, |_, _| {});
-            DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), i + 1)
-                .encode()
-        })
-        .collect();
-    (model_cfg, store, payloads)
+    for i in 1..26u64 {
+        let batch = dataset.batch(i);
+        model.train_batch(&batch, |_, _| {});
+        let record =
+            DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), i + 1);
+        log.append(&record.encode()).expect("append");
+    }
+    (model_cfg, store)
 }
 
-/// The replay loop the lifecycle benchmark's WAL probe runs: each live
-/// record applied in order, the rows the tail still owes deferred to it.
-fn replay_deferring(payloads: &[Vec<u8>], model: &mut DlrmModel, tail: &mut LazyRestore) {
-    for payload in payloads {
-        let Ok(delta) = DeltaRecord::decode(payload) else {
+/// A 5%-hot lazy restore of the fixture into `model`, dense layers
+/// included, with the log placed as the chain's newest level (`with_log`,
+/// what the engine runs) or not replayed.
+fn lazy_restore(
+    store: &InMemoryStore,
+    model: &mut DlrmModel,
+    heat: &RowHeat,
+    with_log: bool,
+) -> ShardedRestore {
+    let options = RestoreOptions {
+        lazy: true,
+        hot_fraction: 0.05,
+        ..RestoreOptions::default()
+    };
+    let config = model.config().clone();
+    let restored = restore_sharded_into(
+        store,
+        "bench",
+        CheckpointId(0),
+        &config,
+        &options,
+        Duration::ZERO,
+        None,
+        Some(heat),
+        model.table_views_mut(),
+        with_log,
+    )
+    .expect("restore");
+    restored.report.state.restore_dense(model);
+    if let Some(log) = &restored.wal {
+        log.tail.set_dense(model).expect("dense step");
+    }
+    restored
+}
+
+/// The replay loop the lifecycle benchmark's WAL probe runs: the log read,
+/// each live record applied in order, the rows the tail still owes
+/// deferred to it.
+fn replay_deferring(store: &InMemoryStore, model: &mut DlrmModel, tail: &mut LazyRestore) {
+    for record in &wal::replay(store, "bench").expect("log").records {
+        let Ok(delta) = DeltaRecord::decode(&record.payload) else {
             break;
         };
         if delta.base != CheckpointId(0) || delta.iteration <= model.iteration() {
@@ -255,57 +292,34 @@ fn replay_deferring(payloads: &[Vec<u8>], model: &mut DlrmModel, tail: &mut Lazy
 }
 
 fn wal_tail_replay(c: &mut Criterion) {
-    let (model_cfg, store, payloads) = wal_tail_fixture();
-    let mut model = DlrmModel::new(model_cfg.clone());
-    let options = RestoreOptions {
-        lazy: true,
-        hot_fraction: 0.05,
-        ..RestoreOptions::default()
-    };
+    let (model_cfg, store) = wal_tail_fixture();
     let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.0);
-    let restored = restore_sharded_with_heat(
-        &store,
-        "bench",
-        CheckpointId(0),
-        &model_cfg,
-        &options,
-        Duration::ZERO,
-        None,
-        Some(&heat),
-    )
-    .expect("restore");
-    restored.report.state.restore(&mut model);
-    let tail = restored.lazy.expect("a lazy restore returns its tail");
-    assert!(tail.pending_rows() > 0, "a cold tail to replay into");
-    let live = || WalTail::live(payloads.iter().map(Vec::as_slice), CheckpointId(0), 1);
-    assert_eq!(live().records().len(), 25);
 
     // Both ways end where the other does, bit for bit, once drained.
-    let (mut landed, mut deferred) = (model.clone(), model.clone());
-    let mut landed_tail = tail.clone();
-    live().land(&mut landed, Some(&mut landed_tail)).expect("land");
-    landed_tail.drain(&mut landed).expect("drain");
-    let mut deferred_tail = tail.clone();
-    replay_deferring(&payloads, &mut deferred, &mut deferred_tail);
-    deferred_tail.drain(&mut deferred).expect("drain");
+    let mut landed = DlrmModel::new(model_cfg.clone());
+    let restored = lazy_restore(&store, &mut landed, &heat, true);
+    assert_eq!(restored.wal.expect("the log was read").tail.records().len(), 25);
+    let mut tail = restored.lazy.expect("a lazy restore returns its tail");
+    assert!(tail.pending_rows() > 0, "a cold tail behind the log");
+    tail.drain(&mut landed).expect("drain");
+    let mut deferred = DlrmModel::new(model_cfg.clone());
+    let mut tail = lazy_restore(&store, &mut deferred, &heat, false).lazy.expect("tail");
+    replay_deferring(&store, &mut deferred, &mut tail);
+    tail.drain(&mut deferred).expect("drain");
+    assert_eq!(deferred.iteration(), 26);
     assert_eq!(landed.state_hash(), deferred.state_hash(), "land and defer diverged");
 
-    // Each iteration replays into a fresh clone of the tail (its stamps
-    // and deferral state change) and into the same model, rewound to the
-    // restored iteration: the rows it writes are the same every time.
+    // Each iteration restores into the same model: the rows it writes are
+    // the same every time.
     let mut group = c.benchmark_group("lazy/wal_tail");
     group.sample_size(10);
     group.bench_function("land", |b| {
-        b.iter(|| {
-            let mut tail = tail.clone();
-            live().land(&mut landed, Some(&mut tail)).expect("land")
-        });
+        b.iter(|| lazy_restore(&store, &mut landed, &heat, true).wal.map(|log| log.rows_landed));
     });
     group.bench_function("defer", |b| {
         b.iter(|| {
-            let mut tail = tail.clone();
-            deferred.set_iteration(1);
-            replay_deferring(&payloads, &mut deferred, &mut tail);
+            let mut tail = lazy_restore(&store, &mut deferred, &heat, false).lazy.expect("tail");
+            replay_deferring(&store, &mut deferred, &mut tail);
             tail.pending_rows()
         });
     });

@@ -13,7 +13,7 @@
 
 use crate::workloads::quant_spec;
 use crate::{f, print_csv};
-use cnr_core::accuracy::{restore_degradation, DegradationConfig, DegradationPoint};
+use crate::accuracy::{restore_degradation, DegradationConfig, DegradationPoint};
 use cnr_model::ModelConfig;
 use cnr_quant::QuantScheme;
 

@@ -15,10 +15,13 @@
 //! the Bistro-style fleet [`scheduler`] with its [`job`]s, wasted-work
 //! accounting ([`recovery`]), the failure CDF ([`failure`]), the
 //! model-growth series ([`growth`]) and the communication cost model
-//! ([`comm`]). `examples/failure_recovery.rs` is the fleet demo.
+//! ([`comm`]). `examples/failure_recovery.rs` is the fleet demo. Fig. 14's
+//! restore-degradation experiment ([`accuracy`]) lives here as well: it
+//! perturbs a model the way a quantized restore does, without the engine.
 
 #![forbid(unsafe_code)]
 
+pub mod accuracy;
 pub mod comm;
 pub mod failure;
 pub mod figures;

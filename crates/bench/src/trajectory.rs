@@ -403,6 +403,7 @@ pub fn place_wall_clock(store: &InMemoryStore, model_cfg: &ModelConfig, rounds: 
             None,
             None,
             model.table_views_mut(),
+            false,
         )
         .expect("restore");
         best = best.min(t0.elapsed());

@@ -24,65 +24,61 @@
 //! and the reference `capture_into` must match byte for byte.
 //!
 //! On the read side the log's tail is the restore chain's newest level.
-//! [`WalTail`] keeps the records that build on the restored checkpoint and
-//! lands them newest first through the restore's rank stamps: record `i`
-//! ranks above every chunk of the chain, so each replayed row is
-//! de-quantized once, straight into its table row, and is final from then
-//! on — a lazy restore's cold chunks skip it by the stamp check that
-//! orders chain levels. The dense layers, iteration and reader cursor come
-//! from the last record alone.
+//! [`WalTail`] keeps the records that build on the restored checkpoint;
+//! each embedded chunk is a stored chunk's frame, opened the way a fetched
+//! chunk is ([`DeltaChunk`]), so the restore places it like one
+//! ([`crate::read::restore_sharded_into`]): record `i` ranks above every
+//! chunk of the chain, and each replayed row is de-quantized once, from
+//! the newest record naming it, and is final from then on. The dense
+//! layers and iteration come from the last record alone
+//! ([`WalTail::set_dense`]), as does the reader cursor.
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{
-    decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, RowContext,
+    decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, ChunkHeader,
+    OpenedChunk, RowContext,
 };
-use crate::read::LazyRestore;
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::{DlrmModel, Mlp};
-use cnr_quant::codec::RowDecoder;
 use cnr_quant::QuantScheme;
 use cnr_storage::{PutReceipt, WalWriter};
 use cnr_workload::Batch;
 
-/// The rows one iteration touched in one table, quantized: the parsed
-/// form of the bare chunk frame a record embeds. The row bodies stay
-/// encoded, back to back in one buffer — no object and no allocation per
-/// row — and are de-quantized only as they are applied.
-#[derive(Debug, Clone, PartialEq)]
+/// The rows one iteration touched in one table, quantized: the bare chunk
+/// frame a record embeds, opened as a fetched chunk is. The row bodies stay
+/// encoded in the frame — no object and no allocation per row — and are
+/// de-quantized only as they land.
+#[derive(Debug, Clone)]
 pub struct DeltaChunk {
-    /// Which table the rows belong to.
-    pub table: u16,
-    /// Distinct row indices within the table, ascending.
-    pub row_indices: Vec<u32>,
-    /// Row-wise optimizer accumulators (present iff the table has them).
-    pub optimizer_state: Option<Vec<f32>>,
-    /// Encoding shared by every row body.
-    rows: RowContext,
-    /// The quantized row bodies, concatenated in `row_indices` order.
-    bodies: Vec<u8>,
+    /// `frame`'s parsed header: table, row indices, accumulators and the
+    /// row encoding, resolved.
+    header: ChunkHeader,
+    /// The frame as stored in the record, length prefix included.
+    frame: Vec<u8>,
+}
+
+impl PartialEq for DeltaChunk {
+    /// The header is parsed from the frame: equal frames are equal chunks.
+    fn eq(&self, other: &Self) -> bool {
+        self.frame == other.frame
+    }
 }
 
 impl DeltaChunk {
-    /// The chunk as the chunk layout's single writer takes it.
-    fn frame(&self) -> ChunkFrame<'_, impl ExactSizeIterator<Item = f32> + '_> {
-        ChunkFrame {
-            table: self.table,
-            row_indices: &self.row_indices,
-            optimizer_state: self.optimizer_state.as_ref().map(|acc| acc.iter().copied()),
-            rows: self.rows,
-            rows_len: self.bodies.len(),
-        }
+    /// Which table the rows belong to.
+    pub fn table(&self) -> u16 {
+        self.header.table
     }
 
-    /// The rows' encoding, resolved once for the chunk, and the encoded
-    /// body of each row, in `row_indices` order.
-    fn row_bodies(&self) -> Result<(RowDecoder, impl Iterator<Item = &[u8]>)> {
-        let RowContext { tag, bits, dim } = self.rows;
-        let decoder = RowDecoder::new(tag, bits, dim as usize)?;
-        let len = decoder.body_len();
-        let bodies = (0..self.row_indices.len()).map(move |k| &self.bodies[k * len..(k + 1) * len]);
-        Ok((decoder, bodies))
+    /// The row indices within the table, ascending for a captured chunk.
+    pub fn row_indices(&self) -> &[u32] {
+        &self.header.row_indices
+    }
+
+    /// The chunk as a restore places it.
+    pub(crate) fn opened(&self) -> OpenedChunk<'_> {
+        self.header.over(&self.frame)
     }
 }
 
@@ -110,8 +106,8 @@ pub struct DeltaRecord {
 impl DeltaRecord {
     /// Captures the delta of the batch just applied to `model`: the
     /// distinct rows `batch` touched in each table (quantized with
-    /// `scheme` straight into the chunk's one body buffer, AdaGrad scalars
-    /// included) and the full — tiny — MLPs.
+    /// `scheme` straight into the chunk's frame, AdaGrad scalars included)
+    /// and the full — tiny — MLPs.
     pub fn capture(
         model: &DlrmModel,
         batch: &Batch,
@@ -128,26 +124,15 @@ impl DeltaRecord {
                 continue;
             }
             let table = &model.tables()[t];
-            let dim = table.dim();
-            let mut bodies =
-                Vec::with_capacity(row_indices.len() * scheme.body_bytes_per_row(dim));
-            for &i in &row_indices {
-                scheme.quantize_row_into(table.row(i as usize), &mut bodies);
-            }
-            let optimizer_state = table
-                .adagrad()
-                .map(|acc| row_indices.iter().map(|&i| acc[i as usize]).collect());
-            chunks.push(DeltaChunk {
-                table: t as u16,
-                row_indices,
-                optimizer_state,
-                rows: RowContext {
-                    tag: scheme.kind_tag(),
-                    bits: scheme.bits(),
-                    dim: dim as u16,
-                },
-                bodies,
+            let chunk = touched_frame(model, scheme, t, &row_indices);
+            let mut frame = Vec::with_capacity(chunk.encoded_len());
+            chunk.encode_into(&mut frame, |out| {
+                for &i in &row_indices {
+                    scheme.quantize_row_into(table.row(i as usize), out);
+                }
             });
+            let header = open_frame(&frame).expect("a captured frame opens");
+            chunks.push(DeltaChunk { header, frame });
         }
         Self {
             base,
@@ -216,8 +201,8 @@ impl DeltaRecord {
 
     /// [`Self::apply`] for a lazily-restored model, kept only for the
     /// lifecycle benchmark's WAL probe (`benchmark/src/probes.rs`,
-    /// `replay_wal`): the engine lands a lazy restore's WAL tail through
-    /// its stamps ([`WalTail::land`]) and diverts nothing. MLPs, iteration, and
+    /// `replay_wal`): the engine's restore places the WAL tail like a chain
+    /// level ([`crate::read::restore_sharded_into`]) and diverts nothing. MLPs, iteration, and
     /// reader cursor semantics are unchanged, but embedding rows for which
     /// `divert` returns true (rows not yet materialized) are *returned* as
     /// `(table, row, values, adagrad)` tuples instead of written — the
@@ -234,34 +219,36 @@ impl DeltaRecord {
         let mut rows_applied = 0u64;
         let mut deferred: Vec<(u16, u32, Vec<f32>, Option<f32>)> = Vec::new();
         for chunk in &self.chunks {
-            let t = chunk.table as usize;
+            let header = &chunk.header;
+            let t = header.table as usize;
             let table = model
                 .tables_mut()
                 .get_mut(t)
                 .ok_or_else(|| CnrError::Corrupt(format!("delta chunk for unknown table {t}")))?;
             let (dim, nrows) = (table.dim(), table.rows());
-            if chunk.rows.dim as usize != dim {
+            if header.rows.dim as usize != dim {
                 return Err(CnrError::Corrupt(format!(
                     "delta row dim {} != table dim {dim}",
-                    chunk.rows.dim
+                    header.rows.dim
                 )));
             }
-            let (decoder, bodies) = chunk.row_bodies()?;
-            for (k, (&idx, body)) in chunk.row_indices.iter().zip(bodies).enumerate() {
+            let opened = chunk.opened();
+            for (k, &idx) in header.row_indices.iter().enumerate() {
                 let i = idx as usize;
                 if i >= nrows {
                     return Err(CnrError::Corrupt(format!(
                         "delta row {i} out of range for table {t} ({nrows} rows)"
                     )));
                 }
-                let acc = chunk.optimizer_state.as_ref().map(|a| a[k]);
-                if divert(chunk.table, idx) {
+                let body = opened.bodies_of(k..k + 1);
+                let acc = header.optimizer_state.as_ref().map(|a| a[k]);
+                if divert(header.table, idx) {
                     let mut values = vec![0.0; dim];
-                    decoder.decode(body, &mut values);
-                    deferred.push((chunk.table, idx, values, acc));
+                    header.decoder.decode(body, &mut values);
+                    deferred.push((header.table, idx, values, acc));
                     continue;
                 }
-                decoder.decode(body, table.row_mut(i));
+                header.decoder.decode(body, table.row_mut(i));
                 if let (Some(a), Some(adagrad)) = (acc, table.adagrad_mut()) {
                     adagrad[i] = a;
                 }
@@ -279,7 +266,7 @@ impl DeltaRecord {
     pub fn encode(&self) -> Vec<u8> {
         // Fixed fields, the widest scheme encoding, counts and prefixes.
         const FIXED_MAX: usize = 3 * 8 + 14 + 2 + 2 * 4;
-        let frames: usize = self.chunks.iter().map(|c| c.frame().encoded_len()).sum();
+        let frames: usize = self.chunks.iter().map(|c| c.frame.len()).sum();
         let mlps = 4 * (self.bottom_mlp.len() + self.top_mlp.len());
         let mut buf = Vec::with_capacity(FIXED_MAX + frames + mlps);
         buf.put_u64_le(self.base.0);
@@ -291,9 +278,7 @@ impl DeltaRecord {
             // Embedded chunks are bare frames, back to back: each starts
             // with its own length, and the WAL frame around the record
             // carries the envelope.
-            chunk
-                .frame()
-                .encode_into(&mut buf, |out| out.extend_from_slice(&chunk.bodies));
+            buf.extend_from_slice(&chunk.frame);
         }
         wire::put_f32s(&mut buf, &self.bottom_mlp);
         wire::put_f32s(&mut buf, &self.top_mlp);
@@ -304,7 +289,8 @@ impl DeltaRecord {
     /// envelope checksum verified — rejecting malformed input with a typed
     /// error: the envelope already screens corruption, so a failure here
     /// means a logic bug or a hand-built frame, but it must still never
-    /// panic. Row bodies are checked for shape and kept encoded.
+    /// panic. Each embedded chunk is opened as a stored chunk is (every row
+    /// body whole) and its frame kept, encoded, as one copy.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let mut slice = data;
         let b = &mut slice;
@@ -324,14 +310,10 @@ impl DeltaRecord {
                     opened.trailing_bytes()
                 )));
             }
-            let bodies = opened.bodies.to_vec();
             *b = rest;
             chunks.push(DeltaChunk {
-                table: header.table,
-                row_indices: header.row_indices,
-                optimizer_state: header.optimizer_state,
-                rows: header.rows,
-                bodies,
+                header,
+                frame: frame.to_vec(),
             });
         }
         let bottom_mlp = wire::get_f32s(b)?;
@@ -347,7 +329,7 @@ impl DeltaRecord {
 
     /// Distinct embedding rows this record carries.
     pub fn touched_rows(&self) -> u64 {
-        self.chunks.iter().map(|c| c.row_indices.len() as u64).sum()
+        self.chunks.iter().map(|c| c.row_indices().len() as u64).sum()
     }
 }
 
@@ -390,100 +372,15 @@ impl WalTail {
         &self.records
     }
 
-    /// Lands the tail on `model`, which holds the restored checkpoint: the
-    /// state applying every record in order with [`DeltaRecord::apply`]
-    /// leaves, written once. Records land newest first, record `i` ranked
-    /// one level above the chain's chunks (`lazy`'s
-    /// [`LazyRestore::chain_ranks`] `+ 1 + i`, or `1 + i` after an eager
-    /// restore), and a row is written iff its record outranks the row's
-    /// stamp — the rule chunk rows land by — so each row is de-quantized
-    /// once, from the newest record that names it. Into a lazy restore's
-    /// stamps that makes a replayed row final: it is materialized, no
-    /// longer pending, and a cold chunk's fault-in or drain leaves it
-    /// alone. The MLPs and iteration are set once, from the last record.
-    ///
-    /// A record whose rows do not fit `model` (unknown table, other width,
-    /// optimizer state the table does not have or lacks, a row past the
-    /// table) or whose MLPs are not `model`'s shape fails typed, and
-    /// `model` may then be partly written. Returns the rows written.
-    pub fn land(&self, model: &mut DlrmModel, lazy: Option<&mut LazyRestore>) -> Result<u64> {
-        if self.records.is_empty() {
-            return Ok(0);
-        }
-        match lazy {
-            Some(lazy) => {
-                let chain_ranks = lazy.chain_ranks();
-                self.land_with(model, chain_ranks, |t, r, rank| lazy.claim(t, r, rank))
-            }
-            None => {
-                let mut stamps: Vec<Vec<u32>> =
-                    model.tables().iter().map(|t| vec![0; t.rows()]).collect();
-                self.land_with(model, 0, |t, r, rank| {
-                    let stamp = &mut stamps[t][r];
-                    let outranks = rank > *stamp;
-                    if outranks {
-                        *stamp = rank;
-                    }
-                    outranks
-                })
-            }
-        }
-    }
-
-    /// [`Self::land`] against the stamps `claim(table, row, rank)` keeps:
-    /// it answers whether a record ranked `rank` outranks the row, and
-    /// stamps it if so. Rows reach it only once checked to lie inside
-    /// `model`.
-    fn land_with(
-        &self,
-        model: &mut DlrmModel,
-        chain_ranks: u32,
-        mut claim: impl FnMut(usize, usize, u32) -> bool,
-    ) -> Result<u64> {
+    /// Sets `model`'s dense layers and iteration from the last record —
+    /// the tail's part that is no chain level: the restore placed the
+    /// records' rows ([`crate::read::restore_sharded_into`]). A record
+    /// whose MLPs are not `model`'s shape fails typed, and `model` is then
+    /// untouched. A no-op for an empty tail.
+    pub fn set_dense(&self, model: &mut DlrmModel) -> Result<()> {
         let Some(last) = self.records.last() else {
-            return Ok(0);
+            return Ok(());
         };
-        let mut landed = 0u64;
-        for (i, record) in self.records.iter().enumerate().rev() {
-            let rank = chain_ranks + 1 + i as u32;
-            for chunk in &record.chunks {
-                let t = chunk.table as usize;
-                let table = model.tables_mut().get_mut(t).ok_or_else(|| {
-                    CnrError::Corrupt(format!("delta chunk for unknown table {t}"))
-                })?;
-                let (dim, nrows) = (table.dim(), table.rows());
-                if chunk.rows.dim as usize != dim {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row dim {} != table dim {dim}",
-                        chunk.rows.dim
-                    )));
-                }
-                if chunk.optimizer_state.is_some() != table.adagrad().is_some() {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta chunk optimizer state does not match table {t}"
-                    )));
-                }
-                let (decoder, bodies) = chunk.row_bodies()?;
-                for (k, (&idx, body)) in chunk.row_indices.iter().zip(bodies).enumerate() {
-                    let r = idx as usize;
-                    if r >= nrows {
-                        return Err(CnrError::Corrupt(format!(
-                            "delta row {r} out of range for table {t} ({nrows} rows)"
-                        )));
-                    }
-                    if !claim(t, r, rank) {
-                        continue;
-                    }
-                    decoder.decode(body, table.row_mut(r));
-                    if let (Some(acc), Some(adagrad)) =
-                        (&chunk.optimizer_state, table.adagrad_mut())
-                    {
-                        adagrad[r] = acc[k];
-                    }
-                    landed += 1;
-                }
-            }
-        }
         let (bottom, top) = model.mlps_mut();
         let shapes = (bottom.param_count(), top.param_count());
         if let Some(record) = self
@@ -503,7 +400,7 @@ impl WalTail {
         bottom.unflatten(&last.bottom_mlp);
         top.unflatten(&last.top_mlp);
         model.set_iteration(last.iteration);
-        Ok(landed)
+        Ok(())
     }
 }
 
@@ -587,11 +484,48 @@ fn put_mlp(out: &mut Vec<u8>, mlp: &Mlp) {
 }
 
 #[cfg(test)]
+impl DeltaChunk {
+    /// The frame of this chunk with `edit` applied to its row indices,
+    /// accumulators and row bodies: bytes no capture writes.
+    fn reframed(
+        &self,
+        edit: impl FnOnce(&mut Vec<u32>, &mut Option<Vec<f32>>, &mut Vec<u8>),
+    ) -> Vec<u8> {
+        let header = &self.header;
+        let mut rows = header.row_indices.clone();
+        let mut acc = header.optimizer_state.clone();
+        let mut bodies = self.opened().bodies.to_vec();
+        edit(&mut rows, &mut acc, &mut bodies);
+        let frame = ChunkFrame {
+            table: header.table,
+            row_indices: &rows,
+            optimizer_state: acc.as_ref().map(|acc| acc.iter().copied()),
+            rows: header.rows,
+            rows_len: bodies.len(),
+        };
+        let mut out = Vec::new();
+        frame.encode_into(&mut out, |out| out.extend_from_slice(&bodies));
+        out
+    }
+
+    /// This chunk with `edit` applied ([`Self::reframed`]), opened again.
+    pub(crate) fn edited(
+        &self,
+        edit: impl FnOnce(&mut Vec<u32>, &mut Option<Vec<f32>>, &mut Vec<u8>),
+    ) -> Self {
+        let frame = self.reframed(edit);
+        Self {
+            header: open_frame(&frame).unwrap(),
+            frame,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cnr_model::ModelConfig;
     use cnr_workload::DatasetSpec;
-    use std::collections::BTreeSet;
 
     fn model_and_batch() -> (DlrmModel, Batch) {
         let spec = DatasetSpec::tiny(17);
@@ -617,16 +551,16 @@ mod tests {
         let (model, batch) = model_and_batch();
         let rec = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
         for chunk in &rec.chunks {
-            let mut expected: Vec<u32> = batch.sparse[chunk.table as usize].clone();
+            let mut expected: Vec<u32> = batch.sparse[chunk.table() as usize].clone();
             expected.sort_unstable();
             expected.dedup();
-            assert_eq!(chunk.row_indices, expected);
+            assert_eq!(chunk.row_indices(), expected);
             // Payload rows are the table's current values, exactly (Fp32).
-            let table = &model.tables()[chunk.table as usize];
-            let (decoder, bodies) = chunk.row_bodies().unwrap();
-            for (&i, body) in chunk.row_indices.iter().zip(bodies) {
+            let table = &model.tables()[chunk.table() as usize];
+            let opened = chunk.opened();
+            for (k, &i) in chunk.row_indices().iter().enumerate() {
                 let mut values = vec![0.0; table.dim()];
-                decoder.decode(body, &mut values);
+                chunk.header.decoder.decode(opened.bodies_of(k..k + 1), &mut values);
                 assert_eq!(values, table.row(i as usize));
             }
         }
@@ -653,13 +587,13 @@ mod tests {
             encode_scheme(&mut want, &scheme);
             want.put_u16_le(rec.chunks.len() as u16);
             for chunk in &rec.chunks {
-                let table = &model.tables()[chunk.table as usize];
+                let table = &model.tables()[chunk.table() as usize];
                 let frame = ChunkPayload {
-                    table: chunk.table,
-                    row_indices: chunk.row_indices.clone(),
-                    optimizer_state: chunk.optimizer_state.clone(),
+                    table: chunk.table(),
+                    row_indices: chunk.row_indices().to_vec(),
+                    optimizer_state: chunk.header.optimizer_state.clone(),
                     rows: chunk
-                        .row_indices
+                        .row_indices()
                         .iter()
                         .map(|&i| scheme.quantize_row(table.row(i as usize)))
                         .collect(),
@@ -734,10 +668,15 @@ mod tests {
     fn decode_rejects_row_bodies_that_do_not_fit_the_header() {
         let (model, batch) = model_and_batch();
         let mut rec = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
-        rec.chunks[0].bodies.extend_from_slice(&[0; 4]);
+        let good = rec.chunks[0].clone();
+        rec.chunks[0] = good.edited(|_, _, bodies| bodies.extend_from_slice(&[0; 4]));
         assert!(matches!(DeltaRecord::decode(&rec.encode()), Err(CnrError::Corrupt(_))));
-        let short = rec.chunks[0].bodies.len() - 8;
-        rec.chunks[0].bodies.truncate(short);
+        // A frame short of a body does not open, so it keeps the good
+        // header: encoding writes only the frame.
+        rec.chunks[0] = DeltaChunk {
+            header: good.header.clone(),
+            frame: good.reframed(|_, _, bodies| bodies.truncate(bodies.len() - 4)),
+        };
         assert!(DeltaRecord::decode(&rec.encode()).is_err());
     }
 
@@ -794,98 +733,73 @@ mod tests {
 
     /// A log holding a stale-base record, a duplicate and two out-of-order
     /// iterations, and an undecodable record in mid-log: the live tail is
-    /// what the in-order loop applied, and landing it newest first leaves
-    /// the model that loop left — rows, accumulators, MLPs and iteration —
-    /// for every scheme, lossy ones included.
+    /// what the in-order loop applied. (That the restore lands it as that
+    /// loop does is `read::tests::the_log_lands_as_applying_it_in_order`.)
     #[test]
-    fn newest_first_landing_equals_the_in_order_loop() {
-        use cnr_model::OptimizerConfig;
+    fn live_keeps_what_the_in_order_loop_applied() {
         let spec = DatasetSpec::tiny(29);
         let dataset = cnr_workload::SyntheticDataset::new(spec.clone());
-        let cfg = ModelConfig {
-            optimizer: OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
-            ..ModelConfig::for_dataset(&spec, 4)
-        };
         let base = CheckpointId(3);
-        for scheme in [QuantScheme::Fp32, QuantScheme::Asymmetric { bits: 4 }] {
-            let restored = {
-                let mut m = DlrmModel::new(cfg.clone());
-                m.train_batch(&dataset.batch(0), |_, _| {});
-                m
-            };
-            let mut trained = restored.clone();
-            let mut logged = Vec::new();
-            for i in 1..8u64 {
-                let batch = dataset.batch(i);
-                trained.train_batch(&batch, |_, _| {});
-                logged.push(DeltaRecord::capture(&trained, &batch, &scheme, base, i + 1).encode());
-            }
-            let stale = {
-                let mut record = DeltaRecord::decode(&logged[2]).unwrap();
-                record.base = CheckpointId(2);
-                record.encode()
-            };
-            // Iterations 2..=8 were logged; the model was restored at 1.
-            let log: Vec<Vec<u8>> = vec![
-                logged[0].clone(), // 2
-                stale,             // a stale base at 4
-                logged[1].clone(), // 3
-                logged[1].clone(), // 3 again
-                logged[0].clone(), // 2: out of order
-                logged[3].clone(), // 5
-                logged[5].clone(), // 7
-                logged[4].clone(), // 6: out of order, below 7
-                vec![1, 2, 3],     // undecodable: the tail ends here
-                logged[6].clone(), // 8: never replayed
-            ];
-
-            let mut in_order = restored.clone();
-            let applied = replay_in_order(&log, base, &mut in_order);
-            let tail = WalTail::live(log.iter().map(Vec::as_slice), base, restored.iteration());
-            let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
-            assert_eq!(iterations, vec![2, 3, 5, 7], "{scheme}");
-            assert_eq!(applied, iterations.len() as u64, "{scheme}");
-
-            let mut landed = restored.clone();
-            let rows = tail.land(&mut landed, None).unwrap();
-            let distinct: BTreeSet<(u16, u32)> = tail
-                .records()
-                .iter()
-                .flat_map(|r| &r.chunks)
-                .flat_map(|c| c.row_indices.iter().map(move |&row| (c.table, row)))
-                .collect();
-            assert_eq!(rows, distinct.len() as u64, "{scheme}: each row is written once");
-            assert!(rows < tail.records().iter().map(DeltaRecord::touched_rows).sum::<u64>());
-            assert_eq!(landed.iteration(), 7);
-            assert_eq!(landed.state_hash(), in_order.state_hash(), "{scheme}");
-            for (got, want) in landed.tables().iter().zip(in_order.tables()) {
-                assert_eq!(got.adagrad(), want.adagrad(), "{scheme}");
-            }
+        let restored = {
+            let mut m = DlrmModel::new(ModelConfig::for_dataset(&spec, 4));
+            m.train_batch(&dataset.batch(0), |_, _| {});
+            m
+        };
+        let mut trained = restored.clone();
+        let mut logged = Vec::new();
+        for i in 1..8u64 {
+            let batch = dataset.batch(i);
+            trained.train_batch(&batch, |_, _| {});
+            let record = DeltaRecord::capture(&trained, &batch, &QuantScheme::Fp32, base, i + 1);
+            logged.push(record.encode());
         }
+        let stale = {
+            let mut record = DeltaRecord::decode(&logged[2]).unwrap();
+            record.base = CheckpointId(2);
+            record.encode()
+        };
+        // Iterations 2..=8 were logged; the model was restored at 1.
+        let log: Vec<Vec<u8>> = vec![
+            logged[0].clone(), // 2
+            stale,             // a stale base at 4
+            logged[1].clone(), // 3
+            logged[1].clone(), // 3 again
+            logged[0].clone(), // 2: out of order
+            logged[3].clone(), // 5
+            logged[5].clone(), // 7
+            logged[4].clone(), // 6: out of order, below 7
+            vec![1, 2, 3],     // undecodable: the tail ends here
+            logged[6].clone(), // 8: never replayed
+        ];
+
+        let mut in_order = restored.clone();
+        let applied = replay_in_order(&log, base, &mut in_order);
+        let tail = WalTail::live(log.iter().map(Vec::as_slice), base, restored.iteration());
+        let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
+        assert_eq!(iterations, vec![2, 3, 5, 7]);
+        assert_eq!(applied, iterations.len() as u64);
+
+        // The dense step leaves the MLPs and iteration the loop left.
+        let mut dense = restored.clone();
+        tail.set_dense(&mut dense).unwrap();
+        assert_eq!(dense.iteration(), 7);
+        assert_eq!(dense.bottom().flatten(), in_order.bottom().flatten());
+        assert_eq!(dense.top().flatten(), in_order.top().flatten());
     }
 
-    /// A live record whose rows or MLPs do not fit the model fails the
-    /// landing typed — an optimizer state the table lacks included, which
-    /// applying in order would have dropped silently.
+    /// A record whose MLPs are not the model's shape fails the dense step
+    /// typed, and leaves the model as it was.
     #[test]
-    fn landing_refuses_records_that_do_not_fit_the_model() {
+    fn the_dense_step_refuses_mlps_of_another_shape() {
         let (model, batch) = model_and_batch();
-        let good = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
-        let land = |record: &DeltaRecord| {
-            let tail = WalTail::live([record.encode().as_slice()], CheckpointId(0), 0);
-            assert_eq!(tail.records().len(), 1);
-            tail.land(&mut model.clone(), None)
-        };
-        assert!(land(&good).is_ok());
-        let mut bad = good.clone();
-        bad.chunks[0].row_indices[0] = u32::MAX;
-        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
-        let mut bad = good.clone();
-        bad.chunks[0].optimizer_state = Some(vec![1.0; bad.chunks[0].row_indices.len()]);
-        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
-        let mut bad = good.clone();
+        let mut bad = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
         bad.top_mlp.pop();
-        assert!(matches!(land(&bad), Err(CnrError::Corrupt(_))));
+        let tail = WalTail::live([bad.encode().as_slice()], CheckpointId(0), 0);
+        assert_eq!(tail.records().len(), 1);
+        let mut target = DlrmModel::new(model.config().clone());
+        let before = target.state_hash();
+        assert!(matches!(tail.set_dense(&mut target), Err(CnrError::Corrupt(_))));
+        assert_eq!(target.state_hash(), before);
     }
 
     #[test]
@@ -932,7 +846,7 @@ mod tests {
         let (model, batch) = model_and_batch();
         let mut rec =
             DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
-        rec.chunks[0].row_indices[0] = u32::MAX;
+        rec.chunks[0] = rec.chunks[0].edited(|rows, _, _| rows[0] = u32::MAX);
         let mut target = model.clone();
         assert!(matches!(rec.apply(&mut target), Err(CnrError::Corrupt(_))));
     }

@@ -23,7 +23,7 @@
 use crate::bitwidth::BitwidthSelector;
 use crate::config::{CheckpointConfig, DeltaWalConfig, PolicyKind, QuantMode};
 use crate::controller::CheckpointController;
-use crate::delta_log::{DeltaRecord, WalTail};
+use crate::delta_log::DeltaRecord;
 use crate::error::{CnrError, Result};
 use crate::manifest::{CheckpointId, CheckpointKind};
 use crate::observe;
@@ -38,7 +38,7 @@ use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_quant::QuantScheme;
 use cnr_reader::{ReaderConfig, ReaderMaster, ReaderState};
 use cnr_storage::{
-    wal, InMemoryStore, ObjectStore, RemoteConfig, Scrubber, SimulatedRemoteStore, WalWriter,
+    InMemoryStore, ObjectStore, RemoteConfig, Scrubber, SimulatedRemoteStore, WalWriter,
 };
 use cnr_trainer::{evaluate, EvalReport, Trainer, TrainerConfig};
 use cnr_workload::{Batch, DatasetSpec, SyntheticDataset};
@@ -803,9 +803,10 @@ impl Engine {
             kill,
             heat.as_ref(),
             self.trainer.model_mut().table_views_mut(),
+            self.config.delta_wal.is_some(),
         )?;
         let report = sharded.report;
-        let mut lazy_tail = sharded.lazy;
+        let lazy_tail = sharded.lazy;
 
         // Rebuild the rest of the trainer-side state (the embedding rows
         // are already in place).
@@ -820,27 +821,16 @@ impl Engine {
             PolicyKind::Consecutive | PolicyKind::FullOnly => {}
         }
 
-        // Replay the delta-WAL tail on top of the restored checkpoint:
-        // clean-prefix semantics — the storage layer already stopped at the
-        // first torn, corrupt, or out-of-sequence frame, so every record
-        // seen here passed its envelope checksum. Records from a stale base
-        // (segments that survived a truncation race or a failed truncate)
-        // or at-or-below the restored iteration are skipped; the rest are
-        // the chain's newest level. Each replayed row lands once, from the
-        // newest record naming it, and is final: a lazy restore's cold
-        // chunks skip it by their stamps, so it never faults in.
+        // The delta-WAL tail: the restore placed its live records' rows as
+        // the chain's newest level (each final, so it never faults in);
+        // what is left is the dense step, the tracker and the reader cursor.
         let mut wal_replayed = 0u64;
         let mut wal_replay_time = Duration::ZERO;
         let mut reader_state = report.reader;
-        if self.config.delta_wal.is_some() {
-            let log = wal::replay(self.store.as_ref(), &self.job)?;
+        if let Some(log) = &sharded.wal {
             wal_replay_time = self.store.read_transfer_time(log.bytes_read);
-            let tail = WalTail::live(
-                log.records.iter().map(|rec| &rec.payload[..]),
-                latest,
-                self.trainer.model().iteration(),
-            );
-            tail.land(self.trainer.model_mut(), lazy_tail.as_mut())?;
+            let tail = &log.tail;
+            tail.set_dense(self.trainer.model_mut())?;
             if matches!(
                 self.policy.kind(),
                 PolicyKind::OneShot | PolicyKind::Intermittent
@@ -849,8 +839,8 @@ impl Engine {
                 // trained rows do: future one-shot incrementals must
                 // contain them.
                 for chunk in tail.records().iter().flat_map(|rec| &rec.chunks) {
-                    let rows = chunk.row_indices.iter().map(|&row| row as usize);
-                    self.trainer.tracker().mark_rows(chunk.table as usize, rows);
+                    let rows = chunk.row_indices().iter().map(|&row| row as usize);
+                    self.trainer.tracker().mark_rows(chunk.table() as usize, rows);
                 }
             }
             if let Some(last) = tail.records().last() {
@@ -866,8 +856,12 @@ impl Engine {
         self.reader.preload(self.reader_cfg.queue_depth as u64);
         // WAL records exist only since the last checkpoint (registration
         // truncates), so the replayed count is the restored position's
-        // progress into the current interval.
-        self.batches_into_interval = wal_replayed % self.config.interval_batches;
+        // progress into the current interval. A boundary whose checkpoint
+        // failed is retried before any further batch, so that is at most a
+        // whole interval — and a whole one means the boundary is owed, as
+        // it was at the failure.
+        debug_assert!(wal_replayed <= self.config.interval_batches);
+        self.batches_into_interval = wal_replayed;
 
         // Charge the sharded fetch to the clock. Eager: ready-to-train is
         // when the last reader host's last range arrived. Lazy: training
@@ -1098,6 +1092,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::stats::RestoreMode;
+    use cnr_storage::wal;
 
     /// The root span of the most recent restore.
     fn last_restore_span(e: &Engine) -> cnr_obs::Span {

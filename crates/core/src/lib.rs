@@ -33,11 +33,12 @@
 //! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17)
 //!   and the one record of each restore: where it landed and what each
 //!   phase of time-to-resume cost.
-//! * [`accuracy`] — the restore-degradation experiment (Figure 14).
+//!
+//! Experiments that run no part of the engine — Figure 14's
+//! restore-degradation run among them — live in `cnr_bench`.
 
 #![forbid(unsafe_code)]
 
-pub mod accuracy;
 pub mod bitwidth;
 pub mod config;
 pub mod controller;

@@ -14,16 +14,10 @@
 //!   nothing may read it — training and evaluation fault it in first,
 //! * **per-row application ranks** — the stamps the restore's destination
 //!   (`merge::Destination`) ordered its decode workers with, as they stood
-//!   when the hot set had landed, so a late cold chunk from an *older*
-//!   level never clobbers a hot chunk from a newer one.
-//!
-//! The WAL tail past the checkpoint is the chain's newest level, landed
-//! through the same stamps ([`crate::delta_log::WalTail::land`]): record
-//! `i` ranks [`LazyRestore::chain_ranks`] `+ 1 + i`, above every chunk, so
-//! a replayed row is written once, from the newest record naming it, and
-//! is final at once — materialized, no longer pending, and skipped by
-//! every cold chunk's later landing, exactly as a newer chain level's row
-//! is. A row the log holds never faults in.
+//!   when the hot set and the WAL tail had landed, so a late cold chunk
+//!   from an *older* level never clobbers a hot chunk from a newer one, nor
+//!   a row the log replayed (the log ranks above every chunk: such a row
+//!   is final at once and never faults in).
 //!
 //! Materializing finishes the restore the eager path started, by the same
 //! code: the background **drain** wraps the model's tables and the stamps
@@ -156,14 +150,11 @@ pub struct LazyRestore {
     materialized: Vec<Vec<bool>>,
     /// Rows still waiting on a cold chunk.
     pending_rows: u64,
-    /// The highest rank a chunk of the restored chain holds: the number of
-    /// chunks. A replayed WAL record ranks above it.
-    chain_ranks: u32,
     /// WAL row deltas buffered for unmaterialized rows, replay order per
     /// row. Kept only for the lifecycle benchmark's WAL probe
     /// (`benchmark/src/probes.rs`, `replay_wal`), which still replays
-    /// through [`Self::defer_delta`]; the engine lands replayed rows
-    /// through the stamps instead.
+    /// through [`Self::defer_delta`]; the engine's restore places replayed
+    /// rows like a chain level's instead.
     deferred: HashMap<(u16, u32), Vec<RowDelta>>,
     /// Threads the drain places the cold chunks on: the restore's decode
     /// workers.
@@ -184,7 +175,6 @@ impl LazyRestore {
         pending: Pending,
         workers: usize,
     ) -> Self {
-        let chain_ranks = decoded.len() as u32;
         let mut cold: Vec<ColdChunk> = decoded
             .into_iter()
             .filter_map(|chunk| {
@@ -204,7 +194,6 @@ impl LazyRestore {
             applied_rank,
             materialized: pending.materialized,
             pending_rows: pending.rows,
-            chain_ranks,
             deferred: HashMap::new(),
             workers,
         }
@@ -247,45 +236,15 @@ impl LazyRestore {
             .collect()
     }
 
-    /// The highest rank a chunk of the restored chain holds. Record `i` of
-    /// a replayed WAL tail (oldest first) ranks `chain_ranks() + 1 + i`:
-    /// the tail is the chain's newest level.
-    pub fn chain_ranks(&self) -> u32 {
-        self.chain_ranks
-    }
-
-    /// Claims `(table, row)` for a replayed WAL row ranked `rank` (above
-    /// [`Self::chain_ranks`]), by the rule a chunk row lands by: if `rank`
-    /// outranks the row's stamp, the row is stamped `rank` and is final
-    /// from then on — a cold chunk's later landing (fault-in or drain)
-    /// skips it, and it no longer counts as pending — and the caller writes
-    /// the replayed value. Returns whether it should. Unknown coordinates
-    /// hold no stamp: the caller writes them.
-    pub(crate) fn claim(&mut self, table: usize, row: usize, rank: u32) -> bool {
-        let Some(stamp) = self.applied_rank.get_mut(table).and_then(|t| t.get_mut(row)) else {
-            return true;
-        };
-        if rank <= *stamp {
-            return false;
-        }
-        *stamp = rank;
-        let final_ = &mut self.materialized[table][row];
-        if !*final_ {
-            *final_ = true;
-            self.pending_rows -= 1;
-        }
-        true
-    }
-
     /// Buffers one WAL row delta for an unmaterialized row; it applies when
     /// the row materializes (fault-in or drain), after all chunk levels.
     /// Caller contract: only defer rows where [`Self::is_materialized`] is
     /// false — deltas for live rows must apply immediately instead.
     ///
     /// Kept only for the lifecycle benchmark's WAL probe
-    /// (`benchmark/src/probes.rs`, `replay_wal`); the engine lands a
-    /// replayed row once, through the stamps
-    /// ([`crate::delta_log::WalTail::land`]).
+    /// (`benchmark/src/probes.rs`, `replay_wal`); the engine's restore
+    /// places the WAL tail before it hands the tail back
+    /// ([`super::restore_sharded_into`]), so a replayed row is final.
     pub fn defer_delta(&mut self, table: u16, row: u32, values: Vec<f32>, acc: Option<f32>) {
         self.deferred
             .entry((table, row))
@@ -345,7 +304,7 @@ impl LazyRestore {
     }
 
     /// Finishes the restore: places every cold chunk into `model`'s tables
-    /// under the stamps the hot set, the WAL replay and any fault-ins left
+    /// under the stamps the hot set, the WAL tail and any fault-ins left
     /// — the same `Destination::place` the restore's decode workers ran, on
     /// as many threads as it had, so a row is written iff the chunk
     /// outranks what it holds — then applies every remaining deferred
@@ -363,7 +322,7 @@ impl LazyRestore {
                 vec![self.cold.iter().collect::<Vec<_>>()],
                 self.workers,
                 None,
-                |_, chunk| dest.place(chunk.opened(), chunk.rank, &chunk.key),
+                |_, chunk| dest.place(chunk.opened(), chunk.rank, &chunk.key).map(drop),
                 |_, _| Ok(()),
                 |_, _| {},
                 "a drain has no host to lose",
@@ -618,49 +577,6 @@ mod tests {
                 (1, 2, 2.0),
                 (1, 400, 8.0),
             ] {
-                assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
-            }
-        }
-    }
-
-    /// A replayed WAL row claimed through the stamps is final: it stops
-    /// counting as pending, a fault-in fetches nothing for it, and neither
-    /// a fault-in nor the drain lands the cold chunk over it — on any
-    /// worker count. A row only an older replayed record names is not
-    /// claimed twice.
-    #[test]
-    fn a_claimed_row_is_final_and_never_landed_over() {
-        for workers in [1, 2, 4] {
-            let mut m = model();
-            let chunks = vec![
-                chunk(0, "base", 0, &[0, 1, 2], 1.0, false),
-                chunk(1, "incr", 0, &[1], 2.0, true),
-                chunk(1, "incr-cold", 1, &[5, 6], 3.0, false),
-            ];
-            let mut lazy = lazy_on(workers, chunks, &m);
-            assert_eq!(lazy.chain_ranks(), 3);
-            assert_eq!(lazy.pending_rows(), 2 + 2);
-            let newest = lazy.chain_ranks() + 2;
-            let older = lazy.chain_ranks() + 1;
-            // A pending row, a row a hot chunk placed, a pending row of
-            // another table: each claimed by the newest record naming it.
-            for (t, r) in [(0, 2), (0, 1), (1, 6)] {
-                assert!(lazy.claim(t, r, newest), "({t}, {r})");
-                m.tables_mut()[t].row_mut(r).fill(9.0);
-                m.tables_mut()[t].adagrad_mut().unwrap()[r] = 9.0;
-            }
-            assert!(!lazy.claim(0, 2, older), "a newer record already holds the row");
-            assert_eq!(lazy.pending_rows(), 2);
-            assert!(lazy.is_materialized(0, 2) && lazy.is_materialized(1, 6));
-            assert_eq!(lazy.fault_in(&mut m, 0, 2).unwrap(), 0, "nothing to fetch");
-            assert_eq!(lazy.fault_in(&mut m, 1, 5).unwrap(), 100);
-
-            assert_eq!(lazy.drain(&mut m).unwrap().rows_materialized, 1, "row 0 of table 0");
-            let row = |t: usize, r: usize| {
-                let table = &m.tables()[t];
-                (table.row(r)[0], table.adagrad().unwrap()[r])
-            };
-            for (t, r, want) in [(0, 0, 1.0), (0, 1, 9.0), (0, 2, 9.0), (1, 5, 3.0), (1, 6, 9.0)] {
                 assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
             }
         }

@@ -78,8 +78,8 @@ fn poisoned<T>(_: T) -> CnrError {
 /// accumulator copied) and stamped `rank`; every other row is left as it
 /// is — the newest-wins rule, written once. Every stored row that reaches
 /// a table through the sharded restore gets there through this function:
-/// a hot chunk's and a drained cold chunk's via [`Destination::place`], a
-/// faulted-in row over a one-row stripe. The rows `ks` name must lie in
+/// a hot chunk's, a replayed WAL record's and a drained cold chunk's via
+/// [`Destination::place`], a faulted-in row over a one-row stripe. The rows `ks` name must lie in
 /// the stripe and the chunk's rows must have the table's width and
 /// optimizer state ([`Destination::check`] is what establishes that).
 /// Returns the number of rows written.
@@ -254,21 +254,23 @@ impl<'a> Destination<'a> {
     /// by [`crate::manifest::open_frame`]) straight into the destination,
     /// leaving alone every row a higher-ranked chunk has already written:
     /// one [`land_rows`] per stripe the chunk's rows fall in. The chunk is
-    /// [checked](Self::check) before the first row is written.
-    pub(crate) fn place(&self, chunk: OpenedChunk<'_>, rank: u32, key: &str) -> Result<()> {
+    /// [checked](Self::check) before the first row is written. Returns the
+    /// number of rows written.
+    pub(crate) fn place(&self, chunk: OpenedChunk<'_>, rank: u32, key: &str) -> Result<u64> {
         self.check(chunk, key)?;
         let table = &self.tables[chunk.header.table as usize];
         let rows = &chunk.header.row_indices;
+        let mut landed = 0;
         let mut k = 0;
         while k < rows.len() {
             let s = rows[k] as usize / STRIPE_ROWS;
             // Indices ascend, so the stripe's rows are the next few.
             let end = k + rows[k..].partition_point(|&row| row as usize / STRIPE_ROWS == s);
             let mut stripe = table.stripes[s].lock().map_err(poisoned)?;
-            land_rows(chunk, k..end, rank, &mut stripe);
+            landed += land_rows(chunk, k..end, rank, &mut stripe) as u64;
             k = end;
         }
-        Ok(())
+        Ok(landed)
     }
 
     /// Calls `visit(row, stamp)` for each of `rows` — ascending, inside

@@ -11,12 +11,13 @@
 //! planner ──▶ shard readers (one per reader host) ──▶ serial tail
 //!   rank the      ranged fetches over the host's        completeness per
 //!   chain's       own downlink, none before the plan    level, union of
-//!   chunks in     exists (fetch scheduler); each        incremental rows,
-//!   serial        verified chunk is de-quantized        zero the rows no
-//!   order,        row by row *into the destination      chunk names (a
-//!   assign them   tables*, a row written iff the        lazy restore's
-//!   to hosts      chunk outranks the row's stamp        cold rows stay
-//!   by bytes                                            stale)
+//!   chunks in     exists (fetch scheduler); each        incremental rows;
+//!   serial        verified chunk is de-quantized        the WAL tail placed
+//!   order,        row by row *into the destination      as the newest level;
+//!   assign them   tables*, a row written iff the        zero the rows no
+//!   to hosts      chunk outranks the row's stamp        chunk names (a lazy
+//!   by bytes                                            restore's cold rows
+//!                                                       stay stale)
 //! ```
 //!
 //! * [`planner`] gives every chunk of the restore chain its rank in the
@@ -32,6 +33,12 @@
 //! * `merge` owns the destination — the caller's tables, striped under
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
+//! * The write-ahead log, when the caller asks for it, is the chain's last
+//!   level: its live records ([`WalTail::live`]) embed stored chunks'
+//!   frames, and the serial tail places them through the same
+//!   `merge::Destination::place`, ranked above every chunk and newest
+//!   first, before the zero step — so each row the log holds is written
+//!   once and is final, in an eager and a lazy restore alike.
 //! * [`lazy`] is what a lazy restore hands back instead of finishing: the
 //!   chunks it did not place, kept as the verified bytes the fetch
 //!   returned, and the stamps as they stood. The rows those chunks owe are
@@ -57,7 +64,7 @@
 //! onto the survivors (through `crate::hosts`, the pool the write side's
 //! [`cnr_cluster::HostKill`] handling runs on too) and fills the restore's
 //! [`ResumeStats`] record — fetch/decode/merge — which the engine completes
-//! with what only it knows (drain wait, WAL replay).
+//! with what only it knows (drain wait, the log's simulated read).
 
 pub mod lazy;
 pub(crate) mod merge;
@@ -69,6 +76,7 @@ pub use lazy::{DrainOutcome, LazyRestore};
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
 
+use crate::delta_log::WalTail;
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, Manifest};
@@ -79,7 +87,7 @@ use cnr_cluster::HostKill;
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
 use cnr_model::TableViewMut;
-use cnr_storage::ObjectStore;
+use cnr_storage::{wal, ObjectStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -151,6 +159,18 @@ pub struct HostActivity {
     pub last_arrival: Duration,
 }
 
+/// The write-ahead log a restore replayed as the chain's newest level.
+#[derive(Debug, Clone)]
+pub struct ReplayedLog {
+    /// The live records, oldest first: the dense layers, iteration and
+    /// reader cursor of the last one are the caller's to set.
+    pub tail: WalTail,
+    /// Bytes of the log's segments read.
+    pub bytes_read: u64,
+    /// Embedding rows the records wrote: each row the log holds, once.
+    pub rows_landed: u64,
+}
+
 /// Outcome of a sharded restore: the serial-compatible report plus the
 /// recovery pipeline's accounting.
 #[derive(Debug, Clone)]
@@ -173,6 +193,9 @@ pub struct ShardedRestore {
     /// The cold tail of a lazy restore (rows not yet applied, awaiting
     /// fault-in or drain); `None` for eager restores.
     pub lazy: Option<LazyRestore>,
+    /// The log [`restore_sharded_into`] replayed when asked to; `None`
+    /// otherwise. The report describes the checkpoint alone.
+    pub wal: Option<ReplayedLog>,
     /// Reader hosts that died mid-restore (their remaining chunks were
     /// re-sharded onto the survivors).
     pub killed_hosts: Vec<u16>,
@@ -189,9 +212,9 @@ pub struct ShardedRestore {
 
 /// Restores checkpoint `target` across `options.reader_hosts` parallel
 /// reader hosts, bit-identically to the serial [`crate::restore::restore`],
-/// into a freshly allocated state returned in `report.state`.
-/// `started_at` is the simulated time the recovery began (the failure
-/// instant); the reported fetch time is measured from it.
+/// into a freshly allocated state returned in `report.state`. It replays no
+/// write-ahead log. `started_at` is the simulated time the recovery began
+/// (the failure instant); the reported fetch time is measured from it.
 pub fn restore_sharded(
     store: &dyn ObjectStore,
     job: &str,
@@ -205,7 +228,7 @@ pub fn restore_sharded(
 
 /// [`restore_sharded`] with the two things the engine adds (the engine
 /// itself calls [`restore_sharded_into`], with its trainer's tables as
-/// the destination).
+/// the destination and, if it runs one, its log).
 ///
 /// *Reader-host failure injection:* the host named by `kill` dies after
 /// fetching `kill.after_chunks` chunks; its remaining chunks are re-sharded
@@ -233,8 +256,9 @@ pub fn restore_sharded_with_heat(
         .map(|t| TableState::zeroed(t.rows as usize, t.dim, config.optimizer.has_state()))
         .collect();
     let dest = tables.iter_mut().map(TableState::view_mut).collect();
-    let mut restored =
-        restore_sharded_into(store, job, target, config, options, started_at, kill, heat, dest)?;
+    let mut restored = restore_sharded_into(
+        store, job, target, config, options, started_at, kill, heat, dest, false,
+    )?;
     restored.report.state.tables = tables;
     Ok(restored)
 }
@@ -252,6 +276,13 @@ pub fn restore_sharded_with_heat(
 /// report (dense layers, `iteration`, `reader`, `incremental_rows`,
 /// `rows_applied`, `bytes_read`) is unchanged. On `Err` `dest` may be
 /// partly written.
+///
+/// With `replay_wal`, `job`'s write-ahead log is read once the chunks are
+/// in, and the records that build on `target` past its iteration are
+/// placed into `dest` as the chain's newest level, before the zero step:
+/// `dest` then holds the log's rows too, each final (a lazy restore never
+/// owes one), and [`ShardedRestore::wal`] returns the records, whose dense
+/// layers and reader cursor the caller sets ([`WalTail::set_dense`]).
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_into(
     store: &dyn ObjectStore,
@@ -263,6 +294,7 @@ pub fn restore_sharded_into(
     kill: Option<HostKill>,
     heat: Option<&RowHeat>,
     dest: Vec<TableViewMut<'_>>,
+    replay_wal: bool,
 ) -> Result<ShardedRestore> {
     options.validate().map_err(CnrError::Config)?;
     let hosts = options.reader_hosts.max(1);
@@ -346,6 +378,13 @@ pub fn restore_sharded_into(
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
+    let mut merge_time = merge_t0.elapsed();
+    let log = if replay_wal {
+        Some(place_log(store, job, &newest, decoded.len() as u32, &dest)?)
+    } else {
+        None
+    };
+    let zero_t0 = Instant::now();
     let lazy_tail = if options.lazy {
         // The rows the cold chunks owe are left stale, not zeroed: a
         // fault-in or the drain writes each of them once.
@@ -362,7 +401,7 @@ pub fn restore_sharded_into(
         dest.zero_unwritten(None)?;
         None
     };
-    let merge_time = merge_t0.elapsed();
+    merge_time += zero_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
@@ -391,8 +430,7 @@ pub fn restore_sharded_into(
         corruption_detected: fetch_status.corruption_detected,
         corruption_repaired: fetch_status.corruption_repaired,
         corruption_refetches: fetch_status.corruption_refetches,
-        // The engine replays the delta-WAL tail (if any) after the sharded
-        // restore finishes and fills these in.
+        // The engine charges the log's read (if any) and fills these in.
         restore_point: RestorePoint::Checkpoint,
         wal_replay: Duration::ZERO,
         wal_replayed_iterations: 0,
@@ -432,10 +470,44 @@ pub fn restore_sharded_into(
         ready_at,
         first_batch_at,
         lazy: lazy_tail,
+        wal: log,
         killed_hosts,
         fetch_status,
         host_activity,
         plan_ready_at: plan_floor,
+    })
+}
+
+/// Reads `job`'s write-ahead log and places its live tail — the records
+/// that build on `newest` past its iteration — into `dest` as the chain's
+/// newest level: record `i` (oldest first) ranks `chain_ranks + 1 + i`,
+/// above every chunk, and the records are placed newest first, so each row
+/// the log holds is written once, from the newest record naming it, and no
+/// chunk lands over it afterwards.
+fn place_log(
+    store: &dyn ObjectStore,
+    job: &str,
+    newest: &Manifest,
+    chain_ranks: u32,
+    dest: &merge::Destination<'_>,
+) -> Result<ReplayedLog> {
+    let log = wal::replay(store, job)?;
+    let tail = WalTail::live(
+        log.records.iter().map(|record| &record.payload[..]),
+        newest.id,
+        newest.iteration,
+    );
+    let mut rows_landed = 0;
+    for (i, record) in tail.records().iter().enumerate().rev() {
+        let key = format!("of WAL record {}", record.iteration);
+        for chunk in &record.chunks {
+            rows_landed += dest.place(chunk.opened(), chain_ranks + 1 + i as u32, &key)?;
+        }
+    }
+    Ok(ReplayedLog {
+        tail,
+        bytes_read: log.bytes_read,
+        rows_landed,
     })
 }
 
@@ -468,6 +540,7 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, decoded: &[Decoded
 mod tests {
     use super::*;
     use crate::config::CheckpointConfig;
+    use crate::delta_log::DeltaRecord;
     use crate::manifest::CheckpointKind;
     use crate::policy::{Decision, TrackerAction};
     use crate::restore::restore;
@@ -478,11 +551,18 @@ mod tests {
     use cnr_reader::ReaderState;
     use cnr_storage::{FailureMode, FlakyStore, InMemoryStore, RemoteConfig, SimulatedRemoteStore};
     use cnr_workload::{DatasetSpec, SyntheticDataset};
+    use std::collections::BTreeSet;
 
     fn snapshot_after(batches: u64, dim: usize) -> (ModelConfig, TrainingSnapshot) {
-        let spec = DatasetSpec::tiny(321);
-        let ds = SyntheticDataset::new(spec.clone());
-        let cfg = ModelConfig::for_dataset(&spec, dim);
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), dim);
+        let (snap, _) = snapshot_of(cfg.clone(), batches);
+        (cfg, snap)
+    }
+
+    /// A full snapshot of a `cfg` model trained on `batches` batches of
+    /// the tests' dataset, and the model it was taken of.
+    fn snapshot_of(cfg: ModelConfig, batches: u64) -> (TrainingSnapshot, DlrmModel) {
+        let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
         let model = DlrmModel::new(cfg.clone());
         let mut trainer = cnr_trainer::Trainer::new(
             model,
@@ -501,7 +581,7 @@ mod tests {
             },
             &CheckpointConfig::default(),
         );
-        (cfg, snap)
+        (snap, trainer.model().clone())
     }
 
     fn write_to(store: &dyn cnr_storage::ObjectStore, snap: &TrainingSnapshot, hosts: usize) {
@@ -1005,5 +1085,239 @@ mod tests {
             matches!(err, CnrError::Corrupt(_)),
             "typed corruption error, got {err:?}"
         );
+    }
+
+    /// Checkpoint 0 — `cfg` after 3 batches — in a store of its own, with
+    /// the payloads `log` makes of the records of iterations 4..=9 (logged
+    /// past it under `scheme`, in iteration order) written to the job's
+    /// log. Returns the store and the records.
+    fn checkpoint_with_log(
+        cfg: &ModelConfig,
+        scheme: QuantScheme,
+        log: impl FnOnce(&[DeltaRecord]) -> Vec<Vec<u8>>,
+    ) -> (std::sync::Arc<InMemoryStore>, Vec<DeltaRecord>) {
+        let (snap, mut model) = snapshot_of(cfg.clone(), 3);
+        let store = std::sync::Arc::new(InMemoryStore::new());
+        write_to(store.as_ref(), &snap, 2);
+        let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
+        let records: Vec<DeltaRecord> = (3..9u64)
+            .map(|i| {
+                let batch = ds.batch(i);
+                model.train_batch(&batch, |_, _| {});
+                DeltaRecord::capture(&model, &batch, &scheme, CheckpointId(0), i + 1)
+            })
+            .collect();
+        let mut writer = cnr_storage::WalWriter::new(store.clone(), "job", cnr_storage::WalConfig);
+        for payload in log(&records) {
+            writer.append(&payload).unwrap();
+        }
+        (store, records)
+    }
+
+    /// Options for the log tests: two reader hosts, `workers` decode
+    /// workers, eager or 5%-hot lazy.
+    fn log_opts(workers: usize, lazy: bool) -> RestoreOptions {
+        RestoreOptions {
+            reader_hosts: 2,
+            decode_workers: workers,
+            lazy,
+            hot_fraction: 0.05,
+            ..RestoreOptions::default()
+        }
+    }
+
+    /// Restores checkpoint 0 of `store`, with its log, into a model whose
+    /// tables held NaN (so a row left stale or unwritten shows), and sets
+    /// the dense layers — the report's, then the log's.
+    fn restore_with_log(
+        store: &InMemoryStore,
+        cfg: &ModelConfig,
+        options: &RestoreOptions,
+    ) -> Result<(DlrmModel, ShardedRestore)> {
+        let mut model = DlrmModel::new(cfg.clone());
+        for table in model.tables_mut() {
+            for r in 0..table.rows() {
+                table.row_mut(r).fill(f32::NAN);
+            }
+        }
+        let heat = RowHeat::zipf(&cfg.row_counts(), 1.05);
+        let restored = restore_sharded_into(
+            store,
+            "job",
+            CheckpointId(0),
+            cfg,
+            options,
+            Duration::ZERO,
+            None,
+            Some(&heat),
+            model.table_views_mut(),
+            true,
+        )?;
+        restored.report.state.restore_dense(&mut model);
+        restored.wal.as_ref().expect("the log was read").tail.set_dense(&mut model)?;
+        Ok((model, restored))
+    }
+
+    /// The distinct `(table, row)`s `records` hold.
+    fn log_rows<'a>(records: impl IntoIterator<Item = &'a DeltaRecord>) -> BTreeSet<(u16, u32)> {
+        records
+            .into_iter()
+            .flat_map(|r| &r.chunks)
+            .flat_map(|c| c.row_indices().iter().map(move |&row| (c.table(), row)))
+            .collect()
+    }
+
+    /// A log holding a stale-base record, a duplicate, two out-of-order
+    /// iterations and an undecodable record lands, through the restore,
+    /// as restoring without it and applying its live records in order with
+    /// [`DeltaRecord::apply`] does — rows, accumulators, MLPs and iteration
+    /// — for a lossy record scheme too, eager and lazy (drained), on 1, 2
+    /// and 4 decode workers. Each row the log holds is written once, by the
+    /// newest record naming it, and none is left owed to a cold chunk.
+    #[test]
+    fn the_log_lands_as_applying_it_in_order() {
+        let cfg = ModelConfig {
+            optimizer: cnr_model::OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 },
+            ..ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8)
+        };
+        for scheme in [QuantScheme::Fp32, QuantScheme::Asymmetric { bits: 4 }] {
+            // Records 0..6 are iterations 4..=9; the checkpoint is at 3.
+            let (store, records) = checkpoint_with_log(&cfg, scheme, |records| {
+                let mut stale = records[2].clone();
+                stale.base = CheckpointId(1);
+                vec![
+                    records[0].encode(), // 4
+                    stale.encode(),      // a stale base at 6
+                    records[1].encode(), // 5
+                    records[1].encode(), // 5 again
+                    records[0].encode(), // 4: out of order
+                    records[2].encode(), // 6
+                    records[4].encode(), // 8
+                    records[3].encode(), // 7: out of order, below 8
+                    vec![1, 2, 3],       // undecodable: the tail ends here
+                    records[5].encode(), // 9: never replayed
+                ]
+            });
+            let live = [&records[0], &records[1], &records[2], &records[4]];
+
+            let mut in_order = DlrmModel::new(cfg.clone());
+            let restored = restore_sharded(
+                store.as_ref(),
+                "job",
+                CheckpointId(0),
+                &cfg,
+                &opts(2),
+                Duration::ZERO,
+            )
+            .unwrap();
+            assert!(restored.wal.is_none(), "the allocating restore replays no log");
+            restored.report.state.restore(&mut in_order);
+            for record in live {
+                record.apply(&mut in_order).unwrap();
+            }
+            assert_eq!(in_order.iteration(), 8);
+
+            let rows = log_rows(live);
+            let touched: u64 = live.iter().map(|r| r.touched_rows()).sum();
+            assert!((rows.len() as u64) < touched, "the records share rows");
+            for (workers, lazy) in [1, 2, 4].into_iter().flat_map(|w| [(w, false), (w, true)]) {
+                let what = format!("{scheme} workers={workers} lazy={lazy}");
+                let (mut model, restored) =
+                    restore_with_log(store.as_ref(), &cfg, &log_opts(workers, lazy)).unwrap();
+                let log = restored.wal.unwrap();
+                let iterations: Vec<u64> =
+                    log.tail.records().iter().map(|r| r.iteration).collect();
+                assert_eq!(iterations, vec![4, 5, 6, 8], "{what}");
+                assert_eq!(log.rows_landed, rows.len() as u64, "{what}: each row written once");
+                assert_eq!(restored.report.state.iteration, 3, "{what}: the checkpoint's report");
+                if let Some(mut tail) = restored.lazy {
+                    assert!(tail.pending_rows() > 0, "{what}");
+                    for &(t, r) in &rows {
+                        assert!(tail.is_materialized(t, r), "{what}: ({t}, {r}) is final");
+                    }
+                    tail.drain(&mut model).unwrap();
+                }
+                assert_eq!(model.iteration(), 8, "{what}");
+                assert_eq!(model.state_hash(), in_order.state_hash(), "{what}");
+            }
+        }
+    }
+
+    /// A live record whose chunk does not fit the model — a row past its
+    /// table, an optimizer state the table lacks, a row named twice, rows
+    /// out of order — fails the restore typed, as a stored chunk does,
+    /// eager and lazy. Such a record is checksum-clean and decodes: a
+    /// repeated row would otherwise land one of its two bodies silently.
+    #[test]
+    fn the_log_refuses_chunks_that_do_not_fit_the_model() {
+        type Edit = fn(&mut Vec<u32>, &mut Option<Vec<f32>>, &mut Vec<u8>);
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        let edits: [(&str, Edit); 4] = [
+            ("a row past its table", |rows, _, _| *rows.last_mut().unwrap() = u32::MAX),
+            ("an optimizer state the table lacks", |rows, acc, _| {
+                *acc = Some(vec![1.0; rows.len()])
+            }),
+            ("a row named twice", |rows, _, _| rows[1] = rows[0]),
+            ("rows out of order", |rows, _, _| rows.swap(0, 1)),
+        ];
+        for (what, edit) in edits {
+            let (store, _) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {
+                let mut bad = records[0].clone();
+                assert!(bad.chunks[0].row_indices().len() >= 2);
+                bad.chunks[0] = bad.chunks[0].edited(edit);
+                let payload = bad.encode();
+                assert_eq!(DeltaRecord::decode(&payload).unwrap(), bad, "{what}");
+                vec![payload]
+            });
+            for lazy in [false, true] {
+                let err = restore_with_log(store.as_ref(), &cfg, &log_opts(2, lazy)).unwrap_err();
+                assert!(matches!(err, CnrError::Corrupt(_)), "{what}, lazy={lazy}: {err:?}");
+            }
+        }
+        // The record as captured lands.
+        let (store, _) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {
+            vec![records[0].encode()]
+        });
+        for lazy in [false, true] {
+            assert!(restore_with_log(store.as_ref(), &cfg, &log_opts(2, lazy)).is_ok());
+        }
+    }
+
+    /// A row the log placed is final in a lazy restore that held every
+    /// chunk back: it is no longer pending, a fault-in fetches nothing for
+    /// it and leaves it as the log wrote it, and neither a fault-in of its
+    /// neighbours nor the drain lands a cold chunk over it — on 1, 2 and 4
+    /// decode workers.
+    #[test]
+    fn a_row_the_log_placed_is_final_and_never_landed_over() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        let (store, records) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {
+            records[..3].iter().map(DeltaRecord::encode).collect()
+        });
+        let rows = log_rows(&records[..3]);
+        let total: u64 = cfg.row_counts().iter().map(|&n| n as u64).sum();
+        let value = |model: &DlrmModel, (t, r): (u16, u32)| {
+            model.tables()[t as usize].row(r as usize).to_vec()
+        };
+        for workers in [1, 2, 4] {
+            let options = RestoreOptions { hot_fraction: 0.0, ..log_opts(workers, true) };
+            let (mut model, restored) = restore_with_log(store.as_ref(), &cfg, &options).unwrap();
+            assert_eq!(restored.wal.unwrap().rows_landed, rows.len() as u64);
+            let mut tail = restored.lazy.unwrap();
+            assert_eq!(tail.pending_rows(), total - rows.len() as u64, "workers={workers}");
+            let placed: Vec<Vec<f32>> = rows.iter().map(|&at| value(&model, at)).collect();
+            assert!(placed.iter().flatten().all(|v| v.is_finite()), "workers={workers}");
+            for &(t, r) in &rows {
+                assert_eq!(tail.fault_in(&mut model, t, r).unwrap(), 0, "nothing to fetch");
+                let neighbour = (r + 1).min(cfg.tables[t as usize].rows as u32 - 1);
+                tail.fault_in(&mut model, t, neighbour).unwrap();
+            }
+            tail.drain(&mut model).unwrap();
+            let after: Vec<Vec<f32>> = rows.iter().map(|&at| value(&model, at)).collect();
+            assert!(after == placed, "workers={workers}: a cold chunk landed over the log");
+            let (eager, _) =
+                restore_with_log(store.as_ref(), &cfg, &log_opts(workers, false)).unwrap();
+            assert_eq!(model.state_hash(), eager.state_hash(), "workers={workers}");
+        }
     }
 }

@@ -232,6 +232,7 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
                     None,
                     None,
                     vec![dest.view_mut()],
+                    false,
                 )
             })
         });
@@ -289,6 +290,7 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
             None,
             Some(&heat),
             model.table_views_mut(),
+            false,
         )
     });
     let mut tail = restored.unwrap().lazy.expect("a lazy restore returns its tail");

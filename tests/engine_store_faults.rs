@@ -190,6 +190,41 @@ fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
     assert_eq!(resumed_hash, reference_state_hash(13));
 }
 
+/// A restore whose WAL tail ends exactly at a boundary whose checkpoint
+/// failed owes that checkpoint at once, as the engine that failed did: the
+/// next batch registers it first, at the boundary, rather than a whole
+/// interval later.
+#[test]
+fn a_restore_at_a_failed_boundary_owes_its_checkpoint_at_once() {
+    // Checkpoint at 5, then five WAL syncs; the boundary at 10 fails its
+    // first put.
+    let flaky = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(9)));
+    let mut e = builder(flaky.clone()).delta_wal(DeltaWalConfig).build().unwrap();
+    let err = e.train_batches(10).unwrap_err();
+    assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
+    assert_eq!(flaky.failures_injected(), 1);
+    assert_eq!(e.stats().wal.syncs, 5, "the put that failed is the boundary's");
+    assert_eq!(e.stats().intervals.len(), 1);
+
+    e.simulate_failure_and_restore().unwrap();
+    let r = e.stats().resumes.last().unwrap();
+    assert_eq!((r.wal_replayed_iterations, r.lost_iterations), (5, 0));
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(10));
+
+    e.train_batches(1).unwrap();
+    assert_eq!(e.stats().intervals.len(), 2, "the owed checkpoint registered first");
+    let cfg = ModelConfig::for_dataset(&spec(), 8);
+    let latest = e.controller().latest().unwrap();
+    let stored = check_n_run::core::restore::restore(e.store().as_ref(), JOB, latest, &cfg)
+        .unwrap()
+        .state;
+    let mut model = check_n_run::model::DlrmModel::new(cfg);
+    stored.restore(&mut model);
+    assert_eq!(stored.iteration, 10, "at the boundary it owed");
+    assert_eq!(model.state_hash(), reference_state_hash(10));
+    assert_eq!(e.trainer().model().state_hash(), reference_state_hash(11));
+}
+
 /// A WAL frame whose put failed is made durable by the next append, and
 /// that append's sync is charged for both frames. Against a failure-free
 /// run to the same iteration the faulted run is short exactly the failed

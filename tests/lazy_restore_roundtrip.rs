@@ -181,7 +181,7 @@ fn a_row_the_log_holds_never_faults_in() {
                 }
                 delta.apply(&mut reference).unwrap();
                 for chunk in &delta.chunks {
-                    replayed.extend(chunk.row_indices.iter().map(|&r| (chunk.table, r)));
+                    replayed.extend(chunk.row_indices().iter().map(|&r| (chunk.table(), r)));
                 }
             }
             assert_eq!(reference.iteration(), 13);

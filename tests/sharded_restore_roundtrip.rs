@@ -368,7 +368,7 @@ proptest! {
             };
             let sharded = restore_sharded_into(
                 &store, "job", target, &cfg, &options, Duration::ZERO,
-                kill, Some(&heat), model.table_views_mut(),
+                kill, Some(&heat), model.table_views_mut(), false,
             )
             .expect("sharded restore");
             let what = format!(
@@ -484,6 +484,7 @@ impl OneHotRow {
             None,
             Some(&heat),
             model.table_views_mut(),
+            false,
         )?;
         Ok((model, restored))
     }
