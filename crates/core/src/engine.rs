@@ -343,7 +343,8 @@ pub struct Engine {
     /// Cold tail of an in-progress lazy restore: the chunks whose rows the
     /// background drain has not yet materialized, and the stamps that
     /// order them — a row the WAL replay landed is final and never faults
-    /// in. `None` once fully drained (or when restores are eager).
+    /// in. `None` once fully drained (or when the restore held nothing
+    /// back).
     pending_lazy: Option<read::LazyRestore>,
     /// Simulated instant the lazy restore's background fetch finishes —
     /// past it a full drain costs no additional transfer time.
@@ -806,7 +807,6 @@ impl Engine {
             self.config.delta_wal.is_some(),
         )?;
         let report = sharded.report;
-        let lazy_tail = sharded.lazy;
 
         // Rebuild the rest of the trainer-side state (the embedding rows
         // are already in place).
@@ -863,17 +863,13 @@ impl Engine {
         debug_assert!(wal_replayed <= self.config.interval_batches);
         self.batches_into_interval = wal_replayed;
 
-        // Charge the sharded fetch to the clock. Eager: ready-to-train is
-        // when the last reader host's last range arrived. Lazy: training
-        // resumes at the first-batch point (dense + hot rows applied) while
-        // the cold tail keeps arriving in the background until `ready_at`.
-        // The WAL tail replay reads its segments after either point.
-        if lazy_tail.is_some() {
-            self.clock.advance_to(sharded.first_batch_at);
-            self.lazy_drain_done_at = sharded.ready_at;
-        } else {
-            self.clock.advance_to(sharded.ready_at);
-        }
+        // Charge the sharded fetch to the clock: training resumes at the
+        // first-batch point (dense + hot rows applied) while any cold tail
+        // keeps arriving in the background until `ready_at`. An all-hot
+        // restore's first batch is its last arrival. The WAL tail replay
+        // reads its segments after that point.
+        self.clock.advance_to(sharded.first_batch_at);
+        self.lazy_drain_done_at = sharded.ready_at;
         self.clock.advance(wal_replay_time);
 
         // Complete the restore's record, timestamped at the true failure
@@ -909,7 +905,7 @@ impl Engine {
 
         // Stash the cold tail: batches fault rows in on demand until the
         // background drain completes (`lazy_drain_done_at`).
-        self.pending_lazy = lazy_tail.filter(|l| !l.is_drained());
+        self.pending_lazy = sharded.lazy.filter(|l| !l.is_drained());
 
         // Count against the quantization budget (§6.2.1 fallback).
         self.bitwidth.on_restore();

@@ -1,12 +1,12 @@
 //! Lazy-restore state: cold chunks held back for fault-in or drain.
 //!
-//! A priority-ordered restore ([`super::planner::plan_priority`]) places
-//! only the *hot* chunks before training resumes (CPR-style partial
-//! recovery); everything else is fetched in the background but not yet
-//! applied. [`LazyRestore`] owns that deferred tail — as data, not as a
+//! A restore whose plan ([`super::planner::plan_priority`]) held chunks
+//! back places only the *hot* ones before training resumes (CPR-style
+//! partial recovery); everything else is fetched in the background but not
+//! yet applied. [`LazyRestore`] owns that deferred tail — as data, not as a
 //! second decoder:
 //!
-//! * **cold chunks** — each the verified object the fetch returned plus its
+//! * **cold chunks** — each the verified frame the fetch returned plus its
 //!   opened header. Frame checksum, geometry, row indices and the presence
 //!   of every row body were checked at restore time, before the first
 //!   batch; nothing was de-quantized. Until a row materializes it is
@@ -31,10 +31,11 @@
 //! levels ascending, then the log (the rank rule) — exactly the eager
 //! path's.
 //!
-//! [`LazyRestore::defer_delta`] and the drain's delta step are the older
-//! way to replay a log into a lazy restore — row deltas buffered per row
-//! and applied after its chunk levels — kept only for the lifecycle
-//! benchmark's WAL probe (`benchmark/src/probes.rs`, `replay_wal`).
+//! [`LazyRestore::defer_delta`] is the older way to replay a log into a
+//! lazy restore, kept only for the lifecycle benchmark's WAL probe
+//! (`benchmark/src/probes.rs`, `replay_wal`): it adds the row to the cold
+//! list as a one-row fp32 chunk frame ranked above every chunk and every
+//! earlier deferral, so it lands by the same rank rule.
 //!
 //! The cold chunks stay until every one of them is placed: a drain that is
 //! refused (a model of another shape) or fails part-way leaves the tail
@@ -44,36 +45,37 @@ use super::merge::{land_rows, Destination, Stripe};
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
-use crate::manifest::{ChunkHeader, OpenedChunk, TableMeta};
+use crate::manifest::{open_frame, ChunkHeader, ChunkPayload, OpenedChunk, TableMeta};
+use bytes::Bytes;
 use cnr_model::DlrmModel;
-use cnr_storage::envelope::Verified;
-use std::collections::HashMap;
-
-/// One WAL row delta deferred until its row materializes.
-#[derive(Debug, Clone)]
-struct RowDelta {
-    values: Vec<f32>,
-    acc: Option<f32>,
-}
+use cnr_quant::QuantizedRow;
 
 /// One cold chunk: what [`LazyRestore`] keeps of a [`DecodedChunk`] whose
-/// rows were not placed.
+/// rows were not placed, or of a row [`LazyRestore::defer_delta`] took.
 #[derive(Debug, Clone)]
 struct ColdChunk {
-    /// Rank in the serial `(level, key)` application order.
+    /// Rank in the serial `(level, key)` application order; a deferred row
+    /// ranks above every chunk.
     rank: u32,
-    key: String,
-    /// The chunk as fetched: verified once, never copied, still encoded.
-    object: Verified,
-    /// `object`'s frame, opened and checked against the destination when
-    /// the restore fetched it.
+    /// The stored object's key; `None` for a deferred row, which no store
+    /// holds.
+    key: Option<String>,
+    /// The chunk frame, still encoded: a fetched chunk's shares the
+    /// verified object's buffer, never copied.
+    frame: Bytes,
+    /// `frame`, opened and checked against the destination when the
+    /// restore fetched it.
     header: ChunkHeader,
     bytes: u64,
 }
 
 impl ColdChunk {
     fn opened(&self) -> OpenedChunk<'_> {
-        self.header.over(self.object.payload())
+        self.header.over(&self.frame)
+    }
+
+    fn name(&self) -> &str {
+        self.key.as_deref().unwrap_or("of a deferred row")
     }
 
     /// Whether `(table, row)` lies inside this chunk's row range — the
@@ -150,12 +152,6 @@ pub struct LazyRestore {
     materialized: Vec<Vec<bool>>,
     /// Rows still waiting on a cold chunk.
     pending_rows: u64,
-    /// WAL row deltas buffered for unmaterialized rows, replay order per
-    /// row. Kept only for the lifecycle benchmark's WAL probe
-    /// (`benchmark/src/probes.rs`, `replay_wal`), which still replays
-    /// through [`Self::defer_delta`]; the engine's restore places replayed
-    /// rows like a chain level's instead.
-    deferred: HashMap<(u16, u32), Vec<RowDelta>>,
     /// Threads the drain places the cold chunks on: the restore's decode
     /// workers.
     workers: usize,
@@ -180,8 +176,8 @@ impl LazyRestore {
             .filter_map(|chunk| {
                 Some(ColdChunk {
                     rank: chunk.rank,
-                    key: chunk.key,
-                    object: chunk.cold?,
+                    key: Some(chunk.key),
+                    frame: chunk.cold?,
                     header: chunk.header,
                     bytes: chunk.bytes,
                 })
@@ -194,7 +190,6 @@ impl LazyRestore {
             applied_rank,
             materialized: pending.materialized,
             pending_rows: pending.rows,
-            deferred: HashMap::new(),
             workers,
         }
     }
@@ -214,9 +209,9 @@ impl LazyRestore {
         self.pending_rows
     }
 
-    /// Whether every row is materialized and every deferred delta applied.
+    /// Whether every row is materialized.
     pub fn is_drained(&self) -> bool {
-        self.pending_rows == 0 && self.deferred.is_empty()
+        self.pending_rows == 0
     }
 
     /// Keys of cold chunks that still cover at least one unmaterialized
@@ -232,34 +227,63 @@ impl LazyRestore {
                         && chunk.rank > self.applied_rank[t][row as usize]
                 })
             })
-            .map(|chunk| chunk.key.clone())
+            .filter_map(|chunk| chunk.key.clone())
             .collect()
     }
 
-    /// Buffers one WAL row delta for an unmaterialized row; it applies when
-    /// the row materializes (fault-in or drain), after all chunk levels.
-    /// Caller contract: only defer rows where [`Self::is_materialized`] is
-    /// false — deltas for live rows must apply immediately instead.
+    /// Defers one WAL row — its values and accumulator — until the row
+    /// materializes: the row joins the cold list as a one-row fp32 chunk
+    /// frame (the values' bits exactly) ranked above every chunk and every
+    /// earlier deferral, so a fault-in or the drain lands it after all its
+    /// chunk levels, and the last deferral of a row wins. Caller contract:
+    /// only defer rows where [`Self::is_materialized`] is false — deltas
+    /// for live rows must apply immediately instead.
     ///
     /// Kept only for the lifecycle benchmark's WAL probe
     /// (`benchmark/src/probes.rs`, `replay_wal`); the engine's restore
     /// places the WAL tail before it hands the tail back
     /// ([`super::restore_sharded_into`]), so a replayed row is final.
+    ///
+    /// # Panics
+    ///
+    /// If the row is materialized, or `values` and `acc` are not one row
+    /// of its table: its width, with an accumulator iff the table keeps
+    /// optimizer state.
     pub fn defer_delta(&mut self, table: u16, row: u32, values: Vec<f32>, acc: Option<f32>) {
-        self.deferred
-            .entry((table, row))
-            .or_default()
-            .push(RowDelta { values, acc });
+        assert!(!self.is_materialized(table, row), "row ({table}, {row}) is materialized");
+        let meta = self.geometry[table as usize];
+        let fits = values.len() == meta.dim as usize && acc.is_some() == meta.has_optimizer_state;
+        assert!(fits, "not a row of table {table}: {} values, accumulator {acc:?}", values.len());
+        let frame = Bytes::from(
+            ChunkPayload {
+                table,
+                row_indices: vec![row],
+                optimizer_state: acc.map(|acc| vec![acc]),
+                rows: vec![QuantizedRow::fp32(&values)],
+            }
+            .encode(),
+        );
+        let header = open_frame(&frame).expect("a frame just encoded opens");
+        // Above every chunk that can name the row: a cold one outranks its
+        // stamp, and the cold list is ascending.
+        let rank = self.cold.last().map_or(0, |chunk| chunk.rank) + 1;
+        self.cold.push(ColdChunk {
+            rank,
+            key: None,
+            frame,
+            header,
+            bytes: 0,
+        });
     }
 
     /// Materializes `(table, row)` because training touched it before the
     /// drain finished: de-quantizes the row out of every cold chunk that
-    /// outranks what it holds (levels ascending), straight into `model`'s
-    /// table, then applies its deferred deltas (replay order). One
-    /// targeted fetch (the engine counts it in `ResumeStats`); returns the
-    /// bytes attributed to it (each landed chunk's per-row share) so the
-    /// caller can charge simulated transfer time. A no-op returning 0 for
-    /// rows already materialized.
+    /// outranks what it holds (rank ascending: levels, then deferred
+    /// rows), straight into `model`'s table. One targeted fetch (the
+    /// engine counts it in `ResumeStats`); returns the bytes attributed to
+    /// it (each landed chunk's per-row share) so the caller can charge
+    /// simulated transfer time. A no-op returning 0 for rows already
+    /// materialized.
     /// Allocates nothing. `model` must have the restored checkpoint's
     /// geometry ([`CnrError::ShapeMismatch`] otherwise).
     pub fn fault_in(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
@@ -295,9 +319,6 @@ impl LazyRestore {
                 }
             }
         }
-        if let Some(deltas) = self.deferred.remove(&(table, row)) {
-            apply_deltas(model, table, row, &deltas)?;
-        }
         self.materialized[t][r] = true;
         self.pending_rows -= 1;
         Ok(bytes)
@@ -307,10 +328,8 @@ impl LazyRestore {
     /// under the stamps the hot set, the WAL tail and any fault-ins left
     /// — the same `Destination::place` the restore's decode workers ran, on
     /// as many threads as it had, so a row is written iff the chunk
-    /// outranks what it holds — then applies every remaining deferred
-    /// delta (a step only [`Self::defer_delta`]'s caller, the lifecycle
-    /// benchmark's WAL probe, needs). After this the model is
-    /// bit-identical to an eager restore plus full WAL replay.
+    /// outranks what it holds. After this the model is bit-identical to an
+    /// eager restore plus full WAL replay.
     /// Idempotent. `model` must have the restored checkpoint's geometry
     /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
     /// keeps the whole tail, so a retry with the right model completes it.
@@ -322,25 +341,13 @@ impl LazyRestore {
                 vec![self.cold.iter().collect::<Vec<_>>()],
                 self.workers,
                 None,
-                |_, chunk| dest.place(chunk.opened(), chunk.rank, &chunk.key).map(drop),
+                |_, chunk| dest.place(chunk.opened(), chunk.rank, chunk.name()).map(drop),
                 |_, _| Ok(()),
                 |_, _| {},
                 "a drain has no host to lose",
             )?;
             self.cold = Vec::new();
         }
-        // Every cold row has landed. The delta step, kept only for the
-        // lifecycle benchmark's WAL probe (`benchmark/src/probes.rs`,
-        // `replay_wal`): a row's deferred deltas apply after
-        // its chunk levels and in replay order; the rows' own order does not
-        // matter, so only the rows that have deltas are visited. They are
-        // whole-row overwrites, so a retry after a failure here re-applies
-        // them to the same end.
-        for (&(table, row), deltas) in &self.deferred {
-            debug_assert!(!self.is_materialized(table, row), "deltas deferred for a live row");
-            apply_deltas(model, table, row, deltas)?;
-        }
-        self.deferred.clear();
         for materialized in &mut self.materialized {
             materialized.fill(true);
         }
@@ -350,36 +357,11 @@ impl LazyRestore {
     }
 }
 
-/// Writes `deltas` (one row's, replay order) into `model`'s row: each
-/// overwrites the whole row and its accumulator.
-fn apply_deltas(model: &mut DlrmModel, table: u16, row: u32, deltas: &[RowDelta]) -> Result<()> {
-    let t = table as usize;
-    let tbl = model
-        .tables_mut()
-        .get_mut(t)
-        .ok_or_else(|| CnrError::Corrupt(format!("deferred delta for unknown table {t}")))?;
-    let dim = tbl.dim();
-    for d in deltas {
-        if d.values.len() != dim {
-            return Err(CnrError::Corrupt(format!(
-                "deferred delta dim {} != table dim {dim}",
-                d.values.len()
-            )));
-        }
-        tbl.row_mut(row as usize).copy_from_slice(&d.values);
-        if let (Some(acc), Some(adagrad)) = (d.acc, tbl.adagrad_mut()) {
-            adagrad[row as usize] = acc;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{open_frame, ChunkPayload};
     use cnr_model::ModelConfig;
-    use cnr_quant::QuantizedRow;
+    use cnr_storage::envelope::Verified;
     use cnr_workload::DatasetSpec;
     use std::time::Duration;
 
@@ -393,7 +375,7 @@ mod tests {
 
     /// A stored chunk of `rows` filled with `fill`, as a reader host hands
     /// it over: placed when `hot` (its values are then the destination's
-    /// business), held back as its verified bytes otherwise.
+    /// business), held back as its verified frame otherwise.
     fn chunk(
         level: usize,
         key: &str,
@@ -415,7 +397,7 @@ mod tests {
             rank: 0, // assigned by `lazy_of`
             key: key.to_string(),
             header: open_frame(object.payload()).unwrap(),
-            cold: (!hot).then_some(object),
+            cold: (!hot).then(|| object.object().slice(cnr_storage::envelope::HEADER_LEN..)),
             bytes: 100 * rows.len() as u64,
             arrived_at: Duration::ZERO,
         }
@@ -478,7 +460,7 @@ mod tests {
         let mut m = model();
         let rows: Vec<u32> = (0..8).collect();
         let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &rows, 3.0, false)], &m);
-        let before = lazy.cold[0].object.object().clone();
+        let before = lazy.cold[0].frame.clone();
         lazy.fault_in(&mut m, 0, 5).unwrap();
         assert_eq!(m.tables()[0].row(5), &[3.0; 4]);
         assert_eq!(m.tables()[0].adagrad().unwrap()[5], 3.0);
@@ -486,11 +468,8 @@ mod tests {
         // they lie: same buffer, same contents, the other rows still
         // pending.
         assert_eq!(lazy.cold.len(), 1);
-        assert!(std::ptr::eq(
-            lazy.cold[0].object.object().as_ptr(),
-            before.as_ptr()
-        ));
-        assert_eq!(lazy.cold[0].object.object(), &before);
+        assert!(std::ptr::eq(lazy.cold[0].frame.as_ptr(), before.as_ptr()));
+        assert_eq!(lazy.cold[0].frame, before);
         assert_eq!(lazy.pending_rows(), 7);
         assert_eq!(lazy.pending_keys(), vec!["cold".to_string()]);
     }
@@ -580,6 +559,51 @@ mod tests {
                 assert_eq!(row(t, r), (want, want), "workers={workers}: table {t} row {r}");
             }
         }
+    }
+
+    /// A deferred row is kept as a one-row fp32 frame, and lands bit for
+    /// bit through it: a NaN's payload, both zeros' signs and subnormals
+    /// survive, in the values and the accumulator, by a fault-in (after
+    /// the chunk level it outranks, whose share is the only byte cost) and
+    /// by the drain on one, two or four workers.
+    #[test]
+    fn deferred_rows_land_bit_for_bit() {
+        let awkward = [
+            f32::from_bits(0x7fc0_1234), // a quiet NaN with a payload
+            -0.0,
+            f32::from_bits(1), // the smallest subnormal
+            f32::from_bits(0xffa0_0001), // a negative NaN, quiet bit clear
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for workers in [1, 2, 4] {
+            let mut m = model();
+            let mut lazy = lazy_on(workers, vec![chunk(0, "cold", 0, &[0, 1, 2], 1.0, false)], &m);
+            lazy.defer_delta(0, 1, awkward.to_vec(), Some(f32::from_bits(0x8000_0001)));
+            lazy.defer_delta(0, 2, vec![1.0e-40, -0.0, 0.0, -1.0e-40], Some(-0.0));
+            assert_eq!(lazy.pending_keys(), vec!["cold".to_string()], "a deferred row has no key");
+            assert_eq!(lazy.fault_in(&mut m, 0, 1).unwrap(), 100, "workers={workers}");
+            lazy.drain(&mut m).unwrap();
+            let table = &m.tables()[0];
+            let acc = table.adagrad().unwrap();
+            assert_eq!(bits(table.row(1)), bits(&awkward), "workers={workers}");
+            assert_eq!(acc[1].to_bits(), 0x8000_0001, "workers={workers}");
+            assert_eq!(
+                bits(table.row(2)),
+                bits(&[1.0e-40, -0.0, 0.0, -1.0e-40]),
+                "workers={workers}"
+            );
+            assert_eq!(acc[2].to_bits(), (-0.0f32).to_bits(), "workers={workers}");
+            assert_eq!((table.row(0), acc[0]), (&[1.0; 4][..], 1.0), "the level's row");
+        }
+    }
+
+    /// Deferring a row that is already final breaks the caller contract.
+    #[test]
+    #[should_panic(expected = "is materialized")]
+    fn deferring_a_final_row_panics() {
+        let m = model();
+        let mut lazy = lazy_of(vec![chunk(0, "hot", 0, &[3], 1.0, true)], &m);
+        lazy.defer_delta(0, 3, vec![2.0; 4], Some(2.0));
     }
 
     /// The tail is placed into whatever model it is handed — and refuses,

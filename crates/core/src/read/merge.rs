@@ -300,12 +300,12 @@ impl<'a> Destination<'a> {
     }
 
     /// Zeroes every row no fetched chunk names, so a destination that held
-    /// other weights is indistinguishable from a fresh one there. Eager
-    /// (`materialized` is `None`): every row no placed chunk wrote. Lazy:
-    /// `materialized` says, per table and row, whether the row is final,
-    /// and a row a held-back chunk still owes is left as it is — stale
-    /// until a fault-in or the drain lands it, which would overwrite a
-    /// zero anyway. One pass over each stripe's stamps.
+    /// other weights is indistinguishable from a fresh one there. Nothing
+    /// held back (`materialized` is `None`): every row no placed chunk
+    /// wrote. Otherwise `materialized` says, per table and row, whether the
+    /// row is final, and a row a held-back chunk still owes is left as it
+    /// is — stale until a fault-in or the drain lands it, which would
+    /// overwrite a zero anyway. One pass over each stripe's stamps.
     pub(crate) fn zero_unwritten(self, materialized: Option<&[Vec<bool>]>) -> Result<()> {
         for (t, table) in self.tables.into_iter().enumerate() {
             let materialized = materialized.map(|m| m[t].as_slice());

@@ -10,26 +10,29 @@
 //! ```text
 //! planner ──▶ shard readers (one per reader host) ──▶ serial tail
 //!   rank the      ranged fetches over the host's        completeness per
-//!   chain's       own downlink, none before the plan    level, union of
-//!   chunks in     exists (fetch scheduler); each        incremental rows;
-//!   serial        verified chunk is de-quantized        the WAL tail placed
-//!   order,        row by row *into the destination      as the newest level;
-//!   assign them   tables*, a row written iff the        zero the rows no
-//!   to hosts      chunk outranks the row's stamp        chunk names (a lazy
-//!   by bytes                                            restore's cold rows
-//!                                                       stay stale)
+//!   chain's       own downlink in list order, none      level, union of
+//!   chunks in     before the plan exists (fetch         incremental rows;
+//!   serial        scheduler); each verified hot chunk   the WAL tail placed
+//!   order, mark   is de-quantized row by row *into      as the newest level;
+//!   the top       the destination tables*, a row        zero the rows no
+//!   fraction hot, written iff the chunk outranks the    chunk names (rows a
+//!   deal them to  row's stamp; a cold chunk is kept     cold chunk owes stay
+//!   hosts by heat as its frame                          stale)
+//!   and bytes
 //! ```
 //!
 //! * [`planner`] gives every chunk of the restore chain its rank in the
-//!   serial `(level, key)` application order and assigns it to a reader
-//!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
-//!   ranged-fetch plan.
+//!   serial `(level, key)` application order, marks the chunks covering
+//!   the top `hot_fraction` of rows hot, and deals them to reader hosts in
+//!   heat order, balancing bytes, using the manifest's `ChunkMeta.parts`
+//!   as the ranged-fetch plan. An eager restore is the plan at
+//!   `hot_fraction = 1` with no heat model: every chunk hot, in rank order.
 //! * `shard_reader` takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) floored at the plan's
-//!   completion, with bounded transient-failure retries, and decodes it
-//!   where it belongs. A host killed mid-restore hands its unread chunks
-//!   back.
+//!   completion, in the host's list order whatever its decode workers do,
+//!   with bounded transient-failure retries, and decodes it where it
+//!   belongs. A host killed mid-restore hands its unread chunks back.
 //! * `merge` owns the destination — the caller's tables, striped under
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
@@ -39,13 +42,13 @@
 //!   `merge::Destination::place`, ranked above every chunk and newest
 //!   first, before the zero step — so each row the log holds is written
 //!   once and is final, in an eager and a lazy restore alike.
-//! * [`lazy`] is what a lazy restore hands back instead of finishing: the
-//!   chunks it did not place, kept as the verified bytes the fetch
-//!   returned, and the stamps as they stood. The rows those chunks owe are
-//!   stale until they land — the zero step skips them. Draining runs
-//!   `merge`'s placement over those bytes on the same decode workers — the
-//!   restore is one code path, stopped early and resumed; eager is
-//!   `hot_fraction = 1`.
+//! * [`lazy`] is what a restore whose plan held chunks back hands back
+//!   instead of finishing: those chunks, kept as the verified frames the
+//!   fetch returned, and the stamps as they stood. The rows those chunks
+//!   owe are stale until they land — the zero step skips them. Draining
+//!   runs `merge`'s placement over those frames on the same decode workers
+//!   — the restore is one code path, stopped early and resumed. An all-hot
+//!   plan holds nothing back and returns no tail.
 //!
 //! **The destination is an argument.** [`restore_sharded_into`] writes
 //! each embedding row once, into memory the caller already holds: there is
@@ -100,16 +103,18 @@ pub struct RestoreOptions {
     /// Decode worker threads, spread across reader hosts exactly like the
     /// write path's quantize workers.
     pub decode_workers: usize,
-    /// Transient read-failure retries per ranged fetch before the restore
-    /// fails.
+    /// Transient read-failure retries per ranged fetch, and per `head`
+    /// that sizes a manifest, before the restore fails.
     pub fetch_retries: u32,
-    /// Lazy (CPR-style) restore: fetch in priority order, place only hot
-    /// chunks before declaring first batch, and hand the cold tail back —
+    /// Lazy (CPR-style) restore: fetch in heat order, place only the hot
+    /// chunks before declaring first batch, and hand any cold tail back —
     /// verified, checked, still encoded — as a [`LazyRestore`] for fault-in
-    /// or background drain.
+    /// or background drain. Eager is the same restore at `hot_fraction = 1`
+    /// with no heat model; the flag labels the [`RestoreMode`] too.
     pub lazy: bool,
-    /// Fraction of rows (by heat rank) that must be applied before first
-    /// batch in lazy mode; `1.0` makes lazy equivalent to eager.
+    /// Fraction of rows (by heat rank) whose chunks must be applied before
+    /// first batch in a lazy restore; `1.0` makes lazy equivalent to eager.
+    /// Ignored by an eager restore.
     pub hot_fraction: f64,
 }
 
@@ -186,12 +191,13 @@ pub struct ShardedRestore {
     pub breakdown: ResumeStats,
     /// Absolute simulated time at which the last ranged fetch arrived.
     pub ready_at: Duration,
-    /// Absolute simulated time at which training may resume: for an eager
-    /// restore this equals `ready_at`; for a lazy one it is when the last
-    /// *hot* chunk landed (the cold tail keeps draining past it).
+    /// Absolute simulated time at which training may resume: when the last
+    /// *hot* chunk landed (a cold tail keeps draining past it). When every
+    /// chunk was hot — every eager restore — this equals `ready_at`.
     pub first_batch_at: Duration,
-    /// The cold tail of a lazy restore (rows not yet applied, awaiting
-    /// fault-in or drain); `None` for eager restores.
+    /// The cold tail (rows not yet applied, awaiting fault-in or drain):
+    /// `Some` iff the plan held a chunk back, so never for an eager
+    /// restore, nor for a lazy one at `hot_fraction = 1`.
     pub lazy: Option<LazyRestore>,
     /// The log [`restore_sharded_into`] replayed when asked to; `None`
     /// otherwise. The report describes the checkpoint alone.
@@ -235,10 +241,10 @@ pub fn restore_sharded(
 /// onto the surviving hosts and the restore still completes
 /// bit-identically.
 ///
-/// *An explicit access-heat model for priority planning:* `heat` matters
-/// only when `options.lazy` is set; a lazy restore without one falls back
-/// to uniform heat (priority order degenerates to key order, but the hot
-/// cutoff still bounds the first batch's working set).
+/// *An explicit access-heat model for the fetch order:* `heat` matters
+/// only when `options.lazy` is set; without one every row ties, so the
+/// chunks go in rank order and all are hot unless `hot_fraction` is 0
+/// ([`planner::plan_priority`]).
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_with_heat(
     store: &dyn ObjectStore,
@@ -307,8 +313,8 @@ pub fn restore_sharded_into(
     let mut manifest_bytes = 0u64;
     let chain = walk_chain(target, |id| {
         let key = Manifest::key(job, id);
-        let size = store.head(&key).map_err(CnrError::from)?.size;
-        let (object, _arrived) = fetch_sched.fetch_chunk(0, &key, size, 1)?;
+        let size = fetch_sched.retrying(|| store.head(&key))?.size;
+        let (object, _arrived) = fetch_sched.fetch_chunk(0, None, &key, size, 1)?;
         manifest_bytes += object.object().len() as u64;
         Manifest::decode_verified(&object)
     })?;
@@ -321,19 +327,15 @@ pub fn restore_sharded_into(
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
     let row_counts: Vec<usize> = newest.tables.iter().map(|t| t.rows as usize).collect();
-    let uniform_heat;
-    let assignments = if options.lazy {
-        let heat = match heat {
-            Some(h) => h,
-            None => {
-                uniform_heat = RowHeat::uniform(&row_counts);
-                &uniform_heat
-            }
-        };
-        planner::plan_priority(&chain, hosts, heat, options.hot_fraction)
+    // An eager restore is the all-hot plan: no heat, every chunk placed.
+    let (heat, hot_fraction) = if options.lazy {
+        (heat, options.hot_fraction)
     } else {
-        planner::plan(&chain, hosts)
+        (None, 1.0)
     };
+    let assignments = planner::plan_priority(&chain, hosts, heat, hot_fraction);
+    // A dead host's leftovers queue behind the adopter's own list.
+    let mut next_turn: Vec<u32> = assignments.iter().map(|items| items.len() as u32).collect();
 
     // --- Fetch: every host fetches its own share and decodes it into ---
     // the destination. A dead host's leftovers go to the survivors as
@@ -352,7 +354,10 @@ pub fn restore_sharded_into(
         kill,
         |host, item| reader.read_one(host, item),
         |host, item| reader.die_mid_fetch(host, item),
-        |_, _| {},
+        |host, item| {
+            item.turn = next_turn[host as usize];
+            next_turn[host as usize] += 1;
+        },
         "every reader host died mid-restore",
     )?;
     let killed_hosts = fetched.killed_hosts;
@@ -365,16 +370,16 @@ pub fn restore_sharded_into(
     }
 
     // --- Serial tail: what is left once every row is where it lives. ----
-    // (Lazy mode placed hot chunks only; the cold tail becomes the
-    // LazyRestore, and first batch is stamped at the last hot arrival.)
+    // (Only hot chunks were placed; the cold ones become the LazyRestore,
+    // and first batch is stamped at the last hot arrival — for an all-hot
+    // plan, the last arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
-    let hot_ready = decoded
+    let first_batch_at = decoded
         .iter()
         .filter(|d| d.cold.is_none())
         .map(|d| d.arrived_at)
-        .max()
-        .unwrap_or(plan_floor);
+        .fold(plan_floor, Duration::max);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
@@ -385,32 +390,27 @@ pub fn restore_sharded_into(
         None
     };
     let zero_t0 = Instant::now();
-    let lazy_tail = if options.lazy {
-        // The rows the cold chunks owe are left stale, not zeroed: a
-        // fault-in or the drain writes each of them once.
-        let pending = lazy::Pending::of(&decoded, &row_counts, &mut dest);
-        dest.zero_unwritten(Some(&pending.materialized))?;
-        Some(LazyRestore::new(
+    // The rows a held-back chunk owes are left stale, not zeroed: a fault-in
+    // or the drain writes each of them once.
+    let pending = decoded
+        .iter()
+        .any(|d| d.cold.is_some())
+        .then(|| lazy::Pending::of(&decoded, &row_counts, &mut dest));
+    dest.zero_unwritten(pending.as_ref().map(|p| &p.materialized[..]))?;
+    let lazy_tail = pending.map(|pending| {
+        LazyRestore::new(
             decoded,
             newest.tables.clone(),
             applied_rank,
             pending,
             options.decode_workers,
-        ))
-    } else {
-        dest.zero_unwritten(None)?;
-        None
-    };
+        )
+    });
     merge_time += zero_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
-    let first_batch_at = if options.lazy {
-        hot_ready.max(plan_floor)
-    } else {
-        ready_at
-    };
     let fetch_status = fetch_sched.status();
 
     let breakdown = ResumeStats {
@@ -435,8 +435,8 @@ pub fn restore_sharded_into(
         wal_replay: Duration::ZERO,
         wal_replayed_iterations: 0,
         lost_iterations: 0,
-        // Eager: first batch == fully resumed. Lazy: first batch when the
-        // hot set landed; the engine adds drain-wait and WAL replay.
+        // First batch when the hot set landed — fully resumed, for an
+        // all-hot plan; the engine adds drain-wait and WAL replay.
         time_to_first_batch: first_batch_at.saturating_sub(started_at)
             + Duration::from_nanos(decode_nanos.load(Ordering::Relaxed))
             + merge_time,
@@ -835,16 +835,80 @@ mod tests {
         assert_eq!(run(1), run(6), "worker count must not change output");
     }
 
+    /// A store that holds the first ranged read of `key` until another read
+    /// on its channel has reserved the downlink — so the decode worker
+    /// fetching it falls behind another worker of its host — or, when no
+    /// other read may go first, until a grace period ends.
+    struct Stalling<'a> {
+        inner: &'a SimulatedRemoteStore,
+        key: String,
+        channel: u32,
+        /// Whether the first read of `key` began, and whether another read
+        /// on `channel` reserved the downlink since.
+        state: std::sync::Mutex<(bool, bool)>,
+        overtaken: std::sync::Condvar,
+    }
+
+    impl cnr_storage::ObjectStore for Stalling<'_> {
+        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn get_part(
+            &self,
+            key: &str,
+            offset: u64,
+            len: u64,
+            channel: u32,
+            not_before: Duration,
+        ) -> cnr_storage::Result<(bytes::Bytes, cnr_storage::GetReceipt)> {
+            let mut state = self.state.lock().unwrap();
+            if key == self.key && !state.0 {
+                state.0 = true;
+                let grace = Duration::from_millis(100);
+                drop(self.overtaken.wait_timeout_while(state, grace, |s| !s.1).unwrap());
+                return self.inner.get_part(key, offset, len, channel, not_before);
+            }
+            drop(state);
+            let read = self.inner.get_part(key, offset, len, channel, not_before);
+            let mut state = self.state.lock().unwrap();
+            if channel == self.channel && state.0 {
+                state.1 = true;
+                self.overtaken.notify_all();
+            }
+            read
+        }
+    }
+
     /// Simulated fetch timing is a property of the plan and the store, not
-    /// of how decode threads interleave: a host's ranged reads queue on its
-    /// own downlink in whatever order its workers issue them, so
-    /// `ready_at` and time-to-resume do not move with the worker count.
-    /// (Decode and merge are wall-clock CPU time and are left out.)
+    /// of how decode threads interleave: a host's ranged reads take its
+    /// downlink in the order of its fetch list, whichever worker reaches
+    /// them first — here the first chunk's read waits for another worker's
+    /// to go first. So `ready_at`, a lazy restore's first batch and its
+    /// held-back rows, and time-to-resume do not move with the worker
+    /// count. (Decode and merge are wall-clock CPU time and are left out.)
+    /// And an eager restore is a lazy one at `hot_fraction = 1`: the same
+    /// rows, report, clocks, hosts and fetches.
     #[test]
     fn fetch_timing_does_not_depend_on_the_decode_workers() {
         let (model_cfg, snap) = snapshot_after(3, 16);
+        let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.05);
         for hosts in [1usize, 2] {
-            let timing = |workers: usize| {
+            let timing = |workers: usize, lazy: bool, hot_fraction: f64| {
                 let store = SimulatedRemoteStore::new(
                     RemoteConfig {
                         bandwidth_bytes_per_sec: 1024.0 * 1024.0,
@@ -860,22 +924,64 @@ mod tests {
                 let options = RestoreOptions {
                     reader_hosts: hosts,
                     decode_workers: workers,
+                    lazy,
+                    hot_fraction,
                     ..RestoreOptions::default()
                 };
-                let sharded =
-                    restore_sharded(&store, "job", CheckpointId(0), &model_cfg, &options, drained)
-                        .unwrap();
-                assert_eq!(sharded.report.state, snap.model, "hosts={hosts} workers={workers}");
+                let heat = (hot_fraction < 1.0).then_some(&heat);
+                let chain = [crate::restore::load_manifest(&store, "job", CheckpointId(0)).unwrap()];
+                let first = planner::plan_priority(&chain, hosts, heat, hot_fraction)[0][0].key.clone();
+                let stalling = Stalling {
+                    inner: &store,
+                    key: first,
+                    channel: 0,
+                    state: Default::default(),
+                    overtaken: Default::default(),
+                };
+                let what = format!("hosts={hosts} workers={workers} lazy={lazy} hot={hot_fraction}");
+                let sharded = restore_sharded_with_heat(
+                    &stalling,
+                    "job",
+                    CheckpointId(0),
+                    &model_cfg,
+                    &options,
+                    drained,
+                    None,
+                    heat,
+                )
+                .unwrap();
+                assert!(stalling.state.into_inner().unwrap().0, "{what}");
                 let simulated = ResumeStats {
                     decode: Duration::ZERO,
                     merge: Duration::ZERO,
                     ..sharded.breakdown
                 };
-                (sharded.ready_at, simulated.time_to_resume())
+                let report = &sharded.report;
+                let mut state = DlrmModel::new(model_cfg.clone());
+                report.state.restore(&mut state);
+                let held_back = sharded.lazy.map(|mut tail| {
+                    let pending = (tail.pending_rows(), tail.pending_keys());
+                    tail.drain(&mut state).unwrap();
+                    pending
+                });
+                assert!(cnr_model::state::ModelState::extract(&state) == snap.model, "{what}");
+                (
+                    (report.chain.clone(), report.rows_applied, report.shards_merged),
+                    (report.bytes_read, report.incremental_rows.modified_rows()),
+                    (sharded.ready_at, sharded.first_batch_at, sharded.plan_ready_at),
+                    simulated.time_to_resume(),
+                    (sharded.host_activity, sharded.fetch_status, held_back),
+                )
             };
-            let one = timing(1);
+            let eager = timing(1, false, 1.0);
+            assert_eq!(eager.2 .0, eager.2 .1, "hosts={hosts}: all hot, first batch at the end");
+            assert_eq!(timing(1, true, 1.0), eager, "hosts={hosts}: eager is lazy at 1");
+            let lazy = timing(1, true, 0.05);
+            assert!(lazy.4 .2.is_some(), "hosts={hosts}: something was held back");
+            assert!(lazy.2 .1 < lazy.2 .0, "hosts={hosts}: first batch before the end");
             for workers in [2usize, 4] {
-                assert_eq!(timing(workers), one, "hosts={hosts} workers={workers}");
+                assert_eq!(timing(workers, false, 1.0), eager, "hosts={hosts} workers={workers}");
+                assert_eq!(timing(workers, true, 0.05), lazy, "hosts={hosts} workers={workers}");
             }
         }
     }
@@ -926,11 +1032,19 @@ mod tests {
             if hot_fraction == 0.0 {
                 assert_eq!(sharded.report.rows_applied, 0, "nothing is hot at K=0");
             }
-            let mut tail = sharded.lazy.expect("lazy restore returns its cold tail");
+            let held_back = sharded.report.rows_applied < eager.report.rows_applied;
+            assert_eq!(
+                sharded.lazy.is_some(),
+                held_back,
+                "a tail iff a chunk was held back (hot_fraction={hot_fraction})"
+            );
+            assert_eq!(held_back, hot_fraction < 1.0, "hot_fraction={hot_fraction}");
             let mut model = DlrmModel::new(model_cfg.clone());
             sharded.report.state.restore(&mut model);
-            tail.drain(&mut model).unwrap();
-            assert!(tail.is_drained());
+            if let Some(mut tail) = sharded.lazy {
+                tail.drain(&mut model).unwrap();
+                assert!(tail.is_drained());
+            }
             assert_eq!(
                 ModelState::extract(&model),
                 eager.report.state,

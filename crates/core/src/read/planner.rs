@@ -6,17 +6,19 @@
 //! many multipart parts it was uploaded in — which is exactly the ranged
 //! fetch plan, since part boundaries are where a download can be split
 //! without re-framing. Planning is pure: the assignment depends only on the
-//! chain and the host count, never on execution timing, so a sharded
-//! restore is deterministic.
+//! chain, the host count and the heat model, never on execution timing, so
+//! a sharded restore is deterministic.
 //!
-//! **Priority mode** ([`plan_priority`]) additionally orders each host's
-//! fetch list by access heat: chunks covering the hottest embedding rows
-//! (ranked by a [`RowHeat`] model built from the `cnr_workload` Zipf prior
-//! and `cnr_tracking` coverage) are admitted first, so a lazy
-//! restore can resume training once the dense layers — which ride the
-//! manifests, fetched before any chunk — plus the top-K hot rows have
-//! landed, while the cold tail keeps draining in the background (CPR-style
-//! partial recovery).
+//! There is one planner, [`plan_priority`]. It orders the chunks by access
+//! heat — those covering the hottest embedding rows (ranked by a
+//! [`RowHeat`] model built from the `cnr_workload` Zipf prior and
+//! `cnr_tracking` coverage) first — and marks the ones covering the top
+//! `hot_fraction` of rows hot: a lazy restore resumes training once the
+//! dense layers, which ride the manifests fetched before any chunk, plus
+//! the hot chunks have landed, while the cold tail keeps draining in the
+//! background (CPR-style partial recovery). An eager restore is the same
+//! plan at `hot_fraction = 1` with no heat model: every chunk hot, in rank
+//! order.
 
 use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
@@ -49,15 +51,17 @@ pub struct FetchItem {
     pub parts: u32,
     /// Embedding rows in the chunk.
     pub rows: u32,
-    /// Whether the chunk must be applied before training resumes. The
-    /// byte-balancing [`plan`] marks everything hot (all-or-nothing
-    /// restore); [`plan_priority`] marks only chunks covering top-K rows,
-    /// and a lazy restore stamps first-batch time when the last hot chunk
-    /// arrives.
+    /// Whether the chunk must be applied before training resumes: it covers
+    /// a row of the top `hot_fraction` ([`plan_priority`]). First batch is
+    /// stamped when the last hot chunk arrives.
     pub hot: bool,
+    /// The item's place in its host's fetch list: the host's ranged reads
+    /// take its downlink in this order, whatever order its decode workers
+    /// reach them in.
+    pub turn: u32,
 }
 
-/// Per-row access-heat scores used to order priority fetch plans.
+/// Per-row access-heat scores used to order fetch plans.
 ///
 /// Scores are relative: only the ordering (and the top-`hot_fraction`
 /// cutoff) matters, not the absolute values. Build one from the workload's
@@ -70,17 +74,10 @@ pub struct RowHeat {
 }
 
 impl RowHeat {
-    /// A heat model where every row scores equally (priority planning
-    /// degenerates to deterministic key order).
-    pub fn uniform(row_counts: &[usize]) -> Self {
-        Self {
-            scores: row_counts.iter().map(|&n| vec![1.0; n]).collect(),
-        }
-    }
-
     /// Heat from the workload's Zipf skew: row `k` of every table scores
     /// its Zipf probability mass, so low row indices (popular ids) rank
     /// first — the same distribution [`cnr_workload`] samples batches from.
+    /// An exponent of 0 (no skew) scores every row 1.
     pub fn zipf(row_counts: &[usize], exponent: f64) -> Self {
         let scores = row_counts
             .iter()
@@ -249,20 +246,6 @@ fn kth_hottest(tables: &[Vec<f32>], k: usize) -> f32 {
     }
 }
 
-/// Assigns every chunk of `chain` (oldest manifest first) to one of
-/// `reader_hosts` hosts, balancing by bytes: each chunk goes to the
-/// currently lightest host (ties to the lowest index). Returns one item
-/// list per host, in deterministic order; trailing hosts may be empty when
-/// there are fewer chunks than hosts.
-///
-/// Balancing by bytes rather than by writer shard matters: a checkpoint
-/// written by one host must still restore `reader_hosts`-wide, and a
-/// checkpoint written by more hosts than are restoring must not overload
-/// any reader.
-pub fn plan(chain: &[Manifest], reader_hosts: usize) -> Vec<Vec<FetchItem>> {
-    deal(ranked_items(chain).into_iter().map(|(_, item)| item), reader_hosts)
-}
-
 /// One [`FetchItem`] per chunk of `chain`, in manifest order, beside the
 /// chunk it was made from; every item is ranked ([`FetchItem::rank`]) and
 /// marked hot.
@@ -280,8 +263,8 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
                     bytes: chunk.bytes,
                     parts: chunk.parts.max(1),
                     rows: chunk.rows,
-                    // All-or-nothing restore: every chunk gates first batch.
                     hot: true,
+                    turn: 0,
                 };
                 (chunk, item)
             })
@@ -295,48 +278,39 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
     items
 }
 
-/// Deals `items`, in the order given, each to the currently lightest host.
-fn deal(items: impl IntoIterator<Item = FetchItem>, reader_hosts: usize) -> Vec<Vec<FetchItem>> {
-    let hosts = reader_hosts.max(1);
-    let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
-    let mut load = vec![0u64; hosts];
-    for item in items {
-        let h = lightest(&load);
-        load[h] += item.bytes;
-        assignments[h].push(item);
-    }
-    assignments
-}
-
-/// Priority mode: like [`plan`], but every host's fetch list is ordered by
-/// descending access heat, so the [`FetchScheduler`](super::scheduler)
-/// (which admits ranged reads in list order) streams the hottest chunks
-/// first. Chunks whose hottest row scores at or above the top-`hot_fraction`
-/// cutoff are marked [`FetchItem::hot`]; a lazy restore resumes training
-/// once those (plus the dense MLPs and reader cursor, which ride the
-/// manifests fetched before any chunk) have been applied. A chunk whose
-/// recorded table or row range the heat model does not know ranks
-/// conservatively hottest — it cannot be deferred safely.
+/// Assigns every chunk of `chain` (oldest manifest first) to one of
+/// `reader_hosts` hosts. In descending heat, ties in rank order, each chunk
+/// goes to the host with the fewest bytes so far (ties to the lowest index):
+/// balancing bytes, not writer shards, lets a checkpoint written by any
+/// number of hosts restore `reader_hosts`-wide, and each host's list, which
+/// the [`FetchScheduler`](super::scheduler) admits in order, streams its
+/// hottest chunks first. Chunks whose hottest row scores at or above the
+/// top-`hot_fraction` cutoff are [`FetchItem::hot`]: a lazy restore resumes
+/// training once they have landed. A chunk whose table or row range the
+/// heat model does not know ranks hottest — it cannot be deferred safely.
 ///
-/// Assignment remains greedy-lightest-host, but performed in heat order, so
-/// per-host lists stay sorted by heat and hot work spreads evenly over all
-/// downlinks. Planning is pure and deterministic: ties break on
-/// `(level, key)`.
+/// Without a heat model every row ties: the chunks go in rank order, all
+/// hot unless `hot_fraction` is 0. An eager restore is that plan at
+/// `hot_fraction = 1`. Trailing hosts may get no chunk.
 pub fn plan_priority(
     chain: &[Manifest],
     reader_hosts: usize,
-    heat: &RowHeat,
+    heat: Option<&RowHeat>,
     hot_fraction: f64,
 ) -> Vec<Vec<FetchItem>> {
-    let cutoff = heat.hot_cutoff(hot_fraction);
+    let cutoff = match heat {
+        Some(heat) => heat.hot_cutoff(hot_fraction),
+        None if hot_fraction > 0.0 => f32::NEG_INFINITY,
+        None => f32::INFINITY,
+    };
     // Score every chunk of every level; unknown ranges score infinitely hot.
     let mut scored: Vec<(f32, FetchItem)> = ranked_items(chain)
         .into_iter()
         .map(|(chunk, item)| {
-            let score = heat
-                .score_range(chunk.table, chunk.first_row, chunk.last_row)
-                .unwrap_or(f32::INFINITY);
-            (score, item)
+            let score = heat.map_or(Some(0.0), |heat| {
+                heat.score_range(chunk.table, chunk.first_row, chunk.last_row)
+            });
+            (score.unwrap_or(f32::INFINITY), item)
         })
         .collect();
     // Hottest first under `total_cmp` (the cutoff's order, and a total
@@ -344,11 +318,20 @@ pub fn plan_priority(
     scored.sort_by(|(a_score, a), (b_score, b)| {
         b_score.total_cmp(a_score).then_with(|| a.rank.cmp(&b.rank))
     });
-    let by_heat = scored.into_iter().map(|(score, item)| FetchItem {
-        hot: score >= cutoff,
-        ..item
-    });
-    deal(by_heat, reader_hosts)
+    let hosts = reader_hosts.max(1);
+    let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
+    let mut load = vec![0u64; hosts];
+    for (score, item) in scored {
+        let h = lightest(&load);
+        load[h] += item.bytes;
+        let turn = assignments[h].len() as u32;
+        assignments[h].push(FetchItem {
+            hot: score >= cutoff,
+            turn,
+            ..item
+        });
+    }
+    assignments
 }
 
 /// Index of the currently lightest-loaded host (ties to the lowest index).
@@ -366,6 +349,11 @@ mod tests {
     use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, ShardMeta, TableMeta};
     use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
+
+    /// The eager plan: no heat model, every chunk hot.
+    fn eager(chain: &[Manifest], hosts: usize) -> Vec<Vec<FetchItem>> {
+        plan_priority(chain, hosts, None, 1.0)
+    }
 
     fn manifest_with_chunks(id: u64, sizes: &[u64]) -> Manifest {
         let chunks: Vec<ChunkMeta> = sizes
@@ -416,8 +404,12 @@ mod tests {
             manifest_with_chunks(1, &[50, 60]),
         ];
         for hosts in [1usize, 2, 3, 7] {
-            let assignment = plan(&chain, hosts);
+            let assignment = eager(&chain, hosts);
             assert_eq!(assignment.len(), hosts);
+            for items in &assignment {
+                let turns: Vec<u32> = items.iter().map(|i| i.turn).collect();
+                assert_eq!(turns, (0..items.len() as u32).collect::<Vec<_>>(), "list order");
+            }
             let mut keys: Vec<&str> = assignment
                 .iter()
                 .flatten()
@@ -437,13 +429,13 @@ mod tests {
     fn plan_balances_bytes_across_hosts() {
         // 8 equal chunks over 4 hosts: exactly 2 each.
         let chain = vec![manifest_with_chunks(0, &[1000; 8])];
-        let assignment = plan(&chain, 4);
+        let assignment = eager(&chain, 4);
         for items in &assignment {
             assert_eq!(items.len(), 2);
         }
         // Skewed sizes still stay within one max-chunk of balance.
         let chain = vec![manifest_with_chunks(0, &[900, 100, 100, 100, 100, 100])];
-        let assignment = plan(&chain, 2);
+        let assignment = eager(&chain, 2);
         let loads: Vec<u64> = assignment
             .iter()
             .map(|items| items.iter().map(|i| i.bytes).sum())
@@ -457,7 +449,7 @@ mod tests {
             manifest_with_chunks(0, &[2048]),
             manifest_with_chunks(1, &[10]),
         ];
-        let assignment = plan(&chain, 1);
+        let assignment = eager(&chain, 1);
         assert_eq!(assignment[0][0].level, 0);
         assert_eq!(assignment[0][0].parts, 3, "parts follow ChunkMeta");
         assert_eq!(assignment[0][1].level, 1);
@@ -466,13 +458,13 @@ mod tests {
     #[test]
     fn plan_is_deterministic() {
         let chain = vec![manifest_with_chunks(0, &[7, 7, 7, 9, 9, 3])];
-        assert_eq!(plan(&chain, 3), plan(&chain, 3));
+        assert_eq!(eager(&chain, 3), eager(&chain, 3));
     }
 
     #[test]
     fn more_hosts_than_chunks_leaves_trailing_hosts_idle() {
         let chain = vec![manifest_with_chunks(0, &[5, 5])];
-        let assignment = plan(&chain, 4);
+        let assignment = eager(&chain, 4);
         assert_eq!(assignment[0].len(), 1);
         assert_eq!(assignment[1].len(), 1);
         assert!(assignment[2].is_empty() && assignment[3].is_empty());
@@ -481,7 +473,11 @@ mod tests {
     #[test]
     fn eager_plan_marks_everything_hot() {
         let chain = vec![manifest_with_chunks(0, &[10, 10, 10])];
-        assert!(plan(&chain, 2).iter().flatten().all(|i| i.hot));
+        assert!(eager(&chain, 2).iter().flatten().all(|i| i.hot));
+        // Without a heat model every row ties: any fraction above 0 takes
+        // them all, and 0 holds every chunk back.
+        assert!(plan_priority(&chain, 2, None, 0.01).iter().flatten().all(|i| i.hot));
+        assert!(plan_priority(&chain, 2, None, 0.0).iter().flatten().all(|i| !i.hot));
     }
 
     #[test]
@@ -491,7 +487,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         for hosts in [1usize, 2, 3] {
-            let assignment = plan_priority(&chain, hosts, &heat, 0.25);
+            let assignment = plan_priority(&chain, hosts, Some(&heat), 0.25);
             for items in &assignment {
                 let seqs: Vec<&str> = items.iter().map(|i| i.key.as_str()).collect();
                 let mut sorted = seqs.clone();
@@ -509,7 +505,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         // Top 25% of 64 rows = 16 rows = the 2 hottest chunks.
-        let assignment = plan_priority(&chain, 2, &heat, 0.25);
+        let assignment = plan_priority(&chain, 2, Some(&heat), 0.25);
         let hot: Vec<&str> = assignment
             .iter()
             .flatten()
@@ -518,9 +514,9 @@ mod tests {
             .collect();
         assert_eq!(hot.len(), 2, "hot set is chunk-granular top-K");
         // Everything hot at fraction 1.0; nothing at 0.0.
-        let all = plan_priority(&chain, 2, &heat, 1.0);
+        let all = plan_priority(&chain, 2, Some(&heat), 1.0);
         assert!(all.iter().flatten().all(|i| i.hot));
-        let none = plan_priority(&chain, 2, &heat, 0.0);
+        let none = plan_priority(&chain, 2, Some(&heat), 0.0);
         assert!(none.iter().flatten().all(|i| !i.hot));
     }
 
@@ -531,7 +527,7 @@ mod tests {
         // untrusted input).
         chain[0].chunks[3].table = 9;
         let heat = RowHeat::zipf(&[64], 1.05);
-        let assignment = plan_priority(&chain, 1, &heat, 0.1);
+        let assignment = plan_priority(&chain, 1, Some(&heat), 0.1);
         assert_eq!(
             assignment[0][0].key, chain[0].chunks[3].key,
             "unranked chunk must fetch first"
@@ -547,8 +543,8 @@ mod tests {
         ];
         let heat = RowHeat::zipf(&[64], 1.0);
         for hosts in [1usize, 2, 4] {
-            let a = plan_priority(&chain, hosts, &heat, 0.5);
-            assert_eq!(a, plan_priority(&chain, hosts, &heat, 0.5));
+            let a = plan_priority(&chain, hosts, Some(&heat), 0.5);
+            assert_eq!(a, plan_priority(&chain, hosts, Some(&heat), 0.5));
             let mut keys: Vec<&str> =
                 a.iter().flatten().map(|i| i.key.as_str()).collect();
             keys.sort_unstable();
@@ -587,7 +583,7 @@ mod tests {
         }
         assert_eq!(heat.hot_cutoff(1.0), f32::NEG_INFINITY);
         assert_eq!(heat.hot_cutoff(0.0), f32::INFINITY);
-        let all_tied = RowHeat::uniform(&[17, 3]);
+        let all_tied = RowHeat::zipf(&[17, 3], 0.0);
         for fraction in [0.01, 0.5, 0.99] {
             assert_eq!(all_tied.hot_cutoff(fraction), 1.0);
         }
@@ -741,7 +737,7 @@ mod tests {
             ranks.sort();
             ranks
         };
-        let eager = rank_of(plan(&chain, 3));
+        let eager = rank_of(eager(&chain, 3));
         let mut expected: Vec<(usize, String)> = chain
             .iter()
             .enumerate()
@@ -756,7 +752,7 @@ mod tests {
         assert_eq!(eager, expected, "1-based position in (level, key) order");
         let heat = RowHeat::zipf(&[64], 1.05);
         assert_eq!(
-            rank_of(plan_priority(&chain, 2, &heat, 0.3)),
+            rank_of(plan_priority(&chain, 2, Some(&heat), 0.3)),
             expected,
             "fetch order and host count do not move a chunk's rank"
         );

@@ -7,8 +7,10 @@
 //! where they transfer one after another. The scheduler's *floor* is the
 //! failure instant, raised to the chain-load completion once the manifests
 //! are in: no chunk fetch starts before the plan that names it exists.
-//! Transient read failures are retried in place (a bounded number of
-//! times) rather than failing the whole restore: remote reads time out in
+//! A host's chunks take its downlink in its fetch list's order, whatever
+//! order its decode workers reach them in. Transient read failures (and
+//! `head` failures) are retried in place (a bounded number of times)
+//! rather than failing the whole restore: remote reads time out in
 //! practice and the paper's time-to-resume model only cares that the bytes
 //! eventually arrive.
 
@@ -16,7 +18,7 @@ use crate::error::{CnrError, Result};
 use bytes::Bytes;
 use cnr_storage::envelope::Verified;
 use cnr_storage::{ObjectStore, StorageError};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// What one restore's fetches have done so far.
@@ -27,7 +29,8 @@ pub struct FetchStatus {
     pub ready_at: Duration,
     /// Ranged reads completed so far.
     pub parts_fetched: u64,
-    /// Transient read failures absorbed by retries.
+    /// Transient read failures — of ranged reads and of `head`s — absorbed
+    /// by retries.
     pub retries_performed: u64,
     /// Whole-chunk re-fetches triggered by a failed envelope verification
     /// (corruption healing) — distinct from `retries_performed`, which
@@ -50,9 +53,11 @@ struct FetchState {
 /// Schedules chunk downloads for one restore across all reader hosts.
 pub struct FetchScheduler<'a> {
     store: &'a dyn ObjectStore,
-    hosts: usize,
     retries: u32,
     state: Mutex<FetchState>,
+    /// Per reader host: the place in its fetch list whose ranged reads may
+    /// take its downlink next, and the signal that it moved on.
+    turns: Vec<(Mutex<u32>, Condvar)>,
 }
 
 impl<'a> FetchScheduler<'a> {
@@ -68,7 +73,6 @@ impl<'a> FetchScheduler<'a> {
         assert!(hosts >= 1);
         Self {
             store,
-            hosts,
             retries,
             state: Mutex::new(FetchState {
                 floor: start_floor,
@@ -81,6 +85,7 @@ impl<'a> FetchScheduler<'a> {
                     corruption_repaired: 0,
                 },
             }),
+            turns: (0..hosts).map(|_| Default::default()).collect(),
         }
     }
 
@@ -95,8 +100,11 @@ impl<'a> FetchScheduler<'a> {
 
     /// Downloads the `bytes`-byte object at `key` over host `host`'s
     /// downlink as `parts` ranged reads, returning the assembled bytes and
-    /// the simulated time the last range arrived. Transient failures (I/O
-    /// timeouts) retry in place;
+    /// the simulated time the last range arrived. The object at place
+    /// `turn` of the host's fetch list ([`crate::read::FetchItem::turn`])
+    /// reserves its first pass of reads once the objects before it have
+    /// reserved theirs, and then hands the turn on, success or not.
+    /// Transient failures (I/O timeouts) retry in place;
     /// exhausted retries and non-transient errors (missing object, bad
     /// range) propagate immediately.
     ///
@@ -110,13 +118,27 @@ impl<'a> FetchScheduler<'a> {
     pub fn fetch_chunk(
         &self,
         host: u16,
+        turn: Option<u32>,
         key: &str,
         bytes: u64,
         parts: u32,
     ) -> Result<(Verified, Duration)> {
+        let once = || self.fetch_chunk_once(host, key, bytes, parts);
+        let mut pass = match turn {
+            Some(turn) => {
+                let (next, handed_on) = &self.turns[host as usize];
+                let held = "a fetch panicked holding its host's turn";
+                let mut next = handed_on.wait_while(next.lock().expect(held), |n| *n != turn).expect(held);
+                let pass = once();
+                *next += 1;
+                handed_on.notify_all();
+                pass
+            }
+            None => once(),
+        };
         let mut refetches = 0u32;
         loop {
-            let (data, arrived_at) = self.fetch_chunk_once(host, key, bytes, parts)?;
+            let (data, arrived_at) = pass?;
             match self.verify(key, data) {
                 Ok(verified) => {
                     if refetches > 0 {
@@ -134,6 +156,7 @@ impl<'a> FetchScheduler<'a> {
                 }
                 Err(e) => return Err(CnrError::from(e)),
             }
+            pass = once();
         }
     }
 
@@ -178,27 +201,31 @@ impl<'a> FetchScheduler<'a> {
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, Duration)> {
-        assert!((host as usize) < self.hosts, "reader host {host} of {}", self.hosts);
+        assert!((host as usize) < self.turns.len(), "reader host {host} of {}", self.turns.len());
         let not_before = self.state.lock().unwrap().floor;
-        let mut attempt = 0u32;
-        let (data, receipt) = loop {
-            match self
-                .store
-                .get_part(key, offset, len, host as u32, not_before)
-            {
-                Ok(ok) => break ok,
-                Err(StorageError::Io(_)) if attempt < self.retries => {
-                    attempt += 1;
-                    self.state.lock().unwrap().status.retries_performed += 1;
-                    // Transient: retry the same range.
-                }
-                Err(e) => return Err(CnrError::from(e)),
-            }
-        };
+        let (data, receipt) =
+            self.retrying(|| self.store.get_part(key, offset, len, host as u32, not_before))?;
         let mut s = self.state.lock().unwrap();
         s.status.parts_fetched += 1;
         s.status.ready_at = s.status.ready_at.max(receipt.completed_at);
         Ok((data, receipt.completed_at))
+    }
+
+    /// Runs `op` — one store call — until it succeeds, retrying a transient
+    /// I/O failure in place up to the retry budget (each retry counted);
+    /// exhausted retries and any other error propagate.
+    pub(crate) fn retrying<T>(&self, mut op: impl FnMut() -> std::result::Result<T, StorageError>) -> Result<T> {
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Ok(ok) => return Ok(ok),
+                Err(StorageError::Io(_)) if attempt < self.retries => {
+                    attempt += 1;
+                    self.state.lock().unwrap().status.retries_performed += 1;
+                }
+                Err(e) => return Err(CnrError::from(e)),
+            }
+        }
     }
 
     /// Verifies an assembled object's envelope. A short read (in-transit
@@ -264,7 +291,7 @@ mod tests {
         assert_eq!(payload.len(), 250);
         store.put("obj", payload.clone()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
-        let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
+        let (data, _) = sched.fetch_chunk(0, None, "obj", 250, 3).unwrap();
         assert_eq!(data.object(), &payload);
         assert_eq!(data.payload(), (0u8..=229).collect::<Vec<u8>>());
         assert_eq!(sched.status().parts_fetched, 3);
@@ -276,7 +303,7 @@ mod tests {
         store.put("obj", Bytes::new()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
         assert!(matches!(
-            sched.fetch_chunk(0, "obj", 0, 3),
+            sched.fetch_chunk(0, None, "obj", 0, 3),
             Err(CnrError::Corrupt(_))
         ));
         let status = sched.status();
@@ -289,7 +316,7 @@ mod tests {
         let store = remote(1.0, 1);
         store.put("obj", mb(3)).unwrap(); // channel busy until 3s
         let sched = FetchScheduler::new(&store, 1, 0, Duration::ZERO);
-        let (_, arrived) = sched.fetch_chunk(0, "obj", 3 * 1024 * 1024, 3).unwrap();
+        let (_, arrived) = sched.fetch_chunk(0, None, "obj", 3 * 1024 * 1024, 3).unwrap();
         // 3 MB written + 3 MB read back over the same 1 MB/s channel.
         assert!((arrived.as_secs_f64() - 6.0).abs() < 1e-6);
         assert_eq!(sched.ready_at(), arrived);
@@ -303,8 +330,8 @@ mod tests {
         store.put("b", mb(2)).unwrap();
         let write_drain = store.drained_at();
         let sched = FetchScheduler::new(&store, 2, 0, Duration::ZERO);
-        sched.fetch_chunk(0, "a", 1024 * 1024, 1).unwrap();
-        sched.fetch_chunk(1, "b", 2 * 1024 * 1024, 1).unwrap();
+        sched.fetch_chunk(0, None, "a", 1024 * 1024, 1).unwrap();
+        sched.fetch_chunk(1, None, "b", 2 * 1024 * 1024, 1).unwrap();
         assert!((sched.ready_at().as_secs_f64() - (write_drain.as_secs_f64() + 2.0)).abs() < 1e-6);
     }
 
@@ -313,7 +340,7 @@ mod tests {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::FirstN(2));
         store.put("obj", stored(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 3, Duration::ZERO);
-        let (data, _) = sched.fetch_chunk(0, "obj", 100, 2).unwrap();
+        let (data, _) = sched.fetch_chunk(0, None, "obj", 100, 2).unwrap();
         assert_eq!(data.object().len(), 100);
         let status = sched.status();
         assert_eq!(status.retries_performed, 2);
@@ -326,7 +353,7 @@ mod tests {
         store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         assert!(matches!(
-            sched.fetch_chunk(0, "obj", 100, 1),
+            sched.fetch_chunk(0, None, "obj", 100, 1),
             Err(CnrError::Storage(_))
         ));
     }
@@ -335,7 +362,7 @@ mod tests {
     fn missing_object_fails_without_retry_help() {
         let store = InMemoryStore::new();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
-        assert!(sched.fetch_chunk(0, "nope", 10, 1).is_err());
+        assert!(sched.fetch_chunk(0, None, "nope", 10, 1).is_err());
         // Non-transient errors never consume retries.
         assert_eq!(sched.status().retries_performed, 0);
     }
@@ -347,11 +374,11 @@ mod tests {
         let floor = Duration::from_secs(10);
         let sched = FetchScheduler::new(&store, 2, 0, floor);
         assert_eq!(sched.ready_at(), floor, "nothing fetched yet");
-        let (_, arrived) = sched.fetch_chunk(1, "obj", 1024 * 1024, 1).unwrap();
+        let (_, arrived) = sched.fetch_chunk(1, None, "obj", 1024 * 1024, 1).unwrap();
         assert!(arrived >= floor + Duration::from_secs(1), "read starts at the floor");
         // Raising the floor moves subsequent ranges, not completed ones.
         sched.set_floor(Duration::from_secs(20));
-        let (_, arrived2) = sched.fetch_chunk(1, "obj", 1024 * 1024, 1).unwrap();
+        let (_, arrived2) = sched.fetch_chunk(1, None, "obj", 1024 * 1024, 1).unwrap();
         assert!(arrived2 >= Duration::from_secs(20));
     }
 
@@ -369,7 +396,7 @@ mod tests {
         );
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let (data, _) = sched
-            .fetch_chunk(0, "obj", enveloped.len() as u64, 1)
+            .fetch_chunk(0, None, "obj", enveloped.len() as u64, 1)
             .unwrap();
         assert_eq!(data.object(), &enveloped, "healed fetch is bit-identical");
         let status = sched.status();
@@ -395,7 +422,7 @@ mod tests {
         );
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let err = sched
-            .fetch_chunk(0, "obj", enveloped.len() as u64, 1)
+            .fetch_chunk(0, None, "obj", enveloped.len() as u64, 1)
             .unwrap_err();
         assert!(
             matches!(err, CnrError::Corrupt(_)),
@@ -421,7 +448,7 @@ mod tests {
         let len = v3.len() as u64;
         store.put("obj", Bytes::from(v3)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
-        match sched.fetch_chunk(0, "obj", len, 1) {
+        match sched.fetch_chunk(0, None, "obj", len, 1) {
             Err(CnrError::Corrupt(why)) => {
                 assert!(why.contains("obj") && why.contains("version 3"), "{why}")
             }
@@ -441,7 +468,7 @@ mod tests {
         let store = InMemoryStore::new();
         store.put("obj", Bytes::from_static(V4_OBJECT)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
-        match sched.fetch_chunk(0, "obj", V4_OBJECT.len() as u64, 1) {
+        match sched.fetch_chunk(0, None, "obj", V4_OBJECT.len() as u64, 1) {
             Err(CnrError::Corrupt(why)) => {
                 assert!(why.contains("unsupported envelope version 4 "), "{why}")
             }
@@ -462,7 +489,7 @@ mod tests {
         );
         let sched = FetchScheduler::new(&store, 1, 1, Duration::ZERO);
         let (data, _) = sched
-            .fetch_chunk(0, "obj", enveloped.len() as u64, 2)
+            .fetch_chunk(0, None, "obj", enveloped.len() as u64, 2)
             .unwrap();
         assert_eq!(data.object(), &enveloped);
         let status = sched.status();

@@ -8,7 +8,7 @@
 //! (`merge::Destination`) — so CPU decode overlaps the
 //! (simulated) network fetch of the next chunk. A lazy restore's cold
 //! chunk takes the same path up to the last step: it is verified, opened
-//! and checked, and then kept as its bytes instead of placed. A host can
+//! and checked, and then kept as its frame instead of placed. A host can
 //! also be *killed* mid-restore (failure injection): it abandons the chunk
 //! it was fetching, and the coordinator ([`crate::hosts`]) re-shards every
 //! chunk it never read onto the surviving hosts — the exact mirror of the
@@ -19,14 +19,15 @@ use super::planner::FetchItem;
 use super::scheduler::FetchScheduler;
 use crate::error::Result;
 use crate::manifest::{open_frame, ChunkHeader};
-use cnr_storage::envelope::Verified;
+use bytes::Bytes;
+use cnr_storage::envelope;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One chunk a reader host is done with: fetched, verified, opened and
 /// checked against the destination, and either *placed* — its rows
 /// de-quantized straight into the restore's destination tables — or, for a
-/// lazy restore's cold chunk, held back as the bytes that were fetched
+/// lazy restore's cold chunk, held back as the frame that was fetched
 /// ([`DecodedChunk::cold`]).
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedChunk {
@@ -40,11 +41,12 @@ pub(crate) struct DecodedChunk {
     /// The chunk's opened header: table, ascending row indices,
     /// accumulators, row encoding.
     pub header: ChunkHeader,
-    /// The verified object `header` was opened from, for a chunk that was
-    /// *not* placed: a lazy restore keeps its cold chunks as fetched until
-    /// a fault-in or the drain places their rows. `None` for a placed
-    /// chunk: its values exist only in the destination.
-    pub cold: Option<Verified>,
+    /// The frame `header` was opened from — the verified object's payload,
+    /// sharing its buffer — for a chunk that was *not* placed: a lazy
+    /// restore keeps its cold chunks as fetched until a fault-in or the
+    /// drain places their rows. `None` for a placed chunk: its values exist
+    /// only in the destination.
+    pub cold: Option<Bytes>,
     /// Serialized chunk size (bytes fetched).
     pub bytes: u64,
     /// Simulated time at which the chunk's last range landed. A lazy
@@ -71,9 +73,8 @@ impl ShardReader<'_, '_> {
         // parses the frame and checks that every row body is whole, before
         // any row is written and before a cold chunk is trusted to be
         // placeable later.
-        let (object, arrived_at) = self
-            .scheduler
-            .fetch_chunk(host, &item.key, item.bytes, item.parts)?;
+        let (object, arrived_at) =
+            self.scheduler.fetch_chunk(host, Some(item.turn), &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
         let header = open_frame(object.payload())?;
         let opened = header.over(object.payload());
@@ -90,7 +91,7 @@ impl ShardReader<'_, '_> {
             key: item.key.clone(),
             header,
             bytes: object.object().len() as u64,
-            cold: (!item.hot).then_some(object),
+            cold: (!item.hot).then(|| object.object().slice(envelope::HEADER_LEN..)),
             arrived_at,
         })
     }

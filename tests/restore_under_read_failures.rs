@@ -173,3 +173,43 @@ fn read_failures_and_reader_death_compose() {
     assert_eq!(sharded.killed_hosts, vec![0]);
     assert!(sharded.breakdown.rescheduled_chunks > 0);
 }
+
+#[test]
+fn a_head_timeout_is_retried_like_a_read() {
+    // The chain walk sizes each manifest with a `head` before it fetches
+    // it. One timed-out `head` costs one retry, counted with the reads'.
+    let (model_cfg, snap, inner) = checkpointed_snapshot();
+    let store = FlakyStore::failing_heads(inner, FailureMode::Once(1));
+    let sharded = restore_sharded(
+        &store,
+        "job",
+        CheckpointId(0),
+        &model_cfg,
+        &options(2, 1),
+        Duration::ZERO,
+    )
+    .expect("one head timeout is absorbed");
+    assert_eq!(sharded.report.state, snap.model, "bit-exact despite the timeout");
+    assert_eq!(store.head_failures_injected(), 1);
+    assert_eq!(sharded.fetch_status.retries_performed, 1);
+
+    // An outage that outlasts the budget fails the restore, typed.
+    for retries in [0, 2] {
+        let (model_cfg, _snap, inner) = checkpointed_snapshot();
+        let store =
+            FlakyStore::failing_heads(inner, FailureMode::FirstN(retries as u64 + 1));
+        let result = restore_sharded(
+            &store,
+            "job",
+            CheckpointId(0),
+            &model_cfg,
+            &options(2, retries),
+            Duration::ZERO,
+        );
+        assert!(
+            matches!(result, Err(CnrError::Storage(_))),
+            "retries={retries}: exhausted head retries must fail the restore"
+        );
+        assert_eq!(store.head_failures_injected(), retries as u64 + 1);
+    }
+}
