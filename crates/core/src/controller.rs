@@ -11,7 +11,7 @@
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{CheckpointId, CheckpointKind, Manifest};
-use cnr_storage::ObjectStore;
+use cnr_storage::{ObjectStore, StorageError};
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -39,6 +39,7 @@ pub struct CheckpointController {
     /// story explicit and puts them on the scrubber's work-list.
     wal_segments: Vec<String>,
     orphans_swept: u64,
+    collection_failures: u64,
 }
 
 impl CheckpointController {
@@ -52,6 +53,7 @@ impl CheckpointController {
             checkpoints: BTreeMap::new(),
             wal_segments: Vec::new(),
             orphans_swept: 0,
+            collection_failures: 0,
         }
     }
 
@@ -67,8 +69,18 @@ impl CheckpointController {
     /// crash-consistent: after every register, bytes held == bytes owned
     /// by valid checkpoints (plus any pre-existing manifested checkpoints
     /// this controller instance has never seen, which are left intact).
+    ///
+    /// The checkpoint is valid once its manifest is durable, so it is
+    /// recorded first, and a store call that fails afterwards never undoes
+    /// that: collecting garbage is best effort. A failed `list` or orphan
+    /// `delete` skips what it could not collect, and the next registration
+    /// sweeps again. Retention deletes a doomed checkpoint's manifest
+    /// first, and the checkpoint leaves the books only once that delete
+    /// succeeds — if it fails, the next registration retries it; a chunk
+    /// whose delete fails after that is manifestless debris the next sweep
+    /// collects. `NotFound` counts as deleted. Each failed call counts in
+    /// [`Self::collection_failures`].
     pub fn register(&mut self, manifest: &Manifest, manifest_key: &str) -> Result<Vec<CheckpointId>> {
-        self.sweep_orphans(manifest, manifest_key)?;
         let mut keys: Vec<String> = manifest.chunks.iter().map(|c| c.key.clone()).collect();
         keys.push(manifest_key.to_string());
         let bytes = manifest.total_bytes();
@@ -81,6 +93,7 @@ impl CheckpointController {
                 bytes,
             },
         );
+        self.sweep_orphans();
         self.apply_retention()
     }
 
@@ -94,20 +107,18 @@ impl CheckpointController {
     /// never touched, even when this controller has no record of them — a
     /// freshly constructed controller over a pre-existing store (crash
     /// recovery) must not eat earlier valid checkpoints.
-    ///
-    /// Returns how many objects were deleted.
-    fn sweep_orphans(&mut self, incoming: &Manifest, incoming_key: &str) -> Result<u64> {
-        let mut owned: HashSet<&str> = self
+    fn sweep_orphans(&mut self) {
+        let job_prefix = format!("{}/", self.job);
+        let Ok(keys) = self.store.list(&job_prefix) else {
+            self.collection_failures += 1;
+            return;
+        };
+        let owned: HashSet<&str> = self
             .checkpoints
             .values()
             .flat_map(|r| r.keys.iter().map(String::as_str))
+            .chain(self.wal_segments.iter().map(String::as_str))
             .collect();
-        owned.extend(incoming.chunks.iter().map(|c| c.key.as_str()));
-        owned.insert(incoming_key);
-        owned.extend(self.wal_segments.iter().map(String::as_str));
-
-        let job_prefix = format!("{}/", self.job);
-        let keys = self.store.list(&job_prefix)?;
         // Checkpoint-id directories that contain a manifest: `{job}/{id}`
         // for every listed `{job}/{id}/manifest`.
         let with_manifest: HashSet<&str> = keys
@@ -115,7 +126,7 @@ impl CheckpointController {
             .filter_map(|k| k.strip_suffix("/manifest"))
             .collect();
 
-        let mut swept = 0u64;
+        let mut orphans = Vec::new();
         for key in &keys {
             if owned.contains(key.as_str()) {
                 continue;
@@ -129,17 +140,37 @@ impl CheckpointController {
                 .map(|i| &key[..job_prefix.len() + i]);
             let manifestless = id_dir.is_some_and(|d| !with_manifest.contains(d));
             if staging_debris || manifestless {
-                self.store.delete(key)?;
-                swept += 1;
+                orphans.push(key);
             }
         }
-        self.orphans_swept += swept;
-        Ok(swept)
+        for key in orphans {
+            if self.delete(key) {
+                self.orphans_swept += 1;
+            }
+        }
+    }
+
+    /// Deletes `key`, counting a failure; `NotFound` counts as deleted.
+    fn delete(&mut self, key: &str) -> bool {
+        match self.store.delete(key) {
+            Ok(()) | Err(StorageError::NotFound(_)) => true,
+            Err(_) => {
+                self.collection_failures += 1;
+                false
+            }
+        }
     }
 
     /// Orphaned objects deleted over this controller's lifetime.
     pub fn orphans_swept(&self) -> u64 {
         self.orphans_swept
+    }
+
+    /// Store calls of the orphan sweep and of retention that failed over
+    /// this controller's lifetime; what they left is collected by a later
+    /// registration.
+    pub fn collection_failures(&self) -> u64 {
+        self.collection_failures
     }
 
     /// The newest valid checkpoint, if any.
@@ -198,7 +229,9 @@ impl CheckpointController {
     }
 
     /// Deletes every checkpoint not needed by the newest `retained_chains`
-    /// checkpoints' restore chains.
+    /// checkpoints' restore chains, manifest first, and returns the ids
+    /// whose manifest is gone; a checkpoint whose manifest delete failed
+    /// stays registered (see [`Self::register`]).
     fn apply_retention(&mut self) -> Result<Vec<CheckpointId>> {
         let newest: Vec<CheckpointId> = self
             .checkpoints
@@ -219,15 +252,20 @@ impl CheckpointController {
             .filter(|id| !needed.contains(id))
             .copied()
             .collect();
-        for id in &doomed {
-            let reg = self.checkpoints.remove(id).expect("doomed id exists");
-            for key in &reg.keys {
-                // A missing object during deletion means our bookkeeping and
-                // the store disagree; surface it rather than ignore it.
-                self.store.delete(key)?;
+        let mut deleted = Vec::new();
+        for id in doomed {
+            let reg = self.checkpoints.remove(&id).expect("doomed id exists");
+            let (manifest, chunks) = reg.keys.split_last().expect("the manifest is the last key");
+            if !self.delete(manifest) {
+                self.checkpoints.insert(id, reg);
+                continue;
             }
+            for key in chunks {
+                self.delete(key);
+            }
+            deleted.push(id);
         }
-        Ok(doomed)
+        Ok(deleted)
     }
 
     /// The job this controller manages.
@@ -348,6 +386,34 @@ mod tests {
     }
 
     #[test]
+    fn failed_retention_deletes_are_retried_or_swept_later() {
+        use cnr_storage::{FailureMode, Fault, FlakyStore, Op};
+        let store = Arc::new(FlakyStore::new(
+            InMemoryStore::new(),
+            [
+                Fault::fail(Op::Delete, FailureMode::Once(1)).on_keys("manifest"),
+                Fault::fail(Op::Delete, FailureMode::Once(1)).on_keys("-chunk-"),
+            ],
+        ));
+        let mut ctl = CheckpointController::new(store.clone(), "job", 1);
+        let mut register = |id| {
+            let (m, k) = store_ckpt(store.inner(), id, CheckpointKind::Full, None, 100);
+            ctl.register(&m, &k).unwrap()
+        };
+        // Checkpoint 0's manifest delete fails: it stays, whole and owned.
+        register(0);
+        assert!(register(1).is_empty());
+        // Its retry succeeds; the chunk delete behind it fails, leaving
+        // manifestless debris.
+        assert_eq!(register(2), [CheckpointId(0), CheckpointId(1)]);
+        assert_eq!(store.list("job/").unwrap().len(), 3);
+        // The next sweep collects it.
+        assert_eq!(register(3), [CheckpointId(2)]);
+        assert_eq!(store.list("job/").unwrap().len(), 2);
+        assert_eq!((ctl.collection_failures(), ctl.orphans_swept()), (2, 1));
+    }
+
+    #[test]
     fn rebaseline_drops_the_old_chain() {
         let store = Arc::new(InMemoryStore::new());
         let mut ctl = CheckpointController::new(store.clone(), "job", 1);
@@ -445,7 +511,7 @@ mod tests {
         use crate::write::CheckpointWriter;
         use cnr_cluster::SimClock;
         use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
-        use cnr_storage::FlakyStore;
+        use cnr_storage::{FailureMode, Fault, FlakyStore, Op};
         use cnr_trainer::{Trainer, TrainerConfig};
         use cnr_workload::{DatasetSpec, SyntheticDataset};
 
@@ -473,9 +539,9 @@ mod tests {
 
         // The 6th put dies: five chunks land, the write fails, and they are
         // left orphaned under ckpt-0. The retry runs on healed storage.
-        let store = Arc::new(FlakyStore::with_mode(
+        let store = Arc::new(FlakyStore::new(
             InMemoryStore::new(),
-            cnr_storage::flaky::FailureMode::Once(6),
+            [Fault::fail(Op::Put, FailureMode::Once(6))],
         ));
         let writer = CheckpointWriter::new(store.as_ref(), "job");
         let failed = writer.write(&snap, CheckpointId(0), None, cnr_quant::QuantScheme::Fp32, &cfg);

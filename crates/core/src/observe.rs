@@ -103,7 +103,8 @@ pub fn wal_run_stats(reg: &MetricsRegistry) -> WalRunStats {
         appends: reg.counter(names::WAL_APPENDS),
         syncs: reg.counter(names::WAL_SYNCS),
         bytes_appended: reg.counter(names::WAL_BYTES_APPENDED),
-        segments_rotated: reg.counter(names::WAL_SEGMENTS_ROTATED),
+        // A segment is put by every successful sync and nothing else.
+        segments_rotated: reg.counter(names::WAL_SYNCS),
         truncations: reg.counter(names::WAL_TRUNCATIONS),
         sync_time: Duration::from_nanos(reg.counter(names::WAL_SYNC_TIME_NS)),
     }

@@ -549,7 +549,9 @@ mod tests {
     use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
     use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
-    use cnr_storage::{FailureMode, FlakyStore, InMemoryStore, RemoteConfig, SimulatedRemoteStore};
+    use cnr_storage::{
+        FailureMode, Fault, FlakyStore, InMemoryStore, Op, RemoteConfig, SimulatedRemoteStore,
+    };
     use cnr_workload::{DatasetSpec, SyntheticDataset};
     use std::collections::BTreeSet;
 
@@ -749,7 +751,7 @@ mod tests {
         let (model_cfg, snap) = snapshot_after(3, 8);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
-        let store = FlakyStore::failing_reads(inner, FailureMode::Every(5));
+        let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(5))]);
         let options = RestoreOptions {
             reader_hosts: 2,
             fetch_retries: 3,
@@ -766,7 +768,7 @@ mod tests {
         .unwrap();
         assert_eq!(sharded.report.state, snap.model);
         assert!(sharded.fetch_status.retries_performed > 0);
-        assert!(store.read_failures_injected() > 0);
+        assert!(store.injected(0) > 0);
     }
 
     #[test]
@@ -1109,17 +1111,14 @@ mod tests {
 
     #[test]
     fn restore_heals_a_corrupt_read_and_reports_it() {
-        use cnr_storage::{CorruptionKind, CorruptionSpec, FlakyStore};
+        use cnr_storage::CorruptionKind;
         let (model_cfg, snap) = snapshot_after(3, 8);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         let clean = restore(&inner, "job", CheckpointId(0), &model_cfg).unwrap();
         // One chunk read comes back bit-flipped; the refetch is healthy.
-        let store = FlakyStore::corrupting_reads(
-            inner,
-            CorruptionSpec::once(CorruptionKind::BitFlip, 1),
-        )
-        .with_corrupt_key_filter("-chunk-");
+        let bit_flip = Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Once(1));
+        let store = FlakyStore::new(inner, [bit_flip.on_keys("-chunk-")]);
         let sharded = restore_sharded(
             &store,
             "job",
@@ -1171,17 +1170,14 @@ mod tests {
     #[test]
     fn unhealable_corruption_fails_the_restore_with_a_typed_error() {
         use crate::error::CnrError;
-        use cnr_storage::{CorruptionKind, CorruptionSpec, FlakyStore};
+        use cnr_storage::CorruptionKind;
         let (model_cfg, snap) = snapshot_after(3, 8);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         // Every replica of every chunk read is damaged: no retry budget
         // can heal it, and the restore must refuse to return garbage.
-        let store = FlakyStore::corrupting_reads(
-            inner,
-            CorruptionSpec::every(CorruptionKind::BitFlip, 1),
-        )
-        .with_corrupt_key_filter("-chunk-");
+        let bit_flip = Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Every(1));
+        let store = FlakyStore::new(inner, [bit_flip.on_keys("-chunk-")]);
         let err = restore_sharded(
             &store,
             "job",

@@ -260,7 +260,7 @@ mod tests {
     use cnr_cluster::SimClock;
     use cnr_storage::envelope;
     use cnr_storage::{
-        FailureMode, FlakyStore, InMemoryStore, RemoteConfig, SimulatedRemoteStore,
+        FailureMode, Fault, FlakyStore, InMemoryStore, Op, RemoteConfig, SimulatedRemoteStore,
     };
 
     fn remote(bw_mbps: f64, channels: u32) -> SimulatedRemoteStore {
@@ -337,7 +337,8 @@ mod tests {
 
     #[test]
     fn transient_read_failures_are_retried() {
-        let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::FirstN(2));
+        let outage = Fault::fail(Op::Read, FailureMode::FirstN(2));
+        let store = FlakyStore::new(InMemoryStore::new(), [outage]);
         store.put("obj", stored(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 3, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, None, "obj", 100, 2).unwrap();
@@ -349,7 +350,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_propagate_the_error() {
-        let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::Every(1));
+        let down = Fault::fail(Op::Read, FailureMode::Every(1));
+        let store = FlakyStore::new(InMemoryStore::new(), [down]);
         store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         assert!(matches!(
@@ -384,16 +386,14 @@ mod tests {
 
     #[test]
     fn corrupt_chunk_is_healed_by_refetching_another_replica() {
-        use cnr_storage::{CorruptionKind, CorruptionSpec};
+        use cnr_storage::CorruptionKind;
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&[7u8; 300]));
         inner.put("obj", enveloped.clone()).unwrap();
         // The very first eligible read is bit-flipped; the refetch hits a
         // healthy replica (the corruption counter has moved on).
-        let store = FlakyStore::corrupting_reads(
-            inner,
-            CorruptionSpec::once(CorruptionKind::BitFlip, 1),
-        );
+        let damage = Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Once(1));
+        let store = FlakyStore::new(inner, [damage]);
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let (data, _) = sched
             .fetch_chunk(0, None, "obj", enveloped.len() as u64, 1)
@@ -411,15 +411,13 @@ mod tests {
 
     #[test]
     fn persistent_corruption_surfaces_as_a_typed_error() {
-        use cnr_storage::{CorruptionKind, CorruptionSpec};
+        use cnr_storage::CorruptionKind;
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&[9u8; 128]));
         inner.put("obj", enveloped.clone()).unwrap();
         // Every replica is bad: all reads come back damaged.
-        let store = FlakyStore::corrupting_reads(
-            inner,
-            CorruptionSpec::every(CorruptionKind::BitFlip, 1),
-        );
+        let damage = Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Every(1));
+        let store = FlakyStore::new(inner, [damage]);
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
         let err = sched
             .fetch_chunk(0, None, "obj", enveloped.len() as u64, 1)
@@ -479,14 +477,12 @@ mod tests {
 
     #[test]
     fn truncated_transfer_never_passes_verification() {
-        use cnr_storage::{CorruptionKind, CorruptionSpec};
+        use cnr_storage::CorruptionKind;
         let inner = InMemoryStore::new();
         let enveloped = Bytes::from(envelope::wrap(&(0u8..=255).collect::<Vec<u8>>()));
         inner.put("obj", enveloped.clone()).unwrap();
-        let store = FlakyStore::corrupting_reads(
-            inner,
-            CorruptionSpec::once(CorruptionKind::Truncate, 1),
-        );
+        let damage = Fault::corrupt(CorruptionKind::Truncate, FailureMode::Once(1));
+        let store = FlakyStore::new(inner, [damage]);
         let sched = FetchScheduler::new(&store, 1, 1, Duration::ZERO);
         let (data, _) = sched
             .fetch_chunk(0, None, "obj", enveloped.len() as u64, 2)

@@ -176,7 +176,7 @@ pub struct WalRunStats {
     pub syncs: u64,
     /// Frame bytes appended to the log.
     pub bytes_appended: u64,
-    /// Segments put: one per successful sync.
+    /// Segments put: one per successful sync, so it equals `syncs`.
     pub segments_rotated: u64,
     /// Log truncations (one per registered full checkpoint).
     pub truncations: u64,

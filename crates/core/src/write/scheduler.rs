@@ -211,8 +211,9 @@ mod tests {
 
     #[test]
     fn errors_abort_the_upload() {
-        use cnr_storage::FlakyStore;
-        let store = FlakyStore::new(InMemoryStore::new(), 2);
+        use cnr_storage::{FailureMode, Fault, FlakyStore, Op};
+        let store =
+            FlakyStore::new(InMemoryStore::new(), [Fault::fail(Op::Put, FailureMode::Every(2))]);
         let sched = UploadScheduler::new(&store, 1, 1024);
         // 3 parts; part #2 is injected to fail.
         let err = sched.upload(0, "obj", Bytes::from(vec![0u8; 2500]));

@@ -138,15 +138,13 @@ pub const RESTORE_FETCH_RETRIES: &str = "cnr_restore_fetch_retries";
 
 /// Counter: records appended.
 pub const WAL_APPENDS: &str = "cnr_wal_appends_total";
-/// Counter: sync points performed.
+/// Counter: sync points performed — one segment put each, holding the
+/// frames that sync made durable.
 pub const WAL_SYNCS: &str = "cnr_wal_syncs_total";
 /// Counter: frame bytes appended.
 pub const WAL_BYTES_APPENDED: &str = "cnr_wal_bytes_appended_total";
 /// Counter: bytes pushed through the store by syncs (write amplification).
 pub const WAL_BYTES_SYNCED: &str = "cnr_wal_bytes_synced_total";
-/// Counter: segments put — one per sync, each holding the frames that
-/// sync made durable.
-pub const WAL_SEGMENTS_ROTATED: &str = "cnr_wal_segments_rotated_total";
 /// Counter: whole-log truncations.
 pub const WAL_TRUNCATIONS: &str = "cnr_wal_truncations_total";
 /// Counter: truncations that erred with segments left to delete.

@@ -13,9 +13,11 @@
 //! 1. **Where the bytes live** — [`memory::InMemoryStore`] (the default)
 //!    or [`fs::FsStore`] (a directory; atomic writes by temp file +
 //!    rename, for durable local runs).
-//! 2. **Faults, optionally** — [`flaky::FlakyStore`] around layer 1:
-//!    failed, torn and silently corrupted operations, deterministic by
-//!    operation count. This is the layer a test substitutes
+//! 2. **Faults, optionally** — [`flaky::FlakyStore`] around layer 1,
+//!    injecting a list of [`flaky::Fault`]s at once: a failed put, read,
+//!    head, list or delete ([`flaky::Op`]), a torn put, a silently
+//!    corrupted read — each deterministic by its own count of the calls
+//!    it is eligible for. This is the layer a test substitutes
 //!    (`EngineBuilder::backing_store` in `cnr_core`) to put store failures
 //!    under an unmodified engine.
 //! 3. **The remote** — [`remote::SimulatedRemoteStore`] over layer 1 or 2:
@@ -40,7 +42,7 @@ pub mod scrub;
 pub mod wal;
 mod xxh64;
 
-pub use flaky::{CorruptionKind, CorruptionSpec, FailureMode, FlakyStore, TornWriteSpec};
+pub use flaky::{CorruptionKind, FailureMode, Fault, FlakyStore, Op};
 pub use fs::FsStore;
 pub use memory::InMemoryStore;
 pub use metrics::StoreMetrics;

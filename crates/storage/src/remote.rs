@@ -404,7 +404,7 @@ mod tests {
     /// a fault-injecting one that injects nothing.
     #[test]
     fn conformance_over_fs_and_flaky_backings() {
-        use crate::{FlakyStore, FsStore};
+        use crate::{FailureMode, Fault, FlakyStore, FsStore, Op};
         let config = RemoteConfig {
             base_latency: Duration::ZERO,
             ..RemoteConfig::default()
@@ -415,10 +415,11 @@ mod tests {
         crate::trait_tests::conformance(&SimulatedRemoteStore::over(fs, config, SimClock::new()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let flaky = Arc::new(FlakyStore::new(InMemoryStore::new(), 0));
+        let never = Fault::fail(Op::Put, FailureMode::Every(0));
+        let flaky = Arc::new(FlakyStore::new(InMemoryStore::new(), [never]));
         let store = SimulatedRemoteStore::over(flaky.clone(), config, SimClock::new());
         crate::trait_tests::conformance(&store);
-        assert_eq!(flaky.failures_injected(), 0);
+        assert_eq!(flaky.injected(0), 0);
     }
 
     #[test]

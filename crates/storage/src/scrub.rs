@@ -214,7 +214,7 @@ fn record_sweep(obs: &cnr_obs::Obs, report: &ScrubReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flaky::{CorruptionKind, CorruptionSpec};
+    use crate::flaky::{CorruptionKind, FailureMode, Fault};
     use crate::{envelope, FlakyStore, InMemoryStore};
 
     fn put_enveloped(store: &dyn ObjectStore, key: &str, payload: &[u8]) {
@@ -281,9 +281,9 @@ mod tests {
         let inner = InMemoryStore::new();
         put_enveloped(&inner, "job/0/chunk-0", b"payload");
         // The first read of the object is served damaged; retries are clean.
-        let primary = FlakyStore::corrupting_reads(
+        let primary = FlakyStore::new(
             inner,
-            CorruptionSpec::once(CorruptionKind::BitFlip, 1).with_seed(11),
+            [Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Once(1)).seeded(11)],
         );
         let report = Scrubber::new(&primary).sweep_prefix("job/").unwrap();
         assert_eq!(report.corrupt_detected, 1);
@@ -388,14 +388,15 @@ mod tests {
 
     #[test]
     fn wal_segment_with_mid_log_frame_corruption_heals_from_replica() {
-        use crate::flaky::{FailureMode, FlakyStore};
+        use crate::flaky::Op;
         use crate::wal::{self, WalConfig, WalWriter};
         use std::sync::Arc;
 
         // Build a multi-frame WAL segment on the primary — four failed puts,
         // so the fifth sync carries all five frames — and copy it to a
         // replica.
-        let primary = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::FirstN(4)));
+        let outage = Fault::fail(Op::Put, FailureMode::FirstN(4));
+        let primary = Arc::new(FlakyStore::new(InMemoryStore::new(), [outage]));
         let replica = InMemoryStore::new();
         let mut w = WalWriter::new(
             Arc::clone(&primary) as Arc<dyn ObjectStore>,

@@ -178,7 +178,6 @@ impl WalWriter {
                 self.unsynced_frames = 0;
                 self.count(cnr_obs::names::WAL_SYNCS, 1);
                 self.count(cnr_obs::names::WAL_BYTES_SYNCED, made_durable);
-                self.count(cnr_obs::names::WAL_SEGMENTS_ROTATED, 1);
                 Ok((receipt, made_durable))
             }
             Err(e) => {
@@ -416,7 +415,7 @@ pub fn replay(store: &dyn ObjectStore, job: &str) -> Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flaky::{FailureMode, FlakyStore};
+    use crate::flaky::{FailureMode::*, Fault, FlakyStore, Op};
     use crate::memory::InMemoryStore;
     use std::sync::Arc;
 
@@ -509,49 +508,18 @@ mod tests {
         assert_eq!(r.records[0].seq, 2);
     }
 
-    /// Delegates to a store whose puts fail as `puts` says, failing the
-    /// delete of `key` once.
-    struct FailsOneDelete {
-        inner: FlakyStore<InMemoryStore>,
-        key: String,
-        armed: std::sync::atomic::AtomicBool,
+    fn flaky(faults: impl IntoIterator<Item = Fault>) -> Arc<FlakyStore<InMemoryStore>> {
+        Arc::new(FlakyStore::new(InMemoryStore::new(), faults))
     }
 
-    fn fails_one_delete(key: String, puts: FailureMode) -> Arc<FailsOneDelete> {
-        Arc::new(FailsOneDelete {
-            inner: FlakyStore::with_mode(InMemoryStore::new(), puts),
-            key,
-            armed: true.into(),
-        })
-    }
-
-    impl ObjectStore for FailsOneDelete {
-        fn put(&self, key: &str, data: Bytes) -> Result<PutReceipt> {
-            self.inner.put(key, data)
-        }
-        fn get(&self, key: &str) -> Result<Bytes> {
-            self.inner.get(key)
-        }
-        fn delete(&self, key: &str) -> Result<()> {
-            if key == self.key && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                return Err(StorageError::Io(std::io::Error::other("injected delete failure")));
-            }
-            self.inner.delete(key)
-        }
-        fn list(&self, prefix: &str) -> Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn head(&self, key: &str) -> Result<crate::ObjectMeta> {
-            self.inner.head(key)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
+    /// Fails the delete of `key` once.
+    fn fails_one_delete(key: String) -> Fault {
+        Fault::fail(Op::Delete, Once(1)).on_keys(key)
     }
 
     #[test]
     fn failed_truncate_keeps_reporting_the_segments_it_left_behind() {
-        let s = fails_one_delete(segment_key("job", 1), FailureMode::Every(0));
+        let s = flaky([fails_one_delete(segment_key("job", 1))]);
         let obs = cnr_obs::Obs::wall();
         let mut w = WalWriter::new(s.clone(), "job", WalConfig);
         w.set_obs(obs.clone());
@@ -585,7 +553,7 @@ mod tests {
     /// returns every record, in sequence order.
     #[test]
     fn a_failed_sync_is_made_durable_by_the_next_append() {
-        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(2)));
+        let s = flaky([Fault::fail(Op::Put, Once(2))]);
         let mut w = writer(&s);
         w.append(b"a").unwrap();
         assert!(w.append(b"b").is_err(), "the second put fails");
@@ -605,7 +573,10 @@ mod tests {
     /// a gap.
     #[test]
     fn a_failed_truncate_with_unsynced_appends_leaves_no_sequence_gap() {
-        let s = fails_one_delete(segment_key("job", 0), FailureMode::Once(3));
+        let s = flaky([
+            Fault::fail(Op::Put, Once(3)),
+            fails_one_delete(segment_key("job", 0)),
+        ]);
         let mut w = WalWriter::new(s.clone(), "job", WalConfig);
         w.append(b"a").unwrap();
         w.append(b"b").unwrap();
@@ -685,7 +656,7 @@ mod tests {
     /// frame followed by the next one.
     #[test]
     fn append_in_place_equals_the_wrapped_frame() {
-        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(4)));
+        let s = flaky([Fault::fail(Op::Put, Once(4))]);
         let mut w = writer(&s);
         let frame = |seq: u64, payload: &[u8]| {
             let mut framed = seq.to_le_bytes().to_vec();
@@ -800,7 +771,7 @@ mod tests {
     fn validate_segment_accepts_healthy_and_rejects_tampered() {
         // Three failed puts, so the fourth sync's segment carries all four
         // frames.
-        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::FirstN(3)));
+        let s = flaky([Fault::fail(Op::Put, FirstN(3))]);
         let mut w = writer(&s);
         for i in 0u32..4 {
             assert_eq!(w.append(&i.to_le_bytes()).is_ok(), i == 3);
@@ -827,22 +798,18 @@ mod tests {
 
     #[test]
     fn flaky_torn_write_yields_a_typed_clean_prefix_on_replay() {
-        use crate::flaky::{FlakyStore, TornWriteSpec};
         // The third sync's put tears: the device keeps a strict prefix and
         // the writer sees the write fail. The unacknowledged record — and
         // only it — is lost; replay stops at the torn frame with a typed
         // diagnosis instead of erroring or decoding garbage.
-        let flaky = Arc::new(FlakyStore::tearing_writes(
-            InMemoryStore::new(),
-            // Cut inside the third segment's frame (each is ~33 bytes).
-            TornWriteSpec::once(3).at_byte(HEADER_LEN + 3),
-        ));
+        // Cut inside the third segment's frame (each is ~33 bytes).
+        let flaky = flaky([Fault::tear(Once(3)).at_byte(HEADER_LEN + 3)]);
         let mut w = writer(&flaky);
         w.append(b"first").unwrap();
         w.append(b"second").unwrap();
         let torn = w.append(b"third");
         assert!(torn.is_err(), "the torn put is unacknowledged");
-        assert_eq!(flaky.torn_writes_injected(), 1);
+        assert_eq!(flaky.injected(0), 1);
         let r = replay(flaky.as_ref(), "job").unwrap();
         // The cut lands inside the third segment's only frame, so the
         // records of the first two survive and the tail is diagnosed.
@@ -878,7 +845,7 @@ mod tests {
     fn writer_with_obs_mirrors_every_stat_into_the_registry() {
         use cnr_obs::names as n;
         let obs = cnr_obs::Obs::wall();
-        let s = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(5)));
+        let s = flaky([Fault::fail(Op::Put, Once(5))]);
         let mut w = writer(&s);
         w.set_obs(obs.clone());
         let mut frames = Vec::new();
@@ -891,14 +858,15 @@ mod tests {
         assert!(w.append(&[4; 8]).is_err());
         let (_, made_durable) = w.append(&[5; 8]).unwrap();
         assert_eq!(made_durable, 2 * frame, "the failed frame rides this put");
+        let segments = w.live_segments().len() as u64;
         w.truncate().unwrap();
 
         let r = obs.registry();
         assert_eq!(r.counter(n::WAL_APPENDS), 6);
         assert_eq!(r.counter(n::WAL_SYNCS), 5);
+        assert_eq!(r.counter(n::WAL_SYNCS), segments, "one segment per sync");
         assert_eq!(r.counter(n::WAL_BYTES_APPENDED), 6 * frame);
         assert_eq!(r.counter(n::WAL_BYTES_SYNCED), 6 * frame);
-        assert_eq!(r.counter(n::WAL_SEGMENTS_ROTATED), 5);
         assert_eq!(r.counter(n::WAL_TRUNCATIONS), 1);
         assert_eq!(r.counter(n::WAL_TRUNCATE_FAILURES), 0);
         assert!(obs.spans().iter().any(|s| s.name == n::SPAN_WAL_TRUNCATE));

@@ -68,8 +68,8 @@ pub mod prelude {
     pub use cnr_model::config::ModelConfig;
     pub use cnr_quant::QuantScheme;
     pub use cnr_storage::{
-        FailureMode, FlakyStore, InMemoryStore, MultipartUpload, ObjectStore, RemoteConfig,
-        SimulatedRemoteStore, TornWriteSpec,
+        FailureMode, Fault, FlakyStore, InMemoryStore, MultipartUpload, ObjectStore, Op,
+        RemoteConfig, SimulatedRemoteStore,
     };
     pub use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 }

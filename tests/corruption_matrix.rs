@@ -22,7 +22,7 @@ use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::{
-    CorruptionKind, CorruptionSpec, FlakyStore, InMemoryStore, ObjectStore,
+    CorruptionKind, FailureMode, Fault, FlakyStore, InMemoryStore, ObjectStore,
 };
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
@@ -145,13 +145,9 @@ fn run_cell_with(
     write_to(&inner, &snap, target.part_bytes());
     let clean = restore(&inner, "job", CheckpointId(0), &model_cfg).expect("clean restore");
 
-    let mode = if persistent {
-        CorruptionSpec::every(kind, 1)
-    } else {
-        CorruptionSpec::once(kind, 1)
-    };
-    let store = FlakyStore::corrupting_reads(inner, mode.with_seed(seed))
-        .with_corrupt_key_filter(target.key_filter());
+    let mode = if persistent { FailureMode::Every(1) } else { FailureMode::Once(1) };
+    let fault = Fault::corrupt(kind, mode).seeded(seed).on_keys(target.key_filter());
+    let store = FlakyStore::new(inner, [fault]);
     let result = restore_sharded(
         &store,
         "job",
@@ -232,10 +228,8 @@ fn seed_where(kind: CorruptionKind, len: u64, lands: impl Fn(&[u8], &[u8]) -> bo
         .find(|&seed| {
             let probe = InMemoryStore::new();
             probe.put("probe", clean.clone()).unwrap();
-            let flaky = FlakyStore::corrupting_reads(
-                probe,
-                CorruptionSpec::once(kind, 1).with_seed(seed),
-            );
+            let fault = Fault::corrupt(kind, FailureMode::Once(1)).seeded(seed);
+            let flaky = FlakyStore::new(probe, [fault]);
             lands(&flaky.get("probe").unwrap(), &clean)
         })
         .expect("some seed lands there")

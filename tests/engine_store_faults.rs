@@ -9,14 +9,12 @@
 //! restore is bit-identical to the serial training reference at its restore
 //! point, or it fails typed.
 
+use check_n_run::core::stats::RestoreMode;
 use check_n_run::core::CnrError;
 use check_n_run::obs::names;
 use check_n_run::prelude::*;
-use check_n_run::storage::{
-    wal, CorruptionKind, CorruptionSpec, FsStore, ObjectMeta, PutReceipt, StorageError,
-};
+use check_n_run::storage::{wal, CorruptionKind, FsStore};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 
@@ -49,17 +47,14 @@ fn reference_state_hash(n: u64) -> u64 {
 fn corrupt_chunk_reads_heal_by_refetch() {
     // Every third read of a chunk key comes back bit-flipped; the refetch
     // (the counter has moved on) is served by a healthy replica.
-    let flaky = Arc::new(
-        FlakyStore::corrupting_reads(
-            InMemoryStore::new(),
-            CorruptionSpec::every(CorruptionKind::BitFlip, 3),
-        )
-        .with_corrupt_key_filter("-chunk-"),
-    );
+    let flaky = Arc::new(FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Every(3)).on_keys("-chunk-")],
+    ));
     let mut e = builder(flaky.clone()).policy(PolicyKind::Consecutive).build().unwrap();
     e.train_batches(13).unwrap();
     e.simulate_failure_and_restore().unwrap();
-    assert!(flaky.corruptions_injected() > 0, "damage was served");
+    assert!(flaky.injected(0) > 0, "damage was served");
     let r = e.stats().resumes.last().unwrap();
     assert!(r.corruption_detected > 0);
     assert_eq!(r.corruption_repaired, r.corruption_detected, "every one healed");
@@ -75,23 +70,23 @@ fn read_outage_fails_typed_then_a_later_restore_recovers() {
     // The first five reads time out. `fetch_retries` is 2: the first
     // restore spends three of them on the manifest and gives up; the second
     // meets the last two, retries through them and completes.
-    let flaky = Arc::new(FlakyStore::failing_reads(
+    let flaky = Arc::new(FlakyStore::new(
         InMemoryStore::new(),
-        FailureMode::FirstN(5),
+        [Fault::fail(Op::Read, FailureMode::FirstN(5))],
     ));
     let mut e = builder(flaky.clone()).build().unwrap();
     assert_eq!(e.config().fetch_retries, 2);
     e.train_batches(12).unwrap();
-    assert_eq!(flaky.read_failures_injected(), 0, "training and writing read nothing");
+    assert_eq!(flaky.injected(0), 0, "training and writing read nothing");
 
     let err = e.simulate_failure_and_restore().unwrap_err();
     assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
-    assert_eq!(flaky.read_failures_injected(), 3);
+    assert_eq!(flaky.injected(0), 3);
     assert!(matches!(e.train_batches(1), Err(CnrError::TrainingStateLost)));
     assert!(e.stats().resumes.is_empty(), "a failed restore records no resume");
 
     e.simulate_failure_and_restore().unwrap();
-    assert_eq!(flaky.read_failures_injected(), 5, "the outage's tail was retried through");
+    assert_eq!(flaky.injected(0), 5, "the outage's tail was retried through");
     let retries = e.obs().registry().histogram(names::RESTORE_FETCH_RETRIES).unwrap();
     assert_eq!(retries.sum, 2.0, "absorbed inside the retry budget, and counted");
     assert_eq!(e.trainer().model().iteration(), 10);
@@ -104,13 +99,10 @@ fn read_outage_fails_typed_then_a_later_restore_recovers() {
 fn torn_wal_segment_write_recovers_the_clean_prefix() {
     // The third WAL sync dies one byte short of the segment's end: the
     // store keeps the prefix, the writer gets no acknowledgement.
-    let flaky = Arc::new(
-        FlakyStore::tearing_writes(
-            InMemoryStore::new(),
-            TornWriteSpec::once(3).at_byte(usize::MAX),
-        )
-        .with_torn_key_filter("wal-"),
-    );
+    let flaky = Arc::new(FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::tear(FailureMode::Once(3)).at_byte(usize::MAX).on_keys("wal-")],
+    ));
     let mut e = builder(flaky.clone())
         .delta_wal(DeltaWalConfig)
         .build()
@@ -118,7 +110,7 @@ fn torn_wal_segment_write_recovers_the_clean_prefix() {
     // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
     let err = e.train_batches(10).unwrap_err();
     assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
-    assert_eq!(flaky.torn_writes_injected(), 1);
+    assert_eq!(flaky.injected(0), 1);
     assert_eq!(e.trainer().model().iteration(), 8);
 
     e.simulate_failure_and_restore().unwrap();
@@ -140,13 +132,10 @@ fn torn_wal_segment_write_recovers_the_clean_prefix() {
 fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
     let (done, outcome) = std::sync::mpsc::channel();
     let engine = std::thread::spawn(move || {
-        let flaky = Arc::new(
-            FlakyStore::tearing_writes(
-                InMemoryStore::new(),
-                TornWriteSpec::once(3).at_byte(usize::MAX),
-            )
-            .with_torn_key_filter("wal-"),
-        );
+        let flaky = Arc::new(FlakyStore::new(
+            InMemoryStore::new(),
+            [Fault::tear(FailureMode::Once(3)).at_byte(usize::MAX).on_keys("wal-")],
+        ));
         let mut e = builder(flaky).delta_wal(DeltaWalConfig).build().unwrap();
         // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
         let err = e.train_batches(10).unwrap_err();
@@ -198,11 +187,14 @@ fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
 fn a_restore_at_a_failed_boundary_owes_its_checkpoint_at_once() {
     // Checkpoint at 5, then five WAL syncs; the boundary at 10 fails its
     // first put.
-    let flaky = Arc::new(FlakyStore::with_mode(InMemoryStore::new(), FailureMode::Once(9)));
+    let flaky = Arc::new(FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::fail(Op::Put, FailureMode::Once(9))],
+    ));
     let mut e = builder(flaky.clone()).delta_wal(DeltaWalConfig).build().unwrap();
     let err = e.train_batches(10).unwrap_err();
     assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
-    assert_eq!(flaky.failures_injected(), 1);
+    assert_eq!(flaky.injected(0), 1);
     assert_eq!(e.stats().wal.syncs, 5, "the put that failed is the boundary's");
     assert_eq!(e.stats().intervals.len(), 1);
 
@@ -232,13 +224,10 @@ fn a_restore_at_a_failed_boundary_owes_its_checkpoint_at_once() {
 /// failed frame's bytes at the log device's bandwidth.
 #[test]
 fn a_failed_wal_sync_is_charged_when_the_next_append_makes_it_durable() {
-    let flaky = Arc::new(
-        FlakyStore::tearing_writes(
-            InMemoryStore::new(),
-            TornWriteSpec::once(3).at_byte(usize::MAX),
-        )
-        .with_torn_key_filter("wal-"),
-    );
+    let flaky = Arc::new(FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::tear(FailureMode::Once(3)).at_byte(usize::MAX).on_keys("wal-")],
+    ));
     let mut faulted = builder(flaky).delta_wal(DeltaWalConfig).build().unwrap();
     // Checkpoint at 5; iterations 6 and 7 log cleanly, 8 trains and tears.
     assert!(faulted.train_batches(10).is_err());
@@ -309,53 +298,24 @@ fn segments_that_outlive_their_truncate_are_skipped_then_collected() {
     assert_eq!(e.trainer().model().state_hash(), reference_state_hash(17));
 }
 
-/// An in-memory backing whose first delete of a WAL segment fails.
-struct FailsOneWalDelete {
-    inner: InMemoryStore,
-    armed: AtomicBool,
-}
-
-impl ObjectStore for FailsOneWalDelete {
-    fn put(&self, key: &str, data: bytes::Bytes) -> Result<PutReceipt, StorageError> {
-        self.inner.put(key, data)
-    }
-    fn get(&self, key: &str) -> Result<bytes::Bytes, StorageError> {
-        self.inner.get(key)
-    }
-    fn delete(&self, key: &str) -> Result<(), StorageError> {
-        if wal::is_wal_segment_key(key) && self.armed.swap(false, Ordering::SeqCst) {
-            return Err(StorageError::Io(std::io::Error::other("injected delete failure")));
-        }
-        self.inner.delete(key)
-    }
-    fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
-        self.inner.list(prefix)
-    }
-    fn head(&self, key: &str) -> Result<ObjectMeta, StorageError> {
-        self.inner.head(key)
-    }
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
-}
-
 /// The same window driven for real: `register` succeeded and the WAL
 /// truncate behind it errs. The checkpoint stands and its boundary
 /// finishes; the segments the truncate left are skipped by replay,
 /// covered by the scrubber and collected one boundary later.
 #[test]
 fn a_failed_wal_truncate_leaves_the_checkpoint_standing() {
-    let backing = Arc::new(FailsOneWalDelete {
-        inner: InMemoryStore::new(),
-        armed: true.into(),
-    });
+    // The first delete of a WAL segment fails.
+    let backing = Arc::new(FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::fail(Op::Delete, FailureMode::Once(1)).on_keys("/wal-")],
+    ));
     let segments = || wal::list_segments(backing.as_ref(), JOB).unwrap();
     let mut e = builder(backing.clone()).delta_wal(DeltaWalConfig).build().unwrap();
     // Checkpoint at 5 (nothing logged yet); iterations 6-10 log against it
     // and the boundary at 10 fails to delete the oldest of their segments,
     // which stops the truncate in front of all five.
     e.train_batches(13).unwrap();
-    assert!(!backing.armed.load(Ordering::SeqCst), "the delete was refused");
+    assert_eq!(backing.injected(0), 1, "the delete was refused");
     assert_eq!(e.obs().registry().counter(names::WAL_TRUNCATE_FAILURES), 1);
     assert_eq!(e.policy().checkpoints_taken(), 2);
     assert_eq!(e.stats().intervals.len(), 2, "one row per registered checkpoint");
@@ -431,9 +391,9 @@ fn failed_checkpoint_write_keeps_the_tracked_rows() {
         // later is inside the second one, with a chunk already stored.
         let second_put_of_the_second = clean.controller().live_keys().len() as u64 + 2;
 
-        let flaky = Arc::new(FlakyStore::with_mode(
+        let flaky = Arc::new(FlakyStore::new(
             InMemoryStore::new(),
-            FailureMode::Once(second_put_of_the_second),
+            [Fault::fail(Op::Put, FailureMode::Once(second_put_of_the_second))],
         ));
         let mut e = with_small_chunks(flaky.clone()).build().unwrap();
         e.train_batches(5).unwrap();
@@ -441,7 +401,7 @@ fn failed_checkpoint_write_keeps_the_tracked_rows() {
         let durable_at = e.clock().now() + e.upload_backlog();
         let err = e.train_batches(5).unwrap_err();
         assert!(matches!(err, CnrError::Storage(_)), "{policy:?}: typed, got {err:?}");
-        assert_eq!(flaky.failures_injected(), 1);
+        assert_eq!(flaky.injected(0), 1);
         assert_eq!(e.controller().latest(), first, "{policy:?}: nothing registered");
         assert_eq!(e.policy().checkpoints_taken(), 1);
         assert_eq!(e.stats().intervals.len(), 1);
@@ -486,5 +446,137 @@ fn failed_checkpoint_write_keeps_the_tracked_rows() {
             "{policy:?}"
         );
         assert_eq!(clean.trainer().model().state_hash(), reference_state_hash(15));
+    }
+}
+
+/// The registration path's own store calls, failed one at a time: the
+/// orphan sweep's `list`, and a `delete` of the sweep or of retention
+/// (a doomed checkpoint's manifest first). None fails a boundary or undoes
+/// the checkpoint being registered, every one is counted, and what it
+/// left in the store is collected by a later registration.
+#[test]
+fn a_failed_list_or_delete_at_registration_is_collected_later() {
+    let faults = [
+        Fault::fail(Op::List, FailureMode::Once(1)),
+        Fault::fail(Op::List, FailureMode::Once(2)),
+        Fault::fail(Op::Delete, FailureMode::Once(1)),
+        Fault::fail(Op::Delete, FailureMode::Once(2)),
+        Fault::fail(Op::Delete, FailureMode::Once(1)).on_keys("manifest"),
+    ];
+    let policies = [
+        PolicyKind::FullOnly,
+        PolicyKind::OneShot,
+        PolicyKind::Consecutive,
+        PolicyKind::Intermittent,
+    ];
+    for policy in policies {
+        for (i, fault) in faults.iter().enumerate() {
+            let flaky = Arc::new(FlakyStore::new(InMemoryStore::new(), [fault.clone()]));
+            let mut e = builder(flaky.clone()).policy(policy).build().unwrap();
+            e.train_batches(15).unwrap();
+            // A consecutive chain deletes nothing: only a `list` can fail.
+            let fired = policy != PolicyKind::Consecutive || i < 2;
+            assert_eq!(flaky.injected(0), u64::from(fired), "{policy:?} {fault:?}");
+            assert_eq!(e.controller().collection_failures(), u64::from(fired));
+            e.simulate_failure_and_restore().unwrap();
+            assert_eq!(e.trainer().model().iteration(), 15, "{policy:?} {fault:?}");
+            assert_eq!(
+                e.trainer().model().state_hash(),
+                reference_state_hash(15),
+                "{policy:?} {fault:?}"
+            );
+
+            e.train_batches(10).unwrap();
+            let mut held = flaky.inner().list(&format!("{JOB}/")).unwrap();
+            let mut owned = e.controller().live_keys();
+            held.sort();
+            owned.sort();
+            assert_eq!(held, owned, "{policy:?} {fault:?}: the store holds what is owned");
+        }
+    }
+}
+
+/// Trains until the model has completed `n` batches, going on past the
+/// typed storage errors a store fault raises on the way.
+fn train_to(e: &mut Engine, n: u64) {
+    while e.trainer().model().iteration() < n {
+        let left = n - e.trainer().model().iteration();
+        if let Err(err) = e.train_batches(left) {
+            assert!(matches!(err, CnrError::Storage(_)), "typed, got {err:?}");
+        }
+    }
+}
+
+/// Four kinds of fault at once, under one engine that runs the WAL, lazy
+/// restores and two writer and two reader hosts: a read outage the fetch
+/// retries absorb, bit rot on chunk reads, a failed WAL sync and a failed
+/// manifest delete at retention. Every restore is bit-identical to the
+/// serial reference at the iteration it reports, or fails typed; the
+/// registry's corruption counts are the resumes'.
+#[test]
+fn composed_faults_restore_exactly_or_fail_typed() {
+    for seed in [7, 11] {
+        let faults = [
+            Fault::fail(Op::Read, FailureMode::FirstN(2)),
+            Fault::corrupt(CorruptionKind::BitFlip, FailureMode::Every(2 + seed % 5))
+                .on_keys("-chunk-")
+                .seeded(seed),
+            Fault::fail(Op::Put, FailureMode::Once(1 + seed % 3)).on_keys("/wal-"),
+            Fault::fail(Op::Delete, FailureMode::Once(1)).on_keys("manifest"),
+        ];
+        let flaky = Arc::new(FlakyStore::new(InMemoryStore::new(), faults));
+        let mut e = builder(flaky.clone())
+            .policy(PolicyKind::OneShot)
+            .writer_hosts(2)
+            .reader_hosts(2)
+            .delta_wal(DeltaWalConfig)
+            .lazy_restore(0.05)
+            // A slow remote keeps the clock short of the background drain.
+            .remote_config(RemoteConfig {
+                bandwidth_bytes_per_sec: 64.0 * 1024.0,
+                base_latency: std::time::Duration::from_micros(100),
+                replication: 1,
+                channels: 2,
+            })
+            .build()
+            .unwrap();
+        assert!(e.config().fetch_retries >= 2, "the outage is shorter than the retries");
+        for target in [8, 17, 23, 31] {
+            train_to(&mut e, target);
+            let mut failed = 0;
+            while let Err(err) = e.simulate_failure_and_restore() {
+                assert!(
+                    matches!(err, CnrError::Storage(_) | CnrError::Corrupt(_)),
+                    "seed {seed}: typed, got {err:?}"
+                );
+                failed += 1;
+                assert!(failed < 5, "seed {seed}: a retried restore lands");
+            }
+            // Two batches fault cold rows in before the drain.
+            let at = e.trainer().model().iteration();
+            train_to(&mut e, at + 2);
+            e.drain_lazy_restore().unwrap();
+            assert_eq!(
+                e.trainer().model().state_hash(),
+                reference_state_hash(at + 2),
+                "seed {seed}: restored at {at}"
+            );
+        }
+        for i in 0..4 {
+            assert!(flaky.injected(i) > 0, "seed {seed}: fault {i} fired");
+        }
+        let resumes = &e.stats().resumes;
+        assert!(resumes.iter().all(|r| r.mode == RestoreMode::Lazy));
+        assert!(resumes.iter().any(|r| r.fault_in_fetches > 0), "seed {seed}");
+        let reg = e.obs().registry();
+        let sum = |field: fn(&ResumeStats) -> u64| resumes.iter().map(field).sum::<u64>();
+        for (name, total) in [
+            (names::RESTORE_CORRUPTION_DETECTED, sum(|r| r.corruption_detected)),
+            (names::RESTORE_CORRUPTION_REPAIRED, sum(|r| r.corruption_repaired)),
+            (names::RESTORE_CORRUPTION_REFETCHES, sum(|r| r.corruption_refetches)),
+        ] {
+            assert_eq!(reg.counter(name), total, "seed {seed}: {name}");
+        }
+        assert!(reg.counter(names::RESTORE_CORRUPTION_DETECTED) > 0, "seed {seed}");
     }
 }

@@ -19,7 +19,7 @@ use check_n_run::core::{CnrError, TrainingSnapshot};
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::{FailureMode, FlakyStore, InMemoryStore};
+use check_n_run::storage::{FailureMode, Fault, FlakyStore, InMemoryStore, Op};
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::time::Duration;
@@ -66,7 +66,7 @@ fn options(reader_hosts: usize, retries: u32) -> RestoreOptions {
 #[test]
 fn periodic_read_timeouts_are_absorbed_by_retries() {
     let (model_cfg, snap, inner) = checkpointed_snapshot();
-    let store = FlakyStore::failing_reads(inner, FailureMode::Every(4));
+    let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(4))]);
     let sharded = restore_sharded(
         &store,
         "job",
@@ -77,8 +77,8 @@ fn periodic_read_timeouts_are_absorbed_by_retries() {
     )
     .expect("retries must absorb periodic timeouts");
     assert_eq!(sharded.report.state, snap.model, "bit-exact despite timeouts");
-    assert!(store.read_failures_injected() > 0, "failures actually fired");
-    assert!(sharded.fetch_status.retries_performed >= store.read_failures_injected() - 1);
+    assert!(store.injected(0) > 0, "failures actually fired");
+    assert!(sharded.fetch_status.retries_performed >= store.injected(0) - 1);
     assert_eq!(
         sharded.fetch_status.corruption_refetches, 0,
         "transient timeouts are range retries, never whole-chunk heals"
@@ -93,7 +93,7 @@ fn transient_outage_at_restore_start_heals() {
     // drive it. A *shorter* outage is absorbed inside one attempt, since
     // manifest reads go through the same retrying fetch path as chunks.
     let (model_cfg, snap, inner) = checkpointed_snapshot();
-    let store = FlakyStore::failing_reads(inner, FailureMode::FirstN(3));
+    let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::FirstN(3))]);
     let first = restore_sharded(
         &store,
         "job",
@@ -117,7 +117,7 @@ fn transient_outage_at_restore_start_heals() {
     // The shorter outage: two failing reads are absorbed by the manifest
     // fetch's own retries and the restore completes first try.
     let (model_cfg2, snap2, inner2) = checkpointed_snapshot();
-    let store2 = FlakyStore::failing_reads(inner2, FailureMode::FirstN(2));
+    let store2 = FlakyStore::new(inner2, [Fault::fail(Op::Read, FailureMode::FirstN(2))]);
     let absorbed = restore_sharded(
         &store2,
         "job",
@@ -133,7 +133,7 @@ fn transient_outage_at_restore_start_heals() {
 #[test]
 fn persistent_read_failures_error_rather_than_zero_fill() {
     let (model_cfg, _snap, inner) = checkpointed_snapshot();
-    let store = FlakyStore::failing_reads(inner, FailureMode::Every(1));
+    let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(1))]);
     let result = restore_sharded(
         &store,
         "job",
@@ -154,7 +154,7 @@ fn read_failures_and_reader_death_compose() {
     // the timeouts, survivors adopt the dead host's chunks, and the state
     // is still bit-exact.
     let (model_cfg, snap, inner) = checkpointed_snapshot();
-    let store = FlakyStore::failing_reads(inner, FailureMode::Every(6));
+    let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(6))]);
     let sharded = restore_sharded_with_heat(
         &store,
         "job",
@@ -179,7 +179,7 @@ fn a_head_timeout_is_retried_like_a_read() {
     // The chain walk sizes each manifest with a `head` before it fetches
     // it. One timed-out `head` costs one retry, counted with the reads'.
     let (model_cfg, snap, inner) = checkpointed_snapshot();
-    let store = FlakyStore::failing_heads(inner, FailureMode::Once(1));
+    let store = FlakyStore::new(inner, [Fault::fail(Op::Head, FailureMode::Once(1))]);
     let sharded = restore_sharded(
         &store,
         "job",
@@ -190,14 +190,14 @@ fn a_head_timeout_is_retried_like_a_read() {
     )
     .expect("one head timeout is absorbed");
     assert_eq!(sharded.report.state, snap.model, "bit-exact despite the timeout");
-    assert_eq!(store.head_failures_injected(), 1);
+    assert_eq!(store.injected(0), 1);
     assert_eq!(sharded.fetch_status.retries_performed, 1);
 
     // An outage that outlasts the budget fails the restore, typed.
     for retries in [0, 2] {
         let (model_cfg, _snap, inner) = checkpointed_snapshot();
-        let store =
-            FlakyStore::failing_heads(inner, FailureMode::FirstN(retries as u64 + 1));
+        let outage = Fault::fail(Op::Head, FailureMode::FirstN(retries as u64 + 1));
+        let store = FlakyStore::new(inner, [outage]);
         let result = restore_sharded(
             &store,
             "job",
@@ -210,6 +210,6 @@ fn a_head_timeout_is_retried_like_a_read() {
             matches!(result, Err(CnrError::Storage(_))),
             "retries={retries}: exhausted head retries must fail the restore"
         );
-        assert_eq!(store.head_failures_injected(), retries as u64 + 1);
+        assert_eq!(store.injected(0), retries as u64 + 1);
     }
 }

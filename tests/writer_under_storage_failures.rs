@@ -13,7 +13,7 @@ use check_n_run::cluster::SimClock;
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::{FlakyStore, InMemoryStore, ObjectStore};
+use check_n_run::storage::{FailureMode, Fault, FlakyStore, InMemoryStore, ObjectStore, Op};
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::sync::Arc;
@@ -46,7 +46,8 @@ fn put_failures_surface_as_pipeline_errors() {
     let (_, snap, _) = snapshot();
     // Fail the second put: with several chunks, one worker errors while
     // others succeed; write() must return the error, not panic or hang.
-    let store = FlakyStore::new(InMemoryStore::new(), 2);
+    let store =
+        FlakyStore::new(InMemoryStore::new(), [Fault::fail(Op::Put, FailureMode::Every(2))]);
     let cfg = CheckpointConfig {
         chunk_rows: 128,
         quantize_workers: 3,
@@ -58,14 +59,15 @@ fn put_failures_surface_as_pipeline_errors() {
         matches!(result, Err(CnrError::Storage(_))),
         "expected a storage error, got {result:?}"
     );
-    assert!(store.failures_injected() > 0);
+    assert!(store.injected(0) > 0);
 }
 
 #[test]
 fn failed_checkpoint_is_never_registered_and_retry_succeeds() {
     let (model_cfg, snap, hash) = snapshot();
     // Transient outage: the first few puts fail, then storage heals.
-    let store = Arc::new(FlakyStore::failing_first(InMemoryStore::new(), 7));
+    let outage = Fault::fail(Op::Put, FailureMode::FirstN(7));
+    let store = Arc::new(FlakyStore::new(InMemoryStore::new(), [outage]));
     let mut controller = CheckpointController::new(
         store.clone() as Arc<dyn ObjectStore>,
         "job",
@@ -122,7 +124,10 @@ fn manifest_put_failure_leaves_checkpoint_unreadable() {
             .unwrap();
         rec.manifest.chunks.len() + 1
     };
-    let store = FlakyStore::new(InMemoryStore::new(), n_objects as u64);
+    let store = FlakyStore::new(
+        InMemoryStore::new(),
+        [Fault::fail(Op::Put, FailureMode::Every(n_objects as u64))],
+    );
     let writer = CheckpointWriter::new(&store, "job");
     let result = writer.write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg);
     assert!(result.is_err(), "manifest put failure must fail the write");
