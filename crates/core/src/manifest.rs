@@ -9,7 +9,7 @@
 //!
 //! **One stored form.** Every *stored* object — manifest and chunk alike
 //! — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR5`, XXH64 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR6`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
 //! ([`Manifest::decode`], [`ChunkPayload::decode`]) require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
@@ -154,10 +154,10 @@ pub struct Manifest {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Manifest body version (it moves with the wire version: 5 is the frame
-/// without a checksum of its own); any other number is rejected as
-/// corrupt, by number.
-const VERSION: u16 = 5;
+/// Manifest body version (it moves with the wire version: 6 is the chunk
+/// frame whose row indices are delta-coded varints); any other number is
+/// rejected as corrupt, by number.
+const VERSION: u16 = 6;
 
 /// Verifies and strips the storage envelope. Every `decode(&[u8])` entry
 /// funnels through this, so a missing or corrupt envelope surfaces as
@@ -229,7 +229,7 @@ impl Manifest {
         out
     }
 
-    /// Serializes the manifest wrapped in the v5 storage envelope — the
+    /// Serializes the manifest wrapped in the v6 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
@@ -393,13 +393,18 @@ pub(crate) struct ChunkFrame<'a, A> {
 impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
     /// Bytes [`ChunkFrame::encode_into`] appends.
     pub(crate) fn encoded_len(&self) -> usize {
-        let words = self.row_indices.len() * (1 + self.optimizer_state.is_some() as usize);
-        wire::FRAME_OVERHEAD + CHUNK_HEADER_LEN + 4 * words + self.rows_len
+        let accumulators = 4 * self.row_indices.len() * self.optimizer_state.is_some() as usize;
+        wire::FRAME_OVERHEAD
+            + CHUNK_HEADER_LEN
+            + wire::indices_len(self.row_indices)
+            + accumulators
+            + self.rows_len
     }
 
     /// Appends the bare chunk frame to `out`: opens the frame, writes the
-    /// chunk header, indices and accumulators, lets `put_rows` append the
-    /// row bodies in place, then patches the frame length.
+    /// chunk header, the delta-coded indices ([`wire::put_indices`]) and
+    /// the accumulators, lets `put_rows` append the row bodies in place,
+    /// then patches the frame length.
     pub(crate) fn encode_into(self, out: &mut Vec<u8>, put_rows: impl FnOnce(&mut Vec<u8>)) {
         let count = self.row_indices.len();
         let total = self.encoded_len();
@@ -411,7 +416,7 @@ impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
         out.put_u8(self.rows.tag);
         out.put_u8(self.rows.bits);
         out.put_u16_le(self.rows.dim);
-        wire::put_words(out, self.row_indices.iter().map(|i| i.to_le_bytes()));
+        wire::put_indices(out, self.row_indices);
         if let Some(acc) = self.optimizer_state {
             debug_assert_eq!(acc.len(), count);
             wire::put_words(out, acc.map(f32::to_le_bytes));
@@ -513,9 +518,7 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
         bits: wire::get_u8(b)?,
         dim: wire::get_u16(b)?,
     };
-    let row_indices = wire::get_words(b, count, "chunk row indices")?
-        .map(u32::from_le_bytes)
-        .collect();
+    let row_indices = wire::get_indices(b, count)?;
     let optimizer_state = if has_acc {
         let words = wire::get_words(b, count, "chunk optimizer state")?;
         Some(words.map(f32::from_le_bytes).collect())
@@ -547,11 +550,14 @@ impl ChunkPayload {
     /// payload [`ChunkPayload::encode_enveloped`] wraps, and the form a WAL
     /// delta record embeds.
     ///
-    /// The per-row fixed header (kind/bits/dim) is hoisted to chunk level —
-    /// every row of a chunk shares one scheme and one table geometry, and at
+    /// The per-row metadata is what §6.3.2 flags for optimization. The
+    /// fixed row header (kind/bits/dim) is hoisted to chunk level — every
+    /// row of a chunk shares one scheme and one table geometry, and at
     /// 2-bit/dim-64 a redundant 4-byte per-row header would cost ~14% of
-    /// the chunk (the §6.3.2 "metadata structure" the paper flags for
-    /// optimization).
+    /// the chunk. The row index is delta-coded ([`wire::put_indices`]): 1 B
+    /// per row of an ascending run with gaps under 64, where a `u32` cost
+    /// 4 — at 4-bit/dim-32 (16 B of codes, 8 B of parameters) that was
+    /// ~14% of the chunk and is now ~4%.
     pub fn encode(&self) -> Vec<u8> {
         let frame = self.frame();
         let mut out = Vec::with_capacity(frame.encoded_len());
@@ -559,7 +565,7 @@ impl ChunkPayload {
         out
     }
 
-    /// Serializes the chunk wrapped in the v5 storage envelope — the
+    /// Serializes the chunk wrapped in the v6 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         self.frame().encode_enveloped(|out| self.put_rows(out))
@@ -864,6 +870,25 @@ mod tests {
         }
     }
 
+    /// A row count no frame could hold is refused before anything is
+    /// allocated for it: every index takes a byte at least.
+    #[test]
+    fn a_frame_claiming_more_rows_than_bytes_fails_before_allocating() {
+        let mut frame = Vec::new();
+        let at = wire::begin_frame(&mut frame);
+        frame.put_u16_le(0);
+        frame.put_u32_le(u32::MAX);
+        frame.extend_from_slice(&[0, RowContext::EMPTY.tag, RowContext::EMPTY.bits, 8, 0]);
+        frame.extend_from_slice(&[0; 8]);
+        wire::end_frame(&mut frame, at);
+        let err = open_frame(&frame).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why)
+                if why == "row indices truncated: 4294967295 indices in 8 bytes"),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn manifest_full_has_no_base() {
         let mut m = sample_manifest();
@@ -902,9 +927,9 @@ mod tests {
         let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
-        // Versions 2 to 4 existed once and 6 may one day; only 5 decodes,
+        // Versions 2 to 5 existed once and 7 may one day; only 6 decodes,
         // and the error names the number it found.
-        for version in [2u8, 3, 4, 6, 99] {
+        for version in [2u8, 3, 4, 5, 7, 99] {
             let mut skewed = body.clone();
             skewed[4] = version;
             let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
@@ -917,6 +942,24 @@ mod tests {
             assert_eq!(
                 Manifest::decode_verified(&verified).unwrap_err().to_string(),
                 err.to_string()
+            );
+        }
+        // A v5 object (the envelope reads its version before its checksum)
+        // fails both stored-object decoders by number.
+        let as_v5 = |mut object: Vec<u8>| {
+            object[..4].copy_from_slice(b"CNR5");
+            object[4..6].copy_from_slice(&5u16.to_le_bytes());
+            object
+        };
+        for err in [
+            Manifest::decode(&as_v5(sample_manifest().encode_enveloped())).map(|_| ()),
+            ChunkPayload::decode(&as_v5(sample_chunk(true).encode_enveloped())).map(|_| ()),
+        ] {
+            let err = err.unwrap_err();
+            assert!(
+                matches!(&err, CnrError::Corrupt(why)
+                    if why.contains("unsupported envelope version 5 ")),
+                "{err:?}"
             );
         }
     }

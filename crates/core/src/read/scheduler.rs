@@ -457,22 +457,38 @@ mod tests {
         assert_eq!(status.corruption_repaired, 0);
     }
 
-    /// A chunk exactly as the v4 writer stored it — valid for v4 — is
-    /// rejected by number after the retry budget, never decoded.
-    #[test]
-    fn a_v4_object_is_corrupt_naming_its_version() {
-        const V4_OBJECT: &[u8] =
-            b"CNR4\x04\x00\x00\x00\x15\x00\x00\x00\x0f\xe8\xa5\x20written under wire v4";
+    /// A chunk exactly as an older writer stored it — valid for its
+    /// version — is rejected by number after the retry budget, never
+    /// decoded.
+    fn assert_corrupt_naming_version(sealed: &'static [u8], version: u16) {
         let store = InMemoryStore::new();
-        store.put("obj", Bytes::from_static(V4_OBJECT)).unwrap();
+        store.put("obj", Bytes::from_static(sealed)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 2, Duration::ZERO);
-        match sched.fetch_chunk(0, None, "obj", V4_OBJECT.len() as u64, 1) {
-            Err(CnrError::Corrupt(why)) => {
-                assert!(why.contains("unsupported envelope version 4 "), "{why}")
-            }
-            other => panic!("v4 object not rejected as corrupt: {other:?}"),
+        match sched.fetch_chunk(0, None, "obj", sealed.len() as u64, 1) {
+            Err(CnrError::Corrupt(why)) => assert!(
+                why.contains(&format!("unsupported envelope version {version} ")),
+                "{why}"
+            ),
+            other => panic!("v{version} object not rejected as corrupt: {other:?}"),
         }
         assert_eq!(sched.status().corruption_detected, 3);
+    }
+
+    #[test]
+    fn a_v4_object_is_corrupt_naming_its_version() {
+        assert_corrupt_naming_version(
+            b"CNR4\x04\x00\x00\x00\x15\x00\x00\x00\x0f\xe8\xa5\x20written under wire v4",
+            4,
+        );
+    }
+
+    #[test]
+    fn a_v5_object_is_corrupt_naming_its_version() {
+        assert_corrupt_naming_version(
+            b"CNR5\x05\x00\x00\x00\x15\x00\x00\x00\xf4\xca\x13\x19\x73\x76\xf7\x5e\
+              written under wire v5",
+            5,
+        );
     }
 
     #[test]

@@ -178,7 +178,9 @@ pub struct WalRunStats {
     pub bytes_appended: u64,
     /// Segments put: one per successful sync, so it equals `syncs`.
     pub segments_rotated: u64,
-    /// Log truncations (one per registered full checkpoint).
+    /// Log truncations: one per registered checkpoint, full or
+    /// incremental — each supersedes the log. A truncate that failed
+    /// counts too.
     pub truncations: u64,
     /// Simulated training time charged for syncs — the WAL's steady-state
     /// overhead numerator.

@@ -109,9 +109,7 @@ pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) ->
         rows_len: count * scheme.body_bytes_per_row(dim),
     }
     .encode_enveloped(|out| {
-        for k in rows_at.clone() {
-            scheme.quantize_row_into(&slab.data[k * dim..(k + 1) * dim], out);
-        }
+        scheme.quantize_rows_into(&slab.data[rows_at.start * dim..rows_at.end * dim], dim, out)
     })
 }
 

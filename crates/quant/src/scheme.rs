@@ -115,13 +115,31 @@ impl QuantScheme {
     /// Quantizes one embedding row and appends its body encoding — the
     /// parameters, then the packed codes — straight to `out`: the bytes
     /// `self.quantize_row(row).encode_body_into(out)` appends, without the
-    /// row object or any other allocation in between.
+    /// row object or any other allocation in between. The one-row case of
+    /// [`Self::quantize_rows_into`].
     pub fn quantize_row_into(&self, row: &[f32], out: &mut Vec<u8>) {
-        self.quantize(row, out, true);
+        self.quantize_rows_into(row, row.len(), out);
+    }
+
+    /// Quantizes the rows of `dim` values that `rows` holds back to back
+    /// and appends their body encodings in order: the bytes one
+    /// [`Self::quantize_row_into`] per row appends. An fp32 body is the
+    /// row's values, so an fp32 run is one copy, not one per row. A zero
+    /// `dim` is one empty row.
+    pub fn quantize_rows_into(&self, rows: &[f32], dim: usize, out: &mut Vec<u8>) {
+        if let QuantScheme::Fp32 = self {
+            put_f32s_le(rows, out);
+        } else {
+            let count = rows.len().checked_div(dim).unwrap_or(1);
+            debug_assert_eq!(count * dim, rows.len(), "rows of {dim} values");
+            for k in 0..count {
+                self.quantize(&rows[k * dim..(k + 1) * dim], out, true);
+            }
+        }
     }
 
     /// The one quantizer behind [`Self::quantize_row`] and
-    /// [`Self::quantize_row_into`]: picks the row's parameters, appends
+    /// [`Self::quantize_rows_into`]: picks the row's parameters, appends
     /// them to `out` when `inline_params`, then appends the payload.
     fn quantize(&self, row: &[f32], out: &mut Vec<u8>, inline_params: bool) -> QuantParams {
         let (grid, bits) = match *self {

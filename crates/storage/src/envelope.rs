@@ -1,4 +1,4 @@
-//! Self-describing checksummed object envelope (wire v5) — the one stored
+//! Self-describing checksummed object envelope (wire v6) — the one stored
 //! form.
 //!
 //! Production object stores exhibit bit-rot, truncated multipart uploads,
@@ -10,8 +10,8 @@
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
-//!      0     4  magic        b"CNR5"
-//!      4     2  version      u16 LE, = 5
+//!      0     4  magic        b"CNR6"
+//!      4     2  version      u16 LE, = 6
 //!      6     2  flags        u16 LE (bit 0: manifest, bit 1: WAL frame)
 //!      8     4  payload_len  u32 LE, exact length of payload
 //!     12     8  xxh64        u64 LE, XXH64 of the payload, seeded with
@@ -40,8 +40,12 @@
 //! detected — including flips that land on defined flag bits. There is no
 //! other stored form: a buffer that does not start with the magic, carries
 //! another version or fails any check below is [`StorageError::Corrupt`],
-//! which is what sends a reader to another replica. A v4 (or older) object
-//! is rejected here, by version, before any payload codec sees it.
+//! which is what sends a reader to another replica. A v5 (or older) object
+//! is rejected here, by version, before any payload codec sees it. The v6
+//! header is the v5 header with the new number: what changed is the
+//! payload, whose chunk frames store their row indices as delta-coded
+//! varints (`cnr_core::wire::put_indices`), so no v6 payload codec could
+//! read a v5 chunk.
 //!
 //! The parser is hardened against untrusted input: it never panics on
 //! short or garbage buffers, never allocates (it returns subslices), and
@@ -55,12 +59,12 @@ use crate::xxh64::xxh64;
 use crate::{Result, StorageError};
 use bytes::Bytes;
 
-/// Envelope magic: the first four bytes of every v5 object. The last byte
+/// Envelope magic: the first four bytes of every v6 object. The last byte
 /// is the wire version's digit.
-pub const MAGIC: [u8; 4] = *b"CNR5";
+pub const MAGIC: [u8; 4] = *b"CNR6";
 
 /// Envelope wire version.
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 
 /// Envelope header length in bytes.
 pub const HEADER_LEN: usize = 20;
@@ -75,7 +79,7 @@ pub const FLAG_MANIFEST: u16 = 1 << 0;
 /// envelope; replay and validation require the bit on every frame.
 pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 
-/// All flag bits a v5 reader understands; unknown bits are corruption.
+/// All flag bits a v6 reader understands; unknown bits are corruption.
 const KNOWN_FLAGS: u16 = FLAG_MANIFEST | FLAG_WAL_FRAME;
 
 /// The envelope checksum: XXH64 of `payload`, seeded with the header's
@@ -84,7 +88,7 @@ fn envelope_sum(header: &[u8], payload: &[u8]) -> u64 {
     xxh64(payload, read_u64(header, 4))
 }
 
-/// Wraps `payload` in a v5 envelope with the given flags.
+/// Wraps `payload` in a v6 envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.resize(HEADER_LEN, 0);
@@ -119,7 +123,7 @@ pub fn seal_in_place(buf: &mut [u8], flags: u16) {
     header[12..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Wraps `payload` in a v5 envelope with no flags set.
+/// Wraps `payload` in a v6 envelope with no flags set.
 pub fn wrap(payload: &[u8]) -> Vec<u8> {
     wrap_with_flags(payload, 0)
 }
@@ -156,7 +160,7 @@ pub fn object_len(buf: &[u8]) -> Result<usize> {
                 "unsupported envelope version {} (expected {VERSION})",
                 digit - b'0'
             ),
-            _ => "missing v5 envelope magic".to_string(),
+            _ => "missing v6 envelope magic".to_string(),
         }));
     }
     if buf.len() < HEADER_LEN {
@@ -174,10 +178,10 @@ pub fn object_len(buf: &[u8]) -> Result<usize> {
     Ok(HEADER_LEN + read_u32(buf, 8) as usize)
 }
 
-/// Validates the v5 envelope in `buf` and returns `(flags, payload)`.
+/// Validates the v6 envelope in `buf` and returns `(flags, payload)`.
 ///
 /// Errors with [`StorageError::Corrupt`] if the buffer is not a
-/// well-formed, checksum-clean v5 envelope. Never panics and never
+/// well-formed, checksum-clean v6 envelope. Never panics and never
 /// allocates for the payload — the returned slice borrows from `buf`.
 pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     let announced = object_len(buf)?;
@@ -205,7 +209,7 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     Ok((flags, payload))
 }
 
-/// The verified payload of the v5 envelope in `buf`: [`unwrap`] without
+/// The verified payload of the v6 envelope in `buf`: [`unwrap`] without
 /// the flags. This is the call a read site holding borrowed bytes makes
 /// before handing them to a codec.
 pub fn open(buf: &[u8]) -> Result<&[u8]> {
@@ -253,17 +257,30 @@ pub(crate) const V4_OBJECT: &[u8] =
 pub(crate) const V4_WAL_FRAME: &[u8] = b"CNR4\x04\x00\x02\x00\x17\x00\x00\x00\x30\xcd\x63\xac\
     \x00\x00\x00\x00\x00\x00\x00\x00a v4 WAL record";
 
+/// A chunk as the v5 writer stored it: today's header layout, version 5,
+/// an XXH64 valid for it — so only the version can reject it.
+#[cfg(test)]
+pub(crate) const V5_OBJECT: &[u8] =
+    b"CNR5\x05\x00\x00\x00\x15\x00\x00\x00\xf4\xca\x13\x19\x73\x76\xf7\x5e\
+    written under wire v5";
+
+/// A WAL frame as the v5 writer sealed it (record sequence 0), valid for v5.
+#[cfg(test)]
+pub(crate) const V5_WAL_FRAME: &[u8] =
+    b"CNR5\x05\x00\x02\x00\x17\x00\x00\x00\x94\x76\x79\x24\xb2\x10\x75\x37\
+    \x00\x00\x00\x00\x00\x00\x00\x00a v5 WAL record";
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The v5 layout, field by field: the checksum is XXH64 of the payload
+    /// The v6 layout, field by field: the checksum is XXH64 of the payload
     /// alone, seeded with the version, flags and length as one `u64` LE.
     #[test]
     fn the_header_fields_seed_the_payload_checksum() {
         let payload = b"a payload long enough to take the stripe loop";
         let object = wrap_with_flags(payload, FLAG_MANIFEST);
-        assert_eq!(object[..12], *b"CNR5\x05\x00\x01\x00\x2d\x00\x00\x00");
+        assert_eq!(object[..12], *b"CNR6\x06\x00\x01\x00\x2d\x00\x00\x00");
         let seed = u64::from_le_bytes(object[4..12].try_into().unwrap());
         assert_eq!(object[12..20], xxh64(payload, seed).to_le_bytes());
         assert_eq!(object[20..], payload[..]);
@@ -355,7 +372,7 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut future = wrap(b"payload");
-        future[4] = 6; // version 6
+        future[4] = 7; // version 7
         assert!(matches!(unwrap(&future), Err(StorageError::Corrupt(_))));
     }
 
@@ -368,9 +385,9 @@ mod tests {
         let mut v3 = wrap(b"a chunk written before the frame checksum changed");
         v3[..4].copy_from_slice(b"CNR3");
         v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-        let mut v3_behind_v5_magic = v3.clone();
-        v3_behind_v5_magic[..4].copy_from_slice(&MAGIC);
-        for object in [v3, v3_behind_v5_magic] {
+        let mut v3_behind_v6_magic = v3.clone();
+        v3_behind_v6_magic[..4].copy_from_slice(&MAGIC);
+        for object in [v3, v3_behind_v6_magic] {
             for outcome in [
                 unwrap(&object).map(|_| ()),
                 open(&object).map(|_| ()),
@@ -387,14 +404,14 @@ mod tests {
         }
     }
 
-    /// A v4 object exactly as the v4 writer sealed it — its own magic,
+    /// An object exactly as an older writer sealed it — its own magic,
     /// version and a checksum valid for them — and its version behind
     /// today's magic are rejected by number at every entry point.
-    #[test]
-    fn a_v4_envelope_is_rejected_naming_its_version() {
-        let mut v4_behind_v5_magic = V4_OBJECT.to_vec();
-        v4_behind_v5_magic[..4].copy_from_slice(&MAGIC);
-        for object in [V4_OBJECT.to_vec(), v4_behind_v5_magic] {
+    fn assert_rejected_naming_version(sealed: &[u8], version: u16) {
+        let mut behind_todays_magic = sealed.to_vec();
+        behind_todays_magic[..4].copy_from_slice(&MAGIC);
+        let named = format!("unsupported envelope version {version} ");
+        for object in [sealed.to_vec(), behind_todays_magic] {
             for outcome in [
                 unwrap(&object).map(|_| ()),
                 open(&object).map(|_| ()),
@@ -402,13 +419,23 @@ mod tests {
                 Verified::check(Bytes::from(object.clone())).map(|_| ()),
             ] {
                 match outcome {
-                    Err(StorageError::Corrupt(why)) => {
-                        assert!(why.contains("unsupported envelope version 4 "), "{why}")
-                    }
-                    other => panic!("v4 object not rejected as corrupt: {other:?}"),
+                    Err(StorageError::Corrupt(why)) => assert!(why.contains(&named), "{why}"),
+                    other => panic!("v{version} object not rejected as corrupt: {other:?}"),
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_v4_envelope_is_rejected_naming_its_version() {
+        assert_rejected_naming_version(V4_OBJECT, 4);
+    }
+
+    /// Both v5 forms, each valid for v5: a v6 reader decodes neither.
+    #[test]
+    fn a_v5_envelope_is_rejected_naming_its_version() {
+        assert_rejected_naming_version(V5_OBJECT, 5);
+        assert_rejected_naming_version(V5_WAL_FRAME, 5);
     }
 
     #[test]

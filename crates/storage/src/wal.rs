@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! The log is a run of **segment** objects, each a bare concatenation of
-//! **frames**. Each frame is a standard v5 envelope ([`crate::envelope`])
+//! **frames**. Each frame is a standard v6 envelope ([`crate::envelope`])
 //! carrying [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
 //!
 //! ```text
@@ -696,7 +696,7 @@ mod tests {
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v5").unwrap();
+        w.append(b"written under v6").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
         for magic in [*b"CNR3", envelope::MAGIC] {
@@ -709,8 +709,8 @@ mod tests {
             segment.extend_from_slice(&old);
             s.put(&key, Bytes::from(segment.clone())).unwrap();
             let r = replay(s.as_ref(), "job").unwrap();
-            assert_eq!(r.records.len(), 1, "the v5 prefix replays");
-            assert_eq!(&r.records[0].payload[..], b"written under v5");
+            assert_eq!(r.records.len(), 1, "the v6 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v6");
             match r.tail {
                 WalTail::Torn { frame_offset, ref reason, .. } => {
                     assert_eq!(frame_offset, clean.len());
@@ -723,32 +723,42 @@ mod tests {
         }
     }
 
-    /// A frame exactly as the v4 writer sealed it — valid for v4 — is a
-    /// torn tail behind the clean prefix, and the reason names version 4;
-    /// validation rejects the segment by number too.
-    #[test]
-    fn a_v4_frame_is_a_torn_tail_naming_its_version() {
+    /// A frame exactly as an older writer sealed it — valid for its
+    /// version — is a torn tail behind the clean prefix, and the reason
+    /// names the version; validation rejects the segment by number too.
+    fn assert_torn_tail_naming_version(sealed: &[u8], version: u16) {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v5").unwrap();
+        w.append(b"written under v6").unwrap();
         let key = segment_key("job", 0);
         let mut segment = s.get(&key).unwrap().to_vec();
         let clean_len = segment.len();
-        segment.extend_from_slice(envelope::V4_WAL_FRAME);
+        segment.extend_from_slice(sealed);
         s.put(&key, Bytes::from(segment.clone())).unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.records.len(), 1, "the v5 prefix replays");
+        assert_eq!(r.records.len(), 1, "the v6 prefix replays");
+        let named = format!("unsupported envelope version {version} ");
         match r.tail {
             WalTail::Torn { frame_offset, ref reason, .. } => {
                 assert_eq!(frame_offset, clean_len);
-                assert!(reason.contains("unsupported envelope version 4 "), "{reason}");
+                assert!(reason.contains(&named), "{reason}");
             }
-            WalTail::Clean => panic!("a v4 frame must not read clean"),
+            WalTail::Clean => panic!("a v{version} frame must not read clean"),
         }
-        let why = validate_segment(&segment).unwrap_err();
-        assert!(why.contains("version 4"), "{why}");
-        let why = validate_segment(envelope::V4_WAL_FRAME).unwrap_err();
-        assert!(why.contains("version 4"), "{why}");
+        for bytes in [&segment[..], sealed] {
+            let why = validate_segment(bytes).unwrap_err();
+            assert!(why.contains(&format!("version {version}")), "{why}");
+        }
+    }
+
+    #[test]
+    fn a_v4_frame_is_a_torn_tail_naming_its_version() {
+        assert_torn_tail_naming_version(envelope::V4_WAL_FRAME, 4);
+    }
+
+    #[test]
+    fn a_v5_frame_is_a_torn_tail_naming_its_version() {
+        assert_torn_tail_naming_version(envelope::V5_WAL_FRAME, 5);
     }
 
     #[test]
