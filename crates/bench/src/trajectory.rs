@@ -40,6 +40,7 @@ use cnr_core::write::CheckpointWriter;
 use cnr_core::TrainingSnapshot;
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_obs::json::escape;
+use cnr_obs::names;
 use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
 use cnr_storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
@@ -520,7 +521,8 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
 
 /// The `BENCH_wal.json` record set: steady-state overhead of the
 /// per-iteration delta WAL against an otherwise identical engine, plus the
-/// cost of replaying the logged tail after a crash. All values come off
+/// simulated time the logged tail adds to a resume's fetch after a crash
+/// three batches past a boundary. All values come off
 /// the [`SimClock`], so they are exactly reproducible on every machine;
 /// quick mode only shortens the measured window (the per-iteration
 /// averages shift by well under a percent).
@@ -563,10 +565,22 @@ pub fn wal_records(quick: bool) -> Vec<BenchRecord> {
     let appends = (wal_stats.appends - wal_stats_t0.appends).max(1) as f64;
     let bytes = (wal_stats.bytes_appended - wal_stats_t0.bytes_appended) as f64;
 
-    // Crash at the tip: replaying the logged tail is the read-side cost the
-    // WAL adds to resume (on top of the checkpoint fetch it rides on).
+    // Crash three batches past a boundary. The log's segments ride the
+    // restore's fetch plan at the head of the one reader host's list, so
+    // the `restore.wal_replay` span — from the plan's completion to the
+    // log's last arrival — is what reading the tail adds to the resume's
+    // fetch: every chunk queues behind it.
+    walled.train_batches(3).expect("tail");
     walled.simulate_failure_and_restore().expect("restore");
-    let resume = walled.stats().resumes.last().expect("resume").clone();
+    let resume = walled.stats().resumes.last().expect("resume");
+    assert_eq!(resume.wal_replayed_iterations, 3);
+    assert_eq!(resume.wal_replay, Duration::ZERO, "the log is read inside the fetch");
+    let spans = walled.obs().spans();
+    let log_reads = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_RESTORE_WAL_REPLAY)
+        .expect("the restore read the log")
+        .duration();
 
     vec![
         BenchRecord::new(
@@ -576,11 +590,7 @@ pub fn wal_records(quick: bool) -> Vec<BenchRecord> {
         ),
         BenchRecord::new("sync/us_per_iteration", sync_us / appends, "simulated_us"),
         BenchRecord::new("append/bytes_per_iteration", bytes / appends, "bytes"),
-        BenchRecord::new(
-            "replay/tail_us",
-            resume.wal_replay.as_secs_f64() * 1e6,
-            "simulated_us",
-        ),
+        BenchRecord::new("replay/tail_us", log_reads.as_secs_f64() * 1e6, "simulated_us"),
     ]
 }
 
@@ -701,7 +711,7 @@ mod tests {
             .find(|r| r.id == "replay/tail_us")
             .expect("replay record")
             .value;
-        assert!(replay > 0.0, "an intact tail must cost nonzero replay time");
+        assert!(replay > 0.0, "a non-empty tail must add to the resume's fetch");
     }
 
     #[test]

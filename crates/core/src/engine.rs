@@ -757,8 +757,9 @@ impl Engine {
 
     /// [`Engine::simulate_failure_and_restore`] with explicit reader-host
     /// failure injection: the named host dies after fetching
-    /// `kill.after_chunks` chunks. Errors if the engine has a single reader
-    /// host (no survivors to re-shard onto).
+    /// `kill.after_chunks` items of its list — with a WAL, the log's
+    /// segments at its head count too. Errors if the engine has a single
+    /// reader host (no survivors to re-shard onto).
     pub fn simulate_failure_and_restore_killing_reader(
         &mut self,
         kill: HostKill,
@@ -821,14 +822,13 @@ impl Engine {
             PolicyKind::Consecutive | PolicyKind::FullOnly => {}
         }
 
-        // The delta-WAL tail: the restore placed its live records' rows as
+        // The delta-WAL tail: the restore fetched its segments at the head
+        // of the reader hosts' lists and placed its live records' rows as
         // the chain's newest level (each final, so it never faults in);
         // what is left is the dense step, the tracker and the reader cursor.
         let mut wal_replayed = 0u64;
-        let mut wal_replay_time = Duration::ZERO;
         let mut reader_state = report.reader;
         if let Some(log) = &sharded.wal {
-            wal_replay_time = self.store.read_transfer_time(log.bytes_read);
             let tail = &log.tail;
             tail.set_dense(self.trainer.model_mut())?;
             if matches!(
@@ -864,13 +864,13 @@ impl Engine {
         self.batches_into_interval = wal_replayed;
 
         // Charge the sharded fetch to the clock: training resumes at the
-        // first-batch point (dense + hot rows applied) while any cold tail
-        // keeps arriving in the background until `ready_at`. An all-hot
-        // restore's first batch is its last arrival. The WAL tail replay
-        // reads its segments after that point.
+        // first-batch point (the log's segments, dense and hot rows
+        // applied) while any cold tail keeps arriving in the background
+        // until `ready_at`. An all-hot restore's first batch is its last
+        // arrival. The log's reads are inside the fetch: there is no
+        // separate replay phase to charge.
         self.clock.advance_to(sharded.first_batch_at);
         self.lazy_drain_done_at = sharded.ready_at;
-        self.clock.advance(wal_replay_time);
 
         // Complete the restore's record, timestamped at the true failure
         // instant (not the durability point), with any drain wait explicit
@@ -878,10 +878,9 @@ impl Engine {
         let mut row = sharded.breakdown;
         row.resume = self.stats.resumes.len() as u32;
         row.drain_wait = drain_wait;
-        row.wal_replay = wal_replay_time;
-        // First-batch shares the drain wait and WAL replay with full
-        // resume; for eager restores it stays equal to time-to-resume.
-        row.time_to_first_batch += drain_wait + wal_replay_time;
+        // First-batch shares the drain wait with full resume; for eager
+        // restores it stays equal to time-to-resume.
+        row.time_to_first_batch += drain_wait;
         row.wal_replayed_iterations = wal_replayed;
         row.lost_iterations = failed_iteration.saturating_sub(self.trainer.model().iteration());
         row.restore_point = if wal_replayed > 0 {
@@ -899,6 +898,7 @@ impl Engine {
             &row,
             &sharded.host_activity,
             sharded.plan_ready_at,
+            sharded.wal.as_ref().map(|log| log.arrived_at),
             started_at,
         );
         self.stats.push_resume(row);
@@ -1452,6 +1452,68 @@ mod tests {
         assert_eq!(e.stats().resumes.len(), 1);
     }
 
+    /// A reader host dying mid-log — its first segment fetched, the next
+    /// one abandoned — hands the rest of its list, log segments first, to
+    /// the survivor: the restore still lands at the WAL tip, bit-identical
+    /// to the serial restore of the checkpoint with the log applied in
+    /// order.
+    #[test]
+    fn a_reader_dying_mid_log_still_restores_the_wal_tip() {
+        let mut e = builder()
+            .reader_hosts(2)
+            .delta_wal(DeltaWalConfig)
+            .build()
+            .unwrap();
+        e.train_batches(9).unwrap(); // checkpoint at 5, then 4 logged deltas
+        let hash_at_tip = e.trainer().model().state_hash();
+        let latest = e.controller().latest().unwrap();
+        let config = e.trainer().model().config().clone();
+        let serial = crate::restore::restore(e.store().as_ref(), "job", latest, &config).unwrap();
+        let mut reference = DlrmModel::new(config);
+        serial.state.restore(&mut reference);
+        for record in wal::replay(e.store().as_ref(), "job").unwrap().records {
+            DeltaRecord::decode(&record.payload).unwrap().apply(&mut reference).unwrap();
+        }
+        assert_eq!(reference.state_hash(), hash_at_tip, "the serial reference is the tip");
+        // Dealt to the lighter host in turn, host 0's list opens with two
+        // segments: it dies fetching its second.
+        let mut load = [0u64; 2];
+        let mut on_host_0 = 0;
+        for key in wal::list_segments(e.store().as_ref(), "job").unwrap() {
+            let h = usize::from(load[1] < load[0]);
+            load[h] += e.store().head(&key).unwrap().size;
+            on_host_0 += u32::from(h == 0);
+        }
+        assert!(on_host_0 >= 2, "host 0 holds {on_host_0} segments");
+
+        e.simulate_failure_and_restore_killing_reader(HostKill {
+            host: 0,
+            after_chunks: 1,
+        })
+        .unwrap();
+        assert_eq!(e.trainer().model().iteration(), 9);
+        assert_eq!(e.trainer().model().state_hash(), reference.state_hash());
+        let r = e.stats().resumes.last().unwrap();
+        assert_eq!((r.restore_point, r.wal_replayed_iterations), (RestorePoint::WalTip, 4));
+        assert!(r.rescheduled_chunks > 0, "host 0's list went to the survivor");
+        let hosts: Vec<_> = e
+            .obs()
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == cnr_obs::names::SPAN_RESTORE_FETCH_HOST)
+            .collect();
+        let segments: u64 = hosts
+            .iter()
+            .flat_map(|s| &s.attrs)
+            .filter(|(k, _)| *k == "log_segments")
+            .map(|(_, v)| v.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(segments, 4, "every segment fetched once, by some host");
+        let host_0 = hosts.iter().find(|s| s.attrs.iter().any(|(k, v)| *k == "host" && v == "0"));
+        let attr = |k: &str| host_0.unwrap().attrs.iter().find(|(a, _)| *a == k).unwrap().1.clone();
+        assert_eq!((attr("log_segments"), attr("chunks")), ("1".into(), "0".into()));
+    }
+
     #[test]
     fn sampled_reader_kills_still_restore_exactly() {
         // Whichever reader host dies, and however far into its share, the
@@ -1716,6 +1778,13 @@ mod tests {
         let mut e = builder().delta_wal(DeltaWalConfig).build().unwrap();
         e.train_batches(8).unwrap(); // checkpoint at 5, then 3 logged deltas
         let hash_at_tip = e.trainer().model().state_hash();
+        let segments = wal::list_segments(e.store().as_ref(), "job").unwrap();
+        assert_eq!(segments.len(), 3, "one segment per logged delta");
+        let smallest = segments
+            .iter()
+            .map(|key| e.store().head(key).unwrap().size)
+            .min()
+            .unwrap();
         e.simulate_failure_and_restore().unwrap();
         // Every append syncs: every iteration was durable, none lost.
         assert_eq!(e.trainer().model().iteration(), 8, "restored to the WAL tip");
@@ -1724,10 +1793,15 @@ mod tests {
         assert_eq!(r.restore_point, RestorePoint::WalTip);
         assert_eq!(r.wal_replayed_iterations, 3);
         assert_eq!(r.lost_iterations, 0, "a WAL-enabled failure loses ≤ 1 iteration");
-        assert!(r.wal_replay > Duration::ZERO, "replay takes simulated time");
+        // The log's reads are items of the fetch, not a phase after it.
+        assert_eq!(r.wal_replay, Duration::ZERO);
+        assert!(
+            r.fetch >= e.store().read_transfer_time(smallest),
+            "the fetch takes at least one segment's read"
+        );
         assert_eq!(
             r.time_to_resume(),
-            r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
+            r.drain_wait + r.fetch + r.decode + r.merge,
             "replay is part of time-to-resume, not hidden"
         );
         assert!(
@@ -2100,8 +2174,8 @@ mod tests {
     }
 
     /// The `ResumeStats::time_to_resume` doc promise: the total is exactly
-    /// the sum of the five phases — including WAL replay — in every mode,
-    /// and lazy fault-in time is accounted *outside* it.
+    /// the sum of the four phases — WAL replay inside the fetch — in every
+    /// mode, and lazy fault-in time is accounted *outside* it.
     #[test]
     fn time_to_resume_is_the_sum_of_its_phases_in_every_mode() {
         let engines: Vec<Engine> = vec![
@@ -2120,10 +2194,11 @@ mod tests {
             let r = e.stats().resumes.last().unwrap();
             assert_eq!(
                 r.time_to_resume(),
-                r.drain_wait + r.fetch + r.decode + r.merge + r.wal_replay,
+                r.drain_wait + r.fetch + r.decode + r.merge,
                 "time_to_resume must equal its documented phase sum ({:?})",
                 r.mode,
             );
+            assert_eq!(r.wal_replay, Duration::ZERO, "no phase after the fetch");
             let restore = last_restore_span(&e);
             let phase_sum: Duration = e
                 .obs()

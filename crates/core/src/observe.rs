@@ -177,15 +177,19 @@ pub fn record_checkpoint_spans(
 /// The root covers `[failed_at, failed_at + time_to_resume]`; its
 /// synchronous children are exactly [`ResumeStats::phases`], laid
 /// end-to-end, so their durations sum to the root's *by construction*.
-/// Under the fetch phase sit a plan child (manifest chain walk) and one
-/// concurrent child per reader host. A zero-length `first_batch` marker
-/// sits at `time_to_first_batch` from the root start.
+/// Under the fetch phase sit a plan child (manifest chain walk), when the
+/// restore replayed a write-ahead log a `wal_replay` child from the plan's
+/// end to `log_arrived_at` (the log's segments head the hosts' lists), and
+/// one concurrent child per reader host. A zero-length `first_batch`
+/// marker sits at `time_to_first_batch` from the root start.
+#[allow(clippy::too_many_arguments)]
 pub fn record_restore_spans(
     obs: &Obs,
     failed_at: Duration,
     b: &ResumeStats,
     hosts: &[HostActivity],
     plan_ready_at: Duration,
+    log_arrived_at: Option<Duration>,
     started_at: Duration,
 ) -> SpanId {
     let root_end = failed_at + b.time_to_resume();
@@ -202,13 +206,21 @@ pub fn record_restore_spans(
         let id = obs.record(Span::new(name, cursor, span_end).with_parent(root));
         if name == names::SPAN_RESTORE_FETCH {
             // The fetch phase's internal structure: the plan (manifest
-            // chain walk) runs first, then each host's slice of the chunk
-            // fetch in parallel. Offsets are relative to `started_at`
-            // (the pipeline's own time base) mapped onto the phase span.
+            // chain walk) runs first, then the log's segments arrive at the
+            // head of the hosts' lists, and each host's slice of the fetch
+            // runs in parallel. Offsets are relative to `started_at` (the
+            // pipeline's own time base) mapped onto the phase span.
             let plan_dur = plan_ready_at.saturating_sub(started_at).min(dur);
             obs.record(
                 Span::new(names::SPAN_RESTORE_PLAN, cursor, cursor + plan_dur).with_parent(id),
             );
+            if let Some(log_at) = log_arrived_at {
+                let log_dur = log_at.saturating_sub(started_at).clamp(plan_dur, dur);
+                obs.record(
+                    Span::new(names::SPAN_RESTORE_WAL_REPLAY, cursor + plan_dur, cursor + log_dur)
+                        .with_parent(id),
+                );
+            }
             for h in hosts {
                 let host_dur = h.last_arrival.saturating_sub(started_at).min(dur);
                 obs.record(
@@ -218,6 +230,7 @@ pub fn record_restore_spans(
                         .with_track(u64::from(h.host) + 1)
                         .with_attr("host", h.host.to_string())
                         .with_attr("chunks", h.chunks.to_string())
+                        .with_attr("log_segments", h.log_segments.to_string())
                         .with_attr("bytes", h.bytes.to_string()),
                 );
             }

@@ -9,15 +9,17 @@
 //!
 //! ```text
 //! planner ──▶ shard readers (one per reader host) ──▶ serial tail
-//!   rank the      ranged fetches over the host's        completeness per
-//!   chain's       own downlink in list order, none      level, union of
-//!   chunks in     before the plan exists (fetch         incremental rows;
-//!   serial        scheduler); each verified hot chunk   the WAL tail placed
-//!   order, mark   is de-quantized row by row *into      as the newest level;
-//!   the top       the destination tables*, a row        zero the rows no
-//!   fraction hot, written iff the chunk outranks the    chunk names (rows a
-//!   deal them to  row's stamp; a cold chunk is kept     cold chunk owes stay
-//!   hosts by heat as its frame                          stale)
+//!   the log's     ranged fetches over the host's        completeness per
+//!   segments      own downlink in list order, none      level, union of
+//!   first; rank   before the plan exists (fetch         incremental rows;
+//!   the chain's   scheduler); each verified hot chunk   the fetched log
+//!   chunks in     is de-quantized row by row *into      walked, its tail
+//!   serial        the destination tables*, a row        placed as the newest
+//!   order, mark   written iff the chunk outranks the    level; zero the rows
+//!   the top       row's stamp; a cold chunk is kept     no chunk names (rows
+//!   fraction hot, as its frame, a log segment as        a cold chunk owes
+//!   deal them to  fetched                               stay stale)
+//!   hosts by heat
 //!   and bytes
 //! ```
 //!
@@ -37,11 +39,14 @@
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
 //! * The write-ahead log, when the caller asks for it, is the chain's last
-//!   level: its live records ([`WalTail::live`]) embed stored chunks'
-//!   frames, and the serial tail places them through the same
-//!   `merge::Destination::place`, ranked above every chunk and newest
-//!   first, before the zero step — so each row the log holds is written
-//!   once and is final, in an eager and a lazy restore alike.
+//!   level. Its live segments are items of the plan, dealt before any
+//!   chunk to the lightest hosts and fetched at the head of their lists
+//!   through the same scheduler — the log adds no serial read phase. Its
+//!   live records ([`WalTail::live`]) embed stored chunks' frames, and the
+//!   serial tail places them through the same `merge::Destination::place`,
+//!   ranked above every chunk and newest first, before the zero step — so
+//!   each row the log holds is written once and is final, in an eager and
+//!   a lazy restore alike.
 //! * [`lazy`] is what a restore whose plan held chunks back hands back
 //!   instead of finishing: those chunks, kept as the verified frames the
 //!   fetch returned, and the stamps as they stood. The rows those chunks
@@ -66,8 +71,9 @@
 //! The coordinator here re-shards a dead reader host's remaining chunks
 //! onto the survivors (through `crate::hosts`, the pool the write side's
 //! [`cnr_cluster::HostKill`] handling runs on too) and fills the restore's
-//! [`ResumeStats`] record — fetch/decode/merge — which the engine completes
-//! with what only it knows (drain wait, the log's simulated read).
+//! [`ResumeStats`] record — fetch (the log's segments included), decode,
+//! merge — which the engine completes with what only it knows (drain wait,
+//! the replayed iterations).
 
 pub mod lazy;
 pub(crate) mod merge;
@@ -84,13 +90,13 @@ use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, Manifest};
 use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
-use shard_reader::{DecodedChunk, ShardReader};
+use shard_reader::{DecodedChunk, Fetched, FetchedSegment, ShardReader};
 use crate::stats::{RestoreMode, RestorePoint, ResumeStats};
 use cnr_cluster::HostKill;
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
 use cnr_model::TableViewMut;
-use cnr_storage::{wal, ObjectStore};
+use cnr_storage::{wal, ObjectStore, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -158,9 +164,11 @@ pub struct HostActivity {
     /// Chunks this host fetched and decoded (including rescued chunks it
     /// absorbed from a dead host).
     pub chunks: u64,
-    /// Total chunk payload bytes this host fetched.
+    /// Write-ahead log segments this host fetched (the heads of its lists).
+    pub log_segments: u64,
+    /// Total bytes this host fetched: chunks and log segments.
     pub bytes: u64,
-    /// Absolute simulated time of this host's last chunk arrival.
+    /// Absolute simulated time of this host's last arrival.
     pub last_arrival: Duration,
 }
 
@@ -170,10 +178,14 @@ pub struct ReplayedLog {
     /// The live records, oldest first: the dense layers, iteration and
     /// reader cursor of the last one are the caller's to set.
     pub tail: WalTail,
-    /// Bytes of the log's segments read.
+    /// Bytes of the log's segments fetched, every one the plan held —
+    /// also those behind a tear, which the walk never reached.
     pub bytes_read: u64,
     /// Embedding rows the records wrote: each row the log holds, once.
     pub rows_landed: u64,
+    /// Absolute simulated time at which the log's last segment arrived;
+    /// the plan's completion when it had none. First batch waits for it.
+    pub arrived_at: Duration,
 }
 
 /// Outcome of a sharded restore: the serial-compatible report plus the
@@ -237,9 +249,9 @@ pub fn restore_sharded(
 /// the destination and, if it runs one, its log).
 ///
 /// *Reader-host failure injection:* the host named by `kill` dies after
-/// fetching `kill.after_chunks` chunks; its remaining chunks are re-sharded
-/// onto the surviving hosts and the restore still completes
-/// bit-identically.
+/// fetching `kill.after_chunks` items of its list (log segments, which
+/// head it, count too); its remaining items are re-sharded onto the
+/// surviving hosts and the restore still completes bit-identically.
 ///
 /// *An explicit access-heat model for the fetch order:* `heat` matters
 /// only when `options.lazy` is set; without one every row ties, so the
@@ -283,12 +295,19 @@ pub fn restore_sharded_with_heat(
 /// `rows_applied`, `bytes_read`) is unchanged. On `Err` `dest` may be
 /// partly written.
 ///
-/// With `replay_wal`, `job`'s write-ahead log is read once the chunks are
-/// in, and the records that build on `target` past its iteration are
-/// placed into `dest` as the chain's newest level, before the zero step:
-/// `dest` then holds the log's rows too, each final (a lazy restore never
-/// owes one), and [`ShardedRestore::wal`] returns the records, whose dense
-/// layers and reader cursor the caller sets ([`WalTail::set_dense`]).
+/// With `replay_wal`, `job`'s write-ahead log is listed once the manifest
+/// chain is walked, and its live segments are items of the fetch plan:
+/// dealt before any chunk to the lightest reader hosts, at the head of
+/// their lists, each one ranged read on its host's downlink — so the log's
+/// reads are part of [`ResumeStats::fetch`] and first batch waits for the
+/// last of them. Once everything is in, the segments are walked with the
+/// log's one parser ([`wal::walk_segments`]) and the records that build on
+/// `target` past its iteration are placed into `dest` as the chain's
+/// newest level, before the zero step: `dest` then holds the log's rows
+/// too, each final (a lazy restore never owes one), and
+/// [`ShardedRestore::wal`] returns the records, whose dense layers and
+/// reader cursor the caller sets ([`WalTail::set_dense`]). An empty log
+/// costs no read.
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_into(
     store: &dyn ObjectStore,
@@ -323,9 +342,15 @@ pub fn restore_sharded_into(
     for manifest in &chain {
         validate_shard_summaries(manifest)?;
     }
-    // Chunk fetches may not start before the plan that names them exists.
+    // Fetches may not start before the plan that names them exists.
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
+    // The log's live segments are items of the plan, ahead of every chunk.
+    let log = if replay_wal {
+        size_segments(store, job, &fetch_sched)?
+    } else {
+        Vec::new()
+    };
     let row_counts: Vec<usize> = newest.tables.iter().map(|t| t.rows as usize).collect();
     // An eager restore is the all-hot plan: no heat, every chunk placed.
     let (heat, hot_fraction) = if options.lazy {
@@ -333,7 +358,7 @@ pub fn restore_sharded_into(
     } else {
         (None, 1.0)
     };
-    let assignments = planner::plan_priority(&chain, hosts, heat, hot_fraction);
+    let assignments = planner::plan_priority(&chain, &log, hosts, heat, hot_fraction);
     // A dead host's leftovers queue behind the adopter's own list.
     let mut next_turn: Vec<u32> = assignments.iter().map(|items| items.len() as u32).collect();
 
@@ -363,29 +388,40 @@ pub fn restore_sharded_into(
     let killed_hosts = fetched.killed_hosts;
     let rescheduled_chunks = fetched.resharded;
     let mut decoded: Vec<DecodedChunk> = Vec::new();
+    let mut segments: Vec<FetchedSegment> = Vec::new();
     let mut host_activity: Vec<HostActivity> = Vec::new();
-    for (host, chunks) in fetched.done {
-        note_activity(&mut host_activity, host, &chunks);
-        decoded.extend(chunks);
+    for (host, items) in fetched.done {
+        note_activity(&mut host_activity, host, &items);
+        for item in items {
+            match item {
+                Fetched::Chunk(chunk) => decoded.push(chunk),
+                Fetched::Segment(segment) => segments.push(segment),
+            }
+        }
     }
 
     // --- Serial tail: what is left once every row is where it lives. ----
     // (Only hot chunks were placed; the cold ones become the LazyRestore,
-    // and first batch is stamped at the last hot arrival — for an all-hot
-    // plan, the last arrival.)
+    // and first batch is stamped at the last hot arrival — the log's
+    // segments included — for an all-hot plan, the last arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
+    segments.sort_by_key(|s| s.index);
+    let log_arrived_at = segments
+        .iter()
+        .filter_map(|s| s.fetched.as_ref().map(|&(_, at)| at))
+        .fold(plan_floor, Duration::max);
     let first_batch_at = decoded
         .iter()
         .filter(|d| d.cold.is_none())
         .map(|d| d.arrived_at)
-        .fold(plan_floor, Duration::max);
+        .fold(log_arrived_at, Duration::max);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
     let mut merge_time = merge_t0.elapsed();
     let log = if replay_wal {
-        Some(place_log(store, job, &newest, decoded.len() as u32, &dest)?)
+        Some(place_log(segments, log_arrived_at, &newest, decoded.len() as u32, &dest)?)
     } else {
         None
     };
@@ -409,6 +445,7 @@ pub fn restore_sharded_into(
     merge_time += zero_t0.elapsed();
 
     let bytes_read = chunk_bytes + manifest_bytes;
+    let log_bytes = log.as_ref().map_or(0, |log| log.bytes_read);
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
     let fetch_status = fetch_sched.status();
@@ -424,19 +461,19 @@ pub fn restore_sharded_into(
         decode: Duration::from_nanos(decode_nanos.load(Ordering::Relaxed)),
         merge: merge_time,
         reader_hosts: hosts,
-        bytes_fetched: bytes_read,
+        bytes_fetched: bytes_read + log_bytes,
         chunks_fetched,
         rescheduled_chunks,
         corruption_detected: fetch_status.corruption_detected,
         corruption_repaired: fetch_status.corruption_repaired,
         corruption_refetches: fetch_status.corruption_refetches,
-        // The engine charges the log's read (if any) and fills these in.
+        // The log's reads are inside `fetch`; the engine fills these in.
         restore_point: RestorePoint::Checkpoint,
         wal_replay: Duration::ZERO,
         wal_replayed_iterations: 0,
         lost_iterations: 0,
-        // First batch when the hot set landed — fully resumed, for an
-        // all-hot plan; the engine adds drain-wait and WAL replay.
+        // First batch when the log and the hot set landed — fully
+        // resumed, for an all-hot plan; the engine adds drain-wait.
         time_to_first_batch: first_batch_at.saturating_sub(started_at)
             + Duration::from_nanos(decode_nanos.load(Ordering::Relaxed))
             + merge_time,
@@ -478,20 +515,51 @@ pub fn restore_sharded_into(
     })
 }
 
-/// Reads `job`'s write-ahead log and places its live tail — the records
-/// that build on `newest` past its iteration — into `dest` as the chain's
-/// newest level: record `i` (oldest first) ranks `chain_ranks + 1 + i`,
-/// above every chunk, and the records are placed newest first, so each row
-/// the log holds is written once, from the newest record naming it, and no
-/// chunk lands over it afterwards.
-fn place_log(
+/// Lists `job`'s write-ahead log and sizes each live segment (a `head`,
+/// retried like a manifest's), oldest first: the log's items of the fetch
+/// plan. A segment gone since the list (raced with truncation) ends the
+/// log in front of it.
+fn size_segments(
     store: &dyn ObjectStore,
     job: &str,
+    fetch_sched: &FetchScheduler<'_>,
+) -> Result<Vec<(String, u64)>> {
+    let mut sized = Vec::new();
+    for key in wal::list_segments(store, job)? {
+        match fetch_sched.retrying(|| store.head(&key)) {
+            Ok(meta) => sized.push((key, meta.size)),
+            Err(CnrError::Storage(StorageError::NotFound(_))) => break,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(sized)
+}
+
+/// Walks the log's fetched `segments` (in list order, up to the first one
+/// that was gone; the last arrived at `arrived_at`) and places its live
+/// tail — the records that build on `newest` past its iteration — into
+/// `dest` as the chain's newest level: record `i` (oldest first) ranks
+/// `chain_ranks + 1 + i`, above every chunk, and the records are placed
+/// newest first, so each row the log holds is written once, from the
+/// newest record naming it, and no chunk lands over it afterwards. A torn
+/// segment ends the walk there, whatever was fetched behind it.
+fn place_log(
+    segments: Vec<FetchedSegment>,
+    arrived_at: Duration,
     newest: &Manifest,
     chain_ranks: u32,
     dest: &merge::Destination<'_>,
 ) -> Result<ReplayedLog> {
-    let log = wal::replay(store, job)?;
+    let bytes_read = segments
+        .iter()
+        .filter_map(|s| s.fetched.as_ref())
+        .map(|(bytes, _)| bytes.len() as u64)
+        .sum();
+    let log = wal::walk_segments(
+        segments
+            .into_iter()
+            .map_while(|s| s.fetched.map(|(bytes, _)| (s.key, bytes))),
+    );
     let tail = WalTail::live(
         log.records.iter().map(|record| &record.payload[..]),
         newest.id,
@@ -506,33 +574,43 @@ fn place_log(
     }
     Ok(ReplayedLog {
         tail,
-        bytes_read: log.bytes_read,
+        bytes_read,
         rows_landed,
+        arrived_at,
     })
 }
 
 /// Folds one host's fetch-pass outcome into the per-host activity table
 /// (a killed host's partial work and a survivor's rescue share both
-/// accrue to the host that actually fetched the chunks).
-fn note_activity(activity: &mut Vec<HostActivity>, host: u16, decoded: &[DecodedChunk]) {
-    if decoded.is_empty() {
+/// accrue to the host that actually fetched the items).
+fn note_activity(activity: &mut Vec<HostActivity>, host: u16, fetched: &[Fetched]) {
+    if fetched.is_empty() {
         return;
     }
-    let chunks = decoded.len() as u64;
-    let bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
-    let last = decoded.iter().map(|d| d.arrived_at).max().unwrap_or_default();
-    match activity.iter_mut().find(|a| a.host == host) {
-        Some(a) => {
-            a.chunks += chunks;
-            a.bytes += bytes;
-            a.last_arrival = a.last_arrival.max(last);
-        }
-        None => activity.push(HostActivity {
+    if !activity.iter().any(|a| a.host == host) {
+        activity.push(HostActivity {
             host,
-            chunks,
-            bytes,
-            last_arrival: last,
-        }),
+            chunks: 0,
+            log_segments: 0,
+            bytes: 0,
+            last_arrival: Duration::ZERO,
+        });
+    }
+    let a = activity.iter_mut().find(|a| a.host == host).unwrap();
+    for item in fetched {
+        let (bytes, arrived_at) = match item {
+            Fetched::Chunk(chunk) => {
+                a.chunks += 1;
+                (chunk.bytes, chunk.arrived_at)
+            }
+            Fetched::Segment(segment) => {
+                a.log_segments += 1;
+                let fetched = segment.fetched.as_ref();
+                fetched.map_or((0, Duration::ZERO), |(b, at)| (b.len() as u64, *at))
+            }
+        };
+        a.bytes += bytes;
+        a.last_arrival = a.last_arrival.max(arrived_at);
     }
 }
 
@@ -896,22 +974,61 @@ mod tests {
         }
     }
 
+    /// The payloads of the records of iterations `4..4 + n`, logged past a
+    /// checkpoint of `model` at iteration 3 (fp32, base 0), training
+    /// `model` on to the log's tip.
+    fn logged_past(model: &mut DlrmModel, n: u64) -> Vec<Vec<u8>> {
+        let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
+        (3..3 + n)
+            .map(|i| {
+                let batch = ds.batch(i);
+                model.train_batch(&batch, |_, _| {});
+                DeltaRecord::capture(model, &batch, &QuantScheme::Fp32, CheckpointId(0), i + 1)
+                    .encode()
+            })
+            .collect()
+    }
+
+    /// Appends `payloads` to `job`'s log in `store`, one segment each.
+    fn append_log(store: std::sync::Arc<dyn cnr_storage::ObjectStore>, payloads: &[Vec<u8>]) {
+        let mut writer = cnr_storage::WalWriter::new(store, "job", cnr_storage::WalConfig);
+        for payload in payloads {
+            writer.append(payload).unwrap();
+        }
+    }
+
+    /// `job`'s log segments in `store` with their sizes, oldest first: the
+    /// log's items of a fetch plan.
+    fn sized_segments(store: &dyn cnr_storage::ObjectStore) -> Vec<(String, u64)> {
+        let keys = cnr_storage::wal::list_segments(store, "job").unwrap();
+        keys.into_iter()
+            .map(|key| {
+                let size = store.head(&key).unwrap().size;
+                (key, size)
+            })
+            .collect()
+    }
+
     /// Simulated fetch timing is a property of the plan and the store, not
     /// of how decode threads interleave: a host's ranged reads take its
     /// downlink in the order of its fetch list, whichever worker reaches
-    /// them first — here the first chunk's read waits for another worker's
-    /// to go first. So `ready_at`, a lazy restore's first batch and its
-    /// held-back rows, and time-to-resume do not move with the worker
-    /// count. (Decode and merge are wall-clock CPU time and are left out.)
-    /// And an eager restore is a lazy one at `hot_fraction = 1`: the same
-    /// rows, report, clocks, hosts and fetches.
+    /// them first — here the first item's read (a chunk's, or with a log
+    /// the first segment's) waits for another worker's to go first. So
+    /// `ready_at`, a lazy restore's first batch and its held-back rows, the
+    /// log's arrival and time-to-resume do not move with the worker count.
+    /// (Decode and merge are wall-clock CPU time and are left out.) And an
+    /// eager restore is a lazy one at `hot_fraction = 1`: the same rows,
+    /// report, clocks, hosts and fetches.
     #[test]
     fn fetch_timing_does_not_depend_on_the_decode_workers() {
-        let (model_cfg, snap) = snapshot_after(3, 16);
+        let model_cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
+        let (snap, mut tip) = snapshot_of(model_cfg.clone(), 3);
+        let log = logged_past(&mut tip, 3);
+        let tip = cnr_model::state::ModelState::extract(&tip);
         let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.05);
-        for hosts in [1usize, 2] {
+        for (hosts, with_log) in [1usize, 2].into_iter().flat_map(|h| [(h, false), (h, true)]) {
             let timing = |workers: usize, lazy: bool, hot_fraction: f64| {
-                let store = SimulatedRemoteStore::new(
+                let store = std::sync::Arc::new(SimulatedRemoteStore::new(
                     RemoteConfig {
                         bandwidth_bytes_per_sec: 1024.0 * 1024.0,
                         base_latency: Duration::from_micros(50),
@@ -919,9 +1036,12 @@ mod tests {
                         channels: hosts as u32,
                     },
                     SimClock::new(),
-                );
+                ));
                 // Small parts: every chunk is several ranged reads.
-                write_to_with_parts(&store, &snap, 2, 4096);
+                write_to_with_parts(store.as_ref(), &snap, 2, 4096);
+                if with_log {
+                    append_log(store.clone(), &log);
+                }
                 let drained = store.wait_for_drain();
                 let options = RestoreOptions {
                     reader_hosts: hosts,
@@ -931,17 +1051,22 @@ mod tests {
                     ..RestoreOptions::default()
                 };
                 let heat = (hot_fraction < 1.0).then_some(&heat);
-                let chain = [crate::restore::load_manifest(&store, "job", CheckpointId(0)).unwrap()];
-                let first = planner::plan_priority(&chain, hosts, heat, hot_fraction)[0][0].key.clone();
+                let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
+                let segments = sized_segments(store.as_ref());
+                let first = &planner::plan_priority(&chain, &segments, hosts, heat, hot_fraction)[0][0];
+                assert_eq!(first.log_segment.is_some(), with_log, "the log heads the list");
                 let stalling = Stalling {
                     inner: &store,
-                    key: first,
+                    key: first.key.clone(),
                     channel: 0,
                     state: Default::default(),
                     overtaken: Default::default(),
                 };
-                let what = format!("hosts={hosts} workers={workers} lazy={lazy} hot={hot_fraction}");
-                let sharded = restore_sharded_with_heat(
+                let what = format!(
+                    "hosts={hosts} log={with_log} workers={workers} lazy={lazy} hot={hot_fraction}"
+                );
+                let mut state = DlrmModel::new(model_cfg.clone());
+                let sharded = restore_sharded_into(
                     &stalling,
                     "job",
                     CheckpointId(0),
@@ -950,6 +1075,8 @@ mod tests {
                     drained,
                     None,
                     heat,
+                    state.table_views_mut(),
+                    with_log,
                 )
                 .unwrap();
                 assert!(stalling.state.into_inner().unwrap().0, "{what}");
@@ -959,33 +1086,147 @@ mod tests {
                     ..sharded.breakdown
                 };
                 let report = &sharded.report;
-                let mut state = DlrmModel::new(model_cfg.clone());
-                report.state.restore(&mut state);
+                report.state.restore_dense(&mut state);
+                let replayed = sharded.wal.map(|log| {
+                    log.tail.set_dense(&mut state).unwrap();
+                    (log.tail.records().len(), log.bytes_read, log.rows_landed, log.arrived_at)
+                });
+                assert_eq!(replayed.is_some(), with_log, "{what}");
                 let held_back = sharded.lazy.map(|mut tail| {
                     let pending = (tail.pending_rows(), tail.pending_keys());
                     tail.drain(&mut state).unwrap();
                     pending
                 });
-                assert!(cnr_model::state::ModelState::extract(&state) == snap.model, "{what}");
+                let expected = if with_log { &tip } else { &snap.model };
+                assert!(cnr_model::state::ModelState::extract(&state) == *expected, "{what}");
                 (
                     (report.chain.clone(), report.rows_applied, report.shards_merged),
                     (report.bytes_read, report.incremental_rows.modified_rows()),
                     (sharded.ready_at, sharded.first_batch_at, sharded.plan_ready_at),
                     simulated.time_to_resume(),
                     (sharded.host_activity, sharded.fetch_status, held_back),
+                    replayed,
                 )
             };
             let eager = timing(1, false, 1.0);
-            assert_eq!(eager.2 .0, eager.2 .1, "hosts={hosts}: all hot, first batch at the end");
-            assert_eq!(timing(1, true, 1.0), eager, "hosts={hosts}: eager is lazy at 1");
+            let what = format!("hosts={hosts} log={with_log}");
+            assert_eq!(eager.2 .0, eager.2 .1, "{what}: all hot, first batch at the end");
+            assert_eq!(timing(1, true, 1.0), eager, "{what}: eager is lazy at 1");
             let lazy = timing(1, true, 0.05);
-            assert!(lazy.4 .2.is_some(), "hosts={hosts}: something was held back");
-            assert!(lazy.2 .1 < lazy.2 .0, "hosts={hosts}: first batch before the end");
+            assert!(lazy.4 .2.is_some(), "{what}: something was held back");
+            assert!(lazy.2 .1 < lazy.2 .0, "{what}: first batch before the end");
+            if let Some((records, _, _, log_arrived_at)) = lazy.5 {
+                assert_eq!(records, log.len(), "{what}");
+                assert!(log_arrived_at > lazy.2 .2, "{what}: the log takes its reads");
+                assert!(lazy.2 .1 >= log_arrived_at, "{what}: first batch waits for the log");
+            }
             for workers in [2usize, 4] {
-                assert_eq!(timing(workers, false, 1.0), eager, "hosts={hosts} workers={workers}");
-                assert_eq!(timing(workers, true, 0.05), lazy, "hosts={hosts} workers={workers}");
+                assert_eq!(timing(workers, false, 1.0), eager, "{what} workers={workers}");
+                assert_eq!(timing(workers, true, 0.05), lazy, "{what} workers={workers}");
             }
         }
+    }
+
+    /// The log's segments are items of the fetch plan: dealt before any
+    /// chunk, each to the lightest of two reader hosts, they head those
+    /// hosts' lists and come down as one ranged read each on the host's
+    /// own downlink from the plan's completion. So the fetch ends exactly
+    /// where the two channels' schedules, worked out read by read from
+    /// the plan, end; the log has arrived when its last segment has; and
+    /// first batch waits for it.
+    #[test]
+    fn the_log_heads_the_lightest_hosts_lists_and_rides_their_downlinks() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
+        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let k = 5;
+        let log = logged_past(&mut tip, k);
+        let store = std::sync::Arc::new(SimulatedRemoteStore::new(
+            RemoteConfig {
+                bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                base_latency: Duration::from_micros(50),
+                replication: 1,
+                channels: 2,
+            },
+            SimClock::new(),
+        ));
+        write_to_with_parts(store.as_ref(), &snap, 2, 4096);
+        append_log(store.clone(), &log);
+        let drained = store.wait_for_drain();
+        let segments = sized_segments(store.as_ref());
+        assert_eq!(segments.len(), k as usize);
+
+        // The plan: segment i to the lightest host, in front of any chunk.
+        let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
+        let plan = planner::plan_priority(&chain, &segments, 2, None, 1.0);
+        let mut load = [0u64; 2];
+        for (i, (key, bytes)) in segments.iter().enumerate() {
+            let h = if load[1] < load[0] { 1 } else { 0 };
+            load[h] += bytes;
+            let at = plan[h].iter().position(|item| &item.key == key).unwrap();
+            assert_eq!(plan[h][at].log_segment, Some(i as u32));
+            assert!(plan[h][at].hot);
+        }
+        for list in &plan {
+            let heads = list.iter().take_while(|item| item.log_segment.is_some()).count();
+            assert!(list[heads..].iter().all(|item| item.log_segment.is_none()), "segments head");
+        }
+        assert!(plan.iter().all(|list| list[0].log_segment.is_some()), "both hosts read the log");
+
+        let mut model = DlrmModel::new(cfg.clone());
+        let sharded = restore_sharded_into(
+            store.as_ref(),
+            "job",
+            CheckpointId(0),
+            &cfg,
+            &opts(2),
+            drained,
+            None,
+            None,
+            model.table_views_mut(),
+            true,
+        )
+        .unwrap();
+        sharded.report.state.restore_dense(&mut model);
+        let replayed = sharded.wal.unwrap();
+        replayed.tail.set_dense(&mut model).unwrap();
+        assert_eq!(model.state_hash(), tip.state_hash(), "restored to the log's tip");
+
+        // The two channels' schedules, read by read: from the plan's
+        // completion, each host's list in turn order, each part one
+        // `read_transfer_time` after the last.
+        let mut log_arrivals = Vec::new();
+        let mut ends = Vec::new();
+        for list in &plan {
+            let mut t = sharded.plan_ready_at;
+            for item in list {
+                let part = item.bytes.div_ceil(item.parts as u64).max(1);
+                let mut offset = 0;
+                while offset < item.bytes {
+                    t += store.read_transfer_time(part.min(item.bytes - offset));
+                    offset += part;
+                }
+                if item.log_segment.is_some() {
+                    log_arrivals.push(t);
+                }
+            }
+            ends.push(t);
+        }
+        let ready = ends.into_iter().max().unwrap();
+        assert_eq!(sharded.ready_at, ready);
+        assert_eq!(sharded.breakdown.fetch, ready - drained, "fetch is the two-channel schedule");
+        assert_eq!(Some(&replayed.arrived_at), log_arrivals.iter().max());
+        for &at in &log_arrivals {
+            assert!(sharded.first_batch_at >= at, "first batch waits for every segment");
+        }
+        let log_bytes: u64 = segments.iter().map(|(_, bytes)| bytes).sum();
+        assert_eq!(replayed.bytes_read, log_bytes);
+        assert_eq!(sharded.breakdown.bytes_fetched, sharded.report.bytes_read + log_bytes);
+        let per_host: Vec<u64> = sharded.host_activity.iter().map(|a| a.log_segments).collect();
+        let planned: Vec<u64> = plan
+            .iter()
+            .map(|list| list.iter().filter(|item| item.log_segment.is_some()).count() as u64)
+            .collect();
+        assert_eq!(per_host, planned);
     }
 
     #[test]
@@ -1428,6 +1669,193 @@ mod tests {
             let (eager, _) =
                 restore_with_log(store.as_ref(), &cfg, &log_opts(workers, false)).unwrap();
             assert_eq!(model.state_hash(), eager.state_hash(), "workers={workers}");
+        }
+    }
+
+    /// A restore asked to replay a log that has no live segment fetches
+    /// nothing more than one that is not: the same clocks and fetches.
+    #[test]
+    fn an_empty_log_costs_no_read() {
+        let (cfg, snap) = snapshot_after(3, 8);
+        let restore = |replay_wal: bool| {
+            let store = SimulatedRemoteStore::new(
+                RemoteConfig {
+                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                    base_latency: Duration::from_millis(20),
+                    replication: 1,
+                    channels: 2,
+                },
+                SimClock::new(),
+            );
+            write_to(&store, &snap, 2);
+            let drained = store.wait_for_drain();
+            let mut model = DlrmModel::new(cfg.clone());
+            let sharded = restore_sharded_into(
+                &store,
+                "job",
+                CheckpointId(0),
+                &cfg,
+                &opts(2),
+                drained,
+                None,
+                None,
+                model.table_views_mut(),
+                replay_wal,
+            )
+            .unwrap();
+            assert_eq!(sharded.wal.is_some(), replay_wal);
+            if let Some(log) = &sharded.wal {
+                assert!(log.tail.records().is_empty());
+                assert_eq!((log.bytes_read, log.arrived_at), (0, sharded.plan_ready_at));
+            }
+            let simulated = (sharded.breakdown.fetch, sharded.breakdown.bytes_fetched);
+            (simulated, sharded.ready_at, sharded.first_batch_at, sharded.fetch_status)
+        };
+        assert_eq!(restore(true), restore(false));
+    }
+
+    /// A store whose segment `key` is listed but gone: at the `head` that
+    /// sizes it for the plan, or (`at_head` false) at the read itself — a
+    /// truncation racing the restore.
+    struct Vanished<'a> {
+        inner: &'a InMemoryStore,
+        key: String,
+        at_head: bool,
+    }
+
+    impl Vanished<'_> {
+        fn gone(&self, key: &str) -> cnr_storage::StorageError {
+            cnr_storage::StorageError::NotFound(key.to_string())
+        }
+    }
+
+    impl cnr_storage::ObjectStore for Vanished<'_> {
+        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
+            if key == self.key && !self.at_head {
+                return Err(self.gone(key));
+            }
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
+            if key == self.key && self.at_head {
+                return Err(self.gone(key));
+            }
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    /// A segment that is gone after the list ends the log in front of it,
+    /// as `wal::replay` ends it: the records before it land, none behind
+    /// it — fetched or not — and the restore succeeds, eager and lazy.
+    #[test]
+    fn a_segment_gone_after_the_list_ends_the_log_there() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        let (store, records) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {
+            records.iter().map(DeltaRecord::encode).collect()
+        });
+        let mut in_order = DlrmModel::new(cfg.clone());
+        let restored =
+            restore_sharded(store.as_ref(), "job", CheckpointId(0), &cfg, &opts(2), Duration::ZERO)
+                .unwrap();
+        restored.report.state.restore(&mut in_order);
+        for record in &records[..2] {
+            record.apply(&mut in_order).unwrap();
+        }
+        for at_head in [true, false] {
+            let vanished = Vanished {
+                inner: store.as_ref(),
+                key: cnr_storage::wal::segment_key("job", 2),
+                at_head,
+            };
+            if !at_head {
+                let replayed = cnr_storage::wal::replay(&vanished, "job").unwrap();
+                assert_eq!(replayed.records.len(), 2, "replay ends there too");
+            }
+            for lazy in [false, true] {
+                let what = format!("at_head={at_head} lazy={lazy}");
+                let mut model = DlrmModel::new(cfg.clone());
+                let restored = restore_sharded_into(
+                    &vanished,
+                    "job",
+                    CheckpointId(0),
+                    &cfg,
+                    &log_opts(2, lazy),
+                    Duration::ZERO,
+                    None,
+                    Some(&RowHeat::zipf(&cfg.row_counts(), 1.05)),
+                    model.table_views_mut(),
+                    true,
+                )
+                .unwrap();
+                restored.report.state.restore_dense(&mut model);
+                let log = restored.wal.unwrap();
+                log.tail.set_dense(&mut model).unwrap();
+                let iterations: Vec<u64> = log.tail.records().iter().map(|r| r.iteration).collect();
+                assert_eq!(iterations, [4, 5], "{what}");
+                if let Some(mut tail) = restored.lazy {
+                    tail.drain(&mut model).unwrap();
+                }
+                assert_eq!(model.state_hash(), in_order.state_hash(), "{what}");
+            }
+        }
+    }
+
+    /// A torn middle segment stops the log at the tear although every
+    /// segment behind it was fetched too (and counted): the records in
+    /// front of the tear land, none behind it — as `wal::replay` stops.
+    #[test]
+    fn a_torn_middle_segment_stops_the_log_at_the_tear() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        let (store, records) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {
+            records[..4].iter().map(DeltaRecord::encode).collect()
+        });
+        let segments = sized_segments(store.as_ref());
+        let log_bytes: u64 = segments.iter().map(|(_, bytes)| bytes).sum();
+        let torn_key = &segments[1].0;
+        let whole = store.get(torn_key).unwrap();
+        store.put(torn_key, whole.slice(..whole.len() / 2)).unwrap();
+        let torn_bytes = log_bytes - (whole.len() - whole.len() / 2) as u64;
+        let replayed = cnr_storage::wal::replay(store.as_ref(), "job").unwrap();
+        assert_eq!(replayed.records.len(), 1);
+        assert!(matches!(
+            replayed.tail,
+            cnr_storage::WalTail::Torn { ref segment, .. } if segment == torn_key
+        ));
+
+        let mut in_order = DlrmModel::new(cfg.clone());
+        let restored =
+            restore_sharded(store.as_ref(), "job", CheckpointId(0), &cfg, &opts(2), Duration::ZERO)
+                .unwrap();
+        restored.report.state.restore(&mut in_order);
+        records[0].apply(&mut in_order).unwrap();
+        for lazy in [false, true] {
+            let (mut model, restored) =
+                restore_with_log(store.as_ref(), &cfg, &log_opts(2, lazy)).unwrap();
+            let log = restored.wal.unwrap();
+            let iterations: Vec<u64> = log.tail.records().iter().map(|r| r.iteration).collect();
+            assert_eq!(iterations, [4], "lazy={lazy}");
+            assert_eq!(log.bytes_read, torn_bytes, "lazy={lazy}: every segment was fetched");
+            assert_eq!(
+                restored.breakdown.bytes_fetched,
+                restored.report.bytes_read + torn_bytes,
+                "lazy={lazy}"
+            );
+            if let Some(mut tail) = restored.lazy {
+                tail.drain(&mut model).unwrap();
+            }
+            assert_eq!(model.state_hash(), in_order.state_hash(), "lazy={lazy}");
         }
     }
 }

@@ -19,12 +19,18 @@
 //! background (CPR-style partial recovery). An eager restore is the same
 //! plan at `hot_fraction = 1` with no heat model: every chunk hot, in rank
 //! order.
+//!
+//! A restore that replays the write-ahead log plans its live segments too,
+//! once the manifest chain is walked and the log listed: they are dealt
+//! before any chunk, so they head their hosts' lists — the log's reads
+//! ride the same downlinks, floor and turn order as the chunks instead of
+//! adding a serial phase after them.
 
 use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
 use cnr_workload::ZipfSampler;
 
-/// One chunk download owed to a reader host.
+/// One download owed to a reader host: a chunk, or a log segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchItem {
     /// Position of the owning manifest in the restore chain (0 = the full
@@ -59,6 +65,11 @@ pub struct FetchItem {
     /// take its downlink in this order, whatever order its decode workers
     /// reach them in.
     pub turn: u32,
+    /// `Some(i)` when the item is not a chunk but the write-ahead log's
+    /// `i`-th live segment (oldest first): one ranged read, hot, at the
+    /// head of its host's list, at `level` one past the chain's newest and
+    /// with no rank — the log's records are ranked when they are placed.
+    pub log_segment: Option<u32>,
 }
 
 /// Per-row access-heat scores used to order fetch plans.
@@ -265,6 +276,7 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
                     rows: chunk.rows,
                     hot: true,
                     turn: 0,
+                    log_segment: None,
                 };
                 (chunk, item)
             })
@@ -278,13 +290,17 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
     items
 }
 
-/// Assigns every chunk of `chain` (oldest manifest first) to one of
-/// `reader_hosts` hosts. In descending heat, ties in rank order, each chunk
-/// goes to the host with the fewest bytes so far (ties to the lowest index):
-/// balancing bytes, not writer shards, lets a checkpoint written by any
-/// number of hosts restore `reader_hosts`-wide, and each host's list, which
-/// the [`FetchScheduler`](super::scheduler) admits in order, streams its
-/// hottest chunks first. Chunks whose hottest row scores at or above the
+/// Assigns every segment of `log` and every chunk of `chain` (oldest
+/// manifest first) to one of `reader_hosts` hosts. The log's segments —
+/// `(key, bytes)` in list order, empty when the restore replays no log —
+/// are dealt first, each to the host with the fewest bytes so far: they
+/// head their hosts' lists and are always hot, since the first batch needs
+/// the log's dense layers and rows. Then, in descending heat, ties in rank
+/// order, each chunk goes to the host with the fewest bytes so far (ties
+/// to the lowest index): balancing bytes, not writer shards, lets a
+/// checkpoint written by any number of hosts restore `reader_hosts`-wide,
+/// and each host's list, which the [`FetchScheduler`](super::scheduler)
+/// admits in order, streams its hottest chunks first. Chunks whose hottest row scores at or above the
 /// top-`hot_fraction` cutoff are [`FetchItem::hot`]: a lazy restore resumes
 /// training once they have landed. A chunk whose table or row range the
 /// heat model does not know ranks hottest — it cannot be deferred safely.
@@ -294,6 +310,7 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
 /// `hot_fraction = 1`. Trailing hosts may get no chunk.
 pub fn plan_priority(
     chain: &[Manifest],
+    log: &[(String, u64)],
     reader_hosts: usize,
     heat: Option<&RowHeat>,
     hot_fraction: f64,
@@ -318,6 +335,23 @@ pub fn plan_priority(
     scored.sort_by(|(a_score, a), (b_score, b)| {
         b_score.total_cmp(a_score).then_with(|| a.rank.cmp(&b.rank))
     });
+    // The log's segments go in front of every chunk, hotter than any.
+    let segments = log.iter().enumerate().map(|(i, (key, bytes))| {
+        let item = FetchItem {
+            level: chain.len(),
+            rank: 0,
+            key: key.clone(),
+            shard: 0,
+            bytes: *bytes,
+            parts: 1,
+            rows: 0,
+            hot: true,
+            turn: 0,
+            log_segment: Some(i as u32),
+        };
+        (f32::INFINITY, item)
+    });
+    let scored: Vec<(f32, FetchItem)> = segments.chain(scored).collect();
     let hosts = reader_hosts.max(1);
     let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
     let mut load = vec![0u64; hosts];
@@ -352,7 +386,7 @@ mod tests {
 
     /// The eager plan: no heat model, every chunk hot.
     fn eager(chain: &[Manifest], hosts: usize) -> Vec<Vec<FetchItem>> {
-        plan_priority(chain, hosts, None, 1.0)
+        plan_priority(chain, &[], hosts, None, 1.0)
     }
 
     fn manifest_with_chunks(id: u64, sizes: &[u64]) -> Manifest {
@@ -476,8 +510,8 @@ mod tests {
         assert!(eager(&chain, 2).iter().flatten().all(|i| i.hot));
         // Without a heat model every row ties: any fraction above 0 takes
         // them all, and 0 holds every chunk back.
-        assert!(plan_priority(&chain, 2, None, 0.01).iter().flatten().all(|i| i.hot));
-        assert!(plan_priority(&chain, 2, None, 0.0).iter().flatten().all(|i| !i.hot));
+        assert!(plan_priority(&chain, &[], 2, None, 0.01).iter().flatten().all(|i| i.hot));
+        assert!(plan_priority(&chain, &[], 2, None, 0.0).iter().flatten().all(|i| !i.hot));
     }
 
     #[test]
@@ -487,7 +521,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         for hosts in [1usize, 2, 3] {
-            let assignment = plan_priority(&chain, hosts, Some(&heat), 0.25);
+            let assignment = plan_priority(&chain, &[], hosts, Some(&heat), 0.25);
             for items in &assignment {
                 let seqs: Vec<&str> = items.iter().map(|i| i.key.as_str()).collect();
                 let mut sorted = seqs.clone();
@@ -505,7 +539,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         // Top 25% of 64 rows = 16 rows = the 2 hottest chunks.
-        let assignment = plan_priority(&chain, 2, Some(&heat), 0.25);
+        let assignment = plan_priority(&chain, &[], 2, Some(&heat), 0.25);
         let hot: Vec<&str> = assignment
             .iter()
             .flatten()
@@ -514,9 +548,9 @@ mod tests {
             .collect();
         assert_eq!(hot.len(), 2, "hot set is chunk-granular top-K");
         // Everything hot at fraction 1.0; nothing at 0.0.
-        let all = plan_priority(&chain, 2, Some(&heat), 1.0);
+        let all = plan_priority(&chain, &[], 2, Some(&heat), 1.0);
         assert!(all.iter().flatten().all(|i| i.hot));
-        let none = plan_priority(&chain, 2, Some(&heat), 0.0);
+        let none = plan_priority(&chain, &[], 2, Some(&heat), 0.0);
         assert!(none.iter().flatten().all(|i| !i.hot));
     }
 
@@ -527,7 +561,7 @@ mod tests {
         // untrusted input).
         chain[0].chunks[3].table = 9;
         let heat = RowHeat::zipf(&[64], 1.05);
-        let assignment = plan_priority(&chain, 1, Some(&heat), 0.1);
+        let assignment = plan_priority(&chain, &[], 1, Some(&heat), 0.1);
         assert_eq!(
             assignment[0][0].key, chain[0].chunks[3].key,
             "unranked chunk must fetch first"
@@ -543,8 +577,8 @@ mod tests {
         ];
         let heat = RowHeat::zipf(&[64], 1.0);
         for hosts in [1usize, 2, 4] {
-            let a = plan_priority(&chain, hosts, Some(&heat), 0.5);
-            assert_eq!(a, plan_priority(&chain, hosts, Some(&heat), 0.5));
+            let a = plan_priority(&chain, &[], hosts, Some(&heat), 0.5);
+            assert_eq!(a, plan_priority(&chain, &[], hosts, Some(&heat), 0.5));
             let mut keys: Vec<&str> =
                 a.iter().flatten().map(|i| i.key.as_str()).collect();
             keys.sort_unstable();
@@ -752,7 +786,7 @@ mod tests {
         assert_eq!(eager, expected, "1-based position in (level, key) order");
         let heat = RowHeat::zipf(&[64], 1.05);
         assert_eq!(
-            rank_of(plan_priority(&chain, 2, Some(&heat), 0.3)),
+            rank_of(plan_priority(&chain, &[], 2, Some(&heat), 0.3)),
             expected,
             "fetch order and host count do not move a chunk's rank"
         );

@@ -7,12 +7,14 @@
 //! where they transfer one after another. The scheduler's *floor* is the
 //! failure instant, raised to the chain-load completion once the manifests
 //! are in: no chunk fetch starts before the plan that names it exists.
-//! A host's chunks take its downlink in its fetch list's order, whatever
-//! order its decode workers reach them in. Transient read failures (and
-//! `head` failures) are retried in place (a bounded number of times)
-//! rather than failing the whole restore: remote reads time out in
-//! practice and the paper's time-to-resume model only cares that the bytes
-//! eventually arrive.
+//! The write-ahead log's segments are items of the same plan: each comes
+//! down as one ranged read on its host's downlink, unverified, for the
+//! log's own walker. A host's items take its downlink in its fetch list's
+//! order, whatever order its decode workers reach them in. Transient read
+//! failures (and `head` failures) are retried in place (a bounded number
+//! of times) rather than failing the whole restore: remote reads time out
+//! in practice and the paper's time-to-resume model only cares that the
+//! bytes eventually arrive.
 
 use crate::error::{CnrError, Result};
 use bytes::Bytes;
@@ -123,19 +125,7 @@ impl<'a> FetchScheduler<'a> {
         bytes: u64,
         parts: u32,
     ) -> Result<(Verified, Duration)> {
-        let once = || self.fetch_chunk_once(host, key, bytes, parts);
-        let mut pass = match turn {
-            Some(turn) => {
-                let (next, handed_on) = &self.turns[host as usize];
-                let held = "a fetch panicked holding its host's turn";
-                let mut next = handed_on.wait_while(next.lock().expect(held), |n| *n != turn).expect(held);
-                let pass = once();
-                *next += 1;
-                handed_on.notify_all();
-                pass
-            }
-            None => once(),
-        };
+        let mut pass = self.fetch_in_turn(host, turn, key, bytes, parts);
         let mut refetches = 0u32;
         loop {
             let (data, arrived_at) = pass?;
@@ -156,8 +146,50 @@ impl<'a> FetchScheduler<'a> {
                 }
                 Err(e) => return Err(CnrError::from(e)),
             }
-            pass = once();
+            pass = self.fetch_chunk_once(host, key, bytes, parts);
         }
+    }
+
+    /// Downloads the `bytes`-byte log segment at `key` over host `host`'s
+    /// downlink as one ranged read, at place `turn` of the host's fetch
+    /// list, exactly as [`FetchScheduler::fetch_chunk`] takes a chunk's
+    /// first pass — the same floor, turn order and transient-failure retry
+    /// budget — and returns the bytes *unverified*, with the simulated time
+    /// they arrived. A segment is a run of frames that the log's walker
+    /// (`cnr_storage::wal::walk_segments`) verifies one by one, and a torn
+    /// one is where the log ends, not corruption to re-fetch.
+    pub fn fetch_segment(
+        &self,
+        host: u16,
+        turn: u32,
+        key: &str,
+        bytes: u64,
+    ) -> Result<(Bytes, Duration)> {
+        self.fetch_in_turn(host, Some(turn), key, bytes, 1)
+    }
+
+    /// One assembly pass ([`FetchScheduler::fetch_chunk_once`]) that, given
+    /// the object's `turn` in its host's list, waits until the objects
+    /// before it have reserved their reads and then hands the turn on,
+    /// success or not.
+    fn fetch_in_turn(
+        &self,
+        host: u16,
+        turn: Option<u32>,
+        key: &str,
+        bytes: u64,
+        parts: u32,
+    ) -> Result<(Bytes, Duration)> {
+        let Some(turn) = turn else {
+            return self.fetch_chunk_once(host, key, bytes, parts);
+        };
+        let (next, handed_on) = &self.turns[host as usize];
+        let held = "a fetch panicked holding its host's turn";
+        let mut next = handed_on.wait_while(next.lock().expect(held), |n| *n != turn).expect(held);
+        let pass = self.fetch_chunk_once(host, key, bytes, parts);
+        *next += 1;
+        handed_on.notify_all();
+        pass
     }
 
     /// One assembly pass of [`FetchScheduler::fetch_chunk`]: every range

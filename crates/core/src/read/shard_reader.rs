@@ -12,15 +12,17 @@
 //! also be *killed* mid-restore (failure injection): it abandons the chunk
 //! it was fetching, and the coordinator ([`crate::hosts`]) re-shards every
 //! chunk it never read onto the surviving hosts — the exact mirror of the
-//! write path's mid-upload host death.
+//! write path's mid-upload host death. A write-ahead log segment in a
+//! host's list comes down the same way and is handed back as fetched: the
+//! log's records are walked and placed once every segment is in.
 
 use super::merge::Destination;
 use super::planner::FetchItem;
 use super::scheduler::FetchScheduler;
-use crate::error::Result;
+use crate::error::{CnrError, Result};
 use crate::manifest::{open_frame, ChunkHeader};
 use bytes::Bytes;
-use cnr_storage::envelope;
+use cnr_storage::{envelope, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -55,6 +57,30 @@ pub(crate) struct DecodedChunk {
     pub arrived_at: std::time::Duration,
 }
 
+/// One log segment a reader host is done with: the bytes it fetched, for
+/// the log's walker, or nothing when the segment vanished after the list.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchedSegment {
+    /// The segment's place in the log's list, oldest first
+    /// ([`FetchItem::log_segment`]).
+    pub index: u32,
+    /// Object key.
+    pub key: String,
+    /// The segment as stored, unverified, and the simulated time it
+    /// arrived; `None` when it was gone (raced with truncation), which
+    /// ends the log in front of it.
+    pub fetched: Option<(Bytes, std::time::Duration)>,
+}
+
+/// What one item of a host's fetch list became.
+#[derive(Debug, Clone)]
+pub(crate) enum Fetched {
+    /// A chunk of the chain.
+    Chunk(DecodedChunk),
+    /// A segment of the write-ahead log.
+    Segment(FetchedSegment),
+}
+
 /// Executes chunk downloads for one restore on behalf of any host.
 pub(crate) struct ShardReader<'a, 'd> {
     pub(crate) scheduler: &'a FetchScheduler<'a>,
@@ -66,9 +92,24 @@ pub(crate) struct ShardReader<'a, 'd> {
 }
 
 impl ShardReader<'_, '_> {
+    /// Fetches one item of a host's list: a log segment as its bytes
+    /// ([`FetchScheduler::fetch_segment`]), a chunk through
+    /// [`ShardReader::read_chunk`].
+    pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<Fetched> {
+        let Some(index) = item.log_segment else {
+            return self.read_chunk(host, item).map(Fetched::Chunk);
+        };
+        let fetched = match self.scheduler.fetch_segment(host, item.turn, &item.key, item.bytes) {
+            Ok(fetched) => Some(fetched),
+            Err(CnrError::Storage(StorageError::NotFound(_))) => None,
+            Err(e) => return Err(e),
+        };
+        Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), fetched }))
+    }
+
     /// Fetches, verifies and opens one chunk, then either de-quantizes it
     /// row by row into the destination (hot) or keeps its bytes (cold).
-    pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
+    fn read_chunk(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
         // The scheduler verified the envelope — the one checksum; opening
         // parses the frame and checks that every row body is whole, before
         // any row is written and before a cold chunk is trusted to be

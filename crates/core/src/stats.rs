@@ -88,7 +88,8 @@ pub struct ResumeStats {
     /// already durable at the failure instant.
     pub drain_wait: Duration,
     /// Simulated time the sharded fetch took (restore start → last byte
-    /// on the reader hosts' downlinks).
+    /// on the reader hosts' downlinks): the manifest walk, the write-ahead
+    /// log's segments (at the head of the hosts' lists) and the chunks.
     pub fetch: Duration,
     /// CPU time spent decoding + de-quantizing chunks into the model's
     /// tables, summed over decode threads (overlapped with fetch inside
@@ -97,7 +98,8 @@ pub struct ResumeStats {
     /// Time of the merge's serial tail (completeness, incremental-row
     /// union, zeroing rows no chunk wrote).
     pub merge: Duration,
-    /// Logical bytes fetched (chunks + manifests).
+    /// Logical bytes fetched (chunks + manifests + write-ahead log
+    /// segments).
     pub bytes_fetched: u64,
     /// Chunks fetched across the whole restore chain.
     pub chunks_fetched: u64,
@@ -115,8 +117,11 @@ pub struct ResumeStats {
     pub corruption_refetches: u64,
     /// Whether the job resumed at the bare checkpoint or at the WAL tip.
     pub restore_point: RestorePoint,
-    /// Simulated time spent replaying the delta-WAL tail (zero when the
-    /// WAL is disabled or empty).
+    /// Simulated time a delta-WAL replay adds after the fetch: zero. The
+    /// log's segments are items of the restore's fetch plan, read inside
+    /// [`Self::fetch`] (the `restore.wal_replay` span under `restore.fetch`
+    /// shows their arrival), so this is not one of [`Self::phases`]; the
+    /// field stays for readers that sum it.
     pub wal_replay: Duration,
     /// Iterations recovered by WAL replay on top of the checkpoint.
     pub wal_replayed_iterations: u64,
@@ -126,8 +131,9 @@ pub struct ResumeStats {
     pub lost_iterations: u64,
     /// Time until the first training batch could run: equal to
     /// [`Self::time_to_resume`] for eager restores; for a lazy one it stops
-    /// at the hot set's arrival (plus decode/merge/WAL replay) while the
-    /// cold tail keeps draining past it.
+    /// at the arrival of the log's segments and the hot set (plus
+    /// drain wait, decode and merge) while the cold tail keeps draining
+    /// past it.
     pub time_to_first_batch: Duration,
     /// Whether the restore was eager or lazy (CPR-style partial recovery).
     pub mode: RestoreMode,
@@ -141,8 +147,8 @@ pub struct ResumeStats {
 
 impl ResumeStats {
     /// Total time-to-resume: any wait for the restored checkpoint's upload
-    /// drain, plus the simulated fetch, plus the CPU-bound decode and
-    /// merge stages, plus any WAL tail replay. Lazy restores additionally
+    /// drain, plus the simulated fetch (the WAL tail's reads included),
+    /// plus the CPU-bound decode and merge stages. Lazy restores additionally
     /// pay [`Self::fault_in_time`] *after* resuming — that cost accrues to
     /// the training timeline, not to this total.
     pub fn time_to_resume(&self) -> Duration {
@@ -155,13 +161,12 @@ impl ResumeStats {
     /// these end to end under the `restore` root span, so their sum is the
     /// root's duration *by construction* and the span-tree invariant checks
     /// reduce to this identity.
-    pub fn phases(&self) -> [(&'static str, Duration); 5] {
+    pub fn phases(&self) -> [(&'static str, Duration); 4] {
         [
             (names::SPAN_RESTORE_DRAIN_WAIT, self.drain_wait),
             (names::SPAN_RESTORE_FETCH, self.fetch),
             (names::SPAN_RESTORE_DECODE, self.decode),
             (names::SPAN_RESTORE_MERGE, self.merge),
-            (names::SPAN_RESTORE_WAL_REPLAY, self.wal_replay),
         ]
     }
 }
@@ -404,14 +409,16 @@ mod tests {
             ..r.clone()
         };
         assert_eq!(waited.time_to_resume(), Duration::from_millis(12_750));
-        // WAL tail replay is part of time-to-resume too.
+        // A WAL tail's reads are part of the fetch, not a phase of their
+        // own: what they add to time-to-resume is what they add to it.
         let replayed = ResumeStats {
-            wal_replay: Duration::from_millis(250),
+            fetch: Duration::from_millis(10_250),
             restore_point: RestorePoint::WalTip,
             wal_replayed_iterations: 7,
             ..r
         };
         assert_eq!(replayed.time_to_resume(), Duration::from_millis(11_000));
+        assert!(replayed.phases().iter().all(|&(name, _)| name != names::SPAN_RESTORE_WAL_REPLAY));
     }
 
     #[test]

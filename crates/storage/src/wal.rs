@@ -43,7 +43,10 @@
 //! as a [`WalTail::Torn`] diagnosis, and nothing is ever silently decoded
 //! from garbage. A frame of another wire version is unusable in exactly
 //! this sense: replay stops in front of it and the diagnosis names the
-//! version.
+//! version. The walk is one function, [`walk_segments`], over segments
+//! however they were fetched: [`replay`] lists them and reads each with
+//! `get`; a restore fetches them over its reader hosts' downlinks and
+//! hands them over in list order.
 //!
 //! # Copies
 //!
@@ -287,9 +290,10 @@ pub struct WalReplay {
     pub records: Vec<WalRecord>,
     /// Why replay stopped.
     pub tail: WalTail,
-    /// Segment objects read.
+    /// Segment objects walked: up to and including the one replay stopped
+    /// in.
     pub segments_read: usize,
-    /// Total segment bytes fetched.
+    /// Total bytes of the segments walked.
     pub bytes_read: u64,
 }
 
@@ -305,7 +309,7 @@ impl WalReplay {
 /// from `expect_seq`. Returns `Ok(next_expected_seq)` when the segment ends
 /// exactly on a frame boundary, `Err((offset, reason))` at the first
 /// unusable frame.
-fn walk_segment(
+fn walk_frames(
     bytes: &[u8],
     mut expect_seq: Option<u64>,
     mut on_record: impl FnMut(u64, Range<usize>),
@@ -360,7 +364,7 @@ pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
         return Err("empty wal segment".into());
     }
     let mut frames = 0;
-    match walk_segment(buf, None, |_, _| frames += 1) {
+    match walk_frames(buf, None, |_, _| frames += 1) {
         Ok(_) => Ok(frames),
         Err((off, reason)) => Err(format!("at offset {off}: {reason}")),
     }
@@ -377,39 +381,54 @@ pub fn list_segments(store: &dyn ObjectStore, job: &str) -> Result<Vec<String>> 
     Ok(keys)
 }
 
-/// Replays `job`'s whole log with clean-prefix semantics.
+/// Replays `job`'s whole log with clean-prefix semantics: the segments
+/// [`list_segments`] names, read with `get` oldest first, through
+/// [`walk_segments`].
 ///
-/// Segments are read oldest first; frames are verified and must carry
-/// contiguous sequence numbers. The first torn, corrupt, or out-of-sequence
-/// frame stops replay — records collected so far are returned along with a
-/// [`WalTail::Torn`] diagnosis. Hard store errors (I/O) still propagate as
-/// `Err`; a missing log is simply an empty clean replay.
+/// Hard store errors (I/O) propagate as `Err`; a segment that vanished
+/// since the list (raced with truncation) ends the log in front of it, and
+/// a missing log is simply an empty clean replay.
 pub fn replay(store: &dyn ObjectStore, job: &str) -> Result<WalReplay> {
-    let keys = list_segments(store, job)?;
+    let mut failed = None;
+    let fetched = list_segments(store, job)?.into_iter().map_while(|key| match store.get(&key) {
+        Ok(buf) => Some((key, buf)),
+        Err(StorageError::NotFound(_)) => None,
+        Err(e) => {
+            failed = Some(e);
+            None
+        }
+    });
+    let replay = walk_segments(fetched);
+    failed.map_or(Ok(replay), Err)
+}
+
+/// The log's one parser: walks fetched segments — `(key, bytes)`, oldest
+/// first, ending where the log ends — with clean-prefix semantics.
+///
+/// Frames are verified and must carry contiguous sequence numbers. The
+/// first torn, corrupt, or out-of-sequence frame stops the walk: the
+/// records collected so far come back with a [`WalTail::Torn`] diagnosis,
+/// and no later segment is pulled from `segments`. The records are
+/// zero-copy views of the segment buffers.
+pub fn walk_segments(segments: impl IntoIterator<Item = (String, Bytes)>) -> WalReplay {
     let mut replay = WalReplay::empty();
     let mut expect_seq: Option<u64> = None;
-    for key in keys {
-        let buf = match store.get(&key) {
-            Ok(b) => b,
-            // Raced with truncation: a vanished segment ends the log.
-            Err(StorageError::NotFound(_)) => break,
-            Err(e) => return Err(e),
-        };
+    for (key, buf) in segments {
         replay.segments_read += 1;
         replay.bytes_read += buf.len() as u64;
         let records = &mut replay.records;
-        let walked = walk_segment(&buf, expect_seq, |seq, payload| {
+        let walked = walk_frames(&buf, expect_seq, |seq, payload| {
             records.push(WalRecord { seq, payload: buf.slice(payload) })
         });
         match walked {
             Ok(next) => expect_seq = next,
             Err((off, reason)) => {
                 replay.tail = WalTail::Torn { segment: key, frame_offset: off, reason };
-                return Ok(replay);
+                break;
             }
         }
     }
-    Ok(replay)
+    replay
 }
 
 #[cfg(test)]

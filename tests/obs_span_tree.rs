@@ -73,7 +73,7 @@ proptest! {
             .expect("restore emits a root span");
         prop_assert_eq!(root.duration(), resume.time_to_resume());
 
-        // The five synchronous phase children tile the root exactly; the
+        // The four synchronous phase children tile the root exactly; the
         // zero-length first-batch marker changes nothing.
         let sync_children: Vec<_> = spans
             .iter()
@@ -86,7 +86,6 @@ proptest! {
             names::SPAN_RESTORE_FETCH,
             names::SPAN_RESTORE_DECODE,
             names::SPAN_RESTORE_MERGE,
-            names::SPAN_RESTORE_WAL_REPLAY,
         ] {
             prop_assert_eq!(
                 sync_children.iter().filter(|s| s.name == name).count(),
@@ -111,6 +110,18 @@ proptest! {
         for h in &host_spans {
             prop_assert_eq!(h.parent, Some(fetch.id));
             prop_assert_eq!(h.kind, SpanKind::Concurrent);
+            prop_assert!(h.attrs.iter().any(|(k, _)| *k == "log_segments"));
+        }
+
+        // The WAL tail's arrival sits inside the fetch phase, as one child
+        // of it, when the restore replayed a log; it is no phase of its own.
+        let replays: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == names::SPAN_RESTORE_WAL_REPLAY)
+            .collect();
+        prop_assert_eq!(replays.len(), usize::from(wal));
+        for replay in replays {
+            prop_assert_eq!(replay.parent, Some(fetch.id));
         }
 
         // The exporter accepts everything the engine emitted.
