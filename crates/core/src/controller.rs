@@ -1,10 +1,10 @@
 //! The Check-N-Run controller (§4.4): checkpoint registry, validity, and
 //! retention.
 //!
-//! A checkpoint becomes *valid* only when every chunk and the manifest are
-//! durable; the controller then registers it and applies the retention
-//! policy — keep the restore chains of the most recent `retained_chains`
-//! checkpoints, delete everything else. Chain-aware retention is what makes
+//! A checkpoint becomes *valid* only when every chunk, the dense object
+//! and the manifest are durable; the controller then registers it and
+//! applies the retention policy — keep the restore chains of the most
+//! recent `retained_chains` checkpoints, delete everything else. Chain-aware retention is what makes
 //! the capacity curves of Figure 16 policy-dependent: one-shot keeps
 //! {baseline, latest delta}, consecutive keeps everything, intermittent
 //! resets at each re-baseline.
@@ -21,7 +21,8 @@ use std::sync::Arc;
 struct Registered {
     kind: CheckpointKind,
     base: Option<CheckpointId>,
-    /// All object keys belonging to this checkpoint (chunks + manifest).
+    /// All object keys belonging to this checkpoint: chunks, the dense
+    /// object, and the manifest last.
     keys: Vec<String>,
     bytes: u64,
 }
@@ -82,6 +83,7 @@ impl CheckpointController {
     /// [`Self::collection_failures`].
     pub fn register(&mut self, manifest: &Manifest, manifest_key: &str) -> Result<Vec<CheckpointId>> {
         let mut keys: Vec<String> = manifest.chunks.iter().map(|c| c.key.clone()).collect();
+        keys.push(manifest.dense.key.clone());
         keys.push(manifest_key.to_string());
         let bytes = manifest.total_bytes();
         self.checkpoints.insert(
@@ -188,7 +190,8 @@ impl CheckpointController {
         self.checkpoints.values().map(|r| r.bytes).sum()
     }
 
-    /// Every object key owned by a live checkpoint (chunks + manifests)
+    /// Every object key owned by a live checkpoint (chunks, dense objects
+    /// and manifests)
     /// plus any unreclaimed delta-WAL segments — the work-list of a
     /// background scrub sweep.
     pub fn live_keys(&self) -> Vec<String> {
@@ -255,12 +258,12 @@ impl CheckpointController {
         let mut deleted = Vec::new();
         for id in doomed {
             let reg = self.checkpoints.remove(&id).expect("doomed id exists");
-            let (manifest, chunks) = reg.keys.split_last().expect("the manifest is the last key");
+            let (manifest, rest) = reg.keys.split_last().expect("the manifest is the last key");
             if !self.delete(manifest) {
                 self.checkpoints.insert(id, reg);
                 continue;
             }
-            for key in chunks {
+            for key in rest {
                 self.delete(key);
             }
             deleted.push(id);
@@ -277,7 +280,7 @@ impl CheckpointController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::TableMeta;
+    use crate::manifest::{DenseLayers, TableMeta};
     use bytes::Bytes;
     use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
@@ -296,6 +299,19 @@ mod tests {
         store
             .put(&chunk_key, Bytes::from(vec![0u8; chunk_bytes]))
             .unwrap();
+        let dense = DenseLayers {
+            id: cid,
+            iteration: id * 100,
+            bottom: vec![],
+            top: vec![],
+        }
+        .encode_enveloped();
+        let dense = crate::manifest::DenseMeta {
+            key: Manifest::dense_key("job", cid),
+            bytes: store.put(&Manifest::dense_key("job", cid), dense.into()).unwrap().bytes,
+            bottom_params: 0,
+            top_params: 0,
+        };
         let manifest = Manifest {
             id: cid,
             kind,
@@ -308,8 +324,7 @@ mod tests {
                 dim: 4,
                 has_optimizer_state: false,
             }],
-            bottom_mlp: vec![],
-            top_mlp: vec![],
+            dense,
             chunks: vec![crate::manifest::ChunkMeta {
                 key: chunk_key,
                 shard: 0,
@@ -404,12 +419,13 @@ mod tests {
         register(0);
         assert!(register(1).is_empty());
         // Its retry succeeds; the chunk delete behind it fails, leaving
-        // manifestless debris.
+        // manifestless debris beside checkpoint 2's chunk, dense object and
+        // manifest.
         assert_eq!(register(2), [CheckpointId(0), CheckpointId(1)]);
-        assert_eq!(store.list("job/").unwrap().len(), 3);
+        assert_eq!(store.list("job/").unwrap().len(), 1 + 3);
         // The next sweep collects it.
         assert_eq!(register(3), [CheckpointId(2)]);
-        assert_eq!(store.list("job/").unwrap().len(), 2);
+        assert_eq!(store.list("job/").unwrap().len(), 3);
         assert_eq!((ctl.collection_failures(), ctl.orphans_swept()), (2, 1));
     }
 
@@ -538,31 +554,38 @@ mod tests {
         };
 
         // The 6th put dies: five chunks land, the write fails, and they are
-        // left orphaned under ckpt-0. The retry runs on healed storage.
-        let store = Arc::new(FlakyStore::new(
-            InMemoryStore::new(),
-            [Fault::fail(Op::Put, FailureMode::Once(6))],
-        ));
-        let writer = CheckpointWriter::new(store.as_ref(), "job");
-        let failed = writer.write(&snap, CheckpointId(0), None, cnr_quant::QuantScheme::Fp32, &cfg);
-        assert!(failed.is_err(), "injected failure must surface");
-        let debris = store.list("job/").unwrap();
-        assert!(!debris.is_empty(), "failed write leaves orphaned chunks");
+        // left orphaned under ckpt-0. Or the manifest's put dies: every
+        // chunk and the dense object land without it. Either way the retry
+        // runs on healed storage.
+        let dense_key = Manifest::dense_key("job", CheckpointId(0));
+        for (fault, dense_left) in [
+            (Fault::fail(Op::Put, FailureMode::Once(6)), false),
+            (Fault::fail(Op::Put, FailureMode::Once(1)).on_keys("/manifest"), true),
+        ] {
+            let store = Arc::new(FlakyStore::new(InMemoryStore::new(), [fault]));
+            let writer = CheckpointWriter::new(store.as_ref(), "job");
+            let failed = writer.write(&snap, CheckpointId(0), None, cnr_quant::QuantScheme::Fp32, &cfg);
+            assert!(failed.is_err(), "injected failure must surface");
+            let debris = store.list("job/").unwrap();
+            assert!(!debris.is_empty(), "failed write leaves orphaned chunks");
+            assert_eq!(debris.contains(&dense_key), dense_left);
 
-        // The retry (against now-healthy storage) succeeds; registering it
-        // sweeps the debris of the failed attempt.
-        let mut ctl = CheckpointController::new(store.clone() as Arc<dyn ObjectStore>, "job", 1);
-        let rec = writer
-            .write(&snap, CheckpointId(1), None, cnr_quant::QuantScheme::Fp32, &cfg)
-            .unwrap();
-        ctl.register(&rec.manifest, &rec.manifest_key).unwrap();
-        assert_eq!(ctl.orphans_swept() as usize, debris.len());
-        for key in debris {
-            assert!(store.get(&key).is_err(), "orphan {key} must be gone");
+            // The retry (against now-healthy storage) succeeds; registering
+            // it sweeps the debris of the failed attempt.
+            let mut ctl = CheckpointController::new(store.clone() as Arc<dyn ObjectStore>, "job", 1);
+            let rec = writer
+                .write(&snap, CheckpointId(1), None, cnr_quant::QuantScheme::Fp32, &cfg)
+                .unwrap();
+            ctl.register(&rec.manifest, &rec.manifest_key).unwrap();
+            assert_eq!(ctl.orphans_swept() as usize, debris.len());
+            for key in debris {
+                assert!(store.get(&key).is_err(), "orphan {key} must be gone");
+            }
+            // Exactly the registered checkpoint's objects remain: its
+            // chunks, dense object and manifest.
+            let remaining = store.list("job/").unwrap();
+            assert_eq!(remaining.len(), rec.manifest.chunks.len() + 2);
         }
-        // Exactly the registered checkpoint's objects remain.
-        let remaining = store.list("job/").unwrap();
-        assert_eq!(remaining.len(), rec.manifest.chunks.len() + 1);
     }
 
     #[test]

@@ -1209,8 +1209,8 @@ mod tests {
 
     #[test]
     fn quantized_run_reduces_stored_bytes() {
-        // Dim 32 and tables large enough that the FP32 MLP stored inline in
-        // the manifest does not mask the embedding payload reduction (in
+        // Dim 32 and tables large enough that the FP32 MLPs stored in the
+        // dense object do not mask the embedding payload reduction (in
         // production models embeddings are >99% of bytes, §2.1).
         let spec = cnr_workload::DatasetSpec {
             seed: 101,
@@ -1512,6 +1512,35 @@ mod tests {
         let host_0 = hosts.iter().find(|s| s.attrs.iter().any(|(k, v)| *k == "host" && v == "0"));
         let attr = |k: &str| host_0.unwrap().attrs.iter().find(|(a, _)| *a == k).unwrap().1.clone();
         assert_eq!((attr("log_segments"), attr("chunks")), ("1".into(), "0".into()));
+    }
+
+    /// The plan deals the dense object first, to host 0: killed before
+    /// it reads anything, host 0 hands it to the survivor with the rest of
+    /// its list, and the restore is still exact.
+    #[test]
+    fn a_reader_killed_holding_the_dense_object_still_restores_exactly() {
+        let mut e = builder().reader_hosts(2).build().unwrap();
+        e.train_batches(10).unwrap();
+        let hash = e.trainer().model().state_hash();
+        let latest = e.controller().latest().unwrap();
+        let chain: Vec<crate::manifest::Manifest> = e
+            .controller()
+            .chain_of(latest)
+            .unwrap()
+            .into_iter()
+            .map(|id| crate::restore::load_manifest(e.store().as_ref(), "job", id).unwrap())
+            .collect();
+        let plan = read::planner::plan_priority(&chain, &[], 2, None, 1.0);
+        assert_eq!(plan[0][0].kind, read::FetchKind::Dense, "host 0's list opens with it");
+
+        e.simulate_failure_and_restore_killing_reader(HostKill {
+            host: 0,
+            after_chunks: 0,
+        })
+        .unwrap();
+        assert_eq!(e.trainer().model().state_hash(), hash);
+        assert!(e.stats().resumes.last().unwrap().rescheduled_chunks > 0);
+        e.train_batches(1).unwrap();
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Checkpoint manifests and chunk payloads.
 //!
-//! A checkpoint is a **manifest** object plus N **chunk** objects in the
-//! store. The manifest is self-describing: identity, kind (full or
-//! incremental), the base pointer for chain restoration, quantization
-//! scheme, model geometry, the (tiny) MLP parameters inline, the reader
-//! state, and the list of chunk keys. Chunks carry batches of embedding
-//! rows: indices, optional optimizer state, and quantized payloads.
+//! A checkpoint is a **manifest** object, one **dense** object and N
+//! **chunk** objects in the store. The manifest is self-describing:
+//! identity, kind (full or incremental), the base pointer for chain
+//! restoration, quantization scheme, model geometry, where the dense
+//! object is and what it holds, the reader state, and the list of chunk
+//! keys. The dense object ([`DenseLayers`]) carries the two flattened MLPs
+//! at fp32 — a restore reads only the newest level's, so the chain's
+//! older levels cost a restore their small manifests alone. Chunks carry
+//! batches of embedding rows: indices, optional optimizer state, and
+//! quantized payloads.
 //!
-//! **One stored form.** Every *stored* object — manifest and chunk alike
-//! — is wrapped in the self-describing checksummed envelope of
+//! **One stored form.** Every *stored* object — manifest, dense object and
+//! chunk alike — is wrapped in the self-describing checksummed envelope of
 //! [`cnr_storage::envelope`] (magic `CNR6`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
-//! [`ChunkPayload::encode_enveloped`], and the stored-object decoders
-//! ([`Manifest::decode`], [`ChunkPayload::decode`]) require the envelope. The bare chunk frame ([`ChunkPayload::encode`])
+//! [`DenseLayers::encode_enveloped`] / [`ChunkPayload::encode_enveloped`],
+//! and the stored-object decoders ([`Manifest::decode`],
+//! [`DenseLayers::decode`], [`ChunkPayload::decode`]) require the envelope.
+//! The bare chunk frame ([`ChunkPayload::encode`])
 //! is stored nowhere on its own: it is the inner format of a WAL delta
 //! record ([`crate::delta_log`]), whose WAL frame carries the envelope.
 //!
@@ -137,10 +143,9 @@ pub struct Manifest {
     pub scheme: QuantScheme,
     /// Table geometry, index-aligned with the model.
     pub tables: Vec<TableMeta>,
-    /// Flattened bottom-MLP parameters (FP32; MLPs are <1% of bytes).
-    pub bottom_mlp: Vec<f32>,
-    /// Flattened top-MLP parameters.
-    pub top_mlp: Vec<f32>,
+    /// The checkpoint's dense object: where it is, its size and the
+    /// parameter counts it holds.
+    pub dense: DenseMeta,
     /// Stored chunks, ordered by (shard, per-shard sequence). Chunks of one
     /// checkpoint cover disjoint rows, so application order across chunks
     /// is immaterial; the ordering is for determinism.
@@ -153,11 +158,48 @@ pub struct Manifest {
     pub payload_bytes: u64,
 }
 
+/// The dense object of one checkpoint, as its manifest records it: enough
+/// to plan its fetch without a `head`, and to check the model's geometry
+/// before anything is fetched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseMeta {
+    /// Object key in the store ([`Manifest::dense_key`]).
+    pub key: String,
+    /// Stored size in bytes, envelope included.
+    pub bytes: u64,
+    /// Parameters of the flattened bottom MLP.
+    pub bottom_params: u32,
+    /// Parameters of the flattened top MLP.
+    pub top_params: u32,
+}
+
+/// A checkpoint's dense layers: the payload of its dense object, stored
+/// once per checkpoint beside the manifest, which records its size and
+/// parameter counts ([`DenseMeta`]). The MLPs are small next to a full
+/// checkpoint's tables but would be most of an incremental manifest's
+/// bytes; kept apart, they cost a restore one read — the newest level's
+/// copy — however long the chain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseLayers {
+    /// Checkpoint the layers belong to; the decoder checks it against the
+    /// manifest, so an object of another checkpoint under the key is
+    /// corrupt.
+    pub id: CheckpointId,
+    /// Trainer iteration at snapshot time, checked like `id`.
+    pub iteration: u64,
+    /// Flattened bottom-MLP parameters (fp32).
+    pub bottom: Vec<f32>,
+    /// Flattened top-MLP parameters (fp32).
+    pub top: Vec<f32>,
+}
+
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Manifest body version (it moves with the wire version: 6 is the chunk
-/// frame whose row indices are delta-coded varints); any other number is
+/// Manifest body version: 7 is the body that records the dense object
+/// ([`DenseMeta`]) instead of holding the MLPs. Any other number is
 /// rejected as corrupt, by number.
-const VERSION: u16 = 6;
+const VERSION: u16 = 7;
+/// Magic of the dense object's payload.
+const DENSE_MAGIC: u32 = 0x434E_5244; // "CNRD"
 
 /// Verifies and strips the storage envelope. Every `decode(&[u8])` entry
 /// funnels through this, so a missing or corrupt envelope surfaces as
@@ -170,6 +212,11 @@ impl Manifest {
     /// Storage key for a manifest of checkpoint `id` under `job`.
     pub fn key(job: &str, id: CheckpointId) -> String {
         format!("{job}/{id}/manifest")
+    }
+
+    /// Storage key for the dense object of checkpoint `id` under `job`.
+    pub fn dense_key(job: &str, id: CheckpointId) -> String {
+        format!("{job}/{id}/dense")
     }
 
     /// Storage key for chunk `seq` uploaded by writer host `shard` of
@@ -199,8 +246,10 @@ impl Manifest {
             body.put_u16_le(t.dim);
             body.put_u8(t.has_optimizer_state as u8);
         }
-        wire::put_f32s(&mut body, &self.bottom_mlp);
-        wire::put_f32s(&mut body, &self.top_mlp);
+        wire::put_string(&mut body, &self.dense.key);
+        body.put_u64_le(self.dense.bytes);
+        body.put_u32_le(self.dense.bottom_params);
+        body.put_u32_le(self.dense.top_params);
         body.put_u32_le(self.chunks.len() as u32);
         for c in &self.chunks {
             wire::put_string(&mut body, &c.key);
@@ -283,8 +332,12 @@ impl Manifest {
                 has_optimizer_state: wire::get_u8(b)? != 0,
             });
         }
-        let bottom_mlp = wire::get_f32s(b)?;
-        let top_mlp = wire::get_f32s(b)?;
+        let dense = DenseMeta {
+            key: wire::get_string(b)?,
+            bytes: wire::get_u64(b)?,
+            bottom_params: wire::get_u32(b)?,
+            top_params: wire::get_u32(b)?,
+        };
         let chunk_count = wire::get_u32(b)? as usize;
         let mut chunks = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
@@ -320,18 +373,95 @@ impl Manifest {
             reader_state,
             scheme,
             tables,
-            bottom_mlp,
-            top_mlp,
+            dense,
             chunks,
             shards,
             payload_bytes,
         })
     }
 
-    /// Total bytes of this checkpoint as stored (manifest + chunks). The
-    /// manifest is stored enveloped, so the envelope header is included.
+    /// Total bytes of this checkpoint as stored (manifest, dense object
+    /// and chunks). The manifest is stored enveloped, so the envelope
+    /// header is included.
     pub fn total_bytes(&self) -> u64 {
-        self.payload_bytes + self.encode_enveloped().len() as u64
+        self.payload_bytes + self.dense.bytes + self.encode_enveloped().len() as u64
+    }
+}
+
+impl DenseLayers {
+    /// Serializes the layers as stored, in one exactly sized buffer: the
+    /// payload — magic, checkpoint id, iteration, then the bottom and the
+    /// top MLP as length-prefixed `f32` runs — behind the storage
+    /// envelope's header, sealed over it.
+    pub fn encode_enveloped(&self) -> Vec<u8> {
+        let params = self.bottom.len() + self.top.len();
+        let len = envelope::HEADER_LEN + 4 + 8 + 8 + 2 * 4 + 4 * params;
+        let mut out = Vec::with_capacity(len);
+        out.resize(envelope::HEADER_LEN, 0);
+        out.put_u32_le(DENSE_MAGIC);
+        out.put_u64_le(self.id.0);
+        out.put_u64_le(self.iteration);
+        wire::put_f32s(&mut out, &self.bottom);
+        wire::put_f32s(&mut out, &self.top);
+        debug_assert_eq!(out.len(), len, "dense object was not sized exactly");
+        envelope::seal_in_place(&mut out, 0);
+        out
+    }
+
+    /// Parses and verifies a stored dense object
+    /// ([`DenseLayers::encode_enveloped`] bytes) that `manifest` names.
+    pub fn decode(data: &[u8], manifest: &Manifest) -> Result<Self> {
+        Self::decode_payload(open_envelope(data)?, manifest)
+    }
+
+    /// [`DenseLayers::decode`] for an object whose envelope a fetch already
+    /// verified.
+    pub fn decode_verified(object: &envelope::Verified, manifest: &Manifest) -> Result<Self> {
+        Self::decode_payload(object.payload(), manifest)
+    }
+
+    /// The one decoder: the payload's magic, then its id and iteration
+    /// against `manifest`'s, then the two MLPs, whose lengths must be the
+    /// parameter counts `manifest` records — all of it [`CnrError::Corrupt`]
+    /// on a mismatch, as are bytes left over.
+    fn decode_payload(mut data: &[u8], manifest: &Manifest) -> Result<Self> {
+        let b = &mut data;
+        let magic = wire::get_u32(b)?;
+        if magic != DENSE_MAGIC {
+            return Err(CnrError::Corrupt(format!("bad dense object magic {magic:#x}")));
+        }
+        let id = CheckpointId(wire::get_u64(b)?);
+        let iteration = wire::get_u64(b)?;
+        if (id, iteration) != (manifest.id, manifest.iteration) {
+            return Err(CnrError::Corrupt(format!(
+                "dense object of {id} at iteration {iteration} under {} at iteration {}",
+                manifest.id, manifest.iteration
+            )));
+        }
+        let bottom = wire::get_f32s(b)?;
+        let top = wire::get_f32s(b)?;
+        let expected = (manifest.dense.bottom_params, manifest.dense.top_params);
+        if (bottom.len(), top.len()) != (expected.0 as usize, expected.1 as usize) {
+            return Err(CnrError::Corrupt(format!(
+                "dense object of {id} holds {} + {} parameters, its manifest records {} + {}",
+                bottom.len(),
+                top.len(),
+                expected.0,
+                expected.1
+            )));
+        }
+        if !b.is_empty() {
+            return Err(CnrError::Corrupt(format!(
+                "{} bytes past the dense layers of {id}",
+                b.len()
+            )));
+        }
+        Ok(Self {
+            id,
+            iteration,
+            bottom,
+            top,
+        })
     }
 }
 
@@ -735,8 +865,12 @@ mod tests {
                     has_optimizer_state: false,
                 },
             ],
-            bottom_mlp: vec![0.5, -0.25, 0.125],
-            top_mlp: vec![1.0, 2.0],
+            dense: DenseMeta {
+                key: Manifest::dense_key("job", CheckpointId(42)),
+                bytes: 96,
+                bottom_params: 3,
+                top_params: 2,
+            },
             chunks: vec![
                 ChunkMeta {
                     key: "job/ckpt-00000042/shard-000-chunk-000000".into(),
@@ -927,9 +1061,9 @@ mod tests {
         let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
-        // Versions 2 to 5 existed once and 7 may one day; only 6 decodes,
+        // Versions 2 to 6 existed once and 8 may one day; only 7 decodes,
         // and the error names the number it found.
-        for version in [2u8, 3, 4, 5, 7, 99] {
+        for version in [2u8, 3, 4, 5, 6, 8, 99] {
             let mut skewed = body.clone();
             skewed[4] = version;
             let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
@@ -1016,7 +1150,8 @@ mod tests {
     }
 
     /// One checksum per stored byte, and it misses nothing single: every
-    /// flip of every bit of an enveloped chunk, manifest and WAL frame —
+    /// flip of every bit of an enveloped chunk, manifest, dense object and
+    /// WAL frame —
     /// all 20 header bytes under each flag value the writers set, and every
     /// payload byte — is `Corrupt` at the read site that opens it.
     #[test]
@@ -1042,6 +1177,13 @@ mod tests {
         assert_eq!(envelope::unwrap(&manifest).unwrap().0, envelope::FLAG_MANIFEST);
         each_flip(&manifest, |bad| verified(bad) && corrupt(Manifest::decode(bad).map(|_| ())));
 
+        let (layers, named) = sample_dense();
+        let dense = layers.encode_enveloped();
+        assert_eq!(envelope::unwrap(&dense).unwrap().0, 0);
+        each_flip(&dense, |bad| {
+            verified(bad) && corrupt(DenseLayers::decode(bad, &named).map(|_| ()))
+        });
+
         let store = std::sync::Arc::new(InMemoryStore::new());
         let mut writer = wal::WalWriter::new(store.clone(), "job", wal::WalConfig);
         writer.append(&sample_chunk(false).encode()).unwrap();
@@ -1061,6 +1203,7 @@ mod tests {
     fn keys_are_hierarchical() {
         let id = CheckpointId(7);
         assert_eq!(Manifest::key("jobA", id), "jobA/ckpt-00000007/manifest");
+        assert_eq!(Manifest::dense_key("jobA", id), "jobA/ckpt-00000007/dense");
         assert_eq!(
             Manifest::chunk_key("jobA", id, 2, 3),
             "jobA/ckpt-00000007/shard-00002-chunk-000003"
@@ -1135,6 +1278,180 @@ mod tests {
     #[test]
     fn total_bytes_includes_manifest() {
         let m = sample_manifest();
-        assert!(m.total_bytes() > m.payload_bytes);
+        assert_eq!(
+            m.total_bytes(),
+            m.payload_bytes + m.dense.bytes + m.encode_enveloped().len() as u64
+        );
+    }
+
+    /// Layers of `sample_manifest`'s checkpoint, and that manifest
+    /// recording them as stored.
+    fn sample_dense() -> (DenseLayers, Manifest) {
+        let m = sample_manifest();
+        dense_object::named(DenseLayers {
+            id: m.id,
+            iteration: m.iteration,
+            bottom: vec![0.5, -0.25, 0.125],
+            top: vec![1.0, 2.0],
+        })
+    }
+
+    /// The dense object's codec: one encoder, one decoder, checked against
+    /// the manifest that names the object.
+    mod dense_object {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `layers` and `sample_manifest` recording them, stored, as its
+        /// checkpoint's dense object.
+        pub(super) fn named(layers: DenseLayers) -> (DenseLayers, Manifest) {
+            let mut m = sample_manifest();
+            m.id = layers.id;
+            m.iteration = layers.iteration;
+            m.dense = DenseMeta {
+                key: Manifest::dense_key("job", layers.id),
+                bytes: layers.encode_enveloped().len() as u64,
+                bottom_params: layers.bottom.len() as u32,
+                top_params: layers.top.len() as u32,
+            };
+            (layers, m)
+        }
+
+        fn corrupt<T>(decoded: Result<T>) -> bool {
+            matches!(decoded, Err(CnrError::Corrupt(_)))
+        }
+
+        #[test]
+        fn roundtrips_in_the_size_the_manifest_records() {
+            let (layers, m) = sample_dense();
+            let stored = layers.encode_enveloped();
+            assert_eq!(stored.len() as u64, m.dense.bytes);
+            assert_eq!(DenseLayers::decode(&stored, &m).unwrap(), layers);
+            let verified = envelope::Verified::check(stored.into()).unwrap();
+            assert_eq!(DenseLayers::decode_verified(&verified, &m).unwrap(), layers);
+        }
+
+        /// Layers of another checkpoint, or of this checkpoint at another
+        /// iteration, are corrupt under this manifest, naming both.
+        #[test]
+        fn another_checkpoints_layers_are_corrupt() {
+            let (layers, m) = sample_dense();
+            for (id, iteration) in [(CheckpointId(41), m.iteration), (m.id, m.iteration + 1)] {
+                let other = DenseLayers { id, iteration, ..layers.clone() };
+                let err = DenseLayers::decode(&other.encode_enveloped(), &m).unwrap_err();
+                assert!(
+                    matches!(&err, CnrError::Corrupt(why)
+                        if why.contains(&format!("of {id} at iteration {iteration} under {}", m.id))),
+                    "{err:?}"
+                );
+            }
+        }
+
+        /// MLPs of other lengths than the manifest records, bytes past
+        /// them, another magic and a bare payload are all corrupt.
+        #[test]
+        fn lengths_magic_and_envelope_are_checked() {
+            let (layers, m) = sample_dense();
+            let mut short = layers.clone();
+            short.top.pop();
+            let err = DenseLayers::decode(&short.encode_enveloped(), &m).unwrap_err();
+            assert!(
+                matches!(&err, CnrError::Corrupt(why)
+                    if why.contains("holds 3 + 1 parameters, its manifest records 3 + 2")),
+                "{err:?}"
+            );
+            let payload = envelope::open(&layers.encode_enveloped()).unwrap().to_vec();
+            let mut trailing = payload.clone();
+            trailing.push(0);
+            let mut magic = payload.clone();
+            magic[0] ^= 1;
+            for bad in [envelope::wrap(&trailing), envelope::wrap(&magic), payload] {
+                assert!(corrupt(DenseLayers::decode(&bad, &m)));
+            }
+        }
+
+        /// Parameter bit patterns: any `f32`, NaN and infinities included.
+        fn params() -> impl Strategy<Value = Vec<u32>> {
+            prop::collection::vec(any::<u32>(), 0..200)
+        }
+
+        /// The layers drawn, named by the manifest recording them.
+        fn drawn(id: u64, iteration: u64, bottom: &[u32], top: &[u32]) -> (DenseLayers, Manifest) {
+            let floats = |bits: &[u32]| bits.iter().map(|&b| f32::from_bits(b)).collect();
+            named(DenseLayers {
+                id: CheckpointId(id),
+                iteration,
+                bottom: floats(bottom),
+                top: floats(top),
+            })
+        }
+
+        fn bits(values: &[f32]) -> Vec<u32> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+
+        proptest! {
+            /// Any layers — NaN, infinities and -0.0 included — come back
+            /// bit for bit, stored in the size the manifest records.
+            #[test]
+            fn dense_object_roundtrips(
+                id in any::<u64>(),
+                iteration in any::<u64>(),
+                bottom in params(),
+                top in params(),
+            ) {
+                let (layers, m) = drawn(id, iteration, &bottom, &top);
+                let stored = layers.encode_enveloped();
+                prop_assert_eq!(stored.len() as u64, m.dense.bytes);
+                let back = DenseLayers::decode(&stored, &m).unwrap();
+                prop_assert_eq!((back.id, back.iteration), (layers.id, layers.iteration));
+                prop_assert_eq!(bits(&back.bottom), bits(&layers.bottom));
+                prop_assert_eq!(bits(&back.top), bits(&layers.top));
+            }
+
+            /// Arbitrary bytes — as a stored object, behind a valid
+            /// envelope, and behind the payload's valid head — decode or
+            /// fail typed, never panic.
+            #[test]
+            fn dense_object_arbitrary_bytes_decode_or_fail_typed(
+                id in any::<u64>(),
+                iteration in any::<u64>(),
+                bottom in params(),
+                junk in prop::collection::vec(any::<u8>(), 0..256),
+            ) {
+                let (layers, m) = drawn(id, iteration, &bottom, &[]);
+                let stored = layers.encode_enveloped();
+                // Magic, id and iteration: the head the manifest accepts.
+                let head = &envelope::open(&stored).unwrap()[..20];
+                let behind_head = envelope::wrap(&[head, &junk[..]].concat());
+                for bytes in [junk.clone(), envelope::wrap(&junk), behind_head] {
+                    match DenseLayers::decode(&bytes, &m) {
+                        Ok(back) => prop_assert_eq!((back.id, back.iteration), (m.id, m.iteration)),
+                        Err(err) => prop_assert!(matches!(err, CnrError::Corrupt(_)), "{:?}", err),
+                    }
+                }
+            }
+
+            /// Every cut of a stored object, and of its payload resealed
+            /// in a valid envelope, is corrupt.
+            #[test]
+            fn dense_object_every_truncation_is_corrupt(
+                id in any::<u64>(),
+                iteration in any::<u64>(),
+                bottom in params(),
+                top in params(),
+            ) {
+                let (layers, m) = drawn(id, iteration, &bottom, &top);
+                let stored = layers.encode_enveloped();
+                let payload = envelope::open(&stored).unwrap();
+                for cut in 0..stored.len() {
+                    prop_assert!(corrupt(DenseLayers::decode(&stored[..cut], &m)), "cut {}", cut);
+                }
+                for cut in 0..payload.len() {
+                    let resealed = envelope::wrap(&payload[..cut]);
+                    prop_assert!(corrupt(DenseLayers::decode(&resealed, &m)), "payload cut {}", cut);
+                }
+            }
+        }
     }
 }

@@ -10,15 +10,17 @@
 //! ```text
 //! planner ──▶ shard readers (one per reader host) ──▶ serial tail
 //!   the log's     ranged fetches over the host's        completeness per
-//!   segments      own downlink in list order, none      level, union of
-//!   first; rank   before the plan exists (fetch         incremental rows;
-//!   the chain's   scheduler); each verified hot chunk   the fetched log
-//!   chunks in     is de-quantized row by row *into      walked, its tail
-//!   serial        the destination tables*, a row        placed as the newest
-//!   order, mark   written iff the chunk outranks the    level; zero the rows
-//!   the top       row's stamp; a cold chunk is kept     no chunk names (rows
-//!   fraction hot, as its frame, a log segment as        a cold chunk owes
-//!   deal them to  fetched                               stay stale)
+//!   segments,     own downlink in list order, none      level, union of
+//!   then the      before the plan exists (fetch         incremental rows;
+//!   newest dense  scheduler); each verified hot chunk   the fetched log
+//!   object first; is de-quantized row by row *into      walked, its tail
+//!   rank the      the destination tables*, a row        placed as the newest
+//!   chain's       written iff the chunk outranks the    level; zero the rows
+//!   chunks in     row's stamp; a cold chunk is kept     no chunk names (rows
+//!   serial order, as its frame, a log segment as        a cold chunk owes
+//!   mark the top  fetched, the dense object decoded     stay stale)
+//!   fraction hot,
+//!   deal them to
 //!   hosts by heat
 //!   and bytes
 //! ```
@@ -29,6 +31,10 @@
 //!   heat order, balancing bytes, using the manifest's `ChunkMeta.parts`
 //!   as the ranged-fetch plan. An eager restore is the plan at
 //!   `hot_fraction = 1` with no heat model: every chunk hot, in rank order.
+//! * The dense layers are one object per checkpoint, and a restore reads
+//!   only the newest level's: the chain walk fetches manifests alone, and
+//!   the dense object is an item of the plan, dealt hot before any chunk
+//!   and fetched like one. First batch waits for it.
 //! * `shard_reader` takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) floored at the plan's
@@ -82,7 +88,7 @@ pub mod scheduler;
 pub(crate) mod shard_reader;
 
 pub use lazy::{DrainOutcome, LazyRestore};
-pub use planner::{FetchItem, RowHeat};
+pub use planner::{FetchItem, FetchKind, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
 
 use crate::delta_log::WalTail;
@@ -90,7 +96,7 @@ use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, Manifest};
 use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
-use shard_reader::{DecodedChunk, Fetched, FetchedSegment, ShardReader};
+use shard_reader::{DecodedChunk, Fetched, FetchedDense, FetchedSegment, ShardReader};
 use crate::stats::{RestoreMode, RestorePoint, ResumeStats};
 use cnr_cluster::HostKill;
 use cnr_model::config::ModelConfig;
@@ -166,7 +172,8 @@ pub struct HostActivity {
     pub chunks: u64,
     /// Write-ahead log segments this host fetched (the heads of its lists).
     pub log_segments: u64,
-    /// Total bytes this host fetched: chunks and log segments.
+    /// Total bytes this host fetched: chunks, log segments and the dense
+    /// object.
     pub bytes: u64,
     /// Absolute simulated time of this host's last arrival.
     pub last_arrival: Duration,
@@ -204,8 +211,9 @@ pub struct ShardedRestore {
     /// Absolute simulated time at which the last ranged fetch arrived.
     pub ready_at: Duration,
     /// Absolute simulated time at which training may resume: when the last
-    /// *hot* chunk landed (a cold tail keeps draining past it). When every
-    /// chunk was hot — every eager restore — this equals `ready_at`.
+    /// *hot* chunk, the dense object and the log's segments landed (a cold
+    /// tail keeps draining past it). When every chunk was hot — every eager
+    /// restore — this equals `ready_at`.
     pub first_batch_at: Duration,
     /// The cold tail (rows not yet applied, awaiting fault-in or drain):
     /// `Some` iff the plan held a chunk back, so never for an eager
@@ -292,8 +300,9 @@ pub fn restore_sharded_with_heat(
 /// `dest` held until [`LazyRestore::fault_in`] or [`LazyRestore::drain`]
 /// lands them. Everything else of the
 /// report (dense layers, `iteration`, `reader`, `incremental_rows`,
-/// `rows_applied`, `bytes_read`) is unchanged. On `Err` `dest` may be
-/// partly written.
+/// `rows_applied`, `bytes_read`) is unchanged: the dense layers are the
+/// newest level's dense object, fetched as an item of the plan. On `Err`
+/// `dest` may be partly written.
 ///
 /// With `replay_wal`, `job`'s write-ahead log is listed once the manifest
 /// chain is walked, and its live segments are items of the fetch plan:
@@ -328,7 +337,8 @@ pub fn restore_sharded_into(
     // --- Plan: walk the chain, validate, assign chunks to hosts. --------
     // Manifests download through the timed path too (serialized on host
     // 0's downlink — each base pointer is only known once its successor
-    // decodes), so chain-walk latency lands in the fetch accounting.
+    // decodes), so chain-walk latency lands in the fetch accounting. The
+    // walk reads manifests only: the dense layers are an item of the plan.
     let mut manifest_bytes = 0u64;
     let chain = walk_chain(target, |id| {
         let key = Manifest::key(job, id);
@@ -371,6 +381,7 @@ pub fn restore_sharded_into(
     let reader = ShardReader {
         scheduler: &fetch_sched,
         dest: &dest,
+        newest: &newest,
         decode_nanos: &decode_nanos,
     };
     let fetched = run_hosts(
@@ -389,6 +400,7 @@ pub fn restore_sharded_into(
     let rescheduled_chunks = fetched.resharded;
     let mut decoded: Vec<DecodedChunk> = Vec::new();
     let mut segments: Vec<FetchedSegment> = Vec::new();
+    let mut dense: Option<FetchedDense> = None;
     let mut host_activity: Vec<HostActivity> = Vec::new();
     for (host, items) in fetched.done {
         note_activity(&mut host_activity, host, &items);
@@ -396,14 +408,17 @@ pub fn restore_sharded_into(
             match item {
                 Fetched::Chunk(chunk) => decoded.push(chunk),
                 Fetched::Segment(segment) => segments.push(segment),
+                Fetched::Dense(fetched) => dense = Some(fetched),
             }
         }
     }
+    let dense = dense.expect("the plan holds the newest level's dense object");
 
     // --- Serial tail: what is left once every row is where it lives. ----
     // (Only hot chunks were placed; the cold ones become the LazyRestore,
     // and first batch is stamped at the last hot arrival — the log's
-    // segments included — for an all-hot plan, the last arrival.)
+    // segments and the dense object included — for an all-hot plan, the
+    // last arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
     segments.sort_by_key(|s| s.index);
@@ -415,7 +430,7 @@ pub fn restore_sharded_into(
         .iter()
         .filter(|d| d.cold.is_none())
         .map(|d| d.arrived_at)
-        .fold(log_arrived_at, Duration::max);
+        .fold(log_arrived_at.max(dense.arrived_at), Duration::max);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
@@ -444,7 +459,7 @@ pub fn restore_sharded_into(
     });
     merge_time += zero_t0.elapsed();
 
-    let bytes_read = chunk_bytes + manifest_bytes;
+    let bytes_read = chunk_bytes + manifest_bytes + dense.bytes;
     let log_bytes = log.as_ref().map_or(0, |log| log.bytes_read);
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
@@ -492,8 +507,8 @@ pub fn restore_sharded_into(
             chain: chain.iter().map(|m| m.id).collect(),
             state: ModelState {
                 tables: Vec::new(),
-                bottom: newest.bottom_mlp.clone(),
-                top: newest.top_mlp.clone(),
+                bottom: dense.layers.bottom,
+                top: dense.layers.top,
                 iteration: newest.iteration,
             },
             reader: newest.reader_state,
@@ -608,6 +623,7 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, fetched: &[Fetched
                 let fetched = segment.fetched.as_ref();
                 fetched.map_or((0, Duration::ZERO), |(b, at)| (b.len() as u64, *at))
             }
+            Fetched::Dense(dense) => (dense.bytes, dense.arrived_at),
         };
         a.bytes += bytes;
         a.last_arrival = a.last_arrival.max(arrived_at);
@@ -726,12 +742,13 @@ mod tests {
                 manifest.chunks.len(),
                 "every chunk of the chain fetched exactly once"
             );
-            // The byte count is summed from what the chain walk fetched;
-            // it equals what re-encoding the manifest would have counted.
+            // The byte count is summed from what the chain walk and the
+            // plan fetched; it equals what re-encoding the manifest would
+            // have counted, plus the chunks and the one dense object.
             let chunk_bytes: u64 = manifest.chunks.iter().map(|c| c.bytes).sum();
             assert_eq!(
                 sharded.breakdown.bytes_fetched,
-                chunk_bytes + manifest.encode_enveloped().len() as u64
+                chunk_bytes + manifest.dense.bytes + manifest.encode_enveloped().len() as u64
             );
             assert!(sharded.killed_hosts.is_empty());
         }
@@ -997,6 +1014,10 @@ mod tests {
         }
     }
 
+    fn is_segment(item: &FetchItem) -> bool {
+        matches!(item.kind, FetchKind::LogSegment(_))
+    }
+
     /// `job`'s log segments in `store` with their sizes, oldest first: the
     /// log's items of a fetch plan.
     fn sized_segments(store: &dyn cnr_storage::ObjectStore) -> Vec<(String, u64)> {
@@ -1012,8 +1033,9 @@ mod tests {
     /// Simulated fetch timing is a property of the plan and the store, not
     /// of how decode threads interleave: a host's ranged reads take its
     /// downlink in the order of its fetch list, whichever worker reaches
-    /// them first — here the first item's read (a chunk's, or with a log
-    /// the first segment's) waits for another worker's to go first. So
+    /// them first — here the first item's read (the dense object's, or
+    /// with a log the first segment's) waits for another worker's to go
+    /// first. So
     /// `ready_at`, a lazy restore's first batch and its held-back rows, the
     /// log's arrival and time-to-resume do not move with the worker count.
     /// (Decode and merge are wall-clock CPU time and are left out.) And an
@@ -1054,7 +1076,8 @@ mod tests {
                 let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
                 let segments = sized_segments(store.as_ref());
                 let first = &planner::plan_priority(&chain, &segments, hosts, heat, hot_fraction)[0][0];
-                assert_eq!(first.log_segment.is_some(), with_log, "the log heads the list");
+                let head = if with_log { FetchKind::LogSegment(0) } else { FetchKind::Dense };
+                assert_eq!(first.kind, head, "the log, else the dense object, heads the list");
                 let stalling = Stalling {
                     inner: &store,
                     key: first.key.clone(),
@@ -1163,14 +1186,14 @@ mod tests {
             let h = if load[1] < load[0] { 1 } else { 0 };
             load[h] += bytes;
             let at = plan[h].iter().position(|item| &item.key == key).unwrap();
-            assert_eq!(plan[h][at].log_segment, Some(i as u32));
+            assert_eq!(plan[h][at].kind, FetchKind::LogSegment(i as u32));
             assert!(plan[h][at].hot);
         }
         for list in &plan {
-            let heads = list.iter().take_while(|item| item.log_segment.is_some()).count();
-            assert!(list[heads..].iter().all(|item| item.log_segment.is_none()), "segments head");
+            let heads = list.iter().take_while(|item| is_segment(item)).count();
+            assert!(!list[heads..].iter().any(is_segment), "segments head");
         }
-        assert!(plan.iter().all(|list| list[0].log_segment.is_some()), "both hosts read the log");
+        assert!(plan.iter().all(|list| is_segment(&list[0])), "both hosts read the log");
 
         let mut model = DlrmModel::new(cfg.clone());
         let sharded = restore_sharded_into(
@@ -1205,7 +1228,7 @@ mod tests {
                     t += store.read_transfer_time(part.min(item.bytes - offset));
                     offset += part;
                 }
-                if item.log_segment.is_some() {
+                if is_segment(item) {
                     log_arrivals.push(t);
                 }
             }
@@ -1224,7 +1247,7 @@ mod tests {
         let per_host: Vec<u64> = sharded.host_activity.iter().map(|a| a.log_segments).collect();
         let planned: Vec<u64> = plan
             .iter()
-            .map(|list| list.iter().filter(|item| item.log_segment.is_some()).count() as u64)
+            .map(|list| list.iter().filter(|item| is_segment(item)).count() as u64)
             .collect();
         assert_eq!(per_host, planned);
     }
@@ -1857,5 +1880,206 @@ mod tests {
             }
             assert_eq!(model.state_hash(), in_order.state_hash(), "lazy={lazy}");
         }
+    }
+
+    /// Checkpoints `0..levels` of one training run of `cfg`, fp32, written
+    /// by two hosts: a full baseline, then consecutive incrementals, one
+    /// batch apart. Returns the newest id and the model at it.
+    fn write_consecutive(
+        store: &dyn cnr_storage::ObjectStore,
+        cfg: &ModelConfig,
+        levels: u64,
+    ) -> (CheckpointId, DlrmModel) {
+        let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
+        let model = DlrmModel::new(cfg.clone());
+        let mut trainer =
+            cnr_trainer::Trainer::new(model, SimClock::new(), cnr_trainer::TrainerConfig::default());
+        let taker = SnapshotTaker::new(ShardPlan::balanced(cfg, 1, 2));
+        let writer = crate::write::CheckpointWriter::new(store, "job");
+        let write_cfg = CheckpointConfig {
+            chunk_rows: 100,
+            writer_hosts: 2,
+            ..CheckpointConfig::default()
+        };
+        for level in 0..levels {
+            trainer.train_one(&ds.batch(level));
+            let kind = if level == 0 { CheckpointKind::Full } else { CheckpointKind::Incremental };
+            let decision = Decision { kind, tracker: TrackerAction::SnapshotReset };
+            let snap = taker.take(
+                &mut trainer,
+                ReaderState::at(level + 1),
+                decision,
+                &CheckpointConfig::default(),
+            );
+            let base = level.checked_sub(1).map(CheckpointId);
+            writer
+                .write(&snap, CheckpointId(level), base, QuantScheme::Fp32, &write_cfg)
+                .unwrap();
+        }
+        (CheckpointId(levels - 1), trainer.model().clone())
+    }
+
+    /// A store that logs the key of every read it serves: under a
+    /// `SimulatedRemoteStore` each ranged read of a restore is one entry.
+    #[derive(Default)]
+    struct ReadLog {
+        inner: InMemoryStore,
+        reads: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl cnr_storage::ObjectStore for ReadLog {
+        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
+            self.reads.lock().unwrap().push(key.to_string());
+            self.inner.get(key)
+        }
+        fn get_range(&self, key: &str, offset: u64, len: u64) -> cnr_storage::Result<bytes::Bytes> {
+            self.reads.lock().unwrap().push(key.to_string());
+            self.inner.get_range(key, offset, len)
+        }
+        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    /// The chain walk reads manifests and nothing else, one after another
+    /// on host 0's downlink: the plan exists exactly Σ
+    /// `read_transfer_time(manifest)` after the restore began, whatever the
+    /// chain's length or the host count. The dense layers are read once —
+    /// the newest level's object, as an item of the plan — so the restore
+    /// fetches its chunks, its manifests and that one object.
+    #[test]
+    fn the_walk_reads_manifests_only_and_the_plan_one_dense_object() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        for (levels, hosts) in [1u64, 3, 6].into_iter().flat_map(|l| [(l, 1usize), (l, 4)]) {
+            let what = format!("levels={levels} hosts={hosts}");
+            let log = std::sync::Arc::new(ReadLog::default());
+            let store = SimulatedRemoteStore::over(
+                log.clone(),
+                RemoteConfig {
+                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                    base_latency: Duration::from_millis(20),
+                    replication: 1,
+                    channels: hosts as u32,
+                },
+                SimClock::new(),
+            );
+            let (newest, model) = write_consecutive(&store, &cfg, levels);
+            let drained = store.wait_for_drain();
+            log.reads.lock().unwrap().clear();
+            let sharded =
+                restore_sharded(&store, "job", newest, &cfg, &opts(hosts), drained).unwrap();
+            assert!(sharded.report.state == cnr_model::state::ModelState::extract(&model), "{what}");
+            assert_eq!(sharded.report.chain.len() as u64, levels, "{what}");
+
+            let chain: Vec<Manifest> = sharded
+                .report
+                .chain
+                .iter()
+                .map(|&id| crate::restore::load_manifest(&store, "job", id).unwrap())
+                .collect();
+            let manifest_lens: Vec<u64> = chain
+                .iter()
+                .map(|m| store.head(&Manifest::key("job", m.id)).unwrap().size)
+                .collect();
+            let walk: Duration =
+                manifest_lens.iter().map(|&len| store.read_transfer_time(len)).sum();
+            assert_eq!(sharded.plan_ready_at - drained, walk, "{what}");
+
+            let reads = std::mem::take(&mut *log.reads.lock().unwrap());
+            let dense: Vec<&String> = reads.iter().filter(|k| k.ends_with("/dense")).collect();
+            let newest_dense = &chain.last().unwrap().dense;
+            assert_eq!(dense, [&newest_dense.key], "{what}: one dense object, the newest");
+            let chunk_bytes: u64 = chain.iter().flat_map(|m| &m.chunks).map(|c| c.bytes).sum();
+            let manifest_bytes: u64 = manifest_lens.iter().sum();
+            assert_eq!(
+                sharded.breakdown.bytes_fetched,
+                chunk_bytes + manifest_bytes + newest_dense.bytes,
+                "{what}"
+            );
+        }
+    }
+
+    /// A checkpoint whose MLPs are not the model's shape fails typed —
+    /// serial and sharded, eager and lazy — before anything but the
+    /// manifests is fetched, instead of panicking when the layers are set.
+    #[test]
+    fn other_mlps_than_the_models_fail_typed_before_any_fetch() {
+        let (written, snap) = snapshot_after(2, 8);
+        let inner = InMemoryStore::new();
+        write_to(&inner, &snap, 2);
+        let store = FlakyStore::new(
+            inner,
+            [
+                Fault::fail(Op::Read, FailureMode::Every(1)).on_keys("/dense"),
+                Fault::fail(Op::Read, FailureMode::Every(1)).on_keys("-chunk-"),
+            ],
+        );
+        let other = ModelConfig {
+            bottom_hidden: vec![written.bottom_hidden[0] + 1],
+            ..written.clone()
+        };
+        let mismatch = |e: CnrError| {
+            matches!(&e, CnrError::ShapeMismatch(why) if why.starts_with("MLPs: checkpoint"))
+        };
+        assert!(mismatch(restore(&store, "job", CheckpointId(0), &other).unwrap_err()));
+        for lazy in [false, true] {
+            let options = RestoreOptions { lazy, ..opts(2) };
+            let sharded =
+                restore_sharded(&store, "job", CheckpointId(0), &other, &options, Duration::ZERO);
+            assert!(mismatch(sharded.unwrap_err()), "lazy={lazy}");
+        }
+        assert_eq!((store.injected(0), store.injected(1)), (0, 0), "nothing else was read");
+        // The model it was written by restores.
+        let restored =
+            restore_sharded(store.inner(), "job", CheckpointId(0), &written, &opts(2), Duration::ZERO);
+        assert_eq!(restored.unwrap().report.state, snap.model);
+    }
+
+    /// The newest level's dense object must be its own: another
+    /// checkpoint's under its key is corrupt by the id check, and a
+    /// missing one is the store's typed error — serial and sharded.
+    #[test]
+    fn the_dense_object_must_be_the_checkpoints_own_and_present() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
+        let store = InMemoryStore::new();
+        let (newest, _) = write_consecutive(&store, &cfg, 2);
+        let key = Manifest::dense_key("job", newest);
+        let own = store.get(&key).unwrap();
+        let restores = |store: &InMemoryStore| {
+            let serial = restore(store, "job", newest, &cfg).map(|_| ());
+            let sharded = [false, true].map(|lazy| {
+                let options = RestoreOptions { lazy, ..opts(2) };
+                restore_sharded(store, "job", newest, &cfg, &options, Duration::ZERO).map(|_| ())
+            });
+            [serial].into_iter().chain(sharded).map(Result::unwrap_err).collect::<Vec<_>>()
+        };
+
+        let baseline = store.get(&Manifest::dense_key("job", CheckpointId(0))).unwrap();
+        store.put(&key, baseline).unwrap();
+        for err in restores(&store) {
+            assert!(
+                matches!(&err, CnrError::Corrupt(why)
+                    if why.starts_with("dense object of ckpt-00000000 at iteration 1 under ckpt-00000001")),
+                "{err:?}"
+            );
+        }
+        store.delete(&key).unwrap();
+        for err in restores(&store) {
+            assert!(matches!(&err, CnrError::Storage(StorageError::NotFound(k)) if *k == key), "{err:?}");
+        }
+        store.put(&key, own).unwrap();
+        assert!(restore(&store, "job", newest, &cfg).is_ok());
     }
 }

@@ -14,23 +14,42 @@
 //! [`RowHeat`] model built from the `cnr_workload` Zipf prior and
 //! `cnr_tracking` coverage) first — and marks the ones covering the top
 //! `hot_fraction` of rows hot: a lazy restore resumes training once the
-//! dense layers, which ride the manifests fetched before any chunk, plus
-//! the hot chunks have landed, while the cold tail keeps draining in the
-//! background (CPR-style partial recovery). An eager restore is the same
-//! plan at `hot_fraction = 1` with no heat model: every chunk hot, in rank
-//! order.
+//! dense layers and the hot chunks have landed, while the cold tail keeps
+//! draining in the background (CPR-style partial recovery). An eager
+//! restore is the same plan at `hot_fraction = 1` with no heat model:
+//! every chunk hot, in rank order.
 //!
-//! A restore that replays the write-ahead log plans its live segments too,
-//! once the manifest chain is walked and the log listed: they are dealt
-//! before any chunk, so they head their hosts' lists — the log's reads
-//! ride the same downlinks, floor and turn order as the chunks instead of
-//! adding a serial phase after them.
+//! The dense layers are an item of the plan too: the newest level's dense
+//! object — the only one a restore reads, sized by its manifest — is dealt
+//! before any chunk, always hot. A restore that replays the write-ahead
+//! log plans its live segments as well, once the manifest chain is walked
+//! and the log listed: they are dealt first of all, so they head their
+//! hosts' lists — the log's and the dense layers' reads ride the same
+//! downlinks, floor and turn order as the chunks instead of adding a
+//! serial phase around them.
 
 use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
 use cnr_workload::ZipfSampler;
 
-/// One download owed to a reader host: a chunk, or a log segment.
+/// What a [`FetchItem`] downloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FetchKind {
+    /// A chunk of the chain, placed by its rank.
+    Chunk,
+    /// The write-ahead log's `i`-th live segment (oldest first): one
+    /// ranged read, hot, at the head of its host's list, at `level` one
+    /// past the chain's newest and with no rank — the log's records are
+    /// ranked when they are placed.
+    LogSegment(u32),
+    /// The newest level's dense object: one ranged read, hot, dealt after
+    /// the log and before any chunk, at the newest `level` and with no
+    /// rank — it holds no embedding row.
+    Dense,
+}
+
+/// One download owed to a reader host: a chunk, a log segment or the dense
+/// object ([`FetchKind`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchItem {
     /// Position of the owning manifest in the restore chain (0 = the full
@@ -65,11 +84,8 @@ pub struct FetchItem {
     /// take its downlink in this order, whatever order its decode workers
     /// reach them in.
     pub turn: u32,
-    /// `Some(i)` when the item is not a chunk but the write-ahead log's
-    /// `i`-th live segment (oldest first): one ranged read, hot, at the
-    /// head of its host's list, at `level` one past the chain's newest and
-    /// with no rank — the log's records are ranked when they are placed.
-    pub log_segment: Option<u32>,
+    /// What the item downloads.
+    pub kind: FetchKind,
 }
 
 /// Per-row access-heat scores used to order fetch plans.
@@ -276,7 +292,7 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
                     rows: chunk.rows,
                     hot: true,
                     turn: 0,
-                    log_segment: None,
+                    kind: FetchKind::Chunk,
                 };
                 (chunk, item)
             })
@@ -290,13 +306,15 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
     items
 }
 
-/// Assigns every segment of `log` and every chunk of `chain` (oldest
-/// manifest first) to one of `reader_hosts` hosts. The log's segments —
-/// `(key, bytes)` in list order, empty when the restore replays no log —
-/// are dealt first, each to the host with the fewest bytes so far: they
-/// head their hosts' lists and are always hot, since the first batch needs
-/// the log's dense layers and rows. Then, in descending heat, ties in rank
-/// order, each chunk goes to the host with the fewest bytes so far (ties
+/// Assigns every segment of `log`, the newest level's dense object and
+/// every chunk of `chain` (oldest manifest first) to one of `reader_hosts`
+/// hosts. The log's segments — `(key, bytes)` in list order, empty when
+/// the restore replays no log — are dealt first, each to the host with the
+/// fewest bytes so far: they head their hosts' lists and are always hot,
+/// since the first batch needs the log's dense layers and rows. The dense
+/// object follows them, hot, to the host with the fewest bytes so far: the
+/// first batch needs the checkpoint's MLPs. Then, in descending heat, ties
+/// in rank order, each chunk goes to the host with the fewest bytes so far (ties
 /// to the lowest index): balancing bytes, not writer shards, lets a
 /// checkpoint written by any number of hosts restore `reader_hosts`-wide,
 /// and each host's list, which the [`FetchScheduler`](super::scheduler)
@@ -335,23 +353,30 @@ pub fn plan_priority(
     scored.sort_by(|(a_score, a), (b_score, b)| {
         b_score.total_cmp(a_score).then_with(|| a.rank.cmp(&b.rank))
     });
-    // The log's segments go in front of every chunk, hotter than any.
-    let segments = log.iter().enumerate().map(|(i, (key, bytes))| {
+    // The log's segments, then the dense object, go in front of every
+    // chunk, hotter than any: one ranged read each, placed by no rank.
+    let whole = |level: usize, key: &str, bytes: u64, kind: FetchKind| {
         let item = FetchItem {
-            level: chain.len(),
+            level,
             rank: 0,
-            key: key.clone(),
+            key: key.to_string(),
             shard: 0,
-            bytes: *bytes,
+            bytes,
             parts: 1,
             rows: 0,
             hot: true,
             turn: 0,
-            log_segment: Some(i as u32),
+            kind,
         };
         (f32::INFINITY, item)
+    };
+    let segments = log.iter().enumerate().map(|(i, (key, bytes))| {
+        whole(chain.len(), key, *bytes, FetchKind::LogSegment(i as u32))
     });
-    let scored: Vec<(f32, FetchItem)> = segments.chain(scored).collect();
+    let dense = chain.last().map(|newest| {
+        whole(chain.len() - 1, &newest.dense.key, newest.dense.bytes, FetchKind::Dense)
+    });
+    let scored: Vec<(f32, FetchItem)> = segments.chain(dense).chain(scored).collect();
     let hosts = reader_hosts.max(1);
     let mut assignments: Vec<Vec<FetchItem>> = (0..hosts).map(|_| Vec::new()).collect();
     let mut load = vec![0u64; hosts];
@@ -380,13 +405,33 @@ fn lightest(load: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, ShardMeta, TableMeta};
+    use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, DenseMeta, ShardMeta, TableMeta};
     use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
 
     /// The eager plan: no heat model, every chunk hot.
     fn eager(chain: &[Manifest], hosts: usize) -> Vec<Vec<FetchItem>> {
         plan_priority(chain, &[], hosts, None, 1.0)
+    }
+
+    /// `plan` with its chunks only: each host's list without the dense
+    /// object (or a log segment), turns as planned.
+    fn chunks_of(plan: Vec<Vec<FetchItem>>) -> Vec<Vec<FetchItem>> {
+        plan.into_iter()
+            .map(|list| list.into_iter().filter(|i| i.kind == FetchKind::Chunk).collect())
+            .collect()
+    }
+
+    /// Every key `chain`'s restore reads, sorted: its chunks' and the
+    /// newest level's dense object's.
+    fn restored_keys(chain: &[Manifest]) -> Vec<&str> {
+        let mut keys: Vec<&str> = chain
+            .iter()
+            .flat_map(|m| m.chunks.iter().map(|c| c.key.as_str()))
+            .chain(chain.last().map(|m| m.dense.key.as_str()))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn manifest_with_chunks(id: u64, sizes: &[u64]) -> Manifest {
@@ -417,8 +462,12 @@ mod tests {
                 dim: 8,
                 has_optimizer_state: false,
             }],
-            bottom_mlp: vec![],
-            top_mlp: vec![],
+            dense: DenseMeta {
+                key: Manifest::dense_key("job", CheckpointId(id)),
+                bytes: 64,
+                bottom_params: 0,
+                top_params: 0,
+            },
             chunks,
             shards: vec![ShardMeta {
                 host: 0,
@@ -450,12 +499,7 @@ mod tests {
                 .map(|i| i.key.as_str())
                 .collect();
             keys.sort_unstable();
-            let mut expected: Vec<&str> = chain
-                .iter()
-                .flat_map(|m| m.chunks.iter().map(|c| c.key.as_str()))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(keys, expected, "hosts={hosts}");
+            assert_eq!(keys, restored_keys(&chain), "hosts={hosts}");
         }
     }
 
@@ -463,7 +507,7 @@ mod tests {
     fn plan_balances_bytes_across_hosts() {
         // 8 equal chunks over 4 hosts: exactly 2 each.
         let chain = vec![manifest_with_chunks(0, &[1000; 8])];
-        let assignment = eager(&chain, 4);
+        let assignment = chunks_of(eager(&chain, 4));
         for items in &assignment {
             assert_eq!(items.len(), 2);
         }
@@ -483,7 +527,7 @@ mod tests {
             manifest_with_chunks(0, &[2048]),
             manifest_with_chunks(1, &[10]),
         ];
-        let assignment = eager(&chain, 1);
+        let assignment = chunks_of(eager(&chain, 1));
         assert_eq!(assignment[0][0].level, 0);
         assert_eq!(assignment[0][0].parts, 3, "parts follow ChunkMeta");
         assert_eq!(assignment[0][1].level, 1);
@@ -497,11 +541,13 @@ mod tests {
 
     #[test]
     fn more_hosts_than_chunks_leaves_trailing_hosts_idle() {
+        // The dense object, then one chunk on each of the next two hosts.
         let chain = vec![manifest_with_chunks(0, &[5, 5])];
-        let assignment = eager(&chain, 4);
-        assert_eq!(assignment[0].len(), 1);
-        assert_eq!(assignment[1].len(), 1);
-        assert!(assignment[2].is_empty() && assignment[3].is_empty());
+        let assignment = eager(&chain, 5);
+        let kinds: Vec<Vec<FetchKind>> =
+            assignment.iter().map(|list| list.iter().map(|i| i.kind).collect()).collect();
+        let chunk = vec![FetchKind::Chunk];
+        assert_eq!(kinds, [vec![FetchKind::Dense], chunk.clone(), chunk, vec![], vec![]]);
     }
 
     #[test]
@@ -509,9 +555,37 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[10, 10, 10])];
         assert!(eager(&chain, 2).iter().flatten().all(|i| i.hot));
         // Without a heat model every row ties: any fraction above 0 takes
-        // them all, and 0 holds every chunk back.
+        // them all, and 0 holds every chunk back — never the dense object.
         assert!(plan_priority(&chain, &[], 2, None, 0.01).iter().flatten().all(|i| i.hot));
-        assert!(plan_priority(&chain, &[], 2, None, 0.0).iter().flatten().all(|i| !i.hot));
+        let none = plan_priority(&chain, &[], 2, None, 0.0);
+        assert!(none.iter().flatten().all(|i| i.hot == (i.kind == FetchKind::Dense)));
+    }
+
+    /// The log's segments head the lists, then the newest level's dense
+    /// object — hot, one ranged read, on the host with the fewest bytes —
+    /// then the chunks; no older level's dense object is fetched.
+    #[test]
+    fn the_dense_object_follows_the_log_on_the_lightest_host() {
+        let chain = vec![
+            manifest_with_chunks(0, &[100, 300, 50, 200]),
+            manifest_with_chunks(1, &[40, 60]),
+        ];
+        let log = [("job/wal-0".to_string(), 500), ("job/wal-1".to_string(), 20)];
+        let heat = RowHeat::zipf(&[64], 1.05);
+        // (hosts, hot fraction, the lightest host once the log is dealt)
+        for (hosts, hot_fraction, host) in [(1usize, 1.0, 0), (2, 0.0, 1), (3, 0.3, 2)] {
+            let plan = plan_priority(&chain, &log, hosts, Some(&heat), hot_fraction);
+            let dense: Vec<&FetchItem> =
+                plan.iter().flatten().filter(|i| i.kind == FetchKind::Dense).collect();
+            assert_eq!(dense.len(), 1, "hosts={hosts}");
+            let want = &chain[1].dense;
+            assert_eq!((&dense[0].key, dense[0].bytes, dense[0].parts), (&want.key, want.bytes, 1));
+            assert!(dense[0].hot && dense[0].level == 1 && dense[0].rank == 0);
+            let list: Vec<FetchKind> = plan[host].iter().map(|i| i.kind).collect();
+            let at = list.iter().position(|&k| k == FetchKind::Dense).unwrap();
+            assert!(list[..at].iter().all(|k| matches!(k, FetchKind::LogSegment(_))));
+            assert!(list[at + 1..].iter().all(|&k| k == FetchKind::Chunk), "hosts={hosts}");
+        }
     }
 
     #[test]
@@ -521,7 +595,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         for hosts in [1usize, 2, 3] {
-            let assignment = plan_priority(&chain, &[], hosts, Some(&heat), 0.25);
+            let assignment = chunks_of(plan_priority(&chain, &[], hosts, Some(&heat), 0.25));
             for items in &assignment {
                 let seqs: Vec<&str> = items.iter().map(|i| i.key.as_str()).collect();
                 let mut sorted = seqs.clone();
@@ -539,7 +613,7 @@ mod tests {
         let chain = vec![manifest_with_chunks(0, &[100; 8])];
         let heat = RowHeat::zipf(&[64], 1.05);
         // Top 25% of 64 rows = 16 rows = the 2 hottest chunks.
-        let assignment = plan_priority(&chain, &[], 2, Some(&heat), 0.25);
+        let assignment = chunks_of(plan_priority(&chain, &[], 2, Some(&heat), 0.25));
         let hot: Vec<&str> = assignment
             .iter()
             .flatten()
@@ -550,7 +624,7 @@ mod tests {
         // Everything hot at fraction 1.0; nothing at 0.0.
         let all = plan_priority(&chain, &[], 2, Some(&heat), 1.0);
         assert!(all.iter().flatten().all(|i| i.hot));
-        let none = plan_priority(&chain, &[], 2, Some(&heat), 0.0);
+        let none = chunks_of(plan_priority(&chain, &[], 2, Some(&heat), 0.0));
         assert!(none.iter().flatten().all(|i| !i.hot));
     }
 
@@ -561,7 +635,7 @@ mod tests {
         // untrusted input).
         chain[0].chunks[3].table = 9;
         let heat = RowHeat::zipf(&[64], 1.05);
-        let assignment = plan_priority(&chain, &[], 1, Some(&heat), 0.1);
+        let assignment = chunks_of(plan_priority(&chain, &[], 1, Some(&heat), 0.1));
         assert_eq!(
             assignment[0][0].key, chain[0].chunks[3].key,
             "unranked chunk must fetch first"
@@ -582,12 +656,7 @@ mod tests {
             let mut keys: Vec<&str> =
                 a.iter().flatten().map(|i| i.key.as_str()).collect();
             keys.sort_unstable();
-            let mut expected: Vec<&str> = chain
-                .iter()
-                .flat_map(|m| m.chunks.iter().map(|c| c.key.as_str()))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(keys, expected, "hosts={hosts}");
+            assert_eq!(keys, restored_keys(&chain), "hosts={hosts}");
         }
     }
 
@@ -763,7 +832,7 @@ mod tests {
         ];
         chain[0].chunks.swap(0, 2); // manifest order is not key order
         let rank_of = |plan: Vec<Vec<FetchItem>>| {
-            let mut ranks: Vec<(u32, usize, String)> = plan
+            let mut ranks: Vec<(u32, usize, String)> = chunks_of(plan)
                 .into_iter()
                 .flatten()
                 .map(|i| (i.rank, i.level, i.key))

@@ -7,7 +7,8 @@
 //! where they transfer one after another. The scheduler's *floor* is the
 //! failure instant, raised to the chain-load completion once the manifests
 //! are in: no chunk fetch starts before the plan that names it exists.
-//! The write-ahead log's segments are items of the same plan: each comes
+//! The checkpoint's dense object comes down exactly as a chunk does. The
+//! write-ahead log's segments are items of the same plan: each comes
 //! down as one ranged read on its host's downlink, unverified, for the
 //! log's own walker. A host's items take its downlink in its fetch list's
 //! order, whatever order its decode workers reach them in. Transient read

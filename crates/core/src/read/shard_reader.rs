@@ -12,15 +12,17 @@
 //! also be *killed* mid-restore (failure injection): it abandons the chunk
 //! it was fetching, and the coordinator ([`crate::hosts`]) re-shards every
 //! chunk it never read onto the surviving hosts — the exact mirror of the
-//! write path's mid-upload host death. A write-ahead log segment in a
+//! write path's mid-upload host death. The checkpoint's dense object comes
+//! down exactly as a chunk does — verified, re-fetched when corrupt — and
+//! is decoded against the newest manifest. A write-ahead log segment in a
 //! host's list comes down the same way and is handed back as fetched: the
 //! log's records are walked and placed once every segment is in.
 
 use super::merge::Destination;
-use super::planner::FetchItem;
+use super::planner::{FetchItem, FetchKind};
 use super::scheduler::FetchScheduler;
 use crate::error::{CnrError, Result};
-use crate::manifest::{open_frame, ChunkHeader};
+use crate::manifest::{open_frame, ChunkHeader, DenseLayers, Manifest};
 use bytes::Bytes;
 use cnr_storage::{envelope, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,7 +64,7 @@ pub(crate) struct DecodedChunk {
 #[derive(Debug, Clone)]
 pub(crate) struct FetchedSegment {
     /// The segment's place in the log's list, oldest first
-    /// ([`FetchItem::log_segment`]).
+    /// ([`FetchKind::LogSegment`]).
     pub index: u32,
     /// Object key.
     pub key: String,
@@ -72,6 +74,17 @@ pub(crate) struct FetchedSegment {
     pub fetched: Option<(Bytes, std::time::Duration)>,
 }
 
+/// The newest level's dense object, fetched and decoded.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchedDense {
+    /// The checkpoint's MLPs.
+    pub layers: DenseLayers,
+    /// Stored size (bytes fetched).
+    pub bytes: u64,
+    /// Simulated time at which it arrived; first batch waits for it.
+    pub arrived_at: std::time::Duration,
+}
+
 /// What one item of a host's fetch list became.
 #[derive(Debug, Clone)]
 pub(crate) enum Fetched {
@@ -79,6 +92,8 @@ pub(crate) enum Fetched {
     Chunk(DecodedChunk),
     /// A segment of the write-ahead log.
     Segment(FetchedSegment),
+    /// The newest level's dense object.
+    Dense(FetchedDense),
 }
 
 /// Executes chunk downloads for one restore on behalf of any host.
@@ -86,18 +101,23 @@ pub(crate) struct ShardReader<'a, 'd> {
     pub(crate) scheduler: &'a FetchScheduler<'a>,
     /// Where hot chunks' rows are written as they are decoded.
     pub(crate) dest: &'a Destination<'d>,
+    /// The chain's newest manifest: the one whose dense object is fetched.
+    pub(crate) newest: &'a Manifest,
     /// Wall-clock nanoseconds spent opening chunks and de-quantizing the
     /// placed ones, shared across shards.
     pub(crate) decode_nanos: &'a AtomicU64,
 }
 
 impl ShardReader<'_, '_> {
-    /// Fetches one item of a host's list: a log segment as its bytes
-    /// ([`FetchScheduler::fetch_segment`]), a chunk through
-    /// [`ShardReader::read_chunk`].
+    /// Fetches one item of a host's list: a chunk through
+    /// [`ShardReader::read_chunk`], a log segment as its bytes
+    /// ([`FetchScheduler::fetch_segment`]), the dense object through
+    /// [`ShardReader::read_dense`].
     pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<Fetched> {
-        let Some(index) = item.log_segment else {
-            return self.read_chunk(host, item).map(Fetched::Chunk);
+        let index = match item.kind {
+            FetchKind::Chunk => return self.read_chunk(host, item).map(Fetched::Chunk),
+            FetchKind::Dense => return self.read_dense(host, item).map(Fetched::Dense),
+            FetchKind::LogSegment(index) => index,
         };
         let fetched = match self.scheduler.fetch_segment(host, item.turn, &item.key, item.bytes) {
             Ok(fetched) => Some(fetched),
@@ -105,6 +125,19 @@ impl ShardReader<'_, '_> {
             Err(e) => return Err(e),
         };
         Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), fetched }))
+    }
+
+    /// Fetches and verifies the dense object as a chunk is fetched — the
+    /// same retries, corruption re-fetch and turn — and decodes it against
+    /// the newest manifest, which it must belong to.
+    fn read_dense(&self, host: u16, item: &FetchItem) -> Result<FetchedDense> {
+        let (object, arrived_at) =
+            self.scheduler.fetch_chunk(host, Some(item.turn), &item.key, item.bytes, item.parts)?;
+        Ok(FetchedDense {
+            layers: DenseLayers::decode_verified(&object, self.newest)?,
+            bytes: object.object().len() as u64,
+            arrived_at,
+        })
     }
 
     /// Fetches, verifies and opens one chunk, then either de-quantizes it

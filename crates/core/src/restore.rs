@@ -10,11 +10,12 @@
 //! * consecutive — `C.base` points at the previous checkpoint, so the chain
 //!   is the whole run of incrementals back to the baseline.
 //!
-//! MLPs, the iteration counter, and the reader state come from `C` itself
-//! (the newest manifest in the chain).
+//! The iteration counter and the reader state come from `C` itself (the
+//! newest manifest in the chain), and the MLPs from `C`'s dense object: the
+//! only dense object of the chain a restore reads.
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{CheckpointId, CheckpointKind, ChunkPayload, Manifest};
+use crate::manifest::{CheckpointId, CheckpointKind, ChunkPayload, DenseLayers, Manifest};
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
 use cnr_quant::QuantScheme;
@@ -78,8 +79,9 @@ pub(crate) fn walk_chain(
     Ok(chain)
 }
 
-/// Validates the newest manifest's geometry against the running model
-/// configuration.
+/// Validates the newest manifest's geometry — its tables and the parameter
+/// counts of its dense layers — against the running model configuration,
+/// before anything but the manifests is fetched.
 pub(crate) fn validate_geometry(newest: &Manifest, config: &ModelConfig) -> Result<()> {
     if newest.tables.len() != config.tables.len() {
         return Err(CnrError::ShapeMismatch(format!(
@@ -95,6 +97,14 @@ pub(crate) fn validate_geometry(newest: &Manifest, config: &ModelConfig) -> Resu
                 tm.rows, tm.dim, tc.rows, tc.dim
             )));
         }
+    }
+    let (bottom, top) = config.mlp_param_counts();
+    let stored = (newest.dense.bottom_params as usize, newest.dense.top_params as usize);
+    if stored != (bottom, top) {
+        return Err(CnrError::ShapeMismatch(format!(
+            "MLPs: checkpoint {} + {} parameters, model {bottom} + {top}",
+            stored.0, stored.1
+        )));
     }
     Ok(())
 }
@@ -139,6 +149,9 @@ pub fn restore(
     })?;
     let newest = chain_manifests.last().unwrap().clone();
     validate_geometry(&newest, config)?;
+    let dense = store.get(&newest.dense.key)?;
+    bytes_read += dense.len() as u64;
+    let dense = DenseLayers::decode(&dense, &newest)?;
 
     // Allocate the state template.
     let mut tables: Vec<TableState> = newest
@@ -199,8 +212,8 @@ pub fn restore(
         chain: chain_manifests.iter().map(|m| m.id).collect(),
         state: ModelState {
             tables,
-            bottom: newest.bottom_mlp.clone(),
-            top: newest.top_mlp.clone(),
+            bottom: dense.bottom,
+            top: dense.top,
             iteration: newest.iteration,
         },
         reader: newest.reader_state,

@@ -20,7 +20,8 @@ pub struct IntervalStats {
     pub checkpoint: CheckpointId,
     /// Full baseline or incremental.
     pub kind: CheckpointKind,
-    /// Logical bytes stored for this checkpoint (chunks + manifest).
+    /// Logical bytes stored for this checkpoint (chunks, dense object and
+    /// manifest).
     pub stored_bytes: u64,
     /// `stored_bytes` as a fraction of the FP32 full-model reference.
     pub stored_fraction: f64,
@@ -98,8 +99,8 @@ pub struct ResumeStats {
     /// Time of the merge's serial tail (completeness, incremental-row
     /// union, zeroing rows no chunk wrote).
     pub merge: Duration,
-    /// Logical bytes fetched (chunks + manifests + write-ahead log
-    /// segments).
+    /// Logical bytes fetched (chunks, manifests, the newest level's dense
+    /// object and write-ahead log segments).
     pub bytes_fetched: u64,
     /// Chunks fetched across the whole restore chain.
     pub chunks_fetched: u64,

@@ -31,9 +31,9 @@
 //! The coordinator here ([`CheckpointWriter`]) plans the shards, fans them
 //! out over `quantize_workers` threads and re-shards the work of any host
 //! that died onto the survivors (both through `crate::hosts`, which the
-//! read path shares), and writes the manifest once every chunk is
-//! accounted for — the §4.4 validity rule: a checkpoint exists only
-//! when all of it is durable.
+//! read path shares), then puts the checkpoint's dense object (its MLPs)
+//! and, last, the manifest, once every chunk is accounted for — the §4.4
+//! validity rule: a checkpoint exists only when all of it is durable.
 
 pub mod chunker;
 pub mod scheduler;
@@ -45,7 +45,7 @@ pub use scheduler::UploadScheduler;
 use crate::config::CheckpointConfig;
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
-use crate::manifest::{CheckpointId, ChunkMeta, Manifest, ShardMeta};
+use crate::manifest::{CheckpointId, ChunkMeta, DenseLayers, DenseMeta, Manifest, ShardMeta};
 use crate::snapshot::TrainingSnapshot;
 use bytes::Bytes;
 use cnr_cluster::HostKill;
@@ -63,7 +63,7 @@ pub struct CheckpointRecord {
     pub manifest: Manifest,
     /// Key of the manifest object.
     pub manifest_key: String,
-    /// Logical bytes stored (chunks + manifest).
+    /// Logical bytes stored (chunks, dense object and manifest).
     pub stored_bytes: u64,
     /// Simulated time at which the checkpoint became fully durable.
     pub completed_at: Duration,
@@ -228,7 +228,21 @@ impl<'a> CheckpointWriter<'a> {
             s.parts += c.parts;
         }
 
-        // --- Manifest. --------------------------------------------------
+        // --- Dense object, then the manifest, last. ----------------------
+        let layers = DenseLayers {
+            id,
+            iteration: snapshot.model.iteration,
+            bottom: snapshot.model.bottom.clone(),
+            top: snapshot.model.top.clone(),
+        };
+        let dense_object = layers.encode_enveloped();
+        let dense = DenseMeta {
+            key: Manifest::dense_key(&self.job, id),
+            bytes: dense_object.len() as u64,
+            bottom_params: layers.bottom.len() as u32,
+            top_params: layers.top.len() as u32,
+        };
+        let dense_receipt = self.store.put(&dense.key, Bytes::from(dense_object))?;
         let manifest = Manifest {
             id,
             kind: snapshot.kind,
@@ -237,8 +251,7 @@ impl<'a> CheckpointWriter<'a> {
             reader_state: snapshot.reader,
             scheme,
             tables: snapshot.geometry.clone(),
-            bottom_mlp: snapshot.model.bottom.clone(),
-            top_mlp: snapshot.model.top.clone(),
+            dense,
             chunks: metas,
             shards: by_host.into_values().collect(),
             payload_bytes,
@@ -248,16 +261,18 @@ impl<'a> CheckpointWriter<'a> {
         let manifest_len = manifest_bytes.len() as u64;
         let receipt = self.store.put(&manifest_key, Bytes::from(manifest_bytes))?;
         // A checkpoint is never durable before the drain it queued behind
-        // (covers the no-chunk edge case where only the manifest uploads).
+        // (covers the no-chunk edge case where only the dense object and
+        // the manifest upload).
         let completed_at = receipt
             .completed_at
+            .max(dense_receipt.completed_at)
             .max(scheduler.durable_at())
             .max(uploads_after);
 
         Ok(CheckpointRecord {
+            stored_bytes: payload_bytes + manifest.dense.bytes + manifest_len,
             manifest,
             manifest_key,
-            stored_bytes: payload_bytes + manifest_len,
             completed_at,
             write_latency: completed_at.saturating_sub(issue_time),
             quantize_cpu_time: Duration::from_nanos(quantize_nanos.load(Ordering::Relaxed)),

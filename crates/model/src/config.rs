@@ -89,6 +89,34 @@ impl ModelConfig {
         self.embedding_params() * 4
     }
 
+    /// `(input, hidden, output)` sizes of the bottom and top MLPs of a
+    /// model built from this config: the bottom maps the dense features to
+    /// the embedding dim, the top maps the concatenated features (bottom
+    /// output and one pooled embedding per table) to one logit.
+    pub fn mlp_shapes(&self) -> [(usize, &[usize], usize); 2] {
+        let dim = self.dim();
+        [
+            (self.dense_dim, &self.bottom_hidden, dim),
+            (dim * (self.tables.len() + 1), &self.top_hidden, 1),
+        ]
+    }
+
+    /// Parameters of the bottom and top MLPs of a model built from this
+    /// config: the lengths `Mlp::flatten` returns for each.
+    pub fn mlp_param_counts(&self) -> (usize, usize) {
+        let params = |(input, hidden, output): (usize, &[usize], usize)| {
+            let mut prev = input;
+            let mut total = 0;
+            for &h in hidden.iter().chain([&output]) {
+                total += prev * h + h;
+                prev = h;
+            }
+            total
+        };
+        let [bottom, top] = self.mlp_shapes();
+        (params(bottom), params(top))
+    }
+
     /// Row counts per table, as used by trackers and coverage analyzers.
     pub fn row_counts(&self) -> Vec<usize> {
         self.tables.iter().map(|t| t.rows as usize).collect()

@@ -44,7 +44,6 @@ impl DlrmModel {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid model config: {e}"));
-        let dim = config.dim();
         let tables: Vec<EmbeddingTable> = config
             .tables
             .iter()
@@ -59,9 +58,9 @@ impl DlrmModel {
                 )
             })
             .collect();
-        let bottom = Mlp::new(config.dense_dim, &config.bottom_hidden, dim, config.seed ^ 0xB0);
-        let top_in = dim * (config.tables.len() + 1);
-        let top = Mlp::new(top_in, &config.top_hidden, 1, config.seed ^ 0x70);
+        let [(b_in, b_hidden, b_out), (t_in, t_hidden, t_out)] = config.mlp_shapes();
+        let bottom = Mlp::new(b_in, b_hidden, b_out, config.seed ^ 0xB0);
+        let top = Mlp::new(t_in, t_hidden, t_out, config.seed ^ 0x70);
         Self {
             config,
             tables,
@@ -264,6 +263,24 @@ fn bce(p: f32, y: f32) -> f64 {
 mod tests {
     use super::*;
     use cnr_workload::{DatasetSpec, SyntheticDataset};
+
+    /// The config's parameter counts are what the built MLPs flatten to,
+    /// whatever the hidden layers.
+    #[test]
+    fn config_counts_the_mlps_parameters() {
+        for (dim, bottom_hidden, top_hidden) in
+            [(8, vec![16], vec![16, 8]), (4, vec![], vec![]), (16, vec![3, 5, 7], vec![2])]
+        {
+            let config = ModelConfig {
+                bottom_hidden,
+                top_hidden,
+                ..ModelConfig::for_dataset(&DatasetSpec::tiny(5), dim)
+            };
+            let model = DlrmModel::new(config.clone());
+            let built = (model.bottom().flatten().len(), model.top().flatten().len());
+            assert_eq!(config.mlp_param_counts(), built, "dim {dim}");
+        }
+    }
 
     /// Mean BCE of `m`'s predictions on `batch` (no parameter updates).
     fn loss_on(m: &DlrmModel, batch: &Batch) -> f64 {

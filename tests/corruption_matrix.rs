@@ -1,6 +1,7 @@
 //! Corruption-injection matrix, end to end at the facade level: for every
 //! damage kind ({bit flip, truncated transfer, stale replica}) aimed at
-//! every object class ({chunk, manifest, part boundary}) under every
+//! every object class ({chunk, manifest, dense object, part boundary})
+//! under every
 //! reader-host count ({1, 2, 4, 8}), a restore either heals the damage by
 //! re-fetching from another replica — bit-identically — or fails with the
 //! typed `CnrError::Corrupt`. It NEVER returns silently wrong weights.
@@ -36,6 +37,9 @@ enum Target {
     Chunk,
     /// The checkpoint manifest.
     Manifest,
+    /// The checkpoint's dense object (its MLPs), the newest level's and
+    /// only one a restore reads.
+    Dense,
     /// A chunk object split into several multipart ranges, so the damage
     /// lands on one ranged read of a larger reassembly.
     PartBoundary,
@@ -46,6 +50,7 @@ impl Target {
         match self {
             Target::Chunk | Target::PartBoundary => "-chunk-",
             Target::Manifest => "/manifest",
+            Target::Dense => "/dense",
         }
     }
 
@@ -191,12 +196,13 @@ const KINDS: [CorruptionKind; 3] = [
     CorruptionKind::Truncate,
     CorruptionKind::StaleReplica,
 ];
-const TARGETS: [Target; 3] = [Target::Chunk, Target::Manifest, Target::PartBoundary];
+const TARGETS: [Target; 4] = [Target::Chunk, Target::Manifest, Target::Dense, Target::PartBoundary];
 const HOSTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The full 3 x 3 x 4 matrix with a transient fault and a refetch budget:
+/// The full 3 x 4 x 4 matrix with a transient fault and a refetch budget:
 /// no cell ever yields silent garbage, and every cell heals by refetching
-/// (manifests ride the same verify-and-refetch scheduler as chunks).
+/// (manifests and the dense object ride the same verify-and-refetch
+/// scheduler as chunks).
 #[test]
 fn transient_corruption_matrix_heals_or_fails_typed() {
     let mut repaired = 0u32;
@@ -211,9 +217,9 @@ fn transient_corruption_matrix_heals_or_fails_typed() {
             }
         }
     }
-    assert_eq!(repaired + typed, 36, "every cell ran");
+    assert_eq!(repaired + typed, 48, "every cell ran");
     assert_eq!(
-        repaired, 36,
+        repaired, 48,
         "the refetch path repaired the whole matrix ({typed} typed failures)"
     );
 }
@@ -258,6 +264,7 @@ fn damage_on_the_magic_is_detected_and_refetched() {
         let manifest = load_manifest(&store, "job", CheckpointId(0)).unwrap();
         let first_read = match target {
             Target::Manifest => store.head("job/ckpt-00000000/manifest").unwrap().size,
+            Target::Dense => manifest.dense.bytes,
             Target::Chunk | Target::PartBoundary => {
                 let first = &manifest.chunks[0];
                 assert_eq!(first.parts > 1, target == Target::PartBoundary);
@@ -329,7 +336,7 @@ proptest! {
     fn random_cells_never_leak_garbage(
         seed in any::<u64>(),
         kind_ix in 0usize..3,
-        target_ix in 0usize..3,
+        target_ix in 0usize..4,
         hosts_ix in 0usize..4,
         persistent in any::<bool>(),
         retries in 0u32..3,

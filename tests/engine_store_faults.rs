@@ -185,11 +185,12 @@ fn training_on_after_a_failed_wal_sync_checkpoints_at_the_boundary() {
 /// interval later.
 #[test]
 fn a_restore_at_a_failed_boundary_owes_its_checkpoint_at_once() {
-    // Checkpoint at 5, then five WAL syncs; the boundary at 10 fails its
-    // first put.
+    // Checkpoint at 5 (four puts: two chunks, the dense object, the
+    // manifest), then five WAL syncs; the boundary at 10 fails its first
+    // put, the tenth.
     let flaky = Arc::new(FlakyStore::new(
         InMemoryStore::new(),
-        [Fault::fail(Op::Put, FailureMode::Once(9))],
+        [Fault::fail(Op::Put, FailureMode::Once(10))],
     ));
     let mut e = builder(flaky.clone()).delta_wal(DeltaWalConfig).build().unwrap();
     let err = e.train_batches(10).unwrap_err();

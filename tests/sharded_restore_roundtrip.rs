@@ -236,11 +236,14 @@ fn snapshot_of(
                 .map(|acc| mask.iter_ones().map(|row| acc[row]).collect()),
         })
         .collect();
+    // Dense layers of the model's shape (a restore refuses any other),
+    // every parameter the level's number.
+    let (bottom, top) = cfg.mlp_param_counts();
     TrainingSnapshot {
         model: ModelState {
             tables: slabs,
-            bottom: vec![level as f32],
-            top: vec![-(level as f32)],
+            bottom: vec![level as f32; bottom],
+            top: vec![-(level as f32); top],
             iteration: level,
         },
         geometry: TableMeta::for_model(cfg),

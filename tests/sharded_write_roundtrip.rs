@@ -15,7 +15,8 @@
 use check_n_run::cluster::{HostKill, SimClock};
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::manifest::{
-    CheckpointId, CheckpointKind, ChunkMeta, ChunkPayload, Manifest, ShardMeta, TableMeta,
+    CheckpointId, CheckpointKind, ChunkMeta, ChunkPayload, DenseLayers, DenseMeta, Manifest,
+    ShardMeta, TableMeta,
 };
 use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::restore::restore;
@@ -396,6 +397,17 @@ proptest! {
                     stored_runs.sort();
                     prop_assert_eq!(&stored_runs, &planned_runs, "{}", what);
 
+                    // The dense object holds the live model's MLPs.
+                    let want_dense = DenseLayers {
+                        id,
+                        iteration: live.iteration,
+                        bottom: live.bottom.clone(),
+                        top: live.top.clone(),
+                    };
+                    let dense_key = Manifest::dense_key("job", id);
+                    let dense_object = store.get(&dense_key).expect("dense object");
+                    prop_assert!(dense_object[..] == want_dense.encode_enveloped()[..], "{}", what);
+
                     // The manifest, from the live model and its configuration.
                     let mut want_manifest = Manifest {
                         id,
@@ -405,8 +417,12 @@ proptest! {
                         reader_state: ReaderState::at(2),
                         scheme,
                         tables: TableMeta::for_model(&model_cfg),
-                        bottom_mlp: live.bottom.clone(),
-                        top_mlp: live.top.clone(),
+                        dense: DenseMeta {
+                            key: dense_key,
+                            bytes: dense_object.len() as u64,
+                            bottom_params: live.bottom.len() as u32,
+                            top_params: live.top.len() as u32,
+                        },
                         chunks: rec.manifest.chunks.clone(),
                         shards: rec.manifest.shards.clone(),
                         payload_bytes: rec.manifest.chunks.iter().map(|c| c.bytes).sum(),
@@ -446,6 +462,8 @@ proptest! {
                     prop_assert_eq!(&rec.manifest, &want_manifest, "{}", what);
                     let stored = Manifest::decode(&store.get(&rec.manifest_key).expect("manifest object"));
                     prop_assert_eq!(&stored.expect("manifest decodes"), &want_manifest, "{}", what);
+                    let dense = DenseLayers::decode(&dense_object, &want_manifest).expect("dense decodes");
+                    prop_assert_eq!(&dense, &want_dense, "{}", what);
 
                     let restored = restore(&store, "job", id, &model_cfg).expect("restore");
                     prop_assert!(restored.state == want, "{}: restore differs from the reference", what);
