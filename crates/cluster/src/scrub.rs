@@ -29,10 +29,6 @@ pub struct ScrubFindings {
     pub repaired: u64,
     /// Corrupt objects no source could produce clean.
     pub unrepairable: u64,
-    /// Keys skipped because a lazy restore had fetches in flight on them
-    /// (the sweep never races an on-demand fault-in; the next sweep
-    /// revisits them).
-    pub skipped_in_flight: u64,
 }
 
 impl ScrubFindings {
@@ -43,7 +39,6 @@ impl ScrubFindings {
         self.corrupt_detected += other.corrupt_detected;
         self.repaired += other.repaired;
         self.unrepairable += other.unrepairable;
-        self.skipped_in_flight += other.skipped_in_flight;
     }
 }
 

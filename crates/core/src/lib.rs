@@ -29,7 +29,7 @@
 //! * [`controller`] — checkpoint registry, validity, retention, deletion
 //!   (§4.4).
 //! * [`engine`] — the end-to-end training loop: reader budgets, interval
-//!   scheduling, non-overlap rule, failure injection.
+//!   scheduling, non-overlap rule, simulated failure and recovery.
 //! * [`stats`] — per-interval bandwidth/capacity accounting (Figures 15–17)
 //!   and the one record of each restore: where it landed and what each
 //!   phase of time-to-resume cost.

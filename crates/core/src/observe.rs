@@ -75,7 +75,6 @@ pub fn record_resume(obs: &Obs, row: &ResumeStats, fetch_retries: u64) {
     reg.observe_duration(names::RESTORE_FETCH_NS, row.fetch);
     reg.observe_duration(names::RESTORE_DECODE_NS, row.decode);
     reg.observe_duration(names::RESTORE_MERGE_NS, row.merge);
-    reg.observe_duration(names::RESTORE_WAL_REPLAY_NS, row.wal_replay);
     reg.observe(
         names::RESTORE_FETCH_RETRIES,
         fetch_retries as f64,

@@ -23,13 +23,15 @@
 //! code: the background **drain** wraps the model's tables and the stamps
 //! in a `merge::Destination` again and places every cold chunk on the
 //! restore's decode workers; a **fault-in** (training touched an
-//! unrestored row — a counted, synchronous, targeted fetch) lands the one
-//! row, found at `k × body_len` in each cold chunk that names it, through
-//! `merge::land_rows` over a one-row stripe — the decoder the chunk's
-//! header resolved when the restore opened it, so nothing about the
+//! unrestored row — charged as a counted, synchronous, targeted fetch)
+//! lands the one row, found at `k × body_len` in each cold chunk that names
+//! it, through `merge::land_rows` over a one-row stripe — the decoder the
+//! chunk's header resolved when the restore opened it, so nothing about the
 //! encoding is decided again. Per row the apply order is always chunk
 //! levels ascending, then the log (the rank rule) — exactly the eager
-//! path's.
+//! path's. Neither reads the store: the cold frames came with the
+//! restore's fetch, so a scrub sweep that heals a cold chunk's stored
+//! object meanwhile changes nothing here.
 //!
 //! [`LazyRestore::defer_delta`] is the older way to replay a log into a
 //! lazy restore, kept only for the lifecycle benchmark's WAL probe
@@ -215,9 +217,9 @@ impl LazyRestore {
     }
 
     /// Keys of cold chunks that still cover at least one unmaterialized
-    /// row — the in-flight set a concurrent scrub sweep must not rewrite
-    /// out from under a fault-in's targeted read.
-    pub fn pending_keys(&self) -> Vec<String> {
+    /// row: how tests pick a cold chunk.
+    #[cfg(test)]
+    pub(crate) fn pending_keys(&self) -> Vec<String> {
         self.cold
             .iter()
             .filter(|chunk| {

@@ -123,8 +123,6 @@ pub const RESTORE_FETCH_NS: &str = "cnr_restore_fetch_ns";
 pub const RESTORE_DECODE_NS: &str = "cnr_restore_decode_ns";
 /// Histogram (ns): merge phase per restore.
 pub const RESTORE_MERGE_NS: &str = "cnr_restore_merge_ns";
-/// Histogram (ns): WAL replay phase per restore.
-pub const RESTORE_WAL_REPLAY_NS: &str = "cnr_restore_wal_replay_ns";
 /// Histogram (ns): simulated fetch time charged to one faulting batch — one
 /// observation per batch whose cold rows a lazy restore fetched on demand
 /// (the per-restore total is `ResumeStats::fault_in_time`).
@@ -166,6 +164,4 @@ pub const SCRUB_CORRUPT_DETECTED: &str = "cnr_scrub_corrupt_detected_total";
 pub const SCRUB_REPAIRED: &str = "cnr_scrub_repaired_total";
 /// Counter: corrupt objects no source could heal.
 pub const SCRUB_UNREPAIRABLE: &str = "cnr_scrub_unrepairable_total";
-/// Counter: keys skipped because a lazy restore had them in flight.
-pub const SCRUB_SKIPPED_IN_FLIGHT: &str = "cnr_scrub_skipped_in_flight_total";
 

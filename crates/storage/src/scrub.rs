@@ -18,6 +18,9 @@
 //! A sweep only ever writes bytes it has just verified: an object that is
 //! not a valid envelope (or, for a WAL segment, a clean run of frames) and
 //! has no clean copy anywhere is reported unrepairable and left untouched.
+//! Every key handed to a sweep is scanned: no reader depends on a stored
+//! object staying as it was (a lazy restore holds its cold tail as
+//! verified bytes in memory), so none is off limits.
 //!
 //! Each sweep returns a [`ScrubReport`]; the cluster layer
 //! (`cnr_cluster::scrub`) schedules sweeps and aggregates findings into
@@ -41,10 +44,6 @@ pub struct ScrubReport {
     pub repaired: u64,
     /// Keys that could not be read clean from any source.
     pub unrepairable: Vec<String>,
-    /// Keys skipped because the caller marked them in-flight (a lazy
-    /// restore still has fetches outstanding against them); the next
-    /// sweep revisits them.
-    pub skipped_in_flight: u64,
 }
 
 impl ScrubReport {
@@ -57,7 +56,6 @@ impl ScrubReport {
             corrupt_detected: self.corrupt_detected,
             repaired: self.repaired,
             unrepairable: self.unrepairable.len() as u64,
-            skipped_in_flight: self.skipped_in_flight,
         }
     }
 }
@@ -66,9 +64,6 @@ impl ScrubReport {
 pub struct Scrubber<'a> {
     primary: &'a dyn ObjectStore,
     replica: Option<&'a dyn ObjectStore>,
-    /// Keys a lazy restore still has fetches in flight against — skipped
-    /// (and counted), never verified or rewritten mid-fetch.
-    in_flight: std::collections::HashSet<String>,
     /// When attached, each sweep records a `scrub.sweep` span and mirrors
     /// its findings into the `cnr_obs::names::SCRUB_*` counters.
     obs: Option<cnr_obs::Obs>,
@@ -80,7 +75,6 @@ impl<'a> Scrubber<'a> {
         Self {
             primary,
             replica: None,
-            in_flight: std::collections::HashSet::new(),
             obs: None,
         }
     }
@@ -88,16 +82,6 @@ impl<'a> Scrubber<'a> {
     /// Attaches an observability handle: sweeps record spans + counters.
     pub fn with_obs(mut self, obs: cnr_obs::Obs) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Marks keys a concurrent lazy restore still has fetches in flight
-    /// against: the sweep skips them (healing an object mid-fetch would
-    /// race the fault-in's read) and counts each skip in
-    /// [`ScrubReport::skipped_in_flight`] so the next sweep knows to
-    /// revisit.
-    pub fn with_in_flight(mut self, keys: impl IntoIterator<Item = String>) -> Self {
-        self.in_flight.extend(keys);
         self
     }
 
@@ -118,10 +102,6 @@ impl<'a> Scrubber<'a> {
     pub fn sweep<'k>(&self, keys: impl IntoIterator<Item = &'k str>) -> ScrubReport {
         let mut report = ScrubReport::default();
         for key in keys {
-            if self.in_flight.contains(key) {
-                report.skipped_in_flight += 1;
-                continue;
-            }
             report.scanned += 1;
             self.scrub_one(key, &mut report);
         }
@@ -199,15 +179,13 @@ fn record_sweep(obs: &cnr_obs::Obs, report: &ScrubReport) {
     r.counter_add(n::SCRUB_CORRUPT_DETECTED, report.corrupt_detected);
     r.counter_add(n::SCRUB_REPAIRED, report.repaired);
     r.counter_add(n::SCRUB_UNREPAIRABLE, report.unrepairable.len() as u64);
-    r.counter_add(n::SCRUB_SKIPPED_IN_FLIGHT, report.skipped_in_flight);
     let now = obs.now();
     obs.record(
         cnr_obs::Span::new(n::SPAN_SCRUB_SWEEP, now, now)
             .with_attr("scanned", report.scanned.to_string())
             .with_attr("clean", report.clean.to_string())
             .with_attr("corrupt_detected", report.corrupt_detected.to_string())
-            .with_attr("repaired", report.repaired.to_string())
-            .with_attr("skipped_in_flight", report.skipped_in_flight.to_string()),
+            .with_attr("repaired", report.repaired.to_string()),
     );
 }
 
@@ -464,36 +442,6 @@ mod tests {
         assert_eq!(report.corrupt_detected, 1);
         assert_eq!(report.repaired, 0);
         assert_eq!(report.unrepairable, vec![key]);
-    }
-
-    #[test]
-    fn in_flight_keys_are_skipped_not_scrubbed() {
-        let store = InMemoryStore::new();
-        put_enveloped(&store, "job/0/chunk-0", b"cold tail being fetched");
-        put_enveloped(&store, "job/0/chunk-1", b"quiet object");
-        // chunk-0 is damaged *and* has a lazy-restore fetch in flight: the
-        // sweep must neither touch nor report it as corrupt — rewriting it
-        // mid-fetch would race the fault-in's read.
-        poison(&store, "job/0/chunk-0");
-        let before = store.get("job/0/chunk-0").unwrap();
-        let report = Scrubber::new(&store)
-            .with_in_flight(["job/0/chunk-0".to_string()])
-            .sweep(["job/0/chunk-0", "job/0/chunk-1"]);
-        assert_eq!(report.skipped_in_flight, 1);
-        assert_eq!(report.scanned, 1, "only the quiet object is examined");
-        assert_eq!(report.clean, 1);
-        assert_eq!(report.corrupt_detected, 0);
-        assert!(report.unrepairable.is_empty());
-        assert_eq!(
-            store.get("job/0/chunk-0").unwrap(),
-            before,
-            "in-flight object bytes untouched"
-        );
-        assert_eq!(report.findings().skipped_in_flight, 1);
-
-        // Once the fetch lands, the next sweep sees the damage as usual.
-        let next = Scrubber::new(&store).sweep(["job/0/chunk-0"]);
-        assert_eq!(next.corrupt_detected, 1);
     }
 
     #[test]
