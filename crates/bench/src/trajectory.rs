@@ -458,7 +458,7 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
 
 /// The `BENCH_quant.json` record set: wall-clock ns per quantized row for
 /// each scheme the quant-latency bench tracks, wall-clock ns per row of
-/// placing a checkpoint's fp32 and 4-bit chunks (`decode_chunk/*`, through
+/// placing a checkpoint's fp32, fp16 and 4-bit chunks (`decode_chunk/*`, through
 /// [`place_wall_clock`]), and for each adaptive
 /// scheme among them the mean number of greedy steps its range search
 /// executes per row (`search_steps/*`) — a count over the same rows,
@@ -486,11 +486,13 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
         ));
     }
     // Decode, a chunk at a time, as a restore runs it: the paper's
-    // baseline and the 4-bit codes a consecutive-increment chain restores.
+    // baseline, the binary16 baseline, and the 4-bit codes a
+    // consecutive-increment chain restores.
     let (decode_cfg, decode_snap) = decode_snapshot(quick);
     let decoded_rows: usize = decode_cfg.row_counts().iter().sum();
     for (name, scheme) in [
         ("fp32", QuantScheme::Fp32),
+        ("fp16", QuantScheme::Fp16),
         ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
     ] {
         let store = chunk_store(&decode_snap, scheme);

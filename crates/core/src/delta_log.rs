@@ -41,6 +41,7 @@ use crate::manifest::{
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::{DlrmModel, Mlp};
+use cnr_quant::scheme::RowEncoder;
 use cnr_quant::QuantScheme;
 use cnr_storage::{PutReceipt, WalWriter};
 use cnr_workload::Batch;
@@ -124,11 +125,11 @@ impl DeltaRecord {
                 continue;
             }
             let table = &model.tables()[t];
-            let chunk = touched_frame(model, scheme, t, &row_indices);
+            let (chunk, encoder) = touched_frame(model, scheme, t, &row_indices);
             let mut frame = Vec::with_capacity(chunk.encoded_len());
             chunk.encode_into(&mut frame, |out| {
                 for &i in &row_indices {
-                    scheme.quantize_row_into(table.row(i as usize), out);
+                    encoder.quantize_row_into(table.row(i as usize), out);
                 }
             });
             let header = open_frame(&frame).expect("a captured frame opens");
@@ -165,7 +166,7 @@ impl DeltaRecord {
         let touched = TouchedRows::of(batch);
         let chunks_len: usize = touched
             .tables()
-            .map(|(t, rows)| touched_frame(model, scheme, t, rows).encoded_len())
+            .map(|(t, rows)| touched_frame(model, scheme, t, rows).0.encoded_len())
             .sum();
         let len = 3 * 8
             + scheme_len(scheme)
@@ -181,9 +182,10 @@ impl DeltaRecord {
             out.put_u16_le(touched.tables().count() as u16);
             for (t, rows) in touched.tables() {
                 let table = &model.tables()[t];
-                touched_frame(model, scheme, t, rows).encode_into(out, |out| {
+                let (chunk, encoder) = touched_frame(model, scheme, t, rows);
+                chunk.encode_into(out, |out| {
                     for &i in rows {
-                        scheme.quantize_row_into(table.row(i as usize), out);
+                        encoder.quantize_row_into(table.row(i as usize), out);
                     }
                 });
             }
@@ -447,29 +449,35 @@ impl TouchedRows {
 }
 
 /// The chunk of table `t`'s touched `rows`, as the chunk layout's single
-/// writer takes it: accumulators gathered from the table as they are
-/// written.
+/// writer takes it — accumulators gathered from the table as they are
+/// written — and the encoder its rows' values decide
+/// ([`QuantScheme::encoder_for`]).
 fn touched_frame<'a>(
     model: &'a DlrmModel,
     scheme: &QuantScheme,
     t: usize,
     rows: &'a [u32],
-) -> ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a> {
+) -> (
+    ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a>,
+    RowEncoder,
+) {
     let table = &model.tables()[t];
     let dim = table.dim();
-    ChunkFrame {
+    let encoder = scheme.encoder_for(rows.iter().map(|&i| table.row(i as usize)));
+    let frame = ChunkFrame {
         table: t as u16,
         row_indices: rows,
         optimizer_state: table
             .adagrad()
             .map(|acc| rows.iter().map(move |&i| acc[i as usize])),
         rows: RowContext {
-            tag: scheme.kind_tag(),
-            bits: scheme.bits(),
+            tag: encoder.kind_tag(),
+            bits: encoder.bits(),
             dim: dim as u16,
         },
-        rows_len: rows.len() * scheme.body_bytes_per_row(dim),
-    }
+        rows_len: rows.len() * encoder.body_len(dim),
+    };
+    (frame, encoder)
 }
 
 /// Bytes [`put_mlp`] appends for `mlp`.

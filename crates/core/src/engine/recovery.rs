@@ -45,8 +45,8 @@ enum State {
         /// full drain costs no further transfer time.
         done_at: Duration,
     },
-    /// A restore started and has not landed, or a drain failed and dropped
-    /// its tail: training and checkpointing fail with
+    /// A restore started and has not landed, or a drain failed placing
+    /// rows and dropped its tail: training and checkpointing fail with
     /// [`CnrError::TrainingStateLost`] until a restore succeeds.
     Lost,
 }
@@ -193,9 +193,11 @@ impl Recovery {
     /// Lands the whole tail: waits out the background fetch (advancing the
     /// clock to its end) and places every cold chunk (on the restore's
     /// decode workers; a row the WAL replay landed is already final).
-    /// Returns the rows materialized — zero unless draining. A drain that
-    /// fails has dropped its tail: the rows it had not reached stay stale
-    /// for good, and the model is lost until a restore succeeds.
+    /// Returns the rows materialized — zero unless draining. A drain the
+    /// tail refuses — a model of another shape, checked before any row is
+    /// written — keeps the tail, so a drain into the right model lands it.
+    /// A drain that fails placing rows has left the model partly written:
+    /// it is dropped, and the model is lost until a restore succeeds.
     pub(super) fn drain(
         &mut self,
         model: &mut DlrmModel,
@@ -208,11 +210,11 @@ impl Recovery {
         let drain_start = clock.now();
         clock.advance_to(*done_at);
         let drained = tail.drain(model);
-        self.state = if drained.is_ok() {
-            State::Live
-        } else {
-            State::Lost
-        };
+        match drained {
+            Ok(_) => self.state = State::Live,
+            Err(CnrError::ShapeMismatch(_)) => {}
+            Err(_) => self.state = State::Lost,
+        }
         let rows = drained?.rows_materialized;
         observe::record_lazy_drain_span(obs, drain_start, clock.now(), rows);
         Ok(rows)

@@ -686,8 +686,10 @@ impl ChunkPayload {
     /// 2-bit/dim-64 a redundant 4-byte per-row header would cost ~14% of
     /// the chunk. The row index is delta-coded ([`wire::put_indices`]): 1 B
     /// per row of an ascending run with gaps under 64, where a `u32` cost
-    /// 4 — at 4-bit/dim-32 (16 B of codes, 8 B of parameters) that was
-    /// ~14% of the chunk and is now ~4%.
+    /// 4. The scale and zero point are binary16 values (row tag 4,
+    /// [`cnr_quant::params`]), 4 B where `f32`s cost 8. At 4-bit/dim-32 a
+    /// row is 1 B of index, 4 B of parameters and 16 B of codes: 21 B,
+    /// where a `u32` index and `f32` parameters made it 28.
     pub fn encode(&self) -> Vec<u8> {
         let frame = self.frame();
         let mut out = Vec::with_capacity(frame.encoded_len());

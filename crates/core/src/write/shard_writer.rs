@@ -78,9 +78,10 @@ impl ShardWriter<'_> {
 /// `slab` (the snapshot's gathered rows of the item's table: the item's
 /// rows are the `indices.len()` consecutive slab rows from `slab_start`,
 /// while the frame records the table-absolute `indices`) into the exactly
-/// sized chunk buffer, which is then checksummed in place. Byte for byte
-/// what
-/// `ChunkPayload { rows: quantize_row(..) for every row, .. }.encode_enveloped()`
+/// sized chunk buffer, which is then checksummed in place. The rows'
+/// encoding — binary16 or `f32` uniform parameters — is decided once from
+/// their values ([`QuantScheme::encoder_for`]). Byte for byte what
+/// `ChunkPayload { rows: encoder.quantize_row(..) for every row, .. }.encode_enveloped()`
 /// produces, without the row objects or any intermediate copy.
 ///
 /// Panics when the item's rows lie outside `slab` — the chunker only plans
@@ -89,12 +90,14 @@ impl ShardWriter<'_> {
 pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> Vec<u8> {
     let (count, dim) = (item.indices.len(), item.dim);
     let rows_at = item.slab_start..item.slab_start + count;
+    let values = &slab.data[rows_at.start * dim..rows_at.end * dim];
+    let encoder = scheme.encoder_for([values]);
     let rows = if count == 0 {
         RowContext::EMPTY
     } else {
         RowContext {
-            tag: scheme.kind_tag(),
-            bits: scheme.bits(),
+            tag: encoder.kind_tag(),
+            bits: encoder.bits(),
             dim: dim as u16,
         }
     };
@@ -106,11 +109,9 @@ pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) ->
             .as_ref()
             .map(|acc| acc[rows_at.clone()].iter().copied()),
         rows,
-        rows_len: count * scheme.body_bytes_per_row(dim),
+        rows_len: count * encoder.body_len(dim),
     }
-    .encode_enveloped(|out| {
-        scheme.quantize_rows_into(&slab.data[rows_at.start * dim..rows_at.end * dim], dim, out)
-    })
+    .encode_enveloped(|out| encoder.quantize_rows_into(values, dim, out))
 }
 
 #[cfg(test)]
@@ -155,9 +156,12 @@ mod tests {
         (item, slab)
     }
 
-    /// The row-object encoding the fused path must reproduce.
+    /// The row-object encoding the fused path must reproduce: each row
+    /// quantized on its own, with the encoding the chunk's values decide.
     fn via_row_objects(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> ChunkPayload {
         let slab_rows = item.slab_start..item.slab_start + item.indices.len();
+        let row = |k: usize| &slab.data[k * item.dim..(k + 1) * item.dim];
+        let encoder = scheme.encoder_for(slab_rows.clone().map(row));
         ChunkPayload {
             table: item.table,
             row_indices: item.indices.clone(),
@@ -167,28 +171,160 @@ mod tests {
                 .map(|acc| acc[slab_rows.clone()].to_vec()),
             rows: slab_rows
                 .clone()
-                .map(|k| scheme.quantize_row(&slab.data[k * item.dim..(k + 1) * item.dim]))
+                .map(|k| encoder.quantize_row(row(k)))
                 .collect(),
         }
     }
 
+    /// Both row encodings of a uniform chunk: binary16 parameters (tag 4)
+    /// for ordinary values, `f32` ones (tag 1) once a value of the chunk —
+    /// in any of its rows — is one binary16 parameters cannot describe.
     #[test]
     fn encode_chunk_equals_the_row_object_encoding_byte_for_byte() {
         for scheme in schemes() {
             for with_acc in [false, true] {
                 for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32), (3, 130)] {
-                    let (item, table) = item(rows, dim, with_acc);
-                    let want = via_row_objects(&item, &table, &scheme);
-                    let got = encode_chunk(&item, &table, &scheme);
-                    assert_eq!(
-                        got,
-                        want.encode_enveloped(),
-                        "{scheme}, acc {with_acc}, {rows}x{dim}"
-                    );
-                    assert_eq!(ChunkPayload::decode(&got).unwrap(), want);
+                    for poison in [None, Some(f32::NAN), Some(-1e6)] {
+                        let (item, mut table) = item(rows, dim, with_acc);
+                        if let (Some(v), true) = (poison, rows > 0) {
+                            // The last value of the chunk's last row.
+                            table.data[(item.slab_start + rows) * dim - 1] = v;
+                        }
+                        let want = via_row_objects(&item, &table, &scheme);
+                        let got = encode_chunk(&item, &table, &scheme);
+                        let case = format!("{scheme}, acc {with_acc}, {rows}x{dim}, {poison:?}");
+                        assert_eq!(got, want.encode_enveloped(), "{case}");
+                        let decoded = ChunkPayload::decode(&got).unwrap();
+                        assert_eq!(decoded.encode_enveloped(), got, "{case}");
+                        let tag = match scheme {
+                            QuantScheme::Fp32 => 0,
+                            QuantScheme::Fp16 => 3,
+                            _ if poison.is_some() => 1,
+                            _ => 4,
+                        };
+                        assert!(decoded.rows.iter().all(|r| r.kind_tag() == tag), "{case}");
+                    }
                 }
             }
         }
+    }
+
+    /// A 4-bit asymmetric chunk of three rows, as the writer stored it
+    /// before rows kept binary16 parameters: tag 1, `f32` scale and zero
+    /// point.
+    const F32_PARAMS_CHUNK: [u8; 68] = [
+        0x43, 0x4E, 0x52, 0x36, 0x06, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x28, 0xD3, 0x7E,
+        0x0A, 0xCD, 0x8E, 0x2E, 0x61, 0x2C, 0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x00, 0x01, 0x04, 0x04, 0x00, 0x00, 0x04, 0x04, 0x89, 0x88, 0x08, 0x3D, 0xCD, 0xCC, 0x4C,
+        0xBE, 0x09, 0x7F, 0xCD, 0xCC, 0x4C, 0x3D, 0x00, 0x00, 0x00, 0xBF, 0xF0, 0xDA, 0xCD, 0xCC,
+        0x4C, 0x3D, 0x00, 0x00, 0x40, 0x3F, 0xAF, 0x05,
+    ];
+
+    /// The rows of [`F32_PARAMS_CHUNK`], and of [`SPECIAL_VALUES_CHUNK`],
+    /// table 1, row indices 0, 2, 4, ...
+    fn fixture_item(rows: &[[f32; 4]]) -> (WorkItem, TableState) {
+        let item = WorkItem {
+            shard: 0,
+            seq: 0,
+            table: 1,
+            indices: (0..rows.len() as u32).map(|i| i * 2).collect(),
+            slab_start: 0,
+            dim: 4,
+        };
+        let slab = TableState {
+            data: rows.iter().flatten().copied().collect(),
+            adagrad: None,
+        };
+        (item, slab)
+    }
+
+    const F32_PARAMS_ROWS: [[f32; 4]; 3] = [
+        [0.1, -0.2, 0.3, 0.05],
+        [-0.5, 0.25, 0.0, 0.125],
+        [1.5, 1.25, 1.0, 0.75],
+    ];
+
+    /// Bits of each value, every NaN the same.
+    fn value_bits(values: &[f32]) -> Vec<u32> {
+        let bits = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        values.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn a_chunk_stored_with_f32_parameters_still_decodes() {
+        let (header, values) = decode_in_place(&F32_PARAMS_CHUNK).unwrap();
+        assert_eq!(
+            (header.rows.tag, header.rows.bits, header.rows.dim),
+            (1, 4, 4)
+        );
+        assert_eq!(header.row_indices, [0, 2, 4]);
+        let want: Vec<f32> = F32_PARAMS_ROWS
+            .iter()
+            .flat_map(|row| {
+                let (codes, params) = cnr_quant::uniform::quantize_asymmetric(row, 4);
+                cnr_quant::uniform::dequantize(&codes, &params)
+            })
+            .collect();
+        assert_eq!(value_bits(&values), value_bits(&want));
+        let rows = ChunkPayload::decode(&F32_PARAMS_CHUNK).unwrap();
+        assert_eq!(
+            rows.encode_enveloped(),
+            F32_PARAMS_CHUNK,
+            "re-encodes as stored"
+        );
+        // The same rows written now take binary16 parameters, 4 B a row
+        // fewer.
+        let (item, slab) = fixture_item(&F32_PARAMS_ROWS);
+        let now = encode_chunk(&item, &slab, &QuantScheme::Asymmetric { bits: 4 });
+        assert_eq!(decode_in_place(&now).unwrap().0.rows.tag, 4);
+        assert_eq!(now.len(), F32_PARAMS_CHUNK.len() - 3 * 4);
+    }
+
+    /// A 4-bit adaptive chunk of rows holding `1e6`, `±inf` and `NaN`,
+    /// and one ordinary row, as the writer stored it before rows kept
+    /// binary16 parameters.
+    const SPECIAL_VALUES_CHUNK: [u8; 79] = [
+        0x43, 0x4E, 0x52, 0x36, 0x06, 0x00, 0x00, 0x00, 0x3B, 0x00, 0x00, 0x00, 0xA8, 0x43, 0xD1,
+        0xBD, 0x02, 0x35, 0xFD, 0x9B, 0x37, 0x00, 0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x01, 0x04, 0x04, 0x00, 0x00, 0x04, 0x04, 0x04, 0x57, 0x35, 0x82, 0x47, 0x00, 0x00,
+        0x80, 0xBE, 0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xFF, 0x00, 0x00, 0x0B,
+        0xD7, 0x23, 0x3D, 0x9A, 0x99, 0x99, 0xBE, 0xF0, 0x80, 0xD0, 0x7F, 0x05, 0x3D, 0x17, 0x6C,
+        0x41, 0xBE, 0x09, 0x7F,
+    ];
+
+    /// Rows binary16 parameters cannot describe keep `f32` ones: such a
+    /// chunk is written byte for byte as before, so it decodes to the
+    /// same bits.
+    #[test]
+    fn a_chunk_binary16_cannot_describe_keeps_f32_parameters() {
+        let rows = [
+            [1e6, 0.5, -0.25, 0.125],
+            [f32::INFINITY, 0.1, f32::NEG_INFINITY, 0.2],
+            [f32::NAN, 0.3, -0.3, 0.0],
+            [0.1, -0.2, 0.3, 0.05],
+        ];
+        let (item, slab) = fixture_item(&rows);
+        let scheme = QuantScheme::recommended_for_bits(4);
+        assert_eq!(encode_chunk(&item, &slab, &scheme), SPECIAL_VALUES_CHUNK);
+        let (header, values) = decode_in_place(&SPECIAL_VALUES_CHUNK).unwrap();
+        assert_eq!(header.rows.tag, 1);
+        let QuantScheme::AdaptiveAsymmetric {
+            bits,
+            num_bins,
+            ratio,
+        } = scheme
+        else {
+            unreachable!()
+        };
+        let want: Vec<f32> = rows
+            .iter()
+            .flat_map(|row| {
+                let (codes, params) =
+                    cnr_quant::adaptive::quantize_adaptive(row, bits, num_bins, ratio);
+                cnr_quant::uniform::dequantize(&codes, &params)
+            })
+            .collect();
+        assert_eq!(value_bits(&values), value_bits(&want));
     }
 
     /// What a restore does with a stored chunk: verify the envelope, open

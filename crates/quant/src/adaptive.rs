@@ -24,7 +24,7 @@
 //! the difference. On embedding-like rows at the engine's 4-bit default
 //! (45 bins, ratio 1) about 6 of the 44 budgeted steps run.
 
-use crate::kernel::{clip_slack, l2_errors, Trial, BLOCK};
+use crate::kernel::{clip_slack, grid_errors, l2_errors, Grid, Trial, BLOCK};
 use crate::params::QuantParams;
 use crate::uniform::{min_max, quantize_with_range};
 
@@ -129,6 +129,29 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
     }
     best.steps = steps;
     best
+}
+
+/// The grid the adaptive scheme stores `row` on with binary16 parameters,
+/// given its searched range `r`: the range rounded once
+/// ([`Grid::half_for_range`]), unless rounding the row's full range gives
+/// a strictly smaller error — the search compared `f32` grids, and the
+/// rounding can reorder two close ones. So the stored grid is never worse
+/// than the naive asymmetric one, which is the full range rounded. One
+/// measuring pass over the row, and none when the search kept the full
+/// range.
+pub(crate) fn half_grid(row: &[f32], r: &AdaptiveRange, bits: u8) -> Grid {
+    let searched = Grid::half_for_range(r.xmin, r.xmax, bits);
+    let (lo, hi) = min_max(row);
+    if (r.xmin, r.xmax) == (lo, hi) {
+        return searched;
+    }
+    let naive = Grid::half_for_range(lo, hi, bits);
+    let [s, n] = grid_errors(row, [searched, naive]);
+    if n < s {
+        naive
+    } else {
+        searched
+    }
 }
 
 /// Quantizes `row` with the adaptive asymmetric scheme.

@@ -12,10 +12,17 @@
 //! +-----+------+--------+----------------------+------------------+
 //! | tag | bits | dim:u16| params (per tag)     | payload          |
 //! +-----+------+--------+----------------------+------------------+
-//! tag 0 = fp32      params: none                payload: dim * 4 bytes
-//! tag 1 = uniform   params: scale, zero_point   payload: packed codes
-//! tag 3 = fp16      params: none                payload: dim * 2 bytes
+//! tag 0 = fp32        params: none                    payload: dim * 4 bytes
+//! tag 1 = uniform     params: scale, zero_point: f32  payload: packed codes
+//! tag 3 = fp16        params: none                    payload: dim * 2 bytes
+//! tag 4 = uniform16   params: scale, zero_point: f16  payload: packed codes
 //! ```
+//!
+//! Tag 4 is what a uniform scheme stores; a chunk holding a value its
+//! binary16 parameters cannot describe (non-finite, or beyond ±32752)
+//! stores tag 1, which is also every uniform chunk written before tag 4
+//! existed. Both decode through one loop: the parameters are widened to
+//! `f32` and a value is `scale * code as f32 + zero_point` either way.
 //!
 //! Tag 2 was a per-row k-means codebook. It is retired: nothing writes it
 //! and a stored one is [`CodecError::BadTag`]. With it went the only
@@ -29,8 +36,9 @@
 //! [`QuantizedRow::dequantize`]) run the same loops.
 
 use crate::bitpack::packed_len;
+use crate::half::f16_bits_to_f32;
 use crate::kernel::{fp16_values, fp32_values, put_f32s_le, uniform_rows};
-use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM, TAG_UNIFORM_F16};
 use bytes::{Buf, BufMut};
 
 /// Errors from decoding a serialized row.
@@ -97,7 +105,8 @@ impl QuantizedRow {
         match self.params {
             QuantParams::Fp32 => fp32_values(&self.payload, &mut out),
             QuantParams::Fp16 => fp16_values(&self.payload, &mut out),
-            QuantParams::Uniform { scale, zero_point } => {
+            QuantParams::Uniform { scale, zero_point }
+            | QuantParams::UniformF16 { scale, zero_point } => {
                 let codes = &self.payload[..packed_len(self.dim, self.bits)];
                 let row = [(codes, out.as_mut_slice())];
                 uniform_rows(self.bits, codes.len(), self.dim, row, |codes| {
@@ -155,9 +164,13 @@ impl QuantizedRow {
         let params = match decoder.encoding {
             Encoding::Fp32 => QuantParams::Fp32,
             Encoding::Fp16 => QuantParams::Fp16,
-            Encoding::Uniform { .. } => QuantParams::Uniform {
+            Encoding::Uniform { half: false, .. } => QuantParams::Uniform {
                 scale: body.get_f32_le(),
                 zero_point: body.get_f32_le(),
+            },
+            Encoding::Uniform { half: true, .. } => QuantParams::UniformF16 {
+                scale: f16_bits_to_f32(body.get_u16_le()),
+                zero_point: f16_bits_to_f32(body.get_u16_le()),
             },
         };
         Ok(Self {
@@ -201,7 +214,11 @@ pub fn decode_body_to(
 enum Encoding {
     Fp32,
     Fp16,
-    Uniform { bits: u8 },
+    /// Uniform codes; `half` when the parameters are binary16 (tag 4).
+    Uniform {
+        bits: u8,
+        half: bool,
+    },
 }
 
 /// One chunk's row encoding, resolved once: what the chunk-level context
@@ -213,7 +230,8 @@ enum Encoding {
 ///
 /// Every value is computed as the row objects compute it: little-endian
 /// bytes for fp32, [`crate::half::f16_bits_to_f32`] for fp16, and
-/// `scale * code as f32 + zero_point` for uniform codes.
+/// `scale * code as f32 + zero_point` for uniform codes, binary16
+/// parameters widened first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowDecoder {
     encoding: Encoding,
@@ -228,10 +246,15 @@ impl RowDecoder {
         let (encoding, body_len) = match kind_tag {
             TAG_FP32 if bits == 32 => (Encoding::Fp32, dim * 4),
             TAG_FP16 if bits == 16 => (Encoding::Fp16, dim * 2),
-            TAG_UNIFORM if (1..=16).contains(&bits) => {
-                (Encoding::Uniform { bits }, 8 + packed_len(dim, bits))
+            TAG_UNIFORM | TAG_UNIFORM_F16 if (1..=16).contains(&bits) => {
+                let half = kind_tag == TAG_UNIFORM_F16;
+                let params = if half { 4 } else { 8 };
+                let body_len = params + packed_len(dim, bits);
+                (Encoding::Uniform { bits, half }, body_len)
             }
-            TAG_FP32 | TAG_FP16 | TAG_UNIFORM => return Err(CodecError::BadBits(bits)),
+            TAG_FP32 | TAG_FP16 | TAG_UNIFORM | TAG_UNIFORM_F16 => {
+                return Err(CodecError::BadBits(bits))
+            }
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(Self {
@@ -282,11 +305,19 @@ impl RowDecoder {
                 assert_eq!(bodies.len(), out.len() * 2, "fp16 bodies for {} values", out.len());
                 fp16_values(bodies, out);
             }),
-            Encoding::Uniform { bits } => {
+            Encoding::Uniform { bits, half: false } => {
                 uniform_rows(bits, self.body_len, self.dim, runs, |body| {
                     let (p, codes) = body.split_at(8);
                     let scale = f32::from_le_bytes([p[0], p[1], p[2], p[3]]);
                     let zero_point = f32::from_le_bytes([p[4], p[5], p[6], p[7]]);
+                    (scale, zero_point, codes)
+                })
+            }
+            Encoding::Uniform { bits, half: true } => {
+                uniform_rows(bits, self.body_len, self.dim, runs, |body| {
+                    let (p, codes) = body.split_at(4);
+                    let scale = f16_bits_to_f32(u16::from_le_bytes([p[0], p[1]]));
+                    let zero_point = f16_bits_to_f32(u16::from_le_bytes([p[2], p[3]]));
                     (scale, zero_point, codes)
                 })
             }
@@ -393,6 +424,11 @@ mod tests {
         assert_eq!(body_len(1, 0, 4), Err(CodecError::BadBits(0)));
         assert_eq!(body_len(1, 17, 4), Err(CodecError::BadBits(17)));
         assert_eq!(body_len(3, 8, 4), Err(CodecError::BadBits(8)));
+        assert_eq!(body_len(4, 0, 4), Err(CodecError::BadBits(0)));
+        assert_eq!(body_len(4, 17, 4), Err(CodecError::BadBits(17)));
+        assert_eq!(body_len(4, 4, 32), Ok(4 + 16));
+        assert_eq!(body_len(1, 4, 32), Ok(8 + 16));
+        assert_eq!(body_len(5, 4, 32), Err(CodecError::BadTag(5)));
     }
 
     #[test]
@@ -563,7 +599,8 @@ mod tests {
         let mut bodies: Vec<u8> = (0..n * decoder.body_len()).map(|_| next() as u8).collect();
         for body in bodies.chunks_exact_mut(decoder.body_len().max(1)) {
             let (words, width) = match tag {
-                TAG_UNIFORM => (2, 4), // scale, zero_point
+                TAG_UNIFORM => (2, 4),     // scale, zero_point
+                TAG_UNIFORM_F16 => (2, 2), // the same, binary16
                 TAG_FP32 => (decoder.dim(), 4),
                 _ => (decoder.dim(), 2),
             };
@@ -598,10 +635,11 @@ mod tests {
         /// A chunk's rows decoded in one call — and in runs of any split —
         /// equal, bit for bit, each row decoded on its own through the row
         /// object and the frozen reference codec: fp32, fp16 and uniform at
-        /// every width, for arbitrary stored bytes.
+        /// every width with `f32` and with binary16 parameters, for
+        /// arbitrary stored bytes.
         #[test]
         fn chunk_decoder_equals_the_row_object_oracle(
-            encoding in 0u8..18,
+            encoding in 0u8..34,
             dim_idx in 0usize..8,
             n in 1usize..=64,
             split in 0usize..=64,
@@ -610,7 +648,8 @@ mod tests {
             let (tag, bits) = match encoding {
                 0 => (TAG_FP32, 32),
                 1 => (TAG_FP16, 16),
-                b => (TAG_UNIFORM, b - 1),
+                b @ 2..18 => (TAG_UNIFORM, b - 1),
+                b => (TAG_UNIFORM_F16, b - 17),
             };
             let dim = [1usize, 3, 7, 8, 13, 32, 64, 65][dim_idx];
             let decoder = RowDecoder::new(tag, bits, dim).unwrap();

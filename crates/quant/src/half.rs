@@ -35,13 +35,15 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
         }
         return out;
     }
-    if unbiased >= -24 {
-        // Subnormal f16.
-        let shift = (-unbiased - 14 + 13) as u32; // 14..23
+    if unbiased >= -25 {
+        // Subnormal f16: `mant16 * 2^-24`. Below 2^-24 only rounding can
+        // make a value nonzero: (2^-25, 2^-24) rounds up to the smallest
+        // subnormal, 2^-25 itself ties to even zero.
+        let shift = (-unbiased - 1) as u32; // 14..24
         let full = mant | 0x0080_0000; // implicit leading 1
-        let mant16 = (full >> (shift + 1)) as u16;
-        let round_bit = (full >> shift) & 1;
-        let sticky = (full & ((1 << shift) - 1)) != 0;
+        let mant16 = (full >> shift) as u16;
+        let round_bit = (full >> (shift - 1)) & 1;
+        let sticky = (full & ((1 << (shift - 1)) - 1)) != 0;
         let mut out = sign | mant16;
         if round_bit == 1 && (sticky || (mant16 & 1) == 1) {
             out = out.wrapping_add(1);
@@ -51,29 +53,90 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
     sign // underflow to signed zero
 }
 
-/// Converts a binary16 bit pattern to `f32` (exact).
+/// Converts a binary16 bit pattern to `f32` (exact), without a branch: the
+/// pattern's exponent and mantissa bits, moved to an `f32`'s positions,
+/// are the value times `2^-112` — a subnormal binary16 lands on an `f32`
+/// subnormal — so one exact multiplication rescales every finite value.
+/// Infinity keeps its class; every NaN becomes the quiet NaN of its sign.
+#[inline(always)]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h as u32) & 0x8000) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-    let bits = match (exp, mant) {
-        (0, 0) => sign, // signed zero
-        (0, m) => {
-            // Subnormal: normalize.
-            let mut e = -1i32;
-            let mut m = m;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e += 1;
-            }
-            let exp32 = (127 - 15 - e) as u32;
-            sign | (exp32 << 23) | ((m & 0x03FF) << 13)
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,            // infinity
-        (0x1F, _) => sign | 0x7FC0_0000,            // NaN
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    const RESCALE: f32 = f32::from_bits(239 << 23); // 2^112
+    let magnitude = (h & 0x7FFF) as u32;
+    let sign = ((h & 0x8000) as u32) << 16;
+    let finite = (f32::from_bits(magnitude << 13) * RESCALE).to_bits();
+    let special = if magnitude > 0x7C00 {
+        0x7FC0_0000
+    } else {
+        0x7F80_0000
     };
-    f32::from_bits(bits)
+    f32::from_bits(sign | if magnitude < 0x7C00 { finite } else { special })
+}
+
+/// The binary16 bit pattern of `x`, which must be a binary16 value (a
+/// finite one: what [`round_to_half`] and its kin return): the widening
+/// of [`f16_bits_to_f32`] run backwards, one exact multiplication and a
+/// shift, where [`f32_to_f16_bits`] has to round.
+#[inline]
+pub(crate) fn half_bits_of(x: f32) -> u16 {
+    const RESCALE: f32 = f32::from_bits(15 << 23); // 2^-112
+    let magnitude = (x.abs() * RESCALE).to_bits() >> 13;
+    (((x.to_bits() >> 16) & 0x8000) | magnitude) as u16
+}
+
+/// The `f32` pattern of `2^-14`, binary16's least normal value. From it
+/// up, a binary16 value is an `f32` whose low 13 mantissa bits are zero;
+/// below it, a multiple of `2^-24`.
+const MIN_NORMAL_BITS: u32 = 113 << 23;
+
+/// Binary16's least normal value, `2^-14`.
+pub(crate) const MIN_NORMAL_HALF: f32 = f32::from_bits(MIN_NORMAL_BITS);
+
+/// The 13 low mantissa bits a binary16 value in the normal range has zero.
+const DROPPED: u32 = (1 << 13) - 1;
+
+/// `1.5 · 2^23`: adding then subtracting it rounds an `f32` of magnitude
+/// under `2^22` to an integer, ties to even.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `2^24` and `2^-24`: a value below binary16's normal range, scaled by
+/// the first, is a count of binary16's smallest subnormal.
+const SUBNORMALS: (f32, f32) = (16_777_216.0, 5.960_464_5e-8);
+
+/// `x` rounded to the nearest binary16 value (ties to even), as an `f32`:
+/// `f16_bits_to_f32(f32_to_f16_bits(x))` for finite `|x| < 65520`. In the
+/// normal range that is rounding the pattern's low 13 bits away (a carry
+/// into the exponent is the next binade); below it, `x` scaled to a count
+/// of `2^-24`, rounded, and scaled back — every step exact.
+#[inline]
+pub(crate) fn round_to_half(x: f32) -> f32 {
+    let b = x.to_bits();
+    if b & 0x7FFF_FFFF >= MIN_NORMAL_BITS {
+        return f32::from_bits((b + (DROPPED >> 1) + ((b >> 13) & 1)) & !DROPPED);
+    }
+    let (scale, unit) = SUBNORMALS;
+    ((x * scale + ROUND_MAGIC) - ROUND_MAGIC) * unit
+}
+
+/// The least binary16 value `>= x`, as an `f32`, for finite `|x| < 65504`.
+/// A zero result is `+0.0`.
+#[inline]
+pub(crate) fn round_up_to_half(x: f32) -> f32 {
+    let b = x.to_bits();
+    if b & 0x7FFF_FFFF >= MIN_NORMAL_BITS {
+        // Up is away from zero for a positive value, toward it otherwise.
+        let away = if x > 0.0 { DROPPED } else { 0 };
+        return f32::from_bits((b + away) & !DROPPED);
+    }
+    let (scale, unit) = SUBNORMALS;
+    let v = x * scale;
+    let n = (v + ROUND_MAGIC) - ROUND_MAGIC;
+    (n + if n < v { 1.0 } else { 0.0 }) * unit
+}
+
+/// The greatest binary16 value `<= x`, as an `f32`, for finite `|x| < 65504`.
+#[inline]
+pub(crate) fn round_down_to_half(x: f32) -> f32 {
+    -round_up_to_half(-x)
 }
 
 #[cfg(test)]
@@ -128,6 +191,138 @@ mod tests {
         assert!(back > 0.0 && (back - tiny).abs() < 6e-8);
         // Below half the smallest subnormal underflows to zero.
         assert_eq!(f16_bits_to_f32(f32_to_f16_bits(1e-9)), 0.0);
+        // Subnormal results land on the binary16 value nearest `x`.
+        for (x, h) in [(3e-5f32, 0x01F7u16), (1e-6, 0x0011)] {
+            assert_eq!(f32_to_f16_bits(x), h, "{x}");
+            let back = f16_bits_to_f32(h);
+            assert!((back - x).abs() <= 2.0f32.powi(-25), "{x} -> {back}");
+        }
+        // (2^-25, 2^-24) rounds up to the smallest subnormal; 2^-25 ties
+        // to even zero.
+        let half_min = 2.0f32.powi(-25);
+        assert_eq!(
+            f32_to_f16_bits(f32::from_bits(half_min.to_bits() + 1)),
+            0x0001
+        );
+        assert_eq!(f32_to_f16_bits(half_min), 0x0000);
+        assert_eq!(f32_to_f16_bits(-1.5 * half_min), 0x8001);
+    }
+
+    /// Every finite binary16 pattern, widened and narrowed again, is
+    /// itself: the narrowing inverts the widening exactly.
+    #[test]
+    fn every_finite_pattern_roundtrips() {
+        for h in 0..=u16::MAX {
+            if h & 0x7C00 == 0x7C00 {
+                continue;
+            }
+            assert_eq!(f32_to_f16_bits(f16_bits_to_f32(h)), h, "{h:#06x}");
+            assert_eq!(half_bits_of(f16_bits_to_f32(h)), h, "{h:#06x}");
+        }
+    }
+
+    /// Round-to-nearest-even to binary16, computed in `f64` from the
+    /// definition: the value's binary16 spacing, the nearest multiple of
+    /// it, overflow past the largest finite value's rounding boundary.
+    fn nearest_half_f64(x: f32) -> f64 {
+        let x = x as f64;
+        if x.abs() >= 65520.0 {
+            return f64::INFINITY.copysign(x);
+        }
+        let exp = x.abs().log2().floor().max(-14.0);
+        let q = (exp - 10.0).exp2();
+        ((x / q).round_ties_even() * q).copysign(x)
+    }
+
+    /// A seeded sample of `f32` values over the whole binary16 range and
+    /// beyond, each narrowed as the definition says.
+    #[test]
+    fn narrowing_is_round_to_nearest_even() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..200_000 {
+            // Exponents 2^-27..2^17, random mantissa and sign; every
+            // fourth value sits exactly on a tie.
+            let r = next();
+            let exp = 100 + (r % 45) as u32;
+            let mut mant = ((r >> 8) as u32) & 0x007F_FFFF;
+            if i % 4 == 0 {
+                mant = (mant & !0x1FFF) | 0x1000;
+            }
+            let x = f32::from_bits((r >> 32) as u32 & 0x8000_0000 | exp << 23 | mant);
+            let want = nearest_half_f64(x);
+            let got = f16_bits_to_f32(f32_to_f16_bits(x)) as f64;
+            assert_eq!(got.to_bits(), want.to_bits(), "{x:e}: {got:e} vs {want:e}");
+        }
+    }
+
+    /// The branch-free widening equals the original normalising loop on
+    /// every pattern, NaNs included.
+    #[test]
+    fn widening_equals_the_reference_on_every_pattern() {
+        for h in 0..=u16::MAX {
+            let want = crate::reference::f16_bits_to_f32(h).to_bits();
+            assert_eq!(f16_bits_to_f32(h).to_bits(), want, "{h:#06x}");
+        }
+    }
+
+    /// The grid roundings against the conversion: nearest is the round
+    /// trip, up and down bracket `x` with the binary16 values around it.
+    #[test]
+    fn grid_roundings_agree_with_the_conversion() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // The binary16 value next to `v` (itself one), above or below.
+        let next_half = |v: f32, above: bool| {
+            const TINY: f32 = 5.960_464_5e-8; // 2^-24
+            if v == 0.0 {
+                return if above { TINY } else { -TINY };
+            }
+            let h = f32_to_f16_bits(v);
+            f16_bits_to_f32(if above == (v > 0.0) { h + 1 } else { h - 1 })
+        };
+        for i in 0..200_000 {
+            let r = next();
+            let x = if i % 3 == 0 {
+                // exactly a binary16 value: every rounding keeps it
+                let h = (r as u16) & 0x7FFF;
+                let h = if h >= 0x7BFF { 0x3C00 } else { h };
+                f16_bits_to_f32(h | ((r >> 63) as u16 * 0x8000))
+            } else {
+                let exp = 100 + (r % 40) as u32; // up to 2^12
+                f32::from_bits(
+                    (r >> 32) as u32 & 0x8000_0000 | exp << 23 | (r >> 9) as u32 & 0x007F_FFFF,
+                )
+            };
+            let near = round_to_half(x);
+            assert_eq!(near, f16_bits_to_f32(f32_to_f16_bits(x)), "{x:e}");
+            assert_eq!(half_bits_of(near), f32_to_f16_bits(near), "{x:e} bits");
+            let up = round_up_to_half(x);
+            let down = round_down_to_half(x);
+            assert_eq!(f16_bits_to_f32(f32_to_f16_bits(up)), up, "{x:e} up");
+            assert_eq!(f16_bits_to_f32(f32_to_f16_bits(down)), down, "{x:e} down");
+            assert!(down <= x && x <= up, "{down:e} <= {x:e} <= {up:e}");
+            if up != x {
+                assert!(
+                    next_half(up, false) < x,
+                    "{x:e}: {up:e} is not the least above"
+                );
+                assert!(
+                    next_half(down, true) > x,
+                    "{x:e}: {down:e} is not the greatest below"
+                );
+            }
+        }
     }
 
     #[test]

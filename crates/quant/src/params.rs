@@ -9,7 +9,15 @@
 //! carries a variable-length parameter block (the k-means codebook the
 //! paper evaluates and rejects is a figure baseline in `cnr_bench`, not a
 //! stored form).
+//!
+//! A uniform row's two parameters are stored as binary16 values, 4 bytes
+//! ([`QuantParams::UniformF16`]), as rowwise-quantized embedding formats
+//! in production store them: at 4 bits and dimension 32 that is 4 of a
+//! row's 21 stored bytes where `f32` parameters made it 8 of 25. A chunk
+//! holding a value binary16 parameters cannot describe keeps them as
+//! `f32`s ([`QuantParams::Uniform`]).
 
+use crate::half::half_bits_of;
 use crate::kernel::{levels_for, Grid};
 use bytes::BufMut;
 
@@ -19,6 +27,7 @@ use bytes::BufMut;
 pub(crate) const TAG_FP32: u8 = 0;
 pub(crate) const TAG_UNIFORM: u8 = 1;
 pub(crate) const TAG_FP16: u8 = 3;
+pub(crate) const TAG_UNIFORM_F16: u8 = 4;
 
 /// Per-vector quantization parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,6 +43,16 @@ pub enum QuantParams {
         /// Value represented by code 0 (the paper defines it as `xmin`).
         zero_point: f32,
     },
+    /// Uniform quantization with both parameters binary16 values, stored
+    /// in 2 bytes each: `x ≈ scale * code + zero_point`, computed in `f32`
+    /// exactly as for [`QuantParams::Uniform`].
+    UniformF16 {
+        /// Step size between adjacent grid points (a binary16 value).
+        scale: f32,
+        /// Value represented by code 0 (a binary16 value, `xmin` rounded
+        /// up).
+        zero_point: f32,
+    },
 }
 
 impl QuantParams {
@@ -45,7 +64,8 @@ impl QuantParams {
                 unreachable!("Fp32 rows are decoded bytewise, not via codes")
             }
             QuantParams::Fp16 => crate::half::f16_bits_to_f32(code),
-            QuantParams::Uniform { scale, zero_point } => scale * code as f32 + zero_point,
+            QuantParams::Uniform { scale, zero_point }
+            | QuantParams::UniformF16 { scale, zero_point } => scale * code as f32 + zero_point,
         }
     }
 
@@ -55,6 +75,7 @@ impl QuantParams {
             QuantParams::Fp32 => TAG_FP32,
             QuantParams::Uniform { .. } => TAG_UNIFORM,
             QuantParams::Fp16 => TAG_FP16,
+            QuantParams::UniformF16 { .. } => TAG_UNIFORM_F16,
         }
     }
 
@@ -70,7 +91,8 @@ impl QuantParams {
                 unreachable!("Fp32 rows are decoded bytewise, not via codes")
             }
             QuantParams::Fp16 => pairs.for_each(|(o, &c)| *o = crate::half::f16_bits_to_f32(c)),
-            QuantParams::Uniform { scale, zero_point } => {
+            QuantParams::Uniform { scale, zero_point }
+            | QuantParams::UniformF16 { scale, zero_point } => {
                 pairs.for_each(|(o, &c)| *o = scale * c as f32 + zero_point)
             }
         }
@@ -83,6 +105,7 @@ impl QuantParams {
         match self {
             QuantParams::Fp32 | QuantParams::Fp16 => 0,
             QuantParams::Uniform { .. } => 8, // scale + zero_point
+            QuantParams::UniformF16 { .. } => 4,
         }
     }
 
@@ -94,6 +117,10 @@ impl QuantParams {
             QuantParams::Uniform { scale, zero_point } => {
                 buf.put_f32_le(*scale);
                 buf.put_f32_le(*zero_point);
+            }
+            QuantParams::UniformF16 { scale, zero_point } => {
+                buf.put_u16_le(half_bits_of(*scale));
+                buf.put_u16_le(half_bits_of(*zero_point));
             }
         }
     }
@@ -192,6 +219,14 @@ mod tests {
             }
             .byte_size(),
             8
+        );
+        assert_eq!(
+            QuantParams::UniformF16 {
+                scale: 1.0,
+                zero_point: 0.0
+            }
+            .byte_size(),
+            4
         );
     }
 }

@@ -5,7 +5,10 @@
 //! trial, `f32::round`, bit-at-a-time packing. They are compiled for tests
 //! only and must not be "improved": [`crate::kernel`] and everything built
 //! on it is required to reproduce their output bit for bit, and the
-//! property tests below are what says so.
+//! property tests below are what says so. Binary16 row parameters are
+//! written the same way, from their definition: each rounding steps
+//! through binary16 patterns with the conversion functions, and the
+//! adaptive scheme's grid comparison re-quantizes both rows.
 
 use crate::codec::QuantizedRow;
 use crate::error::row_l2_error;
@@ -138,6 +141,32 @@ pub(crate) fn search_range(
     (best.0, best.1, best.2, steps)
 }
 
+/// The original binary16 widening: a normalising loop for subnormals and
+/// a branch per class.
+pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
+    let sign = ((h as u32) & 0x8000) << 16;
+    let exp = ((h >> 10) & 0x1F) as u32;
+    let mant = (h & 0x03FF) as u32;
+    let bits = match (exp, mant) {
+        (0, 0) => sign, // signed zero
+        (0, m) => {
+            // Subnormal: normalize.
+            let mut e = -1i32;
+            let mut m = m;
+            while m & 0x0400 == 0 {
+                m <<= 1;
+                e += 1;
+            }
+            let exp32 = (127 - 15 - e) as u32;
+            sign | (exp32 << 23) | ((m & 0x03FF) << 13)
+        }
+        (0x1F, 0) => sign | 0x7F80_0000, // infinity
+        (0x1F, _) => sign | 0x7FC0_0000, // NaN
+        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    };
+    f32::from_bits(bits)
+}
+
 pub(crate) fn pack(codes: &[u16], bits: u8) -> Vec<u8> {
     let mut out = vec![0u8; (codes.len() * bits as usize).div_ceil(8)];
     let mut bit_pos = 0usize;
@@ -181,12 +210,81 @@ pub(crate) fn unpack(bytes: &[u8], bits: u8, n: usize) -> Vec<u16> {
     out
 }
 
+/// The least binary16 value `>= x` (finite, within the binary16 range),
+/// stepping from the nearest one pattern by pattern; zero is `+0.0`.
+fn half_at_or_above(x: f32) -> f32 {
+    let mut h = crate::half::f32_to_f16_bits(x);
+    while f16_bits_to_f32(h) < x {
+        h = match h {
+            0x8000 => 0x0001,
+            0x8001..=0xFFFF => h - 1,
+            _ => h + 1,
+        };
+    }
+    f16_bits_to_f32(h) + 0.0
+}
+
+/// The greatest binary16 value `<= x`.
+fn half_at_or_below(x: f32) -> f32 {
+    -half_at_or_above(-x)
+}
+
+/// The nearest binary16 value to `x`.
+fn nearest_half(x: f32) -> f32 {
+    f16_bits_to_f32(crate::half::f32_to_f16_bits(x))
+}
+
+/// Binary16 parameters for `[xmin, xmax]`: the zero point rounded up, the
+/// scale to nearest — rounded down instead if that leaves `xmax` below
+/// the top code — and no scale at all for a span under `2^-10` of the
+/// zero point's magnitude.
+pub(crate) fn uniform_params_f16(xmin: f32, xmax: f32, bits: u8) -> QuantParams {
+    let levels = (1u32 << bits) - 1;
+    let zero_point = half_at_or_above(xmin);
+    let step = (xmax - zero_point) / levels as f32;
+    let mut scale = if step > 0.0 { nearest_half(step) } else { 0.0 };
+    if scale > 0.0 && uniform_quantize_value(xmax, scale, zero_point, bits) < levels as u16 {
+        scale = half_at_or_below(step);
+    }
+    if scale * (levels as f32) < zero_point.abs() / 1024.0 {
+        scale = 0.0;
+    }
+    QuantParams::UniformF16 { scale, zero_point }
+}
+
+/// Codes of `row` on uniform `params`.
+fn codes_on(row: &[f32], params: QuantParams, bits: u8) -> Vec<u16> {
+    let (scale, zero_point) = match params {
+        QuantParams::Uniform { scale, zero_point }
+        | QuantParams::UniformF16 { scale, zero_point } => (scale, zero_point),
+        _ => unreachable!(),
+    };
+    row.iter()
+        .map(|&x| uniform_quantize_value(x, scale, zero_point, bits))
+        .collect()
+}
+
+/// Whether a row can be stored with binary16 parameters: every value
+/// finite and at most 32752 in magnitude.
+fn fits_half(row: &[f32]) -> bool {
+    row.iter().all(|x| x.is_finite() && x.abs() <= 32752.0)
+}
+
 pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
     let from_codes = |codes: Vec<u16>, params: QuantParams, bits: u8| QuantizedRow {
         params,
         payload: pack(&codes, bits),
         dim: row.len(),
         bits,
+    };
+    let half = fits_half(row);
+    let on_range = |xmin: f32, xmax: f32, bits: u8| {
+        if half {
+            let params = uniform_params_f16(xmin, xmax, bits);
+            (codes_on(row, params, bits), params)
+        } else {
+            quantize_with_range(row, xmin, xmax, bits)
+        }
     };
     match *scheme {
         QuantScheme::Fp32 => {
@@ -210,12 +308,12 @@ pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
         }
         QuantScheme::Symmetric { bits } => {
             let xmax = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-            let (codes, params) = quantize_with_range(row, -xmax, xmax, bits);
+            let (codes, params) = on_range(-xmax, xmax, bits);
             from_codes(codes, params, bits)
         }
         QuantScheme::Asymmetric { bits } => {
             let (xmin, xmax) = min_max(row);
-            let (codes, params) = quantize_with_range(row, xmin, xmax, bits);
+            let (codes, params) = on_range(xmin, xmax, bits);
             from_codes(codes, params, bits)
         }
         QuantScheme::AdaptiveAsymmetric {
@@ -224,7 +322,20 @@ pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
             ratio,
         } => {
             let (xmin, xmax, _, _) = search_range(row, bits, num_bins, ratio);
-            let (codes, params) = quantize_with_range(row, xmin, xmax, bits);
+            let (mut codes, mut params) = on_range(xmin, xmax, bits);
+            if half {
+                // Rounding can reorder two close grids: the searched range
+                // is kept unless the rounded full range is strictly better.
+                let (lo, hi) = min_max(row);
+                let (naive_codes, naive) = on_range(lo, hi, bits);
+                let error = |codes: &[u16], params: QuantParams| {
+                    let back: Vec<f32> = codes.iter().map(|&c| params.dequantize_code(c)).collect();
+                    row_l2_error(row, &back)
+                };
+                if error(&naive_codes, naive) < error(&codes, params) {
+                    (codes, params) = (naive_codes, naive);
+                }
+            }
             from_codes(codes, params, bits)
         }
     }
@@ -250,6 +361,8 @@ mod tests {
     use crate::adaptive;
     use crate::bitpack;
     use crate::codec::decode_body_to;
+    use crate::kernel::Grid;
+    use crate::params::TAG_UNIFORM;
     use proptest::prelude::*;
 
     /// One generated row: ordinary values with the shapes that break
@@ -358,11 +471,15 @@ mod tests {
             got.encode_body_into(&mut got_body);
             prop_assert_eq!(&got_body, &want_body, "{} row object", scheme);
 
+            let encoder = scheme.encoder_for([&row[..]]);
+            prop_assert_eq!(encoder.kind_tag(), want.kind_tag(), "{} tag", scheme);
             let mut fused = vec![0xEEu8; 3];
-            scheme.quantize_row_into(&row, &mut fused);
+            encoder.quantize_row_into(&row, &mut fused);
             prop_assert_eq!(&fused[3..], &want_body[..], "{} quantize_row_into", scheme);
-            prop_assert_eq!(want_body.len(), scheme.body_bytes_per_row(dim));
-            prop_assert_eq!(want.byte_size(), scheme.bytes_per_row(dim));
+            prop_assert_eq!(want_body.len(), encoder.body_len(dim));
+            if want.kind_tag() != TAG_UNIFORM {
+                prop_assert_eq!(want.byte_size(), scheme.bytes_per_row(dim));
+            }
 
             let want_values = dequantize(&want);
             prop_assert_eq!(bits_of(&got.dequantize()), bits_of(&want_values), "{} dequantize", scheme);
@@ -417,6 +534,31 @@ mod tests {
             prop_assert_eq!(bitpack::unpack(&packed, bits, dim).unwrap(), unpack(&packed, bits, dim));
             // The lane-wise range scan against the in-order chain.
             prop_assert_eq!(range_bits(crate::uniform::min_max(&row)), range_bits(min_max(&row)));
+        }
+
+        /// The binary16 grid against the reference's pattern-stepping
+        /// roundings, on ranges from `1e-9` wide to the widest binary16
+        /// parameters allow, offset from zero by up to `1e4` times their
+        /// width.
+        #[test]
+        fn half_grids_equal_reference_grids(
+            bits in 1u8..=16,
+            width_exp in -9.0f32..4.5,
+            offset in -1.0f32..1.0,
+            offset_exp in -9.0f32..4.0,
+        ) {
+            let width = 10f32.powf(width_exp);
+            let lo = (offset * 10f32.powf(offset_exp)).clamp(-32752.0, 32752.0 - width);
+            let hi = lo + width;
+            let grid = Grid::half_for_range(lo, hi, bits);
+            let got = QuantParams::UniformF16 { scale: grid.scale, zero_point: grid.zero_point };
+            let want = uniform_params_f16(lo, hi, bits);
+            let mut got_bytes = Vec::new();
+            let mut want_bytes = Vec::new();
+            got.encode_into(&mut got_bytes);
+            want.encode_into(&mut want_bytes);
+            prop_assert_eq!(got_bytes, want_bytes, "[{}, {}] at {} bits", lo, hi, bits);
+            prop_assert_eq!(got, want, "binary16 values, +0.0 for zero");
         }
     }
 
@@ -617,9 +759,10 @@ mod tests {
                 quantize_row(&scheme, &[]),
                 "{scheme}"
             );
+            let encoder = scheme.encoder_for([&[][..]]);
             let mut body = Vec::new();
-            scheme.quantize_row_into(&[], &mut body);
-            assert_eq!(body.len(), scheme.body_bytes_per_row(0), "{scheme}");
+            encoder.quantize_row_into(&[], &mut body);
+            assert_eq!(body.len(), encoder.body_len(0), "{scheme}");
         }
         let (xmin, xmax, l2_error, steps) = search_range(&[], 4, 45, 1.0);
         let got = adaptive::search_range(&[], 4, 45, 1.0);

@@ -4,12 +4,11 @@
 //! the engine picks one per checkpoint (§6.2.1 dynamic bit-width selection)
 //! and the chunked writer applies it row by row.
 
-use crate::adaptive::search_range;
-use crate::bitpack::packed_len;
-use crate::codec::{QuantizedRow, ROW_HEADER_LEN};
+use crate::adaptive::{half_grid, search_range};
+use crate::codec::{QuantizedRow, RowDecoder, ROW_HEADER_LEN};
 use crate::half::f32_to_f16_bits;
-use crate::kernel::{put_f32s_le, quantize_pack_into, Grid};
-use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
+use crate::kernel::{fits_half, put_f32s_le, quantize_pack_into, Grid};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM, TAG_UNIFORM_F16};
 use crate::uniform::{max_abs, min_max};
 
 /// A quantization scheme with its parameters.
@@ -86,29 +85,74 @@ impl QuantScheme {
         }
     }
 
-    /// Tag byte of the rows this scheme produces
-    /// ([`QuantParams::kind_tag`]): with [`Self::bits`], the chunk-level
-    /// context a chunk writer stores once for all its rows.
-    pub fn kind_tag(&self) -> u8 {
-        match self {
-            QuantScheme::Fp32 => TAG_FP32,
-            QuantScheme::Fp16 => TAG_FP16,
-            QuantScheme::Symmetric { .. }
-            | QuantScheme::Asymmetric { .. }
-            | QuantScheme::AdaptiveAsymmetric { .. } => TAG_UNIFORM,
+    /// How a chunk holding `rows` stores them under this scheme: uniform
+    /// rows keep binary16 parameters when every value is finite and within
+    /// ±32752 (half the largest binary16 value), and `f32` parameters
+    /// otherwise — decided from the values, so a row binary16 cannot
+    /// describe is never stored wrong. With [`RowEncoder::bits`], the
+    /// chunk-level context a chunk writer stores once for all its rows.
+    pub fn encoder_for<'a>(&self, rows: impl IntoIterator<Item = &'a [f32]>) -> RowEncoder {
+        let uniform = !matches!(self, QuantScheme::Fp32 | QuantScheme::Fp16);
+        RowEncoder {
+            scheme: *self,
+            half_params: uniform && rows.into_iter().all(fits_half),
         }
     }
 
-    /// Quantizes one embedding row.
+    /// Quantizes one embedding row, stored as a chunk of just this row
+    /// would store it ([`Self::encoder_for`]).
     pub fn quantize_row(&self, row: &[f32]) -> QuantizedRow {
-        let bits = self.bits();
-        let mut payload = Vec::with_capacity(self.payload_len(row.len()));
+        self.encoder_for([row]).quantize_row(row)
+    }
+
+    /// Expected serialized bytes per row of dimension `dim`, including the
+    /// per-row parameter overhead — the quantity Figures 15–17 account in
+    /// "% of model size" — for rows of finite values within binary16's
+    /// range (binary16 parameters).
+    pub fn bytes_per_row(&self, dim: usize) -> usize {
+        ROW_HEADER_LEN + self.encoder_for([]).body_len(dim)
+    }
+}
+
+/// One chunk's row encoding on the write side: a scheme and the width of
+/// the uniform parameters its rows store, resolved once from the chunk's
+/// values ([`QuantScheme::encoder_for`]). What it quantizes, a
+/// [`crate::codec::RowDecoder`] built from its [`Self::kind_tag`] and
+/// [`Self::bits`] decodes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowEncoder {
+    scheme: QuantScheme,
+    /// Whether uniform rows store binary16 parameters (tag 4), not `f32`s
+    /// (tag 1).
+    half_params: bool,
+}
+
+impl RowEncoder {
+    /// Tag byte of the rows this encoder produces
+    /// ([`QuantParams::kind_tag`]).
+    pub fn kind_tag(&self) -> u8 {
+        match self.scheme {
+            QuantScheme::Fp32 => TAG_FP32,
+            QuantScheme::Fp16 => TAG_FP16,
+            _ if self.half_params => TAG_UNIFORM_F16,
+            _ => TAG_UNIFORM,
+        }
+    }
+
+    /// Code width in bits ([`QuantScheme::bits`]).
+    pub fn bits(&self) -> u8 {
+        self.scheme.bits()
+    }
+
+    /// Quantizes one embedding row into a row object.
+    pub fn quantize_row(&self, row: &[f32]) -> QuantizedRow {
+        let mut payload = Vec::with_capacity(self.body_len(row.len()));
         let params = self.quantize(row, &mut payload, false);
         QuantizedRow {
             params,
             payload,
             dim: row.len(),
-            bits,
+            bits: self.bits(),
         }
     }
 
@@ -127,7 +171,7 @@ impl QuantScheme {
     /// row's values, so an fp32 run is one copy, not one per row. A zero
     /// `dim` is one empty row.
     pub fn quantize_rows_into(&self, rows: &[f32], dim: usize, out: &mut Vec<u8>) {
-        if let QuantScheme::Fp32 = self {
+        if let QuantScheme::Fp32 = self.scheme {
             put_f32s_le(rows, out);
         } else {
             let count = rows.len().checked_div(dim).unwrap_or(1);
@@ -141,8 +185,19 @@ impl QuantScheme {
     /// The one quantizer behind [`Self::quantize_row`] and
     /// [`Self::quantize_rows_into`]: picks the row's parameters, appends
     /// them to `out` when `inline_params`, then appends the payload.
+    ///
+    /// With binary16 parameters the range is chosen on `f32` grids, as
+    /// with `f32` ones, and rounded once, here ([`Grid::half_for_range`]);
+    /// the codes are computed on the rounded grid.
     fn quantize(&self, row: &[f32], out: &mut Vec<u8>, inline_params: bool) -> QuantParams {
-        let (grid, bits) = match *self {
+        let grid_for = |xmin, xmax, bits| {
+            if self.half_params {
+                Grid::half_for_range(xmin, xmax, bits)
+            } else {
+                Grid::for_range(xmin, xmax, bits)
+            }
+        };
+        let (grid, bits) = match self.scheme {
             QuantScheme::Fp32 => {
                 put_f32s_le(row, out);
                 return QuantParams::Fp32;
@@ -153,11 +208,11 @@ impl QuantScheme {
             }
             QuantScheme::Symmetric { bits } => {
                 let xmax = max_abs(row);
-                (Grid::for_range(-xmax, xmax, bits), bits)
+                (grid_for(-xmax, xmax, bits), bits)
             }
             QuantScheme::Asymmetric { bits } => {
                 let (xmin, xmax) = min_max(row);
-                (Grid::for_range(xmin, xmax, bits), bits)
+                (grid_for(xmin, xmax, bits), bits)
             }
             QuantScheme::AdaptiveAsymmetric {
                 bits,
@@ -165,10 +220,22 @@ impl QuantScheme {
                 ratio,
             } => {
                 let r = search_range(row, bits, num_bins, ratio);
-                (Grid::for_range(r.xmin, r.xmax, bits), bits)
+                let grid = if self.half_params {
+                    half_grid(row, &r, bits)
+                } else {
+                    Grid::for_range(r.xmin, r.xmax, bits)
+                };
+                (grid, bits)
             }
         };
-        let params = grid.params();
+        let params = if self.half_params {
+            QuantParams::UniformF16 {
+                scale: grid.scale,
+                zero_point: grid.zero_point,
+            }
+        } else {
+            grid.params()
+        };
         if inline_params {
             params.encode_into(out);
         }
@@ -176,33 +243,15 @@ impl QuantScheme {
         params
     }
 
-    /// Bytes of one row's payload (packed codes, or raw values).
-    fn payload_len(&self, dim: usize) -> usize {
-        match self {
-            QuantScheme::Fp32 => dim * 4,
-            _ => packed_len(dim, self.bits()),
-        }
-    }
-
     /// Serialized bytes of one row's body encoding (parameters + payload,
     /// no per-row header) at dimension `dim`: what
     /// [`Self::quantize_row_into`] appends, so a chunk writer can size its
-    /// buffer before quantizing anything.
-    pub fn body_bytes_per_row(&self, dim: usize) -> usize {
-        let params = match self {
-            QuantScheme::Fp32 | QuantScheme::Fp16 => 0,
-            QuantScheme::Symmetric { .. }
-            | QuantScheme::Asymmetric { .. }
-            | QuantScheme::AdaptiveAsymmetric { .. } => 8,
-        };
-        params + self.payload_len(dim)
-    }
-
-    /// Expected serialized bytes per row of dimension `dim`, including the
-    /// per-row parameter overhead — the quantity Figures 15–17 account in
-    /// "% of model size".
-    pub fn bytes_per_row(&self, dim: usize) -> usize {
-        ROW_HEADER_LEN + self.body_bytes_per_row(dim)
+    /// buffer before quantizing anything — the length the
+    /// [`RowDecoder`] of this encoder's context reads.
+    pub fn body_len(&self, dim: usize) -> usize {
+        RowDecoder::new(self.kind_tag(), self.bits(), dim)
+            .expect("an encoder's context names an encoding")
+            .body_len()
     }
 }
 
@@ -228,7 +277,9 @@ mod tests {
     use crate::error::row_l2_error;
 
     fn sample_row() -> Vec<f32> {
-        (0..64).map(|i| ((i * 29 % 64) as f32 / 64.0 - 0.4) * 0.2).collect()
+        (0..64)
+            .map(|i| ((i * 29 % 64) as f32 / 64.0 - 0.4) * 0.2)
+            .collect()
     }
 
     #[test]
@@ -297,7 +348,7 @@ mod tests {
         let b32 = QuantScheme::Fp32.bytes_per_row(dim);
         assert!(b2 < b4 && b4 < b8 && b8 < b32);
         assert_eq!(b32, dim * 4 + 4, "fp32 row = payload + 4-byte header");
-        // 2-bit: 16 bytes of codes + 8 bytes params (+ header) — well under
+        // 2-bit: 16 bytes of codes + 4 bytes params (+ header) — well under
         // the 13x reduction ceiling the paper quotes for quantization alone.
         assert!(b2 <= dim / 4 + 8 + 8);
     }
@@ -318,15 +369,12 @@ mod tests {
             for dim in [0usize, 1, 7, 32, 64, 129] {
                 let row: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
                 let q = s.quantize_row(&row);
+                let encoder = s.encoder_for([&row[..]]);
                 assert_eq!(s.bytes_per_row(dim), q.byte_size(), "{s} dim {dim}");
-                assert_eq!(
-                    s.body_bytes_per_row(dim),
-                    q.body_byte_size(),
-                    "{s} dim {dim}"
-                );
-                assert_eq!(s.kind_tag(), q.kind_tag(), "{s}");
+                assert_eq!(encoder.body_len(dim), q.body_byte_size(), "{s} dim {dim}");
+                assert_eq!(encoder.kind_tag(), q.kind_tag(), "{s}");
                 let mut body = Vec::new();
-                s.quantize_row_into(&row, &mut body);
+                encoder.quantize_row_into(&row, &mut body);
                 let mut want = Vec::new();
                 q.encode_body_into(&mut want);
                 assert_eq!(body, want, "{s} dim {dim}");

@@ -171,12 +171,21 @@ proptest! {
     /// Dequantize(quantize(x)) is idempotent: re-quantizing a dequantized
     /// row with the same parameters reproduces it exactly. This is why a
     /// restore from a quantized checkpoint does not compound error when
-    /// re-checkpointed before further training.
+    /// re-checkpointed before further training. The rows run from values
+    /// around zero to rows offset from it by up to 1000 times their width,
+    /// with widths down to 1e-6 — where the binary16 zero point's rounding
+    /// is most of the width, and the scale is subnormal or zero.
     #[test]
     fn quantization_is_idempotent(
-        values in prop::collection::vec(-1.0f32..1.0, 1..32),
+        values in prop::collection::vec(0.0f32..1.0, 1..32),
         bits in 2u8..=8,
+        width_exp in -6.0f32..0.3,
+        offset in -1000.0f32..1000.0,
+        centred in any::<bool>(),
     ) {
+        let width = 10f32.powf(width_exp);
+        let lo = if centred { -width / 2.0 } else { offset * width };
+        let values: Vec<f32> = values.iter().map(|&u| lo + u * width).collect();
         let scheme = QuantScheme::Asymmetric { bits };
         let once = scheme.quantize_row(&values).dequantize();
         let twice = scheme.quantize_row(&once).dequantize();
