@@ -194,8 +194,9 @@ impl Recovery {
     /// clock to its end) and places every cold chunk (on the restore's
     /// decode workers; a row the WAL replay landed is already final).
     /// Returns the rows materialized — zero unless draining. A drain the
-    /// tail refuses — a model of another shape, checked before any row is
-    /// written — keeps the tail, so a drain into the right model lands it.
+    /// tail refuses ([`read::DrainFailure::Refused`]: a model of another
+    /// shape, checked before any row is written) keeps the tail, so a
+    /// drain into the right model lands it.
     /// A drain that fails placing rows has left the model partly written:
     /// it is dropped, and the model is lost until a restore succeeds.
     pub(super) fn drain(
@@ -209,13 +210,17 @@ impl Recovery {
         };
         let drain_start = clock.now();
         clock.advance_to(*done_at);
-        let drained = tail.drain(model);
-        match drained {
-            Ok(_) => self.state = State::Live,
-            Err(CnrError::ShapeMismatch(_)) => {}
-            Err(_) => self.state = State::Lost,
-        }
-        let rows = drained?.rows_materialized;
+        let rows = match tail.drain_or_refuse(model) {
+            Ok(outcome) => {
+                self.state = State::Live;
+                outcome.rows_materialized
+            }
+            Err(read::DrainFailure::Refused(e)) => return Err(e),
+            Err(read::DrainFailure::Placing(e)) => {
+                self.state = State::Lost;
+                return Err(e);
+            }
+        };
         observe::record_lazy_drain_span(obs, drain_start, clock.now(), rows);
         Ok(rows)
     }

@@ -138,6 +138,23 @@ pub struct DrainOutcome {
     pub rows_materialized: u64,
 }
 
+/// Why [`LazyRestore::drain_or_refuse`] did not finish.
+#[derive(Debug)]
+pub(crate) enum DrainFailure {
+    /// The model has another geometry: no row was written.
+    Refused(CnrError),
+    /// Placing the cold chunks failed: the model may hold some of them.
+    Placing(CnrError),
+}
+
+impl DrainFailure {
+    fn into_error(self) -> CnrError {
+        match self {
+            DrainFailure::Refused(e) | DrainFailure::Placing(e) => e,
+        }
+    }
+}
+
 /// Deferred tail of a lazy restore: cold chunks plus everything needed to
 /// materialize their rows bit-identically to the eager path.
 #[derive(Debug, Clone)]
@@ -336,9 +353,20 @@ impl LazyRestore {
     /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
     /// keeps the whole tail, so a retry with the right model completes it.
     pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
+        self.drain_or_refuse(model).map_err(DrainFailure::into_error)
+    }
+
+    /// [`Self::drain`], telling a refusal — `model` has another geometry,
+    /// and nothing was written — from a failure placing rows, after which
+    /// `model` may hold some of the tail's rows.
+    pub(crate) fn drain_or_refuse(
+        &mut self,
+        model: &mut DlrmModel,
+    ) -> std::result::Result<DrainOutcome, DrainFailure> {
         if !self.cold.is_empty() {
             let dest =
-                Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)?;
+                Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)
+                    .map_err(DrainFailure::Refused)?;
             run_hosts(
                 vec![self.cold.iter().collect::<Vec<_>>()],
                 self.workers,
@@ -347,7 +375,8 @@ impl LazyRestore {
                 |_, _| Ok(()),
                 |_, _| {},
                 "a drain has no host to lose",
-            )?;
+            )
+            .map_err(DrainFailure::Placing)?;
             self.cold = Vec::new();
         }
         for materialized in &mut self.materialized {
@@ -640,5 +669,40 @@ mod tests {
         assert!(lazy.is_drained());
         assert_eq!(m.tables()[0].row(2), &[7.0; 4]);
         assert_eq!(m.tables()[0].adagrad().unwrap()[2], 7.0);
+    }
+
+    /// A refusal and a failure placing rows are told apart: the refusal
+    /// writes nothing, the failure comes after the geometry was accepted.
+    #[test]
+    fn a_refusal_is_not_a_placement_failure() {
+        let m = model();
+        let mut other = DlrmModel::new(ModelConfig::for_dataset(&DatasetSpec::tiny(5), 8));
+        let mut lazy = lazy_of(vec![chunk(0, "cold", 0, &[2], 7.0, false)], &m);
+        let before = other.clone();
+        assert!(matches!(
+            lazy.drain_or_refuse(&mut other),
+            Err(DrainFailure::Refused(CnrError::ShapeMismatch(_)))
+        ));
+        assert_eq!(other.tables()[0].row(2), before.tables()[0].row(2));
+
+        // A cold chunk whose rows decode to 3 values, in a table of 4: the
+        // model's geometry is right, the chunk is not.
+        let mut narrow = chunk(0, "narrow", 0, &[2], 7.0, false);
+        let stored = ChunkPayload {
+            table: 0,
+            row_indices: vec![2],
+            optimizer_state: Some(vec![7.0]),
+            rows: vec![QuantizedRow::fp32(&[7.0; 3])],
+        }
+        .encode_enveloped();
+        let object = Verified::check(stored.into()).unwrap();
+        narrow.header = open_frame(object.payload()).unwrap();
+        narrow.cold = Some(object.object().slice(cnr_storage::envelope::HEADER_LEN..));
+        let mut m = model();
+        let mut lazy = lazy_of(vec![narrow], &m);
+        assert!(matches!(
+            lazy.drain_or_refuse(&mut m),
+            Err(DrainFailure::Placing(CnrError::Corrupt(_)))
+        ));
     }
 }

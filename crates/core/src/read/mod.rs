@@ -88,6 +88,7 @@ pub mod scheduler;
 pub(crate) mod shard_reader;
 
 pub use lazy::{DrainOutcome, LazyRestore};
+pub(crate) use lazy::DrainFailure;
 pub use planner::{FetchItem, FetchKind, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
 

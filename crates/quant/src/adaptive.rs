@@ -24,7 +24,7 @@
 //! the difference. On embedding-like rows at the engine's 4-bit default
 //! (45 bins, ratio 1) about 6 of the 44 budgeted steps run.
 
-use crate::kernel::{clip_slack, grid_errors, l2_errors, Grid, Trial, BLOCK};
+use crate::kernel::{clip_slack, l2_errors, Grid, Trial, BLOCK};
 use crate::params::QuantParams;
 use crate::uniform::{min_max, quantize_with_range};
 
@@ -51,12 +51,23 @@ pub struct AdaptiveRange {
 /// pass, and the pass also yields the clip bound that ends the search
 /// early. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {
+    search_within(row, min_max(row), bits, num_bins, ratio)
+}
+
+/// [`search_range`] for a caller that has the row's range, `(min, max)`,
+/// at hand.
+pub(crate) fn search_within(
+    row: &[f32],
+    (full_min, full_max): (f32, f32),
+    bits: u8,
+    num_bins: u32,
+    ratio: f64,
+) -> AdaptiveRange {
     assert!(num_bins >= 1, "num_bins must be >= 1");
     assert!(
         ratio > 0.0 && ratio <= 1.0,
         "ratio must be in (0, 1], got {ratio}"
     );
-    let (full_min, full_max) = min_max(row);
     let range = full_max - full_min;
     let slack = clip_slack(full_min, full_max, bits);
 
@@ -132,22 +143,26 @@ pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Adaptiv
 }
 
 /// The grid the adaptive scheme stores `row` on with binary16 parameters,
-/// given its searched range `r`: the range rounded once
-/// ([`Grid::half_for_range`]), unless rounding the row's full range gives
-/// a strictly smaller error — the search compared `f32` grids, and the
-/// rounding can reorder two close ones. So the stored grid is never worse
-/// than the naive asymmetric one, which is the full range rounded. One
-/// measuring pass over the row, and none when the search kept the full
-/// range.
-pub(crate) fn half_grid(row: &[f32], r: &AdaptiveRange, bits: u8) -> Grid {
+/// given its searched range `r` and its full range `full`: the searched
+/// range rounded once ([`Grid::half_for_range`]), unless rounding the full
+/// range gives a strictly smaller error — the search compared `f32` grids,
+/// and the rounding can reorder two close ones. So the stored grid is
+/// never worse than the naive asymmetric one, which is the full range
+/// rounded. One measuring pass over the row, and none when the search kept
+/// the full range.
+pub(crate) fn half_grid(row: &[f32], r: &AdaptiveRange, full: (f32, f32), bits: u8) -> Grid {
     let searched = Grid::half_for_range(r.xmin, r.xmax, bits);
-    let (lo, hi) = min_max(row);
-    if (r.xmin, r.xmax) == (lo, hi) {
+    if (r.xmin, r.xmax) == full {
         return searched;
     }
-    let naive = Grid::half_for_range(lo, hi, bits);
-    let [s, n] = grid_errors(row, [searched, naive]);
-    if n < s {
+    let naive = Grid::half_for_range(full.0, full.1, bits);
+    let trial = |grid| Trial {
+        grid,
+        ceil: f32::INFINITY,
+    };
+    let mut scratch = [[[0.0f32; BLOCK]; 2]; 2];
+    let [s, n] = l2_errors(row, [searched, naive].map(trial), &mut scratch);
+    if n.error < s.error {
         naive
     } else {
         searched

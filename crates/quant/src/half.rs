@@ -8,49 +8,38 @@
 
 /// Converts an `f32` to its nearest binary16 bit pattern (round-to-nearest-
 /// even, with overflow to infinity and graceful subnormal handling).
+///
+/// Rounding takes no data-dependent branch; the only branches are on the
+/// value's class. In the normal range the exponent is rebiased and the 13
+/// dropped mantissa bits rounded by integer addition — `0xFFF` plus the
+/// kept mantissa's low bit, so a tie carries only from an odd mantissa,
+/// and a carry out of the mantissa is the next binade (or infinity).
+/// Below `2^-14` the magnitude is added to `0.5`, whose `f32` spacing is
+/// binary16's subnormal spacing `2^-24`: the addition rounds it to a
+/// multiple of `2^-24`, ties to even, and the sum's low bits are that
+/// multiple.
 pub fn f32_to_f16_bits(x: f32) -> u16 {
+    const HALF: u32 = 126 << 23; // 0.5
+    const MIN_NORMAL: u32 = 113 << 23; // 2^-14
+    const OVERFLOW: u32 = 143 << 23; // 2^16
+    const REBIAS: u32 = (127 - 15) << 23;
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf / NaN: preserve class (quiet NaN payload collapsed).
-        return sign | 0x7C00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    // Re-bias: f32 bias 127, f16 bias 15.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7C00; // overflow -> infinity
-    }
-    if unbiased >= -14 {
-        // Normal f16. Round mantissa from 23 to 10 bits (nearest even).
-        let half_exp = ((unbiased + 15) as u16) << 10;
-        let mant16 = mant >> 13;
-        let round_bit = (mant >> 12) & 1;
-        let sticky = (mant & 0x0FFF) != 0;
-        let mut out = sign | half_exp | mant16 as u16;
-        if round_bit == 1 && (sticky || (mant16 & 1) == 1) {
-            out = out.wrapping_add(1); // may carry into exponent: correct
+    let magnitude = bits & 0x7FFF_FFFF;
+    let half = if magnitude >= OVERFLOW {
+        // Infinity, overflow, or NaN (quiet, payload collapsed).
+        if magnitude > 0x7F80_0000 {
+            0x7E00
+        } else {
+            0x7C00
         }
-        return out;
-    }
-    if unbiased >= -25 {
-        // Subnormal f16: `mant16 * 2^-24`. Below 2^-24 only rounding can
-        // make a value nonzero: (2^-25, 2^-24) rounds up to the smallest
-        // subnormal, 2^-25 itself ties to even zero.
-        let shift = (-unbiased - 1) as u32; // 14..24
-        let full = mant | 0x0080_0000; // implicit leading 1
-        let mant16 = (full >> shift) as u16;
-        let round_bit = (full >> (shift - 1)) & 1;
-        let sticky = (full & ((1 << (shift - 1)) - 1)) != 0;
-        let mut out = sign | mant16;
-        if round_bit == 1 && (sticky || (mant16 & 1) == 1) {
-            out = out.wrapping_add(1);
-        }
-        return out;
-    }
-    sign // underflow to signed zero
+    } else if magnitude < MIN_NORMAL {
+        (f32::from_bits(magnitude) + f32::from_bits(HALF)).to_bits() - HALF
+    } else {
+        let odd = (magnitude >> 13) & 1;
+        (magnitude - REBIAS + 0xFFF + odd) >> 13
+    };
+    sign | half as u16
 }
 
 /// Converts a binary16 bit pattern to `f32` (exact), without a branch: the
@@ -72,71 +61,17 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(sign | if magnitude < 0x7C00 { finite } else { special })
 }
 
-/// The binary16 bit pattern of `x`, which must be a binary16 value (a
-/// finite one: what [`round_to_half`] and its kin return): the widening
-/// of [`f16_bits_to_f32`] run backwards, one exact multiplication and a
-/// shift, where [`f32_to_f16_bits`] has to round.
-#[inline]
-pub(crate) fn half_bits_of(x: f32) -> u16 {
-    const RESCALE: f32 = f32::from_bits(15 << 23); // 2^-112
-    let magnitude = (x.abs() * RESCALE).to_bits() >> 13;
-    (((x.to_bits() >> 16) & 0x8000) | magnitude) as u16
-}
-
-/// The `f32` pattern of `2^-14`, binary16's least normal value. From it
-/// up, a binary16 value is an `f32` whose low 13 mantissa bits are zero;
-/// below it, a multiple of `2^-24`.
-const MIN_NORMAL_BITS: u32 = 113 << 23;
-
-/// Binary16's least normal value, `2^-14`.
-pub(crate) const MIN_NORMAL_HALF: f32 = f32::from_bits(MIN_NORMAL_BITS);
-
-/// The 13 low mantissa bits a binary16 value in the normal range has zero.
-const DROPPED: u32 = (1 << 13) - 1;
-
-/// `1.5 · 2^23`: adding then subtracting it rounds an `f32` of magnitude
-/// under `2^22` to an integer, ties to even.
-const ROUND_MAGIC: f32 = 12_582_912.0;
-
-/// `2^24` and `2^-24`: a value below binary16's normal range, scaled by
-/// the first, is a count of binary16's smallest subnormal.
-const SUBNORMALS: (f32, f32) = (16_777_216.0, 5.960_464_5e-8);
-
-/// `x` rounded to the nearest binary16 value (ties to even), as an `f32`:
-/// `f16_bits_to_f32(f32_to_f16_bits(x))` for finite `|x| < 65520`. In the
-/// normal range that is rounding the pattern's low 13 bits away (a carry
-/// into the exponent is the next binade); below it, `x` scaled to a count
-/// of `2^-24`, rounded, and scaled back — every step exact.
-#[inline]
-pub(crate) fn round_to_half(x: f32) -> f32 {
-    let b = x.to_bits();
-    if b & 0x7FFF_FFFF >= MIN_NORMAL_BITS {
-        return f32::from_bits((b + (DROPPED >> 1) + ((b >> 13) & 1)) & !DROPPED);
-    }
-    let (scale, unit) = SUBNORMALS;
-    ((x * scale + ROUND_MAGIC) - ROUND_MAGIC) * unit
-}
-
-/// The least binary16 value `>= x`, as an `f32`, for finite `|x| < 65504`.
-/// A zero result is `+0.0`.
-#[inline]
-pub(crate) fn round_up_to_half(x: f32) -> f32 {
-    let b = x.to_bits();
-    if b & 0x7FFF_FFFF >= MIN_NORMAL_BITS {
-        // Up is away from zero for a positive value, toward it otherwise.
-        let away = if x > 0.0 { DROPPED } else { 0 };
-        return f32::from_bits((b + away) & !DROPPED);
-    }
-    let (scale, unit) = SUBNORMALS;
-    let v = x * scale;
-    let n = (v + ROUND_MAGIC) - ROUND_MAGIC;
-    (n + if n < v { 1.0 } else { 0.0 }) * unit
-}
-
-/// The greatest binary16 value `<= x`, as an `f32`, for finite `|x| < 65504`.
-#[inline]
-pub(crate) fn round_down_to_half(x: f32) -> f32 {
-    -round_up_to_half(-x)
+/// The least binary16 value `>= x`, as an `f32`, for finite `|x| <=
+/// 65504`: the nearest one, or the pattern after it when the nearest lies
+/// below `x`. A zero result is `+0.0`.
+pub(crate) fn half_at_or_above(x: f32) -> f32 {
+    let h = f32_to_f16_bits(x);
+    let below = (f16_bits_to_f32(h) < x) as u16;
+    // One pattern toward +∞ when the nearest is below: a larger magnitude
+    // if positive, a smaller one if negative. `-0.0` is never below `x`:
+    // only `x <= 0` rounds to it.
+    let toward_infinity = 1u16.wrapping_sub((h >> 15) << 1); // 1 or -1
+    f16_bits_to_f32(h.wrapping_add(toward_infinity.wrapping_mul(below))) + 0.0
 }
 
 #[cfg(test)]
@@ -217,7 +152,6 @@ mod tests {
                 continue;
             }
             assert_eq!(f32_to_f16_bits(f16_bits_to_f32(h)), h, "{h:#06x}");
-            assert_eq!(half_bits_of(f16_bits_to_f32(h)), h, "{h:#06x}");
         }
     }
 
@@ -234,10 +168,31 @@ mod tests {
         ((x / q).round_ties_even() * q).copysign(x)
     }
 
-    /// A seeded sample of `f32` values over the whole binary16 range and
-    /// beyond, each narrowed as the definition says.
+    /// Every rounding boundary — the midpoint of two adjacent binary16
+    /// values, and the `f32`s on either side of it — and a seeded sample
+    /// of `f32` values over the whole binary16 range and beyond, each
+    /// narrowed as the definition says.
     #[test]
     fn narrowing_is_round_to_nearest_even() {
+        for h in 0..0x7C00u16 {
+            for sign in [0u16, 0x8000] {
+                // `h + 1` is 0x7C00 for the last pair: past 65504 the
+                // spacing would put the next value at 65536, and the
+                // boundary there rounds to infinity.
+                let lo = f16_bits_to_f32(sign | h) as f64;
+                let hi = match h + 1 {
+                    0x7C00 => 65536f64.copysign(lo),
+                    next => f16_bits_to_f32(sign | next) as f64,
+                };
+                let mid = ((lo + hi) / 2.0) as f32; // exact
+                let even = if h & 1 == 0 { h } else { h + 1 };
+                let inner = f32::from_bits(mid.to_bits() - 1);
+                let outer = f32::from_bits(mid.to_bits() + 1);
+                assert_eq!(f32_to_f16_bits(mid), sign | even, "{mid:e}");
+                assert_eq!(f32_to_f16_bits(inner), sign | h, "{inner:e}");
+                assert_eq!(f32_to_f16_bits(outer), sign | (h + 1), "{outer:e}");
+            }
+        }
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -271,56 +226,27 @@ mod tests {
         }
     }
 
-    /// The grid roundings against the conversion: nearest is the round
-    /// trip, up and down bracket `x` with the binary16 values around it.
+    /// Rounding up keeps every binary16 value, and takes the `f32` just
+    /// above one, and the `f32` just below the next, to the next — over
+    /// every finite pattern of both signs.
     #[test]
-    fn grid_roundings_agree_with_the_conversion() {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // The binary16 value next to `v` (itself one), above or below.
-        let next_half = |v: f32, above: bool| {
-            const TINY: f32 = 5.960_464_5e-8; // 2^-24
+    fn rounding_up_steps_to_the_next_pattern() {
+        let next_up = |v: f32| {
             if v == 0.0 {
-                return if above { TINY } else { -TINY };
-            }
-            let h = f32_to_f16_bits(v);
-            f16_bits_to_f32(if above == (v > 0.0) { h + 1 } else { h - 1 })
-        };
-        for i in 0..200_000 {
-            let r = next();
-            let x = if i % 3 == 0 {
-                // exactly a binary16 value: every rounding keeps it
-                let h = (r as u16) & 0x7FFF;
-                let h = if h >= 0x7BFF { 0x3C00 } else { h };
-                f16_bits_to_f32(h | ((r >> 63) as u16 * 0x8000))
+                f32::from_bits(1)
+            } else if v > 0.0 {
+                f32::from_bits(v.to_bits() + 1)
             } else {
-                let exp = 100 + (r % 40) as u32; // up to 2^12
-                f32::from_bits(
-                    (r >> 32) as u32 & 0x8000_0000 | exp << 23 | (r >> 9) as u32 & 0x007F_FFFF,
-                )
-            };
-            let near = round_to_half(x);
-            assert_eq!(near, f16_bits_to_f32(f32_to_f16_bits(x)), "{x:e}");
-            assert_eq!(half_bits_of(near), f32_to_f16_bits(near), "{x:e} bits");
-            let up = round_up_to_half(x);
-            let down = round_down_to_half(x);
-            assert_eq!(f16_bits_to_f32(f32_to_f16_bits(up)), up, "{x:e} up");
-            assert_eq!(f16_bits_to_f32(f32_to_f16_bits(down)), down, "{x:e} down");
-            assert!(down <= x && x <= up, "{down:e} <= {x:e} <= {up:e}");
-            if up != x {
-                assert!(
-                    next_half(up, false) < x,
-                    "{x:e}: {up:e} is not the least above"
-                );
-                assert!(
-                    next_half(down, true) > x,
-                    "{x:e}: {down:e} is not the greatest below"
-                );
+                f32::from_bits(v.to_bits() - 1)
+            }
+        };
+        let next_down = |v: f32| -next_up(-v);
+        for h in 0..0x7BFFu16 {
+            for (lo, hi) in [(h, h + 1), (0x8000 | (h + 1), 0x8000 | h)] {
+                let (lo, hi) = (f16_bits_to_f32(lo), f16_bits_to_f32(hi) + 0.0);
+                assert_eq!(half_at_or_above(lo).to_bits(), (lo + 0.0).to_bits(), "{lo:e}");
+                assert_eq!(half_at_or_above(next_up(lo)).to_bits(), hi.to_bits(), "{lo:e}+");
+                assert_eq!(half_at_or_above(next_down(hi)).to_bits(), hi.to_bits(), "{hi:e}-");
             }
         }
     }

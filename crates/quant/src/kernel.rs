@@ -27,9 +27,7 @@
 //! [`clip_slack`].
 
 use crate::bitpack::{pack_into, unpack_any_with, unpack_grouped_with};
-use crate::half::{
-    f16_bits_to_f32, round_down_to_half, round_to_half, round_up_to_half, MIN_NORMAL_HALF,
-};
+use crate::half::{f16_bits_to_f32, f32_to_f16_bits, half_at_or_above};
 use crate::params::QuantParams;
 
 /// Elements per stack block. A multiple of 8, so a block of codes of any
@@ -83,8 +81,9 @@ impl Grid {
     ///   everything below it quantize to code 0, which reconstructs the
     ///   zero point exactly;
     /// * the scale is the nearest binary16 to `(xmax - zero_point) /
-    ///   levels`, so `xmax` lands on the top code (a subnormal scale too
-    ///   coarse for that is rounded down instead);
+    ///   levels`, so `xmax` lands on the top code — or, when rounding it
+    ///   up leaves `xmax` below the top code (a subnormal scale, or a grid
+    ///   wider than 10 bits), the binary16 below;
     /// * a grid spanning less than `2^-10` of its zero point's magnitude —
     ///   about one binary16 step of it — is collapsed to the zero point
     ///   (`scale = 0`): its reconstructions would be `f32` rounding noise.
@@ -95,20 +94,16 @@ impl Grid {
     /// rows re-quantize to themselves.
     pub fn half_for_range(xmin: f32, xmax: f32, bits: u8) -> Self {
         let levels = levels_for(bits);
-        let zero_point = round_up_to_half(xmin);
+        let zero_point = half_at_or_above(xmin);
         let step = (xmax - zero_point) / levels;
+        let nearest = f16_bits_to_f32(f32_to_f16_bits(step));
         let mut grid = Self {
-            scale: if step > 0.0 { round_to_half(step) } else { 0.0 },
+            scale: if step > 0.0 { nearest } else { 0.0 },
             zero_point,
             levels,
         };
-        // A normal binary16 scale is within a relative 2^-11 of `step`,
-        // which puts `xmax` within 0.5 of the top code of any grid up to
-        // 10 bits wide; only a subnormal scale, or a wider grid, needs the
-        // check.
-        let coarse = grid.scale < MIN_NORMAL_HALF || bits > 10;
-        if coarse && grid.scale > 0.0 && grid.code_of(xmax) < levels {
-            grid.scale = round_down_to_half(step);
+        if grid.scale > 0.0 && grid.code_of(xmax) < levels {
+            grid.scale = -half_at_or_above(-step);
         }
         if grid.scale * levels < zero_point.abs() * (1.0 / 1024.0) {
             grid.scale = 0.0;
@@ -330,37 +325,6 @@ pub(crate) fn l2_errors<const N: usize>(
     })
 }
 
-/// ℓ2 error of quantizing `row` on each of `N` grids, in one pass over
-/// the row: [`l2_errors`]'s `error` — the same residuals, their squares
-/// added in element order in `f64` — without the clip bound, which a
-/// caller comparing finished grids has no use for.
-pub(crate) fn grid_errors<const N: usize>(row: &[f32], grids: [Grid; N]) -> [f64; N] {
-    let mut sums = [-0.0f64; N];
-    let mut res = [[0.0f32; BLOCK]; N];
-    for xs in row.chunks(BLOCK) {
-        let n = xs.len().min(BLOCK);
-        for (res, g) in res.iter_mut().zip(grids) {
-            let res = &mut res[..n];
-            if g.scale <= 0.0 {
-                let back = g.scale * 0.0 + g.zero_point;
-                res.iter_mut().zip(xs).for_each(|(o, &x)| *o = x - back);
-            } else {
-                for (o, &x) in res.iter_mut().zip(xs) {
-                    let code = round_clamp((x - g.zero_point) / g.scale, g.levels);
-                    *o = x - (g.scale * code + g.zero_point);
-                }
-            }
-        }
-        for i in 0..n {
-            for (sum, res) in sums.iter_mut().zip(&res) {
-                let d = res[i] as f64;
-                *sum += d * d;
-            }
-        }
-    }
-    sums.map(f64::sqrt)
-}
-
 /// Little-endian `f32`s, one per four bytes of `bytes`, into `out`. A run
 /// of consecutive fp32 rows is one call: their bodies are back to back
 /// with nothing between them.
@@ -490,46 +454,6 @@ mod tests {
             let q = i as f32 * 0.17 - 10.0;
             let want = q.round().clamp(0.0, levels);
             assert_eq!(round_clamp(q, levels), want, "q = {q}");
-        }
-    }
-
-    /// The comparing pass computes the bits the search's pass and
-    /// [`crate::row_l2_error`] compute, scale-0 grids and NaN included.
-    #[test]
-    fn grid_errors_are_the_l2_errors_error() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut unit = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 40) as f32 / (1u64 << 24) as f32
-        };
-        for dim in [1usize, 7, 32, 64, 65, 130] {
-            let mut row: Vec<f32> = (0..dim).map(|_| unit() - 0.4).collect();
-            if dim == 65 {
-                row[3] = f32::NAN;
-            }
-            let grids = [
-                Grid::half_for_range(-0.3, 0.5, 4),
-                Grid::for_range(-0.2, 0.2, 3),
-                Grid::for_range(0.1, 0.1, 4), // scale 0
-            ];
-            let trial = |grid| Trial {
-                grid,
-                ceil: f32::INFINITY,
-            };
-            let mut scratch = [[[0.0f32; BLOCK]; 2]; 3];
-            let want = l2_errors(&row, grids.map(trial), &mut scratch);
-            let got = grid_errors(&row, grids);
-            for ((g, w), grid) in got.iter().zip(&want).zip(grids) {
-                assert_eq!(g.to_bits(), w.error.to_bits(), "dim {dim}");
-                let back: Vec<f32> = row
-                    .iter()
-                    .map(|&x| grid.scale * grid.code_of(x) + grid.zero_point)
-                    .collect();
-                let oracle = crate::row_l2_error(&row, &back);
-                assert!(g.to_bits() == oracle.to_bits() || (g.is_nan() && oracle.is_nan()));
-            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! holding a value binary16 parameters cannot describe keeps them as
 //! `f32`s ([`QuantParams::Uniform`]).
 
-use crate::half::half_bits_of;
+use crate::half::f32_to_f16_bits;
 use crate::kernel::{levels_for, Grid};
 use bytes::BufMut;
 
@@ -119,8 +119,8 @@ impl QuantParams {
                 buf.put_f32_le(*zero_point);
             }
             QuantParams::UniformF16 { scale, zero_point } => {
-                buf.put_u16_le(half_bits_of(*scale));
-                buf.put_u16_le(half_bits_of(*zero_point));
+                buf.put_u16_le(f32_to_f16_bits(*scale));
+                buf.put_u16_le(f32_to_f16_bits(*zero_point));
             }
         }
     }

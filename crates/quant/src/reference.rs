@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use crate::adaptive;
     use crate::bitpack;
-    use crate::codec::decode_body_to;
+    use crate::codec::{decode_body_to, ROW_HEADER_LEN};
     use crate::kernel::Grid;
     use crate::params::TAG_UNIFORM;
     use proptest::prelude::*;
@@ -477,7 +477,9 @@ mod tests {
             encoder.quantize_row_into(&row, &mut fused);
             prop_assert_eq!(&fused[3..], &want_body[..], "{} quantize_row_into", scheme);
             prop_assert_eq!(want_body.len(), encoder.body_len(dim));
+            prop_assert_eq!(want.byte_size(), ROW_HEADER_LEN + encoder.body_len(dim));
             if want.kind_tag() != TAG_UNIFORM {
+                // `bytes_per_row` is the size of a row binary16 can describe.
                 prop_assert_eq!(want.byte_size(), scheme.bytes_per_row(dim));
             }
 

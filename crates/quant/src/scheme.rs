@@ -4,7 +4,7 @@
 //! the engine picks one per checkpoint (§6.2.1 dynamic bit-width selection)
 //! and the chunked writer applies it row by row.
 
-use crate::adaptive::{half_grid, search_range};
+use crate::adaptive::{half_grid, search_within};
 use crate::codec::{QuantizedRow, RowDecoder, ROW_HEADER_LEN};
 use crate::half::f32_to_f16_bits;
 use crate::kernel::{fits_half, put_f32s_le, quantize_pack_into, Grid};
@@ -219,9 +219,10 @@ impl RowEncoder {
                 num_bins,
                 ratio,
             } => {
-                let r = search_range(row, bits, num_bins, ratio);
+                let full = min_max(row);
+                let r = search_within(row, full, bits, num_bins, ratio);
                 let grid = if self.half_params {
-                    half_grid(row, &r, bits)
+                    half_grid(row, &r, full, bits)
                 } else {
                     Grid::for_range(r.xmin, r.xmax, bits)
                 };
