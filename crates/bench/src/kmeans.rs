@@ -137,7 +137,7 @@ fn next_up(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnr_quant::uniform::{dequantize, quantize_asymmetric};
+    use cnr_quant::QuantScheme;
 
     fn clustered_row() -> Vec<f32> {
         // Two tight clusters: ideal for k-means, bad for uniform grids.
@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn beats_uniform_on_clustered_data() {
         let row = clustered_row();
-        let (uc, up) = quantize_asymmetric(&row, 2);
-        let uniform_err = row_l2_error(&row, &dequantize(&uc, &up));
+        let uniform = QuantScheme::Asymmetric { bits: 2 }.quantize_row(&row);
+        let uniform_err = row_l2_error(&row, &uniform.dequantize());
         let km_err = kmeans_error(&row, 2);
         assert!(
             km_err < uniform_err * 0.5,

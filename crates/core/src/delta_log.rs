@@ -36,12 +36,11 @@
 use crate::error::{CnrError, Result};
 use crate::manifest::{
     decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, ChunkHeader,
-    OpenedChunk, RowContext,
+    OpenedChunk,
 };
 use crate::wire;
 use bytes::BufMut;
 use cnr_model::{DlrmModel, Mlp};
-use cnr_quant::scheme::RowEncoder;
 use cnr_quant::QuantScheme;
 use cnr_storage::{PutReceipt, WalWriter};
 use cnr_workload::Batch;
@@ -125,11 +124,11 @@ impl DeltaRecord {
                 continue;
             }
             let table = &model.tables()[t];
-            let (chunk, encoder) = touched_frame(model, scheme, t, &row_indices);
+            let (chunk, stored) = touched_frame(model, scheme, t, &row_indices);
             let mut frame = Vec::with_capacity(chunk.encoded_len());
             chunk.encode_into(&mut frame, |out| {
                 for &i in &row_indices {
-                    encoder.quantize_row_into(table.row(i as usize), out);
+                    stored.quantize_row_into(table.row(i as usize), out);
                 }
             });
             let header = open_frame(&frame).expect("a captured frame opens");
@@ -182,10 +181,10 @@ impl DeltaRecord {
             out.put_u16_le(touched.tables().count() as u16);
             for (t, rows) in touched.tables() {
                 let table = &model.tables()[t];
-                let (chunk, encoder) = touched_frame(model, scheme, t, rows);
+                let (chunk, stored) = touched_frame(model, scheme, t, rows);
                 chunk.encode_into(out, |out| {
                     for &i in rows {
-                        encoder.quantize_row_into(table.row(i as usize), out);
+                        stored.quantize_row_into(table.row(i as usize), out);
                     }
                 });
             }
@@ -450,8 +449,8 @@ impl TouchedRows {
 
 /// The chunk of table `t`'s touched `rows`, as the chunk layout's single
 /// writer takes it — accumulators gathered from the table as they are
-/// written — and the encoder its rows' values decide
-/// ([`QuantScheme::encoder_for`]).
+/// written — and the scheme its rows' values store them under
+/// ([`QuantScheme::stored_for`]).
 fn touched_frame<'a>(
     model: &'a DlrmModel,
     scheme: &QuantScheme,
@@ -459,25 +458,15 @@ fn touched_frame<'a>(
     rows: &'a [u32],
 ) -> (
     ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a>,
-    RowEncoder,
+    QuantScheme,
 ) {
     let table = &model.tables()[t];
-    let dim = table.dim();
-    let encoder = scheme.encoder_for(rows.iter().map(|&i| table.row(i as usize)));
-    let frame = ChunkFrame {
-        table: t as u16,
-        row_indices: rows,
-        optimizer_state: table
-            .adagrad()
-            .map(|acc| rows.iter().map(move |&i| acc[i as usize])),
-        rows: RowContext {
-            tag: encoder.kind_tag(),
-            bits: encoder.bits(),
-            dim: dim as u16,
-        },
-        rows_len: rows.len() * encoder.body_len(dim),
-    };
-    (frame, encoder)
+    let stored = scheme.stored_for(rows.iter().map(|&i| table.row(i as usize)));
+    let accumulators = table
+        .adagrad()
+        .map(|acc| rows.iter().map(move |&i| acc[i as usize]));
+    let frame = ChunkFrame::quantized(t as u16, rows, accumulators, &stored, table.dim());
+    (frame, stored)
 }
 
 /// Bytes [`put_mlp`] appends for `mlp`.
@@ -793,6 +782,76 @@ mod tests {
         assert_eq!(dense.iteration(), 7);
         assert_eq!(dense.bottom().flatten(), in_order.bottom().flatten());
         assert_eq!(dense.top().flatten(), in_order.top().flatten());
+    }
+
+    /// `chunk`'s frame as the retired row tag 1 stored it: each body's
+    /// binary16 scale and zero point widened to `f32`s ahead of the same
+    /// codes.
+    fn with_f32_params(chunk: &DeltaChunk) -> Vec<u8> {
+        use crate::manifest::RowContext;
+        use cnr_quant::half::f16_bits_to_f32;
+        let header = &chunk.header;
+        let widen = |p: &[u8]| f16_bits_to_f32(u16::from_le_bytes([p[0], p[1]])).to_le_bytes();
+        let bodies: Vec<u8> = chunk
+            .opened()
+            .bodies
+            .chunks_exact(header.decoder.body_len())
+            .flat_map(|body| {
+                let params = [widen(&body[..2]), widen(&body[2..4])].concat();
+                params.into_iter().chain(body[4..].iter().copied())
+            })
+            .collect();
+        let frame = ChunkFrame {
+            table: header.table,
+            row_indices: &header.row_indices,
+            optimizer_state: header.optimizer_state.as_ref().map(|acc| acc.iter().copied()),
+            rows: RowContext { tag: 1, ..header.rows },
+            rows_len: bodies.len(),
+        };
+        let mut out = Vec::new();
+        frame.encode_into(&mut out, |out| out.extend_from_slice(&bodies));
+        out
+    }
+
+    /// A record embedding a chunk of the retired row tag 1 does not
+    /// decode — typed, naming the tag — so the live tail ends at it and
+    /// keeps the clean prefix before it.
+    #[test]
+    fn a_record_embedding_retired_row_tag_1_ends_the_live_tail() {
+        let spec = DatasetSpec::tiny(29);
+        let dataset = cnr_workload::SyntheticDataset::new(spec.clone());
+        let base = CheckpointId(3);
+        let scheme = QuantScheme::Asymmetric { bits: 4 };
+        let mut model = DlrmModel::new(ModelConfig::for_dataset(&spec, 4));
+        let mut logged = Vec::new();
+        for i in 1..5u64 {
+            let batch = dataset.batch(i);
+            model.train_batch(&batch, |_, _| {});
+            logged.push(DeltaRecord::capture(&model, &batch, &scheme, base, i + 1));
+        }
+        let mut retired = logged[2].clone();
+        let good = retired.chunks[0].clone();
+        assert_eq!(good.header.rows.tag, 4);
+        retired.chunks[0] = DeltaChunk {
+            header: good.header.clone(),
+            frame: with_f32_params(&good),
+        };
+        let retired = retired.encode();
+        let err = DeltaRecord::decode(&retired).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why) if why.contains("unknown row tag 1")),
+            "{err:?}"
+        );
+        let log = [
+            logged[0].encode(),
+            logged[1].encode(),
+            retired,
+            logged[3].encode(),
+        ];
+        let tail = WalTail::live(log.iter().map(Vec::as_slice), base, 0);
+        let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
+        assert_eq!(iterations, [1, 2]);
+        assert_eq!(tail.records(), &logged[..2]);
     }
 
     /// A record whose MLPs are not the model's shape fails the dense step

@@ -520,7 +520,37 @@ pub(crate) struct ChunkFrame<'a, A> {
     pub rows_len: usize,
 }
 
-impl<A: ExactSizeIterator<Item = f32>> ChunkFrame<'_, A> {
+impl<'a, A: ExactSizeIterator<Item = f32>> ChunkFrame<'a, A> {
+    /// The frame of the rows `row_indices` names, `dim` values each,
+    /// quantized under `stored` — the scheme [`QuantScheme::stored_for`]
+    /// resolved from their values: the row context and body bytes it
+    /// records. An empty chunk records [`RowContext::EMPTY`].
+    pub(crate) fn quantized(
+        table: u16,
+        row_indices: &'a [u32],
+        optimizer_state: Option<A>,
+        stored: &QuantScheme,
+        dim: usize,
+    ) -> Self {
+        let count = row_indices.len();
+        let rows = if count == 0 {
+            RowContext::EMPTY
+        } else {
+            RowContext {
+                tag: stored.kind_tag(),
+                bits: stored.bits(),
+                dim: dim as u16,
+            }
+        };
+        Self {
+            table,
+            row_indices,
+            optimizer_state,
+            rows,
+            rows_len: count * stored.body_len(dim),
+        }
+    }
+
     /// Bytes [`ChunkFrame::encode_into`] appends.
     pub(crate) fn encoded_len(&self) -> usize {
         let accumulators = 4 * self.row_indices.len() * self.optimizer_state.is_some() as usize;
@@ -689,7 +719,10 @@ impl ChunkPayload {
     /// 4. The scale and zero point are binary16 values (row tag 4,
     /// [`cnr_quant::params`]), 4 B where `f32`s cost 8. At 4-bit/dim-32 a
     /// row is 1 B of index, 4 B of parameters and 16 B of codes: 21 B,
-    /// where a `u32` index and `f32` parameters made it 28.
+    /// where a `u32` index and `f32` parameters made it 28. A chunk of
+    /// rows holding a value their scheme cannot describe stores them as
+    /// fp32 (tag 0); the retired tags 1 (`f32` parameters) and 2 (k-means
+    /// codebooks) fail to decode as [`CnrError::Corrupt`], naming the tag.
     pub fn encode(&self) -> Vec<u8> {
         let frame = self.frame();
         let mut out = Vec::with_capacity(frame.encoded_len());

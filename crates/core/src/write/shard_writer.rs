@@ -14,7 +14,7 @@
 use super::chunker::WorkItem;
 use super::scheduler::UploadScheduler;
 use crate::error::Result;
-use crate::manifest::{CheckpointId, ChunkFrame, ChunkMeta, Manifest, RowContext};
+use crate::manifest::{CheckpointId, ChunkFrame, ChunkMeta, Manifest};
 use bytes::Bytes;
 use cnr_model::state::TableState;
 use cnr_quant::QuantScheme;
@@ -78,11 +78,13 @@ impl ShardWriter<'_> {
 /// `slab` (the snapshot's gathered rows of the item's table: the item's
 /// rows are the `indices.len()` consecutive slab rows from `slab_start`,
 /// while the frame records the table-absolute `indices`) into the exactly
-/// sized chunk buffer, which is then checksummed in place. The rows'
-/// encoding — binary16 or `f32` uniform parameters — is decided once from
-/// their values ([`QuantScheme::encoder_for`]). Byte for byte what
-/// `ChunkPayload { rows: encoder.quantize_row(..) for every row, .. }.encode_enveloped()`
-/// produces, without the row objects or any intermediate copy.
+/// sized chunk buffer, which is then checksummed in place. The scheme
+/// the rows are stored under — `scheme`, or fp32 when it cannot describe
+/// one of their values — is decided once from the values
+/// ([`QuantScheme::stored_for`]). Byte for byte what
+/// `ChunkPayload { rows: scheme.quantize_row(..) for every row, .. }.encode_enveloped()`
+/// produces for a chunk `scheme` describes, without the row objects or any
+/// intermediate copy.
 ///
 /// Panics when the item's rows lie outside `slab` — the chunker only plans
 /// rows of the snapshot it was given, and the writer checks the slab
@@ -91,27 +93,13 @@ pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) ->
     let (count, dim) = (item.indices.len(), item.dim);
     let rows_at = item.slab_start..item.slab_start + count;
     let values = &slab.data[rows_at.start * dim..rows_at.end * dim];
-    let encoder = scheme.encoder_for([values]);
-    let rows = if count == 0 {
-        RowContext::EMPTY
-    } else {
-        RowContext {
-            tag: encoder.kind_tag(),
-            bits: encoder.bits(),
-            dim: dim as u16,
-        }
-    };
-    ChunkFrame {
-        table: item.table,
-        row_indices: &item.indices,
-        optimizer_state: slab
-            .adagrad
-            .as_ref()
-            .map(|acc| acc[rows_at.clone()].iter().copied()),
-        rows,
-        rows_len: count * encoder.body_len(dim),
-    }
-    .encode_enveloped(|out| encoder.quantize_rows_into(values, dim, out))
+    let stored = scheme.stored_for([values]);
+    let accumulators = slab
+        .adagrad
+        .as_ref()
+        .map(|acc| acc[rows_at].iter().copied());
+    ChunkFrame::quantized(item.table, &item.indices, accumulators, &stored, dim)
+        .encode_enveloped(|out| stored.quantize_rows_into(values, dim, out))
 }
 
 #[cfg(test)]
@@ -157,11 +145,11 @@ mod tests {
     }
 
     /// The row-object encoding the fused path must reproduce: each row
-    /// quantized on its own, with the encoding the chunk's values decide.
+    /// quantized on its own, under the scheme the chunk's values decide.
     fn via_row_objects(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> ChunkPayload {
         let slab_rows = item.slab_start..item.slab_start + item.indices.len();
         let row = |k: usize| &slab.data[k * item.dim..(k + 1) * item.dim];
-        let encoder = scheme.encoder_for(slab_rows.clone().map(row));
+        let stored = scheme.stored_for(slab_rows.clone().map(row));
         ChunkPayload {
             table: item.table,
             row_indices: item.indices.clone(),
@@ -171,14 +159,15 @@ mod tests {
                 .map(|acc| acc[slab_rows.clone()].to_vec()),
             rows: slab_rows
                 .clone()
-                .map(|k| encoder.quantize_row(row(k)))
+                .map(|k| stored.quantize_row(row(k)))
                 .collect(),
         }
     }
 
-    /// Both row encodings of a uniform chunk: binary16 parameters (tag 4)
-    /// for ordinary values, `f32` ones (tag 1) once a value of the chunk —
-    /// in any of its rows — is one binary16 parameters cannot describe.
+    /// Both ways a chunk is stored: under its scheme for ordinary values,
+    /// and as fp32 rows (tag 0) once a value of the chunk — in any of its
+    /// rows — is one the scheme cannot describe: NaN or `-1e6` for a
+    /// uniform scheme, `-1e6` (binary16 overflow) for fp16.
     #[test]
     fn encode_chunk_equals_the_row_object_encoding_byte_for_byte() {
         for scheme in schemes() {
@@ -196,10 +185,11 @@ mod tests {
                         assert_eq!(got, want.encode_enveloped(), "{case}");
                         let decoded = ChunkPayload::decode(&got).unwrap();
                         assert_eq!(decoded.encode_enveloped(), got, "{case}");
-                        let tag = match scheme {
-                            QuantScheme::Fp32 => 0,
-                            QuantScheme::Fp16 => 3,
-                            _ if poison.is_some() => 1,
+                        let tag = match (scheme, poison) {
+                            (QuantScheme::Fp32, _) => 0,
+                            (QuantScheme::Fp16, Some(v)) if v.is_finite() => 0,
+                            (QuantScheme::Fp16, _) => 3,
+                            (_, Some(_)) => 0,
                             _ => 4,
                         };
                         assert!(decoded.rows.iter().all(|r| r.kind_tag() == tag), "{case}");
@@ -220,8 +210,7 @@ mod tests {
         0x4C, 0x3D, 0x00, 0x00, 0x40, 0x3F, 0xAF, 0x05,
     ];
 
-    /// The rows of [`F32_PARAMS_CHUNK`], and of [`SPECIAL_VALUES_CHUNK`],
-    /// table 1, row indices 0, 2, 4, ...
+    /// `rows` as a chunk of table 1, row indices 0, 2, 4, ...
     fn fixture_item(rows: &[[f32; 4]]) -> (WorkItem, TableState) {
         let item = WorkItem {
             shard: 0,
@@ -238,40 +227,24 @@ mod tests {
         (item, slab)
     }
 
+    /// The rows of [`F32_PARAMS_CHUNK`].
     const F32_PARAMS_ROWS: [[f32; 4]; 3] = [
         [0.1, -0.2, 0.3, 0.05],
         [-0.5, 0.25, 0.0, 0.125],
         [1.5, 1.25, 1.0, 0.75],
     ];
 
-    /// Bits of each value, every NaN the same.
-    fn value_bits(values: &[f32]) -> Vec<u32> {
-        let bits = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
-        values.iter().map(bits).collect()
-    }
-
+    /// Row tag 1 is retired: a chunk stored with it — its envelope sound —
+    /// fails typed, naming the tag, wherever it is opened.
     #[test]
-    fn a_chunk_stored_with_f32_parameters_still_decodes() {
-        let (header, values) = decode_in_place(&F32_PARAMS_CHUNK).unwrap();
-        assert_eq!(
-            (header.rows.tag, header.rows.bits, header.rows.dim),
-            (1, 4, 4)
-        );
-        assert_eq!(header.row_indices, [0, 2, 4]);
-        let want: Vec<f32> = F32_PARAMS_ROWS
-            .iter()
-            .flat_map(|row| {
-                let (codes, params) = cnr_quant::uniform::quantize_asymmetric(row, 4);
-                cnr_quant::uniform::dequantize(&codes, &params)
-            })
-            .collect();
-        assert_eq!(value_bits(&values), value_bits(&want));
-        let rows = ChunkPayload::decode(&F32_PARAMS_CHUNK).unwrap();
-        assert_eq!(
-            rows.encode_enveloped(),
-            F32_PARAMS_CHUNK,
-            "re-encodes as stored"
-        );
+    fn a_chunk_stored_with_f32_parameters_is_corrupt() {
+        let names_tag_1 = |err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains("unknown row tag 1"));
+        let err = decode_in_place(&F32_PARAMS_CHUNK).map(|_| ()).unwrap_err();
+        assert!(names_tag_1(&err), "{err:?}");
+        let err = ChunkPayload::decode(&F32_PARAMS_CHUNK)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(names_tag_1(&err), "{err:?}");
         // The same rows written now take binary16 parameters, 4 B a row
         // fewer.
         let (item, slab) = fixture_item(&F32_PARAMS_ROWS);
@@ -280,23 +253,11 @@ mod tests {
         assert_eq!(now.len(), F32_PARAMS_CHUNK.len() - 3 * 4);
     }
 
-    /// A 4-bit adaptive chunk of rows holding `1e6`, `±inf` and `NaN`,
-    /// and one ordinary row, as the writer stored it before rows kept
-    /// binary16 parameters.
-    const SPECIAL_VALUES_CHUNK: [u8; 79] = [
-        0x43, 0x4E, 0x52, 0x36, 0x06, 0x00, 0x00, 0x00, 0x3B, 0x00, 0x00, 0x00, 0xA8, 0x43, 0xD1,
-        0xBD, 0x02, 0x35, 0xFD, 0x9B, 0x37, 0x00, 0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x00, 0x00,
-        0x00, 0x01, 0x04, 0x04, 0x00, 0x00, 0x04, 0x04, 0x04, 0x57, 0x35, 0x82, 0x47, 0x00, 0x00,
-        0x80, 0xBE, 0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xFF, 0x00, 0x00, 0x0B,
-        0xD7, 0x23, 0x3D, 0x9A, 0x99, 0x99, 0xBE, 0xF0, 0x80, 0xD0, 0x7F, 0x05, 0x3D, 0x17, 0x6C,
-        0x41, 0xBE, 0x09, 0x7F,
-    ];
-
-    /// Rows binary16 parameters cannot describe keep `f32` ones: such a
-    /// chunk is written byte for byte as before, so it decodes to the
-    /// same bits.
+    /// A 4-bit adaptive chunk whose rows hold `1e6`, `±inf` and `NaN`
+    /// beside an ordinary row is stored as exact fp32 rows, and restores
+    /// to the bits it was given.
     #[test]
-    fn a_chunk_binary16_cannot_describe_keeps_f32_parameters() {
+    fn a_chunk_its_scheme_cannot_describe_is_stored_as_fp32() {
         let rows = [
             [1e6, 0.5, -0.25, 0.125],
             [f32::INFINITY, 0.1, f32::NEG_INFINITY, 0.2],
@@ -304,27 +265,13 @@ mod tests {
             [0.1, -0.2, 0.3, 0.05],
         ];
         let (item, slab) = fixture_item(&rows);
-        let scheme = QuantScheme::recommended_for_bits(4);
-        assert_eq!(encode_chunk(&item, &slab, &scheme), SPECIAL_VALUES_CHUNK);
-        let (header, values) = decode_in_place(&SPECIAL_VALUES_CHUNK).unwrap();
-        assert_eq!(header.rows.tag, 1);
-        let QuantScheme::AdaptiveAsymmetric {
-            bits,
-            num_bins,
-            ratio,
-        } = scheme
-        else {
-            unreachable!()
-        };
-        let want: Vec<f32> = rows
-            .iter()
-            .flat_map(|row| {
-                let (codes, params) =
-                    cnr_quant::adaptive::quantize_adaptive(row, bits, num_bins, ratio);
-                cnr_quant::uniform::dequantize(&codes, &params)
-            })
-            .collect();
-        assert_eq!(value_bits(&values), value_bits(&want));
+        let stored = encode_chunk(&item, &slab, &QuantScheme::recommended_for_bits(4));
+        let fp32 = encode_chunk(&item, &slab, &QuantScheme::Fp32);
+        assert_eq!(stored, fp32, "byte for byte an fp32 chunk");
+        let (header, values) = decode_in_place(&stored).unwrap();
+        assert_eq!((header.rows.tag, header.rows.bits), (0, 32));
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(rows.as_flattened()));
     }
 
     /// What a restore does with a stored chunk: verify the envelope, open

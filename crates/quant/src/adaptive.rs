@@ -25,8 +25,7 @@
 //! (45 bins, ratio 1) about 6 of the 44 budgeted steps run.
 
 use crate::kernel::{clip_slack, l2_errors, Grid, Trial, BLOCK};
-use crate::params::QuantParams;
-use crate::uniform::{min_max, quantize_with_range};
+use crate::uniform::min_max;
 
 /// Result of the greedy range search for one vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,22 +168,11 @@ pub(crate) fn half_grid(row: &[f32], r: &AdaptiveRange, full: (f32, f32), bits: 
     }
 }
 
-/// Quantizes `row` with the adaptive asymmetric scheme.
-pub fn quantize_adaptive(
-    row: &[f32],
-    bits: u8,
-    num_bins: u32,
-    ratio: f64,
-) -> (Vec<u16>, QuantParams) {
-    let r = search_range(row, bits, num_bins, ratio);
-    quantize_with_range(row, r.xmin, r.xmax, bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::row_l2_error;
-    use crate::uniform::{dequantize, quantize_asymmetric};
+    use crate::QuantScheme;
 
     /// A vector with one moderate outlier: the motivating case from the
     /// paper. The bulk of the values spread uniformly over [0, 1] so the
@@ -196,22 +184,31 @@ mod tests {
         v
     }
 
-    fn err_of(codes: &[u16], params: &QuantParams, row: &[f32]) -> f64 {
-        row_l2_error(row, &dequantize(codes, params))
+    /// ℓ2 error of `row` stored under `scheme` and restored.
+    fn err_of(scheme: QuantScheme, row: &[f32]) -> f64 {
+        row_l2_error(row, &scheme.quantize_row(row).dequantize())
+    }
+
+    fn adaptive_scheme(bits: u8) -> QuantScheme {
+        QuantScheme::AdaptiveAsymmetric {
+            bits,
+            num_bins: 25,
+            ratio: 1.0,
+        }
     }
 
     #[test]
     fn never_worse_than_naive_asymmetric() {
-        // The search starts from the naive range and only keeps improvements.
+        // The search starts from the naive range and only keeps
+        // improvements, and the stored grid is the better of the rounded
+        // searched range and the rounded naive one (`half_grid`).
         for bits in [2u8, 3, 4] {
             for seed in 0..5u32 {
                 let row: Vec<f32> = (0..64)
                     .map(|i| ((i * 13 + seed * 7) as f32 * 0.17).sin() * 0.1)
                     .collect();
-                let (nc, np) = quantize_asymmetric(&row, bits);
-                let naive = err_of(&nc, &np, &row);
-                let (ac, ap) = quantize_adaptive(&row, bits, 25, 1.0);
-                let adaptive = err_of(&ac, &ap, &row);
+                let naive = err_of(QuantScheme::Asymmetric { bits }, &row);
+                let adaptive = err_of(adaptive_scheme(bits), &row);
                 assert!(
                     adaptive <= naive + 1e-9,
                     "adaptive {adaptive} worse than naive {naive} at {bits} bits"
@@ -223,10 +220,8 @@ mod tests {
     #[test]
     fn big_win_on_outlier_vectors() {
         let row = outlier_row();
-        let (nc, np) = quantize_asymmetric(&row, 2);
-        let naive = err_of(&nc, &np, &row);
-        let (ac, ap) = quantize_adaptive(&row, 2, 25, 1.0);
-        let adaptive = err_of(&ac, &ap, &row);
+        let naive = err_of(QuantScheme::Asymmetric { bits: 2 }, &row);
+        let adaptive = err_of(adaptive_scheme(2), &row);
         assert!(
             adaptive < naive * 0.9,
             "expected >10% improvement, naive {naive} adaptive {adaptive}"

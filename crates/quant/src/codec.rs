@@ -13,21 +13,24 @@
 //! | tag | bits | dim:u16| params (per tag)     | payload          |
 //! +-----+------+--------+----------------------+------------------+
 //! tag 0 = fp32        params: none                    payload: dim * 4 bytes
-//! tag 1 = uniform     params: scale, zero_point: f32  payload: packed codes
+//! tag 1 = retired     (uniform, scale, zero_point: f32)
+//! tag 2 = retired     (k-means codebook)
 //! tag 3 = fp16        params: none                    payload: dim * 2 bytes
-//! tag 4 = uniform16   params: scale, zero_point: f16  payload: packed codes
+//! tag 4 = uniform     params: scale, zero_point: f16  payload: packed codes
 //! ```
 //!
-//! Tag 4 is what a uniform scheme stores; a chunk holding a value its
-//! binary16 parameters cannot describe (non-finite, or beyond ±32752)
-//! stores tag 1, which is also every uniform chunk written before tag 4
-//! existed. Both decode through one loop: the parameters are widened to
-//! `f32` and a value is `scale * code as f32 + zero_point` either way.
+//! Tag 4 is what every uniform scheme stores: the parameters are widened
+//! to `f32` and a value is `scale * code as f32 + zero_point`. A chunk
+//! holding a value its scheme cannot describe is stored as tag 0, exact
+//! ([`crate::QuantScheme::stored_for`]).
 //!
-//! Tag 2 was a per-row k-means codebook. It is retired: nothing writes it
-//! and a stored one is [`CodecError::BadTag`]. With it went the only
-//! variable-length parameter block, so a row body's length is a function
-//! of the chunk-level context alone ([`RowDecoder::body_len`]).
+//! Tags 1 and 2 are retired: nothing writes them, they are never
+//! reassigned, and a stored one is [`CodecError::BadTag`]. Tag 1 held
+//! `f32` parameters — every uniform chunk written before tag 4 existed,
+//! and later ones holding a NaN, `±∞` or a value beyond ±32752, which its
+//! grid could not describe either. Tag 2 was a per-row k-means codebook,
+//! the only variable-length parameter block, so a row body's length is a
+//! function of the chunk-level context alone ([`RowDecoder::body_len`]).
 //!
 //! A reader resolves that context once per chunk, into a [`RowDecoder`],
 //! and de-quantizes the chunk's rows through it: one loop per encoding
@@ -38,7 +41,7 @@
 use crate::bitpack::packed_len;
 use crate::half::f16_bits_to_f32;
 use crate::kernel::{fp16_values, fp32_values, put_f32s_le, uniform_rows};
-use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM, TAG_UNIFORM_F16};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use bytes::{Buf, BufMut};
 
 /// Errors from decoding a serialized row.
@@ -105,8 +108,7 @@ impl QuantizedRow {
         match self.params {
             QuantParams::Fp32 => fp32_values(&self.payload, &mut out),
             QuantParams::Fp16 => fp16_values(&self.payload, &mut out),
-            QuantParams::Uniform { scale, zero_point }
-            | QuantParams::UniformF16 { scale, zero_point } => {
+            QuantParams::Uniform { scale, zero_point } => {
                 let codes = &self.payload[..packed_len(self.dim, self.bits)];
                 let row = [(codes, out.as_mut_slice())];
                 uniform_rows(self.bits, codes.len(), self.dim, row, |codes| {
@@ -164,11 +166,7 @@ impl QuantizedRow {
         let params = match decoder.encoding {
             Encoding::Fp32 => QuantParams::Fp32,
             Encoding::Fp16 => QuantParams::Fp16,
-            Encoding::Uniform { half: false, .. } => QuantParams::Uniform {
-                scale: body.get_f32_le(),
-                zero_point: body.get_f32_le(),
-            },
-            Encoding::Uniform { half: true, .. } => QuantParams::UniformF16 {
+            Encoding::Uniform { .. } => QuantParams::Uniform {
                 scale: f16_bits_to_f32(body.get_u16_le()),
                 zero_point: f16_bits_to_f32(body.get_u16_le()),
             },
@@ -214,11 +212,8 @@ pub fn decode_body_to(
 enum Encoding {
     Fp32,
     Fp16,
-    /// Uniform codes; `half` when the parameters are binary16 (tag 4).
-    Uniform {
-        bits: u8,
-        half: bool,
-    },
+    /// Uniform codes under binary16 parameters.
+    Uniform { bits: u8 },
 }
 
 /// One chunk's row encoding, resolved once: what the chunk-level context
@@ -246,13 +241,10 @@ impl RowDecoder {
         let (encoding, body_len) = match kind_tag {
             TAG_FP32 if bits == 32 => (Encoding::Fp32, dim * 4),
             TAG_FP16 if bits == 16 => (Encoding::Fp16, dim * 2),
-            TAG_UNIFORM | TAG_UNIFORM_F16 if (1..=16).contains(&bits) => {
-                let half = kind_tag == TAG_UNIFORM_F16;
-                let params = if half { 4 } else { 8 };
-                let body_len = params + packed_len(dim, bits);
-                (Encoding::Uniform { bits, half }, body_len)
+            TAG_UNIFORM if (1..=16).contains(&bits) => {
+                (Encoding::Uniform { bits }, 4 + packed_len(dim, bits))
             }
-            TAG_FP32 | TAG_FP16 | TAG_UNIFORM | TAG_UNIFORM_F16 => {
+            TAG_FP32 | TAG_FP16 | TAG_UNIFORM => {
                 return Err(CodecError::BadBits(bits))
             }
             t => return Err(CodecError::BadTag(t)),
@@ -305,15 +297,7 @@ impl RowDecoder {
                 assert_eq!(bodies.len(), out.len() * 2, "fp16 bodies for {} values", out.len());
                 fp16_values(bodies, out);
             }),
-            Encoding::Uniform { bits, half: false } => {
-                uniform_rows(bits, self.body_len, self.dim, runs, |body| {
-                    let (p, codes) = body.split_at(8);
-                    let scale = f32::from_le_bytes([p[0], p[1], p[2], p[3]]);
-                    let zero_point = f32::from_le_bytes([p[4], p[5], p[6], p[7]]);
-                    (scale, zero_point, codes)
-                })
-            }
-            Encoding::Uniform { bits, half: true } => {
+            Encoding::Uniform { bits } => {
                 uniform_rows(bits, self.body_len, self.dim, runs, |body| {
                     let (p, codes) = body.split_at(4);
                     let scale = f16_bits_to_f32(u16::from_le_bytes([p[0], p[1]]));
@@ -378,29 +362,40 @@ mod tests {
         }
     }
 
-    /// Tag 2 was the k-means codebook row. A stored one is rejected by
-    /// number at the one place a row body is parsed — whichever entry point
-    /// reached it — and nothing is read past the context.
+    /// Tags 1 (a uniform row with `f32` parameters) and 2 (a k-means
+    /// codebook row) are retired. A stored one is rejected by number at
+    /// the one place a row body is parsed — whichever entry point reached
+    /// it — and nothing is read past the context.
     #[test]
     fn a_stored_codebook_row_is_a_bad_tag() {
-        // What the retired encoder wrote for a 2-bit, 4-element row: the
-        // context, a length-prefixed 4-entry codebook, one byte of codes.
-        let mut stored = vec![2u8, 2, 4, 0, 4, 0];
-        stored.extend((0..4).flat_map(|i| (i as f32).to_le_bytes()));
-        stored.push(0b1110_0100);
-        assert_eq!(
-            QuantizedRow::decode_from(&mut stored.as_slice()),
-            Err(CodecError::BadTag(2))
-        );
-        let body = &stored[ROW_HEADER_LEN..];
-        assert_eq!(body_len(2, 2, 4), Err(CodecError::BadTag(2)));
-        let mut out = [0.0f32; 4];
-        assert_eq!(
-            decode_body_to(&mut &body[..], 2, 2, &mut out),
-            Err(CodecError::BadTag(2))
-        );
-        assert_eq!(out, [0.0; 4], "nothing written");
-        assert_eq!(CodecError::BadTag(2).to_string(), "unknown row tag 2");
+        // What the retired encoders wrote for a 2-bit, 4-element row: the
+        // context, then a length-prefixed 4-entry codebook or an `f32`
+        // scale and zero point, then one byte of codes.
+        let mut codebook = vec![2u8, 2, 4, 0, 4, 0];
+        codebook.extend((0..4).flat_map(|i| (i as f32).to_le_bytes()));
+        codebook.push(0b1110_0100);
+        let mut f32_params = vec![1u8, 2, 4, 0];
+        f32_params.extend([0.5f32, -1.0].iter().flat_map(|v| v.to_le_bytes()));
+        f32_params.push(0b1110_0100);
+        for (tag, stored) in [(2u8, codebook), (1, f32_params)] {
+            assert_eq!(
+                QuantizedRow::decode_from(&mut stored.as_slice()),
+                Err(CodecError::BadTag(tag))
+            );
+            let body = &stored[ROW_HEADER_LEN..];
+            assert_eq!(body_len(tag, 2, 4), Err(CodecError::BadTag(tag)));
+            let mut out = [0.0f32; 4];
+            assert_eq!(
+                decode_body_to(&mut &body[..], tag, 2, &mut out),
+                Err(CodecError::BadTag(tag))
+            );
+            assert_eq!(out, [0.0; 4], "nothing written");
+            assert_eq!(
+                QuantizedRow::decode_body_from(&mut &body[..], tag, 2, 4),
+                Err(CodecError::BadTag(tag))
+            );
+            assert_eq!(CodecError::BadTag(tag).to_string(), format!("unknown row tag {tag}"));
+        }
     }
 
     #[test]
@@ -421,13 +416,11 @@ mod tests {
             );
         }
         assert_eq!(body_len(0, 8, 4), Err(CodecError::BadBits(8)));
-        assert_eq!(body_len(1, 0, 4), Err(CodecError::BadBits(0)));
-        assert_eq!(body_len(1, 17, 4), Err(CodecError::BadBits(17)));
         assert_eq!(body_len(3, 8, 4), Err(CodecError::BadBits(8)));
         assert_eq!(body_len(4, 0, 4), Err(CodecError::BadBits(0)));
         assert_eq!(body_len(4, 17, 4), Err(CodecError::BadBits(17)));
         assert_eq!(body_len(4, 4, 32), Ok(4 + 16));
-        assert_eq!(body_len(1, 4, 32), Ok(8 + 16));
+        assert_eq!(body_len(1, 4, 32), Err(CodecError::BadTag(1)));
         assert_eq!(body_len(5, 4, 32), Err(CodecError::BadTag(5)));
     }
 
@@ -483,7 +476,7 @@ mod tests {
             Err(CodecError::BadBits(8))
         );
         // uniform tag with 0 bits.
-        let buf2 = [1u8, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let buf2 = [4u8, 0, 1, 0, 0, 0, 0, 0];
         let mut slice2 = buf2.as_slice();
         assert_eq!(
             QuantizedRow::decode_from(&mut slice2),
@@ -551,7 +544,7 @@ mod tests {
         let mut slice = buf.as_slice();
         assert!(QuantizedRow::decode_body_from(&mut slice, 9, 4, q.dim).is_err());
         let mut slice2 = buf.as_slice();
-        assert!(QuantizedRow::decode_body_from(&mut slice2, 1, 0, q.dim).is_err());
+        assert!(QuantizedRow::decode_body_from(&mut slice2, 4, 0, q.dim).is_err());
     }
 
     #[test]
@@ -569,8 +562,7 @@ mod tests {
         assert!(r2 > 8.0 && r2 < 13.5, "2-bit ratio {r2}");
     }
 
-    /// Values that break arithmetic, as stored `f32` parameters or fp32
-    /// payload words.
+    /// Values that break arithmetic, as stored fp32 payload words.
     const SPECIAL_F32: [f32; 9] = [
         f32::NAN,
         f32::INFINITY,
@@ -599,8 +591,7 @@ mod tests {
         let mut bodies: Vec<u8> = (0..n * decoder.body_len()).map(|_| next() as u8).collect();
         for body in bodies.chunks_exact_mut(decoder.body_len().max(1)) {
             let (words, width) = match tag {
-                TAG_UNIFORM => (2, 4),     // scale, zero_point
-                TAG_UNIFORM_F16 => (2, 2), // the same, binary16
+                TAG_UNIFORM => (2, 2), // scale, zero_point: binary16
                 TAG_FP32 => (decoder.dim(), 4),
                 _ => (decoder.dim(), 2),
             };
@@ -635,11 +626,10 @@ mod tests {
         /// A chunk's rows decoded in one call — and in runs of any split —
         /// equal, bit for bit, each row decoded on its own through the row
         /// object and the frozen reference codec: fp32, fp16 and uniform at
-        /// every width with `f32` and with binary16 parameters, for
-        /// arbitrary stored bytes.
+        /// every width, for arbitrary stored bytes.
         #[test]
         fn chunk_decoder_equals_the_row_object_oracle(
-            encoding in 0u8..34,
+            encoding in 0u8..18,
             dim_idx in 0usize..8,
             n in 1usize..=64,
             split in 0usize..=64,
@@ -648,8 +638,7 @@ mod tests {
             let (tag, bits) = match encoding {
                 0 => (TAG_FP32, 32),
                 1 => (TAG_FP16, 16),
-                b @ 2..18 => (TAG_UNIFORM, b - 1),
-                b => (TAG_UNIFORM_F16, b - 17),
+                b => (TAG_UNIFORM, b - 1),
             };
             let dim = [1usize, 3, 7, 8, 13, 32, 64, 65][dim_idx];
             let decoder = RowDecoder::new(tag, bits, dim).unwrap();

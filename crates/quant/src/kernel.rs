@@ -2,9 +2,9 @@
 //!
 //! One implementation of "quantize a value onto a uniform grid", one of
 //! "measure a grid's ℓ2 error", one of "unpack codes and scale them back":
-//! the public row objects ([`crate::QuantizedRow`], [`crate::uniform`],
-//! [`crate::adaptive`]) and the chunk-level byte paths
-//! ([`crate::scheme::RowEncoder::quantize_rows_into`],
+//! the public row objects ([`crate::QuantizedRow`], [`crate::adaptive`])
+//! and the chunk-level byte paths
+//! ([`crate::QuantScheme::quantize_rows_into`],
 //! [`crate::codec::RowDecoder`]) are thin callers of these loops, so what a
 //! checkpoint stores and what the public codec computes cannot drift apart.
 //!
@@ -28,7 +28,6 @@
 
 use crate::bitpack::{pack_into, unpack_any_with, unpack_grouped_with};
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits, half_at_or_above};
-use crate::params::QuantParams;
 
 /// Elements per stack block. A multiple of 8, so a block of codes of any
 /// width packs to whole bytes and blocks pack independently.
@@ -74,8 +73,8 @@ impl Grid {
     }
 
     /// The grid spanning `[xmin, xmax]` with binary16 parameters — what a
-    /// row is stored on when its chunk [`fits_half`]. The range is chosen
-    /// first, on `f32` grids; this rounds it once:
+    /// uniform row is stored on (its chunk [`fits_half`]). The range is
+    /// chosen first, on `f32` grids; this rounds it once:
     ///
     /// * the zero point is `xmin` rounded *up* to binary16, so `xmin` and
     ///   everything below it quantize to code 0, which reconstructs the
@@ -111,14 +110,6 @@ impl Grid {
         grid
     }
 
-    /// The grid as stored `f32` row parameters.
-    pub fn params(self) -> QuantParams {
-        QuantParams::Uniform {
-            scale: self.scale,
-            zero_point: self.zero_point,
-        }
-    }
-
     /// Code of `x`, as a float: the paper's `FQ(x, xmin, xmax)`.
     #[inline]
     pub fn code_of(self, x: f32) -> f32 {
@@ -137,11 +128,28 @@ pub(crate) const HALF_SPAN: f32 = 32752.0;
 /// Whether rows holding `values` can be stored with binary16 parameters:
 /// every value is finite and within [`HALF_SPAN`]. The test is on the
 /// magnitude's bits, where infinity and NaN are larger than any finite
-/// value, in one pass with no early exit, so it vectorizes.
+/// value.
 pub(crate) fn fits_half(values: &[f32]) -> bool {
-    const LIMIT: i32 = HALF_SPAN.to_bits() as i32;
-    let beyond = |x: &f32| ((x.to_bits() & 0x7FFF_FFFF) as i32 > LIMIT) as u32;
-    values.iter().fold(0, |any, x| any | beyond(x)) == 0
+    none_of(values, |m| m > HALF_SPAN.to_bits() as i32)
+}
+
+/// Whether binary16 holds `values` without turning a finite one into an
+/// infinity: no finite magnitude reaches 65520, the midpoint between the
+/// largest binary16 value and `2^16`, from which round-to-nearest-even
+/// goes to `±∞`. NaN and `±∞` are binary16 values of their own.
+pub(crate) fn half_keeps_finite(values: &[f32]) -> bool {
+    const OVERFLOW: i32 = 65520f32.to_bits() as i32;
+    const INFINITY: i32 = f32::INFINITY.to_bits() as i32;
+    none_of(values, |m| (OVERFLOW..INFINITY).contains(&m))
+}
+
+/// Whether no value's magnitude bits satisfy `hit`: one pass with no
+/// early exit, so it vectorizes (on the bits as a signed integer, which
+/// the sign bit cleared leaves ordered as the magnitudes are).
+#[inline(always)]
+fn none_of(values: &[f32], hit: impl Fn(i32) -> bool) -> bool {
+    let hit = |x: &f32| hit((x.to_bits() & 0x7FFF_FFFF) as i32) as u32;
+    values.iter().fold(0, |any, x| any | hit(x)) == 0
 }
 
 /// `q.round()` (half away from zero) clamped to `[0, levels]`, NaN → 0,
@@ -351,7 +359,7 @@ pub(crate) fn fp16_values(bytes: &[u8], out: &mut [f32]) {
 /// of back-to-back row sources, `row_len` bytes each, and the run's
 /// destination; `params` splits a source into its row's `(scale,
 /// zero_point)` and packed codes. A value is `scale * code as f32 +
-/// zero_point`, exactly as [`QuantParams::dequantize_code`] computes it.
+/// zero_point`, binary16 parameters widened to `f32` first.
 ///
 /// The width is matched once, here, and every width that fills whole bytes
 /// gets a loop of its own, so the per-row work is reading two parameters

@@ -21,6 +21,15 @@
 //! parameterized by `num_bins` and `ratio` (Figures 10–13); the engine runs
 //! it at the paper's fixed optima ([`QuantScheme::recommended_for_bits`]).
 //!
+//! A uniform row (symmetric, asymmetric or adaptive) stores its scale and
+//! zero point as two binary16 values ([`params`]): its range is chosen on
+//! `f32` grids and rounded once to the grid it is stored on. A chunk holding
+//! a value its scheme cannot describe — NaN, `±∞` or a magnitude beyond
+//! ±32752 for a uniform scheme, a finite value binary16 rounds to `±∞` for
+//! fp16 — is stored as exact fp32 rows, decided from the values
+//! ([`QuantScheme::stored_for`]): a value restores approximately or
+//! exactly, never as garbage.
+//!
 //! Quantized rows serialize to a compact byte format ([`codec`]) used by
 //! the chunked checkpoint writer in `cnr-core`. Every scheme's row body has
 //! a fixed length given the chunk-level context

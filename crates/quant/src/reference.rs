@@ -5,10 +5,12 @@
 //! trial, `f32::round`, bit-at-a-time packing. They are compiled for tests
 //! only and must not be "improved": [`crate::kernel`] and everything built
 //! on it is required to reproduce their output bit for bit, and the
-//! property tests below are what says so. Binary16 row parameters are
+//! property tests below are what says so. The `f32` grids are what the
+//! range search compares; the binary16 row parameters a row stores are
 //! written the same way, from their definition: each rounding steps
-//! through binary16 patterns with the conversion functions, and the
-//! adaptive scheme's grid comparison re-quantizes both rows.
+//! through binary16 patterns with the conversion functions, the adaptive
+//! scheme's grid comparison re-quantizes both rows, and a row its scheme
+//! cannot describe is stored as its fp32 values.
 
 use crate::codec::QuantizedRow;
 use crate::error::row_l2_error;
@@ -37,7 +39,8 @@ pub(crate) fn min_max(row: &[f32]) -> (f32, f32) {
     (lo, hi)
 }
 
-pub(crate) fn uniform_params(xmin: f32, xmax: f32, bits: u8) -> QuantParams {
+/// `(scale, zero_point)` of the `f32` grid spanning `[xmin, xmax]`.
+pub(crate) fn uniform_params(xmin: f32, xmax: f32, bits: u8) -> (f32, f32) {
     let levels = (1u32 << bits) - 1;
     let range = xmax - xmin;
     let scale = if range > 0.0 && range.is_finite() {
@@ -45,10 +48,7 @@ pub(crate) fn uniform_params(xmin: f32, xmax: f32, bits: u8) -> QuantParams {
     } else {
         0.0
     };
-    QuantParams::Uniform {
-        scale,
-        zero_point: xmin,
-    }
+    (scale, xmin)
 }
 
 pub(crate) fn uniform_quantize_value(x: f32, scale: f32, zero_point: f32, bits: u8) -> u16 {
@@ -66,22 +66,25 @@ pub(crate) fn uniform_quantize_value(x: f32, scale: f32, zero_point: f32, bits: 
     }
 }
 
+/// Codes of `row` on the `f32` grid spanning `[xmin, xmax]`, and the
+/// grid's `(scale, zero_point)`.
 pub(crate) fn quantize_with_range(
     row: &[f32],
     xmin: f32,
     xmax: f32,
     bits: u8,
-) -> (Vec<u16>, QuantParams) {
-    let params = uniform_params(xmin, xmax, bits);
-    let (scale, zero_point) = match params {
-        QuantParams::Uniform { scale, zero_point } => (scale, zero_point),
-        _ => unreachable!(),
-    };
+) -> (Vec<u16>, (f32, f32)) {
+    let (scale, zero_point) = uniform_params(xmin, xmax, bits);
     let codes = row
         .iter()
         .map(|&x| uniform_quantize_value(x, scale, zero_point, bits))
         .collect();
-    (codes, params)
+    (codes, (scale, zero_point))
+}
+
+/// The value uniform code `code` stands for.
+fn uniform_value(scale: f32, zero_point: f32, code: u16) -> f32 {
+    scale * code as f32 + zero_point
 }
 
 /// `(xmin, xmax, l2_error, steps)` of the greedy search.
@@ -95,8 +98,11 @@ pub(crate) fn search_range(
     let range = full_max - full_min;
 
     let eval = |lo: f32, hi: f32| -> f64 {
-        let (codes, params) = quantize_with_range(row, lo, hi, bits);
-        let back: Vec<f32> = codes.iter().map(|&c| params.dequantize_code(c)).collect();
+        let (codes, (scale, zero_point)) = quantize_with_range(row, lo, hi, bits);
+        let back: Vec<f32> = codes
+            .iter()
+            .map(|&c| uniform_value(scale, zero_point, c))
+            .collect();
         row_l2_error(row, &back)
     };
 
@@ -249,25 +255,30 @@ pub(crate) fn uniform_params_f16(xmin: f32, xmax: f32, bits: u8) -> QuantParams 
     if scale * (levels as f32) < zero_point.abs() / 1024.0 {
         scale = 0.0;
     }
-    QuantParams::UniformF16 { scale, zero_point }
+    QuantParams::Uniform { scale, zero_point }
 }
 
 /// Codes of `row` on uniform `params`.
 fn codes_on(row: &[f32], params: QuantParams, bits: u8) -> Vec<u16> {
-    let (scale, zero_point) = match params {
-        QuantParams::Uniform { scale, zero_point }
-        | QuantParams::UniformF16 { scale, zero_point } => (scale, zero_point),
-        _ => unreachable!(),
+    let QuantParams::Uniform { scale, zero_point } = params else {
+        unreachable!()
     };
     row.iter()
         .map(|&x| uniform_quantize_value(x, scale, zero_point, bits))
         .collect()
 }
 
-/// Whether a row can be stored with binary16 parameters: every value
-/// finite and at most 32752 in magnitude.
-fn fits_half(row: &[f32]) -> bool {
-    row.iter().all(|x| x.is_finite() && x.abs() <= 32752.0)
+/// Whether `scheme` can describe every value of `row`: a uniform scheme
+/// the finite values at most 32752 in magnitude, fp16 every value but a
+/// finite one binary16 rounds to infinity.
+fn describes(scheme: &QuantScheme, row: &[f32]) -> bool {
+    match scheme {
+        QuantScheme::Fp32 => true,
+        QuantScheme::Fp16 => row.iter().all(|&x| {
+            !x.is_finite() || f16_bits_to_f32(crate::half::f32_to_f16_bits(x)).is_finite()
+        }),
+        _ => row.iter().all(|x| x.is_finite() && x.abs() <= 32752.0),
+    }
 }
 
 pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
@@ -277,16 +288,16 @@ pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
         dim: row.len(),
         bits,
     };
-    let half = fits_half(row);
     let on_range = |xmin: f32, xmax: f32, bits: u8| {
-        if half {
-            let params = uniform_params_f16(xmin, xmax, bits);
-            (codes_on(row, params, bits), params)
-        } else {
-            quantize_with_range(row, xmin, xmax, bits)
-        }
+        let params = uniform_params_f16(xmin, xmax, bits);
+        (codes_on(row, params, bits), params)
     };
-    match *scheme {
+    let scheme = if describes(scheme, row) {
+        *scheme
+    } else {
+        QuantScheme::Fp32
+    };
+    match scheme {
         QuantScheme::Fp32 => {
             let mut payload = Vec::with_capacity(row.len() * 4);
             for &x in row {
@@ -323,21 +334,28 @@ pub(crate) fn quantize_row(scheme: &QuantScheme, row: &[f32]) -> QuantizedRow {
         } => {
             let (xmin, xmax, _, _) = search_range(row, bits, num_bins, ratio);
             let (mut codes, mut params) = on_range(xmin, xmax, bits);
-            if half {
-                // Rounding can reorder two close grids: the searched range
-                // is kept unless the rounded full range is strictly better.
-                let (lo, hi) = min_max(row);
-                let (naive_codes, naive) = on_range(lo, hi, bits);
-                let error = |codes: &[u16], params: QuantParams| {
-                    let back: Vec<f32> = codes.iter().map(|&c| params.dequantize_code(c)).collect();
-                    row_l2_error(row, &back)
-                };
-                if error(&naive_codes, naive) < error(&codes, params) {
-                    (codes, params) = (naive_codes, naive);
-                }
+            // Rounding can reorder two close grids: the searched range is
+            // kept unless the rounded full range is strictly better.
+            let (lo, hi) = min_max(row);
+            let (naive_codes, naive) = on_range(lo, hi, bits);
+            let error = |codes: &[u16], params: QuantParams| {
+                let back: Vec<f32> = codes.iter().map(|&c| value_of(params, c)).collect();
+                row_l2_error(row, &back)
+            };
+            if error(&naive_codes, naive) < error(&codes, params) {
+                (codes, params) = (naive_codes, naive);
             }
             from_codes(codes, params, bits)
         }
+    }
+}
+
+/// The value code `code` stands for under fp16 or uniform `params`.
+fn value_of(params: QuantParams, code: u16) -> f32 {
+    match params {
+        QuantParams::Fp16 => f16_bits_to_f32(code),
+        QuantParams::Uniform { scale, zero_point } => uniform_value(scale, zero_point, code),
+        QuantParams::Fp32 => unreachable!("fp32 rows are decoded bytewise"),
     }
 }
 
@@ -348,9 +366,9 @@ pub(crate) fn dequantize(row: &QuantizedRow) -> Vec<f32> {
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect(),
-        params => unpack(&row.payload, row.bits, row.dim)
+        &params => unpack(&row.payload, row.bits, row.dim)
             .iter()
-            .map(|&c| params.dequantize_code(c))
+            .map(|&c| value_of(params, c))
             .collect(),
     }
 }
@@ -361,8 +379,7 @@ mod tests {
     use crate::adaptive;
     use crate::bitpack;
     use crate::codec::{decode_body_to, ROW_HEADER_LEN};
-    use crate::kernel::Grid;
-    use crate::params::TAG_UNIFORM;
+    use crate::kernel::{quantize_codes, Grid};
     use proptest::prelude::*;
 
     /// One generated row: ordinary values with the shapes that break
@@ -471,17 +488,14 @@ mod tests {
             got.encode_body_into(&mut got_body);
             prop_assert_eq!(&got_body, &want_body, "{} row object", scheme);
 
-            let encoder = scheme.encoder_for([&row[..]]);
-            prop_assert_eq!(encoder.kind_tag(), want.kind_tag(), "{} tag", scheme);
+            let stored = scheme.stored_for([&row[..]]);
+            prop_assert_eq!(stored.kind_tag(), want.kind_tag(), "{} tag", scheme);
             let mut fused = vec![0xEEu8; 3];
-            encoder.quantize_row_into(&row, &mut fused);
+            stored.quantize_row_into(&row, &mut fused);
             prop_assert_eq!(&fused[3..], &want_body[..], "{} quantize_row_into", scheme);
-            prop_assert_eq!(want_body.len(), encoder.body_len(dim));
-            prop_assert_eq!(want.byte_size(), ROW_HEADER_LEN + encoder.body_len(dim));
-            if want.kind_tag() != TAG_UNIFORM {
-                // `bytes_per_row` is the size of a row binary16 can describe.
-                prop_assert_eq!(want.byte_size(), scheme.bytes_per_row(dim));
-            }
+            prop_assert_eq!(want_body.len(), stored.body_len(dim));
+            prop_assert_eq!(want.byte_size(), ROW_HEADER_LEN + stored.body_len(dim));
+            prop_assert_eq!(want.byte_size(), stored.bytes_per_row(dim));
 
             let want_values = dequantize(&want);
             prop_assert_eq!(bits_of(&got.dequantize()), bits_of(&want_values), "{} dequantize", scheme);
@@ -527,10 +541,12 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let row = build_row(dim, shape, seed, bits);
-            let (codes, params) = crate::uniform::quantize_with_range(&row, lo, lo + width, bits);
-            let (want_codes, want_params) = quantize_with_range(&row, lo, lo + width, bits);
+            let grid = Grid::for_range(lo, lo + width, bits);
+            let mut codes = vec![0u16; dim];
+            quantize_codes(&row, grid, &mut codes);
+            let (want_codes, (scale, zero_point)) = quantize_with_range(&row, lo, lo + width, bits);
             prop_assert_eq!(&codes, &want_codes);
-            prop_assert_eq!(&params, &want_params);
+            prop_assert_eq!((grid.scale, grid.zero_point), (scale, zero_point));
             let packed = bitpack::pack(&codes, bits);
             prop_assert_eq!(&packed, &pack(&want_codes, bits));
             prop_assert_eq!(bitpack::unpack(&packed, bits, dim).unwrap(), unpack(&packed, bits, dim));
@@ -553,7 +569,7 @@ mod tests {
             let lo = (offset * 10f32.powf(offset_exp)).clamp(-32752.0, 32752.0 - width);
             let hi = lo + width;
             let grid = Grid::half_for_range(lo, hi, bits);
-            let got = QuantParams::UniformF16 { scale: grid.scale, zero_point: grid.zero_point };
+            let got = QuantParams::Uniform { scale: grid.scale, zero_point: grid.zero_point };
             let want = uniform_params_f16(lo, hi, bits);
             let mut got_bytes = Vec::new();
             let mut want_bytes = Vec::new();
@@ -761,10 +777,10 @@ mod tests {
                 quantize_row(&scheme, &[]),
                 "{scheme}"
             );
-            let encoder = scheme.encoder_for([&[][..]]);
+            assert_eq!(scheme.stored_for([&[][..]]), scheme);
             let mut body = Vec::new();
-            encoder.quantize_row_into(&[], &mut body);
-            assert_eq!(body.len(), encoder.body_len(0), "{scheme}");
+            scheme.quantize_row_into(&[], &mut body);
+            assert_eq!(body.len(), scheme.body_len(0), "{scheme}");
         }
         let (xmin, xmax, l2_error, steps) = search_range(&[], 4, 45, 1.0);
         let got = adaptive::search_range(&[], 4, 45, 1.0);

@@ -7,8 +7,8 @@
 use crate::adaptive::{half_grid, search_within};
 use crate::codec::{QuantizedRow, RowDecoder, ROW_HEADER_LEN};
 use crate::half::f32_to_f16_bits;
-use crate::kernel::{fits_half, put_f32s_le, quantize_pack_into, Grid};
-use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM, TAG_UNIFORM_F16};
+use crate::kernel::{fits_half, half_keeps_finite, put_f32s_le, quantize_pack_into, Grid};
+use crate::params::{QuantParams, TAG_FP16, TAG_FP32, TAG_UNIFORM};
 use crate::uniform::{max_abs, min_max};
 
 /// A quantization scheme with its parameters.
@@ -19,6 +19,16 @@ pub enum QuantScheme {
     /// IEEE binary16: 2× smaller, ~3 significant digits, parameter-free.
     Fp16,
     /// Uniform symmetric (§5.2 Approach 1, baseline).
+    ///
+    /// Unlike the asymmetric schemes, a de-quantized symmetric row does not
+    /// re-quantize to itself: its largest-magnitude element reconstructs
+    /// to a grid end that is not `±max|x|` (with binary16 parameters, up to
+    /// a binary16 step off), and the next range is taken from that. Over
+    /// 200,000 random rows in `[-1, 1]` at 2–8 bits, 11,947 broke
+    /// idempotence with `f32` parameters and 72,467 with binary16 ones, so
+    /// a symmetric checkpoint of restored rows compounds error. The paper
+    /// finds the scheme worst on embeddings (Figure 9) and nothing
+    /// recommends it; it stays as that baseline.
     Symmetric {
         /// Code width in bits (1..=8).
         bits: u8,
@@ -85,79 +95,63 @@ impl QuantScheme {
         }
     }
 
-    /// How a chunk holding `rows` stores them under this scheme: uniform
-    /// rows keep binary16 parameters when every value is finite and within
-    /// ±32752 (half the largest binary16 value), and `f32` parameters
-    /// otherwise — decided from the values, so a row binary16 cannot
-    /// describe is never stored wrong. With [`RowEncoder::bits`], the
-    /// chunk-level context a chunk writer stores once for all its rows.
-    pub fn encoder_for<'a>(&self, rows: impl IntoIterator<Item = &'a [f32]>) -> RowEncoder {
-        let uniform = !matches!(self, QuantScheme::Fp32 | QuantScheme::Fp16);
-        RowEncoder {
-            scheme: *self,
-            half_params: uniform && rows.into_iter().all(fits_half),
+    /// The scheme a chunk holding `rows` is stored under: `self`, or
+    /// [`QuantScheme::Fp32`] when some value is one `self` cannot describe
+    /// — so a value is restored approximately or exactly, never as
+    /// garbage. A uniform scheme describes finite values within ±32752
+    /// (half the largest binary16 value, so neither binary16 parameter
+    /// overflows); fp16 describes every value but a finite one binary16
+    /// rounds to `±∞` (magnitude 65520 or more). Decided from the values
+    /// alone, in one pass over them; a chunk writer calls it once and
+    /// stores the result's [`Self::kind_tag`] and [`Self::bits`] for all
+    /// its rows.
+    pub fn stored_for<'a>(&self, rows: impl IntoIterator<Item = &'a [f32]>) -> QuantScheme {
+        let describes = |values: &[f32]| match self {
+            QuantScheme::Fp32 => true,
+            QuantScheme::Fp16 => half_keeps_finite(values),
+            _ => fits_half(values),
+        };
+        if rows.into_iter().all(describes) {
+            *self
+        } else {
+            QuantScheme::Fp32
         }
     }
 
     /// Quantizes one embedding row, stored as a chunk of just this row
-    /// would store it ([`Self::encoder_for`]).
+    /// would store it ([`Self::stored_for`]).
     pub fn quantize_row(&self, row: &[f32]) -> QuantizedRow {
-        self.encoder_for([row]).quantize_row(row)
-    }
-
-    /// Expected serialized bytes per row of dimension `dim`, including the
-    /// per-row parameter overhead — the quantity Figures 15–17 account in
-    /// "% of model size" — for rows of finite values within binary16's
-    /// range (binary16 parameters).
-    pub fn bytes_per_row(&self, dim: usize) -> usize {
-        ROW_HEADER_LEN + self.encoder_for([]).body_len(dim)
-    }
-}
-
-/// One chunk's row encoding on the write side: a scheme and the width of
-/// the uniform parameters its rows store, resolved once from the chunk's
-/// values ([`QuantScheme::encoder_for`]). What it quantizes, a
-/// [`crate::codec::RowDecoder`] built from its [`Self::kind_tag`] and
-/// [`Self::bits`] decodes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowEncoder {
-    scheme: QuantScheme,
-    /// Whether uniform rows store binary16 parameters (tag 4), not `f32`s
-    /// (tag 1).
-    half_params: bool,
-}
-
-impl RowEncoder {
-    /// Tag byte of the rows this encoder produces
-    /// ([`QuantParams::kind_tag`]).
-    pub fn kind_tag(&self) -> u8 {
-        match self.scheme {
-            QuantScheme::Fp32 => TAG_FP32,
-            QuantScheme::Fp16 => TAG_FP16,
-            _ if self.half_params => TAG_UNIFORM_F16,
-            _ => TAG_UNIFORM,
-        }
-    }
-
-    /// Code width in bits ([`QuantScheme::bits`]).
-    pub fn bits(&self) -> u8 {
-        self.scheme.bits()
-    }
-
-    /// Quantizes one embedding row into a row object.
-    pub fn quantize_row(&self, row: &[f32]) -> QuantizedRow {
-        let mut payload = Vec::with_capacity(self.body_len(row.len()));
-        let params = self.quantize(row, &mut payload, false);
+        let stored = self.stored_for([row]);
+        let mut payload = Vec::with_capacity(stored.body_len(row.len()));
+        let params = stored.quantize(row, &mut payload, false);
         QuantizedRow {
             params,
             payload,
             dim: row.len(),
-            bits: self.bits(),
+            bits: stored.bits(),
+        }
+    }
+
+    /// Expected serialized bytes per row of dimension `dim`, including the
+    /// per-row parameter overhead — the quantity Figures 15–17 account in
+    /// "% of model size" — for rows the scheme can describe.
+    pub fn bytes_per_row(&self, dim: usize) -> usize {
+        ROW_HEADER_LEN + self.body_len(dim)
+    }
+
+    /// Tag byte of the rows this scheme stores
+    /// ([`QuantParams::kind_tag`]).
+    pub fn kind_tag(&self) -> u8 {
+        match self {
+            QuantScheme::Fp32 => TAG_FP32,
+            QuantScheme::Fp16 => TAG_FP16,
+            _ => TAG_UNIFORM,
         }
     }
 
     /// Quantizes one embedding row and appends its body encoding — the
-    /// parameters, then the packed codes — straight to `out`: the bytes
+    /// parameters, then the packed codes — straight to `out`: for a row
+    /// `self` describes ([`Self::stored_for`]), the bytes
     /// `self.quantize_row(row).encode_body_into(out)` appends, without the
     /// row object or any other allocation in between. The one-row case of
     /// [`Self::quantize_rows_into`].
@@ -167,11 +161,17 @@ impl RowEncoder {
 
     /// Quantizes the rows of `dim` values that `rows` holds back to back
     /// and appends their body encodings in order: the bytes one
-    /// [`Self::quantize_row_into`] per row appends. An fp32 body is the
-    /// row's values, so an fp32 run is one copy, not one per row. A zero
-    /// `dim` is one empty row.
+    /// [`Self::quantize_row_into`] per row appends. `self` must be the
+    /// scheme the rows are stored under ([`Self::stored_for`]). An fp32
+    /// body is the row's values, so an fp32 run is one copy, not one per
+    /// row. A zero `dim` is one empty row.
     pub fn quantize_rows_into(&self, rows: &[f32], dim: usize, out: &mut Vec<u8>) {
-        if let QuantScheme::Fp32 = self.scheme {
+        debug_assert_eq!(
+            self.stored_for([rows]),
+            *self,
+            "rows {self} cannot describe"
+        );
+        if let QuantScheme::Fp32 = self {
             put_f32s_le(rows, out);
         } else {
             let count = rows.len().checked_div(dim).unwrap_or(1);
@@ -186,18 +186,12 @@ impl RowEncoder {
     /// [`Self::quantize_rows_into`]: picks the row's parameters, appends
     /// them to `out` when `inline_params`, then appends the payload.
     ///
-    /// With binary16 parameters the range is chosen on `f32` grids, as
-    /// with `f32` ones, and rounded once, here ([`Grid::half_for_range`]);
-    /// the codes are computed on the rounded grid.
+    /// A uniform row's range is chosen on `f32` grids and rounded once,
+    /// here, to the binary16 grid it is stored on
+    /// ([`Grid::half_for_range`]; the adaptive scheme's [`half_grid`]); the
+    /// codes are computed on the rounded grid.
     fn quantize(&self, row: &[f32], out: &mut Vec<u8>, inline_params: bool) -> QuantParams {
-        let grid_for = |xmin, xmax, bits| {
-            if self.half_params {
-                Grid::half_for_range(xmin, xmax, bits)
-            } else {
-                Grid::for_range(xmin, xmax, bits)
-            }
-        };
-        let (grid, bits) = match self.scheme {
+        let (grid, bits) = match *self {
             QuantScheme::Fp32 => {
                 put_f32s_le(row, out);
                 return QuantParams::Fp32;
@@ -208,11 +202,11 @@ impl RowEncoder {
             }
             QuantScheme::Symmetric { bits } => {
                 let xmax = max_abs(row);
-                (grid_for(-xmax, xmax, bits), bits)
+                (Grid::half_for_range(-xmax, xmax, bits), bits)
             }
             QuantScheme::Asymmetric { bits } => {
                 let (xmin, xmax) = min_max(row);
-                (grid_for(xmin, xmax, bits), bits)
+                (Grid::half_for_range(xmin, xmax, bits), bits)
             }
             QuantScheme::AdaptiveAsymmetric {
                 bits,
@@ -221,21 +215,12 @@ impl RowEncoder {
             } => {
                 let full = min_max(row);
                 let r = search_within(row, full, bits, num_bins, ratio);
-                let grid = if self.half_params {
-                    half_grid(row, &r, full, bits)
-                } else {
-                    Grid::for_range(r.xmin, r.xmax, bits)
-                };
-                (grid, bits)
+                (half_grid(row, &r, full, bits), bits)
             }
         };
-        let params = if self.half_params {
-            QuantParams::UniformF16 {
-                scale: grid.scale,
-                zero_point: grid.zero_point,
-            }
-        } else {
-            grid.params()
+        let params = QuantParams::Uniform {
+            scale: grid.scale,
+            zero_point: grid.zero_point,
         };
         if inline_params {
             params.encode_into(out);
@@ -248,10 +233,10 @@ impl RowEncoder {
     /// no per-row header) at dimension `dim`: what
     /// [`Self::quantize_row_into`] appends, so a chunk writer can size its
     /// buffer before quantizing anything — the length the
-    /// [`RowDecoder`] of this encoder's context reads.
+    /// [`RowDecoder`] of this scheme's context reads.
     pub fn body_len(&self, dim: usize) -> usize {
         RowDecoder::new(self.kind_tag(), self.bits(), dim)
-            .expect("an encoder's context names an encoding")
+            .expect("a scheme's context names an encoding")
             .body_len()
     }
 }
@@ -370,16 +355,106 @@ mod tests {
             for dim in [0usize, 1, 7, 32, 64, 129] {
                 let row: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
                 let q = s.quantize_row(&row);
-                let encoder = s.encoder_for([&row[..]]);
+                assert_eq!(s.stored_for([&row[..]]), s, "{s} describes the row");
                 assert_eq!(s.bytes_per_row(dim), q.byte_size(), "{s} dim {dim}");
-                assert_eq!(encoder.body_len(dim), q.body_byte_size(), "{s} dim {dim}");
-                assert_eq!(encoder.kind_tag(), q.kind_tag(), "{s}");
+                assert_eq!(s.body_len(dim), q.body_byte_size(), "{s} dim {dim}");
+                assert_eq!(s.kind_tag(), q.kind_tag(), "{s}");
                 let mut body = Vec::new();
-                encoder.quantize_row_into(&row, &mut body);
+                s.quantize_row_into(&row, &mut body);
                 let mut want = Vec::new();
                 q.encode_body_into(&mut want);
                 assert_eq!(body, want, "{s} dim {dim}");
             }
+        }
+    }
+
+    /// Bits of each value, every NaN the same.
+    fn value_bits(values: &[f32]) -> Vec<u32> {
+        let bits = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        values.iter().map(bits).collect()
+    }
+
+    /// A value a uniform scheme cannot describe — NaN, `±∞`, a magnitude
+    /// over 32752 — stores the whole chunk as exact fp32 rows; one within
+    /// reach keeps the scheme.
+    #[test]
+    fn a_value_a_uniform_scheme_cannot_describe_stores_fp32() {
+        let ordinary = [0.1f32, -0.2, 0.3, 0.05];
+        for scheme in [
+            QuantScheme::Symmetric { bits: 3 },
+            QuantScheme::Asymmetric { bits: 8 },
+            QuantScheme::recommended_for_bits(4),
+        ] {
+            let edge = [32752.0f32, -32752.0, 0.5, 0.0];
+            assert_eq!(scheme.stored_for([&ordinary[..], &edge[..]]), scheme);
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 32752.004, -1e6] {
+                let row = [0.1f32, special, 0.3, 0.05];
+                let chunk = [&ordinary[..], &row[..]];
+                assert_eq!(
+                    scheme.stored_for(chunk),
+                    QuantScheme::Fp32,
+                    "{scheme} {special}"
+                );
+                let q = scheme.quantize_row(&row);
+                assert_eq!((q.kind_tag(), q.bits), (TAG_FP32, 32), "{scheme} {special}");
+                assert_eq!(
+                    value_bits(&q.dequantize()),
+                    value_bits(&row),
+                    "{scheme} {special}"
+                );
+            }
+        }
+        assert_eq!(
+            QuantScheme::Fp32.stored_for([&[f32::NAN][..]]),
+            QuantScheme::Fp32
+        );
+    }
+
+    /// Binary16 rounds a finite magnitude of 65520 or more to `±∞`: an
+    /// fp16 chunk holding one is stored as fp32. NaN, `±∞` and the largest
+    /// finite binary16 value round-trip, so they keep fp16.
+    #[test]
+    fn fp16_stores_fp32_rather_than_turn_finite_values_into_infinities() {
+        let below = f32::from_bits(65520f32.to_bits() - 1);
+        let kept = [
+            65504.0f32,
+            -65504.0,
+            below,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.1,
+        ];
+        assert_eq!(QuantScheme::Fp16.stored_for([&kept[..]]), QuantScheme::Fp16);
+        let q = QuantScheme::Fp16.quantize_row(&kept);
+        assert_eq!(q.kind_tag(), TAG_FP16);
+        let back = q.dequantize();
+        assert_eq!(
+            value_bits(&back[..6]),
+            value_bits(&[
+                65504.0,
+                -65504.0,
+                65504.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY
+            ])
+        );
+
+        let mixed = [1e5f32, 70000.0, 65504.0, f32::NAN, f32::INFINITY, 0.1];
+        assert_eq!(
+            value_bits(&QuantScheme::Fp16.quantize_row(&mixed).dequantize()),
+            value_bits(&mixed)
+        );
+        for big in [65520.0f32, -65520.0, 70000.0, -f32::MAX] {
+            let row = [0.5f32, big, 65504.0, f32::NAN, f32::INFINITY, 0.1];
+            assert_eq!(
+                QuantScheme::Fp16.stored_for([&kept[..], &row[..]]),
+                QuantScheme::Fp32
+            );
+            let q = QuantScheme::Fp16.quantize_row(&row);
+            assert_eq!((q.kind_tag(), q.bits), (TAG_FP32, 32), "{big}");
+            assert_eq!(value_bits(&q.dequantize()), value_bits(&row), "{big}");
         }
     }
 

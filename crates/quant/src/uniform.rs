@@ -6,36 +6,15 @@
 //! * **Asymmetric**: the range is `[min x, max x]` of the actual vector, at
 //!   the cost of storing both endpoints. The paper's default for 8-bit
 //!   checkpoints.
-
-use crate::kernel::Grid;
-use crate::params::QuantParams;
-
-/// Quantizes `row` with a symmetric range derived from its maximum absolute
-/// value. Returns per-element codes plus the parameters.
-pub fn quantize_symmetric(row: &[f32], bits: u8) -> (Vec<u16>, QuantParams) {
-    let xmax = max_abs(row);
-    quantize_with_range(row, -xmax, xmax, bits)
-}
+//!
+//! This module holds the two range scans; a row is quantized through
+//! [`crate::QuantScheme::quantize_row`], which rounds the chosen range
+//! once to the binary16 grid a row stores (`kernel::Grid::half_for_range`).
 
 /// Largest absolute value of a slice (0 when empty): the symmetric
 /// scheme's range is `[-max_abs, +max_abs]`.
 pub fn max_abs(row: &[f32]) -> f32 {
     row.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
-/// Quantizes `row` with the asymmetric range `[min, max]` of its elements.
-pub fn quantize_asymmetric(row: &[f32], bits: u8) -> (Vec<u16>, QuantParams) {
-    let (xmin, xmax) = min_max(row);
-    quantize_with_range(row, xmin, xmax, bits)
-}
-
-/// The paper's `FQ(x, xmin, xmax)`: quantizes `row` against an explicit
-/// range, clipping elements that fall outside it. Exposed publicly because
-/// the adaptive scheme calls it with shrunken ranges.
-pub fn quantize_with_range(row: &[f32], xmin: f32, xmax: f32, bits: u8) -> (Vec<u16>, QuantParams) {
-    let grid = Grid::for_range(xmin, xmax, bits);
-    let codes = row.iter().map(|&x| grid.code_of(x) as u16).collect();
-    (codes, grid.params())
 }
 
 /// Independent accumulators of a range scan. `min` and `max` over values
@@ -112,31 +91,42 @@ pub fn min_max(row: &[f32]) -> (f32, f32) {
     (lo, hi)
 }
 
-/// De-quantizes codes produced by any uniform scheme.
-pub fn dequantize(codes: &[u16], params: &QuantParams) -> Vec<f32> {
-    let mut out = vec![0.0; codes.len()];
-    params.dequantize_codes_to(codes, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::row_l2_error;
+    use crate::{QuantParams, QuantScheme};
 
     fn skewed_row() -> Vec<f32> {
         // Asymmetric distribution: mostly small positives, one large value.
         vec![0.01, 0.02, 0.05, 0.03, 0.04, 0.9, 0.02, 0.01]
     }
 
+    /// `row` quantized under `scheme` and restored, with the stored
+    /// `(scale, zero_point)`.
+    fn roundtrip(scheme: QuantScheme, row: &[f32]) -> (Vec<f32>, f32, f32) {
+        let q = scheme.quantize_row(row);
+        let QuantParams::Uniform { scale, zero_point } = q.params else {
+            panic!("{scheme}: expected uniform parameters, got {:?}", q.params);
+        };
+        (q.dequantize(), scale, zero_point)
+    }
+
+    /// The least binary16 value above `x`'s nearest one, minus that
+    /// nearest one: how far a zero point rounded up can lie above `x`.
+    fn half_gap(x: f32) -> f32 {
+        let h = crate::half::f32_to_f16_bits(x.abs());
+        crate::half::f16_bits_to_f32(h + 1) - crate::half::f16_bits_to_f32(h)
+    }
+
     #[test]
     fn asymmetric_beats_symmetric_on_skewed_data() {
         let row = skewed_row();
         for bits in [2u8, 3, 4, 8] {
-            let (cs, ps) = quantize_symmetric(&row, bits);
-            let (ca, pa) = quantize_asymmetric(&row, bits);
-            let es = row_l2_error(&row, &dequantize(&cs, &ps));
-            let ea = row_l2_error(&row, &dequantize(&ca, &pa));
+            let (bs, _, _) = roundtrip(QuantScheme::Symmetric { bits }, &row);
+            let (ba, _, _) = roundtrip(QuantScheme::Asymmetric { bits }, &row);
+            let es = row_l2_error(&row, &bs);
+            let ea = row_l2_error(&row, &ba);
             assert!(
                 ea <= es,
                 "asymmetric ({ea}) should not lose to symmetric ({es}) at {bits} bits"
@@ -147,25 +137,24 @@ mod tests {
     #[test]
     fn symmetric_range_is_symmetric() {
         let row = vec![-0.5f32, 0.25, 0.1];
-        let (_, p) = quantize_symmetric(&row, 8);
-        if let QuantParams::Uniform { scale, zero_point } = p {
-            // zero_point = -max|x| = -0.5 and range = 1.0.
-            assert!((zero_point + 0.5).abs() < 1e-6);
-            assert!((scale - 1.0 / 255.0).abs() < 1e-6);
-        } else {
-            panic!("expected uniform");
-        }
+        let (_, scale, zero_point) = roundtrip(QuantScheme::Symmetric { bits: 8 }, &row);
+        // zero_point = -max|x| = -0.5 (a binary16 value) and range = 1.0:
+        // the scale is the binary16 nearest 1/255.
+        assert_eq!(zero_point, -0.5);
+        assert!((scale - 1.0 / 255.0).abs() <= 1.0 / 255.0 / 2048.0, "{scale}");
     }
 
+    /// The row's minimum lands on code 0, which reconstructs the zero
+    /// point — its binary16 rounding up — exactly, and its maximum on the
+    /// top code.
     #[test]
     fn asymmetric_endpoints_are_exactly_representable() {
         let row = vec![-0.3f32, 0.7, 0.1, 0.2];
-        let (codes, p) = quantize_asymmetric(&row, 4);
-        let back = dequantize(&codes, &p);
-        // min and max of the row are grid points, so they roundtrip to within
-        // float arithmetic error.
-        assert!((back[0] + 0.3).abs() < 1e-5);
-        assert!((back[1] - 0.7).abs() < 1e-5);
+        let (back, scale, zero_point) = roundtrip(QuantScheme::Asymmetric { bits: 4 }, &row);
+        assert_eq!(back[0], zero_point);
+        assert!(zero_point >= -0.3 && zero_point + 0.3 < half_gap(-0.3));
+        assert_eq!(back[1], scale * 15.0 + zero_point);
+        assert!((back[1] - 0.7).abs() <= scale / 2.0);
     }
 
     #[test]
@@ -173,25 +162,31 @@ mod tests {
         let row: Vec<f32> = (0..64).map(|i| ((i * 37) % 64) as f32 / 64.0 - 0.3).collect();
         let mut prev = f64::INFINITY;
         for bits in [2u8, 3, 4, 8] {
-            let (c, p) = quantize_asymmetric(&row, bits);
-            let e = row_l2_error(&row, &dequantize(&c, &p));
+            let (back, _, _) = roundtrip(QuantScheme::Asymmetric { bits }, &row);
+            let e = row_l2_error(&row, &back);
             assert!(e < prev, "error should drop as bits increase");
             prev = e;
         }
     }
 
+    /// A constant row collapses to its zero point: exact when the value is
+    /// a binary16 one, otherwise its binary16 rounding up.
     #[test]
     fn constant_row_is_exact() {
-        let row = vec![0.42f32; 16];
-        let (c, p) = quantize_asymmetric(&row, 2);
-        let back = dequantize(&c, &p);
+        let row = vec![0.375f32; 16];
+        let (back, scale, _) = roundtrip(QuantScheme::Asymmetric { bits: 2 }, &row);
+        assert_eq!(scale, 0.0);
         assert_eq!(back, row);
+        let (back, scale, zero_point) = roundtrip(QuantScheme::Asymmetric { bits: 2 }, &[0.42; 16]);
+        assert_eq!(scale, 0.0);
+        assert!(back.iter().all(|&v| v == zero_point));
+        assert!(zero_point >= 0.42 && zero_point - 0.42 < half_gap(0.42));
     }
 
     #[test]
     fn empty_row() {
-        let (c, _p) = quantize_asymmetric(&[], 4);
-        assert!(c.is_empty());
+        let q = QuantScheme::Asymmetric { bits: 4 }.quantize_row(&[]);
+        assert!(q.payload.is_empty() && q.dequantize().is_empty());
     }
 
     #[test]
@@ -199,42 +194,67 @@ mod tests {
         // The 1-bit edge width: the code space is {xmin, xmax}, so every
         // element lands on whichever endpoint is nearer.
         let row = vec![0.0f32, 0.1, 0.9, 1.0];
-        let (codes, p) = quantize_asymmetric(&row, 1);
-        let back = dequantize(&codes, &p);
+        let (back, _, _) = roundtrip(QuantScheme::Asymmetric { bits: 1 }, &row);
         assert_eq!(back, vec![0.0, 0.0, 1.0, 1.0]);
     }
 
+    /// Width-16 edge: the grid has 65535 steps of about `2/65535 ≈ 3.05e-5`,
+    /// a binary16 subnormal, held to the nearest `2^-24`. The top grid
+    /// point therefore misses the row's maximum by up to `65535 · 2^-24`,
+    /// and the zero point lies up to a binary16 step (`2^-11` near 1) above
+    /// the minimum: a value on the grid is within half a step of its
+    /// restored value (plus `f32` rounding, under an order of magnitude of
+    /// the step at this width), one outside it clamps to the nearer end.
     #[test]
     fn sixteen_bit_roundtrip_is_tight() {
-        // Width-16 edge: the grid has 65535 steps, so roundtrip error is
-        // bounded by half of range/65535 — plus f32 rounding slack, which
-        // at this width is within an order of magnitude of the step itself.
         let row: Vec<f32> = (0..128).map(|i| (i as f32).sin()).collect();
-        let (codes, p) = quantize_asymmetric(&row, 16);
-        let back = dequantize(&codes, &p);
-        let half_step = 2.0 / 65535.0 / 2.0 * 1.05 + 1e-6;
+        let (back, scale, zero_point) = roundtrip(QuantScheme::Asymmetric { bits: 16 }, &row);
+        let top = scale * 65535.0 + zero_point;
+        let (xmin, xmax) = min_max(&row);
+        assert!(xmax - top <= 65535.0 * f32::from_bits(0x3380_0000), "top {top} of {xmax}");
+        assert!(zero_point >= xmin && zero_point - xmin < half_gap(xmin));
+        let half_step = scale / 2.0 * 1.05 + 1e-6;
         for (x, y) in row.iter().zip(&back) {
-            assert!((x - y).abs() <= half_step, "error {} at 16 bits", (x - y).abs());
+            let error = (x - y).abs();
+            if *x < zero_point {
+                assert_eq!(*y, zero_point, "{x} below the grid clamps to its zero point");
+            } else if *x > top {
+                assert_eq!(*y, top, "{x} above the grid clamps to its top");
+            } else {
+                assert!(error <= half_step, "error {error} at 16 bits");
+            }
         }
     }
 
     #[test]
     fn empty_row_roundtrips_through_every_entry_point() {
         for bits in [1u8, 8, 16] {
-            let (cs, ps) = quantize_symmetric(&[], bits);
-            assert!(cs.is_empty() && dequantize(&cs, &ps).is_empty());
-            let (cr, pr) = quantize_with_range(&[], -1.0, 1.0, bits);
-            assert!(cr.is_empty() && dequantize(&cr, &pr).is_empty());
+            for scheme in [
+                QuantScheme::Symmetric { bits },
+                QuantScheme::Asymmetric { bits },
+                QuantScheme::recommended_for_bits(bits),
+            ] {
+                let q = scheme.quantize_row(&[]);
+                assert!(q.payload.is_empty() && q.dequantize().is_empty(), "{scheme}");
+            }
         }
         assert_eq!(min_max(&[]), (0.0, 0.0));
+        assert_eq!(max_abs(&[]), 0.0);
     }
 
+    /// Values outside the range a row is stored on clip to its ends: the
+    /// adaptive search drops the outlier and the two points below the
+    /// bulk from the range, and they restore to the top and bottom codes.
     #[test]
     fn out_of_range_values_clip() {
-        let row = vec![0.0f32, 1.0];
-        let (codes, p) = quantize_with_range(&row, 0.25, 0.75, 2);
-        let back = dequantize(&codes, &p);
-        assert!((back[0] - 0.25).abs() < 1e-6, "below range clips to xmin");
-        assert!((back[1] - 0.75).abs() < 1e-6, "above range clips to xmax");
+        let mut row: Vec<f32> = (0..60).map(|i| 0.25 + 0.5 * (i as f32 / 59.0)).collect();
+        row.extend([0.0, 0.01, 1.0]);
+        let scheme = QuantScheme::AdaptiveAsymmetric { bits: 2, num_bins: 20, ratio: 1.0 };
+        let (back, scale, zero_point) = roundtrip(scheme, &row);
+        let top = scale * 3.0 + zero_point;
+        assert!(zero_point > 0.01 && top < 1.0, "grid [{zero_point}, {top}]");
+        assert_eq!(back[60], zero_point, "below range clips to the zero point");
+        assert_eq!(back[61], zero_point);
+        assert_eq!(back[62], top, "above range clips to the top");
     }
 }

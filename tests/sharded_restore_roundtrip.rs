@@ -13,6 +13,11 @@
 //! other's rows, a destination pre-filled with a sentinel ends up equal to
 //! the serial restore bit for bit for any host count, worker count, reader
 //! kill and hot fraction.
+//!
+//! Rows holding values no 4-bit grid describes (NaN, `±∞`, `1e6`) restore
+//! with their exact bits through an engine — eager, lazy by fault-in and
+//! by drain, and from the delta WAL — and a chunk of the retired row tag 1
+//! fails a restore typed, eager and lazy.
 
 use check_n_run::cluster::SimClock;
 use check_n_run::core::config::CheckpointConfig;
@@ -34,8 +39,12 @@ use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::state::{ModelState, TableState};
 use check_n_run::model::{DlrmModel, ModelConfig, OptimizerConfig, ShardPlan};
 use check_n_run::tracking::TrackerSnapshot;
-use check_n_run::quant::QuantScheme;
+use bytes::BufMut;
+use check_n_run::core::wire;
+use check_n_run::core::{DeltaWalConfig, Engine, EngineBuilder, QuantMode};
+use check_n_run::quant::{QuantParams, QuantScheme};
 use check_n_run::reader::ReaderState;
+use check_n_run::storage::envelope;
 use check_n_run::storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
@@ -644,4 +653,185 @@ fn eight_reader_hosts_reach_ready_to_train_sooner_and_restore_identically() {
         t8.as_secs_f64() < 0.25 * t1.as_secs_f64(),
         "8 downlinks should approach 8x faster ready-to-train: 1-host {t1:?}, 8-host {t8:?}"
     );
+}
+
+/// NaN, both infinities and a value beyond every binary16 grid: what no
+/// uniform row describes.
+const UNDESCRIBABLE: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e6];
+
+/// A 4-writer-shard engine at fixed 4-bit adaptive quantization over a
+/// slow store, in 32-row chunks. Its first checkpoint, at batch 5, is full, so a row written
+/// through `trainer_mut` before it — which the tracker never sees — is in
+/// it.
+fn adaptive4_engine(lazy: bool, wal: bool) -> Engine {
+    let spec = DatasetSpec::tiny(31);
+    let model_cfg = ModelConfig::for_dataset(&spec, 8);
+    let mut b = EngineBuilder::new(spec, model_cfg)
+        .checkpoint_config(CheckpointConfig {
+            chunk_rows: 32,
+            ..CheckpointConfig::default()
+        })
+        .checkpoint_every_batches(5)
+        .cluster_shape(1, 2)
+        .writer_hosts(4)
+        .reader_hosts(2)
+        .quantization(QuantMode::Fixed(QuantScheme::recommended_for_bits(4)))
+        .remote_config(RemoteConfig {
+            bandwidth_bytes_per_sec: 64.0 * 1024.0,
+            base_latency: Duration::from_micros(100),
+            replication: 1,
+            channels: 2,
+        });
+    if lazy {
+        b = b.lazy_restore(0.05);
+    }
+    if wal {
+        b = b.delta_wal(DeltaWalConfig);
+    }
+    b.build().expect("engine")
+}
+
+fn row_bits(e: &Engine, row: u32) -> Vec<u32> {
+    e.trainer().model().tables()[0].row(row as usize).iter().map(|v| v.to_bits()).collect()
+}
+
+/// Writes [`UNDESCRIBABLE`] over the first values of table 0's `row`.
+fn poison(e: &mut Engine, row: u32) {
+    let table = &mut e.trainer_mut().model_mut().tables_mut()[0];
+    table.row_mut(row as usize)[..4].copy_from_slice(&UNDESCRIBABLE);
+}
+
+/// Trains to batch 4, poisons table 0's `row` — one batch 4 does not
+/// touch — and trains batch 4, whose boundary checkpoints it; then loses
+/// three batches of progress to a failure and restores. Returns the row's
+/// bits at the boundary.
+fn poison_checkpoint_and_restore(e: &mut Engine, row: u32) -> Vec<u32> {
+    e.train_batches(4).unwrap();
+    assert!(!e.dataset().batch(4).sparse[0].contains(&row));
+    poison(e, row);
+    e.train_batches(1).unwrap();
+    let at_boundary = row_bits(e, row);
+    e.train_batches(3).unwrap();
+    e.simulate_failure_and_restore().unwrap();
+    at_boundary
+}
+
+/// A chunk holding values its 4-bit scheme cannot describe is stored as
+/// exact fp32 rows, so the row restores with the bits it had at the
+/// boundary — eager, and lazy with its chunk cold, by a fault-in and by
+/// the drain — where a uniform grid would restore garbage (NaN, `±inf`
+/// and `1e6` collapsing onto one grid end).
+#[test]
+fn values_no_grid_describes_restore_bit_exactly() {
+    // A row batch 4 does not touch, in a cold chunk, that a later batch
+    // touches, for the fault-in.
+    let probe = adaptive4_engine(false, false);
+    let untouched = |r: &u32| !probe.dataset().batch(4).sparse[0].contains(r);
+    let (row, eval_at) = (2000..40_000u64)
+        .find_map(|b| {
+            let touched = &probe.dataset().batch(b).sparse[0];
+            touched.iter().copied().find(|r| *r >= 700 && untouched(r)).map(|r| (r, b))
+        })
+        .expect("some batch touches the tail");
+
+    let mut eager = adaptive4_engine(false, false);
+    let want = poison_checkpoint_and_restore(&mut eager, row);
+    assert!(eager.pending_lazy().is_none());
+    assert_eq!(row_bits(&eager, row), want, "eager");
+
+    let mut faulted = adaptive4_engine(true, false);
+    let want = poison_checkpoint_and_restore(&mut faulted, row);
+    let tail = faulted.pending_lazy().expect("a cold tail");
+    assert!(!tail.is_materialized(0, row), "the poisoned row's chunk is cold");
+    faulted.evaluate(eval_at, eval_at + 1).unwrap();
+    let tail = faulted.pending_lazy().expect("other rows still cold");
+    assert!(tail.is_materialized(0, row), "batch {eval_at} faulted it in");
+    assert_eq!(row_bits(&faulted, row), want, "fault-in");
+
+    let mut drained = adaptive4_engine(true, false);
+    let want = poison_checkpoint_and_restore(&mut drained, row);
+    assert!(!drained.pending_lazy().unwrap().is_materialized(0, row));
+    drained.drain_lazy_restore().unwrap();
+    assert_eq!(row_bits(&drained, row), want, "drain");
+}
+
+/// The same with the delta WAL on: the poisoned row is one the batch after
+/// the boundary touches, so its record embeds the row's chunk, and the
+/// restore places it from there.
+#[test]
+fn values_no_grid_describes_replay_bit_exactly_from_the_wal() {
+    let mut e = adaptive4_engine(false, true);
+    e.train_batches(5).unwrap();
+    let row = e.dataset().batch(5).sparse[0][0];
+    poison(&mut e, row);
+    e.train_batches(1).unwrap();
+    let want = row_bits(&e, row);
+    let undescribable = want.iter().any(|&b| !f32::from_bits(b).is_finite());
+    assert!(undescribable, "training left it a row no grid describes");
+    e.simulate_failure_and_restore().unwrap();
+    assert_eq!(e.stats().resumes.last().unwrap().wal_replayed_iterations, 1);
+    assert_eq!(row_bits(&e, row), want);
+}
+
+/// `chunk` (tag-4 rows) as the retired row tag 1 stored it: each row's
+/// binary16 scale and zero point widened to `f32`s ahead of the same
+/// codes — a chunk that restored to the same values before tag 1 was
+/// retired.
+fn with_f32_params(chunk: &ChunkPayload) -> Vec<u8> {
+    let first = chunk.rows.first().expect("a row");
+    let mut frame = Vec::new();
+    let at = wire::begin_frame(&mut frame);
+    frame.put_u16_le(chunk.table);
+    frame.put_u32_le(chunk.rows.len() as u32);
+    frame.put_u8(chunk.optimizer_state.is_some() as u8);
+    frame.extend_from_slice(&[1, first.bits]);
+    frame.put_u16_le(first.dim as u16);
+    wire::put_indices(&mut frame, &chunk.row_indices);
+    if let Some(acc) = &chunk.optimizer_state {
+        acc.iter().for_each(|a| frame.put_f32_le(*a));
+    }
+    for row in &chunk.rows {
+        let QuantParams::Uniform { scale, zero_point } = row.params else {
+            panic!("a uniform row");
+        };
+        frame.put_f32_le(scale);
+        frame.put_f32_le(zero_point);
+        frame.extend_from_slice(&row.payload);
+    }
+    wire::end_frame(&mut frame, at);
+    envelope::wrap(&frame)
+}
+
+/// Row tag 1 is retired: a chunk stored with it fails the restore typed,
+/// naming the tag — eagerly, and lazily with the chunk cold at restore
+/// time, not at a later fault-in.
+#[test]
+fn a_chunk_with_the_retired_row_tag_1_fails_the_restore() {
+    let chain = OneHotRow::write(&[None], QuantScheme::Asymmetric { bits: 4 });
+    let (_, clean) = chain.lazy_restore().unwrap();
+    assert!(!clean.lazy.unwrap().is_materialized(0, 95), "rows 64..96 are held back");
+
+    let store = &chain.store;
+    let mut manifest = load_manifest(store, "job", chain.target).unwrap();
+    let cold = manifest
+        .chunks
+        .iter_mut()
+        .find(|c| c.table == 0 && c.first_row == 64)
+        .expect("the chunk of rows 64..96");
+    let chunk = ChunkPayload::decode(&store.get(&cold.key).unwrap()).unwrap();
+    let retired = with_f32_params(&chunk);
+    cold.bytes = retired.len() as u64;
+    store.put(&cold.key, retired.into()).unwrap();
+    store
+        .put(&Manifest::key("job", chain.target), manifest.encode_enveloped().into())
+        .unwrap();
+
+    let names_tag_1 =
+        |err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains("unknown row tag 1"));
+    let err = chain.lazy_restore().map(|_| ()).unwrap_err();
+    assert!(names_tag_1(&err), "lazy: {err:?}");
+    let options = RestoreOptions::default();
+    let eager = restore_sharded(store, "job", chain.target, &chain.cfg, &options, Duration::ZERO);
+    let err = eager.map(|_| ()).unwrap_err();
+    assert!(names_tag_1(&err), "eager: {err:?}");
 }
