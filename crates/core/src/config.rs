@@ -157,11 +157,19 @@ impl CheckpointConfig {
             return Err("must retain at least one chain".into());
         }
         self.restore_options().validate()?;
-        if let QuantMode::Fixed(s) = self.quant {
-            let bits = s.bits();
-            if bits != 32 && bits != 16 && !(1..=8).contains(&bits) {
-                return Err(format!("unsupported checkpoint bit width {bits}"));
+        // A uniform grid stores binary16 parameters, which cap its
+        // resolution: wider than 8 bits, values below the zero point
+        // restore far outside the half step. Fp16 is the wider form.
+        match self.quant {
+            QuantMode::Fixed(QuantScheme::Fp32 | QuantScheme::Fp16) => {}
+            QuantMode::Fixed(s) if !(1..=8).contains(&s.bits()) => {
+                return Err(format!(
+                    "uniform checkpoint schemes hold 1 to 8 bits, not {}: \
+                     use QuantScheme::Fp16 for 9 to 16 (recommended_for_bits does)",
+                    s.bits()
+                ));
             }
+            _ => {}
         }
         Ok(())
     }
@@ -270,10 +278,28 @@ mod tests {
 
     #[test]
     fn fixed_quant_bits_validated() {
-        let c = CheckpointConfig {
-            quant: QuantMode::Fixed(QuantScheme::Asymmetric { bits: 8 }),
+        let fixed = |scheme| CheckpointConfig {
+            quant: QuantMode::Fixed(scheme),
             ..CheckpointConfig::default()
         };
-        assert!(c.validate().is_ok());
+        for scheme in [
+            QuantScheme::Fp32,
+            QuantScheme::Fp16,
+            QuantScheme::Asymmetric { bits: 8 },
+            QuantScheme::Symmetric { bits: 1 },
+            QuantScheme::recommended_for_bits(4),
+            QuantScheme::recommended_for_bits(12),
+        ] {
+            assert!(fixed(scheme).validate().is_ok(), "{scheme:?}");
+        }
+        for scheme in [
+            QuantScheme::Asymmetric { bits: 9 },
+            QuantScheme::Asymmetric { bits: 16 },
+            QuantScheme::Symmetric { bits: 16 },
+            QuantScheme::Asymmetric { bits: 0 },
+        ] {
+            let why = fixed(scheme).validate().unwrap_err();
+            assert!(why.contains("Fp16"), "{scheme:?}: {why}");
+        }
     }
 }

@@ -71,7 +71,7 @@ impl DeltaChunk {
         self.header.table
     }
 
-    /// The row indices within the table, ascending for a captured chunk.
+    /// The row indices within the table, strictly ascending.
     pub fn row_indices(&self) -> &[u32] {
         &self.header.row_indices
     }
@@ -152,8 +152,9 @@ impl DeltaRecord {
     /// the record is sized from the touched row counts, the rows are
     /// quantized into the frame and the MLPs copied there from their
     /// layers. What this allocates besides the segment is one buffer of
-    /// the batch's row ids and one of table offsets, however many rows it
-    /// touched. Returns the sync's receipt and the bytes it made durable.
+    /// the batch's row ids, one of table offsets and one of the touched
+    /// tables' chunk frames, however many rows it touched. Returns the
+    /// sync's receipt and the bytes it made durable.
     pub fn capture_into(
         model: &DlrmModel,
         batch: &Batch,
@@ -163,10 +164,13 @@ impl DeltaRecord {
         wal: &mut WalWriter,
     ) -> Result<(PutReceipt, u64)> {
         let touched = TouchedRows::of(batch);
-        let chunks_len: usize = touched
+        // Each table's frame, and the scheme its rows store under, is
+        // resolved once: it sizes the record and then writes it.
+        let chunks: Vec<_> = touched
             .tables()
-            .map(|(t, rows)| touched_frame(model, scheme, t, rows).0.encoded_len())
-            .sum();
+            .map(|(t, rows)| touched_frame(model, scheme, t, rows))
+            .collect();
+        let chunks_len: usize = chunks.iter().map(|(chunk, _)| chunk.encoded_len()).sum();
         let len = 3 * 8
             + scheme_len(scheme)
             + 2
@@ -178,10 +182,10 @@ impl DeltaRecord {
             out.put_u64_le(model.iteration());
             out.put_u64_le(reader_next);
             encode_scheme(out, scheme);
-            out.put_u16_le(touched.tables().count() as u16);
-            for (t, rows) in touched.tables() {
-                let table = &model.tables()[t];
-                let (chunk, stored) = touched_frame(model, scheme, t, rows);
+            out.put_u16_le(chunks.len() as u16);
+            for (chunk, stored) in chunks {
+                let table = &model.tables()[chunk.table as usize];
+                let rows = chunk.row_indices;
                 chunk.encode_into(out, |out| {
                     for &i in rows {
                         stored.quantize_row_into(table.row(i as usize), out);
@@ -913,7 +917,7 @@ mod tests {
         let (model, batch) = model_and_batch();
         let mut rec =
             DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
-        rec.chunks[0] = rec.chunks[0].edited(|rows, _, _| rows[0] = u32::MAX);
+        rec.chunks[0] = rec.chunks[0].edited(|rows, _, _| *rows.last_mut().unwrap() = u32::MAX);
         let mut target = model.clone();
         assert!(matches!(rec.apply(&mut target), Err(CnrError::Corrupt(_))));
     }

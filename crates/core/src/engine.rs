@@ -916,6 +916,25 @@ mod tests {
         assert_eq!(e.stats().intervals.len(), 2, "7+3 completes interval 2");
     }
 
+    /// A uniform grid stores binary16 parameters, which cap its
+    /// resolution: a fixed uniform scheme wider than 8 bits does not
+    /// build, and the error names the form that holds such widths.
+    #[test]
+    fn a_uniform_scheme_wider_than_8_bits_does_not_build() {
+        let with = |scheme| builder().quantization(QuantMode::Fixed(scheme)).build();
+        for scheme in [
+            QuantScheme::Asymmetric { bits: 16 },
+            QuantScheme::Symmetric { bits: 16 },
+        ] {
+            match with(scheme) {
+                Err(CnrError::Config(why)) => assert!(why.contains("Fp16"), "{why}"),
+                Err(other) => panic!("{scheme:?}: {other:?}"),
+                Ok(_) => panic!("{scheme:?} built"),
+            }
+        }
+        assert!(with(QuantScheme::Fp16).is_ok());
+    }
+
     #[test]
     fn one_shot_policy_produces_full_then_incrementals() {
         let mut e = builder().policy(PolicyKind::OneShot).build().unwrap();

@@ -13,7 +13,7 @@
 //!
 //! **One stored form.** Every *stored* object — manifest, dense object and
 //! chunk alike — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR6`, XXH64 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR7`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`DenseLayers::encode_enveloped`] / [`ChunkPayload::encode_enveloped`],
 //! and the stored-object decoders ([`Manifest::decode`],
@@ -278,7 +278,7 @@ impl Manifest {
         out
     }
 
-    /// Serializes the manifest wrapped in the v6 storage envelope — the
+    /// Serializes the manifest wrapped in the v7 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
@@ -470,7 +470,8 @@ impl DenseLayers {
 pub struct ChunkPayload {
     /// Which table the rows belong to.
     pub table: u16,
-    /// Row indices within the table, ascending.
+    /// Row indices within the table, strictly ascending: the only lists
+    /// the wire stores ([`wire::put_indices`] panics on any other).
     pub row_indices: Vec<u32>,
     /// Row-wise optimizer accumulators (present iff the table has them).
     pub optimizer_state: Option<Vec<f32>>,
@@ -562,12 +563,13 @@ impl<'a, A: ExactSizeIterator<Item = f32>> ChunkFrame<'a, A> {
     }
 
     /// Appends the bare chunk frame to `out`: opens the frame, writes the
-    /// chunk header, the delta-coded indices ([`wire::put_indices`]) and
+    /// chunk header, the run-coded indices ([`wire::put_indices`]) and
     /// the accumulators, lets `put_rows` append the row bodies in place,
     /// then patches the frame length.
     pub(crate) fn encode_into(self, out: &mut Vec<u8>, put_rows: impl FnOnce(&mut Vec<u8>)) {
         let count = self.row_indices.len();
-        let total = self.encoded_len();
+        // Sizing walks the indices, so only a debug build checks it.
+        let total = cfg!(debug_assertions).then(|| self.encoded_len());
         let start = out.len();
         let frame = wire::begin_frame(out);
         out.put_u16_le(self.table);
@@ -583,7 +585,7 @@ impl<'a, A: ExactSizeIterator<Item = f32>> ChunkFrame<'a, A> {
         }
         put_rows(out);
         wire::end_frame(out, frame);
-        debug_assert_eq!(out.len() - start, total, "chunk frame was not sized exactly");
+        debug_assert_eq!(Some(out.len() - start), total, "chunk frame was not sized exactly");
     }
 
     /// Builds the chunk as stored, in one exactly sized buffer: the
@@ -659,10 +661,13 @@ impl<'a> OpenedChunk<'a> {
 
 /// Opens the chunk frame at the front of `frame` — the payload of a
 /// verified envelope, or an embedded frame of a WAL record that one
-/// verified; nothing is hashed here. The indices and accumulators are
-/// materialized (after their lengths are checked against the input), and
-/// the row context must name an encoding whose bodies — one fixed length
-/// each — all fit. Bytes after the frame are the caller's:
+/// verified; nothing is hashed here. The row context must name an
+/// encoding whose bodies — one fixed, non-zero length each — all fit, and
+/// that is checked first: a run of indices ([`wire::put_indices`]) names
+/// any number of rows in a few bytes, so it is the bodies that bound the
+/// row count before anything is allocated for it. The indices (strictly
+/// ascending, as the coding can only express) and accumulators are then
+/// materialized. Bytes after the frame are the caller's:
 /// [`ChunkHeader::frame_len`] says where they start. A retired or unknown
 /// row tag is [`CnrError::Corrupt`] naming the tag.
 pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
@@ -678,6 +683,22 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
         bits: wire::get_u8(b)?,
         dim: wire::get_u16(b)?,
     };
+    let decoder = RowDecoder::new(rows.tag, rows.bits, rows.dim as usize)
+        .map_err(|e| CnrError::Corrupt(format!("chunk rows: {e}")))?;
+    let body_len = decoder.body_len();
+    let bodies_fit = |left: usize| count.checked_mul(body_len).is_some_and(|need| need <= left);
+    // A run of indices can name any number of rows in a few bytes, so the
+    // bodies bound the count before the indices are decoded: nothing is
+    // allocated beyond `count × body_len` bytes of input.
+    if count > 0 && body_len == 0 {
+        return Err(CnrError::Corrupt(format!("chunk of {count} rows with empty bodies")));
+    }
+    if !bodies_fit(b.len()) {
+        return Err(CnrError::Corrupt(format!(
+            "chunk claims {count} rows of {body_len} bytes in {} bytes",
+            b.len()
+        )));
+    }
     let row_indices = wire::get_indices(b, count)?;
     let optimizer_state = if has_acc {
         let words = wire::get_words(b, count, "chunk optimizer state")?;
@@ -685,10 +706,7 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<ChunkHeader> {
     } else {
         None
     };
-    let decoder = RowDecoder::new(rows.tag, rows.bits, rows.dim as usize)
-        .map_err(|e| CnrError::Corrupt(format!("chunk rows: {e}")))?;
-    let body_len = decoder.body_len();
-    if count.checked_mul(body_len).is_none_or(|need| need > body.len()) {
+    if !bodies_fit(body.len()) {
         return Err(CnrError::Corrupt(format!(
             "chunk row bodies truncated: {count} rows of {body_len} bytes in {}",
             body.len()
@@ -714,12 +732,15 @@ impl ChunkPayload {
     /// fixed row header (kind/bits/dim) is hoisted to chunk level — every
     /// row of a chunk shares one scheme and one table geometry, and at
     /// 2-bit/dim-64 a redundant 4-byte per-row header would cost ~14% of
-    /// the chunk. The row index is delta-coded ([`wire::put_indices`]): 1 B
-    /// per row of an ascending run with gaps under 64, where a `u32` cost
-    /// 4. The scale and zero point are binary16 values (row tag 4,
+    /// the chunk. The row indices are run-coded ([`wire::put_indices`]): a
+    /// run of consecutive rows costs a head varint and a length varint —
+    /// 4 B for a full checkpoint's 4096-row chunk — and an isolated row
+    /// 1 B with a gap under 64, where a `u32` cost 4 per row. The scale
+    /// and zero point are binary16 values (row tag 4,
     /// [`cnr_quant::params`]), 4 B where `f32`s cost 8. At 4-bit/dim-32 a
-    /// row is 1 B of index, 4 B of parameters and 16 B of codes: 21 B,
-    /// where a `u32` index and `f32` parameters made it 28. A chunk of
+    /// row of a contiguous chunk is 4 B of parameters and 16 B of codes,
+    /// 20 B, and an isolated row 21 B, where a `u32` index and `f32`
+    /// parameters made it 28. A chunk of
     /// rows holding a value their scheme cannot describe stores them as
     /// fp32 (tag 0); the retired tags 1 (`f32` parameters) and 2 (k-means
     /// codebooks) fail to decode as [`CnrError::Corrupt`], naming the tag.
@@ -730,7 +751,7 @@ impl ChunkPayload {
         out
     }
 
-    /// Serializes the chunk wrapped in the v6 storage envelope — the
+    /// Serializes the chunk wrapped in the v7 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         self.frame().encode_enveloped(|out| self.put_rows(out))
@@ -783,8 +804,8 @@ impl ChunkPayload {
         let header = open_frame(frame)?;
         let mut bodies = header.over(frame).bodies;
         let ctx = header.rows;
-        // The row count is already bounded by the input: its indices were
-        // read from it.
+        // The row count is already bounded by the input: every row's body
+        // is in it.
         let dim = ctx.dim as usize;
         let rows = (0..header.row_indices.len())
             .map(|_| QuantizedRow::decode_body_from(&mut bodies, ctx.tag, ctx.bits, dim))
@@ -1040,7 +1061,8 @@ mod tests {
     }
 
     /// A row count no frame could hold is refused before anything is
-    /// allocated for it: every index takes a byte at least.
+    /// allocated for it: every row's body must fit in the bytes left,
+    /// before a single index is decoded.
     #[test]
     fn a_frame_claiming_more_rows_than_bytes_fails_before_allocating() {
         let mut frame = Vec::new();
@@ -1053,7 +1075,7 @@ mod tests {
         let err = open_frame(&frame).map(|_| ()).unwrap_err();
         assert!(
             matches!(&err, CnrError::Corrupt(why)
-                if why == "row indices truncated: 4294967295 indices in 8 bytes"),
+                if why == "chunk claims 4294967295 rows of 32 bytes in 8 bytes"),
             "{err:?}"
         );
     }
@@ -1113,23 +1135,25 @@ mod tests {
                 err.to_string()
             );
         }
-        // A v5 object (the envelope reads its version before its checksum)
-        // fails both stored-object decoders by number.
-        let as_v5 = |mut object: Vec<u8>| {
-            object[..4].copy_from_slice(b"CNR5");
-            object[4..6].copy_from_slice(&5u16.to_le_bytes());
-            object
-        };
-        for err in [
-            Manifest::decode(&as_v5(sample_manifest().encode_enveloped())).map(|_| ()),
-            ChunkPayload::decode(&as_v5(sample_chunk(true).encode_enveloped())).map(|_| ()),
-        ] {
-            let err = err.unwrap_err();
-            assert!(
-                matches!(&err, CnrError::Corrupt(why)
-                    if why.contains("unsupported envelope version 5 ")),
-                "{err:?}"
-            );
+        // A v5 or v6 object (the envelope reads its version before its
+        // checksum) fails both stored-object decoders by number.
+        for version in [5u8, 6] {
+            let older = |mut object: Vec<u8>| {
+                object[..4].copy_from_slice(&[b'C', b'N', b'R', b'0' + version]);
+                object[4..6].copy_from_slice(&u16::from(version).to_le_bytes());
+                object
+            };
+            for err in [
+                Manifest::decode(&older(sample_manifest().encode_enveloped())).map(|_| ()),
+                ChunkPayload::decode(&older(sample_chunk(true).encode_enveloped())).map(|_| ()),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    matches!(&err, CnrError::Corrupt(why)
+                        if why.contains(&format!("unsupported envelope version {version} "))),
+                    "{err:?}"
+                );
+            }
         }
     }
 
@@ -1485,6 +1509,72 @@ mod tests {
                 for cut in 0..payload.len() {
                     let resealed = envelope::wrap(&payload[..cut]);
                     prop_assert!(corrupt(DenseLayers::decode(&resealed, &m)), "payload cut {}", cut);
+                }
+            }
+        }
+    }
+
+    /// The chunk frame's open, on arbitrary input.
+    mod chunk_frame {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A chunk frame of `count` rows in context `rows`, whose data after
+        /// the header is `rest`.
+        fn framed(count: u32, has_acc: bool, rows: RowContext, rest: &[u8]) -> Vec<u8> {
+            let mut frame = Vec::new();
+            let at = wire::begin_frame(&mut frame);
+            frame.put_u16_le(0);
+            frame.put_u32_le(count);
+            frame.extend_from_slice(&[has_acc as u8, rows.tag, rows.bits]);
+            frame.put_u16_le(rows.dim);
+            frame.extend_from_slice(rest);
+            wire::end_frame(&mut frame, at);
+            frame
+        }
+
+        proptest! {
+            /// Arbitrary bytes behind a header of any row count and row
+            /// context open — `count` strictly ascending indices, every
+            /// row's body whole — or fail `Corrupt`. A count whose bodies
+            /// cannot fit in the bytes left fails at that check, before an
+            /// index is decoded: nothing is allocated past
+            /// `count × body_len` bytes of input.
+            #[test]
+            fn arbitrary_frames_open_or_fail_before_allocating(
+                small in any::<bool>(),
+                count in any::<u32>(),
+                has_acc in any::<bool>(),
+                tag in 0usize..4,
+                bits in 0usize..8,
+                dim in 0u16..12,
+                rest in prop::collection::vec(any::<u8>(), 0..200),
+            ) {
+                let count = if small { count % 24 } else { count };
+                let bits = [1, 2, 4, 8, 16, 32, 0, 200][bits];
+                let rows = RowContext { tag: [0, 1, 3, 4][tag], bits, dim };
+                let frame = framed(count, has_acc, rows, &rest);
+                let body_len = RowDecoder::new(rows.tag, bits, dim as usize).map(|d| d.body_len());
+                match open_frame(&frame) {
+                    Ok(header) => {
+                        let body_len = body_len.unwrap();
+                        prop_assert_eq!(header.row_indices.len(), count as usize);
+                        prop_assert!(header.row_indices.windows(2).all(|w| w[0] < w[1]));
+                        prop_assert!(count as usize * body_len <= rest.len());
+                        prop_assert_eq!(header.frame_len(), frame.len());
+                    }
+                    Err(CnrError::Corrupt(why)) => {
+                        if let Ok(body_len) = body_len {
+                            let need = count as u64 * body_len as u64;
+                            if count > 0 && (body_len == 0 || need > rest.len() as u64) {
+                                prop_assert!(
+                                    why.starts_with("chunk claims") || why.starts_with("chunk of"),
+                                    "{} rows of {} bytes in {}: {}", count, body_len, rest.len(), why
+                                );
+                            }
+                        }
+                    }
+                    Err(other) => prop_assert!(false, "{:?}", other),
                 }
             }
         }

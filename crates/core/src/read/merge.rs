@@ -206,8 +206,9 @@ impl<'a> Destination<'a> {
 
     /// Checks an opened chunk against the destination's geometry: its
     /// table exists and, unless the chunk is empty, its rows have the
-    /// table's dimension and optimizer state and its row indices are
-    /// distinct, ascending and inside the table. Every chunk of a restore
+    /// table's dimension and optimizer state and its last row index is
+    /// inside the table ([`crate::wire::get_indices`] decodes only strictly
+    /// ascending lists, so the others are too). Every chunk of a restore
     /// passes through here where it enters — placed or held back — so
     /// nothing downstream has to ask again. (That the frame holds a whole
     /// body for every row is [`crate::manifest::open_frame`]'s check: a
@@ -234,14 +235,10 @@ impl<'a> Destination<'a> {
                 "chunk {key} optimizer state does not match table {t}"
             )));
         }
-        // Distinct ascending indices are what make "outranks the stamp"
-        // the same as the serial path's "last write wins" (and what a
-        // fault-in's binary search relies on).
-        if !rows.windows(2).all(|w| w[0] < w[1]) {
-            return Err(CnrError::Corrupt(format!(
-                "chunk {key} row indices are not ascending"
-            )));
-        }
+        // The indices ascend strictly by construction (the run coding has
+        // no other list to express), which is what makes "outranks the
+        // stamp" the same as the serial path's "last write wins" and what
+        // a fault-in's binary search relies on: the last is the largest.
         if last as usize >= table.rows {
             return Err(CnrError::Corrupt(format!(
                 "chunk row {last} beyond table {t}"

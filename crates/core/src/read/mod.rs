@@ -1619,21 +1619,19 @@ mod tests {
     }
 
     /// A live record whose chunk does not fit the model — a row past its
-    /// table, an optimizer state the table lacks, a row named twice, rows
-    /// out of order — fails the restore typed, as a stored chunk does,
-    /// eager and lazy. Such a record is checksum-clean and decodes: a
-    /// repeated row would otherwise land one of its two bodies silently.
+    /// table, an optimizer state the table lacks — fails the restore
+    /// typed, as a stored chunk does, eager and lazy. Such a record is
+    /// checksum-clean and decodes. (A row named twice or rows out of order
+    /// have no encoding: `wire::put_indices` refuses them.)
     #[test]
     fn the_log_refuses_chunks_that_do_not_fit_the_model() {
         type Edit = fn(&mut Vec<u32>, &mut Option<Vec<f32>>, &mut Vec<u8>);
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
-        let edits: [(&str, Edit); 4] = [
+        let edits: [(&str, Edit); 2] = [
             ("a row past its table", |rows, _, _| *rows.last_mut().unwrap() = u32::MAX),
             ("an optimizer state the table lacks", |rows, acc, _| {
                 *acc = Some(vec![1.0; rows.len()])
             }),
-            ("a row named twice", |rows, _, _| rows[1] = rows[0]),
-            ("rows out of order", |rows, _, _| rows.swap(0, 1)),
         ];
         for (what, edit) in edits {
             let (store, _) = checkpoint_with_log(&cfg, QuantScheme::Fp32, |records| {

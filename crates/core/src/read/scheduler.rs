@@ -525,6 +525,15 @@ mod tests {
     }
 
     #[test]
+    fn a_v6_object_is_corrupt_naming_its_version() {
+        assert_corrupt_naming_version(
+            b"CNR6\x06\x00\x00\x00\x15\x00\x00\x00\x13\x3a\xa1\x51\x14\x64\xe5\x95\
+              written under wire v6",
+            6,
+        );
+    }
+
+    #[test]
     fn truncated_transfer_never_passes_verification() {
         use cnr_storage::CorruptionKind;
         let inner = InMemoryStore::new();

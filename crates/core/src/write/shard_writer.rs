@@ -234,17 +234,23 @@ mod tests {
         [1.5, 1.25, 1.0, 0.75],
     ];
 
-    /// Row tag 1 is retired: a chunk stored with it — its envelope sound —
-    /// fails typed, naming the tag, wherever it is opened.
+    /// Row tag 1 is retired, and so is the v6 envelope every tag-1 chunk
+    /// was stored in: the stored chunk — its envelope sound — fails typed
+    /// by version wherever it is opened, and its frame, opened on its own,
+    /// fails naming the tag.
     #[test]
     fn a_chunk_stored_with_f32_parameters_is_corrupt() {
-        let names_tag_1 = |err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains("unknown row tag 1"));
+        let names = |what: &str, err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains(what));
+        let version_6 = "unsupported envelope version 6 ";
         let err = decode_in_place(&F32_PARAMS_CHUNK).map(|_| ()).unwrap_err();
-        assert!(names_tag_1(&err), "{err:?}");
-        let err = ChunkPayload::decode(&F32_PARAMS_CHUNK)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(names_tag_1(&err), "{err:?}");
+        assert!(names(version_6, &err), "{err:?}");
+        let err = ChunkPayload::decode(&F32_PARAMS_CHUNK).map(|_| ()).unwrap_err();
+        assert!(names(version_6, &err), "{err:?}");
+        let frame = &F32_PARAMS_CHUNK[cnr_storage::envelope::HEADER_LEN..];
+        let err = open_frame(frame).map(|_| ()).unwrap_err();
+        assert!(names("unknown row tag 1", &err), "{err:?}");
+        let err = ChunkPayload::decode_frame(frame).map(|_| ()).unwrap_err();
+        assert!(names("unknown row tag 1", &err), "{err:?}");
         // The same rows written now take binary16 parameters, 4 B a row
         // fewer.
         let (item, slab) = fixture_item(&F32_PARAMS_ROWS);

@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! The log is a run of **segment** objects, each a bare concatenation of
-//! **frames**. Each frame is a standard v6 envelope ([`crate::envelope`])
+//! **frames**. Each frame is a standard v7 envelope ([`crate::envelope`])
 //! carrying [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
 //!
 //! ```text
@@ -715,7 +715,7 @@ mod tests {
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v6").unwrap();
+        w.append(b"written under v7").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
         for magic in [*b"CNR3", envelope::MAGIC] {
@@ -728,8 +728,8 @@ mod tests {
             segment.extend_from_slice(&old);
             s.put(&key, Bytes::from(segment.clone())).unwrap();
             let r = replay(s.as_ref(), "job").unwrap();
-            assert_eq!(r.records.len(), 1, "the v6 prefix replays");
-            assert_eq!(&r.records[0].payload[..], b"written under v6");
+            assert_eq!(r.records.len(), 1, "the v7 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v7");
             match r.tail {
                 WalTail::Torn { frame_offset, ref reason, .. } => {
                     assert_eq!(frame_offset, clean.len());
@@ -748,14 +748,14 @@ mod tests {
     fn assert_torn_tail_naming_version(sealed: &[u8], version: u16) {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v6").unwrap();
+        w.append(b"written under v7").unwrap();
         let key = segment_key("job", 0);
         let mut segment = s.get(&key).unwrap().to_vec();
         let clean_len = segment.len();
         segment.extend_from_slice(sealed);
         s.put(&key, Bytes::from(segment.clone())).unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.records.len(), 1, "the v6 prefix replays");
+        assert_eq!(r.records.len(), 1, "the v7 prefix replays");
         let named = format!("unsupported envelope version {version} ");
         match r.tail {
             WalTail::Torn { frame_offset, ref reason, .. } => {
@@ -778,6 +778,11 @@ mod tests {
     #[test]
     fn a_v5_frame_is_a_torn_tail_naming_its_version() {
         assert_torn_tail_naming_version(envelope::V5_WAL_FRAME, 5);
+    }
+
+    #[test]
+    fn a_v6_frame_is_a_torn_tail_naming_its_version() {
+        assert_torn_tail_naming_version(envelope::V6_WAL_FRAME, 6);
     }
 
     #[test]

@@ -802,36 +802,69 @@ fn with_f32_params(chunk: &ChunkPayload) -> Vec<u8> {
     envelope::wrap(&frame)
 }
 
+impl OneHotRow {
+    /// Stores `stored(chunk)` in place of the chunk of table 0's rows
+    /// 64..96 — one the lazy restore holds back — and records its size in
+    /// the manifest.
+    fn replace_cold_chunk(&self, stored: impl FnOnce(&ChunkPayload) -> Vec<u8>) {
+        let (_, clean) = self.lazy_restore().unwrap();
+        assert!(!clean.lazy.unwrap().is_materialized(0, 95), "rows 64..96 are held back");
+        let store = &self.store;
+        let mut manifest = load_manifest(store, "job", self.target).unwrap();
+        let cold = manifest
+            .chunks
+            .iter_mut()
+            .find(|c| c.table == 0 && c.first_row == 64)
+            .expect("the chunk of rows 64..96");
+        let chunk = ChunkPayload::decode(&store.get(&cold.key).unwrap()).unwrap();
+        let replaced = stored(&chunk);
+        cold.bytes = replaced.len() as u64;
+        store.put(&cold.key, replaced.into()).unwrap();
+        store
+            .put(&Manifest::key("job", self.target), manifest.encode_enveloped().into())
+            .unwrap();
+    }
+
+    /// Asserts that the lazy and the eager restore both fail `Corrupt`
+    /// for a reason `names` recognizes.
+    fn assert_both_restores_fail(&self, names: &str) {
+        let named = |err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains(names));
+        let err = self.lazy_restore().map(|_| ()).unwrap_err();
+        assert!(named(&err), "lazy: {err:?}");
+        let options = RestoreOptions::default();
+        let eager =
+            restore_sharded(&self.store, "job", self.target, &self.cfg, &options, Duration::ZERO);
+        let err = eager.map(|_| ()).unwrap_err();
+        assert!(named(&err), "eager: {err:?}");
+    }
+}
+
 /// Row tag 1 is retired: a chunk stored with it fails the restore typed,
 /// naming the tag — eagerly, and lazily with the chunk cold at restore
 /// time, not at a later fault-in.
 #[test]
 fn a_chunk_with_the_retired_row_tag_1_fails_the_restore() {
     let chain = OneHotRow::write(&[None], QuantScheme::Asymmetric { bits: 4 });
-    let (_, clean) = chain.lazy_restore().unwrap();
-    assert!(!clean.lazy.unwrap().is_materialized(0, 95), "rows 64..96 are held back");
+    chain.replace_cold_chunk(with_f32_params);
+    chain.assert_both_restores_fail("unknown row tag 1");
+}
 
-    let store = &chain.store;
-    let mut manifest = load_manifest(store, "job", chain.target).unwrap();
-    let cold = manifest
-        .chunks
-        .iter_mut()
-        .find(|c| c.table == 0 && c.first_row == 64)
-        .expect("the chunk of rows 64..96");
-    let chunk = ChunkPayload::decode(&store.get(&cold.key).unwrap()).unwrap();
-    let retired = with_f32_params(&chunk);
-    cold.bytes = retired.len() as u64;
-    store.put(&cold.key, retired.into()).unwrap();
-    store
-        .put(&Manifest::key("job", chain.target), manifest.encode_enveloped().into())
-        .unwrap();
+/// A chunk exactly as the v6 writer stored it — rows 64 and 65 of table 0,
+/// fp32 with accumulators, each row index a delta varint of its own —
+/// behind its own envelope, version 6, with an XXH64 valid for it.
+const V6_CHUNK: &[u8] = b"CNR6\x06\x00\x00\x00\x3a\x00\x00\x00\xe8\xb1\xb3\xb3\x9f\xc8\xb3\xae\
+    \x36\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01\x00\x20\x04\x00\x80\x01\x02\x00\x00\x00\x3f\
+    \x00\x00\x80\x3e\x00\x00\x80\x3f\x00\x00\x00\xc0\x00\x00\x00\x3f\x00\x00\x00\x00\x00\x00\
+    \x80\x3e\x00\x00\x40\x40\x00\x00\xc0\xbf\x00\x00\x00\x41";
 
-    let names_tag_1 =
-        |err: &CnrError| matches!(err, CnrError::Corrupt(why) if why.contains("unknown row tag 1"));
-    let err = chain.lazy_restore().map(|_| ()).unwrap_err();
-    assert!(names_tag_1(&err), "lazy: {err:?}");
-    let options = RestoreOptions::default();
-    let eager = restore_sharded(store, "job", chain.target, &chain.cfg, &options, Duration::ZERO);
-    let err = eager.map(|_| ()).unwrap_err();
-    assert!(names_tag_1(&err), "eager: {err:?}");
+/// Since wire v7 a chunk's row indices are runs, and no v7 reader decodes
+/// a v6 chunk: a store holding one fails the restore by version, before
+/// any payload codec sees it — eagerly, and lazily with the chunk cold at
+/// restore time.
+#[test]
+fn a_chunk_the_v6_writer_stored_fails_the_restore_by_version() {
+    assert_eq!(V6_CHUNK.len(), 78);
+    let chain = OneHotRow::write(&[None], QuantScheme::Fp32);
+    chain.replace_cold_chunk(|_| V6_CHUNK.to_vec());
+    chain.assert_both_restores_fail("unsupported envelope version 6 ");
 }
