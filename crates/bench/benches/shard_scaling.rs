@@ -7,7 +7,11 @@
 //!   sharded pipeline; and
 //! * **simulated durability time** (printed once per host count) — the
 //!   §4.3 write latency, which drops near-linearly with hosts because each
-//!   host streams its shard over its own uplink.
+//!   host streams its shard over its own uplink and the dense object's
+//!   parts are dealt over all of them. Wherever the bench runs (CI's smoke
+//!   step included) it asserts that `n` hosts are durable within 1.3× of
+//!   the one-host time ÷ `n`: the write-side mirror of `restore_scaling`'s
+//!   guard.
 
 use cnr_cluster::SimClock;
 use cnr_core::config::CheckpointConfig;
@@ -71,14 +75,26 @@ fn shard_scaling(c: &mut Criterion) {
     let snap = snapshot();
     let mut group = c.benchmark_group("shard_write");
     group.sample_size(10);
+    let mut durable = Vec::new();
     for hosts in [1usize, 2, 4, 8] {
-        let durable = write_once(&snap, hosts);
-        println!("# shard_write/{hosts}: simulated durability {durable:?}");
+        let t = write_once(&snap, hosts);
+        println!("# shard_write/{hosts}: simulated durability {t:?}");
+        durable.push((hosts, t));
         group.bench_with_input(BenchmarkId::from_parameter(hosts), &hosts, |b, &hosts| {
             b.iter(|| write_once(&snap, hosts));
         });
     }
     group.finish();
+    let one = durable[0].1.as_secs_f64();
+    for &(hosts, t) in &durable[1..] {
+        let ideal = one / hosts as f64;
+        assert!(
+            t.as_secs_f64() <= 1.3 * ideal,
+            "{hosts} writer hosts must be durable within 1.3x of 1/{hosts} the \
+             one-host time ({:.2}x): {durable:?}",
+            t.as_secs_f64() / ideal
+        );
+    }
 }
 
 criterion_group! {

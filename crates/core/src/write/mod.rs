@@ -6,10 +6,14 @@
 //!
 //! ```text
 //! chunker ──▶ shard writers (one per simulated host) ──▶ upload scheduler
-//!   split         quantize + encode each chunk             multipart puts
-//!   rows into     of the host's row-range                  on the host's
-//!   per-host                                               uplink, floored
-//!   chunks                                                 at the last drain
+//!   split         quantize + encode each chunk             multipart puts:
+//!   rows into     of the host's row-range                  a chunk's parts on
+//!   per-host                                               its host's uplink,
+//!   chunks                                                 the dense object's
+//!                                                          dealt over every
+//!                                                          live uplink; all
+//!                                                          floored at the
+//!                                                          last drain
 //! ```
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
@@ -21,8 +25,10 @@
 //!   aborts its in-flight multipart transfer and hands its unfinished
 //!   chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
-//!   owning host's uplink and keeps the running durability point the
-//!   engine reads (§4.3 non-overlap without blocking). Its upload *floor*
+//!   owning host's uplink, deals the dense object's parts over the live
+//!   hosts' uplinks (each part to the one that frees first), and keeps
+//!   the running durability point the engine reads (§4.3 non-overlap
+//!   without blocking). Its upload *floor*
 //!   is how overlapped checkpoints stay legal: a write
 //!   issued while the previous drain is still in flight
 //!   ([`CheckpointWriter::write_overlapping`]) quantizes immediately but
@@ -31,9 +37,11 @@
 //! The coordinator here ([`CheckpointWriter`]) plans the shards, fans them
 //! out over `quantize_workers` threads and re-shards the work of any host
 //! that died onto the survivors (both through `crate::hosts`, which the
-//! read path shares), then puts the checkpoint's dense object (its MLPs)
-//! and, last, the manifest, once every chunk is accounted for — the §4.4
-//! validity rule: a checkpoint exists only when all of it is durable.
+//! read path shares). Once every chunk is accounted for it uploads the
+//! checkpoint's dense object (its MLPs, which every trainer holds) through
+//! the scheduler, dealt over the hosts that survived, and, last, puts the
+//! manifest — the §4.4 validity rule: a checkpoint exists only when all of
+//! it is durable.
 
 pub mod chunker;
 pub mod scheduler;
@@ -228,7 +236,7 @@ impl<'a> CheckpointWriter<'a> {
             s.parts += c.parts;
         }
 
-        // --- Dense object, then the manifest, last. ----------------------
+        // --- The dense object over the live uplinks; the manifest last. --
         let layers = DenseLayers {
             id,
             iteration: snapshot.model.iteration,
@@ -242,7 +250,12 @@ impl<'a> CheckpointWriter<'a> {
             bottom_params: layers.bottom.len() as u32,
             top_params: layers.top.len() as u32,
         };
-        let dense_receipt = self.store.put(&dense.key, Bytes::from(dense_object))?;
+        // Every host holds the MLPs, so the dense object's parts ride
+        // every live host's uplink, each where one frees first.
+        let live: Vec<u16> = (0..hosts as u16)
+            .filter(|h| !killed_hosts.contains(h))
+            .collect();
+        scheduler.upload_dealt(&live, &dense.key, Bytes::from(dense_object))?;
         let manifest = Manifest {
             id,
             kind: snapshot.kind,
@@ -260,14 +273,9 @@ impl<'a> CheckpointWriter<'a> {
         let manifest_bytes = manifest.encode_enveloped();
         let manifest_len = manifest_bytes.len() as u64;
         let receipt = self.store.put(&manifest_key, Bytes::from(manifest_bytes))?;
-        // A checkpoint is never durable before the drain it queued behind
-        // (covers the no-chunk edge case where only the dense object and
-        // the manifest upload).
-        let completed_at = receipt
-            .completed_at
-            .max(dense_receipt.completed_at)
-            .max(scheduler.durable_at())
-            .max(uploads_after);
+        // The scheduler's durability point covers every chunk and the dense
+        // object, and is never before the drain it queued behind.
+        let completed_at = receipt.completed_at.max(scheduler.durable_at());
 
         Ok(CheckpointRecord {
             stored_bytes: payload_bytes + manifest.dense.bytes + manifest_len,
@@ -660,6 +668,56 @@ mod tests {
         // ...and the checkpoint restores bit-exactly.
         let report = restore::restore(&store, "job", CheckpointId(0), &model_cfg).unwrap();
         assert_eq!(report.state, snap.model);
+    }
+
+    #[test]
+    fn a_dead_host_carries_no_dense_part() {
+        // Host 1 dies after its first chunk: its uplink then idles while
+        // the survivors carry its leftovers, so it frees first of all, and
+        // still no part of the dense object may ride it.
+        let (model_cfg, snap) = snapshot_after_dim(3, CheckpointKind::Full, 8);
+        let store = super::scheduler::tests::PartLog::new(SimulatedRemoteStore::new(
+            RemoteConfig {
+                bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                base_latency: Duration::from_micros(100),
+                replication: 1,
+                channels: 4,
+            },
+            SimClock::new(),
+        ));
+        let cfg = CheckpointConfig {
+            chunk_rows: 64,
+            writer_hosts: 4,
+            ..Default::default()
+        };
+        let kill = HostKill {
+            host: 1,
+            after_chunks: 1,
+        };
+        let rec = CheckpointWriter::new(&store, "job")
+            .write_overlapping(
+                &snap,
+                CheckpointId(0),
+                None,
+                QuantScheme::Fp32,
+                &cfg,
+                Some(kill),
+                Duration::ZERO,
+            )
+            .unwrap();
+        assert_eq!(rec.killed_hosts, vec![1]);
+        let dense = store.parts_of(&rec.manifest.dense.key);
+        let channels: Vec<u32> = dense.iter().map(|(channel, _)| *channel).collect();
+        assert!(
+            dense.len() >= 3,
+            "one part per live host at least: {channels:?}"
+        );
+        assert!(
+            !channels.contains(&1),
+            "a dense part rode the dead host: {channels:?}"
+        );
+        let report = restore::restore(&store, "job", CheckpointId(0), &model_cfg).unwrap();
+        assert_eq!(report.state, snap.model, "restores bit-identically");
     }
 
     #[test]

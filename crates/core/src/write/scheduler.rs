@@ -1,5 +1,6 @@
-//! The upload scheduler: every chunk goes up as a multipart object over its
-//! writer host's uplink, and no part starts before the §4.3 floor.
+//! The upload scheduler: a checkpoint's chunks and its dense object go up
+//! as multipart objects over the writer hosts' uplinks, and no part starts
+//! before the §4.3 floor.
 //!
 //! A host's parts transfer one after another on its own uplink (channel),
 //! so the store already queues them. What the scheduler adds is the paper's
@@ -9,6 +10,19 @@
 //! passed to every part as its earliest start, and its running
 //! [`UploadScheduler::durable_at`] is what the engine reads (instead of
 //! blocking) to decide when this checkpoint is durable.
+//!
+//! There is one multipart loop, and it places parts by dealing: an object
+//! goes up in near-equal parts of at most `part_bytes`, at least one per
+//! host it is dealt over, and each part rides the uplink of the one of
+//! those hosts that frees first (the lowest index on a tie). The scheduler
+//! knows when an uplink frees because it sees every part's receipt. A
+//! chunk is held only by the host that encoded it, so it is dealt over
+//! that host alone and every part rides its uplink
+//! ([`UploadScheduler::upload`]). The dense layers are replicated on every
+//! trainer (data parallelism), so any live host can send any slice of them
+//! (`UploadScheduler::upload_dealt`): their object does not queue on one
+//! channel behind every chunk. However its parts were placed, the object
+//! is assembled byte for byte as sent.
 
 use crate::error::{CnrError, Result};
 use bytes::Bytes;
@@ -17,16 +31,31 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// The simulated instants an upload scheduler keeps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Floored {
     /// No part starts before this instant.
     floor: Duration,
     /// Everything submitted so far is durable at this instant (never
     /// earlier than the floor).
     durable_at: Duration,
+    /// When each host's uplink frees: the latest receipt of a part it
+    /// carried (zero before its first).
+    uplink_free: Vec<Duration>,
 }
 
-/// Schedules chunk uploads for one checkpoint write across all hosts.
+impl Floored {
+    /// The host of `hosts` whose uplink frees first for this checkpoint
+    /// (never before the floor), the lowest index on a tie.
+    fn earliest_free(&self, hosts: &[u16]) -> u16 {
+        hosts
+            .iter()
+            .copied()
+            .min_by_key(|&h| (self.uplink_free[h as usize].max(self.floor), h))
+            .expect("an object is dealt over at least one host")
+    }
+}
+
+/// Schedules the uploads of one checkpoint write across all hosts.
 pub struct UploadScheduler<'a> {
     store: &'a dyn ObjectStore,
     hosts: usize,
@@ -46,6 +75,7 @@ impl<'a> UploadScheduler<'a> {
             times: Mutex::new(Floored {
                 floor: Duration::ZERO,
                 durable_at: Duration::ZERO,
+                uplink_free: vec![Duration::ZERO; hosts],
             }),
         }
     }
@@ -61,29 +91,51 @@ impl<'a> UploadScheduler<'a> {
         t.durable_at = t.durable_at.max(completed_at);
     }
 
+    /// Notes a part's receipt: its host's uplink is busy until it lands.
+    fn note_part(&self, host: u16, completed_at: Duration) {
+        let mut t = self.times();
+        let free = &mut t.uplink_free[host as usize];
+        *free = (*free).max(completed_at);
+        t.durable_at = t.durable_at.max(completed_at);
+    }
+
     /// Uploads `data` under `key` over host `host`'s uplink as a multipart
-    /// object of `part_bytes` parts, none starting before the floor.
-    /// Returns the assembled object's receipt and the part count. On any
-    /// storage error the upload is aborted (no partial object, no staged
-    /// parts left behind).
+    /// object of near-equal parts of at most `part_bytes`, none starting
+    /// before the floor. Returns the assembled object's receipt and the
+    /// part count. On any storage error the upload is aborted (no partial
+    /// object, no staged parts left behind).
     pub fn upload(&self, host: u16, key: &str, data: Bytes) -> Result<(PutReceipt, u32)> {
+        self.upload_dealt(&[host], key, data)
+    }
+
+    /// [`UploadScheduler::upload`] for an object every host in `hosts`
+    /// holds: it goes up in `max(hosts.len(), ⌈len / part_bytes⌉)`
+    /// near-equal parts, each over the uplink of the host in `hosts` that
+    /// frees first, the lowest index on a tie. `hosts` names the live
+    /// writer hosts: a dead host's idle uplink carries no part.
+    pub(crate) fn upload_dealt(
+        &self,
+        hosts: &[u16],
+        key: &str,
+        data: Bytes,
+    ) -> Result<(PutReceipt, u32)> {
         assert!(
-            (host as usize) < self.hosts,
-            "writer host {host} of {}",
+            !hosts.is_empty() && hosts.iter().all(|&h| (h as usize) < self.hosts),
+            "writer hosts {hosts:?} of {}",
             self.hosts
         );
-        let up = self
-            .store
-            .begin_multipart(key)
-            .map_err(CnrError::from)?
-            .on_channel(host as u32);
-        let nparts = data.len().div_ceil(self.part_bytes).max(1) as u32;
+        let mut up = self.store.begin_multipart(key).map_err(CnrError::from)?;
+        let len = data.len();
+        let nparts = len.div_ceil(self.part_bytes).max(hosts.len());
         for p in 0..nparts {
-            let lo = p as usize * self.part_bytes;
-            let hi = (lo + self.part_bytes).min(data.len());
-            let not_before = self.times().floor;
-            match self.store.put_part(&up, p, data.slice(lo..hi), not_before) {
-                Ok(receipt) => self.note_durable(receipt.completed_at),
+            let (host, not_before) = {
+                let t = self.times();
+                (t.earliest_free(hosts), t.floor)
+            };
+            up.channel = host as u32;
+            let part = data.slice(p * len / nparts..(p + 1) * len / nparts);
+            match self.store.put_part(&up, p as u32, part, not_before) {
+                Ok(receipt) => self.note_part(host, receipt.completed_at),
                 Err(e) => {
                     let _ = self.store.abort_multipart(&up);
                     return Err(e.into());
@@ -93,7 +145,7 @@ impl<'a> UploadScheduler<'a> {
         match self.store.complete_multipart(&up) {
             Ok(receipt) => {
                 self.note_durable(receipt.completed_at);
-                Ok((receipt, nparts))
+                Ok((receipt, nparts as u32))
             }
             Err(e) => {
                 let _ = self.store.abort_multipart(&up);
@@ -130,10 +182,80 @@ impl<'a> UploadScheduler<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cnr_cluster::SimClock;
-    use cnr_storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
+    use cnr_storage::multipart::{MultipartUpload, PartReceipt};
+    use cnr_storage::{InMemoryStore, ObjectMeta, RemoteConfig, SimulatedRemoteStore};
+
+    /// A store that logs every part it is sent — the key, the channel it
+    /// rode and its receipt — and forwards every call to `inner`.
+    pub(crate) struct PartLog<S> {
+        pub(crate) inner: S,
+        parts: Mutex<Vec<(String, u32, PartReceipt)>>,
+    }
+
+    impl<S: ObjectStore> PartLog<S> {
+        pub(crate) fn new(inner: S) -> Self {
+            Self {
+                inner,
+                parts: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// The channel and receipt of every part sent under `key`, in the
+        /// order they were sent.
+        pub(crate) fn parts_of(&self, key: &str) -> Vec<(u32, PartReceipt)> {
+            let parts = self.parts.lock().unwrap();
+            parts
+                .iter()
+                .filter(|(k, ..)| k == key)
+                .map(|(_, channel, receipt)| (*channel, receipt.clone()))
+                .collect()
+        }
+    }
+
+    impl<S: ObjectStore> ObjectStore for PartLog<S> {
+        fn put(&self, key: &str, data: Bytes) -> cnr_storage::Result<PutReceipt> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> cnr_storage::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn head(&self, key: &str) -> cnr_storage::Result<ObjectMeta> {
+            self.inner.head(key)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn begin_multipart(&self, key: &str) -> cnr_storage::Result<MultipartUpload> {
+            self.inner.begin_multipart(key)
+        }
+        fn put_part(
+            &self,
+            up: &MultipartUpload,
+            part: u32,
+            data: Bytes,
+            not_before: Duration,
+        ) -> cnr_storage::Result<PartReceipt> {
+            let receipt = self.inner.put_part(up, part, data, not_before)?;
+            let entry = (up.key.clone(), up.channel, receipt.clone());
+            self.parts.lock().unwrap().push(entry);
+            Ok(receipt)
+        }
+        fn complete_multipart(&self, up: &MultipartUpload) -> cnr_storage::Result<PutReceipt> {
+            self.inner.complete_multipart(up)
+        }
+        fn abort_multipart(&self, up: &MultipartUpload) -> cnr_storage::Result<()> {
+            self.inner.abort_multipart(up)
+        }
+    }
 
     fn remote(bw_mbps: f64, channels: u32) -> SimulatedRemoteStore {
         SimulatedRemoteStore::new(
@@ -221,5 +343,95 @@ mod tests {
         // No partial object and no staged parts remain.
         assert!(store.get("obj").is_err());
         assert_eq!(store.list("obj").unwrap(), Vec::<String>::new());
+    }
+
+    fn channels(parts: &[(u32, PartReceipt)]) -> Vec<u32> {
+        parts.iter().map(|(channel, _)| *channel).collect()
+    }
+
+    #[test]
+    fn dealt_parts_ride_the_earliest_free_live_host_ties_to_the_lowest() {
+        // Host 0's uplink is busy until 2 s, hosts 1 and 2 until 1 s, host
+        // 3 is idle but not among the live hosts.
+        let store = PartLog::new(remote(1.0, 4));
+        let sched = UploadScheduler::new(&store, 4, 1024 * 1024);
+        sched.upload(0, "a", mb(2)).unwrap();
+        sched.upload(1, "b", mb(1)).unwrap();
+        sched.upload(2, "c", mb(1)).unwrap();
+        let payload = Bytes::from((0..4 * 1024 * 1024).map(|i| i as u8).collect::<Vec<_>>());
+        let (receipt, parts) = sched
+            .upload_dealt(&[2, 1, 0], "dense", payload.clone())
+            .unwrap();
+        // Four 1 MiB parts: hosts 1 and 2 tie at 1 s (1 first), then all
+        // three tie at 2 s (0 first), then hosts 1 and 2 tie at 2 s.
+        assert_eq!(parts, 4);
+        let sent = store.parts_of("dense");
+        assert_eq!(channels(&sent), [1, 2, 0, 1]);
+        for ((_, r), start) in sent.iter().zip([1.0, 1.0, 2.0, 2.0]) {
+            let started = (r.completed_at - r.transfer_time).as_secs_f64();
+            assert!((started - start).abs() < 1e-6, "{r:?} starts at {start} s");
+        }
+        assert!((receipt.completed_at.as_secs_f64() - 3.0).abs() < 1e-6);
+        assert_eq!(store.get("dense").unwrap(), payload, "assembled as sent");
+    }
+
+    #[test]
+    fn no_dealt_part_starts_before_the_floor_even_on_an_idle_host() {
+        // Host 1 carries a chunk before the floor is raised; host 0 carries
+        // nothing. Every dealt part still waits for the 5 s floor.
+        let store = PartLog::new(remote(1.0, 2));
+        let sched = UploadScheduler::new(&store, 2, 1024 * 1024);
+        sched.upload(1, "chunk", mb(1)).unwrap();
+        sched.set_floor(Duration::from_secs(5));
+        sched.upload_dealt(&[0, 1], "dense", mb(3)).unwrap();
+        let sent = store.parts_of("dense");
+        assert_eq!(channels(&sent), [0, 1, 0]);
+        for (_, r) in &sent {
+            assert!(
+                r.completed_at - r.transfer_time >= Duration::from_secs(5),
+                "a part started before the floor: {r:?}"
+            );
+        }
+        assert!((sched.durable_at().as_secs_f64() - 7.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn with_one_host_every_dealt_part_rides_host_0() {
+        let store = PartLog::new(remote(1.0, 1));
+        let sched = UploadScheduler::new(&store, 1, 1024);
+        let (_, parts) = sched
+            .upload_dealt(&[0], "dense", Bytes::from(vec![3u8; 2500]))
+            .unwrap();
+        assert_eq!(parts, 3);
+        assert_eq!(channels(&store.parts_of("dense")), [0, 0, 0]);
+    }
+
+    #[test]
+    fn an_object_larger_than_hosts_times_part_bytes_streams_in_bounded_parts() {
+        let store = PartLog::new(InMemoryStore::new());
+        let sched = UploadScheduler::new(&store, 2, 1024);
+        let payload = Bytes::from((0..5000).map(|i| (i * 7) as u8).collect::<Vec<_>>());
+        let (_, parts) = sched
+            .upload_dealt(&[0, 1], "dense", payload.clone())
+            .unwrap();
+        assert_eq!(parts, 5, "⌈5000 / 1024⌉ parts, more than the two hosts");
+        let sizes: Vec<u64> = store
+            .parts_of("dense")
+            .iter()
+            .map(|(_, r)| r.bytes)
+            .collect();
+        assert_eq!(sizes, [1000; 5], "near-equal parts of at most part_bytes");
+        assert_eq!(store.get("dense").unwrap(), payload);
+        // A small object still goes up in one part per host.
+        let (_, parts) = sched
+            .upload_dealt(&[0, 1], "small", Bytes::from(vec![1u8; 9]))
+            .unwrap();
+        assert_eq!(parts, 2);
+        let sizes: Vec<u64> = store
+            .parts_of("small")
+            .iter()
+            .map(|(_, r)| r.bytes)
+            .collect();
+        assert_eq!(sizes, [4, 5]);
     }
 }
