@@ -231,7 +231,7 @@ fn wal_tail_fixture() -> (ModelConfig, Arc<InMemoryStore>) {
         model.train_batch(&batch, |_, _| {});
         let record =
             DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), i + 1);
-        log.append(&record.encode()).expect("append");
+        record.append_to(&mut log).expect("append");
     }
     (model_cfg, store)
 }
@@ -276,7 +276,7 @@ fn lazy_restore(
 /// deferred to it.
 fn replay_deferring(store: &InMemoryStore, model: &mut DlrmModel, tail: &mut LazyRestore) {
     for record in &wal::replay(store, "bench").expect("log").records {
-        let Ok(delta) = DeltaRecord::decode(&record.payload) else {
+        let Ok(delta) = DeltaRecord::decode_logged(record) else {
             break;
         };
         if delta.base != CheckpointId(0) || delta.iteration <= model.iteration() {

@@ -75,7 +75,8 @@ fn envelope_seal_open(c: &mut Criterion) {
 /// batches of 128 — from model to stored segment, two ways: `fused`
 /// captures it straight into the segment the sync puts
 /// (`DeltaRecord::capture_into`); `capture_encode_append` builds the
-/// record, encodes it and appends the encoding. Both leave the same bytes
+/// record, encodes it and appends the encoding as body and MLP trailer
+/// (`DeltaRecord::append_to`). Both leave the same bytes
 /// in the store (asserted). Each iteration truncates the log again, so the
 /// store holds one segment at a time.
 fn wal_append_record(c: &mut Criterion) {
@@ -104,8 +105,8 @@ fn wal_append_record(c: &mut Criterion) {
     let (_, made_durable) =
         DeltaRecord::capture_into(&model, &batch, &scheme, base, 1, &mut fused).unwrap();
     let (oracle_store, mut oracle) = log();
-    let record = DeltaRecord::capture(&model, &batch, &scheme, base, 1).encode();
-    oracle.append(&record).unwrap();
+    let record = DeltaRecord::capture(&model, &batch, &scheme, base, 1);
+    record.append_to(&mut oracle).unwrap();
     let key = wal::segment_key("bench", 0);
     assert_eq!(
         fused_store.get(&key).unwrap(),
@@ -123,8 +124,8 @@ fn wal_append_record(c: &mut Criterion) {
     });
     group.bench_function("capture_encode_append", |b| {
         b.iter(|| {
-            let record = DeltaRecord::capture(&model, &batch, &scheme, base, 1).encode();
-            oracle.append(&record).unwrap();
+            let record = DeltaRecord::capture(&model, &batch, &scheme, base, 1);
+            record.append_to(&mut oracle).unwrap();
             oracle.truncate().unwrap()
         })
     });

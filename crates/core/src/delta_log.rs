@@ -5,33 +5,42 @@
 //! exactly the state one batch changed: the touched embedding rows (the
 //! same set `cnr_tracking`'s bitvec marks, quantized with the checkpoint's
 //! scheme, optimizer scalars included) plus the dense MLP parameters —
-//! which every batch updates and which are a rounding error next to the
-//! embeddings (§2.1). Restore replays records on top of the base
-//! checkpoint to reach the WAL tip.
+//! which every batch updates (§2.1). Restore replays records on top of the
+//! base checkpoint to reach the WAL tip.
 //!
 //! The codec is deliberately self-contained per record: a record decodes
 //! without any segment- or log-level context, so the WAL reader can hand
 //! over opaque frame payloads and crash-consistency stays entirely the
-//! frame layer's concern.
+//! frame layer's concern. The engine logs a record as two frames of one
+//! segment: the **body** ([`DeltaBody`]: base, iteration, reader cursor,
+//! scheme and the embedded chunk frames) and a **trailer** holding the two
+//! MLPs ([`DenseTrailer`]). Body payload ‖ trailer payload is exactly
+//! [`DeltaRecord::encode`]. Every record's MLPs are whole, but a restore
+//! needs only the last live record's, which on the lifecycle benchmark's
+//! model are some 40% of a record's bytes: it fetches each older segment
+//! as the prefix in front of its last trailer.
 //!
 //! This runs once per training iteration, so the write side is one pass
 //! from model to stored object: [`DeltaRecord::capture_into`] sizes the
-//! record first, then writes it straight into the frame of the log's next
-//! append ([`WalWriter::append_with`]) — the touched rows quantized in
-//! place through the chunk kernels, the MLPs copied slice by slice from
-//! their layers. [`DeltaRecord::capture`] and [`DeltaRecord::encode`]
-//! build and serialize the same record as a value: the decode-side type,
-//! and the reference `capture_into` must match byte for byte.
+//! record first, then writes body and trailer straight into the frames of
+//! the log's next append ([`WalWriter::append_with`]) — the touched rows
+//! quantized in place through the chunk kernels, the MLPs copied slice by
+//! slice from their layers. [`DeltaRecord::capture`] and
+//! [`DeltaRecord::encode`] build and serialize the same record as a value:
+//! the decode-side type, and the reference `capture_into` must match byte
+//! for byte; [`DeltaRecord::append_to`] logs such a value as the engine
+//! does.
 //!
 //! On the read side the log's tail is the restore chain's newest level.
-//! [`WalTail`] keeps the records that build on the restored checkpoint;
-//! each embedded chunk is a stored chunk's frame, opened the way a fetched
-//! chunk is ([`DeltaChunk`]), so the restore places it like one
-//! ([`crate::read::restore_sharded_into`]): record `i` ranks above every
-//! chunk of the chain, and each replayed row is de-quantized once, from
-//! the newest record naming it, and is final from then on. The dense
+//! [`WalTail`] keeps the bodies of the records that build on the restored
+//! checkpoint; each embedded chunk is a stored chunk's frame, opened the
+//! way a fetched chunk is ([`DeltaChunk`]), so the restore places it like
+//! one ([`crate::read::restore_sharded_into`]): record `i` ranks above
+//! every chunk of the chain, and each replayed row is de-quantized once,
+//! from the newest record naming it, and is final from then on. The dense
 //! layers and iteration come from the last record alone
-//! ([`WalTail::set_dense`]), as does the reader cursor.
+//! ([`WalTail::set_dense`]), as does the reader cursor: a record whose
+//! trailer cannot be had is not live, and the tail ends in front of it.
 
 use crate::error::{CnrError, Result};
 use crate::manifest::{
@@ -39,10 +48,10 @@ use crate::manifest::{
     OpenedChunk,
 };
 use crate::wire;
-use bytes::BufMut;
-use cnr_model::{DlrmModel, Mlp};
+use bytes::{BufMut, Bytes};
+use cnr_model::DlrmModel;
 use cnr_quant::QuantScheme;
-use cnr_storage::{PutReceipt, WalWriter};
+use cnr_storage::{PutReceipt, WalRecord, WalWriter};
 use cnr_workload::Batch;
 
 /// The rows one iteration touched in one table, quantized: the bare chunk
@@ -82,7 +91,8 @@ impl DeltaChunk {
     }
 }
 
-/// The state one training iteration changed, as stored in one WAL frame.
+/// The state one training iteration changed, as the engine logs it in one
+/// WAL record: body frame and MLP trailer frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRecord {
     /// The full checkpoint this delta chain builds on. Replay ignores
@@ -146,11 +156,12 @@ impl DeltaRecord {
     }
 
     /// Captures the record [`Self::capture`] would build for the batch
-    /// just applied to `model` straight into the frame of `wal`'s next
-    /// append, byte for byte as [`Self::encode`] writes it, and makes it
-    /// durable ([`WalWriter::append_with`]). Nothing is built on the way:
-    /// the record is sized from the touched row counts, the rows are
-    /// quantized into the frame and the MLPs copied there from their
+    /// just applied to `model` straight into the frames of `wal`'s next
+    /// append — body and MLP trailer, byte for byte as [`Self::encode`]
+    /// writes them one behind the other — and makes it durable
+    /// ([`WalWriter::append_with`]). Nothing is built on the way: the
+    /// record is sized from the touched row counts, the rows are quantized
+    /// into the body frame and the MLPs copied into the trailer from their
     /// layers. What this allocates besides the segment is one buffer of
     /// the batch's row ids, one of table offsets and one of the touched
     /// tables' chunk frames, however many rows it touched. Returns the
@@ -171,13 +182,14 @@ impl DeltaRecord {
             .map(|(t, rows)| touched_frame(model, scheme, t, rows))
             .collect();
         let chunks_len: usize = chunks.iter().map(|(chunk, _)| chunk.encoded_len()).sum();
-        let len = 3 * 8
-            + scheme_len(scheme)
-            + 2
-            + chunks_len
-            + mlp_len(model.bottom())
-            + mlp_len(model.top());
-        Ok(wal.append_with(len, |out| {
+        let len = 3 * 8 + scheme_len(scheme) + 2 + chunks_len;
+        let (bottom, top) = (model.bottom(), model.top());
+        let trailer = |out: &mut Vec<u8>| {
+            wire::put_f32_slices(out, bottom.param_count(), bottom.params());
+            wire::put_f32_slices(out, top.param_count(), top.params());
+        };
+        let trailer_len = trailer_len(bottom.param_count(), top.param_count());
+        let body = |out: &mut Vec<u8>| {
             out.put_u64_le(base.0);
             out.put_u64_le(model.iteration());
             out.put_u64_le(reader_next);
@@ -192,9 +204,23 @@ impl DeltaRecord {
                     }
                 });
             }
-            put_mlp(out, model.bottom());
-            put_mlp(out, model.top());
-        })?)
+        };
+        Ok(wal.append_with(len, body, Some((trailer_len, trailer)))?)
+    }
+
+    /// Logs this record as the engine does ([`Self::capture_into`]): one
+    /// append to `wal` of a body frame and an MLP trailer frame, whose
+    /// payloads are [`Self::encode`] cut in front of the MLPs.
+    pub fn append_to(&self, wal: &mut WalWriter) -> Result<(PutReceipt, u64)> {
+        let encoded = self.encode();
+        let mlps = trailer_len(self.bottom_mlp.len(), self.top_mlp.len());
+        let (body, trailer) = encoded.split_at(encoded.len() - mlps);
+        let write_trailer = |out: &mut Vec<u8>| out.extend_from_slice(trailer);
+        Ok(wal.append_with(
+            body.len(),
+            |out| out.extend_from_slice(body),
+            Some((trailer.len(), write_trailer)),
+        )?)
     }
 
     /// Applies this record on top of `model` (which must hold the state of
@@ -267,7 +293,8 @@ impl DeltaRecord {
         Ok((rows_applied, deferred))
     }
 
-    /// Serializes the record (the WAL frame payload) into one buffer.
+    /// Serializes the record into one buffer: the body frame's payload, then
+    /// the MLP trailer's.
     pub fn encode(&self) -> Vec<u8> {
         // Fixed fields, the widest scheme encoding, counts and prefixes.
         const FIXED_MAX: usize = 3 * 8 + 14 + 2 + 2 * 4;
@@ -295,10 +322,69 @@ impl DeltaRecord {
     /// error: the envelope already screens corruption, so a failure here
     /// means a logic bug or a hand-built frame, but it must still never
     /// panic. Each embedded chunk is opened as a stored chunk is (every row
-    /// body whole) and its frame kept, encoded, as one copy.
+    /// body whole) and its frame kept, encoded, as one copy. A record must
+    /// carry its MLPs: a body alone does not decode.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut slice = data;
-        let b = &mut slice;
+        let mut b = data;
+        let body = DeltaBody::parse(&mut b)?;
+        let dense = DenseTrailer::parse(&mut b)?;
+        ensure_consumed(b, "delta record")?;
+        Ok(Self::join(body, dense))
+    }
+
+    /// The record a log walk returned ([`cnr_storage::wal::walk_segments`]):
+    /// its body and trailer as [`Self::append_to`] logs it, or, when it has
+    /// no trailer, a whole record appended as one frame.
+    pub fn decode_logged(record: &WalRecord) -> Result<Self> {
+        match &record.trailer {
+            Some(trailer) => Ok(Self::join(
+                DeltaBody::decode(&record.payload)?,
+                DenseTrailer::decode(trailer)?,
+            )),
+            None => Self::decode(&record.payload),
+        }
+    }
+
+    /// The record of `body` and `dense`.
+    fn join(body: DeltaBody, dense: DenseTrailer) -> Self {
+        let DeltaBody { base, iteration, reader_next, scheme, chunks } = body;
+        let DenseTrailer { bottom_mlp, top_mlp } = dense;
+        Self { base, iteration, reader_next, scheme, chunks, bottom_mlp, top_mlp }
+    }
+
+    /// Distinct embedding rows this record carries.
+    pub fn touched_rows(&self) -> u64 {
+        self.chunks.iter().map(|c| c.row_indices().len() as u64).sum()
+    }
+}
+
+/// A delta record without its MLPs: the payload of the record's body
+/// frame, and all a restore reads of every live record but the last.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeltaBody {
+    /// The full checkpoint the record builds on ([`DeltaRecord::base`]).
+    pub base: CheckpointId,
+    /// Model iteration after the record's batch was applied.
+    pub iteration: u64,
+    /// Reader position after the record's batch.
+    pub reader_next: u64,
+    /// Quantization scheme the row payloads use.
+    pub scheme: QuantScheme,
+    /// Touched rows, one chunk per touched table (ascending table ids).
+    pub chunks: Vec<DeltaChunk>,
+}
+
+impl DeltaBody {
+    /// Parses a body frame's payload, which must hold nothing else.
+    pub fn decode(data: &[u8]) -> Result<Self> {
+        let mut b = data;
+        let body = Self::parse(&mut b)?;
+        ensure_consumed(b, "delta record body")?;
+        Ok(body)
+    }
+
+    /// Parses the body at the front of `b`, advancing past it.
+    fn parse(b: &mut &[u8]) -> Result<Self> {
         let base = CheckpointId(wire::get_u64(b)?);
         let iteration = wire::get_u64(b)?;
         let reader_next = wire::get_u64(b)?;
@@ -321,20 +407,49 @@ impl DeltaRecord {
                 frame: frame.to_vec(),
             });
         }
-        let bottom_mlp = wire::get_f32s(b)?;
-        let top_mlp = wire::get_f32s(b)?;
-        if !b.is_empty() {
-            return Err(CnrError::Corrupt(format!(
-                "{} trailing bytes after delta record",
-                b.len()
-            )));
-        }
-        Ok(Self { base, iteration, reader_next, scheme, chunks, bottom_mlp, top_mlp })
+        Ok(Self { base, iteration, reader_next, scheme, chunks })
+    }
+}
+
+/// A delta record's MLPs: the payload of the record's trailer frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseTrailer {
+    /// Bottom MLP parameters, flattened.
+    pub bottom_mlp: Vec<f32>,
+    /// Top MLP parameters, flattened.
+    pub top_mlp: Vec<f32>,
+}
+
+impl DenseTrailer {
+    /// Parses a trailer frame's payload, which must hold nothing else.
+    pub fn decode(data: &[u8]) -> Result<Self> {
+        let mut b = data;
+        let dense = Self::parse(&mut b)?;
+        ensure_consumed(b, "delta record trailer")?;
+        Ok(dense)
     }
 
-    /// Distinct embedding rows this record carries.
-    pub fn touched_rows(&self) -> u64 {
-        self.chunks.iter().map(|c| c.row_indices().len() as u64).sum()
+    /// Parses the MLPs at the front of `b`, advancing past them.
+    fn parse(b: &mut &[u8]) -> Result<Self> {
+        let bottom_mlp = wire::get_f32s(b)?;
+        let top_mlp = wire::get_f32s(b)?;
+        Ok(Self { bottom_mlp, top_mlp })
+    }
+}
+
+/// Bytes of the trailer payload — the MLP section of an encoded record —
+/// for MLPs of `bottom_params` and `top_params` parameters: a length
+/// prefix and the `f32`s of each.
+pub fn trailer_len(bottom_params: usize, top_params: usize) -> usize {
+    2 * 4 + 4 * (bottom_params + top_params)
+}
+
+/// Fails `Corrupt` when bytes are left behind `what`.
+fn ensure_consumed(rest: &[u8], what: &str) -> Result<()> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CnrError::Corrupt(format!("{} trailing bytes after {what}", rest.len())))
     }
 }
 
@@ -342,68 +457,82 @@ impl DeltaRecord {
 /// oldest first: the chain's newest level.
 #[derive(Debug, Clone)]
 pub struct WalTail {
-    records: Vec<DeltaRecord>,
+    records: Vec<DeltaBody>,
+    /// The last record's MLPs; `None` iff `records` is empty.
+    dense: Option<DenseTrailer>,
 }
 
 impl WalTail {
-    /// Picks the live records out of a log's frame payloads, in log order.
-    /// A record is live iff it builds on `base` (the restored checkpoint)
-    /// and its iteration is above the last live one's — `restored_iteration`
-    /// to begin with. A record of a stale base (a segment that survived a
-    /// truncation race or a failed truncate) and a duplicate or
-    /// out-of-order iteration are skipped; a checksum-clean but undecodable
-    /// record ends the tail, the clean-prefix contract a torn frame has.
+    /// Picks the live records out of a log's record bodies, in log order.
+    /// A record is live iff it builds on `base` (the restored checkpoint),
+    /// its iteration is above the last live one's — `restored_iteration`
+    /// to begin with — and, for the last of them, its MLPs can be had. A
+    /// record of a stale base (a segment that survived a truncation race
+    /// or a failed truncate) and a duplicate or out-of-order iteration are
+    /// skipped; a checksum-clean but undecodable body ends the tail, the
+    /// clean-prefix contract a torn frame has.
+    ///
+    /// `trailer_of(i)` returns the trailer payload of the record of body
+    /// `i`, or `None` when it has none to give. It is asked for the last
+    /// live record's, then, while the answer is `None` or does not decode,
+    /// the tail ends in front of that record and the next older live
+    /// record's is asked for — so no record's trailer is asked for twice,
+    /// nor any but the newest live ones'.
     pub fn live<'a>(
-        payloads: impl IntoIterator<Item = &'a [u8]>,
+        bodies: impl IntoIterator<Item = &'a [u8]>,
         base: CheckpointId,
         restored_iteration: u64,
+        mut trailer_of: impl FnMut(usize) -> Option<Bytes>,
     ) -> Self {
         let mut last = restored_iteration;
-        let mut records = Vec::new();
-        for payload in payloads {
-            let Ok(record) = DeltaRecord::decode(payload) else {
+        let mut live = Vec::new();
+        for (i, payload) in bodies.into_iter().enumerate() {
+            let Ok(body) = DeltaBody::decode(payload) else {
                 break;
             };
-            if record.base == base && record.iteration > last {
-                last = record.iteration;
-                records.push(record);
+            if body.base == base && body.iteration > last {
+                last = body.iteration;
+                live.push((i, body));
             }
         }
-        Self { records }
+        while let Some(&(i, _)) = live.last() {
+            if let Some(dense) = trailer_of(i).and_then(|t| DenseTrailer::decode(&t).ok()) {
+                let records = live.into_iter().map(|(_, body)| body).collect();
+                return Self { records, dense: Some(dense) };
+            }
+            live.pop();
+        }
+        Self { records: Vec::new(), dense: None }
     }
 
-    /// The live records, oldest first.
-    pub fn records(&self) -> &[DeltaRecord] {
+    /// The live records' bodies, oldest first.
+    pub fn records(&self) -> &[DeltaBody] {
         &self.records
     }
 
     /// Sets `model`'s dense layers and iteration from the last record —
     /// the tail's part that is no chain level: the restore placed the
-    /// records' rows ([`crate::read::restore_sharded_into`]). A record
-    /// whose MLPs are not `model`'s shape fails typed, and `model` is then
-    /// untouched. A no-op for an empty tail.
+    /// records' rows ([`crate::read::restore_sharded_into`]). MLPs that
+    /// are not `model`'s shape fail typed, and `model` is then untouched.
+    /// A no-op for an empty tail.
     pub fn set_dense(&self, model: &mut DlrmModel) -> Result<()> {
-        let Some(last) = self.records.last() else {
+        let (Some(last), Some(dense)) = (self.records.last(), &self.dense) else {
             return Ok(());
         };
         let (bottom, top) = model.mlps_mut();
         let shapes = (bottom.param_count(), top.param_count());
-        if let Some(record) = self
-            .records
-            .iter()
-            .find(|r| (r.bottom_mlp.len(), r.top_mlp.len()) != shapes)
-        {
+        if (dense.bottom_mlp.len(), dense.top_mlp.len()) != shapes {
             return Err(CnrError::Corrupt(format!(
                 "delta record {} carries MLPs of {} + {} parameters, the model has {} + {}",
-                record.iteration,
-                record.bottom_mlp.len(),
-                record.top_mlp.len(),
+                last.iteration,
+                dense.bottom_mlp.len(),
+                dense.top_mlp.len(),
                 shapes.0,
                 shapes.1
             )));
         }
-        bottom.unflatten(&last.bottom_mlp);
-        top.unflatten(&last.top_mlp);
+        bottom.unflatten(&dense.bottom_mlp);
+        top.unflatten(&dense.top_mlp);
         model.set_iteration(last.iteration);
         Ok(())
     }
@@ -473,16 +602,6 @@ fn touched_frame<'a>(
     (frame, stored)
 }
 
-/// Bytes [`put_mlp`] appends for `mlp`.
-fn mlp_len(mlp: &Mlp) -> usize {
-    4 + 4 * mlp.param_count()
-}
-
-/// Appends `mlp`'s parameters as [`wire::put_f32s`] writes its
-/// [`Mlp::flatten`], straight from the layers.
-fn put_mlp(out: &mut Vec<u8>, mlp: &Mlp) {
-    wire::put_f32_slices(out, mlp.param_count(), mlp.params());
-}
 
 #[cfg(test)]
 impl DeltaChunk {
@@ -612,9 +731,11 @@ mod tests {
     }
 
     /// What `capture_into` writes into its segment is, byte for byte,
-    /// `capture().encode()` — for every scheme at every width, with and
+    /// `capture().encode()` — body payload ‖ trailer payload, the trailer
+    /// exactly the MLPs — for every scheme at every width, with and
     /// without AdaGrad, over a batch that leaves a table untouched and
-    /// names a row twice — and it is durable: replay returns it.
+    /// names a row twice — and it is durable: replay returns it, as
+    /// `append_to` logs the captured value.
     #[test]
     fn capture_into_writes_the_encoded_record() {
         use cnr_model::OptimizerConfig;
@@ -657,7 +778,16 @@ mod tests {
                     assert_eq!(made_durable, stored.len() as u64);
                     let replayed = wal::replay(store.as_ref(), "job").unwrap();
                     assert_eq!(replayed.records.len(), 1);
-                    assert!(replayed.records[0].payload[..] == want[..], "{scheme} {optimizer:?}");
+                    let record = &replayed.records[0];
+                    let trailer = record.trailer.as_ref().expect("the MLPs ride in a trailer");
+                    let mlps = trailer_len(model.bottom().param_count(), model.top().param_count());
+                    assert_eq!(trailer.len(), mlps, "{scheme} {optimizer:?}");
+                    let joined = [&record.payload[..], &trailer[..]].concat();
+                    assert!(joined == want, "{scheme} {optimizer:?}");
+                    let by_value = Arc::new(InMemoryStore::new());
+                    let mut log = WalWriter::new(by_value.clone(), "job", WalConfig);
+                    DeltaRecord::decode(&want).unwrap().append_to(&mut log).unwrap();
+                    assert_eq!(by_value.get(&wal::segment_key("job", 0)).unwrap(), stored);
                 }
             }
         }
@@ -713,14 +843,32 @@ mod tests {
         assert_eq!(partial.state_hash(), eager.state_hash());
     }
 
+    /// `record` as the engine logs it: body payload and trailer payload.
+    fn split(record: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let record = DeltaRecord::decode(record).unwrap();
+        let encoded = record.encode();
+        let at = encoded.len() - trailer_len(record.bottom_mlp.len(), record.top_mlp.len());
+        (encoded[..at].to_vec(), encoded[at..].to_vec())
+    }
+
+    /// The live tail of `log`, whose records' trailers are all at hand.
+    fn live_tail(log: &[(Vec<u8>, Vec<u8>)], base: CheckpointId, restored: u64) -> WalTail {
+        let bodies = log.iter().map(|(body, _)| body.as_slice());
+        WalTail::live(bodies, base, restored, |i| Some(Bytes::from(log[i].1.clone())))
+    }
+
     /// The replay loop before the tail was a chain level: decode each
-    /// payload in log order, stop at the first undecodable one, skip a
+    /// record in log order, stop at the first undecodable one, skip a
     /// stale base or an iteration at or below the model's, apply the rest
     /// in order. Returns the records applied.
-    fn replay_in_order(payloads: &[Vec<u8>], base: CheckpointId, model: &mut DlrmModel) -> u64 {
+    fn replay_in_order(
+        log: &[(Vec<u8>, Vec<u8>)],
+        base: CheckpointId,
+        model: &mut DlrmModel,
+    ) -> u64 {
         let mut applied = 0;
-        for payload in payloads {
-            let Ok(record) = DeltaRecord::decode(payload) else {
+        for (body, trailer) in log {
+            let Ok(record) = DeltaRecord::decode(&[&body[..], trailer].concat()) else {
                 break;
             };
             if record.base != base || record.iteration <= model.iteration() {
@@ -760,22 +908,22 @@ mod tests {
             record.encode()
         };
         // Iterations 2..=8 were logged; the model was restored at 1.
-        let log: Vec<Vec<u8>> = vec![
-            logged[0].clone(), // 2
-            stale,             // a stale base at 4
-            logged[1].clone(), // 3
-            logged[1].clone(), // 3 again
-            logged[0].clone(), // 2: out of order
-            logged[3].clone(), // 5
-            logged[5].clone(), // 7
-            logged[4].clone(), // 6: out of order, below 7
-            vec![1, 2, 3],     // undecodable: the tail ends here
-            logged[6].clone(), // 8: never replayed
+        let log: Vec<(Vec<u8>, Vec<u8>)> = vec![
+            split(&logged[0]),     // 2
+            split(&stale),         // a stale base at 4
+            split(&logged[1]),     // 3
+            split(&logged[1]),     // 3 again
+            split(&logged[0]),     // 2: out of order
+            split(&logged[3]),     // 5
+            split(&logged[5]),     // 7
+            split(&logged[4]),     // 6: out of order, below 7
+            (vec![1, 2, 3], vec![]), // undecodable: the tail ends here
+            split(&logged[6]),     // 8: never replayed
         ];
 
         let mut in_order = restored.clone();
         let applied = replay_in_order(&log, base, &mut in_order);
-        let tail = WalTail::live(log.iter().map(Vec::as_slice), base, restored.iteration());
+        let tail = live_tail(&log, base, restored.iteration());
         let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
         assert_eq!(iterations, vec![2, 3, 5, 7]);
         assert_eq!(applied, iterations.len() as u64);
@@ -786,6 +934,77 @@ mod tests {
         assert_eq!(dense.iteration(), 7);
         assert_eq!(dense.bottom().flatten(), in_order.bottom().flatten());
         assert_eq!(dense.top().flatten(), in_order.top().flatten());
+    }
+
+    /// The last live record's MLPs are the dense layers: a record whose
+    /// trailer cannot be had, or does not decode, is not live, and the
+    /// tail ends in front of it. Only the newest live records' trailers
+    /// are asked for, newest first, each once.
+    #[test]
+    fn a_tail_ends_in_front_of_a_record_without_its_trailer() {
+        let spec = DatasetSpec::tiny(29);
+        let dataset = cnr_workload::SyntheticDataset::new(spec.clone());
+        let base = CheckpointId(3);
+        let mut model = DlrmModel::new(ModelConfig::for_dataset(&spec, 4));
+        let mut log = Vec::new();
+        let mut states = Vec::new();
+        for i in 0..4u64 {
+            let batch = dataset.batch(i);
+            model.train_batch(&batch, |_, _| {});
+            let record = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, base, i + 1);
+            log.push(split(&record.encode()));
+            states.push(model.clone());
+        }
+        let mut asked = Vec::new();
+        let bodies = log.iter().map(|(body, _)| body.as_slice());
+        let tail = WalTail::live(bodies, base, 0, |i| {
+            asked.push(i);
+            match i {
+                3 => None,                           // not to be had
+                2 => Some(Bytes::from(vec![0; 3])), // does not decode
+                _ => Some(Bytes::from(log[i].1.clone())),
+            }
+        });
+        assert_eq!(asked, [3, 2, 1]);
+        let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
+        assert_eq!(iterations, [1, 2]);
+        let mut dense = DlrmModel::new(model.config().clone());
+        tail.set_dense(&mut dense).unwrap();
+        assert_eq!(dense.iteration(), 2);
+        assert_eq!(dense.bottom().flatten(), states[1].bottom().flatten());
+        assert_eq!(dense.top().flatten(), states[1].top().flatten());
+
+        let none = WalTail::live(log.iter().map(|(body, _)| body.as_slice()), base, 0, |_| None);
+        assert!(none.records().is_empty());
+        let untouched = dense.state_hash();
+        none.set_dense(&mut dense).unwrap();
+        assert_eq!(dense.state_hash(), untouched, "an empty tail sets nothing");
+    }
+
+    /// A body decodes alone and holds nothing but the body; a trailer
+    /// holds nothing but the MLPs; `decode_logged` joins the two, or
+    /// decodes a record appended whole.
+    #[test]
+    fn body_and_trailer_decode_apart_and_join() {
+        let (model, batch) = model_and_batch();
+        let rec = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(3), 1);
+        let (body, trailer) = split(&rec.encode());
+        let decoded = DeltaBody::decode(&body).unwrap();
+        assert_eq!((decoded.iteration, &decoded.chunks), (rec.iteration, &rec.chunks));
+        assert!(DeltaBody::decode(&rec.encode()).is_err(), "the MLPs are no part of a body");
+        let dense = DenseTrailer::decode(&trailer).unwrap();
+        assert_eq!((&dense.bottom_mlp, &dense.top_mlp), (&rec.bottom_mlp, &rec.top_mlp));
+        assert!(DenseTrailer::decode(&[&trailer[..], &[0]].concat()).is_err());
+        let logged = |payload: Vec<u8>, trailer: Option<Vec<u8>>| WalRecord {
+            seq: 0,
+            segment: 0,
+            payload: Bytes::from(payload),
+            trailer: trailer.map(Bytes::from),
+        };
+        let split_record = logged(body.clone(), Some(trailer));
+        assert_eq!(DeltaRecord::decode_logged(&split_record).unwrap(), rec);
+        assert_eq!(DeltaRecord::decode_logged(&logged(rec.encode(), None)).unwrap(), rec);
+        assert!(DeltaRecord::decode_logged(&logged(body, None)).is_err());
     }
 
     /// `chunk`'s frame as the retired row tag 1 stored it: each body's
@@ -846,16 +1065,18 @@ mod tests {
             matches!(&err, CnrError::Corrupt(why) if why.contains("unknown row tag 1")),
             "{err:?}"
         );
+        let at = retired.len() - trailer_len(logged[2].bottom_mlp.len(), logged[2].top_mlp.len());
         let log = [
-            logged[0].encode(),
-            logged[1].encode(),
-            retired,
-            logged[3].encode(),
+            split(&logged[0].encode()),
+            split(&logged[1].encode()),
+            (retired[..at].to_vec(), retired[at..].to_vec()),
+            split(&logged[3].encode()),
         ];
-        let tail = WalTail::live(log.iter().map(Vec::as_slice), base, 0);
+        let tail = live_tail(&log, base, 0);
         let iterations: Vec<u64> = tail.records().iter().map(|r| r.iteration).collect();
         assert_eq!(iterations, [1, 2]);
-        assert_eq!(tail.records(), &logged[..2]);
+        let chunks: Vec<_> = tail.records().iter().map(|r| &r.chunks).collect();
+        assert_eq!(chunks, [&logged[0].chunks, &logged[1].chunks]);
     }
 
     /// A record whose MLPs are not the model's shape fails the dense step
@@ -865,7 +1086,7 @@ mod tests {
         let (model, batch) = model_and_batch();
         let mut bad = DeltaRecord::capture(&model, &batch, &QuantScheme::Fp32, CheckpointId(0), 1);
         bad.top_mlp.pop();
-        let tail = WalTail::live([bad.encode().as_slice()], CheckpointId(0), 0);
+        let tail = live_tail(&[split(&bad.encode())], CheckpointId(0), 0);
         assert_eq!(tail.records().len(), 1);
         let mut target = DlrmModel::new(model.config().clone());
         let before = target.state_hash();

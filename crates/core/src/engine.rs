@@ -1221,7 +1221,7 @@ mod tests {
         let mut reference = DlrmModel::new(config);
         serial.state.restore(&mut reference);
         for record in wal::replay(e.store().as_ref(), "job").unwrap().records {
-            DeltaRecord::decode(&record.payload).unwrap().apply(&mut reference).unwrap();
+            DeltaRecord::decode_logged(&record).unwrap().apply(&mut reference).unwrap();
         }
         assert_eq!(reference.state_hash(), hash_at_tip, "the serial reference is the tip");
         // Dealt to the lighter host in turn, host 0's list opens with two
@@ -1639,14 +1639,23 @@ mod tests {
 
     #[test]
     fn wal_damage_matrix_always_recovers_the_clean_prefix() {
-        // For every segment: tear it inside its frame, or flip a byte in
-        // it. Restore must always succeed, recover exactly the records
-        // before the damage — none from the clean segments behind it — and
-        // report the rest as lost: typed clean-prefix recovery, never an
-        // error and never silent garbage.
+        // For every segment: tear it inside its body frame or inside its
+        // MLP trailer, or flip a byte in its body. Restore must always
+        // succeed, recover exactly the records before the damage — none
+        // from the clean segments behind it — and report the rest as lost:
+        // typed clean-prefix recovery, never an error and never silent
+        // garbage. A record torn inside its trailer is torn: an older
+        // segment is read short of its trailer, so the cut lands in the
+        // body read; the newest is read whole and ends without one.
         use cnr_storage::envelope;
+        #[derive(Debug, Clone, Copy)]
+        enum Damage {
+            TornMidHeader,
+            TornInTrailer,
+            FlippedBodyByte,
+        }
         for frame in 0..3usize {
-            for corrupt in [false, true] {
+            for damage in [Damage::TornMidHeader, Damage::TornInTrailer, Damage::FlippedBodyByte] {
                 let mut e =
                     builder().delta_wal(DeltaWalConfig).build().unwrap();
                 e.train_batches(8).unwrap(); // ckpt at 5 + records 6, 7, 8
@@ -1655,12 +1664,14 @@ mod tests {
                 let key = &segments[frame];
                 let buf = e.store().get(key).unwrap().to_vec();
                 assert_eq!(cnr_storage::wal::validate_segment(&buf), Ok(1));
-                let damaged = if corrupt {
-                    let mut b = buf.clone();
-                    b[envelope::HEADER_LEN + 4] ^= 0x01; // payload byte
-                    b
-                } else {
-                    buf[..5].to_vec() // torn mid-header
+                let damaged = match damage {
+                    Damage::TornMidHeader => buf[..5].to_vec(),
+                    Damage::TornInTrailer => buf[..buf.len() - 3].to_vec(),
+                    Damage::FlippedBodyByte => {
+                        let mut b = buf.clone();
+                        b[envelope::HEADER_LEN + 4] ^= 0x01;
+                        b
+                    }
                 };
                 e.store().put(key, bytes::Bytes::from(damaged)).unwrap();
                 e.simulate_failure_and_restore().unwrap();
@@ -1668,7 +1679,7 @@ mod tests {
                 assert_eq!(
                     e.trainer().model().iteration(),
                     expect,
-                    "frame={frame} corrupt={corrupt}"
+                    "frame={frame} damage={damage:?}"
                 );
                 let r = e.stats().resumes.last().unwrap();
                 assert_eq!(r.wal_replayed_iterations, frame as u64);

@@ -47,12 +47,15 @@
 //! * The write-ahead log, when the caller asks for it, is the chain's last
 //!   level. Its live segments are items of the plan, dealt before any
 //!   chunk to the lightest hosts and fetched at the head of their lists
-//!   through the same scheduler — the log adds no serial read phase. Its
-//!   live records ([`WalTail::live`]) embed stored chunks' frames, and the
-//!   serial tail places them through the same `merge::Destination::place`,
-//!   ranked above every chunk and newest first, before the zero step — so
-//!   each row the log holds is written once and is final, in an eager and
-//!   a lazy restore alike.
+//!   through the same scheduler — the log adds no serial read phase. A
+//!   record's MLPs ride in a trailer frame behind its body, and only the
+//!   last live record's are read: every segment but the newest is an item
+//!   of the prefix in front of its last trailer, sized from the newest
+//!   manifest's parameter counts. Its live records ([`WalTail::live`])
+//!   embed stored chunks' frames, and the serial tail places them through
+//!   the same `merge::Destination::place`, ranked above every chunk and
+//!   newest first, before the zero step — so each row the log holds is
+//!   written once and is final, in an eager and a lazy restore alike.
 //! * [`lazy`] is what a restore whose plan held chunks back hands back
 //!   instead of finishing: those chunks, kept as the verified frames the
 //!   fetch returned, and the stamps as they stood. The rows those chunks
@@ -92,10 +95,10 @@ pub(crate) use lazy::DrainFailure;
 pub use planner::{FetchItem, FetchKind, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
 
-use crate::delta_log::WalTail;
+use crate::delta_log::{self, WalTail};
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
-use crate::manifest::{CheckpointId, Manifest};
+use crate::manifest::{CheckpointId, DenseMeta, Manifest};
 use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
 use shard_reader::{DecodedChunk, Fetched, FetchedDense, FetchedSegment, ShardReader};
 use crate::stats::{RestoreMode, RestorePoint, ResumeStats};
@@ -103,7 +106,7 @@ use cnr_cluster::HostKill;
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
 use cnr_model::TableViewMut;
-use cnr_storage::{wal, ObjectStore, StorageError};
+use cnr_storage::{envelope, wal, ObjectStore, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -186,13 +189,15 @@ pub struct ReplayedLog {
     /// The live records, oldest first: the dense layers, iteration and
     /// reader cursor of the last one are the caller's to set.
     pub tail: WalTail,
-    /// Bytes of the log's segments fetched, every one the plan held —
-    /// also those behind a tear, which the walk never reached.
+    /// Bytes of the log fetched: what the plan read of every segment it
+    /// held — also those behind a tear, which the walk never reached — and
+    /// any trailer read after.
     pub bytes_read: u64,
     /// Embedding rows the records wrote: each row the log holds, once.
     pub rows_landed: u64,
-    /// Absolute simulated time at which the log's last segment arrived;
-    /// the plan's completion when it had none. First batch waits for it.
+    /// Absolute simulated time at which the log's last segment, or the
+    /// trailer read after them, arrived; the plan's completion when it had
+    /// none. First batch waits for it.
     pub arrived_at: Duration,
 }
 
@@ -310,14 +315,26 @@ pub fn restore_sharded_with_heat(
 /// dealt before any chunk to the lightest reader hosts, at the head of
 /// their lists, each one ranged read on its host's downlink — so the log's
 /// reads are part of [`ResumeStats::fetch`] and first batch waits for the
-/// last of them. Once everything is in, the segments are walked with the
-/// log's one parser ([`wal::walk_segments`]) and the records that build on
-/// `target` past its iteration are placed into `dest` as the chain's
-/// newest level, before the zero step: `dest` then holds the log's rows
-/// too, each final (a lazy restore never owes one), and
-/// [`ShardedRestore::wal`] returns the records, whose dense layers and
-/// reader cursor the caller sets ([`WalTail::set_dense`]). An empty log
-/// costs no read.
+/// last of them. Only the newest segment is read whole: every older one is
+/// read as the prefix in front of its last record's MLP trailer, whose
+/// length the newest manifest's parameter counts give. Once everything is
+/// in, the segments are walked with the log's one parser
+/// ([`wal::walk_segments`]) and the records that build on `target` past its
+/// iteration are placed into `dest` as the chain's newest level, before
+/// the zero step: `dest` then holds the log's rows too, each final (a lazy
+/// restore never owes one), and [`ShardedRestore::wal`] returns the
+/// records, whose dense layers and reader cursor the caller sets
+/// ([`WalTail::set_dense`]).
+///
+/// The dense layers are the last live record's trailer. A record of a
+/// segment read whole that ends in front of its trailer is torn there and
+/// not live. When the last live record's trailer was left unread — its
+/// segment was read short because the newest one is torn, holds only
+/// stale records, or vanished after the list — it is read with one more
+/// ranged read on the host that fetched the segment, floored at the log's
+/// arrival, and first batch waits for it; a trailer that does not verify
+/// ends the tail in front of its record, and the next older record's is
+/// read the same way. An empty log costs no read.
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_into(
     store: &dyn ObjectStore,
@@ -356,12 +373,15 @@ pub fn restore_sharded_into(
     // Fetches may not start before the plan that names them exists.
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
-    // The log's live segments are items of the plan, ahead of every chunk.
-    let log = if replay_wal {
+    // The log's live segments are items of the plan, ahead of every chunk:
+    // all of the newest, and of each older one the prefix in front of its
+    // last trailer.
+    let segment_sizes = if replay_wal {
         size_segments(store, job, &fetch_sched)?
     } else {
         Vec::new()
     };
+    let log = log_items(&segment_sizes, &newest.dense);
     let row_counts: Vec<usize> = newest.tables.iter().map(|t| t.rows as usize).collect();
     // An eager restore is the all-hot plan: no heat, every chunk placed.
     let (heat, hot_fraction) = if options.lazy {
@@ -418,8 +438,8 @@ pub fn restore_sharded_into(
     // --- Serial tail: what is left once every row is where it lives. ----
     // (Only hot chunks were placed; the cold ones become the LazyRestore,
     // and first batch is stamped at the last hot arrival — the log's
-    // segments and the dense object included — for an all-hot plan, the
-    // last arrival.)
+    // segments, a trailer read after them and the dense object included —
+    // for an all-hot plan, the last arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
     segments.sort_by_key(|s| s.index);
@@ -427,20 +447,30 @@ pub fn restore_sharded_into(
         .iter()
         .filter_map(|s| s.fetched.as_ref().map(|&(_, at)| at))
         .fold(plan_floor, Duration::max);
-    let first_batch_at = decoded
-        .iter()
-        .filter(|d| d.cold.is_none())
-        .map(|d| d.arrived_at)
-        .fold(log_arrived_at.max(dense.arrived_at), Duration::max);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
     let mut merge_time = merge_t0.elapsed();
     let log = if replay_wal {
-        Some(place_log(segments, log_arrived_at, &newest, decoded.len() as u32, &dest)?)
+        let sizes: Vec<u64> = segment_sizes.iter().map(|&(_, size)| size).collect();
+        let placed = LogPlacement {
+            newest: &newest,
+            chain_ranks: decoded.len() as u32,
+            dest: &dest,
+            fetch_sched: &fetch_sched,
+        };
+        Some(placed.place(segments, &sizes, log_arrived_at, &mut host_activity)?)
     } else {
         None
     };
+    let first_batch_at = decoded
+        .iter()
+        .filter(|d| d.cold.is_none())
+        .map(|d| d.arrived_at)
+        .fold(
+            log.as_ref().map_or(log_arrived_at, |log| log.arrived_at).max(dense.arrived_at),
+            Duration::max,
+        );
     let zero_t0 = Instant::now();
     // The rows a held-back chunk owes are left stale, not zeroed: a fault-in
     // or the drain writes each of them once.
@@ -551,49 +581,150 @@ fn size_segments(
     Ok(sized)
 }
 
-/// Walks the log's fetched `segments` (in list order, up to the first one
-/// that was gone; the last arrived at `arrived_at`) and places its live
-/// tail — the records that build on `newest` past its iteration — into
-/// `dest` as the chain's newest level: record `i` (oldest first) ranks
-/// `chain_ranks + 1 + i`, above every chunk, and the records are placed
-/// newest first, so each row the log holds is written once, from the
-/// newest record naming it, and no chunk lands over it afterwards. A torn
-/// segment ends the walk there, whatever was fetched behind it.
-fn place_log(
-    segments: Vec<FetchedSegment>,
-    arrived_at: Duration,
-    newest: &Manifest,
-    chain_ranks: u32,
-    dest: &merge::Destination<'_>,
-) -> Result<ReplayedLog> {
-    let bytes_read = segments
+/// The log's items of the fetch plan: the `sized` segments (oldest first,
+/// with their stored sizes), the newest read whole and each older one as
+/// the prefix in front of its last trailer — one frame holding MLPs of
+/// `dense`'s parameter counts. A segment too short to hold that trailer is
+/// read whole.
+fn log_items(sized: &[(String, u64)], dense: &DenseMeta) -> Vec<(String, u64)> {
+    let trailer = envelope::HEADER_LEN
+        + delta_log::trailer_len(dense.bottom_params as usize, dense.top_params as usize);
+    let newest = sized.len().saturating_sub(1);
+    sized
         .iter()
-        .filter_map(|s| s.fetched.as_ref())
-        .map(|(bytes, _)| bytes.len() as u64)
-        .sum();
-    let log = wal::walk_segments(
-        segments
-            .into_iter()
-            .map_while(|s| s.fetched.map(|(bytes, _)| (s.key, bytes))),
-    );
-    let tail = WalTail::live(
-        log.records.iter().map(|record| &record.payload[..]),
-        newest.id,
-        newest.iteration,
-    );
-    let mut rows_landed = 0;
-    for (i, record) in tail.records().iter().enumerate().rev() {
-        let key = format!("of WAL record {}", record.iteration);
-        for chunk in &record.chunks {
-            rows_landed += dest.place(chunk.opened(), chain_ranks + 1 + i as u32, &key)?;
+        .enumerate()
+        .map(|(i, (key, size))| {
+            let prefix = size.checked_sub(trailer as u64).filter(|&p| i < newest && p > 0);
+            (key.clone(), prefix.unwrap_or(*size))
+        })
+        .collect()
+}
+
+/// What placing the log needs of the restore around it.
+struct LogPlacement<'r, 'd> {
+    /// The chain's newest manifest: the records that build on it past its
+    /// iteration are live.
+    newest: &'r Manifest,
+    /// The chain's ranks: record `i` (oldest first) ranks above them all.
+    chain_ranks: u32,
+    dest: &'r merge::Destination<'d>,
+    /// Reads a trailer the plan left unread.
+    fetch_sched: &'r FetchScheduler<'r>,
+}
+
+impl LogPlacement<'_, '_> {
+    /// Walks the log's fetched `segments` (in list order, up to the first
+    /// one that was gone; stored `sizes` long; the last arrived at
+    /// `arrived_at`) and places its live tail — the records that build on
+    /// `newest` past its iteration and, for the last, have their MLPs —
+    /// into `dest` as the chain's newest level: record `i` (oldest first)
+    /// ranks `chain_ranks + 1 + i`, above every chunk, and the records are
+    /// placed newest first, so each row the log holds is written once,
+    /// from the newest record naming it, and no chunk lands over it
+    /// afterwards. A torn segment ends the walk there, whatever was
+    /// fetched behind it.
+    ///
+    /// The last live record's trailer is the one walked behind its body,
+    /// or, for the last record of a segment read short of its last trailer
+    /// and walked to that point, read now ([`Self::read_trailer`]); any
+    /// other record without one is torn inside it and not live.
+    fn place(
+        &self,
+        segments: Vec<FetchedSegment>,
+        sizes: &[u64],
+        arrived_at: Duration,
+        activity: &mut [HostActivity],
+    ) -> Result<ReplayedLog> {
+        let mut bytes_read = segments
+            .iter()
+            .filter_map(|s| s.fetched.as_ref())
+            .map(|(bytes, _)| bytes.len() as u64)
+            .sum();
+        let log = wal::walk_segments(segments.iter().map_while(|s| {
+            s.fetched.as_ref().map(|(bytes, _)| (s.key.clone(), bytes.clone()))
+        }));
+        let torn_in = match &log.tail {
+            wal::WalTail::Torn { segment, .. } => Some(segment.as_str()),
+            wal::WalTail::Clean => None,
+        };
+        let mut arrived_at = arrived_at;
+        let mut failed = None;
+        let records = &log.records;
+        let tail = WalTail::live(
+            records.iter().map(|record| &record.payload[..]),
+            self.newest.id,
+            self.newest.iteration,
+            |i| {
+                let record = &records[i];
+                if record.trailer.is_some() {
+                    return record.trailer.clone();
+                }
+                let segment = &segments[record.segment];
+                let (prefix, _) = segment.fetched.as_ref()?;
+                let (cut, size) = (prefix.len() as u64, sizes[segment.index as usize]);
+                let last_in_segment =
+                    records.get(i + 1).is_none_or(|next| next.segment != record.segment);
+                if cut == size || !last_in_segment || torn_in == Some(segment.key.as_str()) {
+                    return None;
+                }
+                match self.read_trailer(segment, cut, size - cut, arrived_at, activity) {
+                    Ok(Some((frame, at))) => {
+                        bytes_read += frame.len() as u64;
+                        arrived_at = arrived_at.max(at);
+                        wal::open_trailer(&frame).ok()
+                    }
+                    Ok(None) => None,
+                    Err(e) => {
+                        failed = Some(e);
+                        None
+                    }
+                }
+            },
+        );
+        if let Some(e) = failed {
+            return Err(e);
         }
+        let mut rows_landed = 0;
+        for (i, record) in tail.records().iter().enumerate().rev() {
+            let key = format!("of WAL record {}", record.iteration);
+            for chunk in &record.chunks {
+                let rank = self.chain_ranks + 1 + i as u32;
+                rows_landed += self.dest.place(chunk.opened(), rank, &key)?;
+            }
+        }
+        Ok(ReplayedLog {
+            tail,
+            bytes_read,
+            rows_landed,
+            arrived_at,
+        })
     }
-    Ok(ReplayedLog {
-        tail,
-        bytes_read,
-        rows_landed,
-        arrived_at,
-    })
+
+    /// Reads the `len`-byte trailer at `offset` of `segment` — the one the
+    /// plan left unread — with one ranged read on the downlink of the host
+    /// that fetched the segment, floored at `not_before`, and counts it to
+    /// that host. `None` when the segment is gone by now.
+    fn read_trailer(
+        &self,
+        segment: &FetchedSegment,
+        offset: u64,
+        len: u64,
+        not_before: Duration,
+        activity: &mut [HostActivity],
+    ) -> Result<Option<(bytes::Bytes, Duration)>> {
+        let read =
+            self.fetch_sched.fetch_range(segment.host, &segment.key, offset, len, not_before);
+        let (frame, at) = match read {
+            Ok(read) => read,
+            Err(CnrError::Storage(StorageError::NotFound(_))) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if let Some(a) = activity.iter_mut().find(|a| a.host == segment.host) {
+            a.bytes += frame.len() as u64;
+            a.last_arrival = a.last_arrival.max(at);
+        }
+        Ok(Some((frame, at)))
+    }
 }
 
 /// Folds one host's fetch-pass outcome into the per-host activity table
@@ -1007,11 +1138,16 @@ mod tests {
             .collect()
     }
 
-    /// Appends `payloads` to `job`'s log in `store`, one segment each.
+    /// Appends `payloads` to `job`'s log in `store`, one segment each: a
+    /// payload that decodes as a record as the engine logs it, body and
+    /// MLP trailer ([`DeltaRecord::append_to`]), any other as one frame.
     fn append_log(store: std::sync::Arc<dyn cnr_storage::ObjectStore>, payloads: &[Vec<u8>]) {
         let mut writer = cnr_storage::WalWriter::new(store, "job", cnr_storage::WalConfig);
         for payload in payloads {
-            writer.append(payload).unwrap();
+            match DeltaRecord::decode(payload) {
+                Ok(record) => record.append_to(&mut writer).unwrap(),
+                Err(_) => writer.append(payload).unwrap(),
+            };
         }
     }
 
@@ -1019,8 +1155,7 @@ mod tests {
         matches!(item.kind, FetchKind::LogSegment(_))
     }
 
-    /// `job`'s log segments in `store` with their sizes, oldest first: the
-    /// log's items of a fetch plan.
+    /// `job`'s log segments in `store` with their sizes, oldest first.
     fn sized_segments(store: &dyn cnr_storage::ObjectStore) -> Vec<(String, u64)> {
         let keys = cnr_storage::wal::list_segments(store, "job").unwrap();
         keys.into_iter()
@@ -1029,6 +1164,16 @@ mod tests {
                 (key, size)
             })
             .collect()
+    }
+
+    /// The log's items of a fetch plan of checkpoint `newest` from
+    /// `store`: every segment but the newest read short of its last
+    /// trailer.
+    fn planned_segments(
+        store: &dyn cnr_storage::ObjectStore,
+        newest: &Manifest,
+    ) -> Vec<(String, u64)> {
+        log_items(&sized_segments(store), &newest.dense)
     }
 
     /// Simulated fetch timing is a property of the plan and the store, not
@@ -1075,7 +1220,7 @@ mod tests {
                 };
                 let heat = (hot_fraction < 1.0).then_some(&heat);
                 let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
-                let segments = sized_segments(store.as_ref());
+                let segments = planned_segments(store.as_ref(), &chain[0]);
                 let first = &planner::plan_priority(&chain, &segments, hosts, heat, hot_fraction)[0][0];
                 let head = if with_log { FetchKind::LogSegment(0) } else { FetchKind::Dense };
                 assert_eq!(first.kind, head, "the log, else the dense object, heads the list");
@@ -1176,11 +1321,19 @@ mod tests {
         write_to_with_parts(store.as_ref(), &snap, 2, 4096);
         append_log(store.clone(), &log);
         let drained = store.wait_for_drain();
-        let segments = sized_segments(store.as_ref());
+        let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
+        let segments = planned_segments(store.as_ref(), &chain[0]);
         assert_eq!(segments.len(), k as usize);
+        // Every segment but the newest is read short of its trailer frame:
+        // the MLPs, behind an envelope header.
+        let params = tip.bottom().param_count() + tip.top().param_count();
+        let trailer = envelope::HEADER_LEN + 8 + 4 * params;
+        for ((key, size), (_, read)) in sized_segments(store.as_ref()).iter().zip(&segments) {
+            let newest = key == &segments[k as usize - 1].0;
+            assert_eq!(*read, if newest { *size } else { size - trailer as u64 }, "{key}");
+        }
 
         // The plan: segment i to the lightest host, in front of any chunk.
-        let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
         let plan = planner::plan_priority(&chain, &segments, 2, None, 1.0);
         let mut load = [0u64; 2];
         for (i, (key, bytes)) in segments.iter().enumerate() {
@@ -1465,7 +1618,7 @@ mod tests {
     /// Checkpoint 0 — `cfg` after 3 batches — in a store of its own, with
     /// the payloads `log` makes of the records of iterations 4..=9 (logged
     /// past it under `scheme`, in iteration order) written to the job's
-    /// log. Returns the store and the records.
+    /// log ([`append_log`]). Returns the store and the records.
     fn checkpoint_with_log(
         cfg: &ModelConfig,
         scheme: QuantScheme,
@@ -1482,10 +1635,7 @@ mod tests {
                 DeltaRecord::capture(&model, &batch, &scheme, CheckpointId(0), i + 1)
             })
             .collect();
-        let mut writer = cnr_storage::WalWriter::new(store.clone(), "job", cnr_storage::WalConfig);
-        for payload in log(&records) {
-            writer.append(&payload).unwrap();
-        }
+        append_log(store.clone(), &log(&records));
         (store, records)
     }
 
@@ -1740,7 +1890,7 @@ mod tests {
     /// sizes it for the plan, or (`at_head` false) at the read itself — a
     /// truncation racing the restore.
     struct Vanished<'a> {
-        inner: &'a InMemoryStore,
+        inner: &'a dyn cnr_storage::ObjectStore,
         key: String,
         at_head: bool,
     }
@@ -1775,6 +1925,163 @@ mod tests {
         }
         fn total_bytes(&self) -> u64 {
             self.inner.total_bytes()
+        }
+        fn get_part(
+            &self,
+            key: &str,
+            offset: u64,
+            len: u64,
+            channel: u32,
+            not_before: Duration,
+        ) -> cnr_storage::Result<(bytes::Bytes, cnr_storage::GetReceipt)> {
+            if key == self.key && !self.at_head {
+                return Err(self.gone(key));
+            }
+            self.inner.get_part(key, offset, len, channel, not_before)
+        }
+    }
+
+    /// When the last live record sits in a segment the plan read short of
+    /// its trailer — the newest segment is torn mid-body, holds only a
+    /// record of a stale base, or is gone after the list — that trailer is
+    /// read after the walk, on the downlink of the host that fetched the
+    /// segment, behind the host's list and no earlier than the log's
+    /// arrival; first batch waits for it; and the MLPs it lands are the
+    /// ones applying the live records in order leaves, eager and lazy. A
+    /// trailer so read that fails verification ends the tail in front of
+    /// its record, and the next older record's trailer is read the same
+    /// way, once the first has arrived.
+    #[test]
+    fn a_trailer_left_unread_is_read_after_the_walk() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
+        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let mut in_order = vec![tip.clone()];
+        let log = logged_past(&mut tip, 4); // iterations 4..=7
+        for payload in &log[..3] {
+            let mut next = in_order.last().unwrap().clone();
+            DeltaRecord::decode(payload).unwrap().apply(&mut next).unwrap();
+            in_order.push(next);
+        }
+        // Each case: what befalls the log, the records left live, and the
+        // segments whose trailers are read after the walk, in order.
+        let cases: [(&str, usize, &[usize]); 4] = [
+            ("torn mid-body", 3, &[2]),
+            ("stale base", 3, &[2]),
+            ("gone", 3, &[2]),
+            ("torn mid-body, third trailer flipped", 2, &[2, 1]),
+        ];
+        for (case, live, trailers_read) in cases {
+            let store = std::sync::Arc::new(SimulatedRemoteStore::new(
+                RemoteConfig {
+                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                    base_latency: Duration::from_micros(50),
+                    replication: 1,
+                    channels: 2,
+                },
+                SimClock::new(),
+            ));
+            write_to_with_parts(store.as_ref(), &snap, 2, 4096);
+            let mut payloads = log.clone();
+            if case == "stale base" {
+                let mut stale = DeltaRecord::decode(&payloads[3]).unwrap();
+                stale.base = CheckpointId(1);
+                payloads[3] = stale.encode();
+            }
+            append_log(store.clone(), &payloads);
+            let key = |i| cnr_storage::wal::segment_key("job", i);
+            let newest = key(3);
+            if case.starts_with("torn mid-body") {
+                let whole = store.get(&newest).unwrap();
+                store.put(&newest, whole.slice(..envelope::HEADER_LEN + 12)).unwrap();
+            }
+            if case.ends_with("trailer flipped") {
+                let mut third = store.get(&key(2)).unwrap().to_vec();
+                *third.last_mut().unwrap() ^= 0x01;
+                store.put(&key(2), third.into()).unwrap();
+            }
+            let vanished = Vanished { inner: store.as_ref(), key: newest.clone(), at_head: false };
+            let source: &dyn cnr_storage::ObjectStore =
+                if case == "gone" { &vanished } else { store.as_ref() };
+
+            let newest_manifest =
+                crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap();
+            let chain = [newest_manifest];
+            let segments = planned_segments(store.as_ref(), &chain[0]);
+            let trailer = sized_segments(store.as_ref())[2].1 - segments[2].1;
+            let plan = planner::plan_priority(&chain, &segments, 2, None, 1.0);
+            for lazy in [false, true] {
+                let what = format!("{case} lazy={lazy}");
+                let before_restore = store.wait_for_drain();
+                let mut model = DlrmModel::new(cfg.clone());
+                let sharded = restore_sharded_into(
+                    source,
+                    "job",
+                    CheckpointId(0),
+                    &cfg,
+                    &log_opts(2, lazy),
+                    before_restore,
+                    None,
+                    None,
+                    model.table_views_mut(),
+                    true,
+                )
+                .unwrap();
+                sharded.report.state.restore_dense(&mut model);
+                let replayed = sharded.wal.unwrap();
+                replayed.tail.set_dense(&mut model).unwrap();
+                let iterations: Vec<u64> =
+                    replayed.tail.records().iter().map(|r| r.iteration).collect();
+                assert_eq!(iterations, (4..4 + live as u64).collect::<Vec<_>>(), "{what}");
+                assert_eq!(model.state_hash(), in_order[live].state_hash(), "{what}");
+
+                // The channels' schedules, read by read, as the plan lays
+                // them out from its completion (the segment gone at its
+                // read takes no time), then the trailer reads, each on its
+                // segment's host, no earlier than the log's arrival.
+                let mut ends = Vec::new();
+                let mut log_arrived = sharded.plan_ready_at;
+                let mut host_of = std::collections::HashMap::new();
+                for (host, list) in plan.iter().enumerate() {
+                    let mut t = sharded.plan_ready_at;
+                    for item in list {
+                        if case == "gone" && item.key == newest {
+                            continue;
+                        }
+                        let part = item.bytes.div_ceil(item.parts as u64).max(1);
+                        let mut offset = 0;
+                        while offset < item.bytes {
+                            t += store.read_transfer_time(part.min(item.bytes - offset));
+                            offset += part;
+                        }
+                        if is_segment(item) {
+                            log_arrived = log_arrived.max(t);
+                            host_of.insert(item.key.clone(), host);
+                        }
+                    }
+                    ends.push(t);
+                }
+                let mut trailer_at = log_arrived;
+                for &segment in trailers_read {
+                    let host = host_of[&key(segment as u64)];
+                    trailer_at = ends[host].max(trailer_at) + store.read_transfer_time(trailer);
+                    ends[host] = trailer_at;
+                }
+                for &segment in trailers_read {
+                    let host = host_of[&key(segment as u64)];
+                    let activity = sharded.host_activity.iter().find(|a| a.host == host as u16);
+                    assert_eq!(activity.unwrap().last_arrival, ends[host], "{what}");
+                }
+                assert_eq!(replayed.arrived_at, trailer_at, "{what}");
+                assert!(sharded.first_batch_at >= trailer_at, "{what}: first batch waits for it");
+                assert_eq!(sharded.ready_at, ends.into_iter().max().unwrap(), "{what}");
+                let read: u64 = segments
+                    .iter()
+                    .filter(|(key, _)| case != "gone" || *key != newest)
+                    .map(|(_, bytes)| bytes)
+                    .sum();
+                let trailers = trailer * trailers_read.len() as u64;
+                assert_eq!(replayed.bytes_read, read + trailers, "{what}");
+            }
         }
     }
 
@@ -1837,6 +2144,8 @@ mod tests {
     /// A torn middle segment stops the log at the tear although every
     /// segment behind it was fetched too (and counted): the records in
     /// front of the tear land, none behind it — as `wal::replay` stops.
+    /// The last of them is the first segment's, read short of its trailer:
+    /// that trailer is read after the walk, and counted too.
     #[test]
     fn a_torn_middle_segment_stops_the_log_at_the_tear() {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
@@ -1844,13 +2153,20 @@ mod tests {
             records[..4].iter().map(DeltaRecord::encode).collect()
         });
         let segments = sized_segments(store.as_ref());
-        let log_bytes: u64 = segments.iter().map(|(_, bytes)| bytes).sum();
         let torn_key = &segments[1].0;
         let whole = store.get(torn_key).unwrap();
         store.put(torn_key, whole.slice(..whole.len() / 2)).unwrap();
-        let torn_bytes = log_bytes - (whole.len() - whole.len() / 2) as u64;
+        let manifest =
+            crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap();
+        let planned = planned_segments(store.as_ref(), &manifest);
+        let first_trailer = segments[0].1 - planned[0].1;
+        let torn_bytes = planned.iter().map(|(_, bytes)| bytes).sum::<u64>() + first_trailer;
+        // Replay, which reads each segment whole, stops at the tear too:
+        // the first record comes back with its trailer, any of the torn
+        // segment without.
         let replayed = cnr_storage::wal::replay(store.as_ref(), "job").unwrap();
-        assert_eq!(replayed.records.len(), 1);
+        assert!(replayed.records[0].trailer.is_some());
+        assert!(replayed.records[1..].iter().all(|r| r.segment == 1 && r.trailer.is_none()));
         assert!(matches!(
             replayed.tail,
             cnr_storage::WalTail::Torn { ref segment, .. } if segment == torn_key
@@ -1869,6 +2185,7 @@ mod tests {
             let iterations: Vec<u64> = log.tail.records().iter().map(|r| r.iteration).collect();
             assert_eq!(iterations, [4], "lazy={lazy}");
             assert_eq!(log.bytes_read, torn_bytes, "lazy={lazy}: every segment was fetched");
+            assert!(log.arrived_at <= restored.first_batch_at, "lazy={lazy}");
             assert_eq!(
                 restored.breakdown.bytes_fetched,
                 restored.report.bytes_read + torn_bytes,

@@ -9,8 +9,11 @@
 //! are in: no chunk fetch starts before the plan that names it exists.
 //! The checkpoint's dense object comes down exactly as a chunk does. The
 //! write-ahead log's segments are items of the same plan: each comes
-//! down as one ranged read on its host's downlink, unverified, for the
-//! log's own walker. A host's items take its downlink in its fetch list's
+//! down as one ranged read on its host's downlink — of an older segment,
+//! the prefix in front of its last record's trailer — unverified, for the
+//! log's own walker. A trailer the restore finds it needs after all is one
+//! more ranged read ([`FetchScheduler::fetch_range`]), once the plan's
+//! items are in. A host's items take its downlink in its fetch list's
 //! order, whatever order its decode workers reach them in. Transient read
 //! failures (and `head` failures) are retried in place (a bounded number
 //! of times) rather than failing the whole restore: remote reads time out
@@ -151,14 +154,17 @@ impl<'a> FetchScheduler<'a> {
         }
     }
 
-    /// Downloads the `bytes`-byte log segment at `key` over host `host`'s
-    /// downlink as one ranged read, at place `turn` of the host's fetch
-    /// list, exactly as [`FetchScheduler::fetch_chunk`] takes a chunk's
-    /// first pass — the same floor, turn order and transient-failure retry
-    /// budget — and returns the bytes *unverified*, with the simulated time
-    /// they arrived. A segment is a run of frames that the log's walker
-    /// (`cnr_storage::wal::walk_segments`) verifies one by one, and a torn
-    /// one is where the log ends, not corruption to re-fetch.
+    /// Downloads the first `bytes` bytes of the log segment at `key` over
+    /// host `host`'s downlink as one ranged read, at place `turn` of the
+    /// host's fetch list, exactly as [`FetchScheduler::fetch_chunk`] takes
+    /// a chunk's first pass — the same floor, turn order and
+    /// transient-failure retry budget — and returns the bytes
+    /// *unverified*, with the simulated time they arrived. It is a prefix
+    /// read: `bytes` is the whole segment, or, for any segment but the
+    /// newest, the prefix in front of its last trailer. A segment is a run
+    /// of frames that the log's walker (`cnr_storage::wal::walk_segments`)
+    /// verifies one by one, and a torn one is where the log ends, not
+    /// corruption to re-fetch.
     pub fn fetch_segment(
         &self,
         host: u16,
@@ -167,6 +173,23 @@ impl<'a> FetchScheduler<'a> {
         bytes: u64,
     ) -> Result<(Bytes, Duration)> {
         self.fetch_in_turn(host, Some(turn), key, bytes, 1)
+    }
+
+    /// Downloads `len` bytes at `offset` of `key` over host `host`'s
+    /// downlink as one ranged read starting no earlier than `not_before`
+    /// (nor the floor), outside the host's fetch-list turns — a read the
+    /// restore decides on once the plan's items are in — with the same
+    /// transient-failure retries. Returns the bytes *unverified*, with the
+    /// simulated time they arrived.
+    pub fn fetch_range(
+        &self,
+        host: u16,
+        key: &str,
+        offset: u64,
+        len: u64,
+        not_before: Duration,
+    ) -> Result<(Bytes, Duration)> {
+        self.fetch_part(host, key, offset, len, not_before)
     }
 
     /// One assembly pass ([`FetchScheduler::fetch_chunk_once`]) that, given
@@ -208,7 +231,7 @@ impl<'a> FetchScheduler<'a> {
             // Zero-copy fast path: a single range *is* the whole object,
             // so the buffer the store returned flows straight to the
             // decoder — no reassembly vector, no copy.
-            return self.fetch_part(host, key, 0, bytes);
+            return self.fetch_part(host, key, 0, bytes, Duration::ZERO);
         }
         let part_len = bytes.div_ceil(nparts).max(1);
         let mut assembled = Vec::with_capacity(bytes as usize);
@@ -216,7 +239,7 @@ impl<'a> FetchScheduler<'a> {
         let mut offset = 0u64;
         while offset < bytes {
             let len = part_len.min(bytes - offset);
-            let (data, completed_at) = self.fetch_part(host, key, offset, len)?;
+            let (data, completed_at) = self.fetch_part(host, key, offset, len, Duration::ZERO)?;
             arrived_at = arrived_at.max(completed_at);
             assembled.extend_from_slice(&data);
             offset += len;
@@ -225,17 +248,19 @@ impl<'a> FetchScheduler<'a> {
     }
 
     /// Downloads one range over `host`'s downlink, starting no earlier
-    /// than the floor, retrying transient I/O failures in place, and
-    /// returns its bytes with the simulated time they finished arriving.
+    /// than the floor nor `not_before`, retrying transient I/O failures in
+    /// place, and returns its bytes with the simulated time they finished
+    /// arriving.
     fn fetch_part(
         &self,
         host: u16,
         key: &str,
         offset: u64,
         len: u64,
+        not_before: Duration,
     ) -> Result<(Bytes, Duration)> {
         assert!((host as usize) < self.turns.len(), "reader host {host} of {}", self.turns.len());
-        let not_before = self.state.lock().unwrap().floor;
+        let not_before = self.state.lock().unwrap().floor.max(not_before);
         let (data, receipt) =
             self.retrying(|| self.store.get_part(key, offset, len, host as u32, not_before))?;
         let mut s = self.state.lock().unwrap();

@@ -15,8 +15,9 @@
 //! write path's mid-upload host death. The checkpoint's dense object comes
 //! down exactly as a chunk does — verified, re-fetched when corrupt — and
 //! is decoded against the newest manifest. A write-ahead log segment in a
-//! host's list comes down the same way and is handed back as fetched: the
-//! log's records are walked and placed once every segment is in.
+//! host's list — or the prefix of it the plan reads — comes down the same
+//! way and is handed back as fetched: the log's records are walked and
+//! placed once every segment is in.
 
 use super::merge::Destination;
 use super::planner::{FetchItem, FetchKind};
@@ -68,9 +69,13 @@ pub(crate) struct FetchedSegment {
     pub index: u32,
     /// Object key.
     pub key: String,
-    /// The segment as stored, unverified, and the simulated time it
-    /// arrived; `None` when it was gone (raced with truncation), which
-    /// ends the log in front of it.
+    /// The reader host that fetched it: a read of its trailer goes over
+    /// the same downlink.
+    pub host: u16,
+    /// The bytes the plan read of the segment — all of them, or the prefix
+    /// in front of its last trailer — unverified, and the simulated time
+    /// they arrived; `None` when it was gone (raced with truncation),
+    /// which ends the log in front of it.
     pub fetched: Option<(Bytes, std::time::Duration)>,
 }
 
@@ -124,7 +129,7 @@ impl ShardReader<'_, '_> {
             Err(CnrError::Storage(StorageError::NotFound(_))) => None,
             Err(e) => return Err(e),
         };
-        Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), fetched }))
+        Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), host, fetched }))
     }
 
     /// Fetches and verifies the dense object as a chunk is fetched — the

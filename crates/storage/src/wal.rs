@@ -9,17 +9,28 @@
 //! # Wire layout
 //!
 //! The log is a run of **segment** objects, each a bare concatenation of
-//! **frames**. Each frame is a standard v7 envelope ([`crate::envelope`])
-//! carrying [`crate::envelope::FLAG_WAL_FRAME`], whose payload is:
+//! **frames**. Each frame is a standard v8 envelope ([`crate::envelope`])
+//! carrying [`crate::envelope::FLAG_WAL_FRAME`]. A record is one **body**
+//! frame, optionally followed by one **trailer** frame, which also carries
+//! [`crate::envelope::FLAG_WAL_TRAILER`]:
 //!
 //! ```text
-//! [record_seq: u64 LE][application payload ...]
+//! body:    [record_seq: u64 LE][application payload ...]
+//! trailer: [application trailer ...]
 //! ```
 //!
+//! A trailer has no sequence number: it belongs to the body frame directly
+//! in front of it in the same segment, and one anywhere else — at a
+//! segment's start, or behind another trailer — is where the walk is torn.
+//! The engine's delta records keep their dense layers in the trailer, so
+//! a reader that needs only the newest record's can fetch an older segment
+//! as the prefix in front of its last trailer: such a prefix ends at a body
+//! and walks clean.
+//!
 //! Every append syncs, and every sync puts one new segment holding the
-//! frames it makes durable: normally just its own, plus any frame whose
+//! records it makes durable: normally just its own, plus any record whose
 //! put failed before. `record_seq` is monotonic across the whole log, so
-//! replay can detect gaps and out-of-order frames across segments.
+//! replay can detect gaps and out-of-order records across segments.
 //! Segments live under flat keys `{job}/wal-{index:020}` — flat (no `/`
 //! after the job prefix) so the checkpoint controller's orphan sweep,
 //! which reclaims manifestless checkpoint *directories*, never touches
@@ -35,36 +46,51 @@
 //! them again, with the next record behind them, under the *same* key —
 //! overwriting whatever prefix a torn write left there. A crash therefore
 //! leaves the newest segment as some *prefix* of what the writer put —
-//! possibly cut mid-frame — behind whole older segments. Replay reads the
-//! segments in key order, walks each one's frames front to back, verifies
-//! each frame's checksum once, and stops cleanly at the first torn,
-//! corrupt, or out-of-sequence frame: everything before the stop point is
-//! applied, everything after it — later segments included — is reported
-//! as a [`WalTail::Torn`] diagnosis, and nothing is ever silently decoded
-//! from garbage. A frame of another wire version is unusable in exactly
-//! this sense: replay stops in front of it and the diagnosis names the
-//! version. The walk is one function, [`walk_segments`], over segments
+//! possibly cut mid-frame, or between a body and its trailer — behind
+//! whole older segments. Replay reads the segments in key order, walks
+//! each one's frames front to back, verifies each frame's checksum once,
+//! and stops cleanly at the first torn, corrupt, out-of-sequence or
+//! unpaired frame: everything before the stop point is applied,
+//! everything after it — later segments included — is reported as a
+//! [`WalTail::Torn`] diagnosis, and nothing is ever silently decoded from
+//! garbage. A record whose body verified comes back even when the walk
+//! stopped at its trailer, or its segment ended in front of one, without
+//! it ([`WalRecord::trailer`] is `None`): the walker cannot tell a segment
+//! fetched short of its last trailer on purpose from one torn there, so
+//! whether such a record is whole is its reader's call. The engine's
+//! restore, which knows which segments it fetched whole, counts a record
+//! of one of those that lacks its trailer as torn. A frame of another wire
+//! version is unusable in exactly this sense: replay stops in front of it
+//! and the diagnosis names the version. The walk is one function, [`walk_segments`], over segments
 //! however they were fetched: [`replay`] lists them and reads each with
 //! `get`; a restore fetches them over its reader hosts' downlinks and
 //! hands them over in list order.
 //!
 //! # Copies
 //!
-//! An append writes its frame once, into a buffer sized exactly for the
-//! segment it becomes: header and sequence reserved, the record written
-//! behind them by the caller ([`WalWriter::append_with`]), the envelope
-//! sealed over that slice. The sync moves the buffer into the store
-//! without copying it. Only a failed put copies: its frames are kept for
-//! the retry. Replay hands out zero-copy views of the fetched segments;
-//! validation walks the borrowed bytes.
+//! An append writes its frames once, into a buffer sized exactly for the
+//! segment it becomes: header and sequence reserved, the record's body
+//! written behind them by the caller ([`WalWriter::append_with`]), the
+//! envelope sealed over that slice, and the same again for a trailer. The
+//! sync moves the buffer into the store without copying it. Only a failed
+//! put copies: its frames are kept for the retry. Replay hands out
+//! zero-copy views of the fetched segments; validation walks the borrowed
+//! bytes.
 
-use crate::envelope::{self, FLAG_WAL_FRAME, HEADER_LEN};
+use crate::envelope::{self, FLAG_WAL_FRAME, FLAG_WAL_TRAILER, HEADER_LEN};
 use crate::{ObjectStore, PutReceipt, Result, StorageError};
 use bytes::Bytes;
 use std::ops::Range;
 
 /// Bytes of the `record_seq` prefix inside every frame payload.
 const SEQ_LEN: usize = 8;
+
+/// A writer of a frame's payload into the segment buffer it is handed.
+type WritePayload = fn(&mut Vec<u8>);
+
+/// The `trailer` argument of [`WalWriter::append_with`] for a record
+/// without one.
+const NO_TRAILER: Option<(usize, WritePayload)> = None;
 
 /// Configuration of the delta log writer. It has no settings: every
 /// append syncs, and every sync puts one segment.
@@ -96,10 +122,10 @@ pub struct WalWriter {
     /// put succeeds, so the retry of a failed put overwrites whatever the
     /// failure left under its key; it is never reused after that.
     next_index: u64,
-    /// Frames whose put failed, oldest first: the next sync carries them.
+    /// Records whose put failed, oldest first: the next sync carries them.
     unsynced: Vec<u8>,
-    /// How many frames `unsynced` holds.
-    unsynced_frames: u64,
+    /// How many records `unsynced` holds.
+    unsynced_records: u64,
     /// Next record sequence number (monotonic across segments).
     next_seq: u64,
     /// Keys of the segments this writer put or a truncate left behind,
@@ -116,7 +142,7 @@ impl WalWriter {
             job: job.to_string(),
             next_index: 0,
             unsynced: Vec::new(),
-            unsynced_frames: 0,
+            unsynced_records: 0,
             next_seq: 0,
             live: Vec::new(),
             obs: None,
@@ -128,34 +154,45 @@ impl WalWriter {
         self.obs = Some(obs);
     }
 
-    /// Appends `payload` as one record and makes it durable:
-    /// [`WalWriter::append_with`] over the slice.
+    /// Appends `payload` as one record, a body frame without a trailer,
+    /// and makes it durable: [`WalWriter::append_with`] over the slice.
     pub fn append(&mut self, payload: &[u8]) -> Result<(PutReceipt, u64)> {
-        self.append_with(payload.len(), |out| out.extend_from_slice(payload))
+        self.append_with(payload.len(), |out| out.extend_from_slice(payload), NO_TRAILER)
     }
 
-    /// Appends one record of `len` bytes, which `write` appends to the
-    /// buffer it is handed, and makes it durable. The buffer is sized
-    /// exactly for the segment: envelope header and sequence number are
-    /// reserved in front of the record, the envelope is sealed over the
-    /// frame once `write` returns, and the buffer goes to the store as one
-    /// new segment without a copy (the store's [`PutReceipt`] is the
+    /// Appends one record and makes it durable: a body frame of `len`
+    /// bytes, which `write` appends to the buffer it is handed, and, when
+    /// `trailer` is `Some((trailer_len, write_trailer))`, a trailer frame
+    /// of `trailer_len` bytes right behind it, written the same way. The
+    /// buffer is sized exactly for the segment: envelope header and
+    /// sequence number are reserved in front of the body, the envelope is
+    /// sealed over the frame once `write` returns, a trailer's header is
+    /// reserved and sealed likewise, and the buffer goes to the store as
+    /// one new segment without a copy (the store's [`PutReceipt`] is the
     /// "fsync"). Returns that receipt and the frame bytes this put made
-    /// durable — this record's frame plus any whose put failed before.
+    /// durable — this record's frames plus those of any whose put failed
+    /// before.
     ///
     /// A failed put keeps its frames: the next append's put carries them,
     /// under the same key, and a [`WalWriter::truncate`] in between drops
     /// them and gives their sequence numbers back.
     ///
-    /// Panics when `write` appends other than `len` bytes.
-    pub fn append_with(
+    /// Panics when `write` or `write_trailer` appends other than the bytes
+    /// announced.
+    pub fn append_with<W, T>(
         &mut self,
         len: usize,
-        write: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(PutReceipt, u64)> {
+        write: W,
+        trailer: Option<(usize, T)>,
+    ) -> Result<(PutReceipt, u64)>
+    where
+        W: FnOnce(&mut Vec<u8>),
+        T: FnOnce(&mut Vec<u8>),
+    {
         let frame_len = HEADER_LEN + SEQ_LEN + len;
+        let trailer_frame_len = trailer.as_ref().map_or(0, |(len, _)| HEADER_LEN + len);
         let mut segment = std::mem::take(&mut self.unsynced);
-        segment.reserve_exact(frame_len);
+        segment.reserve_exact(frame_len + trailer_frame_len);
         let frame_at = segment.len();
         segment.resize(frame_at + HEADER_LEN, 0);
         segment.extend_from_slice(&self.next_seq.to_le_bytes());
@@ -166,10 +203,21 @@ impl WalWriter {
             "the record written was not the {len} bytes announced"
         );
         envelope::seal_in_place(&mut segment[frame_at..], FLAG_WAL_FRAME);
+        if let Some((len, write_trailer)) = trailer {
+            let trailer_at = segment.len();
+            segment.resize(trailer_at + HEADER_LEN, 0);
+            write_trailer(&mut segment);
+            assert_eq!(
+                segment.len() - trailer_at,
+                trailer_frame_len,
+                "the trailer written was not the {len} bytes announced"
+            );
+            envelope::seal_in_place(&mut segment[trailer_at..], FLAG_WAL_FRAME | FLAG_WAL_TRAILER);
+        }
         self.next_seq += 1;
-        self.unsynced_frames += 1;
+        self.unsynced_records += 1;
         self.count(cnr_obs::names::WAL_APPENDS, 1);
-        self.count(cnr_obs::names::WAL_BYTES_APPENDED, frame_len as u64);
+        self.count(cnr_obs::names::WAL_BYTES_APPENDED, (frame_len + trailer_frame_len) as u64);
 
         let key = segment_key(&self.job, self.next_index);
         let made_durable = segment.len() as u64;
@@ -178,7 +226,7 @@ impl WalWriter {
             Ok(receipt) => {
                 self.live.push(key);
                 self.next_index += 1;
-                self.unsynced_frames = 0;
+                self.unsynced_records = 0;
                 self.count(cnr_obs::names::WAL_SYNCS, 1);
                 self.count(cnr_obs::names::WAL_BYTES_SYNCED, made_durable);
                 Ok((receipt, made_durable))
@@ -209,8 +257,8 @@ impl WalWriter {
     /// Segments go oldest first and the first failed delete stops the
     /// walk, so what an `Err` leaves is a contiguous run of whole segments
     /// — from then on [`WalWriter::live_segments`], retried by the next
-    /// truncate. The frames whose put failed, which the writer drops either
-    /// way, give their sequence numbers back, so the records appended next
+    /// truncate. The records whose put failed, which the writer drops
+    /// either way, give their sequence numbers back, so the records appended next
     /// continue the leftover run without a gap.
     pub fn truncate(&mut self) -> Result<usize> {
         let mut deleted = 0;
@@ -231,8 +279,8 @@ impl WalWriter {
             Ok(deleted)
         });
         self.unsynced = Vec::new();
-        self.next_seq -= self.unsynced_frames;
-        self.unsynced_frames = 0;
+        self.next_seq -= self.unsynced_records;
+        self.unsynced_records = 0;
         self.count(cnr_obs::names::WAL_TRUNCATIONS, 1);
         self.count(cnr_obs::names::WAL_TRUNCATE_FAILURES, u64::from(outcome.is_err()));
         if let Some(obs) = &self.obs {
@@ -257,10 +305,19 @@ impl WalWriter {
 /// One successfully replayed record.
 #[derive(Debug, Clone)]
 pub struct WalRecord {
-    /// The frame's monotonic sequence number.
+    /// The body frame's monotonic sequence number.
     pub seq: u64,
-    /// The application payload (zero-copy view into the segment buffer).
+    /// The place, oldest first, of the segment holding the record among
+    /// those walked.
+    pub segment: usize,
+    /// The body's application payload (zero-copy view into the segment
+    /// buffer).
     pub payload: Bytes,
+    /// The trailer's application payload, when a verified trailer frame
+    /// follows the body; `None` for a record appended without one, and for
+    /// one whose segment ends at its body or whose trailer is where the
+    /// walk stopped ([`WalTail::Torn`]).
+    pub trailer: Option<Bytes>,
 }
 
 /// How the log ended.
@@ -304,69 +361,106 @@ impl WalReplay {
     }
 }
 
+/// Verifies the frame at the front of `rest` and returns its flags, its
+/// payload and its length, or why it is unusable.
+fn open_frame(rest: &[u8]) -> std::result::Result<(u16, &[u8], usize), String> {
+    if rest.len() < HEADER_LEN {
+        return Err(format!("torn frame header: {} of {HEADER_LEN} bytes", rest.len()));
+    }
+    let frame_len = envelope::object_len(rest).map_err(|e| format!("bad frame header: {e}"))?;
+    if rest.len() < frame_len {
+        return Err(format!("torn frame body: {} of {frame_len} bytes", rest.len()));
+    }
+    let (flags, payload) = envelope::unwrap(&rest[..frame_len])
+        .map_err(|e| format!("frame verify failed: {e}"))?;
+    if flags & FLAG_WAL_FRAME == 0 {
+        return Err("frame missing WAL flag".into());
+    }
+    Ok((flags, payload, frame_len))
+}
+
 /// Walks the frames of one segment buffer, calling `on_record(seq,
-/// payload_range)` for each verified frame, sequence numbers continuing
-/// from `expect_seq`. Returns `Ok(next_expected_seq)` when the segment ends
-/// exactly on a frame boundary, `Err((offset, reason))` at the first
-/// unusable frame.
+/// body_range, trailer_range)` for each record whose body frame verified,
+/// sequence numbers continuing from `expect_seq`; the trailer's range is
+/// there when a verified trailer frame follows the body. Returns
+/// `Ok(next_expected_seq)` when the segment ends exactly on a frame
+/// boundary, `Err((offset, reason))` at the first unusable frame — after
+/// the record in front of it, whose trailer it may have been.
 fn walk_frames(
     bytes: &[u8],
     mut expect_seq: Option<u64>,
-    mut on_record: impl FnMut(u64, Range<usize>),
+    mut on_record: impl FnMut(u64, Range<usize>, Option<Range<usize>>),
 ) -> std::result::Result<Option<u64>, (usize, String)> {
+    // A verified body whose trailer, if any, has not been seen yet.
+    let mut body: Option<(u64, Range<usize>)> = None;
     let mut off = 0;
-    while off < bytes.len() {
-        let rest = &bytes[off..];
-        if rest.len() < HEADER_LEN {
-            return Err((off, format!("torn frame header: {} of {HEADER_LEN} bytes", rest.len())));
+    let stopped = loop {
+        if off == bytes.len() {
+            break None;
         }
-        let frame_len = match envelope::object_len(rest) {
-            Ok(len) => len,
-            Err(e) => return Err((off, format!("bad frame header: {e}"))),
+        let (flags, payload, frame_len) = match open_frame(&bytes[off..]) {
+            Ok(frame) => frame,
+            Err(reason) => break Some((off, reason)),
         };
-        if rest.len() < frame_len {
-            return Err((
-                off,
-                format!("torn frame body: {} of {frame_len} bytes", rest.len()),
-            ));
-        }
-        let (flags, payload) = match envelope::unwrap(&rest[..frame_len]) {
-            Ok(v) => v,
-            Err(e) => return Err((off, format!("frame verify failed: {e}"))),
-        };
-        if flags & FLAG_WAL_FRAME == 0 {
-            return Err((off, "frame missing WAL flag".into()));
-        }
-        if payload.len() < SEQ_LEN {
-            return Err((off, "frame payload shorter than sequence prefix".into()));
-        }
-        let seq = u64::from_le_bytes(payload[..SEQ_LEN].try_into().unwrap());
-        if let Some(expected) = expect_seq {
-            if seq != expected {
-                return Err((off, format!("sequence gap: expected {expected}, found {seq}")));
+        let payload_at = off + HEADER_LEN;
+        if flags & FLAG_WAL_TRAILER != 0 {
+            let Some((seq, range)) = body.take() else {
+                break Some((off, "trailer with no record body in front of it".into()));
+            };
+            on_record(seq, range, Some(payload_at..off + frame_len));
+        } else {
+            if let Some((seq, range)) = body.take() {
+                on_record(seq, range, None);
             }
+            if payload.len() < SEQ_LEN {
+                break Some((off, "frame payload shorter than sequence prefix".into()));
+            }
+            let seq = u64::from_le_bytes(payload[..SEQ_LEN].try_into().unwrap());
+            if let Some(expected) = expect_seq {
+                if seq != expected {
+                    break Some((off, format!("sequence gap: expected {expected}, found {seq}")));
+                }
+            }
+            body = Some((seq, payload_at + SEQ_LEN..off + frame_len));
+            expect_seq = Some(seq + 1);
         }
-        on_record(seq, off + HEADER_LEN + SEQ_LEN..off + frame_len);
-        expect_seq = Some(seq + 1);
         off += frame_len;
+    };
+    if let Some((seq, range)) = body {
+        on_record(seq, range, None);
     }
-    Ok(expect_seq)
+    stopped.map_or(Ok(expect_seq), Err)
 }
 
 /// Validates one segment buffer without collecting records: every frame
-/// must verify and the frames must consume the buffer exactly. Returns the
-/// frame count, or a description of the first problem. This is what the
-/// scrubber uses — a segment that carries the frames of a failed put is
-/// several envelopes back to back, which a single-envelope check would
-/// reject. The walk borrows `buf`; nothing is copied.
+/// must verify, every trailer must follow a body, and the frames must
+/// consume the buffer exactly. Returns the record count, or a description
+/// of the first problem. This is what the scrubber uses — a segment that
+/// carries the records of a failed put is several envelopes back to back,
+/// which a single-envelope check would reject. The walk borrows `buf`;
+/// nothing is copied.
 pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
     if buf.is_empty() {
         return Err("empty wal segment".into());
     }
-    let mut frames = 0;
-    match walk_frames(buf, None, |_, _| frames += 1) {
-        Ok(_) => Ok(frames),
+    let mut records = 0;
+    match walk_frames(buf, None, |_, _, _| records += 1) {
+        Ok(_) => Ok(records),
         Err((off, reason)) => Err(format!("at offset {off}: {reason}")),
+    }
+}
+
+/// The payload of a trailer frame read on its own — `frame` must be
+/// exactly one verified frame carrying [`FLAG_WAL_TRAILER`] — as a view of
+/// `frame`, or why it is not one. A reader that fetched a segment without
+/// its last trailer reads that trailer with this.
+pub fn open_trailer(frame: &Bytes) -> std::result::Result<Bytes, String> {
+    match open_frame(frame)? {
+        (_, _, len) if len != frame.len() => {
+            Err(format!("{} bytes behind the trailer frame", frame.len() - len))
+        }
+        (flags, _, _) if flags & FLAG_WAL_TRAILER != 0 => Ok(frame.slice(HEADER_LEN..)),
+        _ => Err("frame is no record trailer".into()),
     }
 }
 
@@ -405,20 +499,26 @@ pub fn replay(store: &dyn ObjectStore, job: &str) -> Result<WalReplay> {
 /// The log's one parser: walks fetched segments — `(key, bytes)`, oldest
 /// first, ending where the log ends — with clean-prefix semantics.
 ///
-/// Frames are verified and must carry contiguous sequence numbers. The
-/// first torn, corrupt, or out-of-sequence frame stops the walk: the
-/// records collected so far come back with a [`WalTail::Torn`] diagnosis,
-/// and no later segment is pulled from `segments`. The records are
-/// zero-copy views of the segment buffers.
+/// Frames are verified, body frames must carry contiguous sequence
+/// numbers, and a trailer must directly follow a body in its segment. The
+/// first torn, corrupt, out-of-sequence or unpaired frame stops the walk:
+/// the records collected so far come back with a [`WalTail::Torn`]
+/// diagnosis, and no later segment is pulled from `segments`. The records
+/// are zero-copy views of the segment buffers.
 pub fn walk_segments(segments: impl IntoIterator<Item = (String, Bytes)>) -> WalReplay {
     let mut replay = WalReplay::empty();
     let mut expect_seq: Option<u64> = None;
-    for (key, buf) in segments {
+    for (segment, (key, buf)) in segments.into_iter().enumerate() {
         replay.segments_read += 1;
         replay.bytes_read += buf.len() as u64;
         let records = &mut replay.records;
-        let walked = walk_frames(&buf, expect_seq, |seq, payload| {
-            records.push(WalRecord { seq, payload: buf.slice(payload) })
+        let walked = walk_frames(&buf, expect_seq, |seq, payload, trailer| {
+            records.push(WalRecord {
+                seq,
+                segment,
+                payload: buf.slice(payload),
+                trailer: trailer.map(|range| buf.slice(range)),
+            })
         });
         match walked {
             Ok(next) => expect_seq = next,
@@ -687,7 +787,8 @@ mod tests {
             let (_, made_durable) = if seq % 2 == 0 {
                 w.append(payload).unwrap()
             } else {
-                w.append_with(payload.len(), |out| out.extend_from_slice(payload)).unwrap()
+                w.append_with(payload.len(), |out| out.extend_from_slice(payload), NO_TRAILER)
+                    .unwrap()
             };
             let want = frame(seq as u64, payload);
             assert_eq!(made_durable, want.len() as u64, "one new frame per put");
@@ -705,7 +806,185 @@ mod tests {
     #[should_panic(expected = "not the 4 bytes announced")]
     fn append_with_rejects_a_record_of_another_length() {
         let s = store();
-        writer(&s).append_with(4, |out| out.extend_from_slice(b"five!")).ok();
+        writer(&s).append_with(4, |out| out.extend_from_slice(b"five!"), trailer(b"")).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "the trailer written was not the 2 bytes announced")]
+    fn append_with_rejects_a_trailer_of_another_length() {
+        let s = store();
+        let long = Some((2, |out: &mut Vec<u8>| out.extend_from_slice(b"three")));
+        writer(&s).append_with(4, |out| out.extend_from_slice(b"four"), long).ok();
+    }
+
+    /// The trailer argument of [`WalWriter::append_with`] that writes
+    /// `bytes`.
+    fn trailer(bytes: &[u8]) -> Option<(usize, impl FnOnce(&mut Vec<u8>) + '_)> {
+        Some((bytes.len(), move |out: &mut Vec<u8>| out.extend_from_slice(bytes)))
+    }
+
+    /// Appends one record of `body` and `tail` frames through `w`.
+    fn append_pair(w: &mut WalWriter, body: &[u8], tail: &[u8]) -> (PutReceipt, u64) {
+        w.append_with(body.len(), |out| out.extend_from_slice(body), trailer(tail)).unwrap()
+    }
+
+    /// A trailer frame as the writer seals it.
+    fn trailer_frame(payload: &[u8]) -> Vec<u8> {
+        envelope::wrap_with_flags(payload, FLAG_WAL_FRAME | FLAG_WAL_TRAILER)
+    }
+
+    /// A record's trailer frame lands right behind its body frame in the
+    /// one segment its sync puts, and replay pairs the two: the record's
+    /// payload is the body, its trailer the trailer — beside records
+    /// appended without one, and after a failed put, whose record the next
+    /// segment carries with its trailer.
+    #[test]
+    fn a_trailer_rides_behind_its_body_and_replays_with_it() {
+        let s = flaky([Fault::fail(Op::Put, Once(3))]);
+        let mut w = writer(&s);
+        let (_, made_durable) = append_pair(&mut w, b"body 0", b"trailer 0");
+        let mut want = envelope::wrap_with_flags(b"\0\0\0\0\0\0\0\0body 0", FLAG_WAL_FRAME);
+        want.extend_from_slice(&trailer_frame(b"trailer 0"));
+        assert_eq!(made_durable, want.len() as u64, "both frames, one put");
+        assert_eq!(s.get(&segment_key("job", 0)).unwrap().to_vec(), want);
+        w.append(b"no trailer").unwrap();
+        assert!(w.append_with(6, |out| out.extend_from_slice(b"body 2"), trailer(b"t2")).is_err());
+        append_pair(&mut w, b"body 3", b"");
+        assert_eq!(validate_segment(&s.get(&segment_key("job", 2)).unwrap()), Ok(2));
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        let got: Vec<_> = r
+            .records
+            .iter()
+            .map(|r| (r.seq, r.segment, &r.payload[..], r.trailer.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, &b"body 0"[..], Some(&b"trailer 0"[..])),
+                (1, 1, b"no trailer", None),
+                (2, 2, b"body 2", Some(b"t2")),
+                (3, 2, b"body 3", Some(b"")),
+            ]
+        );
+    }
+
+    /// A segment read as the prefix in front of its last trailer ends at a
+    /// body: it walks clean, and its last record comes back without a
+    /// trailer; the trailer read on its own opens.
+    #[test]
+    fn a_prefix_that_ends_at_a_body_walks_clean() {
+        let s = store();
+        let mut w = writer(&s);
+        append_pair(&mut w, b"first", b"mlps 1");
+        append_pair(&mut w, b"second", b"mlps 2");
+        let keys = list_segments(s.as_ref(), "job").unwrap();
+        let whole: Vec<Bytes> = keys.iter().map(|k| s.get(k).unwrap()).collect();
+        let cut = whole[0].len() - trailer_frame(b"mlps 1").len();
+        let r = walk_segments([
+            (keys[0].clone(), whole[0].slice(..cut)),
+            (keys[1].clone(), whole[1].clone()),
+        ]);
+        assert_eq!(r.tail, WalTail::Clean);
+        assert_eq!((r.segments_read, r.bytes_read), (2, (cut + whole[1].len()) as u64));
+        assert_eq!(r.records[0].trailer, None, "cut off in front of its trailer");
+        assert_eq!(r.records[1].trailer.as_deref(), Some(&b"mlps 2"[..]));
+        assert_eq!(open_trailer(&whole[0].slice(cut..)).as_deref(), Ok(&b"mlps 1"[..]));
+        // A body frame is no trailer, nor are two frames.
+        assert!(open_trailer(&whole[0].slice(..cut)).unwrap_err().contains("no record trailer"));
+        assert!(open_trailer(&whole[1]).is_err());
+    }
+
+    /// Puts `segment` under segment 0's key and replays the log: the
+    /// records in front of `torn_at` come back, and the tail is torn
+    /// there, for a reason naming `why`.
+    fn assert_torn_at(segment: Vec<u8>, torn_at: usize, records: usize, why: &str) {
+        let s = store();
+        s.put(&segment_key("job", 0), Bytes::from(segment.clone())).unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.records.len(), records);
+        match r.tail {
+            WalTail::Torn { frame_offset, ref reason, .. } => {
+                assert_eq!(frame_offset, torn_at);
+                assert!(reason.contains(why), "{reason}");
+            }
+            WalTail::Clean => panic!("an unpaired trailer must not read clean"),
+        }
+        assert!(validate_segment(&segment).unwrap_err().contains(why));
+    }
+
+    #[test]
+    fn a_trailer_with_no_body_before_it_is_torn() {
+        let s = store();
+        append_pair(&mut writer(&s), b"body", b"trailer");
+        let mut segment = s.get(&segment_key("job", 0)).unwrap().to_vec();
+        let whole = segment.len();
+        segment.extend_from_slice(&trailer_frame(b"a second trailer"));
+        assert_torn_at(segment, whole, 1, "trailer with no record body");
+    }
+
+    /// A trailer belongs to the body in front of it in its own segment:
+    /// one at a segment's start is torn, even behind a segment that ends
+    /// at a body.
+    #[test]
+    fn a_trailer_at_a_segments_start_is_torn() {
+        assert_torn_at(trailer_frame(b"orphan"), 0, 0, "trailer with no record body");
+        let s = store();
+        let mut w = writer(&s);
+        w.append(b"a body").unwrap();
+        w.append(b"next").unwrap();
+        s.put(&segment_key("job", 1), Bytes::from(trailer_frame(b"orphan"))).unwrap();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.records[0].trailer, None);
+        assert!(matches!(
+            r.tail,
+            WalTail::Torn { ref segment, frame_offset: 0, ref reason }
+                if *segment == segment_key("job", 1)
+                    && reason.contains("trailer with no record body")
+        ));
+    }
+
+    /// Validation counts records, not frames: two records whose puts
+    /// failed ride a third's segment, each with its trailer.
+    #[test]
+    fn validate_segment_counts_records_not_frames() {
+        let s = flaky([Fault::fail(Op::Put, FirstN(2))]);
+        let mut w = writer(&s);
+        for i in 0u8..3 {
+            assert_eq!(w.append_with(1, |out| out.push(i), trailer(&[i, i])).is_ok(), i == 2);
+        }
+        let segment = s.get(&segment_key("job", 0)).unwrap();
+        assert_eq!(validate_segment(&segment), Ok(3));
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        assert!(r.records.iter().all(|r| r.trailer.as_deref() == Some(&[r.payload[0]; 2][..])));
+    }
+
+    /// A record whose trailer is torn or corrupt comes back without it, in
+    /// front of the torn tail, which is diagnosed at the trailer.
+    #[test]
+    fn a_damaged_trailer_stops_the_walk_behind_its_body() {
+        let s = store();
+        append_pair(&mut writer(&s), b"body", b"the dense layers");
+        let key = segment_key("job", 0);
+        let whole = s.get(&key).unwrap().to_vec();
+        let body_len = whole.len() - trailer_frame(b"the dense layers").len();
+        let mut flipped = whole.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let torn = whole[..whole.len() - 1].to_vec();
+        for (damaged, why) in [(torn, "torn frame body"), (flipped, "verify failed")] {
+            s.put(&key, Bytes::from(damaged)).unwrap();
+            let r = replay(s.as_ref(), "job").unwrap();
+            assert_eq!(r.records.len(), 1);
+            assert_eq!(&r.records[0].payload[..], b"body");
+            assert_eq!(r.records[0].trailer, None);
+            assert!(matches!(
+                r.tail,
+                WalTail::Torn { frame_offset, ref reason, .. }
+                    if frame_offset == body_len && reason.contains(why)
+            ));
+        }
     }
 
     /// A frame written under wire v3 is unusable, not undefined: replay
@@ -715,7 +994,7 @@ mod tests {
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v7").unwrap();
+        w.append(b"written under v8").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
         for magic in [*b"CNR3", envelope::MAGIC] {
@@ -728,8 +1007,8 @@ mod tests {
             segment.extend_from_slice(&old);
             s.put(&key, Bytes::from(segment.clone())).unwrap();
             let r = replay(s.as_ref(), "job").unwrap();
-            assert_eq!(r.records.len(), 1, "the v7 prefix replays");
-            assert_eq!(&r.records[0].payload[..], b"written under v7");
+            assert_eq!(r.records.len(), 1, "the v8 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v8");
             match r.tail {
                 WalTail::Torn { frame_offset, ref reason, .. } => {
                     assert_eq!(frame_offset, clean.len());
@@ -748,14 +1027,14 @@ mod tests {
     fn assert_torn_tail_naming_version(sealed: &[u8], version: u16) {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v7").unwrap();
+        w.append(b"written under v8").unwrap();
         let key = segment_key("job", 0);
         let mut segment = s.get(&key).unwrap().to_vec();
         let clean_len = segment.len();
         segment.extend_from_slice(sealed);
         s.put(&key, Bytes::from(segment.clone())).unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.records.len(), 1, "the v7 prefix replays");
+        assert_eq!(r.records.len(), 1, "the v8 prefix replays");
         let named = format!("unsupported envelope version {version} ");
         match r.tail {
             WalTail::Torn { frame_offset, ref reason, .. } => {
@@ -783,6 +1062,11 @@ mod tests {
     #[test]
     fn a_v6_frame_is_a_torn_tail_naming_its_version() {
         assert_torn_tail_naming_version(envelope::V6_WAL_FRAME, 6);
+    }
+
+    #[test]
+    fn a_v7_frame_is_a_torn_tail_naming_its_version() {
+        assert_torn_tail_naming_version(envelope::V7_WAL_FRAME, 7);
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn a_row_the_log_holds_never_faults_in() {
             eager.report.state.restore(&mut reference);
             let mut replayed: BTreeSet<(u16, u32)> = BTreeSet::new();
             for rec in &wal::replay(store.as_ref(), job).unwrap().records {
-                let Ok(delta) = DeltaRecord::decode(&rec.payload) else {
+                let Ok(delta) = DeltaRecord::decode_logged(rec) else {
                     break;
                 };
                 if delta.base != latest || delta.iteration <= reference.iteration() {
