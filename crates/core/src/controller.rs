@@ -429,6 +429,25 @@ mod tests {
         assert_eq!((ctl.collection_failures(), ctl.orphans_swept()), (2, 1));
     }
 
+    /// A doomed checkpoint whose manifest is already gone when retention
+    /// deletes it (an earlier, unrecorded delete got there) leaves the
+    /// books as deleted, with its other objects, and counts no failure.
+    #[test]
+    fn a_manifest_delete_that_finds_nothing_counts_as_deleted() {
+        use cnr_storage::{FailureMode, Fault, FlakyStore, Op};
+        let gone = Fault::gone(Op::Delete, FailureMode::Once(1)).on_keys("manifest");
+        let store = Arc::new(FlakyStore::new(InMemoryStore::new(), [gone]));
+        let mut ctl = CheckpointController::new(store.clone(), "job", 1);
+        let (m0, k0) = store_ckpt(store.inner(), 0, CheckpointKind::Full, None, 100);
+        ctl.register(&m0, &k0).unwrap();
+        let (m1, k1) = store_ckpt(store.inner(), 1, CheckpointKind::Full, None, 100);
+        assert_eq!(ctl.register(&m1, &k1).unwrap(), [CheckpointId(0)]);
+        assert_eq!(store.injected(0), 1);
+        assert_eq!(ctl.live(), [CheckpointId(1)]);
+        assert_eq!(ctl.collection_failures(), 0);
+        assert!(store.get(&m0.chunks[0].key).is_err(), "its chunk went too");
+    }
+
     #[test]
     fn rebaseline_drops_the_old_chain() {
         let store = Arc::new(InMemoryStore::new());

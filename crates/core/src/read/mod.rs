@@ -234,7 +234,7 @@ pub struct ShardedRestore {
     /// Final fetch-scheduler counters (parts, retries, corruption).
     pub fetch_status: FetchStatus,
     /// Per-host fetch activity (one entry per host that fetched at least
-    /// one chunk, ordered by host id).
+    /// one item or a trailer, ordered by host id).
     pub host_activity: Vec<HostActivity>,
     /// Absolute simulated time at which the restore plan existed: the
     /// manifest chain was walked and validated, so chunk fetches could
@@ -331,10 +331,10 @@ pub fn restore_sharded_with_heat(
 /// not live. When the last live record's trailer was left unread — its
 /// segment was read short because the newest one is torn, holds only
 /// stale records, or vanished after the list — it is read with one more
-/// ranged read on the host that fetched the segment, floored at the log's
-/// arrival, and first batch waits for it; a trailer that does not verify
-/// ends the tail in front of its record, and the next older record's is
-/// read the same way. An empty log costs no read.
+/// ranged read on the downlink of the live reader host that frees first,
+/// floored at the log's arrival, and first batch waits for it; a trailer
+/// that does not verify ends the tail in front of its record, and the next
+/// older record's is read the same way. An empty log costs no read.
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_into(
     store: &dyn ObjectStore,
@@ -447,7 +447,6 @@ pub fn restore_sharded_into(
         .iter()
         .filter_map(|s| s.fetched.as_ref().map(|&(_, at)| at))
         .fold(plan_floor, Duration::max);
-    host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
     let merged = merge::tally(&chain, &decoded)?;
     let mut merge_time = merge_t0.elapsed();
@@ -458,6 +457,8 @@ pub fn restore_sharded_into(
             chain_ranks: decoded.len() as u32,
             dest: &dest,
             fetch_sched: &fetch_sched,
+            live_hosts: (0..hosts as u16).filter(|h| !killed_hosts.contains(h)).collect(),
+            plan_floor,
         };
         Some(placed.place(segments, &sizes, log_arrived_at, &mut host_activity)?)
     } else {
@@ -610,6 +611,10 @@ struct LogPlacement<'r, 'd> {
     dest: &'r merge::Destination<'d>,
     /// Reads a trailer the plan left unread.
     fetch_sched: &'r FetchScheduler<'r>,
+    /// The reader hosts still alive, one of which reads it.
+    live_hosts: Vec<u16>,
+    /// When a host that fetched nothing frees its downlink.
+    plan_floor: Duration,
 }
 
 impl LogPlacement<'_, '_> {
@@ -633,7 +638,7 @@ impl LogPlacement<'_, '_> {
         segments: Vec<FetchedSegment>,
         sizes: &[u64],
         arrived_at: Duration,
-        activity: &mut [HostActivity],
+        activity: &mut Vec<HostActivity>,
     ) -> Result<ReplayedLog> {
         let mut bytes_read = segments
             .iter()
@@ -667,7 +672,7 @@ impl LogPlacement<'_, '_> {
                 if cut == size || !last_in_segment || torn_in == Some(segment.key.as_str()) {
                     return None;
                 }
-                match self.read_trailer(segment, cut, size - cut, arrived_at, activity) {
+                match self.read_trailer(&segment.key, cut, size - cut, arrived_at, activity) {
                     Ok(Some((frame, at))) => {
                         bytes_read += frame.len() as u64;
                         arrived_at = arrived_at.max(at);
@@ -700,29 +705,35 @@ impl LogPlacement<'_, '_> {
         })
     }
 
-    /// Reads the `len`-byte trailer at `offset` of `segment` — the one the
-    /// plan left unread — with one ranged read on the downlink of the host
-    /// that fetched the segment, floored at `not_before`, and counts it to
-    /// that host. `None` when the segment is gone by now.
+    /// Reads the `len`-byte trailer at `offset` of segment `key` — the one
+    /// the plan left unread — with one ranged read on the downlink of the
+    /// live host that frees first (at its last arrival, or the plan's
+    /// floor if it fetched nothing; ties to the lowest index), floored at
+    /// `not_before`, and counts it to that host. `None` when the segment is
+    /// gone by now.
     fn read_trailer(
         &self,
-        segment: &FetchedSegment,
+        key: &str,
         offset: u64,
         len: u64,
         not_before: Duration,
-        activity: &mut [HostActivity],
+        activity: &mut Vec<HostActivity>,
     ) -> Result<Option<(bytes::Bytes, Duration)>> {
-        let read =
-            self.fetch_sched.fetch_range(segment.host, &segment.key, offset, len, not_before);
-        let (frame, at) = match read {
+        let frees_at = |host| {
+            let fetched = activity.iter().find(|a| a.host == host);
+            fetched.map_or(self.plan_floor, |a| a.last_arrival)
+        };
+        let host = (self.live_hosts.iter().copied())
+            .min_by_key(|&host| (frees_at(host), host))
+            .expect("the log was fetched by a live host");
+        let (frame, at) = match self.fetch_sched.fetch_range(host, key, offset, len, not_before) {
             Ok(read) => read,
             Err(CnrError::Storage(StorageError::NotFound(_))) => return Ok(None),
             Err(e) => return Err(e),
         };
-        if let Some(a) = activity.iter_mut().find(|a| a.host == segment.host) {
-            a.bytes += frame.len() as u64;
-            a.last_arrival = a.last_arrival.max(at);
-        }
+        let a = activity_of(activity, host);
+        a.bytes += frame.len() as u64;
+        a.last_arrival = a.last_arrival.max(at);
         Ok(Some((frame, at)))
     }
 }
@@ -734,16 +745,7 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, fetched: &[Fetched
     if fetched.is_empty() {
         return;
     }
-    if !activity.iter().any(|a| a.host == host) {
-        activity.push(HostActivity {
-            host,
-            chunks: 0,
-            log_segments: 0,
-            bytes: 0,
-            last_arrival: Duration::ZERO,
-        });
-    }
-    let a = activity.iter_mut().find(|a| a.host == host).unwrap();
+    let a = activity_of(activity, host);
     for item in fetched {
         let (bytes, arrived_at) = match item {
             Fetched::Chunk(chunk) => {
@@ -760,6 +762,17 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, fetched: &[Fetched
         a.bytes += bytes;
         a.last_arrival = a.last_arrival.max(arrived_at);
     }
+}
+
+/// `host`'s entry of the activity table, ordered by host id, added empty
+/// if it has none.
+fn activity_of(activity: &mut Vec<HostActivity>, host: u16) -> &mut HostActivity {
+    let i = activity.partition_point(|a| a.host < host);
+    if activity.get(i).is_none_or(|a| a.host != host) {
+        let idle = HostActivity { host, chunks: 0, log_segments: 0, bytes: 0, last_arrival: Duration::ZERO };
+        activity.insert(i, idle);
+    }
+    &mut activity[i]
 }
 
 #[cfg(test)]
@@ -834,6 +847,26 @@ mod tests {
             .unwrap();
     }
 
+    /// A remote over `backing` of `channels` 1 MiB/s downlinks,
+    /// `latency_us` per read and one replica.
+    fn remote_over(
+        backing: std::sync::Arc<dyn cnr_storage::ObjectStore>,
+        channels: usize,
+        latency_us: u64,
+    ) -> SimulatedRemoteStore {
+        let config = RemoteConfig {
+            bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+            base_latency: Duration::from_micros(latency_us),
+            replication: 1,
+            channels: channels as u32,
+        };
+        SimulatedRemoteStore::over(backing, config, SimClock::new())
+    }
+
+    fn remote(channels: usize, latency_us: u64) -> SimulatedRemoteStore {
+        remote_over(std::sync::Arc::new(InMemoryStore::new()), channels, latency_us)
+    }
+
     fn opts(hosts: usize) -> RestoreOptions {
         RestoreOptions {
             reader_hosts: hosts,
@@ -890,16 +923,7 @@ mod tests {
     fn eight_reader_hosts_reach_ready_to_train_sooner() {
         let (model_cfg, snap) = snapshot_after(3, 16);
         let ready_with = |hosts: usize| {
-            let clock = SimClock::new();
-            let store = SimulatedRemoteStore::new(
-                RemoteConfig {
-                    bandwidth_bytes_per_sec: 1024.0 * 1024.0, // 1 MB/s per downlink
-                    base_latency: Duration::from_micros(50),
-                    replication: 1,
-                    channels: hosts as u32,
-                },
-                clock.clone(),
-            );
+            let store = remote(hosts, 50);
             write_to(&store, &snap, 1); // written single-host either way
             // The failure hits after the write drained: no fetch may start
             // before it (matching the engine, which advances the clock).
@@ -1064,65 +1088,6 @@ mod tests {
         assert_eq!(run(1), run(6), "worker count must not change output");
     }
 
-    /// A store that holds the first ranged read of `key` until another read
-    /// on its channel has reserved the downlink — so the decode worker
-    /// fetching it falls behind another worker of its host — or, when no
-    /// other read may go first, until a grace period ends.
-    struct Stalling<'a> {
-        inner: &'a SimulatedRemoteStore,
-        key: String,
-        channel: u32,
-        /// Whether the first read of `key` began, and whether another read
-        /// on `channel` reserved the downlink since.
-        state: std::sync::Mutex<(bool, bool)>,
-        overtaken: std::sync::Condvar,
-    }
-
-    impl cnr_storage::ObjectStore for Stalling<'_> {
-        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
-            self.inner.put(key, data)
-        }
-        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
-            self.inner.get(key)
-        }
-        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
-            self.inner.delete(key)
-        }
-        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
-            self.inner.head(key)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
-        fn get_part(
-            &self,
-            key: &str,
-            offset: u64,
-            len: u64,
-            channel: u32,
-            not_before: Duration,
-        ) -> cnr_storage::Result<(bytes::Bytes, cnr_storage::GetReceipt)> {
-            let mut state = self.state.lock().unwrap();
-            if key == self.key && !state.0 {
-                state.0 = true;
-                let grace = Duration::from_millis(100);
-                drop(self.overtaken.wait_timeout_while(state, grace, |s| !s.1).unwrap());
-                return self.inner.get_part(key, offset, len, channel, not_before);
-            }
-            drop(state);
-            let read = self.inner.get_part(key, offset, len, channel, not_before);
-            let mut state = self.state.lock().unwrap();
-            if channel == self.channel && state.0 {
-                state.1 = true;
-                self.overtaken.notify_all();
-            }
-            read
-        }
-    }
-
     /// The payloads of the records of iterations `4..4 + n`, logged past a
     /// checkpoint of `model` at iteration 3 (fp32, base 0), training
     /// `model` on to the log's tip.
@@ -1179,9 +1144,9 @@ mod tests {
     /// Simulated fetch timing is a property of the plan and the store, not
     /// of how decode threads interleave: a host's ranged reads take its
     /// downlink in the order of its fetch list, whichever worker reaches
-    /// them first — here the first item's read (the dense object's, or
-    /// with a log the first segment's) waits for another worker's to go
-    /// first. So
+    /// them first — here the first item's first read (the dense object's,
+    /// or with a log the first segment's) is held 100-200 ms of wall time,
+    /// so another worker reaches the host's later items first. So
     /// `ready_at`, a lazy restore's first batch and its held-back rows, the
     /// log's arrival and time-to-resume do not move with the worker count.
     /// (Decode and merge are wall-clock CPU time and are left out.) And an
@@ -1195,22 +1160,23 @@ mod tests {
         let tip = cnr_model::state::ModelState::extract(&tip);
         let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.05);
         for (hosts, with_log) in [1usize, 2].into_iter().flat_map(|h| [(h, false), (h, true)]) {
+            let (head, head_key) = if with_log {
+                (FetchKind::LogSegment(0), cnr_storage::wal::segment_key("job", 0))
+            } else {
+                (FetchKind::Dense, Manifest::dense_key("job", CheckpointId(0)))
+            };
             let timing = |workers: usize, lazy: bool, hot_fraction: f64| {
-                let store = std::sync::Arc::new(SimulatedRemoteStore::new(
-                    RemoteConfig {
-                        bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                        base_latency: Duration::from_micros(50),
-                        replication: 1,
-                        channels: hosts as u32,
-                    },
-                    SimClock::new(),
-                ));
+                // The head item's first read sleeps 100-200 ms of wall time,
+                // so its worker falls behind another worker of its host.
+                let stall = Fault::delay(Op::Read, Duration::from_millis(200), FailureMode::Once(1));
+                let stall = stall.on_keys(head_key.clone());
+                let store = std::sync::Arc::new(FlakyStore::new(remote(hosts, 50), [stall]));
                 // Small parts: every chunk is several ranged reads.
                 write_to_with_parts(store.as_ref(), &snap, 2, 4096);
                 if with_log {
                     append_log(store.clone(), &log);
                 }
-                let drained = store.wait_for_drain();
+                let drained = store.inner().wait_for_drain();
                 let options = RestoreOptions {
                     reader_hosts: hosts,
                     decode_workers: workers,
@@ -1222,21 +1188,14 @@ mod tests {
                 let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
                 let segments = planned_segments(store.as_ref(), &chain[0]);
                 let first = &planner::plan_priority(&chain, &segments, hosts, heat, hot_fraction)[0][0];
-                let head = if with_log { FetchKind::LogSegment(0) } else { FetchKind::Dense };
                 assert_eq!(first.kind, head, "the log, else the dense object, heads the list");
-                let stalling = Stalling {
-                    inner: &store,
-                    key: first.key.clone(),
-                    channel: 0,
-                    state: Default::default(),
-                    overtaken: Default::default(),
-                };
                 let what = format!(
                     "hosts={hosts} log={with_log} workers={workers} lazy={lazy} hot={hot_fraction}"
                 );
+                assert_eq!((&first.key, store.injected(0)), (&head_key, 0), "{what}: not read yet");
                 let mut state = DlrmModel::new(model_cfg.clone());
                 let sharded = restore_sharded_into(
-                    &stalling,
+                    store.as_ref(),
                     "job",
                     CheckpointId(0),
                     &model_cfg,
@@ -1248,7 +1207,7 @@ mod tests {
                     with_log,
                 )
                 .unwrap();
-                assert!(stalling.state.into_inner().unwrap().0, "{what}");
+                assert_eq!(store.injected(0), 1, "{what}");
                 let simulated = ResumeStats {
                     decode: Duration::ZERO,
                     merge: Duration::ZERO,
@@ -1309,15 +1268,7 @@ mod tests {
         let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
         let k = 5;
         let log = logged_past(&mut tip, k);
-        let store = std::sync::Arc::new(SimulatedRemoteStore::new(
-            RemoteConfig {
-                bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                base_latency: Duration::from_micros(50),
-                replication: 1,
-                channels: 2,
-            },
-            SimClock::new(),
-        ));
+        let store = std::sync::Arc::new(remote(2, 50));
         write_to_with_parts(store.as_ref(), &snap, 2, 4096);
         append_log(store.clone(), &log);
         let drained = store.wait_for_drain();
@@ -1485,16 +1436,7 @@ mod tests {
     #[test]
     fn lazy_restore_reaches_first_batch_before_full_ready() {
         let (model_cfg, snap) = snapshot_after(3, 16);
-        let clock = SimClock::new();
-        let store = SimulatedRemoteStore::new(
-            RemoteConfig {
-                bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                base_latency: Duration::from_micros(50),
-                replication: 1,
-                channels: 2,
-            },
-            clock.clone(),
-        );
+        let store = remote(2, 50);
         write_to(&store, &snap, 1);
         let write_drained = store.wait_for_drain();
         let row_counts: Vec<usize> = model_cfg.tables.iter().map(|t| t.rows as usize).collect();
@@ -1850,15 +1792,7 @@ mod tests {
     fn an_empty_log_costs_no_read() {
         let (cfg, snap) = snapshot_after(3, 8);
         let restore = |replay_wal: bool| {
-            let store = SimulatedRemoteStore::new(
-                RemoteConfig {
-                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                    base_latency: Duration::from_millis(20),
-                    replication: 1,
-                    channels: 2,
-                },
-                SimClock::new(),
-            );
+            let store = remote(2, 20_000);
             write_to(&store, &snap, 2);
             let drained = store.wait_for_drain();
             let mut model = DlrmModel::new(cfg.clone());
@@ -1886,71 +1820,18 @@ mod tests {
         assert_eq!(restore(true), restore(false));
     }
 
-    /// A store whose segment `key` is listed but gone: at the `head` that
-    /// sizes it for the plan, or (`at_head` false) at the read itself — a
-    /// truncation racing the restore.
-    struct Vanished<'a> {
-        inner: &'a dyn cnr_storage::ObjectStore,
-        key: String,
-        at_head: bool,
-    }
-
-    impl Vanished<'_> {
-        fn gone(&self, key: &str) -> cnr_storage::StorageError {
-            cnr_storage::StorageError::NotFound(key.to_string())
-        }
-    }
-
-    impl cnr_storage::ObjectStore for Vanished<'_> {
-        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
-            self.inner.put(key, data)
-        }
-        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
-            if key == self.key && !self.at_head {
-                return Err(self.gone(key));
-            }
-            self.inner.get(key)
-        }
-        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
-            self.inner.delete(key)
-        }
-        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
-            if key == self.key && self.at_head {
-                return Err(self.gone(key));
-            }
-            self.inner.head(key)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
-        fn get_part(
-            &self,
-            key: &str,
-            offset: u64,
-            len: u64,
-            channel: u32,
-            not_before: Duration,
-        ) -> cnr_storage::Result<(bytes::Bytes, cnr_storage::GetReceipt)> {
-            if key == self.key && !self.at_head {
-                return Err(self.gone(key));
-            }
-            self.inner.get_part(key, offset, len, channel, not_before)
-        }
-    }
-
     /// When the last live record sits in a segment the plan read short of
     /// its trailer — the newest segment is torn mid-body, holds only a
     /// record of a stale base, or is gone after the list — that trailer is
-    /// read after the walk, on the downlink of the host that fetched the
-    /// segment, behind the host's list and no earlier than the log's
-    /// arrival; first batch waits for it; and the MLPs it lands are the
-    /// ones applying the live records in order leaves, eager and lazy. A
-    /// trailer so read that fails verification ends the tail in front of
-    /// its record, and the next older record's trailer is read the same
-    /// way, once the first has arrived.
+    /// read after the walk, on the downlink of the reader host that frees
+    /// first (ties to the lowest index), behind that host's list and no
+    /// earlier than the log's arrival; first batch waits for it; and the
+    /// MLPs it lands are the ones applying the live records in order
+    /// leaves, eager and lazy (all hot, or with a cold tail, whose chunks a
+    /// host's list fetches too, so that host frees later). A trailer so
+    /// read that fails verification ends the tail in front of its record,
+    /// and the next older record's trailer is read the same way, once the
+    /// first has arrived.
     #[test]
     fn a_trailer_left_unread_is_read_after_the_walk() {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
@@ -1970,16 +1851,13 @@ mod tests {
             ("gone", 3, &[2]),
             ("torn mid-body, third trailer flipped", 2, &[2, 1]),
         ];
+        let key = |i| cnr_storage::wal::segment_key("job", i);
+        let newest = key(3);
+        let heat = RowHeat::zipf(&cfg.row_counts(), 1.05);
         for (case, live, trailers_read) in cases {
-            let store = std::sync::Arc::new(SimulatedRemoteStore::new(
-                RemoteConfig {
-                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                    base_latency: Duration::from_micros(50),
-                    replication: 1,
-                    channels: 2,
-                },
-                SimClock::new(),
-            ));
+            let gone = (case == "gone")
+                .then(|| Fault::gone(Op::Read, FailureMode::Every(1)).on_keys(newest.clone()));
+            let store = std::sync::Arc::new(FlakyStore::new(remote(2, 50), gone));
             write_to_with_parts(store.as_ref(), &snap, 2, 4096);
             let mut payloads = log.clone();
             if case == "stale base" {
@@ -1988,8 +1866,6 @@ mod tests {
                 payloads[3] = stale.encode();
             }
             append_log(store.clone(), &payloads);
-            let key = |i| cnr_storage::wal::segment_key("job", i);
-            let newest = key(3);
             if case.starts_with("torn mid-body") {
                 let whole = store.get(&newest).unwrap();
                 store.put(&newest, whole.slice(..envelope::HEADER_LEN + 12)).unwrap();
@@ -1999,29 +1875,26 @@ mod tests {
                 *third.last_mut().unwrap() ^= 0x01;
                 store.put(&key(2), third.into()).unwrap();
             }
-            let vanished = Vanished { inner: store.as_ref(), key: newest.clone(), at_head: false };
-            let source: &dyn cnr_storage::ObjectStore =
-                if case == "gone" { &vanished } else { store.as_ref() };
 
             let newest_manifest =
                 crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap();
             let chain = [newest_manifest];
             let segments = planned_segments(store.as_ref(), &chain[0]);
             let trailer = sized_segments(store.as_ref())[2].1 - segments[2].1;
-            let plan = planner::plan_priority(&chain, &segments, 2, None, 1.0);
-            for lazy in [false, true] {
-                let what = format!("{case} lazy={lazy}");
-                let before_restore = store.wait_for_drain();
+            for (lazy, heat) in [(false, None), (true, None), (true, Some(&heat))] {
+                let what = format!("{case} lazy={lazy} heat={}", heat.is_some());
+                let plan = planner::plan_priority(&chain, &segments, 2, heat, 0.05);
+                let before_restore = store.inner().wait_for_drain();
                 let mut model = DlrmModel::new(cfg.clone());
                 let sharded = restore_sharded_into(
-                    source,
+                    store.as_ref(),
                     "job",
                     CheckpointId(0),
                     &cfg,
                     &log_opts(2, lazy),
                     before_restore,
                     None,
-                    None,
+                    heat,
                     model.table_views_mut(),
                     true,
                 )
@@ -2029,6 +1902,10 @@ mod tests {
                 sharded.report.state.restore_dense(&mut model);
                 let replayed = sharded.wal.unwrap();
                 replayed.tail.set_dense(&mut model).unwrap();
+                assert_eq!(sharded.lazy.is_some(), heat.is_some(), "{what}: a cold tail");
+                if let Some(mut tail) = sharded.lazy {
+                    tail.drain(&mut model).unwrap();
+                }
                 let iterations: Vec<u64> =
                     replayed.tail.records().iter().map(|r| r.iteration).collect();
                 assert_eq!(iterations, (4..4 + live as u64).collect::<Vec<_>>(), "{what}");
@@ -2036,12 +1913,12 @@ mod tests {
 
                 // The channels' schedules, read by read, as the plan lays
                 // them out from its completion (the segment gone at its
-                // read takes no time), then the trailer reads, each on its
-                // segment's host, no earlier than the log's arrival.
+                // read takes no time), then the trailer reads, each on the
+                // host that frees first, no earlier than the log's arrival.
+                let read_time = |bytes| store.inner().read_transfer_time(bytes);
                 let mut ends = Vec::new();
                 let mut log_arrived = sharded.plan_ready_at;
-                let mut host_of = std::collections::HashMap::new();
-                for (host, list) in plan.iter().enumerate() {
+                for list in &plan {
                     let mut t = sharded.plan_ready_at;
                     for item in list {
                         if case == "gone" && item.key == newest {
@@ -2050,26 +1927,36 @@ mod tests {
                         let part = item.bytes.div_ceil(item.parts as u64).max(1);
                         let mut offset = 0;
                         while offset < item.bytes {
-                            t += store.read_transfer_time(part.min(item.bytes - offset));
+                            t += read_time(part.min(item.bytes - offset));
                             offset += part;
                         }
                         if is_segment(item) {
                             log_arrived = log_arrived.max(t);
-                            host_of.insert(item.key.clone(), host);
                         }
                     }
                     ends.push(t);
                 }
                 let mut trailer_at = log_arrived;
-                for &segment in trailers_read {
-                    let host = host_of[&key(segment as u64)];
-                    trailer_at = ends[host].max(trailer_at) + store.read_transfer_time(trailer);
+                let mut read_on = Vec::new();
+                for _ in trailers_read {
+                    let host = (0..ends.len()).min_by_key(|&host| (ends[host], host)).unwrap();
+                    trailer_at = ends[host].max(trailer_at) + read_time(trailer);
                     ends[host] = trailer_at;
+                    read_on.push(host);
                 }
-                for &segment in trailers_read {
-                    let host = host_of[&key(segment as u64)];
+                for &host in &read_on {
                     let activity = sharded.host_activity.iter().find(|a| a.host == host as u16);
                     assert_eq!(activity.unwrap().last_arrival, ends[host], "{what}");
+                }
+                if case == "gone" && heat.is_some() {
+                    // The host that fetched the segment ends its list, cold
+                    // chunks included, after the other host: the trailer is
+                    // read on the other and lands before that list ends.
+                    let segment = key(trailers_read[0] as u64);
+                    let fetched_on =
+                        plan.iter().position(|list| list.iter().any(|i| i.key == segment));
+                    assert_ne!(fetched_on, Some(read_on[0]), "{what}");
+                    assert!(trailer_at < ends[fetched_on.unwrap()], "{what}");
                 }
                 assert_eq!(replayed.arrived_at, trailer_at, "{what}");
                 assert!(sharded.first_batch_at >= trailer_at, "{what}: first batch waits for it");
@@ -2103,11 +1990,15 @@ mod tests {
             record.apply(&mut in_order).unwrap();
         }
         for at_head in [true, false] {
-            let vanished = Vanished {
-                inner: store.as_ref(),
-                key: cnr_storage::wal::segment_key("job", 2),
-                at_head,
-            };
+            // Listed but gone: at the `head` that sizes it for the plan,
+            // or at the read itself — a truncation racing the restore.
+            let op = if at_head { Op::Head } else { Op::Read };
+            let gone = Fault::gone(op, FailureMode::Every(1));
+            let key = cnr_storage::wal::segment_key("job", 2);
+            let vanished = FlakyStore::new(InMemoryStore::new(), [gone.on_keys(key)]);
+            for key in store.list("job/").unwrap() {
+                vanished.inner().put(&key, store.get(&key).unwrap()).unwrap();
+            }
             if !at_head {
                 let replayed = cnr_storage::wal::replay(&vanished, "job").unwrap();
                 assert_eq!(replayed.records.len(), 2, "replay ends there too");
@@ -2235,40 +2126,6 @@ mod tests {
         (CheckpointId(levels - 1), trainer.model().clone())
     }
 
-    /// A store that logs the key of every read it serves: under a
-    /// `SimulatedRemoteStore` each ranged read of a restore is one entry.
-    #[derive(Default)]
-    struct ReadLog {
-        inner: InMemoryStore,
-        reads: std::sync::Mutex<Vec<String>>,
-    }
-
-    impl cnr_storage::ObjectStore for ReadLog {
-        fn put(&self, key: &str, data: bytes::Bytes) -> cnr_storage::Result<cnr_storage::PutReceipt> {
-            self.inner.put(key, data)
-        }
-        fn get(&self, key: &str) -> cnr_storage::Result<bytes::Bytes> {
-            self.reads.lock().unwrap().push(key.to_string());
-            self.inner.get(key)
-        }
-        fn get_range(&self, key: &str, offset: u64, len: u64) -> cnr_storage::Result<bytes::Bytes> {
-            self.reads.lock().unwrap().push(key.to_string());
-            self.inner.get_range(key, offset, len)
-        }
-        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
-            self.inner.delete(key)
-        }
-        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn head(&self, key: &str) -> cnr_storage::Result<cnr_storage::ObjectMeta> {
-            self.inner.head(key)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
-    }
-
     /// The chain walk reads manifests and nothing else, one after another
     /// on host 0's downlink: the plan exists exactly Σ
     /// `read_transfer_time(manifest)` after the restore began, whatever the
@@ -2280,20 +2137,11 @@ mod tests {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 8);
         for (levels, hosts) in [1u64, 3, 6].into_iter().flat_map(|l| [(l, 1usize), (l, 4)]) {
             let what = format!("levels={levels} hosts={hosts}");
-            let log = std::sync::Arc::new(ReadLog::default());
-            let store = SimulatedRemoteStore::over(
-                log.clone(),
-                RemoteConfig {
-                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                    base_latency: Duration::from_millis(20),
-                    replication: 1,
-                    channels: hosts as u32,
-                },
-                SimClock::new(),
-            );
+            let backing = std::sync::Arc::new(FlakyStore::new(InMemoryStore::new(), []));
+            let store = remote_over(backing.clone(), hosts, 20_000);
             let (newest, model) = write_consecutive(&store, &cfg, levels);
             let drained = store.wait_for_drain();
-            log.reads.lock().unwrap().clear();
+            backing.take_journal();
             let sharded =
                 restore_sharded(&store, "job", newest, &cfg, &opts(hosts), drained).unwrap();
             assert!(sharded.report.state == cnr_model::state::ModelState::extract(&model), "{what}");
@@ -2313,7 +2161,12 @@ mod tests {
                 manifest_lens.iter().map(|&len| store.read_transfer_time(len)).sum();
             assert_eq!(sharded.plan_ready_at - drained, walk, "{what}");
 
-            let reads = std::mem::take(&mut *log.reads.lock().unwrap());
+            let reads: Vec<String> = backing
+                .take_journal()
+                .into_iter()
+                .filter(|call| matches!(call.method, "get" | "get_range"))
+                .map(|call| call.key)
+                .collect();
             let dense: Vec<&String> = reads.iter().filter(|k| k.ends_with("/dense")).collect();
             let newest_dense = &chain.last().unwrap().dense;
             assert_eq!(dense, [&newest_dense.key], "{what}: one dense object, the newest");

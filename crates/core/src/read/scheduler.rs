@@ -175,23 +175,6 @@ impl<'a> FetchScheduler<'a> {
         self.fetch_in_turn(host, Some(turn), key, bytes, 1)
     }
 
-    /// Downloads `len` bytes at `offset` of `key` over host `host`'s
-    /// downlink as one ranged read starting no earlier than `not_before`
-    /// (nor the floor), outside the host's fetch-list turns — a read the
-    /// restore decides on once the plan's items are in — with the same
-    /// transient-failure retries. Returns the bytes *unverified*, with the
-    /// simulated time they arrived.
-    pub fn fetch_range(
-        &self,
-        host: u16,
-        key: &str,
-        offset: u64,
-        len: u64,
-        not_before: Duration,
-    ) -> Result<(Bytes, Duration)> {
-        self.fetch_part(host, key, offset, len, not_before)
-    }
-
     /// One assembly pass ([`FetchScheduler::fetch_chunk_once`]) that, given
     /// the object's `turn` in its host's list, waits until the objects
     /// before it have reserved their reads and then hands the turn on,
@@ -231,7 +214,7 @@ impl<'a> FetchScheduler<'a> {
             // Zero-copy fast path: a single range *is* the whole object,
             // so the buffer the store returned flows straight to the
             // decoder — no reassembly vector, no copy.
-            return self.fetch_part(host, key, 0, bytes, Duration::ZERO);
+            return self.fetch_range(host, key, 0, bytes, Duration::ZERO);
         }
         let part_len = bytes.div_ceil(nparts).max(1);
         let mut assembled = Vec::with_capacity(bytes as usize);
@@ -239,7 +222,7 @@ impl<'a> FetchScheduler<'a> {
         let mut offset = 0u64;
         while offset < bytes {
             let len = part_len.min(bytes - offset);
-            let (data, completed_at) = self.fetch_part(host, key, offset, len, Duration::ZERO)?;
+            let (data, completed_at) = self.fetch_range(host, key, offset, len, Duration::ZERO)?;
             arrived_at = arrived_at.max(completed_at);
             assembled.extend_from_slice(&data);
             offset += len;
@@ -247,11 +230,13 @@ impl<'a> FetchScheduler<'a> {
         Ok((Bytes::from(assembled), arrived_at))
     }
 
-    /// Downloads one range over `host`'s downlink, starting no earlier
-    /// than the floor nor `not_before`, retrying transient I/O failures in
-    /// place, and returns its bytes with the simulated time they finished
-    /// arriving.
-    fn fetch_part(
+    /// Downloads `len` bytes at `offset` of `key` over host `host`'s
+    /// downlink as one ranged read starting no earlier than `not_before`
+    /// (nor the floor), retrying transient I/O failures in place. Returns
+    /// the bytes *unverified*, with the simulated time they arrived. Called
+    /// outside the host's fetch-list turns, it is a read the restore decides
+    /// on once the plan's items are in (a trailer the plan left unread).
+    pub fn fetch_range(
         &self,
         host: u16,
         key: &str,
@@ -315,23 +300,9 @@ impl<'a> FetchScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnr_cluster::SimClock;
     use cnr_storage::envelope;
-    use cnr_storage::{
-        FailureMode, Fault, FlakyStore, InMemoryStore, Op, RemoteConfig, SimulatedRemoteStore,
-    };
-
-    fn remote(bw_mbps: f64, channels: u32) -> SimulatedRemoteStore {
-        SimulatedRemoteStore::new(
-            RemoteConfig {
-                bandwidth_bytes_per_sec: bw_mbps * 1024.0 * 1024.0,
-                base_latency: Duration::ZERO,
-                replication: 1,
-                channels,
-            },
-            SimClock::new(),
-        )
-    }
+    use crate::write::scheduler::tests::remote;
+    use cnr_storage::{FailureMode, Fault, FlakyStore, InMemoryStore, Op};
 
     /// A stored object of exactly `len` bytes, envelope included.
     fn stored(len: usize) -> Bytes {

@@ -69,9 +69,6 @@ pub(crate) struct FetchedSegment {
     pub index: u32,
     /// Object key.
     pub key: String,
-    /// The reader host that fetched it: a read of its trailer goes over
-    /// the same downlink.
-    pub host: u16,
     /// The bytes the plan read of the segment — all of them, or the prefix
     /// in front of its last trailer — unverified, and the simulated time
     /// they arrived; `None` when it was gone (raced with truncation),
@@ -129,7 +126,7 @@ impl ShardReader<'_, '_> {
             Err(CnrError::Storage(StorageError::NotFound(_))) => None,
             Err(e) => return Err(e),
         };
-        Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), host, fetched }))
+        Ok(Fetched::Segment(FetchedSegment { index, key: item.key.clone(), fetched }))
     }
 
     /// Fetches and verifies the dense object as a chunk is fetched — the

@@ -306,6 +306,17 @@ mod tests {
     use cnr_trainer::{Trainer, TrainerConfig};
     use cnr_workload::{DatasetSpec, SyntheticDataset};
 
+    /// A remote of one 1 MiB/s uplink per writer host, 100 µs per put.
+    fn uplinks(hosts: usize) -> SimulatedRemoteStore {
+        let config = RemoteConfig {
+            bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+            base_latency: Duration::from_micros(100),
+            replication: 1,
+            channels: hosts as u32,
+        };
+        SimulatedRemoteStore::new(config, SimClock::new())
+    }
+
     fn snapshot_after(batches: u64, kind: CheckpointKind) -> TrainingSnapshot {
         snapshot_after_dim(batches, kind, 8).1
     }
@@ -554,16 +565,7 @@ mod tests {
     fn eight_shards_reach_durability_faster_than_one() {
         let (_, snap) = snapshot_after_dim(3, CheckpointKind::Full, 16);
         let durable = |hosts: usize| {
-            let clock = SimClock::new();
-            let store = SimulatedRemoteStore::new(
-                RemoteConfig {
-                    bandwidth_bytes_per_sec: 1024.0 * 1024.0, // 1 MB/s per uplink
-                    base_latency: Duration::from_micros(100),
-                    replication: 1,
-                    channels: hosts as u32,
-                },
-                clock,
-            );
+            let store = uplinks(hosts);
             let writer = CheckpointWriter::new(&store, "job");
             let cfg = CheckpointConfig {
                 chunk_rows: 64,
@@ -676,15 +678,7 @@ mod tests {
         // the survivors carry its leftovers, so it frees first of all, and
         // still no part of the dense object may ride it.
         let (model_cfg, snap) = snapshot_after_dim(3, CheckpointKind::Full, 8);
-        let store = super::scheduler::tests::PartLog::new(SimulatedRemoteStore::new(
-            RemoteConfig {
-                bandwidth_bytes_per_sec: 1024.0 * 1024.0,
-                base_latency: Duration::from_micros(100),
-                replication: 1,
-                channels: 4,
-            },
-            SimClock::new(),
-        ));
+        let store = cnr_storage::FlakyStore::new(uplinks(4), []);
         let cfg = CheckpointConfig {
             chunk_rows: 64,
             writer_hosts: 4,
@@ -706,7 +700,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rec.killed_hosts, vec![1]);
-        let dense = store.parts_of(&rec.manifest.dense.key);
+        let dense = super::scheduler::tests::sent_parts(&store, &rec.manifest.dense.key);
         let channels: Vec<u32> = dense.iter().map(|(channel, _)| *channel).collect();
         assert!(
             dense.len() >= 3,

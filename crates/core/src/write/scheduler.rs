@@ -185,79 +185,26 @@ impl<'a> UploadScheduler<'a> {
 pub(crate) mod tests {
     use super::*;
     use cnr_cluster::SimClock;
-    use cnr_storage::multipart::{MultipartUpload, PartReceipt};
-    use cnr_storage::{InMemoryStore, ObjectMeta, RemoteConfig, SimulatedRemoteStore};
+    use cnr_storage::flaky::Receipt;
+    use cnr_storage::{FlakyStore, InMemoryStore, RemoteConfig, SimulatedRemoteStore};
 
-    /// A store that logs every part it is sent — the key, the channel it
-    /// rode and its receipt — and forwards every call to `inner`.
-    pub(crate) struct PartLog<S> {
-        pub(crate) inner: S,
-        parts: Mutex<Vec<(String, u32, PartReceipt)>>,
+    /// The channel and receipt of every part `store` forwarded under `key`
+    /// since its journal was last taken, in the order they were sent.
+    pub(crate) fn sent_parts<S: ObjectStore>(
+        store: &FlakyStore<S>,
+        key: &str,
+    ) -> Vec<(u32, Receipt)> {
+        store
+            .take_journal()
+            .into_iter()
+            .filter(|call| call.method == "put_part" && call.key == key)
+            .map(|call| (call.channel.unwrap(), call.receipt.unwrap()))
+            .collect()
     }
 
-    impl<S: ObjectStore> PartLog<S> {
-        pub(crate) fn new(inner: S) -> Self {
-            Self {
-                inner,
-                parts: Mutex::new(Vec::new()),
-            }
-        }
-
-        /// The channel and receipt of every part sent under `key`, in the
-        /// order they were sent.
-        pub(crate) fn parts_of(&self, key: &str) -> Vec<(u32, PartReceipt)> {
-            let parts = self.parts.lock().unwrap();
-            parts
-                .iter()
-                .filter(|(k, ..)| k == key)
-                .map(|(_, channel, receipt)| (*channel, receipt.clone()))
-                .collect()
-        }
-    }
-
-    impl<S: ObjectStore> ObjectStore for PartLog<S> {
-        fn put(&self, key: &str, data: Bytes) -> cnr_storage::Result<PutReceipt> {
-            self.inner.put(key, data)
-        }
-        fn get(&self, key: &str) -> cnr_storage::Result<Bytes> {
-            self.inner.get(key)
-        }
-        fn delete(&self, key: &str) -> cnr_storage::Result<()> {
-            self.inner.delete(key)
-        }
-        fn list(&self, prefix: &str) -> cnr_storage::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn head(&self, key: &str) -> cnr_storage::Result<ObjectMeta> {
-            self.inner.head(key)
-        }
-        fn total_bytes(&self) -> u64 {
-            self.inner.total_bytes()
-        }
-        fn begin_multipart(&self, key: &str) -> cnr_storage::Result<MultipartUpload> {
-            self.inner.begin_multipart(key)
-        }
-        fn put_part(
-            &self,
-            up: &MultipartUpload,
-            part: u32,
-            data: Bytes,
-            not_before: Duration,
-        ) -> cnr_storage::Result<PartReceipt> {
-            let receipt = self.inner.put_part(up, part, data, not_before)?;
-            let entry = (up.key.clone(), up.channel, receipt.clone());
-            self.parts.lock().unwrap().push(entry);
-            Ok(receipt)
-        }
-        fn complete_multipart(&self, up: &MultipartUpload) -> cnr_storage::Result<PutReceipt> {
-            self.inner.complete_multipart(up)
-        }
-        fn abort_multipart(&self, up: &MultipartUpload) -> cnr_storage::Result<()> {
-            self.inner.abort_multipart(up)
-        }
-    }
-
-    fn remote(bw_mbps: f64, channels: u32) -> SimulatedRemoteStore {
+    /// A remote of `channels` `bw_mbps` MiB/s channels, no latency and one
+    /// replica.
+    pub(crate) fn remote(bw_mbps: f64, channels: u32) -> SimulatedRemoteStore {
         SimulatedRemoteStore::new(
             RemoteConfig {
                 bandwidth_bytes_per_sec: bw_mbps * 1024.0 * 1024.0,
@@ -333,7 +280,7 @@ pub(crate) mod tests {
 
     #[test]
     fn errors_abort_the_upload() {
-        use cnr_storage::{FailureMode, Fault, FlakyStore, Op};
+        use cnr_storage::{FailureMode, Fault, Op};
         let store =
             FlakyStore::new(InMemoryStore::new(), [Fault::fail(Op::Put, FailureMode::Every(2))]);
         let sched = UploadScheduler::new(&store, 1, 1024);
@@ -345,7 +292,7 @@ pub(crate) mod tests {
         assert_eq!(store.list("obj").unwrap(), Vec::<String>::new());
     }
 
-    fn channels(parts: &[(u32, PartReceipt)]) -> Vec<u32> {
+    fn channels(parts: &[(u32, Receipt)]) -> Vec<u32> {
         parts.iter().map(|(channel, _)| *channel).collect()
     }
 
@@ -353,7 +300,7 @@ pub(crate) mod tests {
     fn dealt_parts_ride_the_earliest_free_live_host_ties_to_the_lowest() {
         // Host 0's uplink is busy until 2 s, hosts 1 and 2 until 1 s, host
         // 3 is idle but not among the live hosts.
-        let store = PartLog::new(remote(1.0, 4));
+        let store = FlakyStore::new(remote(1.0, 4), []);
         let sched = UploadScheduler::new(&store, 4, 1024 * 1024);
         sched.upload(0, "a", mb(2)).unwrap();
         sched.upload(1, "b", mb(1)).unwrap();
@@ -365,7 +312,7 @@ pub(crate) mod tests {
         // Four 1 MiB parts: hosts 1 and 2 tie at 1 s (1 first), then all
         // three tie at 2 s (0 first), then hosts 1 and 2 tie at 2 s.
         assert_eq!(parts, 4);
-        let sent = store.parts_of("dense");
+        let sent = sent_parts(&store, "dense");
         assert_eq!(channels(&sent), [1, 2, 0, 1]);
         for ((_, r), start) in sent.iter().zip([1.0, 1.0, 2.0, 2.0]) {
             let started = (r.completed_at - r.transfer_time).as_secs_f64();
@@ -379,12 +326,12 @@ pub(crate) mod tests {
     fn no_dealt_part_starts_before_the_floor_even_on_an_idle_host() {
         // Host 1 carries a chunk before the floor is raised; host 0 carries
         // nothing. Every dealt part still waits for the 5 s floor.
-        let store = PartLog::new(remote(1.0, 2));
+        let store = FlakyStore::new(remote(1.0, 2), []);
         let sched = UploadScheduler::new(&store, 2, 1024 * 1024);
         sched.upload(1, "chunk", mb(1)).unwrap();
         sched.set_floor(Duration::from_secs(5));
         sched.upload_dealt(&[0, 1], "dense", mb(3)).unwrap();
-        let sent = store.parts_of("dense");
+        let sent = sent_parts(&store, "dense");
         assert_eq!(channels(&sent), [0, 1, 0]);
         for (_, r) in &sent {
             assert!(
@@ -397,26 +344,25 @@ pub(crate) mod tests {
 
     #[test]
     fn with_one_host_every_dealt_part_rides_host_0() {
-        let store = PartLog::new(remote(1.0, 1));
+        let store = FlakyStore::new(remote(1.0, 1), []);
         let sched = UploadScheduler::new(&store, 1, 1024);
         let (_, parts) = sched
             .upload_dealt(&[0], "dense", Bytes::from(vec![3u8; 2500]))
             .unwrap();
         assert_eq!(parts, 3);
-        assert_eq!(channels(&store.parts_of("dense")), [0, 0, 0]);
+        assert_eq!(channels(&sent_parts(&store, "dense")), [0, 0, 0]);
     }
 
     #[test]
     fn an_object_larger_than_hosts_times_part_bytes_streams_in_bounded_parts() {
-        let store = PartLog::new(InMemoryStore::new());
+        let store = FlakyStore::new(InMemoryStore::new(), []);
         let sched = UploadScheduler::new(&store, 2, 1024);
         let payload = Bytes::from((0..5000).map(|i| (i * 7) as u8).collect::<Vec<_>>());
         let (_, parts) = sched
             .upload_dealt(&[0, 1], "dense", payload.clone())
             .unwrap();
         assert_eq!(parts, 5, "⌈5000 / 1024⌉ parts, more than the two hosts");
-        let sizes: Vec<u64> = store
-            .parts_of("dense")
+        let sizes: Vec<u64> = sent_parts(&store, "dense")
             .iter()
             .map(|(_, r)| r.bytes)
             .collect();
@@ -427,8 +373,7 @@ pub(crate) mod tests {
             .upload_dealt(&[0, 1], "small", Bytes::from(vec![1u8; 9]))
             .unwrap();
         assert_eq!(parts, 2);
-        let sizes: Vec<u64> = store
-            .parts_of("small")
+        let sizes: Vec<u64> = sent_parts(&store, "small")
             .iter()
             .map(|(_, r)| r.bytes)
             .collect();

@@ -8,17 +8,25 @@
 //! Real stores also *lie*, returning bytes that are not the bytes that
 //! were written (bit rot on a replica, a truncated transfer the client
 //! library papers over, a stale replica that missed the latest overwrite),
-//! and die mid-write, keeping a prefix of an object the writer never saw
-//! acknowledged. Injecting those tests the envelope verification
-//! ([`crate::envelope`]) and the WAL's crash-consistency contract
-//! ([`crate::wal`]) end to end.
+//! die mid-write, keeping a prefix of an object the writer never saw
+//! acknowledged, stall, and lose objects behind the caller's back.
+//! Injecting those tests the envelope verification ([`crate::envelope`]),
+//! the WAL's crash-consistency contract ([`crate::wal`]) and the
+//! pipelines' independence of thread timing end to end.
 //!
 //! # Faults
 //!
-//! A [`Fault`] is one of three effects:
+//! A [`Fault`] is one of five effects:
 //!
-//! - [`Fault::fail`]: a call of one [`Op`] (put, read, head, list, delete)
-//!   returns a timeout error and never reaches the inner store;
+//! - [`Fault::delay`]: a call of one [`Op`] (put, read, head, list,
+//!   delete) sleeps a seeded stretch of *wall* time before it goes on —
+//!   the simulated clock never sees it, so a stalled thread must not move
+//!   a simulated number;
+//! - [`Fault::fail`]: a call of one [`Op`] returns a timeout error and
+//!   never reaches the inner store;
+//! - [`Fault::gone`]: a call of one [`Op`] returns
+//!   [`StorageError::NotFound`] and never reaches the inner store — the
+//!   object was deleted after the caller listed it;
 //! - [`Fault::corrupt`]: a read returns damaged bytes ([`CorruptionKind`]);
 //! - [`Fault::tear`]: a whole-object put stores a strict prefix of the
 //!   object and returns an error.
@@ -33,11 +41,21 @@
 //!
 //! # Check order
 //!
-//! A call is checked first against the faults that fail its [`Op`]; a
-//! whole-object put that none failed is then checked against the tears,
+//! A call is checked first against the delays of its [`Op`]. A delay
+//! never decides the outcome: after the sleep the call is checked against
+//! the faults that fail its [`Op`] (timeouts and vanished objects alike);
+//! a whole-object put that none failed is then checked against the tears,
 //! and a read that returned bytes against the corruptions. Within each of
 //! these groups the faults are checked in list order: the first one that
 //! hits decides, and the faults after it do not count the call.
+//!
+//! # Journal
+//!
+//! A [`FlakyStore`] journals every call it forwards to its inner store
+//! ([`FlakyStore::take_journal`]), `total_bytes` and the multipart calls
+//! included: the method, the key, the channel and the receipt. A call a
+//! fault failed is not forwarded; a torn put forwards its prefix. A test
+//! that needs to see what reached a store wraps it with no faults.
 
 use crate::multipart::{MultipartUpload, PartReceipt};
 use crate::{ObjectMeta, ObjectStore, PutReceipt, Result, StorageError};
@@ -85,7 +103,8 @@ pub enum CorruptionKind {
     StaleReplica,
 }
 
-/// A store call a [`Fault::fail`] can fail.
+/// A store call a [`Fault::delay`], [`Fault::fail`] or [`Fault::gone`]
+/// can hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// A whole-object `put` or a multipart `put_part` (one counter).
@@ -102,7 +121,9 @@ pub enum Op {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Effect {
+    Delay(Op, Duration),
     Fail(Op),
+    Gone(Op),
     Corrupt(CorruptionKind),
     Tear,
 }
@@ -123,9 +144,21 @@ impl Fault {
         Self { effect, mode, keys: None, seed: 0, cut: None }
     }
 
+    /// Holds the `mode`-chosen calls of `op` for a seeded stretch of wall
+    /// time in `[max / 2, max]`, then lets them go on to the other checks.
+    pub fn delay(op: Op, max: Duration, mode: FailureMode) -> Self {
+        Self::new(Effect::Delay(op, max), mode)
+    }
+
     /// Fails the `mode`-chosen calls of `op` with a timeout error.
     pub fn fail(op: Op, mode: FailureMode) -> Self {
         Self::new(Effect::Fail(op), mode)
+    }
+
+    /// Fails the `mode`-chosen calls of `op` with
+    /// [`StorageError::NotFound`], as if the object had been deleted.
+    pub fn gone(op: Op, mode: FailureMode) -> Self {
+        Self::new(Effect::Gone(op), mode)
     }
 
     /// Damages the `mode`-chosen reads (whole-object and ranged) with
@@ -150,7 +183,7 @@ impl Fault {
     }
 
     /// Seeds the damage positions (bit index, truncation point, derived
-    /// tear offset); the default seed is 0.
+    /// tear offset) and the delays' lengths; the default seed is 0.
     pub fn seeded(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -171,6 +204,34 @@ struct Armed {
     injected: AtomicU64,
 }
 
+/// One call a [`FlakyStore`] forwarded to its inner store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Call {
+    /// The [`ObjectStore`] method's name: `"put"`, `"get_part"`, ...
+    pub method: &'static str,
+    /// The key: a `list`'s prefix, a multipart call's object key, empty
+    /// for `total_bytes`.
+    pub key: String,
+    /// The channel a `get_part` or a multipart upload's call named.
+    pub channel: Option<u32>,
+    /// The receipt of a `put`, `get_part`, `put_part` or
+    /// `complete_multipart` that succeeded.
+    pub receipt: Option<Receipt>,
+}
+
+/// A journaled call's receipt: bytes moved, the time they occupied their
+/// channel, and the simulated time they completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Receipt {
+    pub bytes: u64,
+    pub transfer_time: Duration,
+    pub completed_at: Duration,
+}
+
+fn receipt(bytes: u64, transfer_time: Duration, completed_at: Duration) -> Option<Receipt> {
+    Some(Receipt { bytes, transfer_time, completed_at })
+}
+
 /// Wraps a store, injecting a list of deterministic [`Fault`]s.
 pub struct FlakyStore<S> {
     inner: S,
@@ -179,6 +240,9 @@ pub struct FlakyStore<S> {
     /// "stale replica" a `CorruptionKind::StaleReplica` read serves.
     /// Only maintained while such a corruption is in the list.
     stale: Mutex<HashMap<String, Bytes>>,
+    /// Every call forwarded to `inner` since the last
+    /// [`FlakyStore::take_journal`].
+    journal: Mutex<Vec<Call>>,
 }
 
 impl<S: ObjectStore> FlakyStore<S> {
@@ -188,7 +252,7 @@ impl<S: ObjectStore> FlakyStore<S> {
             .into_iter()
             .map(|fault| Armed { fault, calls: AtomicU64::new(0), injected: AtomicU64::new(0) })
             .collect();
-        Self { inner, faults, stale: Mutex::new(HashMap::new()) }
+        Self { inner, faults, stale: Mutex::new(HashMap::new()), journal: Mutex::new(Vec::new()) }
     }
 
     /// The wrapped store.
@@ -197,9 +261,30 @@ impl<S: ObjectStore> FlakyStore<S> {
     }
 
     /// Number of calls fault `i` (its index in the list given to
-    /// [`FlakyStore::new`]) has failed, torn or damaged so far.
+    /// [`FlakyStore::new`]) has delayed, failed, torn or damaged so far.
     pub fn injected(&self, i: usize) -> u64 {
         self.faults[i].injected.load(Ordering::Relaxed)
+    }
+
+    /// The calls forwarded to the inner store since the last call of this,
+    /// in the order they returned.
+    pub fn take_journal(&self) -> Vec<Call> {
+        std::mem::take(&mut *self.journal.lock())
+    }
+
+    /// Journals one call forwarded to the inner store, with the receipt
+    /// `timing` reads off its outcome, and passes the outcome on.
+    fn forward<T>(
+        &self,
+        method: &'static str,
+        key: &str,
+        channel: Option<u32>,
+        outcome: Result<T>,
+        timing: impl FnOnce(&T) -> Option<Receipt>,
+    ) -> Result<T> {
+        let receipt = outcome.as_ref().ok().and_then(timing);
+        self.journal.lock().push(Call { method, key: key.to_string(), channel, receipt });
+        outcome
     }
 
     /// Counts one call of `key` against each fault `group` selects, in
@@ -216,18 +301,29 @@ impl<S: ObjectStore> FlakyStore<S> {
             })
     }
 
-    /// Fails this call of `op` on `key` if one of its faults hits.
+    /// Delays this call of `op` on `key` if one of its delays hits, then
+    /// fails it if one of its failures hits.
     fn check(&self, op: Op, key: &str) -> Result<()> {
-        match self.hit(key, |e| e == Effect::Fail(op)) {
-            None => Ok(()),
-            Some((a, n)) => {
+        if let Some((a, n)) = self.hit(key, |e| matches!(e, Effect::Delay(o, _) if o == op)) {
+            if let Effect::Delay(_, max) = a.fault.effect {
                 a.injected.fetch_add(1, Ordering::Relaxed);
-                Err(StorageError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("injected failure on {op:?} #{n} ({key})"),
-                )))
+                let max = max.as_nanos() as u64;
+                let stretch = max / 2 + mix(a.fault.seed, n) % (max - max / 2 + 1);
+                std::thread::sleep(Duration::from_nanos(stretch));
             }
         }
+        let (a, n) = match self.hit(key, |e| e == Effect::Fail(op) || e == Effect::Gone(op)) {
+            None => return Ok(()),
+            Some(hit) => hit,
+        };
+        a.injected.fetch_add(1, Ordering::Relaxed);
+        Err(match a.fault.effect {
+            Effect::Gone(_) => StorageError::NotFound(key.to_string()),
+            _ => StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("injected failure on {op:?} #{n} ({key})"),
+            )),
+        })
     }
 
     /// Tears this put of `key` if a tear hits: the inner store receives a
@@ -244,7 +340,7 @@ impl<S: ObjectStore> FlakyStore<S> {
                 None => (mix(a.fault.seed, n) % data.len() as u64) as usize,
             };
             self.remember_stale(key);
-            if let Err(e) = self.inner.put(key, data.slice(0..cut)) {
+            if let Err(e) = self.put_inner(key, data.slice(0..cut)) {
                 return Some(Err(e));
             }
         }
@@ -252,6 +348,12 @@ impl<S: ObjectStore> FlakyStore<S> {
             std::io::ErrorKind::ConnectionAborted,
             format!("injected torn write on put #{n} ({key})"),
         ))))
+    }
+
+    /// Forwards a whole-object put.
+    fn put_inner(&self, key: &str, data: Bytes) -> Result<PutReceipt> {
+        let put = self.inner.put(key, data);
+        self.forward("put", key, None, put, |r| receipt(r.bytes, r.transfer_time, r.completed_at))
     }
 
     /// Records the current object at `key` as the stale version a lagging
@@ -332,18 +434,19 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
             return torn;
         }
         self.remember_stale(key);
-        self.inner.put(key, data)
+        self.put_inner(key, data)
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
         self.check(Op::Read, key)?;
-        let data = self.inner.get(key)?;
+        let data = self.forward("get", key, None, self.inner.get(key), |_| None)?;
         Ok(self.maybe_corrupt(key, data, 0))
     }
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
         self.check(Op::Read, key)?;
-        let data = self.inner.get_range(key, offset, len)?;
+        let read = self.inner.get_range(key, offset, len);
+        let data = self.forward("get_range", key, None, read, |_| None)?;
         Ok(self.maybe_corrupt(key, data, offset))
     }
 
@@ -356,27 +459,33 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
         not_before: Duration,
     ) -> Result<(Bytes, crate::GetReceipt)> {
         self.check(Op::Read, key)?;
-        let (data, receipt) = self.inner.get_part(key, offset, len, channel, not_before)?;
-        Ok((self.maybe_corrupt(key, data, offset), receipt))
+        let read = self.inner.get_part(key, offset, len, channel, not_before);
+        let (data, r) = self.forward("get_part", key, Some(channel), read, |(_, r)| {
+            receipt(r.bytes, r.transfer_time, r.completed_at)
+        })?;
+        Ok((self.maybe_corrupt(key, data, offset), r))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
         self.check(Op::Delete, key)?;
-        self.inner.delete(key)
+        self.forward("delete", key, None, self.inner.delete(key), |_| None)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
         self.check(Op::List, prefix)?;
-        self.inner.list(prefix)
+        self.forward("list", prefix, None, self.inner.list(prefix), |_| None)
     }
 
     fn head(&self, key: &str) -> Result<ObjectMeta> {
         self.check(Op::Head, key)?;
-        self.inner.head(key)
+        self.forward("head", key, None, self.inner.head(key), |_| None)
     }
 
     fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
+        let total = self.inner.total_bytes();
+        let call = Call { method: "total_bytes", key: String::new(), channel: None, receipt: None };
+        self.journal.lock().push(call);
+        total
     }
 
     // Multipart forwards to the inner store (so native implementations keep
@@ -384,7 +493,7 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
     // and whole-object puts share one count per fault.
 
     fn begin_multipart(&self, key: &str) -> Result<MultipartUpload> {
-        self.inner.begin_multipart(key)
+        self.forward("begin_multipart", key, None, self.inner.begin_multipart(key), |_| None)
     }
 
     fn put_part(
@@ -395,16 +504,23 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
         not_before: Duration,
     ) -> Result<PartReceipt> {
         self.check(Op::Put, &up.key)?;
-        self.inner.put_part(up, part, data, not_before)
+        let put = self.inner.put_part(up, part, data, not_before);
+        self.forward("put_part", &up.key, Some(up.channel), put, |r| {
+            receipt(r.bytes, r.transfer_time, r.completed_at)
+        })
     }
 
     fn complete_multipart(&self, up: &MultipartUpload) -> Result<PutReceipt> {
         self.remember_stale(&up.key);
-        self.inner.complete_multipart(up)
+        let put = self.inner.complete_multipart(up);
+        self.forward("complete_multipart", &up.key, Some(up.channel), put, |r| {
+            receipt(r.bytes, r.transfer_time, r.completed_at)
+        })
     }
 
     fn abort_multipart(&self, up: &MultipartUpload) -> Result<()> {
-        self.inner.abort_multipart(up)
+        let abort = self.inner.abort_multipart(up);
+        self.forward("abort_multipart", &up.key, Some(up.channel), abort, |_| None)
     }
 }
 
@@ -698,6 +814,45 @@ mod tests {
         // The manifest's retry passes fault 0 (healed) and hits fault 1.
         assert!(store.delete("job/c/manifest").is_err());
         assert_eq!([store.injected(0), store.injected(1), store.injected(2)], [1, 2, 1]);
+    }
+
+    #[test]
+    fn a_delay_sleeps_at_least_half_its_max_and_decides_nothing() {
+        let max = Duration::from_millis(40);
+        let store = flaky([Fault::delay(Op::Read, max, Once(1)), Fault::fail(Op::Read, Once(1))]);
+        store.put("k", Bytes::from_static(b"abc")).unwrap();
+        let t0 = std::time::Instant::now();
+        assert!(store.get("k").is_err(), "delayed, then failed");
+        assert!(t0.elapsed() >= max / 2);
+        assert_eq!(store.get("k").unwrap(), Bytes::from_static(b"abc"));
+        assert_eq!([store.injected(0), store.injected(1)], [1, 1]);
+    }
+
+    #[test]
+    fn a_gone_object_is_not_found_and_the_journal_holds_what_was_forwarded() {
+        let store = flaky([Fault::gone(Op::Read, Every(1)).on_keys("b"), Fault::tear(Once(2)).at_byte(1)]);
+        store.put("a", Bytes::from_static(b"xyz")).unwrap();
+        assert!(store.put("b", Bytes::from_static(b"xyz")).is_err(), "torn: the prefix is put");
+        assert!(matches!(store.get("b"), Err(StorageError::NotFound(k)) if k == "b"));
+        let (_, got) = store.get_part("a", 1, 2, 3, Duration::from_secs(4)).unwrap();
+        let mut up = store.begin_multipart("m").unwrap();
+        up.channel = 2;
+        store.put_part(&up, 0, Bytes::from_static(b"pq"), Duration::from_secs(1)).unwrap();
+        store.complete_multipart(&up).unwrap();
+        store.total_bytes();
+        assert!(store.head("c").is_err(), "an error of the inner store is journaled");
+        let journal = store.take_journal();
+        let calls: Vec<_> =
+            journal.iter().map(|c| format!("{} {} {:?}", c.method, c.key, c.channel)).collect();
+        let expected = [
+            "put a None", "put b None", "get_part a Some(3)", "begin_multipart m None",
+            "put_part m Some(2)", "complete_multipart m Some(2)", "total_bytes  None", "head c None",
+        ];
+        assert_eq!(calls, expected);
+        let bytes: Vec<_> = journal.iter().map(|c| c.receipt.map(|r| r.bytes)).collect();
+        assert_eq!(bytes, [Some(3), Some(1), Some(2), None, Some(2), Some(2), None, None]);
+        assert_eq!(journal[2].receipt.unwrap().completed_at, got.completed_at);
+        assert!(store.take_journal().is_empty());
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //!    or [`fs::FsStore`] (a directory; atomic writes by temp file +
 //!    rename, for durable local runs).
 //! 2. **Faults, optionally** — [`flaky::FlakyStore`] around layer 1,
-//!    injecting a list of [`flaky::Fault`]s at once: a failed put, read,
-//!    head, list or delete ([`flaky::Op`]), a torn put, a silently
-//!    corrupted read — each deterministic by its own count of the calls
-//!    it is eligible for. This is the layer a test substitutes
+//!    injecting a list of [`flaky::Fault`]s at once: a delayed, failed or
+//!    vanished put, read, head, list or delete ([`flaky::Op`]), a torn
+//!    put, a silently corrupted read — each deterministic by its own count
+//!    of the calls it is eligible for — and journaling every call it
+//!    forwards. This is the layer a test substitutes
 //!    (`EngineBuilder::backing_store` in `cnr_core`) to put store failures
-//!    under an unmodified engine.
+//!    under an unmodified engine; a test that stalls or hides objects
+//!    from a restore, or reads which downlink each call rode, puts it
+//!    above layer 3 instead.
 //! 3. **The remote** — [`remote::SimulatedRemoteStore`] over layer 1 or 2:
 //!    serialized transfer channels of configurable bandwidth, per-object
 //!    latency, replication write-amplification and native multipart, all

@@ -667,6 +667,43 @@ mod tests {
         assert_eq!(failures(), 1);
     }
 
+    /// A log of three one-record segments, `a`, `b` and `c`, on a store
+    /// injecting `fault`.
+    fn three_segments(fault: Fault) -> (Arc<FlakyStore<InMemoryStore>>, WalWriter) {
+        let s = flaky([fault]);
+        let mut w = writer(&s);
+        for payload in [b"a", b"b", b"c"] {
+            w.append(payload).unwrap();
+        }
+        (s, w)
+    }
+
+    /// A segment already gone when the truncate deletes it (another
+    /// truncate, or the controller's sweep, got there first) is skipped,
+    /// not an error: the rest go, and no live segment is left.
+    #[test]
+    fn truncate_skips_a_segment_that_is_already_gone() {
+        let gone = Fault::gone(Op::Delete, Once(1)).on_keys(segment_key("job", 1));
+        let (s, mut w) = three_segments(gone);
+        assert_eq!(w.truncate().unwrap(), 2, "segments 0 and 2 deleted");
+        assert_eq!(s.injected(0), 1);
+        assert!(w.live_segments().is_empty());
+    }
+
+    /// A segment that is gone after the list (a truncate racing the
+    /// replay) ends the log in front of it: the records before it come
+    /// back, cleanly, and no segment behind it is read.
+    #[test]
+    fn replay_ends_the_log_in_front_of_a_segment_gone_after_the_list() {
+        let (s, _) = three_segments(Fault::gone(Op::Read, Every(1)).on_keys(segment_key("job", 1)));
+        s.take_journal();
+        let r = replay(s.as_ref(), "job").unwrap();
+        assert_eq!(r.tail, WalTail::Clean);
+        assert_eq!(r.records.iter().map(|r| &r.payload[..]).collect::<Vec<_>>(), [b"a"]);
+        let reads = s.take_journal().into_iter().filter(|call| call.method == "get").count();
+        assert_eq!((s.injected(0), reads), (1, 1), "segment 2 is never read");
+    }
+
     /// A frame whose put failed is kept, and the next append's put makes
     /// it durable in the segment the failed put was meant to be: replay
     /// returns every record, in sequence order.

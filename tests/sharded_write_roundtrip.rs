@@ -11,6 +11,11 @@
 //! the *live model's* rows at `take` time, the manifest is the one computed
 //! from the live model and its configuration alone, and the chain restores
 //! to the reference computed row by row.
+//!
+//! `write_timing_does_not_depend_on_put_delays_or_the_quantize_workers`
+//! stalls the write's puts for seeded stretches of wall time
+//! (`Fault::delay`) and checks every simulated output against the
+//! undelayed one-worker write's.
 
 use check_n_run::cluster::{HostKill, SimClock};
 use check_n_run::core::config::CheckpointConfig;
@@ -26,7 +31,10 @@ use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::{DlrmModel, ModelConfig, ModelState, OptimizerConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
-use check_n_run::storage::{InMemoryStore, ObjectStore, RemoteConfig, SimulatedRemoteStore};
+use check_n_run::storage::{
+    FailureMode, Fault, FlakyStore, InMemoryStore, ObjectStore, Op, RemoteConfig,
+    SimulatedRemoteStore,
+};
 use check_n_run::tracking::TrackerSnapshot;
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
@@ -474,6 +482,17 @@ proptest! {
     }
 }
 
+/// A remote of one 2 MiB/s uplink per writer host, doubly replicated.
+fn remote(hosts: usize) -> SimulatedRemoteStore {
+    let config = RemoteConfig {
+        bandwidth_bytes_per_sec: 2.0 * 1024.0 * 1024.0,
+        base_latency: Duration::from_micros(100),
+        replication: 2,
+        channels: hosts as u32,
+    };
+    SimulatedRemoteStore::new(config, SimClock::new())
+}
+
 /// The headline acceptance property at the facade level: with one uplink
 /// per writer host, an 8-shard write of the same snapshot reaches
 /// durability in measurably less simulated time than a single shard, and
@@ -482,15 +501,7 @@ proptest! {
 fn eight_shards_reach_durability_sooner_and_restore_identically() {
     let (model_cfg, snap, _) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
     let write = |hosts: usize| {
-        let store = SimulatedRemoteStore::new(
-            RemoteConfig {
-                bandwidth_bytes_per_sec: 2.0 * 1024.0 * 1024.0,
-                base_latency: Duration::from_micros(100),
-                replication: 2,
-                channels: hosts as u32,
-            },
-            SimClock::new(),
-        );
+        let store = remote(hosts);
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig {
             chunk_rows: 128,
@@ -513,4 +524,61 @@ fn eight_shards_reach_durability_sooner_and_restore_identically() {
         t8.as_secs_f64() < 0.35 * t1.as_secs_f64(),
         "8 uplinks should approach 8x faster durability: 1-shard {t1:?}, 8-shard {t8:?}"
     );
+}
+
+/// Simulated write timing does not follow thread timing: a checkpoint
+/// written at 1 and 4 writer hosts with 1, 2 and 4 quantize workers, under
+/// seeded wall-clock delays on its puts, records the completion, write
+/// latency, parts, stored bytes, manifest and simulated store busy time of
+/// the undelayed one-worker write. Where no two workers share a host, each
+/// part also rides the same uplink and lands at the same instant. Where
+/// they do, it does not: the host's chunks take its uplink in the order
+/// its workers reach it (the aggregates hold because the uplink is busy
+/// from the floor to the last part either way).
+#[test]
+fn write_timing_does_not_depend_on_put_delays_or_the_quantize_workers() {
+    let (_, snap, _) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
+    for hosts in [1usize, 4] {
+        let write = |workers: usize, seed: Option<u64>| {
+            let delay = |seed| {
+                Fault::delay(Op::Put, Duration::from_millis(3), FailureMode::Every(2)).seeded(seed)
+            };
+            let store = FlakyStore::new(remote(hosts), seed.map(delay));
+            let cfg = CheckpointConfig {
+                chunk_rows: 128,
+                writer_hosts: hosts,
+                quantize_workers: workers,
+                part_bytes: 4096,
+                ..CheckpointConfig::default()
+            };
+            let rec = CheckpointWriter::new(&store, "job")
+                .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
+                .expect("write");
+            assert!(seed.is_none() || store.injected(0) > 0, "delays were injected");
+            let manifest = store.inner().get(&rec.manifest_key).unwrap();
+            let busy = store.inner().metrics().snapshot().busy_time;
+            // Each object's parts in the order they were sent: one thread
+            // sends an object's parts, so that order is fixed.
+            let mut parts: Vec<_> = store
+                .take_journal()
+                .into_iter()
+                .filter(|call| call.method == "put_part")
+                .map(|call| (call.key, call.channel, call.receipt))
+                .collect();
+            parts.sort_by(|a, b| a.0.cmp(&b.0));
+            let record = (rec.completed_at, rec.write_latency, rec.parts, rec.stored_bytes);
+            ((record, manifest, busy), parts)
+        };
+        let (undelayed, parts) = write(1, None);
+        for workers in [1usize, 2, 4] {
+            for seed in [1u64, 2] {
+                let what = format!("hosts={hosts} workers={workers} seed={seed}");
+                let (simulated, delayed_parts) = write(workers, Some(seed));
+                assert_eq!(simulated, undelayed, "{what}");
+                if workers <= hosts {
+                    assert_eq!(delayed_parts, parts, "{what}");
+                }
+            }
+        }
+    }
 }
