@@ -46,7 +46,7 @@
 use super::merge::{land_rows, Destination, Stripe};
 use super::shard_reader::DecodedChunk;
 use crate::error::{CnrError, Result};
-use crate::hosts::run_hosts;
+use crate::hosts::{run_hosts, Links};
 use crate::manifest::{open_frame, ChunkHeader, ChunkPayload, OpenedChunk, TableMeta};
 use bytes::Bytes;
 use cnr_model::DlrmModel;
@@ -367,13 +367,14 @@ impl LazyRestore {
             let dest =
                 Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)
                     .map_err(DrainFailure::Refused)?;
+            // A drain reserves no link: it never waits on a turn.
             run_hosts(
                 vec![self.cold.iter().collect::<Vec<_>>()],
                 self.workers,
                 None,
-                |_, chunk| dest.place(chunk.opened(), chunk.rank, chunk.name()).map(drop),
-                |_, _| Ok(()),
-                |_, _| {},
+                &Links::new(1, std::time::Duration::ZERO),
+                |_, _, chunk| dest.place(chunk.opened(), chunk.rank, chunk.name()).map(drop),
+                |_, _, _| Ok(()),
                 "a drain has no host to lose",
             )
             .map_err(DrainFailure::Placing)?;

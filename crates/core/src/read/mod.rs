@@ -38,9 +38,10 @@
 //! * `shard_reader` takes one chunk of a host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) floored at the plan's
-//!   completion, in the host's list order whatever its decode workers do,
-//!   with bounded transient-failure retries, and decodes it where it
-//!   belongs. A host killed mid-restore hands its unread chunks back.
+//!   completion, in its turn of the host's list whatever its decode
+//!   workers do, with bounded transient-failure retries, and decodes it
+//!   where it belongs. A host killed mid-restore hands its unread chunks
+//!   back, to go behind each adopter's own list.
 //! * `merge` owns the destination — the caller's tables, striped under
 //!   locks, with a per-row rank stamp that makes newest-wins hold for any
 //!   arrival order — and the serial tail.
@@ -179,7 +180,8 @@ pub struct HostActivity {
     /// Total bytes this host fetched: chunks, log segments and the dense
     /// object.
     pub bytes: u64,
-    /// Absolute simulated time of this host's last arrival.
+    /// Absolute simulated time at which this host's downlink freed: its
+    /// last arrival, and never before the plan's completion.
     pub last_arrival: Duration,
 }
 
@@ -390,12 +392,10 @@ pub fn restore_sharded_into(
         (None, 1.0)
     };
     let assignments = planner::plan_priority(&chain, &log, hosts, heat, hot_fraction);
-    // A dead host's leftovers queue behind the adopter's own list.
-    let mut next_turn: Vec<u32> = assignments.iter().map(|items| items.len() as u32).collect();
 
     // --- Fetch: every host fetches its own share and decodes it into ---
-    // the destination. A dead host's leftovers go to the survivors as
-    // they are.
+    // the destination, each item in its turn. A dead host's leftovers go
+    // to the survivors as they are.
     let mut applied_rank: Vec<Vec<u32>> = row_counts.iter().map(|&n| vec![0; n]).collect();
     let mut dest = merge::Destination::new(dest, &newest.tables, &mut applied_rank)?;
     let decode_nanos = AtomicU64::new(0);
@@ -409,12 +409,9 @@ pub fn restore_sharded_into(
         assignments,
         options.decode_workers,
         kill,
-        |host, item| reader.read_one(host, item),
-        |host, item| reader.die_mid_fetch(host, item),
-        |host, item| {
-            item.turn = next_turn[host as usize];
-            next_turn[host as usize] += 1;
-        },
+        fetch_sched.links(),
+        |host, turn, item| reader.read_one(host, turn, item),
+        |host, _, item| reader.die_mid_fetch(host, item),
         "every reader host died mid-restore",
     )?;
     let killed_hosts = fetched.killed_hosts;
@@ -458,12 +455,15 @@ pub fn restore_sharded_into(
             dest: &dest,
             fetch_sched: &fetch_sched,
             live_hosts: (0..hosts as u16).filter(|h| !killed_hosts.contains(h)).collect(),
-            plan_floor,
         };
         Some(placed.place(segments, &sizes, log_arrived_at, &mut host_activity)?)
     } else {
         None
     };
+    // A host's downlink frees at its last arrival, never before the plan.
+    for a in &mut host_activity {
+        a.last_arrival = fetch_sched.links().frees_at(a.host);
+    }
     let first_batch_at = decoded
         .iter()
         .filter(|d| d.cold.is_none())
@@ -613,8 +613,6 @@ struct LogPlacement<'r, 'd> {
     fetch_sched: &'r FetchScheduler<'r>,
     /// The reader hosts still alive, one of which reads it.
     live_hosts: Vec<u16>,
-    /// When a host that fetched nothing frees its downlink.
-    plan_floor: Duration,
 }
 
 impl LogPlacement<'_, '_> {
@@ -707,8 +705,7 @@ impl LogPlacement<'_, '_> {
 
     /// Reads the `len`-byte trailer at `offset` of segment `key` — the one
     /// the plan left unread — with one ranged read on the downlink of the
-    /// live host that frees first (at its last arrival, or the plan's
-    /// floor if it fetched nothing; ties to the lowest index), floored at
+    /// live host that frees first (ties to the lowest index), floored at
     /// `not_before`, and counts it to that host. `None` when the segment is
     /// gone by now.
     fn read_trailer(
@@ -719,21 +716,13 @@ impl LogPlacement<'_, '_> {
         not_before: Duration,
         activity: &mut Vec<HostActivity>,
     ) -> Result<Option<(bytes::Bytes, Duration)>> {
-        let frees_at = |host| {
-            let fetched = activity.iter().find(|a| a.host == host);
-            fetched.map_or(self.plan_floor, |a| a.last_arrival)
-        };
-        let host = (self.live_hosts.iter().copied())
-            .min_by_key(|&host| (frees_at(host), host))
-            .expect("the log was fetched by a live host");
+        let host = self.fetch_sched.links().earliest_free(&self.live_hosts);
         let (frame, at) = match self.fetch_sched.fetch_range(host, key, offset, len, not_before) {
             Ok(read) => read,
             Err(CnrError::Storage(StorageError::NotFound(_))) => return Ok(None),
             Err(e) => return Err(e),
         };
-        let a = activity_of(activity, host);
-        a.bytes += frame.len() as u64;
-        a.last_arrival = a.last_arrival.max(at);
+        activity_of(activity, host).bytes += frame.len() as u64;
         Ok(Some((frame, at)))
     }
 }
@@ -747,20 +736,17 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, fetched: &[Fetched
     }
     let a = activity_of(activity, host);
     for item in fetched {
-        let (bytes, arrived_at) = match item {
+        a.bytes += match item {
             Fetched::Chunk(chunk) => {
                 a.chunks += 1;
-                (chunk.bytes, chunk.arrived_at)
+                chunk.bytes
             }
             Fetched::Segment(segment) => {
                 a.log_segments += 1;
-                let fetched = segment.fetched.as_ref();
-                fetched.map_or((0, Duration::ZERO), |(b, at)| (b.len() as u64, *at))
+                segment.fetched.as_ref().map_or(0, |(bytes, _)| bytes.len() as u64)
             }
-            Fetched::Dense(dense) => (dense.bytes, dense.arrived_at),
+            Fetched::Dense(dense) => dense.bytes,
         };
-        a.bytes += bytes;
-        a.last_arrival = a.last_arrival.max(arrived_at);
     }
 }
 
@@ -1969,6 +1955,51 @@ mod tests {
                 let trailers = trailer * trailers_read.len() as u64;
                 assert_eq!(replayed.bytes_read, read + trailers, "{what}");
             }
+        }
+    }
+
+    /// A reader host whose only item is a log segment gone since the list
+    /// read nothing, and its downlink frees when the plan existed, not
+    /// before: no host's last arrival is earlier than the plan.
+    #[test]
+    fn a_host_whose_only_item_is_a_gone_segment_frees_at_the_plan() {
+        let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
+        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let log = logged_past(&mut tip, 3);
+        let first = cnr_storage::wal::segment_key("job", 0);
+        let gone = Fault::gone(Op::Read, FailureMode::Every(1)).on_keys(first.clone());
+        let store = std::sync::Arc::new(FlakyStore::new(remote(2, 50), [gone]));
+        write_to(store.as_ref(), &snap, 2);
+        append_log(store.clone(), &log);
+        // More reader hosts than the plan has items: each holds one at most.
+        let options = RestoreOptions { reader_hosts: 64, ..log_opts(2, false) };
+        let chain = [crate::restore::load_manifest(store.as_ref(), "job", CheckpointId(0)).unwrap()];
+        let plan = planner::plan_priority(&chain, &planned_segments(store.as_ref(), &chain[0]), 64, None, 1.0);
+        let host = plan.iter().position(|list| list.iter().any(|item| item.key == first)).unwrap();
+        assert_eq!(plan[host].len(), 1, "the gone segment is its host's only item");
+
+        let before_restore = store.inner().wait_for_drain();
+        let mut model = DlrmModel::new(cfg.clone());
+        let sharded = restore_sharded_into(
+            store.as_ref(),
+            "job",
+            CheckpointId(0),
+            &cfg,
+            &options,
+            before_restore,
+            None,
+            None,
+            model.table_views_mut(),
+            true,
+        )
+        .unwrap();
+        assert!(sharded.wal.unwrap().tail.records().is_empty(), "the log ends in front of it");
+        assert!(sharded.plan_ready_at > before_restore);
+        let idle = sharded.host_activity.iter().find(|a| a.host == host as u16).unwrap();
+        assert_eq!((idle.log_segments, idle.bytes), (1, 0));
+        assert_eq!(idle.last_arrival, sharded.plan_ready_at);
+        for a in &sharded.host_activity {
+            assert!(a.last_arrival >= sharded.plan_ready_at, "{a:?}");
         }
     }
 

@@ -64,9 +64,6 @@ pub struct FetchItem {
     pub rank: u32,
     /// Object key of the chunk.
     pub key: String,
-    /// Writer shard that produced the chunk (diagnostics only; reader
-    /// assignment is independent of writer sharding).
-    pub shard: u16,
     /// Serialized chunk size in bytes (from the manifest — the fetcher
     /// never needs a `head` round trip).
     pub bytes: u64,
@@ -80,10 +77,6 @@ pub struct FetchItem {
     /// a row of the top `hot_fraction` ([`plan_priority`]). First batch is
     /// stamped when the last hot chunk arrives.
     pub hot: bool,
-    /// The item's place in its host's fetch list: the host's ranged reads
-    /// take its downlink in this order, whatever order its decode workers
-    /// reach them in.
-    pub turn: u32,
     /// What the item downloads.
     pub kind: FetchKind,
 }
@@ -286,12 +279,10 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
                     level,
                     rank: 0,
                     key: chunk.key.clone(),
-                    shard: chunk.shard,
                     bytes: chunk.bytes,
                     parts: chunk.parts.max(1),
                     rows: chunk.rows,
                     hot: true,
-                    turn: 0,
                     kind: FetchKind::Chunk,
                 };
                 (chunk, item)
@@ -360,12 +351,10 @@ pub fn plan_priority(
             level,
             rank: 0,
             key: key.to_string(),
-            shard: 0,
             bytes,
             parts: 1,
             rows: 0,
             hot: true,
-            turn: 0,
             kind,
         };
         (f32::INFINITY, item)
@@ -383,10 +372,8 @@ pub fn plan_priority(
     for (score, item) in scored {
         let h = lightest(&load);
         load[h] += item.bytes;
-        let turn = assignments[h].len() as u32;
         assignments[h].push(FetchItem {
             hot: score >= cutoff,
-            turn,
             ..item
         });
     }
@@ -415,7 +402,7 @@ mod tests {
     }
 
     /// `plan` with its chunks only: each host's list without the dense
-    /// object (or a log segment), turns as planned.
+    /// object (or a log segment).
     fn chunks_of(plan: Vec<Vec<FetchItem>>) -> Vec<Vec<FetchItem>> {
         plan.into_iter()
             .map(|list| list.into_iter().filter(|i| i.kind == FetchKind::Chunk).collect())
@@ -489,10 +476,6 @@ mod tests {
         for hosts in [1usize, 2, 3, 7] {
             let assignment = eager(&chain, hosts);
             assert_eq!(assignment.len(), hosts);
-            for items in &assignment {
-                let turns: Vec<u32> = items.iter().map(|i| i.turn).collect();
-                assert_eq!(turns, (0..items.len() as u32).collect::<Vec<_>>(), "list order");
-            }
             let mut keys: Vec<&str> = assignment
                 .iter()
                 .flatten()

@@ -1,6 +1,7 @@
 //! The fetch scheduler: every chunk comes down as ranged reads over its
-//! reader host's downlink, none before the restore's floor — the read-side
-//! mirror of [`crate::write::scheduler`].
+//! reader host's downlink, by the link rule of `crate::hosts` — none
+//! before the restore's floor, a host's items in its list order — the
+//! read-side mirror of [`crate::write::scheduler`].
 //!
 //! Every chunk downloads as a sequence of ranged reads
 //! ([`ObjectStore::get_part`]) over its reader host's downlink (channel),
@@ -13,22 +14,22 @@
 //! the prefix in front of its last record's trailer — unverified, for the
 //! log's own walker. A trailer the restore finds it needs after all is one
 //! more ranged read ([`FetchScheduler::fetch_range`]), once the plan's
-//! items are in. A host's items take its downlink in its fetch list's
-//! order, whatever order its decode workers reach them in. Transient read
-//! failures (and `head` failures) are retried in place (a bounded number
-//! of times) rather than failing the whole restore: remote reads time out
-//! in practice and the paper's time-to-resume model only cares that the
-//! bytes eventually arrive.
+//! items are in, on the downlink that frees first. An item's first pass of
+//! reads is in its turn. Transient read failures (and `head` failures) are
+//! retried in place (a bounded number of times) rather than failing the
+//! whole restore: remote reads time out in practice and the paper's
+//! time-to-resume model only cares that the bytes eventually arrive.
 
 use crate::error::{CnrError, Result};
+use crate::hosts::Links;
 use bytes::Bytes;
 use cnr_storage::envelope::Verified;
 use cnr_storage::{ObjectStore, StorageError};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What one restore's fetches have done so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStatus {
     /// Simulated time at which everything fetched so far has arrived
     /// (never earlier than the floor).
@@ -50,20 +51,14 @@ pub struct FetchStatus {
     pub corruption_repaired: u64,
 }
 
-struct FetchState {
-    /// No range starts before this simulated instant.
-    floor: Duration,
-    status: FetchStatus,
-}
-
 /// Schedules chunk downloads for one restore across all reader hosts.
 pub struct FetchScheduler<'a> {
     store: &'a dyn ObjectStore,
     retries: u32,
-    state: Mutex<FetchState>,
-    /// Per reader host: the place in its fetch list whose ranged reads may
-    /// take its downlink next, and the signal that it moved on.
-    turns: Vec<(Mutex<u32>, Condvar)>,
+    links: Links,
+    /// The counters of [`FetchStatus`]; its `ready_at` is the links'
+    /// completion point.
+    status: Mutex<FetchStatus>,
 }
 
 impl<'a> FetchScheduler<'a> {
@@ -80,36 +75,32 @@ impl<'a> FetchScheduler<'a> {
         Self {
             store,
             retries,
-            state: Mutex::new(FetchState {
-                floor: start_floor,
-                status: FetchStatus {
-                    ready_at: start_floor,
-                    parts_fetched: 0,
-                    retries_performed: 0,
-                    corruption_refetches: 0,
-                    corruption_detected: 0,
-                    corruption_repaired: 0,
-                },
-            }),
-            turns: (0..hosts).map(|_| Default::default()).collect(),
+            links: Links::new(hosts, start_floor),
+            status: Mutex::default(),
         }
+    }
+
+    /// The reader hosts' downlinks.
+    pub(crate) fn links(&self) -> &Links {
+        &self.links
+    }
+
+    fn counts(&self) -> MutexGuard<'_, FetchStatus> {
+        self.status.lock().unwrap()
     }
 
     /// Raises the start floor: subsequent ranges may not begin before `t`.
     /// The coordinator calls this after the manifest chain loads — chunk
     /// fetches cannot start before the plan that names them exists.
     pub fn set_floor(&self, t: Duration) {
-        let mut s = self.state.lock().unwrap();
-        s.floor = s.floor.max(t);
-        s.status.ready_at = s.status.ready_at.max(s.floor);
+        self.links.raise_floor(t);
     }
 
     /// Downloads the `bytes`-byte object at `key` over host `host`'s
     /// downlink as `parts` ranged reads, returning the assembled bytes and
-    /// the simulated time the last range arrived. The object at place
-    /// `turn` of the host's fetch list ([`crate::read::FetchItem::turn`])
-    /// reserves its first pass of reads once the objects before it have
-    /// reserved theirs, and then hands the turn on, success or not.
+    /// the simulated time the last range arrived. Given the object's
+    /// `turn` in its host's fetch list, its first pass of reads waits for
+    /// the objects before it in that list to reserve theirs.
     /// Transient failures (I/O timeouts) retry in place;
     /// exhausted retries and non-transient errors (missing object, bad
     /// range) propagate immediately.
@@ -129,14 +120,14 @@ impl<'a> FetchScheduler<'a> {
         bytes: u64,
         parts: u32,
     ) -> Result<(Verified, Duration)> {
-        let mut pass = self.fetch_in_turn(host, turn, key, bytes, parts);
+        let mut pass = self.links.in_turn(host, turn, || self.fetch_chunk_once(host, key, bytes, parts));
         let mut refetches = 0u32;
         loop {
             let (data, arrived_at) = pass?;
             match self.verify(key, data) {
                 Ok(verified) => {
                     if refetches > 0 {
-                        self.state.lock().unwrap().status.corruption_repaired += 1;
+                        self.counts().corruption_repaired += 1;
                     }
                     return Ok((verified, arrived_at));
                 }
@@ -145,58 +136,13 @@ impl<'a> FetchScheduler<'a> {
                     // Healing is not a transient retry: whole-chunk
                     // re-fetches keep their own counter so `ResumeStats`
                     // can tell flaky networks from rotten replicas.
-                    self.state.lock().unwrap().status.corruption_refetches += 1;
+                    self.counts().corruption_refetches += 1;
                     let _ = e; // re-fetch the whole chunk from another replica
                 }
                 Err(e) => return Err(CnrError::from(e)),
             }
             pass = self.fetch_chunk_once(host, key, bytes, parts);
         }
-    }
-
-    /// Downloads the first `bytes` bytes of the log segment at `key` over
-    /// host `host`'s downlink as one ranged read, at place `turn` of the
-    /// host's fetch list, exactly as [`FetchScheduler::fetch_chunk`] takes
-    /// a chunk's first pass — the same floor, turn order and
-    /// transient-failure retry budget — and returns the bytes
-    /// *unverified*, with the simulated time they arrived. It is a prefix
-    /// read: `bytes` is the whole segment, or, for any segment but the
-    /// newest, the prefix in front of its last trailer. A segment is a run
-    /// of frames that the log's walker (`cnr_storage::wal::walk_segments`)
-    /// verifies one by one, and a torn one is where the log ends, not
-    /// corruption to re-fetch.
-    pub fn fetch_segment(
-        &self,
-        host: u16,
-        turn: u32,
-        key: &str,
-        bytes: u64,
-    ) -> Result<(Bytes, Duration)> {
-        self.fetch_in_turn(host, Some(turn), key, bytes, 1)
-    }
-
-    /// One assembly pass ([`FetchScheduler::fetch_chunk_once`]) that, given
-    /// the object's `turn` in its host's list, waits until the objects
-    /// before it have reserved their reads and then hands the turn on,
-    /// success or not.
-    fn fetch_in_turn(
-        &self,
-        host: u16,
-        turn: Option<u32>,
-        key: &str,
-        bytes: u64,
-        parts: u32,
-    ) -> Result<(Bytes, Duration)> {
-        let Some(turn) = turn else {
-            return self.fetch_chunk_once(host, key, bytes, parts);
-        };
-        let (next, handed_on) = &self.turns[host as usize];
-        let held = "a fetch panicked holding its host's turn";
-        let mut next = handed_on.wait_while(next.lock().expect(held), |n| *n != turn).expect(held);
-        let pass = self.fetch_chunk_once(host, key, bytes, parts);
-        *next += 1;
-        handed_on.notify_all();
-        pass
     }
 
     /// One assembly pass of [`FetchScheduler::fetch_chunk`]: every range
@@ -233,9 +179,9 @@ impl<'a> FetchScheduler<'a> {
     /// Downloads `len` bytes at `offset` of `key` over host `host`'s
     /// downlink as one ranged read starting no earlier than `not_before`
     /// (nor the floor), retrying transient I/O failures in place. Returns
-    /// the bytes *unverified*, with the simulated time they arrived. Called
-    /// outside the host's fetch-list turns, it is a read the restore decides
-    /// on once the plan's items are in (a trailer the plan left unread).
+    /// the bytes *unverified*, with the simulated time they arrived: a log
+    /// segment of the plan (in its turn), or a trailer the plan left unread
+    /// (in none, once the plan's items are in).
     pub fn fetch_range(
         &self,
         host: u16,
@@ -244,13 +190,11 @@ impl<'a> FetchScheduler<'a> {
         len: u64,
         not_before: Duration,
     ) -> Result<(Bytes, Duration)> {
-        assert!((host as usize) < self.turns.len(), "reader host {host} of {}", self.turns.len());
-        let not_before = self.state.lock().unwrap().floor.max(not_before);
+        let not_before = self.links.floor().max(not_before);
         let (data, receipt) =
             self.retrying(|| self.store.get_part(key, offset, len, host as u32, not_before))?;
-        let mut s = self.state.lock().unwrap();
-        s.status.parts_fetched += 1;
-        s.status.ready_at = s.status.ready_at.max(receipt.completed_at);
+        self.counts().parts_fetched += 1;
+        self.links.carried(Some(host), receipt.completed_at);
         Ok((data, receipt.completed_at))
     }
 
@@ -264,7 +208,7 @@ impl<'a> FetchScheduler<'a> {
                 Ok(ok) => return Ok(ok),
                 Err(StorageError::Io(_)) if attempt < self.retries => {
                     attempt += 1;
-                    self.state.lock().unwrap().status.retries_performed += 1;
+                    self.counts().retries_performed += 1;
                 }
                 Err(e) => return Err(CnrError::from(e)),
             }
@@ -276,7 +220,7 @@ impl<'a> FetchScheduler<'a> {
     /// as detected corruption.
     fn verify(&self, key: &str, data: Bytes) -> std::result::Result<Verified, StorageError> {
         Verified::check(data).map_err(|why| {
-            self.state.lock().unwrap().status.corruption_detected += 1;
+            self.counts().corruption_detected += 1;
             StorageError::Corrupt(format!("{key}: {why}"))
         })
     }
@@ -288,12 +232,12 @@ impl<'a> FetchScheduler<'a> {
 
     /// Simulated time at which everything fetched so far has arrived.
     pub fn ready_at(&self) -> Duration {
-        self.state.lock().unwrap().status.ready_at
+        self.links.done_at()
     }
 
     /// What the fetches have done so far.
     pub fn status(&self) -> FetchStatus {
-        self.state.lock().unwrap().status
+        FetchStatus { ready_at: self.ready_at(), ..*self.counts() }
     }
 }
 

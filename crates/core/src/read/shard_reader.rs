@@ -27,7 +27,7 @@ use crate::manifest::{open_frame, ChunkHeader, DenseLayers, Manifest};
 use bytes::Bytes;
 use cnr_storage::{envelope, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One chunk a reader host is done with: fetched, verified, opened and
 /// checked against the destination, and either *placed* — its rows
@@ -57,7 +57,7 @@ pub(crate) struct DecodedChunk {
     /// Simulated time at which the chunk's last range landed. A lazy
     /// restore stamps first-batch time as the latest arrival among placed
     /// chunks.
-    pub arrived_at: std::time::Duration,
+    pub arrived_at: Duration,
 }
 
 /// One log segment a reader host is done with: the bytes it fetched, for
@@ -73,7 +73,7 @@ pub(crate) struct FetchedSegment {
     /// in front of its last trailer — unverified, and the simulated time
     /// they arrived; `None` when it was gone (raced with truncation),
     /// which ends the log in front of it.
-    pub fetched: Option<(Bytes, std::time::Duration)>,
+    pub fetched: Option<(Bytes, Duration)>,
 }
 
 /// The newest level's dense object, fetched and decoded.
@@ -84,7 +84,7 @@ pub(crate) struct FetchedDense {
     /// Stored size (bytes fetched).
     pub bytes: u64,
     /// Simulated time at which it arrived; first batch waits for it.
-    pub arrived_at: std::time::Duration,
+    pub arrived_at: Duration,
 }
 
 /// What one item of a host's fetch list became.
@@ -111,17 +111,18 @@ pub(crate) struct ShardReader<'a, 'd> {
 }
 
 impl ShardReader<'_, '_> {
-    /// Fetches one item of a host's list: a chunk through
-    /// [`ShardReader::read_chunk`], a log segment as its bytes
-    /// ([`FetchScheduler::fetch_segment`]), the dense object through
-    /// [`ShardReader::read_dense`].
-    pub(crate) fn read_one(&self, host: u16, item: &FetchItem) -> Result<Fetched> {
+    /// Fetches the item at place `turn` of `host`'s list: a chunk through
+    /// [`ShardReader::read_chunk`], the dense object through
+    /// [`ShardReader::read_dense`], a log segment as one ranged read in its
+    /// turn, unverified: the log's walker verifies its frames.
+    pub(crate) fn read_one(&self, host: u16, turn: u32, item: &FetchItem) -> Result<Fetched> {
         let index = match item.kind {
-            FetchKind::Chunk => return self.read_chunk(host, item).map(Fetched::Chunk),
-            FetchKind::Dense => return self.read_dense(host, item).map(Fetched::Dense),
+            FetchKind::Chunk => return self.read_chunk(host, turn, item).map(Fetched::Chunk),
+            FetchKind::Dense => return self.read_dense(host, turn, item).map(Fetched::Dense),
             FetchKind::LogSegment(index) => index,
         };
-        let fetched = match self.scheduler.fetch_segment(host, item.turn, &item.key, item.bytes) {
+        let read = || self.scheduler.fetch_range(host, &item.key, 0, item.bytes, Duration::ZERO);
+        let fetched = match self.scheduler.links().in_turn(host, Some(turn), read) {
             Ok(fetched) => Some(fetched),
             Err(CnrError::Storage(StorageError::NotFound(_))) => None,
             Err(e) => return Err(e),
@@ -132,9 +133,9 @@ impl ShardReader<'_, '_> {
     /// Fetches and verifies the dense object as a chunk is fetched — the
     /// same retries, corruption re-fetch and turn — and decodes it against
     /// the newest manifest, which it must belong to.
-    fn read_dense(&self, host: u16, item: &FetchItem) -> Result<FetchedDense> {
+    fn read_dense(&self, host: u16, turn: u32, item: &FetchItem) -> Result<FetchedDense> {
         let (object, arrived_at) =
-            self.scheduler.fetch_chunk(host, Some(item.turn), &item.key, item.bytes, item.parts)?;
+            self.scheduler.fetch_chunk(host, Some(turn), &item.key, item.bytes, item.parts)?;
         Ok(FetchedDense {
             layers: DenseLayers::decode_verified(&object, self.newest)?,
             bytes: object.object().len() as u64,
@@ -144,13 +145,13 @@ impl ShardReader<'_, '_> {
 
     /// Fetches, verifies and opens one chunk, then either de-quantizes it
     /// row by row into the destination (hot) or keeps its bytes (cold).
-    fn read_chunk(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
+    fn read_chunk(&self, host: u16, turn: u32, item: &FetchItem) -> Result<DecodedChunk> {
         // The scheduler verified the envelope — the one checksum; opening
         // parses the frame and checks that every row body is whole, before
         // any row is written and before a cold chunk is trusted to be
         // placeable later.
         let (object, arrived_at) =
-            self.scheduler.fetch_chunk(host, Some(item.turn), &item.key, item.bytes, item.parts)?;
+            self.scheduler.fetch_chunk(host, Some(turn), &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
         let header = open_frame(object.payload())?;
         let opened = header.over(object.payload());
@@ -178,13 +179,7 @@ impl ShardReader<'_, '_> {
     pub(crate) fn die_mid_fetch(&self, host: u16, item: &FetchItem) -> Result<()> {
         let first = item.bytes.div_ceil(item.parts.max(1) as u64).min(item.bytes);
         // Best-effort: a dying host cannot guarantee its read landed.
-        let _ = self.scheduler.store().get_part(
-            &item.key,
-            0,
-            first,
-            host as u32,
-            std::time::Duration::ZERO,
-        );
+        let _ = self.scheduler.store().get_part(&item.key, 0, first, host as u32, Duration::ZERO);
         Ok(())
     }
 }

@@ -28,13 +28,11 @@ use crate::snapshot::TrainingSnapshot;
 use std::ops::Range;
 
 /// One unit of pipeline work: a run of modified rows of one table, owned
-/// by one writer host. The rows themselves stay in the snapshot's slab.
+/// by the writer host whose list holds it — its place in that list (its
+/// turn) numbers the chunk. The rows themselves stay in the snapshot's
+/// slab.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
-    /// Writer host that owns (and uploads) this chunk.
-    pub shard: u16,
-    /// Per-shard chunk sequence number.
-    pub seq: u32,
     /// Table the rows belong to.
     pub table: u16,
     /// Ascending row indices within the table (what the stored chunk
@@ -61,7 +59,6 @@ pub fn shard_range(rows: usize, hosts: usize, h: usize) -> Range<usize> {
 pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<WorkItem>> {
     let hosts = config.writer_hosts.max(1);
     let mut shards: Vec<Vec<WorkItem>> = (0..hosts).map(|_| Vec::new()).collect();
-    let mut seqs = vec![0u32; hosts];
 
     for (t, (meta, mask)) in snapshot.geometry.iter().zip(&snapshot.delta.tables).enumerate() {
         let (rows, dim) = (meta.rows as usize, meta.dim as usize);
@@ -74,14 +71,11 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
                 return;
             }
             shards[h].push(WorkItem {
-                shard: h as u16,
-                seq: seqs[h],
                 table: t as u16,
                 slab_start: slab_end - indices.len(),
                 indices: std::mem::take(indices),
                 dim,
             });
-            seqs[h] += 1;
         };
         // `k` is the row's slab position: set bits are walked in the order
         // the snapshot gathered them.
@@ -185,9 +179,7 @@ mod tests {
         assert_eq!(total_rows, snap.delta.total_rows(), "full coverage");
 
         for (h, items) in shards.iter().enumerate() {
-            for (seen_seq, item) in items.iter().enumerate() {
-                assert_eq!(item.shard as usize, h);
-                assert_eq!(item.seq as usize, seen_seq, "per-shard seqs are dense");
+            for item in items {
                 let rows = snap.delta.tables[item.table as usize].len();
                 let range = shard_range(rows, 3, h);
                 for &row in &item.indices {
@@ -209,8 +201,7 @@ mod tests {
         // Planning is deterministic.
         let again = plan(&snap, &config);
         for (a, b) in shards.iter().flatten().zip(again.iter().flatten()) {
-            assert_eq!(a.indices, b.indices);
-            assert_eq!(a.seq, b.seq);
+            assert_eq!((a.table, a.slab_start, &a.indices), (b.table, b.slab_start, &b.indices));
         }
     }
 }

@@ -25,19 +25,20 @@
 //!   aborts its in-flight multipart transfer and hands its unfinished
 //!   chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
-//!   owning host's uplink, deals the dense object's parts over the live
-//!   hosts' uplinks (each part to the one that frees first), and keeps
-//!   the running durability point the engine reads (§4.3 non-overlap
-//!   without blocking). Its upload *floor*
-//!   is how overlapped checkpoints stay legal: a write
-//!   issued while the previous drain is still in flight
-//!   ([`CheckpointWriter::write_overlapping`]) quantizes immediately but
-//!   queues every part behind the previous durability point.
+//!   owning host's uplink in the chunk's turn, deals the dense object's
+//!   parts over the live hosts' uplinks (each part to the one that frees
+//!   first), and keeps the running durability point the engine reads
+//!   (§4.3 non-overlap without blocking). Its upload *floor* is how
+//!   overlapped checkpoints stay legal: a write issued while the previous
+//!   drain is still in flight ([`CheckpointWriter::write_overlapping`])
+//!   quantizes immediately but queues every part behind the previous
+//!   durability point.
 //!
 //! The coordinator here ([`CheckpointWriter`]) plans the shards, fans them
 //! out over `quantize_workers` threads and re-shards the work of any host
 //! that died onto the survivors (both through `crate::hosts`, which the
-//! read path shares). Once every chunk is accounted for it uploads the
+//! read path shares); a chunk is named by its host and *turn*, its place
+//! in that host's list. Once every chunk is accounted for it uploads the
 //! checkpoint's dense object (its MLPs, which every trainer holds) through
 //! the scheduler, dealt over the hosts that survived, and, last, puts the
 //! manifest — the §4.4 validity rule: a checkpoint exists only when all of
@@ -188,8 +189,8 @@ impl<'a> CheckpointWriter<'a> {
         let shards = chunker::plan(snapshot, config);
 
         // --- Upload: every host its own shard. --------------------------
-        // A dead host's leftovers continue their adopter's chunk sequence.
-        let mut next_seq: Vec<u32> = shards.iter().map(|s| s.len() as u32).collect();
+        // A chunk is named by its host and turn; a dead host's leftovers
+        // continue their adopter's turns.
         let writer = ShardWriter {
             job: &self.job,
             id,
@@ -202,20 +203,16 @@ impl<'a> CheckpointWriter<'a> {
             shards,
             config.quantize_workers,
             kill,
-            |host, item| writer.upload_one(host, item),
-            |host, item| writer.die_mid_upload(host, item),
-            |adopter, item| {
-                item.shard = adopter;
-                item.seq = next_seq[adopter as usize];
-                next_seq[adopter as usize] += 1;
-            },
+            scheduler.links(),
+            |host, turn, item| writer.upload_one(host, turn, item),
+            |host, turn, item| writer.die_mid_upload(host, turn, item),
             "every writer host died mid-upload",
         )?;
         let killed_hosts = uploaded.killed_hosts;
         let mut metas: Vec<ChunkMeta> =
             uploaded.done.into_iter().flat_map(|(_, chunks)| chunks).collect();
 
-        // Deterministic order: keys embed (shard, seq) zero-padded.
+        // Deterministic order: keys embed (host, turn) zero-padded.
         metas.sort_by(|a, b| a.key.cmp(&b.key));
         let payload_bytes: u64 = metas.iter().map(|c| c.bytes).sum();
         let parts: u32 = metas.iter().map(|c| c.parts).sum();

@@ -1,6 +1,7 @@
 //! The upload scheduler: a checkpoint's chunks and its dense object go up
-//! as multipart objects over the writer hosts' uplinks, and no part starts
-//! before the §4.3 floor.
+//! as multipart objects over the writer hosts' uplinks, by the link rule
+//! of `crate::hosts` — no part before the §4.3 floor, a host's chunks in
+//! its list order.
 //!
 //! A host's parts transfer one after another on its own uplink (channel),
 //! so the store already queues them. What the scheduler adds is the paper's
@@ -8,16 +9,18 @@
 //! must not overlap, so that the current one can use all available
 //! bandwidth. Its *floor* is the previous checkpoint's durability point,
 //! passed to every part as its earliest start, and its running
-//! [`UploadScheduler::durable_at`] is what the engine reads (instead of
-//! blocking) to decide when this checkpoint is durable.
+//! [`UploadScheduler::durable_at`] — the links' completion point — is what
+//! the engine reads (instead of blocking) to decide when this checkpoint
+//! is durable.
 //!
 //! There is one multipart loop, and it places parts by dealing: an object
 //! goes up in near-equal parts of at most `part_bytes`, at least one per
 //! host it is dealt over, and each part rides the uplink of the one of
-//! those hosts that frees first (the lowest index on a tie). The scheduler
-//! knows when an uplink frees because it sees every part's receipt. A
-//! chunk is held only by the host that encoded it, so it is dealt over
-//! that host alone and every part rides its uplink
+//! those hosts that frees first (the lowest index on a tie). A chunk is
+//! held only by the host that encoded it, so it is dealt over that host
+//! alone, and all its parts go up in the chunk's turn: quantizing runs
+//! outside the turn on any worker, but the host's uplink takes its chunks
+//! in list order, so a write's part schedule is the one-worker schedule
 //! ([`UploadScheduler::upload`]). The dense layers are replicated on every
 //! trainer (data parallelism), so any live host can send any slice of them
 //! (`UploadScheduler::upload_dealt`): their object does not queue on one
@@ -25,42 +28,16 @@
 //! is assembled byte for byte as sent.
 
 use crate::error::{CnrError, Result};
+use crate::hosts::Links;
 use bytes::Bytes;
 use cnr_storage::{ObjectStore, PutReceipt};
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The simulated instants an upload scheduler keeps.
-#[derive(Debug)]
-struct Floored {
-    /// No part starts before this instant.
-    floor: Duration,
-    /// Everything submitted so far is durable at this instant (never
-    /// earlier than the floor).
-    durable_at: Duration,
-    /// When each host's uplink frees: the latest receipt of a part it
-    /// carried (zero before its first).
-    uplink_free: Vec<Duration>,
-}
-
-impl Floored {
-    /// The host of `hosts` whose uplink frees first for this checkpoint
-    /// (never before the floor), the lowest index on a tie.
-    fn earliest_free(&self, hosts: &[u16]) -> u16 {
-        hosts
-            .iter()
-            .copied()
-            .min_by_key(|&h| (self.uplink_free[h as usize].max(self.floor), h))
-            .expect("an object is dealt over at least one host")
-    }
-}
 
 /// Schedules the uploads of one checkpoint write across all hosts.
 pub struct UploadScheduler<'a> {
     store: &'a dyn ObjectStore,
-    hosts: usize,
     part_bytes: usize,
-    times: Mutex<Floored>,
+    links: Links,
 }
 
 impl<'a> UploadScheduler<'a> {
@@ -70,72 +47,53 @@ impl<'a> UploadScheduler<'a> {
         assert!(hosts >= 1 && part_bytes >= 1);
         Self {
             store,
-            hosts,
             part_bytes,
-            times: Mutex::new(Floored {
-                floor: Duration::ZERO,
-                durable_at: Duration::ZERO,
-                uplink_free: vec![Duration::ZERO; hosts],
-            }),
+            links: Links::new(hosts, Duration::ZERO),
         }
     }
 
-    fn times(&self) -> std::sync::MutexGuard<'_, Floored> {
-        self.times
-            .lock()
-            .expect("no upload panics holding the times lock")
-    }
-
-    fn note_durable(&self, completed_at: Duration) {
-        let mut t = self.times();
-        t.durable_at = t.durable_at.max(completed_at);
-    }
-
-    /// Notes a part's receipt: its host's uplink is busy until it lands.
-    fn note_part(&self, host: u16, completed_at: Duration) {
-        let mut t = self.times();
-        let free = &mut t.uplink_free[host as usize];
-        *free = (*free).max(completed_at);
-        t.durable_at = t.durable_at.max(completed_at);
+    /// The writer hosts' uplinks.
+    pub(crate) fn links(&self) -> &Links {
+        &self.links
     }
 
     /// Uploads `data` under `key` over host `host`'s uplink as a multipart
     /// object of near-equal parts of at most `part_bytes`, none starting
-    /// before the floor. Returns the assembled object's receipt and the
-    /// part count. On any storage error the upload is aborted (no partial
-    /// object, no staged parts left behind).
-    pub fn upload(&self, host: u16, key: &str, data: Bytes) -> Result<(PutReceipt, u32)> {
-        self.upload_dealt(&[host], key, data)
+    /// before the floor, and — given the object's `turn` in its host's
+    /// list — after the objects before it in that list. Returns the
+    /// assembled object's receipt and the part count. On any storage error
+    /// the upload is aborted (no partial object, no staged parts left
+    /// behind).
+    pub fn upload(
+        &self,
+        host: u16,
+        turn: Option<u32>,
+        key: &str,
+        data: Bytes,
+    ) -> Result<(PutReceipt, u32)> {
+        self.links.in_turn(host, turn, || self.upload_dealt(&[host], key, data))
     }
 
     /// [`UploadScheduler::upload`] for an object every host in `hosts`
-    /// holds: it goes up in `max(hosts.len(), ⌈len / part_bytes⌉)`
-    /// near-equal parts, each over the uplink of the host in `hosts` that
-    /// frees first, the lowest index on a tie. `hosts` names the live
-    /// writer hosts: a dead host's idle uplink carries no part.
+    /// holds, in no turn: it goes up in `max(hosts.len(), ⌈len /
+    /// part_bytes⌉)` near-equal parts, each over the uplink of the host in
+    /// `hosts` that frees first, the lowest index on a tie. `hosts` names
+    /// the live writer hosts: a dead host's idle uplink carries no part.
     pub(crate) fn upload_dealt(
         &self,
         hosts: &[u16],
         key: &str,
         data: Bytes,
     ) -> Result<(PutReceipt, u32)> {
-        assert!(
-            !hosts.is_empty() && hosts.iter().all(|&h| (h as usize) < self.hosts),
-            "writer hosts {hosts:?} of {}",
-            self.hosts
-        );
         let mut up = self.store.begin_multipart(key).map_err(CnrError::from)?;
         let len = data.len();
         let nparts = len.div_ceil(self.part_bytes).max(hosts.len());
         for p in 0..nparts {
-            let (host, not_before) = {
-                let t = self.times();
-                (t.earliest_free(hosts), t.floor)
-            };
+            let host = self.links.earliest_free(hosts);
             up.channel = host as u32;
             let part = data.slice(p * len / nparts..(p + 1) * len / nparts);
-            match self.store.put_part(&up, p as u32, part, not_before) {
-                Ok(receipt) => self.note_part(host, receipt.completed_at),
+            match self.store.put_part(&up, p as u32, part, self.links.floor()) {
+                Ok(receipt) => self.links.carried(Some(host), receipt.completed_at),
                 Err(e) => {
                     let _ = self.store.abort_multipart(&up);
                     return Err(e.into());
@@ -144,7 +102,7 @@ impl<'a> UploadScheduler<'a> {
         }
         match self.store.complete_multipart(&up) {
             Ok(receipt) => {
-                self.note_durable(receipt.completed_at);
+                self.links.carried(None, receipt.completed_at);
                 Ok((receipt, nparts as u32))
             }
             Err(e) => {
@@ -160,9 +118,7 @@ impl<'a> UploadScheduler<'a> {
     /// quantization overlap the old drain, but the uploads themselves
     /// must queue behind it.
     pub fn set_floor(&self, floor: Duration) {
-        let mut t = self.times();
-        t.floor = t.floor.max(floor);
-        t.durable_at = t.durable_at.max(t.floor);
+        self.links.raise_floor(floor);
     }
 
     /// The store uploads go to.
@@ -177,7 +133,7 @@ impl<'a> UploadScheduler<'a> {
 
     /// Simulated time at which everything submitted so far is durable.
     pub fn durable_at(&self) -> Duration {
-        self.times().durable_at
+        self.links.done_at()
     }
 }
 
@@ -225,7 +181,7 @@ pub(crate) mod tests {
         let store = InMemoryStore::new();
         let sched = UploadScheduler::new(&store, 1, 1024);
         let payload = Bytes::from(vec![7u8; 2500]);
-        let (receipt, parts) = sched.upload(0, "obj", payload.clone()).unwrap();
+        let (receipt, parts) = sched.upload(0, None, "obj", payload.clone()).unwrap();
         assert_eq!(parts, 3);
         assert_eq!(receipt.bytes, 2500);
         assert_eq!(store.get("obj").unwrap(), payload);
@@ -235,7 +191,7 @@ pub(crate) mod tests {
     fn empty_payload_is_one_part() {
         let store = InMemoryStore::new();
         let sched = UploadScheduler::new(&store, 1, 1024);
-        let (_, parts) = sched.upload(0, "obj", Bytes::new()).unwrap();
+        let (_, parts) = sched.upload(0, None, "obj", Bytes::new()).unwrap();
         assert_eq!(parts, 1);
         assert_eq!(store.get("obj").unwrap().len(), 0);
     }
@@ -246,7 +202,7 @@ pub(crate) mod tests {
         // parts at 1 MiB/s is durable at 3 s.
         let store = remote(1.0, 1);
         let sched = UploadScheduler::new(&store, 1, 1024 * 1024);
-        let (receipt, parts) = sched.upload(0, "obj", mb(3)).unwrap();
+        let (receipt, parts) = sched.upload(0, None, "obj", mb(3)).unwrap();
         assert_eq!(parts, 3);
         assert!((receipt.completed_at.as_secs_f64() - 3.0).abs() < 1e-6);
         assert_eq!(sched.durable_at(), receipt.completed_at);
@@ -259,7 +215,7 @@ pub(crate) mod tests {
         let store = remote(1.0, 1);
         let sched = UploadScheduler::new(&store, 1, 1024 * 1024);
         sched.set_floor(Duration::from_secs(5));
-        let (receipt, parts) = sched.upload(0, "obj", mb(1)).unwrap();
+        let (receipt, parts) = sched.upload(0, None, "obj", mb(1)).unwrap();
         assert_eq!(parts, 1);
         assert!(
             (receipt.completed_at.as_secs_f64() - 6.0).abs() < 1e-6,
@@ -273,8 +229,8 @@ pub(crate) mod tests {
     fn durable_at_tracks_the_slowest_host() {
         let store = remote(1.0, 2);
         let sched = UploadScheduler::new(&store, 2, 1024 * 1024);
-        sched.upload(0, "a", mb(1)).unwrap();
-        sched.upload(1, "b", mb(2)).unwrap();
+        sched.upload(0, None, "a", mb(1)).unwrap();
+        sched.upload(1, None, "b", mb(2)).unwrap();
         assert!((sched.durable_at().as_secs_f64() - 2.0).abs() < 1e-6);
     }
 
@@ -285,11 +241,32 @@ pub(crate) mod tests {
             FlakyStore::new(InMemoryStore::new(), [Fault::fail(Op::Put, FailureMode::Every(2))]);
         let sched = UploadScheduler::new(&store, 1, 1024);
         // 3 parts; part #2 is injected to fail.
-        let err = sched.upload(0, "obj", Bytes::from(vec![0u8; 2500]));
+        let err = sched.upload(0, None, "obj", Bytes::from(vec![0u8; 2500]));
         assert!(matches!(err, Err(CnrError::Storage(_))));
         // No partial object and no staged parts remain.
         assert!(store.get("obj").is_err());
         assert_eq!(store.list("obj").unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_hosts_chunks_take_its_uplink_in_turn_order() {
+        // Turn 1 reaches the uplink first, and still goes up second.
+        let store = FlakyStore::new(remote(1.0, 1), []);
+        let sched = UploadScheduler::new(&store, 1, 1024 * 1024);
+        std::thread::scope(|scope| {
+            scope.spawn(|| sched.upload(0, Some(1), "second", mb(1)).unwrap());
+            std::thread::sleep(Duration::from_millis(20));
+            sched.upload(0, Some(0), "first", mb(2)).unwrap();
+        });
+        let sent: Vec<(String, f64)> = store
+            .take_journal()
+            .into_iter()
+            .filter(|call| call.method == "put_part")
+            .map(|call| (call.key, call.receipt.unwrap().completed_at.as_secs_f64()))
+            .collect();
+        assert_eq!(sent.len(), 3);
+        assert_eq!(sent.iter().map(|(key, _)| key.as_str()).collect::<Vec<_>>(), ["first", "first", "second"]);
+        assert!((sent[2].1 - 3.0).abs() < 1e-6, "{sent:?}");
     }
 
     fn channels(parts: &[(u32, Receipt)]) -> Vec<u32> {
@@ -302,9 +279,9 @@ pub(crate) mod tests {
         // 3 is idle but not among the live hosts.
         let store = FlakyStore::new(remote(1.0, 4), []);
         let sched = UploadScheduler::new(&store, 4, 1024 * 1024);
-        sched.upload(0, "a", mb(2)).unwrap();
-        sched.upload(1, "b", mb(1)).unwrap();
-        sched.upload(2, "c", mb(1)).unwrap();
+        sched.upload(0, None, "a", mb(2)).unwrap();
+        sched.upload(1, None, "b", mb(1)).unwrap();
+        sched.upload(2, None, "c", mb(1)).unwrap();
         let payload = Bytes::from((0..4 * 1024 * 1024).map(|i| i as u8).collect::<Vec<_>>());
         let (receipt, parts) = sched
             .upload_dealt(&[2, 1, 0], "dense", payload.clone())
@@ -328,7 +305,7 @@ pub(crate) mod tests {
         // nothing. Every dealt part still waits for the 5 s floor.
         let store = FlakyStore::new(remote(1.0, 2), []);
         let sched = UploadScheduler::new(&store, 2, 1024 * 1024);
-        sched.upload(1, "chunk", mb(1)).unwrap();
+        sched.upload(1, None, "chunk", mb(1)).unwrap();
         sched.set_floor(Duration::from_secs(5));
         sched.upload_dealt(&[0, 1], "dense", mb(3)).unwrap();
         let sent = sent_parts(&store, "dense");

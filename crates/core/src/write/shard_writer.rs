@@ -34,15 +34,16 @@ pub(crate) struct ShardWriter<'a> {
 }
 
 impl ShardWriter<'_> {
-    /// Quantizes, encodes, and uploads one chunk.
-    pub(crate) fn upload_one(&self, host: u16, item: &WorkItem) -> Result<ChunkMeta> {
+    /// Quantizes and encodes one chunk, then uploads it in its `turn` of
+    /// `host`'s list, under the key that turn names.
+    pub(crate) fn upload_one(&self, host: u16, turn: u32, item: &WorkItem) -> Result<ChunkMeta> {
         let t0 = Instant::now();
         let payload = encode_chunk(item, &self.tables[item.table as usize], &self.scheme);
         self.quantize_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let key = Manifest::chunk_key(self.job, self.id, host, item.seq);
+        let key = Manifest::chunk_key(self.job, self.id, host, turn);
         let bytes = payload.len() as u64;
-        let (_receipt, parts) = self.scheduler.upload(host, &key, Bytes::from(payload))?;
+        let (_receipt, parts) = self.scheduler.upload(host, Some(turn), &key, Bytes::from(payload))?;
         Ok(ChunkMeta {
             key,
             shard: host,
@@ -58,9 +59,9 @@ impl ShardWriter<'_> {
     /// Simulates the host dying partway through transferring `item`: the
     /// chunk's multipart upload starts, ships one part, and is aborted.
     /// Nothing becomes visible at the chunk's key.
-    pub(crate) fn die_mid_upload(&self, host: u16, item: &WorkItem) -> Result<()> {
+    pub(crate) fn die_mid_upload(&self, host: u16, turn: u32, item: &WorkItem) -> Result<()> {
         let payload = encode_chunk(item, &self.tables[item.table as usize], &self.scheme);
-        let key = Manifest::chunk_key(self.job, self.id, host, item.seq);
+        let key = Manifest::chunk_key(self.job, self.id, host, turn);
         let store = self.scheduler.store();
         let up = store.begin_multipart(&key)?.on_channel(host as u32);
         let first = payload.len().min(self.scheduler.part_bytes());
@@ -134,8 +135,6 @@ mod tests {
             adagrad: with_acc.then(|| (0..slab_rows).map(|i| i as f32 * 0.5).collect()),
         };
         let item = WorkItem {
-            shard: 1,
-            seq: 7,
             table: 3,
             indices: (0..rows as u32).map(|i| i * 3 + 1).collect(),
             slab_start: 2,
@@ -213,8 +212,6 @@ mod tests {
     /// `rows` as a chunk of table 1, row indices 0, 2, 4, ...
     fn fixture_item(rows: &[[f32; 4]]) -> (WorkItem, TableState) {
         let item = WorkItem {
-            shard: 0,
-            seq: 0,
             table: 1,
             indices: (0..rows.len() as u32).map(|i| i * 2).collect(),
             slab_start: 0,

@@ -123,8 +123,6 @@ fn table(rows: usize) -> TableState {
 /// The work item naming every row of a `rows`-row table.
 fn item(rows: usize) -> WorkItem {
     WorkItem {
-        shard: 0,
-        seq: 0,
         table: 0,
         indices: (0..rows as u32).collect(),
         slab_start: 0,
