@@ -36,8 +36,10 @@ use cnr_core::read::{
     restore_sharded, restore_sharded_into, restore_sharded_with_heat, RestoreOptions, RowHeat,
 };
 use cnr_core::snapshot::SnapshotTaker;
-use cnr_core::write::CheckpointWriter;
+use cnr_core::write::shard_writer::encode_chunk;
+use cnr_core::write::{CheckpointWriter, WorkItem};
 use cnr_core::TrainingSnapshot;
+use cnr_model::state::TableState;
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_obs::json::escape;
 use cnr_obs::names;
@@ -457,7 +459,9 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
 }
 
 /// The `BENCH_quant.json` record set: wall-clock ns per quantized row for
-/// each scheme the quant-latency bench tracks, wall-clock ns per row of
+/// each scheme the quant-latency bench tracks, and per row of a trained
+/// model quantized in 4096-row chunks through `encode_chunk`, as a write
+/// does (`quantize_chunk/*`), wall-clock ns per row of
 /// placing a checkpoint's fp32, fp16 and 4-bit chunks (`decode_chunk/*`, through
 /// [`place_wall_clock`]), and for each adaptive
 /// scheme among them the mean number of greedy steps its range search
@@ -482,6 +486,31 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
         records.push(BenchRecord::new(
             format!("quantize_row/{name}"),
             best.as_nanos() as f64 / rows.num_rows() as f64,
+            "ns_per_row",
+        ));
+    }
+    // Quantize as a write runs it: every row of the same model, in
+    // 4096-row chunks, through `encode_chunk`. 3-bit adaptive is the
+    // §6.2.1 selector's fallback width.
+    let chunks = model_chunks(&model, 4096);
+    let chunked_rows: usize = chunks.iter().map(|(item, _)| item.indices.len()).sum();
+    for (name, scheme) in [
+        ("fp32", QuantScheme::Fp32),
+        ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
+        ("adaptive4_b45", QuantScheme::recommended_for_bits(4)),
+        ("adaptive3_b25", QuantScheme::recommended_for_bits(3)),
+    ] {
+        let mut best = Duration::MAX;
+        for _ in 0..rounds {
+            let t0 = Instant::now();
+            for (item, slab) in &chunks {
+                std::hint::black_box(encode_chunk(item, slab, &scheme));
+            }
+            best = best.min(t0.elapsed());
+        }
+        records.push(BenchRecord::new(
+            format!("quantize_chunk/{name}"),
+            best.as_nanos() as f64 / chunked_rows as f64,
             "ns_per_row",
         ));
     }
@@ -519,6 +548,30 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
         }
     }
     records
+}
+
+/// Every row of `model`'s tables as `encode_chunk` work items of at most
+/// `chunk_rows` consecutive rows, each with its table's slab.
+fn model_chunks(model: &DlrmModel, chunk_rows: usize) -> Vec<(WorkItem, TableState)> {
+    let mut chunks = Vec::new();
+    for (table, embedding) in model.tables().iter().enumerate() {
+        let slab = TableState {
+            data: embedding.data().to_vec(),
+            adagrad: None,
+        };
+        let rows = embedding.rows();
+        for start in (0..rows).step_by(chunk_rows) {
+            let end = (start + chunk_rows).min(rows);
+            let item = WorkItem {
+                table: table as u16,
+                indices: (start as u32..end as u32).collect(),
+                slab_start: start,
+                dim: embedding.dim(),
+            };
+            chunks.push((item, slab.clone()));
+        }
+    }
+    chunks
 }
 
 /// The `BENCH_wal.json` record set: steady-state overhead of the

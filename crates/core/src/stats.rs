@@ -33,7 +33,9 @@ pub struct IntervalStats {
     pub write_latency: Duration,
     /// Training stall charged by the snapshot.
     pub stall: Duration,
-    /// Wall-clock CPU time spent quantizing.
+    /// Time spent quantizing: each chunk's wall-clock quantize and encode
+    /// time, summed over the workers. Not CPU time: a worker waiting for
+    /// a core counts.
     pub quantize_cpu_time: Duration,
 }
 

@@ -79,7 +79,9 @@ pub struct CheckpointRecord {
     /// Simulated write latency (durable time − issue time); the §4.3 "time
     /// it takes a checkpoint to become valid".
     pub write_latency: Duration,
-    /// Wall-clock CPU time spent quantizing + encoding across all workers.
+    /// Each chunk's wall-clock quantize and encode time, summed over all
+    /// workers. Not CPU time, despite the name: a worker waiting for a
+    /// core counts.
     pub quantize_cpu_time: Duration,
     /// Wall-clock duration of the whole write call.
     pub wall_time: Duration,

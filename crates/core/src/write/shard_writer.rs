@@ -163,17 +163,58 @@ mod tests {
         }
     }
 
+    /// Rows that end the adaptive search each way, in turn: by the clip
+    /// bound (an ordinary row, `None`; and one far value the search sheds
+    /// a bin at a time, for several steps at ratio 1), by its budget (that
+    /// row at ratio 0.05, two steps), by a step too small to move an end
+    /// point (four `f32` ulps at 1000, at 1 bit), and at once (a constant
+    /// row). A NaN row, which runs its whole budget, and a value that
+    /// forces fp32 are the poisons below.
+    fn edge_row(k: usize, dim: usize) -> Option<Vec<f32>> {
+        let ulps = |i: usize| f32::from_bits(1000f32.to_bits() + (i % 4) as u32);
+        let far = |i: usize| match i {
+            0 => 1.0,
+            _ => (i * 53 % dim) as f32 / dim as f32 * 0.6,
+        };
+        match k % 5 {
+            1 => Some((0..dim).map(far).collect()),
+            2 => Some((0..dim).map(ulps).collect()),
+            3 => Some(vec![0.25; dim]),
+            _ => None,
+        }
+    }
+
     /// Both ways a chunk is stored: under its scheme for ordinary values,
     /// and as fp32 rows (tag 0) once a value of the chunk — in any of its
     /// rows — is one the scheme cannot describe: NaN or `-1e6` for a
-    /// uniform scheme, `-1e6` (binary16 overflow) for fp16.
+    /// uniform scheme, `-1e6` (binary16 overflow) for fp16. Every chunk
+    /// length from 0 to 13 rows, adaptive rows at 1–4 bits and at a budget
+    /// that ends the search, and rows that end the search each way
+    /// ([`edge_row`]). The row objects are the frozen reference codec's
+    /// rows (`cnr_quant`'s `reference::` tests hold them to it, a chunk
+    /// through `quantize_rows_into` included).
     #[test]
     fn encode_chunk_equals_the_row_object_encoding_byte_for_byte() {
-        for scheme in schemes() {
+        let mut schemes = schemes();
+        schemes.extend([1, 3].map(QuantScheme::recommended_for_bits));
+        schemes.push(QuantScheme::AdaptiveAsymmetric {
+            bits: 4,
+            num_bins: 45,
+            ratio: 0.05,
+        });
+        let lengths = (0..=13).map(|rows| (rows, [8, 13, 32][rows % 3]));
+        let shapes = lengths.chain([(64, 32), (3, 130)]);
+        for scheme in schemes {
             for with_acc in [false, true] {
-                for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32), (3, 130)] {
+                for (rows, dim) in shapes.clone() {
                     for poison in [None, Some(f32::NAN), Some(-1e6)] {
                         let (item, mut table) = item(rows, dim, with_acc);
+                        for k in 0..rows {
+                            if let Some(edge) = edge_row(k, dim) {
+                                let at = (item.slab_start + k) * dim;
+                                table.data[at..at + dim].copy_from_slice(&edge);
+                            }
+                        }
                         if let (Some(v), true) = (poison, rows > 0) {
                             // The last value of the chunk's last row.
                             table.data[(item.slab_start + rows) * dim - 1] = v;

@@ -78,7 +78,8 @@ pub const CKPT_STORED_BYTES: &str = "cnr_checkpoint_stored_bytes_total";
 pub const CKPT_WRITE_LATENCY_NS: &str = "cnr_checkpoint_write_latency_ns";
 /// Histogram (ns): training stall per interval.
 pub const CKPT_STALL_NS: &str = "cnr_checkpoint_stall_ns";
-/// Histogram (ns): quantization CPU per interval.
+/// Histogram (ns): quantization time per interval — each chunk's
+/// wall-clock quantize and encode time, summed over the workers.
 pub const CKPT_QUANTIZE_CPU_NS: &str = "cnr_checkpoint_quantize_cpu_ns";
 /// Histogram (bytes): stored size per interval.
 pub const CKPT_STORED_BYTES_HIST: &str = "cnr_checkpoint_stored_bytes";

@@ -19,12 +19,23 @@
 //! best (a replacement must be strictly better), and the search stops with
 //! the result the full budget would have produced. The bound holds in
 //! floating point as executed, not just over the reals (the argument sits
-//! beside the code, on `kernel::l2_errors`), so the chosen range — and
+//! beside the code, on `kernel::measure`), so the chosen range — and
 //! every stored byte — is the same; only [`AdaptiveRange::steps`] shows
-//! the difference. On embedding-like rows at the engine's 4-bit default
-//! (45 bins, ratio 1) about 6 of the 44 budgeted steps run.
+//! the difference. On the trained rows the quantization bench samples, at
+//! the engine's 4-bit default (45 bins, ratio 1), 4.25 of the 44 budgeted
+//! steps run per row: the `search_steps/adaptive4_b45` record of
+//! `BENCH_quant.json`.
+//!
+//! Every decision of the search — which trial a step takes, whether it
+//! beats the best, whether the clip bound ends the search — compares
+//! norms that are in-order `f64` sums. A step does not compute them: one
+//! vectorized pass per trial sums the squares in `f32` lanes and bounds
+//! the sums from both sides (`kernel::measure`). The bounds decide almost
+//! every comparison; one they leave open is decided on the exact sums,
+//! computed for it. So each decision, the steps taken and the range
+//! chosen are the ones exact sums give, at the cost of cheap sums.
 
-use crate::kernel::{clip_slack, l2_errors, Grid, Trial, BLOCK};
+use crate::kernel::{clip_slack, measure, Grid, Measured, Trial, TrialCost};
 use crate::uniform::min_max;
 
 /// Result of the greedy range search for one vector.
@@ -46,126 +57,255 @@ pub struct AdaptiveRange {
 /// the original range the search may consume (paper §5.2).
 ///
 /// A trial never materializes codes or a de-quantized row: it is one pass
-/// of `kernel::l2_errors` over the row, both trials of a greedy step share that
-/// pass, and the pass also yields the clip bound that ends the search
-/// early. Nothing is allocated.
+/// over the row (`kernel::measure`), which also bounds the clip that ends
+/// the search early. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {
-    search_within(row, min_max(row), bits, num_bins, ratio)
+    let found = search(row, bits, num_bins, ratio);
+    let (xmin, xmax) = found.range;
+    let exact = || Trial::unclipped(Grid::for_range(xmin, xmax, bits)).error(row);
+    AdaptiveRange {
+        xmin,
+        xmax,
+        l2_error: (found.error.value())
+            .or_else(|| exact().value())
+            .expect("an exact sum has a value"),
+        steps: found.steps,
+    }
 }
 
-/// [`search_range`] for a caller that has the row's range, `(min, max)`,
-/// at hand.
-pub(crate) fn search_within(
-    row: &[f32],
-    (full_min, full_max): (f32, f32),
-    bits: u8,
-    num_bins: u32,
-    ratio: f64,
-) -> AdaptiveRange {
+/// What the search of one row found: the chosen range, with what is
+/// known of its error, and the full range it started from, with what is
+/// known of that one's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Searched {
+    /// The chosen range, `(xmin, xmax)`.
+    pub range: (f32, f32),
+    /// Greedy steps executed.
+    pub steps: usize,
+    /// The chosen range's [`AdaptiveRange::l2_error`].
+    pub error: Measured,
+    /// The row's full range, `(min, max)`.
+    pub full: (f32, f32),
+    /// The error of the row on the full range's `f32` grid.
+    pub full_error: Measured,
+    /// The `f32` grids the two errors are of: the chosen range's, the
+    /// full range's.
+    grids: [Grid; 2],
+    /// The full range rounded to binary16 parameters, the naive
+    /// asymmetric grid: rounded before the search's first pass, which
+    /// it overlaps.
+    naive: Grid,
+}
+
+/// The greedy search of [`search_range`]: on bounds ([`measure`]), and
+/// over again on exact sums in the rare row where the bounds leave a
+/// comparison open. Inlined into its callers: as a call of its own it
+/// measured about 15% slower per row.
+#[inline(always)]
+pub(crate) fn search(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Searched {
     assert!(num_bins >= 1, "num_bins must be >= 1");
     assert!(
         ratio > 0.0 && ratio <= 1.0,
         "ratio must be in (0, 1], got {ratio}"
     );
+    search_with::<false>(row, bits, num_bins, ratio)
+        .unwrap_or_else(|| search_exactly(row, bits, num_bins, ratio))
+}
+
+/// The greedy search on exact sums, every comparison decided.
+#[cold]
+#[inline(never)]
+pub(crate) fn search_exactly(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Searched {
+    search_with::<true>(row, bits, num_bins, ratio).expect("exact values always compare")
+}
+
+/// A trial's exact error and clip: every comparison of them decides.
+#[cold]
+fn exactly(row: &[f32], t: Trial) -> TrialCost {
+    TrialCost {
+        error: t.error(row),
+        clip: t.clip(row),
+    }
+}
+
+/// The greedy search, its trials measured exactly when `EXACT`, else
+/// bounded ([`measure`]): `None` when the bounds left a comparison open
+/// (the search then went on as if it were `false`, and its result means
+/// nothing).
+#[inline(always)]
+fn search_with<const EXACT: bool>(
+    row: &[f32],
+    bits: u8,
+    num_bins: u32,
+    ratio: f64,
+) -> Option<Searched> {
+    let measure = |t| {
+        if EXACT {
+            exactly(row, t)
+        } else {
+            measure(row, t)
+        }
+    };
+    let full = min_max(row);
+    let (full_min, full_max) = full;
+    let naive = Grid::half_for_range(full_min, full_max, bits);
     let range = full_max - full_min;
     let slack = clip_slack(full_min, full_max, bits);
-
-    let mut scratch = [[[0.0f32; BLOCK]; 2]; 2];
-    let [full] = l2_errors(
-        row,
-        [Trial::for_range(full_min, full_max, bits, slack)],
-        std::array::from_mut(&mut scratch[0]),
-    );
-    let mut best = AdaptiveRange {
-        xmin: full_min,
-        xmax: full_max,
-        l2_error: full.error,
-        steps: 0,
-    };
-    if range <= 0.0 || !range.is_finite() {
-        return best; // constant vector: naive range is already exact
-    }
-
+    let trial = |(lo, hi)| Trial::for_range(lo, hi, bits, slack);
+    let whole = trial(full);
     let step = range / num_bins as f32;
     let budget = ratio * range as f64;
-    let mut lo = full_min;
-    let mut hi = full_max;
-    // What `[lo, hi]` clips: no later trial can have a smaller error.
-    let mut clip = full.clip;
-    let mut consumed = 0.0f64;
+    let steps_on = |consumed: f64, (lo, hi): (f32, f32)| {
+        consumed + step as f64 <= budget + 1e-12 && hi - lo > step
+    };
+    // A constant vector's naive range is already exact.
+    let searching = range > 0.0 && range.is_finite() && steps_on(0.0, full);
+    let first = measure(whole);
+    let (mut best, mut best_error, mut best_grid) = (full, first.error, whole.grid);
     let mut steps = 0usize;
-
-    while consumed + step as f64 <= budget + 1e-12 && hi - lo > step {
-        // `best` is only ever replaced by a strictly smaller error, so it
-        // is final. A NaN error (a NaN element) compares false: such a row
-        // runs its whole budget, as it always has.
-        if clip >= best.l2_error {
-            break;
-        }
-        let [shrink_lo, shrink_hi] = l2_errors(
-            row,
-            [
-                Trial::for_range(lo + step, hi, bits, slack),
-                Trial::for_range(lo, hi - step, bits, slack),
-            ],
-            &mut scratch,
-        );
-        let before = (lo, hi);
-        let taken = if shrink_lo.error <= shrink_hi.error {
-            lo += step;
-            shrink_lo
-        } else {
-            hi -= step;
-            shrink_hi
-        };
-        if taken.error < best.l2_error {
-            best = AdaptiveRange {
-                xmin: lo,
-                xmax: hi,
-                l2_error: taken.error,
-                steps,
+    // Whether a comparison was left open (and taken as `false`).
+    let mut open = false;
+    if searching {
+        let (mut lo, mut hi) = full;
+        // What `[lo, hi]` clips: no later trial can have a smaller error.
+        let mut clip = first.clip;
+        let mut consumed = 0.0f64;
+        while steps_on(consumed, (lo, hi)) {
+            // The best is only ever replaced by a strictly smaller error,
+            // so once the clip reaches it, it is final. A NaN error (a NaN
+            // element) compares false: such a row runs its whole budget,
+            // as it always has.
+            if decided(best_error.at_most(clip), &mut open) {
+                break;
+            }
+            // `lo` moved up a step, `hi` moved down one.
+            let shrink_lo = trial((lo + step, hi));
+            let shrink_hi = trial((lo, hi - step));
+            let (lo_cost, hi_cost) = (measure(shrink_lo), measure(shrink_hi));
+            let before = (lo, hi);
+            let (taken, cost) = if decided(lo_cost.error.at_most(hi_cost.error), &mut open) {
+                lo += step;
+                (shrink_lo, lo_cost)
+            } else {
+                hi -= step;
+                (shrink_hi, hi_cost)
             };
-        }
-        clip = taken.clip;
-        consumed += step as f64;
-        steps += 1;
-        // A step smaller than half an ulp of the end point it was added to
-        // (or one that underflowed to zero) moves nothing, and the next
-        // step would be this one again. On a range under `1e-12` the
-        // budget test above cannot end that.
-        if (lo, hi) == before {
-            break;
+            if decided(cost.error.below(best_error), &mut open) {
+                (best, best_error, best_grid) = ((lo, hi), cost.error, taken.grid);
+            }
+            clip = cost.clip;
+            consumed += step as f64;
+            steps += 1;
+            // A step smaller than half an ulp of the end point it was
+            // added to (or one that underflowed to zero) moves nothing,
+            // and the next step would be this one again. On a range under
+            // `1e-12` the budget test above cannot end that.
+            if (lo, hi) == before {
+                break;
+            }
         }
     }
-    best.steps = steps;
-    best
+    (!open).then_some(Searched {
+        range: best,
+        steps,
+        error: best_error,
+        full,
+        full_error: first.error,
+        grids: [best_grid, whole.grid],
+        naive,
+    })
+}
+
+/// What `test` decided, or `false`, noting in `open` that it did not.
+#[inline(always)]
+fn decided(test: Option<bool>, open: &mut bool) -> bool {
+    *open |= test.is_none();
+    test.unwrap_or(false)
+}
+
+/// The grid the adaptive scheme stores `row` on: its search, then its
+/// binary16 grid ([`half_grid`]).
+pub(crate) fn grid(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Grid {
+    half_grid(row, &search(row, bits, num_bins, ratio), bits)
 }
 
 /// The grid the adaptive scheme stores `row` on with binary16 parameters,
-/// given its searched range `r` and its full range `full`: the searched
-/// range rounded once ([`Grid::half_for_range`]), unless rounding the full
-/// range gives a strictly smaller error — the search compared `f32` grids,
-/// and the rounding can reorder two close ones. So the stored grid is
-/// never worse than the naive asymmetric one, which is the full range
-/// rounded. One measuring pass over the row, and none when the search kept
-/// the full range.
-pub(crate) fn half_grid(row: &[f32], r: &AdaptiveRange, full: (f32, f32), bits: u8) -> Grid {
-    let searched = Grid::half_for_range(r.xmin, r.xmax, bits);
-    if (r.xmin, r.xmax) == full {
-        return searched;
+/// given its search: the searched range rounded once
+/// ([`Grid::half_for_range`]), unless rounding the full range gives a
+/// strictly smaller error — the search compared `f32` grids, and the
+/// rounding can reorder two close ones. So the stored grid is never worse
+/// than the naive asymmetric one, which is the full range rounded.
+///
+/// One measuring pass over the row at most, and none when the search
+/// kept the full range, or when its own errors already order the two
+/// grids by more than rounding can move them ([`ordered_by_search`]).
+pub(crate) fn half_grid(row: &[f32], found: &Searched, bits: u8) -> Grid {
+    let naive = found.naive;
+    if found.range == found.full {
+        return naive;
     }
-    let naive = Grid::half_for_range(full.0, full.1, bits);
-    let trial = |grid| Trial {
-        grid,
-        ceil: f32::INFINITY,
-    };
-    let mut scratch = [[[0.0f32; BLOCK]; 2]; 2];
-    let [s, n] = l2_errors(row, [searched, naive].map(trial), &mut scratch);
-    if n.error < s.error {
+    let (xmin, xmax) = found.range;
+    let chosen = Grid::half_for_range(xmin, xmax, bits);
+    if ordered_by_search(row.len(), found, (chosen, naive)) {
+        return chosen;
+    }
+    let trials = [naive, chosen].map(Trial::unclipped);
+    let (n, s) = (measure(row, trials[0]).error, measure(row, trials[1]).error);
+    let better = n.below(s);
+    let exact = || trials.map(|t| t.error(row));
+    let naive_wins = better.unwrap_or_else(|| {
+        let [n, s] = exact();
+        n.below(s).expect("exact values always compare")
+    });
+    if naive_wins {
         naive
     } else {
-        searched
+        chosen
     }
+}
+
+/// Whether the search's `f32` errors already decide the comparison of
+/// [`half_grid`] for a row of `n` values: the rounded full range's
+/// computed error cannot be strictly smaller than the rounded searched
+/// range's, so the comparison would keep the searched one.
+///
+/// Rounding moves each point `c` of a grid by at most `δ`, the sum of
+/// `|Δzero_point|` and `levels · |Δscale|`, so each element's distance to
+/// its nearest grid point moves by at most `δ`. A computed residual
+/// differs from that
+/// exact distance by at most `14u·M` (`u = 2^-24`, `M` the largest
+/// magnitude among the row and the grid's ends): the computed code is the
+/// nearest one but for an element within `2.01u` codes of a midpoint,
+/// which costs at most `4.02u · |x - zero_point| ≤ 8.04u·M`, and the
+/// reconstruction and subtraction round by at most `5u·M` more (plus
+/// `2^-149` when a product underflows). Over the row, by the triangle
+/// inequality, the norm of the residuals on a rounded grid is within
+/// `√n · (δ + 28u·M + 2^-148)` of the norm on its `f32` grid. The
+/// computed error is that norm to a relative `(n + 1) · 2^-53` (the
+/// in-order `f64` sum of `n` exact squares, then `sqrt`). The test below
+/// asks for the gap between the two `f32` errors — the least the search's
+/// bounds allow — to exceed the sum of both grids' moves with `2^-17·M`
+/// for the residual roundings, and `(n + 8) · 2^-50` of the errors for
+/// the sums and for its own `f64` arithmetic. A NaN anywhere fails it,
+/// and the comparison runs.
+fn ordered_by_search(n: usize, found: &Searched, (chosen, naive): (Grid, Grid)) -> bool {
+    let (full_min, full_max) = found.full;
+    let unrounded = found.grids;
+    let levels = chosen.levels as f64;
+    let end = |g: Grid| (g.zero_point as f64).abs() + g.scale as f64 * levels;
+    let moved = |a: Grid, b: Grid| {
+        (a.zero_point as f64 - b.zero_point as f64).abs()
+            + levels * (a.scale as f64 - b.scale as f64).abs()
+    };
+    let m = [chosen, naive, unrounded[0], unrounded[1]]
+        .map(end)
+        .into_iter()
+        .fold(full_min.abs().max(full_max.abs()) as f64, f64::max);
+    let relative = (n as f64 + 8.0) * 4.0 * f64::EPSILON; // (n + 8) · 2^-50
+    let moves = moved(chosen, unrounded[0]) + moved(naive, unrounded[1]);
+    let bound = (n as f64).sqrt() * (moves + m * 2f64.powi(-17) + 2f64.powi(-140));
+    let ((full_lo, full_hi), (_, searched_hi)) = (found.full_error.bounds(), found.error.bounds());
+    full_lo - searched_hi > bound * (1.0 + relative) + relative * full_hi
 }
 
 #[cfg(test)]

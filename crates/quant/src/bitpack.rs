@@ -67,13 +67,18 @@ pub(crate) fn pack_into(codes: &[u16], bits: u8, out: &mut Vec<u8>) {
 /// Packs `PER` codes of `8 / PER` bits into each byte, LSB-first.
 fn pack_groups<const PER: usize>(codes: &[u16], out: &mut Vec<u8>) {
     let bits = 8 / PER;
-    out.extend(codes.chunks(PER).map(|group| {
-        let mut byte = 0u16;
-        for (j, &c) in group.iter().enumerate() {
-            byte |= c << (j * bits);
-        }
-        byte as u8
-    }));
+    let byte = |group: &[u16]| {
+        let codes = group.iter().enumerate();
+        codes.fold(0u16, |byte, (j, &c)| byte | c << (j * bits)) as u8
+    };
+    // Whole bytes as groups of a length the compiler knows, then the
+    // codes of a last partial byte.
+    let whole = codes.chunks_exact(PER);
+    let tail = whole.remainder();
+    out.extend(whole.map(byte));
+    if !tail.is_empty() {
+        out.push(byte(tail));
+    }
 }
 
 /// Unpacks `n` codes of width `bits` from `bytes`.

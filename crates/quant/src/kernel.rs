@@ -9,9 +9,11 @@
 //! checkpoint stores and what the public codec computes cannot drift apart.
 //!
 //! The kernels allocate nothing and are written so the compiler can
-//! vectorize them: values move through fixed-size stack blocks, rounding
-//! is branch-free, and the only serial dependency left is the one the
-//! result's bits depend on (the in-order `f64` error sum). Decoding goes a
+//! vectorize them: values move through fixed-size stack blocks or
+//! independent lanes, and rounding is branch-free. The one serial
+//! dependency a stored byte depends on, the in-order `f64` error sum of
+//! the range search, is computed only where cheap lane sums, bounded from
+//! both sides, leave a comparison open ([`measure`]). Decoding goes a
 //! chunk at a time: the code width is matched once per call of
 //! [`uniform_rows`], and each width that fills whole bytes has a loop of
 //! its own that unpacks and scales a row without a code buffer. Their
@@ -19,11 +21,11 @@
 //! which are kept, frozen, in the test-only `reference` module as the
 //! oracle.
 //!
-//! The error pass also measures what its range *clips* ([`TrialCost::clip`]):
+//! The error pass also measures what its range *clips* ([`Trial::clip`]):
 //! a lower bound, exact under rounding, on the error of every range nested
 //! inside it. That is what lets [`crate::adaptive::search_range`] stop
 //! after a handful of its budgeted steps with the result the whole budget
-//! would have produced; the argument is on [`l2_errors`] and
+//! would have produced; the argument is on [`measure`] and
 //! [`clip_slack`].
 
 use crate::bitpack::{pack_into, unpack_any_with, unpack_grouped_with};
@@ -155,21 +157,16 @@ fn none_of(values: &[f32], hit: impl Fn(i32) -> bool) -> bool {
 /// `q.round()` (half away from zero) clamped to `[0, levels]`, NaN → 0,
 /// without a branch or a call.
 ///
-/// Clamping to `[0, levels + 1]` first leaves every in-range value alone
-/// and keeps the magic-number rounding in its valid domain; a tie that
-/// ties-to-even sent down (`q - e == 0.5`) is pushed back up.
+/// Rounding is monotone and the clamp's ends are integers, so clamping
+/// `q` first gives the same code, and keeps the magic-number rounding in
+/// its valid domain; a tie that ties-to-even sent down (`q - e == 0.5`)
+/// is pushed back up, to at most `levels`.
 #[inline(always)]
 fn round_clamp(q: f32, levels: f32) -> f32 {
     let q = if q > 0.0 { q } else { 0.0 };
-    let top = levels + 1.0;
-    let q = if q < top { q } else { top };
+    let q = if q < levels { q } else { levels };
     let e = (q + ROUND_MAGIC) - ROUND_MAGIC;
-    let r = e + if q - e == 0.5 { 1.0 } else { 0.0 };
-    if r < levels {
-        r
-    } else {
-        levels
-    }
+    e + if q - e == 0.5 { 1.0 } else { 0.0 }
 }
 
 /// Writes the code of every element of `row` on grid `g` into `codes`.
@@ -179,8 +176,11 @@ pub(crate) fn quantize_codes(row: &[f32], g: Grid, codes: &mut [u16]) {
         codes.fill(0);
         return;
     }
+    // The code is a whole number below 2^16, so adding 2^23 puts it in
+    // the low mantissa bits: no float-to-integer conversion.
+    let bits = |code: f32| ((code + ROUND_MAGIC).to_bits() - ROUND_MAGIC.to_bits()) as u16;
     for (c, &x) in codes.iter_mut().zip(row) {
-        *c = round_clamp((x - g.zero_point) / g.scale, g.levels) as u16;
+        *c = bits(round_clamp((x - g.zero_point) / g.scale, g.levels));
     }
 }
 
@@ -217,22 +217,127 @@ impl Trial {
             ceil: hi + slack,
         }
     }
+
+    /// The trial of a grid whose clip is not asked for.
+    pub fn unclipped(grid: Grid) -> Self {
+        Self {
+            grid,
+            ceil: f32::INFINITY,
+        }
+    }
+
+    /// What quantizing `x` on the grid loses: `x - dequantize(quantize(x))`.
+    /// On a grid of scale 0 the code is whatever the division makes of
+    /// `±∞` or NaN, and every code reconstructs the zero point.
+    #[inline(always)]
+    fn residual(self, x: f32) -> f32 {
+        let g = self.grid;
+        let code = round_clamp((x - g.zero_point) / g.scale, g.levels);
+        x - (g.scale * code + g.zero_point)
+    }
+
+    /// How far `x` lies outside `[grid.zero_point, ceil]`: 0 inside, and
+    /// for NaN.
+    #[inline(always)]
+    fn outside(self, x: f32) -> f32 {
+        let below = self.grid.zero_point - x;
+        let above = x - self.ceil;
+        // At most one of the two is positive, so the sum is exact.
+        (if below > 0.0 { below } else { 0.0 }) + (if above > 0.0 { above } else { 0.0 })
+    }
+
+    /// The trial's ℓ2 error on `row`, exactly: the residuals' squares
+    /// added in element order in `f64`, as [`crate::row_l2_error`] adds
+    /// them.
+    #[cold]
+    pub fn error(self, row: &[f32]) -> Measured {
+        // `Iterator::sum::<f64>()` starts from -0.0; so does this sum.
+        Measured::exact(in_order(row, -0.0, |x| self.residual(x)))
+    }
+
+    /// The trial's clip on `row`, exactly: the [`Trial::outside`]
+    /// distances' squares added in element order in `f64`.
+    #[cold]
+    pub fn clip(self, row: &[f32]) -> Measured {
+        Measured::exact(in_order(row, 0.0, |x| self.outside(x)))
+    }
 }
 
-/// What one [`Trial`] measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `start` plus the squares of `term(x)` over `row`, added in element
+/// order in `f64`. Every square of an `f32` is exact in `f64`.
+fn in_order(row: &[f32], start: f64, term: impl Fn(f32) -> f32) -> f64 {
+    let square = |&x: &f32| (term(x) as f64) * (term(x) as f64);
+    row.iter().map(square).fold(start, |sum, t| sum + t)
+}
+
+/// What is known of a trial's error or clip, an ℓ2 norm computed as the
+/// `sqrt` of an in-order `f64` sum of squares: bounds on the sum, which
+/// are the sum itself once it is computed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Measured {
+    lo: f64,
+    hi: f64,
+}
+
+/// Sums further apart than this factor have distinct correctly rounded
+/// `sqrt`s: the `sqrt`s are more than `2^-51` apart relative, more than
+/// the `2^-52` relative spacing of `f64`s (with room for the rounding of
+/// the product it is used in).
+const APART: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+impl Measured {
+    /// The norm of the in-order sum `sum`.
+    fn exact(sum: f64) -> Self {
+        Self { lo: sum, hi: sum }
+    }
+
+    /// The norm, when its sum is known.
+    #[inline(always)]
+    pub fn value(self) -> Option<f64> {
+        (self.lo.to_bits() == self.hi.to_bits()).then(|| self.lo.sqrt())
+    }
+
+    /// Bounds on the norm: the correctly rounded `sqrt` is monotone.
+    pub fn bounds(self) -> (f64, f64) {
+        (self.lo.sqrt(), self.hi.sqrt())
+    }
+
+    /// `self <= other` of the two norms, when what is known decides it.
+    #[inline(always)]
+    pub fn at_most(self, other: Self) -> Option<bool> {
+        if self.hi <= other.lo {
+            Some(true)
+        } else if self.lo > other.hi * APART {
+            Some(false)
+        } else {
+            Some(self.value()? <= other.value()?)
+        }
+    }
+
+    /// `self < other` of the two norms, when what is known decides it.
+    #[inline(always)]
+    pub fn below(self, other: Self) -> Option<bool> {
+        if self.hi * APART < other.lo {
+            Some(true)
+        } else if self.lo >= other.hi {
+            Some(false)
+        } else {
+            Some(self.value()? < other.value()?)
+        }
+    }
+}
+
+/// What [`measure`] found of one [`Trial`]: its [`Trial::error`] and
+/// [`Trial::clip`], as bounds.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TrialCost {
-    /// ℓ2 error of quantizing the row on the trial's grid.
-    pub error: f64,
-    /// ℓ2 norm of what lies outside `[grid.zero_point, ceil]`: a lower
-    /// bound on `error`, and on the `error` of every trial whose range is
-    /// nested inside this one (see [`l2_errors`]).
-    pub clip: f64,
+    pub error: Measured,
+    pub clip: Measured,
 }
 
-/// Per-trial stack space of [`l2_errors`]: a block of residuals and a block
-/// of clip distances.
-pub(crate) type TrialScratch<const N: usize> = [[[f32; BLOCK]; 2]; N];
+/// Independent accumulators of the sums of [`measure`], so they
+/// vectorize.
+const LANES: usize = 8;
 
 /// How far above `hi` the top grid point of a range `[lo, hi]` inside
 /// `[full_min, full_max]` can be reconstructed.
@@ -253,47 +358,17 @@ pub(crate) fn clip_slack(full_min: f32, full_max: f32, bits: u8) -> f32 {
     full_min.abs().max(full_max.abs()) * REL + levels_for(bits) * ABS
 }
 
-/// What quantizing `xs` on the trial's grid loses, element by element —
-/// `x - dequantize(quantize(x))` — and how far each element lies outside
-/// `[grid.zero_point, ceil]` (0 inside, and for NaN).
-#[inline(always)]
-fn residuals(xs: &[f32], t: Trial, res: &mut [f32], clip: &mut [f32]) {
-    let g = t.grid;
-    let outside = |x: f32| {
-        let below = g.zero_point - x;
-        let above = x - t.ceil;
-        // At most one of the two is positive, so the sum is exact.
-        (if below > 0.0 { below } else { 0.0 }) + (if above > 0.0 { above } else { 0.0 })
-    };
-    if g.scale <= 0.0 {
-        let back = g.scale * 0.0 + g.zero_point;
-        for ((o, c), &x) in res.iter_mut().zip(clip.iter_mut()).zip(xs) {
-            *o = x - back;
-            *c = outside(x);
-        }
-    } else {
-        for ((o, c), &x) in res.iter_mut().zip(clip.iter_mut()).zip(xs) {
-            let code = round_clamp((x - g.zero_point) / g.scale, g.levels);
-            *o = x - (g.scale * code + g.zero_point);
-            *c = outside(x);
-        }
-    }
-}
-
-/// ℓ2 error and clip bound of quantizing `row` on each of `N` trial
-/// grids, in one pass over the row.
+/// Bounds on a trial's error and clip on `row`, in one pass over it: the
+/// squares are summed in `f32`, in [`LANES`] independent lanes, so the
+/// pass vectorizes and no addition waits on the one before. The exact
+/// values are in-order `f64` sums ([`Trial::error`], [`Trial::clip`]),
+/// and a search computes them only for a comparison the bounds leave open
+/// ([`Measured::at_most`], [`Measured::below`]), so that every decision,
+/// and every value it returns, is the one exact sums give.
 ///
-/// The residuals of a block are computed first, in a loop with no
-/// cross-element dependency; their squares are then added in element
-/// order in `f64`, exactly as [`crate::row_l2_error`] adds them, so
-/// `error` has the same bits. The `N` sums are independent chains, which
-/// is what lets one greedy step's two trials overlap. `scratch` is the
-/// caller's so a search reuses it across its trials.
-///
-/// `clip` is the same sum over the clip distances, and it bounds from
-/// below the *computed* `error` of any trial `[lo', hi']` nested inside
-/// this one, `lo ≤ lo' ≤ hi' ≤ hi` — in `f32`/`f64` arithmetic as
-/// executed, not just over the reals:
+/// A trial's clip bounds from below the *computed* error of any trial
+/// `[lo', hi']` nested inside it, `lo ≤ lo' ≤ hi' ≤ hi` — in `f32`/`f64`
+/// arithmetic as executed, not just over the reals:
 ///
 /// * every value that trial reconstructs lies in `[lo', top']`, because
 ///   `fl(scale · code)` and `fl(· + lo')` are monotone in `code`; code 0
@@ -306,31 +381,62 @@ fn residuals(xs: &[f32], t: Trial, res: &mut [f32], clip: &mut [f32]) {
 /// * the square of an `f32` is exact in `f64`, so the squares are ordered
 ///   the same way; a left-to-right sum of non-negative terms is monotone
 ///   in each of them, and so is the correctly rounded `sqrt`.
-pub(crate) fn l2_errors<const N: usize>(
-    row: &[f32],
-    trials: [Trial; N],
-    scratch: &mut TrialScratch<N>,
-) -> [TrialCost; N] {
-    // `Iterator::sum::<f64>()` starts from -0.0; so does the error sum.
-    let mut sums = [(-0.0f64, 0.0f64); N];
-    for xs in row.chunks(BLOCK) {
-        let n = xs.len().min(BLOCK); // tells the compiler `i` below is in bounds
-        for ([res, clip], &t) in scratch.iter_mut().zip(&trials) {
-            residuals(xs, t, &mut res[..n], &mut clip[..n]);
-        }
-        for i in 0..n {
-            for ((error, clip), [res, out]) in sums.iter_mut().zip(scratch.iter()) {
-                let d = res[i] as f64;
-                *error += d * d;
-                let c = out[i] as f64;
-                *clip += c * c;
-            }
+#[inline(always)]
+pub(crate) fn measure(row: &[f32], t: Trial) -> TrialCost {
+    let mut errors = [0.0f32; LANES];
+    let mut clips = [0.0f32; LANES];
+    let mut whole = row.chunks_exact(LANES);
+    for xs in &mut whole {
+        for lane in 0..LANES {
+            let x = xs[lane];
+            let r = t.residual(x);
+            errors[lane] += r * r;
+            let c = t.outside(x);
+            clips[lane] += c * c;
         }
     }
-    sums.map(|(error, clip)| TrialCost {
-        error: error.sqrt(),
-        clip: clip.sqrt(),
-    })
+    for (lane, &x) in whole.remainder().iter().enumerate() {
+        let r = t.residual(x);
+        errors[lane] += r * r;
+        let c = t.outside(x);
+        clips[lane] += c * c;
+    }
+    TrialCost {
+        error: near(errors, row.len()),
+        clip: near(clips, row.len()),
+    }
+}
+
+/// Bounds on the in-order `f64` sum of the exact squares of `n` values
+/// whose squares, rounded to `f32`, the lanes of `sums` added.
+///
+/// With `u = 2^-24`, each square is rounded by at most `u` relative (or
+/// `2^-150` absolute where it underflows), and each passes through at
+/// most `n/8 + 3` additions of non-negative values in `f32` (its lane's,
+/// then the lanes' own), each rounding by at most `u` relative. So the
+/// exact sum of the squares is within `n · 2^-149` and a relative
+/// `(n/8 + 5)·u` of the total; the in-order `f64` sum rounds it by at most
+/// `(n + 1) · 2^-53` relative. The bounds take `(n + 16) · 2^-23` for all
+/// of it (and for their own roundings), and `(n + 1) · 2^-149`, so that
+/// they are never one value. A sum that overflowed `f32` bounds nothing.
+#[inline(always)]
+fn near(sums: [f32; LANES], n: usize) -> Measured {
+    let [a, b, c, d, e, f, g, h] = sums;
+    let total = (((a + e) + (c + g)) + ((b + f) + (d + h))) as f64;
+    let n = n as f64;
+    let relative = (n + 16.0) * f32::EPSILON as f64; // (n + 16) · 2^-23
+    let absolute = (n + 1.0) * f32::from_bits(1) as f64; // (n + 1) · 2^-149
+    if total.is_finite() {
+        Measured {
+            lo: ((total - absolute) * (1.0 - relative)).max(0.0),
+            hi: (total + absolute) * (1.0 + relative),
+        }
+    } else {
+        Measured {
+            lo: 0.0,
+            hi: f64::INFINITY,
+        }
+    }
 }
 
 /// Little-endian `f32`s, one per four bytes of `bytes`, into `out`. A run

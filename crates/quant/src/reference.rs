@@ -459,8 +459,9 @@ mod tests {
 
     proptest! {
         /// `quantize_row_into` == reference quantize + `encode_body_into`,
-        /// `quantize_row` == reference row, flat and in-place decode ==
-        /// reference `dequantize`, bit for bit, for every scheme.
+        /// `quantize_row` == reference row, `quantize_rows_into` over a
+        /// chunk == the reference rows' bodies, flat and in-place decode
+        /// == reference `dequantize`, bit for bit, for every scheme.
         #[test]
         fn fused_rows_equal_reference_rows(
             dim in 1usize..=130,
@@ -470,6 +471,7 @@ mod tests {
             num_bins in 1u32..=50,
             ratio_pct in 1u32..=100,
             seed in any::<u64>(),
+            rest in 0usize..=4,
         ) {
             let bits = [1u8, 2, 3, 4, 5, 6, 7, 8, 16][bits_idx];
             let scheme = scheme_for(kind, bits, num_bins, ratio_pct as f64 / 100.0);
@@ -496,6 +498,20 @@ mod tests {
             prop_assert_eq!(want_body.len(), stored.body_len(dim));
             prop_assert_eq!(want.byte_size(), ROW_HEADER_LEN + stored.body_len(dim));
             prop_assert_eq!(want.byte_size(), stored.bytes_per_row(dim));
+
+            // A chunk of rows in one call: the row, then `rest` more of
+            // its shape, stored under the scheme their values decide.
+            let chunk: Vec<f32> = (0..=rest as u64)
+                .flat_map(|k| if k == 0 { row.clone() } else { build_row(dim, shape, seed ^ k, bits) })
+                .collect();
+            let chunk_scheme = scheme.stored_for(chunk.chunks(dim));
+            let mut chunk_body = Vec::new();
+            chunk_scheme.quantize_rows_into(&chunk, dim, &mut chunk_body);
+            let mut want_chunk = Vec::new();
+            for one in chunk.chunks(dim) {
+                quantize_row(&chunk_scheme, one).encode_body_into(&mut want_chunk);
+            }
+            prop_assert_eq!(&chunk_body, &want_chunk, "{} chunk of {}", scheme, rest + 1);
 
             let want_values = dequantize(&want);
             prop_assert_eq!(bits_of(&got.dequantize()), bits_of(&want_values), "{} dequantize", scheme);
@@ -528,6 +544,34 @@ mod tests {
             prop_assert_eq!(got.xmax.to_bits(), xmax.to_bits());
             prop_assert!(same_error(got.l2_error, l2_error), "{} vs {}", got.l2_error, l2_error);
             prop_assert!(got.steps <= steps, "{} steps vs {}", got.steps, steps);
+        }
+
+        /// The search decides on bounded `f32` lane sums wherever they
+        /// settle a comparison: for every row of a chunk, it returns what
+        /// the same search on exact in-order sums returns — the range,
+        /// the bits of the error, and the number of steps, so the bounds
+        /// change no decision, not even whether the clip bound fires.
+        #[test]
+        fn bounded_search_equals_the_exact_search(
+            dim in 0usize..=130,
+            bits_idx in 0usize..9,
+            shape in 0u8..48,
+            num_bins in 1u32..=50,
+            ratio_pct in 1u32..=100,
+            seed in any::<u64>(),
+            rows in 1u64..=6,
+        ) {
+            let bits = [1u8, 2, 3, 4, 5, 6, 7, 8, 16][bits_idx];
+            let ratio = ratio_pct as f64 / 100.0;
+            for k in 0..rows {
+                let row = build_row(dim, shape, seed ^ k, bits);
+                let got = adaptive::search_range(&row, bits, num_bins, ratio);
+                let exact = adaptive::search_exactly(&row, bits, num_bins, ratio);
+                let error = exact.error.value().expect("an exact search knows its error");
+                prop_assert_eq!(range_bits((got.xmin, got.xmax)), range_bits(exact.range));
+                prop_assert!(same_error(got.l2_error, error), "{} vs {}", got.l2_error, error);
+                prop_assert_eq!(got.steps, exact.steps, "row {:?}", row);
+            }
         }
 
         /// Element kernel and packing loops against their originals.
@@ -647,6 +691,74 @@ mod tests {
         );
         assert!(got.steps <= steps, "{} steps vs {steps}: {case}", got.steps);
         (got.steps, steps)
+    }
+
+    /// Rows symmetric about their midpoint make the two trials of a step
+    /// mirror images: their exact errors tie, or differ in the last bits,
+    /// which is where bounds on cheap sums could decide wrongly. The
+    /// search must take every such step as the exact sums do.
+    #[test]
+    fn bounded_search_decides_mirror_rows_as_the_exact_search() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        for dim in [2usize, 8, 16, 31, 32, 64, 130] {
+            for case in 0..40 {
+                let center = [0.0f32, 0.25, -3.0, 1000.0][case % 4];
+                let half: Vec<f32> = (0..dim / 2).map(|_| unit() * 0.1).collect();
+                let mut row: Vec<f32> = half.iter().map(|&d| center + d).collect();
+                row.extend(half.iter().map(|&d| center - d));
+                if dim % 2 == 1 {
+                    row.push(center);
+                }
+                for (bits, num_bins) in [(1u8, 25u32), (2, 25), (3, 25), (4, 45), (8, 45)] {
+                    let got = adaptive::search_range(&row, bits, num_bins, 1.0);
+                    let exact = adaptive::search_exactly(&row, bits, num_bins, 1.0);
+                    let error = exact.error.value().expect("an exact search knows its error");
+                    let case = format!("bits {bits} row {row:?}");
+                    assert_eq!(range_bits((got.xmin, got.xmax)), range_bits(exact.range), "{case}");
+                    assert!(same_error(got.l2_error, error), "{case}");
+                    assert_eq!(got.steps, exact.steps, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Rows spread thinly about a large offset, where rounding a range's
+    /// ends to binary16 moves its grid by as much as the search gained:
+    /// the stored grid is the rounded naive one for some of them, and
+    /// every row must still be the reference codec's, whether its
+    /// comparison ran or the search's own errors settled it.
+    #[test]
+    fn stored_grids_equal_the_reference_where_rounding_reorders_them() {
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let mut naive_kept = 0;
+        for case in 0..4000 {
+            let dim = [4usize, 8, 16, 32][case % 4];
+            let bits = [1u8, 2, 3, 4][(case / 4) % 4];
+            let spread = [1e-3f32, 1e-2, 0.1][(case / 16) % 3];
+            let offset = [0.5f32, 3.0, -20.0, 1000.0][(case / 48) % 4];
+            let row: Vec<f32> = (0..dim).map(|_| offset + (unit() - 0.5) * spread).collect();
+            let scheme = QuantScheme::AdaptiveAsymmetric { bits, num_bins: 25, ratio: 1.0 };
+            let want = quantize_row(&scheme, &row);
+            let got = scheme.quantize_row(&row);
+            assert_eq!(got, want, "bits {bits} row {row:?}");
+            let (lo, hi) = min_max(&row);
+            let searched = adaptive::search_range(&row, bits, 25, 1.0);
+            let naive = uniform_params_f16(lo, hi, bits);
+            naive_kept += ((searched.xmin, searched.xmax) != (lo, hi) && got.params == naive) as usize;
+        }
+        assert!(naive_kept > 0, "no row kept the rounded naive grid");
     }
 
     /// The corners the random shapes reach rarely, each at every corner of

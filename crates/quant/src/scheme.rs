@@ -4,7 +4,7 @@
 //! the engine picks one per checkpoint (§6.2.1 dynamic bit-width selection)
 //! and the chunked writer applies it row by row.
 
-use crate::adaptive::{half_grid, search_within};
+use crate::adaptive;
 use crate::codec::{QuantizedRow, RowDecoder, ROW_HEADER_LEN};
 use crate::half::f32_to_f16_bits;
 use crate::kernel::{fits_half, half_keeps_finite, put_f32s_le, quantize_pack_into, Grid};
@@ -188,8 +188,8 @@ impl QuantScheme {
     ///
     /// A uniform row's range is chosen on `f32` grids and rounded once,
     /// here, to the binary16 grid it is stored on
-    /// ([`Grid::half_for_range`]; the adaptive scheme's [`half_grid`]); the
-    /// codes are computed on the rounded grid.
+    /// ([`Grid::half_for_range`]; the adaptive scheme's
+    /// [`adaptive::grid`]); the codes are computed on the rounded grid.
     fn quantize(&self, row: &[f32], out: &mut Vec<u8>, inline_params: bool) -> QuantParams {
         let (grid, bits) = match *self {
             QuantScheme::Fp32 => {
@@ -212,11 +212,7 @@ impl QuantScheme {
                 bits,
                 num_bins,
                 ratio,
-            } => {
-                let full = min_max(row);
-                let r = search_within(row, full, bits, num_bins, ratio);
-                (half_grid(row, &r, full, bits), bits)
-            }
+            } => (adaptive::grid(row, bits, num_bins, ratio), bits),
         };
         let params = QuantParams::Uniform {
             scale: grid.scale,

@@ -179,6 +179,9 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         QuantScheme::Fp16,
         QuantScheme::Asymmetric { bits: 8 },
         QuantScheme::recommended_for_bits(4),
+        // The §6.2.1 selector's fallback widths.
+        QuantScheme::recommended_for_bits(3),
+        QuantScheme::recommended_for_bits(2),
     ] {
         let (small, large) = (item(16), item(4096));
         let (small_table, large_table) = (table(16), table(4096));
