@@ -169,6 +169,16 @@ impl CheckpointConfig {
                     s.bits()
                 ));
             }
+            // The search asserts these: caught here, not in a quantize
+            // worker at the first boundary.
+            QuantMode::Fixed(QuantScheme::AdaptiveAsymmetric {
+                num_bins, ratio, ..
+            }) if num_bins == 0 || !(ratio > 0.0 && ratio <= 1.0) => {
+                return Err(format!(
+                    "the adaptive search takes num_bins >= 1 and ratio in (0, 1], \
+                     not {num_bins} and {ratio}"
+                ));
+            }
             _ => {}
         }
         Ok(())
@@ -300,6 +310,35 @@ mod tests {
         ] {
             let why = fixed(scheme).validate().unwrap_err();
             assert!(why.contains("Fp16"), "{scheme:?}: {why}");
+        }
+    }
+
+    #[test]
+    fn adaptive_search_knobs_validated() {
+        let adaptive = |num_bins, ratio| CheckpointConfig {
+            quant: QuantMode::Fixed(QuantScheme::AdaptiveAsymmetric {
+                bits: 4,
+                num_bins,
+                ratio,
+            }),
+            ..CheckpointConfig::default()
+        };
+        for (num_bins, ratio) in [(1, 1.0), (45, 1.0), (25, 0.05), (200, f64::MIN_POSITIVE)] {
+            assert!(
+                adaptive(num_bins, ratio).validate().is_ok(),
+                "{num_bins} {ratio}"
+            );
+        }
+        for (num_bins, ratio) in [
+            (0, 1.0),
+            (45, 0.0),
+            (45, -0.5),
+            (45, 1.0 + f64::EPSILON),
+            (45, f64::INFINITY),
+            (45, f64::NAN),
+        ] {
+            let why = adaptive(num_bins, ratio).validate().unwrap_err();
+            assert!(why.contains("num_bins"), "{num_bins} {ratio}: {why}");
         }
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! **One stored form.** Every *stored* object — manifest, dense object and
 //! chunk alike — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR7`, XXH64 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR8`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`DenseLayers::encode_enveloped`] / [`ChunkPayload::encode_enveloped`],
 //! and the stored-object decoders ([`Manifest::decode`],
@@ -278,7 +278,7 @@ impl Manifest {
         out
     }
 
-    /// Serializes the manifest wrapped in the v7 storage envelope — the
+    /// Serializes the manifest wrapped in the v8 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
@@ -751,7 +751,7 @@ impl ChunkPayload {
         out
     }
 
-    /// Serializes the chunk wrapped in the v7 storage envelope — the
+    /// Serializes the chunk wrapped in the v8 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         self.frame().encode_enveloped(|out| self.put_rows(out))

@@ -26,16 +26,16 @@
 //! steps run per row: the `search_steps/adaptive4_b45` record of
 //! `BENCH_quant.json`.
 //!
-//! Every decision of the search — which trial a step takes, whether it
-//! beats the best, whether the clip bound ends the search — compares
-//! norms that are in-order `f64` sums. A step does not compute them: one
-//! vectorized pass per trial sums the squares in `f32` lanes and bounds
-//! the sums from both sides (`kernel::measure`). The bounds decide almost
-//! every comparison; one they leave open is decided on the exact sums,
-//! computed for it. So each decision, the steps taken and the range
-//! chosen are the ones exact sums give, at the cost of cheap sums.
+//! ℓ2 is one sum here, the one [`crate::row_l2_error`] computes: each
+//! residual squared in `f32`, element `i` added into lane `i % 8`, the
+//! lanes combined in a fixed tree, the `sqrt` taken in `f64`. A trial is
+//! one vectorized pass that computes it (`kernel::measure`), and every
+//! decision of the search — which trial a step takes, whether it beats
+//! the best, whether the clip bound ends the search — compares such sums.
+//! The paper leaves the summation order open; fixing it once makes the
+//! error a search reports the error the crate measures.
 
-use crate::kernel::{clip_slack, measure, Grid, Measured, Trial, TrialCost};
+use crate::kernel::{clip_slack, measure, norm, Grid, Trial};
 use crate::uniform::min_max;
 
 /// Result of the greedy range search for one vector.
@@ -57,37 +57,33 @@ pub struct AdaptiveRange {
 /// the original range the search may consume (paper §5.2).
 ///
 /// A trial never materializes codes or a de-quantized row: it is one pass
-/// over the row (`kernel::measure`), which also bounds the clip that ends
-/// the search early. Nothing is allocated.
+/// over the row (`kernel::measure`), which also measures the clip that
+/// ends the search early. Nothing is allocated.
 pub fn search_range(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> AdaptiveRange {
     let found = search(row, bits, num_bins, ratio);
     let (xmin, xmax) = found.range;
-    let exact = || Trial::unclipped(Grid::for_range(xmin, xmax, bits)).error(row);
     AdaptiveRange {
         xmin,
         xmax,
-        l2_error: (found.error.value())
-            .or_else(|| exact().value())
-            .expect("an exact sum has a value"),
+        l2_error: norm(found.error),
         steps: found.steps,
     }
 }
 
-/// What the search of one row found: the chosen range, with what is
-/// known of its error, and the full range it started from, with what is
-/// known of that one's.
+/// What the search of one row found: the chosen range and the full range
+/// it started from, each with its error.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Searched {
     /// The chosen range, `(xmin, xmax)`.
     pub range: (f32, f32),
     /// Greedy steps executed.
     pub steps: usize,
-    /// The chosen range's [`AdaptiveRange::l2_error`].
-    pub error: Measured,
+    /// The chosen range's error, a sum of squares ([`norm`]).
+    pub error: f32,
     /// The row's full range, `(min, max)`.
     pub full: (f32, f32),
-    /// The error of the row on the full range's `f32` grid.
-    pub full_error: Measured,
+    /// The error of the row on the full range's `f32` grid, likewise.
+    pub full_error: f32,
     /// The `f32` grids the two errors are of: the chosen range's, the
     /// full range's.
     grids: [Grid; 2],
@@ -97,10 +93,8 @@ pub(crate) struct Searched {
     naive: Grid,
 }
 
-/// The greedy search of [`search_range`]: on bounds ([`measure`]), and
-/// over again on exact sums in the rare row where the bounds leave a
-/// comparison open. Inlined into its callers: as a call of its own it
-/// measured about 15% slower per row.
+/// The greedy search of [`search_range`]. Inlined into its callers: as a
+/// call of its own it measured about 15% slower per row.
 #[inline(always)]
 pub(crate) fn search(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Searched {
     assert!(num_bins >= 1, "num_bins must be >= 1");
@@ -108,44 +102,6 @@ pub(crate) fn search(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Search
         ratio > 0.0 && ratio <= 1.0,
         "ratio must be in (0, 1], got {ratio}"
     );
-    search_with::<false>(row, bits, num_bins, ratio)
-        .unwrap_or_else(|| search_exactly(row, bits, num_bins, ratio))
-}
-
-/// The greedy search on exact sums, every comparison decided.
-#[cold]
-#[inline(never)]
-pub(crate) fn search_exactly(row: &[f32], bits: u8, num_bins: u32, ratio: f64) -> Searched {
-    search_with::<true>(row, bits, num_bins, ratio).expect("exact values always compare")
-}
-
-/// A trial's exact error and clip: every comparison of them decides.
-#[cold]
-fn exactly(row: &[f32], t: Trial) -> TrialCost {
-    TrialCost {
-        error: t.error(row),
-        clip: t.clip(row),
-    }
-}
-
-/// The greedy search, its trials measured exactly when `EXACT`, else
-/// bounded ([`measure`]): `None` when the bounds left a comparison open
-/// (the search then went on as if it were `false`, and its result means
-/// nothing).
-#[inline(always)]
-fn search_with<const EXACT: bool>(
-    row: &[f32],
-    bits: u8,
-    num_bins: u32,
-    ratio: f64,
-) -> Option<Searched> {
-    let measure = |t| {
-        if EXACT {
-            exactly(row, t)
-        } else {
-            measure(row, t)
-        }
-    };
     let full = min_max(row);
     let (full_min, full_max) = full;
     let naive = Grid::half_for_range(full_min, full_max, bits);
@@ -160,11 +116,9 @@ fn search_with<const EXACT: bool>(
     };
     // A constant vector's naive range is already exact.
     let searching = range > 0.0 && range.is_finite() && steps_on(0.0, full);
-    let first = measure(whole);
+    let first = measure(row, whole);
     let (mut best, mut best_error, mut best_grid) = (full, first.error, whole.grid);
     let mut steps = 0usize;
-    // Whether a comparison was left open (and taken as `false`).
-    let mut open = false;
     if searching {
         let (mut lo, mut hi) = full;
         // What `[lo, hi]` clips: no later trial can have a smaller error.
@@ -175,22 +129,22 @@ fn search_with<const EXACT: bool>(
             // so once the clip reaches it, it is final. A NaN error (a NaN
             // element) compares false: such a row runs its whole budget,
             // as it always has.
-            if decided(best_error.at_most(clip), &mut open) {
+            if best_error <= clip {
                 break;
             }
             // `lo` moved up a step, `hi` moved down one.
             let shrink_lo = trial((lo + step, hi));
             let shrink_hi = trial((lo, hi - step));
-            let (lo_cost, hi_cost) = (measure(shrink_lo), measure(shrink_hi));
+            let (lo_cost, hi_cost) = (measure(row, shrink_lo), measure(row, shrink_hi));
             let before = (lo, hi);
-            let (taken, cost) = if decided(lo_cost.error.at_most(hi_cost.error), &mut open) {
+            let (taken, cost) = if lo_cost.error <= hi_cost.error {
                 lo += step;
                 (shrink_lo, lo_cost)
             } else {
                 hi -= step;
                 (shrink_hi, hi_cost)
             };
-            if decided(cost.error.below(best_error), &mut open) {
+            if cost.error < best_error {
                 (best, best_error, best_grid) = ((lo, hi), cost.error, taken.grid);
             }
             clip = cost.clip;
@@ -205,7 +159,7 @@ fn search_with<const EXACT: bool>(
             }
         }
     }
-    (!open).then_some(Searched {
+    Searched {
         range: best,
         steps,
         error: best_error,
@@ -213,14 +167,7 @@ fn search_with<const EXACT: bool>(
         full_error: first.error,
         grids: [best_grid, whole.grid],
         naive,
-    })
-}
-
-/// What `test` decided, or `false`, noting in `open` that it did not.
-#[inline(always)]
-fn decided(test: Option<bool>, open: &mut bool) -> bool {
-    *open |= test.is_none();
-    test.unwrap_or(false)
+    }
 }
 
 /// The grid the adaptive scheme stores `row` on: its search, then its
@@ -249,22 +196,15 @@ pub(crate) fn half_grid(row: &[f32], found: &Searched, bits: u8) -> Grid {
     if ordered_by_search(row.len(), found, (chosen, naive)) {
         return chosen;
     }
-    let trials = [naive, chosen].map(Trial::unclipped);
-    let (n, s) = (measure(row, trials[0]).error, measure(row, trials[1]).error);
-    let better = n.below(s);
-    let exact = || trials.map(|t| t.error(row));
-    let naive_wins = better.unwrap_or_else(|| {
-        let [n, s] = exact();
-        n.below(s).expect("exact values always compare")
-    });
-    if naive_wins {
+    let [n, s] = [naive, chosen].map(|g| measure(row, Trial::unclipped(g)).error);
+    if n < s {
         naive
     } else {
         chosen
     }
 }
 
-/// Whether the search's `f32` errors already decide the comparison of
+/// Whether the search's errors already decide the comparison of
 /// [`half_grid`] for a row of `n` values: the rounded full range's
 /// computed error cannot be strictly smaller than the rounded searched
 /// range's, so the comparison would keep the searched one.
@@ -272,22 +212,27 @@ pub(crate) fn half_grid(row: &[f32], found: &Searched, bits: u8) -> Grid {
 /// Rounding moves each point `c` of a grid by at most `δ`, the sum of
 /// `|Δzero_point|` and `levels · |Δscale|`, so each element's distance to
 /// its nearest grid point moves by at most `δ`. A computed residual
-/// differs from that
-/// exact distance by at most `14u·M` (`u = 2^-24`, `M` the largest
-/// magnitude among the row and the grid's ends): the computed code is the
-/// nearest one but for an element within `2.01u` codes of a midpoint,
-/// which costs at most `4.02u · |x - zero_point| ≤ 8.04u·M`, and the
-/// reconstruction and subtraction round by at most `5u·M` more (plus
-/// `2^-149` when a product underflows). Over the row, by the triangle
-/// inequality, the norm of the residuals on a rounded grid is within
-/// `√n · (δ + 28u·M + 2^-148)` of the norm on its `f32` grid. The
-/// computed error is that norm to a relative `(n + 1) · 2^-53` (the
-/// in-order `f64` sum of `n` exact squares, then `sqrt`). The test below
-/// asks for the gap between the two `f32` errors — the least the search's
-/// bounds allow — to exceed the sum of both grids' moves with `2^-17·M`
-/// for the residual roundings, and `(n + 8) · 2^-50` of the errors for
-/// the sums and for its own `f64` arithmetic. A NaN anywhere fails it,
-/// and the comparison runs.
+/// differs from that exact distance by at most `14u·M` (`u = 2^-24`, `M`
+/// the largest magnitude among the row and the grid's ends): the computed
+/// code is the nearest one but for an element within `2.01u` codes of a
+/// midpoint, which costs at most `4.02u · |x - zero_point| ≤ 8.04u·M`,
+/// and the reconstruction and subtraction round by at most `5u·M` more
+/// (plus `2^-149` when a product underflows). Over the row, by the
+/// triangle inequality, the norm of the residuals on a rounded grid is
+/// within `√n · (δ + 28u·M + 2^-148)` of the norm on its `f32` grid.
+///
+/// A computed error is that norm to within a relative `r = (n + 48) ·
+/// 2^-28` and an absolute `√n · 2^-75`: a term passes through its
+/// rounded square and at most `n/8 + 3` rounded additions of
+/// non-negative values, each off by `u` relative (a square that
+/// underflows by `2^-150` absolute instead), and the `sqrt` halves the
+/// relative part and rounds once more. Chaining the four errors — the two
+/// the search computed, the two the comparison would — the test below
+/// asks for the gap between the search's errors to exceed both grids'
+/// moves with `2^-17·M` for the residual roundings and `2^-71` for the
+/// absolute parts (each times `√n`), and a relative `(n + 64) · 2^-25 ≥
+/// 6r` of the errors for the relative parts and its own `f64`
+/// arithmetic. A NaN or an infinity fails it, and the comparison runs.
 fn ordered_by_search(n: usize, found: &Searched, (chosen, naive): (Grid, Grid)) -> bool {
     let (full_min, full_max) = found.full;
     let unrounded = found.grids;
@@ -301,11 +246,11 @@ fn ordered_by_search(n: usize, found: &Searched, (chosen, naive): (Grid, Grid)) 
         .map(end)
         .into_iter()
         .fold(full_min.abs().max(full_max.abs()) as f64, f64::max);
-    let relative = (n as f64 + 8.0) * 4.0 * f64::EPSILON; // (n + 8) · 2^-50
+    let relative = (n as f64 + 64.0) * 2f64.powi(-25);
     let moves = moved(chosen, unrounded[0]) + moved(naive, unrounded[1]);
-    let bound = (n as f64).sqrt() * (moves + m * 2f64.powi(-17) + 2f64.powi(-140));
-    let ((full_lo, full_hi), (_, searched_hi)) = (found.full_error.bounds(), found.error.bounds());
-    full_lo - searched_hi > bound * (1.0 + relative) + relative * full_hi
+    let bound = (n as f64).sqrt() * (moves + m * 2f64.powi(-17) + 2f64.powi(-71));
+    let (full, searched) = (norm(found.full_error), norm(found.error));
+    full - searched > bound * (1.0 + relative) + relative * full
 }
 
 #[cfg(test)]
@@ -350,7 +295,7 @@ mod tests {
                 let naive = err_of(QuantScheme::Asymmetric { bits }, &row);
                 let adaptive = err_of(adaptive_scheme(bits), &row);
                 assert!(
-                    adaptive <= naive + 1e-9,
+                    adaptive <= naive,
                     "adaptive {adaptive} worse than naive {naive} at {bits} bits"
                 );
             }

@@ -10,10 +10,10 @@
 //!
 //! The kernels allocate nothing and are written so the compiler can
 //! vectorize them: values move through fixed-size stack blocks or
-//! independent lanes, and rounding is branch-free. The one serial
-//! dependency a stored byte depends on, the in-order `f64` error sum of
-//! the range search, is computed only where cheap lane sums, bounded from
-//! both sides, leave a comparison open ([`measure`]). Decoding goes a
+//! independent lanes, and rounding is branch-free. The one ℓ2 the crate
+//! computes is such a sum: squares in `f32`, in [`LANES`] lanes combined
+//! by one tree ([`total`]), which the range search decides on
+//! ([`measure`]) and [`crate::row_l2_error`] reports. Decoding goes a
 //! chunk at a time: the code width is matched once per call of
 //! [`uniform_rows`], and each width that fills whole bytes has a loop of
 //! its own that unpacks and scales a row without a code buffer. Their
@@ -21,7 +21,7 @@
 //! which are kept, frozen, in the test-only `reference` module as the
 //! oracle.
 //!
-//! The error pass also measures what its range *clips* ([`Trial::clip`]):
+//! The error pass also measures what its range *clips* ([`TrialCost`]):
 //! a lower bound, exact under rounding, on the error of every range nested
 //! inside it. That is what lets [`crate::adaptive::search_range`] stop
 //! after a handful of its budgeted steps with the result the whole budget
@@ -245,99 +245,35 @@ impl Trial {
         // At most one of the two is positive, so the sum is exact.
         (if below > 0.0 { below } else { 0.0 }) + (if above > 0.0 { above } else { 0.0 })
     }
-
-    /// The trial's ℓ2 error on `row`, exactly: the residuals' squares
-    /// added in element order in `f64`, as [`crate::row_l2_error`] adds
-    /// them.
-    #[cold]
-    pub fn error(self, row: &[f32]) -> Measured {
-        // `Iterator::sum::<f64>()` starts from -0.0; so does this sum.
-        Measured::exact(in_order(row, -0.0, |x| self.residual(x)))
-    }
-
-    /// The trial's clip on `row`, exactly: the [`Trial::outside`]
-    /// distances' squares added in element order in `f64`.
-    #[cold]
-    pub fn clip(self, row: &[f32]) -> Measured {
-        Measured::exact(in_order(row, 0.0, |x| self.outside(x)))
-    }
 }
 
-/// `start` plus the squares of `term(x)` over `row`, added in element
-/// order in `f64`. Every square of an `f32` is exact in `f64`.
-fn in_order(row: &[f32], start: f64, term: impl Fn(f32) -> f32) -> f64 {
-    let square = |&x: &f32| (term(x) as f64) * (term(x) as f64);
-    row.iter().map(square).fold(start, |sum, t| sum + t)
-}
-
-/// What is known of a trial's error or clip, an ℓ2 norm computed as the
-/// `sqrt` of an in-order `f64` sum of squares: bounds on the sum, which
-/// are the sum itself once it is computed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Measured {
-    lo: f64,
-    hi: f64,
-}
-
-/// Sums further apart than this factor have distinct correctly rounded
-/// `sqrt`s: the `sqrt`s are more than `2^-51` apart relative, more than
-/// the `2^-52` relative spacing of `f64`s (with room for the rounding of
-/// the product it is used in).
-const APART: f64 = 1.0 + 4.0 * f64::EPSILON;
-
-impl Measured {
-    /// The norm of the in-order sum `sum`.
-    fn exact(sum: f64) -> Self {
-        Self { lo: sum, hi: sum }
-    }
-
-    /// The norm, when its sum is known.
-    #[inline(always)]
-    pub fn value(self) -> Option<f64> {
-        (self.lo.to_bits() == self.hi.to_bits()).then(|| self.lo.sqrt())
-    }
-
-    /// Bounds on the norm: the correctly rounded `sqrt` is monotone.
-    pub fn bounds(self) -> (f64, f64) {
-        (self.lo.sqrt(), self.hi.sqrt())
-    }
-
-    /// `self <= other` of the two norms, when what is known decides it.
-    #[inline(always)]
-    pub fn at_most(self, other: Self) -> Option<bool> {
-        if self.hi <= other.lo {
-            Some(true)
-        } else if self.lo > other.hi * APART {
-            Some(false)
-        } else {
-            Some(self.value()? <= other.value()?)
-        }
-    }
-
-    /// `self < other` of the two norms, when what is known decides it.
-    #[inline(always)]
-    pub fn below(self, other: Self) -> Option<bool> {
-        if self.hi * APART < other.lo {
-            Some(true)
-        } else if self.lo >= other.hi {
-            Some(false)
-        } else {
-            Some(self.value()? < other.value()?)
-        }
-    }
-}
-
-/// What [`measure`] found of one [`Trial`]: its [`Trial::error`] and
-/// [`Trial::clip`], as bounds.
+/// What [`measure`] found of one [`Trial`]: two sums of squares, each
+/// the ℓ2 norm squared as [`crate::row_l2_error`] computes it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TrialCost {
-    pub error: Measured,
-    pub clip: Measured,
+    /// The residuals': the trial's error.
+    pub error: f32,
+    /// The [`Trial::outside`] distances': what the trial's range clips.
+    pub clip: f32,
 }
 
-/// Independent accumulators of the sums of [`measure`], so they
-/// vectorize.
-const LANES: usize = 8;
+/// The independent `f32` accumulators of every ℓ2 sum: element `i` is
+/// added into lane `i % LANES`, so the sums vectorize.
+pub(crate) const LANES: usize = 8;
+
+/// The lanes of an ℓ2 sum combined, in the one fixed tree.
+#[inline(always)]
+pub(crate) fn total([a, b, c, d, e, f, g, h]: [f32; LANES]) -> f32 {
+    ((a + e) + (c + g)) + ((b + f) + (d + h))
+}
+
+/// The ℓ2 norm whose square is `sum`: its `sqrt`, in `f64`. Two distinct
+/// `f32` sums are at least `2^-24` apart relative, so their norms are
+/// distinct `f64`s ordered as they are: comparing sums compares norms.
+#[inline(always)]
+pub(crate) fn norm(sum: f32) -> f64 {
+    (sum as f64).sqrt()
+}
 
 /// How far above `hi` the top grid point of a range `[lo, hi]` inside
 /// `[full_min, full_max]` can be reconstructed.
@@ -351,23 +287,21 @@ const LANES: usize = 8;
 /// under `8u·M + 4η·L` in all. The slack is twice that, `16u·M + 8η·L`,
 /// which also pays for the roundings of computing the slack and of adding
 /// it to `hi`. An intermediate that overflows reconstructs `+∞`, whose
-/// residual is infinite — larger than any bound, never smaller.
+/// residual's square, and every sum it enters, is `+∞` — larger than any
+/// bound, never smaller.
 pub(crate) fn clip_slack(full_min: f32, full_max: f32, bits: u8) -> f32 {
     const REL: f32 = 8.0 * f32::EPSILON; // 16u = 2^-20
     const ABS: f32 = 4.0 * (f32::MIN_POSITIVE * f32::EPSILON); // 8η = 2^-147
     full_min.abs().max(full_max.abs()) * REL + levels_for(bits) * ABS
 }
 
-/// Bounds on a trial's error and clip on `row`, in one pass over it: the
-/// squares are summed in `f32`, in [`LANES`] independent lanes, so the
-/// pass vectorizes and no addition waits on the one before. The exact
-/// values are in-order `f64` sums ([`Trial::error`], [`Trial::clip`]),
-/// and a search computes them only for a comparison the bounds leave open
-/// ([`Measured::at_most`], [`Measured::below`]), so that every decision,
-/// and every value it returns, is the one exact sums give.
+/// A trial's error and clip on `row`, in one pass over it: each square is
+/// rounded to `f32` and added into lane `i % LANES` of its sum, and the
+/// lanes are combined by [`total`] — [`crate::row_l2_error`]'s sum, term
+/// for term, so the search decides on the error the crate reports.
 ///
 /// A trial's clip bounds from below the *computed* error of any trial
-/// `[lo', hi']` nested inside it, `lo ≤ lo' ≤ hi' ≤ hi` — in `f32`/`f64`
+/// `[lo', hi']` nested inside it, `lo ≤ lo' ≤ hi' ≤ hi` — in `f32`
 /// arithmetic as executed, not just over the reals:
 ///
 /// * every value that trial reconstructs lies in `[lo', top']`, because
@@ -378,9 +312,10 @@ pub(crate) fn clip_slack(full_min: f32, full_max: f32, bits: u8) -> f32 {
 ///   since rounding is monotone: term by term, this trial's clip distance
 ///   is no larger in magnitude than that trial's residual (and is 0 for
 ///   every other element, NaN included);
-/// * the square of an `f32` is exact in `f64`, so the squares are ordered
-///   the same way; a left-to-right sum of non-negative terms is monotone
-///   in each of them, and so is the correctly rounded `sqrt`.
+/// * a rounded square is monotone in the magnitude, and a rounded sum of
+///   non-negative values in each operand; the two sums add their terms in
+///   the same lanes and the same tree, so the clip's sum is at most the
+///   error's, an overflow to `+∞` included.
 #[inline(always)]
 pub(crate) fn measure(row: &[f32], t: Trial) -> TrialCost {
     let mut errors = [0.0f32; LANES];
@@ -402,40 +337,8 @@ pub(crate) fn measure(row: &[f32], t: Trial) -> TrialCost {
         clips[lane] += c * c;
     }
     TrialCost {
-        error: near(errors, row.len()),
-        clip: near(clips, row.len()),
-    }
-}
-
-/// Bounds on the in-order `f64` sum of the exact squares of `n` values
-/// whose squares, rounded to `f32`, the lanes of `sums` added.
-///
-/// With `u = 2^-24`, each square is rounded by at most `u` relative (or
-/// `2^-150` absolute where it underflows), and each passes through at
-/// most `n/8 + 3` additions of non-negative values in `f32` (its lane's,
-/// then the lanes' own), each rounding by at most `u` relative. So the
-/// exact sum of the squares is within `n · 2^-149` and a relative
-/// `(n/8 + 5)·u` of the total; the in-order `f64` sum rounds it by at most
-/// `(n + 1) · 2^-53` relative. The bounds take `(n + 16) · 2^-23` for all
-/// of it (and for their own roundings), and `(n + 1) · 2^-149`, so that
-/// they are never one value. A sum that overflowed `f32` bounds nothing.
-#[inline(always)]
-fn near(sums: [f32; LANES], n: usize) -> Measured {
-    let [a, b, c, d, e, f, g, h] = sums;
-    let total = (((a + e) + (c + g)) + ((b + f) + (d + h))) as f64;
-    let n = n as f64;
-    let relative = (n + 16.0) * f32::EPSILON as f64; // (n + 16) · 2^-23
-    let absolute = (n + 1.0) * f32::from_bits(1) as f64; // (n + 1) · 2^-149
-    if total.is_finite() {
-        Measured {
-            lo: ((total - absolute) * (1.0 - relative)).max(0.0),
-            hi: (total + absolute) * (1.0 + relative),
-        }
-    } else {
-        Measured {
-            lo: 0.0,
-            hi: f64::INFINITY,
-        }
+        error: total(errors),
+        clip: total(clips),
     }
 }
 

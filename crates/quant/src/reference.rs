@@ -546,34 +546,6 @@ mod tests {
             prop_assert!(got.steps <= steps, "{} steps vs {}", got.steps, steps);
         }
 
-        /// The search decides on bounded `f32` lane sums wherever they
-        /// settle a comparison: for every row of a chunk, it returns what
-        /// the same search on exact in-order sums returns — the range,
-        /// the bits of the error, and the number of steps, so the bounds
-        /// change no decision, not even whether the clip bound fires.
-        #[test]
-        fn bounded_search_equals_the_exact_search(
-            dim in 0usize..=130,
-            bits_idx in 0usize..9,
-            shape in 0u8..48,
-            num_bins in 1u32..=50,
-            ratio_pct in 1u32..=100,
-            seed in any::<u64>(),
-            rows in 1u64..=6,
-        ) {
-            let bits = [1u8, 2, 3, 4, 5, 6, 7, 8, 16][bits_idx];
-            let ratio = ratio_pct as f64 / 100.0;
-            for k in 0..rows {
-                let row = build_row(dim, shape, seed ^ k, bits);
-                let got = adaptive::search_range(&row, bits, num_bins, ratio);
-                let exact = adaptive::search_exactly(&row, bits, num_bins, ratio);
-                let error = exact.error.value().expect("an exact search knows its error");
-                prop_assert_eq!(range_bits((got.xmin, got.xmax)), range_bits(exact.range));
-                prop_assert!(same_error(got.l2_error, error), "{} vs {}", got.l2_error, error);
-                prop_assert_eq!(got.steps, exact.steps, "row {:?}", row);
-            }
-        }
-
         /// Element kernel and packing loops against their originals.
         #[test]
         fn kernels_equal_reference_kernels(
@@ -694,11 +666,11 @@ mod tests {
     }
 
     /// Rows symmetric about their midpoint make the two trials of a step
-    /// mirror images: their exact errors tie, or differ in the last bits,
-    /// which is where bounds on cheap sums could decide wrongly. The
-    /// search must take every such step as the exact sums do.
+    /// mirror images, whose errors tie or differ in the last bits: the
+    /// search must break every tie as the reference does (`lo_err <=
+    /// hi_err` moves the lower end).
     #[test]
-    fn bounded_search_decides_mirror_rows_as_the_exact_search() {
+    fn search_decides_mirror_rows_as_the_reference() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut unit = move || {
             state ^= state << 13;
@@ -716,14 +688,47 @@ mod tests {
                     row.push(center);
                 }
                 for (bits, num_bins) in [(1u8, 25u32), (2, 25), (3, 25), (4, 45), (8, 45)] {
-                    let got = adaptive::search_range(&row, bits, num_bins, 1.0);
-                    let exact = adaptive::search_exactly(&row, bits, num_bins, 1.0);
-                    let error = exact.error.value().expect("an exact search knows its error");
-                    let case = format!("bits {bits} row {row:?}");
-                    assert_eq!(range_bits((got.xmin, got.xmax)), range_bits(exact.range), "{case}");
-                    assert!(same_error(got.l2_error, error), "{case}");
-                    assert_eq!(got.steps, exact.steps, "{case}");
+                    assert_same_search(&row, bits, num_bins, 1.0);
                 }
+            }
+        }
+    }
+
+    /// The widest values a uniform scheme searches, `±32752`: their
+    /// squared residuals and clips stay far inside `f32`, so the row has
+    /// a finite error and searches and stores as the reference does. One
+    /// ulp further out, the row is stored as fp32 and never searched.
+    #[test]
+    fn rows_at_the_half_span_search_as_the_reference() {
+        let span = 32752.0f32;
+        let body: Vec<f32> = (0..62)
+            .map(|i| ((i * 37 % 62) as f32 - 30.0) * 0.01)
+            .collect();
+        for ends in [[-span, span], [-span, 0.5], [0.5, span]] {
+            let row: Vec<f32> = ends.iter().chain(&body).copied().collect();
+            for (bits, num_bins) in [(1u8, 25u32), (2, 25), (3, 25), (4, 45), (8, 45)] {
+                assert_same_search(&row, bits, num_bins, 1.0);
+                let found = adaptive::search_range(&row, bits, num_bins, 1.0);
+                assert!(found.l2_error.is_finite(), "{ends:?} at {bits} bits");
+                let scheme = QuantScheme::AdaptiveAsymmetric {
+                    bits,
+                    num_bins,
+                    ratio: 1.0,
+                };
+                assert_eq!(scheme.stored_for([&row[..]]), scheme);
+                assert_eq!(scheme.quantize_row(&row), quantize_row(&scheme, &row));
+            }
+            for (k, end) in ends
+                .into_iter()
+                .enumerate()
+                .filter(|(_, x)| x.abs() == span)
+            {
+                let mut beyond = row.clone();
+                beyond[k] = f32::from_bits(end.to_bits() + 1);
+                assert!(beyond[k].abs() > span);
+                let scheme = QuantScheme::recommended_for_bits(4);
+                assert_eq!(scheme.stored_for([&beyond[..]]), QuantScheme::Fp32);
+                assert_eq!(scheme.quantize_row(&beyond), quantize_row(&scheme, &beyond));
             }
         }
     }

@@ -241,8 +241,10 @@ proptest! {
     }
 
     /// The adaptive greedy search never loses to naive asymmetric on the ℓ2
-    /// metric it optimizes (it starts from the naive range and keeps the
-    /// best candidate).
+    /// metric it optimizes (it starts from the naive range, keeps the best
+    /// candidate, and stores the better of its rounded grid and the naive
+    /// one). `row_l2_error` is the sum the search decides on, so the
+    /// comparison is exact: no slack.
     #[test]
     fn adaptive_never_worse_than_naive(
         values in prop::collection::vec(-3.0f32..3.0, 2..48),
@@ -255,7 +257,7 @@ proptest! {
             .quantize_row(&values);
         let e_naive = row_l2_error(&values, &naive.dequantize());
         let e_adaptive = row_l2_error(&values, &adaptive.dequantize());
-        prop_assert!(e_adaptive <= e_naive + 1e-9,
+        prop_assert!(e_adaptive <= e_naive,
             "adaptive {e_adaptive} worse than naive {e_naive}");
     }
 
