@@ -605,7 +605,8 @@ impl Engine {
     /// rows are in [`Engine::trainer`]'s model. Everything else of the
     /// report is as the allocating [`read::restore_sharded`] returns it:
     /// dense layers, `iteration`, `reader`, `incremental_rows`,
-    /// `rows_applied` (Σ rows of applied chunks), `bytes_read`.
+    /// `rows_applied` (the rows the placed chunks name, with multiplicity:
+    /// the serial oracle's count, not the rows written), `bytes_read`.
     ///
     /// If the restore or the WAL replay after it fails, the model is left
     /// partly written: [`Engine::train_batches`] and
@@ -754,7 +755,12 @@ impl Engine {
         // One record: the stats row (fault-in fields accumulate on it per
         // batch), the registry and the span tree laid out from its phases
         // all read it, so the three can only agree.
-        observe::record_resume(&self.obs, &row, sharded.fetch_status.retries_performed);
+        observe::record_resume(
+            &self.obs,
+            &row,
+            sharded.fetch_status.retries_performed,
+            sharded.rows_landed,
+        );
         observe::record_restore_spans(
             &self.obs,
             failed_at,
@@ -1759,6 +1765,29 @@ mod tests {
             assert!(w[1] > w[0], "consecutive capacity must grow: {caps:?}");
         }
         assert_eq!(e.store().total_bytes(), *caps.last().unwrap());
+    }
+
+    /// On one reader host and one decode worker, a restore of a
+    /// consecutive chain de-quantizes each row once: the registry's
+    /// `cnr_restore_rows_landed_total` reads the model's row count (the
+    /// full baseline names every row), while the chain's chunks name more.
+    #[test]
+    fn one_reader_host_and_worker_land_each_row_once() {
+        use cnr_obs::names;
+        let config = CheckpointConfig {
+            interval_batches: 5,
+            policy: PolicyKind::Consecutive,
+            quantize_workers: 1,
+            reader_hosts: 1,
+            ..CheckpointConfig::default()
+        };
+        let mut e = builder().checkpoint_config(config).build().unwrap();
+        e.train_batches(20).unwrap();
+        let report = e.simulate_failure_and_restore().unwrap();
+        let rows = e.trainer().model().config().row_counts().iter().sum::<usize>() as u64;
+        assert_eq!(report.chain.len(), 4);
+        assert!(report.rows_applied > rows, "{} named", report.rows_applied);
+        assert_eq!(e.obs().registry().counter(names::RESTORE_ROWS_LANDED), rows);
     }
 
     /// A lazy-restore engine over a slow store: 4 writer hosts shard every

@@ -210,10 +210,10 @@ impl Recovery {
         };
         let drain_start = clock.now();
         clock.advance_to(*done_at);
-        let rows = match tail.drain_or_refuse(model) {
+        let outcome = match tail.drain_or_refuse(model) {
             Ok(outcome) => {
                 self.state = State::Live;
-                outcome.rows_materialized
+                outcome
             }
             Err(read::DrainFailure::Refused(e)) => return Err(e),
             Err(read::DrainFailure::Placing(e)) => {
@@ -221,7 +221,7 @@ impl Recovery {
                 return Err(e);
             }
         };
-        observe::record_lazy_drain_span(obs, drain_start, clock.now(), rows);
-        Ok(rows)
+        observe::record_lazy_drain(obs, drain_start, clock.now(), outcome);
+        Ok(outcome.rows_materialized)
     }
 }

@@ -22,7 +22,7 @@ use cnr_obs::names;
 use cnr_obs::{MetricsRegistry, Obs, Span, SpanId, SpanKind};
 
 use crate::manifest::CheckpointKind;
-use crate::read::HostActivity;
+use crate::read::{DrainOutcome, HostActivity};
 use crate::stats::{IntervalStats, RestoreMode, ResumeStats, WalRunStats};
 use crate::write::CheckpointRecord;
 
@@ -50,11 +50,12 @@ pub fn record_interval(obs: &Obs, s: &IntervalStats) {
 }
 
 /// Mirrors one completed restore into the registry. `fetch_retries` rides
-/// along from the fetch scheduler's counters ([`ResumeStats`] does not
-/// carry them).
-pub fn record_resume(obs: &Obs, row: &ResumeStats, fetch_retries: u64) {
+/// along from the fetch scheduler's counters and `rows_landed` from the
+/// restore's outcome ([`ResumeStats`] carries neither).
+pub fn record_resume(obs: &Obs, row: &ResumeStats, fetch_retries: u64, rows_landed: u64) {
     let reg = obs.registry();
     reg.counter_add(names::RESTORE_RESUMES, 1);
+    reg.counter_add(names::RESTORE_ROWS_LANDED, rows_landed);
     if row.mode == RestoreMode::Lazy {
         reg.counter_add(names::RESTORE_LAZY, 1);
     }
@@ -244,14 +245,15 @@ pub fn record_restore_spans(
     root
 }
 
-/// Records the background cold-tail drain of a lazy restore as a
-/// root-level concurrent span: it outlives the restore span (training has
-/// already resumed) so it cannot nest under it.
-pub fn record_lazy_drain_span(obs: &Obs, start: Duration, end: Duration, rows_materialized: u64) {
+/// Records the background cold-tail drain of a lazy restore: the rows it
+/// de-quantized, and a root-level concurrent span — it outlives the
+/// restore span (training has already resumed) so it cannot nest under it.
+pub fn record_lazy_drain(obs: &Obs, start: Duration, end: Duration, outcome: DrainOutcome) {
+    obs.registry().counter_add(names::RESTORE_ROWS_LANDED, outcome.rows_landed);
     obs.record(
         Span::new(names::SPAN_RESTORE_LAZY_DRAIN, start, end.max(start))
             .with_kind(SpanKind::Concurrent)
             .with_track(1)
-            .with_attr("rows_materialized", rows_materialized.to_string()),
+            .with_attr("rows_materialized", outcome.rows_materialized.to_string()),
     );
 }

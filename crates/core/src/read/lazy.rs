@@ -27,11 +27,14 @@
 //! lands the one row, found at `k × body_len` in each cold chunk that names
 //! it, through `merge::land_rows` over a one-row stripe — the decoder the
 //! chunk's header resolved when the restore opened it, so nothing about the
-//! encoding is decided again. Per row the apply order is always chunk
-//! levels ascending, then the log (the rank rule) — exactly the eager
-//! path's. Neither reads the store: the cold frames came with the
-//! restore's fetch, so a scrub sweep that heals a cold chunk's stored
-//! object meanwhile changes nothing here.
+//! encoding is decided again. Per row the value that stays is always the
+//! highest-ranked one — the newest chunk level naming it, or the log above
+//! them all (the rank rule) — exactly the eager path's. The drain hands the
+//! cold chunks to its workers newest rank first, as a reader host walks
+//! its list, so an older copy of a row is skipped undecoded. Neither reads
+//! the store: the cold frames came with the restore's fetch, so a scrub
+//! sweep that heals a cold chunk's stored object meanwhile changes nothing
+//! here.
 //!
 //! [`LazyRestore::defer_delta`] is the older way to replay a log into a
 //! lazy restore, kept only for the lifecycle benchmark's WAL probe
@@ -136,6 +139,11 @@ impl Pending {
 pub struct DrainOutcome {
     /// Rows materialized by the drain (not counting earlier fault-ins).
     pub rows_materialized: u64,
+    /// Rows the drain de-quantized into the model, a row once per cold
+    /// chunk that wrote it. On one decode worker it equals
+    /// `rows_materialized`; on more it can exceed it by rows whose older
+    /// copy a worker decoded before the newer one landed.
+    pub rows_landed: u64,
 }
 
 /// Why [`LazyRestore::drain_or_refuse`] did not finish.
@@ -347,8 +355,11 @@ impl LazyRestore {
     /// under the stamps the hot set, the WAL tail and any fault-ins left
     /// — the same `Destination::place` the restore's decode workers ran, on
     /// as many threads as it had, so a row is written iff the chunk
-    /// outranks what it holds. After this the model is bit-identical to an
-    /// eager restore plus full WAL replay.
+    /// outranks what it holds. The chunks go to the workers newest rank
+    /// first: an older chunk's copy of a row then finds the newer stamp and
+    /// is skipped undecoded, so on one worker each pending row is decoded
+    /// once ([`DrainOutcome::rows_landed`]). After this the model is
+    /// bit-identical to an eager restore plus full WAL replay.
     /// Idempotent. `model` must have the restored checkpoint's geometry
     /// ([`CnrError::ShapeMismatch`] otherwise); a refused or failed drain
     /// keeps the whole tail, so a retry with the right model completes it.
@@ -363,21 +374,23 @@ impl LazyRestore {
         &mut self,
         model: &mut DlrmModel,
     ) -> std::result::Result<DrainOutcome, DrainFailure> {
+        let mut rows_landed = 0;
         if !self.cold.is_empty() {
             let dest =
                 Destination::new(model.table_views_mut(), &self.geometry, &mut self.applied_rank)
                     .map_err(DrainFailure::Refused)?;
             // A drain reserves no link: it never waits on a turn.
-            run_hosts(
-                vec![self.cold.iter().collect::<Vec<_>>()],
+            let placed = run_hosts(
+                vec![self.cold.iter().rev().collect::<Vec<_>>()],
                 self.workers,
                 None,
                 &Links::new(1, std::time::Duration::ZERO),
-                |_, _, chunk| dest.place(chunk.opened(), chunk.rank, chunk.name()).map(drop),
+                |_, _, chunk| dest.place(chunk.opened(), chunk.rank, chunk.name()),
                 |_, _, _| Ok(()),
                 "a drain has no host to lose",
             )
             .map_err(DrainFailure::Placing)?;
+            rows_landed = placed.done.iter().flat_map(|(_, landed)| landed).sum();
             self.cold = Vec::new();
         }
         for materialized in &mut self.materialized {
@@ -385,6 +398,7 @@ impl LazyRestore {
         }
         Ok(DrainOutcome {
             rows_materialized: std::mem::take(&mut self.pending_rows),
+            rows_landed,
         })
     }
 }

@@ -12,6 +12,14 @@
 //! order, each row's bytes are de-quantized straight into the table that
 //! will train on them, and the result is bit-identical to the serial path.
 //!
+//! Arrival order decides only how much is decoded. The stamp is checked
+//! before a row is de-quantized, so a chunk that arrives after a newer one
+//! naming the same row skips it for free. Every reader host therefore
+//! reads its chunks newest level first ([`super::planner::plan_priority`])
+//! and the drain places its cold chunks newest rank first: with one host
+//! and one worker each row is decoded once, where the serial path decodes
+//! it once per level naming it.
+//!
 //! A chunk lands a stripe at a time. Its row encoding was resolved once,
 //! when its frame was opened (the header's `RowDecoder`); [`land_rows`]
 //! walks the chunk's rows inside the stripe, checks each one's stamp, skips
@@ -344,8 +352,9 @@ impl<'a> Destination<'a> {
 
 /// What the serial tail learns from the fetched chunks.
 pub(crate) struct Tally {
-    /// Rows written while applying the chain (with overwrite multiplicity):
-    /// the rows of every placed chunk.
+    /// The rows every placed chunk names, with multiplicity — the serial
+    /// oracle's count. Not the rows written: an older level's copy of a
+    /// row that a newer one already wrote is skipped.
     pub rows_applied: u64,
     /// Union of rows covered by the incremental checkpoints in the chain —
     /// cold chunks included, the tracker must know about those too.

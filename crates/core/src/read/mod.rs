@@ -29,8 +29,11 @@
 //!   serial `(level, key)` application order, marks the chunks covering
 //!   the top `hot_fraction` of rows hot, and deals them to reader hosts in
 //!   heat order, balancing bytes, using the manifest's `ChunkMeta.parts`
-//!   as the ranged-fetch plan. An eager restore is the plan at
-//!   `hot_fraction = 1` with no heat model: every chunk hot, in rank order.
+//!   as the ranged-fetch plan. Each host then reads its hot chunks before
+//!   its cold ones, each newest level first, so an older level's copy of a
+//!   row finds the newer stamp and is skipped undecoded. An eager restore
+//!   is the plan at `hot_fraction = 1` with no heat model: every chunk hot,
+//!   dealt in rank order.
 //! * The dense layers are one object per checkpoint, and a restore reads
 //!   only the newest level's: the chain walk fetches manifests alone, and
 //!   the dense object is an item of the plan, dealt hot before any chunk
@@ -223,6 +226,16 @@ pub struct ShardedRestore {
     /// tail keeps draining past it). When every chunk was hot — every eager
     /// restore — this equals `ready_at`.
     pub first_batch_at: Duration,
+    /// Embedding rows the restore de-quantized into the destination — its
+    /// placed chunks' and its log records' — a row once per chunk or
+    /// record that wrote it (what the registry's
+    /// `cnr_restore_rows_landed_total` adds up). Each reader host reads its
+    /// chunks newest level first ([`planner::plan_priority`]), so an older
+    /// copy of a row is mostly skipped undecoded; with more than one
+    /// reader host or decode worker, how often it is not depends on worker
+    /// timing. With one host and one worker, and no log, an eager
+    /// restore's count is exact: the distinct rows its chain names.
+    pub rows_landed: u64,
     /// The cold tail (rows not yet applied, awaiting fault-in or drain):
     /// `Some` iff the plan held a chunk back, so never for an eager
     /// restore, nor for a lazy one at `hot_fraction = 1`.
@@ -269,9 +282,10 @@ pub fn restore_sharded(
 /// head it, count too); its remaining items are re-sharded onto the
 /// surviving hosts and the restore still completes bit-identically.
 ///
-/// *An explicit access-heat model for the fetch order:* `heat` matters
-/// only when `options.lazy` is set; without one every row ties, so the
-/// chunks go in rank order and all are hot unless `hot_fraction` is 0
+/// *An explicit access-heat model for the deal:* `heat` matters only when
+/// `options.lazy` is set; without one every row ties, so the chunks are
+/// dealt in rank order and all are hot unless `hot_fraction` is 0. Either
+/// way each host reads its share newest level first
 /// ([`planner::plan_priority`]).
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_with_heat(
@@ -309,8 +323,11 @@ pub fn restore_sharded_with_heat(
 /// lands them. Everything else of the
 /// report (dense layers, `iteration`, `reader`, `incremental_rows`,
 /// `rows_applied`, `bytes_read`) is unchanged: the dense layers are the
-/// newest level's dense object, fetched as an item of the plan. On `Err`
-/// `dest` may be partly written.
+/// newest level's dense object, fetched as an item of the plan, and
+/// `rows_applied` counts the rows the placed chunks name, with
+/// multiplicity — the serial oracle's count, not the rows written
+/// ([`ShardedRestore::rows_landed`] is that). On `Err` `dest` may be
+/// partly written.
 ///
 /// With `replay_wal`, `job`'s write-ahead log is listed once the manifest
 /// chain is walked, and its live segments are items of the fetch plan:
@@ -399,11 +416,13 @@ pub fn restore_sharded_into(
     let mut applied_rank: Vec<Vec<u32>> = row_counts.iter().map(|&n| vec![0; n]).collect();
     let mut dest = merge::Destination::new(dest, &newest.tables, &mut applied_rank)?;
     let decode_nanos = AtomicU64::new(0);
+    let rows_landed = AtomicU64::new(0);
     let reader = ShardReader {
         scheduler: &fetch_sched,
         dest: &dest,
         newest: &newest,
         decode_nanos: &decode_nanos,
+        rows_landed: &rows_landed,
     };
     let fetched = run_hosts(
         assignments,
@@ -493,6 +512,7 @@ pub fn restore_sharded_into(
 
     let bytes_read = chunk_bytes + manifest_bytes + dense.bytes;
     let log_bytes = log.as_ref().map_or(0, |log| log.bytes_read);
+    let rows_landed = rows_landed.into_inner() + log.as_ref().map_or(0, |log| log.rows_landed);
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
     let fetch_status = fetch_sched.status();
@@ -553,6 +573,7 @@ pub fn restore_sharded_into(
         breakdown,
         ready_at,
         first_batch_at,
+        rows_landed,
         lazy: lazy_tail,
         wal: log,
         killed_hosts,

@@ -17,7 +17,18 @@
 //! dense layers and the hot chunks have landed, while the cold tail keeps
 //! draining in the background (CPR-style partial recovery). An eager
 //! restore is the same plan at `hot_fraction = 1` with no heat model:
-//! every chunk hot, in rank order.
+//! every chunk hot, dealt in rank order.
+//!
+//! The deal decides which host reads a chunk; the order a host reads its
+//! chunks in is decided after it: hot chunks before cold, and within each,
+//! the newest level first. A row several levels name is then written by
+//! the newest of them, and every older copy fails the destination's stamp
+//! check before it is decoded (`merge::land_rows`). With one reader host
+//! and one decode worker an eager restore decodes each row exactly once;
+//! with more, an older copy is still decoded when another host or worker
+//! reaches it first. A host's downlink is busy for the sum of its items'
+//! reads whatever their order, so when its hot set and its last chunk
+//! arrive does not move.
 //!
 //! The dense layers are an item of the plan too: the newest level's dense
 //! object — the only one a restore reads, sized by its manifest — is dealt
@@ -31,6 +42,7 @@
 use crate::manifest::{ChunkMeta, Manifest};
 use cnr_tracking::CoverageAnalyzer;
 use cnr_workload::ZipfSampler;
+use std::cmp::Reverse;
 
 /// What a [`FetchItem`] downloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,15 +319,20 @@ fn ranked_items(chain: &[Manifest]) -> Vec<(&ChunkMeta, FetchItem)> {
 /// first batch needs the checkpoint's MLPs. Then, in descending heat, ties
 /// in rank order, each chunk goes to the host with the fewest bytes so far (ties
 /// to the lowest index): balancing bytes, not writer shards, lets a
-/// checkpoint written by any number of hosts restore `reader_hosts`-wide,
-/// and each host's list, which the [`FetchScheduler`](super::scheduler)
-/// admits in order, streams its hottest chunks first. Chunks whose hottest row scores at or above the
-/// top-`hot_fraction` cutoff are [`FetchItem::hot`]: a lazy restore resumes
-/// training once they have landed. A chunk whose table or row range the
+/// checkpoint written by any number of hosts restore `reader_hosts`-wide.
+/// Chunks whose hottest row scores at or above the top-`hot_fraction`
+/// cutoff are [`FetchItem::hot`]: a lazy restore resumes training once
+/// they have landed. A chunk whose table or row range the
 /// heat model does not know ranks hottest — it cannot be deferred safely.
 ///
-/// Without a heat model every row ties: the chunks go in rank order, all
-/// hot unless `hot_fraction` is 0. An eager restore is that plan at
+/// Each host's list, which the [`FetchScheduler`](super::scheduler) admits
+/// in order, keeps its head (the log's segments, then the dense object)
+/// and then reads its hot chunks, then its cold ones, each newest level
+/// first and otherwise in the order they were dealt: an older level's copy
+/// of a row arrives after the newer one and is skipped undecoded.
+///
+/// Without a heat model every row ties: the chunks are dealt in rank order,
+/// all hot unless `hot_fraction` is 0. An eager restore is that plan at
 /// `hot_fraction = 1`. Trailing hosts may get no chunk.
 pub fn plan_priority(
     chain: &[Manifest],
@@ -376,6 +393,15 @@ pub fn plan_priority(
             hot: score >= cutoff,
             ..item
         });
+    }
+    // Behind its head (the log's segments, then the dense object), each
+    // host reads its hot chunks, then its cold ones, each newest level
+    // first, ties as dealt: an older copy of a row then meets the newer
+    // level's stamp and is skipped undecoded. The deal, and so each host's
+    // items and bytes, is untouched.
+    for list in &mut assignments {
+        let head = list.partition_point(|item| item.kind != FetchKind::Chunk);
+        list[head..].sort_by_key(|item| (!item.hot, Reverse(item.level)));
     }
     assignments
 }
@@ -511,9 +537,152 @@ mod tests {
             manifest_with_chunks(1, &[10]),
         ];
         let assignment = chunks_of(eager(&chain, 1));
-        assert_eq!(assignment[0][0].level, 0);
-        assert_eq!(assignment[0][0].parts, 3, "parts follow ChunkMeta");
-        assert_eq!(assignment[0][1].level, 1);
+        let levels: Vec<usize> = assignment[0].iter().map(|i| i.level).collect();
+        assert_eq!(levels, [1, 0], "one host reads the newest level first");
+        assert_eq!(assignment[0][1].parts, 3, "parts follow ChunkMeta");
+        assert_eq!(assignment[0][0].parts, 1);
+    }
+
+    /// A random chain of 1–4 levels over two tables (64 and 40 rows), its
+    /// levels' chunks naming overlapping row ranges — some beyond the
+    /// tables, which the heat model does not know — and a log of 0–2
+    /// segments.
+    fn random_chain(seed: u64) -> (Vec<Manifest>, Vec<(String, u64)>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let levels = rng.gen_range(1..5u64);
+        let chain = (0..levels)
+            .map(|level| {
+                let sizes: Vec<u64> =
+                    (0..rng.gen_range(1..10)).map(|_| rng.gen_range(1..5000)).collect();
+                let mut manifest = manifest_with_chunks(level, &sizes);
+                for chunk in &mut manifest.chunks {
+                    chunk.table = rng.gen_range(0..2);
+                    chunk.first_row = rng.gen_range(0..70);
+                    chunk.last_row = chunk.first_row + rng.gen_range(0..8);
+                }
+                manifest
+            })
+            .collect();
+        let log = (0..rng.gen_range(0..3))
+            .map(|i| (format!("job/wal-{i}"), rng.gen_range(1..3000)))
+            .collect();
+        (chain, log)
+    }
+
+    /// The deal by itself: the log's segments, the dense object, then every
+    /// chunk in descending heat, ties in rank order, each to the host with
+    /// the fewest bytes so far — each host's list in the order it was dealt.
+    fn deal_in_heat_order(
+        chain: &[Manifest],
+        log: &[(String, u64)],
+        hosts: usize,
+        heat: Option<&RowHeat>,
+        hot_fraction: f64,
+    ) -> Vec<Vec<FetchItem>> {
+        let score = |chunk: &ChunkMeta| match heat {
+            None => 0.0,
+            Some(heat) => heat
+                .score_range(chunk.table, chunk.first_row, chunk.last_row)
+                .unwrap_or(f32::INFINITY),
+        };
+        let mut chunks = ranked_items(chain);
+        chunks.sort_by(|(a, a_item), (b, b_item)| {
+            score(b).total_cmp(&score(a)).then(a_item.rank.cmp(&b_item.rank))
+        });
+        let cutoff = match heat {
+            Some(heat) => heat.hot_cutoff(hot_fraction),
+            None if hot_fraction > 0.0 => f32::NEG_INFINITY,
+            None => f32::INFINITY,
+        };
+        let whole = |level, key: &str, bytes, kind| FetchItem {
+            level,
+            rank: 0,
+            key: key.to_string(),
+            bytes,
+            parts: 1,
+            rows: 0,
+            hot: true,
+            kind,
+        };
+        let newest = chain.last().unwrap();
+        let head = log
+            .iter()
+            .enumerate()
+            .map(|(i, (key, bytes))| whole(chain.len(), key, *bytes, FetchKind::LogSegment(i as u32)))
+            .chain([whole(chain.len() - 1, &newest.dense.key, newest.dense.bytes, FetchKind::Dense)]);
+        let chunks = chunks.into_iter().map(|(chunk, item)| FetchItem {
+            hot: score(chunk) >= cutoff,
+            ..item
+        });
+        let mut lists = vec![Vec::new(); hosts];
+        let mut load = vec![0u64; hosts];
+        for item in head.chain(chunks) {
+            let h = lightest(&load);
+            load[h] += item.bytes;
+            lists[h].push(item);
+        }
+        lists
+    }
+
+    proptest::proptest! {
+        /// Over random chains, 1–5 hosts, with and without heat and at
+        /// several hot fractions, every host gets exactly the items and the
+        /// bytes the deal in heat order gives it, and reads them as: the
+        /// log's segments, the dense object, its hot chunks newest level
+        /// first, then its cold chunks newest level first — ties as dealt.
+        #[test]
+        fn each_host_reads_its_dealt_items_newest_level_first(
+            seed in proptest::prelude::any::<u64>(),
+            hosts in 1usize..=5,
+            with_heat in proptest::prelude::any::<bool>(),
+            fraction in 0usize..5,
+        ) {
+            let (chain, log) = random_chain(seed);
+            let mut heat = RowHeat::zipf(&[64, 40], 1.05);
+            heat.boost_rows(1, [3, 17, 39], 1.0);
+            let heat = with_heat.then_some(&heat);
+            let hot_fraction = [0.0, 0.05, 0.3, 0.7, 1.0][fraction];
+            let plan = plan_priority(&chain, &log, hosts, heat, hot_fraction);
+            let dealt = deal_in_heat_order(&chain, &log, hosts, heat, hot_fraction);
+            proptest::prop_assert_eq!(plan.len(), hosts);
+            for (h, (list, dealt)) in plan.iter().zip(&dealt).enumerate() {
+                let mut got = list.clone();
+                let mut want = dealt.clone();
+                got.sort_by(|a, b| a.key.cmp(&b.key));
+                want.sort_by(|a, b| a.key.cmp(&b.key));
+                proptest::prop_assert_eq!(got, want, "host {}: the deal's items", h);
+                let load = |l: &[FetchItem]| l.iter().map(|i| i.bytes).sum::<u64>();
+                proptest::prop_assert_eq!(load(list), load(dealt), "host {}", h);
+
+                // The head: the log's segments, then the dense object.
+                let head = list.iter().take_while(|i| i.kind != FetchKind::Chunk).count();
+                let kinds: Vec<FetchKind> = list[..head].iter().map(|i| i.kind).collect();
+                let dealt_kinds: Vec<FetchKind> =
+                    dealt.iter().take_while(|i| i.kind != FetchKind::Chunk).map(|i| i.kind).collect();
+                proptest::prop_assert_eq!(&kinds, &dealt_kinds, "host {}", h);
+                proptest::prop_assert!(
+                    kinds.iter().skip_while(|k| matches!(k, FetchKind::LogSegment(_))).count()
+                        <= usize::from(kinds.last() == Some(&FetchKind::Dense)),
+                    "host {}: {:?}", h, kinds
+                );
+                // The chunks: hot before cold, each newest level first, ties
+                // in the order they were dealt.
+                let chunks = &list[head..];
+                proptest::prop_assert!(chunks.iter().all(|i| i.kind == FetchKind::Chunk));
+                let dealt_at = |item: &FetchItem| dealt.iter().position(|d| d.key == item.key).unwrap();
+                for pair in chunks.windows(2) {
+                    let (a, b) = (&pair[0], &pair[1]);
+                    proptest::prop_assert!(a.hot || !b.hot, "host {}: a cold chunk before a hot one", h);
+                    if a.hot == b.hot {
+                        proptest::prop_assert!(a.level >= b.level, "host {}: level {} before {}", h, a.level, b.level);
+                        if a.level == b.level {
+                            proptest::prop_assert!(dealt_at(a) < dealt_at(b), "host {}: ties as dealt", h);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -108,6 +108,9 @@ pub(crate) struct ShardReader<'a, 'd> {
     /// Wall-clock nanoseconds spent opening chunks and de-quantizing the
     /// placed ones, shared across shards.
     pub(crate) decode_nanos: &'a AtomicU64,
+    /// Rows the placed chunks de-quantized into the destination, shared
+    /// across shards.
+    pub(crate) rows_landed: &'a AtomicU64,
 }
 
 impl ShardReader<'_, '_> {
@@ -156,7 +159,8 @@ impl ShardReader<'_, '_> {
         let header = open_frame(object.payload())?;
         let opened = header.over(object.payload());
         if item.hot {
-            self.dest.place(opened, item.rank, &item.key)?;
+            let landed = self.dest.place(opened, item.rank, &item.key)?;
+            self.rows_landed.fetch_add(landed, Ordering::Relaxed);
         } else {
             self.dest.check(opened, &item.key)?;
         }

@@ -34,7 +34,11 @@ pub struct RestoreReport {
     pub reader: ReaderState,
     /// Scheme of the newest checkpoint (useful for logging/fallback logic).
     pub scheme: QuantScheme,
-    /// Rows written while applying the chain (with overwrite multiplicity).
+    /// Rows the applied chunks name, with multiplicity: a row three levels
+    /// name counts three times. The serial path writes every one of them;
+    /// a sharded restore reports the same count for the chunks it placed,
+    /// though it skips the older copies of a row undecoded
+    /// ([`crate::read::ShardedRestore::rows_landed`] counts what it wrote).
     pub rows_applied: u64,
     /// Writer-host shards merged across the applied manifests (a
     /// single-host chain of N checkpoints merges N shards).

@@ -112,6 +112,15 @@ pub const RESTORE_WAL_REPLAYED_ITERATIONS: &str = "cnr_restore_wal_replayed_iter
 pub const RESTORE_LOST_ITERATIONS: &str = "cnr_restore_lost_iterations_total";
 /// Counter: on-demand cold-row fault-in fetches after lazy resumes.
 pub const RESTORE_FAULT_IN_FETCHES: &str = "cnr_restore_fault_in_fetches_total";
+/// Counter: embedding rows de-quantized into the model by restores — their
+/// placed chunks and their log's records — and by lazy drains, a row once
+/// per chunk or record that wrote it (fault-ins are not counted). Reader
+/// hosts and the drain take the newest level first, so an older copy of a
+/// row is mostly skipped undecoded. With more than one reader host or
+/// decode worker the count depends on worker timing; with one host and one
+/// worker it is exact, the same on every run — for an eager restore
+/// without a log, the distinct rows its chain names.
+pub const RESTORE_ROWS_LANDED: &str = "cnr_restore_rows_landed_total";
 /// Histogram (ns): time-to-resume per restore.
 pub const RESTORE_TIME_TO_RESUME_NS: &str = "cnr_restore_time_to_resume_ns";
 /// Histogram (ns): time-to-first-batch per restore.

@@ -6,7 +6,8 @@
 //! without a delta-WAL tail past the checkpoint, over fp32 and over
 //! asymmetric 4-bit checkpoint chains (a cold quantized row is
 //! de-quantized when it materializes, by the decode a hot one went
-//! through at restore time).
+//! through at restore time). On one decode worker the drain de-quantizes
+//! each pending row once, however many cold levels name it.
 
 use check_n_run::core::read::{restore_sharded, restore_sharded_with_heat, RowHeat};
 use check_n_run::core::stats::RestoreMode;
@@ -115,6 +116,62 @@ proptest! {
             lazy.trainer().model().iteration(),
             eager.trainer().model().iteration()
         );
+    }
+}
+
+proptest! {
+    /// The lazy twin of `sharded_restore_roundtrip`'s
+    /// `one_host_and_one_worker_decode_each_row_once`: a three-level
+    /// consecutive chain (a full checkpoint at 5, incrementals at 10 and
+    /// 15), restored lazily on one reader host and one decode worker, then
+    /// drained. The drain hands its cold chunks to the worker newest rank
+    /// first, so it de-quantizes each pending row once — however many cold
+    /// levels name it — and the model ends with the serial restore's bits.
+    #[test]
+    fn a_drain_on_one_worker_decodes_each_pending_row_once(
+        seed in any::<u64>(),
+        hot_pct in 0u32..=30,
+        four_bit in any::<bool>(),
+    ) {
+        let job = "job";
+        let spec = DatasetSpec::tiny(seed);
+        let model_cfg = ModelConfig::for_dataset(&spec, 8);
+        let mut e = builder(seed, 1, false, four_bit)
+            .policy(PolicyKind::Consecutive)
+            .build()
+            .unwrap();
+        e.train_batches(15).unwrap();
+        let latest = e.controller().latest().unwrap();
+        let store = e.store().clone();
+        let serial = check_n_run::core::restore::restore(store.as_ref(), job, latest, &model_cfg)
+            .unwrap();
+        prop_assert_eq!(serial.chain.len(), 3);
+
+        let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.05);
+        let options = RestoreOptions {
+            reader_hosts: 1,
+            decode_workers: 1,
+            lazy: true,
+            hot_fraction: hot_pct as f64 / 100.0,
+            ..RestoreOptions::default()
+        };
+        let restored = restore_sharded_with_heat(
+            store.as_ref(), job, latest, &model_cfg, &options, Duration::ZERO, None, Some(&heat),
+        )
+        .unwrap();
+        let mut model = DlrmModel::new(model_cfg.clone());
+        restored.report.state.restore(&mut model);
+        if let Some(mut tail) = restored.lazy {
+            let pending = tail.pending_rows();
+            let drained = tail.drain(&mut model).unwrap();
+            prop_assert_eq!(drained.rows_materialized, pending);
+            prop_assert_eq!(drained.rows_landed, pending, "hot {}%: each pending row once", hot_pct);
+        }
+        for (t, (got, want)) in model.tables().iter().zip(&serial.state.tables).enumerate() {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.data()), bits(&want.data), "table {}", t);
+            prop_assert_eq!(got.adagrad().map(bits), want.adagrad.as_deref().map(bits), "table {}", t);
+        }
     }
 }
 

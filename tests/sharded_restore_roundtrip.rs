@@ -12,7 +12,9 @@
 //! is the property that guards that: over chains whose levels rewrite each
 //! other's rows, a destination pre-filled with a sentinel ends up equal to
 //! the serial restore bit for bit for any host count, worker count, reader
-//! kill and hot fraction.
+//! kill and hot fraction. `one_host_and_one_worker_decode_each_row_once`
+//! shows what the newest-level-first read order buys: on one reader host
+//! and one decode worker each row is de-quantized once.
 //!
 //! Rows holding values no 4-bit grid describes (NaN, `±∞`, `1e6`) restore
 //! with their exact bits through an engine — eager, lazy by fault-in and
@@ -417,6 +419,75 @@ proptest! {
             prop_assert_eq!(sharded.report.shards_merged, serial.shards_merged);
             prop_assert_eq!(sharded.report.bytes_read, serial.bytes_read, "{}", what);
             prop_assert_eq!(&sharded.report.incremental_rows, &serial.incremental_rows, "{}", what);
+        }
+    }
+}
+
+proptest! {
+    /// One reader host and one decode worker restore a three-level chain
+    /// whose levels rewrite each other's rows. The host reads its chunks
+    /// newest level first, so every older copy of a row fails the stamp
+    /// check before it is decoded: the rows de-quantized are exactly the
+    /// distinct rows the chain names, fewer than the rows its chunks name,
+    /// and the destination holds the serial restore's bits.
+    #[test]
+    fn one_host_and_one_worker_decode_each_row_once(
+        seed in any::<u64>(),
+        rows_a in 8usize..400,
+        rows_b in 1usize..90,
+        chunk_rows in 1usize..80,
+        writer_hosts in 1usize..5,
+        four_bit in any::<bool>(),
+        with_acc in any::<bool>(),
+    ) {
+        let spec = DatasetSpec {
+            seed,
+            batch_size: 4,
+            dense_dim: 2,
+            tables: vec![
+                TableAccessSpec::new(rows_a as u64, 1, 1.0),
+                TableAccessSpec::new(rows_b as u64, 1, 1.0),
+            ],
+            concept_seed: None,
+        };
+        let mut cfg = ModelConfig::for_dataset(&spec, 4);
+        if with_acc {
+            cfg.optimizer = OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 };
+        }
+        let scheme = if four_bit { QuantScheme::Asymmetric { bits: 4 } } else { QuantScheme::Fp32 };
+        let store = InMemoryStore::new();
+        let writer = CheckpointWriter::new(&store, "job");
+        let write_cfg = CheckpointConfig { chunk_rows, writer_hosts, ..CheckpointConfig::default() };
+        let mut named = TrackerSnapshot::empty(&cfg.row_counts());
+        for (level, density) in [(0u64, 0.9), (1, 0.6), (2, 0.5)] {
+            let snap = level_snapshot(&cfg, seed, level, density);
+            named.union_with(&snap.delta);
+            let base = level.checked_sub(1).map(CheckpointId);
+            writer.write(&snap, CheckpointId(level), base, scheme, &write_cfg).expect("write");
+        }
+        let target = CheckpointId(2);
+        let serial = restore(&store, "job", target, &cfg).expect("serial restore");
+
+        let mut model = sentinel_model(&cfg);
+        let options = RestoreOptions { reader_hosts: 1, decode_workers: 1, ..RestoreOptions::default() };
+        let sharded = restore_sharded_into(
+            &store, "job", target, &cfg, &options, Duration::ZERO,
+            None, None, model.table_views_mut(), false,
+        )
+        .expect("sharded restore");
+        prop_assert_eq!(sharded.rows_landed, named.modified_rows() as u64);
+        prop_assert_eq!(sharded.report.rows_applied, serial.rows_applied);
+        prop_assert!(sharded.rows_landed <= serial.rows_applied);
+        for (got, want) in model.tables().iter().zip(&serial.state.tables) {
+            prop_assert_eq!(first_difference(got.data(), &want.data), None);
+            prop_assert_eq!(
+                first_difference(
+                    got.adagrad().unwrap_or_default(),
+                    want.adagrad.as_deref().unwrap_or_default(),
+                ),
+                None,
+                "accumulators"
+            );
         }
     }
 }
