@@ -8,12 +8,16 @@
 //! cargo run ... -- --out-dir some/dir                         # elsewhere
 //! ```
 //!
-//! Full mode is what maintainers run before committing a hot-path change;
-//! quick mode shrinks the decode workload and round counts so CI can
-//! regenerate in seconds. Simulated (`simulated_us`) records are identical
-//! in both modes and on every machine; wall-clock (`ns`) records are only
-//! comparable within one machine's history, so each document carries a
-//! `machine` block (cores/os/arch) identifying the emitter.
+//! Full mode is what maintainers run before committing a hot-path change,
+//! and what CI's bench job diffs against the checked-in files; quick mode
+//! shrinks the decode workload, the WAL's measured window and the round
+//! counts so a smoke run takes seconds. Only full mode reproduces the
+//! checked-in simulated and count records (`simulated_us`, `bytes`,
+//! `fraction`, `steps_per_row`): they are identical on every machine, but
+//! quick mode's `search_steps/*` and every `BENCH_wal.json` record differ
+//! from full mode's. Wall-clock (`ns`) records are only comparable within
+//! one machine's history, so each document carries a `machine` block
+//! (cores/os/arch) identifying the emitter.
 
 use cnr_bench::timeline::lifecycle_timeline;
 use cnr_bench::trajectory::{quant_records, restore_records, to_json, wal_records, MachineInfo};

@@ -6,9 +6,12 @@
 //! cnr_bench`) re-measures and rewrites both files; the criterion benches
 //! under `benches/{restore_scaling,quant_latency}.rs` call the same
 //! measurement functions, so the checked-in numbers and the bench output
-//! always come from one code path. CI's `bench-trajectory` job regenerates
-//! the files in quick mode and fails when the hot paths changed but
-//! neither JSON did — the trajectory must move with the code it measures.
+//! always come from one code path. CI's bench job regenerates the files
+//! in full mode and fails when a simulated or count record differs from
+//! the checked-in one — the trajectory must move with the code it
+//! measures. Only full mode reproduces those records: quick mode measures
+//! fewer rows and a shorter WAL window, so its `search_steps/*` and
+//! `BENCH_wal.json` records differ.
 //!
 //! Two kinds of quantity appear in the records and they age differently:
 //!
@@ -466,8 +469,10 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
 /// [`place_wall_clock`]), and for each adaptive
 /// scheme among them the mean number of greedy steps its range search
 /// executes per row (`search_steps/*`) — a count over the same rows,
-/// identical on every machine, so a change that weakens the search's clip
-/// bound shows as a moved value, not as a slower wall-clock number.
+/// identical on every machine in one mode (quick mode trains the model on
+/// fewer batches, so its counts differ from full mode's), so a change
+/// that weakens the search's clip bound shows as a moved value, not as a
+/// slower wall-clock number.
 pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
     use cnr_quant::RowSource;
     let (_, model) = trained_model(1, if quick { 20 } else { 100 }, 16);
@@ -578,9 +583,10 @@ fn model_chunks(model: &DlrmModel, chunk_rows: usize) -> Vec<(WorkItem, TableSta
 /// per-iteration delta WAL against an otherwise identical engine, plus the
 /// simulated time the logged tail adds to a resume's fetch after a crash
 /// three batches past a boundary. All values come off
-/// the [`SimClock`], so they are exactly reproducible on every machine;
-/// quick mode only shortens the measured window (the per-iteration
-/// averages shift by well under a percent).
+/// the [`SimClock`], so they are exactly reproducible on every machine
+/// in one mode; quick mode shortens the measured window, which moves the
+/// per-iteration averages, so only full mode reproduces the checked-in
+/// records.
 ///
 /// The headline record, `steady_overhead/frac`, is asserted to sit inside
 /// the paper's 6–17% checkpoint-overhead band (Check-N-Run §5): logging a

@@ -282,7 +282,6 @@ mod tests {
     use super::*;
     use crate::manifest::{DenseLayers, TableMeta};
     use bytes::Bytes;
-    use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
     use cnr_storage::InMemoryStore;
 
@@ -318,7 +317,6 @@ mod tests {
             base: base.map(CheckpointId),
             iteration: id * 100,
             reader_state: ReaderState::at(id * 100),
-            scheme: QuantScheme::Fp32,
             tables: vec![TableMeta {
                 rows: 10,
                 dim: 4,
@@ -327,20 +325,12 @@ mod tests {
             dense,
             chunks: vec![crate::manifest::ChunkMeta {
                 key: chunk_key,
-                shard: 0,
                 rows: 10,
                 bytes: chunk_bytes as u64,
                 parts: 1,
                 table: 0,
                 first_row: 0,
                 last_row: 9,
-            }],
-            shards: vec![crate::manifest::ShardMeta {
-                host: 0,
-                rows: 10,
-                chunks: 1,
-                bytes: chunk_bytes as u64,
-                parts: 1,
             }],
             payload_bytes: chunk_bytes as u64,
         };

@@ -12,9 +12,11 @@
 //! without any segment- or log-level context, so the WAL reader can hand
 //! over opaque frame payloads and crash-consistency stays entirely the
 //! frame layer's concern. The engine logs a record as two frames of one
-//! segment: the **body** ([`DeltaBody`]: base, iteration, reader cursor,
-//! scheme and the embedded chunk frames) and a **trailer** holding the two
-//! MLPs ([`DenseTrailer`]). Body payload ‖ trailer payload is exactly
+//! segment: the **body** ([`DeltaBody`]: base, iteration, reader cursor
+//! and the embedded chunk frames) and a **trailer** holding the two MLPs
+//! ([`DenseTrailer`]). The body names no quantization scheme: each
+//! embedded chunk frame names its own rows' encoding, as a stored chunk
+//! does. Body payload ‖ trailer payload is exactly
 //! [`DeltaRecord::encode`]. Every record's MLPs are whole, but a restore
 //! needs only the last live record's, which on the lifecycle benchmark's
 //! model are some 40% of a record's bytes: it fetches each older segment
@@ -43,10 +45,7 @@
 //! trailer cannot be had is not live, and the tail ends in front of it.
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{
-    decode_scheme, encode_scheme, open_frame, scheme_len, CheckpointId, ChunkFrame, ChunkHeader,
-    OpenedChunk,
-};
+use crate::manifest::{open_frame, CheckpointId, ChunkFrame, ChunkHeader, OpenedChunk};
 use crate::wire;
 use bytes::{BufMut, Bytes};
 use cnr_model::DlrmModel;
@@ -103,8 +102,6 @@ pub struct DeltaRecord {
     pub iteration: u64,
     /// Reader position after this batch (next batch index to produce).
     pub reader_next: u64,
-    /// Quantization scheme the row payloads use.
-    pub scheme: QuantScheme,
     /// Touched rows, one chunk per touched table (ascending table ids).
     pub chunks: Vec<DeltaChunk>,
     /// Bottom MLP parameters, flattened.
@@ -148,7 +145,6 @@ impl DeltaRecord {
             base,
             iteration: model.iteration(),
             reader_next,
-            scheme: *scheme,
             chunks,
             bottom_mlp: model.bottom().flatten(),
             top_mlp: model.top().flatten(),
@@ -182,7 +178,7 @@ impl DeltaRecord {
             .map(|(t, rows)| touched_frame(model, scheme, t, rows))
             .collect();
         let chunks_len: usize = chunks.iter().map(|(chunk, _)| chunk.encoded_len()).sum();
-        let len = 3 * 8 + scheme_len(scheme) + 2 + chunks_len;
+        let len = 3 * 8 + 2 + chunks_len;
         let (bottom, top) = (model.bottom(), model.top());
         let trailer = |out: &mut Vec<u8>| {
             wire::put_f32_slices(out, bottom.param_count(), bottom.params());
@@ -193,7 +189,6 @@ impl DeltaRecord {
             out.put_u64_le(base.0);
             out.put_u64_le(model.iteration());
             out.put_u64_le(reader_next);
-            encode_scheme(out, scheme);
             out.put_u16_le(chunks.len() as u16);
             for (chunk, stored) in chunks {
                 let table = &model.tables()[chunk.table as usize];
@@ -296,15 +291,14 @@ impl DeltaRecord {
     /// Serializes the record into one buffer: the body frame's payload, then
     /// the MLP trailer's.
     pub fn encode(&self) -> Vec<u8> {
-        // Fixed fields, the widest scheme encoding, counts and prefixes.
-        const FIXED_MAX: usize = 3 * 8 + 14 + 2 + 2 * 4;
+        // Fixed fields, the chunk count and the MLPs' length prefixes.
+        const FIXED: usize = 3 * 8 + 2 + 2 * 4;
         let frames: usize = self.chunks.iter().map(|c| c.frame.len()).sum();
         let mlps = 4 * (self.bottom_mlp.len() + self.top_mlp.len());
-        let mut buf = Vec::with_capacity(FIXED_MAX + frames + mlps);
+        let mut buf = Vec::with_capacity(FIXED + frames + mlps);
         buf.put_u64_le(self.base.0);
         buf.put_u64_le(self.iteration);
         buf.put_u64_le(self.reader_next);
-        encode_scheme(&mut buf, &self.scheme);
         buf.put_u16_le(self.chunks.len() as u16);
         for chunk in &self.chunks {
             // Embedded chunks are bare frames, back to back: each starts
@@ -347,9 +341,9 @@ impl DeltaRecord {
 
     /// The record of `body` and `dense`.
     fn join(body: DeltaBody, dense: DenseTrailer) -> Self {
-        let DeltaBody { base, iteration, reader_next, scheme, chunks } = body;
+        let DeltaBody { base, iteration, reader_next, chunks } = body;
         let DenseTrailer { bottom_mlp, top_mlp } = dense;
-        Self { base, iteration, reader_next, scheme, chunks, bottom_mlp, top_mlp }
+        Self { base, iteration, reader_next, chunks, bottom_mlp, top_mlp }
     }
 
     /// Distinct embedding rows this record carries.
@@ -368,8 +362,6 @@ pub struct DeltaBody {
     pub iteration: u64,
     /// Reader position after the record's batch.
     pub reader_next: u64,
-    /// Quantization scheme the row payloads use.
-    pub scheme: QuantScheme,
     /// Touched rows, one chunk per touched table (ascending table ids).
     pub chunks: Vec<DeltaChunk>,
 }
@@ -388,7 +380,6 @@ impl DeltaBody {
         let base = CheckpointId(wire::get_u64(b)?);
         let iteration = wire::get_u64(b)?;
         let reader_next = wire::get_u64(b)?;
-        let scheme = decode_scheme(b)?;
         let chunk_count = wire::get_u16(b)? as usize;
         let mut chunks = Vec::with_capacity(chunk_count);
         for _ in 0..chunk_count {
@@ -407,7 +398,7 @@ impl DeltaBody {
                 frame: frame.to_vec(),
             });
         }
-        Ok(Self { base, iteration, reader_next, scheme, chunks })
+        Ok(Self { base, iteration, reader_next, chunks })
     }
 }
 
@@ -704,7 +695,6 @@ mod tests {
             want.put_u64_le(9);
             want.put_u64_le(model.iteration());
             want.put_u64_le(1);
-            encode_scheme(&mut want, &scheme);
             want.put_u16_le(rec.chunks.len() as u16);
             for chunk in &rec.chunks {
                 let table = &model.tables()[chunk.table() as usize];

@@ -1,11 +1,13 @@
 //! Checkpoint manifests and chunk payloads.
 //!
 //! A checkpoint is a **manifest** object, one **dense** object and N
-//! **chunk** objects in the store. The manifest is self-describing:
-//! identity, kind (full or incremental), the base pointer for chain
-//! restoration, quantization scheme, model geometry, where the dense
-//! object is and what it holds, the reader state, and the list of chunk
-//! keys. The dense object ([`DenseLayers`]) carries the two flattened MLPs
+//! **chunk** objects in the store. The manifest records what a restore
+//! reads: identity, kind (full or incremental), the base pointer for chain
+//! restoration, model geometry, where the dense object is and what it
+//! holds, the reader state, and the list of chunk keys. It records no
+//! quantization scheme: each chunk frame names its own rows' encoding
+//! (tag, bits, dim), and the decoder is resolved from that. The dense
+//! object ([`DenseLayers`]) carries the two flattened MLPs
 //! at fp32 — a restore reads only the newest level's, so the chain's
 //! older levels cost a restore their small manifests alone. Chunks carry
 //! batches of embedding rows: indices, optional optimizer state, and
@@ -13,7 +15,7 @@
 //!
 //! **One stored form.** Every *stored* object — manifest, dense object and
 //! chunk alike — is wrapped in the self-describing checksummed envelope of
-//! [`cnr_storage::envelope`] (magic `CNR8`, XXH64 over the payload): the
+//! [`cnr_storage::envelope`] (magic `CNR9`, XXH64 over the payload): the
 //! write path emits [`Manifest::encode_enveloped`] /
 //! [`DenseLayers::encode_enveloped`] / [`ChunkPayload::encode_enveloped`],
 //! and the stored-object decoders ([`Manifest::decode`],
@@ -93,8 +95,6 @@ impl TableMeta {
 pub struct ChunkMeta {
     /// Object key in the store.
     pub key: String,
-    /// Writer host (shard) that produced and uploaded the chunk.
-    pub shard: u16,
     /// Embedding rows in the chunk.
     pub rows: u32,
     /// Serialized size in bytes.
@@ -110,22 +110,6 @@ pub struct ChunkMeta {
     pub last_row: u32,
 }
 
-/// Per-writer-host summary of a sharded checkpoint (§4.4: every trainer
-/// host uploads its own row-range of every table in parallel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// Writer host index.
-    pub host: u16,
-    /// Embedding rows this host stored.
-    pub rows: u64,
-    /// Chunks this host stored.
-    pub chunks: u32,
-    /// Payload bytes this host stored.
-    pub bytes: u64,
-    /// Multipart parts this host uploaded.
-    pub parts: u32,
-}
-
 /// The checkpoint manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
@@ -139,21 +123,15 @@ pub struct Manifest {
     pub iteration: u64,
     /// Reader position at snapshot time (§4.1: gap-free by construction).
     pub reader_state: ReaderState,
-    /// Quantization scheme of the chunk payloads.
-    pub scheme: QuantScheme,
     /// Table geometry, index-aligned with the model.
     pub tables: Vec<TableMeta>,
     /// The checkpoint's dense object: where it is, its size and the
     /// parameter counts it holds.
     pub dense: DenseMeta,
-    /// Stored chunks, ordered by (shard, per-shard sequence). Chunks of one
-    /// checkpoint cover disjoint rows, so application order across chunks
-    /// is immaterial; the ordering is for determinism.
+    /// Stored chunks, ordered by key: (writer host, per-host turn). Chunks
+    /// of one checkpoint cover disjoint rows, so application order across
+    /// chunks is immaterial; the ordering is for determinism.
     pub chunks: Vec<ChunkMeta>,
-    /// Per-writer-host summaries, ascending by host. A single-host write
-    /// has exactly one entry; a write that lost hosts mid-upload lists only
-    /// the hosts whose chunks the manifest references.
-    pub shards: Vec<ShardMeta>,
     /// Total chunk payload bytes.
     pub payload_bytes: u64,
 }
@@ -194,10 +172,11 @@ pub struct DenseLayers {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Manifest body version: 7 is the body that records the dense object
-/// ([`DenseMeta`]) instead of holding the MLPs. Any other number is
-/// rejected as corrupt, by number.
-const VERSION: u16 = 7;
+/// Manifest body version: 8 is the body that records only what a restore
+/// reads — no quantization scheme (each chunk frame names its own rows'
+/// encoding), no writer host per chunk and no per-host summaries. Any
+/// other number is rejected as corrupt, by number.
+const VERSION: u16 = 8;
 /// Magic of the dense object's payload.
 const DENSE_MAGIC: u32 = 0x434E_5244; // "CNRD"
 
@@ -239,7 +218,6 @@ impl Manifest {
         body.put_u64_le(self.base.map(|b| b.0).unwrap_or(u64::MAX));
         body.put_u64_le(self.iteration);
         body.put_u64_le(self.reader_state.next_batch);
-        encode_scheme(&mut body, &self.scheme);
         body.put_u16_le(self.tables.len() as u16);
         for t in &self.tables {
             body.put_u64_le(t.rows);
@@ -253,21 +231,12 @@ impl Manifest {
         body.put_u32_le(self.chunks.len() as u32);
         for c in &self.chunks {
             wire::put_string(&mut body, &c.key);
-            body.put_u16_le(c.shard);
             body.put_u32_le(c.rows);
             body.put_u64_le(c.bytes);
             body.put_u32_le(c.parts);
             body.put_u16_le(c.table);
             body.put_u32_le(c.first_row);
             body.put_u32_le(c.last_row);
-        }
-        body.put_u16_le(self.shards.len() as u16);
-        for s in &self.shards {
-            body.put_u16_le(s.host);
-            body.put_u64_le(s.rows);
-            body.put_u32_le(s.chunks);
-            body.put_u64_le(s.bytes);
-            body.put_u32_le(s.parts);
         }
         body.put_u64_le(self.payload_bytes);
 
@@ -278,7 +247,7 @@ impl Manifest {
         out
     }
 
-    /// Serializes the manifest wrapped in the v8 storage envelope — the
+    /// Serializes the manifest wrapped in the v9 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
@@ -322,7 +291,6 @@ impl Manifest {
         let base = (base_raw != u64::MAX).then_some(CheckpointId(base_raw));
         let iteration = wire::get_u64(b)?;
         let reader_state = ReaderState::at(wire::get_u64(b)?);
-        let scheme = decode_scheme(b)?;
         let table_count = wire::get_u16(b)? as usize;
         let mut tables = Vec::with_capacity(table_count);
         for _ in 0..table_count {
@@ -343,24 +311,12 @@ impl Manifest {
         for _ in 0..chunk_count {
             chunks.push(ChunkMeta {
                 key: wire::get_string(b)?,
-                shard: wire::get_u16(b)?,
                 rows: wire::get_u32(b)?,
                 bytes: wire::get_u64(b)?,
                 parts: wire::get_u32(b)?,
                 table: wire::get_u16(b)?,
                 first_row: wire::get_u32(b)?,
                 last_row: wire::get_u32(b)?,
-            });
-        }
-        let shard_count = wire::get_u16(b)? as usize;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            shards.push(ShardMeta {
-                host: wire::get_u16(b)?,
-                rows: wire::get_u64(b)?,
-                chunks: wire::get_u32(b)?,
-                bytes: wire::get_u64(b)?,
-                parts: wire::get_u32(b)?,
             });
         }
         let payload_bytes = wire::get_u64(b)?;
@@ -371,11 +327,9 @@ impl Manifest {
             base,
             iteration,
             reader_state,
-            scheme,
             tables,
             dense,
             chunks,
-            shards,
             payload_bytes,
         })
     }
@@ -751,7 +705,7 @@ impl ChunkPayload {
         out
     }
 
-    /// Serializes the chunk wrapped in the v8 storage envelope — the
+    /// Serializes the chunk wrapped in the v9 storage envelope — the
     /// bytes the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         self.frame().encode_enveloped(|out| self.put_rows(out))
@@ -819,83 +773,56 @@ impl ChunkPayload {
     }
 }
 
-/// Serializes a [`QuantScheme`] (tag + parameters). Shared with the WAL
-/// delta-record codec ([`crate::delta_log`]).
-pub(crate) fn encode_scheme(buf: &mut Vec<u8>, scheme: &QuantScheme) {
-    match *scheme {
-        QuantScheme::Fp32 => buf.put_u8(0),
-        QuantScheme::Fp16 => buf.put_u8(5),
-        QuantScheme::Symmetric { bits } => {
-            buf.put_u8(1);
-            buf.put_u8(bits);
-        }
-        QuantScheme::Asymmetric { bits } => {
-            buf.put_u8(2);
-            buf.put_u8(bits);
-        }
-        QuantScheme::AdaptiveAsymmetric {
-            bits,
-            num_bins,
-            ratio,
-        } => {
-            buf.put_u8(4);
-            buf.put_u8(bits);
-            buf.put_u32_le(num_bins);
-            buf.put_f64_le(ratio);
-        }
-    }
-}
-
-/// Bytes [`encode_scheme`] appends for `scheme`.
-pub(crate) fn scheme_len(scheme: &QuantScheme) -> usize {
-    match scheme {
-        QuantScheme::Fp32 | QuantScheme::Fp16 => 1,
-        QuantScheme::Symmetric { .. } | QuantScheme::Asymmetric { .. } => 2,
-        QuantScheme::AdaptiveAsymmetric { .. } => 2 + 4 + 8,
-    }
-}
-
-/// Parses a [`QuantScheme`]. Tag 3 was k-means: nothing writes it any more
-/// and a stored one is rejected by number, like any unknown tag.
-pub(crate) fn decode_scheme(b: &mut &[u8]) -> Result<QuantScheme> {
-    Ok(match wire::get_u8(b)? {
-        0 => QuantScheme::Fp32,
-        1 => QuantScheme::Symmetric {
-            bits: wire::get_u8(b)?,
-        },
-        2 => QuantScheme::Asymmetric {
-            bits: wire::get_u8(b)?,
-        },
-        4 => QuantScheme::AdaptiveAsymmetric {
-            bits: wire::get_u8(b)?,
-            num_bins: wire::get_u32(b)?,
-            ratio: wire::get_f64(b)?,
-        },
-        5 => QuantScheme::Fp16,
-        t => return Err(CnrError::Corrupt(format!("bad scheme tag {t}"))),
-    })
-}
-
-/// What a checkpoint written with the retired k-means scheme left in the
-/// store: `manifest`'s body with its scheme stored as tag 3 (+ a bit width
-/// — the layout of the symmetric scheme it is encoded with here).
 #[cfg(test)]
-pub(crate) fn kmeans_era_body(manifest: &Manifest) -> Vec<u8> {
-    let mut body = Manifest {
-        scheme: QuantScheme::Symmetric { bits: 4 },
-        ..manifest.clone()
-    }
-    .encode();
-    // Magic, version, frame length; then id, kind, base, iteration, reader.
-    let scheme_at = 4 + 2 + wire::FRAME_OVERHEAD + 8 + 1 + 8 + 8 + 8;
-    assert_eq!(body[scheme_at..scheme_at + 2], [1, 4]);
-    body[scheme_at] = 3;
-    body
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// What a v7 writer stored for `manifest`: its body in the v7 layout,
+    /// which also held the quantization scheme (here fp32, tag 0), each
+    /// chunk's writer host (here 0) and the per-host summaries (here one,
+    /// host 0's).
+    pub(crate) fn v7_body(manifest: &Manifest) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_u64_le(manifest.id.0);
+        body.put_u8((manifest.kind == CheckpointKind::Incremental) as u8);
+        body.put_u64_le(manifest.base.map(|b| b.0).unwrap_or(u64::MAX));
+        body.put_u64_le(manifest.iteration);
+        body.put_u64_le(manifest.reader_state.next_batch);
+        body.put_u8(0);
+        body.put_u16_le(manifest.tables.len() as u16);
+        for t in &manifest.tables {
+            body.put_u64_le(t.rows);
+            body.put_u16_le(t.dim);
+            body.put_u8(t.has_optimizer_state as u8);
+        }
+        wire::put_string(&mut body, &manifest.dense.key);
+        body.put_u64_le(manifest.dense.bytes);
+        body.put_u32_le(manifest.dense.bottom_params);
+        body.put_u32_le(manifest.dense.top_params);
+        body.put_u32_le(manifest.chunks.len() as u32);
+        for c in &manifest.chunks {
+            wire::put_string(&mut body, &c.key);
+            body.put_u16_le(0);
+            body.put_u32_le(c.rows);
+            body.put_u64_le(c.bytes);
+            body.put_u32_le(c.parts);
+            body.put_u16_le(c.table);
+            body.put_u32_le(c.first_row);
+            body.put_u32_le(c.last_row);
+        }
+        body.put_u16_le(1);
+        body.put_u16_le(0);
+        body.put_u64_le(manifest.chunks.iter().map(|c| c.rows as u64).sum());
+        body.put_u32_le(manifest.chunks.len() as u32);
+        body.put_u64_le(manifest.payload_bytes);
+        body.put_u32_le(manifest.chunks.iter().map(|c| c.parts).sum());
+        body.put_u64_le(manifest.payload_bytes);
+        let mut out = Vec::new();
+        out.put_u32_le(MAGIC);
+        out.put_u16_le(7);
+        wire::put_framed(&mut out, &body);
+        out
+    }
 
     fn sample_manifest() -> Manifest {
         Manifest {
@@ -904,11 +831,6 @@ mod tests {
             base: Some(CheckpointId(40)),
             iteration: 123_456,
             reader_state: ReaderState::at(123_456),
-            scheme: QuantScheme::AdaptiveAsymmetric {
-                bits: 4,
-                num_bins: 45,
-                ratio: 1.0,
-            },
             tables: vec![
                 TableMeta {
                     rows: 1000,
@@ -930,7 +852,6 @@ mod tests {
             chunks: vec![
                 ChunkMeta {
                     key: "job/ckpt-00000042/shard-000-chunk-000000".into(),
-                    shard: 0,
                     rows: 4096,
                     bytes: 65536,
                     parts: 2,
@@ -940,29 +861,12 @@ mod tests {
                 },
                 ChunkMeta {
                     key: "job/ckpt-00000042/shard-001-chunk-000000".into(),
-                    shard: 1,
                     rows: 100,
                     bytes: 1600,
                     parts: 1,
                     table: 1,
                     first_row: 400,
                     last_row: 499,
-                },
-            ],
-            shards: vec![
-                ShardMeta {
-                    host: 0,
-                    rows: 4096,
-                    chunks: 1,
-                    bytes: 65536,
-                    parts: 2,
-                },
-                ShardMeta {
-                    host: 1,
-                    rows: 100,
-                    chunks: 1,
-                    bytes: 1600,
-                    parts: 1,
                 },
             ],
             payload_bytes: 67136,
@@ -977,37 +881,10 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    #[test]
-    fn manifest_roundtrips_all_schemes() {
-        for scheme in [
-            QuantScheme::Fp32,
-            QuantScheme::Fp16,
-            QuantScheme::Symmetric { bits: 2 },
-            QuantScheme::Asymmetric { bits: 8 },
-            QuantScheme::recommended_for_bits(4),
-        ] {
-            let mut m = sample_manifest();
-            m.scheme = scheme;
-            assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap().scheme, scheme);
-        }
-    }
-
-    /// Scheme tag 3 (k-means) and row tag 2 (its codebook rows) are
-    /// retired: a stored one is corrupt, and the error names the number.
+    /// Row tag 2 (k-means codebook rows) is retired: a stored one is
+    /// corrupt, and the error names the number.
     #[test]
     fn retired_kmeans_tags_are_corrupt_by_number() {
-        let err = decode_scheme(&mut &[3u8, 4][..]).unwrap_err();
-        assert!(
-            matches!(&err, CnrError::Corrupt(why) if why == "bad scheme tag 3"),
-            "{err:?}"
-        );
-        let stored = envelope::wrap(&kmeans_era_body(&sample_manifest()));
-        let err = Manifest::decode(&stored).unwrap_err();
-        assert!(
-            matches!(&err, CnrError::Corrupt(why) if why == "bad scheme tag 3"),
-            "{err:?}"
-        );
-
         // A chunk of two 2-bit codebook rows as the retired encoder framed
         // them: the envelope verifies, the row context does not.
         let bodies = [[0u8; 2 + 4 * 4 + 2]; 2].concat();
@@ -1118,9 +995,9 @@ mod tests {
         let mut bad_magic = body.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Manifest::decode(&envelope::wrap(&bad_magic)).is_err());
-        // Versions 2 to 6 existed once and 8 may one day; only 7 decodes,
+        // Versions 2 to 7 existed once and 9 may one day; only 8 decodes,
         // and the error names the number it found.
-        for version in [2u8, 3, 4, 5, 6, 8, 99] {
+        for version in [2u8, 3, 4, 5, 6, 7, 9, 99] {
             let mut skewed = body.clone();
             skewed[4] = version;
             let err = Manifest::decode(&envelope::wrap(&skewed)).unwrap_err();
@@ -1135,9 +1012,17 @@ mod tests {
                 err.to_string()
             );
         }
-        // A v5 or v6 object (the envelope reads its version before its
+        // A whole v7 body, scheme and shard summaries included, fails by
+        // number before any of its fields is read.
+        let err = Manifest::decode(&envelope::wrap(&v7_body(&sample_manifest()))).unwrap_err();
+        assert!(
+            matches!(&err, CnrError::Corrupt(why)
+                if why == &format!("unsupported manifest version 7 (expected {VERSION})")),
+            "{err:?}"
+        );
+        // A v5 to v8 object (the envelope reads its version before its
         // checksum) fails both stored-object decoders by number.
-        for version in [5u8, 6] {
+        for version in [5u8, 6, 7, 8] {
             let older = |mut object: Vec<u8>| {
                 object[..4].copy_from_slice(&[b'C', b'N', b'R', b'0' + version]);
                 object[4..6].copy_from_slice(&u16::from(version).to_le_bytes());

@@ -103,7 +103,7 @@ use crate::delta_log::{self, WalTail};
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
 use crate::manifest::{CheckpointId, DenseMeta, Manifest};
-use crate::restore::{validate_geometry, validate_shard_summaries, walk_chain, RestoreReport};
+use crate::restore::{validate_geometry, walk_chain, RestoreReport};
 use shard_reader::{DecodedChunk, Fetched, FetchedDense, FetchedSegment, ShardReader};
 use crate::stats::{RestoreMode, RestorePoint, ResumeStats};
 use cnr_cluster::HostKill;
@@ -386,9 +386,6 @@ pub fn restore_sharded_into(
     })?;
     let newest = chain.last().unwrap().clone();
     validate_geometry(&newest, config)?;
-    for manifest in &chain {
-        validate_shard_summaries(manifest)?;
-    }
     // Fetches may not start before the plan that names them exists.
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
@@ -513,7 +510,6 @@ pub fn restore_sharded_into(
     let bytes_read = chunk_bytes + manifest_bytes + dense.bytes;
     let log_bytes = log.as_ref().map_or(0, |log| log.bytes_read);
     let rows_landed = rows_landed.into_inner() + log.as_ref().map_or(0, |log| log.rows_landed);
-    let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
     let fetch_status = fetch_sched.status();
 
@@ -564,9 +560,7 @@ pub fn restore_sharded_into(
                 iteration: newest.iteration,
             },
             reader: newest.reader_state,
-            scheme: newest.scheme,
             rows_applied: merged.rows_applied,
-            shards_merged,
             bytes_read,
             incremental_rows: merged.incremental_rows,
         },
@@ -900,7 +894,6 @@ mod tests {
             assert_eq!(sharded.report.state, serial.state, "hosts={hosts}");
             assert_eq!(sharded.report.chain, serial.chain);
             assert_eq!(sharded.report.rows_applied, serial.rows_applied);
-            assert_eq!(sharded.report.shards_merged, serial.shards_merged);
             assert_eq!(sharded.report.bytes_read, serial.bytes_read);
             assert_eq!(
                 sharded.report.incremental_rows.modified_rows(),
@@ -1235,7 +1228,7 @@ mod tests {
                 let expected = if with_log { &tip } else { &snap.model };
                 assert!(cnr_model::state::ModelState::extract(&state) == *expected, "{what}");
                 (
-                    (report.chain.clone(), report.rows_applied, report.shards_merged),
+                    (report.chain.clone(), report.rows_applied),
                     (report.bytes_read, report.incremental_rows.modified_rows()),
                     (sharded.ready_at, sharded.first_batch_at, sharded.plan_ready_at),
                     simulated.time_to_resume(),
@@ -1509,28 +1502,29 @@ mod tests {
         );
     }
 
-    /// A checkpoint written with the retired k-means scheme (manifest
-    /// scheme tag 3) does not restore — serial, sharded or lazy: the error
-    /// is typed and names the tag.
+    /// A checkpoint whose manifest a v7 writer stored (body v7, with its
+    /// scheme and per-host summaries) does not restore — serial, sharded or
+    /// lazy: the error is typed and names the version.
     #[test]
-    fn a_kmeans_era_checkpoint_is_corrupt_naming_the_tag() {
+    fn a_v7_manifest_is_corrupt_naming_its_version() {
         use cnr_storage::envelope;
         let (model_cfg, snap) = snapshot_after(2, 8);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
         let manifest = crate::restore::load_manifest(&store, "job", CheckpointId(0)).unwrap();
-        let body = crate::manifest::kmeans_era_body(&manifest);
+        let body = crate::manifest::tests::v7_body(&manifest);
         let stored = envelope::wrap_with_flags(&body, envelope::FLAG_MANIFEST);
         store.put(&Manifest::key("job", CheckpointId(0)), stored.into()).unwrap();
-        let names_the_tag =
-            |e: CnrError| matches!(&e, CnrError::Corrupt(why) if why.contains("scheme tag 3"));
+        let names_the_version = |e: CnrError| {
+            matches!(&e, CnrError::Corrupt(why) if why.contains("unsupported manifest version 7 "))
+        };
         let serial = restore(&store, "job", CheckpointId(0), &model_cfg);
-        assert!(names_the_tag(serial.unwrap_err()));
+        assert!(names_the_version(serial.unwrap_err()));
         for lazy in [false, true] {
             let options = RestoreOptions { lazy, ..opts(2) };
             let sharded =
                 restore_sharded(&store, "job", CheckpointId(0), &model_cfg, &options, Duration::ZERO);
-            assert!(names_the_tag(sharded.unwrap_err()), "lazy={lazy}");
+            assert!(names_the_version(sharded.unwrap_err()), "lazy={lazy}");
         }
     }
 

@@ -418,8 +418,7 @@ fn lightest(load: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, DenseMeta, ShardMeta, TableMeta};
-    use cnr_quant::QuantScheme;
+    use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, DenseMeta, TableMeta};
     use cnr_reader::ReaderState;
 
     /// The eager plan: no heat model, every chunk hot.
@@ -453,7 +452,6 @@ mod tests {
             .enumerate()
             .map(|(i, &bytes)| ChunkMeta {
                 key: Manifest::chunk_key("job", CheckpointId(id), 0, i as u32),
-                shard: 0,
                 rows: 8,
                 bytes,
                 parts: 1 + (bytes / 1024) as u32,
@@ -469,7 +467,6 @@ mod tests {
             base: None,
             iteration: 0,
             reader_state: ReaderState::fresh(),
-            scheme: QuantScheme::Fp32,
             tables: vec![TableMeta {
                 rows: 64,
                 dim: 8,
@@ -482,13 +479,6 @@ mod tests {
                 top_params: 0,
             },
             chunks,
-            shards: vec![ShardMeta {
-                host: 0,
-                rows: 8 * sizes.len() as u64,
-                chunks: sizes.len() as u32,
-                bytes: total,
-                parts: 0,
-            }],
             payload_bytes: total,
         }
     }

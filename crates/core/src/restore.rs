@@ -18,7 +18,6 @@ use crate::error::{CnrError, Result};
 use crate::manifest::{CheckpointId, CheckpointKind, ChunkPayload, DenseLayers, Manifest};
 use cnr_model::config::ModelConfig;
 use cnr_model::state::{ModelState, TableState};
-use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
 use cnr_storage::ObjectStore;
 use cnr_tracking::TrackerSnapshot;
@@ -32,17 +31,12 @@ pub struct RestoreReport {
     pub state: ModelState,
     /// Reader position to resume from.
     pub reader: ReaderState,
-    /// Scheme of the newest checkpoint (useful for logging/fallback logic).
-    pub scheme: QuantScheme,
     /// Rows the applied chunks name, with multiplicity: a row three levels
     /// name counts three times. The serial path writes every one of them;
     /// a sharded restore reports the same count for the chunks it placed,
     /// though it skips the older copies of a row undecoded
     /// ([`crate::read::ShardedRestore::rows_landed`] counts what it wrote).
     pub rows_applied: u64,
-    /// Writer-host shards merged across the applied manifests (a
-    /// single-host chain of N checkpoints merges N shards).
-    pub shards_merged: usize,
     /// Logical bytes fetched from the store.
     pub bytes_read: u64,
     /// Union of rows covered by the *incremental* checkpoints in the chain.
@@ -113,29 +107,6 @@ pub(crate) fn validate_geometry(newest: &Manifest, config: &ModelConfig) -> Resu
     Ok(())
 }
 
-/// Shard-merge integrity of one manifest: the per-host summaries must
-/// account for exactly the chunks the manifest references. A mismatch
-/// means a writer host's output was lost after the manifest was written.
-pub(crate) fn validate_shard_summaries(manifest: &Manifest) -> Result<()> {
-    let shard_rows: u64 = manifest.shards.iter().map(|s| s.rows).sum();
-    let chunk_rows: u64 = manifest.chunks.iter().map(|c| c.rows as u64).sum();
-    if shard_rows != chunk_rows {
-        return Err(CnrError::Corrupt(format!(
-            "manifest {} shard summaries cover {shard_rows} rows but chunks cover {chunk_rows}",
-            manifest.id
-        )));
-    }
-    for chunk in &manifest.chunks {
-        if !manifest.shards.iter().any(|s| s.host == chunk.shard) {
-            return Err(CnrError::Corrupt(format!(
-                "chunk {} belongs to unknown shard {}",
-                chunk.key, chunk.shard
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Restores checkpoint `target`, validating geometry against `config`.
 pub fn restore(
     store: &dyn ObjectStore,
@@ -170,10 +141,7 @@ pub fn restore(
     let mut incremental_rows = TrackerSnapshot::empty(&row_counts);
 
     let mut rows_applied = 0u64;
-    let mut shards_merged = 0usize;
     for manifest in &chain_manifests {
-        validate_shard_summaries(manifest)?;
-        shards_merged += manifest.shards.len();
         for chunk_meta in &manifest.chunks {
             let bytes = store.get(&chunk_meta.key)?;
             bytes_read += bytes.len() as u64;
@@ -221,9 +189,7 @@ pub fn restore(
             iteration: newest.iteration,
         },
         reader: newest.reader_state,
-        scheme: newest.scheme,
         rows_applied,
-        shards_merged,
         bytes_read,
         incremental_rows,
     })
@@ -238,6 +204,7 @@ mod tests {
     use crate::write::CheckpointWriter;
     use cnr_cluster::SimClock;
     use cnr_model::{DlrmModel, ShardPlan};
+    use cnr_quant::QuantScheme;
     use cnr_storage::InMemoryStore;
     use cnr_trainer::{Trainer, TrainerConfig};
     use cnr_workload::{DatasetSpec, SyntheticDataset};

@@ -54,16 +54,15 @@ pub use scheduler::UploadScheduler;
 use crate::config::CheckpointConfig;
 use crate::error::{CnrError, Result};
 use crate::hosts::run_hosts;
-use crate::manifest::{CheckpointId, ChunkMeta, DenseLayers, DenseMeta, Manifest, ShardMeta};
+use crate::manifest::{CheckpointId, ChunkMeta, DenseLayers, DenseMeta, Manifest};
 use crate::snapshot::TrainingSnapshot;
 use bytes::Bytes;
 use cnr_cluster::HostKill;
 use cnr_quant::QuantScheme;
 use cnr_storage::ObjectStore;
 use shard_writer::ShardWriter;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Result of writing one checkpoint.
 #[derive(Debug, Clone)]
@@ -83,8 +82,6 @@ pub struct CheckpointRecord {
     /// workers. Not CPU time, despite the name: a worker waiting for a
     /// core counts.
     pub quantize_cpu_time: Duration,
-    /// Wall-clock duration of the whole write call.
-    pub wall_time: Duration,
     /// Multipart parts uploaded into the manifest's chunks.
     pub parts: u32,
     /// Writer hosts that died mid-upload (their remaining rows were
@@ -179,7 +176,6 @@ impl<'a> CheckpointWriter<'a> {
         kill: Option<HostKill>,
         uploads_after: Duration,
     ) -> Result<CheckpointRecord> {
-        let wall_start = Instant::now();
         let issue_time = snapshot.taken_at;
         let quantize_nanos = AtomicU64::new(0);
         let hosts = config.writer_hosts.max(1);
@@ -219,22 +215,6 @@ impl<'a> CheckpointWriter<'a> {
         let payload_bytes: u64 = metas.iter().map(|c| c.bytes).sum();
         let parts: u32 = metas.iter().map(|c| c.parts).sum();
 
-        // --- Per-shard summaries. ---------------------------------------
-        let mut by_host: BTreeMap<u16, ShardMeta> = BTreeMap::new();
-        for c in &metas {
-            let s = by_host.entry(c.shard).or_insert(ShardMeta {
-                host: c.shard,
-                rows: 0,
-                chunks: 0,
-                bytes: 0,
-                parts: 0,
-            });
-            s.rows += c.rows as u64;
-            s.chunks += 1;
-            s.bytes += c.bytes;
-            s.parts += c.parts;
-        }
-
         // --- The dense object over the live uplinks; the manifest last. --
         let layers = DenseLayers {
             id,
@@ -261,11 +241,9 @@ impl<'a> CheckpointWriter<'a> {
             base,
             iteration: snapshot.model.iteration,
             reader_state: snapshot.reader,
-            scheme,
             tables: snapshot.geometry.clone(),
             dense,
             chunks: metas,
-            shards: by_host.into_values().collect(),
             payload_bytes,
         };
         let manifest_key = Manifest::key(&self.job, id);
@@ -283,7 +261,6 @@ impl<'a> CheckpointWriter<'a> {
             completed_at,
             write_latency: completed_at.saturating_sub(issue_time),
             quantize_cpu_time: Duration::from_nanos(quantize_nanos.load(Ordering::Relaxed)),
-            wall_time: wall_start.elapsed(),
             parts,
             killed_hosts,
         })
@@ -314,6 +291,13 @@ mod tests {
             channels: hosts as u32,
         };
         SimulatedRemoteStore::new(config, SimClock::new())
+    }
+
+    /// Chunks of `manifest` that writer host `host` uploaded: its chunk
+    /// keys name it ([`Manifest::chunk_key`]).
+    fn chunks_of(manifest: &Manifest, host: u16) -> usize {
+        let named = format!("/shard-{host:05}-");
+        manifest.chunks.iter().filter(|c| c.key.contains(&named)).count()
     }
 
     fn snapshot_after(batches: u64, kind: CheckpointKind) -> TrainingSnapshot {
@@ -370,10 +354,8 @@ mod tests {
         // 1000 + 500 rows at 128/chunk = 8 + 4 chunks.
         assert_eq!(rec.manifest.chunks.len(), 12);
         assert_eq!(rec.manifest.kind, CheckpointKind::Full);
-        // Single-host write: one shard summary covering everything.
-        assert_eq!(rec.manifest.shards.len(), 1);
-        assert_eq!(rec.manifest.shards[0].rows, total_rows as u64);
-        assert_eq!(rec.manifest.shards[0].chunks, 12);
+        // Single-host write: host 0 uploaded every chunk.
+        assert_eq!(chunks_of(&rec.manifest, 0), 12);
         // Every chunk object exists in the store.
         for c in &rec.manifest.chunks {
             assert_eq!(store.head(&c.key).unwrap().size, c.bytes);
@@ -544,7 +526,7 @@ mod tests {
             let rec = writer
                 .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
                 .unwrap();
-            assert_eq!(rec.manifest.shards.len(), hosts);
+            assert!((0..hosts as u16).all(|h| chunks_of(&rec.manifest, h) > 0));
             restore::restore(&store, "job", CheckpointId(0), &model_cfg)
                 .unwrap()
                 .state
@@ -658,11 +640,9 @@ mod tests {
         let total_rows: u32 = rec.manifest.chunks.iter().map(|c| c.rows).sum();
         assert_eq!(total_rows as usize, snap.delta.total_rows());
         // ...the dead host contributed only its pre-death chunk...
-        let dead = rec.manifest.shards.iter().find(|s| s.host == 2).unwrap();
-        assert_eq!(dead.chunks, 1);
-        // ...survivors adopted the rest (more chunks than originally planned
-        // for at least one of them)...
-        assert!(rec.manifest.shards.len() == 4);
+        assert_eq!(chunks_of(&rec.manifest, 2), 1);
+        // ...survivors adopted the rest...
+        assert!([0, 1, 3].iter().all(|&h| chunks_of(&rec.manifest, h) > 0));
         // ...the aborted in-flight chunk left nothing visible...
         let aborted_key = Manifest::chunk_key("job", CheckpointId(0), 2, 1);
         assert!(store.get(&aborted_key).is_err());

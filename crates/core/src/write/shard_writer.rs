@@ -46,7 +46,6 @@ impl ShardWriter<'_> {
         let (_receipt, parts) = self.scheduler.upload(host, Some(turn), &key, Bytes::from(payload))?;
         Ok(ChunkMeta {
             key,
-            shard: host,
             rows: item.indices.len() as u32,
             bytes,
             parts,

@@ -1,4 +1,4 @@
-//! Self-describing checksummed object envelope (wire v8) — the one stored
+//! Self-describing checksummed object envelope (wire v9) — the one stored
 //! form.
 //!
 //! Production object stores exhibit bit-rot, truncated multipart uploads,
@@ -10,8 +10,8 @@
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
-//!      0     4  magic        b"CNR8"
-//!      4     2  version      u16 LE, = 8
+//!      0     4  magic        b"CNR9"
+//!      4     2  version      u16 LE, = 9
 //!      6     2  flags        u16 LE (bit 0: manifest, bit 1: WAL frame,
 //!                            bit 2: WAL record trailer)
 //!      8     4  payload_len  u32 LE, exact length of payload
@@ -41,16 +41,18 @@
 //! detected — including flips that land on defined flag bits. There is no
 //! other stored form: a buffer that does not start with the magic, carries
 //! another version or fails any check below is [`StorageError::Corrupt`],
-//! which is what sends a reader to another replica. A v7 (or older) object
-//! is rejected here, by version, before any payload codec sees it. The v8
-//! header is the v7 header (and v7 the v6 one, v6 the v5 one) with the new
-//! number: what changed each time is the payload. Since v8 a WAL record is
-//! two frames, its body and a trailer holding the dense layers
+//! which is what sends a reader to another replica. A v8 (or older) object
+//! is rejected here, by version, before any payload codec sees it. The v9
+//! header is the v8 header (and v8 the v7 one, back to v5) with the new
+//! number: what changed each time is the payload. Since v9 a WAL record's
+//! body no longer repeats the quantization scheme (each embedded chunk
+//! frame names its rows' encoding), where v8 stored it. Since v8 a WAL
+//! record is two frames, its body and a trailer holding the dense layers
 //! ([`FLAG_WAL_TRAILER`], see [`crate::wal`]), where v7 stored one frame
 //! per record. Since v7 a chunk frame stores its row indices as runs of
 //! consecutive rows, a head varint and a length varint each
 //! (`cnr_core::wire::put_indices`), where v6 stored a delta varint per row
-//! and v5 a `u32`; no v8 payload codec could read an older chunk.
+//! and v5 a `u32`.
 //!
 //! The parser is hardened against untrusted input: it never panics on
 //! short or garbage buffers, never allocates (it returns subslices), and
@@ -64,12 +66,12 @@ use crate::xxh64::xxh64;
 use crate::{Result, StorageError};
 use bytes::Bytes;
 
-/// Envelope magic: the first four bytes of every v8 object. The last byte
+/// Envelope magic: the first four bytes of every v9 object. The last byte
 /// is the wire version's digit.
-pub const MAGIC: [u8; 4] = *b"CNR8";
+pub const MAGIC: [u8; 4] = *b"CNR9";
 
 /// Envelope wire version.
-pub const VERSION: u16 = 8;
+pub const VERSION: u16 = 9;
 
 /// Envelope header length in bytes.
 pub const HEADER_LEN: usize = 20;
@@ -89,7 +91,7 @@ pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 /// trailer carries no sequence number; see [`crate::wal`].
 pub const FLAG_WAL_TRAILER: u16 = 1 << 2;
 
-/// All flag bits a v8 reader understands; unknown bits are corruption.
+/// All flag bits a v9 reader understands; unknown bits are corruption.
 const KNOWN_FLAGS: u16 = FLAG_MANIFEST | FLAG_WAL_FRAME | FLAG_WAL_TRAILER;
 
 /// The envelope checksum: XXH64 of `payload`, seeded with the header's
@@ -98,7 +100,7 @@ fn envelope_sum(header: &[u8], payload: &[u8]) -> u64 {
     xxh64(payload, read_u64(header, 4))
 }
 
-/// Wraps `payload` in a v8 envelope with the given flags.
+/// Wraps `payload` in a v9 envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.resize(HEADER_LEN, 0);
@@ -133,7 +135,7 @@ pub fn seal_in_place(buf: &mut [u8], flags: u16) {
     header[12..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Wraps `payload` in a v8 envelope with no flags set.
+/// Wraps `payload` in a v9 envelope with no flags set.
 pub fn wrap(payload: &[u8]) -> Vec<u8> {
     wrap_with_flags(payload, 0)
 }
@@ -170,7 +172,7 @@ pub fn object_len(buf: &[u8]) -> Result<usize> {
                 "unsupported envelope version {} (expected {VERSION})",
                 digit - b'0'
             ),
-            _ => "missing v8 envelope magic".to_string(),
+            _ => "missing v9 envelope magic".to_string(),
         }));
     }
     if buf.len() < HEADER_LEN {
@@ -188,10 +190,10 @@ pub fn object_len(buf: &[u8]) -> Result<usize> {
     Ok(HEADER_LEN + read_u32(buf, 8) as usize)
 }
 
-/// Validates the v8 envelope in `buf` and returns `(flags, payload)`.
+/// Validates the v9 envelope in `buf` and returns `(flags, payload)`.
 ///
 /// Errors with [`StorageError::Corrupt`] if the buffer is not a
-/// well-formed, checksum-clean v8 envelope. Never panics and never
+/// well-formed, checksum-clean v9 envelope. Never panics and never
 /// allocates for the payload — the returned slice borrows from `buf`.
 pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     let announced = object_len(buf)?;
@@ -219,7 +221,7 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     Ok((flags, payload))
 }
 
-/// The verified payload of the v8 envelope in `buf`: [`unwrap`] without
+/// The verified payload of the v9 envelope in `buf`: [`unwrap`] without
 /// the flags. This is the call a read site holding borrowed bytes makes
 /// before handing them to a codec.
 pub fn open(buf: &[u8]) -> Result<&[u8]> {
@@ -306,17 +308,30 @@ pub(crate) const V7_WAL_FRAME: &[u8] =
     b"CNR7\x07\x00\x02\x00\x17\x00\x00\x00\x79\xd3\xf4\x0c\x8d\x12\xd0\xa0\
     \x00\x00\x00\x00\x00\x00\x00\x00a v7 WAL record";
 
+/// A chunk as the v8 writer stored it: today's header layout, version 8,
+/// an XXH64 valid for it — so only the version can reject it.
+#[cfg(test)]
+pub(crate) const V8_OBJECT: &[u8] =
+    b"CNR8\x08\x00\x00\x00\x15\x00\x00\x00\xcb\xae\x9e\xd7\xba\x59\x37\x98\
+    written under wire v8";
+
+/// A WAL frame as the v8 writer sealed it (record sequence 0), valid for v8.
+#[cfg(test)]
+pub(crate) const V8_WAL_FRAME: &[u8] =
+    b"CNR8\x08\x00\x02\x00\x17\x00\x00\x00\x93\xff\xd7\x4a\x13\xc8\x5b\x30\
+    \x00\x00\x00\x00\x00\x00\x00\x00a v8 WAL record";
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The v8 layout, field by field: the checksum is XXH64 of the payload
+    /// The v9 layout, field by field: the checksum is XXH64 of the payload
     /// alone, seeded with the version, flags and length as one `u64` LE.
     #[test]
     fn the_header_fields_seed_the_payload_checksum() {
         let payload = b"a payload long enough to take the stripe loop";
         let object = wrap_with_flags(payload, FLAG_MANIFEST);
-        assert_eq!(object[..12], *b"CNR8\x08\x00\x01\x00\x2d\x00\x00\x00");
+        assert_eq!(object[..12], *b"CNR9\x09\x00\x01\x00\x2d\x00\x00\x00");
         let seed = u64::from_le_bytes(object[4..12].try_into().unwrap());
         assert_eq!(object[12..20], xxh64(payload, seed).to_le_bytes());
         assert_eq!(object[20..], payload[..]);
@@ -467,25 +482,51 @@ mod tests {
         assert_rejected_naming_version(V4_OBJECT, 4);
     }
 
-    /// Both v5 forms, each valid for v5: a v8 reader decodes neither.
+    /// Both v5 forms, each valid for v5: a v9 reader decodes neither.
     #[test]
     fn a_v5_envelope_is_rejected_naming_its_version() {
         assert_rejected_naming_version(V5_OBJECT, 5);
         assert_rejected_naming_version(V5_WAL_FRAME, 5);
     }
 
-    /// Both v6 forms, each valid for v6: a v8 reader decodes neither.
+    /// Both v6 forms, each valid for v6: a v9 reader decodes neither.
     #[test]
     fn a_v6_envelope_is_rejected_naming_its_version() {
         assert_rejected_naming_version(V6_OBJECT, 6);
         assert_rejected_naming_version(V6_WAL_FRAME, 6);
     }
 
-    /// Both v7 forms, each valid for v7: a v8 reader decodes neither.
+    /// Both v7 forms, each valid for v7: a v9 reader decodes neither.
     #[test]
     fn a_v7_envelope_is_rejected_naming_its_version() {
         assert_rejected_naming_version(V7_OBJECT, 7);
         assert_rejected_naming_version(V7_WAL_FRAME, 7);
+    }
+
+    /// Both v8 forms, each valid for v8: a v9 reader decodes neither.
+    #[test]
+    fn a_v8_envelope_is_rejected_naming_its_version() {
+        assert_rejected_naming_version(V8_OBJECT, 8);
+        assert_rejected_naming_version(V8_WAL_FRAME, 8);
+    }
+
+    /// The README names the envelope's magic wherever it shows one: every
+    /// `b"CNR…"` literal in it is today's [`MAGIC`].
+    #[test]
+    fn the_readme_names_todays_magic() {
+        let readme = include_str!("../../../README.md");
+        let literals: Vec<&str> = readme
+            .match_indices("b\"CNR")
+            .map(|(at, _)| {
+                let text = &readme[at + 2..];
+                &text[..text.find('"').expect("an unterminated literal")]
+            })
+            .collect();
+        assert!(!literals.is_empty(), "the README shows no envelope magic");
+        let magic = std::str::from_utf8(&MAGIC).unwrap();
+        for literal in literals {
+            assert_eq!(literal, magic, "README.md names a stale envelope magic");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub enum StorageError {
     /// from checkpoint manifests, so an out-of-range request means the
     /// object and its metadata disagree — never silently clamped.
     OutOfRange(String),
-    /// The object's bytes fail their integrity check: a v8 envelope with a
+    /// The object's bytes fail their integrity check: a v9 envelope with a
     /// bad magic/version/length/checksum (see [`envelope`]). Readers treat this
     /// as a damaged replica — retry another — never as data.
     Corrupt(String),

@@ -5,7 +5,7 @@
 //! verification. Production stores rot in the meantime — media decay,
 //! truncated repairs, replicas that diverge. The scrubber is the defense:
 //! it walks live objects *before* a restore needs them, validates each
-//! one's v8 envelope (see [`crate::envelope`]), and repairs what it finds:
+//! one's v9 envelope (see [`crate::envelope`]), and repairs what it finds:
 //!
 //! * **Transit damage** — a read served by a sick replica — heals by
 //!   re-reading: the next read lands on a healthy replica (in simulation,
@@ -35,7 +35,7 @@ use bytes::Bytes;
 pub struct ScrubReport {
     /// Objects examined.
     pub scanned: u64,
-    /// Objects whose v8 envelope verified on first read.
+    /// Objects whose v9 envelope verified on first read.
     pub clean: u64,
     /// Objects whose first read failed envelope verification.
     pub corrupt_detected: u64,
@@ -320,7 +320,7 @@ mod tests {
     }
 
     /// An object left over from wire v3 is not a stored form any more: the
-    /// scrubber reports it, never counts it clean, and — having no v8 copy
+    /// scrubber reports it, never counts it clean, and — having no v9 copy
     /// to write — leaves it as it found it.
     #[test]
     fn a_v3_object_is_reported_never_passed_or_resealed() {
@@ -341,28 +341,30 @@ mod tests {
     }
 
     /// A chunk and a WAL segment of each older wire version, each exactly
-    /// as its writer sealed it: unrepairable without a v8 replica and left
+    /// as its writer sealed it: unrepairable without a v9 replica and left
     /// untouched; with one, healed from it like any damage.
     #[test]
     fn an_older_object_is_unrepairable_without_a_current_replica() {
         let primary = InMemoryStore::new();
-        let segments = [0, 1, 2, 3].map(|index| wal::segment_key("job", index));
+        let segments = [0, 1, 2, 3, 4].map(|index| wal::segment_key("job", index));
         let stored = [
             ("job/0/chunk-0", envelope::V4_OBJECT),
             ("job/1/chunk-0", envelope::V5_OBJECT),
             ("job/2/chunk-0", envelope::V6_OBJECT),
             ("job/3/chunk-0", envelope::V7_OBJECT),
+            ("job/4/chunk-0", envelope::V8_OBJECT),
             (segments[0].as_str(), envelope::V4_WAL_FRAME),
             (segments[1].as_str(), envelope::V5_WAL_FRAME),
             (segments[2].as_str(), envelope::V6_WAL_FRAME),
             (segments[3].as_str(), envelope::V7_WAL_FRAME),
+            (segments[4].as_str(), envelope::V8_WAL_FRAME),
         ];
         for (key, old) in stored {
             primary.put(key, Bytes::from_static(old)).unwrap();
         }
         let keys = stored.map(|(key, _)| key);
         let report = Scrubber::new(&primary).sweep(keys);
-        assert_eq!((report.clean, report.corrupt_detected, report.repaired), (0, 8, 0));
+        assert_eq!((report.clean, report.corrupt_detected, report.repaired), (0, 10, 0));
         assert_eq!(report.unrepairable, keys.map(String::from));
         for (key, old) in stored {
             assert_eq!(primary.get(key).unwrap()[..], *old);
@@ -370,10 +372,10 @@ mod tests {
 
         let chunk = keys[1];
         let replica = InMemoryStore::new();
-        put_enveloped(&replica, chunk, b"written under v8");
+        put_enveloped(&replica, chunk, b"written under v9");
         let report = Scrubber::new(&primary).with_replica(&replica).sweep([chunk]);
         assert_eq!((report.corrupt_detected, report.repaired), (1, 1));
-        assert_eq!(envelope::open(&primary.get(chunk).unwrap()).unwrap(), b"written under v8");
+        assert_eq!(envelope::open(&primary.get(chunk).unwrap()).unwrap(), b"written under v9");
     }
 
     #[test]

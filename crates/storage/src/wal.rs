@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! The log is a run of **segment** objects, each a bare concatenation of
-//! **frames**. Each frame is a standard v8 envelope ([`crate::envelope`])
+//! **frames**. Each frame is a standard v9 envelope ([`crate::envelope`])
 //! carrying [`crate::envelope::FLAG_WAL_FRAME`]. A record is one **body**
 //! frame, optionally followed by one **trailer** frame, which also carries
 //! [`crate::envelope::FLAG_WAL_TRAILER`]:
@@ -1031,7 +1031,7 @@ mod tests {
     fn a_v3_frame_is_a_torn_tail_naming_its_version() {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v8").unwrap();
+        w.append(b"written under v9").unwrap();
         let key = segment_key("job", 0);
         let clean = s.get(&key).unwrap().to_vec();
         for magic in [*b"CNR3", envelope::MAGIC] {
@@ -1044,8 +1044,8 @@ mod tests {
             segment.extend_from_slice(&old);
             s.put(&key, Bytes::from(segment.clone())).unwrap();
             let r = replay(s.as_ref(), "job").unwrap();
-            assert_eq!(r.records.len(), 1, "the v8 prefix replays");
-            assert_eq!(&r.records[0].payload[..], b"written under v8");
+            assert_eq!(r.records.len(), 1, "the v9 prefix replays");
+            assert_eq!(&r.records[0].payload[..], b"written under v9");
             match r.tail {
                 WalTail::Torn { frame_offset, ref reason, .. } => {
                     assert_eq!(frame_offset, clean.len());
@@ -1064,14 +1064,14 @@ mod tests {
     fn assert_torn_tail_naming_version(sealed: &[u8], version: u16) {
         let s = store();
         let mut w = writer(&s);
-        w.append(b"written under v8").unwrap();
+        w.append(b"written under v9").unwrap();
         let key = segment_key("job", 0);
         let mut segment = s.get(&key).unwrap().to_vec();
         let clean_len = segment.len();
         segment.extend_from_slice(sealed);
         s.put(&key, Bytes::from(segment.clone())).unwrap();
         let r = replay(s.as_ref(), "job").unwrap();
-        assert_eq!(r.records.len(), 1, "the v8 prefix replays");
+        assert_eq!(r.records.len(), 1, "the v9 prefix replays");
         let named = format!("unsupported envelope version {version} ");
         match r.tail {
             WalTail::Torn { frame_offset, ref reason, .. } => {
@@ -1104,6 +1104,11 @@ mod tests {
     #[test]
     fn a_v7_frame_is_a_torn_tail_naming_its_version() {
         assert_torn_tail_naming_version(envelope::V7_WAL_FRAME, 7);
+    }
+
+    #[test]
+    fn a_v8_frame_is_a_torn_tail_naming_its_version() {
+        assert_torn_tail_naming_version(envelope::V8_WAL_FRAME, 8);
     }
 
     #[test]

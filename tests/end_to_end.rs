@@ -4,8 +4,10 @@
 use check_n_run::core::{
     CheckpointConfig, CheckpointKind, EngineBuilder, PolicyKind, QuantMode,
 };
+use check_n_run::core::manifest::ChunkPayload;
+use check_n_run::core::restore::load_manifest;
 use check_n_run::model::ModelConfig;
-use check_n_run::quant::QuantScheme;
+use check_n_run::quant::{QuantParams, QuantScheme};
 use check_n_run::storage::ObjectStore;
 use check_n_run::workload::{DatasetSpec, TableAccessSpec};
 
@@ -93,7 +95,20 @@ fn quantized_restore_stays_within_error_bound() {
     e.train_batches(50).unwrap();
     let before = e.evaluate(10_000, 10_020).unwrap();
     let report = e.simulate_failure_and_restore().unwrap();
-    assert_eq!(report.scheme, QuantScheme::Asymmetric { bits: 8 });
+    // Every chunk of the newest checkpoint names its rows' encoding: 8-bit
+    // uniform rows.
+    let newest = *report.chain.last().unwrap();
+    let manifest = load_manifest(e.store().as_ref(), "job", newest).unwrap();
+    assert!(!manifest.chunks.is_empty());
+    for meta in &manifest.chunks {
+        let chunk = ChunkPayload::decode(&e.store().get(&meta.key).unwrap()).unwrap();
+        assert!(
+            chunk.rows.iter().all(|row| row.bits == 8
+                && matches!(row.params, QuantParams::Uniform { .. })),
+            "{}",
+            meta.key
+        );
+    }
     let after = e.evaluate(10_000, 10_020).unwrap();
     assert!(
         (after.logloss - before.logloss).abs() < 0.05,

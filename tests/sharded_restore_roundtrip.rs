@@ -185,7 +185,6 @@ proptest! {
             prop_assert_eq!(&sharded.report.state, &serial.state,
                 "reader_hosts={} decode_workers={}", reader_hosts, decode_workers);
             prop_assert_eq!(sharded.report.rows_applied, serial.rows_applied);
-            prop_assert_eq!(sharded.report.shards_merged, serial.shards_merged);
             prop_assert_eq!(sharded.report.bytes_read, serial.bytes_read);
             prop_assert_eq!(
                 sharded.report.incremental_rows.modified_rows(),
@@ -416,7 +415,6 @@ proptest! {
             prop_assert_eq!(sharded.report.state.iteration, serial.state.iteration);
             prop_assert_eq!(sharded.report.reader, serial.reader);
             prop_assert_eq!(&sharded.report.chain, &serial.chain);
-            prop_assert_eq!(sharded.report.shards_merged, serial.shards_merged);
             prop_assert_eq!(sharded.report.bytes_read, serial.bytes_read, "{}", what);
             prop_assert_eq!(&sharded.report.incremental_rows, &serial.incremental_rows, "{}", what);
         }
@@ -938,4 +936,20 @@ fn a_chunk_the_v6_writer_stored_fails_the_restore_by_version() {
     let chain = OneHotRow::write(&[None], QuantScheme::Fp32);
     chain.replace_cold_chunk(|_| V6_CHUNK.to_vec());
     chain.assert_both_restores_fail("unsupported envelope version 6 ");
+}
+
+/// A chunk frame reads the same under wire v9 as under v8, but a chunk the
+/// v8 writer stored sits behind the v8 envelope: the restore fails it by
+/// version, which is read before the checksum — eagerly, and lazily with
+/// the chunk cold at restore time.
+#[test]
+fn a_chunk_the_v8_writer_stored_fails_the_restore_by_version() {
+    let chain = OneHotRow::write(&[None], QuantScheme::Fp32);
+    chain.replace_cold_chunk(|chunk| {
+        let mut v8 = chunk.encode_enveloped();
+        v8[..4].copy_from_slice(b"CNR8");
+        v8[4..6].copy_from_slice(&8u16.to_le_bytes());
+        v8
+    });
+    chain.assert_both_restores_fail("unsupported envelope version 8 ");
 }

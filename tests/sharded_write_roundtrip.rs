@@ -21,7 +21,7 @@ use check_n_run::cluster::{HostKill, SimClock};
 use check_n_run::core::config::CheckpointConfig;
 use check_n_run::core::manifest::{
     CheckpointId, CheckpointKind, ChunkMeta, ChunkPayload, DenseLayers, DenseMeta, Manifest,
-    ShardMeta, TableMeta,
+    TableMeta,
 };
 use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::restore::restore;
@@ -111,7 +111,7 @@ fn roundtrip(
     baseline: &TrainingSnapshot,
     hosts: usize,
     chunk_rows: usize,
-) -> (ModelState, usize) {
+) -> (ModelState, Vec<CheckpointId>) {
     let store = InMemoryStore::new();
     let writer = CheckpointWriter::new(&store, "job");
     let cfg = CheckpointConfig {
@@ -135,12 +135,11 @@ fn roundtrip(
     let rec = writer
         .write(snap, id, base, QuantScheme::Fp32, &cfg)
         .expect("write");
-    // Shard summaries account for every chunk.
-    let shard_rows: u64 = rec.manifest.shards.iter().map(|s| s.rows).sum();
+    // The chunks account for every row of the delta.
     let chunk_rows_total: u64 = rec.manifest.chunks.iter().map(|c| c.rows as u64).sum();
-    assert_eq!(shard_rows, chunk_rows_total);
+    assert_eq!(chunk_rows_total, snap.delta.modified_rows() as u64);
     let report = restore(&store, "job", id, model_cfg).expect("restore");
-    (report.state, report.shards_merged)
+    (report.state, report.chain)
 }
 
 proptest! {
@@ -160,19 +159,17 @@ proptest! {
         let dim = 1usize << dim_pow;
         let kind = if full == 1 { CheckpointKind::Full } else { CheckpointKind::Incremental };
         let (model_cfg, snap, baseline) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
-        let (single, merged_single) = roundtrip(&model_cfg, &snap, &baseline, 1, chunk_rows);
-        // Full = one manifest, one shard; incremental adds its baseline.
-        prop_assert_eq!(merged_single, if kind == CheckpointKind::Full { 1 } else { 2 });
+        let (single, chain_single) = roundtrip(&model_cfg, &snap, &baseline, 1, chunk_rows);
+        // Full = one manifest; incremental adds its baseline.
+        prop_assert_eq!(chain_single.len(), if kind == CheckpointKind::Full { 1 } else { 2 });
         if kind == CheckpointKind::Full {
             // FP32 full restores are bit-exact against the live model.
             prop_assert_eq!(&single, &snap.model);
         }
         for hosts in [2usize, 4, 7] {
-            let (sharded, merged) = roundtrip(&model_cfg, &snap, &baseline, hosts, chunk_rows);
+            let (sharded, chain) = roundtrip(&model_cfg, &snap, &baseline, hosts, chunk_rows);
             prop_assert_eq!(&sharded, &single, "hosts={}", hosts);
-            // A chain merges the shards of every manifest it applies: up to
-            // `hosts` for the target plus 1 for an incremental's baseline.
-            prop_assert!(merged >= 1 && merged <= hosts + 1);
+            prop_assert_eq!(&chain, &chain_single, "hosts={}", hosts);
         }
     }
 }
@@ -423,7 +420,6 @@ proptest! {
                         base: Some(CheckpointId(0)),
                         iteration: live.iteration,
                         reader_state: ReaderState::at(2),
-                        scheme,
                         tables: TableMeta::for_model(&model_cfg),
                         dense: DenseMeta {
                             key: dense_key,
@@ -432,7 +428,6 @@ proptest! {
                             top_params: live.top.len() as u32,
                         },
                         chunks: rec.manifest.chunks.clone(),
-                        shards: rec.manifest.shards.clone(),
                         payload_bytes: rec.manifest.chunks.iter().map(|c| c.bytes).sum(),
                     };
                     if rec.killed_hosts.is_empty() {
@@ -442,7 +437,6 @@ proptest! {
                                 let bytes = chunk_from_live(&live, dim, *t, run, &scheme).encode_enveloped().len();
                                 ChunkMeta {
                                     key: Manifest::chunk_key("job", id, *h, *seq),
-                                    shard: *h,
                                     rows: run.len() as u32,
                                     bytes: bytes as u64,
                                     parts: bytes.div_ceil(cfg.part_bytes).max(1) as u32,
@@ -453,18 +447,6 @@ proptest! {
                             })
                             .collect();
                         want_manifest.chunks.sort_by(|a, b| a.key.cmp(&b.key));
-                        want_manifest.shards = (0..hosts as u16)
-                            .filter_map(|h| {
-                                let own: Vec<_> = want_manifest.chunks.iter().filter(|c| c.shard == h).collect();
-                                (!own.is_empty()).then(|| ShardMeta {
-                                    host: h,
-                                    rows: own.iter().map(|c| c.rows as u64).sum(),
-                                    chunks: own.len() as u32,
-                                    bytes: own.iter().map(|c| c.bytes).sum(),
-                                    parts: own.iter().map(|c| c.parts).sum(),
-                                })
-                            })
-                            .collect();
                         want_manifest.payload_bytes = want_manifest.chunks.iter().map(|c| c.bytes).sum();
                     }
                     prop_assert_eq!(&rec.manifest, &want_manifest, "{}", what);
