@@ -42,8 +42,8 @@
 //! the `cnr_bench` binary that writes the checked-in `BENCH_restore.json`.
 
 use cnr_bench::trajectory::{
-    chunk_store, decode_snapshot, decode_store, decode_wall_clock, place_wall_clock,
-    restore_snapshot, simulated_ready_to_train,
+    chunk_store, decode_store, decode_trainer, decode_wall_clock, full_snapshot, place_wall_clock,
+    restore_trainer, simulated_ready_to_train,
 };
 use cnr_cluster::SimClock;
 use cnr_core::config::CheckpointConfig;
@@ -66,7 +66,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn restore_scaling(c: &mut Criterion) {
-    let (model_cfg, snap) = restore_snapshot();
+    let (model_cfg, mut trainer) = restore_trainer();
+    let snap = full_snapshot(&mut trainer);
     let mut group = c.benchmark_group("restore");
     group.sample_size(10);
     let mut ready = Vec::new();
@@ -93,7 +94,8 @@ fn decode_scaling(c: &mut Criterion) {
     // `cargo test` runs this in smoke mode (no `--bench` in args): use the
     // quick workload and fewer rounds so the smoke pass stays cheap.
     let full = std::env::args().any(|a| a == "--bench");
-    let (model_cfg, snap) = decode_snapshot(!full);
+    let (model_cfg, mut trainer) = decode_trainer(!full);
+    let snap = full_snapshot(&mut trainer);
     let store = decode_store(&snap);
     let rounds = if full { 5 } else { 2 };
     let serial = decode_wall_clock(&store, &model_cfg, 1, rounds);
@@ -141,7 +143,8 @@ fn decode_scaling(c: &mut Criterion) {
 
 fn drain_scaling(c: &mut Criterion) {
     let full = std::env::args().any(|a| a == "--bench");
-    let (model_cfg, snap) = decode_snapshot(!full);
+    let (model_cfg, mut trainer) = decode_trainer(!full);
+    let snap = full_snapshot(&mut trainer);
     // fp32 in 4096-row chunks: the lazy lifecycle workload's checkpoints.
     let store = chunk_store(&snap, QuantScheme::Fp32);
     let mut group = c.benchmark_group("lazy");

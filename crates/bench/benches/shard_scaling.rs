@@ -13,40 +13,30 @@
 //!   the one-host time ÷ `n`: the write-side mirror of `restore_scaling`'s
 //!   guard.
 
+use cnr_bench::trajectory::full_snapshot;
 use cnr_cluster::SimClock;
 use cnr_core::config::CheckpointConfig;
-use cnr_core::manifest::{CheckpointId, CheckpointKind};
-use cnr_core::policy::{Decision, TrackerAction};
-use cnr_core::snapshot::SnapshotTaker;
+use cnr_core::manifest::CheckpointId;
 use cnr_core::write::CheckpointWriter;
 use cnr_core::TrainingSnapshot;
-use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
+use cnr_model::{DlrmModel, ModelConfig};
 use cnr_quant::QuantScheme;
-use cnr_reader::ReaderState;
 use cnr_storage::{RemoteConfig, SimulatedRemoteStore};
 use cnr_trainer::{Trainer, TrainerConfig};
 use cnr_workload::{DatasetSpec, SyntheticDataset};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-fn snapshot() -> TrainingSnapshot {
+/// A trainer over a tiny model after three batches.
+fn trained() -> Trainer {
     let spec = DatasetSpec::tiny(4242);
     let ds = SyntheticDataset::new(spec.clone());
-    let cfg = ModelConfig::for_dataset(&spec, 16);
-    let model = DlrmModel::new(cfg.clone());
+    let model = DlrmModel::new(ModelConfig::for_dataset(&spec, 16));
     let mut trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
     for i in 0..3 {
         trainer.train_one(&ds.batch(i));
     }
-    SnapshotTaker::new(ShardPlan::balanced(&cfg, 1, 2)).take(
-        &mut trainer,
-        ReaderState::at(3),
-        Decision {
-            kind: CheckpointKind::Full,
-            tracker: TrackerAction::SnapshotReset,
-        },
-        &CheckpointConfig::default(),
-    )
+    trainer
 }
 
 fn write_once(snap: &TrainingSnapshot, hosts: usize) -> Duration {
@@ -72,7 +62,8 @@ fn write_once(snap: &TrainingSnapshot, hosts: usize) -> Duration {
 }
 
 fn shard_scaling(c: &mut Criterion) {
-    let snap = snapshot();
+    let mut trainer = trained();
+    let snap = full_snapshot(&mut trainer);
     let mut group = c.benchmark_group("shard_write");
     group.sample_size(10);
     let mut durable = Vec::new();

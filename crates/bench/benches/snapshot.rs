@@ -1,7 +1,8 @@
-//! Snapshot and writer-pipeline benchmarks: the §4.2 stall path — the
-//! copy `SnapshotTaker::take` makes at a boundary, for a full snapshot and
-//! for an incremental that tracked a twentieth of the rows — and the §4.4
-//! background pipeline.
+//! Snapshot and writer-pipeline benchmarks: the §4.2 stall path — what
+//! `SnapshotTaker::take` does at a boundary (the tracker action, a copy of
+//! the dense layers, the tables lent to the writer), for a full snapshot
+//! and for an incremental that tracked a twentieth of the rows — and the
+//! §4.4 pipeline.
 
 use cnr_bench::workloads::trained_model;
 use cnr_core::config::CheckpointConfig;
@@ -38,7 +39,9 @@ fn snapshot_take(c: &mut Criterion) {
             tracker: TrackerAction::SnapshotKeep,
         };
         group.bench_function(name, |b| {
-            b.iter(|| black_box(taker.take(&mut trainer, ReaderState::at(50), decision, &cfg)))
+            b.iter(|| {
+                black_box(taker.take(&mut trainer, ReaderState::at(50), decision, &cfg));
+            })
         });
     }
     group.finish();

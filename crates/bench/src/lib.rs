@@ -8,8 +8,7 @@
 //! Scale: the paper's model is O(TB) on 128 GPUs; these experiments use
 //! laptop-scale models and report the same *normalized* quantities the
 //! paper plots (% of model size, ℓ2 error, reduction factors), so shapes
-//! are directly comparable. `EXPERIMENTS.md` records paper-vs-measured per
-//! figure.
+//! are directly comparable.
 //!
 //! The motivation figures' models live here too, not in the engine crates:
 //! the Bistro-style fleet [`scheduler`] with its [`job`]s, wasted-work

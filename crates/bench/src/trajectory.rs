@@ -42,7 +42,6 @@ use cnr_core::snapshot::SnapshotTaker;
 use cnr_core::write::shard_writer::encode_chunk;
 use cnr_core::write::{CheckpointWriter, WorkItem};
 use cnr_core::TrainingSnapshot;
-use cnr_model::state::TableState;
 use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_obs::json::escape;
 use cnr_obs::names;
@@ -150,11 +149,8 @@ pub fn to_json(suite: &str, mode: &str, machine: &MachineInfo, records: &[BenchR
     out
 }
 
-fn take_full_snapshot(
-    spec: &DatasetSpec,
-    dim: usize,
-    batches: u64,
-) -> (ModelConfig, TrainingSnapshot) {
+/// A trainer over a `dim`-wide model of `spec` after `batches` batches.
+fn trained(spec: &DatasetSpec, dim: usize, batches: u64) -> (ModelConfig, Trainer) {
     let ds = SyntheticDataset::new(spec.clone());
     let cfg = ModelConfig::for_dataset(spec, dim);
     let model = DlrmModel::new(cfg.clone());
@@ -162,16 +158,22 @@ fn take_full_snapshot(
     for i in 0..batches {
         trainer.train_one(&ds.batch(i));
     }
-    let snap = SnapshotTaker::new(ShardPlan::balanced(&cfg, 1, 2)).take(
-        &mut trainer,
+    (cfg, trainer)
+}
+
+/// A full snapshot of `trainer`, resetting its tracker.
+pub fn full_snapshot(trainer: &mut Trainer) -> TrainingSnapshot<'_> {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    let batches = trainer.model().iteration();
+    SnapshotTaker::new(plan).take(
+        trainer,
         ReaderState::at(batches),
         Decision {
             kind: CheckpointKind::Full,
             tracker: TrackerAction::SnapshotReset,
         },
         &CheckpointConfig::default(),
-    );
-    (cfg, snap)
+    )
 }
 
 /// The restore-scaling checkpoint: small enough to restore in simulated
@@ -180,7 +182,7 @@ fn take_full_snapshot(
 /// workload both host scaling and the lazy first-batch win are visible.
 /// (The old `tiny` workload's 24 chunks made the manifest the bottleneck,
 /// hiding both.)
-pub fn restore_snapshot() -> (ModelConfig, TrainingSnapshot) {
+pub fn restore_trainer() -> (ModelConfig, Trainer) {
     let spec = DatasetSpec {
         seed: 2424,
         batch_size: 16,
@@ -191,12 +193,12 @@ pub fn restore_snapshot() -> (ModelConfig, TrainingSnapshot) {
         ],
         concept_seed: None,
     };
-    take_full_snapshot(&spec, 16, 3)
+    trained(&spec, 16, 3)
 }
 
 /// A checkpoint whose 4-bit decode dominates the restore: the workload of
 /// the serial-vs-threaded decode comparison.
-pub fn decode_snapshot(quick: bool) -> (ModelConfig, TrainingSnapshot) {
+pub fn decode_trainer(quick: bool) -> (ModelConfig, Trainer) {
     let (rows_a, rows_b, dim, batches) = if quick {
         (3_000, 1_500, 16, 1)
     } else {
@@ -212,7 +214,7 @@ pub fn decode_snapshot(quick: bool) -> (ModelConfig, TrainingSnapshot) {
         ],
         concept_seed: None,
     };
-    take_full_snapshot(&spec, dim, batches)
+    trained(&spec, dim, batches)
 }
 
 /// Writes the restore-scaling checkpoint over `hosts` simulated downlinks
@@ -422,7 +424,8 @@ pub fn place_wall_clock(store: &InMemoryStore, model_cfg: &ModelConfig, rounds: 
 /// reader-host count, plus serial-vs-threaded decode wall-clock.
 pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
     let mut records = Vec::new();
-    let (model_cfg, snap) = restore_snapshot();
+    let (model_cfg, mut trainer) = restore_trainer();
+    let snap = full_snapshot(&mut trainer);
     for hosts in [1usize, 2, 4, 8] {
         let t = simulated_ready_to_train(&model_cfg, &snap, hosts);
         records.push(BenchRecord::new(
@@ -447,7 +450,8 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
             .with_ctx(format!("hot_fraction={FIRST_BATCH_HOT_FRACTION}")),
         );
     }
-    let (decode_cfg, decode_snap) = decode_snapshot(quick);
+    let (decode_cfg, mut trainer) = decode_trainer(quick);
+    let decode_snap = full_snapshot(&mut trainer);
     let store = decode_store(&decode_snap);
     let rounds = if quick { 2 } else { 5 };
     for workers in [1usize, 4] {
@@ -498,7 +502,7 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
     // 4096-row chunks, through `encode_chunk`. 3-bit adaptive is the
     // §6.2.1 selector's fallback width.
     let chunks = model_chunks(&model, 4096);
-    let chunked_rows: usize = chunks.iter().map(|(item, _)| item.indices.len()).sum();
+    let chunked_rows: usize = chunks.iter().map(|item| item.indices.len()).sum();
     for (name, scheme) in [
         ("fp32", QuantScheme::Fp32),
         ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
@@ -508,8 +512,9 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
         let mut best = Duration::MAX;
         for _ in 0..rounds {
             let t0 = Instant::now();
-            for (item, slab) in &chunks {
-                std::hint::black_box(encode_chunk(item, slab, &scheme));
+            for item in &chunks {
+                let table = model.tables()[item.table as usize].view();
+                std::hint::black_box(encode_chunk(item, &table, &scheme));
             }
             best = best.min(t0.elapsed());
         }
@@ -522,7 +527,8 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
     // Decode, a chunk at a time, as a restore runs it: the paper's
     // baseline, the binary16 baseline, and the 4-bit codes a
     // consecutive-increment chain restores.
-    let (decode_cfg, decode_snap) = decode_snapshot(quick);
+    let (decode_cfg, mut trainer) = decode_trainer(quick);
+    let decode_snap = full_snapshot(&mut trainer);
     let decoded_rows: usize = decode_cfg.row_counts().iter().sum();
     for (name, scheme) in [
         ("fp32", QuantScheme::Fp32),
@@ -556,24 +562,18 @@ pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
 }
 
 /// Every row of `model`'s tables as `encode_chunk` work items of at most
-/// `chunk_rows` consecutive rows, each with its table's slab.
-fn model_chunks(model: &DlrmModel, chunk_rows: usize) -> Vec<(WorkItem, TableState)> {
+/// `chunk_rows` consecutive rows.
+fn model_chunks(model: &DlrmModel, chunk_rows: usize) -> Vec<WorkItem> {
     let mut chunks = Vec::new();
     for (table, embedding) in model.tables().iter().enumerate() {
-        let slab = TableState {
-            data: embedding.data().to_vec(),
-            adagrad: None,
-        };
         let rows = embedding.rows();
         for start in (0..rows).step_by(chunk_rows) {
             let end = (start + chunk_rows).min(rows);
-            let item = WorkItem {
+            chunks.push(WorkItem {
                 table: table as u16,
                 indices: (start as u32..end as u32).collect(),
-                slab_start: start,
                 dim: embedding.dim(),
-            };
-            chunks.push((item, slab.clone()));
+            });
         }
     }
     chunks
@@ -711,7 +711,8 @@ mod tests {
 
     #[test]
     fn ready_to_train_is_deterministic_and_scales() {
-        let (cfg, snap) = restore_snapshot();
+        let (cfg, mut trainer) = restore_trainer();
+        let snap = full_snapshot(&mut trainer);
         let one = simulated_ready_to_train(&cfg, &snap, 1);
         let eight = simulated_ready_to_train(&cfg, &snap, 8);
         assert!(eight < one, "more downlinks resume sooner: {one:?} vs {eight:?}");
@@ -727,7 +728,8 @@ mod tests {
         // The tentpole acceptance bound: at 8 hosts, lazy first-batch must
         // come in at no more than half of full ready-to-train (simulated
         // clock only — both values are machine-independent).
-        let (cfg, snap) = restore_snapshot();
+        let (cfg, mut trainer) = restore_trainer();
+        let snap = full_snapshot(&mut trainer);
         for hosts in [1usize, 2, 4, 8] {
             let (first, ready) =
                 simulated_first_batch(&cfg, &snap, hosts, FIRST_BATCH_HOT_FRACTION);
@@ -780,7 +782,8 @@ mod tests {
         // The wall-clock numbers vary by machine; the restored state must
         // not. (The proptest suite covers this across geometries — this is
         // the trajectory workload's own sanity check.)
-        let (cfg, snap) = decode_snapshot(true);
+        let (cfg, mut trainer) = decode_trainer(true);
+        let snap = full_snapshot(&mut trainer);
         let store = decode_store(&snap);
         let restore_with = |workers: usize| {
             restore_sharded(

@@ -45,7 +45,7 @@
 //! trailer cannot be had is not live, and the tail ends in front of it.
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{open_frame, CheckpointId, ChunkFrame, ChunkHeader, OpenedChunk};
+use crate::manifest::{chunk_of_rows, open_frame, CheckpointId, ChunkHeader, OpenedChunk};
 use crate::wire;
 use bytes::{BufMut, Bytes};
 use cnr_model::DlrmModel;
@@ -131,13 +131,10 @@ impl DeltaRecord {
                 continue;
             }
             let table = &model.tables()[t];
-            let (chunk, stored) = touched_frame(model, scheme, t, &row_indices);
+            let (chunk, put_rows) =
+                chunk_of_rows(t as u16, &row_indices, table.view(), table.dim(), scheme);
             let mut frame = Vec::with_capacity(chunk.encoded_len());
-            chunk.encode_into(&mut frame, |out| {
-                for &i in &row_indices {
-                    stored.quantize_row_into(table.row(i as usize), out);
-                }
-            });
+            chunk.encode_into(&mut frame, put_rows);
             let header = open_frame(&frame).expect("a captured frame opens");
             chunks.push(DeltaChunk { header, frame });
         }
@@ -175,7 +172,10 @@ impl DeltaRecord {
         // resolved once: it sizes the record and then writes it.
         let chunks: Vec<_> = touched
             .tables()
-            .map(|(t, rows)| touched_frame(model, scheme, t, rows))
+            .map(|(t, rows)| {
+                let table = &model.tables()[t];
+                chunk_of_rows(t as u16, rows, table.view(), table.dim(), scheme)
+            })
             .collect();
         let chunks_len: usize = chunks.iter().map(|(chunk, _)| chunk.encoded_len()).sum();
         let len = 3 * 8 + 2 + chunks_len;
@@ -190,14 +190,8 @@ impl DeltaRecord {
             out.put_u64_le(model.iteration());
             out.put_u64_le(reader_next);
             out.put_u16_le(chunks.len() as u16);
-            for (chunk, stored) in chunks {
-                let table = &model.tables()[chunk.table as usize];
-                let rows = chunk.row_indices;
-                chunk.encode_into(out, |out| {
-                    for &i in rows {
-                        stored.quantize_row_into(table.row(i as usize), out);
-                    }
-                });
+            for (chunk, put_rows) in chunks {
+                chunk.encode_into(out, put_rows);
             }
         };
         Ok(wal.append_with(len, body, Some((trailer_len, trailer)))?)
@@ -571,29 +565,6 @@ impl TouchedRows {
     }
 }
 
-/// The chunk of table `t`'s touched `rows`, as the chunk layout's single
-/// writer takes it — accumulators gathered from the table as they are
-/// written — and the scheme its rows' values store them under
-/// ([`QuantScheme::stored_for`]).
-fn touched_frame<'a>(
-    model: &'a DlrmModel,
-    scheme: &QuantScheme,
-    t: usize,
-    rows: &'a [u32],
-) -> (
-    ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a>,
-    QuantScheme,
-) {
-    let table = &model.tables()[t];
-    let stored = scheme.stored_for(rows.iter().map(|&i| table.row(i as usize)));
-    let accumulators = table
-        .adagrad()
-        .map(|acc| rows.iter().map(move |&i| acc[i as usize]));
-    let frame = ChunkFrame::quantized(t as u16, rows, accumulators, &stored, table.dim());
-    (frame, stored)
-}
-
-
 #[cfg(test)]
 impl DeltaChunk {
     /// The frame of this chunk with `edit` applied to its row indices,
@@ -607,7 +578,7 @@ impl DeltaChunk {
         let mut acc = header.optimizer_state.clone();
         let mut bodies = self.opened().bodies.to_vec();
         edit(&mut rows, &mut acc, &mut bodies);
-        let frame = ChunkFrame {
+        let frame = crate::manifest::ChunkFrame {
             table: header.table,
             row_indices: &rows,
             optimizer_state: acc.as_ref().map(|acc| acc.iter().copied()),
@@ -1014,7 +985,7 @@ mod tests {
                 params.into_iter().chain(body[4..].iter().copied())
             })
             .collect();
-        let frame = ChunkFrame {
+        let frame = crate::manifest::ChunkFrame {
             table: header.table,
             row_indices: &header.row_indices,
             optimizer_state: header.optimizer_state.as_ref().map(|acc| acc.iter().copied()),

@@ -444,16 +444,17 @@ impl Engine {
         }
 
         let writer = CheckpointWriter::new(self.store.as_ref(), &self.job);
-        let record = writer
-            .write_overlapping(&snapshot, id, base, scheme, &self.config, kill, uploads_after)
-            // The snapshot may have reset the tracker, and nothing was
-            // stored: the rows it took go back, or the retried incremental
-            // would leave them out and a later restore be silently stale.
-            // (A failed full marks every row — a superset; the retry is a
-            // full again and resets it.) Policy, baseline and durability
-            // point have not moved; the debris is the next registration's
-            // orphan sweep's.
-            .inspect_err(|_| self.mark_rows(&snapshot.delta))?;
+        let written =
+            writer.write_overlapping(&snapshot, id, base, scheme, &self.config, kill, uploads_after);
+        let (stall, delta) = (snapshot.stall, snapshot.delta);
+        // The tables are the trainer's again. On a failed write the snapshot
+        // may have reset the tracker, and nothing was stored: the rows it
+        // took go back, or the retried incremental would leave them out and
+        // a later restore be silently stale. (A failed full marks every row
+        // — a superset; the retry is a full again and resets it.) Policy,
+        // baseline and durability point have not moved; the debris is the
+        // next registration's orphan sweep's.
+        let record = written.inspect_err(|_| self.mark_rows(&delta))?;
         self.uploads_durable_at = record.completed_at;
 
         // Feed the intermittent predictor with the size as a fraction of the
@@ -500,7 +501,7 @@ impl Engine {
             capacity_bytes: self.controller.live_bytes(),
             capacity_fraction: self.controller.live_bytes() as f64 / full_ref,
             write_latency: record.write_latency,
-            stall: snapshot.stall,
+            stall,
             quantize_cpu_time: record.quantize_cpu_time,
         };
         observe::record_interval(&self.obs, &row);

@@ -38,7 +38,7 @@
 use crate::error::{CnrError, Result};
 use crate::wire;
 use bytes::BufMut;
-use cnr_model::ModelConfig;
+use cnr_model::{ModelConfig, TableView};
 use cnr_storage::envelope;
 use cnr_quant::codec::RowDecoder;
 use cnr_quant::{QuantScheme, QuantizedRow};
@@ -209,48 +209,60 @@ impl Manifest {
     /// Serializes the manifest body (magic, version, framed fields) — the
     /// payload [`Manifest::encode_enveloped`] wraps.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u64_le(self.id.0);
-        body.put_u8(match self.kind {
-            CheckpointKind::Full => 0,
-            CheckpointKind::Incremental => 1,
-        });
-        body.put_u64_le(self.base.map(|b| b.0).unwrap_or(u64::MAX));
-        body.put_u64_le(self.iteration);
-        body.put_u64_le(self.reader_state.next_batch);
-        body.put_u16_le(self.tables.len() as u16);
-        for t in &self.tables {
-            body.put_u64_le(t.rows);
-            body.put_u16_le(t.dim);
-            body.put_u8(t.has_optimizer_state as u8);
-        }
-        wire::put_string(&mut body, &self.dense.key);
-        body.put_u64_le(self.dense.bytes);
-        body.put_u32_le(self.dense.bottom_params);
-        body.put_u32_le(self.dense.top_params);
-        body.put_u32_le(self.chunks.len() as u32);
-        for c in &self.chunks {
-            wire::put_string(&mut body, &c.key);
-            body.put_u32_le(c.rows);
-            body.put_u64_le(c.bytes);
-            body.put_u32_le(c.parts);
-            body.put_u16_le(c.table);
-            body.put_u32_le(c.first_row);
-            body.put_u32_le(c.last_row);
-        }
-        body.put_u64_le(self.payload_bytes);
+        self.encode_enveloped().split_off(envelope::HEADER_LEN)
+    }
 
-        let mut out = Vec::with_capacity(4 + 2 + wire::FRAME_OVERHEAD + body.len());
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION);
-        wire::put_framed(&mut out, &body);
-        out
+    /// Bytes [`Manifest::encode`] returns, counted without encoding: 77
+    /// fixed, 11 a table, 30 a chunk, and the keys.
+    pub fn encoded_len(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(|c| 30 + c.key.len()).sum();
+        77 + 11 * self.tables.len() + self.dense.key.len() + chunks
     }
 
     /// Serializes the manifest wrapped in the v9 storage envelope — the
-    /// bytes the write path actually stores.
+    /// bytes the write path actually stores — in one exactly sized buffer:
+    /// the body is written behind the reserved envelope header and sealed
+    /// in place.
     pub fn encode_enveloped(&self) -> Vec<u8> {
-        envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
+        let len = envelope::HEADER_LEN + self.encoded_len();
+        let mut out = Vec::with_capacity(len);
+        out.resize(envelope::HEADER_LEN, 0);
+        out.put_u32_le(MAGIC);
+        out.put_u16_le(VERSION);
+        let frame = wire::begin_frame(&mut out);
+        out.put_u64_le(self.id.0);
+        out.put_u8(match self.kind {
+            CheckpointKind::Full => 0,
+            CheckpointKind::Incremental => 1,
+        });
+        out.put_u64_le(self.base.map(|b| b.0).unwrap_or(u64::MAX));
+        out.put_u64_le(self.iteration);
+        out.put_u64_le(self.reader_state.next_batch);
+        out.put_u16_le(self.tables.len() as u16);
+        for t in &self.tables {
+            out.put_u64_le(t.rows);
+            out.put_u16_le(t.dim);
+            out.put_u8(t.has_optimizer_state as u8);
+        }
+        wire::put_string(&mut out, &self.dense.key);
+        out.put_u64_le(self.dense.bytes);
+        out.put_u32_le(self.dense.bottom_params);
+        out.put_u32_le(self.dense.top_params);
+        out.put_u32_le(self.chunks.len() as u32);
+        for c in &self.chunks {
+            wire::put_string(&mut out, &c.key);
+            out.put_u32_le(c.rows);
+            out.put_u64_le(c.bytes);
+            out.put_u32_le(c.parts);
+            out.put_u16_le(c.table);
+            out.put_u32_le(c.first_row);
+            out.put_u32_le(c.last_row);
+        }
+        out.put_u64_le(self.payload_bytes);
+        wire::end_frame(&mut out, frame);
+        debug_assert_eq!(out.len(), len, "manifest was not sized exactly");
+        envelope::seal_in_place(&mut out, envelope::FLAG_MANIFEST);
+        out
     }
 
     /// Parses and verifies a stored manifest
@@ -336,9 +348,9 @@ impl Manifest {
 
     /// Total bytes of this checkpoint as stored (manifest, dense object
     /// and chunks). The manifest is stored enveloped, so the envelope
-    /// header is included.
+    /// header is included; nothing is encoded to count it.
     pub fn total_bytes(&self) -> u64 {
-        self.payload_bytes + self.dense.bytes + self.encode_enveloped().len() as u64
+        self.payload_bytes + self.dense.bytes + (envelope::HEADER_LEN + self.encoded_len()) as u64
     }
 }
 
@@ -463,7 +475,8 @@ const CHUNK_HEADER_LEN: usize = 2 + 4 + 1 + 1 + 1 + 2;
 /// quantize-and-encode ([`crate::write::shard_writer::encode_chunk`]) and
 /// the WAL delta record ([`crate::delta_log`]) all go through
 /// [`ChunkFrame::encode_into`], so they produce the same bytes by
-/// construction.
+/// construction; the last two build it over a table's rows with
+/// [`chunk_of_rows`].
 pub(crate) struct ChunkFrame<'a, A> {
     pub table: u16,
     pub row_indices: &'a [u32],
@@ -476,36 +489,6 @@ pub(crate) struct ChunkFrame<'a, A> {
 }
 
 impl<'a, A: ExactSizeIterator<Item = f32>> ChunkFrame<'a, A> {
-    /// The frame of the rows `row_indices` names, `dim` values each,
-    /// quantized under `stored` — the scheme [`QuantScheme::stored_for`]
-    /// resolved from their values: the row context and body bytes it
-    /// records. An empty chunk records [`RowContext::EMPTY`].
-    pub(crate) fn quantized(
-        table: u16,
-        row_indices: &'a [u32],
-        optimizer_state: Option<A>,
-        stored: &QuantScheme,
-        dim: usize,
-    ) -> Self {
-        let count = row_indices.len();
-        let rows = if count == 0 {
-            RowContext::EMPTY
-        } else {
-            RowContext {
-                tag: stored.kind_tag(),
-                bits: stored.bits(),
-                dim: dim as u16,
-            }
-        };
-        Self {
-            table,
-            row_indices,
-            optimizer_state,
-            rows,
-            rows_len: count * stored.body_len(dim),
-        }
-    }
-
     /// Bytes [`ChunkFrame::encode_into`] appends.
     pub(crate) fn encoded_len(&self) -> usize {
         let accumulators = 4 * self.row_indices.len() * self.optimizer_state.is_some() as usize;
@@ -553,6 +536,36 @@ impl<'a, A: ExactSizeIterator<Item = f32>> ChunkFrame<'a, A> {
         envelope::seal_in_place(&mut out, 0);
         out
     }
+}
+
+/// The chunk of the rows `rows` names of `table` (table number `t`, `dim`
+/// values a row), read straight from the table by row index: its frame —
+/// accumulators gathered as they are written, the row context of the
+/// scheme the rows' values store them under, resolved once
+/// ([`QuantScheme::stored_for`]; an empty chunk records
+/// [`RowContext::EMPTY`]) — and the writer of its row bodies, one slice per
+/// run of consecutive rows ([`wire::row_runs`]): a full checkpoint's chunk
+/// is one run, and an fp32 run one copy. Byte for byte what
+/// `QuantScheme::quantize_row` of each row stores, as rows are quantized
+/// one at a time.
+pub(crate) fn chunk_of_rows<'a>(
+    t: u16,
+    rows: &'a [u32],
+    table: TableView<'a>,
+    dim: usize,
+    scheme: &QuantScheme,
+) -> (ChunkFrame<'a, impl ExactSizeIterator<Item = f32> + 'a>, impl FnOnce(&mut Vec<u8>) + 'a) {
+    let runs = move || wire::row_runs(rows).map(move |run| &table.data[run.start * dim..run.end * dim]);
+    let stored = scheme.stored_for(runs());
+    let context = RowContext { tag: stored.kind_tag(), bits: stored.bits(), dim: dim as u16 };
+    let frame = ChunkFrame {
+        table: t,
+        row_indices: rows,
+        optimizer_state: table.adagrad.map(|acc| rows.iter().map(move |&row| acc[row as usize])),
+        rows: if rows.is_empty() { RowContext::EMPTY } else { context },
+        rows_len: rows.len() * stored.body_len(dim),
+    };
+    (frame, move |out: &mut Vec<u8>| runs().for_each(|values| stored.quantize_rows_into(values, dim, out)))
 }
 
 /// The header of an opened chunk frame: everything of the chunk except its
@@ -1221,11 +1234,15 @@ pub(crate) mod tests {
 
     #[test]
     fn total_bytes_includes_manifest() {
-        let m = sample_manifest();
-        assert_eq!(
-            m.total_bytes(),
-            m.payload_bytes + m.dense.bytes + m.encode_enveloped().len() as u64
-        );
+        let mut bare = sample_manifest();
+        (bare.tables, bare.chunks, bare.dense.key) = (Vec::new(), Vec::new(), String::new());
+        for m in [sample_manifest(), bare] {
+            let stored = m.encode_enveloped();
+            assert_eq!(m.total_bytes(), m.payload_bytes + m.dense.bytes + stored.len() as u64);
+            assert_eq!(m.encoded_len(), m.encode().len());
+            // Sealed in place: the bytes the body wrapped after the fact makes.
+            assert_eq!(stored, envelope::wrap_with_flags(&m.encode(), envelope::FLAG_MANIFEST));
+        }
     }
 
     /// Layers of `sample_manifest`'s checkpoint, and that manifest

@@ -786,7 +786,7 @@ mod tests {
     use crate::restore::restore;
     use crate::snapshot::{SnapshotTaker, TrainingSnapshot};
     use cnr_cluster::SimClock;
-    use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
+    use cnr_model::{DlrmModel, ModelConfig, ModelState, ShardPlan, TableState};
     use cnr_quant::QuantScheme;
     use cnr_reader::ReaderState;
     use cnr_storage::{
@@ -795,35 +795,41 @@ mod tests {
     use cnr_workload::{DatasetSpec, SyntheticDataset};
     use std::collections::BTreeSet;
 
-    fn snapshot_after(batches: u64, dim: usize) -> (ModelConfig, TrainingSnapshot) {
+    fn snapshot_after(batches: u64, dim: usize) -> (ModelConfig, ModelState) {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), dim);
-        let (snap, _) = snapshot_of(cfg.clone(), batches);
-        (cfg, snap)
+        let (saved, _) = snapshot_of(cfg.clone(), batches);
+        (cfg, saved)
     }
 
-    /// A full snapshot of a `cfg` model trained on `batches` batches of
-    /// the tests' dataset, and the model it was taken of.
-    fn snapshot_of(cfg: ModelConfig, batches: u64) -> (TrainingSnapshot, DlrmModel) {
+    /// The state of a `cfg` model trained on `batches` batches of the
+    /// tests' dataset, and the model.
+    fn snapshot_of(cfg: ModelConfig, batches: u64) -> (ModelState, DlrmModel) {
         let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
-        let model = DlrmModel::new(cfg.clone());
-        let mut trainer = cnr_trainer::Trainer::new(
-            model,
-            SimClock::new(),
-            cnr_trainer::TrainerConfig::default(),
-        );
+        let mut model = DlrmModel::new(cfg);
         for i in 0..batches {
-            trainer.train_one(&ds.batch(i));
+            model.train_batch(&ds.batch(i), |_, _| {});
         }
-        let snap = SnapshotTaker::new(ShardPlan::balanced(&cfg, 1, 2)).take(
-            &mut trainer,
-            ReaderState::at(batches),
-            Decision {
-                kind: CheckpointKind::Full,
-                tracker: TrackerAction::SnapshotReset,
+        (ModelState::extract(&model), model)
+    }
+
+    /// A full snapshot of `saved`, the state of a `cfg` model, over tables
+    /// the test holds: what `SnapshotTaker::take` records at its iteration.
+    fn full_snapshot<'s>(cfg: &ModelConfig, saved: &'s ModelState) -> TrainingSnapshot<'s> {
+        TrainingSnapshot {
+            model: ModelState {
+                tables: Vec::new(),
+                bottom: saved.bottom.clone(),
+                top: saved.top.clone(),
+                iteration: saved.iteration,
             },
-            &CheckpointConfig::default(),
-        );
-        (snap, trainer.model().clone())
+            tables: saved.tables.iter().map(TableState::view).collect(),
+            geometry: crate::manifest::TableMeta::for_model(cfg),
+            delta: cnr_tracking::TrackerSnapshot::full(&cfg.row_counts()),
+            reader: ReaderState::at(saved.iteration),
+            kind: CheckpointKind::Full,
+            taken_at: Duration::ZERO,
+            stall: Duration::ZERO,
+        }
     }
 
     fn write_to(store: &dyn cnr_storage::ObjectStore, snap: &TrainingSnapshot, hosts: usize) {
@@ -877,7 +883,8 @@ mod tests {
 
     #[test]
     fn sharded_restore_matches_serial_report() {
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 3);
         let serial = restore(&store, "job", CheckpointId(0), &model_cfg).unwrap();
@@ -921,7 +928,8 @@ mod tests {
 
     #[test]
     fn eight_reader_hosts_reach_ready_to_train_sooner() {
-        let (model_cfg, snap) = snapshot_after(3, 16);
+        let (model_cfg, saved) = snapshot_after(3, 16);
+        let snap = full_snapshot(&model_cfg, &saved);
         let ready_with = |hosts: usize| {
             let store = remote(hosts, 50);
             write_to(&store, &snap, 1); // written single-host either way
@@ -937,7 +945,7 @@ mod tests {
                 write_drained,
             )
             .unwrap();
-            assert_eq!(sharded.report.state, snap.model, "fp32 bit-exact");
+            assert_eq!(sharded.report.state, saved, "fp32 bit-exact");
             sharded.ready_at.saturating_sub(write_drained)
         };
         let one = ready_with(1);
@@ -950,7 +958,8 @@ mod tests {
 
     #[test]
     fn killed_reader_host_reshards_onto_survivors() {
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 2);
         let kill = HostKill {
@@ -978,7 +987,8 @@ mod tests {
 
     #[test]
     fn all_reader_hosts_dead_is_an_error() {
-        let (model_cfg, snap) = snapshot_after(2, 8);
+        let (model_cfg, saved) = snapshot_after(2, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
         let result = restore_sharded_with_heat(
@@ -999,7 +1009,8 @@ mod tests {
 
     #[test]
     fn transient_read_failures_heal_under_retries() {
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(5))]);
@@ -1017,14 +1028,15 @@ mod tests {
             Duration::ZERO,
         )
         .unwrap();
-        assert_eq!(sharded.report.state, snap.model);
+        assert_eq!(sharded.report.state, saved);
         assert!(sharded.fetch_status.retries_performed > 0);
         assert!(store.injected(0) > 0);
     }
 
     #[test]
     fn invalid_options_are_rejected() {
-        let (model_cfg, snap) = snapshot_after(1, 8);
+        let (model_cfg, saved) = snapshot_after(1, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
         for bad in [
@@ -1065,7 +1077,8 @@ mod tests {
 
     #[test]
     fn decode_workers_do_not_change_the_result() {
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 3);
         let run = |workers: usize| {
@@ -1155,7 +1168,8 @@ mod tests {
     #[test]
     fn fetch_timing_does_not_depend_on_the_decode_workers() {
         let model_cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
-        let (snap, mut tip) = snapshot_of(model_cfg.clone(), 3);
+        let (saved, mut tip) = snapshot_of(model_cfg.clone(), 3);
+        let snap = full_snapshot(&model_cfg, &saved);
         let log = logged_past(&mut tip, 3);
         let tip = cnr_model::state::ModelState::extract(&tip);
         let heat = RowHeat::zipf(&model_cfg.row_counts(), 1.05);
@@ -1225,7 +1239,7 @@ mod tests {
                     tail.drain(&mut state).unwrap();
                     pending
                 });
-                let expected = if with_log { &tip } else { &snap.model };
+                let expected = if with_log { &tip } else { &saved };
                 assert!(cnr_model::state::ModelState::extract(&state) == *expected, "{what}");
                 (
                     (report.chain.clone(), report.rows_applied),
@@ -1265,7 +1279,8 @@ mod tests {
     #[test]
     fn the_log_heads_the_lightest_hosts_lists_and_rides_their_downlinks() {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
-        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let (saved, mut tip) = snapshot_of(cfg.clone(), 3);
+        let snap = full_snapshot(&cfg, &saved);
         let k = 5;
         let log = logged_past(&mut tip, k);
         let store = std::sync::Arc::new(remote(2, 50));
@@ -1360,7 +1375,8 @@ mod tests {
     #[test]
     fn lazy_restore_plus_drain_is_bit_identical_to_eager() {
         use cnr_model::state::ModelState;
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 2);
         let eager = restore_sharded(
@@ -1435,7 +1451,8 @@ mod tests {
 
     #[test]
     fn lazy_restore_reaches_first_batch_before_full_ready() {
-        let (model_cfg, snap) = snapshot_after(3, 16);
+        let (model_cfg, saved) = snapshot_after(3, 16);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = remote(2, 50);
         write_to(&store, &snap, 1);
         let write_drained = store.wait_for_drain();
@@ -1472,7 +1489,8 @@ mod tests {
     #[test]
     fn restore_heals_a_corrupt_read_and_reports_it() {
         use cnr_storage::CorruptionKind;
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         let clean = restore(&inner, "job", CheckpointId(0), &model_cfg).unwrap();
@@ -1508,7 +1526,8 @@ mod tests {
     #[test]
     fn a_v7_manifest_is_corrupt_naming_its_version() {
         use cnr_storage::envelope;
-        let (model_cfg, snap) = snapshot_after(2, 8);
+        let (model_cfg, saved) = snapshot_after(2, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
         let manifest = crate::restore::load_manifest(&store, "job", CheckpointId(0)).unwrap();
@@ -1532,7 +1551,8 @@ mod tests {
     fn unhealable_corruption_fails_the_restore_with_a_typed_error() {
         use crate::error::CnrError;
         use cnr_storage::CorruptionKind;
-        let (model_cfg, snap) = snapshot_after(3, 8);
+        let (model_cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&model_cfg, &saved);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         // Every replica of every chunk read is damaged: no retry budget
@@ -1567,7 +1587,8 @@ mod tests {
         scheme: QuantScheme,
         log: impl FnOnce(&[DeltaRecord]) -> Vec<Vec<u8>>,
     ) -> (std::sync::Arc<InMemoryStore>, Vec<DeltaRecord>) {
-        let (snap, mut model) = snapshot_of(cfg.clone(), 3);
+        let (saved, mut model) = snapshot_of(cfg.clone(), 3);
+        let snap = full_snapshot(cfg, &saved);
         let store = std::sync::Arc::new(InMemoryStore::new());
         write_to(store.as_ref(), &snap, 2);
         let ds = SyntheticDataset::new(DatasetSpec::tiny(321));
@@ -1791,7 +1812,8 @@ mod tests {
     /// nothing more than one that is not: the same clocks and fetches.
     #[test]
     fn an_empty_log_costs_no_read() {
-        let (cfg, snap) = snapshot_after(3, 8);
+        let (cfg, saved) = snapshot_after(3, 8);
+        let snap = full_snapshot(&cfg, &saved);
         let restore = |replay_wal: bool| {
             let store = remote(2, 20_000);
             write_to(&store, &snap, 2);
@@ -1836,7 +1858,8 @@ mod tests {
     #[test]
     fn a_trailer_left_unread_is_read_after_the_walk() {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
-        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let (saved, mut tip) = snapshot_of(cfg.clone(), 3);
+        let snap = full_snapshot(&cfg, &saved);
         let mut in_order = vec![tip.clone()];
         let log = logged_past(&mut tip, 4); // iterations 4..=7
         for payload in &log[..3] {
@@ -1979,7 +2002,8 @@ mod tests {
     #[test]
     fn a_host_whose_only_item_is_a_gone_segment_frees_at_the_plan() {
         let cfg = ModelConfig::for_dataset(&DatasetSpec::tiny(321), 16);
-        let (snap, mut tip) = snapshot_of(cfg.clone(), 3);
+        let (saved, mut tip) = snapshot_of(cfg.clone(), 3);
+        let snap = full_snapshot(&cfg, &saved);
         let log = logged_past(&mut tip, 3);
         let first = cnr_storage::wal::segment_key("job", 0);
         let gone = Fault::gone(Op::Read, FailureMode::Every(1)).on_keys(first.clone());
@@ -2231,7 +2255,8 @@ mod tests {
     /// manifests is fetched, instead of panicking when the layers are set.
     #[test]
     fn other_mlps_than_the_models_fail_typed_before_any_fetch() {
-        let (written, snap) = snapshot_after(2, 8);
+        let (written, saved) = snapshot_after(2, 8);
+        let snap = full_snapshot(&written, &saved);
         let inner = InMemoryStore::new();
         write_to(&inner, &snap, 2);
         let store = FlakyStore::new(
@@ -2259,7 +2284,7 @@ mod tests {
         // The model it was written by restores.
         let restored =
             restore_sharded(store.inner(), "job", CheckpointId(0), &written, &opts(2), Duration::ZERO);
-        assert_eq!(restored.unwrap().report.state, snap.model);
+        assert_eq!(restored.unwrap().report.state, saved);
     }
 
     /// The newest level's dense object must be its own: another

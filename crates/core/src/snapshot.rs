@@ -1,51 +1,52 @@
 //! Atomic in-memory snapshots (§4.2, *decoupled checkpointing*).
 //!
 //! Training stalls only while the model state is copied from (simulated)
-//! device memory to host memory; everything downstream — quantization,
-//! serialization, upload — happens in background processes against the
-//! immutable copy. All devices copy their shards concurrently, so the stall
-//! is bounded by the largest shard, not the model size: the reason the
-//! paper's stall stays <7 s on 128 GPUs regardless of scale.
+//! device memory to host memory; quantization, serialization and upload
+//! then work from that host copy. All devices copy their shards
+//! concurrently, so the stall is bounded by the largest shard, not the
+//! model size: the reason the paper's stall stays <7 s on 128 GPUs
+//! regardless of scale.
 //!
-//! **The copy holds exactly what the checkpoint writes.** A snapshot's
-//! tables are *slabs*: for every table, the rows its `delta` names and no
-//! others, densely packed in ascending row order (accumulators alike). A
-//! full snapshot names every row, so its slab is the table; an incremental
-//! one costs what the interval modified (§3), on the real clock as well as
-//! in stored bytes. The dense layers, the iteration counter and the reader
-//! position are always whole.
+//! **The host copy is the trainer's own tables.** A snapshot borrows them
+//! for as long as it lives, and the writer quantizes each chunk straight
+//! from the rows the delta names, by table-absolute row index: no
+//! embedding row is copied before it is encoded. The borrow is what makes
+//! a copy unnecessary — while a snapshot lives the trainer cannot train,
+//! so the rows cannot move under the writer, and the compiler checks it.
+//! The dense layers, the iteration counter and the reader position are
+//! copied whole; they are small.
 //!
-//! The *simulated* stall is a different thing and does not depend on the
-//! bytes copied here: it models the paper's device→host copy of the largest
-//! shard ([`CheckpointConfig::snapshot_stall`]), which the production
-//! system pays at every boundary whatever the checkpoint then stores.
+//! The *simulated* stall does not depend on what is copied here: it
+//! models the paper's device→host copy of the largest shard
+//! ([`CheckpointConfig::snapshot_stall`]), which the production system
+//! pays at every boundary whatever the checkpoint then stores.
 
 use crate::config::CheckpointConfig;
 use crate::manifest::{CheckpointKind, TableMeta};
 use crate::policy::{Decision, TrackerAction};
-use cnr_model::{EmbeddingTable, ModelState, ShardPlan, TableState};
+use cnr_model::{EmbeddingTable, ModelState, ShardPlan, TableView};
 use cnr_reader::ReaderState;
-use cnr_tracking::{BitVec, TrackerSnapshot};
+use cnr_tracking::TrackerSnapshot;
 use cnr_trainer::Trainer;
 use std::time::Duration;
 
-/// Everything a checkpoint needs, captured at one consistent instant.
+/// Everything a checkpoint needs, captured at one consistent instant, over
+/// tables borrowed for `'m`.
 ///
-/// Invariant: **slab row `k` of table `t` is the `k`-th set bit of
-/// `delta.tables[t]`** — `model.tables[t]` holds `count_ones()` rows (and
-/// as many accumulators, when `geometry[t].has_optimizer_state`), not
-/// `geometry[t].rows`. The fields are public, so the writer re-checks the
-/// lengths before it plans ([`crate::error::CnrError::ShapeMismatch`]).
+/// The fields are public, so the writer re-checks the shapes before it
+/// plans: every table `rows × dim` with accumulators iff its geometry says
+/// so, every mask `rows` bits ([`crate::error::CnrError::ShapeMismatch`]).
 #[derive(Debug, Clone)]
-pub struct TrainingSnapshot {
-    /// Model state at the snapshot instant: per table the slab of rows
-    /// `delta` names (see the invariant above), plus the whole dense
-    /// layers and the iteration. For a full snapshot this *is* the
-    /// complete model state.
+pub struct TrainingSnapshot<'m> {
+    /// The dense layers and the iteration at the snapshot instant. Its
+    /// `tables` is empty: the embedding tables are [`Self::tables`], as a
+    /// restore into tables the caller holds leaves its report's state
+    /// without them.
     pub model: ModelState,
-    /// Geometry of every table, from the model configuration — never
-    /// derived from slab lengths, which say nothing about a table no row
-    /// of which was tracked.
+    /// Every table, whole: the writer reads the rows `delta` names from
+    /// here by row index.
+    pub tables: Vec<TableView<'m>>,
+    /// Geometry of every table, from the model configuration.
     pub geometry: Vec<TableMeta>,
     /// Rows to include: all rows for full checkpoints, the tracked delta for
     /// incrementals.
@@ -58,25 +59,6 @@ pub struct TrainingSnapshot {
     pub taken_at: Duration,
     /// How long training was stalled for the copy.
     pub stall: Duration,
-}
-
-/// Copies the rows of `table` that `mask` names into a slab, one
-/// `extend_from_slice` per run of set bits: an all-ones mask is a single
-/// copy of the whole table.
-fn gather(table: &EmbeddingTable, mask: &BitVec) -> TableState {
-    let (dim, count) = (table.dim(), mask.count_ones());
-    let mut data = Vec::with_capacity(count * dim);
-    let mut adagrad = table.adagrad().map(|acc| (acc, Vec::with_capacity(count)));
-    for run in mask.iter_runs() {
-        data.extend_from_slice(&table.data()[run.start * dim..run.end * dim]);
-        if let Some((acc, slab)) = &mut adagrad {
-            slab.extend_from_slice(&acc[run]);
-        }
-    }
-    TableState {
-        data,
-        adagrad: adagrad.map(|(_, slab)| slab),
-    }
 }
 
 /// Takes snapshots according to a shard plan and config.
@@ -97,17 +79,36 @@ impl SnapshotTaker {
     }
 
     /// Stalls the trainer, applies the policy's tracker action, copies the
-    /// rows the resulting delta names (and the dense layers), and resumes.
-    /// `reader_state` must already be collected (the
-    /// budget must be drained) — passing it in keeps the protocol order
-    /// explicit in the engine.
-    pub fn take(
+    /// dense layers and lends the tables. `reader_state` must already be
+    /// collected (the budget must be drained) — passing it in keeps the
+    /// protocol order explicit in the engine.
+    ///
+    /// The snapshot borrows `trainer` until it is dropped, so no batch
+    /// trains while a writer reads the tables:
+    ///
+    /// ```compile_fail,E0499
+    /// # use cnr_core::{config::CheckpointConfig, manifest::CheckpointKind, snapshot::SnapshotTaker};
+    /// # use cnr_core::policy::{Decision, TrackerAction};
+    /// # use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
+    /// # use cnr_trainer::{Trainer, TrainerConfig};
+    /// # let spec = cnr_workload::DatasetSpec::tiny(1);
+    /// # let config = ModelConfig::for_dataset(&spec, 8);
+    /// # let taker = SnapshotTaker::new(ShardPlan::balanced(&config, 1, 1));
+    /// # let clock = cnr_cluster::SimClock::new();
+    /// # let mut trainer = Trainer::new(DlrmModel::new(config), clock, TrainerConfig::default());
+    /// # let decision = Decision { kind: CheckpointKind::Full, tracker: TrackerAction::SnapshotReset };
+    /// # let reader = cnr_reader::ReaderState::at(0);
+    /// let snapshot = taker.take(&mut trainer, reader, decision, &CheckpointConfig::default());
+    /// trainer.train_one(&cnr_workload::SyntheticDataset::new(spec).batch(0)); // the tables are lent out
+    /// drop(snapshot);
+    /// ```
+    pub fn take<'m>(
         &self,
-        trainer: &mut Trainer,
+        trainer: &'m mut Trainer,
         reader_state: ReaderState,
         decision: Decision,
         config: &CheckpointConfig,
-    ) -> TrainingSnapshot {
+    ) -> TrainingSnapshot<'m> {
         // Stall = largest shard / host-copy bandwidth (§4.2).
         let max_shard = self.shard_plan.max_device_bytes(trainer.model().config());
         let stall = config.snapshot_stall(max_shard);
@@ -130,19 +131,16 @@ impl SnapshotTaker {
             }
         };
 
+        let trainer: &'m Trainer = trainer;
         let model = trainer.model();
         TrainingSnapshot {
             model: ModelState {
-                tables: model
-                    .tables()
-                    .iter()
-                    .zip(&delta.tables)
-                    .map(|(table, mask)| gather(table, mask))
-                    .collect(),
+                tables: Vec::new(),
                 bottom: model.bottom().flatten(),
                 top: model.top().flatten(),
                 iteration: model.iteration(),
             },
+            tables: model.tables().iter().map(EmbeddingTable::view).collect(),
             geometry: TableMeta::for_model(model.config()),
             delta,
             reader: reader_state,
@@ -157,7 +155,7 @@ impl SnapshotTaker {
 mod tests {
     use super::*;
     use cnr_cluster::SimClock;
-    use cnr_model::{DlrmModel, ModelConfig};
+    use cnr_model::{DlrmModel, ModelConfig, TableState};
     use cnr_trainer::TrainerConfig;
     use cnr_workload::{DatasetSpec, SyntheticDataset};
 
@@ -202,31 +200,32 @@ mod tests {
         let snap = taker.take(&mut trainer, ReaderState::at(5), full_decision(), &cfg);
         assert_eq!(snap.kind, CheckpointKind::Full);
         assert!((snap.delta.fraction_modified() - 1.0).abs() < 1e-12);
-        assert_eq!(trainer.tracker().modified_rows(), 0, "baseline resets tracking");
         assert_eq!(snap.reader.next_batch, 5);
         assert_eq!(snap.model.iteration, 5);
+        drop(snap);
+        assert_eq!(trainer.tracker().modified_rows(), 0, "baseline resets tracking");
     }
 
     #[test]
     fn incremental_keep_accumulates() {
         let (ds, mut trainer, taker, cfg) = setup();
         trainer.train_one(&ds.batch(0));
-        let snap1 = taker.take(&mut trainer, ReaderState::at(1), incr_keep(), &cfg);
+        let delta1 = taker.take(&mut trainer, ReaderState::at(1), incr_keep(), &cfg).delta;
         trainer.train_one(&ds.batch(1));
-        let snap2 = taker.take(&mut trainer, ReaderState::at(2), incr_keep(), &cfg);
+        let delta2 = taker.take(&mut trainer, ReaderState::at(2), incr_keep(), &cfg).delta;
         // One-shot semantics: later delta is a superset.
-        assert!(snap2.delta.modified_rows() >= snap1.delta.modified_rows());
+        assert!(delta2.modified_rows() >= delta1.modified_rows());
     }
 
     #[test]
     fn incremental_reset_isolates_intervals() {
         let (ds, mut trainer, taker, cfg) = setup();
         trainer.train_one(&ds.batch(0));
-        let snap1 = taker.take(&mut trainer, ReaderState::at(1), incr_reset(), &cfg);
-        assert!(snap1.delta.modified_rows() > 0);
+        let delta1 = taker.take(&mut trainer, ReaderState::at(1), incr_reset(), &cfg).delta;
+        assert!(delta1.modified_rows() > 0);
         assert_eq!(trainer.tracker().modified_rows(), 0);
         trainer.train_one(&ds.batch(1));
-        let snap2 = taker.take(&mut trainer, ReaderState::at(2), incr_reset(), &cfg);
+        let delta2 = taker.take(&mut trainer, ReaderState::at(2), incr_reset(), &cfg).delta;
         // Consecutive semantics: the second delta covers only interval 2.
         let b1 = ds.batch(1);
         let mut distinct = std::collections::HashSet::new();
@@ -235,7 +234,7 @@ mod tests {
                 distinct.insert((t, r));
             }
         }
-        assert_eq!(snap2.delta.modified_rows(), distinct.len());
+        assert_eq!(delta2.modified_rows(), distinct.len());
     }
 
     #[test]
@@ -244,88 +243,36 @@ mod tests {
         trainer.train_one(&ds.batch(0));
         let before = trainer.stall_time();
         let snap = taker.take(&mut trainer, ReaderState::at(1), full_decision(), &cfg);
-        assert!(snap.stall > Duration::ZERO);
-        assert_eq!(trainer.stall_time() - before, snap.stall);
-        assert_eq!(snap.taken_at, trainer.clock().now());
+        let (stall, taken_at) = (snap.stall, snap.taken_at);
+        assert!(stall > Duration::ZERO);
+        assert_eq!(trainer.stall_time() - before, stall);
+        assert_eq!(taken_at, trainer.clock().now());
     }
 
+    /// Whatever the delta names, a snapshot lends every table whole —
+    /// weights and accumulators — and copies the dense layers and the
+    /// iteration.
     #[test]
-    fn snapshot_is_immutable_copy() {
-        for decision in [full_decision(), incr_keep(), incr_reset()] {
-            let (ds, mut trainer, taker, cfg) = setup();
-            trainer.train_one(&ds.batch(0));
-            let snap = taker.take(&mut trainer, ReaderState::at(1), decision, &cfg);
-            let hash_before = trainer.model().state_hash();
-            // Continue training; snapshot must not change.
-            let frozen = snap.model.clone();
-            for i in 1..5 {
-                trainer.train_one(&ds.batch(i));
-            }
-            assert_ne!(trainer.model().state_hash(), hash_before);
-            assert_eq!(snap.model, frozen);
-        }
-    }
-
-    #[test]
-    fn slab_row_k_is_the_kth_tracked_row() {
-        let (ds, mut trainer, taker, cfg) = setup();
-        for i in 0..3 {
-            trainer.train_one(&ds.batch(i));
-        }
-        let live = ModelState::extract(trainer.model());
-        let full = taker.take(
-            &mut trainer,
-            ReaderState::at(3),
-            Decision {
-                kind: CheckpointKind::Full,
-                tracker: TrackerAction::SnapshotKeep,
-            },
-            &cfg,
-        );
-        assert_eq!(full.model, live, "a full snapshot's slabs are the tables");
-
-        let snap = taker.take(&mut trainer, ReaderState::at(3), incr_keep(), &cfg);
-        assert!(snap.delta.modified_rows() > 0);
-        assert!(snap.model.byte_size() < live.byte_size());
-        assert_eq!((&snap.model.bottom, &snap.model.top), (&live.bottom, &live.top));
-        assert_eq!(snap.geometry, full.geometry);
-        for (t, slab) in snap.model.tables.iter().enumerate() {
-            let dim = snap.geometry[t].dim as usize;
-            assert_eq!(snap.geometry[t].rows as usize, snap.delta.tables[t].len());
-            assert_eq!(slab.data.len(), snap.delta.tables[t].count_ones() * dim);
-            assert!(slab.adagrad.is_none() && !snap.geometry[t].has_optimizer_state);
-            for (k, row) in snap.delta.tables[t].iter_ones().enumerate() {
-                assert_eq!(
-                    slab.data[k * dim..(k + 1) * dim],
-                    live.tables[t].data[row * dim..(row + 1) * dim],
-                    "table {t}, slab row {k} = row {row}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn accumulators_are_gathered_with_their_rows() {
+    fn a_snapshot_lends_the_whole_tables_and_copies_the_dense_layers() {
         let spec = DatasetSpec::tiny(55);
         let ds = SyntheticDataset::new(spec.clone());
         let mut model_cfg = ModelConfig::for_dataset(&spec, 8);
         model_cfg.optimizer = cnr_model::OptimizerConfig::RowWiseAdagrad { lr: 0.1, eps: 1e-8 };
         let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
         let mut trainer =
-            Trainer::new(DlrmModel::new(model_cfg), SimClock::new(), TrainerConfig::default());
+            Trainer::new(DlrmModel::new(model_cfg.clone()), SimClock::new(), TrainerConfig::default());
         for i in 0..3 {
             trainer.train_one(&ds.batch(i));
         }
-        let snap =
-            taker.take(&mut trainer, ReaderState::at(3), incr_keep(), &CheckpointConfig::default());
-        for (t, slab) in snap.model.tables.iter().enumerate() {
-            assert!(snap.geometry[t].has_optimizer_state);
-            let want: Vec<f32> = snap.delta.tables[t]
-                .iter_ones()
-                .map(|row| trainer.model().tables()[t].adagrad().unwrap()[row])
-                .collect();
-            assert!(want.iter().any(|&a| a > 0.0), "trained rows have accumulated");
-            assert_eq!(slab.adagrad.as_deref(), Some(want.as_slice()));
+        let live = ModelState::extract(trainer.model());
+        for decision in [incr_keep(), full_decision()] {
+            let snap = taker.take(&mut trainer, ReaderState::at(3), decision, &CheckpointConfig::default());
+            assert!(snap.delta.modified_rows() > 0);
+            let tables: Vec<_> = live.tables.iter().map(TableState::view).collect();
+            assert_eq!(snap.tables, tables);
+            assert!(snap.tables.iter().all(|t| t.adagrad.is_some_and(|a| a.iter().any(|&v| v > 0.0))));
+            assert_eq!(snap.model, ModelState { tables: Vec::new(), ..live.clone() });
+            assert_eq!(snap.geometry, TableMeta::for_model(&model_cfg));
         }
     }
 }

@@ -14,6 +14,7 @@
 //! took four before it).
 
 use bytes::{Buf, BufMut};
+use std::ops::Range;
 
 use crate::error::CnrError;
 
@@ -149,26 +150,32 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
-/// The maximal runs of consecutive rows in `indices`, as stored: each
-/// run's head varint, `(gap << 1) | (len > 1)` with `gap` the rows
-/// skipped since the previous run (the first counts from row 0), and its
-/// length. Panics unless `indices` ascends strictly.
-fn runs(indices: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    let (mut rest, mut next) = (indices, 0u64);
+/// The maximal runs of consecutive rows in `indices`, in order: what
+/// [`put_indices`] stores, and what a chunk writer reads its rows' values
+/// in (one slice per run). Panics unless `indices` ascends strictly.
+pub fn row_runs(indices: &[u32]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let (mut rest, mut next) = (indices, 0);
     std::iter::from_fn(move || {
         let (&first, tail) = rest.split_first()?;
-        let start = u64::from(first);
+        let start = first as usize;
         assert!(start >= next, "row indices must ascend strictly");
-        let more = tail
-            .iter()
-            .zip(start + 1..)
-            .take_while(|&(&i, want)| u64::from(i) == want)
-            .count();
+        let run = tail.iter().zip(start + 1..).take_while(|&(&i, want)| i as usize == want);
+        let more = run.count();
         rest = &tail[more..];
-        let len = 1 + more as u64;
-        let head = (start - next) << 1 | u64::from(len > 1);
-        next = start + len;
-        Some((head, len))
+        next = start + 1 + more;
+        Some(start..next)
+    })
+}
+
+/// [`row_runs`] as stored: each run's head varint, `(gap << 1) | (len > 1)`
+/// with `gap` the rows skipped since the previous run (the first counts
+/// from row 0), and its length.
+fn runs(indices: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut next = 0;
+    row_runs(indices).map(move |run| {
+        let (gap, len) = ((run.start - next) as u64, run.len() as u64);
+        next = run.end;
+        (gap << 1 | u64::from(len > 1), len)
     })
 }
 

@@ -13,15 +13,11 @@
 //! Chunk contents depend only on the snapshot and the configuration, never
 //! on execution timing, so sharded checkpoints are deterministic.
 //!
-//! The plan names rows; it does not carry them. The snapshot already holds
-//! exactly the delta's rows, gathered densely in ascending row order
-//! (slab row `k` of a table is the `k`-th set bit of its mask — the
-//! [`TrainingSnapshot`] invariant), and the plan walks the mask in that
-//! same order: a [`WorkItem`] is a run of table-absolute row indices plus
-//! the slab position of its first row, and the worker that encodes it
-//! reads `indices.len()` *consecutive* slab rows. Planning costs 4 bytes
-//! per row, no row is copied on the calling thread before the pool starts,
-//! and re-sharding a dead host's items moves them unchanged.
+//! The plan names rows; it does not carry them. A [`WorkItem`] is a list
+//! of ascending table-absolute row indices, and the worker that encodes it
+//! reads those rows straight from the snapshot's borrowed tables. Planning costs
+//! 4 bytes per row, no row is copied on the calling thread before the
+//! pool starts, and re-sharding a dead host's items moves them unchanged.
 
 use crate::config::CheckpointConfig;
 use crate::snapshot::TrainingSnapshot;
@@ -30,17 +26,14 @@ use std::ops::Range;
 /// One unit of pipeline work: a run of modified rows of one table, owned
 /// by the writer host whose list holds it — its place in that list (its
 /// turn) numbers the chunk. The rows themselves stay in the snapshot's
-/// slab.
+/// tables.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
     /// Table the rows belong to.
     pub table: u16,
-    /// Ascending row indices within the table (what the stored chunk
-    /// records).
+    /// Ascending row indices within the table: where the writer reads the
+    /// rows, and what the stored chunk records.
     pub indices: Vec<u32>,
-    /// Where the rows sit in the snapshot: `indices[i]` is slab row
-    /// `slab_start + i` of the table.
-    pub slab_start: usize,
     /// Embedding dimension.
     pub dim: usize,
 }
@@ -66,22 +59,20 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
         let mut end = shard_range(rows, hosts, 0).end;
         let tracked = mask.count_ones();
         let mut indices: Vec<u32> = Vec::new();
-        let mut flush = |indices: &mut Vec<u32>, h: usize, slab_end: usize| {
+        let mut flush = |indices: &mut Vec<u32>, h: usize| {
             if indices.is_empty() {
                 return;
             }
             shards[h].push(WorkItem {
                 table: t as u16,
-                slab_start: slab_end - indices.len(),
                 indices: std::mem::take(indices),
                 dim,
             });
         };
-        // `k` is the row's slab position: set bits are walked in the order
-        // the snapshot gathered them.
+        // `k` counts the rows planned so far.
         for (k, row) in mask.iter_ones().enumerate() {
             while row >= end {
-                flush(&mut indices, h, k);
+                flush(&mut indices, h);
                 h += 1;
                 end = shard_range(rows, hosts, h).end;
             }
@@ -93,10 +84,10 @@ pub fn plan(snapshot: &TrainingSnapshot, config: &CheckpointConfig) -> Vec<Vec<W
             }
             indices.push(row as u32);
             if indices.len() >= config.chunk_rows {
-                flush(&mut indices, h, k + 1);
+                flush(&mut indices, h);
             }
         }
-        flush(&mut indices, h, tracked);
+        flush(&mut indices, h);
     }
     shards
 }
@@ -190,18 +181,21 @@ mod tests {
             }
         }
 
-        // Items tile each table's slab in planning order.
-        let mut slab_next = vec![0usize; snap.geometry.len()];
-        for item in shards.iter().flatten() {
-            let next = &mut slab_next[item.table as usize];
-            assert_eq!(item.slab_start, *next);
-            *next += item.indices.len();
+        // Items name each table's delta in planning order.
+        for (t, mask) in snap.delta.tables.iter().enumerate() {
+            let planned: Vec<usize> = shards
+                .iter()
+                .flatten()
+                .filter(|item| item.table as usize == t)
+                .flat_map(|item| item.indices.iter().map(|&row| row as usize))
+                .collect();
+            assert_eq!(planned, mask.iter_ones().collect::<Vec<_>>());
         }
 
         // Planning is deterministic.
         let again = plan(&snap, &config);
         for (a, b) in shards.iter().flatten().zip(again.iter().flatten()) {
-            assert_eq!((a.table, a.slab_start, &a.indices), (b.table, b.slab_start, &b.indices));
+            assert_eq!((a.table, &a.indices), (b.table, &b.indices));
         }
     }
 }

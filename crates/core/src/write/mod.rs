@@ -1,8 +1,10 @@
 //! The sharded, pipelined checkpoint write path (§4.4 steps 2–3).
 //!
-//! The snapshot is immutable, so optimization and storage run entirely on
-//! background CPU workers while training continues. Work flows through
-//! three stages, one submodule each:
+//! A write reads the tables its snapshot borrows from the trainer, so in
+//! wall-clock time training waits for it; the simulated clock charges
+//! training only the snapshot's stall (§4.2's decoupled design) and drains
+//! the uploads behind it. Work flows through three stages, one submodule
+//! each:
 //!
 //! ```text
 //! chunker ──▶ shard writers (one per simulated host) ──▶ upload scheduler
@@ -17,11 +19,10 @@
 //! ```
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
-//!   contiguous shards and batches modified rows into chunks — runs of
-//!   row indices and where the run starts in the snapshot's slab; the
-//!   rows stay in the snapshot, which holds exactly the delta's rows.
-//! * [`shard_writer`] is one host's side of a chunk: quantize a run of
-//!   consecutive slab rows, encode, upload. A host killed mid-upload
+//!   contiguous shards and batches modified rows into chunks — lists of
+//!   row indices; the rows stay in the snapshot's tables.
+//! * [`shard_writer`] is one host's side of a chunk: quantize the rows it
+//!   names straight from the table, encode, upload. A host killed mid-upload
 //!   aborts its in-flight multipart transfer and hands its unfinished
 //!   chunks back.
 //! * [`scheduler`] streams each chunk as a multipart object over the
@@ -89,36 +90,36 @@ pub struct CheckpointRecord {
     pub killed_hosts: Vec<u16>,
 }
 
-/// Checks the [`TrainingSnapshot`] invariant the plan relies on: every
-/// table's slab holds exactly the rows its mask names. The snapshot's
-/// fields are public; a delta edited after `take` must fail here, typed,
-/// instead of storing other rows' values under the edited indices.
-fn check_slabs(snapshot: &TrainingSnapshot) -> Result<()> {
-    let (slabs, metas, masks) = (&snapshot.model.tables, &snapshot.geometry, &snapshot.delta.tables);
-    if slabs.len() != metas.len() || masks.len() != metas.len() {
+/// Checks the shapes the plan relies on: every table `rows × dim`, with
+/// accumulators iff its geometry announces them, and every mask `rows`
+/// bits. The snapshot's fields are public; a table or a delta edited after
+/// `take` must fail here, typed, instead of reading past a table.
+fn check_tables(snapshot: &TrainingSnapshot) -> Result<()> {
+    let (tables, metas, masks) = (&snapshot.tables, &snapshot.geometry, &snapshot.delta.tables);
+    if tables.len() != metas.len() || masks.len() != metas.len() {
         return Err(CnrError::ShapeMismatch(format!(
-            "snapshot has {} table slabs and {} masks for {} tables",
-            slabs.len(),
+            "snapshot has {} tables and {} masks for {} tables",
+            tables.len(),
             masks.len(),
             metas.len()
         )));
     }
-    for (t, ((slab, meta), mask)) in slabs.iter().zip(metas).zip(masks).enumerate() {
-        let tracked = mask.count_ones();
-        let accumulators = meta.has_optimizer_state.then_some(tracked);
-        if mask.len() as u64 != meta.rows
-            || slab.data.len() != tracked * meta.dim as usize
-            || slab.adagrad.as_ref().map(Vec::len) != accumulators
+    for (t, ((table, meta), mask)) in tables.iter().zip(metas).zip(masks).enumerate() {
+        let rows = meta.rows as usize;
+        let accumulators = table.adagrad.map(<[f32]>::len);
+        if mask.len() != rows
+            || table.data.len() != rows * meta.dim as usize
+            || accumulators != meta.has_optimizer_state.then_some(rows)
         {
             return Err(CnrError::ShapeMismatch(format!(
-                "snapshot table {t}: delta names {tracked} of {} rows ({}x{}, accumulators {}), \
-                 slab holds {} values and {:?} accumulators",
-                mask.len(),
+                "snapshot table {t} is {}x{} (accumulators {}): it holds {} values and {:?} \
+                 accumulators, and its delta masks {} rows",
                 meta.rows,
                 meta.dim,
                 meta.has_optimizer_state,
-                slab.data.len(),
-                slab.adagrad.as_ref().map(Vec::len)
+                table.data.len(),
+                accumulators,
+                mask.len()
             )));
         }
     }
@@ -183,7 +184,7 @@ impl<'a> CheckpointWriter<'a> {
         scheduler.set_floor(uploads_after);
 
         // --- Plan: shard and chunk the delta. ---------------------------
-        check_slabs(snapshot)?;
+        check_tables(snapshot)?;
         let shards = chunker::plan(snapshot, config);
 
         // --- Upload: every host its own shard. --------------------------
@@ -193,7 +194,7 @@ impl<'a> CheckpointWriter<'a> {
             job: &self.job,
             id,
             scheme,
-            tables: &snapshot.model.tables,
+            tables: &snapshot.tables,
             scheduler: &scheduler,
             quantize_nanos: &quantize_nanos,
         };
@@ -276,7 +277,7 @@ mod tests {
     use crate::restore;
     use crate::snapshot::SnapshotTaker;
     use cnr_cluster::SimClock;
-    use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
+    use cnr_model::{DlrmModel, ModelConfig, ModelState, ShardPlan};
     use cnr_reader::ReaderState;
     use cnr_storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
     use cnr_trainer::{Trainer, TrainerConfig};
@@ -300,47 +301,44 @@ mod tests {
         manifest.chunks.iter().filter(|c| c.key.contains(&named)).count()
     }
 
-    fn snapshot_after(batches: u64, kind: CheckpointKind) -> TrainingSnapshot {
-        snapshot_after_dim(batches, kind, 8).1
-    }
-
-    fn snapshot_after_dim(
-        batches: u64,
-        kind: CheckpointKind,
-        dim: usize,
-    ) -> (ModelConfig, TrainingSnapshot) {
+    /// A trainer over a tiny model of `dim`-wide rows after `batches`
+    /// batches, and the model's configuration.
+    fn trained(batches: u64, dim: usize) -> (ModelConfig, Trainer) {
         let spec = DatasetSpec::tiny(77);
         let ds = SyntheticDataset::new(spec.clone());
         let cfg = ModelConfig::for_dataset(&spec, dim);
-        let plan = ShardPlan::balanced(&cfg, 1, 2);
         let model = DlrmModel::new(cfg.clone());
         let mut trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
         for i in 0..batches {
             trainer.train_one(&ds.batch(i));
         }
-        let decision = match kind {
-            CheckpointKind::Full => Decision {
-                kind,
-                tracker: TrackerAction::SnapshotReset,
-            },
-            CheckpointKind::Incremental => Decision {
-                kind,
-                tracker: TrackerAction::SnapshotKeep,
+        (cfg, trainer)
+    }
+
+    /// Snapshots `trainer` as `kind`; an incremental keeps the tracker.
+    fn take(trainer: &mut Trainer, kind: CheckpointKind) -> TrainingSnapshot<'_> {
+        let decision = Decision {
+            kind,
+            tracker: match kind {
+                CheckpointKind::Full => TrackerAction::SnapshotReset,
+                CheckpointKind::Incremental => TrackerAction::SnapshotKeep,
             },
         };
-        let snap = SnapshotTaker::new(plan).take(
-            &mut trainer,
+        let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+        let batches = trainer.model().iteration();
+        SnapshotTaker::new(plan).take(
+            trainer,
             ReaderState::at(batches),
             decision,
             &CheckpointConfig::default(),
-        );
-        (cfg, snap)
+        )
     }
 
     #[test]
     fn full_checkpoint_stores_every_row() {
         let store = InMemoryStore::new();
-        let snap = snapshot_after(3, CheckpointKind::Full);
+        let (_, mut trainer) = trained(3, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig {
             chunk_rows: 128,
@@ -366,7 +364,8 @@ mod tests {
     #[test]
     fn incremental_checkpoint_stores_only_delta() {
         let store = InMemoryStore::new();
-        let snap = snapshot_after(2, CheckpointKind::Incremental);
+        let (_, mut trainer) = trained(2, 8);
+        let snap = take(&mut trainer, CheckpointKind::Incremental);
         let delta_rows = snap.delta.modified_rows();
         assert!(delta_rows > 0 && delta_rows < snap.delta.total_rows());
         let writer = CheckpointWriter::new(&store, "job");
@@ -400,20 +399,10 @@ mod tests {
             }
             result
         };
-        let taken = snapshot_after(2, CheckpointKind::Incremental);
+        let (_, mut trainer) = trained(2, 8);
+        let taken = take(&mut trainer, CheckpointKind::Incremental);
         write(&taken).expect("the snapshot as taken writes");
 
-        // One more row named than gathered: the slab is a row short.
-        let mut snap = taken.clone();
-        let untracked = (0..).find(|&row| !taken.delta.tables[0].get(row)).unwrap();
-        snap.delta.tables[0].set(untracked);
-        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
-        // The old way to make a baseline out of an incremental.
-        let mut snap = taken.clone();
-        snap.delta = cnr_tracking::TrackerSnapshot::full(
-            &snap.geometry.iter().map(|t| t.rows as usize).collect::<Vec<_>>(),
-        );
-        assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
         // A mask of another table's length.
         let mut snap = taken.clone();
         snap.delta.tables.swap(0, 1);
@@ -422,12 +411,13 @@ mod tests {
         let mut snap = taken.clone();
         snap.delta.tables.pop();
         assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
-        // Accumulators the geometry does not announce, and a short slab.
+        // Accumulators the geometry does not announce, and a short table.
+        let accumulators = vec![0.0; taken.geometry[0].rows as usize];
         let mut snap = taken.clone();
-        snap.model.tables[0].adagrad = Some(vec![0.0; snap.delta.tables[0].count_ones()]);
+        snap.tables[0].adagrad = Some(&accumulators);
         assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
         let mut snap = taken.clone();
-        snap.model.tables[1].data.pop();
+        snap.tables[1].data = &taken.tables[1].data[1..];
         assert!(matches!(write(&snap), Err(CnrError::ShapeMismatch(_))));
     }
 
@@ -437,7 +427,8 @@ mod tests {
         // Realistic embedding dim so per-row metadata (indices + quant
         // params) does not mask the payload reduction — the paper makes the
         // same caveat about metadata in §6.3.2.
-        let (_, snap) = snapshot_after_dim(3, CheckpointKind::Full, 32);
+        let (_, mut trainer) = trained(3, 32);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig::default();
         let fp32 = writer
@@ -463,7 +454,8 @@ mod tests {
     fn chunk_payloads_decode_and_match_snapshot() {
         use crate::manifest::ChunkPayload;
         let store = InMemoryStore::new();
-        let snap = snapshot_after(2, CheckpointKind::Full);
+        let (_, mut trainer) = trained(2, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let rec = writer
             .write(
@@ -480,15 +472,15 @@ mod tests {
         let t = chunk.table as usize;
         let dim = rec.manifest.tables[t].dim as usize;
         for (i, &row_idx) in chunk.row_indices.iter().enumerate() {
-            let original =
-                &snap.model.tables[t].data[row_idx as usize * dim..(row_idx as usize + 1) * dim];
+            let original = &snap.tables[t].data[row_idx as usize * dim..(row_idx as usize + 1) * dim];
             assert_eq!(chunk.rows[i].dequantize(), original);
         }
     }
 
     #[test]
     fn parallel_workers_produce_identical_checkpoints() {
-        let snap = snapshot_after(3, CheckpointKind::Full);
+        let (_, mut trainer) = trained(3, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let run = |workers: usize, hosts: usize| -> Manifest {
             let store = InMemoryStore::new();
             let writer = CheckpointWriter::new(&store, "job");
@@ -514,7 +506,9 @@ mod tests {
 
     #[test]
     fn sharded_restore_is_bit_identical_to_single_shard() {
-        let (model_cfg, snap) = snapshot_after_dim(3, CheckpointKind::Full, 8);
+        let (model_cfg, mut trainer) = trained(3, 8);
+        let live = ModelState::extract(trainer.model());
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let restore_with_hosts = |hosts: usize| {
             let store = InMemoryStore::new();
             let writer = CheckpointWriter::new(&store, "job");
@@ -539,12 +533,13 @@ mod tests {
                 "{hosts}-shard restore must be bit-identical"
             );
         }
-        assert_eq!(single, snap.model, "fp32 restore is bit-exact");
+        assert_eq!(single, live, "fp32 restore is bit-exact");
     }
 
     #[test]
     fn eight_shards_reach_durability_faster_than_one() {
-        let (_, snap) = snapshot_after_dim(3, CheckpointKind::Full, 16);
+        let (_, mut trainer) = trained(3, 16);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let durable = |hosts: usize| {
             let store = uplinks(hosts);
             let writer = CheckpointWriter::new(&store, "job");
@@ -578,7 +573,8 @@ mod tests {
             },
             clock.clone(),
         );
-        let snap = snapshot_after(2, CheckpointKind::Full);
+        let (_, mut trainer) = trained(2, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig::default();
         let first = writer
@@ -612,7 +608,9 @@ mod tests {
 
     #[test]
     fn killed_host_aborts_and_survivors_reshard() {
-        let (model_cfg, snap) = snapshot_after_dim(3, CheckpointKind::Full, 8);
+        let (model_cfg, mut trainer) = trained(3, 8);
+        let live = ModelState::extract(trainer.model());
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let store = InMemoryStore::new();
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig {
@@ -648,7 +646,7 @@ mod tests {
         assert!(store.get(&aborted_key).is_err());
         // ...and the checkpoint restores bit-exactly.
         let report = restore::restore(&store, "job", CheckpointId(0), &model_cfg).unwrap();
-        assert_eq!(report.state, snap.model);
+        assert_eq!(report.state, live);
     }
 
     #[test]
@@ -656,7 +654,9 @@ mod tests {
         // Host 1 dies after its first chunk: its uplink then idles while
         // the survivors carry its leftovers, so it frees first of all, and
         // still no part of the dense object may ride it.
-        let (model_cfg, snap) = snapshot_after_dim(3, CheckpointKind::Full, 8);
+        let (model_cfg, mut trainer) = trained(3, 8);
+        let live = ModelState::extract(trainer.model());
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let store = cnr_storage::FlakyStore::new(uplinks(4), []);
         let cfg = CheckpointConfig {
             chunk_rows: 64,
@@ -690,12 +690,13 @@ mod tests {
             "a dense part rode the dead host: {channels:?}"
         );
         let report = restore::restore(&store, "job", CheckpointId(0), &model_cfg).unwrap();
-        assert_eq!(report.state, snap.model, "restores bit-identically");
+        assert_eq!(report.state, live, "restores bit-identically");
     }
 
     #[test]
     fn all_hosts_dead_is_an_error() {
-        let (_, snap) = snapshot_after_dim(2, CheckpointKind::Full, 8);
+        let (_, mut trainer) = trained(2, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let store = InMemoryStore::new();
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig {
@@ -729,7 +730,8 @@ mod tests {
             },
             clock.clone(),
         );
-        let snap = snapshot_after(2, CheckpointKind::Full);
+        let (_, mut trainer) = trained(2, 8);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let rec = writer
             .write(
@@ -752,7 +754,8 @@ mod tests {
     #[test]
     fn large_chunks_split_into_multiple_parts() {
         let store = InMemoryStore::new();
-        let (_, snap) = snapshot_after_dim(3, CheckpointKind::Full, 32);
+        let (_, mut trainer) = trained(3, 32);
+        let snap = take(&mut trainer, CheckpointKind::Full);
         let writer = CheckpointWriter::new(&store, "job");
         let cfg = CheckpointConfig {
             chunk_rows: 4096,

@@ -1,10 +1,10 @@
 //! Per-host shard writers (§4.4 step 3).
 //!
 //! A `ShardWriter` is one simulated writer host's side of a checkpoint:
-//! it quantizes a chunk of the host's row-range — a run of consecutive
-//! rows of the snapshot's gathered slab, read sequentially — and streams
-//! it to the store through the [`UploadScheduler`], over the
-//! host's own uplink. A host can also be *killed* mid-upload
+//! it quantizes a chunk of the host's row-range — read straight from the
+//! snapshot's borrowed tables by row index, one slice per run of
+//! consecutive rows — and streams it to the store through the
+//! [`UploadScheduler`], over the host's own uplink. A host can also be *killed* mid-upload
 //! (failure injection): it aborts the chunk it was transferring, and the
 //! coordinator (`crate::hosts`) re-shards every chunk it never finished
 //! onto the surviving hosts. Chunks the dead host had already completed
@@ -14,9 +14,9 @@
 use super::chunker::WorkItem;
 use super::scheduler::UploadScheduler;
 use crate::error::Result;
-use crate::manifest::{CheckpointId, ChunkFrame, ChunkMeta, Manifest};
+use crate::manifest::{chunk_of_rows, CheckpointId, ChunkMeta, Manifest};
 use bytes::Bytes;
-use cnr_model::state::TableState;
+use cnr_model::TableView;
 use cnr_quant::QuantScheme;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -26,8 +26,8 @@ pub(crate) struct ShardWriter<'a> {
     pub(crate) job: &'a str,
     pub(crate) id: CheckpointId,
     pub(crate) scheme: QuantScheme,
-    /// The snapshot's slabs: every chunk is quantized straight from here.
-    pub(crate) tables: &'a [TableState],
+    /// The snapshot's tables: every chunk is quantized straight from here.
+    pub(crate) tables: &'a [TableView<'a>],
     pub(crate) scheduler: &'a UploadScheduler<'a>,
     /// Wall-clock nanoseconds spent quantizing, shared across shards.
     pub(crate) quantize_nanos: &'a AtomicU64,
@@ -75,31 +75,21 @@ impl ShardWriter<'_> {
 /// the chunk frame inside the storage envelope, so every byte that leaves
 /// a writer host is covered by an end-to-end checksum — in one buffer:
 /// each row's parameters and packed codes are appended straight from
-/// `slab` (the snapshot's gathered rows of the item's table: the item's
-/// rows are the `indices.len()` consecutive slab rows from `slab_start`,
-/// while the frame records the table-absolute `indices`) into the exactly
-/// sized chunk buffer, which is then checksummed in place. The scheme
-/// the rows are stored under — `scheme`, or fp32 when it cannot describe
-/// one of their values — is decided once from the values
-/// ([`QuantScheme::stored_for`]). Byte for byte what
+/// `table` (the item's table, whole: the item's `indices` are row numbers
+/// in it, read one slice per run of consecutive rows) into the exactly
+/// sized chunk buffer, which is then checksummed in place. The scheme the rows are stored
+/// under — `scheme`, or fp32 when it cannot describe one of their values —
+/// is decided once from the values. Byte for byte what
 /// `ChunkPayload { rows: scheme.quantize_row(..) for every row, .. }.encode_enveloped()`
 /// produces for a chunk `scheme` describes, without the row objects or any
 /// intermediate copy.
 ///
-/// Panics when the item's rows lie outside `slab` — the chunker only plans
-/// rows of the snapshot it was given, and the writer checks the slab
-/// lengths against the delta before planning.
-pub fn encode_chunk(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> Vec<u8> {
-    let (count, dim) = (item.indices.len(), item.dim);
-    let rows_at = item.slab_start..item.slab_start + count;
-    let values = &slab.data[rows_at.start * dim..rows_at.end * dim];
-    let stored = scheme.stored_for([values]);
-    let accumulators = slab
-        .adagrad
-        .as_ref()
-        .map(|acc| acc[rows_at].iter().copied());
-    ChunkFrame::quantized(item.table, &item.indices, accumulators, &stored, dim)
-        .encode_enveloped(|out| stored.quantize_rows_into(values, dim, out))
+/// Panics when the item names a row outside `table` — the chunker only
+/// plans rows of the snapshot it was given, and the writer checks every
+/// table and mask against the geometry before planning.
+pub fn encode_chunk(item: &WorkItem, table: &TableView, scheme: &QuantScheme) -> Vec<u8> {
+    let (frame, put_rows) = chunk_of_rows(item.table, &item.indices, *table, item.dim, scheme);
+    frame.encode_enveloped(put_rows)
 }
 
 #[cfg(test)]
@@ -107,6 +97,7 @@ mod tests {
     use super::*;
     use crate::error::CnrError;
     use crate::manifest::{open_frame, ChunkHeader, ChunkPayload};
+    use cnr_model::TableState;
     use cnr_quant::codec::decode_body_to;
     use cnr_storage::envelope::Verified;
 
@@ -122,43 +113,44 @@ mod tests {
         ]
     }
 
-    /// A work item naming every third row of a table — scattered, as an
-    /// incremental's rows are — and a slab holding those rows from
-    /// position 2 on, between rows of other chunks.
-    fn item(rows: usize, dim: usize, with_acc: bool) -> (WorkItem, TableState) {
-        let slab_rows = rows + 3;
-        let slab = TableState {
-            data: (0..slab_rows * dim)
-                .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.4) * 0.3)
-                .collect(),
-            adagrad: with_acc.then(|| (0..slab_rows).map(|i| i as f32 * 0.5).collect()),
-        };
+    /// A work item naming `rows` rows of a whole table, `stride` apart from
+    /// row 1 — every third row is scattered, as an incremental's rows are;
+    /// stride 1 is one run, as a full checkpoint's — and the table. The
+    /// rows the item does not name hold NaN, which no chunk of ordinary
+    /// values may read.
+    fn item(rows: usize, dim: usize, with_acc: bool, stride: usize) -> (WorkItem, TableState) {
         let item = WorkItem {
             table: 3,
-            indices: (0..rows as u32).map(|i| i * 3 + 1).collect(),
-            slab_start: 2,
+            indices: (0..rows).map(|i| (i * stride + 1) as u32).collect(),
             dim,
         };
-        (item, slab)
+        let table_rows = stride * rows + 2;
+        let mut table = TableState {
+            data: vec![f32::NAN; table_rows * dim],
+            adagrad: with_acc.then(|| (0..table_rows).map(|i| i as f32 * 0.5).collect()),
+        };
+        for &row in &item.indices {
+            let at = row as usize * dim;
+            for (i, v) in table.data[at..at + dim].iter_mut().enumerate() {
+                *v = (((at + i) * 37 % 101) as f32 / 101.0 - 0.4) * 0.3;
+            }
+        }
+        (item, table)
     }
 
     /// The row-object encoding the fused path must reproduce: each row
     /// quantized on its own, under the scheme the chunk's values decide.
-    fn via_row_objects(item: &WorkItem, slab: &TableState, scheme: &QuantScheme) -> ChunkPayload {
-        let slab_rows = item.slab_start..item.slab_start + item.indices.len();
-        let row = |k: usize| &slab.data[k * item.dim..(k + 1) * item.dim];
-        let stored = scheme.stored_for(slab_rows.clone().map(row));
+    fn via_row_objects(item: &WorkItem, table: &TableState, scheme: &QuantScheme) -> ChunkPayload {
+        let row = |&r: &u32| &table.data[r as usize * item.dim..(r as usize + 1) * item.dim];
+        let stored = scheme.stored_for(item.indices.iter().map(row));
         ChunkPayload {
             table: item.table,
             row_indices: item.indices.clone(),
-            optimizer_state: slab
+            optimizer_state: table
                 .adagrad
                 .as_ref()
-                .map(|acc| acc[slab_rows.clone()].to_vec()),
-            rows: slab_rows
-                .clone()
-                .map(|k| stored.quantize_row(row(k)))
-                .collect(),
+                .map(|acc| item.indices.iter().map(|&r| acc[r as usize]).collect()),
+            rows: item.indices.iter().map(|r| stored.quantize_row(row(r))).collect(),
         }
     }
 
@@ -187,7 +179,9 @@ mod tests {
     /// and as fp32 rows (tag 0) once a value of the chunk — in any of its
     /// rows — is one the scheme cannot describe: NaN or `-1e6` for a
     /// uniform scheme, `-1e6` (binary16 overflow) for fp16. Every chunk
-    /// length from 0 to 13 rows, adaptive rows at 1–4 bits and at a budget
+    /// length from 0 to 13 rows, as every third row of a whole table with
+    /// or without accumulators and as one run of it, adaptive rows at
+    /// 1–4 bits and at a budget
     /// that ends the search, and rows that end the search each way
     /// ([`edge_row`]). The row objects are the frozen reference codec's
     /// rows (`cnr_quant`'s `reference::` tests hold them to it, a chunk
@@ -206,21 +200,24 @@ mod tests {
         for scheme in schemes {
             for with_acc in [false, true] {
                 for (rows, dim) in shapes.clone() {
-                    for poison in [None, Some(f32::NAN), Some(-1e6)] {
-                        let (item, mut table) = item(rows, dim, with_acc);
-                        for k in 0..rows {
+                    for (poison, stride) in [None, Some(f32::NAN), Some(-1e6)]
+                        .into_iter()
+                        .flat_map(|poison| [(poison, 3), (poison, 1)])
+                    {
+                        let (item, mut table) = item(rows, dim, with_acc, stride);
+                        for (k, &row) in item.indices.iter().enumerate() {
                             if let Some(edge) = edge_row(k, dim) {
-                                let at = (item.slab_start + k) * dim;
+                                let at = row as usize * dim;
                                 table.data[at..at + dim].copy_from_slice(&edge);
                             }
                         }
-                        if let (Some(v), true) = (poison, rows > 0) {
+                        if let (Some(v), Some(&last)) = (poison, item.indices.last()) {
                             // The last value of the chunk's last row.
-                            table.data[(item.slab_start + rows) * dim - 1] = v;
+                            table.data[(last as usize + 1) * dim - 1] = v;
                         }
                         let want = via_row_objects(&item, &table, &scheme);
-                        let got = encode_chunk(&item, &table, &scheme);
-                        let case = format!("{scheme}, acc {with_acc}, {rows}x{dim}, {poison:?}");
+                        let got = encode_chunk(&item, &table.view(), &scheme);
+                        let case = format!("{scheme}, acc {with_acc}, {rows}x{dim}, {poison:?}, stride {stride}");
                         assert_eq!(got, want.encode_enveloped(), "{case}");
                         let decoded = ChunkPayload::decode(&got).unwrap();
                         assert_eq!(decoded.encode_enveloped(), got, "{case}");
@@ -249,19 +246,19 @@ mod tests {
         0x4C, 0x3D, 0x00, 0x00, 0x40, 0x3F, 0xAF, 0x05,
     ];
 
-    /// `rows` as a chunk of table 1, row indices 0, 2, 4, ...
+    /// `rows` as a chunk of table 1, row indices 0, 2, 4, ..., of a table
+    /// whose other rows hold NaN.
     fn fixture_item(rows: &[[f32; 4]]) -> (WorkItem, TableState) {
         let item = WorkItem {
             table: 1,
             indices: (0..rows.len() as u32).map(|i| i * 2).collect(),
-            slab_start: 0,
             dim: 4,
         };
-        let slab = TableState {
-            data: rows.iter().flatten().copied().collect(),
+        let table = TableState {
+            data: rows.iter().flat_map(|row| [*row, [f32::NAN; 4]]).flatten().collect(),
             adagrad: None,
         };
-        (item, slab)
+        (item, table)
     }
 
     /// The rows of [`F32_PARAMS_CHUNK`].
@@ -290,8 +287,8 @@ mod tests {
         assert!(names("unknown row tag 1", &err), "{err:?}");
         // The same rows written now take binary16 parameters, 4 B a row
         // fewer.
-        let (item, slab) = fixture_item(&F32_PARAMS_ROWS);
-        let now = encode_chunk(&item, &slab, &QuantScheme::Asymmetric { bits: 4 });
+        let (item, table) = fixture_item(&F32_PARAMS_ROWS);
+        let now = encode_chunk(&item, &table.view(), &QuantScheme::Asymmetric { bits: 4 });
         assert_eq!(decode_in_place(&now).unwrap().0.rows.tag, 4);
         assert_eq!(now.len(), F32_PARAMS_CHUNK.len() - 3 * 4);
     }
@@ -307,9 +304,9 @@ mod tests {
             [f32::NAN, 0.3, -0.3, 0.0],
             [0.1, -0.2, 0.3, 0.05],
         ];
-        let (item, slab) = fixture_item(&rows);
-        let stored = encode_chunk(&item, &slab, &QuantScheme::recommended_for_bits(4));
-        let fp32 = encode_chunk(&item, &slab, &QuantScheme::Fp32);
+        let (item, table) = fixture_item(&rows);
+        let stored = encode_chunk(&item, &table.view(), &QuantScheme::recommended_for_bits(4));
+        let fp32 = encode_chunk(&item, &table.view(), &QuantScheme::Fp32);
         assert_eq!(stored, fp32, "byte for byte an fp32 chunk");
         let (header, values) = decode_in_place(&stored).unwrap();
         assert_eq!((header.rows.tag, header.rows.bits), (0, 32));
@@ -337,8 +334,8 @@ mod tests {
         for scheme in schemes() {
             for with_acc in [false, true] {
                 for (rows, dim) in [(0, 8), (1, 8), (5, 13), (64, 32)] {
-                    let (item, table) = item(rows, dim, with_acc);
-                    let bytes = encode_chunk(&item, &table, &scheme);
+                    let (item, table) = item(rows, dim, with_acc, 3);
+                    let bytes = encode_chunk(&item, &table.view(), &scheme);
                     let rows_decoded = ChunkPayload::decode(&bytes).unwrap();
                     let (flat, values) = decode_in_place(&bytes).unwrap();
                     assert_eq!(flat.table, rows_decoded.table);
@@ -363,8 +360,8 @@ mod tests {
     #[test]
     fn in_place_verifier_rejects_what_the_row_object_decoder_rejects() {
         for scheme in [QuantScheme::Fp32, QuantScheme::recommended_for_bits(4)] {
-            let (item, table) = item(6, 8, true);
-            let bytes = encode_chunk(&item, &table, &scheme);
+            let (item, table) = item(6, 8, true, 3);
+            let bytes = encode_chunk(&item, &table.view(), &scheme);
             let (_, clean) = decode_in_place(&bytes).unwrap();
             for cut in 0..bytes.len() {
                 assert!(

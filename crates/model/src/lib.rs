@@ -36,4 +36,4 @@ pub use dlrm::{BatchStats, DlrmModel};
 pub use mlp::Mlp;
 pub use sharding::{DeviceId, ShardPlan};
 pub use state::{ModelState, TableState};
-pub use table::{EmbeddingTable, TableViewMut};
+pub use table::{EmbeddingTable, TableView, TableViewMut};

@@ -3,13 +3,13 @@
 //! [`ModelState`] is the in-memory snapshot the Check-N-Run engine copies out
 //! of the (simulated) devices while training is stalled (§4.2): embedding
 //! weights, optimizer accumulators, MLP parameters, and the iteration
-//! counter. (A checkpoint snapshot's tables hold only the rows the
-//! checkpoint writes — see `cnr_core::snapshot`; a restored state's hold
-//! every row.) Extraction and restoration are exact (bit-level) so that
-//! unquantized checkpoints provably lose nothing.
+//! counter. (A checkpoint snapshot holds no tables — it borrows the
+//! model's, see `cnr_core::snapshot`; a restored state's hold every row.)
+//! Extraction and restoration are exact (bit-level) so that unquantized
+//! checkpoints provably lose nothing.
 
 use crate::dlrm::DlrmModel;
-use crate::table::TableViewMut;
+use crate::table::{TableView, TableViewMut};
 
 /// Snapshot of one embedding table.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +28,11 @@ impl TableState {
             data: vec![0.0; rows * dim],
             adagrad: has_optimizer_state.then(|| vec![0.0; rows]),
         }
+    }
+
+    /// Weights and accumulators together (checkpoint write).
+    pub fn view(&self) -> TableView<'_> {
+        TableView { data: &self.data, adagrad: self.adagrad.as_deref() }
     }
 
     /// Weights and accumulators together, mutably (checkpoint restore).
@@ -55,9 +60,9 @@ pub struct ModelState {
 impl ModelState {
     /// Copies the full state out of a model.
     ///
-    /// No engine code calls this: a checkpoint snapshot copies only the
-    /// rows it will write (`cnr_core::snapshot`), and a restore decodes
-    /// into the model in place. It is the whole-model oracle the tests
+    /// No engine code calls this: a checkpoint snapshot borrows the
+    /// model's tables (`cnr_core::snapshot`), and a restore decodes into
+    /// the model in place. It is the whole-model oracle the tests
     /// compare both against.
     pub fn extract(model: &DlrmModel) -> Self {
         Self {

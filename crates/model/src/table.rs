@@ -19,10 +19,20 @@ pub struct EmbeddingTable {
     adagrad: Option<Vec<f32>>,
 }
 
+/// Read-only view of one table's checkpointable state — what a checkpoint
+/// writer encodes from; [`TableViewMut`] is its mutable twin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TableView<'a> {
+    /// Row-major weights.
+    pub data: &'a [f32],
+    /// Row-wise AdaGrad accumulators, when the table keeps them.
+    pub adagrad: Option<&'a [f32]>,
+}
+
 /// Mutable view of one table's checkpointable state — what a restore
 /// writes into. A live [`EmbeddingTable`] and a detached
-/// [`crate::state::TableState`] both lend one, so the recovery path decodes
-/// into either without knowing which it has.
+/// [`crate::state::TableState`] both lend one of each, so the recovery path
+/// decodes into either without knowing which it has.
 #[derive(Debug)]
 pub struct TableViewMut<'a> {
     /// Row-major weights.
@@ -89,6 +99,11 @@ impl EmbeddingTable {
     /// Mutable AdaGrad accumulators (checkpoint restore).
     pub fn adagrad_mut(&mut self) -> Option<&mut [f32]> {
         self.adagrad.as_deref_mut()
+    }
+
+    /// Weights and accumulators together (checkpoint write).
+    pub fn view(&self) -> TableView<'_> {
+        TableView { data: &self.data, adagrad: self.adagrad.as_deref() }
     }
 
     /// Weights and accumulators together, mutably (checkpoint restore).

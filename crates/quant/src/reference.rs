@@ -458,9 +458,10 @@ mod tests {
     }
 
     proptest! {
-        /// `quantize_row_into` == reference quantize + `encode_body_into`,
-        /// `quantize_row` == reference row, `quantize_rows_into` over a
-        /// chunk == the reference rows' bodies, flat and in-place decode
+        /// `quantize_rows_into` of one row == reference quantize +
+        /// `encode_body_into`, `quantize_row` == reference row,
+        /// `quantize_rows_into` over a chunk == the reference rows'
+        /// bodies, flat and in-place decode
         /// == reference `dequantize`, bit for bit, for every scheme.
         #[test]
         fn fused_rows_equal_reference_rows(
@@ -493,8 +494,8 @@ mod tests {
             let stored = scheme.stored_for([&row[..]]);
             prop_assert_eq!(stored.kind_tag(), want.kind_tag(), "{} tag", scheme);
             let mut fused = vec![0xEEu8; 3];
-            stored.quantize_row_into(&row, &mut fused);
-            prop_assert_eq!(&fused[3..], &want_body[..], "{} quantize_row_into", scheme);
+            stored.quantize_rows_into(&row, dim, &mut fused);
+            prop_assert_eq!(&fused[3..], &want_body[..], "{} quantize_rows_into", scheme);
             prop_assert_eq!(want_body.len(), stored.body_len(dim));
             prop_assert_eq!(want.byte_size(), ROW_HEADER_LEN + stored.body_len(dim));
             prop_assert_eq!(want.byte_size(), stored.bytes_per_row(dim));
@@ -896,7 +897,7 @@ mod tests {
             );
             assert_eq!(scheme.stored_for([&[][..]]), scheme);
             let mut body = Vec::new();
-            scheme.quantize_row_into(&[], &mut body);
+            scheme.quantize_rows_into(&[], 0, &mut body);
             assert_eq!(body.len(), scheme.body_len(0), "{scheme}");
         }
         let (xmin, xmax, l2_error, steps) = search_range(&[], 4, 45, 1.0);

@@ -149,22 +149,15 @@ impl QuantScheme {
         }
     }
 
-    /// Quantizes one embedding row and appends its body encoding — the
-    /// parameters, then the packed codes — straight to `out`: for a row
-    /// `self` describes ([`Self::stored_for`]), the bytes
-    /// `self.quantize_row(row).encode_body_into(out)` appends, without the
-    /// row object or any other allocation in between. The one-row case of
-    /// [`Self::quantize_rows_into`].
-    pub fn quantize_row_into(&self, row: &[f32], out: &mut Vec<u8>) {
-        self.quantize_rows_into(row, row.len(), out);
-    }
-
     /// Quantizes the rows of `dim` values that `rows` holds back to back
-    /// and appends their body encodings in order: the bytes one
-    /// [`Self::quantize_row_into`] per row appends. `self` must be the
-    /// scheme the rows are stored under ([`Self::stored_for`]). An fp32
-    /// body is the row's values, so an fp32 run is one copy, not one per
-    /// row. A zero `dim` is one empty row.
+    /// and appends their body encodings — each row's parameters, then its
+    /// packed codes — in order, straight to `out`: for rows `self`
+    /// describes ([`Self::stored_for`]), the bytes
+    /// `self.quantize_row(row).encode_body_into(out)` appends for each,
+    /// without the row objects or any other allocation in between. `self`
+    /// must be the scheme the rows are stored under. An fp32 body is the
+    /// row's values, so an fp32 run is one copy, not one per row. A zero
+    /// `dim` is one empty row.
     pub fn quantize_rows_into(&self, rows: &[f32], dim: usize, out: &mut Vec<u8>) {
         debug_assert_eq!(
             self.stored_for([rows]),
@@ -227,8 +220,8 @@ impl QuantScheme {
 
     /// Serialized bytes of one row's body encoding (parameters + payload,
     /// no per-row header) at dimension `dim`: what
-    /// [`Self::quantize_row_into`] appends, so a chunk writer can size its
-    /// buffer before quantizing anything — the length the
+    /// [`Self::quantize_rows_into`] appends a row, so a chunk writer can
+    /// size its buffer before quantizing anything — the length the
     /// [`RowDecoder`] of this scheme's context reads.
     pub fn body_len(&self, dim: usize) -> usize {
         RowDecoder::new(self.kind_tag(), self.bits(), dim)
@@ -356,7 +349,7 @@ mod tests {
                 assert_eq!(s.body_len(dim), q.body_byte_size(), "{s} dim {dim}");
                 assert_eq!(s.kind_tag(), q.kind_tag(), "{s}");
                 let mut body = Vec::new();
-                s.quantize_row_into(&row, &mut body);
+                s.quantize_rows_into(&row, dim, &mut body);
                 let mut want = Vec::new();
                 q.encode_body_into(&mut want);
                 assert_eq!(body, want, "{s} dim {dim}");

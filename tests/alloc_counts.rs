@@ -8,8 +8,8 @@
 //! holds never asks for a model-sized buffer, and asks for no more when
 //! chunks hold more rows; a lazy restore asks for nothing the size of the
 //! cold rows it holds back (it keeps the bytes it fetched), and faulting a
-//! row in allocates nothing; a snapshot asks for one buffer per table, of
-//! exactly the rows its delta names; planning a write allocates a row's
+//! row in allocates nothing; a snapshot copies no row, and asks for the
+//! same whatever its delta names; planning a write allocates a row's
 //! index, not the row; capturing a WAL record straight into its segment
 //! allocates the same blocks for one touched row per table as for a full
 //! batch, and asks for no byte beyond the segment and the batch's row ids.
@@ -120,12 +120,11 @@ fn table(rows: usize) -> TableState {
     }
 }
 
-/// The work item naming every row of a `rows`-row table.
-fn item(rows: usize) -> WorkItem {
+/// The work item naming every `stride`-th row of a `rows`-row table.
+fn item(rows: usize, stride: usize) -> WorkItem {
     WorkItem {
         table: 0,
-        indices: (0..rows as u32).collect(),
-        slab_start: 0,
+        indices: (0..rows as u32).step_by(stride).collect(),
         dim: DIM,
     }
 }
@@ -154,10 +153,10 @@ fn trainer(rows: usize) -> (Trainer, SnapshotTaker) {
 
 /// Snapshots `trainer`: the incremental of the rows `tracked` names, or a
 /// full snapshot without it.
-fn take(
-    (trainer, taker): &mut (Trainer, SnapshotTaker),
+fn take<'m>(
+    (trainer, taker): &'m mut (Trainer, SnapshotTaker),
     tracked: Option<&TrackerSnapshot>,
-) -> TrainingSnapshot {
+) -> TrainingSnapshot<'m> {
     trainer.tracker().reset();
     for (t, mask) in tracked.iter().flat_map(|delta| delta.tables.iter().enumerate()) {
         trainer.tracker().mark_rows(t, mask.iter_ones());
@@ -183,15 +182,16 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         QuantScheme::recommended_for_bits(3),
         QuantScheme::recommended_for_bits(2),
     ] {
-        let (small, large) = (item(16), item(4096));
-        let (small_table, large_table) = (table(16), table(4096));
-        let (encode_small, _) = allocations(|| encode_chunk(&small, &small_table, &scheme));
-        let (encode_large, _) = allocations(|| encode_chunk(&large, &large_table, &scheme));
-        assert_eq!(encode_small, 1, "{scheme}: one staging buffer per chunk");
-        assert_eq!(
-            encode_large, encode_small,
-            "{scheme}: encode allocations grew with rows"
-        );
+        // A few rows, one run of a whole table, and rows scattered over
+        // one: read by index, each is still one staging buffer.
+        let (small, large, scattered) = (item(16, 1), item(4096, 1), item(3 * 4096, 3));
+        let (small_table, large_table) = (table(16), table(3 * 4096));
+        let encode = |item: &WorkItem, table: &TableState| {
+            allocations(|| encode_chunk(item, &table.view(), &scheme)).0
+        };
+        assert_eq!(encode(&small, &small_table), 1, "{scheme}: one staging buffer per chunk");
+        assert_eq!(encode(&large, &large_table), 1, "{scheme}: encode allocations grew with rows");
+        assert_eq!(encode(&scattered, &large_table), 1, "{scheme}: scattered rows allocate");
     }
 
     // An eager restore into a destination the caller already holds asks
@@ -201,7 +201,9 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     // and for no more when chunks hold more rows.
     let spec = DatasetSpec::tiny(5);
     let rows = 40_000;
-    let saved = take(&mut trainer(rows), None);
+    let mut saved_trainer = trainer(rows);
+    let model_bytes = saved_trainer.0.model().state_bytes();
+    let saved = take(&mut saved_trainer, None);
     let model_cfg = ModelConfig {
         tables: vec![TableSpec {
             rows: rows as u64,
@@ -240,11 +242,10 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
         let restored = restored.unwrap();
         assert!(restored.report.state.tables.is_empty());
         assert_eq!(restored.report.rows_applied, rows as u64);
-        assert!(dest == saved.model.tables[0], "fp32 restore is bit-exact");
+        assert!(dest.view() == saved.tables[0], "fp32 restore is bit-exact");
         assert!(
-            4 * bytes < saved.model.byte_size(),
-            "restore requested {bytes} bytes for a {}-byte model at {chunk_rows} rows per chunk",
-            saved.model.byte_size()
+            4 * bytes < model_bytes,
+            "restore requested {bytes} bytes for a {model_bytes}-byte model at {chunk_rows} rows per chunk"
         );
         requested.push((allocs, bytes));
     }
@@ -296,7 +297,7 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     });
     let mut tail = restored.unwrap().lazy.expect("a lazy restore returns its tail");
     let cold_value_bytes = tail.pending_rows() as usize * DIM * 4;
-    assert!(cold_value_bytes > saved.model.byte_size() / 2, "most rows are cold");
+    assert!(cold_value_bytes > model_bytes / 2, "most rows are cold");
     assert!(
         4 * bytes < cold_value_bytes,
         "lazy restore requested {bytes} bytes while holding back {cold_value_bytes} bytes of rows"
@@ -316,23 +317,21 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     let at = cold_row as usize * DIM;
     assert_eq!(
         model.tables()[0].row(cold_row as usize),
-        &saved.model.tables[0].data[at..at + DIM]
+        &saved.tables[0].data[at..at + DIM]
     );
     tail.drain(&mut model).unwrap();
     assert!(tail.is_drained());
     assert!(
-        model.tables()[0].data() == saved.model.tables[0].data.as_slice()
-            && model.tables()[0].adagrad() == saved.model.tables[0].adagrad.as_deref(),
+        model.tables()[0].view() == saved.tables[0],
         "drained lazy restore is bit-exact"
     );
 
-    // A snapshot copies the rows its delta names and nothing else, into
-    // one buffer per table (and one per table of accumulators) sized
-    // before the first row is copied: the allocator is asked the same
-    // number of times for a few rows as for many, for one run of rows as
-    // for thousands, and what it is asked for beyond the snapshot's own
-    // `byte_size()` (the tracker's bit vectors, the table geometry) does
-    // not depend on the rows at all.
+    // A snapshot copies no row: it lends the tables and asks the allocator
+    // for the dense layers, the delta's masks and a few bookkeeping
+    // vectors (the views, the geometry, the row counts) — the same number
+    // of times and the same bytes for a few rows as for one run of rows
+    // or thousands scattered, and below the dense layers and the masks
+    // plus that bookkeeping.
     let rows = 20_000;
     let mut live = trainer(rows);
     let mut few = TrackerSnapshot::empty(&[rows]);
@@ -347,15 +346,15 @@ fn hot_paths_allocate_per_chunk_not_per_row() {
     for tracked in [&few, &one_run, &sparse] {
         let (bytes, (allocs, snap)) = bytes_allocated(|| allocations(|| take(&mut live, Some(tracked))));
         assert_eq!(snap.delta, *tracked);
-        let slab = &snap.model.tables[0];
-        assert_eq!(slab.data.len(), tracked.modified_rows() * DIM);
-        assert_eq!(slab.data.capacity(), slab.data.len(), "sized exactly");
-        assert!(4 * snap.model.byte_size() < live.0.model().state_bytes());
-        taken.push((allocs, bytes - snap.model.byte_size()));
+        assert!(snap.model.tables.is_empty());
+        let masks: usize = snap.delta.tables.iter().map(|mask| 8 * mask.words().len()).sum();
+        let kept = snap.model.byte_size() + masks;
+        assert!(bytes < kept + 512, "a take asked for {bytes} bytes to keep {kept}");
+        taken.push((allocs, bytes));
     }
     assert!(
         taken.iter().all(|t| *t == taken[0]),
-        "(allocations, bytes beyond byte_size()) depend on the tracked rows: {taken:?}"
+        "(allocations, bytes) depend on the tracked rows: {taken:?}"
     );
 
     // Planning a write names rows, it does not copy them: an index per

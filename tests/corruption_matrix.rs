@@ -18,7 +18,6 @@ use check_n_run::core::read::{restore_sharded, RestoreOptions};
 use check_n_run::core::restore::{load_manifest, restore};
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
-use check_n_run::core::TrainingSnapshot;
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
@@ -64,8 +63,8 @@ impl Target {
     }
 }
 
-/// Trains a small deterministic model and snapshots it.
-fn snapshot_for(seed: u64) -> (ModelConfig, TrainingSnapshot) {
+/// Trains a small deterministic model.
+fn trained(seed: u64) -> (ModelConfig, Trainer) {
     let spec = DatasetSpec {
         seed,
         batch_size: 16,
@@ -83,8 +82,14 @@ fn snapshot_for(seed: u64) -> (ModelConfig, TrainingSnapshot) {
     for i in 0..3 {
         trainer.train_one(&ds.batch(i));
     }
-    let snap = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2)).take(
-        &mut trainer,
+    (model_cfg, trainer)
+}
+
+/// Snapshots `trainer` and writes it as full checkpoint 0.
+fn write_to(store: &InMemoryStore, trainer: &mut Trainer, part_bytes: usize) {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    let snap = SnapshotTaker::new(plan).take(
+        trainer,
         ReaderState::at(3),
         Decision {
             kind: CheckpointKind::Full,
@@ -92,10 +97,6 @@ fn snapshot_for(seed: u64) -> (ModelConfig, TrainingSnapshot) {
         },
         &CheckpointConfig::default(),
     );
-    (model_cfg, snap)
-}
-
-fn write_to(store: &InMemoryStore, snap: &TrainingSnapshot, part_bytes: usize) {
     let writer = CheckpointWriter::new(store, "job");
     let cfg = CheckpointConfig {
         chunk_rows: 32,
@@ -104,7 +105,7 @@ fn write_to(store: &InMemoryStore, snap: &TrainingSnapshot, part_bytes: usize) {
         ..CheckpointConfig::default()
     };
     writer
-        .write(snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
+        .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
         .expect("write");
 }
 
@@ -145,9 +146,9 @@ fn run_cell_with(
     seed: u64,
 ) -> Outcome {
     let reader_hosts = options.reader_hosts;
-    let (model_cfg, snap) = snapshot_for(7);
+    let (model_cfg, mut trainer) = trained(7);
     let inner = InMemoryStore::new();
-    write_to(&inner, &snap, target.part_bytes());
+    write_to(&inner, &mut trainer, target.part_bytes());
     let clean = restore(&inner, "job", CheckpointId(0), &model_cfg).expect("clean restore");
 
     let mode = if persistent { FailureMode::Every(1) } else { FailureMode::Once(1) };
@@ -258,9 +259,9 @@ fn damage_on_the_magic_is_detected_and_refetched() {
         ..RestoreOptions::default()
     };
     for target in TARGETS {
-        let (_, snap) = snapshot_for(7);
+        let (_, mut trainer) = trained(7);
         let store = InMemoryStore::new();
-        write_to(&store, &snap, target.part_bytes());
+        write_to(&store, &mut trainer, target.part_bytes());
         let manifest = load_manifest(&store, "job", CheckpointId(0)).unwrap();
         let first_read = match target {
             Target::Manifest => store.head("job/ckpt-00000000/manifest").unwrap().size,

@@ -8,7 +8,7 @@ use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::restore::restore;
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
-use check_n_run::core::{CheckpointConfig, CnrError};
+use check_n_run::core::{CheckpointConfig, CnrError, TrainingSnapshot};
 use check_n_run::cluster::SimClock;
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
@@ -17,38 +17,40 @@ use check_n_run::storage::{FsStore, InMemoryStore, ObjectStore};
 use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 
-fn trained_snapshot(
-    batches: u64,
-) -> (
-    ModelConfig,
-    check_n_run::core::TrainingSnapshot,
-    u64, // expected state hash
-) {
+/// A model's configuration after `batches` batches, its trainer and its
+/// state hash.
+fn trained(batches: u64) -> (ModelConfig, Trainer, u64) {
     let spec = DatasetSpec::tiny(404);
     let ds = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, 8);
-    let plan = ShardPlan::balanced(&model_cfg, 1, 2);
     let model = DlrmModel::new(model_cfg.clone());
     let mut trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
     for i in 0..batches {
         trainer.train_one(&ds.batch(i));
     }
     let hash = trainer.model().state_hash();
-    let snap = SnapshotTaker::new(plan).take(
-        &mut trainer,
+    (model_cfg, trainer, hash)
+}
+
+/// A full snapshot of `trainer`.
+fn full_snapshot(trainer: &mut Trainer) -> TrainingSnapshot<'_> {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    let batches = trainer.model().iteration();
+    SnapshotTaker::new(plan).take(
+        trainer,
         ReaderState::at(batches),
         Decision {
             kind: CheckpointKind::Full,
             tracker: TrackerAction::SnapshotReset,
         },
         &CheckpointConfig::default(),
-    );
-    (model_cfg, snap, hash)
+    )
 }
 
 #[test]
 fn every_corrupted_object_fails_restore_loudly() {
-    let (model_cfg, snap, _) = trained_snapshot(3);
+    let (model_cfg, mut trainer, _) = trained(3);
+    let snap = full_snapshot(&mut trainer);
     let store = InMemoryStore::new();
     let writer = CheckpointWriter::new(&store, "job");
     let rec = writer
@@ -83,7 +85,8 @@ fn every_corrupted_object_fails_restore_loudly() {
 
 #[test]
 fn missing_chunk_fails_restore() {
-    let (model_cfg, snap, _) = trained_snapshot(2);
+    let (model_cfg, mut trainer, _) = trained(2);
+    let snap = full_snapshot(&mut trainer);
     let store = InMemoryStore::new();
     let writer = CheckpointWriter::new(&store, "job");
     let rec = writer
@@ -114,7 +117,8 @@ fn fs_store_runs_the_full_checkpoint_stack() {
     ));
     let store = FsStore::open(&dir).unwrap();
 
-    let (model_cfg, snap, hash) = trained_snapshot(4);
+    let (model_cfg, mut trainer, hash) = trained(4);
+    let snap = full_snapshot(&mut trainer);
     let writer = CheckpointWriter::new(&store, "job");
     let rec = writer
         .write(
@@ -141,7 +145,8 @@ fn fs_store_runs_the_full_checkpoint_stack() {
 
 #[test]
 fn truncated_manifest_fails_decode() {
-    let (_, snap, _) = trained_snapshot(2);
+    let (_, mut trainer, _) = trained(2);
+    let snap = full_snapshot(&mut trainer);
     let store = InMemoryStore::new();
     let writer = CheckpointWriter::new(&store, "job");
     let rec = writer

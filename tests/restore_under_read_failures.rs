@@ -15,8 +15,8 @@ use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::read::{restore_sharded, restore_sharded_with_heat, RestoreOptions};
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
-use check_n_run::core::{CnrError, TrainingSnapshot};
-use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
+use check_n_run::core::CnrError;
+use check_n_run::model::{DlrmModel, ModelConfig, ModelState, ShardPlan};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::{FailureMode, Fault, FlakyStore, InMemoryStore, Op};
@@ -24,7 +24,9 @@ use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::time::Duration;
 
-fn checkpointed_snapshot() -> (ModelConfig, TrainingSnapshot, InMemoryStore) {
+/// A model's configuration, its state, and a store holding a full
+/// checkpoint of it.
+fn checkpointed() -> (ModelConfig, ModelState, InMemoryStore) {
     let spec = DatasetSpec::tiny(5150);
     let ds = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, 8);
@@ -33,6 +35,7 @@ fn checkpointed_snapshot() -> (ModelConfig, TrainingSnapshot, InMemoryStore) {
     for i in 0..3 {
         trainer.train_one(&ds.batch(i));
     }
+    let saved = ModelState::extract(trainer.model());
     let snap = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2)).take(
         &mut trainer,
         ReaderState::at(3),
@@ -52,7 +55,7 @@ fn checkpointed_snapshot() -> (ModelConfig, TrainingSnapshot, InMemoryStore) {
     writer
         .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
         .expect("write");
-    (model_cfg, snap, store)
+    (model_cfg, saved, store)
 }
 
 fn options(reader_hosts: usize, retries: u32) -> RestoreOptions {
@@ -65,7 +68,7 @@ fn options(reader_hosts: usize, retries: u32) -> RestoreOptions {
 
 #[test]
 fn periodic_read_timeouts_are_absorbed_by_retries() {
-    let (model_cfg, snap, inner) = checkpointed_snapshot();
+    let (model_cfg, saved, inner) = checkpointed();
     let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(4))]);
     let sharded = restore_sharded(
         &store,
@@ -76,7 +79,7 @@ fn periodic_read_timeouts_are_absorbed_by_retries() {
         Duration::ZERO,
     )
     .expect("retries must absorb periodic timeouts");
-    assert_eq!(sharded.report.state, snap.model, "bit-exact despite timeouts");
+    assert_eq!(sharded.report.state, saved, "bit-exact despite timeouts");
     assert!(store.injected(0) > 0, "failures actually fired");
     assert!(sharded.fetch_status.retries_performed >= store.injected(0) - 1);
     assert_eq!(
@@ -92,7 +95,7 @@ fn transient_outage_at_restore_start_heals() {
     // attempt succeeds — exactly how an operator-level retry loop would
     // drive it. A *shorter* outage is absorbed inside one attempt, since
     // manifest reads go through the same retrying fetch path as chunks.
-    let (model_cfg, snap, inner) = checkpointed_snapshot();
+    let (model_cfg, saved, inner) = checkpointed();
     let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::FirstN(3))]);
     let first = restore_sharded(
         &store,
@@ -112,11 +115,11 @@ fn transient_outage_at_restore_start_heals() {
         Duration::ZERO,
     )
     .expect("healed store restores");
-    assert_eq!(second.report.state, snap.model);
+    assert_eq!(second.report.state, saved);
 
     // The shorter outage: two failing reads are absorbed by the manifest
     // fetch's own retries and the restore completes first try.
-    let (model_cfg2, snap2, inner2) = checkpointed_snapshot();
+    let (model_cfg2, saved2, inner2) = checkpointed();
     let store2 = FlakyStore::new(inner2, [Fault::fail(Op::Read, FailureMode::FirstN(2))]);
     let absorbed = restore_sharded(
         &store2,
@@ -127,12 +130,12 @@ fn transient_outage_at_restore_start_heals() {
         Duration::ZERO,
     )
     .expect("short outage absorbed in place");
-    assert_eq!(absorbed.report.state, snap2.model);
+    assert_eq!(absorbed.report.state, saved2);
 }
 
 #[test]
 fn persistent_read_failures_error_rather_than_zero_fill() {
-    let (model_cfg, _snap, inner) = checkpointed_snapshot();
+    let (model_cfg, _, inner) = checkpointed();
     let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(1))]);
     let result = restore_sharded(
         &store,
@@ -153,7 +156,7 @@ fn read_failures_and_reader_death_compose() {
     // A flaky store *and* a reader host dying mid-restore: retries absorb
     // the timeouts, survivors adopt the dead host's chunks, and the state
     // is still bit-exact.
-    let (model_cfg, snap, inner) = checkpointed_snapshot();
+    let (model_cfg, saved, inner) = checkpointed();
     let store = FlakyStore::new(inner, [Fault::fail(Op::Read, FailureMode::Every(6))]);
     let sharded = restore_sharded_with_heat(
         &store,
@@ -169,7 +172,7 @@ fn read_failures_and_reader_death_compose() {
         None,
     )
     .expect("retries + re-sharding must both engage");
-    assert_eq!(sharded.report.state, snap.model);
+    assert_eq!(sharded.report.state, saved);
     assert_eq!(sharded.killed_hosts, vec![0]);
     assert!(sharded.breakdown.rescheduled_chunks > 0);
 }
@@ -178,7 +181,7 @@ fn read_failures_and_reader_death_compose() {
 fn a_head_timeout_is_retried_like_a_read() {
     // The chain walk sizes each manifest with a `head` before it fetches
     // it. One timed-out `head` costs one retry, counted with the reads'.
-    let (model_cfg, snap, inner) = checkpointed_snapshot();
+    let (model_cfg, saved, inner) = checkpointed();
     let store = FlakyStore::new(inner, [Fault::fail(Op::Head, FailureMode::Once(1))]);
     let sharded = restore_sharded(
         &store,
@@ -189,13 +192,13 @@ fn a_head_timeout_is_retried_like_a_read() {
         Duration::ZERO,
     )
     .expect("one head timeout is absorbed");
-    assert_eq!(sharded.report.state, snap.model, "bit-exact despite the timeout");
+    assert_eq!(sharded.report.state, saved, "bit-exact despite the timeout");
     assert_eq!(store.injected(0), 1);
     assert_eq!(sharded.fetch_status.retries_performed, 1);
 
     // An outage that outlasts the budget fails the restore, typed.
     for retries in [0, 2] {
-        let (model_cfg, _snap, inner) = checkpointed_snapshot();
+        let (model_cfg, _, inner) = checkpointed();
         let outage = Fault::fail(Op::Head, FailureMode::FirstN(retries as u64 + 1));
         let store = FlakyStore::new(inner, [outage]);
         let result = restore_sharded(

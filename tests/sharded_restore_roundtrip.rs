@@ -53,17 +53,14 @@ use check_n_run::workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Trains a small random model and snapshots it twice at the same instant:
-/// as `kind`, and — first, leaving the tracker alone — as the full baseline
-/// an incremental's chain starts from.
-fn snapshot_for(
+/// Trains a small random model.
+fn trained(
     seed: u64,
     rows_a: usize,
     rows_b: usize,
     dim: usize,
     batches: u64,
-    kind: CheckpointKind,
-) -> (ModelConfig, TrainingSnapshot, TrainingSnapshot) {
+) -> (ModelConfig, Trainer) {
     let spec = DatasetSpec {
         seed,
         batch_size: 16,
@@ -81,39 +78,28 @@ fn snapshot_for(
     for i in 0..batches {
         trainer.train_one(&ds.batch(i));
     }
-    let decision = match kind {
-        CheckpointKind::Full => Decision {
-            kind,
-            tracker: TrackerAction::SnapshotReset,
-        },
-        CheckpointKind::Incremental => Decision {
-            kind,
-            tracker: TrackerAction::SnapshotKeep,
-        },
-    };
-    let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
-    let mut take = |decision| {
-        taker.take(
-            &mut trainer,
-            ReaderState::at(batches),
-            decision,
-            &CheckpointConfig::default(),
-        )
-    };
-    let baseline = take(Decision {
-        kind: CheckpointKind::Full,
-        tracker: TrackerAction::SnapshotKeep,
-    });
-    let snap = take(decision);
-    (model_cfg, snap, baseline)
+    (model_cfg, trainer)
 }
 
-/// Writes `snap` (with `baseline`, single-shard, first when it is
-/// incremental, so the chain restores) over `writer_hosts`.
+/// Snapshots `trainer` as `kind` with `tracker`.
+fn take(trainer: &mut Trainer, kind: CheckpointKind, tracker: TrackerAction) -> TrainingSnapshot<'_> {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    let batches = trainer.model().iteration();
+    SnapshotTaker::new(plan).take(
+        trainer,
+        ReaderState::at(batches),
+        Decision { kind, tracker },
+        &CheckpointConfig::default(),
+    )
+}
+
+/// Writes a snapshot of `trainer` as `kind` over `writer_hosts` — first,
+/// when it is incremental, a single-shard full baseline of the same
+/// instant, taken leaving the tracker alone, so the chain restores.
 fn write_chain(
     store: &InMemoryStore,
-    snap: &TrainingSnapshot,
-    baseline: &TrainingSnapshot,
+    trainer: &mut Trainer,
+    kind: CheckpointKind,
     writer_hosts: usize,
     chunk_rows: usize,
 ) -> CheckpointId {
@@ -123,21 +109,22 @@ fn write_chain(
         writer_hosts,
         ..CheckpointConfig::default()
     };
-    let (id, base) = if snap.kind == CheckpointKind::Incremental {
+    let (id, base, tracker) = if kind == CheckpointKind::Incremental {
         let base_cfg = CheckpointConfig {
             chunk_rows,
             writer_hosts: 1,
             ..CheckpointConfig::default()
         };
+        let baseline = take(trainer, CheckpointKind::Full, TrackerAction::SnapshotKeep);
         writer
-            .write(baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
+            .write(&baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
             .expect("baseline write");
-        (CheckpointId(1), Some(CheckpointId(0)))
+        (CheckpointId(1), Some(CheckpointId(0)), TrackerAction::SnapshotKeep)
     } else {
-        (CheckpointId(0), None)
+        (CheckpointId(0), None, TrackerAction::SnapshotReset)
     };
     writer
-        .write(snap, id, base, QuantScheme::Fp32, &cfg)
+        .write(&take(trainer, kind, tracker), id, base, QuantScheme::Fp32, &cfg)
         .expect("write");
     id
 }
@@ -160,13 +147,14 @@ proptest! {
     ) {
         let dim = 1usize << dim_pow;
         let kind = if full == 1 { CheckpointKind::Full } else { CheckpointKind::Incremental };
-        let (model_cfg, snap, baseline) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
+        let (model_cfg, mut trainer) = trained(seed, rows_a, rows_b, dim, batches);
+        let live = ModelState::extract(trainer.model());
         let store = InMemoryStore::new();
-        let id = write_chain(&store, &snap, &baseline, writer_hosts, chunk_rows);
+        let id = write_chain(&store, &mut trainer, kind, writer_hosts, chunk_rows);
         let serial = restore(&store, "job", id, &model_cfg).expect("serial restore");
         if kind == CheckpointKind::Full {
             // FP32 full restores are bit-exact against the live model.
-            prop_assert_eq!(&serial.state, &snap.model);
+            prop_assert_eq!(&serial.state, &live);
         }
         for reader_hosts in [1usize, 2, 4, 7] {
             let sharded = restore_sharded(
@@ -220,42 +208,25 @@ fn whole_tables(cfg: &ModelConfig, next: &mut impl FnMut() -> f32) -> Vec<TableS
         .collect()
 }
 
-/// The snapshot of level `level` whose model is `whole` and whose delta is
-/// `delta`: the rows `delta` names, picked out of `whole` one by one into
-/// the layout `SnapshotTaker::take` produces (slab row `k` is the `k`-th
-/// set bit).
-fn snapshot_of(
+/// The snapshot of level `level` over the tables `whole`, whose delta is
+/// `delta`: what `SnapshotTaker::take` records.
+fn snapshot_of<'w>(
     cfg: &ModelConfig,
     level: u64,
-    whole: &[TableState],
+    whole: &'w [TableState],
     delta: TrackerSnapshot,
-) -> TrainingSnapshot {
-    let slabs = whole
-        .iter()
-        .zip(&delta.tables)
-        .zip(&cfg.tables)
-        .map(|((table, mask), spec)| TableState {
-            data: mask
-                .iter_ones()
-                .flat_map(|row| &table.data[row * spec.dim..(row + 1) * spec.dim])
-                .copied()
-                .collect(),
-            adagrad: table
-                .adagrad
-                .as_ref()
-                .map(|acc| mask.iter_ones().map(|row| acc[row]).collect()),
-        })
-        .collect();
+) -> TrainingSnapshot<'w> {
     // Dense layers of the model's shape (a restore refuses any other),
     // every parameter the level's number.
     let (bottom, top) = cfg.mlp_param_counts();
     TrainingSnapshot {
         model: ModelState {
-            tables: slabs,
+            tables: Vec::new(),
             bottom: vec![level as f32; bottom],
             top: vec![-(level as f32); top],
             iteration: level,
         },
+        tables: whole.iter().map(TableState::view).collect(),
         geometry: TableMeta::for_model(cfg),
         delta,
         reader: ReaderState::at(level),
@@ -269,10 +240,16 @@ fn snapshot_of(
     }
 }
 
-/// Level `level` of a synthetic chain: every value depends on the level,
-/// so which level wrote a row last is visible in the row, and each row is
-/// in the level's delta with probability `density`.
-fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> TrainingSnapshot {
+/// The tables and the delta of level `level` of a synthetic chain: every
+/// value depends on the level, so which level wrote a row last is visible
+/// in the row, and each row is in the level's delta with probability
+/// `density`.
+fn level_tables(
+    cfg: &ModelConfig,
+    seed: u64,
+    level: u64,
+    density: f32,
+) -> (Vec<TableState>, TrackerSnapshot) {
     let mut next = fractions(seed ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let whole = whole_tables(cfg, &mut next);
     let mut delta = TrackerSnapshot::empty(&cfg.row_counts());
@@ -283,7 +260,7 @@ fn level_snapshot(cfg: &ModelConfig, seed: u64, level: u64, density: f32) -> Tra
             }
         }
     }
-    snapshot_of(cfg, level, &whole, delta)
+    (whole, delta)
 }
 
 /// A model of `cfg` whose every embedding value and accumulator is NaN: a
@@ -355,7 +332,8 @@ proptest! {
         let mut densities = fractions(seed ^ 0xD1CE);
         for level in 0..=incrementals {
             let density = if level == 0 { 0.9 } else { 0.05 + 0.6 * densities() };
-            let snap = level_snapshot(&cfg, seed, level, density);
+            let (whole, delta) = level_tables(&cfg, seed, level, density);
+            let snap = snapshot_of(&cfg, level, &whole, delta);
             let base = level.checked_sub(1).map(CheckpointId);
             writer.write(&snap, CheckpointId(level), base, scheme, &write_cfg).expect("write");
         }
@@ -458,7 +436,8 @@ proptest! {
         let write_cfg = CheckpointConfig { chunk_rows, writer_hosts, ..CheckpointConfig::default() };
         let mut named = TrackerSnapshot::empty(&cfg.row_counts());
         for (level, density) in [(0u64, 0.9), (1, 0.6), (2, 0.5)] {
-            let snap = level_snapshot(&cfg, seed, level, density);
+            let (whole, delta) = level_tables(&cfg, seed, level, density);
+            let snap = snapshot_of(&cfg, level, &whole, delta);
             named.union_with(&snap.delta);
             let base = level.checked_sub(1).map(CheckpointId);
             writer.write(&snap, CheckpointId(level), base, scheme, &write_cfg).expect("write");
@@ -490,9 +469,13 @@ proptest! {
     }
 }
 
-/// Level `level` of a chain over `cfg` whose delta is exactly `rows` of
-/// table 0 (`None`: every row of every table).
-fn level_with_rows(cfg: &ModelConfig, level: u64, rows: Option<&[usize]>) -> TrainingSnapshot {
+/// The tables and the delta of level `level` of a chain over `cfg` whose
+/// delta is exactly `rows` of table 0 (`None`: every row of every table).
+fn level_with_rows(
+    cfg: &ModelConfig,
+    level: u64,
+    rows: Option<&[usize]>,
+) -> (Vec<TableState>, TrackerSnapshot) {
     let mut next = fractions(0xC01D ^ (level + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let whole = whole_tables(cfg, &mut next);
     let delta = match rows {
@@ -503,7 +486,7 @@ fn level_with_rows(cfg: &ModelConfig, level: u64, rows: Option<&[usize]>) -> Tra
             delta
         }
     };
-    snapshot_of(cfg, level, &whole, delta)
+    (whole, delta)
 }
 
 /// A store holding `deltas` as a chain of 32-row chunks over a 96 + 8 row
@@ -535,8 +518,9 @@ impl OneHotRow {
         for (level, rows) in deltas.iter().enumerate() {
             let level = level as u64;
             let base = level.checked_sub(1).map(CheckpointId);
+            let (whole, delta) = level_with_rows(&cfg, level, *rows);
             CheckpointWriter::new(&store, "job")
-                .write(&level_with_rows(&cfg, level, *rows), CheckpointId(level), base, scheme, &write_cfg)
+                .write(&snapshot_of(&cfg, level, &whole, delta), CheckpointId(level), base, scheme, &write_cfg)
                 .expect("write");
         }
         let target = CheckpointId(deltas.len() as u64 - 1);
@@ -679,7 +663,9 @@ fn a_malformed_row_in_a_cold_chunk_fails_the_restore_not_a_fault_in() {
 /// host, while remaining bit-identical to the serial restore.
 #[test]
 fn eight_reader_hosts_reach_ready_to_train_sooner_and_restore_identically() {
-    let (model_cfg, snap, _) = snapshot_for(13, 2000, 900, 16, 3, CheckpointKind::Full);
+    let (model_cfg, mut trainer) = trained(13, 2000, 900, 16, 3);
+    let live = ModelState::extract(trainer.model());
+    let snap = take(&mut trainer, CheckpointKind::Full, TrackerAction::SnapshotReset);
     let run = |reader_hosts: usize| {
         let clock = SimClock::new();
         let store = SimulatedRemoteStore::new(
@@ -717,7 +703,7 @@ fn eight_reader_hosts_reach_ready_to_train_sooner_and_restore_identically() {
     let (t1, s1) = run(1);
     let (t8, s8) = run(8);
     assert_eq!(s1, s8, "reader sharding must not change the restored state");
-    assert_eq!(s1, snap.model, "fp32 restore is bit-exact");
+    assert_eq!(s1, live, "fp32 restore is bit-exact");
     assert!(
         t8.as_secs_f64() < 0.25 * t1.as_secs_f64(),
         "8 downlinks should approach 8x faster ready-to-train: 1-host {t1:?}, 8-host {t8:?}"

@@ -3,8 +3,8 @@
 //! is bit-identical to the single-shard path — across 1/2/4/7 writer hosts,
 //! including row counts that don't divide evenly.
 //!
-//! A snapshot holds only the rows its delta names, gathered into a slab,
-//! and the writer reads them there by position.
+//! A snapshot borrows the trainer's tables, and the writer reads the rows
+//! its delta names there by row index.
 //! `gathered_snapshot_stores_the_live_models_bytes` is the property that
 //! guards that: whatever the mask, the host count, a host kill or the
 //! scheme, every stored chunk is byte for byte the row-object encoding of
@@ -28,7 +28,7 @@ use check_n_run::core::restore::restore;
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::{shard_range, CheckpointWriter};
 use check_n_run::core::TrainingSnapshot;
-use check_n_run::model::{DlrmModel, ModelConfig, ModelState, OptimizerConfig, ShardPlan};
+use check_n_run::model::{DlrmModel, ModelConfig, ModelState, OptimizerConfig, ShardPlan, TableState};
 use check_n_run::quant::QuantScheme;
 use check_n_run::reader::ReaderState;
 use check_n_run::storage::{
@@ -55,17 +55,14 @@ fn two_tables(seed: u64, rows_a: usize, rows_b: usize) -> DatasetSpec {
     }
 }
 
-/// Trains a small random model and snapshots it twice at the same instant:
-/// as `kind`, and — first, leaving the tracker alone — as the full baseline
-/// an incremental's chain starts from.
-fn snapshot_for(
+/// Trains a small random model.
+fn trained(
     seed: u64,
     rows_a: usize,
     rows_b: usize,
     dim: usize,
     batches: u64,
-    kind: CheckpointKind,
-) -> (ModelConfig, TrainingSnapshot, TrainingSnapshot) {
+) -> (ModelConfig, Trainer) {
     let spec = two_tables(seed, rows_a, rows_b);
     let ds = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, dim);
@@ -74,41 +71,30 @@ fn snapshot_for(
     for i in 0..batches {
         trainer.train_one(&ds.batch(i));
     }
-    let decision = match kind {
-        CheckpointKind::Full => Decision {
-            kind,
-            tracker: TrackerAction::SnapshotReset,
-        },
-        CheckpointKind::Incremental => Decision {
-            kind,
-            tracker: TrackerAction::SnapshotKeep,
-        },
-    };
-    let taker = SnapshotTaker::new(ShardPlan::balanced(&model_cfg, 1, 2));
-    let mut take = |decision| {
-        taker.take(
-            &mut trainer,
-            ReaderState::at(batches),
-            decision,
-            &CheckpointConfig::default(),
-        )
-    };
-    let baseline = take(Decision {
-        kind: CheckpointKind::Full,
-        tracker: TrackerAction::SnapshotKeep,
-    });
-    let snap = take(decision);
-    (model_cfg, snap, baseline)
+    (model_cfg, trainer)
 }
 
-/// Writes `snap` over `hosts` writer hosts and restores it. An incremental
-/// snapshot first gets `baseline` as a fixed single-shard full checkpoint
-/// (identical across comparisons) so its chain restores; the shard count
-/// under test applies to the newest checkpoint.
+/// Snapshots `trainer` as `kind` with `tracker`.
+fn take(trainer: &mut Trainer, kind: CheckpointKind, tracker: TrackerAction) -> TrainingSnapshot<'_> {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    let batches = trainer.model().iteration();
+    SnapshotTaker::new(plan).take(
+        trainer,
+        ReaderState::at(batches),
+        Decision { kind, tracker },
+        &CheckpointConfig::default(),
+    )
+}
+
+/// Writes a snapshot of `trainer` as `kind` over `hosts` writer hosts and
+/// restores it. An incremental first gets a full baseline of the same
+/// instant — taken leaving the tracker alone — as a fixed single-shard
+/// full checkpoint (identical across comparisons) so its chain restores;
+/// the shard count under test applies to the newest checkpoint.
 fn roundtrip(
     model_cfg: &ModelConfig,
-    snap: &TrainingSnapshot,
-    baseline: &TrainingSnapshot,
+    trainer: &mut Trainer,
+    kind: CheckpointKind,
     hosts: usize,
     chunk_rows: usize,
 ) -> (ModelState, Vec<CheckpointId>) {
@@ -119,21 +105,23 @@ fn roundtrip(
         writer_hosts: hosts,
         ..CheckpointConfig::default()
     };
-    let (id, base) = if snap.kind == CheckpointKind::Incremental {
+    let (id, base, tracker) = if kind == CheckpointKind::Incremental {
         let base_cfg = CheckpointConfig {
             chunk_rows,
             writer_hosts: 1,
             ..CheckpointConfig::default()
         };
+        let baseline = take(trainer, CheckpointKind::Full, TrackerAction::SnapshotKeep);
         writer
-            .write(baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
+            .write(&baseline, CheckpointId(0), None, QuantScheme::Fp32, &base_cfg)
             .expect("baseline write");
-        (CheckpointId(1), Some(CheckpointId(0)))
+        (CheckpointId(1), Some(CheckpointId(0)), TrackerAction::SnapshotKeep)
     } else {
-        (CheckpointId(0), None)
+        (CheckpointId(0), None, TrackerAction::SnapshotReset)
     };
+    let snap = take(trainer, kind, tracker);
     let rec = writer
-        .write(snap, id, base, QuantScheme::Fp32, &cfg)
+        .write(&snap, id, base, QuantScheme::Fp32, &cfg)
         .expect("write");
     // The chunks account for every row of the delta.
     let chunk_rows_total: u64 = rec.manifest.chunks.iter().map(|c| c.rows as u64).sum();
@@ -158,16 +146,17 @@ proptest! {
     ) {
         let dim = 1usize << dim_pow;
         let kind = if full == 1 { CheckpointKind::Full } else { CheckpointKind::Incremental };
-        let (model_cfg, snap, baseline) = snapshot_for(seed, rows_a, rows_b, dim, batches, kind);
-        let (single, chain_single) = roundtrip(&model_cfg, &snap, &baseline, 1, chunk_rows);
+        let (model_cfg, mut trainer) = trained(seed, rows_a, rows_b, dim, batches);
+        let live = ModelState::extract(trainer.model());
+        let (single, chain_single) = roundtrip(&model_cfg, &mut trainer, kind, 1, chunk_rows);
         // Full = one manifest; incremental adds its baseline.
         prop_assert_eq!(chain_single.len(), if kind == CheckpointKind::Full { 1 } else { 2 });
         if kind == CheckpointKind::Full {
             // FP32 full restores are bit-exact against the live model.
-            prop_assert_eq!(&single, &snap.model);
+            prop_assert_eq!(&single, &live);
         }
         for hosts in [2usize, 4, 7] {
-            let (sharded, chain) = roundtrip(&model_cfg, &snap, &baseline, hosts, chunk_rows);
+            let (sharded, chain) = roundtrip(&model_cfg, &mut trainer, kind, hosts, chunk_rows);
             prop_assert_eq!(&sharded, &single, "hosts={}", hosts);
             prop_assert_eq!(&chain, &chain_single, "hosts={}", hosts);
         }
@@ -260,8 +249,9 @@ fn through_scheme(live: &ModelState, dim: usize, scheme: &QuantScheme) -> ModelS
 }
 
 proptest! {
-    /// Gathered ≡ the whole-model copy it replaced: a baseline, then every
-    /// row of the model changes, then an incremental over an arbitrary mask.
+    /// Read by row index from the borrowed tables ≡ a whole-model copy: a
+    /// baseline, then every row of the model changes, then an incremental
+    /// over an arbitrary mask.
     #[test]
     fn gathered_snapshot_stores_the_live_models_bytes(
         seed in any::<u64>(),
@@ -297,7 +287,21 @@ proptest! {
             Decision { kind: CheckpointKind::Full, tracker: TrackerAction::SnapshotReset },
             &write_cfg,
         );
-        prop_assert_eq!(&baseline.model, &old);
+        prop_assert!(baseline.tables == old.tables.iter().map(TableState::view).collect::<Vec<_>>());
+        // The baseline under every scheme, each in a store of its own.
+        let stores: Vec<InMemoryStore> = schemes()
+            .into_iter()
+            .map(|scheme| {
+                let store = InMemoryStore::new();
+                CheckpointWriter::new(&store, "job")
+                    .write(&baseline, CheckpointId(0), None, scheme, &CheckpointConfig {
+                        chunk_rows,
+                        ..CheckpointConfig::default()
+                    })
+                    .expect("baseline write");
+                store
+            })
+            .collect();
 
         // Every row moves, tracked or not: a row the incremental must not
         // carry shows in the restore if it does.
@@ -328,18 +332,9 @@ proptest! {
             &write_cfg,
         );
         prop_assert_eq!(&snap.delta, &mask);
-        // Training on must not reach the slab the writer is about to read.
-        trainer.train_one(&ds.batch(2));
 
-        for scheme in schemes() {
-            let store = InMemoryStore::new();
-            let writer = CheckpointWriter::new(&store, "job");
-            writer
-                .write(&baseline, CheckpointId(0), None, scheme, &CheckpointConfig {
-                    chunk_rows,
-                    ..CheckpointConfig::default()
-                })
-                .expect("baseline write");
+        for (scheme, store) in schemes().into_iter().zip(&stores) {
+            let writer = CheckpointWriter::new(store, "job");
 
             // The reference restore, row by row: the baseline's stored
             // values, overwritten where — and only where — the mask says.
@@ -455,7 +450,7 @@ proptest! {
                     let dense = DenseLayers::decode(&dense_object, &want_manifest).expect("dense decodes");
                     prop_assert_eq!(&dense, &want_dense, "{}", what);
 
-                    let restored = restore(&store, "job", id, &model_cfg).expect("restore");
+                    let restored = restore(store, "job", id, &model_cfg).expect("restore");
                     prop_assert!(restored.state == want, "{}: restore differs from the reference", what);
                     prop_assert_eq!(&restored.incremental_rows, &mask, "{}", what);
                 }
@@ -481,7 +476,9 @@ fn remote(hosts: usize) -> SimulatedRemoteStore {
 /// restores identically.
 #[test]
 fn eight_shards_reach_durability_sooner_and_restore_identically() {
-    let (model_cfg, snap, _) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
+    let (model_cfg, mut trainer) = trained(7, 2000, 900, 16, 3);
+    let live = ModelState::extract(trainer.model());
+    let snap = take(&mut trainer, CheckpointKind::Full, TrackerAction::SnapshotReset);
     let write = |hosts: usize| {
         let store = remote(hosts);
         let writer = CheckpointWriter::new(&store, "job");
@@ -501,7 +498,7 @@ fn eight_shards_reach_durability_sooner_and_restore_identically() {
     let (t1, s1) = write(1);
     let (t8, s8) = write(8);
     assert_eq!(s1, s8, "sharding must not change the restored state");
-    assert_eq!(s1, snap.model, "fp32 restore is bit-exact");
+    assert_eq!(s1, live, "fp32 restore is bit-exact");
     assert!(
         t8.as_secs_f64() < 0.35 * t1.as_secs_f64(),
         "8 uplinks should approach 8x faster durability: 1-shard {t1:?}, 8-shard {t8:?}"
@@ -518,7 +515,8 @@ fn eight_shards_reach_durability_sooner_and_restore_identically() {
 /// quantized them first.
 #[test]
 fn write_timing_does_not_depend_on_put_delays_or_the_quantize_workers() {
-    let (_, snap, _) = snapshot_for(7, 2000, 900, 16, 3, CheckpointKind::Full);
+    let (_, mut trainer) = trained(7, 2000, 900, 16, 3);
+    let snap = take(&mut trainer, CheckpointKind::Full, TrackerAction::SnapshotReset);
     for hosts in [1usize, 4] {
         let write = |workers: usize, seed: Option<u64>| {
             let delay = |seed| {

@@ -8,7 +8,7 @@ use check_n_run::core::policy::{Decision, TrackerAction};
 use check_n_run::core::restore::restore;
 use check_n_run::core::snapshot::SnapshotTaker;
 use check_n_run::core::write::CheckpointWriter;
-use check_n_run::core::{CheckpointConfig, CnrError};
+use check_n_run::core::{CheckpointConfig, CnrError, TrainingSnapshot};
 use check_n_run::cluster::SimClock;
 use check_n_run::model::{DlrmModel, ModelConfig, ShardPlan};
 use check_n_run::quant::QuantScheme;
@@ -18,32 +18,38 @@ use check_n_run::trainer::{Trainer, TrainerConfig};
 use check_n_run::workload::{DatasetSpec, SyntheticDataset};
 use std::sync::Arc;
 
-fn snapshot() -> (ModelConfig, check_n_run::core::TrainingSnapshot, u64) {
+/// A trained model's configuration, its trainer and its state hash.
+fn trained() -> (ModelConfig, Trainer, u64) {
     let spec = DatasetSpec::tiny(777);
     let ds = SyntheticDataset::new(spec.clone());
     let model_cfg = ModelConfig::for_dataset(&spec, 8);
-    let plan = ShardPlan::balanced(&model_cfg, 1, 2);
     let model = DlrmModel::new(model_cfg.clone());
     let mut trainer = Trainer::new(model, SimClock::new(), TrainerConfig::default());
     for i in 0..4 {
         trainer.train_one(&ds.batch(i));
     }
     let hash = trainer.model().state_hash();
-    let snap = SnapshotTaker::new(plan).take(
-        &mut trainer,
+    (model_cfg, trainer, hash)
+}
+
+/// A full snapshot of `trainer`.
+fn full_snapshot(trainer: &mut Trainer) -> TrainingSnapshot<'_> {
+    let plan = ShardPlan::balanced(trainer.model().config(), 1, 2);
+    SnapshotTaker::new(plan).take(
+        trainer,
         ReaderState::at(4),
         Decision {
             kind: CheckpointKind::Full,
             tracker: TrackerAction::SnapshotReset,
         },
         &CheckpointConfig::default(),
-    );
-    (model_cfg, snap, hash)
+    )
 }
 
 #[test]
 fn put_failures_surface_as_pipeline_errors() {
-    let (_, snap, _) = snapshot();
+    let (_, mut trainer, _) = trained();
+    let snap = full_snapshot(&mut trainer);
     // Fail the second put: with several chunks, one worker errors while
     // others succeed; write() must return the error, not panic or hang.
     let store =
@@ -64,7 +70,8 @@ fn put_failures_surface_as_pipeline_errors() {
 
 #[test]
 fn failed_checkpoint_is_never_registered_and_retry_succeeds() {
-    let (model_cfg, snap, hash) = snapshot();
+    let (model_cfg, mut trainer, hash) = trained();
+    let snap = full_snapshot(&mut trainer);
     // Transient outage: the first few puts fail, then storage heals.
     let outage = Fault::fail(Op::Put, FailureMode::FirstN(7));
     let store = Arc::new(FlakyStore::new(InMemoryStore::new(), [outage]));
@@ -108,7 +115,8 @@ fn failed_checkpoint_is_never_registered_and_retry_succeeds() {
 
 #[test]
 fn manifest_put_failure_leaves_checkpoint_unreadable() {
-    let (model_cfg, snap, _) = snapshot();
+    let (model_cfg, mut trainer, _) = trained();
+    let snap = full_snapshot(&mut trainer);
     // One chunk per table (+1 manifest): fail exactly the manifest put.
     let cfg = CheckpointConfig {
         chunk_rows: 1 << 20, // larger than any table: one chunk per table
